@@ -235,7 +235,7 @@ pub struct FlashMob {
 #[derive(Debug, Clone, Copy, Default)]
 struct EngineAddrs {
     map: AddrMap,
-    /// Per-partition slab bases are `slab_region + edge_offset * 4`.
+    /// Per-partition slab bases are `slab_region + 4 * (edges before it)`.
     slab_region: u64,
     w: u64,
     sw: u64,
@@ -312,7 +312,8 @@ impl FlashMob {
         // Pre-processing 1: degree-descending relabel (counting sort).
         let (mut sorted, relabel) = sort_by_degree(graph);
         if second_order {
-            // Sorted adjacency lists give O(log d) connectivity checks.
+            // Marks the graph sorted, which is what turns `has_edge`
+            // into its O(log d) search.
             sorted.sort_adjacency_lists();
         }
         let cum_weights = sorted.is_weighted().then(|| {
@@ -1293,6 +1294,20 @@ impl FlashMob {
         Shuffler::two_level(&self.plan.map, outer_of_fine)
     }
 
+    /// The simulated address map of partition `pi`'s sample task.
+    /// Partitions tile the vertex range in order, so the edges before
+    /// `pi` (its slab's base) end at its first vertex's CSR offset.
+    fn task_addrs(&self, pi: usize) -> AddrMap {
+        let first_edge = self.graph.adjacency_start(self.plan.partitions[pi].start);
+        AddrMap {
+            scur: self.addr.sw,
+            snext: self.addr.snext_region,
+            sprev: self.addr.sprev_region,
+            slab_targets: self.addr.slab_region + 4 * first_edge as u64,
+            ..self.addr.map
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn sample_stage_sequential<P: Probe>(
         &self,
@@ -1317,11 +1332,7 @@ impl FlashMob {
             if a == b {
                 continue;
             }
-            let mut addr = self.addr.map;
-            addr.scur = self.addr.sw;
-            addr.snext = self.addr.snext_region;
-            addr.sprev = self.addr.sprev_region;
-            addr.slab_targets = self.addr.slab_region + 4 * edge_offset(&self.plan, pi) as u64;
+            let addr = self.task_addrs(pi);
             let io = TaskIo {
                 scur: &sw[a..b],
                 sprev: sprev.map(|s| &s[a..b]),
@@ -1396,14 +1407,6 @@ impl FlashMob {
         let mut rngs: Vec<Xorshift64Star> = (0..parts.len())
             .map(|pi| Xorshift64Star::new(partition_stream_id(seed, iter, pi)))
             .collect();
-        let addr_for = |pi: usize| {
-            let mut addr = self.addr.map;
-            addr.scur = self.addr.sw;
-            addr.snext = self.addr.snext_region;
-            addr.sprev = self.addr.sprev_region;
-            addr.slab_targets = self.addr.slab_region + 4 * edge_offset(&self.plan, pi) as u64;
-            addr
-        };
 
         // Unresolved connectivity queries: (slot, candidate, scaled draw).
         let mut pending: Vec<(u32, VertexId, f64)> = Vec::new();
@@ -1465,7 +1468,7 @@ impl FlashMob {
             if a == b {
                 continue;
             }
-            let addr = addr_for(pi);
+            let addr = self.task_addrs(pi);
             let (head, tail) = ps_buffers.split_at_mut(pi);
             let _ = head;
             let ps = &mut tail[0];
@@ -1533,7 +1536,7 @@ impl FlashMob {
             // and stays cache-hot across its whole query group.
             pending.sort_unstable_by_key(|&(slot, _, _)| sprev[slot as usize]);
             redraw.clear();
-            let addr = addr_for(0);
+            let addr = self.task_addrs(0);
             // Resolve the backlog through the walker ring: while query
             // `j` runs its exact check, the bloom lines and offset pair
             // of query `j+depth` and the adjacency endpoints of query
@@ -1567,13 +1570,10 @@ impl FlashMob {
                         let before = pf.issued();
                         let off = self.graph.adjacency_start(t);
                         let d = self.graph.degree(t);
-                        if d > 0 {
-                            // Binary-search touch pattern: endpoints
-                            // and midpoint of t's adjacency list.
-                            for k in [0, d / 2, d - 1] {
-                                pf.element(st.0, targets_arr, off + k, addr.targets);
-                            }
-                        }
+                        // The first two levels of the exact search.
+                        fm_graph::csr::sorted_probe_points(d, 2, &mut |k| {
+                            pf.element(st.0, targets_arr, off + k, addr.targets)
+                        });
                         st.1[self.plan.map.partition_of(t)] += pf.issued() - before;
                     }
                 },
@@ -1606,7 +1606,7 @@ impl FlashMob {
                 let v = sw[slot as usize];
                 let t = sprev[slot as usize];
                 let pi = self.plan.map.partition_of(v);
-                let addr = addr_for(pi);
+                let addr = self.task_addrs(pi);
                 let (head, tail) = ps_buffers.split_at_mut(pi);
                 let _ = head;
                 let ps = &mut tail[0];
@@ -1711,11 +1711,7 @@ impl FlashMob {
                     continue;
                 }
                 let span_start = traced.then(|| origin.elapsed().as_nanos() as u64);
-                let mut addr = self.addr.map;
-                addr.scur = self.addr.sw;
-                addr.snext = self.addr.snext_region;
-                addr.sprev = self.addr.sprev_region;
-                addr.slab_targets = self.addr.slab_region + 4 * edge_offset(&self.plan, pi) as u64;
+                let addr = self.task_addrs(pi);
                 let io = TaskIo {
                     scur: &sw[a..b],
                     sprev: sprev.map(|s| &s[a..b]),
@@ -1777,12 +1773,6 @@ impl FlashMob {
     }
 }
 
-/// Edge offset of partition `pi` within the sorted graph (for slab
-/// address attribution).
-fn edge_offset(plan: &Plan, pi: usize) -> usize {
-    plan.partitions[..pi].iter().map(|p| p.edges).sum()
-}
-
 /// The RNG stream id consumed by partition `pi` during iteration `iter`
 /// of a run seeded with `seed`.
 ///
@@ -1835,6 +1825,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// What `task_addrs` relies on: the edges before a partition end at
+    /// its first vertex's CSR offset.
+    #[test]
+    fn partitions_tile_the_edge_array_in_order() {
+        let g = synth::power_law(3000, 2.0, 1, 200, 5);
+        let engine = FlashMob::new(&g, config(500, 2)).unwrap();
+        let mut before = 0usize;
+        for part in &engine.plan().partitions {
+            assert_eq!(engine.sorted_graph().adjacency_start(part.start), before);
+            before += part.edges;
+        }
+        assert_eq!(before, g.edge_count());
     }
 
     #[test]

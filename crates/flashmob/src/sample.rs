@@ -30,6 +30,7 @@
 pub mod ring;
 
 use fm_graph::bloom::EdgeBloom;
+use fm_graph::csr::sorted_probe_points;
 use fm_graph::{Csr, FixedDegreeSlab, VertexId};
 use fm_memsim::{AccessKind, Probe};
 use fm_rng::Rng64;
@@ -331,8 +332,8 @@ fn sample_ds<R: Rng64, P: Probe>(
         },
         // Fetch: read the (now-resident) offset pair and hint the loads
         // that depend on it — the edge range, the cum-weight slice the
-        // binary search will walk, and for node2vec the endpoints of the
-        // previous vertex's adjacency (the exact-search probes).
+        // binary search will walk, and for node2vec the first reads of
+        // the exact search over the previous vertex's adjacency.
         |pf: &mut ring::Pf, probe: &mut P, j| {
             let v = scur[j];
             if v == DEAD {
@@ -493,7 +494,7 @@ fn sample_ps<R: Rng64, P: Probe>(
         // Fetch: read the (now-resident) cursor and hint what the
         // consume will touch.  For node2vec, peek the likely candidate
         // and hint its whole probe chain: bloom words first, then the
-        // exact search's adjacency endpoints.
+        // exact search's first reads.
         |pf: &mut ring::Pf, st: &mut (&mut P, &mut PsBuffers), j| {
             if !pf.active() {
                 return;
@@ -624,13 +625,11 @@ fn sample_ps<R: Rng64, P: Probe>(
 /// adjacency will read.
 ///
 /// Small lists (one to four cache lines) are prefetched whole; large
-/// lists get the first three levels of the binary-search ladder —
-/// midpoint, quartiles, octiles, both endpoints — instead of only the
-/// three probes the first version hinted.  On the parallel
+/// lists get the first three levels of the search's own ladder
+/// ([`sorted_probe_points`]: seven lines).  On the parallel
 /// per-partition path this is the only latency hiding the connectivity
 /// search gets (the batched single-thread resolver rings its probes
-/// separately), which is why multi-thread node2vec previously measured
-/// only 1.04x from the ring.
+/// separately).
 ///
 /// Hints never consume RNG, so the walk output is bit-identical with
 /// or without them.
@@ -644,17 +643,13 @@ fn hint_connectivity_search<P: Probe>(
 ) {
     let toff = graph.adjacency_start(t);
     let td = graph.degree(t);
-    if td == 0 {
-        return;
-    }
     if td <= 64 {
         pf.span(probe, targets, toff, td, addr.targets);
         return;
     }
-    for frac in [0, td - 1, td / 2, td / 4, 3 * td / 4, td / 8, 3 * td / 8, 5 * td / 8, 7 * td / 8]
-    {
-        pf.element(probe, targets, toff + frac, addr.targets);
-    }
+    sorted_probe_points(td, 3, &mut |k| {
+        pf.element(probe, targets, toff + k, addr.targets)
+    });
 }
 
 /// Hints the lines a [`node2vec_weight`] bloom query for `(t, cand)`
@@ -1115,6 +1110,91 @@ mod tests {
         // Hub buffer = 4 slots, leaves 1 slot each.
         assert_eq!(ps.local_offsets, vec![0, 4, 5, 6, 7, 8]);
         assert_eq!(ps.buf.len(), 8);
+    }
+
+    /// The PS buffer discipline written out plainly, as the model
+    /// `consume` is held to: one generator draw per slot in slot order
+    /// on a refill, samples handed out front to back.
+    fn consume_model<R: Rng64>(
+        graph: &Csr,
+        cum: Option<&[f32]>,
+        buf: &mut [VertexId],
+        cursor: &mut [u32],
+        v: VertexId,
+        rng: &mut R,
+    ) -> VertexId {
+        // One partition spans the graph, so buffers sit at CSR offsets.
+        let (i, off, d) = (v as usize, graph.adjacency_start(v), graph.degree(v));
+        if cursor[i] == 0 {
+            for slot in 0..d {
+                let k = match cum {
+                    Some(cw) => weighted_pick(cw, off, d, rng, &mut NullProbe, &AddrMap::default()),
+                    None => rng.gen_index(d),
+                };
+                buf[off + slot] = graph.targets()[off + k];
+            }
+            cursor[i] = d as u32;
+        }
+        let pos = off + (d - cursor[i] as usize);
+        cursor[i] -= 1;
+        buf[pos]
+    }
+
+    /// Pins the refill byte for byte, so a rewrite of its loop cannot
+    /// move a golden digest unnoticed: after the same consumes from the
+    /// same seed, buffer contents, cursors, the values handed out and
+    /// the generator's state all equal the model's, weighted or not.
+    #[test]
+    fn ps_refill_is_byte_identical_to_its_model() {
+        let plain = synth::power_law(300, 2.0, 1, 120, 29);
+        let weights: Vec<f32> = (0..plain.edge_count())
+            .map(|e| 0.25 + (e % 7) as f32)
+            .collect();
+        let weighted = Csr::from_parts(
+            plain.offsets().to_vec(),
+            plain.targets().to_vec(),
+            Some(weights.clone()),
+        )
+        .unwrap();
+        let cum: Vec<f32> = weights
+            .iter()
+            .scan(0.0f32, |acc, w| {
+                *acc += w;
+                Some(*acc)
+            })
+            .collect();
+        for (graph, cum, algo) in [
+            (&plain, None, WalkAlgorithm::DeepWalk),
+            (&weighted, Some(&cum[..]), WalkAlgorithm::Weighted),
+        ] {
+            let part = make_part(graph, SamplePolicy::PreSample);
+            let ctx = AlgoCtx::new(algo, StopRule::FixedSteps(1), cum);
+            for seed in [1u64, 7, 42] {
+                let mut ps = PsBuffers::new(graph, &part);
+                let (mut buf, mut cursor) = ps.export();
+                let mut rng = Xorshift64Star::new(seed);
+                let mut rng_model = Xorshift64Star::new(seed);
+                // Visits skewed to low ids (the hubs), so buffers run dry
+                // and refill several times while others stay half full.
+                let mut pick = Xorshift64Star::new(seed ^ 0xF00D);
+                for n in 0..20_000 {
+                    let v = (pick.gen_index(300) * pick.gen_index(300) / 300) as VertexId;
+                    let got = consume(
+                        graph,
+                        &mut ps,
+                        v,
+                        &ctx,
+                        &mut rng,
+                        &mut NullProbe,
+                        &AddrMap::default(),
+                    );
+                    let want = consume_model(graph, cum, &mut buf, &mut cursor, v, &mut rng_model);
+                    assert_eq!(got, want, "{algo:?} seed {seed} consume {n} at {v}");
+                }
+                assert_eq!(ps.export(), (buf, cursor), "{algo:?} seed {seed}");
+                assert_eq!(rng.state(), rng_model.state(), "{algo:?} seed {seed}");
+            }
+        }
     }
 
     #[test]

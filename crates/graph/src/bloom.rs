@@ -2,12 +2,15 @@
 //! filter for second-order walks.
 //!
 //! node2vec's bias weight needs `has_edge(t, cand)` per rejection
-//! attempt; a binary search over a DRAM-resident hub adjacency costs
-//! several dependent cache misses.  Most candidates are *not* adjacent
+//! attempt that did not fast-accept.  On a sorted graph that is a
+//! halving search of `log2 d(t)` dependent reads into a hub list that
+//! left the cache long ago (`Csr::has_edge`: 125-135 ns on the TW
+//! analog, `fmbench traced n2v_tw`).  Most candidates are *not* adjacent
 //! to `t`, and a Bloom filter has no false negatives — so "not in the
-//! filter" proves non-adjacency in one or two probes, exactly, and only
-//! the (rare) positive probes fall back to the precise search.  False
-//! positives therefore cost time, never correctness.
+//! filter" proves non-adjacency exactly, in two or three probes (22-34
+//! ns there, rejecting 99.5 % of the non-edges), and only the positive
+//! probes fall through to the search.  False positives therefore cost
+//! time, never correctness.
 
 use crate::csr::Csr;
 use crate::VertexId;

@@ -27,6 +27,63 @@ pub struct Csr {
     /// walks constrain each step to one label; everything else ignores
     /// this sidecar.
     labels: Option<Vec<u8>>,
+    /// Whether every adjacency list ascends.  A function of `offsets`
+    /// and `targets` alone: the constructors compute it while they
+    /// validate, and the only mutator, [`Csr::sort_adjacency_lists`],
+    /// sets it.
+    sorted: bool,
+}
+
+/// Whether every adjacency list ascends.  Stops at the first descent, so
+/// within the constructors' validation only a graph that arrives sorted
+/// pays for a full pass (and is spared its sort later).
+fn rows_ascend(offsets: &[usize], targets: &[VertexId]) -> bool {
+    offsets.windows(2).all(|w| targets[w[0]..w[1]].is_sorted())
+}
+
+/// The halving search behind [`sorted_contains`], over indices: `le(i)`
+/// says whether entry `i` is at most the key.  Returns the index of the
+/// last such entry (0 when there is none), after one `le` call and one
+/// conditional move per level.
+#[inline]
+fn halving_search(len: usize, mut le: impl FnMut(usize) -> bool) -> usize {
+    let (mut base, mut size) = (0usize, len);
+    while size > 1 {
+        let half = size / 2;
+        if le(base + half) {
+            base += half;
+        }
+        size -= half;
+    }
+    base
+}
+
+/// Whether ascending `adj` contains `v`, in O(log d).
+#[inline]
+pub fn sorted_contains(adj: &[VertexId], v: VertexId) -> bool {
+    adj.get(halving_search(adj.len(), |i| adj[i] <= v)) == Some(&v)
+}
+
+/// Calls `f` with every index the first `levels` reads of
+/// [`sorted_contains`] can touch in a list of `len` entries, so a caller
+/// can prefetch them ahead of the search.
+pub fn sorted_probe_points(len: usize, levels: u32, f: &mut impl FnMut(usize)) {
+    fn walk(base: usize, size: usize, levels: u32, f: &mut impl FnMut(usize)) {
+        if levels == 0 {
+            return;
+        }
+        match size {
+            0 => {}
+            1 => f(base), // the closing equality read
+            _ => {
+                let half = size / 2;
+                f(base + half);
+                walk(base, size - half, levels - 1, f);
+                walk(base + half, size - half, levels - 1, f);
+            }
+        }
+    }
+    walk(0, len, levels, f);
 }
 
 impl Csr {
@@ -34,7 +91,8 @@ impl Csr {
     ///
     /// Validates the structural invariants: monotone offsets covering all
     /// of `targets`, every target in range, and weight-array length (when
-    /// present) equal to the edge count.
+    /// present) equal to the edge count; and records whether every
+    /// adjacency list ascends.
     pub fn from_parts(
         offsets: Vec<usize>,
         targets: Vec<VertexId>,
@@ -61,6 +119,7 @@ impl Csr {
                 vertex_count: vcount,
             });
         }
+        let sorted = rows_ascend(&offsets, &targets);
         if let Some(w) = &weights {
             if w.len() != targets.len() {
                 return Err(GraphError::Format("weights length must equal |E|".into()));
@@ -71,6 +130,7 @@ impl Csr {
             targets,
             weights,
             labels: None,
+            sorted,
         })
     }
 
@@ -110,6 +170,7 @@ impl Csr {
             cursor[s as usize] += 1;
         }
         Ok(Self {
+            sorted: rows_ascend(&offsets, &targets),
             offsets,
             targets,
             weights: None,
@@ -216,24 +277,33 @@ impl Csr {
         self.offsets[v as usize]
     }
 
-    /// Checks whether the directed edge `u -> v` exists (binary search if
-    /// the adjacency list is sorted, linear scan otherwise).
+    /// Whether every adjacency list ascends, which makes
+    /// [`Csr::has_edge`] a binary search.
+    #[inline]
+    pub fn has_sorted_adjacency(&self) -> bool {
+        self.sorted
+    }
+
+    /// Checks whether the directed edge `u -> v` exists: O(log d) by
+    /// [`sorted_contains`] when the graph's adjacency lists are sorted
+    /// ([`Csr::has_sorted_adjacency`]), a linear scan of `u`'s list
+    /// otherwise.
     ///
     /// node2vec's second-order bias needs exactly this connectivity test.
+    #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         let adj = self.neighbors(u);
-        if adj.len() >= 16 && adj.windows(2).all(|w| w[0] <= w[1]) {
-            adj.binary_search(&v).is_ok()
+        if self.sorted {
+            sorted_contains(adj, v)
         } else {
             adj.contains(&v)
         }
     }
 
     /// Sorts every adjacency list ascending (invalidates weight pairing,
-    /// so only allowed on unweighted graphs).
-    ///
-    /// Sorted adjacency lists enable O(log d) `has_edge`, which node2vec
-    /// engines rely on.
+    /// so only allowed on unweighted graphs) and marks the graph sorted,
+    /// which is what makes `has_edge` O(log d) for the node2vec engines.
+    /// A graph already marked sorted is left as it is.
     ///
     /// # Panics
     ///
@@ -243,6 +313,10 @@ impl Csr {
             self.weights.is_none(),
             "sorting adjacency lists would desynchronize edge weights"
         );
+        if self.sorted {
+            return;
+        }
+        self.sorted = true;
         match self.labels.as_mut() {
             None => {
                 for v in 0..self.vertex_count() {
@@ -382,6 +456,35 @@ mod tests {
         g.sort_adjacency_lists();
         assert!(g.has_edge(0, 33));
         assert!(!g.has_edge(0, 0));
+    }
+
+    /// The prefetch hints are the search's own reads: whatever the key,
+    /// the first `levels` indices `halving_search` (plus its caller's
+    /// closing read) touches are among `sorted_probe_points`.
+    #[test]
+    fn probe_points_cover_the_first_reads_of_the_search() {
+        for len in [0usize, 1, 2, 3, 5, 16, 17, 64, 65, 1000, 24_001] {
+            let adj: Vec<VertexId> = (0..len as VertexId).map(|k| 2 * k + 1).collect();
+            for levels in [1u32, 2, 3] {
+                let mut hinted = Vec::new();
+                sorted_probe_points(len, levels, &mut |k| hinted.push(k));
+                assert!(hinted.len() < 1 << levels, "len {len}");
+                assert!(hinted.iter().all(|&k| k < len), "len {len}");
+                for v in (0..2 * len as VertexId + 2).step_by(1 + len / 50) {
+                    let mut reads = Vec::new();
+                    let last = halving_search(len, |i| {
+                        reads.push(i);
+                        adj[i] <= v
+                    });
+                    if len > 0 {
+                        reads.push(last);
+                    }
+                    for r in reads.iter().take(levels as usize) {
+                        assert!(hinted.contains(r), "len {len} levels {levels} key {v}: {r}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
