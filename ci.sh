@@ -28,7 +28,7 @@
 #      exit-code contract, the dynamic disjointness checker's tests,
 #      and the conformance quick lattice under --features
 #      audit-disjoint; an env-gated nightly Miri pass (AUDIT_MIRI=1)
-#      covers the recover codecs and fm-rng
+#      covers the recover codecs, fm-rng and oocore's byte view
 #  10. perf tier: `bench-diff`'s exit-code contract on hand-written
 #      ledgers, a `walk --hw-counters` / `cachecheck` degradation
 #      round trip (exit 0 with or without PMU access), and — only on
@@ -222,12 +222,15 @@ cargo test -q -p flashmob --features audit-disjoint --test audit_disjoint
 cargo run --release -q -p fm-cli --features audit-disjoint -- conform --quick
 # Env-gated nightly Miri pass over the snapshot codecs and the RNGs.
 # Both crates contain zero unsafe code (see the fm-audit inventory), so
-# this guards against UB creeping in, not known UB.
+# this guards against UB creeping in, not known UB.  The third line is
+# the out-of-core engine's one unsafe block, the u32 -> u8 view that
+# DiskGraph::read_partition reads file words through.
 if [[ "${AUDIT_MIRI:-0}" == "1" ]]; then
     if cargo +nightly miri --version >/dev/null 2>&1; then
         cargo +nightly miri test -p fm-recover wire:: crc:: snapshot::
         cargo +nightly miri test -p fm-rng
-        echo "audit: miri-clean (fm-recover codecs + fm-rng)"
+        cargo +nightly miri test -p flashmob --lib oocore::tests::words_as_bytes_mut
+        echo "audit: miri-clean (fm-recover codecs + fm-rng + oocore byte view)"
     else
         echo "audit: AUDIT_MIRI=1 but cargo-miri is not installed; install" >&2
         echo "audit: with 'rustup +nightly component add miri' and re-run" >&2

@@ -34,7 +34,7 @@ use fm_telemetry::{Stage, Telemetry, NO_PARTITION, NO_STEP};
 
 use crate::output::WalkOutput;
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
-use crate::walker::{initialize, WalkerInit};
+use crate::walker::{initialize_from_offsets, WalkerInit};
 use crate::{Partition, PartitionMap, SamplePolicy, WalkConfig, WalkError, DEAD};
 
 const MAGIC: &[u8; 8] = b"FMDISK1\0";
@@ -179,8 +179,11 @@ impl DiskGraph {
         24 + (self.offsets.len() as u64) * 8
     }
 
-    /// Reads the adjacency bytes for the vertex range `[start, end)`
-    /// into `buf` (resized to fit); returns the bytes read.
+    /// Reads the adjacency words of the vertex range `[start, end)`
+    /// straight into `buf`, resized to exactly that range (no
+    /// reallocation while it fits `buf`'s capacity, no stale tail);
+    /// returns the bytes read.  On error `buf`'s contents are
+    /// unspecified.
     ///
     /// Generic over the reader so the fault-injection wrapper slots in
     /// under it; IO errors carry the file path and byte offset.
@@ -193,22 +196,29 @@ impl DiskGraph {
     ) -> Result<usize, GraphError> {
         let lo = self.offsets[start as usize];
         let hi = self.offsets[end as usize];
-        let bytes = (hi - lo) * 4;
         buf.resize(hi - lo, 0);
         let off = self.targets_base() + (lo as u64) * 4;
         file.seek(SeekFrom::Start(off))
             .map_err(|e| GraphError::io_at(&self.path, Some(off), e))?;
-        // SAFETY-free byte view: read into a u8 scratch then decode;
-        // avoids unsafe transmutes at a small copy cost.
-        let mut raw = vec![0u8; bytes];
-        file.read_exact(&mut raw)
+        file.read_exact(words_as_bytes_mut(buf))
             .map_err(|e| GraphError::io_at(&self.path, Some(off), e))?;
-        for (slot, c) in buf.iter_mut().zip(raw.chunks_exact(4)) {
-            let mut le = [0u8; 4];
-            le.copy_from_slice(c);
-            *slot = VertexId::from_le_bytes(le);
+        // The file is little-endian; a no-op on little-endian hosts.
+        for word in buf.iter_mut() {
+            *word = VertexId::from_le(*word);
         }
-        Ok(bytes)
+        Ok((hi - lo) * 4)
+    }
+}
+
+/// The in-memory bytes of `words`, so file words are read in place
+/// (callers fix the byte order up with `from_le` afterwards).
+fn words_as_bytes_mut(words: &mut [VertexId]) -> &mut [u8] {
+    // SAFETY: the pointer and byte length are those of `words` itself,
+    // exclusively borrowed for the returned lifetime; `u8` has
+    // alignment 1, and `u32` has no padding and no invalid bit patterns,
+    // so any bytes written through the view leave valid `u32`s behind.
+    unsafe {
+        std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), std::mem::size_of_val(words))
     }
 }
 
@@ -230,8 +240,9 @@ pub struct OocStats {
     /// Transient IO errors absorbed by the retry layer (disk reads and
     /// checkpoint writes).
     pub io_retries: u64,
-    /// Bi-block scheduler only: block loads performed (an off-diagonal
-    /// pair loads two blocks, a diagonal pair one).
+    /// Block loads performed: a scheduled pair loads only the blocks
+    /// its two buffers do not already hold, so between zero and two.
+    /// First-order runs count their partition reads here too.
     pub blocks_streamed: u64,
     /// Bi-block scheduler only: pair slots whose boundary bucket held
     /// walkers and were therefore scheduled.
@@ -341,38 +352,16 @@ pub fn run_ooc_traced(
 
 /// Places walkers per `config.init` using only in-memory metadata (the
 /// offsets index); shared by the first-order and bi-block paths.
-fn init_positions(disk: &DiskGraph, config: &WalkConfig) -> Result<Vec<VertexId>, WalkError> {
-    let n = disk.vertex_count();
-    let walkers = config.walkers;
+fn init_positions(disk: &DiskGraph, config: &WalkConfig) -> Vec<VertexId> {
+    let relabeled;
     let init = match &config.init {
         WalkerInit::Fixed(starts) => {
-            WalkerInit::Fixed(starts.iter().map(|&v| disk.relabel.to_new(v)).collect())
+            relabeled = WalkerInit::Fixed(starts.iter().map(|&v| disk.relabel.to_new(v)).collect());
+            &relabeled
         }
-        other => other.clone(),
+        other => other,
     };
-    // Uniform-edge init needs degrees only, which we have in memory.
-    match init {
-        WalkerInit::UniformEdge => {
-            let e = disk.edge_count();
-            let mut rng = Xorshift64Star::new(config.seed);
-            Ok((0..walkers)
-                .map(|_| {
-                    let edge = rng.gen_index(e);
-                    (disk.offsets.partition_point(|&o| o <= edge) - 1) as VertexId
-                })
-                .collect())
-        }
-        other => {
-            // Vertex-based inits need no adjacency; a degree-1 dummy CSR
-            // carries the vertex count.
-            let dummy = Csr::from_parts(
-                (0..=n).collect(),
-                (0..n).map(|v| v as VertexId).collect(),
-                None,
-            )?;
-            Ok(initialize(&dummy, &other, walkers, config.seed))
-        }
-    }
+    initialize_from_offsets(&disk.offsets, init, config.walkers, config.seed)
 }
 
 /// Folds the walker-initialization mode into a fingerprint.
@@ -507,7 +496,7 @@ pub fn run_ooc_with(
     let wall_start = Instant::now();
     let steps = config.max_steps();
     let walkers = config.walkers;
-    let mut w = init_positions(disk, config)?;
+    let mut w = init_positions(disk, config);
     let mut w_next = vec![0 as VertexId; walkers];
     let mut sw = vec![0 as VertexId; walkers];
     let mut snext = vec![0 as VertexId; walkers];
@@ -523,7 +512,7 @@ pub fn run_ooc_with(
         Some(policy) => FaultyFile::with_policy(file, policy),
         None => FaultyFile::passthrough(file),
     };
-    let mut buf: Vec<VertexId> = Vec::new();
+    let mut buf = BlockBuf::new(partitions.iter().map(|p| p.edges).max().unwrap_or(0));
     let mut probe = NullProbe;
     if tel.is_on() {
         tel.ensure_partitions(partitions.len());
@@ -614,24 +603,19 @@ pub fn run_ooc_with(
                 stats.partitions_skipped += 1;
                 continue;
             }
-            // Stream this partition's adjacency bytes from disk.
-            let io_span = traced.then(|| tel.now_ns());
-            let t0 = Instant::now();
-            // Transient read errors (injected or real) are retried with
-            // exponential backoff; permanent ones escalate typed.
-            let bytes = with_retries(
+            // Stream this partition's adjacency bytes from disk unless
+            // the buffer still holds them from the previous iteration.
+            ensure_resident(
+                disk,
+                &mut file,
                 &opts.retry,
-                &mut stats.io_retries,
-                |e: &GraphError| e.io_source().is_some_and(transient_io),
-                || disk.read_partition(&mut file, part.start, part.end, &mut buf),
+                (part.start, part.end),
+                &mut buf,
+                iter,
+                pi,
+                &mut stats,
+                tel,
             )?;
-            stats.read_time += t0.elapsed();
-            stats.bytes_read += bytes as u64;
-            stats.partitions_read += 1;
-            if let Some(s) = io_span {
-                tel.span_since(Stage::Io, s, iter as u32, pi as u32);
-                tel.record_partition_bytes(pi, bytes as u64);
-            }
 
             let sample_span = traced.then(|| tel.now_ns());
             let base = disk.offsets[part.start as usize];
@@ -642,7 +626,7 @@ pub fn run_ooc_with(
                 let lo = disk.offsets[v as usize] - base;
                 let d = disk.degree(v);
                 let k = rng.gen_index(d);
-                snext[j] = buf[lo + k];
+                snext[j] = buf.words[lo + k];
                 stats.steps_taken += 1;
             }
             if let Some(s) = sample_span {
@@ -719,22 +703,45 @@ fn pair_index(i: usize, j: usize, blocks: usize) -> usize {
     i * (2 * blocks - i + 1) / 2 + (j - i)
 }
 
-/// Streams one block's adjacency array from disk through the
+/// One block-sized adjacency buffer and the block (or first-order
+/// partition) it holds.  Allocated once at the largest block's size, so
+/// loads never reallocate; residency is run-local state, in no snapshot
+/// (a resume starts cold).
+struct BlockBuf {
+    block: Option<usize>,
+    words: Vec<VertexId>,
+}
+
+impl BlockBuf {
+    fn new(capacity: usize) -> Self {
+        Self {
+            block: None,
+            words: Vec::with_capacity(capacity),
+        }
+    }
+}
+
+/// Makes block `blk` (vertex range `range`) resident in `buf`: a no-op
+/// when `buf` already holds it, otherwise one load from disk through the
 /// fault-injection/retry layer, attributing the bytes and an Io span to
 /// the block's telemetry partition.
 #[allow(clippy::too_many_arguments)]
-fn load_block(
+fn ensure_resident(
     disk: &DiskGraph,
     file: &mut FaultyFile<File>,
     retry: &RetryPolicy,
-    start: VertexId,
-    end: VertexId,
-    buf: &mut Vec<VertexId>,
+    range: (VertexId, VertexId),
+    buf: &mut BlockBuf,
     epoch: usize,
     blk: usize,
     stats: &mut OocStats,
     tel: &mut Telemetry,
 ) -> Result<(), WalkError> {
+    if buf.block == Some(blk) {
+        return Ok(());
+    }
+    // A failed load leaves the previous block half-overwritten.
+    buf.block = None;
     let io_span = tel.is_on().then(|| tel.now_ns());
     let t0 = Instant::now();
     // Transient read errors (injected or real) are retried with
@@ -743,8 +750,9 @@ fn load_block(
         retry,
         &mut stats.io_retries,
         |e: &GraphError| e.io_source().is_some_and(transient_io),
-        || disk.read_partition(file, start, end, buf),
+        || disk.read_partition(file, range.0, range.1, &mut buf.words),
     )?;
+    buf.block = Some(blk);
     stats.read_time += t0.elapsed();
     stats.bytes_read += bytes as u64;
     stats.blocks_streamed += 1;
@@ -836,7 +844,7 @@ fn run_ooc_biblock(
     };
 
     let wall_start = Instant::now();
-    let mut cur = init_positions(disk, config)?;
+    let mut cur = init_positions(disk, config);
     // `prevv` carries the node2vec predecessor (DEAD before the first,
     // first-order step) or the PPR origin.
     let mut prevv: Vec<VertexId> = if is_ppr {
@@ -966,8 +974,12 @@ fn run_ooc_biblock(
         stats.peak_parked = walkers as u64;
     }
 
-    let mut buf_i: Vec<VertexId> = Vec::new();
-    let mut buf_j: Vec<VertexId> = Vec::new();
+    // Two block buffers, the whole of the engine's block memory.
+    let largest = (0..nblocks)
+        .map(|b| disk.offsets[block_end(b)] - disk.offsets[block_start[b]])
+        .max()
+        .unwrap_or(0);
+    let mut bufs = [BlockBuf::new(largest), BlockBuf::new(largest)];
     'sweep: while remaining > 0 {
         // Every unfinished walker's own pair is visited once per sweep
         // and steps it at least once, so epochs are bounded by steps.
@@ -990,32 +1002,28 @@ fn run_ooc_biblock(
                 } else {
                     parked_now -= bucket.len() as u64;
                     stats.pairs_scheduled += 1;
-                    load_block(
-                        disk,
-                        &mut file,
-                        &opts.retry,
-                        block_start[i] as VertexId,
-                        block_end(i) as VertexId,
-                        &mut buf_i,
-                        epoch,
-                        i,
-                        &mut stats,
-                        tel,
-                    )?;
-                    if j != i {
-                        load_block(
+                    // `bufs[0]` serves block `i`, `bufs[1]` block `j`: swap
+                    // rather than reload when they hold the needed blocks
+                    // the other way round, then load what is missing (a
+                    // diagonal pair needs one block only).
+                    if bufs[1].block == Some(i) || (j != i && bufs[0].block == Some(j)) {
+                        bufs.swap(0, 1);
+                    }
+                    let needed = if j == i { 1 } else { 2 };
+                    for (buf, b) in bufs.iter_mut().zip([i, j]).take(needed) {
+                        ensure_resident(
                             disk,
                             &mut file,
                             &opts.retry,
-                            block_start[j] as VertexId,
-                            block_end(j) as VertexId,
-                            &mut buf_j,
+                            (block_start[b] as VertexId, block_end(b) as VertexId),
+                            buf,
                             epoch,
-                            j,
+                            b,
                             &mut stats,
                             tel,
                         )?;
                     }
+                    let (buf_i, buf_j) = (&bufs[0].words, &bufs[1].words);
                     let sample_span = tel.is_on().then(|| tel.now_ns());
                     let mut rng = Xorshift64Star::new(crate::engine::partition_stream_id(
                         config.seed,
@@ -1032,9 +1040,9 @@ fn run_ooc_biblock(
                             let v = cur[k];
                             let bv = block_of(v);
                             let (vbuf, vbase) = if bv == i {
-                                (&buf_i, base_i)
+                                (buf_i, base_i)
                             } else {
-                                (&buf_j, base_j)
+                                (buf_j, base_j)
                             };
                             let lo = disk.offsets[v as usize] - vbase;
                             let d = disk.degree(v);
@@ -1057,9 +1065,9 @@ fn run_ooc_biblock(
                                 let t = prevv[k];
                                 let bt = block_of(t);
                                 let (tbuf, tbase) = if bt == i {
-                                    (&buf_i, base_i)
+                                    (buf_i, base_i)
                                 } else {
-                                    (&buf_j, base_j)
+                                    (buf_j, base_j)
                                 };
                                 let tlo = disk.offsets[t as usize] - tbase;
                                 let tadj = &tbuf[tlo..tlo + disk.degree(t)];
@@ -1515,6 +1523,251 @@ mod tests {
         std::fs::write(&path, &pristine).unwrap();
         assert!(DiskGraph::open(&path).is_ok());
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn words_as_bytes_mut_matches_to_le_bytes() {
+        // Write the file's byte order through the view, apply the same
+        // fix-up `read_partition` does, and expect the words back — on
+        // either endianness.
+        let pattern: [VertexId; 5] = [0x0403_0201, 0xDEAD_BEEF, 0, VertexId::MAX, 0x8000_0001];
+        let mut words = [0 as VertexId; 5];
+        let view = words_as_bytes_mut(&mut words);
+        assert_eq!(view.len(), 20);
+        for (dst, src) in view.chunks_exact_mut(4).zip(&pattern) {
+            dst.copy_from_slice(&src.to_le_bytes());
+        }
+        for word in &mut words {
+            *word = VertexId::from_le(*word);
+        }
+        assert_eq!(words, pattern);
+        assert!(words_as_bytes_mut(&mut []).is_empty());
+    }
+
+    /// Counts the bytes delivered since the last seek, so a test can
+    /// tell a read that failed part-way from one that failed up front.
+    struct Progress {
+        file: File,
+        delivered: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl Read for Progress {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.file.read(buf)?;
+            self.delivered.set(self.delivered.get() + n);
+            Ok(n)
+        }
+    }
+
+    impl Seek for Progress {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.delivered.set(0);
+            self.file.seek(pos)
+        }
+    }
+
+    #[test]
+    fn read_partition_contract() {
+        let g = synth::power_law(300, 2.0, 1, 40, 19);
+        let path = temp_path("rp_contract.fmdisk");
+        let disk = DiskGraph::create(&g, &path).unwrap();
+        let (sorted, _) = sort_by_degree(&g);
+        let n = disk.vertex_count() as VertexId;
+        let mid = n / 2;
+        let want = |a: VertexId, b: VertexId| {
+            &sorted.targets()[disk.offsets[a as usize]..disk.offsets[b as usize]]
+        };
+        let mut file = File::open(&path).unwrap();
+        let mut buf = Vec::new();
+
+        // A range ending at the last vertex; a smaller range after a
+        // larger one leaves no stale tail; an empty range empties the
+        // buffer; none of it reallocates once the buffer is sized.
+        let bytes = disk.read_partition(&mut file, 0, n, &mut buf).unwrap();
+        assert_eq!(bytes, disk.edge_count() * 4);
+        assert_eq!(buf, want(0, n));
+        let sized = (buf.as_ptr(), buf.capacity());
+        disk.read_partition(&mut file, mid, n, &mut buf).unwrap();
+        assert_eq!(buf, want(mid, n));
+        assert_eq!(disk.read_partition(&mut file, mid, mid, &mut buf).unwrap(), 0);
+        assert!(buf.is_empty());
+        disk.read_partition(&mut file, 0, mid, &mut buf).unwrap();
+        assert_eq!(buf, want(0, mid));
+        assert_eq!((buf.as_ptr(), buf.capacity()), sized);
+
+        // Short reads, and transient errors after part of a block has
+        // already overwritten the buffer: the retry re-reads the whole
+        // block, so every load ends identical to the clean read.
+        let delivered = std::rc::Rc::new(std::cell::Cell::new(0));
+        let inner = Progress {
+            file: File::open(&path).unwrap(),
+            delivered: delivered.clone(),
+        };
+        let policy = FaultPolicy {
+            seed: 5,
+            transient_rate: 0.2,
+            short_read_rate: 0.5,
+            torn_write_rate: 0.0,
+        };
+        let mut faulty = FaultyFile::with_policy(inner, policy);
+        let (mut retries, mut failed_mid_block) = (0u64, 0u64);
+        for (a, b) in [(0, n), (mid, n), (0, mid), (mid, mid), (1, n - 1), (mid, n)] {
+            let mut attempt = 0;
+            with_retries(
+                &RetryPolicy::immediate(64),
+                &mut retries,
+                |e: &GraphError| e.io_source().is_some_and(transient_io),
+                || {
+                    if attempt > 0 && delivered.get() > 0 {
+                        failed_mid_block += 1;
+                    }
+                    attempt += 1;
+                    disk.read_partition(&mut faulty, a, b, &mut buf)
+                },
+            )
+            .unwrap();
+            assert_eq!(buf, want(a, b), "range [{a}, {b})");
+        }
+        let counts = faulty.counts();
+        assert_eq!(counts.transient, retries);
+        assert!(counts.short_reads > 0 && failed_mid_block > 0, "{counts:?}");
+
+        // A file truncated under the open index is a typed, permanent
+        // error, never a panic or a retry loop.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let shrink = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        shrink.set_len(len - 6).unwrap();
+        let err = disk.read_partition(&mut file, mid, n, &mut buf).unwrap_err();
+        assert!(
+            matches!(&err, GraphError::IoAt { source, .. }
+                if source.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{err:?}"
+        );
+        assert!(!err.io_source().is_some_and(transient_io));
+        std::fs::remove_file(path).ok();
+    }
+
+    /// A complete graph whose `blocks * per_block` equal-degree vertices
+    /// the bi-block cut splits into exactly `blocks` blocks under the
+    /// returned budget.
+    fn complete_in_blocks(blocks: usize, per_block: usize, name: &str) -> (DiskGraph, usize) {
+        let n = blocks * per_block;
+        let disk = DiskGraph::create(&synth::complete(n), temp_path(name)).unwrap();
+        (disk, 2 * per_block * (n - 1) * 4)
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
+    fn biblock_loads_only_what_is_not_resident() {
+        let spans = |tel: &Telemetry, stage: Stage, epoch: u32| {
+            let of_epoch = |e: &&fm_telemetry::SpanEvent| e.stage == stage && e.step == epoch;
+            tel.events().iter().filter(of_epoch).count()
+        };
+        for (blocks, per_block) in [(4usize, 16usize), (6, 8)] {
+            let (disk, budget) = complete_in_blocks(blocks, per_block, "bb_loads.fmdisk");
+            let cfg = WalkConfig::node2vec(0.5, 2.0).walkers(3000).steps(24).seed(17);
+            let mut tel = Telemetry::new();
+            let (_, stats) = run_ooc_traced(&disk, &cfg, budget, &mut tel).unwrap();
+            assert_eq!(tel.dropped(), 0);
+            assert_eq!(tel.stage(Stage::Io).spans, stats.blocks_streamed);
+
+            // Sweep 0 schedules every pair, one Sample span each (fresh
+            // walkers wait on the diagonal and spill forward): row `i`
+            // loads its own block once and one ancillary block per
+            // off-diagonal pair — except block B-1, still held from
+            // `(B-3, B-1)` at `(B-2, B-1)` and from there, swapped, at
+            // `(B-1, B-1)`.  Later sweeps schedule the off-diagonal pairs
+            // only (a walker whose `prev` and `cur` share a block never
+            // parks) and save the same one load.  The parent loaded B * B
+            // and B * (B - 1).
+            let off_diagonal = blocks * (blocks - 1) / 2;
+            for (epoch, pairs, loads) in [
+                (0, blocks + off_diagonal, blocks + off_diagonal - 2),
+                (1, off_diagonal, blocks - 1 + off_diagonal - 1),
+            ] {
+                assert_eq!(spans(&tel, Stage::Sample, epoch), pairs, "sweep {epoch}");
+                assert_eq!(spans(&tel, Stage::Io, epoch), loads, "{blocks} blocks, sweep {epoch}");
+            }
+
+            // On any run: one load per scheduled pair for its ancillary
+            // block plus one per row per sweep for its current block.
+            let sweeps = tel.events().iter().map(|e| e.step + 1).max().unwrap_or(0);
+            assert!(
+                stats.blocks_streamed <= stats.pairs_scheduled + blocks as u64 * sweeps as u64,
+                "{} loads, {} pairs, {sweeps} sweeps",
+                stats.blocks_streamed,
+                stats.pairs_scheduled
+            );
+
+            // Exact counts repeat run to run.
+            let (_, again) = run_ooc(&disk, &cfg, budget).unwrap();
+            assert_eq!(
+                (again.blocks_streamed, again.bytes_read, again.pairs_scheduled),
+                (stats.blocks_streamed, stats.bytes_read, stats.pairs_scheduled)
+            );
+            std::fs::remove_file(&disk.path).ok();
+        }
+    }
+
+    #[test]
+    fn full_budget_first_order_reads_its_partition_once() {
+        let g = synth::power_law(400, 2.0, 1, 40, 5);
+        let path = temp_path("once.fmdisk");
+        let disk = DiskGraph::create(&g, &path).unwrap();
+        let cfg = WalkConfig::deepwalk().walkers(200).steps(6).seed(9);
+        let whole = disk.edge_count() * 4;
+        let (out, stats) = run_ooc(&disk, &cfg, whole).unwrap();
+        assert_eq!(stats.partitions_read, 1, "one partition, six iterations");
+        assert_eq!(stats.bytes_read, whole as u64);
+        assert_eq!(stats.steps_taken, 200 * 6);
+        for path in out.paths() {
+            for hop in path.windows(2) {
+                assert!(g.neighbors(hop[0]).contains(&hop[1]));
+            }
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn biblock_resume_mid_row_is_bit_exact() {
+        // Four blocks: a sweep is slots 0..10 in rows of 4, 3, 2 and 1.
+        // The straight run reaches a mid-row slot with the row's block
+        // (and often the ancillary one) already held; a resume arrives
+        // there with both buffers empty.  Same paths either way.
+        let (disk, budget) = complete_in_blocks(4, 12, "bb_midrow.fmdisk");
+        let ckdir = temp_path("bb_midrow_dir");
+        for algorithm in [
+            crate::WalkAlgorithm::Node2Vec { p: 0.25, q: 4.0 },
+            crate::WalkAlgorithm::Ppr { alpha: 0.2 },
+        ] {
+            let mut cfg = WalkConfig::deepwalk().walkers(300).steps(12).seed(13);
+            cfg.algorithm = algorithm;
+            let (reference, _) = run_ooc(&disk, &cfg, budget).unwrap();
+            for slots_done in [2u64, 6, 8, 12] {
+                std::fs::remove_dir_all(&ckdir).ok();
+                let halt = OocOptions::default().checkpoint(CheckpointSpec {
+                    halt_after: Some(slots_done),
+                    ..CheckpointSpec::new(&ckdir, 1)
+                });
+                let mut tel = Telemetry::off();
+                let err = run_ooc_with(&disk, &cfg, budget, &halt, &mut tel).unwrap_err();
+                assert!(
+                    matches!(err, WalkError::Halted { generation } if generation == slots_done)
+                );
+                let (_, snap) = load_latest(&ckdir).unwrap();
+                assert_eq!(snap.biblock.map(|b| b.cursor), Some(slots_done % 10));
+
+                let resume = OocOptions::default().resume_from(&ckdir);
+                let (resumed, _) = run_ooc_with(&disk, &cfg, budget, &resume, &mut tel).unwrap();
+                assert_eq!(
+                    reference.paths(),
+                    resumed.paths(),
+                    "{algorithm:?} resumed at slot {slots_done}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&ckdir).ok();
+        std::fs::remove_file(&disk.path).ok();
     }
 
     #[test]

@@ -32,19 +32,27 @@ pub enum WalkerInit {
 /// Panics if the graph is empty, `count` is zero, or a `Fixed` list is
 /// empty or out of range.
 pub fn initialize(graph: &Csr, init: &WalkerInit, count: usize, seed: u64) -> Vec<VertexId> {
-    assert!(
-        graph.vertex_count() > 0,
-        "cannot place walkers on an empty graph"
-    );
+    initialize_from_offsets(graph.offsets(), init, count, seed)
+}
+
+/// [`initialize`] over a bare CSR offsets index (`|V| + 1` entries):
+/// placement needs degrees only, so the out-of-core engine calls this
+/// with the index it keeps in memory.
+pub(crate) fn initialize_from_offsets(
+    offsets: &[usize],
+    init: &WalkerInit,
+    count: usize,
+    seed: u64,
+) -> Vec<VertexId> {
+    let n = offsets.len().saturating_sub(1);
+    assert!(n > 0, "cannot place walkers on an empty graph");
     assert!(count > 0, "need at least one walker");
-    let n = graph.vertex_count();
     let mut rng = Xorshift64Star::new(seed);
     match init {
         WalkerInit::UniformVertex => (0..count).map(|_| rng.gen_index(n) as VertexId).collect(),
         WalkerInit::UniformEdge => {
-            let e = graph.edge_count();
+            let e = offsets[n];
             assert!(e > 0, "uniform-edge init needs edges");
-            let offsets = graph.offsets();
             (0..count)
                 .map(|_| {
                     let edge = rng.gen_index(e);
