@@ -34,7 +34,12 @@
 #      round trip (exit 0 with or without PMU access), and — only on
 #      hosts with working counters — a fresh test-scale bench run
 #      compared against the committed BENCH_BASELINE.json
-#  11. clippy with warnings promoted to errors
+#  11. fmbench tier: the benchmark package's own tests (metric names
+#      against BENCHMARK.json, estimator, span tiling, input pinning),
+#      which no workspace command reaches because `benchmark/` is its
+#      own workspace, and `fmbench smoke` — the four workloads, run and
+#      traced, at test scale against their golden digests (about 1 s)
+#  12. clippy with warnings promoted to errors
 # Run from the repository root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -291,6 +296,13 @@ else
     cargo run --release -q -p fm-cli -- bench-diff "$PERF_TMP/fresh.jsonl" \
         --baseline BENCH_BASELINE.json
 fi
+
+echo "== fmbench tier (benchmark tests + smoke) =="
+# `benchmark/` is a workspace of its own, so the tier-1 command never
+# builds it: a change that breaks a function the benchmark calls, or a
+# golden digest, would otherwise first show when the driver runs it.
+cargo test --release -q --manifest-path benchmark/Cargo.toml
+cargo run --release -q --manifest-path benchmark/Cargo.toml -- smoke
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -1,5 +1,6 @@
 //! The walker-at-a-time baseline execution loop.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fm_graph::relabel::Relabeling;
@@ -116,7 +117,7 @@ pub struct Baseline {
     sampler: SamplerKind,
     addrs: BaselineAddrs,
     /// Identity mapping (baselines do not reorder vertices).
-    relabel: Relabeling,
+    relabel: Arc<Relabeling>,
 }
 
 impl Baseline {
@@ -168,7 +169,7 @@ impl Baseline {
             alias_idx: space.alloc(e * 4),
             cum_weights: space.alloc(e * 4),
         };
-        let relabel = Relabeling::identity(graph.vertex_count());
+        let relabel = Arc::new(Relabeling::identity(graph.vertex_count()));
         Ok(Self {
             graph,
             config,
@@ -366,7 +367,7 @@ impl Baseline {
         }
 
         let wall = start.elapsed();
-        let output = WalkOutput::new(rows, walkers, self.relabel.clone());
+        let output = WalkOutput::new(rows, walkers, Arc::clone(&self.relabel));
         let stats = BaselineStats {
             walkers,
             steps_taken,

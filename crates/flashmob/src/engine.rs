@@ -1,6 +1,7 @@
 //! The FlashMob execution engine: plan, then iterate shuffle → sample.
 
 use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use fm_graph::relabel::{sort_by_degree, Relabeling};
@@ -32,7 +33,10 @@ pub struct StageTimes {
     pub sample: Duration,
     /// Shuffle stage (count + scatter + gather passes).
     pub shuffle: Duration,
-    /// Everything else: initialization, path recording, output.
+    /// The rest of the episode's wall clock: the prologue
+    /// ([`RunStats::init`]), path-row recording, checkpoint hand-off and
+    /// the loop's own bookkeeping.  Computed as `wall - sample - shuffle`,
+    /// so the three fields tile [`RunStats::wall`] exactly.
     pub other: Duration,
 }
 
@@ -47,6 +51,10 @@ pub struct RunStats {
     pub wall: Duration,
     /// Per-stage breakdown.
     pub stages: StageTimes,
+    /// The episode prologue: walker placement plus walker-array and PS
+    /// buffer set-up, before the first step.  A part of
+    /// [`StageTimes::other`], not an addition to it.
+    pub init: Duration,
     /// Walker-steps executed per partition.
     pub per_partition_steps: Vec<u64>,
     /// Software-prefetch hints issued per partition by the sample-stage
@@ -84,6 +92,14 @@ impl RunStats {
             self.stages.shuffle.as_nanos() as f64 / s,
             self.stages.other.as_nanos() as f64 / s,
         )
+    }
+
+    /// Prologue nanoseconds per walker placed.
+    pub fn init_ns_per_walker(&self) -> f64 {
+        if self.walkers == 0 {
+            return 0.0;
+        }
+        self.init.as_nanos() as f64 / self.walkers as f64
     }
 
     /// Fraction of worker capacity spent idle: cumulative worker idle
@@ -129,6 +145,11 @@ impl RunStats {
         out.push_str(&format!(
             "stage share: sample {p_sample:.1}%, shuffle {p_shuffle:.1}%, other {p_other:.1}%\n"
         ));
+        out.push_str(&format!(
+            "init: {:.1} ns/walker ({:.3?}, part of other)\n",
+            self.init_ns_per_walker(),
+            self.init
+        ));
         let prefetches = self.per_partition_prefetches.iter().sum::<u64>();
         if prefetches > 0 {
             out.push_str(&format!(
@@ -155,6 +176,7 @@ impl RunStats {
         let mut out = format!(
             "{{\"walkers\": {}, \"steps_taken\": {}, \"wall_ns\": {}, \"per_step_ns\": {}, \
              \"sample_ns_per_step\": {}, \"shuffle_ns_per_step\": {}, \"other_ns_per_step\": {}, \
+             \"init_ns_per_walker\": {}, \
              \"pool\": {{\"spawned\": {}, \"epochs\": {}, \"idle_ns\": {}, \"idle_ratio\": {}}}, \
              \"per_partition_steps\": [",
             self.walkers,
@@ -164,6 +186,7 @@ impl RunStats {
             json::num(sample),
             json::num(shuffle),
             json::num(other),
+            json::num(self.init_ns_per_walker()),
             self.pool.spawned,
             self.pool.epochs,
             self.pool.idle.as_nanos(),
@@ -207,7 +230,7 @@ impl RunStats {
 #[derive(Debug)]
 pub struct FlashMob {
     graph: Csr,
-    relabel: Relabeling,
+    relabel: Arc<Relabeling>,
     plan: Plan,
     config: WalkConfig,
     /// Per-edge cumulative weights (weighted walks only), parallel to the
@@ -230,6 +253,11 @@ pub struct FlashMob {
     /// Wall-clock time spent in pre-processing (relabel + planning),
     /// attributed to the Plan stage of traced runs.
     plan_wall: Duration,
+    /// The PS buffers of the last finished run, parked here so the next
+    /// run resets their cursors instead of allocating and zeroing
+    /// `O(|E|)` bytes.  Empty until the first run returns, and while a
+    /// run holds them: a concurrent run allocates its own set.
+    ps_pool: Mutex<Option<PsSet>>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -242,6 +270,9 @@ struct EngineAddrs {
     snext_region: u64,
     sprev_region: u64,
 }
+
+/// One run's PS buffers: `Some` for every pre-sampling partition.
+type PsSet = Vec<Option<PsBuffers>>;
 
 /// A background checkpoint write in flight: the thread owns the sink
 /// and returns it together with the transient retries it absorbed and
@@ -392,7 +423,7 @@ impl FlashMob {
 
         Ok(Self {
             graph: sorted,
-            relabel,
+            relabel: Arc::new(relabel),
             plan,
             config,
             cum_weights,
@@ -401,6 +432,7 @@ impl FlashMob {
             addr,
             ring_depths,
             plan_wall,
+            ps_pool: Mutex::new(None),
         })
     }
 
@@ -753,6 +785,7 @@ impl FlashMob {
             agg.stages.sample += stats.stages.sample;
             agg.stages.shuffle += stats.stages.shuffle;
             agg.stages.other += stats.stages.other;
+            agg.init += stats.init;
             agg.pool.spawned += stats.pool.spawned;
             agg.pool.epochs += stats.pool.epochs;
             agg.pool.idle += stats.pool.idle;
@@ -817,6 +850,7 @@ impl FlashMob {
         resume: Option<WalkSnapshot>,
     ) -> Result<(WalkOutput, RunStats), WalkError> {
         let wall_start = Instant::now();
+        let prologue_span = tel.is_on().then(|| tel.now_ns());
         let walkers = self.config.walkers;
         let second_order = self.config.algorithm.is_second_order();
         // Stateful first-order programs (PPR restart, early exit) carry
@@ -855,13 +889,27 @@ impl FlashMob {
             (Vec::new(), Vec::new(), Vec::new())
         };
 
-        // PS buffers persist across iterations.
-        let mut ps_buffers: Vec<Option<PsBuffers>> = self
-            .plan
-            .partitions
-            .iter()
-            .map(|p| (p.policy == SamplePolicy::PreSample).then(|| PsBuffers::new(&self.graph, p)))
-            .collect();
+        // PS buffers persist across iterations, and across runs: a run
+        // that inherits a set only zeroes the cursors, which forces a
+        // refill before any buffered sample is read.
+        let mut ps_buffers = match self.lock_ps_pool().take() {
+            Some(mut parked) => {
+                parked.iter_mut().flatten().for_each(PsBuffers::reset);
+                parked
+            }
+            None => self
+                .plan
+                .partitions
+                .iter()
+                .map(|p| {
+                    (p.policy == SamplePolicy::PreSample).then(|| PsBuffers::new(&self.graph, p))
+                })
+                .collect(),
+        };
+        let init = wall_start.elapsed();
+        if let Some(s) = prologue_span {
+            tel.span_since(Stage::Other, s, NO_STEP, NO_PARTITION);
+        }
 
         let shuffler = self.build_shuffler();
         let mut scratch = ShuffleScratch::default();
@@ -1238,25 +1286,33 @@ impl FlashMob {
         if let Some(handle) = pending.take() {
             join_checkpoint(handle, tel)?;
         }
+        *self.lock_ps_pool() = Some(ps_buffers);
 
         let wall = wall_start.elapsed();
         stage.other += wall.saturating_sub(stage.sample + stage.shuffle + stage.other);
         let output = if self.config.record_paths {
-            WalkOutput::new(rows, walkers, self.relabel.clone())
+            WalkOutput::new(rows, walkers, Arc::clone(&self.relabel))
         } else {
-            WalkOutput::new(vec![w], walkers, self.relabel.clone())
+            WalkOutput::new(vec![w], walkers, Arc::clone(&self.relabel))
         };
         let stats = RunStats {
             walkers,
             steps_taken,
             wall,
             stages: stage,
+            init,
             per_partition_steps,
             per_partition_prefetches: ring_prefetches,
             visits_sorted: visits,
             pool: pool.as_ref().map(WorkerPool::stats).unwrap_or_default(),
         };
         Ok((output, stats))
+    }
+
+    /// The parked PS buffers.  The lock is only ever held to move the
+    /// set out or in, so a poisoned lock still guards a valid value.
+    fn lock_ps_pool(&self) -> MutexGuard<'_, Option<PsSet>> {
+        self.ps_pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn build_shuffler(&self) -> Shuffler<'_> {
@@ -1889,23 +1945,11 @@ mod tests {
         // unbatched stage, so threads = 1 is excluded from its
         // comparison (see `WalkConfig::threads`).
         let g = synth::power_law(400, 2.0, 2, 40, 9);
-        let wg = weighted_copy(&g);
         for walkers in [16usize, 300] {
-            for algo in ["deepwalk", "node2vec", "weighted"] {
+            for (algo, graph, cfg) in matrix_cells(&g, walkers) {
                 let run = |threads: usize| {
-                    let mut cfg = match algo {
-                        "node2vec" => WalkConfig::node2vec(0.5, 2.0)
-                            .walkers(walkers)
-                            .steps(5)
-                            .seed(7)
-                            .planner(small_params()),
-                        _ => config(walkers, 5),
-                    };
-                    if algo == "weighted" {
-                        cfg.algorithm = WalkAlgorithm::Weighted;
-                    }
-                    let graph = if algo == "weighted" { &wg } else { &g };
-                    FlashMob::new(graph, cfg.threads(threads)).unwrap().run().unwrap()
+                    let engine = FlashMob::new(&graph, cfg.clone().threads(threads)).unwrap();
+                    engine.run().unwrap()
                 };
                 let seq = run(1);
                 let two = run(2);
@@ -2213,6 +2257,132 @@ mod tests {
         assert_eq!(visits.iter().sum::<u64>(), 300 * 4);
     }
 
+    /// The three algorithms of the determinism matrix on one graph, each
+    /// as a config builder (weighted walks get the weighted copy).
+    fn matrix_cells(g: &Csr, walkers: usize) -> Vec<(&'static str, Csr, WalkConfig)> {
+        let node2vec = WalkConfig::node2vec(0.5, 2.0)
+            .walkers(walkers)
+            .steps(5)
+            .seed(7)
+            .planner(small_params());
+        let mut weighted = config(walkers, 5);
+        weighted.algorithm = WalkAlgorithm::Weighted;
+        vec![
+            ("deepwalk", g.clone(), config(walkers, 5)),
+            ("weighted", weighted_copy(g), weighted),
+            ("node2vec", g.clone(), node2vec),
+        ]
+    }
+
+    #[test]
+    fn reruns_on_one_engine_equal_a_fresh_engines_first_run() {
+        // A run that inherits the previous run's PS buffers resets their
+        // cursors and nothing else.  The buffers it inherits here were
+        // last filled under *another* seed (episode 1 of `run_episodes`),
+        // so a single stale sample read would show.
+        let g = synth::power_law(400, 2.0, 2, 40, 9);
+        for (algo, graph, cfg) in matrix_cells(&g, 300) {
+            for strategy in [PlanStrategy::DynamicProgramming, PlanStrategy::UniformPs] {
+                for threads in [1usize, 2, 3, 8] {
+                    let cfg = cfg.clone().strategy(strategy).threads(threads);
+                    let fresh = |seed: u64| {
+                        let engine = FlashMob::new(&graph, cfg.clone().seed(seed)).unwrap();
+                        engine.run().unwrap().paths()
+                    };
+                    let what = format!("{algo} {strategy:?} {threads} threads");
+                    let engine = FlashMob::new(&graph, cfg.clone()).unwrap();
+                    let pre_samples = |p: &crate::Partition| p.policy == SamplePolicy::PreSample;
+                    assert!(engine.plan().partitions.iter().any(pre_samples), "{what}");
+                    let want = fresh(cfg.seed);
+                    assert_eq!(engine.run().unwrap().paths(), want, "{what}: first run");
+                    let mut episodes = Vec::new();
+                    engine
+                        .run_episodes(2 * cfg.walkers, |_, out| episodes.push(out.paths()))
+                        .unwrap();
+                    assert_eq!(episodes[0], want, "{what}: episode 0");
+                    let episode_1_seed = cfg.seed.wrapping_add(0x9E37 + 1);
+                    assert_eq!(episodes[1], fresh(episode_1_seed), "{what}: episode 1");
+                    assert_eq!(engine.run().unwrap().paths(), want, "{what}: second run");
+                    assert_eq!(engine.run().unwrap().paths(), want, "{what}: third run");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resume_is_bit_exact_around_inherited_ps_buffers() {
+        let g = synth::power_law(400, 2.0, 2, 40, 9);
+        for (algo, graph, cfg) in matrix_cells(&g, 300) {
+            let cfg = cfg.strategy(PlanStrategy::UniformPs);
+            let want = FlashMob::new(&graph, cfg.clone()).unwrap().run().unwrap();
+            let dir = std::env::temp_dir().join(format!(
+                "fm_engine_ps_pool_{}_{algo}",
+                std::process::id()
+            ));
+            let engine = FlashMob::new(&graph, cfg).unwrap();
+            engine.run().unwrap();
+            // The checkpointing run inherits buffers, so its snapshot
+            // carries the previous run's samples in the slots it has not
+            // refilled yet; the halt drops the set.
+            let mut spec = CheckpointSpec::new(&dir, 2);
+            spec.halt_after = Some(1);
+            assert!(matches!(
+                engine.run_with_checkpoints(&spec),
+                Err(WalkError::Halted { generation: 1 })
+            ));
+            // Park a set again, so the resume imports into inherited
+            // buffers.
+            engine.run().unwrap();
+            let (resumed, _) = engine.resume(&dir).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(resumed.paths(), want.paths(), "{algo}");
+            assert_eq!(engine.run().unwrap().paths(), want.paths(), "{algo}: after");
+        }
+    }
+
+    /// Blocks its run at the first memory access until the other run has
+    /// reached its own: both are then past the prologue, one holding the
+    /// engine's buffers and one a fresh set.
+    struct MeetAtFirstTouch<'b> {
+        barrier: &'b std::sync::Barrier,
+        met: bool,
+    }
+
+    impl Probe for MeetAtFirstTouch<'_> {
+        fn touch(&mut self, _: u64, _: u32, _: fm_memsim::AccessKind) {
+            if !self.met {
+                self.barrier.wait();
+                self.met = true;
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_runs_on_one_engine_both_match() {
+        let g = synth::power_law(400, 2.0, 2, 40, 9);
+        for (algo, graph, cfg) in matrix_cells(&g, 300) {
+            let engine = FlashMob::new(&graph, cfg.strategy(PlanStrategy::UniformPs)).unwrap();
+            let want = engine.run().unwrap().paths();
+            let barrier = std::sync::Barrier::new(2);
+            let overlapped = || {
+                let mut probe = MeetAtFirstTouch {
+                    barrier: &barrier,
+                    met: false,
+                };
+                let (out, _) = engine.run_probed(&mut probe).unwrap();
+                assert!(probe.met);
+                out.paths()
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let other = s.spawn(overlapped);
+                (overlapped(), other.join().unwrap())
+            });
+            assert_eq!(a, want, "{algo}");
+            assert_eq!(b, want, "{algo}");
+            assert_eq!(engine.run().unwrap().paths(), want, "{algo}: after");
+        }
+    }
+
     #[test]
     fn zero_total_episode_walkers_rejected() {
         let g = synth::cycle(8);
@@ -2232,6 +2402,7 @@ mod tests {
         assert_eq!(stats.stage_ns_per_step(), (0.0, 0.0, 0.0));
         assert_eq!(stats.stage_shares(), (0.0, 0.0, 0.0));
         assert_eq!(stats.pool_idle_ratio(), 0.0);
+        assert_eq!(stats.init_ns_per_walker(), 0.0);
         let human = stats.human_summary();
         assert!(!human.contains("NaN") && !human.contains("inf"), "{human}");
         let json = stats.to_json();
@@ -2257,7 +2428,17 @@ mod tests {
             v.get("pool").unwrap().get("spawned").unwrap().as_num(),
             Some(2.0)
         );
+        // The prologue is a part of `other`, which still closes the
+        // tiling of the wall clock.
+        assert!(stats.init > Duration::ZERO && stats.init <= stats.stages.other);
+        assert_eq!(
+            stats.stages.sample + stats.stages.shuffle + stats.stages.other,
+            stats.wall
+        );
+        let init_json = v.get("init_ns_per_walker").unwrap().as_num().unwrap();
+        assert!((init_json - stats.init_ns_per_walker()).abs() < 1e-5);
         let human = stats.human_summary();
+        assert!(human.contains("init: "), "{human}");
         assert!(human.contains("stages (ns/step)"), "{human}");
         assert!(human.contains("stage share"), "{human}");
         assert!(human.contains("idle ratio"), "{human}");
@@ -2283,6 +2464,10 @@ mod tests {
             assert!(tel.stage(Stage::Sample).spans >= 5, "{threads} threads");
             assert!(tel.stage(Stage::Shuffle).spans >= 10);
             assert_eq!(tel.stage(Stage::Plan).spans, 1);
+            // The prologue is one span, inside the episode.
+            assert_eq!(tel.stage(Stage::Other).spans, 1);
+            let prologue = tel.stage(Stage::Other).total_ns;
+            assert!(prologue > 0 && prologue <= stats.wall.as_nanos() as u64);
             if threads > 1 {
                 // Worker-lane spans carry partition + worker attribution.
                 let worker_spans: Vec<_> = tel

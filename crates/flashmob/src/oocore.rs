@@ -20,6 +20,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fm_graph::relabel::{sort_by_degree, Relabeling};
@@ -47,7 +48,7 @@ const MAGIC: &[u8; 8] = b"FMDISK1\0";
 pub struct DiskGraph {
     path: PathBuf,
     offsets: Vec<usize>,
-    relabel: Relabeling,
+    relabel: Arc<Relabeling>,
 }
 
 impl DiskGraph {
@@ -74,7 +75,7 @@ impl DiskGraph {
         Ok(Self {
             path: path.to_path_buf(),
             offsets: sorted.offsets().to_vec(),
-            relabel,
+            relabel: Arc::new(relabel),
         })
     }
 
@@ -149,7 +150,7 @@ impl DiskGraph {
         Ok(Self {
             path: path.to_path_buf(),
             offsets,
-            relabel: Relabeling::identity(vcount),
+            relabel: Arc::new(Relabeling::identity(vcount)),
         })
     }
 
@@ -689,9 +690,9 @@ pub fn run_ooc_with(
     tel.record_io_retries(stats.io_retries);
     stats.wall = wall_start.elapsed();
     let output = if config.record_paths {
-        WalkOutput::new(rows, walkers, disk.relabel.clone())
+        WalkOutput::new(rows, walkers, Arc::clone(&disk.relabel))
     } else {
-        WalkOutput::new(vec![w], walkers, disk.relabel.clone())
+        WalkOutput::new(vec![w], walkers, Arc::clone(&disk.relabel))
     };
     Ok((output, stats))
 }
@@ -1245,9 +1246,9 @@ fn run_ooc_biblock(
                 rows[t][k] = v;
             }
         }
-        WalkOutput::new(rows, walkers, disk.relabel.clone())
+        WalkOutput::new(rows, walkers, Arc::clone(&disk.relabel))
     } else {
-        WalkOutput::new(vec![cur], walkers, disk.relabel.clone())
+        WalkOutput::new(vec![cur], walkers, Arc::clone(&disk.relabel))
     };
     Ok((output, stats))
 }

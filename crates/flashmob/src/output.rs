@@ -6,6 +6,8 @@
 //! the consecutive pairs `<W_i[j], W_{i+1}[j]>` feeds an embedding
 //! trainer without materializing the transpose.
 
+use std::sync::Arc;
+
 use fm_graph::{relabel::Relabeling, VertexId};
 
 use crate::DEAD;
@@ -21,7 +23,9 @@ pub struct WalkOutput {
     /// the initial placement); [`DEAD`] marks terminated walkers.
     steps: Vec<Vec<VertexId>>,
     walkers: usize,
-    relabel: Relabeling,
+    /// Shared with the engine that produced the output: an episode
+    /// hands out a reference count, not a copy of two `|V|`-word maps.
+    relabel: Arc<Relabeling>,
 }
 
 impl WalkOutput {
@@ -29,13 +33,19 @@ impl WalkOutput {
     ///
     /// Mainly for engines (FlashMob itself and the baseline crate);
     /// `steps[i]` must hold every walker's location after step `i`, in
-    /// the ID space that `relabel` maps back to original IDs.
-    pub fn new(steps: Vec<Vec<VertexId>>, walkers: usize, relabel: Relabeling) -> Self {
+    /// the ID space that `relabel` maps back to original IDs.  Engines
+    /// pass a clone of the `Arc` they hold; a bare [`Relabeling`] is
+    /// accepted too.
+    pub fn new(
+        steps: Vec<Vec<VertexId>>,
+        walkers: usize,
+        relabel: impl Into<Arc<Relabeling>>,
+    ) -> Self {
         debug_assert!(steps.iter().all(|row| row.len() == walkers));
         Self {
             steps,
             walkers,
-            relabel,
+            relabel: relabel.into(),
         }
     }
 
@@ -50,16 +60,24 @@ impl WalkOutput {
     }
 
     /// Per-walker paths in original vertex IDs, truncated at termination.
+    ///
+    /// Walker-major: each path is filled by reading the walker's column
+    /// down the step rows, so one destination vector is hot at a time
+    /// and the reads are `steps + 1` sequential streams.
     pub fn paths(&self) -> Vec<Vec<VertexId>> {
-        let mut out = vec![Vec::with_capacity(self.steps.len()); self.walkers];
-        for row in &self.steps {
-            for (j, &v) in row.iter().enumerate() {
-                if v != DEAD {
-                    out[j].push(self.relabel.to_old(v));
-                }
-            }
-        }
-        out
+        (0..self.walkers)
+            .map(|j| {
+                let mut path = Vec::with_capacity(self.steps.len());
+                path.extend(
+                    self.steps
+                        .iter()
+                        .map(|row| row[j])
+                        .filter(|&v| v != DEAD)
+                        .map(|v| self.relabel.to_old(v)),
+                );
+                path
+            })
+            .collect()
     }
 
     /// The location of walker `j` after step `i` (step 0 = start), in
@@ -139,6 +157,45 @@ mod tests {
         assert_eq!(out.paths(), vec![vec![0, 2, 4], vec![1]]);
         assert_eq!(out.position(1, 1), None);
         assert_eq!(out.position(1, 0), Some(1));
+    }
+
+    /// `paths()` as it was: every row streamed across all the path
+    /// vectors.  The walker-major gather must return the same paths.
+    fn row_major_paths(out: &WalkOutput) -> Vec<Vec<VertexId>> {
+        let mut paths = vec![Vec::new(); out.walkers];
+        for row in &out.steps {
+            for (j, &v) in row.iter().enumerate() {
+                if v != DEAD {
+                    paths[j].push(out.relabel.to_old(v));
+                }
+            }
+        }
+        paths
+    }
+
+    #[test]
+    fn paths_equal_the_row_major_model() {
+        use fm_rng::{Rng64, Xorshift64Star};
+        let g = fm_graph::synth::power_law(64, 2.0, 1, 20, 3);
+        let relabel = Arc::new(Relabeling::by_descending_degree(&g));
+        let mut rng = Xorshift64Star::new(8);
+        for (walkers, rows) in [(1, 1), (1, 9), (7, 1), (33, 6), (200, 13)] {
+            // Walkers die at a random row and stay dead, a few are dead
+            // from the start, and some never die.
+            let death: Vec<usize> = (0..walkers).map(|_| rng.gen_index(2 * rows)).collect();
+            let steps: Vec<Vec<VertexId>> = (0..rows)
+                .map(|i| {
+                    (0..walkers)
+                        .map(|j| match i < death[j] {
+                            true => rng.gen_index(64) as VertexId,
+                            false => DEAD,
+                        })
+                        .collect()
+                })
+                .collect();
+            let out = WalkOutput::new(steps, walkers, Arc::clone(&relabel));
+            assert_eq!(out.paths(), row_major_paths(&out), "{walkers} x {rows}");
+        }
     }
 
     #[test]

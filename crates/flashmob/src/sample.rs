@@ -102,6 +102,14 @@ impl PsBuffers {
         }
     }
 
+    /// Marks every vertex's buffer empty so the next consume refills it:
+    /// what a run that inherits the previous run's buffers does in place
+    /// of allocating.  Contents stay as they are; a zero cursor means
+    /// they are overwritten before they are read.
+    pub fn reset(&mut self) {
+        self.cursor.fill(0);
+    }
+
     /// Heap footprint in bytes (planner/report helper).
     pub fn footprint_bytes(&self) -> usize {
         self.buf.len() * 4 + self.local_offsets.len() * 4 + self.cursor.len() * 4

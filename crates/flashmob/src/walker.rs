@@ -53,12 +53,9 @@ pub(crate) fn initialize_from_offsets(
         WalkerInit::UniformEdge => {
             let e = offsets[n];
             assert!(e > 0, "uniform-edge init needs edges");
+            let index = EdgeIndex::build(offsets, count);
             (0..count)
-                .map(|_| {
-                    let edge = rng.gen_index(e);
-                    // Source of the sampled edge: last offset <= edge.
-                    (offsets.partition_point(|&o| o <= edge) - 1) as VertexId
-                })
+                .map(|_| index.source(offsets, rng.gen_index(e)))
                 .collect()
         }
         WalkerInit::EveryVertex => (0..count).map(|j| (j % n) as VertexId).collect(),
@@ -73,10 +70,236 @@ pub(crate) fn initialize_from_offsets(
     }
 }
 
+/// Direct-mapped edge → source-vertex index over a CSR offsets array.
+///
+/// Bucket `b` covers the edges `[b << shift, (b + 1) << shift)` and
+/// `first[b]` is the source of the bucket's first edge, so the source of
+/// any edge in the bucket lies in `first[b] ..= first[b + 1]`: one table
+/// read, then a search over the few offsets that range spans.  Lookups
+/// of successive walkers are independent of each other, so their cache
+/// misses overlap; a binary search over the whole array is one chain of
+/// dependent misses per walker.
+///
+/// The table is built by one sequential pass over `offsets` and lives
+/// for a single placement.  `shift` is the smallest that gives at most
+/// one bucket per walker: the table stays within 4 bytes per walker and
+/// its `O(|V|)` build is amortised over the walkers it serves.
+struct EdgeIndex {
+    shift: u32,
+    /// `buckets + 1` entries; the last is the sentinel `|V| - 1`.
+    first: Vec<VertexId>,
+}
+
+impl EdgeIndex {
+    /// Offsets per cache line: the build pass tests one per line and
+    /// skips the lines in which no bucket starts, which is most of them
+    /// when walkers are few.
+    const LINE: usize = 64 / std::mem::size_of::<usize>();
+
+    fn build(offsets: &[usize], walkers: usize) -> Self {
+        let n = offsets.len() - 1;
+        let last_edge = offsets[n] - 1;
+        let mut shift = 0;
+        while (last_edge >> shift) >= walkers {
+            shift += 1;
+        }
+        let buckets = (last_edge >> shift) + 1;
+        let mut first = Vec::with_capacity(buckets + 1);
+        // First edge of the next bucket to fill.
+        let mut next = 0usize;
+        for (c, line) in offsets[1..].chunks(Self::LINE).enumerate() {
+            // Offsets ascend: if the line's last vertex ends at or
+            // before `next`, no bucket starts inside the line.
+            if line[line.len() - 1] <= next {
+                continue;
+            }
+            for (i, &end) in line.iter().enumerate() {
+                // Every bucket whose first edge is one of this vertex's:
+                // none for a zero-degree vertex, many for a hub.
+                while next < end {
+                    first.push((c * Self::LINE + i) as VertexId);
+                    next += 1 << shift;
+                }
+            }
+        }
+        debug_assert_eq!(first.len(), buckets);
+        first.push((n - 1) as VertexId);
+        Self { shift, first }
+    }
+
+    /// Source vertex of `edge`: the last `v` with `offsets[v] <= edge`.
+    #[inline]
+    fn source(&self, offsets: &[usize], edge: usize) -> VertexId {
+        let b = edge >> self.shift;
+        let (lo, hi) = (self.first[b] as usize, self.first[b + 1] as usize);
+        (lo + offsets[lo + 1..=hi].partition_point(|&o| o <= edge)) as VertexId
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fm_graph::relabel::sort_by_degree;
     use fm_graph::synth;
+    use std::time::{Duration, Instant};
+
+    /// Placement as it was before the edge index: one `partition_point`
+    /// over the whole offsets array per `UniformEdge` walker.  The
+    /// reference every test below holds `initialize_from_offsets` to.
+    fn model(offsets: &[usize], init: &WalkerInit, count: usize, seed: u64) -> Vec<VertexId> {
+        let n = offsets.len() - 1;
+        let mut rng = Xorshift64Star::new(seed);
+        match init {
+            WalkerInit::UniformVertex => (0..count).map(|_| rng.gen_index(n) as VertexId).collect(),
+            WalkerInit::UniformEdge => (0..count)
+                .map(|_| {
+                    let edge = rng.gen_index(offsets[n]);
+                    (offsets.partition_point(|&o| o <= edge) - 1) as VertexId
+                })
+                .collect(),
+            WalkerInit::EveryVertex => (0..count).map(|j| (j % n) as VertexId).collect(),
+            WalkerInit::Fixed(starts) => (0..count).map(|j| starts[j % starts.len()]).collect(),
+        }
+    }
+
+    fn offsets_of(degrees: &[usize]) -> Vec<usize> {
+        let mut offsets = vec![0];
+        for &d in degrees {
+            offsets.push(offsets[offsets.len() - 1] + d);
+        }
+        offsets
+    }
+
+    fn all_inits(n: usize) -> [WalkerInit; 4] {
+        [
+            WalkerInit::UniformVertex,
+            WalkerInit::UniformEdge,
+            WalkerInit::EveryVertex,
+            WalkerInit::Fixed(vec![(n - 1) as VertexId, 0, (n / 2) as VertexId]),
+        ]
+    }
+
+    /// Every degree sequence of one to five vertices over {0, 1, 3, 40}
+    /// that has an edge: zero-degree vertices at the front, in the middle
+    /// and at the back, the one-vertex and the one-edge graph, and hubs
+    /// of 40 beside leaves.  Walker counts from 1 (one bucket spans every
+    /// vertex) through 64 (a hub spans many buckets) to 1000 (far more
+    /// walkers than edges: one bucket per edge).
+    #[test]
+    fn placement_equals_the_search_model_on_every_small_csr() {
+        const DEGREES: [usize; 4] = [0, 1, 3, 40];
+        let mut checked = 0;
+        for n in 1..=5usize {
+            for code in 0..DEGREES.len().pow(n as u32) {
+                let degrees: Vec<usize> = (0..n)
+                    .map(|k| DEGREES[code / DEGREES.len().pow(k as u32) % DEGREES.len()])
+                    .collect();
+                if degrees.iter().all(|&d| d == 0) {
+                    continue;
+                }
+                let offsets = offsets_of(&degrees);
+                for count in [1, 2, 5, 64, 1000] {
+                    for init in &all_inits(n) {
+                        let seed = (code + count) as u64;
+                        assert_eq!(
+                            initialize_from_offsets(&offsets, init, count, seed),
+                            model(&offsets, init, count, seed),
+                            "degrees {degrees:?}, {count} walkers, {init:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, (4 + 16 + 64 + 256 + 1024 - 5) * 5 * 4);
+    }
+
+    /// Edge `e` of the graph belongs to the vertex the index says, for
+    /// every edge and every bucket width from one edge to all of them.
+    #[test]
+    fn edge_index_resolves_every_edge_at_every_width() {
+        // A hub, runs of zero-degree vertices, a long tail of leaves.
+        let mut degrees = vec![0, 0, 300, 0, 7, 1, 0, 0, 0, 2];
+        degrees.extend([1; 90]);
+        degrees.extend([0, 5, 0]);
+        let offsets = offsets_of(&degrees);
+        let edges = offsets[offsets.len() - 1];
+        for walkers in [1, 2, 3, 7, 50, 399, 400, 401, 10_000] {
+            let index = EdgeIndex::build(&offsets, walkers);
+            assert!(index.first.len() - 1 <= walkers.min(edges), "{walkers} walkers");
+            for edge in 0..edges {
+                let v = index.source(&offsets, edge) as usize;
+                assert!(
+                    offsets[v] <= edge && edge < offsets[v + 1],
+                    "edge {edge} -> vertex {v} at {walkers} walkers"
+                );
+            }
+        }
+    }
+
+    /// Seeded power-law graphs, degree-sorted (what the engines place on)
+    /// and identity-labelled (what `fm-baseline` places on), through
+    /// `initialize` and, as the out-of-core engine calls it, through
+    /// `initialize_from_offsets` on a copy of the offsets alone.
+    #[test]
+    fn placement_equals_the_search_model_on_power_law_graphs() {
+        let mut rng = Xorshift64Star::new(16);
+        for seed in 1..=12u64 {
+            let n = 200 + rng.gen_index(3000);
+            let max_degree = 2 + rng.gen_index(n / 2);
+            let identity = synth::power_law(n, 1.8 + 0.1 * (seed % 5) as f64, 1, max_degree, seed);
+            let (sorted, _) = sort_by_degree(&identity);
+            for graph in [&identity, &sorted] {
+                let offsets = graph.offsets().to_vec();
+                for count in [1, n / 32 + 1, n / 2, n, 4 * graph.edge_count()] {
+                    for init in &all_inits(n) {
+                        let want = model(&offsets, init, count, seed);
+                        assert_eq!(
+                            initialize(graph, init, count, seed),
+                            want,
+                            "seed {seed}, {count} walkers, {init:?}"
+                        );
+                        assert_eq!(initialize_from_offsets(&offsets, init, count, seed), want);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Placement must stay a table read plus a short search per walker.
+    /// 2^20 vertices of mixed degree in no particular order (the layout
+    /// `fm-baseline` walks, the harder one for the index), |V|/2 walkers:
+    /// the whole placement, index build included, is held under 60 % of
+    /// what the search model takes on this host in this build.  Measured:
+    /// 10-12 % in release (13-16 ms against 124-145) and 22-30 % in debug
+    /// (95-131 ms against 430-435).
+    #[test]
+    fn placement_costs_a_fraction_of_a_search_per_walker() {
+        const N: usize = 1 << 20;
+        let degrees: Vec<usize> = (0..N)
+            .map(|v| 1 + (v.wrapping_mul(2_654_435_761) >> 7) % 31)
+            .collect();
+        let offsets = offsets_of(&degrees);
+        let count = N / 2;
+        let fastest = |f: &dyn Fn() -> Vec<VertexId>| -> (Duration, Vec<VertexId>) {
+            (0..3)
+                .map(|_| {
+                    let t = Instant::now();
+                    let w = std::hint::black_box(f());
+                    (t.elapsed(), w)
+                })
+                .min_by_key(|(d, _)| *d)
+                .unwrap()
+        };
+        let init = WalkerInit::UniformEdge;
+        let (searched, want) = fastest(&|| model(&offsets, &init, count, 9));
+        let (indexed, got) = fastest(&|| initialize_from_offsets(&offsets, &init, count, 9));
+        assert_eq!(got, want);
+        assert!(
+            indexed * 10 < searched * 6,
+            "{count} walkers placed in {indexed:?}; a search each takes {searched:?}"
+        );
+    }
 
     #[test]
     fn uniform_vertex_covers_range() {
