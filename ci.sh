@@ -20,6 +20,11 @@
 #      second-order chain under 15% injected faults, halt deliberately
 #      mid-schedule, resume bit-exactly, and check the exit-code
 #      contract (4 wrong budget, 2 persistent faults, 3 corrupt graph)
+#   8b. ingest tier: one text edge list (comments, CRLF, no final
+#      newline) through `convert` and `stats` — the text and the FMG1
+#      decoder must report the same graph — plus the exit-code contract
+#      for malformed input (1 and the line number for a bad data line,
+#      1 and "bad binary graph" for a truncated .bin, never a panic)
 #   9. audit tier: the flow-aware fm-audit scanner (`audit --graph`) at
 #      -D warnings severity — textual lints plus call-graph taint,
 #      panic-reachability, rng-purity and fingerprint-completeness —
@@ -180,6 +185,28 @@ else
     [[ "$code" == 3 ]] || { echo "truncated-graph walk exited $code, want 3" >&2; exit 1; }
 fi
 
+echo "== ingest tier (text and FMG1 decoders through the CLI) =="
+INGEST_TMP="$(mktemp -d)"
+trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP" "$INGEST_TMP"' EXIT
+printf '# comment\r\n0 1\r\n1\t2 0.5\n\n%% another \xff\n2 0' > "$INGEST_TMP/g.txt"
+cargo run --release -q -p fm-cli -- convert "$INGEST_TMP/g.txt" "$INGEST_TMP/g.bin" >/dev/null
+counts() { cargo run --release -q -p fm-cli -- stats "$1" | grep -E '^(vertices|edges) ' | tr -s ' '; }
+for f in g.txt g.bin; do
+    [[ "$(counts "$INGEST_TMP/$f")" == $'vertices 3\nedges 3' ]] || {
+        echo "ingest: stats $f did not report |V| = 3, |E| = 3" >&2; exit 1; }
+done
+# Malformed input is the user's error (exit 1), located, never a panic.
+rejects() { # <file> <fragment of the message>
+    local out code=0
+    out="$(cargo run --release -q -p fm-cli -- stats "$INGEST_TMP/$1" 2>&1)" || code=$?
+    [[ "$code" == 1 ]] && grep -q "$2" <<< "$out" || {
+        echo "ingest: $1 exited $code, want 1 and '$2': $out" >&2; exit 1; }
+}
+printf '0 1\n1 2\n2 x\n' > "$INGEST_TMP/bad.txt"
+rejects bad.txt "line 3"
+head -c $(($(stat -c %s "$INGEST_TMP/g.bin") - 3)) "$INGEST_TMP/g.bin" > "$INGEST_TMP/trunc.bin"
+rejects trunc.bin "bad binary graph"
+
 echo "== audit tier =="
 # Flow-aware static scan: the textual lint catalogue (SAFETY comments,
 # thread/IO discipline, cast-free codecs, unwrap ratchet) plus the call
@@ -247,7 +274,7 @@ fi
 
 echo "== perf tier (hardware observability + bench ledger) =="
 PERF_TMP="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP" "$PERF_TMP"' EXIT
+trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP" "$INGEST_TMP" "$PERF_TMP"' EXIT
 # bench-diff's exit-code contract is machine-independent: check it with
 # hand-written ledgers.  Same numbers -> 0; a 3x slowdown -> 1; a
 # missing baseline file -> 2.

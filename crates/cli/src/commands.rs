@@ -128,24 +128,37 @@ fn fail_disk(e: fm_graph::GraphError) -> CmdError {
     CmdError(e.to_string(), kind)
 }
 
+/// The first `len` bytes of `path`, fewer when the file is shorter.
+fn file_head(path: &Path, len: u64) -> std::io::Result<Vec<u8>> {
+    use std::io::Read;
+    let mut head = Vec::new();
+    std::fs::File::open(path)?.take(len).read_to_end(&mut head)?;
+    Ok(head)
+}
+
 /// Whether `path` holds an out-of-core disk graph (`FMDISK1` magic).
 fn is_disk_graph(path: &Path) -> bool {
-    let mut head = [0u8; 8];
-    std::fs::File::open(path)
-        .and_then(|mut f| std::io::Read::read_exact(&mut f, &mut head))
-        .map(|()| &head == b"FMDISK1\0")
-        .unwrap_or(false)
+    file_head(path, 8).is_ok_and(|head| head == b"FMDISK1\0")
 }
 
 /// Loads a graph: binary when the FMG1 magic is present, else text.
 pub fn load_graph(path: &Path) -> Result<Csr, CmdError> {
-    let head = std::fs::read(path)
+    ingest(path, io::ParseOptions::default()).map(|(graph, _)| graph)
+}
+
+/// Loads a graph through the library's file readers, so nothing but the
+/// magic is read before the decoder runs; says whether it was binary (in
+/// which case `opts` did not apply).
+fn ingest(path: &Path, opts: io::ParseOptions) -> Result<(Csr, bool), CmdError> {
+    let head = file_head(path, 4)
         .map_err(|e| fail_io(format!("cannot read {}: {e}", path.display())))?;
-    if head.starts_with(b"FMG1") {
-        io::decode_binary(&head).map_err(fail_graph)
+    let binary = head == b"FMG1";
+    let graph = if binary {
+        io::load_binary(path)
     } else {
-        io::parse_edge_list(&head[..], io::ParseOptions::default()).map_err(fail_graph)
-    }
+        io::read_edge_list_file(path, opts)
+    };
+    Ok((graph.map_err(fail_graph)?, binary))
 }
 
 /// Executes a parsed command, writing human output to `out`.
@@ -169,24 +182,19 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 drop_self_loops,
                 compact,
             };
-            let text = std::fs::read(&input)
-                .map_err(|e| fail_io(format!("cannot read {}: {e}", input.display())))?;
-            let graph = if text.starts_with(b"FMG1") {
+            let (mut graph, binary) = ingest(&input, opts)?;
+            if binary {
                 // Binary input: apply clean-up passes via the builder.
-                let g = io::decode_binary(&text).map_err(fail_graph)?;
                 let mut b = fm_graph::GraphBuilder::new();
-                for (s, t) in g.edges() {
-                    b.add_edge(s, t);
-                }
-                b.symmetric(symmetric)
+                b.add_edges(graph.edges());
+                graph = b
+                    .symmetric(symmetric)
                     .dedup(dedup)
                     .drop_self_loops(drop_self_loops)
                     .compact(compact)
                     .build()
-                    .map_err(fail)?
-            } else {
-                io::parse_edge_list(&text[..], opts).map_err(fail_graph)?
-            };
+                    .map_err(fail)?;
+            }
             io::save_binary(&graph, &output).map_err(fail_graph)?;
             writeln!(
                 out,

@@ -144,7 +144,11 @@ impl Csr {
         if vertex_count as u64 > VertexId::MAX as u64 {
             return Err(GraphError::TooManyVertices(vertex_count as u64));
         }
-        let mut degree = vec![0usize; vertex_count];
+        // One array serves as degree count, fill cursor and result: the
+        // count of `s` goes two slots up, the prefix sum then leaves the
+        // start of `s` in slot `s + 1`, and filling advances that slot to
+        // the start of `s + 1` — which is what slot `s + 1` must hold.
+        let mut offsets = vec![0usize; vertex_count + 2];
         for &(s, t) in edges {
             for v in [s, t] {
                 if v as usize >= vertex_count {
@@ -154,21 +158,20 @@ impl Csr {
                     });
                 }
             }
-            degree[s as usize] += 1;
+            offsets[s as usize + 2] += 1;
         }
-        let mut offsets = Vec::with_capacity(vertex_count + 1);
         let mut acc = 0usize;
-        offsets.push(0);
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
+        for slot in &mut offsets[2..] {
+            acc += *slot;
+            *slot = acc;
         }
-        let mut cursor = offsets.clone();
         let mut targets = vec![0 as VertexId; edges.len()];
         for &(s, t) in edges {
-            targets[cursor[s as usize]] = t;
-            cursor[s as usize] += 1;
+            let cursor = &mut offsets[s as usize + 1];
+            targets[*cursor] = t;
+            *cursor += 1;
         }
+        offsets.truncate(vertex_count + 1);
         Ok(Self {
             sorted: rows_ascend(&offsets, &targets),
             offsets,
