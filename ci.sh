@@ -5,7 +5,9 @@
 #   3. cross-engine conformance, quick tier (sub-second; pass
 #      CONFORM_FULL=1 to sweep the full thread lattice instead)
 #   4. ring tier: the same quick lattice with FMWALK_RING=16, proving
-#      the latency-hiding walker ring is bit-invisible at max depth
+#      the latency-hiding walker ring is bit-invisible at max depth —
+#      in memory and, since the bi-block loop steps through the same
+#      ring, in the lattice's oocore cells
 #   5. program tier: the walk-program lattice (PPR, early-exit,
 #      metapath vs their analytic oracles at {1,8} threads, golden
 #      digests checked) plus the registry/oracle audit — any program
@@ -67,7 +69,9 @@ fi
 echo "== ring tier (latency-hiding sample stage) =="
 # The quick conformance lattice again, with the walker ring forced to
 # its maximum depth.  The ring must be invisible in the output: same
-# golden digests, same cross-engine agreement, at any depth.
+# golden digests, same cross-engine agreement, at any depth.  The
+# lattice's oocore cells (bi-block node2vec and PPR, whose budgets would
+# otherwise resolve to depth 1) run at depth 16 here for free.
 FMWALK_RING=16 cargo run --release -q -p fm-cli -- conform --quick
 
 echo "== program tier (WalkProgram lattice + registry audit) =="
@@ -144,6 +148,14 @@ OOC_FLAGS="--algo node2vec --p 2.0 --q 0.5 --walkers 512 --steps 8 --seed 5 \
     --oocore-budget 4096"
 cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \
     --output "$OOC_TMP/full.txt"
+# The walker ring is invisible out of core too: the same FMDISK1 walked
+# with the ring off and at its deepest writes the same paths.
+for depth in 1 16; do
+    FMWALK_RING=$depth cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" \
+        $OOC_FLAGS --output "$OOC_TMP/ring$depth.txt"
+done
+cmp "$OOC_TMP/ring1.txt" "$OOC_TMP/ring16.txt"
+cmp "$OOC_TMP/full.txt" "$OOC_TMP/ring16.txt"
 if cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \
     --checkpoint-dir "$OOC_TMP/ckpt" --checkpoint-every 3 --halt-after 2 \
     --fault-rate 0.15 --fault-seed 7 --output /dev/null; then

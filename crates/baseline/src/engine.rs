@@ -11,6 +11,7 @@ use fm_telemetry::{json, SpanEvent, Stage, Telemetry, NO_STEP};
 
 use flashmob::pool::{DisjointSlice, PoolStats, WorkerPool};
 
+use flashmob::algorithm::Node2VecRule;
 use flashmob::output::WalkOutput;
 use flashmob::walker::initialize;
 use flashmob::{StopRule, WalkAlgorithm, WalkError, DEAD};
@@ -397,11 +398,7 @@ impl Baseline {
             StopRule::Geometric { exit_prob, .. } => exit_prob,
             StopRule::FixedSteps(_) => 0.0,
         };
-        let bound = if self.config.algorithm.is_second_order() {
-            self.config.algorithm.node2vec_bound()
-        } else {
-            1.0
-        };
+        let rule = self.config.algorithm.node2vec_rule();
         let mut steps_taken = 0u64;
         for (j, &start_v) in w0.iter().enumerate() {
             let mut v = start_v;
@@ -413,7 +410,7 @@ impl Baseline {
                 if let Some(vis) = visits.as_deref_mut() {
                     vis[v as usize] += 1;
                 }
-                let next = self.step(v, prev, bound, rng, probe);
+                let next = self.step(v, prev, &rule, rng, probe);
                 steps_taken += 1;
                 probe.step();
                 prev = Some(v);
@@ -440,7 +437,7 @@ impl Baseline {
         &self,
         v: VertexId,
         prev: Option<VertexId>,
-        bound: f64,
+        rule: &Node2VecRule,
         rng: &mut R,
         probe: &mut P,
     ) -> VertexId {
@@ -455,7 +452,7 @@ impl Baseline {
                 );
                 self.graph.targets()[off + k]
             }
-            WalkAlgorithm::Node2Vec { p, q } => {
+            WalkAlgorithm::Node2Vec { .. } => {
                 let t = match prev {
                     Some(t) => t,
                     // First step has no history: uniform.
@@ -469,7 +466,6 @@ impl Baseline {
                         return self.graph.targets()[off + k];
                     }
                 };
-                let bound_min = (1.0 / p).min(1.0).min(1.0 / q);
                 let mut attempts = 0;
                 loop {
                     let k = self.sampler.pick(&self.graph, v, rng, probe, &self.addrs);
@@ -480,28 +476,22 @@ impl Baseline {
                     );
                     let cand = self.graph.targets()[off + k];
                     attempts += 1;
-                    let x = rng.next_f64() * bound;
-                    // Stratified rejection: draws below the minimum
-                    // weight accept without the connectivity check.
-                    if x < bound_min || attempts >= 64 {
-                        return cand;
-                    }
-                    let w = if cand == t {
-                        1.0 / p
-                    } else {
-                        probe.touch(self.addrs.offsets + 8 * t as u64, 8, AccessKind::Random);
-                        probe.touch(
-                            self.addrs.targets + 4 * self.graph.adjacency_start(t) as u64,
-                            4,
-                            AccessKind::Random,
-                        );
-                        if self.graph.has_edge(t, cand) {
-                            1.0
-                        } else {
-                            1.0 / q
-                        }
-                    };
-                    if x < w {
+                    let x = rng.next_f64() * rule.bound;
+                    // The attempt cap accepts unchecked (termination
+                    // backstop); otherwise the shared rule decides, and
+                    // only a `Probe` verdict pays for the connectivity
+                    // check.
+                    let keep = attempts >= 64
+                        || rule.keeps(x, cand == t, || {
+                            probe.touch(self.addrs.offsets + 8 * t as u64, 8, AccessKind::Random);
+                            probe.touch(
+                                self.addrs.targets + 4 * self.graph.adjacency_start(t) as u64,
+                                4,
+                                AccessKind::Random,
+                            );
+                            self.graph.has_edge(t, cand)
+                        });
+                    if keep {
                         return cand;
                     }
                 }

@@ -21,7 +21,7 @@
 //! baseline; every other scalar field (`algo`, `threads`,
 //! `ring_depth`, ...) is part of the cell's identity key.  Nested
 //! objects (e.g. an engine `stats` dump) and informational counters
-//! (`prefetches`) are carried but join neither side.  Records whose
+//! (`prefetches`, `probes`) are carried but join neither side.  Records whose
 //! identity key has no baseline counterpart
 //! are reported as uncompared, not failed — smoke runs may cover a
 //! subset of the committed grid.
@@ -56,7 +56,7 @@ pub fn metric_direction(field: &str) -> Option<Direction> {
 /// key and the metric comparison: run-dependent counters whose exact
 /// value neither names a cell nor has a better/worse direction.
 fn is_informational(field: &str) -> bool {
-    matches!(field, "prefetches")
+    matches!(field, "prefetches" | "probes")
 }
 
 /// One parsed benchmark record.

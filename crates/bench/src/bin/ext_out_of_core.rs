@@ -168,6 +168,8 @@ fn main() {
                             ("threads", "1".into()),
                             ("budget_bytes", budget.to_string()),
                             ("per_step_ns", format!("{:.1}", ooc.per_step_ns())),
+                            ("probes", ooc.probes.to_string()),
+                            ("prefetches", ooc.prefetches.to_string()),
                         ],
                     )
                 );

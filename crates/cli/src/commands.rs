@@ -1222,6 +1222,11 @@ fn ooc_summary(s: &OocStats) -> String {
         "oocore: {} walker parkings, peak boundary-buffer occupancy {}",
         s.walkers_parked, s.peak_parked,
     );
+    let _ = writeln!(
+        t,
+        "oocore: {} connectivity scans, {} ring prefetch hints",
+        s.probes, s.prefetches,
+    );
     let _ = writeln!(t, "oocore: {} transient io retries absorbed", s.io_retries);
     t
 }

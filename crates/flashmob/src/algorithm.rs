@@ -152,6 +152,104 @@ impl WalkAlgorithm {
             _ => panic!("node2vec_bound on a first-order algorithm"),
         }
     }
+
+    /// The rejection rule of this algorithm's second-order bias; a
+    /// first-order algorithm gets the trivial `p = q = 1` rule, under
+    /// which every draw accepts.
+    pub fn node2vec_rule(&self) -> Node2VecRule {
+        match *self {
+            WalkAlgorithm::Node2Vec { p, q } => Node2VecRule::new(p, q),
+            _ => Node2VecRule::new(1.0, 1.0),
+        }
+    }
+}
+
+/// What [`Node2VecRule::verdict`] makes of one rejection draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The draw is below the candidate's weight whatever the graph says.
+    Accept,
+    /// The draw is at or above it whatever the graph says.
+    Reject,
+    /// The weight is 1 or `1/q` depending on whether the candidate is a
+    /// neighbour of the previous vertex, and the draw lies between the
+    /// two: only now is the connectivity probe worth its cost.
+    Probe,
+}
+
+/// node2vec's rejection rule, stated once for every engine.
+///
+/// A proposal `cand`, drawn uniformly from the current vertex's
+/// adjacency, is kept when a draw `x`, uniform in `[0, bound)`, falls
+/// below its weight: `1/p` when `cand` is the previous vertex `t`, 1
+/// when `cand` is adjacent to `t`, `1/q` otherwise.  Only the last two
+/// need the graph, and they bracket the answer: with
+/// `lo = min(1, 1/q)` and `hi = max(1, 1/q)`, `x < lo` accepts and
+/// `x >= hi` rejects under either weight, so the connectivity probe
+/// (a bloom query, a binary search, or out of core a scan of an
+/// unsorted list) is paid only for `lo <= x < hi` — never at `q = 1`.
+/// The draws consumed and the decisions taken are those of comparing
+/// `x` with the looked-up weight, so every walk is bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Node2VecRule {
+    /// Weight of returning to the previous vertex, `1/p`.
+    pub inv_p: f64,
+    /// Weight of moving to a vertex not adjacent to the previous one.
+    pub inv_q: f64,
+    /// The largest weight: draws are scaled to `[0, bound)`.
+    pub bound: f64,
+    /// The smallest weight, `min(1/p, 1, 1/q)`: a draw below it accepts
+    /// every candidate.
+    pub bound_min: f64,
+    /// `min(1, 1/q)`: below it a candidate other than `t` accepts.
+    pub lo: f64,
+    /// `max(1, 1/q)`: at or above it a candidate other than `t` rejects.
+    pub hi: f64,
+}
+
+impl Node2VecRule {
+    /// The rule for return parameter `p` and in-out parameter `q`.
+    pub fn new(p: f64, q: f64) -> Self {
+        let (inv_p, inv_q) = (1.0 / p, 1.0 / q);
+        Self {
+            inv_p,
+            inv_q,
+            bound: inv_p.max(1.0).max(inv_q),
+            bound_min: inv_p.min(1.0).min(inv_q),
+            lo: inv_q.min(1.0),
+            hi: inv_q.max(1.0),
+        }
+    }
+
+    /// Classifies the scaled draw `x` for a candidate that is
+    /// (`is_return`) or is not the previous vertex.
+    #[inline(always)]
+    pub fn verdict(&self, x: f64, is_return: bool) -> Verdict {
+        let (lo, hi) = if is_return {
+            (self.inv_p, self.inv_p)
+        } else {
+            (self.lo, self.hi)
+        };
+        if x < lo {
+            Verdict::Accept
+        } else if x < hi {
+            Verdict::Probe
+        } else {
+            Verdict::Reject
+        }
+    }
+
+    /// Whether draw `x` keeps the candidate: [`Node2VecRule::verdict`],
+    /// asking `adjacent` (the connectivity probe) only on
+    /// [`Verdict::Probe`].
+    #[inline(always)]
+    pub fn keeps(&self, x: f64, is_return: bool, adjacent: impl FnOnce() -> bool) -> bool {
+        match self.verdict(x, is_return) {
+            Verdict::Accept => true,
+            Verdict::Reject => false,
+            Verdict::Probe => x < if adjacent() { 1.0 } else { self.inv_q },
+        }
+    }
 }
 
 /// When walkers terminate.
@@ -188,6 +286,75 @@ mod tests {
         assert_eq!(b.node2vec_bound(), 2.0);
         let c = WalkAlgorithm::Node2Vec { p: 2.0, q: 2.0 };
         assert_eq!(c.node2vec_bound(), 1.0);
+    }
+
+    /// `verdict` against the comparison it replaces, `x < weight`, at
+    /// every threshold of the rule and the `f64`s on either side.
+    #[test]
+    fn verdict_is_the_weight_comparison() {
+        let grid = [0.25, 0.5, 1.0, 2.0, 4.0];
+        for p in grid {
+            for q in grid {
+                let rule = Node2VecRule::new(p, q);
+                assert_eq!(rule, WalkAlgorithm::Node2Vec { p, q }.node2vec_rule());
+                assert_eq!(
+                    rule.bound,
+                    WalkAlgorithm::Node2Vec { p, q }.node2vec_bound()
+                );
+                assert_eq!(rule.bound_min, (1.0 / p).min(1.0).min(1.0 / q));
+                let mut probed = 0;
+                for at in [
+                    0.0,
+                    rule.bound_min,
+                    rule.lo,
+                    rule.hi,
+                    rule.inv_p,
+                    rule.bound,
+                ] {
+                    for x in [
+                        f64::from_bits(at.to_bits().saturating_sub(1)),
+                        at,
+                        at.next_up(),
+                    ] {
+                        for is_return in [false, true] {
+                            let weight = |adjacent: bool| match (is_return, adjacent) {
+                                (true, _) => 1.0 / p,
+                                (false, true) => 1.0,
+                                (false, false) => 1.0 / q,
+                            };
+                            let (near, far) = (x < weight(true), x < weight(false));
+                            let verdict = rule.verdict(x, is_return);
+                            match verdict {
+                                Verdict::Accept => assert!(near && far, "p {p} q {q} x {x}"),
+                                Verdict::Reject => assert!(!near && !far, "p {p} q {q} x {x}"),
+                                Verdict::Probe => assert_ne!(near, far, "p {p} q {q} x {x}"),
+                            }
+                            for adjacent in [false, true] {
+                                let mut asked = false;
+                                let kept = rule.keeps(x, is_return, || {
+                                    asked = true;
+                                    adjacent
+                                });
+                                assert_eq!(kept, x < weight(adjacent), "p {p} q {q} x {x}");
+                                assert_eq!(asked, verdict == Verdict::Probe);
+                            }
+                            probed += (verdict == Verdict::Probe) as u32;
+                            // Below the smallest weight nothing is asked.
+                            assert!(x >= rule.bound_min || verdict == Verdict::Accept);
+                        }
+                    }
+                }
+                assert_eq!(
+                    probed == 0,
+                    q == 1.0,
+                    "only q = 1 never probes (p {p} q {q})"
+                );
+            }
+        }
+        // First-order algorithms get the rule that keeps every draw.
+        let trivial = WalkAlgorithm::DeepWalk.node2vec_rule();
+        assert_eq!(trivial, Node2VecRule::new(1.0, 1.0));
+        assert_eq!(trivial.verdict(0.999_999, false), Verdict::Accept);
     }
 
     #[test]

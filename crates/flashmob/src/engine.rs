@@ -14,13 +14,14 @@ use fm_recover::{
 use fm_rng::{split_stream, Rng64, Xorshift64Star};
 use fm_telemetry::{json, SpanEvent, Stage, Telemetry, NO_PARTITION, NO_STEP};
 
+use crate::algorithm::Verdict;
 use crate::cost::CostModel;
 use crate::output::WalkOutput;
 use crate::partition::SamplePolicy;
 use crate::plan::{Plan, Planner};
 use crate::pool::{DisjointSlice, PoolStats, WorkerPool};
 use crate::sample::{
-    apply_exit, node2vec_weight, propose, sample_partition, AddrMap, AlgoCtx, PsBuffers, TaskIo,
+    apply_exit, node2vec_keeps, propose, sample_partition, AddrMap, AlgoCtx, PsBuffers, TaskIo,
 };
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
 use crate::walker::{initialize, WalkerInit};
@@ -416,7 +417,7 @@ impl FlashMob {
         // the *analytic* model — a measured `CostModel` knows costs,
         // not working-set fits — so depths are deterministic for a
         // given hierarchy regardless of how the plan was costed.
-        let ring_depths = match Self::ring_override(&config) {
+        let ring_depths = match ring_override(&config) {
             Some(d) => vec![d; plan.partitions.len()],
             None => plan.ring_depths(&Planner::analytic_model(&config.planner)),
         };
@@ -434,18 +435,6 @@ impl FlashMob {
             plan_wall,
             ps_pool: Mutex::new(None),
         })
-    }
-
-    /// A forced uniform ring depth, if any: the `FMWALK_RING`
-    /// environment variable (clamped, malformed values ignored) wins
-    /// over [`WalkConfig::ring_depth`]; `None` means per-partition
-    /// auto.
-    fn ring_override(config: &WalkConfig) -> Option<usize> {
-        std::env::var("FMWALK_RING")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|d| d.clamp(1, crate::sample::ring::MAX_RING_DEPTH))
-            .or(config.ring_depth)
     }
 
     /// The partitioning plan in force.
@@ -1452,10 +1441,7 @@ impl FlashMob {
         seed: u64,
         probe: &mut P,
     ) -> u64 {
-        let (p, q) = match ctx.algo {
-            crate::WalkAlgorithm::Node2Vec { p, q } => (p, q),
-            _ => unreachable!("batched stage is second-order only"),
-        };
+        let rule = ctx.rule;
         let parts = &self.plan.partitions;
         let mut taken = 0u64;
         // One RNG stream per partition, continued across rounds so the
@@ -1477,7 +1463,6 @@ impl FlashMob {
             slot: usize,
             v: VertexId,
             t: VertexId,
-            p: f64,
             rng: &mut Xorshift64Star,
             ps: &mut Option<PsBuffers>,
             probe: &mut P,
@@ -1500,19 +1485,23 @@ impl FlashMob {
                     probe,
                     addr,
                 );
-                let x = rng.next_f64() * ctx.bound;
+                let x = rng.next_f64() * ctx.rule.bound;
                 // Stratified rejection: below the minimum weight every
                 // candidate accepts, no check needed.
-                if x < ctx.bound_min || attempts >= 64 {
+                if x < ctx.rule.bound_min || attempts >= 64 {
                     return Some(cand);
                 }
                 if cand == t {
                     // Return weight is known on the spot.
-                    if x < 1.0 / p {
+                    if ctx.rule.verdict(x, true) == Verdict::Accept {
                         return Some(cand);
                     }
                     continue;
                 }
+                // Deferred even when the rule alone decides the draw
+                // (the resolve stage then skips the probe): settling it
+                // here would move this walker's exit coin and redraws
+                // ahead of its partition-mates' in the shared stream.
                 pending.push((slot as u32, cand, x));
                 return None;
             }
@@ -1554,7 +1543,6 @@ impl FlashMob {
                     slot,
                     v,
                     t,
-                    p,
                     &mut rngs[pi],
                     ps,
                     probe,
@@ -1610,7 +1598,11 @@ impl FlashMob {
                 &mut pf,
                 &mut st,
                 |pf, st, j| {
-                    let (slot, cand, _) = pending[j];
+                    let (slot, cand, x) = pending[j];
+                    if rule.verdict(x, false) != Verdict::Probe {
+                        // Decided without the graph: nothing to hint.
+                        return;
+                    }
                     let t = sprev[slot as usize];
                     let before = pf.issued();
                     pf.element(st.0, offsets_arr, t as usize, addr.offsets);
@@ -1620,9 +1612,9 @@ impl FlashMob {
                     st.1[self.plan.map.partition_of(t)] += pf.issued() - before;
                 },
                 |pf, st, j| {
-                    let (slot, _, _) = pending[j];
+                    let (slot, _, x) = pending[j];
                     let t = sprev[slot as usize];
-                    if pf.active() {
+                    if pf.active() && rule.verdict(x, false) == Verdict::Probe {
                         let before = pf.issued();
                         let off = self.graph.adjacency_start(t);
                         let d = self.graph.degree(t);
@@ -1636,17 +1628,9 @@ impl FlashMob {
                 |st, j, ()| {
                     let (slot, cand, x) = pending[j];
                     let t = sprev[slot as usize];
-                    let w = node2vec_weight(
-                        &self.graph,
-                        ctx.edge_filter,
-                        t,
-                        cand,
-                        p,
-                        q,
-                        &mut *st.0,
-                        &addr,
-                    );
-                    if x < w {
+                    // Attempt 0: the 64-attempt cap was applied when
+                    // the entry was deferred.
+                    if node2vec_keeps(&self.graph, ctx, t, cand, x, 0, &mut *st.0, &addr) {
                         let pi = self.plan.map.partition_of(sw[slot as usize]);
                         snext[slot as usize] = apply_exit(cand, ctx, &mut rngs[pi]);
                     } else {
@@ -1673,7 +1657,6 @@ impl FlashMob {
                     slot as usize,
                     v,
                     t,
-                    p,
                     &mut rngs[pi],
                     ps,
                     probe,
@@ -1827,6 +1810,18 @@ impl FlashMob {
         tel.drain_workers();
         taken.into_inner()
     }
+}
+
+/// A forced uniform ring depth, if any: the `FMWALK_RING` environment
+/// variable (clamped, malformed values ignored) wins over
+/// [`WalkConfig::ring_depth`]; `None` leaves the depth to the cost
+/// model (per partition in memory, per run out of core).
+pub(crate) fn ring_override(config: &WalkConfig) -> Option<usize> {
+    std::env::var("FMWALK_RING")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .map(|d| d.clamp(1, crate::sample::ring::MAX_RING_DEPTH))
+        .or(config.ring_depth)
 }
 
 /// The RNG stream id consumed by partition `pi` during iteration `iter`

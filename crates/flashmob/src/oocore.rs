@@ -6,16 +6,18 @@
 //! through DRAM every iteration would need ~5 GB/s, "below the
 //! capability of today's commodity NVMe SSDs".
 //!
-//! This module implements that extension for first-order uniform walks:
-//! the degree-sorted CSR lives in a file; only the offsets index and the
-//! walker arrays stay in memory.  Each iteration shuffles walkers in
+//! This module implements that extension: the degree-sorted CSR lives in
+//! a file; only the offsets index and the walker arrays stay in memory.
+//! For first-order uniform walks each iteration shuffles walkers in
 //! memory exactly as the in-memory engine does, then streams the
 //! adjacency bytes of each partition *that currently hosts walkers* from
 //! disk into a reusable buffer and direct-samples from it.  Because
 //! walkers concentrate on the high-degree head (Table 2), cold
 //! partitions are skipped and the realized read volume per iteration is
 //! typically far below the file size — the sparse-access advantage the
-//! shuffle buys.
+//! shuffle buys.  Second-order and origin-stateful walks need two
+//! adjacency lists a step and run the bi-block pair schedule instead
+//! (`run_ooc_biblock`).
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -33,7 +35,11 @@ use fm_recover::{
 use fm_rng::{Rng64, Xorshift64Star};
 use fm_telemetry::{Stage, Telemetry, NO_PARTITION, NO_STEP};
 
+use crate::algorithm::Node2VecRule;
+use crate::engine::{partition_stream_id, ring_override};
 use crate::output::WalkOutput;
+use crate::plan::Planner;
+use crate::sample::ring;
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
 use crate::walker::{initialize_from_offsets, WalkerInit};
 use crate::{Partition, PartitionMap, SamplePolicy, WalkConfig, WalkError, DEAD};
@@ -257,6 +263,12 @@ pub struct OocStats {
     /// Bi-block scheduler only: peak simultaneous boundary-buffer
     /// occupancy (the scheduler's memory high-water mark in walkers).
     pub peak_parked: u64,
+    /// Bi-block node2vec only: connectivity scans performed — rejection
+    /// draws the rule could not decide without the graph.
+    pub probes: u64,
+    /// Software-prefetch hints the walker ring issued (0 at depth 1),
+    /// as `RunStats::per_partition_prefetches` counts them in memory.
+    pub prefetches: u64,
 }
 
 impl OocStats {
@@ -318,13 +330,17 @@ impl OocOptions {
     }
 }
 
-/// Walks a disk-resident graph with first-order uniform (DeepWalk)
-/// semantics.
+/// Walks a disk-resident graph: DeepWalk by streaming one partition at
+/// a time, node2vec and PPR through the bi-block pair schedule; any
+/// other algorithm is a [`WalkError::Planning`].
 ///
-/// `partition_budget_bytes` bounds each partition's adjacency bytes (and
-/// therefore the streaming buffer); the paper's analysis suggests the L3
-/// capacity.  Only [`crate::WalkAlgorithm::DeepWalk`] is supported out
-/// of core.
+/// `partition_budget_bytes` bounds the adjacency bytes held at once —
+/// one partition's for DeepWalk (the paper's analysis suggests the L3
+/// capacity), a pair of half-budget blocks' for the other two.  The
+/// bi-block stepping loop runs through the walker ring, so
+/// `FMWALK_RING` and [`WalkConfig::ring_depth`] reach this engine as
+/// they do the in-memory one; unset, the cost model picks the depth
+/// from the resident pair's size.  The walk is the same at every depth.
 pub fn run_ooc(
     disk: &DiskGraph,
     config: &WalkConfig,
@@ -471,26 +487,20 @@ pub fn run_ooc_with(
         }
     }
 
-    // Cut the sorted vertex array into partitions under the byte budget.
-    let mut partitions = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        let budget_edges = (partition_budget_bytes / 4).max(disk.degree(start as VertexId));
-        let lo = disk.offsets[start];
-        let mut end = start + 1;
-        while end < n && disk.offsets[end + 1] - lo <= budget_edges {
-            end += 1;
-        }
-        partitions.push(Partition {
-            start: start as VertexId,
-            end: end as VertexId,
+    // Cut the sorted vertex array into partitions under the byte budget
+    // (every vertex has an edge, so the cut's one-edge floor is idle).
+    let cut = Blocks::cut(&disk.offsets, partition_budget_bytes);
+    let partitions: Vec<Partition> = (0..cut.len())
+        .map(|b| cut.range(b))
+        .map(|r| Partition {
+            start: r.start as VertexId,
+            end: r.end as VertexId,
             policy: SamplePolicy::Direct,
             group: 0,
-            edges: disk.offsets[end] - lo,
+            edges: disk.offsets[r.end] - disk.offsets[r.start],
             uniform_degree: None,
-        });
-        start = end;
-    }
+        })
+        .collect();
     let map = PartitionMap::new(&partitions, n);
     let shuffler = Shuffler::single_level(&map);
 
@@ -656,33 +666,26 @@ pub fn run_ooc_with(
         // exactly the input of iteration `iter + 1`.
         if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
             if (iter + 1) % ck.every == 0 {
-                let span = tel.is_on().then(|| tel.now_ns());
                 let generation = ((iter + 1) / ck.every) as u64;
-                let snap = WalkSnapshot {
-                    seed: config.seed,
-                    iter_next: (iter + 1) as u64,
-                    steps_total: steps as u64,
-                    walkers: walkers as u64,
-                    steps_taken: stats.steps_taken,
-                    config_tag,
-                    graph_tag,
-                    per_partition_steps: vec![0; partitions.len()],
-                    w: w.clone(),
-                    prev: Vec::new(),
-                    visits: Vec::new(),
-                    ps: vec![None; partitions.len()],
-                    rows: rows.clone(),
-                    biblock: None,
-                };
-                let retries_before = sink.retries;
-                sink.save(generation, &snap)?;
-                stats.io_retries += sink.retries - retries_before;
-                if let Some(s) = span {
-                    tel.span_since(Stage::Checkpoint, s, iter as u32, NO_PARTITION);
-                }
-                if ck.halt_after == Some(generation) {
-                    return Err(WalkError::Halted { generation });
-                }
+                let steps_taken = stats.steps_taken;
+                save_checkpoint(ck, sink, generation, iter, &mut stats, tel, || {
+                    WalkSnapshot {
+                        seed: config.seed,
+                        iter_next: (iter + 1) as u64,
+                        steps_total: steps as u64,
+                        walkers: walkers as u64,
+                        steps_taken,
+                        config_tag,
+                        graph_tag,
+                        per_partition_steps: vec![0; partitions.len()],
+                        w: w.clone(),
+                        prev: Vec::new(),
+                        visits: Vec::new(),
+                        ps: vec![None; partitions.len()],
+                        rows: rows.clone(),
+                        biblock: None,
+                    }
+                })?;
             }
         }
     }
@@ -765,6 +768,326 @@ fn ensure_resident(
     Ok(())
 }
 
+/// The block cut of a bi-block run: the sorted vertex array in runs of
+/// at most `block_bytes` of adjacency each (a vertex whose list alone
+/// exceeds that is a block of its own).
+struct Blocks {
+    /// First vertex of each block.
+    start: Vec<usize>,
+    vertices: usize,
+}
+
+impl Blocks {
+    fn cut(offsets: &[usize], block_bytes: usize) -> Self {
+        let vertices = offsets.len() - 1;
+        let mut start = Vec::new();
+        let mut first = 0usize;
+        while first < vertices {
+            let lo = offsets[first];
+            let budget_edges = (block_bytes / 4).max(offsets[first + 1] - lo).max(1);
+            let mut end = first + 1;
+            while end < vertices && offsets[end + 1] - lo <= budget_edges {
+                end += 1;
+            }
+            start.push(first);
+            first = end;
+        }
+        Self { start, vertices }
+    }
+
+    fn len(&self) -> usize {
+        self.start.len()
+    }
+
+    /// Pair slots in one sweep of the upper triangle.
+    fn pairs(&self) -> usize {
+        self.len() * (self.len() + 1) / 2
+    }
+
+    /// The block holding vertex `v`.
+    fn of(&self, v: VertexId) -> usize {
+        self.start.partition_point(|&s| s <= v as usize) - 1
+    }
+
+    /// The vertices of block `b`.
+    fn range(&self, b: usize) -> std::ops::Range<usize> {
+        self.start[b]..self.start.get(b + 1).copied().unwrap_or(self.vertices)
+    }
+
+    /// The slot a walker on `cur` that came from `prev` waits in; one
+    /// that reads a single list (PPR, or node2vec's first step) waits
+    /// on the diagonal, `prev = cur`.
+    fn slot_of(&self, prev: usize, cur: usize) -> usize {
+        pair_index(prev.min(cur), prev.max(cur), self.len())
+    }
+}
+
+/// The walker state of a bi-block run — what a BBLK snapshot holds,
+/// with the paths kept the way [`WalkOutput`] wants them.
+struct Lanes {
+    cur: Vec<VertexId>,
+    /// The node2vec predecessor (DEAD before the first, first-order
+    /// step) or the PPR origin.
+    prevv: Vec<VertexId>,
+    /// Steps completed per walker.
+    done: Vec<u32>,
+    /// Iteration-major path rows, `steps + 1` of them, written in place
+    /// as walkers step (`rows[done[k]][k]`); empty unless paths are
+    /// recorded.
+    rows: Vec<Vec<VertexId>>,
+    /// Parked walker ids per pair slot.
+    buckets: Vec<Vec<u32>>,
+    /// Walkers with steps left.
+    remaining: usize,
+    /// Walkers parked right now.
+    parked_now: u64,
+}
+
+impl Lanes {
+    /// The walker-major partial paths of the BBLK frame: walker `k`'s
+    /// first `done[k] + 1` vertices, read down the rows.
+    fn gather_paths(&self) -> Vec<Vec<VertexId>> {
+        if self.rows.is_empty() {
+            return Vec::new();
+        }
+        let path = |(k, &d): (usize, &u32)| self.rows[..=d as usize].iter().map(|r| r[k]).collect();
+        self.done.iter().enumerate().map(path).collect()
+    }
+
+    /// The rows those partial paths came from (entries past a walker's
+    /// `done` are written before they are read).
+    fn scatter_paths(paths: &[Vec<VertexId>], steps: usize) -> Vec<Vec<VertexId>> {
+        let mut rows = vec![vec![0 as VertexId; paths.len()]; steps + 1];
+        for (k, path) in paths.iter().enumerate() {
+            for (row, &v) in rows.iter_mut().zip(path) {
+                row[k] = v;
+            }
+        }
+        rows
+    }
+}
+
+/// Builds and publishes checkpoint `generation` through the sink's retry
+/// layer, both inside one Checkpoint span, and halts the run there when
+/// the spec says so.
+fn save_checkpoint(
+    ck: &CheckpointSpec,
+    sink: &mut CheckpointSink,
+    generation: u64,
+    epoch: usize,
+    stats: &mut OocStats,
+    tel: &mut Telemetry,
+    snapshot: impl FnOnce() -> WalkSnapshot,
+) -> Result<(), WalkError> {
+    let span = tel.is_on().then(|| tel.now_ns());
+    let retries_before = sink.retries;
+    sink.save(generation, &snapshot())?;
+    stats.io_retries += sink.retries - retries_before;
+    if let Some(s) = span {
+        tel.span_since(Stage::Checkpoint, s, epoch as u32, NO_PARTITION);
+    }
+    if ck.halt_after == Some(generation) {
+        return Err(WalkError::Halted { generation });
+    }
+    Ok(())
+}
+
+/// What stays the same for every slot of a bi-block run, and the loop
+/// that steps one slot's walkers against the resident pair.
+struct Stepper<'a> {
+    offsets: &'a [usize],
+    blocks: &'a Blocks,
+    is_ppr: bool,
+    /// PPR's restart probability.
+    alpha: f64,
+    /// node2vec's rejection rule.
+    rule: Node2VecRule,
+    steps: usize,
+    /// Walker-ring depth; 1 steps one walker at a time, hints off.
+    depth: usize,
+}
+
+impl Stepper<'_> {
+    /// Steps every walker of `bucket`, the slot of block pair `(i, j)`
+    /// whose blocks `bufs` hold in that order, until it finishes or its
+    /// lookups leave the pair and it parks; returns the hints issued.
+    ///
+    /// The bucket goes through [`ring::drive_scouted`]: a walker's first
+    /// step in the slot reads its id from the bucket, its lanes, two
+    /// offset pairs and two adjacency lists, each address depending on
+    /// the load before and none of it on a draw — a walker sits in
+    /// exactly one bucket and nothing parks into the slot being drained,
+    /// so its lanes are still when the hint stages read them ahead.
+    /// `execute` alone draws and mutates, in bucket order, so the walk
+    /// is the same at every depth.
+    fn drain(
+        &self,
+        (i, j): (usize, usize),
+        bufs: &[BlockBuf; 2],
+        bucket: &[u32],
+        rng: Xorshift64Star,
+        lanes: &mut Lanes,
+        stats: &mut OocStats,
+    ) -> u64 {
+        let &Self {
+            offsets,
+            blocks,
+            is_ppr,
+            rule,
+            ..
+        } = self;
+        // Block `b`'s words and the edge offset they start at.
+        let base = [i, j].map(|b| offsets[blocks.start[b]]);
+        let resident = |b: usize| -> (&[VertexId], usize) {
+            let side = usize::from(b != i);
+            (&bufs[side].words, base[side])
+        };
+        let in_i = blocks.range(i);
+        // The adjacency list of `v`, a vertex of this pair, as the hint
+        // stages address it: an index into a block buffer that
+        // `Pf::span` bounds-checks, so a vertex of neither block costs
+        // a dropped hint.
+        let list_of = |v: VertexId| -> (&[VertexId], usize, usize) {
+            let b = if in_i.contains(&(v as usize)) { i } else { j };
+            let (words, base) = resident(b);
+            let lo = offsets[v as usize];
+            (words, lo.wrapping_sub(base), offsets[v as usize + 1] - lo)
+        };
+        let mut pf = ring::Pf::new(self.depth > 1);
+        let mut st = (lanes, stats, rng);
+        ring::drive_scouted(
+            self.depth,
+            bucket.len(),
+            &mut pf,
+            &mut st,
+            // Scout: the bucket itself streams; hint the lanes of the
+            // walker it names.
+            |pf, (lanes, ..), jj| {
+                let k = bucket[jj] as usize;
+                pf.element(&mut NullProbe, &lanes.cur, k, 0);
+                pf.element(&mut NullProbe, &lanes.done, k, 0);
+                if !is_ppr {
+                    pf.element(&mut NullProbe, &lanes.prevv, k, 0);
+                }
+            },
+            // Inspect: the lanes are in; hint the offset pairs.  PPR
+            // reads its origin's list never — that block need not even
+            // be resident.
+            |pf, (lanes, ..), jj| {
+                let k = bucket[jj] as usize;
+                pf.element(&mut NullProbe, offsets, lanes.cur[k] as usize, 0);
+                let t = lanes.prevv[k];
+                if !is_ppr && t != DEAD {
+                    pf.element(&mut NullProbe, offsets, t as usize, 0);
+                }
+            },
+            // Fetch: the offsets are in; hint the head lines of the list
+            // the draw indexes and of the list the connectivity scan
+            // starts down.
+            |pf, (lanes, ..), jj| {
+                if !pf.active() {
+                    return;
+                }
+                let k = bucket[jj] as usize;
+                let (words, lo, d) = list_of(lanes.cur[k]);
+                pf.span(&mut NullProbe, words, lo, d, 0);
+                let t = lanes.prevv[k];
+                if !is_ppr && t != DEAD {
+                    let (words, lo, d) = list_of(t);
+                    pf.span(&mut NullProbe, words, lo, d, 0);
+                }
+            },
+            // Execute: sole RNG consumer, sole state mutator, strict
+            // bucket order.
+            |(lanes, stats, rng), jj, ()| {
+                let kw = bucket[jj];
+                let k = kw as usize;
+                let (mut v, mut t) = (lanes.cur[k], lanes.prevv[k]);
+                let mut done = lanes.done[k] as usize;
+                // A walker's blocks are looked up once as it enters the
+                // slot and once per step after.
+                let mut bv = blocks.of(v);
+                let mut bt = if is_ppr || t == DEAD {
+                    bv
+                } else {
+                    blocks.of(t)
+                };
+                loop {
+                    let (vwords, vbase) = resident(bv);
+                    let lo = offsets[v as usize] - vbase;
+                    let d = offsets[v as usize + 1] - offsets[v as usize];
+                    let adj = &vwords[lo..lo + d];
+                    let next = if is_ppr {
+                        // Restart coin first: a teleport reads no edge at
+                        // all (mirrors the in-memory sampler and the PPR
+                        // oracle).
+                        if rng.next_f64() < self.alpha {
+                            t
+                        } else {
+                            adj[rng.gen_index(d)]
+                        }
+                    } else if t == DEAD {
+                        // First transition of a node2vec walker:
+                        // first-order uniform, matching the oracle's
+                        // edge-chain start.
+                        adj[rng.gen_index(d)]
+                    } else {
+                        let (twords, tbase) = resident(bt);
+                        let tlo = offsets[t as usize] - tbase;
+                        let td = offsets[t as usize + 1] - offsets[t as usize];
+                        let tadj = &twords[tlo..tlo + td];
+                        let mut attempts = 0;
+                        // Rejection under the shared rule, mirroring the
+                        // in-memory sampler; FMDISK1 lists are unsorted,
+                        // so a probe is a scan.  The attempt cap is the
+                        // termination backstop.
+                        loop {
+                            let cand = adj[rng.gen_index(d)];
+                            attempts += 1;
+                            let x = rng.next_f64() * rule.bound;
+                            let scan = || {
+                                stats.probes += 1;
+                                tadj.contains(&cand)
+                            };
+                            if attempts >= 64 || rule.keeps(x, cand == t, scan) {
+                                break cand;
+                            }
+                        }
+                    };
+                    if !is_ppr {
+                        (t, bt) = (v, bv);
+                    }
+                    v = next;
+                    done += 1;
+                    stats.steps_taken += 1;
+                    if let Some(row) = lanes.rows.get_mut(done) {
+                        row[k] = next;
+                    }
+                    if done >= self.steps {
+                        lanes.remaining -= 1;
+                        break;
+                    }
+                    bv = blocks.of(next);
+                    if bv != i && bv != j {
+                        // Crossed out of the pair (the new `prev` was its
+                        // `cur`, so that one is in): park.
+                        let from = if is_ppr { bv } else { bt };
+                        lanes.buckets[blocks.slot_of(from, bv)].push(kw);
+                        lanes.parked_now += 1;
+                        stats.walkers_parked += 1;
+                        stats.peak_parked = stats.peak_parked.max(lanes.parked_now);
+                        break;
+                    }
+                }
+                lanes.cur[k] = v;
+                lanes.prevv[k] = t;
+                lanes.done[k] = done as u32;
+            },
+        );
+        pf.issued()
+    }
+}
+
 /// GraSorw-style triangular bi-block scheduling for second-order
 /// (node2vec) and origin-stateful (PPR) walks over a disk-resident CSR.
 ///
@@ -781,6 +1104,9 @@ fn ensure_resident(
 /// in the `prev` lane and needs no lookup), so they live on the
 /// diagonal and off-diagonal slots stay empty.
 ///
+/// A resident pair's walkers step through the walker ring
+/// ([`Stepper::drain`]), the same walk at every depth.
+///
 /// Determinism and crash safety: the RNG stream of a pair slot is
 /// `partition_stream_id(seed, epoch, slot)`, restarted at each slot,
 /// so resume at any slot boundary has no RNG carry-over; buckets are
@@ -794,74 +1120,43 @@ fn run_ooc_biblock(
     opts: &OocOptions,
     tel: &mut Telemetry,
 ) -> Result<(WalkOutput, OocStats), WalkError> {
-    let n = disk.vertex_count();
     let steps = config.max_steps();
     let walkers = config.walkers;
+    if u32::try_from(walkers).is_err() {
+        return Err(WalkError::Planning(format!(
+            "bi-block boundary buckets hold 32-bit walker ids; {walkers} walkers do not fit"
+        )));
+    }
     let is_ppr = matches!(config.algorithm, crate::WalkAlgorithm::Ppr { .. });
-    let (p_ret, q_inout, bound, bound_min, alpha) = match config.algorithm {
-        crate::WalkAlgorithm::Node2Vec { p, q } => (
-            p,
-            q,
-            config.algorithm.node2vec_bound(),
-            (1.0 / p).min(1.0).min(1.0 / q),
-            0.0,
-        ),
-        crate::WalkAlgorithm::Ppr { alpha } => (0.0, 0.0, 1.0, 1.0, alpha),
+    let alpha = match config.algorithm {
+        crate::WalkAlgorithm::Node2Vec { .. } => 0.0,
+        crate::WalkAlgorithm::Ppr { alpha } => alpha,
         _ => unreachable!("bi-block scheduler runs node2vec and PPR only"),
     };
 
-    // Cut the sorted vertex array into half-budget blocks.
-    let half_budget = partition_budget_bytes / 2;
-    let mut block_start: Vec<usize> = Vec::new();
-    {
-        let mut start = 0usize;
-        while start < n {
-            let budget_edges = (half_budget / 4)
-                .max(disk.degree(start as VertexId))
-                .max(1);
-            let lo = disk.offsets[start];
-            let mut end = start + 1;
-            while end < n && disk.offsets[end + 1] - lo <= budget_edges {
-                end += 1;
-            }
-            block_start.push(start);
-            start = end;
-        }
-    }
-    let nblocks = block_start.len();
-    let n_pairs = nblocks * (nblocks + 1) / 2;
-    let block_of =
-        |v: VertexId| -> usize { block_start.partition_point(|&s| s <= v as usize) - 1 };
-    let block_end = |b: usize| -> usize { block_start.get(b + 1).copied().unwrap_or(n) };
-    // The pair slot a walker waits in for its next step.
-    let pair_of = |cur: VertexId, prev: VertexId| -> usize {
-        let bc = block_of(cur);
-        if is_ppr || prev == DEAD {
-            return pair_index(bc, bc, nblocks);
-        }
-        let bp = block_of(prev);
-        let (a, b) = if bp <= bc { (bp, bc) } else { (bc, bp) };
-        pair_index(a, b, nblocks)
+    let offsets = &disk.offsets[..];
+    let blocks = Blocks::cut(offsets, partition_budget_bytes / 2);
+    let (nblocks, n_pairs) = (blocks.len(), blocks.pairs());
+    let block_range = |b: usize| {
+        let r = blocks.range(b);
+        (r.start as VertexId, r.end as VertexId)
     };
 
     let wall_start = Instant::now();
-    let mut cur = init_positions(disk, config);
-    // `prevv` carries the node2vec predecessor (DEAD before the first,
-    // first-order step) or the PPR origin.
-    let mut prevv: Vec<VertexId> = if is_ppr {
-        cur.clone()
-    } else {
-        vec![DEAD; walkers]
+    let cur = init_positions(disk, config);
+    let mut lanes = Lanes {
+        prevv: if is_ppr {
+            cur.clone()
+        } else {
+            vec![DEAD; walkers]
+        },
+        done: vec![0; walkers],
+        rows: Vec::new(),
+        buckets: vec![Vec::new(); n_pairs],
+        remaining: if steps == 0 { 0 } else { walkers },
+        parked_now: 0,
+        cur,
     };
-    let mut done: Vec<u32> = vec![0; walkers];
-    let mut paths: Vec<Vec<VertexId>> = if config.record_paths {
-        cur.iter().map(|&v| vec![v]).collect()
-    } else {
-        Vec::new()
-    };
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_pairs];
-    let mut remaining = if steps == 0 { 0 } else { walkers };
-    let mut parked_now: u64 = 0;
     let mut stats = OocStats::default();
     let mut epoch = 0usize;
     let mut start_slot = 0usize;
@@ -949,15 +1244,15 @@ fn run_ooc_biblock(
         if parked != unfinished as u64 {
             return Err(mismatch("snapshot boundary buckets are inconsistent"));
         }
-        cur = snap.w;
-        prevv = snap.prev;
-        done = bb.done;
-        buckets = bb.buckets;
         if config.record_paths {
-            paths = bb.paths;
+            lanes.rows = Lanes::scatter_paths(&bb.paths, steps);
         }
-        parked_now = parked;
-        remaining = unfinished;
+        lanes.cur = snap.w;
+        lanes.prevv = snap.prev;
+        lanes.done = bb.done;
+        lanes.buckets = bb.buckets;
+        lanes.parked_now = parked;
+        lanes.remaining = unfinished;
         stats.steps_taken = snap.steps_taken;
         pairs_done = snap.iter_next;
         epoch = bb.epoch as usize;
@@ -965,23 +1260,73 @@ fn run_ooc_biblock(
         if let Some(s) = span {
             tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
         }
-    } else if steps > 0 {
-        // Fresh start: park every walker in its home bucket.
-        for (k, (&c, &p)) in cur.iter().zip(&prevv).enumerate() {
-            buckets[pair_of(c, p)].push(k as u32);
+    } else {
+        if config.record_paths {
+            lanes.rows = vec![vec![0 as VertexId; walkers]; steps + 1];
+            lanes.rows[0].copy_from_slice(&lanes.cur);
         }
-        parked_now = walkers as u64;
-        stats.walkers_parked = walkers as u64;
-        stats.peak_parked = walkers as u64;
+        if steps > 0 {
+            // Fresh start: park every walker in its home bucket (no
+            // second block to wait for yet: PPR never has one, node2vec
+            // has no predecessor).
+            for (k, &c) in lanes.cur.iter().enumerate() {
+                let b = blocks.of(c);
+                lanes.buckets[blocks.slot_of(b, b)].push(k as u32);
+            }
+            lanes.parked_now = walkers as u64;
+            stats.walkers_parked = walkers as u64;
+            stats.peak_parked = walkers as u64;
+        }
     }
+    // What a checkpoint taken now holds, resuming at `(epoch, cursor)`.
+    let snapshot =
+        |lanes: &Lanes, steps_taken: u64, pairs_done: u64, epoch: u64, cursor: u64| WalkSnapshot {
+            seed: config.seed,
+            iter_next: pairs_done,
+            steps_total: steps as u64,
+            walkers: walkers as u64,
+            steps_taken,
+            config_tag,
+            graph_tag,
+            per_partition_steps: Vec::new(),
+            w: lanes.cur.clone(),
+            prev: lanes.prevv.clone(),
+            visits: Vec::new(),
+            ps: Vec::new(),
+            rows: Vec::new(),
+            biblock: Some(BiBlockState {
+                epoch,
+                cursor,
+                blocks: nblocks as u64,
+                done: lanes.done.clone(),
+                buckets: lanes.buckets.clone(),
+                paths: lanes.gather_paths(),
+            }),
+        };
 
     // Two block buffers, the whole of the engine's block memory.
     let largest = (0..nblocks)
-        .map(|b| disk.offsets[block_end(b)] - disk.offsets[block_start[b]])
+        .map(|b| blocks.range(b))
+        .map(|r| offsets[r.end] - offsets[r.start])
         .max()
         .unwrap_or(0);
     let mut bufs = [BlockBuf::new(largest), BlockBuf::new(largest)];
-    'sweep: while remaining > 0 {
+    let stepper = Stepper {
+        offsets,
+        blocks: &blocks,
+        is_ppr,
+        alpha,
+        rule: config.algorithm.node2vec_rule(),
+        steps,
+        // One ring depth for the run: the stepping loop's working set is
+        // the resident pair plus the offsets index, whichever pair is
+        // loaded.
+        depth: ring_override(config).unwrap_or_else(|| {
+            Planner::analytic_model(&config.planner)
+                .ring_depth(2 * largest * 4 + std::mem::size_of_val(offsets))
+        }),
+    };
+    'sweep: while lanes.remaining > 0 {
         // Every unfinished walker's own pair is visited once per sweep
         // and steps it at least once, so epochs are bounded by steps.
         assert!(
@@ -996,12 +1341,12 @@ fn run_ooc_biblock(
                 if s < start_slot {
                     continue;
                 }
-                let bucket = std::mem::take(&mut buckets[s]);
+                let bucket = std::mem::take(&mut lanes.buckets[s]);
                 if bucket.is_empty() {
                     stats.pairs_skipped += 1;
                     stats.partitions_skipped += 1;
                 } else {
-                    parked_now -= bucket.len() as u64;
+                    lanes.parked_now -= bucket.len() as u64;
                     stats.pairs_scheduled += 1;
                     // `bufs[0]` serves block `i`, `bufs[1]` block `j`: swap
                     // rather than reload when they hold the needed blocks
@@ -1016,7 +1361,7 @@ fn run_ooc_biblock(
                             disk,
                             &mut file,
                             &opts.retry,
-                            (block_start[b] as VertexId, block_end(b) as VertexId),
+                            block_range(b),
                             buf,
                             epoch,
                             b,
@@ -1024,112 +1369,16 @@ fn run_ooc_biblock(
                             tel,
                         )?;
                     }
-                    let (buf_i, buf_j) = (&bufs[0].words, &bufs[1].words);
                     let sample_span = tel.is_on().then(|| tel.now_ns());
-                    let mut rng = Xorshift64Star::new(crate::engine::partition_stream_id(
-                        config.seed,
-                        epoch,
-                        s,
-                    ));
-                    let mut slot_steps = 0u64;
-                    let base_i = disk.offsets[block_start[i]];
-                    let base_j = disk.offsets[block_start[j]];
-                    for &kw in &bucket {
-                        let k = kw as usize;
-                        // Step while the walker's lookups stay resident.
-                        loop {
-                            let v = cur[k];
-                            let bv = block_of(v);
-                            let (vbuf, vbase) = if bv == i {
-                                (buf_i, base_i)
-                            } else {
-                                (buf_j, base_j)
-                            };
-                            let lo = disk.offsets[v as usize] - vbase;
-                            let d = disk.degree(v);
-                            let adj = &vbuf[lo..lo + d];
-                            let next = if is_ppr {
-                                // Restart coin first: a teleport reads no
-                                // edge at all (mirrors the in-memory
-                                // sampler and the PPR oracle).
-                                if rng.next_f64() < alpha {
-                                    prevv[k]
-                                } else {
-                                    adj[rng.gen_index(d)]
-                                }
-                            } else if prevv[k] == DEAD {
-                                // First transition of a node2vec walker:
-                                // first-order uniform, matching the
-                                // oracle's edge-chain start.
-                                adj[rng.gen_index(d)]
-                            } else {
-                                let t = prevv[k];
-                                let bt = block_of(t);
-                                let (tbuf, tbase) = if bt == i {
-                                    (buf_i, base_i)
-                                } else {
-                                    (buf_j, base_j)
-                                };
-                                let tlo = disk.offsets[t as usize] - tbase;
-                                let tadj = &tbuf[tlo..tlo + disk.degree(t)];
-                                let mut attempts = 0;
-                                // Stratified rejection, mirroring the
-                                // in-memory sampler: a draw below the
-                                // minimum weight accepts any candidate
-                                // with zero connectivity scans; the
-                                // attempt cap is the termination
-                                // backstop.
-                                loop {
-                                    let cand = adj[rng.gen_index(d)];
-                                    attempts += 1;
-                                    let x = rng.next_f64() * bound;
-                                    if x < bound_min || attempts >= 64 {
-                                        break cand;
-                                    }
-                                    let weight = if cand == t {
-                                        1.0 / p_ret
-                                    } else if tadj.contains(&cand) {
-                                        1.0
-                                    } else {
-                                        1.0 / q_inout
-                                    };
-                                    if x < weight {
-                                        break cand;
-                                    }
-                                }
-                            };
-                            if !is_ppr {
-                                prevv[k] = v;
-                            }
-                            cur[k] = next;
-                            done[k] += 1;
-                            slot_steps += 1;
-                            if config.record_paths {
-                                paths[k].push(next);
-                            }
-                            if done[k] as usize >= steps {
-                                remaining -= 1;
-                                break;
-                            }
-                            let bc = block_of(cur[k]);
-                            let resident = (bc == i || bc == j)
-                                && (is_ppr || {
-                                    let bp = block_of(prevv[k]);
-                                    bp == i || bp == j
-                                });
-                            if !resident {
-                                buckets[pair_of(cur[k], prevv[k])].push(kw);
-                                parked_now += 1;
-                                stats.walkers_parked += 1;
-                                stats.peak_parked = stats.peak_parked.max(parked_now);
-                                break;
-                            }
-                        }
-                    }
-                    stats.steps_taken += slot_steps;
+                    let steps_before = stats.steps_taken;
+                    let rng = Xorshift64Star::new(partition_stream_id(config.seed, epoch, s));
+                    let hints = stepper.drain((i, j), &bufs, &bucket, rng, &mut lanes, &mut stats);
+                    stats.prefetches += hints;
                     if let Some(sp) = sample_span {
                         tel.span_since(Stage::Sample, sp, epoch as u32, i as u32);
-                        tel.record_partition_step(i, slot_steps, false);
+                        tel.record_partition_step(i, stats.steps_taken - steps_before, false);
+                        let in_flight = stepper.depth.min(bucket.len()) as u64;
+                        tel.record_partition_ring(i, in_flight, hints);
                     }
                 }
 
@@ -1139,48 +1388,19 @@ fn run_ooc_biblock(
                 pairs_done += 1;
                 if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
                     if pairs_done.is_multiple_of(ck.every as u64) {
-                        let span = tel.is_on().then(|| tel.now_ns());
                         let generation = pairs_done / ck.every as u64;
                         let (next_epoch, next_cursor) = if s + 1 == n_pairs {
                             (epoch as u64 + 1, 0)
                         } else {
                             (epoch as u64, s as u64 + 1)
                         };
-                        let snap = WalkSnapshot {
-                            seed: config.seed,
-                            iter_next: pairs_done,
-                            steps_total: steps as u64,
-                            walkers: walkers as u64,
-                            steps_taken: stats.steps_taken,
-                            config_tag,
-                            graph_tag,
-                            per_partition_steps: Vec::new(),
-                            w: cur.clone(),
-                            prev: prevv.clone(),
-                            visits: Vec::new(),
-                            ps: Vec::new(),
-                            rows: Vec::new(),
-                            biblock: Some(BiBlockState {
-                                epoch: next_epoch,
-                                cursor: next_cursor,
-                                blocks: nblocks as u64,
-                                done: done.clone(),
-                                buckets: buckets.clone(),
-                                paths: paths.clone(),
-                            }),
-                        };
-                        let retries_before = sink.retries;
-                        sink.save(generation, &snap)?;
-                        stats.io_retries += sink.retries - retries_before;
-                        if let Some(sp) = span {
-                            tel.span_since(Stage::Checkpoint, sp, epoch as u32, NO_PARTITION);
-                        }
-                        if ck.halt_after == Some(generation) {
-                            return Err(WalkError::Halted { generation });
-                        }
+                        let taken = stats.steps_taken;
+                        save_checkpoint(ck, sink, generation, epoch, &mut stats, tel, || {
+                            snapshot(&lanes, taken, pairs_done, next_epoch, next_cursor)
+                        })?;
                     }
                 }
-                if remaining == 0 {
+                if lanes.remaining == 0 {
                     break 'sweep;
                 }
             }
@@ -1196,61 +1416,27 @@ fn run_ooc_biblock(
     // land exactly on the last processed slot.
     if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
         if !pairs_done.is_multiple_of(ck.every as u64) {
-            let span = tel.is_on().then(|| tel.now_ns());
             let generation = pairs_done / ck.every as u64 + 1;
-            let snap = WalkSnapshot {
-                seed: config.seed,
-                iter_next: pairs_done,
-                steps_total: steps as u64,
-                walkers: walkers as u64,
-                steps_taken: stats.steps_taken,
-                config_tag,
-                graph_tag,
-                per_partition_steps: Vec::new(),
-                w: cur.clone(),
-                prev: prevv.clone(),
-                visits: Vec::new(),
-                ps: Vec::new(),
-                rows: Vec::new(),
-                biblock: Some(BiBlockState {
-                    epoch: epoch as u64,
-                    cursor: 0,
-                    blocks: nblocks as u64,
-                    done: done.clone(),
-                    buckets: buckets.clone(),
-                    paths: paths.clone(),
-                }),
-            };
-            let retries_before = sink.retries;
-            sink.save(generation, &snap)?;
-            stats.io_retries += sink.retries - retries_before;
-            if let Some(sp) = span {
-                tel.span_since(Stage::Checkpoint, sp, epoch as u32, NO_PARTITION);
-            }
-            if ck.halt_after == Some(generation) {
-                return Err(WalkError::Halted { generation });
-            }
+            let taken = stats.steps_taken;
+            save_checkpoint(ck, sink, generation, epoch, &mut stats, tel, || {
+                snapshot(&lanes, taken, pairs_done, epoch as u64, 0)
+            })?;
         }
     }
 
     tel.record_io_retries(stats.io_retries);
     stats.wall = wall_start.elapsed();
-    let output = if config.record_paths {
-        // Transpose walker-major paths into the iteration-major rows
-        // WalkOutput expects; node2vec and PPR walkers never die early,
-        // so every path has exactly `steps + 1` entries.
-        let mut rows = vec![vec![0 as VertexId; walkers]; steps + 1];
-        for (k, path) in paths.iter().enumerate() {
-            debug_assert_eq!(path.len(), steps + 1);
-            for (t, &v) in path.iter().enumerate() {
-                rows[t][k] = v;
-            }
-        }
-        WalkOutput::new(rows, walkers, Arc::clone(&disk.relabel))
+    // node2vec and PPR walkers never die early, so every recorded row
+    // is full; without paths the one row is where the walkers ended.
+    let rows = if config.record_paths {
+        lanes.rows
     } else {
-        WalkOutput::new(vec![cur], walkers, Arc::clone(&disk.relabel))
+        vec![lanes.cur]
     };
-    Ok((output, stats))
+    Ok((
+        WalkOutput::new(rows, walkers, Arc::clone(&disk.relabel)),
+        stats,
+    ))
 }
 
 #[cfg(test)]
@@ -1741,10 +1927,21 @@ mod tests {
             crate::WalkAlgorithm::Node2Vec { p: 0.25, q: 4.0 },
             crate::WalkAlgorithm::Ppr { alpha: 0.2 },
         ] {
-            let mut cfg = WalkConfig::deepwalk().walkers(300).steps(12).seed(13);
-            cfg.algorithm = algorithm;
-            let (reference, _) = run_ooc(&disk, &cfg, budget).unwrap();
-            for slots_done in [2u64, 6, 8, 12] {
+            let mut base = WalkConfig::deepwalk().walkers(300).steps(12).seed(13);
+            base.algorithm = algorithm;
+            let (reference, _) = run_ooc(&disk, &base, budget).unwrap();
+            // Every ring depth halts and resumes on the same paths.
+            for (depth, slots_done) in [
+                (1, 2u64),
+                (1, 6),
+                (1, 8),
+                (1, 12),
+                (2, 6),
+                (3, 8),
+                (8, 6),
+                (16, 2),
+            ] {
+                let cfg = base.clone().ring_depth(depth);
                 std::fs::remove_dir_all(&ckdir).ok();
                 let halt = OocOptions::default().checkpoint(CheckpointSpec {
                     halt_after: Some(slots_done),
@@ -1763,7 +1960,7 @@ mod tests {
                 assert_eq!(
                     reference.paths(),
                     resumed.paths(),
-                    "{algorithm:?} resumed at slot {slots_done}"
+                    "{algorithm:?} resumed at slot {slots_done}, depth {depth}"
                 );
             }
         }
@@ -1809,5 +2006,480 @@ mod tests {
         ));
         std::fs::remove_dir_all(&ckdir).ok();
         std::fs::remove_file(gpath).ok();
+    }
+    /// A bi-block scheduler state, as a BBLK frame holds it.
+    #[derive(Debug, Clone, PartialEq)]
+    struct ModelState {
+        cur: Vec<VertexId>,
+        prevv: Vec<VertexId>,
+        done: Vec<u32>,
+        buckets: Vec<Vec<u32>>,
+        paths: Vec<Vec<VertexId>>,
+        epoch: u64,
+        cursor: u64,
+        steps_taken: u64,
+    }
+
+    /// What [`model_biblock`] saw: the state after the pair slots asked
+    /// for (keyed by slots done) and after the last one, the number of
+    /// slots, and the run's exact counts.
+    struct ModelRun {
+        after_slot: std::collections::BTreeMap<u64, ModelState>,
+        slots: u64,
+        pairs_scheduled: u64,
+        pairs_skipped: u64,
+        walkers_parked: u64,
+        peak_parked: u64,
+        /// Connectivity scans of the loop this PR replaced: one per draw
+        /// at or above the smallest weight.
+        scans: u64,
+        /// The scans among them whose answer changed the decision.
+        deciding_scans: u64,
+    }
+
+    /// The bi-block walk as it ran before the ring, kept as the model:
+    /// one walker at a time, a `Vec` of path per walker, the candidate's
+    /// weight looked up and then compared.  Reads the in-memory sorted
+    /// CSR, which is what the block buffers hold.
+    fn model_biblock(
+        sorted: &Csr,
+        config: &WalkConfig,
+        budget: usize,
+        keep: impl Fn(u64) -> bool,
+    ) -> ModelRun {
+        let offsets = sorted.offsets();
+        let n = sorted.vertex_count();
+        let (steps, walkers) = (config.max_steps(), config.walkers);
+        let is_ppr = matches!(config.algorithm, crate::WalkAlgorithm::Ppr { .. });
+        let (p_ret, q_inout, bound, bound_min, alpha) = match config.algorithm {
+            crate::WalkAlgorithm::Node2Vec { p, q } => (
+                p,
+                q,
+                config.algorithm.node2vec_bound(),
+                (1.0 / p).min(1.0).min(1.0 / q),
+                0.0,
+            ),
+            crate::WalkAlgorithm::Ppr { alpha } => (0.0, 0.0, 1.0, 1.0, alpha),
+            _ => unreachable!(),
+        };
+        let blocks = Blocks::cut(offsets, budget / 2);
+        let (nblocks, n_pairs) = (blocks.len(), blocks.pairs());
+        let block_of = |v: VertexId| blocks.of(v);
+        let pair_of = |cur: VertexId, prev: VertexId| {
+            let bc = block_of(cur);
+            if is_ppr || prev == DEAD {
+                return pair_index(bc, bc, nblocks);
+            }
+            let bp = block_of(prev);
+            pair_index(bp.min(bc), bp.max(bc), nblocks)
+        };
+        assert!(n > 0 && steps > 0);
+
+        let mut cur = initialize_from_offsets(offsets, &config.init, walkers, config.seed);
+        let mut prevv = if is_ppr {
+            cur.clone()
+        } else {
+            vec![DEAD; walkers]
+        };
+        let mut done = vec![0u32; walkers];
+        let mut paths: Vec<Vec<VertexId>> = if config.record_paths {
+            cur.iter().map(|&v| vec![v]).collect()
+        } else {
+            Vec::new()
+        };
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_pairs];
+        for (k, (&c, &p)) in cur.iter().zip(&prevv).enumerate() {
+            buckets[pair_of(c, p)].push(k as u32);
+        }
+        let mut run = ModelRun {
+            after_slot: Default::default(),
+            slots: 0,
+            pairs_scheduled: 0,
+            pairs_skipped: 0,
+            walkers_parked: walkers as u64,
+            peak_parked: walkers as u64,
+            scans: 0,
+            deciding_scans: 0,
+        };
+        let (mut remaining, mut parked_now, mut steps_taken) = (walkers, walkers as u64, 0u64);
+        let mut epoch = 0usize;
+        while remaining > 0 {
+            let mut s = 0usize;
+            for i in 0..nblocks {
+                for j in i..nblocks {
+                    let bucket = std::mem::take(&mut buckets[s]);
+                    if bucket.is_empty() {
+                        run.pairs_skipped += 1;
+                    } else {
+                        run.pairs_scheduled += 1;
+                        parked_now -= bucket.len() as u64;
+                    }
+                    let mut rng = Xorshift64Star::new(partition_stream_id(config.seed, epoch, s));
+                    for &kw in &bucket {
+                        let k = kw as usize;
+                        loop {
+                            let v = cur[k];
+                            assert!(block_of(v) == i || block_of(v) == j);
+                            let adj = sorted.neighbors(v);
+                            let d = adj.len();
+                            let next = if is_ppr {
+                                if rng.next_f64() < alpha {
+                                    prevv[k]
+                                } else {
+                                    adj[rng.gen_index(d)]
+                                }
+                            } else if prevv[k] == DEAD {
+                                adj[rng.gen_index(d)]
+                            } else {
+                                let t = prevv[k];
+                                assert!(block_of(t) == i || block_of(t) == j);
+                                let tadj = sorted.neighbors(t);
+                                let mut attempts = 0;
+                                loop {
+                                    let cand = adj[rng.gen_index(d)];
+                                    attempts += 1;
+                                    let x = rng.next_f64() * bound;
+                                    if x < bound_min || attempts >= 64 {
+                                        break cand;
+                                    }
+                                    let weight = if cand == t {
+                                        1.0 / p_ret
+                                    } else {
+                                        run.scans += 1;
+                                        run.deciding_scans +=
+                                            ((x < 1.0) != (x < 1.0 / q_inout)) as u64;
+                                        if tadj.contains(&cand) {
+                                            1.0
+                                        } else {
+                                            1.0 / q_inout
+                                        }
+                                    };
+                                    if x < weight {
+                                        break cand;
+                                    }
+                                }
+                            };
+                            if !is_ppr {
+                                prevv[k] = v;
+                            }
+                            cur[k] = next;
+                            done[k] += 1;
+                            steps_taken += 1;
+                            if config.record_paths {
+                                paths[k].push(next);
+                            }
+                            if done[k] as usize >= steps {
+                                remaining -= 1;
+                                break;
+                            }
+                            let bc = block_of(cur[k]);
+                            let resident = (bc == i || bc == j)
+                                && (is_ppr || {
+                                    let bp = block_of(prevv[k]);
+                                    bp == i || bp == j
+                                });
+                            if !resident {
+                                buckets[pair_of(cur[k], prevv[k])].push(kw);
+                                parked_now += 1;
+                                run.walkers_parked += 1;
+                                run.peak_parked = run.peak_parked.max(parked_now);
+                                break;
+                            }
+                        }
+                    }
+                    s += 1;
+                    let (epoch, cursor) = if s == n_pairs {
+                        (epoch as u64 + 1, 0)
+                    } else {
+                        (epoch as u64, s as u64)
+                    };
+                    run.slots += 1;
+                    if remaining == 0 || keep(run.slots) {
+                        let state = ModelState {
+                            cur: cur.clone(),
+                            prevv: prevv.clone(),
+                            done: done.clone(),
+                            buckets: buckets.clone(),
+                            paths: paths.clone(),
+                            epoch,
+                            cursor,
+                            steps_taken,
+                        };
+                        run.after_slot.insert(run.slots, state);
+                    }
+                    if remaining == 0 {
+                        return run;
+                    }
+                }
+            }
+            epoch += 1;
+        }
+        run
+    }
+
+    /// The engine's checkpoint after `slots` pair slots, as a model state.
+    fn engine_state_after(
+        disk: &DiskGraph,
+        cfg: &WalkConfig,
+        budget: usize,
+        slots: u64,
+        ckdir: &Path,
+    ) -> ModelState {
+        std::fs::remove_dir_all(ckdir).ok();
+        let halt = OocOptions::default().checkpoint(CheckpointSpec {
+            halt_after: Some(1),
+            ..CheckpointSpec::new(ckdir, slots as usize)
+        });
+        let err = run_ooc_with(disk, cfg, budget, &halt, &mut Telemetry::off()).unwrap_err();
+        assert!(
+            matches!(err, WalkError::Halted { generation: 1 }),
+            "{err:?}"
+        );
+        let (_, snap) = load_latest(ckdir).unwrap();
+        assert_eq!(snap.iter_next, slots);
+        let bb = snap.biblock.unwrap();
+        ModelState {
+            cur: snap.w,
+            prevv: snap.prev,
+            done: bb.done,
+            buckets: bb.buckets,
+            paths: bb.paths,
+            epoch: bb.epoch,
+            cursor: bb.cursor,
+            steps_taken: snap.steps_taken,
+        }
+    }
+
+    #[test]
+    fn biblock_ring_matches_the_walker_at_a_time_model() {
+        let g = synth::power_law(150, 2.0, 2, 30, 23);
+        let disk = DiskGraph::create(&g, temp_path("bb_model.fmdisk")).unwrap();
+        let (sorted, _) = sort_by_degree(&g);
+        let ckdir = temp_path("bb_model_dir");
+        let file_bytes = disk.edge_count() * 4;
+        // A quarter of the file (several blocks), a budget below any
+        // list (every vertex a singleton block, hubs included), and room
+        // for the whole graph in one block.
+        for budget in [file_bytes / 4, 2, file_bytes * 2] {
+            for algorithm in [
+                crate::WalkAlgorithm::Node2Vec { p: 2.0, q: 0.5 },
+                crate::WalkAlgorithm::Ppr { alpha: 0.2 },
+            ] {
+                for record_paths in [true, false] {
+                    let mut base = WalkConfig::deepwalk().walkers(90).steps(6).seed(29);
+                    base.algorithm = algorithm;
+                    base.record_paths = record_paths;
+                    // Checkpoints to compare: early, in the middle of
+                    // the run, and at its last slot.
+                    let slots = model_biblock(&sorted, &base, budget, |_| false).slots;
+                    let cursors = [1, 2, slots / 2, slots - 1, slots];
+                    let model = model_biblock(&sorted, &base, budget, |at| cursors.contains(&at));
+                    let last = &model.after_slot[&slots];
+                    let what = format!("{algorithm:?}, budget {budget}, paths {record_paths}");
+                    let mut loads = None;
+                    for depth in [1usize, 2, 3, 8, 16] {
+                        let cfg = base.clone().ring_depth(depth);
+                        let (out, stats) = run_ooc(&disk, &cfg, budget).unwrap();
+                        // The same walk ...
+                        let rows = out.raw_steps();
+                        if record_paths {
+                            assert_eq!(rows.len(), cfg.max_steps() + 1);
+                            for (k, path) in last.paths.iter().enumerate() {
+                                let got: Vec<_> = rows.iter().map(|row| row[k]).collect();
+                                assert_eq!(&got, path, "{what}, depth {depth}, walker {k}");
+                            }
+                        } else {
+                            assert_eq!(
+                                rows,
+                                std::slice::from_ref(&last.cur),
+                                "{what}, depth {depth}"
+                            );
+                        }
+                        // ... on the same exact counts ...
+                        assert_eq!(
+                            (
+                                stats.steps_taken,
+                                stats.pairs_scheduled,
+                                stats.pairs_skipped,
+                                stats.walkers_parked,
+                                stats.peak_parked,
+                                stats.probes,
+                            ),
+                            (
+                                last.steps_taken,
+                                model.pairs_scheduled,
+                                model.pairs_skipped,
+                                model.walkers_parked,
+                                model.peak_parked,
+                                model.deciding_scans,
+                            ),
+                            "{what}, depth {depth}"
+                        );
+                        assert_eq!(stats.prefetches == 0, depth == 1, "{what}, depth {depth}");
+                        let io = (
+                            stats.blocks_streamed,
+                            stats.bytes_read,
+                            stats.partitions_read,
+                        );
+                        assert_eq!(*loads.get_or_insert(io), io, "{what}, depth {depth}");
+                        // ... through the same checkpoints (all of them
+                        // at the planner's depth, the ends at the others).
+                        for (&at, want) in &model.after_slot {
+                            if depth != 8 && at > 2 && at < slots {
+                                continue;
+                            }
+                            assert_eq!(
+                                &engine_state_after(&disk, &cfg, budget, at, &ckdir),
+                                want,
+                                "{what}, depth {depth}, after slot {at}"
+                            );
+                        }
+                    }
+                    if !matches!(algorithm, crate::WalkAlgorithm::Ppr { .. }) {
+                        // Fewer scans than the loop that scanned on every
+                        // draw above the smallest weight.
+                        assert!(model.deciding_scans < model.scans, "{what}");
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&ckdir).ok();
+        std::fs::remove_file(&disk.path).ok();
+    }
+
+    #[test]
+    fn biblock_rows_gather_to_the_model_paths_at_every_slot() {
+        // Row-major recording against the per-walker vectors it
+        // replaced, at every slot cursor of a run: the BBLK frame's
+        // walker-major paths are the model's, and a run resumed from
+        // each of them (paths scattered back into rows) ends the same.
+        let (disk, budget) = complete_in_blocks(3, 6, "bb_gather.fmdisk");
+        let (sorted, _) = sort_by_degree(&synth::complete(18));
+        let ckdir = temp_path("bb_gather_dir");
+        let cfg = WalkConfig::node2vec(0.25, 4.0)
+            .walkers(40)
+            .steps(5)
+            .seed(13)
+            .ring_depth(8);
+        let model = model_biblock(&sorted, &cfg, budget, |_| true);
+        assert_eq!(model.after_slot.len() as u64, model.slots);
+        let (reference, _) = run_ooc(&disk, &cfg, budget).unwrap();
+        for (&at, want) in &model.after_slot {
+            let got = engine_state_after(&disk, &cfg, budget, at, &ckdir);
+            assert_eq!(&got, want, "after slot {at}");
+            let resume = OocOptions::default().resume_from(&ckdir);
+            let (resumed, _) =
+                run_ooc_with(&disk, &cfg, budget, &resume, &mut Telemetry::off()).unwrap();
+            assert_eq!(
+                resumed.paths(),
+                reference.paths(),
+                "resumed after slot {at}"
+            );
+        }
+        std::fs::remove_dir_all(&ckdir).ok();
+        std::fs::remove_file(&disk.path).ok();
+    }
+
+    #[test]
+    fn biblock_snapshot_frame_is_pinned() {
+        // The generation-1 snapshot of a fixed tiny run, byte for byte
+        // what the commit before the ring wrote (FNVs recorded there): a
+        // snapshot written by the old loop resumes on this one.
+        for (name, algorithm, fnv, len) in [
+            (
+                "n2v",
+                crate::WalkAlgorithm::Node2Vec { p: 0.25, q: 4.0 },
+                0x9fc2_18ba_cc14_b800u64,
+                1536,
+            ),
+            (
+                "ppr",
+                crate::WalkAlgorithm::Ppr { alpha: 0.2 },
+                0x7fae_c026_6c0b_a27c,
+                1492,
+            ),
+        ] {
+            let (disk, budget) = complete_in_blocks(3, 6, &format!("bb_pin_{name}.fmdisk"));
+            let ckdir = temp_path(&format!("bb_pin_{name}_dir"));
+            std::fs::remove_dir_all(&ckdir).ok();
+            let mut cfg = WalkConfig::deepwalk().walkers(40).steps(5).seed(13);
+            cfg.algorithm = algorithm;
+            let halt = OocOptions::default().checkpoint(CheckpointSpec {
+                halt_after: Some(1),
+                ..CheckpointSpec::new(&ckdir, 2)
+            });
+            let err = run_ooc_with(&disk, &cfg, budget, &halt, &mut Telemetry::off()).unwrap_err();
+            assert!(matches!(err, WalkError::Halted { generation: 1 }));
+            let bytes = std::fs::read(ckdir.join(CheckpointSink::snapshot_name(1))).unwrap();
+            assert_eq!(
+                (fm_recover::fnv64(&bytes), bytes.len()),
+                (fnv, len),
+                "{name}"
+            );
+            std::fs::remove_dir_all(&ckdir).ok();
+            std::fs::remove_file(&disk.path).ok();
+        }
+    }
+
+    #[test]
+    fn biblock_probes_only_when_the_answer_decides() {
+        let g = synth::power_law(300, 2.0, 2, 40, 31);
+        let disk = DiskGraph::create(&g, temp_path("bb_probes.fmdisk")).unwrap();
+        let (sorted, _) = sort_by_degree(&g);
+        let budget = disk.edge_count();
+        for (p, q) in [(2.0, 0.5), (0.25, 4.0), (0.5, 1.0), (1.0, 1.0)] {
+            let cfg = WalkConfig::node2vec(p, q).walkers(200).steps(8).seed(7);
+            let model = model_biblock(&sorted, &cfg, budget, |_| false);
+            let (_, stats) = run_ooc(&disk, &cfg, budget).unwrap();
+            assert_eq!(stats.probes, model.deciding_scans, "p {p} q {q}");
+            // q = 1: adjacent or not, the weight is 1.
+            assert_eq!(stats.probes == 0, q == 1.0, "p {p} q {q}");
+            assert!(stats.probes <= model.scans);
+        }
+        // PPR has no second-order bias to probe for.
+        let mut cfg = WalkConfig::deepwalk().walkers(200).steps(8).seed(7);
+        cfg.algorithm = crate::WalkAlgorithm::Ppr { alpha: 0.2 };
+        assert_eq!(run_ooc(&disk, &cfg, budget).unwrap().1.probes, 0);
+        std::fs::remove_file(&disk.path).ok();
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
+    fn traced_biblock_attributes_ring_hints_to_blocks() {
+        let (disk, budget) = complete_in_blocks(4, 16, "bb_ringtel.fmdisk");
+        let cfg = WalkConfig::node2vec(0.5, 2.0).walkers(500).steps(6).seed(3);
+        for depth in [1usize, 8] {
+            let mut tel = Telemetry::new();
+            let (_, stats) =
+                run_ooc_traced(&disk, &cfg.clone().ring_depth(depth), budget, &mut tel).unwrap();
+            let hinted: u64 = tel
+                .partition_counters()
+                .iter()
+                .map(|c| c.prefetch_issued)
+                .sum();
+            assert_eq!(hinted, stats.prefetches);
+            assert_eq!(stats.prefetches > 0, depth > 1);
+        }
+        // Left to the cost model, a pair this small is cache-resident
+        // and the ring stays off.
+        assert_eq!(run_ooc(&disk, &cfg, budget).unwrap().1.prefetches, 0);
+        std::fs::remove_file(&disk.path).ok();
+    }
+
+    #[test]
+    fn biblock_rejects_walker_counts_beyond_its_bucket_ids() {
+        if usize::BITS <= 32 {
+            return;
+        }
+        let disk = DiskGraph::create(&synth::cycle(16), temp_path("bb_wide.fmdisk")).unwrap();
+        let cfg = WalkConfig::node2vec(1.0, 1.0)
+            .walkers(u32::MAX as usize + 1)
+            .steps(2);
+        // Refused at entry, before a lane is allocated.
+        assert!(matches!(
+            run_ooc(&disk, &cfg, 4 << 10),
+            Err(WalkError::Planning(_))
+        ));
+        std::fs::remove_file(&disk.path).ok();
     }
 }

@@ -35,7 +35,7 @@ use fm_graph::{Csr, FixedDegreeSlab, VertexId};
 use fm_memsim::{AccessKind, Probe};
 use fm_rng::Rng64;
 
-use crate::algorithm::{StopRule, WalkAlgorithm};
+use crate::algorithm::{Node2VecRule, StopRule, WalkAlgorithm};
 use crate::partition::{Partition, SamplePolicy};
 use crate::DEAD;
 
@@ -142,17 +142,15 @@ impl PsBuffers {
 pub struct AlgoCtx<'g> {
     /// The walk algorithm.
     pub algo: WalkAlgorithm,
-    /// Rejection bound for node2vec (unused otherwise).
-    pub bound: f64,
-    /// Minimum possible node2vec weight, `min(1/p, 1, 1/q)`.  A draw
-    /// below it accepts *any* candidate, so the rejection loops skip the
-    /// (expensive, cross-VP) connectivity check entirely — zero bloom or
-    /// adjacency probes for that attempt, not a cheapened check.  Draws
-    /// at or above it pay the full check, unless the 64-attempt cap
-    /// fires first (the cap also accepts unchecked, as a termination
-    /// backstop).  Every rejection path — `sample_ds`, `sample_ps`, and
-    /// the engine's batched resolver — shares this exact contract.
-    pub bound_min: f64,
+    /// node2vec's rejection rule (the trivial `p = q = 1` rule
+    /// otherwise).  A draw it decides costs zero bloom or adjacency
+    /// probes — not a cheapened check; only a `Verdict::Probe` pays
+    /// for the (expensive, cross-VP) connectivity check, unless the
+    /// 64-attempt cap fires first (the cap accepts unchecked, as a
+    /// termination backstop).  Every rejection path — `sample_ds`,
+    /// `sample_ps`, and the engine's batched resolver — shares this
+    /// exact contract.
+    pub rule: Node2VecRule,
     /// Per-edge cumulative weights parallel to the CSR targets array
     /// (weighted walks only).
     pub cum_weights: Option<&'g [f32]>,
@@ -175,20 +173,13 @@ pub struct AlgoCtx<'g> {
 impl<'g> AlgoCtx<'g> {
     /// Builds the context for a run.
     pub fn new(algo: WalkAlgorithm, stop: StopRule, cum_weights: Option<&'g [f32]>) -> Self {
-        let (bound, bound_min) = match algo {
-            WalkAlgorithm::Node2Vec { p, q } => {
-                (algo.node2vec_bound(), (1.0 / p).min(1.0).min(1.0 / q))
-            }
-            _ => (1.0, 1.0),
-        };
         let exit_prob = match stop {
             StopRule::FixedSteps(_) => 0.0,
             StopRule::Geometric { exit_prob, .. } => exit_prob,
         };
         Self {
             algo,
-            bound,
-            bound_min,
+            rule: algo.node2vec_rule(),
             cum_weights,
             edge_filter: None,
             exit_prob,
@@ -559,23 +550,15 @@ fn sample_ps<R: Rng64, P: Probe>(
                 sp[j]
             });
             let next = match ctx.algo {
-                WalkAlgorithm::Node2Vec { p, q } => {
+                WalkAlgorithm::Node2Vec { .. } => {
                     // Pre-sampled uniform proposals feed the rejection loop.
+                    let t = prev.expect("second-order walk carries prev");
                     let mut attempts = 0;
                     loop {
                         let cand = consume(graph, buffers, v, ctx, rng, probe, addr);
                         attempts += 1;
-                        let x = rng.next_f64() * ctx.bound;
-                        // Stratified rejection: a draw below the minimum
-                        // weight accepts for every candidate with zero
-                        // connectivity probes; the attempt cap also
-                        // accepts unchecked (termination backstop).
-                        if x < ctx.bound_min || attempts >= 64 {
-                            break cand;
-                        }
-                        let t = prev.expect("second-order walk carries prev");
-                        if x < node2vec_weight(graph, ctx.edge_filter, t, cand, p, q, probe, addr)
-                        {
+                        let x = rng.next_f64() * ctx.rule.bound;
+                        if node2vec_keeps(graph, ctx, t, cand, x, attempts, probe, addr) {
                             break cand;
                         }
                     }
@@ -660,7 +643,7 @@ fn hint_connectivity_search<P: Probe>(
     });
 }
 
-/// Hints the lines a [`node2vec_weight`] bloom query for `(t, cand)`
+/// Hints the lines a [`node2vec_adjacent`] bloom query for `(t, cand)`
 /// will read: the real filter words for the hardware, the same mixed
 /// simulated addresses the query's touches will use for the model.
 pub(crate) fn prefetch_bloom<P: Probe>(
@@ -749,18 +732,14 @@ fn draw<R: Rng64, P: Probe>(
             let k = weighted_pick(cw, off, d, rng, probe, addr);
             fetch(k, probe)
         }
-        WalkAlgorithm::Node2Vec { p, q } => {
+        WalkAlgorithm::Node2Vec { .. } => {
             let t = prev.expect("second-order walk carries prev");
             let mut attempts = 0;
             loop {
                 let cand = fetch(rng.gen_index(d), probe);
                 attempts += 1;
-                let x = rng.next_f64() * ctx.bound;
-                // Stratified rejection (see the PS path above).
-                if x < ctx.bound_min || attempts >= 64 {
-                    break cand;
-                }
-                if x < node2vec_weight(graph, ctx.edge_filter, t, cand, p, q, probe, addr) {
+                let x = rng.next_f64() * ctx.rule.bound;
+                if node2vec_keeps(graph, ctx, t, cand, x, attempts, probe, addr) {
                     break cand;
                 }
             }
@@ -869,22 +848,38 @@ fn weighted_pick<R: Rng64, P: Probe>(
     k
 }
 
-/// The node2vec second-order bias weight of moving to `cand` given the
-/// walker came from `t`.
+/// Whether a rejection loop keeps proposal `cand` on scaled draw `x`,
+/// its `attempts`-th: the 64-attempt cap accepts unchecked (termination
+/// backstop), otherwise the rule decides and only a `Verdict::Probe`
+/// looks at the graph.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn node2vec_weight<P: Probe>(
+#[inline]
+pub(crate) fn node2vec_keeps<P: Probe>(
+    graph: &Csr,
+    ctx: &AlgoCtx<'_>,
+    t: VertexId,
+    cand: VertexId,
+    x: f64,
+    attempts: u32,
+    probe: &mut P,
+    addr: &AddrMap,
+) -> bool {
+    attempts >= 64
+        || ctx.rule.keeps(x, cand == t, || {
+            node2vec_adjacent(graph, ctx.edge_filter, t, cand, probe, addr)
+        })
+}
+
+/// node2vec's connectivity probe: whether `cand` (not `t` itself) is a
+/// neighbour of the vertex `t` the walker came from.
+fn node2vec_adjacent<P: Probe>(
     graph: &Csr,
     filter: Option<&EdgeBloom>,
     t: VertexId,
     cand: VertexId,
-    p: f64,
-    q: f64,
     probe: &mut P,
     addr: &AddrMap,
-) -> f64 {
-    if cand == t {
-        return 1.0 / p;
-    }
+) -> bool {
     // Bloom pre-filter: no false negatives, so a miss proves
     // non-adjacency exactly in `hash_count` probes.
     if let Some(bloom) = filter {
@@ -895,7 +890,7 @@ pub(crate) fn node2vec_weight<P: Probe>(
             probe.touch(addr.edge_bloom + (mix & !7), 8, AccessKind::Random);
         }
         if !bloom.may_contain(t, cand) {
-            return 1.0 / q;
+            return false;
         }
     }
     // Connectivity check against t's adjacency list (sorted by the
@@ -907,11 +902,7 @@ pub(crate) fn node2vec_weight<P: Probe>(
         4,
         AccessKind::Random,
     );
-    if graph.has_edge(t, cand) {
-        1.0
-    } else {
-        1.0 / q
-    }
+    graph.has_edge(t, cand)
 }
 
 /// Draws one uniform edge proposal from `v` through the partition's

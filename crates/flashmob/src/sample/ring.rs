@@ -11,7 +11,9 @@
 //! `j` executes, overlapping `G` memory accesses instead of serializing
 //! them.
 //!
-//! [`drive`] runs a three-stage pipeline over one task's walkers:
+//! [`drive`] runs a three-stage pipeline over one task's walkers
+//! ([`drive_scouted`] puts a fourth, hint-only stage in front for
+//! out-of-core stepping, whose addresses sit one load deeper):
 //!
 //! ```text
 //!   walker index:   j ......... j+G/2 ........ j+G
@@ -224,6 +226,26 @@ pub fn drive<T: Copy + Default, C: ?Sized>(
     n: usize,
     pf: &mut Pf,
     ctx: &mut C,
+    inspect: impl FnMut(&mut Pf, &mut C, usize),
+    fetch: impl FnMut(&mut Pf, &mut C, usize) -> T,
+    execute: impl FnMut(&mut C, usize, T),
+) {
+    drive_scouted(depth, n, pf, ctx, |_, _, _| {}, inspect, fetch, execute)
+}
+
+/// [`drive`] with one more hint-only stage in front, for tasks whose
+/// addresses sit three dependent loads deep (out of core: walker id →
+/// walker lanes → offset pairs → adjacency lines).  `scout(pf, ctx, j)`
+/// runs `depth + depth / 2` walkers ahead of `execute`, so each stage
+/// leads the next by `depth / 2`; like `inspect` it may only hint, and
+/// at `depth <= 1` it never runs.
+#[allow(clippy::too_many_arguments)]
+pub fn drive_scouted<T: Copy + Default, C: ?Sized>(
+    depth: usize,
+    n: usize,
+    pf: &mut Pf,
+    ctx: &mut C,
+    mut scout: impl FnMut(&mut Pf, &mut C, usize),
     mut inspect: impl FnMut(&mut Pf, &mut C, usize),
     mut fetch: impl FnMut(&mut Pf, &mut C, usize) -> T,
     mut execute: impl FnMut(&mut C, usize, T),
@@ -237,9 +259,13 @@ pub fn drive<T: Copy + Default, C: ?Sized>(
     }
     let depth = depth.min(MAX_RING_DEPTH);
     let lead = (depth / 2).max(1);
+    let far = depth + lead;
     // Slot `j % depth` is written by fetch(j) and read by execute(j);
     // the `lead < depth` spacing guarantees no overwrite in between.
     let mut slots = [T::default(); MAX_RING_DEPTH];
+    for k in 0..far.min(n) {
+        scout(pf, ctx, k);
+    }
     for k in 0..depth.min(n) {
         inspect(pf, ctx, k);
     }
@@ -247,6 +273,9 @@ pub fn drive<T: Copy + Default, C: ?Sized>(
         slots[k % depth] = fetch(pf, ctx, k);
     }
     for j in 0..n {
+        if j + far < n {
+            scout(pf, ctx, j + far);
+        }
         if j + depth < n {
             inspect(pf, ctx, j + depth);
         }
@@ -322,7 +351,8 @@ mod tests {
 
     /// The invariant the conformance lattice enforces end-to-end:
     /// execute order (and thus RNG-draw order) is walker order at every
-    /// depth, while inspect/fetch run ahead by depth and depth/2.
+    /// depth, while scout/inspect/fetch run ahead by 3/2 depth, depth
+    /// and depth/2.
     #[test]
     fn drive_executes_in_walker_order_at_every_depth() {
         for depth in [1usize, 2, 3, 4, 8, 16] {
@@ -330,11 +360,12 @@ mod tests {
                 let mut pf = Pf::new(depth > 1);
                 let mut log: Vec<(char, usize)> = Vec::new();
                 let mut executed = Vec::new();
-                drive(
+                drive_scouted(
                     depth,
                     n,
                     &mut pf,
                     &mut log,
+                    |_, log, j| log.push(('s', j)),
                     |_, log, j| log.push(('i', j)),
                     |_, log, j| {
                         log.push(('f', j));
@@ -347,22 +378,54 @@ mod tests {
                     },
                 );
                 assert_eq!(executed, (0..n).collect::<Vec<_>>(), "depth {depth} n {n}");
-                // Each stage visits every walker exactly once.
-                for stage in ['f', 'e'] {
+                // Each stage visits every walker exactly once (the hint
+                // stages not at all when the ring is off).
+                let hinting = if depth > 1 { "sife" } else { "fe" };
+                for stage in ['s', 'i', 'f', 'e'] {
                     let mut seen: Vec<usize> =
                         log.iter().filter(|e| e.0 == stage).map(|e| e.1).collect();
                     seen.sort_unstable();
-                    assert_eq!(seen, (0..n).collect::<Vec<_>>(), "stage {stage}");
+                    let want = if hinting.contains(stage) { n } else { 0 };
+                    assert_eq!(seen, (0..want).collect::<Vec<_>>(), "stage {stage}");
                 }
-                // fetch(j) precedes execute(j); inspect(j) precedes fetch(j).
+                // scout(j) < inspect(j) < fetch(j) < execute(j).
                 for j in 0..n {
                     let pos = |s: char| log.iter().position(|&e| e == (s, j)).unwrap();
-                    assert!(pos('f') < pos('e'), "fetch({j}) after execute({j})");
-                    if depth > 1 {
-                        assert!(pos('i') < pos('f'), "inspect({j}) after fetch({j})");
+                    for pair in hinting.as_bytes().windows(2) {
+                        let (a, b) = (pair[0] as char, pair[1] as char);
+                        assert!(pos(a) < pos(b), "{a}({j}) after {b}({j}) at depth {depth}");
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn drive_is_drive_scouted_without_a_scout() {
+        for depth in [1usize, 3, 8] {
+            let trace = |scouted: bool| {
+                let mut log: Vec<(char, usize)> = Vec::new();
+                let mut pf = Pf::new(depth > 1);
+                let inspect = |_: &mut Pf, log: &mut Vec<(char, usize)>, j| log.push(('i', j));
+                let fetch = |_: &mut Pf, log: &mut Vec<(char, usize)>, j| log.push(('f', j));
+                let execute = |log: &mut Vec<(char, usize)>, j, ()| log.push(('e', j));
+                if scouted {
+                    drive_scouted(
+                        depth,
+                        21,
+                        &mut pf,
+                        &mut log,
+                        |_, _, _| {},
+                        inspect,
+                        fetch,
+                        execute,
+                    );
+                } else {
+                    drive(depth, 21, &mut pf, &mut log, inspect, fetch, execute);
+                }
+                log
+            };
+            assert_eq!(trace(false), trace(true), "depth {depth}");
         }
     }
 }
