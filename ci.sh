@@ -47,26 +47,42 @@
 #      own workspace, and `fmbench smoke` — the four workloads, run and
 #      traced, at test scale against their golden digests (about 1 s)
 #  12. clippy with warnings promoted to errors
+# and ends with two tables: seconds per tier, and non-test source lines
+# per crate (the lines above each file's `#[cfg(test)]`) — what the
+# tooling costs to run and to read, next to what it checks.
 # Run from the repository root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== cargo build --release =="
+# `tier NAME` prints the tier's banner and closes the previous tier's
+# row of the seconds table.
+TIER_ROWS=()
+TIER_NAME=""
+tier() {
+    if [[ -n "$TIER_NAME" ]]; then
+        TIER_ROWS+=("$(printf '%-58s %7d' "$TIER_NAME" $((SECONDS - TIER_START)))")
+    fi
+    TIER_NAME="$1"
+    TIER_START=$SECONDS
+    echo "== $1 =="
+}
+
+tier "cargo build --release"
 cargo build --release --workspace
 
-echo "== cargo test (tier-1 gate) =="
+tier "cargo test (tier-1 gate)"
 # The enforced tier-1 gate: the whole workspace test suite must be
 # green at HEAD.  Nothing is quarantined; a failing test fails CI.
 cargo test -q --workspace
 
-echo "== fmwalk conform (oracle + golden traces) =="
+tier "fmwalk conform (oracle + golden traces)"
 if [[ "${CONFORM_FULL:-0}" == "1" ]]; then
     cargo run --release -q -p fm-cli -- conform --full
 else
     cargo run --release -q -p fm-cli -- conform --quick
 fi
 
-echo "== ring tier (latency-hiding sample stage) =="
+tier "ring tier (latency-hiding sample stage)"
 # The quick conformance lattice again, with the walker ring forced to
 # its maximum depth.  The ring must be invisible in the output: same
 # golden digests, same cross-engine agreement, at any depth.  The
@@ -74,7 +90,7 @@ echo "== ring tier (latency-hiding sample stage) =="
 # otherwise resolve to depth 1) run at depth 16 here for free.
 FMWALK_RING=16 cargo run --release -q -p fm-cli -- conform --quick
 
-echo "== program tier (WalkProgram lattice + registry audit) =="
+tier "program tier (WalkProgram lattice + registry audit)"
 # Every walk program registered in the engine crate must have an
 # analytic oracle and lattice cells; the audit runs twice on purpose —
 # once as a unit test, once inside `conform --programs` — so neither a
@@ -86,7 +102,7 @@ cargo run --release -q -p fm-cli -- conform --programs
 # The walker ring must stay bit-invisible for programs too.
 FMWALK_RING=16 cargo run --release -q -p fm-cli -- conform --programs
 
-echo "== telemetry tier =="
+tier "telemetry tier"
 # The compile-out feature must keep the whole stack building and its
 # (telemetry-independent) tests green.
 cargo build --release -q -p flashmob -p fm-baseline -p fm-cli --features telemetry-off
@@ -103,7 +119,7 @@ cargo run --release -q -p fm-cli -- walk "$TELEMETRY_TMP/g.bin" \
     --trace "$TELEMETRY_TMP/trace.json" --metrics "$TELEMETRY_TMP/metrics.jsonl"
 cargo run --release -q -p fm-cli -- trace-check "$TELEMETRY_TMP/trace.json"
 
-echo "== recover tier =="
+tier "recover tier"
 # Checkpoint a walk, then resume it from the written snapshots and
 # demand bit-identical paths.  (The in-process crash matrix — kill at
 # every generation, all engines, golden digests — runs in tier 2 via
@@ -115,7 +131,12 @@ cargo run --release -q -p fm-cli -- synth power-law "$RECOVER_TMP/g.bin" \
 cargo run --release -q -p fm-cli -- walk "$RECOVER_TMP/g.bin" \
     --steps 12 --walkers 2048 --seed 5 \
     --checkpoint-dir "$RECOVER_TMP/ckpt" --checkpoint-every 4 \
+    --metrics "$RECOVER_TMP/metrics.jsonl" \
     --output "$RECOVER_TMP/full.txt"
+# Checkpointing is an option of the one traced run, not a path of its
+# own: the metrics carry the plan stage like any other walk's.
+grep -q '"stage": "plan"' "$RECOVER_TMP/metrics.jsonl" || {
+    echo "checkpointed walk's metrics have no plan stage record" >&2; exit 1; }
 cargo run --release -q -p fm-cli -- resume "$RECOVER_TMP/g.bin" "$RECOVER_TMP/ckpt" \
     --steps 12 --walkers 2048 --seed 5 \
     --output "$RECOVER_TMP/resumed.txt"
@@ -129,7 +150,7 @@ else
     [[ "$code" == 4 ]] || { echo "wrong-seed resume exited $code, want 4" >&2; exit 1; }
 fi
 
-echo "== oocore tier (bi-block crash drill + fault transparency) =="
+tier "oocore tier (bi-block crash drill + fault transparency)"
 # The quick conformance lattice above already chi-squares the
 # oocore x node2vec bi-block cell against the exact second-order
 # oracle with its committed golden digest; this tier adds the fault
@@ -197,7 +218,7 @@ else
     [[ "$code" == 3 ]] || { echo "truncated-graph walk exited $code, want 3" >&2; exit 1; }
 fi
 
-echo "== ingest tier (text and FMG1 decoders through the CLI) =="
+tier "ingest tier (text and FMG1 decoders through the CLI)"
 INGEST_TMP="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP" "$INGEST_TMP"' EXIT
 printf '# comment\r\n0 1\r\n1\t2 0.5\n\n%% another \xff\n2 0' > "$INGEST_TMP/g.txt"
@@ -219,7 +240,7 @@ rejects bad.txt "line 3"
 head -c $(($(stat -c %s "$INGEST_TMP/g.bin") - 3)) "$INGEST_TMP/g.bin" > "$INGEST_TMP/trunc.bin"
 rejects trunc.bin "bad binary graph"
 
-echo "== audit tier =="
+tier "audit tier"
 # Flow-aware static scan: the textual lint catalogue (SAFETY comments,
 # thread/IO discipline, cast-free codecs, unwrap ratchet) plus the call
 # graph passes (determinism-taint, panic-reachability, rng-purity,
@@ -284,7 +305,7 @@ else
     echo "audit: Miri tier skipped (set AUDIT_MIRI=1 on a nightly with miri)"
 fi
 
-echo "== perf tier (hardware observability + bench ledger) =="
+tier "perf tier (hardware observability + bench ledger)"
 PERF_TMP="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP" "$INGEST_TMP" "$PERF_TMP"' EXIT
 # bench-diff's exit-code contract is machine-independent: check it with
@@ -336,14 +357,27 @@ else
         --baseline BENCH_BASELINE.json
 fi
 
-echo "== fmbench tier (benchmark tests + smoke) =="
+tier "fmbench tier (benchmark tests + smoke)"
 # `benchmark/` is a workspace of its own, so the tier-1 command never
 # builds it: a change that breaks a function the benchmark calls, or a
 # golden digest, would otherwise first show when the driver runs it.
 cargo test --release -q --manifest-path benchmark/Cargo.toml
 cargo run --release -q --manifest-path benchmark/Cargo.toml -- smoke
 
-echo "== cargo clippy (deny warnings) =="
+tier "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+tier "summary"
+printf '%-58s %7s\n' "tier" "seconds"
+printf '%s\n' "${TIER_ROWS[@]}"
+printf '%-58s %7s\n' "crate" "lines"
+for src in ./src crates/*/src benchmark/src; do
+    lines="$(find "$src" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { n++ }
+        END { print n + 0 }')"
+    printf '%-58s %7d\n' "${src%/src}" "$lines"
+done
 
 echo "CI OK"

@@ -98,10 +98,11 @@ const STRUCTURED_IDENTS: [&str; 14] = [
     "gen",
 ];
 
-/// Engine fingerprint contracts: run-path entry points and the
-/// fingerprint functions that must fold every config field they read.
+/// Engine fingerprint contracts: run-path entry points (file suffix,
+/// fn-name prefix) and the fingerprint functions, anywhere in that
+/// file's crate, that must fold every config field the run path reads.
 const ENGINES: [(&str, &str, &[&str]); 2] = [
-    ("flashmob/src/engine.rs", "run", &["config_tag"]),
+    ("flashmob/src/engine.rs", "run", &["config_tag", "fold_init"]),
     (
         "flashmob/src/oocore.rs",
         "run_ooc",
@@ -479,15 +480,19 @@ fn fingerprint_completeness(files: &[FileAst], graph: &CallGraph, findings: &mut
     let fields: BTreeSet<String> = config.fields.iter().cloned().collect();
 
     for (file_suffix, entry_prefix, fp_names) in ENGINES {
+        let Some(engine_file) = graph.fns.iter().find(|f| f.file.ends_with(file_suffix)) else {
+            continue; // engine not present in this workspace
+        };
+        let engine_crate = engine_file.crate_dir().to_string();
         let fp_idxs: Vec<usize> = graph
             .fns
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.file.ends_with(file_suffix) && fp_names.contains(&f.name.as_str()))
+            .filter(|(_, f)| f.crate_dir() == engine_crate && fp_names.contains(&f.name.as_str()))
             .map(|(i, _)| i)
             .collect();
         if fp_idxs.is_empty() {
-            continue; // engine not present in this workspace
+            continue;
         }
         let entries: Vec<usize> = graph
             .roots(file_suffix, entry_prefix)
@@ -497,7 +502,6 @@ fn fingerprint_completeness(files: &[FileAst], graph: &CallGraph, findings: &mut
         if entries.is_empty() {
             continue;
         }
-        let engine_crate = callgraph::crate_dir_of(&graph.fns[entries[0]].file).to_string();
         // Intra-crate reachability: the run path within the engine crate.
         let mut reach = vec![false; graph.fns.len()];
         let mut stack = entries.clone();

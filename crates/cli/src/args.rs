@@ -38,10 +38,17 @@ pub enum Command {
         /// Partitioning strategy.
         strategy: PlanStrategy,
     },
-    /// `fmwalk walk`.
+    /// `fmwalk walk`, and `fmwalk resume`: the same walk continued from
+    /// the latest checkpoint in a directory.
     Walk {
         /// Graph path.
         graph: PathBuf,
+        /// `resume` only: the checkpoint directory an interrupted `walk
+        /// --checkpoint-dir` wrote.  The configuration flags must match
+        /// that run (mismatches are rejected by the checkpoint's embedded
+        /// config fingerprint); thread count and ring depth may differ,
+        /// since neither changes the walk.
+        resume_from: Option<PathBuf>,
         /// Engine selection.
         engine: EngineChoice,
         /// Algorithm selection.
@@ -95,53 +102,6 @@ pub enum Command {
         /// Stop deliberately right after writing this checkpoint
         /// generation (crash-drill harness; 0 = run to completion).
         halt_after: u64,
-    },
-    /// `fmwalk resume`: continue an interrupted `walk` from the latest
-    /// checkpoint in a directory.  The configuration flags must match
-    /// the interrupted run (mismatches are rejected by the checkpoint's
-    /// embedded config fingerprint); thread count may differ.
-    Resume {
-        /// Graph path (same graph as the interrupted run).
-        graph: PathBuf,
-        /// Checkpoint directory written by `walk --checkpoint-dir`.
-        dir: PathBuf,
-        /// Algorithm selection.
-        algo: AlgoChoice,
-        /// Walker specification.
-        walkers: WalkerCount,
-        /// Steps per walker.
-        steps: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Worker threads.
-        threads: usize,
-        /// Forced sample-ring depth (0 = planner auto); may differ from
-        /// the interrupted run, since ring depth never changes the walk.
-        ring_depth: usize,
-        /// Partitioning strategy.
-        strategy: PlanStrategy,
-        /// Optional path-output file.
-        output: Option<PathBuf>,
-        /// Optional visit-counts file.
-        visits: Option<PathBuf>,
-        /// Print execution statistics.
-        stats: bool,
-        /// Optional Chrome Trace Event Format output file.
-        trace: Option<PathBuf>,
-        /// Optional JSONL metrics output file.
-        metrics: Option<PathBuf>,
-        /// Print a periodic progress heartbeat to stderr.
-        progress: bool,
-        /// Derive `slot % K` edge-type labels at load (must match the
-        /// interrupted run; 0 = unlabeled).
-        labels: usize,
-        /// Out-of-core streaming-buffer budget in bytes; must match the
-        /// interrupted run (the checkpoint fingerprint covers it).
-        oocore_budget: usize,
-        /// Transient-fault injection rate for out-of-core block reads.
-        fault_rate: f64,
-        /// Seed of the injected fault stream.
-        fault_seed: u64,
     },
     /// `fmwalk disk`: convert an in-memory graph (binary or edge list)
     /// into the out-of-core `FMDISK1` disk-graph layout, degree-sorted
@@ -448,8 +408,12 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                 strategy,
             })
         }
-        "walk" => {
+        "walk" | "resume" => {
             let graph = PathBuf::from(c.demand("graph path")?);
+            let resume_from = match cmd.as_str() {
+                "resume" => Some(PathBuf::from(c.demand("checkpoint directory")?)),
+                _ => None,
+            };
             let mut engine = EngineChoice::FlashMob;
             let mut algo_name = "deepwalk".to_string();
             let (mut p, mut q) = (1.0f64, 1.0f64);
@@ -475,7 +439,21 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
             let mut fault_rate = 0.0f64;
             let mut fault_seed = 1u64;
             let mut halt_after = 0u64;
+            // `resume` replays an interrupted `walk` under that run's
+            // configuration flags; it does not choose an engine, set up
+            // checkpointing, or attach counters (a replay stays
+            // bit-identical to the interrupted invocation's flag set).
+            let walk_only = [
+                "--engine",
+                "--checkpoint-dir",
+                "--checkpoint-every",
+                "--halt-after",
+                "--hw-counters",
+            ];
             while let Some(flag) = c.next() {
+                if resume_from.is_some() && walk_only.contains(&flag.as_str()) {
+                    return Err(err(format!("unknown flag {flag}")));
+                }
                 match flag.as_str() {
                     "--checkpoint-dir" => {
                         checkpoint_dir = Some(PathBuf::from(c.demand("checkpoint directory")?))
@@ -521,6 +499,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
             let algo = resolve_algo(&algo_name, p, q, alpha, pattern)?;
             Ok(Command::Walk {
                 graph,
+                resume_from,
                 engine,
                 algo,
                 walkers,
@@ -543,81 +522,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                 fault_rate,
                 fault_seed,
                 halt_after,
-            })
-        }
-        "resume" => {
-            let graph = PathBuf::from(c.demand("graph path")?);
-            let dir = PathBuf::from(c.demand("checkpoint directory")?);
-            let mut algo_name = "deepwalk".to_string();
-            let (mut p, mut q) = (1.0f64, 1.0f64);
-            let mut alpha = 0.15f64;
-            let mut pattern = None;
-            let mut labels = 0usize;
-            let mut walkers = WalkerCount::PerVertex(1);
-            let mut steps = 80usize;
-            let mut seed = 1u64;
-            let mut threads = 1usize;
-            let mut ring_depth = 0usize;
-            let mut strategy = PlanStrategy::DynamicProgramming;
-            let mut output = None;
-            let mut visits = None;
-            let mut stats = false;
-            let mut trace = None;
-            let mut metrics = None;
-            let mut progress = false;
-            let mut oocore_budget = 0usize;
-            let mut fault_rate = 0.0f64;
-            let mut fault_seed = 1u64;
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--oocore-budget" => oocore_budget = c.value("--oocore-budget")?,
-                    "--fault-rate" => fault_rate = c.value("--fault-rate")?,
-                    "--fault-seed" => fault_seed = c.value("--fault-seed")?,
-                    "--algo" | "--program" => algo_name = c.demand("algorithm")?,
-                    "--p" => p = c.value("--p")?,
-                    "--q" => q = c.value("--q")?,
-                    "--alpha" => alpha = c.value("--alpha")?,
-                    "--pattern" => pattern = Some(parse_pattern(&c.value::<String>("pattern")?)?),
-                    "--labels" => labels = c.value("--labels")?,
-                    "--walkers" => walkers = WalkerCount::Absolute(c.value("--walkers")?),
-                    "--walkers-mult" => {
-                        walkers = WalkerCount::PerVertex(c.value("--walkers-mult")?)
-                    }
-                    "--steps" => steps = c.value("--steps")?,
-                    "--seed" => seed = c.value("--seed")?,
-                    "--threads" => threads = c.value("--threads")?,
-                    "--ring-depth" => ring_depth = c.value("--ring-depth")?,
-                    "--strategy" => strategy = parse_strategy(&c.demand("strategy")?)?,
-                    "--output" => output = Some(PathBuf::from(c.demand("output path")?)),
-                    "--visits" => visits = Some(PathBuf::from(c.demand("visits path")?)),
-                    "--stats" => stats = true,
-                    "--trace" => trace = Some(PathBuf::from(c.demand("trace path")?)),
-                    "--metrics" => metrics = Some(PathBuf::from(c.demand("metrics path")?)),
-                    "--progress" => progress = true,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            let algo = resolve_algo(&algo_name, p, q, alpha, pattern)?;
-            Ok(Command::Resume {
-                graph,
-                dir,
-                algo,
-                walkers,
-                steps,
-                seed,
-                threads,
-                ring_depth,
-                strategy,
-                output,
-                visits,
-                stats,
-                trace,
-                metrics,
-                progress,
-                labels,
-                oocore_budget,
-                fault_rate,
-                fault_seed,
             })
         }
         "disk" => {
@@ -904,7 +808,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match p("resume g.bin ck --ring-depth 4").unwrap() {
-            Command::Resume { ring_depth, .. } => assert_eq!(ring_depth, 4),
+            Command::Walk { ring_depth, .. } => assert_eq!(ring_depth, 4),
             other => panic!("{other:?}"),
         }
         assert!(p("walk g.bin --ring-depth nope").is_err());
@@ -1083,7 +987,7 @@ mod tests {
         // Resume accepts the same program flags (it must rebuild the
         // interrupted run's configuration exactly).
         match p("resume g.bin ck --program ppr --alpha 0.25 --labels 2").unwrap() {
-            Command::Resume { algo, labels, .. } => {
+            Command::Walk { algo, labels, .. } => {
                 assert_eq!(algo, AlgoChoice::Ppr { alpha: 0.25 });
                 assert_eq!(labels, 2);
             }
@@ -1279,9 +1183,9 @@ mod tests {
     #[test]
     fn resume_command() {
         match p("resume g.bin ck --steps 40 --seed 7 --threads 4 --output o.txt").unwrap() {
-            Command::Resume {
+            Command::Walk {
                 graph,
-                dir,
+                resume_from,
                 steps,
                 seed,
                 threads,
@@ -1289,7 +1193,7 @@ mod tests {
                 ..
             } => {
                 assert_eq!(graph, PathBuf::from("g.bin"));
-                assert_eq!(dir, PathBuf::from("ck"));
+                assert_eq!(resume_from, Some(PathBuf::from("ck")));
                 assert_eq!(steps, 40);
                 assert_eq!(seed, 7);
                 assert_eq!(threads, 4);

@@ -5,7 +5,7 @@ use std::path::Path;
 
 use flashmob::{
     oocore::{run_ooc_with, DiskGraph, OocOptions, OocStats},
-    FaultPolicy, FlashMob, WalkAlgorithm, WalkConfig, WalkOutput,
+    FaultPolicy, FlashMob, RunOptions, WalkAlgorithm, WalkConfig, WalkOutput,
 };
 use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
 use fm_graph::{io, stats, synth, transform, Csr, VertexId};
@@ -273,6 +273,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
         }
         Command::Walk {
             graph,
+            resume_from,
             engine,
             algo,
             walkers,
@@ -317,7 +318,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                         fault_seed,
                         checkpoint: checkpoint_dir.map(|d| (d, checkpoint_every)),
                         halt_after,
-                        resume_from: None,
+                        resume_from,
                         output,
                         visits,
                         show_stats,
@@ -390,12 +391,14 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                     }
                     cfg.algorithm = algorithm;
                     let e = FlashMob::new(&g, cfg).map_err(fail_walk)?;
-                    let (o, s) = match &checkpoint {
-                        Some(spec) => e
-                            .run_with_checkpoints_traced(spec, &mut tel)
-                            .map_err(fail_walk)?,
-                        None => e.run_traced(&mut tel).map_err(fail_walk)?,
+                    let opts = RunOptions {
+                        checkpoint,
+                        resume_from,
                     };
+                    let (o, s) = e.run_with(&opts, &mut tel).map_err(fail_walk)?;
+                    if let Some(dir) = &opts.resume_from {
+                        writeln!(out, "resumed from {}", dir.display()).map_err(fail)?;
+                    }
                     let v = s.visits_original(e.relabeling());
                     let report = show_stats.then(|| s.human_summary());
                     (Some(o), s.steps_taken, s.per_step_ns(), v, report)
@@ -432,98 +435,6 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                     per_step_ns,
                     visits_vec,
                     stats_report,
-                    output,
-                    visits,
-                    trace,
-                    metrics,
-                },
-            )
-        }
-        Command::Resume {
-            graph,
-            dir,
-            algo,
-            walkers,
-            steps,
-            seed,
-            threads,
-            ring_depth,
-            strategy,
-            output,
-            visits,
-            stats: show_stats,
-            trace,
-            metrics,
-            progress,
-            labels,
-            oocore_budget,
-            fault_rate,
-            fault_seed,
-        } => {
-            if is_disk_graph(&graph) {
-                if labels > 0 {
-                    return Err(fail_plan("disk graphs carry no edge labels"));
-                }
-                return run_ooc_command(
-                    out,
-                    OocRun {
-                        graph,
-                        algo,
-                        walkers,
-                        steps,
-                        seed,
-                        threads,
-                        budget: oocore_budget,
-                        fault_rate,
-                        fault_seed,
-                        checkpoint: None,
-                        halt_after: 0,
-                        resume_from: Some(dir),
-                        output,
-                        visits,
-                        show_stats,
-                        trace,
-                        metrics,
-                        progress,
-                    },
-                );
-            }
-            if oocore_budget > 0 || fault_rate > 0.0 {
-                return Err(fail_plan(
-                    "--oocore-budget/--fault-rate apply to FMDISK1 disk graphs only",
-                ));
-            }
-            let g = with_derived_labels(load_graph(&graph)?, labels)?;
-            let n_walkers = walkers.resolve(g.vertex_count()).max(1);
-            let record_paths = output.is_some();
-            let record_visits = visits.is_some();
-            let mut tel = make_telemetry(trace.is_some() || metrics.is_some(), progress, show_stats);
-            let mut cfg = WalkConfig::deepwalk()
-                .walkers(n_walkers)
-                .steps(steps)
-                .seed(seed)
-                .threads(threads)
-                .strategy(strategy)
-                .record_paths(record_paths)
-                .record_visits(record_visits);
-            if ring_depth > 0 {
-                cfg = cfg.ring_depth(ring_depth);
-            }
-            cfg.algorithm = walk_algorithm(algo);
-            let e = FlashMob::new(&g, cfg).map_err(fail_walk)?;
-            let (o, s) = e.resume_with(&dir, None, &mut tel).map_err(fail_walk)?;
-            writeln!(out, "resumed from {}", dir.display()).map_err(fail)?;
-            let v = s.visits_original(e.relabeling());
-            let report = show_stats.then(|| s.human_summary());
-            report_run(
-                out,
-                &tel,
-                RunReport {
-                    walk_output: Some(o),
-                    steps_taken: s.steps_taken,
-                    per_step_ns: s.per_step_ns(),
-                    visits_vec: v,
-                    stats_report: report,
                     output,
                     visits,
                     trace,

@@ -18,20 +18,26 @@
 //!    generation `k` — including the final one, where the walk is
 //!    already complete and resume must execute **zero** iterations;
 //! 3. resumes each halted run from its checkpoint directory and
-//!    demands digest equality with the uninterrupted reference.
+//!    demands digest equality with the uninterrupted reference (and,
+//!    for FlashMob cells, equality of the exact `RunStats` counts);
+//! 4. for FlashMob cells, relays one run through two kills
+//!    ([`RELAY`]): the run resumed after the first kill keeps
+//!    checkpointing, so its generations must continue the interrupted
+//!    run's numbering and leave the generations already on disk alone.
 //!
 //! Digests fold the full path matrix plus (for FlashMob cells) the
 //! per-partition RNG stream ids of every iteration, exactly as the
 //! golden lattice does, so a resume that silently re-seeds or replays
 //! a partition fails loudly even if the paths happen to look sane.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use fm_graph::{Csr, VertexId};
 use flashmob::{
     load_latest,
     oocore::{run_ooc_with, DiskGraph, OocOptions},
-    CheckpointSpec, FaultPolicy, FlashMob, PlanStrategy, WalkAlgorithm, WalkConfig, WalkError,
+    CheckpointSpec, FaultPolicy, FlashMob, PlanStrategy, RunOptions, WalkAlgorithm, WalkConfig,
+    WalkError,
 };
 use fm_telemetry::Telemetry;
 
@@ -57,6 +63,11 @@ const CRASH_FAULT_SEED: u64 = 7;
 /// already complete (the resume-executes-nothing edge case).
 pub const CRASH_EVERY: usize = 2;
 
+/// The two-kill schedule every FlashMob cell runs after its single
+/// kills: halt at generation 1, resume *while checkpointing* and halt
+/// again at generation 3, resume to completion.
+pub const RELAY: [u64; 2] = [1, 3];
+
 /// Outcome of one (cell, kill-generation) pair.
 #[derive(Debug, Clone)]
 pub struct CrashCase {
@@ -70,8 +81,10 @@ pub struct CrashCase {
     /// Thread count of the interrupted run (resume always uses the
     /// same count here; thread invariance is covered by the lattice).
     pub threads: usize,
-    /// Checkpoint generation after which the run was killed.
-    pub generation: u64,
+    /// Checkpoint generations after which the run was killed, in order:
+    /// one for a plain kill-and-resume, [`RELAY`] for a relayed run,
+    /// none for the out-of-core fault-transparency case.
+    pub kills: Vec<u64>,
     /// Whether the resumed digest matched the uninterrupted one.
     pub ok: bool,
     /// Failure detail, empty when `ok`.
@@ -83,6 +96,19 @@ pub struct CrashCase {
 pub struct CrashReport {
     /// Every (cell, kill point) pair, in sweep order.
     pub cases: Vec<CrashCase>,
+}
+
+impl CrashCase {
+    fn new(engine: &'static str, algo: &'static str, threads: usize, kills: &[u64]) -> Self {
+        Self {
+            engine,
+            algo,
+            threads,
+            kills: kills.to_vec(),
+            ok: true,
+            detail: String::new(),
+        }
+    }
 }
 
 impl CrashReport {
@@ -97,13 +123,30 @@ impl CrashReport {
     }
 }
 
-/// Unique checkpoint directory per (cell, generation) so concurrent
+/// Unique checkpoint directory per (cell, kill schedule) so concurrent
 /// test processes never share state.
-fn crash_dir(label: &str, threads: usize, generation: u64) -> PathBuf {
+fn crash_dir(label: &str, threads: usize, kills: &[u64]) -> PathBuf {
     std::env::temp_dir().join(format!(
-        "fm-crash-{}-{label}-t{threads}-g{generation}",
+        "fm-crash-{}-{label}-t{threads}-g{kills:?}",
         std::process::id()
     ))
+}
+
+/// Every snapshot file in `dir` with its bytes, in name order.
+fn snapshot_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "fmck"))
+        .map(|path| {
+            let bytes = std::fs::read(&path).unwrap_or_default();
+            (path, bytes)
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 fn digest_output(paths: &[Vec<VertexId>], extra: &[u64]) -> u64 {
@@ -132,10 +175,10 @@ fn engine_strategy(engine: EngineKind) -> PlanStrategy {
     }
 }
 
-/// Runs kill-and-resume at every generation for one FlashMob cell
-/// (any algorithm or program) and appends the per-generation cases to
-/// `out`.  `golden_want` pins the uninterrupted reference digest when
-/// a committed entry exists.
+/// Runs kill-and-resume at every generation, then the [`RELAY`], for
+/// one FlashMob cell (any algorithm or program) and appends one case per
+/// kill schedule to `out`.  `golden_want` pins the uninterrupted
+/// reference digest when a committed entry exists.
 fn crash_flashmob_cell(
     engine: EngineKind,
     algo: &'static str,
@@ -145,19 +188,14 @@ fn crash_flashmob_cell(
     golden_want: Option<u64>,
     out: &mut Vec<CrashCase>,
 ) {
+    let setup_fail = |out: &mut Vec<CrashCase>, detail: String| {
+        let mut case = CrashCase::new(engine.label(), algo, threads, &[]);
+        fail(&mut case, detail);
+        out.push(case);
+    };
     let fm = match FlashMob::new(graph, config) {
         Ok(fm) => fm,
-        Err(e) => {
-            out.push(CrashCase {
-                engine: engine.label(),
-                algo,
-                threads,
-                generation: 0,
-                ok: false,
-                detail: format!("engine construction failed: {e}"),
-            });
-            return;
-        }
+        Err(e) => return setup_fail(out, format!("engine construction failed: {e}")),
     };
     let mut extra = Vec::new();
     for iter in 0..LATTICE_STEPS {
@@ -165,60 +203,65 @@ fn crash_flashmob_cell(
     }
 
     // Uninterrupted reference, checked against the golden table.
-    let reference = match fm.run() {
-        Ok(output) => digest_output(&output.paths(), &extra),
-        Err(e) => {
-            out.push(CrashCase {
-                engine: engine.label(),
-                algo,
-                threads,
-                generation: 0,
-                ok: false,
-                detail: format!("uninterrupted run failed: {e}"),
-            });
-            return;
-        }
+    let (reference, want) = match fm.run_with_stats() {
+        Ok((output, stats)) => (digest_output(&output.paths(), &extra), stats),
+        Err(e) => return setup_fail(out, format!("uninterrupted run failed: {e}")),
     };
-    if let Some(want) = golden_want {
-        if reference != want {
-            out.push(CrashCase {
-                engine: engine.label(),
-                algo,
-                threads,
-                generation: 0,
-                ok: false,
-                detail: format!(
-                    "uninterrupted digest {reference:#018x} != golden {want:#018x}"
-                ),
-            });
-            return;
+    if let Some(golden) = golden_want {
+        if reference != golden {
+            return setup_fail(
+                out,
+                format!("uninterrupted digest {reference:#018x} != golden {golden:#018x}"),
+            );
         }
     }
 
     let generations = (LATTICE_STEPS / CRASH_EVERY) as u64;
-    for k in 1..=generations {
-        let mut case = CrashCase {
-            engine: engine.label(),
-            algo,
-            threads,
-            generation: k,
-            ok: true,
-            detail: String::new(),
-        };
-        let dir = crash_dir(&format!("{}-{algo}", engine.label()), threads, k);
+    let mut schedules: Vec<Vec<u64>> = (1..=generations).map(|k| vec![k]).collect();
+    schedules.push(RELAY.to_vec());
+    for kills in schedules {
+        let mut case = CrashCase::new(engine.label(), algo, threads, &kills);
+        let dir = crash_dir(&format!("{}-{algo}", engine.label()), threads, &kills);
         std::fs::remove_dir_all(&dir).ok();
-        let spec = CheckpointSpec::new(&dir, CRASH_EVERY).halt_after(k);
-        match fm.run_with_checkpoints(&spec) {
-            Err(WalkError::Halted { generation }) if generation == k => {}
-            Err(e) => fail(&mut case, format!("expected halt at generation {k}, got {e}")),
-            Ok(_) => fail(
-                &mut case,
-                format!("run completed instead of halting at generation {k}"),
-            ),
+        // The snapshot files the kills so far left behind: a later leg
+        // continues the numbering, so it must leave them as they are.
+        let mut written = Vec::new();
+        for (leg, &k) in kills.iter().enumerate() {
+            let spec = CheckpointSpec::new(&dir, CRASH_EVERY).halt_after(k);
+            let mut opts = RunOptions::default().checkpoint(spec);
+            if leg > 0 {
+                opts = opts.resume_from(&dir);
+            }
+            match fm.run_with(&opts, &mut Telemetry::off()) {
+                Err(WalkError::Halted { generation }) if generation == k => {}
+                Err(e) => fail(&mut case, format!("expected halt at generation {k}, got {e}")),
+                Ok(_) => fail(
+                    &mut case,
+                    format!("run completed instead of halting at generation {k}"),
+                ),
+            }
+            if !case.ok {
+                break;
+            }
+            // Generations count absolute iterations, resumed or not.
+            match load_latest(&dir) {
+                Ok((g, snap)) if g == k && snap.iter_next == k * CRASH_EVERY as u64 => {}
+                Ok((g, snap)) => fail(
+                    &mut case,
+                    format!("kill {k} left generation {g} at iteration {}", snap.iter_next),
+                ),
+                Err(e) => fail(&mut case, format!("kill {k} left no snapshot: {e}")),
+            }
+            let now = snapshot_files(&dir);
+            if !written.iter().all(|file| now.contains(file)) {
+                fail(&mut case, format!("the leg killed at {k} rewrote an earlier generation"));
+            }
+            written = now;
         }
         if case.ok {
-            match fm.resume(&dir) {
-                Ok((output, _)) => {
+            let resume = RunOptions::default().resume_from(&dir);
+            match fm.run_with(&resume, &mut Telemetry::off()) {
+                Ok((output, stats)) => {
                     let got = digest_output(&output.paths(), &extra);
                     if got != reference {
                         fail(
@@ -227,6 +270,10 @@ fn crash_flashmob_cell(
                                 "resumed digest {got:#018x} != uninterrupted {reference:#018x}"
                             ),
                         );
+                    } else if (stats.steps_taken, &stats.per_partition_steps, &stats.visits_sorted)
+                        != (want.steps_taken, &want.per_partition_steps, &want.visits_sorted)
+                    {
+                        fail(&mut case, "resumed step counts differ from uninterrupted".into());
                     }
                 }
                 Err(e) => fail(&mut case, format!("resume failed: {e}")),
@@ -237,12 +284,12 @@ fn crash_flashmob_cell(
     }
 }
 
-/// Kill-and-resume for one DeepWalk FlashMob cell.
-fn crash_flashmob(engine: EngineKind, threads: usize, out: &mut Vec<CrashCase>) {
+/// Kill-and-resume for one classical-algorithm FlashMob cell.
+fn crash_flashmob(engine: EngineKind, algo: AlgoKind, threads: usize, out: &mut Vec<CrashCase>) {
     let graph = conformance_graph();
-    let config = flashmob_config(AlgoKind::DeepWalk, threads).strategy(engine_strategy(engine));
-    let want = golden::lookup(engine.label(), "deepwalk", threads);
-    crash_flashmob_cell(engine, "deepwalk", threads, &graph, config, want, out);
+    let config = flashmob_config(algo, threads).strategy(engine_strategy(engine));
+    let want = golden::lookup(engine.label(), algo.label(), threads);
+    crash_flashmob_cell(engine, algo.label(), threads, &graph, config, want, out);
 }
 
 /// Kill-and-resume for one program cell: proves per-walker program
@@ -267,7 +314,7 @@ fn crash_program(
 /// The reference digest comes from a fault-free uninterrupted run
 /// (pinned to the golden table where an entry exists), so digest
 /// equality simultaneously proves bit-exact resume and fault
-/// transparency.  Generation 0 is a dedicated no-kill transparency
+/// transparency.  The first case is a dedicated no-kill transparency
 /// case that also demands the retry layer actually absorbed something.
 ///
 /// Kill generations are discovered by running checkpointed but
@@ -286,14 +333,9 @@ fn crash_oocore_cell(
     let fault = FaultPolicy::transient(CRASH_FAULT_SEED, CRASH_FAULT_RATE);
     let graph = conformance_graph();
     let setup_fail = |out: &mut Vec<CrashCase>, detail: String| {
-        out.push(CrashCase {
-            engine: label,
-            algo,
-            threads: 1,
-            generation: 0,
-            ok: false,
-            detail,
-        });
+        let mut case = CrashCase::new(label, algo, 1, &[]);
+        fail(&mut case, detail);
+        out.push(case);
     };
     let path = ooc_temp_path();
     let disk = match DiskGraph::create(&graph, &path) {
@@ -329,16 +371,9 @@ fn crash_oocore_cell(
         }
     }
 
-    // Generation 0: the pure fault-transparency case (no kill).
+    // No kill: the pure fault-transparency case.
     {
-        let mut case = CrashCase {
-            engine: label,
-            algo,
-            threads: 1,
-            generation: 0,
-            ok: true,
-            detail: String::new(),
-        };
+        let mut case = CrashCase::new(label, algo, 1, &[]);
         match run_ooc_with(
             &disk,
             config,
@@ -367,7 +402,7 @@ fn crash_oocore_cell(
 
     // Discover the generation count from an uninterrupted checkpointed
     // run rather than deriving it from the schedule shape.
-    let discover_dir = crash_dir(&format!("{label}-{algo}-discover"), 1, 0);
+    let discover_dir = crash_dir(&format!("{label}-{algo}-discover"), 1, &[]);
     std::fs::remove_dir_all(&discover_dir).ok();
     let discovered = run_ooc_with(
         &disk,
@@ -393,15 +428,8 @@ fn crash_oocore_cell(
     };
 
     for k in 1..=generations {
-        let mut case = CrashCase {
-            engine: label,
-            algo,
-            threads: 1,
-            generation: k,
-            ok: true,
-            detail: String::new(),
-        };
-        let dir = crash_dir(&format!("{label}-{algo}"), 1, k);
+        let mut case = CrashCase::new(label, algo, 1, &[k]);
+        let dir = crash_dir(&format!("{label}-{algo}"), 1, &[k]);
         std::fs::remove_dir_all(&dir).ok();
         let spec = CheckpointSpec::new(&dir, CRASH_EVERY).halt_after(k);
         let kill = run_ooc_with(
@@ -470,13 +498,13 @@ fn crash_oocore(out: &mut Vec<CrashCase>) {
 
 /// Runs the crash matrix.
 ///
-/// `full` sweeps FlashMob auto/PS/DS at 1 and 8 threads plus the
-/// out-of-core engine, and every program × plan policy × {1, 8}
-/// threads; the quick tier keeps the auto plan at 1 thread, the
-/// out-of-core engine, and the two *stateful* programs (PPR,
-/// early-exit) on the auto plan — per-walker origin state must
-/// round-trip the checkpoint boundary in every CI run (every kill
-/// generation in both tiers).
+/// `full` sweeps deepwalk and node2vec on FlashMob auto/PS/DS at 1, 3
+/// and 8 threads plus the out-of-core engine, and every program × plan
+/// policy × {1, 3, 8} threads; the quick tier keeps the auto plan at 1
+/// thread, the out-of-core engine, and the two *stateful* programs
+/// (PPR, early-exit) on the auto plan — per-walker state (node2vec's
+/// predecessor, a program's origin) must round-trip the checkpoint
+/// boundary in every CI run (every kill schedule in both tiers).
 pub fn run_crash_matrix(full: bool) -> CrashReport {
     let mut cases = Vec::new();
     let engines = [
@@ -484,11 +512,12 @@ pub fn run_crash_matrix(full: bool) -> CrashReport {
         EngineKind::FlashMobPs,
         EngineKind::FlashMobDs,
     ];
-    let threads: &[usize] = if full { &[1, 8] } else { &[1] };
+    let threads: &[usize] = if full { &[1, 3, 8] } else { &[1] };
     let engines: &[EngineKind] = if full { &engines } else { &engines[..1] };
     for &engine in engines {
         for &t in threads {
-            crash_flashmob(engine, t, &mut cases);
+            crash_flashmob(engine, AlgoKind::DeepWalk, t, &mut cases);
+            crash_flashmob(engine, AlgoKind::Node2Vec, t, &mut cases);
         }
     }
     crash_oocore(&mut cases);
@@ -519,17 +548,20 @@ mod tests {
             .iter()
             .map(|c| {
                 format!(
-                    "{} {} t={} gen={}: {}",
-                    c.engine, c.algo, c.threads, c.generation, c.detail
+                    "{} {} t={} kills={:?}: {}",
+                    c.engine, c.algo, c.threads, c.kills, c.detail
                 )
             })
             .collect();
         assert!(report.all_ok(), "crash matrix failures:\n{}", failures.join("\n"));
-        // deepwalk auto@1 has 4 kill points and the two stateful
-        // programs (ppr, early-exit) on auto@1 add 4 each.
+        // deepwalk and node2vec on auto@1 have 4 kill points and the
+        // relay each; the two stateful programs (ppr, early-exit) on
+        // auto@1 add as many each.
         let fm = report.cases.iter().filter(|c| c.engine != "oocore").count();
-        assert_eq!(fm, 12);
-        // Each oocore cell contributes a generation-0 fault-transparency
+        assert_eq!(fm, 20);
+        let relays = report.cases.iter().filter(|c| c.kills == RELAY).count();
+        assert_eq!(relays, 4);
+        // Each oocore cell contributes a no-kill fault-transparency
         // case plus one kill point per discovered generation; deepwalk's
         // iteration cadence pins 4, the bi-block pair-slot cadence is
         // schedule-shaped, so only a floor is asserted — including the

@@ -1,6 +1,6 @@
 //! The FlashMob execution engine: plan, then iterate shuffle → sample.
 
-use std::path::Path;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -24,7 +24,7 @@ use crate::sample::{
     apply_exit, node2vec_keeps, propose, sample_partition, AddrMap, AlgoCtx, PsBuffers, TaskIo,
 };
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
-use crate::walker::{initialize, WalkerInit};
+use crate::walker::{fold_init, initialize, WalkerInit};
 use crate::{WalkConfig, WalkError, DEAD};
 
 /// Wall-clock time attributed to each pipeline stage (Figure 9a).
@@ -73,6 +73,38 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Adds `other` — another run of the same engine, or of another
+    /// instance of it — into this total.  Scalars, stage times and pool
+    /// counters add; the per-partition lanes and visit counts add index
+    /// by index (growing to the longer), which means something only when
+    /// both runs used one plan.
+    pub fn absorb(&mut self, other: &RunStats) {
+        fn add(into: &mut Vec<u64>, from: &[u64]) {
+            if into.len() < from.len() {
+                into.resize(from.len(), 0);
+            }
+            for (a, b) in into.iter_mut().zip(from) {
+                *a += b;
+            }
+        }
+        self.walkers += other.walkers;
+        self.steps_taken += other.steps_taken;
+        self.wall += other.wall;
+        self.stages.sample += other.stages.sample;
+        self.stages.shuffle += other.stages.shuffle;
+        self.stages.other += other.stages.other;
+        self.init += other.init;
+        self.pool.absorb(&other.pool);
+        add(&mut self.per_partition_steps, &other.per_partition_steps);
+        add(
+            &mut self.per_partition_prefetches,
+            &other.per_partition_prefetches,
+        );
+        if let Some(visits) = &other.visits_sorted {
+            add(self.visits_sorted.get_or_insert_with(Vec::new), visits);
+        }
+    }
+
     /// Average wall-clock nanoseconds per walker-step — the paper's
     /// headline metric.
     pub fn per_step_ns(&self) -> f64 {
@@ -222,6 +254,34 @@ impl RunStats {
     }
 }
 
+/// Robustness options of an in-memory run: checkpointing and resume.
+///
+/// The same two fields, under the same names and builder methods, as
+/// [`crate::oocore::OocOptions`] has; that struct's other two (`fault`,
+/// `retry`) guard disk-graph reads, which this engine does not make.
+#[derive(Debug, Default)]
+pub struct RunOptions {
+    /// Write crash-consistent checkpoints per this spec.
+    pub checkpoint: Option<CheckpointSpec>,
+    /// Resume from the latest checkpoint in this directory instead of
+    /// starting fresh.
+    pub resume_from: Option<PathBuf>,
+}
+
+impl RunOptions {
+    /// Enables checkpointing per `spec`.
+    pub fn checkpoint(mut self, spec: CheckpointSpec) -> Self {
+        self.checkpoint = Some(spec);
+        self
+    }
+
+    /// Resumes from the latest checkpoint in `dir`.
+    pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.resume_from = Some(dir.into());
+        self
+    }
+}
+
 /// The prepared FlashMob engine for one graph + configuration.
 ///
 /// Construction performs the paper's pre-processing: degree-descending
@@ -280,18 +340,494 @@ type PsSet = Vec<Option<PsBuffers>>;
 /// the write result.
 type CheckpointHandle = std::thread::JoinHandle<(CheckpointSink, u64, Result<(), RecoverError>)>;
 
-/// Joins a background checkpoint write, folds its retry count into the
-/// telemetry, and surfaces its (deferred) IO error.
-fn join_checkpoint(
-    handle: CheckpointHandle,
-    tel: &mut Telemetry,
-) -> Result<CheckpointSink, RecoverError> {
-    let (sink, retries, result) = handle
-        .join()
-        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-    tel.record_io_retries(retries);
-    result?;
-    Ok(sink)
+/// A checkpointing run's sink: at rest between generations, or owned by
+/// the background write of the previous one.
+enum Checkpointer {
+    Idle(CheckpointSink),
+    Writing(CheckpointHandle),
+}
+
+impl Checkpointer {
+    /// The sink, once any write in flight has finished: joins it, folds
+    /// its retry count into the telemetry, and surfaces its (deferred)
+    /// IO error.
+    fn reclaim(self, tel: &mut Telemetry) -> Result<CheckpointSink, RecoverError> {
+        match self {
+            Checkpointer::Idle(sink) => Ok(sink),
+            Checkpointer::Writing(handle) => {
+                let (sink, retries, result) = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                tel.record_io_retries(retries);
+                result?;
+                Ok(sink)
+            }
+        }
+    }
+
+    /// Publishes `snap` as `generation`, after the previous generation's
+    /// write (normally long finished) is done.  The expensive part
+    /// (encode + CRC + write + fsync) runs on a background thread,
+    /// overlapped with the iterations up to the next generation; with
+    /// `background` off the snapshot is durable before this returns.
+    fn write(
+        self,
+        generation: u64,
+        snap: WalkSnapshot,
+        background: bool,
+        tel: &mut Telemetry,
+    ) -> Result<Self, RecoverError> {
+        let mut sink = self.reclaim(tel)?;
+        let before = sink.retries;
+        if background {
+            return Ok(Checkpointer::Writing(std::thread::spawn(move || {
+                let result = sink.save(generation, &snap);
+                let retries = sink.retries - before;
+                (sink, retries, result)
+            })));
+        }
+        let result = sink.save(generation, &snap);
+        tel.record_io_retries(sink.retries - before);
+        result?;
+        Ok(Checkpointer::Idle(sink))
+    }
+}
+
+/// The lanes a step works in.  Each is rewritten before it is read —
+/// within the step for the walker lanes, from the first count pass for
+/// the shuffle scratch — so no snapshot carries them and a resumed run
+/// starts them from zeroes.  `ring_prefetches` is the exception that
+/// accumulates: it counts this process's hints, and a resumed run
+/// reports only its own ([`RunStats::per_partition_prefetches`]).
+struct Scratch {
+    /// Gather target for `w`; the two swap at the end of a step.
+    w_next: Vec<VertexId>,
+    /// `w` grouped by partition, and the vertices sampled for it.
+    sw: Vec<VertexId>,
+    snext: Vec<VertexId>,
+    /// `prev` in `sw`'s order (empty when there is no auxiliary lane).
+    sprev: Vec<VertexId>,
+    /// Gather target for `prev` (second-order only; an origin never
+    /// moves, so stateful programs need none).
+    prev_next: Vec<VertexId>,
+    shuffle: ShuffleScratch,
+    /// Partition ranges of the parallel sample stage: recomputed each
+    /// step as the walker distribution shifts, but in place.
+    sample_ranges: Vec<(usize, usize)>,
+    ring_prefetches: Vec<u64>,
+}
+
+impl Scratch {
+    fn new(engine: &FlashMob) -> Self {
+        let walkers = engine.config.walkers;
+        let lane = |used: bool| vec![0 as VertexId; if used { walkers } else { 0 }];
+        Self {
+            w_next: lane(true),
+            sw: lane(true),
+            snext: lane(true),
+            sprev: lane(engine.carries_aux()),
+            prev_next: lane(engine.config.algorithm.is_second_order()),
+            shuffle: ShuffleScratch::default(),
+            sample_ranges: Vec::with_capacity(engine.config.threads),
+            ring_prefetches: vec![0; engine.plan.partitions.len()],
+        }
+    }
+}
+
+/// A run between two iterations: what a [`WalkSnapshot`] carries, field
+/// for field, plus the [`Scratch`] lanes it does not.
+///
+/// [`EpochState::snapshot`] and [`EpochState::restore`] are the only
+/// places that name the snapshot's fields, so the two directions cannot
+/// drift apart.  Everything else a run needs (plan, shuffler, PS layout)
+/// is a function of graph + config and is rebuilt identically.  The
+/// state owns its lanes for the whole run; a step allocates nothing.
+struct EpochState {
+    seed: u64,
+    /// The next iteration to run: `iter` of them are complete, and `w`
+    /// is exactly its input.
+    iter: usize,
+    /// Live walker-steps so far, a resumed run's predecessors included.
+    steps_taken: u64,
+    /// Walker `j`'s vertex in the sorted ID space, or [`DEAD`].
+    w: Vec<VertexId>,
+    /// The auxiliary lane (see [`FlashMob::carries_aux`]): walker `j`'s
+    /// previous vertex for second-order walks, its immutable origin for
+    /// stateful programs; empty otherwise.
+    prev: Vec<VertexId>,
+    visits: Option<Vec<u64>>,
+    per_partition_steps: Vec<u64>,
+    /// PS buffers persist across iterations, and across runs (they are
+    /// taken from, and parked back into, the engine's `ps_pool`).
+    ps: PsSet,
+    /// `W_0 ..= W_iter` when paths are recorded, else empty.
+    rows: Vec<Vec<VertexId>>,
+    scratch: Scratch,
+}
+
+impl EpochState {
+    /// The state before iteration 0: walkers placed, nothing sampled.
+    fn fresh(engine: &FlashMob, seed: u64) -> Self {
+        let config = &engine.config;
+        // Walker initialization (in the sorted ID space; fixed starts are
+        // translated from original IDs).
+        let init = match &config.init {
+            WalkerInit::Fixed(starts) => {
+                WalkerInit::Fixed(starts.iter().map(|&v| engine.relabel.to_new(v)).collect())
+            }
+            other => other.clone(),
+        };
+        let w = initialize(&engine.graph, &init, config.walkers, seed);
+        Self {
+            seed,
+            iter: 0,
+            steps_taken: 0,
+            // A stateful program's origin is the initial position,
+            // exactly `w` at iteration 0; a second-order walk has no
+            // history yet and does not read the lane in iteration 0.
+            prev: if engine.carries_aux() {
+                w.clone()
+            } else {
+                Vec::new()
+            },
+            visits: config
+                .record_visits
+                .then(|| vec![0u64; engine.graph.vertex_count()]),
+            per_partition_steps: vec![0; engine.plan.partitions.len()],
+            ps: engine.take_ps_set(),
+            rows: if config.record_paths {
+                vec![w.clone()]
+            } else {
+                Vec::new()
+            },
+            w,
+            scratch: Scratch::new(engine),
+        }
+    }
+
+    /// The state `snap` was taken from, after checking that it belongs
+    /// to this engine (`tags`: its configuration's and its graph's) and `seed`.
+    fn restore(
+        engine: &FlashMob,
+        seed: u64,
+        snap: WalkSnapshot,
+        tags: (u64, u64),
+    ) -> Result<Self, WalkError> {
+        let mismatch = |detail: String| WalkError::Recover(RecoverError::Mismatch { detail });
+        let config = &engine.config;
+        let (walkers, steps) = (config.walkers, config.max_steps());
+        let parts = engine.plan.partitions.len();
+        let WalkSnapshot {
+            seed: snap_seed,
+            iter_next,
+            steps_total,
+            walkers: snap_walkers,
+            steps_taken,
+            config_tag,
+            graph_tag,
+            per_partition_steps,
+            w,
+            prev,
+            visits,
+            ps,
+            rows,
+            biblock: _,
+        } = snap;
+        if config_tag != tags.0 {
+            return Err(mismatch(
+                "snapshot was written under a different walk configuration".into(),
+            ));
+        }
+        if graph_tag != tags.1 {
+            return Err(mismatch(
+                "snapshot was written against a different graph".into(),
+            ));
+        }
+        if snap_seed != seed {
+            return Err(mismatch(format!(
+                "snapshot seed {snap_seed} does not match run seed {seed}"
+            )));
+        }
+        if snap_walkers as usize != walkers || w.len() != walkers {
+            return Err(mismatch(format!(
+                "snapshot has {snap_walkers} walkers, engine has {walkers}"
+            )));
+        }
+        if steps_total as usize != steps || iter_next as usize > steps {
+            return Err(mismatch(format!(
+                "snapshot iteration {iter_next}/{steps_total} does not fit a {steps}-step run"
+            )));
+        }
+        if engine.carries_aux() && prev.len() != walkers {
+            return Err(mismatch(
+                "snapshot is missing per-walker auxiliary state (prev/origin)".into(),
+            ));
+        }
+        if config.record_visits && visits.len() != engine.graph.vertex_count() {
+            return Err(mismatch(
+                "snapshot visit counters do not match the graph".into(),
+            ));
+        }
+        if per_partition_steps.len() != parts || ps.len() != parts {
+            return Err(mismatch(format!(
+                "snapshot has {} partitions, plan has {parts}",
+                ps.len()
+            )));
+        }
+        if config.record_paths
+            && (rows.len() != iter_next as usize + 1 || rows.iter().any(|r| r.len() != walkers))
+        {
+            return Err(mismatch("snapshot path rows are inconsistent".into()));
+        }
+        let mut buffers = engine.take_ps_set();
+        for (pb, state) in buffers.iter_mut().zip(ps) {
+            match (pb.as_mut(), state) {
+                (Some(b), Some(s)) => {
+                    if !b.import(s.buf, s.cursor) {
+                        return Err(mismatch(
+                            "pre-sample buffer shapes do not match the plan".into(),
+                        ));
+                    }
+                }
+                (None, None) => {}
+                _ => {
+                    return Err(mismatch(
+                        "pre-sample partition layout does not match the plan".into(),
+                    ));
+                }
+            }
+        }
+        // `prev` and `rows` come as they are: the configuration tag vouches
+        // that the writer left them empty where this run does not use them.
+        Ok(Self {
+            seed,
+            iter: iter_next as usize,
+            steps_taken,
+            w,
+            prev,
+            visits: config.record_visits.then_some(visits),
+            per_partition_steps,
+            ps: buffers,
+            rows,
+            scratch: Scratch::new(engine),
+        })
+    }
+
+    /// The snapshot of this epoch boundary: the walker state here is
+    /// exactly the input of iteration `self.iter`, a clean cut between
+    /// two iterations.
+    fn snapshot(&self, engine: &FlashMob, (config_tag, graph_tag): (u64, u64)) -> WalkSnapshot {
+        WalkSnapshot {
+            seed: self.seed,
+            iter_next: self.iter as u64,
+            steps_total: engine.config.max_steps() as u64,
+            walkers: engine.config.walkers as u64,
+            steps_taken: self.steps_taken,
+            config_tag,
+            graph_tag,
+            per_partition_steps: self.per_partition_steps.clone(),
+            w: self.w.clone(),
+            prev: self.prev.clone(),
+            visits: self.visits.clone().unwrap_or_default(),
+            ps: self
+                .ps
+                .iter()
+                .map(|o| {
+                    o.as_ref().map(|b| {
+                        let (buf, cursor) = b.export();
+                        PsPartState { buf, cursor }
+                    })
+                })
+                .collect(),
+            rows: self.rows.clone(),
+            biblock: None,
+        }
+    }
+
+    /// Takes one step of the walk: runs iteration `self.iter` — shuffle,
+    /// sample, shuffle back, record the row — up to the next epoch
+    /// boundary.  Returns `false`, having done nothing, once the walk is
+    /// over.  (Not named `step`: `fm-audit` resolves method calls by
+    /// name, and the sample kernels call `Probe::step`.)
+    fn advance<P: Probe>(
+        &mut self,
+        engine: &FlashMob,
+        shuffler: &Shuffler<'_>,
+        pool: Option<&WorkerPool>,
+        probe: &mut P,
+        tel: &mut Telemetry,
+        stage: &mut StageTimes,
+    ) -> bool {
+        let config = &engine.config;
+        let (iter, steps) = (self.iter, config.max_steps());
+        // The walk also ends when every walker has terminated.  Checked
+        // here, at the head of the would-be iteration (equivalent to the
+        // tail of the previous one), so a resumed run that restored an
+        // all-dead state stops exactly where the uninterrupted run would.
+        if iter >= steps
+            || ((matches!(config.stop, crate::StopRule::Geometric { .. })
+                || config.algorithm.can_terminate_early())
+                && self.w.iter().all(|&v| v == DEAD))
+        {
+            return false;
+        }
+        let second_order = config.algorithm.is_second_order();
+        let carries_aux = engine.carries_aux();
+        let parts = &engine.plan.partitions;
+        // The pool runs the sample stage's partitions; the shuffle passes
+        // use it too unless the shuffle is two-level or there are under
+        // four walkers a thread.
+        let shuffle_pool =
+            pool.filter(|_| shuffler.levels() == 1 && config.walkers >= 4 * config.threads);
+        let traced = tel.is_on();
+
+        // Shuffle: count + scatter.
+        let span0 = traced.then(|| tel.now_ns());
+        let t0 = Instant::now();
+        {
+            let s = &mut self.scratch;
+            let prev = carries_aux.then_some(self.prev.as_slice());
+            let sprev = carries_aux.then_some(s.sprev.as_mut_slice());
+            if let Some(pool) = shuffle_pool {
+                shuffler.par_count(&self.w, pool, &mut s.shuffle);
+                shuffler.par_scatter(&self.w, prev, &mut s.sw, sprev, pool, &mut s.shuffle);
+            } else {
+                let addrs = ShuffleAddrs {
+                    src: engine.addr.w,
+                    dst: engine.addr.sw,
+                };
+                shuffler.count(&self.w, &mut s.shuffle, addrs, probe);
+                shuffler.scatter(
+                    &self.w,
+                    prev,
+                    &mut s.sw,
+                    sprev,
+                    &mut s.shuffle,
+                    addrs,
+                    probe,
+                );
+            }
+        }
+        stage.shuffle += t0.elapsed();
+        if let Some(s) = span0 {
+            tel.span_since(Stage::Shuffle, s, iter as u32, NO_PARTITION);
+        }
+
+        // Sample: one task per partition.  The first iteration of a
+        // second-order walk has no history yet and runs first-order.
+        let span1 = traced.then(|| tel.now_ns());
+        let t1 = Instant::now();
+        let effective_algo = if second_order && iter == 0 {
+            crate::WalkAlgorithm::DeepWalk
+        } else {
+            config.algorithm
+        };
+        let ctx = AlgoCtx::new(effective_algo, config.stop, engine.cum_weights.as_deref())
+            .with_edge_filter(engine.edge_bloom.as_ref())
+            .at_iter(iter)
+            .with_edge_labels(engine.graph.edge_labels());
+        let dead_start = self.scratch.shuffle.offsets[parts.len()] as usize;
+        self.scratch.snext[dead_start..].fill(DEAD);
+        let pf_before = traced.then(|| self.scratch.ring_prefetches.clone());
+
+        // The parallel stage runs only from the uninstrumented entry
+        // points (NullProbe), so counter attribution stays exact.
+        self.steps_taken += if let Some(pool) = pool {
+            engine.sample_stage_parallel(self, &ctx, pool, tel)
+        } else if effective_algo.is_second_order() {
+            // The paper's batched connectivity checks: rejection
+            // probes are deferred and resolved grouped by the
+            // previous vertex's partition, keeping each hub's
+            // adjacency list cache-hot across many queries.
+            engine.sample_stage_node2vec_batched(self, &ctx, probe)
+        } else {
+            engine.sample_stage_sequential(self, &ctx, probe, tel)
+        };
+        stage.sample += t1.elapsed();
+        if traced {
+            if let Some(s) = span1 {
+                tel.span_since(Stage::Sample, s, iter as u32, NO_PARTITION);
+            }
+            // Per-partition counters from the shuffle occupancy:
+            // live walkers land grouped by VP (dead walkers go to
+            // the dead bin past `partitions.len()`), and every live
+            // walker takes exactly one step per iteration, so bin
+            // width equals steps taken in that partition.
+            let offsets = &self.scratch.shuffle.offsets;
+            for (pi, part) in parts.iter().enumerate() {
+                let occ = (offsets[pi + 1] - offsets[pi]) as u64;
+                tel.record_partition_step(pi, occ, part.policy == SamplePolicy::PreSample);
+                // Ring attribution: the depth actually achieved this
+                // iteration (capped by the partition's live walkers)
+                // and the hints issued on its behalf.
+                let issued =
+                    self.scratch.ring_prefetches[pi] - pf_before.as_ref().map_or(0, |b| b[pi]);
+                let ring_occ = if occ == 0 {
+                    0
+                } else {
+                    engine.ring_depths[pi].min(occ as usize) as u64
+                };
+                tel.record_partition_ring(pi, ring_occ, issued);
+            }
+        }
+
+        // Shuffle: gather back into walker order.  The parallel
+        // gather rebuilds its cursors in place from the count matrix
+        // `par_count` left in the scratch — no per-step clone.
+        let span2 = traced.then(|| tel.now_ns());
+        let t2 = Instant::now();
+        {
+            let s = &mut self.scratch;
+            let sw = second_order.then_some(s.sw.as_slice());
+            let prev_next = second_order.then_some(s.prev_next.as_mut_slice());
+            if let Some(pool) = shuffle_pool {
+                shuffler.par_gather(
+                    &self.w,
+                    &s.snext,
+                    &mut s.w_next,
+                    sw,
+                    prev_next,
+                    pool,
+                    &mut s.shuffle,
+                );
+            } else {
+                shuffler.gather(
+                    &self.w,
+                    &s.snext,
+                    &mut s.w_next,
+                    sw,
+                    prev_next,
+                    &mut s.shuffle,
+                    ShuffleAddrs {
+                        src: engine.addr.w,
+                        dst: engine.addr.snext_region,
+                    },
+                    probe,
+                );
+            }
+            std::mem::swap(&mut self.w, &mut s.w_next);
+            if second_order {
+                std::mem::swap(&mut self.prev, &mut s.prev_next);
+            }
+        }
+        stage.shuffle += t2.elapsed();
+        if let Some(s) = span2 {
+            tel.span_since(Stage::Shuffle, s, iter as u32, NO_PARTITION);
+        }
+
+        let span3 = (traced && config.record_paths).then(|| tel.now_ns());
+        let t3 = Instant::now();
+        if config.record_paths {
+            self.rows.push(self.w.clone());
+        }
+        stage.other += t3.elapsed();
+        if let Some(s) = span3 {
+            tel.span_since(Stage::Output, s, iter as u32, NO_PARTITION);
+        }
+        self.iter += 1;
+        tel.tick(self.iter, steps, self.steps_taken);
+        true
+    }
 }
 
 impl FlashMob {
@@ -483,103 +1019,56 @@ impl FlashMob {
 
     /// Runs the walk, returning output and execution statistics.
     pub fn run_with_stats(&self) -> Result<(WalkOutput, RunStats), WalkError> {
-        let mut probe = NullProbe;
-        self.run_internal(&mut probe, true)
+        self.run_with(&RunOptions::default(), &mut Telemetry::off())
     }
 
-    /// Runs the walk while recording telemetry into `tel`: a Plan span
-    /// for the pre-processing done at construction, Shuffle/Sample/
-    /// Output spans for every step (plus per-partition worker-lane
-    /// sample spans on parallel runs), and per-partition counters whose
-    /// step totals match [`RunStats::steps_taken`] exactly.
-    ///
-    /// Telemetry recording never touches the sampled chain: RNG streams
-    /// are derived exactly as in [`FlashMob::run`], so traced output is
-    /// bit-identical to untraced output.
+    /// Runs the walk while recording telemetry into `tel` (see
+    /// [`FlashMob::run_with`]).
     pub fn run_traced(&self, tel: &mut Telemetry) -> Result<(WalkOutput, RunStats), WalkError> {
-        if tel.is_on() {
-            tel.ensure_partitions(self.plan.partitions.len());
-            let start_ns = tel.now_ns();
-            tel.span(SpanEvent {
-                stage: Stage::Plan,
-                start_ns,
-                dur_ns: self.plan_wall.as_nanos() as u64,
-                thread: 0,
-                step: NO_STEP,
-                partition: NO_PARTITION,
-            });
-        }
-        let mut probe = NullProbe;
-        self.run_internal_seeded(&mut probe, true, self.config.seed, tel)
+        self.run_with(&RunOptions::default(), tel)
     }
 
-    /// Runs the walk, writing a crash-consistent checkpoint into
-    /// `spec.dir` every `spec.every` iterations (see [`CheckpointSpec`]).
+    /// Runs the walk under `opts`, recording telemetry into `tel`; every
+    /// other way to run the engine is a spelling of this one.
     ///
-    /// Checkpoints are published atomically (write-to-temp → fsync →
-    /// rename), so a crash at any instant leaves either the previous
-    /// generation or the new one — never a torn state.
-    pub fn run_with_checkpoints(
+    /// With [`RunOptions::checkpoint`] a crash-consistent checkpoint goes
+    /// into `spec.dir` every `spec.every` iterations (see
+    /// [`CheckpointSpec`]).  Checkpoints are published atomically
+    /// (write-to-temp → fsync → rename), so a crash at any instant
+    /// leaves either the previous generation or the new one — never a
+    /// torn state.
+    ///
+    /// With [`RunOptions::resume_from`] the run continues from the latest
+    /// checkpoint in that directory; its output is bit-identical to the
+    /// uninterrupted run's.  The engine must be constructed over the same
+    /// graph with the same configuration as the interrupted run (thread
+    /// count may differ — runs are bit-identical across thread counts);
+    /// mismatches are rejected with
+    /// [`fm_recover::RecoverError::Mismatch`].  With both, a resumed run
+    /// keeps checkpointing, and its generation numbers continue the
+    /// interrupted run's — they derive from the absolute iteration, not
+    /// from time since resume.
+    ///
+    /// An enabled `tel` receives a Plan span for the pre-processing done
+    /// at construction, a prologue span, Shuffle/Sample/Output spans for
+    /// every step (plus per-partition worker-lane sample spans on
+    /// parallel runs), Checkpoint and Recovery spans with their transient
+    /// IO retries counted, and per-partition counters whose step totals
+    /// match the steps this process executed exactly.  Recording never
+    /// touches the sampled chain: RNG streams are derived exactly as in
+    /// [`FlashMob::run`], so traced output is bit-identical to untraced
+    /// output.
+    pub fn run_with(
         &self,
-        spec: &CheckpointSpec,
-    ) -> Result<(WalkOutput, RunStats), WalkError> {
-        let mut probe = NullProbe;
-        self.run_internal_ckpt(
-            &mut probe,
-            true,
-            self.config.seed,
-            &mut Telemetry::off(),
-            Some(spec),
-            None,
-        )
-    }
-
-    /// [`FlashMob::run_with_checkpoints`] with telemetry recording:
-    /// checkpoint writes appear as `Checkpoint` spans and transient IO
-    /// retries are counted.
-    pub fn run_with_checkpoints_traced(
-        &self,
-        spec: &CheckpointSpec,
+        opts: &RunOptions,
         tel: &mut Telemetry,
     ) -> Result<(WalkOutput, RunStats), WalkError> {
-        let mut probe = NullProbe;
-        self.run_internal_ckpt(&mut probe, true, self.config.seed, tel, Some(spec), None)
-    }
-
-    /// Resumes from the latest checkpoint in `dir` and runs to
-    /// completion without writing further checkpoints.
-    ///
-    /// The engine must be constructed over the same graph with the same
-    /// configuration as the interrupted run (thread count may differ —
-    /// runs are bit-identical across thread counts); mismatches are
-    /// rejected with [`fm_recover::RecoverError::Mismatch`].  The final
-    /// output is bit-identical to the uninterrupted run's.
-    pub fn resume(&self, dir: impl AsRef<Path>) -> Result<(WalkOutput, RunStats), WalkError> {
-        self.resume_with(dir, None, &mut Telemetry::off())
-    }
-
-    /// Resumes from the latest checkpoint in `dir`; with `spec` the
-    /// resumed run keeps checkpointing (generation numbers continue
-    /// from the interrupted run — they derive from the absolute
-    /// iteration, not from time since resume).
-    pub fn resume_with(
-        &self,
-        dir: impl AsRef<Path>,
-        spec: Option<&CheckpointSpec>,
-        tel: &mut Telemetry,
-    ) -> Result<(WalkOutput, RunStats), WalkError> {
-        let span = tel.is_on().then(|| tel.now_ns());
-        let (_generation, snap) = load_latest(dir.as_ref())?;
-        if let Some(s) = span {
-            tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
-        }
-        let mut probe = NullProbe;
-        self.run_internal_ckpt(&mut probe, true, self.config.seed, tel, spec, Some(snap))
+        self.run_epochs(&mut NullProbe, true, self.config.seed, opts, tel)
     }
 
     /// Fingerprint of everything that determines the sampled chain.
     ///
-    /// Snapshots carry this tag and `resume` verifies it: resuming under
+    /// Snapshots carry this tag and a resume verifies it: resuming under
     /// a different algorithm, stop rule, seed, or plan would silently
     /// produce garbage.  Thread count is deliberately excluded — runs
     /// are bit-identical across thread counts, so a checkpoint written
@@ -623,23 +1112,7 @@ impl FlashMob {
                     .fold_u64(max_steps as u64);
             }
         }
-        match &c.init {
-            WalkerInit::UniformVertex => {
-                fp.fold_u64(1);
-            }
-            WalkerInit::UniformEdge => {
-                fp.fold_u64(2);
-            }
-            WalkerInit::EveryVertex => {
-                fp.fold_u64(3);
-            }
-            WalkerInit::Fixed(starts) => {
-                fp.fold_u64(4).fold_u64(starts.len() as u64);
-                for &s in starts {
-                    fp.fold_u64(s as u64);
-                }
-            }
-        }
+        fold_init(&mut fp, &c.init);
         fp.fold_u64(c.walkers as u64)
             .fold_u64(c.seed)
             .fold_u64(c.record_paths as u64)
@@ -668,70 +1141,13 @@ impl FlashMob {
         fp.value()
     }
 
-    /// Rejects snapshots that do not belong to this engine + seed.
-    fn validate_snapshot(
-        &self,
-        snap: &WalkSnapshot,
-        seed: u64,
-        steps: usize,
-    ) -> Result<(), WalkError> {
-        let mismatch =
-            |detail: String| WalkError::Recover(RecoverError::Mismatch { detail });
-        if snap.config_tag != self.config_tag() {
-            return Err(mismatch(
-                "snapshot was written under a different walk configuration".into(),
-            ));
-        }
-        if snap.graph_tag != self.graph_tag() {
-            return Err(mismatch(
-                "snapshot was written against a different graph".into(),
-            ));
-        }
-        if snap.seed != seed {
-            return Err(mismatch(format!(
-                "snapshot seed {} does not match run seed {seed}",
-                snap.seed
-            )));
-        }
-        let walkers = self.config.walkers;
-        if snap.walkers as usize != walkers || snap.w.len() != walkers {
-            return Err(mismatch(format!(
-                "snapshot has {} walkers, engine has {walkers}",
-                snap.walkers
-            )));
-        }
-        if snap.steps_total as usize != steps || snap.iter_next as usize > steps {
-            return Err(mismatch(format!(
-                "snapshot iteration {}/{} does not fit a {steps}-step run",
-                snap.iter_next, snap.steps_total
-            )));
-        }
-        let carries_aux =
-            self.config.algorithm.is_second_order() || self.config.algorithm.is_stateful();
-        if carries_aux && snap.prev.len() != walkers {
-            return Err(mismatch(
-                "snapshot is missing per-walker auxiliary state (prev/origin)".into(),
-            ));
-        }
-        if self.config.record_visits && snap.visits.len() != self.graph.vertex_count() {
-            return Err(mismatch(
-                "snapshot visit counters do not match the graph".into(),
-            ));
-        }
-        let parts = self.plan.partitions.len();
-        if snap.per_partition_steps.len() != parts || snap.ps.len() != parts {
-            return Err(mismatch(format!(
-                "snapshot has {} partitions, plan has {parts}",
-                snap.ps.len()
-            )));
-        }
-        if self.config.record_paths
-            && (snap.rows.len() != snap.iter_next as usize + 1
-                || snap.rows.iter().any(|r| r.len() != walkers))
-        {
-            return Err(mismatch("snapshot path rows are inconsistent".into()));
-        }
-        Ok(())
+    /// Whether walkers carry an auxiliary per-walker lane through the
+    /// shuffle.  Stateful first-order programs (PPR restart, early exit)
+    /// carry their origin through the same lane the second-order
+    /// predecessor uses; unlike the predecessor, the origin never
+    /// changes, so the gather stage leaves it alone.
+    fn carries_aux(&self) -> bool {
+        self.config.algorithm.is_second_order() || self.config.algorithm.is_stateful()
     }
 
     /// Runs enough episodes of `config.walkers` walkers each to cover at
@@ -749,55 +1165,18 @@ impl FlashMob {
         if total_walkers == 0 {
             return Err(WalkError::NoWalkers);
         }
-        let per_episode = self.config.walkers;
-        let episodes = total_walkers.div_ceil(per_episode);
-        let mut agg = RunStats {
-            per_partition_steps: vec![0; self.plan.partitions.len()],
-            per_partition_prefetches: vec![0; self.plan.partitions.len()],
-            visits_sorted: self
-                .config
-                .record_visits
-                .then(|| vec![0; self.graph.vertex_count()]),
-            ..RunStats::default()
-        };
+        let episodes = total_walkers.div_ceil(self.config.walkers);
+        let mut agg = RunStats::default();
         for e in 0..episodes {
-            let mut probe = NullProbe;
-            let (out, stats) = self.run_internal_seeded(
-                &mut probe,
+            let seed = self.config.seed.wrapping_add(0x9E37 * e as u64 + e as u64);
+            let (out, stats) = self.run_epochs(
+                &mut NullProbe,
                 true,
-                self.config.seed.wrapping_add(0x9E37 * e as u64 + e as u64),
+                seed,
+                &RunOptions::default(),
                 &mut Telemetry::off(),
             )?;
-            agg.walkers += stats.walkers;
-            agg.steps_taken += stats.steps_taken;
-            agg.wall += stats.wall;
-            agg.stages.sample += stats.stages.sample;
-            agg.stages.shuffle += stats.stages.shuffle;
-            agg.stages.other += stats.stages.other;
-            agg.init += stats.init;
-            agg.pool.spawned += stats.pool.spawned;
-            agg.pool.epochs += stats.pool.epochs;
-            agg.pool.idle += stats.pool.idle;
-            for (a, b) in agg
-                .per_partition_steps
-                .iter_mut()
-                .zip(&stats.per_partition_steps)
-            {
-                *a += b;
-            }
-            for (a, b) in agg
-                .per_partition_prefetches
-                .iter_mut()
-                .zip(&stats.per_partition_prefetches)
-            {
-                *a += b;
-            }
-            if let (Some(av), Some(bv)) = (agg.visits_sorted.as_mut(), stats.visits_sorted.as_ref())
-            {
-                for (a, b) in av.iter_mut().zip(bv) {
-                    *a += b;
-                }
-            }
+            agg.absorb(&stats);
             sink(e, out);
         }
         Ok(agg)
@@ -808,80 +1187,158 @@ impl FlashMob {
     /// Instrumented runs execute the partitions sequentially regardless
     /// of the configured thread count, so counter attribution is exact.
     pub fn run_probed<P: Probe>(&self, probe: &mut P) -> Result<(WalkOutput, RunStats), WalkError> {
-        self.run_internal(probe, false)
+        self.run_epochs(
+            probe,
+            false,
+            self.config.seed,
+            &RunOptions::default(),
+            &mut Telemetry::off(),
+        )
     }
 
-    fn run_internal<P: Probe>(
-        &self,
-        probe: &mut P,
-        allow_parallel: bool,
-    ) -> Result<(WalkOutput, RunStats), WalkError> {
-        self.run_internal_seeded(probe, allow_parallel, self.config.seed, &mut Telemetry::off())
-    }
-
-    fn run_internal_seeded<P: Probe>(
-        &self,
-        probe: &mut P,
-        allow_parallel: bool,
-        seed: u64,
-        tel: &mut Telemetry,
-    ) -> Result<(WalkOutput, RunStats), WalkError> {
-        self.run_internal_ckpt(probe, allow_parallel, seed, tel, None, None)
-    }
-
-    fn run_internal_ckpt<P: Probe>(
+    /// The one run path: prologue, the iteration loop, epilogue.
+    ///
+    /// `allow_parallel` is off for instrumented runs only: they keep
+    /// every stage, and the checkpoint write, on the calling thread.
+    fn run_epochs<P: Probe>(
         &self,
         probe: &mut P,
         allow_parallel: bool,
         seed: u64,
+        opts: &RunOptions,
         tel: &mut Telemetry,
-        ckpt: Option<&CheckpointSpec>,
-        resume: Option<WalkSnapshot>,
     ) -> Result<(WalkOutput, RunStats), WalkError> {
+        if tel.is_on() {
+            tel.ensure_partitions(self.plan.partitions.len());
+            let start_ns = tel.now_ns();
+            tel.span(SpanEvent {
+                stage: Stage::Plan,
+                start_ns,
+                dur_ns: self.plan_wall.as_nanos() as u64,
+                thread: 0,
+                step: NO_STEP,
+                partition: NO_PARTITION,
+            });
+        }
+        // A checkpoint sink, when checkpointing is on; the tags pin the
+        // snapshot to this engine + graph so a resume can verify them.
+        let mut checkpoint = opts
+            .checkpoint
+            .as_ref()
+            .filter(|ck| ck.every > 0)
+            .map(|ck| (ck, Checkpointer::Idle(CheckpointSink::from_spec(ck))));
+        let tags = if checkpoint.is_some() || opts.resume_from.is_some() {
+            (self.config_tag(), self.graph_tag())
+        } else {
+            (0, 0)
+        };
+        let resumed = match &opts.resume_from {
+            Some(dir) => {
+                let span = tel.is_on().then(|| tel.now_ns());
+                let (_generation, snap) = load_latest(dir)?;
+                if let Some(s) = span {
+                    tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
+                }
+                Some(snap)
+            }
+            None => None,
+        };
+
         let wall_start = Instant::now();
         let prologue_span = tel.is_on().then(|| tel.now_ns());
-        let walkers = self.config.walkers;
-        let second_order = self.config.algorithm.is_second_order();
-        // Stateful first-order programs (PPR restart, early exit) carry
-        // their origin through the same auxiliary shuffle lane the
-        // second-order predecessor uses; unlike the predecessor, the
-        // origin never changes, so the gather stage leaves it alone.
-        let stateful = self.config.algorithm.is_stateful();
-        let carries_aux = second_order || stateful;
-        let steps = self.config.max_steps();
-
-        // Walker initialization (in the sorted ID space; fixed starts are
-        // translated from original IDs).
-        let init = match &self.config.init {
-            WalkerInit::Fixed(starts) => {
-                WalkerInit::Fixed(starts.iter().map(|&v| self.relabel.to_new(v)).collect())
-            }
-            other => other.clone(),
+        let mut state = match resumed {
+            Some(snap) => EpochState::restore(self, seed, snap, tags)?,
+            None => EpochState::fresh(self, seed),
         };
-        let mut w = initialize(&self.graph, &init, walkers, seed);
-        let mut w_next = vec![0 as VertexId; walkers];
-        let mut sw = vec![0 as VertexId; walkers];
-        let mut snext = vec![0 as VertexId; walkers];
-        let (mut prev, mut prev_next, mut sprev) = if carries_aux {
-            // For stateful programs `prev` holds the immutable origin
-            // (the initial position, exactly `w` at iteration 0).
-            (
-                w.clone(),
-                if second_order {
-                    vec![0; walkers]
-                } else {
-                    Vec::new()
-                },
-                vec![0; walkers],
-            )
+        let init = wall_start.elapsed();
+        if let Some(s) = prologue_span {
+            tel.span_since(Stage::Other, s, NO_STEP, NO_PARTITION);
+        }
+
+        // The pool is created once here and reused by every stage of
+        // every step — thread spawns per run equal the configured thread
+        // count.
+        let pool = (allow_parallel && self.config.threads > 1)
+            .then(|| WorkerPool::new(self.config.threads));
+        let shuffler = self.build_shuffler();
+
+        let mut stage = StageTimes::default();
+        while state.advance(self, &shuffler, pool.as_ref(), probe, tel, &mut stage) {
+            // Checkpoint at the epoch boundary.  Generations derive from
+            // the absolute iteration, so a resumed run that keeps
+            // checkpointing continues the numbering seamlessly.  The
+            // walk loop only pays for the state clone and for joining
+            // the previous generation's write; a halted generation is
+            // written synchronously so the snapshot is durable before
+            // `Halted` returns.
+            checkpoint = match checkpoint {
+                Some((ck, writer)) if state.iter % ck.every == 0 => {
+                    let span = tel.is_on().then(|| tel.now_ns());
+                    let generation = (state.iter / ck.every) as u64;
+                    let halt = ck.halt_after == Some(generation);
+                    let snap = state.snapshot(self, tags);
+                    let writer = writer.write(generation, snap, allow_parallel && !halt, tel)?;
+                    if let Some(s) = span {
+                        tel.span_since(Stage::Checkpoint, s, state.iter as u32 - 1, NO_PARTITION);
+                    }
+                    if halt {
+                        return Err(WalkError::Halted { generation });
+                    }
+                    Some((ck, writer))
+                }
+                idle => idle,
+            };
+        }
+        // Wait out an in-flight background checkpoint before reporting
+        // the run complete (and surface any deferred write error).
+        if let Some((_, writer)) = checkpoint {
+            writer.reclaim(tel)?;
+        }
+        let EpochState {
+            steps_taken,
+            w,
+            visits,
+            per_partition_steps,
+            ps,
+            rows,
+            scratch,
+            ..
+        } = state;
+        *self.lock_ps_pool() = Some(ps);
+
+        let wall = wall_start.elapsed();
+        stage.other += wall.saturating_sub(stage.sample + stage.shuffle + stage.other);
+        let rows = if self.config.record_paths {
+            rows
         } else {
-            (Vec::new(), Vec::new(), Vec::new())
+            vec![w]
         };
+        let output = WalkOutput::new(rows, self.config.walkers, Arc::clone(&self.relabel));
+        let stats = RunStats {
+            walkers: self.config.walkers,
+            steps_taken,
+            wall,
+            stages: stage,
+            init,
+            per_partition_steps,
+            per_partition_prefetches: scratch.ring_prefetches,
+            visits_sorted: visits,
+            pool: pool.as_ref().map(WorkerPool::stats).unwrap_or_default(),
+        };
+        Ok((output, stats))
+    }
 
-        // PS buffers persist across iterations, and across runs: a run
-        // that inherits a set only zeroes the cursors, which forces a
-        // refill before any buffered sample is read.
-        let mut ps_buffers = match self.lock_ps_pool().take() {
+    /// The parked PS buffers.  The lock is only ever held to move the
+    /// set out or in, so a poisoned lock still guards a valid value.
+    fn lock_ps_pool(&self) -> MutexGuard<'_, Option<PsSet>> {
+        self.ps_pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The PS buffers for one run.  A run that inherits the parked set
+    /// only zeroes the cursors, which forces a refill before any
+    /// buffered sample is read.
+    fn take_ps_set(&self) -> PsSet {
+        match self.lock_ps_pool().take() {
             Some(mut parked) => {
                 parked.iter_mut().flatten().for_each(PsBuffers::reset);
                 parked
@@ -894,414 +1351,7 @@ impl FlashMob {
                     (p.policy == SamplePolicy::PreSample).then(|| PsBuffers::new(&self.graph, p))
                 })
                 .collect(),
-        };
-        let init = wall_start.elapsed();
-        if let Some(s) = prologue_span {
-            tel.span_since(Stage::Other, s, NO_STEP, NO_PARTITION);
         }
-
-        let shuffler = self.build_shuffler();
-        let mut scratch = ShuffleScratch::default();
-        let mut visits = self
-            .config
-            .record_visits
-            .then(|| vec![0u64; self.graph.vertex_count()]);
-        let mut per_partition_steps = vec![0u64; self.plan.partitions.len()];
-        let mut ring_prefetches = vec![0u64; self.plan.partitions.len()];
-        let mut rows: Vec<Vec<VertexId>> = Vec::new();
-        if self.config.record_paths {
-            rows.push(w.clone());
-        }
-
-        // A checkpoint sink, when checkpointing is on; the tags pin the
-        // snapshot to this engine + graph so `resume` can verify them.
-        // The sink shuttles between `sink` (idle) and `pending` (owned
-        // by a background write of the previous generation).
-        let mut sink = match ckpt {
-            Some(ck) if ck.every > 0 => Some(CheckpointSink::from_spec(ck)),
-            _ => None,
-        };
-        let checkpointing = sink.is_some();
-        let mut pending: Option<CheckpointHandle> = None;
-        let (config_tag, graph_tag) = if checkpointing {
-            (self.config_tag(), self.graph_tag())
-        } else {
-            (0, 0)
-        };
-
-        // Resume: replace the freshly initialized mutable state with the
-        // snapshot's.  Everything else (plan, shuffler, PS layout) is
-        // deterministic from graph + config and was rebuilt identically.
-        let mut start_iter = 0usize;
-        let mut resumed_steps = 0u64;
-        if let Some(snap) = resume {
-            let span = tel.is_on().then(|| tel.now_ns());
-            self.validate_snapshot(&snap, seed, steps)?;
-            w = snap.w;
-            if carries_aux {
-                prev = snap.prev;
-            }
-            if self.config.record_visits {
-                visits = Some(snap.visits);
-            }
-            if self.config.record_paths {
-                rows = snap.rows;
-            }
-            per_partition_steps = snap.per_partition_steps;
-            for (pb, state) in ps_buffers.iter_mut().zip(snap.ps) {
-                match (pb.as_mut(), state) {
-                    (Some(b), Some(s)) => {
-                        if !b.import(s.buf, s.cursor) {
-                            return Err(RecoverError::Mismatch {
-                                detail: "pre-sample buffer shapes do not match the plan"
-                                    .into(),
-                            }
-                            .into());
-                        }
-                    }
-                    (None, None) => {}
-                    _ => {
-                        return Err(RecoverError::Mismatch {
-                            detail: "pre-sample partition layout does not match the plan"
-                                .into(),
-                        }
-                        .into());
-                    }
-                }
-            }
-            start_iter = snap.iter_next as usize;
-            resumed_steps = snap.steps_taken;
-            if let Some(s) = span {
-                tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
-            }
-        }
-
-        let mut stage = StageTimes::default();
-        let mut steps_taken = resumed_steps;
-        let shuffle_addrs = ShuffleAddrs {
-            src: self.addr.w,
-            dst: self.addr.sw,
-        };
-
-        // The parallel paths run only from the uninstrumented entry point
-        // (NullProbe), so counter attribution stays exact.  The pool is
-        // created once here and reused by every stage of every step —
-        // thread spawns per run equal the configured thread count.
-        let pool = (allow_parallel && self.config.threads > 1)
-            .then(|| WorkerPool::new(self.config.threads));
-        // Two-level shuffles stay sequential.
-        let parallel_shuffle =
-            pool.is_some() && shuffler.levels() == 1 && walkers >= 4 * self.config.threads;
-        // Partition ranges for the parallel sample stage, reused across
-        // steps (walker distribution shifts each step, so the ranges are
-        // recomputed, but in place).
-        let mut sample_ranges: Vec<(usize, usize)> = Vec::with_capacity(self.config.threads);
-
-        for iter in start_iter..steps {
-            // Early exit when every walker has terminated.  Checked at
-            // the loop head (equivalent to the tail of the previous
-            // iteration) so a resumed run that restored an all-dead
-            // state exits exactly where the uninterrupted run would.
-            if (matches!(self.config.stop, crate::StopRule::Geometric { .. })
-                || self.config.algorithm.can_terminate_early())
-                && w.iter().all(|&v| v == DEAD)
-            {
-                break;
-            }
-            let traced = tel.is_on();
-            // Shuffle: count + scatter.
-            let span0 = traced.then(|| tel.now_ns());
-            let t0 = Instant::now();
-            if parallel_shuffle {
-                let pool = pool.as_ref().expect("parallel shuffle requires the pool");
-                shuffler.par_count(&w, pool, &mut scratch);
-                shuffler.par_scatter(
-                    &w,
-                    carries_aux.then_some(prev.as_slice()),
-                    &mut sw,
-                    carries_aux
-                        .then_some(sprev.as_mut_slice())
-                        .map(|s| &mut s[..]),
-                    pool,
-                    &mut scratch,
-                );
-            } else {
-                shuffler.count(&w, &mut scratch, shuffle_addrs, probe);
-                shuffler.scatter(
-                    &w,
-                    carries_aux.then_some(prev.as_slice()),
-                    &mut sw,
-                    carries_aux
-                        .then_some(sprev.as_mut_slice())
-                        .map(|s| &mut s[..]),
-                    &mut scratch,
-                    shuffle_addrs,
-                    probe,
-                );
-            }
-            stage.shuffle += t0.elapsed();
-            if let Some(s) = span0 {
-                tel.span_since(Stage::Shuffle, s, iter as u32, NO_PARTITION);
-            }
-
-            // Sample: one task per partition.  The first iteration of a
-            // second-order walk has no history yet and runs first-order.
-            let span1 = traced.then(|| tel.now_ns());
-            let t1 = Instant::now();
-            let effective_algo = if second_order && iter == 0 {
-                crate::WalkAlgorithm::DeepWalk
-            } else {
-                self.config.algorithm
-            };
-            let ctx = AlgoCtx::new(
-                effective_algo,
-                self.config.stop,
-                self.cum_weights.as_deref(),
-            )
-            .with_edge_filter(self.edge_bloom.as_ref())
-            .at_iter(iter)
-            .with_edge_labels(self.graph.edge_labels());
-            let dead_start = scratch.offsets[self.plan.partitions.len()] as usize;
-            snext[dead_start..].fill(DEAD);
-            let pf_before = traced.then(|| ring_prefetches.clone());
-
-            if let Some(pool) = pool.as_ref() {
-                steps_taken += self.sample_stage_parallel(
-                    pool,
-                    &ctx,
-                    &scratch.offsets,
-                    &sw,
-                    carries_aux.then_some(sprev.as_slice()),
-                    &mut snext,
-                    &mut ps_buffers,
-                    &mut per_partition_steps,
-                    &mut ring_prefetches,
-                    visits.as_deref_mut(),
-                    &mut sample_ranges,
-                    iter,
-                    seed,
-                    tel,
-                );
-            } else if effective_algo.is_second_order() {
-                // The paper's batched connectivity checks: rejection
-                // probes are deferred and resolved grouped by the
-                // previous vertex's partition, keeping each hub's
-                // adjacency list cache-hot across many queries.
-                steps_taken += self.sample_stage_node2vec_batched(
-                    &ctx,
-                    &scratch.offsets,
-                    &sw,
-                    &sprev,
-                    &mut snext,
-                    &mut ps_buffers,
-                    &mut per_partition_steps,
-                    &mut ring_prefetches,
-                    visits.as_deref_mut(),
-                    iter,
-                    seed,
-                    probe,
-                );
-            } else {
-                steps_taken += self.sample_stage_sequential(
-                    &ctx,
-                    &scratch.offsets,
-                    &sw,
-                    carries_aux.then_some(sprev.as_slice()),
-                    &mut snext,
-                    &mut ps_buffers,
-                    &mut per_partition_steps,
-                    &mut ring_prefetches,
-                    visits.as_deref_mut(),
-                    iter,
-                    seed,
-                    probe,
-                    tel,
-                );
-            }
-            stage.sample += t1.elapsed();
-            if traced {
-                if let Some(s) = span1 {
-                    tel.span_since(Stage::Sample, s, iter as u32, NO_PARTITION);
-                }
-                // Per-partition counters from the shuffle occupancy:
-                // live walkers land grouped by VP (dead walkers go to
-                // the dead bin past `partitions.len()`), and every live
-                // walker takes exactly one step per iteration, so bin
-                // width equals steps taken in that partition.
-                for (pi, part) in self.plan.partitions.iter().enumerate() {
-                    let occ = (scratch.offsets[pi + 1] - scratch.offsets[pi]) as u64;
-                    tel.record_partition_step(pi, occ, part.policy == SamplePolicy::PreSample);
-                    // Ring attribution: the depth actually achieved this
-                    // iteration (capped by the partition's live walkers)
-                    // and the hints issued on its behalf.
-                    let issued =
-                        ring_prefetches[pi] - pf_before.as_ref().map_or(0, |b| b[pi]);
-                    let ring_occ = if occ == 0 {
-                        0
-                    } else {
-                        self.ring_depths[pi].min(occ as usize) as u64
-                    };
-                    tel.record_partition_ring(pi, ring_occ, issued);
-                }
-            }
-
-            // Shuffle: gather back into walker order.  The parallel
-            // gather rebuilds its cursors in place from the count matrix
-            // `par_count` left in the scratch — no per-step clone.
-            let span2 = traced.then(|| tel.now_ns());
-            let t2 = Instant::now();
-            if parallel_shuffle {
-                let pool = pool.as_ref().expect("parallel shuffle requires the pool");
-                shuffler.par_gather(
-                    &w,
-                    &snext,
-                    &mut w_next,
-                    second_order.then_some(sw.as_slice()),
-                    second_order
-                        .then_some(prev_next.as_mut_slice())
-                        .map(|s| &mut s[..]),
-                    pool,
-                    &mut scratch,
-                );
-            } else {
-                shuffler.gather(
-                    &w,
-                    &snext,
-                    &mut w_next,
-                    second_order.then_some(sw.as_slice()),
-                    second_order
-                        .then_some(prev_next.as_mut_slice())
-                        .map(|s| &mut s[..]),
-                    &mut scratch,
-                    ShuffleAddrs {
-                        src: self.addr.w,
-                        dst: self.addr.snext_region,
-                    },
-                    probe,
-                );
-            }
-            std::mem::swap(&mut w, &mut w_next);
-            if second_order {
-                std::mem::swap(&mut prev, &mut prev_next);
-            }
-            stage.shuffle += t2.elapsed();
-            if let Some(s) = span2 {
-                tel.span_since(Stage::Shuffle, s, iter as u32, NO_PARTITION);
-            }
-
-            let span3 = (traced && self.config.record_paths).then(|| tel.now_ns());
-            let t3 = Instant::now();
-            if self.config.record_paths {
-                rows.push(w.clone());
-            }
-            stage.other += t3.elapsed();
-            if let Some(s) = span3 {
-                tel.span_since(Stage::Output, s, iter as u32, NO_PARTITION);
-            }
-            tel.tick(iter + 1, steps, steps_taken);
-
-            // Checkpoint at the epoch boundary: the walker state here is
-            // exactly the input of iteration `iter + 1`, so the snapshot
-            // captures a clean inter-iteration cut.  Generations derive
-            // from the absolute iteration, so a resumed run that keeps
-            // checkpointing continues the numbering seamlessly.
-            //
-            // The expensive part (encode + CRC + write + fsync) runs on
-            // a background thread, overlapped with the next `every`
-            // iterations of compute; the walk loop only pays for the
-            // state clone and for joining the previous generation's
-            // write (normally long finished).  A halted generation is
-            // written synchronously so the snapshot is durable before
-            // `Halted` returns.
-            if let Some(ck) = ckpt {
-                if checkpointing && (iter + 1) % ck.every == 0 {
-                    let span = traced.then(|| tel.now_ns());
-                    let generation = ((iter + 1) / ck.every) as u64;
-                    let snap = WalkSnapshot {
-                        seed,
-                        iter_next: (iter + 1) as u64,
-                        steps_total: steps as u64,
-                        walkers: walkers as u64,
-                        steps_taken,
-                        config_tag,
-                        graph_tag,
-                        per_partition_steps: per_partition_steps.clone(),
-                        w: w.clone(),
-                        prev: prev.clone(),
-                        visits: visits.clone().unwrap_or_default(),
-                        ps: ps_buffers
-                            .iter()
-                            .map(|o| {
-                                o.as_ref().map(|b| {
-                                    let (buf, cursor) = b.export();
-                                    PsPartState { buf, cursor }
-                                })
-                            })
-                            .collect(),
-                        rows: rows.clone(),
-                        biblock: None,
-                    };
-                    // Reclaim the sink: idle, or still finishing the
-                    // previous generation's background write.
-                    let mut s = match pending.take() {
-                        Some(handle) => join_checkpoint(handle, tel)?,
-                        None => sink.take().expect("sink is idle"),
-                    };
-                    if allow_parallel && ck.halt_after != Some(generation) {
-                        pending = Some(std::thread::spawn(move || {
-                            let before = s.retries;
-                            let result = s.save(generation, &snap);
-                            let retries = s.retries - before;
-                            (s, retries, result)
-                        }));
-                    } else {
-                        let before = s.retries;
-                        let result = s.save(generation, &snap);
-                        tel.record_io_retries(s.retries - before);
-                        result?;
-                        sink = Some(s);
-                    }
-                    if let Some(sp) = span {
-                        tel.span_since(Stage::Checkpoint, sp, iter as u32, NO_PARTITION);
-                    }
-                    if ck.halt_after == Some(generation) {
-                        return Err(WalkError::Halted { generation });
-                    }
-                }
-            }
-        }
-        // Wait out an in-flight background checkpoint before reporting
-        // the run complete (and surface any deferred write error).
-        if let Some(handle) = pending.take() {
-            join_checkpoint(handle, tel)?;
-        }
-        *self.lock_ps_pool() = Some(ps_buffers);
-
-        let wall = wall_start.elapsed();
-        stage.other += wall.saturating_sub(stage.sample + stage.shuffle + stage.other);
-        let output = if self.config.record_paths {
-            WalkOutput::new(rows, walkers, Arc::clone(&self.relabel))
-        } else {
-            WalkOutput::new(vec![w], walkers, Arc::clone(&self.relabel))
-        };
-        let stats = RunStats {
-            walkers,
-            steps_taken,
-            wall,
-            stages: stage,
-            init,
-            per_partition_steps,
-            per_partition_prefetches: ring_prefetches,
-            visits_sorted: visits,
-            pool: pool.as_ref().map(WorkerPool::stats).unwrap_or_default(),
-        };
-        Ok((output, stats))
-    }
-
-    /// The parked PS buffers.  The lock is only ever held to move the
-    /// set out or in, so a poisoned lock still guards a valid value.
-    fn lock_ps_pool(&self) -> MutexGuard<'_, Option<PsSet>> {
-        self.ps_pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn build_shuffler(&self) -> Shuffler<'_> {
@@ -1353,23 +1403,20 @@ impl FlashMob {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn sample_stage_sequential<P: Probe>(
         &self,
+        state: &mut EpochState,
         ctx: &AlgoCtx<'_>,
-        offsets: &[u32],
-        sw: &[VertexId],
-        sprev: Option<&[VertexId]>,
-        snext: &mut [VertexId],
-        ps_buffers: &mut [Option<PsBuffers>],
-        per_partition_steps: &mut [u64],
-        ring_prefetches: &mut [u64],
-        mut visits: Option<&mut [u64]>,
-        iter: usize,
-        seed: u64,
         probe: &mut P,
         tel: &mut Telemetry,
     ) -> u64 {
+        let (seed, iter) = (state.seed, state.iter);
+        let s = &mut state.scratch;
+        let (offsets, sw) = (&s.shuffle.offsets, s.sw.as_slice());
+        let (snext, ring_prefetches) = (s.snext.as_mut_slice(), s.ring_prefetches.as_mut_slice());
+        let (ps_buffers, per_partition_steps) = (&mut state.ps, &mut state.per_partition_steps);
+        let sprev = self.carries_aux().then_some(s.sprev.as_slice());
+        let mut visits = state.visits.as_deref_mut();
         let mut taken = 0u64;
         let hw = tel.hw_enabled();
         for (pi, part) in self.plan.partitions.iter().enumerate() {
@@ -1425,22 +1472,19 @@ impl FlashMob {
     /// Walkers whose candidate is rejected re-enter the proposal loop in
     /// the next round (their slots stay grouped by source VP because the
     /// shuffled array is partition-ordered).
-    #[allow(clippy::too_many_arguments)]
     fn sample_stage_node2vec_batched<P: Probe>(
         &self,
+        state: &mut EpochState,
         ctx: &AlgoCtx<'_>,
-        offsets: &[u32],
-        sw: &[VertexId],
-        sprev: &[VertexId],
-        snext: &mut [VertexId],
-        ps_buffers: &mut [Option<PsBuffers>],
-        per_partition_steps: &mut [u64],
-        ring_prefetches: &mut [u64],
-        mut visits: Option<&mut [u64]>,
-        iter: usize,
-        seed: u64,
         probe: &mut P,
     ) -> u64 {
+        let (seed, iter) = (state.seed, state.iter);
+        let s = &mut state.scratch;
+        let (offsets, sw) = (&s.shuffle.offsets, s.sw.as_slice());
+        let (snext, ring_prefetches) = (s.snext.as_mut_slice(), s.ring_prefetches.as_mut_slice());
+        let (ps_buffers, per_partition_steps) = (&mut state.ps, &mut state.per_partition_steps);
+        let sprev = s.sprev.as_slice();
+        let mut visits = state.visits.as_deref_mut();
         let rule = ctx.rule;
         let parts = &self.plan.partitions;
         let mut taken = 0u64;
@@ -1514,9 +1558,7 @@ impl FlashMob {
                 continue;
             }
             let addr = self.task_addrs(pi);
-            let (head, tail) = ps_buffers.split_at_mut(pi);
-            let _ = head;
-            let ps = &mut tail[0];
+            let ps = &mut ps_buffers[pi];
             for slot in a..b {
                 let v = sw[slot];
                 probe.touch(
@@ -1647,9 +1689,7 @@ impl FlashMob {
                 let t = sprev[slot as usize];
                 let pi = self.plan.map.partition_of(v);
                 let addr = self.task_addrs(pi);
-                let (head, tail) = ps_buffers.split_at_mut(pi);
-                let _ = head;
-                let ps = &mut tail[0];
+                let ps = &mut ps_buffers[pi];
                 if let Some(next) = try_resolve(
                     self,
                     ctx,
@@ -1687,24 +1727,20 @@ impl FlashMob {
     /// Each partition keeps its own seeded RNG stream regardless of
     /// which worker runs it, so first-order output is bit-identical to
     /// the sequential stage.
-    #[allow(clippy::too_many_arguments)]
     fn sample_stage_parallel(
         &self,
-        pool: &WorkerPool,
+        state: &mut EpochState,
         ctx: &AlgoCtx<'_>,
-        offsets: &[u32],
-        sw: &[VertexId],
-        sprev: Option<&[VertexId]>,
-        snext: &mut [VertexId],
-        ps_buffers: &mut [Option<PsBuffers>],
-        per_partition_steps: &mut [u64],
-        ring_prefetches: &mut [u64],
-        visits: Option<&mut [u64]>,
-        ranges: &mut Vec<(usize, usize)>,
-        iter: usize,
-        seed: u64,
+        pool: &WorkerPool,
         tel: &mut Telemetry,
     ) -> u64 {
+        let (seed, iter) = (state.seed, state.iter);
+        let s = &mut state.scratch;
+        let (offsets, sw) = (&s.shuffle.offsets, s.sw.as_slice());
+        let (snext, ring_prefetches) = (s.snext.as_mut_slice(), s.ring_prefetches.as_mut_slice());
+        let (ps_buffers, per_partition_steps) = (&mut state.ps, &mut state.per_partition_steps);
+        let sprev = self.carries_aux().then_some(s.sprev.as_slice());
+        let (ranges, visits) = (&mut s.sample_ranges, state.visits.as_deref_mut());
         let parts = &self.plan.partitions;
         let threads = pool.threads().min(parts.len()).max(1);
         // Contiguous partition ranges balanced by walker count (at most
@@ -2319,20 +2355,58 @@ mod tests {
             // The checkpointing run inherits buffers, so its snapshot
             // carries the previous run's samples in the slots it has not
             // refilled yet; the halt drops the set.
-            let mut spec = CheckpointSpec::new(&dir, 2);
-            spec.halt_after = Some(1);
+            let halt = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 2).halt_after(1));
             assert!(matches!(
-                engine.run_with_checkpoints(&spec),
+                engine.run_with(&halt, &mut Telemetry::off()),
                 Err(WalkError::Halted { generation: 1 })
             ));
             // Park a set again, so the resume imports into inherited
             // buffers.
             engine.run().unwrap();
-            let (resumed, _) = engine.resume(&dir).unwrap();
+            let resume = RunOptions::default().resume_from(&dir);
+            let (resumed, _) = engine.run_with(&resume, &mut Telemetry::off()).unwrap();
             std::fs::remove_dir_all(&dir).ok();
             assert_eq!(resumed.paths(), want.paths(), "{algo}");
             assert_eq!(engine.run().unwrap().paths(), want.paths(), "{algo}: after");
         }
+    }
+
+    #[test]
+    fn config_tag_and_snapshot_bytes_are_pinned() {
+        // Recorded on the commit before `run_with` replaced the
+        // checkpoint/resume entry points: the tag a snapshot is checked
+        // against, and the bytes of a generation-1 snapshot file, must
+        // not move, or checkpoints written before stop resuming after.
+        let g = synth::power_law(400, 2.0, 2, 40, 9);
+        let cfg = WalkConfig::node2vec(0.5, 2.0)
+            .walkers(120)
+            .steps(6)
+            .seed(7)
+            .planner(small_params())
+            .strategy(PlanStrategy::UniformPs)
+            .record_visits(true)
+            .init(WalkerInit::Fixed(vec![3, 1, 4, 1, 5]));
+        let engine = FlashMob::new(&g, cfg).unwrap();
+        assert_eq!(engine.config_tag(), 0x6ab7_3c64_5a59_945e);
+        let dir = std::env::temp_dir().join(format!("fm_engine_pin_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let halt = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 2).halt_after(1));
+        assert!(matches!(
+            engine.run_with(&halt, &mut Telemetry::off()),
+            Err(WalkError::Halted { generation: 1 })
+        ));
+        let bytes = std::fs::read(dir.join(CheckpointSink::snapshot_name(1))).unwrap();
+        assert_eq!(bytes.len(), 18734);
+        assert_eq!(fm_recover::fnv64(&bytes), 0x73a5_22e7_dde1_a622);
+        let resume = RunOptions::default().resume_from(&dir);
+        let (resumed, stats) = engine.run_with(&resume, &mut Telemetry::off()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let mut paths = Fingerprint::new();
+        for v in resumed.paths().into_iter().flatten() {
+            paths.fold_u64(v as u64);
+        }
+        assert_eq!(paths.value(), 0x3beb_aec7_c1eb_9bca);
+        assert_eq!(stats.steps_taken, 720);
     }
 
     /// Blocks its run at the first memory access until the other run has

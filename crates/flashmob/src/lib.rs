@@ -37,6 +37,18 @@
 //! let engine = FlashMob::new(&graph, config).unwrap();
 //! let output = engine.run().unwrap();
 //! assert_eq!(output.paths().len(), 1000);
+//!
+//! // `run`, `run_with_stats` and `run_traced` spell `run_with` under
+//! // default options; with options the same call checkpoints and resumes
+//! // (`oocore::run_ooc_with` and `numa::run_numa_paths_with` likewise).
+//! use flashmob::{CheckpointSpec, RunOptions};
+//! # let dir = std::env::temp_dir().join(format!("fm-doc-{}", std::process::id()));
+//! let opts = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 4));
+//! engine.run_with(&opts, &mut fm_telemetry::Telemetry::off()).unwrap();
+//! let opts = RunOptions::default().resume_from(&dir);
+//! let (resumed, _) = engine.run_with(&opts, &mut fm_telemetry::Telemetry::off()).unwrap();
+//! assert_eq!(resumed.paths(), output.paths());
+//! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
 pub mod algorithm;
@@ -55,7 +67,7 @@ pub mod walker;
 
 pub use algorithm::{MetapathPattern, StopRule, WalkAlgorithm, MAX_METAPATH_LEN};
 pub use program::WalkProgram;
-pub use engine::{partition_stream_id, FlashMob, RunStats, StageTimes};
+pub use engine::{partition_stream_id, FlashMob, RunOptions, RunStats, StageTimes};
 pub use output::WalkOutput;
 pub use partition::{Partition, PartitionMap, SamplePolicy};
 pub use pool::{DisjointSlice, PoolStats, WorkerPool};

@@ -25,7 +25,8 @@ use fm_memsim::{HierarchyConfig, MemorySystem};
 use fm_recover::{CheckpointSpec, MANIFEST_NAME};
 use fm_telemetry::Telemetry;
 
-use crate::engine::FlashMob;
+use crate::engine::{FlashMob, RunOptions, RunStats};
+use crate::output::WalkOutput;
 use crate::pool::PoolStats;
 use crate::{WalkConfig, WalkError};
 
@@ -133,21 +134,6 @@ pub fn run_numa(
     machine: &NumaMachine,
     mode: NumaMode,
 ) -> Result<NumaReport, WalkError> {
-    run_numa_traced(graph, base, machine, mode, &mut Telemetry::off())
-}
-
-/// [`run_numa`] with telemetry: in R-mode each socket records into its
-/// own recorder (tagged with the socket index as the trace pid) which is
-/// then merged into `tel` — spans keep per-socket attribution and the
-/// partition counters sum exactly once, so the merged
-/// `partition_steps_total` equals the total steps across sockets.
-pub fn run_numa_traced(
-    graph: &Csr,
-    base: WalkConfig,
-    machine: &NumaMachine,
-    mode: NumaMode,
-    tel: &mut Telemetry,
-) -> Result<NumaReport, WalkError> {
     let second_order = base.algorithm.is_second_order();
     let walkers = walker_capacity(graph, machine, mode, second_order).max(machine.sockets);
     match mode {
@@ -158,7 +144,7 @@ pub fn run_numa_traced(
             // simulated sockets.
             let config = base.clone().walkers(walkers).record_paths(false);
             let engine = FlashMob::new(graph, config)?;
-            let (_, stats) = engine.run_traced(tel)?;
+            let (_, stats) = engine.run_with_stats()?;
 
             // Instrumented verification: place the walker arrays beyond a
             // remote boundary covering half the address space, proving
@@ -184,36 +170,29 @@ pub fn run_numa_traced(
             })
         }
         NumaMode::Replicated => {
-            // Independent per-socket instances; run them serially and
-            // average (a single measured socket is representative — the
-            // instances share nothing).
+            // Independent per-socket instances of equal size; run them
+            // serially and average (a single measured socket is
+            // representative — the instances share nothing).
             let per_socket = walkers / machine.sockets;
-            let mut total_ns = 0.0;
-            let mut total_steps = 0u64;
-            let mut pool = PoolStats::default();
-            for s in 0..machine.sockets {
-                let config = base
-                    .clone()
-                    .walkers(per_socket)
-                    .seed(base.seed.wrapping_add(s as u64))
-                    .record_paths(false);
-                let engine = FlashMob::new(graph, config)?;
-                let mut socket_tel = socket_recorder(tel, s);
-                let (_, stats) = engine.run_traced(&mut socket_tel)?;
-                tel.absorb(socket_tel);
-                total_ns += stats.wall.as_nanos() as f64;
-                total_steps += stats.steps_taken;
-                pool.spawned += stats.pool.spawned;
-                pool.epochs += stats.pool.epochs;
-                pool.idle += stats.pool.idle;
-            }
+            let config = base
+                .walkers(per_socket * machine.sockets)
+                .record_paths(false);
+            let mut total = RunStats::default();
+            for_each_socket(
+                graph,
+                &config,
+                machine.sockets,
+                &RunOptions::default(),
+                &mut Telemetry::off(),
+                |_, stats| total.absorb(&stats),
+            )?;
             Ok(NumaReport {
                 mode,
                 walkers,
                 density: per_socket as f64 / graph.edge_count() as f64,
-                per_step_ns: total_ns / total_steps.max(1) as f64 / machine.sockets as f64,
+                per_step_ns: total.per_step_ns() / machine.sockets as f64,
                 remote_loads_per_step: 0.0,
-                pool,
+                pool: total.pool,
             })
         }
     }
@@ -234,166 +213,108 @@ pub fn run_numa_paths(
     base: WalkConfig,
     mode: NumaMode,
     sockets: usize,
-) -> Result<Vec<crate::output::WalkOutput>, WalkError> {
-    run_numa_paths_traced(graph, base, mode, sockets, &mut Telemetry::off())
+) -> Result<Vec<WalkOutput>, WalkError> {
+    run_numa_paths_with(
+        graph,
+        base,
+        mode,
+        sockets,
+        &RunOptions::default(),
+        &mut Telemetry::off(),
+    )
 }
 
-/// [`run_numa_paths`] with telemetry, following the same per-socket
-/// merge protocol as [`run_numa_traced`]: each R-mode socket records
-/// into a pid-tagged recorder absorbed into `tel`, so counters sum
-/// exactly once across sockets.
-pub fn run_numa_paths_traced(
-    graph: &Csr,
-    base: WalkConfig,
-    mode: NumaMode,
-    sockets: usize,
-    tel: &mut Telemetry,
-) -> Result<Vec<crate::output::WalkOutput>, WalkError> {
-    if sockets == 0 {
-        return Err(WalkError::Planning("need at least one socket".into()));
-    }
-    match mode {
-        NumaMode::Partitioned => {
-            let engine = FlashMob::new(graph, base.record_paths(true))?;
-            Ok(vec![engine.run_traced(tel)?.0])
-        }
-        NumaMode::Replicated => {
-            let total = base.walkers;
-            if total < sockets {
-                return Err(WalkError::NoWalkers);
-            }
-            let share = total / sockets;
-            let mut outputs = Vec::with_capacity(sockets);
-            for s in 0..sockets {
-                // The first socket absorbs the remainder so every walker
-                // is accounted for.
-                let walkers = if s == 0 { total - share * (sockets - 1) } else { share };
-                let config = base
-                    .clone()
-                    .walkers(walkers)
-                    .seed(base.seed.wrapping_add(s as u64))
-                    .record_paths(true);
-                let engine = FlashMob::new(graph, config)?;
-                let mut socket_tel = socket_recorder(tel, s);
-                outputs.push(engine.run_traced(&mut socket_tel)?.0);
-                tel.absorb(socket_tel);
-            }
-            Ok(outputs)
-        }
-    }
-}
-
-/// The checkpoint directory of R-mode socket `s` under the run's root
-/// checkpoint directory (P-mode uses the root directly — it is one
-/// spanning engine instance).
-fn socket_dir(root: &Path, s: usize) -> std::path::PathBuf {
-    root.join(format!("socket-{s}"))
-}
-
-/// [`run_numa_paths_traced`] with crash-consistent checkpointing.
+/// [`run_numa_paths`] with checkpointing, resume and telemetry.
 ///
-/// P-mode delegates to the spanning engine's checkpoint path.  R-mode
-/// gives every socket its own subdirectory (`<dir>/socket-<s>`) so the
-/// independent instances never race on a manifest; sockets run serially,
-/// so a `halt_after` kill stops the whole mode at the first socket that
-/// reaches it — exactly the state [`resume_numa_paths`] recovers from.
-pub fn run_numa_paths_with_checkpoints(
+/// P-mode hands `opts` to the spanning engine as they are.  R-mode gives
+/// every socket its own subdirectory (`<dir>/socket-<s>`) of the
+/// checkpoint and resume directories, so the independent instances never
+/// race on a manifest; sockets run serially, so a `halt_after` kill stops
+/// the whole mode at the first socket that reaches it.  On resume the
+/// sockets then recover independently: one whose subdirectory holds a
+/// checkpoint resumes from it (one that had already finished resumes from
+/// its final checkpoint and completes in zero iterations); one the kill
+/// never reached starts fresh.  Either way the outputs are bit-identical
+/// to the uninterrupted run's.
+///
+/// Each R-mode socket records into its own recorder (tagged with the
+/// socket index as the trace pid) which is then merged into `tel` —
+/// spans keep per-socket attribution and the partition counters sum
+/// exactly once, so the merged `partition_steps_total` equals the total
+/// steps across sockets.
+pub fn run_numa_paths_with(
     graph: &Csr,
     base: WalkConfig,
     mode: NumaMode,
     sockets: usize,
-    spec: &CheckpointSpec,
+    opts: &RunOptions,
     tel: &mut Telemetry,
-) -> Result<Vec<crate::output::WalkOutput>, WalkError> {
+) -> Result<Vec<WalkOutput>, WalkError> {
     if sockets == 0 {
         return Err(WalkError::Planning("need at least one socket".into()));
     }
+    let base = base.record_paths(true);
     match mode {
         NumaMode::Partitioned => {
-            let engine = FlashMob::new(graph, base.record_paths(true))?;
-            Ok(vec![engine.run_with_checkpoints_traced(spec, tel)?.0])
+            let engine = FlashMob::new(graph, base)?;
+            Ok(vec![engine.run_with(opts, tel)?.0])
         }
         NumaMode::Replicated => {
-            let total = base.walkers;
-            if total < sockets {
-                return Err(WalkError::NoWalkers);
-            }
-            let share = total / sockets;
             let mut outputs = Vec::with_capacity(sockets);
-            for s in 0..sockets {
-                let walkers = if s == 0 { total - share * (sockets - 1) } else { share };
-                let config = base
-                    .clone()
-                    .walkers(walkers)
-                    .seed(base.seed.wrapping_add(s as u64))
-                    .record_paths(true);
-                let engine = FlashMob::new(graph, config)?;
-                let socket_spec = CheckpointSpec {
-                    dir: socket_dir(&spec.dir, s),
-                    ..spec.clone()
-                };
-                let mut socket_tel = socket_recorder(tel, s);
-                let result = engine.run_with_checkpoints_traced(&socket_spec, &mut socket_tel);
-                tel.absorb(socket_tel);
-                outputs.push(result?.0);
-            }
+            for_each_socket(graph, &base, sockets, opts, tel, |out, _| outputs.push(out))?;
             Ok(outputs)
         }
     }
 }
 
-/// Resumes a [`run_numa_paths_with_checkpoints`] run killed mid-flight,
-/// producing outputs bit-identical to the uninterrupted run's.
+/// R-mode: runs `base.walkers` walkers as `sockets` independent engine
+/// instances, one after another, handing each socket's result to `visit`.
 ///
-/// R-mode sockets recover independently: a socket whose subdirectory
-/// holds a checkpoint resumes from it (a socket that had already
-/// finished resumes from its final checkpoint and completes in zero
-/// iterations); a socket the kill never reached starts fresh.
-pub fn resume_numa_paths(
+/// Socket `s` gets its share of the walkers (the first socket absorbs
+/// the remainder so every walker is accounted for), seed `seed + s`, the
+/// `socket-<s>` subdirectory of `opts`' directories — resuming only if
+/// that subdirectory holds a manifest — and a recorder of its own (see
+/// [`socket_recorder`]), merged into `tel` whether or not the run
+/// succeeded.  Stops at the first socket that fails.
+fn for_each_socket(
     graph: &Csr,
-    base: WalkConfig,
-    mode: NumaMode,
+    base: &WalkConfig,
     sockets: usize,
-    dir: impl AsRef<Path>,
+    opts: &RunOptions,
     tel: &mut Telemetry,
-) -> Result<Vec<crate::output::WalkOutput>, WalkError> {
-    if sockets == 0 {
-        return Err(WalkError::Planning("need at least one socket".into()));
+    mut visit: impl FnMut(WalkOutput, RunStats),
+) -> Result<(), WalkError> {
+    let total = base.walkers;
+    if total < sockets {
+        return Err(WalkError::NoWalkers);
     }
-    let dir = dir.as_ref();
-    match mode {
-        NumaMode::Partitioned => {
-            let engine = FlashMob::new(graph, base.record_paths(true))?;
-            Ok(vec![engine.resume_with(dir, None, tel)?.0])
-        }
-        NumaMode::Replicated => {
-            let total = base.walkers;
-            if total < sockets {
-                return Err(WalkError::NoWalkers);
-            }
-            let share = total / sockets;
-            let mut outputs = Vec::with_capacity(sockets);
-            for s in 0..sockets {
-                let walkers = if s == 0 { total - share * (sockets - 1) } else { share };
-                let config = base
-                    .clone()
-                    .walkers(walkers)
-                    .seed(base.seed.wrapping_add(s as u64))
-                    .record_paths(true);
-                let engine = FlashMob::new(graph, config)?;
-                let sdir = socket_dir(dir, s);
-                let mut socket_tel = socket_recorder(tel, s);
-                let result = if sdir.join(MANIFEST_NAME).is_file() {
-                    engine.resume_with(&sdir, None, &mut socket_tel)
-                } else {
-                    engine.run_traced(&mut socket_tel)
-                };
-                tel.absorb(socket_tel);
-                outputs.push(result?.0);
-            }
-            Ok(outputs)
-        }
+    let share = total / sockets;
+    for s in 0..sockets {
+        let walkers = if s == 0 { total - share * (sockets - 1) } else { share };
+        let config = base
+            .clone()
+            .walkers(walkers)
+            .seed(base.seed.wrapping_add(s as u64));
+        let engine = FlashMob::new(graph, config)?;
+        let socket_dir = |root: &Path| root.join(format!("socket-{s}"));
+        let socket_opts = RunOptions {
+            checkpoint: opts.checkpoint.as_ref().map(|spec| CheckpointSpec {
+                dir: socket_dir(&spec.dir),
+                ..spec.clone()
+            }),
+            resume_from: opts
+                .resume_from
+                .as_deref()
+                .map(socket_dir)
+                .filter(|dir| dir.join(MANIFEST_NAME).is_file()),
+        };
+        let mut socket_tel = socket_recorder(tel, s);
+        let result = engine.run_with(&socket_opts, &mut socket_tel);
+        tel.absorb(socket_tel);
+        let (output, stats) = result?;
+        visit(output, stats);
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -444,9 +365,10 @@ mod tests {
                 min_vp_vertices: 8,
                 ..PlannerParams::default()
             });
-        let mut tel = Telemetry::new();
+        let (opts, mut tel) = (RunOptions::default(), Telemetry::new());
         let outputs =
-            run_numa_paths_traced(&g, base.clone(), NumaMode::Replicated, 3, &mut tel).unwrap();
+            run_numa_paths_with(&g, base.clone(), NumaMode::Replicated, 3, &opts, &mut tel)
+                .unwrap();
         assert_eq!(outputs.len(), 3);
         // 120 walkers × 4 steps across all sockets, counted exactly once
         // in the merged recorder.
@@ -471,9 +393,9 @@ mod tests {
     fn traced_numa_partitioned_counts_exactly() {
         let g = synth::power_law(300, 2.0, 1, 30, 4);
         let base = crate::WalkConfig::deepwalk().walkers(90).steps(3).seed(2);
-        let mut tel = Telemetry::new();
+        let (opts, mut tel) = (RunOptions::default(), Telemetry::new());
         let outputs =
-            run_numa_paths_traced(&g, base, NumaMode::Partitioned, 2, &mut tel).unwrap();
+            run_numa_paths_with(&g, base, NumaMode::Partitioned, 2, &opts, &mut tel).unwrap();
         assert_eq!(outputs.len(), 1, "P-mode is a single spanning instance");
         assert_eq!(tel.partition_steps_total(), 90 * 3);
     }

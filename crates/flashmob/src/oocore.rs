@@ -41,7 +41,7 @@ use crate::output::WalkOutput;
 use crate::plan::Planner;
 use crate::sample::ring;
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
-use crate::walker::{initialize_from_offsets, WalkerInit};
+use crate::walker::{fold_init, initialize_from_offsets, WalkerInit};
 use crate::{Partition, PartitionMap, SamplePolicy, WalkConfig, WalkError, DEAD};
 
 const MAGIC: &[u8; 8] = b"FMDISK1\0";
@@ -346,24 +346,12 @@ pub fn run_ooc(
     config: &WalkConfig,
     partition_budget_bytes: usize,
 ) -> Result<(WalkOutput, OocStats), WalkError> {
-    run_ooc_traced(disk, config, partition_budget_bytes, &mut Telemetry::off())
-}
-
-/// [`run_ooc`] with telemetry: Shuffle/Sample spans per iteration, an
-/// Io span per partition read, per-partition counters (steps plus the
-/// actual adjacency bytes streamed from disk), and heartbeat ticks.
-pub fn run_ooc_traced(
-    disk: &DiskGraph,
-    config: &WalkConfig,
-    partition_budget_bytes: usize,
-    tel: &mut Telemetry,
-) -> Result<(WalkOutput, OocStats), WalkError> {
     run_ooc_with(
         disk,
         config,
         partition_budget_bytes,
         &OocOptions::default(),
-        tel,
+        &mut Telemetry::off(),
     )
 }
 
@@ -379,27 +367,6 @@ fn init_positions(disk: &DiskGraph, config: &WalkConfig) -> Vec<VertexId> {
         other => other,
     };
     initialize_from_offsets(&disk.offsets, init, config.walkers, config.seed)
-}
-
-/// Folds the walker-initialization mode into a fingerprint.
-fn fold_init(fp: &mut Fingerprint, init: &WalkerInit) {
-    match init {
-        WalkerInit::UniformVertex => {
-            fp.fold_u64(1);
-        }
-        WalkerInit::UniformEdge => {
-            fp.fold_u64(2);
-        }
-        WalkerInit::EveryVertex => {
-            fp.fold_u64(3);
-        }
-        WalkerInit::Fixed(starts) => {
-            fp.fold_u64(4).fold_u64(starts.len() as u64);
-            for &s in starts {
-                fp.fold_u64(s as u64);
-            }
-        }
-    }
 }
 
 /// Fingerprint of everything that determines the out-of-core chain;
@@ -453,9 +420,12 @@ fn ooc_graph_tag(disk: &DiskGraph) -> u64 {
     fp.value()
 }
 
-/// [`run_ooc`] with the full robustness surface: crash-consistent
+/// [`run_ooc`] with the full robustness surface — crash-consistent
 /// checkpoints, resume, seeded fault injection on the read stream, and
-/// bounded retries with exponential backoff for transient IO errors.
+/// bounded retries with exponential backoff for transient IO errors —
+/// and telemetry: Shuffle/Sample spans per iteration, an Io span per
+/// partition read, per-partition counters (steps plus the actual
+/// adjacency bytes streamed from disk), and heartbeat ticks.
 pub fn run_ooc_with(
     disk: &DiskGraph,
     config: &WalkConfig,
@@ -1547,7 +1517,7 @@ mod tests {
         let disk = DiskGraph::create(&g, &path).unwrap();
         let cfg = WalkConfig::deepwalk().walkers(200).steps(6).seed(9);
         let mut tel = Telemetry::new();
-        let (out, stats) = run_ooc_traced(&disk, &cfg, 8 << 10, &mut tel).unwrap();
+        let (out, stats) = run_ooc_with(&disk, &cfg, 8 << 10, &OocOptions::default(), &mut tel).unwrap();
         assert_eq!(tel.partition_steps_total(), stats.steps_taken);
         // One Io span per performed partition read, none for skips.
         assert_eq!(tel.stage(Stage::Io).spans, stats.partitions_read);
@@ -1854,7 +1824,7 @@ mod tests {
             let (disk, budget) = complete_in_blocks(blocks, per_block, "bb_loads.fmdisk");
             let cfg = WalkConfig::node2vec(0.5, 2.0).walkers(3000).steps(24).seed(17);
             let mut tel = Telemetry::new();
-            let (_, stats) = run_ooc_traced(&disk, &cfg, budget, &mut tel).unwrap();
+            let (_, stats) = run_ooc_with(&disk, &cfg, budget, &OocOptions::default(), &mut tel).unwrap();
             assert_eq!(tel.dropped(), 0);
             assert_eq!(tel.stage(Stage::Io).spans, stats.blocks_streamed);
 
@@ -2451,7 +2421,13 @@ mod tests {
         for depth in [1usize, 8] {
             let mut tel = Telemetry::new();
             let (_, stats) =
-                run_ooc_traced(&disk, &cfg.clone().ring_depth(depth), budget, &mut tel).unwrap();
+                run_ooc_with(
+                    &disk,
+                    &cfg.clone().ring_depth(depth),
+                    budget,
+                    &OocOptions::default(),
+                    &mut tel,
+                ).unwrap();
             let hinted: u64 = tel
                 .partition_counters()
                 .iter()
@@ -2481,5 +2457,19 @@ mod tests {
             Err(WalkError::Planning(_))
         ));
         std::fs::remove_file(&disk.path).ok();
+    }
+    #[test]
+    fn config_tags_are_pinned() {
+        // Recorded before `fold_init` moved next to `WalkerInit`: the
+        // tags of snapshots already on disk must not move.
+        let cfg = WalkConfig::deepwalk()
+            .walkers(120)
+            .steps(6)
+            .seed(7)
+            .init(WalkerInit::Fixed(vec![3, 1, 4, 1, 5]));
+        assert_eq!(ooc_config_tag(&cfg, 8 << 10), 0x97a1_1302_f73f_91d9);
+        let mut n2v = cfg;
+        n2v.algorithm = crate::WalkAlgorithm::Node2Vec { p: 0.5, q: 2.0 };
+        assert_eq!(biblock_config_tag(&n2v, 4 << 10), 0x42fd_9401_df02_e5bc);
     }
 }

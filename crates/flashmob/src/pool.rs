@@ -73,6 +73,15 @@ pub struct PoolStats {
     pub idle: Duration,
 }
 
+impl PoolStats {
+    /// Adds another pool's counters into this total.
+    pub fn absorb(&mut self, other: &PoolStats) {
+        self.spawned += other.spawned;
+        self.epochs += other.epochs;
+        self.idle += other.idle;
+    }
+}
+
 /// Lifetime-erased pointer to the current epoch's job.  Raw (not a
 /// reference) so that a stale value left from a finished epoch is merely
 /// dangling, never an invalid reference.

@@ -7,6 +7,7 @@
 //! `<walker, vertex>` pairs.
 
 use fm_graph::{Csr, VertexId};
+use fm_recover::Fingerprint;
 use fm_rng::{Rng64, Xorshift64Star};
 
 /// How walkers are initially placed on the graph.
@@ -23,6 +24,29 @@ pub enum WalkerInit {
     EveryVertex,
     /// Explicit start vertices (walker `j` starts at `starts[j % len]`).
     Fixed(Vec<VertexId>),
+}
+
+/// Folds the walker-initialization mode into a fingerprint: the one
+/// encoding every engine's configuration tag uses, so a snapshot taken
+/// under one placement never resumes under another.
+pub(crate) fn fold_init(fp: &mut Fingerprint, init: &WalkerInit) {
+    match init {
+        WalkerInit::UniformVertex => {
+            fp.fold_u64(1);
+        }
+        WalkerInit::UniformEdge => {
+            fp.fold_u64(2);
+        }
+        WalkerInit::EveryVertex => {
+            fp.fold_u64(3);
+        }
+        WalkerInit::Fixed(starts) => {
+            fp.fold_u64(4).fold_u64(starts.len() as u64);
+            for &s in starts {
+                fp.fold_u64(s as u64);
+            }
+        }
+    }
 }
 
 /// Materializes the initial walker array `W_0`.

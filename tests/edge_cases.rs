@@ -522,7 +522,8 @@ fn program_state_survives_checkpoint_halt_resume() {
     // Per-walker program state (the origin lane) must ride the snapshot
     // wire format: halting mid-run and resuming reproduces the
     // uninterrupted walk bit for bit, for both stateful programs.
-    use flashmob_repro::flashmob::{CheckpointSpec, WalkAlgorithm, WalkError};
+    use flashmob_repro::flashmob::{CheckpointSpec, RunOptions, WalkAlgorithm, WalkError};
+    use flashmob_repro::telemetry::Telemetry;
     let g = synth::power_law(256, 2.0, 2, 24, 7);
     for algo in [WalkAlgorithm::Ppr { alpha: 0.3 }, WalkAlgorithm::EarlyExit] {
         let make = || {
@@ -544,12 +545,13 @@ fn program_state_survives_checkpoint_halt_resume() {
             }
         ));
         std::fs::remove_dir_all(&dir).ok();
-        let spec = CheckpointSpec::new(&dir, 2).halt_after(1);
-        match make().run_with_checkpoints(&spec) {
+        let halt = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 2).halt_after(1));
+        match make().run_with(&halt, &mut Telemetry::off()) {
             Err(WalkError::Halted { .. }) => {}
             other => panic!("halt_after must stop the run, got {other:?}"),
         }
-        let (resumed, _) = make().resume(&dir).unwrap();
+        let resume = RunOptions::default().resume_from(&dir);
+        let (resumed, _) = make().run_with(&resume, &mut Telemetry::off()).unwrap();
         assert_eq!(
             full.paths(),
             resumed.paths(),

@@ -3,11 +3,12 @@
 //! 1. **Exact recovery**: killing a run at *every* checkpoint
 //!    generation and resuming it reproduces the golden path digest of
 //!    the uninterrupted run, bit for bit, for FlashMob auto/PS/DS at
-//!    1 and 8 threads, for the out-of-core engine, and for every
+//!    1, 3 and 8 threads, for the out-of-core engine, and for every
 //!    registered walk program — whose per-walker origin state, early
 //!    deaths, and edge labels must survive the checkpoint boundary
 //!    (the full crash matrix from
-//!    [`flashmob_repro::conformance::crash`]).
+//!    [`flashmob_repro::conformance::crash`]); so does a run relayed
+//!    through two kills, and a NUMA run killed between its sockets.
 //! 2. **Overhead**: checkpointing every 8 iterations must cost < 5%
 //!    wall time over a checkpoint-free run (best-of-N, interleaved so
 //!    both configurations see the same thermal/cache conditions).
@@ -20,8 +21,11 @@
 use std::time::Instant;
 
 use flashmob_repro::conformance::crash::run_crash_matrix;
+use flashmob_repro::flashmob::numa::{run_numa_paths, run_numa_paths_with, NumaMode};
 use flashmob_repro::flashmob::oocore::{run_ooc, run_ooc_with, DiskGraph, OocOptions};
-use flashmob_repro::flashmob::{CheckpointSpec, FaultPolicy, FlashMob, PlanStrategy, WalkConfig};
+use flashmob_repro::flashmob::{
+    CheckpointSpec, FaultPolicy, FlashMob, PlanStrategy, RunOptions, WalkConfig, WalkError,
+};
 use flashmob_repro::graph::synth;
 use flashmob_repro::telemetry::{export, Telemetry};
 
@@ -37,8 +41,8 @@ fn full_crash_matrix_resumes_bit_exactly() {
         .iter()
         .map(|c| {
             format!(
-                "{} t={} gen={}: {}",
-                c.engine, c.threads, c.generation, c.detail
+                "{} {} t={} kills={:?}: {}",
+                c.engine, c.algo, c.threads, c.kills, c.detail
             )
         })
         .collect();
@@ -47,11 +51,11 @@ fn full_crash_matrix_resumes_bit_exactly() {
         "crash matrix failures:\n{}",
         failures.join("\n")
     );
-    // auto/ps/ds x {1, 8} threads x 4 kill generations + the three
-    // programs (ppr, early-exit, metapath) x auto/ps/ds x {1, 8}
-    // threads x 4 kill generations.
+    // {deepwalk, node2vec} and the three programs (ppr, early-exit,
+    // metapath), each x auto/ps/ds x {1, 3, 8} threads x (4 kill
+    // generations + the two-kill relay).
     let fm = report.cases.iter().filter(|c| c.engine != "oocore").count();
-    assert_eq!(fm, 96);
+    assert_eq!(fm, 5 * 3 * 3 * 5);
     // The oocore cells (deepwalk, node2vec, ppr) each add a
     // fault-transparency case plus one kill per discovered generation;
     // deepwalk's iteration cadence pins 4, the bi-block pair-slot
@@ -90,7 +94,7 @@ fn checkpoint_overhead_stays_under_five_percent() {
 
     let dir = temp_path("overhead_ckpt");
     std::fs::remove_dir_all(&dir).ok();
-    let spec = CheckpointSpec::new(&dir, 8);
+    let checkpointed = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 8));
 
     // Best-of-N interleaved pairs; retry to shrug off scheduler noise.
     let mut ratio = f64::INFINITY;
@@ -102,7 +106,9 @@ fn checkpoint_overhead_stays_under_five_percent() {
             best_plain = best_plain.min(t0.elapsed().as_secs_f64());
 
             let t0 = Instant::now();
-            engine.run_with_checkpoints(&spec).expect("checkpointed");
+            engine
+                .run_with(&checkpointed, &mut Telemetry::off())
+                .expect("checkpointed");
             best_ckpt = best_ckpt.min(t0.elapsed().as_secs_f64());
         }
         ratio = ratio.min(best_ckpt / best_plain);
@@ -116,6 +122,49 @@ fn checkpoint_overhead_stays_under_five_percent() {
         "checkpointed best wall is {:.1}% of checkpoint-free (must be <= 105%)",
         ratio * 100.0
     );
+}
+
+#[cfg(not(feature = "telemetry-off"))]
+#[test]
+fn numa_run_killed_between_sockets_resumes_bit_exactly() {
+    let g = synth::power_law(600, 2.0, 2, 40, 17);
+    let (walkers, steps, every) = (300usize, 8usize, 2usize);
+    let config = WalkConfig::deepwalk().walkers(walkers).steps(steps).seed(31);
+    let halted = |r: Result<_, WalkError>| matches!(r, Err(WalkError::Halted { generation: 2 }));
+    for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
+        let want = run_numa_paths(&g, config.clone(), mode, 3).expect("uninterrupted");
+        let dir = temp_path(&format!("numa_{mode:?}"));
+        std::fs::remove_dir_all(&dir).ok();
+        let kill = || RunOptions::default().checkpoint(CheckpointSpec::new(&dir, every).halt_after(2));
+        let run = |opts: &RunOptions, tel: &mut Telemetry| {
+            run_numa_paths_with(&g, config.clone(), mode, 3, opts, tel)
+        };
+
+        // The first kill lands in the first instance to reach generation
+        // 2: the spanning engine, or socket 0.
+        assert!(halted(run(&kill(), &mut Telemetry::off())), "{mode:?}");
+        let (mut tel, mut executed) = (Telemetry::new(), walkers * (steps - 2 * every));
+        if mode == NumaMode::Replicated {
+            // Resumed under the same options, socket 0 is past its kill
+            // and runs out (checkpointing to the end), and the kill lands
+            // in socket 1, mid-run; socket 2 has not started.
+            assert!(halted(run(&kill().resume_from(&dir), &mut Telemetry::off())));
+            assert!(dir.join("socket-1").is_dir() && !dir.join("socket-2").exists());
+            // So the last leg resumes socket 0 from its final checkpoint
+            // in zero iterations and socket 1 mid-run, and starts socket
+            // 2 fresh: 100 walkers each, 0 + 4 + 8 iterations.
+            executed = 100 * (steps - 2 * every) + 100 * steps;
+        }
+        let resume = RunOptions::default().resume_from(&dir);
+        let got = run(&resume, &mut tel).expect("resumed");
+        std::fs::remove_dir_all(&dir).ok();
+
+        assert_eq!(got.len(), want.len(), "{mode:?}");
+        for (s, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(got.paths(), want.paths(), "{mode:?} instance {s}");
+        }
+        assert_eq!(tel.partition_steps_total(), executed as u64, "{mode:?}");
+    }
 }
 
 #[test]

@@ -16,9 +16,9 @@
 use std::time::Instant;
 
 use flashmob_repro::baseline::{Baseline, BaselineConfig, BaselineKind};
-use flashmob_repro::flashmob::numa::{run_numa_paths_traced, NumaMode};
-use flashmob_repro::flashmob::oocore::{run_ooc_traced, DiskGraph};
-use flashmob_repro::flashmob::{FlashMob, WalkConfig};
+use flashmob_repro::flashmob::numa::{run_numa_paths_with, NumaMode};
+use flashmob_repro::flashmob::oocore::{run_ooc_with, DiskGraph, OocOptions};
+use flashmob_repro::flashmob::{CheckpointSpec, FlashMob, RunOptions, WalkConfig, WalkError};
 use flashmob_repro::graph::synth;
 use flashmob_repro::telemetry::{export, tef, Stage, Telemetry};
 
@@ -104,7 +104,7 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
     let disk = DiskGraph::create(&g, &path).expect("disk graph");
     let mut tel = Telemetry::new();
     let config = walk_config(300, 7, 1);
-    let result = run_ooc_traced(&disk, &config, 16 * 1024, &mut tel);
+    let result = run_ooc_with(&disk, &config, 16 * 1024, &OocOptions::default(), &mut tel);
     let (_, stats) = result.expect("ooc run");
     assert_eq!(tel.partition_steps_total(), stats.steps_taken, "oocore");
     assert!(
@@ -123,7 +123,7 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
         .seed(23)
         .threads(1)
         .record_paths(false);
-    let result = run_ooc_traced(&disk, &config, 4 * 1024, &mut tel);
+    let result = run_ooc_with(&disk, &config, 4 * 1024, &OocOptions::default(), &mut tel);
     std::fs::remove_file(&path).ok();
     let (_, stats) = result.expect("bi-block run");
     assert_eq!(tel.partition_steps_total(), stats.steps_taken, "bi-block");
@@ -148,13 +148,55 @@ fn numa_merge_does_not_double_count() {
     let g = synth::power_law(400, 2.0, 1, 30, 5);
     for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
         let mut tel = Telemetry::new();
-        let outputs =
-            run_numa_paths_traced(&g, walk_config(240, 5, 2), mode, 3, &mut tel).expect("numa");
+        let (config, opts) = (walk_config(240, 5, 2), RunOptions::default());
+        let outputs = run_numa_paths_with(&g, config, mode, 3, &opts, &mut tel).expect("numa");
         let walkers: usize = outputs.iter().map(|o| o.paths().len()).sum();
         assert_eq!(walkers, 240);
         // A sink-free power-law graph never kills walkers, so the merged
         // counters must equal walkers x steps exactly once.
         assert_eq!(tel.partition_steps_total(), 240 * 5, "{mode:?}");
+    }
+}
+
+#[test]
+fn checkpointed_and_resumed_runs_trace_what_a_plain_run_traces() {
+    // 3. **One run path**: checkpointing and resuming are options of the
+    //    one traced run, so they report every stage family a plain traced
+    //    run reports (the plan span included) plus their own, and size
+    //    the partition table the same.
+    let g = synth::power_law(600, 2.0, 1, 40, 11);
+    let engine = FlashMob::new(&g, walk_config(300, 6, 2).record_paths(true)).expect("engine");
+    let families = |tel: &Telemetry| -> Vec<&'static str> {
+        Stage::ALL
+            .into_iter()
+            .filter(|&stage| tel.stage(stage).spans > 0)
+            .map(Stage::label)
+            .collect()
+    };
+    let with = |extra: &'static str, plain: &[&'static str]| {
+        let mut want = [plain, &[extra]].concat();
+        want.sort_by_key(|label| Stage::ALL.iter().position(|s| s.label() == *label));
+        want
+    };
+    let mut plain = Telemetry::new();
+    engine.run_traced(&mut plain).expect("plain");
+    assert!(families(&plain).contains(&"plan"));
+
+    let dir = std::env::temp_dir().join(format!("fm-telsuite-ckpt-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let halt = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 2).halt_after(2));
+    let mut checkpointed = Telemetry::new();
+    let halted = engine.run_with(&halt, &mut checkpointed);
+    assert!(matches!(halted, Err(WalkError::Halted { generation: 2 })));
+    let mut resumed = Telemetry::new();
+    let resume = RunOptions::default().resume_from(&dir);
+    engine.run_with(&resume, &mut resumed).expect("resumed");
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(families(&checkpointed), with("checkpoint", &families(&plain)));
+    assert_eq!(families(&resumed), with("recovery", &families(&plain)));
+    for tel in [&checkpointed, &resumed] {
+        assert_eq!(tel.partition_counters().len(), plain.partition_counters().len());
     }
 }
 
