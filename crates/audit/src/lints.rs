@@ -30,10 +30,10 @@
 //!   (checked in [`crate::ratchet`], counted here).
 //! * `prefetch-intrinsic` — architectural prefetch intrinsics
 //!   (`core::arch` / `std::arch` / `_mm_prefetch`) are confined to the
-//!   sample ring module (`flashmob/src/sample/ring.rs`), and even there
-//!   each site needs a `SAFETY:` comment; everything else must call the
-//!   ring's `prefetch_read` wrapper so hint behavior stays auditable in
-//!   one place.
+//!   graph crate's prefetch module (`graph/src/prefetch.rs`), and even
+//!   there each site needs a `SAFETY:` comment; everything else must
+//!   call its `prefetch_read` wrapper (the sample ring re-exports it)
+//!   so hint behavior stays auditable in one place.
 //! * `perf-syscall` — raw perf access (`syscall(`, `perf_event_open`,
 //!   `PERF_EVENT_IOC` requests) is confined to the perfmon syscall shim
 //!   (`perfmon/src/syscall.rs`), and even there each site needs a
@@ -174,7 +174,7 @@ pub const DETERMINISTIC_CRATES: [&str; 8] = [
 const CAST_FREE_FILES: [&str; 2] = ["crates/recover/src/wire.rs", "crates/recover/src/crc.rs"];
 
 /// The only file allowed to touch architectural prefetch intrinsics.
-const PREFETCH_HOME: &str = "crates/flashmob/src/sample/ring.rs";
+const PREFETCH_HOME: &str = "crates/graph/src/prefetch.rs";
 
 /// The only file allowed to issue raw syscalls (the perf_event shim).
 const PERF_SYSCALL_HOME: &str = "crates/perfmon/src/syscall.rs";
@@ -402,8 +402,8 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
                     path,
                     lineno,
                     format!(
-                        "`{tok}` outside the sample ring module; call \
-                         sample::ring::prefetch_read instead of raw \
+                        "`{tok}` outside the graph prefetch module; call \
+                         fm_graph::prefetch::prefetch_read instead of raw \
                          architectural intrinsics"
                     ),
                 ));
@@ -413,7 +413,7 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
                     path,
                     lineno,
                     format!(
-                        "`{tok}` in the ring module without a `SAFETY:` \
+                        "`{tok}` in the prefetch module without a `SAFETY:` \
                          comment; document why the hint cannot fault"
                     ),
                 ));

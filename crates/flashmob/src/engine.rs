@@ -926,6 +926,7 @@ impl FlashMob {
         let n = sorted.vertex_count();
         let e = sorted.edge_count();
         let walkers = config.walkers;
+        let bloom_bytes = edge_bloom.as_ref().map_or(64, |b| b.footprint_bytes());
         let map = AddrMap {
             offsets: space.alloc(((n + 1) * 8) as u64),
             targets: space.alloc((e * 4) as u64),
@@ -936,7 +937,7 @@ impl FlashMob {
             snext: 0,
             sprev: 0,
             slab_targets: 0,
-            edge_bloom: space.alloc(e.max(64) as u64),
+            edge_bloom: space.alloc(bloom_bytes as u64),
             edge_labels: space.alloc(e.max(64) as u64),
         };
         let addr = EngineAddrs {

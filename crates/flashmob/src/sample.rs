@@ -643,9 +643,9 @@ fn hint_connectivity_search<P: Probe>(
     });
 }
 
-/// Hints the lines a [`node2vec_adjacent`] bloom query for `(t, cand)`
-/// will read: the real filter words for the hardware, the same mixed
-/// simulated addresses the query's touches will use for the model.
+/// Hints the one 64-byte block a [`node2vec_adjacent`] bloom query for
+/// `(t, cand)` will read: the real block for the hardware, the same
+/// mixed simulated address the query's touch will use for the model.
 pub(crate) fn prefetch_bloom<P: Probe>(
     pf: &mut ring::Pf,
     probe: &mut P,
@@ -658,11 +658,7 @@ pub(crate) fn prefetch_bloom<P: Probe>(
         return;
     }
     bloom.probe_words(t, cand, |w| pf.hw(w as *const u64));
-    let span = bloom.footprint_bytes() as u64;
-    for i in 0..bloom.hash_count() as u64 {
-        let mix = (bloom_probe_mix(t, cand) ^ i.wrapping_mul(0x9E37_79B9)) % span.max(64);
-        pf.model(probe, addr.edge_bloom + (mix & !7), 8);
-    }
+    pf.model(probe, bloom_block_addr(bloom, t, cand, addr), 64);
 }
 
 /// Takes one pre-sampled edge from `v`'s buffer, refilling it when empty.
@@ -881,14 +877,10 @@ fn node2vec_adjacent<P: Probe>(
     addr: &AddrMap,
 ) -> bool {
     // Bloom pre-filter: no false negatives, so a miss proves
-    // non-adjacency exactly in `hash_count` probes.
+    // non-adjacency exactly, in one scattered line of the filter region.
     if let Some(bloom) = filter {
-        // Attribute one scattered probe per hash into the filter region.
-        let span = bloom.footprint_bytes() as u64;
-        for i in 0..bloom.hash_count() as u64 {
-            let mix = (bloom_probe_mix(t, cand) ^ i.wrapping_mul(0x9E37_79B9)) % span.max(64);
-            probe.touch(addr.edge_bloom + (mix & !7), 8, AccessKind::Random);
-        }
+        let block = bloom_block_addr(bloom, t, cand, addr);
+        probe.touch(block, 64, AccessKind::Random);
         if !bloom.may_contain(t, cand) {
             return false;
         }
@@ -943,9 +935,13 @@ pub(crate) fn propose<R: Rng64, P: Probe>(
     }
 }
 
+/// Simulated address of the filter block a query for `(t, cand)` reads:
+/// a line of the filter region picked by a mix of the key (the model
+/// needs the scatter, not the filter's own hash).
 #[inline]
-fn bloom_probe_mix(t: VertexId, cand: VertexId) -> u64 {
-    (((t as u64) << 32) | cand as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+fn bloom_block_addr(bloom: &EdgeBloom, t: VertexId, cand: VertexId, addr: &AddrMap) -> u64 {
+    let mix = (((t as u64) << 32) | cand as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    addr.edge_bloom + ((mix % bloom.footprint_bytes() as u64) & !63)
 }
 
 #[inline]

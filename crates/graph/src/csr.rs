@@ -86,6 +86,55 @@ pub fn sorted_probe_points(len: usize, levels: u32, f: &mut impl FnMut(usize)) {
     walk(0, len, levels, f);
 }
 
+/// Digit width of [`radix_sort_row`]: a digit's 2048 counters (16 KB)
+/// stay in L1 beside the row being scattered, and two passes cover 4 M
+/// vertices.
+const RADIX_BITS: u32 = 11;
+
+/// Rows at least this long are radix-sorted; shorter ones cost less
+/// under `sort_unstable` than under two passes over 2048 counters
+/// (EXPERIMENTS.md, "fmbench ledger — PR 20", has the sweep).
+const RADIX_MIN_ROW: usize = 256;
+
+/// A [`radix_sort_row`] with its digit count chosen: `(row, scratch)`.
+type RowSort = fn(&mut [VertexId], &mut [VertexId]);
+
+/// Sorts `row` ascending by least-significant-digit radix sort, `PASSES`
+/// digits of [`RADIX_BITS`] bits (every id must fit in them), through a
+/// `scratch` of the same length.  A hub's list is far past the size
+/// where a comparison sort's `log d` passes and mispredicted branches
+/// lose to a fixed few streaming passes.
+fn radix_sort_row<const PASSES: usize>(row: &mut [VertexId], scratch: &mut [VertexId]) {
+    debug_assert_eq!(row.len(), scratch.len());
+    const BUCKETS: usize = 1 << RADIX_BITS;
+    let digit = |t: VertexId, pass: usize| (t >> (pass as u32 * RADIX_BITS)) as usize % BUCKETS;
+    // Every digit's histogram comes from one read of the row: a later
+    // pass sees the same ids in another order.
+    let mut starts = [[0usize; BUCKETS]; PASSES];
+    for &t in row.iter() {
+        for (pass, counts) in starts.iter_mut().enumerate() {
+            counts[digit(t, pass)] += 1;
+        }
+    }
+    let (mut src, mut dst) = (row, scratch);
+    for (pass, starts) in starts.iter_mut().enumerate() {
+        let mut acc = 0usize;
+        for slot in starts.iter_mut() {
+            acc += std::mem::replace(slot, acc);
+        }
+        for &t in src.iter() {
+            let slot = &mut starts[digit(t, pass)];
+            dst[*slot] = t;
+            *slot += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    // After an odd number of passes the sorted row sits in the scratch.
+    if PASSES % 2 == 1 {
+        dst.copy_from_slice(src);
+    }
+}
+
 impl Csr {
     /// Builds a CSR graph from raw parts.
     ///
@@ -322,24 +371,43 @@ impl Csr {
         self.sorted = true;
         match self.labels.as_mut() {
             None => {
-                for v in 0..self.vertex_count() {
-                    let (s, e) = (self.offsets[v], self.offsets[v + 1]);
-                    self.targets[s..e].sort_unstable();
+                // Ids below |V| need only so many radix digits.
+                let id_bits = usize::BITS - self.offsets.len().saturating_sub(2).leading_zeros();
+                let radix_sort: RowSort = match id_bits.div_ceil(RADIX_BITS) {
+                    0 | 1 => radix_sort_row::<1>,
+                    2 => radix_sort_row::<2>,
+                    _ => radix_sort_row::<3>,
+                };
+                // One scratch row, as long as the longest list: nothing
+                // here grows with |E|.
+                let longest = self.max_degree();
+                let mut scratch =
+                    vec![0 as VertexId; if longest >= RADIX_MIN_ROW { longest } else { 0 }];
+                for w in self.offsets.windows(2) {
+                    let row = &mut self.targets[w[0]..w[1]];
+                    if row.len() >= RADIX_MIN_ROW {
+                        radix_sort(row, &mut scratch[..w[1] - w[0]]);
+                    } else {
+                        row.sort_unstable();
+                    }
                 }
             }
             Some(labels) => {
                 // Labels must follow their edges: sort (target, label)
                 // pairs by target, stably, so equal targets keep their
                 // label order deterministic.
-                for v in 0..self.offsets.len() - 1 {
-                    let (s, e) = (self.offsets[v], self.offsets[v + 1]);
-                    let mut row: Vec<(VertexId, u8)> = self.targets[s..e]
-                        .iter()
-                        .copied()
-                        .zip(labels[s..e].iter().copied())
-                        .collect();
+                let mut row: Vec<(VertexId, u8)> = Vec::new();
+                for w in self.offsets.windows(2) {
+                    let (s, e) = (w[0], w[1]);
+                    row.clear();
+                    row.extend(
+                        self.targets[s..e]
+                            .iter()
+                            .copied()
+                            .zip(labels[s..e].iter().copied()),
+                    );
                     row.sort_by_key(|&(t, _)| t);
-                    for (k, (t, l)) in row.into_iter().enumerate() {
+                    for (k, &(t, l)) in row.iter().enumerate() {
                         self.targets[s + k] = t;
                         labels[s + k] = l;
                     }
@@ -529,6 +597,80 @@ mod tests {
         g.sort_adjacency_lists();
         assert_eq!(g.neighbors(0), &[1, 2, 3]);
         assert_eq!(g.edge_labels_of(0), Some(&[10u8, 20, 30][..]));
+    }
+
+    /// Rows on both sides of the radix threshold, in graphs on both sides
+    /// of each digit-count boundary, come out as `sort_unstable` leaves
+    /// them — duplicates, id 0 and the top id included.
+    #[test]
+    fn radix_rows_equal_comparison_sorted_rows() {
+        let lengths = [
+            0,
+            1,
+            RADIX_MIN_ROW - 1,
+            RADIX_MIN_ROW,
+            RADIX_MIN_ROW + 1,
+            24_576,
+        ];
+        let boundaries = [1usize << RADIX_BITS, 1 << (2 * RADIX_BITS)];
+        let vertex_counts = boundaries.iter().flat_map(|&b| [b, b + 1]).chain([300]);
+        for n in vertex_counts {
+            let mut state = n as u64;
+            let mut edges = Vec::new();
+            for (u, &len) in lengths.iter().enumerate() {
+                for k in 0..len {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let t = match k % 7 {
+                        0 => n - 1,
+                        1 => 0,
+                        _ => (state >> 33) as usize % n,
+                    };
+                    edges.push((u as VertexId, t as VertexId));
+                }
+            }
+            let mut g = Csr::from_edges(n, &edges).unwrap();
+            assert!(!g.has_sorted_adjacency());
+            let mut want = g.targets.clone();
+            for w in g.offsets.windows(2) {
+                want[w[0]..w[1]].sort_unstable();
+            }
+            g.sort_adjacency_lists();
+            assert!(g.has_sorted_adjacency());
+            assert!(g.targets == want, "{n} vertices");
+        }
+    }
+
+    /// One, two and three digits, the last with ids up to `u32::MAX`
+    /// (a graph that large does not fit a test).
+    #[test]
+    fn radix_sort_takes_every_pass_count() {
+        let sorts: [RowSort; 3] = [
+            radix_sort_row::<1>,
+            radix_sort_row::<2>,
+            radix_sort_row::<3>,
+        ];
+        for (passes, sort) in (1u32..).zip(sorts) {
+            let top = ((1u64 << (passes * RADIX_BITS).min(32)) - 1) as VertexId;
+            let mut row: Vec<VertexId> = (0..1000u32)
+                .map(|k| k.wrapping_mul(2_654_435_761) & top)
+                .chain([top, 0, top])
+                .collect();
+            let mut want = row.clone();
+            want.sort_unstable();
+            let mut scratch = vec![0; row.len()];
+            sort(&mut row, &mut scratch);
+            assert_eq!(row, want, "{passes} passes");
+        }
+    }
+
+    #[test]
+    fn a_graph_marked_sorted_is_left_alone() {
+        let mut g = Csr::from_edges(3, &[(0, 2), (0, 1), (1, 0)]).unwrap();
+        g.sorted = true;
+        g.sort_adjacency_lists();
+        assert_eq!(g.neighbors(0), &[2, 1]);
     }
 
     #[test]

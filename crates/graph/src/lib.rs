@@ -19,11 +19,13 @@
 //!   graphs (Table 4) plus the cache-sized toy graphs of Figure 1.
 //! * [`stats`] — the degree-percentile bucket machinery behind Table 2.
 //! * [`io`] — text edge-list parsing and a compact binary format.
+//! * [`prefetch`] — the workspace's one software-prefetch hint.
 
 pub mod bloom;
 pub mod builder;
 pub mod csr;
 pub mod io;
+pub mod prefetch;
 pub mod presets;
 pub mod regular;
 pub mod relabel;
