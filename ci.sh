@@ -7,7 +7,11 @@
 #   4. ring tier: the same quick lattice with FMWALK_RING=16, proving
 #      the latency-hiding walker ring is bit-invisible at max depth —
 #      in memory and, since the bi-block loop steps through the same
-#      ring, in the lattice's oocore cells
+#      ring, in the lattice's oocore cells; then with the ring off,
+#      insisting that the lattice ran the partition stream (the
+#      hint-only stage in front of each first-order sample task) at
+#      all, and a dense CLI walk whose paths are equal at depth 1 and
+#      16 while --stats tells the two kinds of hint apart
 #   5. program tier: the walk-program lattice (PPR, early-exit,
 #      metapath vs their analytic oracles at {1,8} threads, golden
 #      digests checked) plus the registry/oracle audit — any program
@@ -89,6 +93,32 @@ tier "ring tier (latency-hiding sample stage)"
 # lattice's oocore cells (bi-block node2vec and PPR, whose budgets would
 # otherwise resolve to depth 1) run at depth 16 here for free.
 FMWALK_RING=16 cargo run --release -q -p fm-cli -- conform --quick
+# The hint-only stage in front of each first-order sample task (the
+# partition stream) is gated on occupancy.  The lattice proves it
+# bit-invisible only if its small graphs trip that guard: with the ring
+# off, so that any hint counted is the stream's, at least one cell must
+# report some.
+RING_OFF="$(FMWALK_RING=1 cargo run --release -q -p fm-cli -- conform --quick)"
+grep -Eq '^partition stream: [1-9][0-9]* cells hinted' <<< "$RING_OFF" || {
+    echo "ring tier: no lattice cell ran the partition stream" >&2; exit 1; }
+# A dense walk through the CLI: the stream hints (and says so in
+# --stats) with the ring off, the ring adds its own at depth 16, and
+# the paths are the same bytes.
+RING_TMP="$(mktemp -d)"
+trap 'rm -rf "$RING_TMP"' EXIT
+cargo run --release -q -p fm-cli -- synth power-law "$RING_TMP/g.bin" \
+    --n 20000 --alpha 2.0 --min-degree 2 --max-degree 200 --seed 7 >/dev/null
+for depth in 1 16; do
+    FMWALK_RING=$depth cargo run --release -q -p fm-cli -- walk "$RING_TMP/g.bin" \
+        --walkers 20000 --steps 8 --seed 11 --stats \
+        --output "$RING_TMP/ring$depth.txt" > "$RING_TMP/stats$depth.txt"
+done
+cmp "$RING_TMP/ring1.txt" "$RING_TMP/ring16.txt"
+grep -Eq ': 0 by the walker ring, [1-9][0-9]* streaming partitions in' "$RING_TMP/stats1.txt" || {
+    echo "ring tier: the dense walk at depth 1 did not report stream hints alone" >&2; exit 1; }
+grep -Eq ': [1-9][0-9]* by the walker ring, [1-9][0-9]* streaming partitions in' \
+    "$RING_TMP/stats16.txt" || {
+    echo "ring tier: the dense walk at depth 16 did not report both kinds of hint" >&2; exit 1; }
 
 tier "program tier (WalkProgram lattice + registry audit)"
 # Every walk program registered in the engine crate must have an
@@ -112,7 +142,7 @@ cargo test -q --test telemetry_suite telemetry_overhead_stays_under_five_percent
 # End-to-end: synth a graph, walk with tracing, validate the emitted
 # Chrome trace with the in-tree TEF checker.
 TELEMETRY_TMP="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_TMP"' EXIT
+trap 'rm -rf "$RING_TMP" "$TELEMETRY_TMP"' EXIT
 cargo run --release -q -p fm-cli -- synth ring "$TELEMETRY_TMP/g.bin" --n 4096 --degree 8
 cargo run --release -q -p fm-cli -- walk "$TELEMETRY_TMP/g.bin" \
     --steps 12 --walkers 2048 --threads 2 \
@@ -125,7 +155,7 @@ tier "recover tier"
 # every generation, all engines, golden digests — runs in tier 2 via
 # tests/recover_suite.rs and the conformance crash tests.)
 RECOVER_TMP="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP"' EXIT
+trap 'rm -rf "$RING_TMP" "$TELEMETRY_TMP" "$RECOVER_TMP"' EXIT
 cargo run --release -q -p fm-cli -- synth power-law "$RECOVER_TMP/g.bin" \
     --n 4096 --alpha 2.0 --min-degree 2 --max-degree 64 --seed 11
 cargo run --release -q -p fm-cli -- walk "$RECOVER_TMP/g.bin" \
@@ -161,7 +191,7 @@ cargo test -q --test recover_suite ooc_transient_faults_are_absorbed_without_cha
 # contract), then resume under the same faults and demand the output
 # of the uninterrupted fault-free run, bit for bit.
 OOC_TMP="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP"' EXIT
+trap 'rm -rf "$RING_TMP" "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP"' EXIT
 cargo run --release -q -p fm-cli -- synth power-law "$OOC_TMP/g.bin" \
     --n 2048 --alpha 2.0 --min-degree 2 --max-degree 64 --seed 11
 cargo run --release -q -p fm-cli -- disk "$OOC_TMP/g.bin" "$OOC_TMP/g.fmdisk"
@@ -220,7 +250,7 @@ fi
 
 tier "ingest tier (text and FMG1 decoders through the CLI)"
 INGEST_TMP="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP" "$INGEST_TMP"' EXIT
+trap 'rm -rf "$RING_TMP" "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP" "$INGEST_TMP"' EXIT
 printf '# comment\r\n0 1\r\n1\t2 0.5\n\n%% another \xff\n2 0' > "$INGEST_TMP/g.txt"
 cargo run --release -q -p fm-cli -- convert "$INGEST_TMP/g.txt" "$INGEST_TMP/g.bin" >/dev/null
 counts() { cargo run --release -q -p fm-cli -- stats "$1" | grep -E '^(vertices|edges) ' | tr -s ' '; }
@@ -307,7 +337,7 @@ fi
 
 tier "perf tier (hardware observability + bench ledger)"
 PERF_TMP="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP" "$INGEST_TMP" "$PERF_TMP"' EXIT
+trap 'rm -rf "$RING_TMP" "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP" "$INGEST_TMP" "$PERF_TMP"' EXIT
 # bench-diff's exit-code contract is machine-independent: check it with
 # hand-written ledgers.  Same numbers -> 0; a 3x slowdown -> 1; a
 # missing baseline file -> 2.

@@ -586,6 +586,16 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             }
             let (passed, skipped, failed) = report.tally();
             writeln!(out, "{passed} passed, {skipped} skipped, {failed} failed").map_err(fail)?;
+            // Whether the lattice ran the sample stage's hint-only
+            // stage at all (ci.sh's ring tier insists that it did).
+            let hinted = report.cells.iter().filter(|c| c.stream_hints > 0);
+            writeln!(
+                out,
+                "partition stream: {} cells hinted, {} hints",
+                hinted.clone().count(),
+                hinted.map(|c| c.stream_hints).sum::<u64>()
+            )
+            .map_err(fail)?;
             if failed > 0 {
                 return Err(CmdError(
                     format!("{failed} conformance cell(s) failed; see table above"),

@@ -253,6 +253,11 @@ pub struct Cell {
     pub threads: usize,
     /// What happened.
     pub outcome: Outcome,
+    /// Hints the in-memory engine's partition stream issued while the
+    /// cell ran (`RunStats::per_partition_stream_hints`, summed; 0 for
+    /// the other engines).  A lattice in which no cell reports any has
+    /// never run the hint stage and proves nothing about it.
+    pub stream_hints: u64,
 }
 
 /// The full lattice report.
@@ -294,6 +299,8 @@ struct CellData {
     /// Extra values folded into the digest (FlashMob cells fold the
     /// per-partition RNG stream ids of every iteration).
     extra: Vec<u64>,
+    /// See [`Cell::stream_hints`].
+    stream_hints: u64,
 }
 
 /// Unique temp path for out-of-core cells (tests in one process run
@@ -341,10 +348,11 @@ fn run_cell_data(
             for iter in 0..LATTICE_STEPS {
                 extra.extend(fm.partition_stream_ids(iter));
             }
-            let output = fm.run().map_err(err)?;
+            let (output, stats) = fm.run_with_stats().map_err(err)?;
             Ok(CellData {
                 paths: output.paths(),
                 extra,
+                stream_hints: stats.prefetch_totals().1,
             })
         }
         EngineKind::NumaP | EngineKind::NumaR => {
@@ -362,6 +370,7 @@ fn run_cell_data(
             Ok(CellData {
                 paths,
                 extra: Vec::new(),
+                stream_hints: 0,
             })
         }
         EngineKind::OutOfCore => {
@@ -380,6 +389,7 @@ fn run_cell_data(
             Ok(CellData {
                 paths: output.paths(),
                 extra: Vec::new(),
+                stream_hints: 0,
             })
         }
         EngineKind::KnightKing | EngineKind::GraphVite => {
@@ -401,6 +411,7 @@ fn run_cell_data(
             Ok(CellData {
                 paths: output.paths(),
                 extra: Vec::new(),
+                stream_hints: 0,
             })
         }
     }
@@ -563,11 +574,14 @@ pub fn run_lattice_traced(config: &LatticeConfig, tel: &mut Telemetry) -> Lattic
                 .expect("oracle precomputed for every algorithm");
             for &threads in &config.threads {
                 let cell_index = cells.len();
+                let mut stream_hints = 0;
                 let outcome = if let Some(reason) = engine.skip_reason(algo, threads) {
                     Outcome::Skipped { reason }
                 } else {
                     let span_start = tel.is_on().then(|| tel.now_ns());
-                    let outcome = match run_cell_data(graph, engine, algo, threads)
+                    let data = run_cell_data(graph, engine, algo, threads);
+                    stream_hints = data.as_ref().map_or(0, |d| d.stream_hints);
+                    let outcome = match data
                         .and_then(|data| check_cell(&data, occ, edge, edges, per_test_alpha))
                     {
                         Ok((occupancy_p, transition_p, digest)) => {
@@ -603,6 +617,7 @@ pub fn run_lattice_traced(config: &LatticeConfig, tel: &mut Telemetry) -> Lattic
                     algo,
                     threads,
                     outcome,
+                    stream_hints,
                 });
             }
         }

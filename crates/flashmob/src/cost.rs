@@ -83,9 +83,14 @@ impl AnalyticCostModel {
     /// Partitions that exceed the LLC budget stall on DRAM for every
     /// random edge/offset fetch, so they get
     /// [`DEFAULT_RING_DEPTH`](crate::sample::ring::DEFAULT_RING_DEPTH)
-    /// in-flight walkers with software prefetch.  Cache-resident
-    /// partitions get depth 1 (ring off): hints into an already-resident
-    /// working set are pure instruction overhead.
+    /// in-flight walkers with software prefetch.  Cache-*sized*
+    /// partitions get depth 1 (ring off) — not because they are
+    /// cache-*resident* when their task starts (they are not: a whole
+    /// sweep has been through the cache since their last visit), but
+    /// because what hides their first-touch misses is the partition
+    /// stream one task ahead (`sample::hint_partition`), and the ring's
+    /// per-walker hints on top of it only cost instructions (measured:
+    /// EXPERIMENTS.md, PR 21 ledger).
     pub fn ring_depth(&self, ws_bytes: usize) -> usize {
         if self.fit(ws_bytes) == Level::LocalMem {
             crate::sample::ring::DEFAULT_RING_DEPTH

@@ -21,7 +21,8 @@ use crate::partition::SamplePolicy;
 use crate::plan::{Plan, Planner};
 use crate::pool::{DisjointSlice, PoolStats, WorkerPool};
 use crate::sample::{
-    apply_exit, node2vec_keeps, propose, sample_partition, AddrMap, AlgoCtx, PsBuffers, TaskIo,
+    apply_exit, hint_partition, node2vec_keeps, propose, sample_partition, worth_hinting, AddrMap,
+    AlgoCtx, PsBuffers, TaskIo, HINT_LINES_PER_WALKER,
 };
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
 use crate::walker::{fold_init, initialize, WalkerInit};
@@ -58,11 +59,18 @@ pub struct RunStats {
     pub init: Duration,
     /// Walker-steps executed per partition.
     pub per_partition_steps: Vec<u64>,
-    /// Software-prefetch hints issued per partition by the sample-stage
-    /// walker ring (all zeros when the ring is off; see
-    /// [`crate::sample::ring`]).  Not checkpointed: a resumed run
-    /// counts only its own hints.
+    /// Software-prefetch hints issued on each partition's behalf by the
+    /// sample stage: the walker ring's ([`crate::sample::ring`]) plus
+    /// the partition stream's ([`Self::per_partition_stream_hints`]).
+    /// All zeros means nothing was hinted.  Not checkpointed: a resumed
+    /// run counts only its own hints.
     pub per_partition_prefetches: Vec<u64>,
+    /// The share of [`Self::per_partition_prefetches`] issued one task
+    /// ahead, streaming the partition in before its walkers
+    /// (`sample::hint_partition`; zero where the occupancy guard
+    /// skipped it).  The remainder is the ring's: the two are equal
+    /// exactly when the ring is off.
+    pub per_partition_stream_hints: Vec<u64>,
     /// Per-vertex visit counts in the *sorted* ID space, when
     /// `record_visits` was set.
     pub visits_sorted: Option<Vec<u64>>,
@@ -99,6 +107,10 @@ impl RunStats {
         add(
             &mut self.per_partition_prefetches,
             &other.per_partition_prefetches,
+        );
+        add(
+            &mut self.per_partition_stream_hints,
+            &other.per_partition_stream_hints,
         );
         if let Some(visits) = &other.visits_sorted {
             add(self.visits_sorted.get_or_insert_with(Vec::new), visits);
@@ -146,6 +158,14 @@ impl RunStats {
         (self.pool.idle.as_secs_f64() / denom).min(1.0)
     }
 
+    /// Software prefetches issued by the sample stage, as `(by the
+    /// walker ring, by the partition stream)`.
+    pub fn prefetch_totals(&self) -> (u64, u64) {
+        let all = self.per_partition_prefetches.iter().sum::<u64>();
+        let stream = self.per_partition_stream_hints.iter().sum::<u64>();
+        (all - stream, stream)
+    }
+
     /// Percentage of wall-clock time attributed to each stage:
     /// `(sample, shuffle, other)`.  All zeros when the wall is zero —
     /// never NaN.
@@ -183,11 +203,13 @@ impl RunStats {
             self.init_ns_per_walker(),
             self.init
         ));
-        let prefetches = self.per_partition_prefetches.iter().sum::<u64>();
-        if prefetches > 0 {
+        let (ring, stream) = self.prefetch_totals();
+        if ring + stream > 0 {
             out.push_str(&format!(
-                "ring: {prefetches} software prefetches issued ({:.2} per step)\n",
-                prefetches as f64 / self.steps_taken.max(1) as f64
+                "prefetch: {} software prefetches issued ({:.2} per step): \
+                 {ring} by the walker ring, {stream} streaming partitions in\n",
+                ring + stream,
+                (ring + stream) as f64 / self.steps_taken.max(1) as f64
             ));
         }
         if self.pool.spawned > 0 {
@@ -231,15 +253,10 @@ impl RunStats {
             }
             out.push_str(&s.to_string());
         }
-        out.push_str("], \"ring_prefetches\": ");
-        out.push_str(
-            &self
-                .per_partition_prefetches
-                .iter()
-                .sum::<u64>()
-                .to_string(),
-        );
-        out.push('}');
+        let (ring, stream) = self.prefetch_totals();
+        out.push_str(&format!(
+            "], \"ring_prefetches\": {ring}, \"stream_hints\": {stream}}}"
+        ));
         out
     }
 
@@ -311,6 +328,11 @@ pub struct FlashMob {
     /// walk output is bit-identical at every depth, so it is *not*
     /// part of `config_tag` and checkpoints resume across depths.
     ring_depths: Vec<usize>,
+    /// The partition stream's occupancy guard
+    /// ([`HINT_LINES_PER_WALKER`]; see [`worth_hinting`]).  A field only
+    /// so the tests can force it to *always* (`usize::MAX`) and *never*
+    /// (0); like the ring depth it cannot change a walk.
+    hint_lines_per_walker: usize,
     /// Wall-clock time spent in pre-processing (relabel + planning),
     /// attributed to the Plan stage of traced runs.
     plan_wall: Duration,
@@ -396,9 +418,10 @@ impl Checkpointer {
 /// The lanes a step works in.  Each is rewritten before it is read —
 /// within the step for the walker lanes, from the first count pass for
 /// the shuffle scratch — so no snapshot carries them and a resumed run
-/// starts them from zeroes.  `ring_prefetches` is the exception that
-/// accumulates: it counts this process's hints, and a resumed run
-/// reports only its own ([`RunStats::per_partition_prefetches`]).
+/// starts them from zeroes.  `prefetches` and `stream_hints` are the
+/// exception that accumulates: they count this process's hints, and a
+/// resumed run reports only its own
+/// ([`RunStats::per_partition_prefetches`] and its stream share).
 struct Scratch {
     /// Gather target for `w`; the two swap at the end of a step.
     w_next: Vec<VertexId>,
@@ -414,7 +437,8 @@ struct Scratch {
     /// Partition ranges of the parallel sample stage: recomputed each
     /// step as the walker distribution shifts, but in place.
     sample_ranges: Vec<(usize, usize)>,
-    ring_prefetches: Vec<u64>,
+    prefetches: Vec<u64>,
+    stream_hints: Vec<u64>,
 }
 
 impl Scratch {
@@ -429,7 +453,8 @@ impl Scratch {
             prev_next: lane(engine.config.algorithm.is_second_order()),
             shuffle: ShuffleScratch::default(),
             sample_ranges: Vec::with_capacity(engine.config.threads),
-            ring_prefetches: vec![0; engine.plan.partitions.len()],
+            prefetches: vec![0; engine.plan.partitions.len()],
+            stream_hints: vec![0; engine.plan.partitions.len()],
         }
     }
 }
@@ -728,7 +753,7 @@ impl EpochState {
             .with_edge_labels(engine.graph.edge_labels());
         let dead_start = self.scratch.shuffle.offsets[parts.len()] as usize;
         self.scratch.snext[dead_start..].fill(DEAD);
-        let pf_before = traced.then(|| self.scratch.ring_prefetches.clone());
+        let pf_before = traced.then(|| self.scratch.prefetches.clone());
 
         // The parallel stage runs only from the uninstrumented entry
         // points (NullProbe), so counter attribution stays exact.
@@ -759,9 +784,9 @@ impl EpochState {
                 tel.record_partition_step(pi, occ, part.policy == SamplePolicy::PreSample);
                 // Ring attribution: the depth actually achieved this
                 // iteration (capped by the partition's live walkers)
-                // and the hints issued on its behalf.
-                let issued =
-                    self.scratch.ring_prefetches[pi] - pf_before.as_ref().map_or(0, |b| b[pi]);
+                // and the hints issued on its behalf, by the ring and
+                // by the partition stream one task ahead of it.
+                let issued = self.scratch.prefetches[pi] - pf_before.as_ref().map_or(0, |b| b[pi]);
                 let ring_occ = if occ == 0 {
                     0
                 } else {
@@ -969,6 +994,7 @@ impl FlashMob {
             edge_bloom,
             addr,
             ring_depths,
+            hint_lines_per_walker: HINT_LINES_PER_WALKER,
             plan_wall,
             ps_pool: Mutex::new(None),
         })
@@ -1322,7 +1348,8 @@ impl FlashMob {
             stages: stage,
             init,
             per_partition_steps,
-            per_partition_prefetches: scratch.ring_prefetches,
+            per_partition_prefetches: scratch.prefetches,
+            per_partition_stream_hints: scratch.stream_hints,
             visits_sorted: visits,
             pool: pool.as_ref().map(WorkerPool::stats).unwrap_or_default(),
         };
@@ -1404,6 +1431,8 @@ impl FlashMob {
         }
     }
 
+    /// Sequential first-order sample stage: every partition's task, in
+    /// partition order, on the calling thread.
     fn sample_stage_sequential<P: Probe>(
         &self,
         state: &mut EpochState,
@@ -1411,52 +1440,122 @@ impl FlashMob {
         probe: &mut P,
         tel: &mut Telemetry,
     ) -> u64 {
-        let (seed, iter) = (state.seed, state.iter);
-        let s = &mut state.scratch;
-        let (offsets, sw) = (&s.shuffle.offsets, s.sw.as_slice());
-        let (snext, ring_prefetches) = (s.snext.as_mut_slice(), s.ring_prefetches.as_mut_slice());
-        let (ps_buffers, per_partition_steps) = (&mut state.ps, &mut state.per_partition_steps);
-        let sprev = self.carries_aux().then_some(s.sprev.as_slice());
-        let mut visits = state.visits.as_deref_mut();
-        let mut taken = 0u64;
+        let lanes = TaskLanes::of(self, state);
         let hw = tel.hw_enabled();
-        for (pi, part) in self.plan.partitions.iter().enumerate() {
-            let (a, b) = (offsets[pi] as usize, offsets[pi + 1] as usize);
-            if a == b {
-                continue;
-            }
-            let addr = self.task_addrs(pi);
-            let io = TaskIo {
-                scur: &sw[a..b],
-                sprev: sprev.map(|s| &s[a..b]),
-                snext: &mut snext[a..b],
-                slice_base: a,
-                visits: visits
-                    .as_deref_mut()
-                    .map(|v| &mut v[part.start as usize..part.end as usize]),
-            };
-            let mut rng = Xorshift64Star::new(partition_stream_id(seed, iter, pi));
-            let stats = sample_partition(
-                &self.graph,
-                part,
-                self.slabs[pi].as_ref(),
-                ps_buffers[pi].as_mut(),
-                ctx,
-                io,
-                &mut rng,
-                probe,
-                &addr,
-                self.ring_depths[pi],
-            );
-            per_partition_steps[pi] += stats.steps;
-            ring_prefetches[pi] += stats.prefetches;
-            taken += stats.steps;
+        self.sample_range(&lanes, 0..self.plan.partitions.len(), ctx, probe, |pi| {
             // With a counter session attached, attribute the PMU delta
             // of this partition's sample work to it (the coordinator is
             // the only thread on this path, so the delta is exact).
             if hw {
                 tel.hw_partition_span(pi);
             }
+        })
+    }
+
+    /// The first-order sample tasks of partitions `range`, in order:
+    /// the one task body of the sequential stage (one range, the real
+    /// probe) and of each pool worker (its own range, no probe).
+    /// Returns the live walker-steps taken; `done(pi)` runs after each
+    /// task.
+    ///
+    /// While partition `pi` samples, the working set of the next
+    /// occupied partition of the range is already on its way in
+    /// ([`hint_partition`], issued just before `pi`'s task) — never the
+    /// first partition of another range, whose PS cursors that range's
+    /// thread is writing.  Which partitions are hinted is decided by
+    /// [`worth_hinting`] from the shuffle offsets, so it is the same at
+    /// every thread count; hints touch no RNG, walker or PS state, so
+    /// the walk is the same whether or not any are issued.
+    fn sample_range<P: Probe>(
+        &self,
+        lanes: &TaskLanes<'_>,
+        range: std::ops::Range<usize>,
+        ctx: &AlgoCtx<'_>,
+        probe: &mut P,
+        mut done: impl FnMut(usize),
+    ) -> u64 {
+        let offsets = lanes.offsets;
+        let walkers = |pi: usize| (offsets[pi + 1] - offsets[pi]) as usize;
+        let occupied_from = |from: usize| {
+            (from..range.end)
+                .find(|&pi| walkers(pi) > 0)
+                .unwrap_or(range.end)
+        };
+        let mut taken = 0u64;
+        let mut pi = occupied_from(range.start);
+        while pi < range.end {
+            let next = occupied_from(pi + 1);
+            if next < range.end
+                && worth_hinting(
+                    &self.plan.partitions[next],
+                    walkers(next),
+                    self.hint_lines_per_walker,
+                )
+            {
+                // SAFETY: `next` lies in this range, so its PS buffers
+                // and counters are this thread's alone.
+                let (ps, hints, all) = unsafe {
+                    (
+                        &lanes.ps.slice_mut(next, 1)[0],
+                        &mut lanes.stream_hints.slice_mut(next, 1)[0],
+                        &mut lanes.prefetches.slice_mut(next, 1)[0],
+                    )
+                };
+                let issued = hint_partition(
+                    &self.graph,
+                    &self.plan.partitions[next],
+                    self.slabs[next].as_ref(),
+                    ps.as_ref(),
+                    probe,
+                    &self.task_addrs(next),
+                );
+                *hints += issued;
+                *all += issued;
+            }
+
+            let part = &self.plan.partitions[pi];
+            let (a, b) = (offsets[pi] as usize, offsets[pi + 1] as usize);
+            // Each partition belongs to one range and each range to one
+            // thread; partitions are contiguous, non-overlapping vertex
+            // ranges, so visit slots `[start, end)` are this task's too.
+            // SAFETY: walker range `[a, b)`, PS buffer `pi` and counter
+            // slots `pi` belong to partition `pi`'s task alone.
+            let (snext, ps, steps, prefetches, visits) = unsafe {
+                (
+                    lanes.snext.slice_mut(a, b - a),
+                    &mut lanes.ps.slice_mut(pi, 1)[0],
+                    &mut lanes.steps.slice_mut(pi, 1)[0],
+                    &mut lanes.prefetches.slice_mut(pi, 1)[0],
+                    lanes.visits.as_ref().map(|v| {
+                        v.slice_mut(part.start as usize, (part.end - part.start) as usize)
+                    }),
+                )
+            };
+            let io = TaskIo {
+                scur: &lanes.sw[a..b],
+                sprev: lanes.sprev.map(|s| &s[a..b]),
+                snext,
+                slice_base: a,
+                visits,
+            };
+            let mut rng = Xorshift64Star::new(partition_stream_id(lanes.seed, lanes.iter, pi));
+            let stats = sample_partition(
+                &self.graph,
+                part,
+                self.slabs[pi].as_ref(),
+                ps.as_mut(),
+                ctx,
+                io,
+                &mut rng,
+                probe,
+                &self.task_addrs(pi),
+                self.ring_depths[pi],
+            );
+            *steps += stats.steps;
+            *prefetches += stats.prefetches;
+            taken += stats.steps;
+            done(pi);
+            pi = next;
         }
         taken
     }
@@ -1482,7 +1581,7 @@ impl FlashMob {
         let (seed, iter) = (state.seed, state.iter);
         let s = &mut state.scratch;
         let (offsets, sw) = (&s.shuffle.offsets, s.sw.as_slice());
-        let (snext, ring_prefetches) = (s.snext.as_mut_slice(), s.ring_prefetches.as_mut_slice());
+        let (snext, ring_prefetches) = (s.snext.as_mut_slice(), s.prefetches.as_mut_slice());
         let (ps_buffers, per_partition_steps) = (&mut state.ps, &mut state.per_partition_steps);
         let sprev = s.sprev.as_slice();
         let mut visits = state.visits.as_deref_mut();
@@ -1735,25 +1834,19 @@ impl FlashMob {
         pool: &WorkerPool,
         tel: &mut Telemetry,
     ) -> u64 {
-        let (seed, iter) = (state.seed, state.iter);
-        let s = &mut state.scratch;
-        let (offsets, sw) = (&s.shuffle.offsets, s.sw.as_slice());
-        let (snext, ring_prefetches) = (s.snext.as_mut_slice(), s.ring_prefetches.as_mut_slice());
-        let (ps_buffers, per_partition_steps) = (&mut state.ps, &mut state.per_partition_steps);
-        let sprev = self.carries_aux().then_some(s.sprev.as_slice());
-        let (ranges, visits) = (&mut s.sample_ranges, state.visits.as_deref_mut());
-        let parts = &self.plan.partitions;
-        let threads = pool.threads().min(parts.len()).max(1);
+        let parts = self.plan.partitions.len();
+        let threads = pool.threads().min(parts).max(1);
         // Contiguous partition ranges balanced by walker count (at most
         // `threads` of them; the Vec is reused across steps).
-        let total_walkers = offsets[parts.len()] as usize;
-        let target = total_walkers.div_ceil(threads).max(1);
+        let mut ranges = std::mem::take(&mut state.scratch.sample_ranges);
+        let offsets = &state.scratch.shuffle.offsets;
+        let target = (offsets[parts] as usize).div_ceil(threads).max(1);
         ranges.clear();
         let mut start = 0usize;
-        while start < parts.len() {
+        while start < parts {
             let budget = offsets[start] as usize + target;
             let mut end = start + 1;
-            while end < parts.len() && (offsets[end] as usize) < budget {
+            while end < parts && (offsets[end] as usize) < budget {
                 end += 1;
             }
             ranges.push((start, end));
@@ -1761,91 +1854,85 @@ impl FlashMob {
         }
 
         let taken = std::sync::atomic::AtomicU64::new(0);
-        let snext_ptr = DisjointSlice::new(snext);
-        let ps_ptr = DisjointSlice::new(ps_buffers);
-        let steps_ptr = DisjointSlice::new(per_partition_steps);
-        let pf_ptr = DisjointSlice::new(ring_prefetches);
-        let visits_ptr = visits.map(DisjointSlice::new);
+        let lanes = TaskLanes::of(self, state);
         // Per-worker span lanes: worker `t` writes lane `t` exclusively
         // during the dispatch; the coordinator drains them once the pool
         // has gone quiescent (same disjoint-ownership argument as the
-        // `DisjointSlice` wrappers above).
+        // `DisjointSlice` wrappers of `TaskLanes`).
         let traced = tel.is_on();
         let origin = tel.origin();
-        let lanes = tel.worker_lanes(if traced { pool.threads() } else { 0 });
-        let lanes_ptr = DisjointSlice::new(lanes);
-        let ranges = &*ranges;
+        let spans = DisjointSlice::new(tel.worker_lanes(if traced { pool.threads() } else { 0 }));
         pool.run_labeled("sample", &|t| {
-            let Some(&(ps_start, ps_end)) = ranges.get(t) else {
+            let Some(&(start, end)) = ranges.get(t) else {
                 return;
             };
-            let mut local = 0u64;
-            for pi in ps_start..ps_end {
-                let part = &self.plan.partitions[pi];
-                let (a, b) = (offsets[pi] as usize, offsets[pi + 1] as usize);
-                if a == b {
-                    continue;
-                }
-                let span_start = traced.then(|| origin.elapsed().as_nanos() as u64);
-                let addr = self.task_addrs(pi);
-                let io = TaskIo {
-                    scur: &sw[a..b],
-                    sprev: sprev.map(|s| &s[a..b]),
-                    // SAFETY: walker range `[a, b)` belongs to partition
-                    // `pi` alone, and each partition to one range.
-                    snext: unsafe { snext_ptr.slice_mut(a, b - a) },
-                    slice_base: a,
-                    // SAFETY: partitions are contiguous, non-overlapping
-                    // vertex ranges, so visit slots `[start, end)` are
-                    // exclusive to this partition's task.
-                    visits: visits_ptr.as_ref().map(|vp| unsafe {
-                        vp.slice_mut(part.start as usize, (part.end - part.start) as usize)
-                    }),
-                };
-                let mut rng = Xorshift64Star::new(partition_stream_id(seed, iter, pi));
-                // SAFETY: PS buffer and step counter `pi` belong to this
-                // range alone (ranges partition the partition indices).
-                let ps = unsafe { ps_ptr.slice_mut(pi, 1) };
-                let stats = sample_partition(
-                    &self.graph,
-                    part,
-                    self.slabs[pi].as_ref(),
-                    ps[0].as_mut(),
-                    ctx,
-                    io,
-                    &mut rng,
-                    &mut NullProbe,
-                    &addr,
-                    self.ring_depths[pi],
-                );
-                // SAFETY: as above — index `pi` is exclusive to this
-                // worker.
-                let step_slot = unsafe { steps_ptr.slice_mut(pi, 1) };
-                step_slot[0] += stats.steps;
-                // SAFETY: as above — index `pi` is exclusive to this
-                // worker.
-                let pf_slot = unsafe { pf_ptr.slice_mut(pi, 1) };
-                pf_slot[0] += stats.prefetches;
-                local += stats.steps;
-                if let Some(start_ns) = span_start {
+            // A task's span runs from the end of the task before it, so
+            // the hints it issues for its successor are inside it.
+            let mut mark = traced.then(|| origin.elapsed().as_nanos() as u64);
+            let local = self.sample_range(&lanes, start..end, ctx, &mut NullProbe, |pi| {
+                if let Some(start_ns) = mark {
                     let now = origin.elapsed().as_nanos() as u64;
                     // SAFETY: lane `t` belongs to this worker alone for
                     // the duration of the dispatch.
-                    let lane = unsafe { lanes_ptr.slice_mut(t, 1) };
+                    let lane = unsafe { spans.slice_mut(t, 1) };
                     lane[0].record(SpanEvent {
                         stage: Stage::Sample,
                         start_ns,
                         dur_ns: now.saturating_sub(start_ns),
                         thread: t as u32 + 1,
-                        step: iter as u32,
+                        step: lanes.iter as u32,
                         partition: pi as u32,
                     });
+                    mark = Some(now);
                 }
-            }
+            });
             taken.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
         });
         tel.drain_workers();
+        state.scratch.sample_ranges = ranges;
         taken.into_inner()
+    }
+}
+
+/// What the first-order sample tasks of one iteration share: the
+/// shuffled walker lanes, read by all, and the lanes each task owns a
+/// disjoint share of — its walkers' `snext` range, its partition's PS
+/// buffers, counters and visit slots.
+struct TaskLanes<'a> {
+    seed: u64,
+    iter: usize,
+    /// Bin start offsets of the shuffle: partition `pi`'s walkers are
+    /// `sw[offsets[pi]..offsets[pi + 1]]`.
+    offsets: &'a [u32],
+    sw: &'a [VertexId],
+    sprev: Option<&'a [VertexId]>,
+    snext: DisjointSlice<VertexId>,
+    ps: DisjointSlice<Option<PsBuffers>>,
+    steps: DisjointSlice<u64>,
+    prefetches: DisjointSlice<u64>,
+    stream_hints: DisjointSlice<u64>,
+    visits: Option<DisjointSlice<u64>>,
+}
+
+impl<'a> TaskLanes<'a> {
+    /// The lanes of `state`'s current iteration.  Holding `state`
+    /// mutably for `'a` is what keeps the owned lanes exclusive to the
+    /// tasks that split them.
+    fn of(engine: &FlashMob, state: &'a mut EpochState) -> Self {
+        let s = &mut state.scratch;
+        Self {
+            seed: state.seed,
+            iter: state.iter,
+            offsets: &s.shuffle.offsets,
+            sw: &s.sw,
+            sprev: engine.carries_aux().then_some(s.sprev.as_slice()),
+            snext: DisjointSlice::new(&mut s.snext),
+            ps: DisjointSlice::new(&mut state.ps),
+            steps: DisjointSlice::new(&mut state.per_partition_steps),
+            prefetches: DisjointSlice::new(&mut s.prefetches),
+            stream_hints: DisjointSlice::new(&mut s.stream_hints),
+            visits: state.visits.as_deref_mut().map(DisjointSlice::new),
+        }
     }
 }
 
@@ -2068,14 +2155,220 @@ mod tests {
             let (_, stats) = engine.run_with_stats().unwrap();
             stats
         };
+        // "The ring is off" and "nothing was hinted" are two facts: at
+        // depth 1 the ring issues nothing, while the partition stream
+        // hints the same partitions at either depth.
         let off = run(1);
-        assert_eq!(off.per_partition_prefetches.iter().sum::<u64>(), 0);
+        let (ring, stream) = off.prefetch_totals();
+        assert_eq!(ring, 0, "depth 1 is the ring off");
+        assert!(stream > 0, "dense partitions are streamed in at any depth");
+        assert_eq!(off.per_partition_prefetches, off.per_partition_stream_hints);
         let on = run(8);
         assert!(
-            on.per_partition_prefetches.iter().sum::<u64>() > 0,
+            on.prefetch_totals().0 > 0,
             "ring depth 8 must issue prefetch hints"
         );
+        assert_eq!(
+            on.per_partition_stream_hints,
+            off.per_partition_stream_hints
+        );
         assert_eq!(off.per_partition_steps, on.per_partition_steps);
+        let summary = on.human_summary();
+        assert!(summary.contains("by the walker ring"), "{summary}");
+        assert!(summary.contains("streaming partitions in"), "{summary}");
+
+        // Nothing hinted at all: ring off and the guard at *never*.
+        let mut engine = FlashMob::new(&g, config(200, 6).ring_depth(1)).unwrap();
+        engine.hint_lines_per_walker = 0;
+        let (_, none) = engine.run_with_stats().unwrap();
+        assert_eq!(none.per_partition_prefetches.iter().sum::<u64>(), 0);
+        assert!(!none.human_summary().contains("prefetch"));
+        assert_eq!(none.per_partition_steps, off.per_partition_steps);
+    }
+
+    /// What a run leaves behind that a hint could conceivably have
+    /// moved: the rows, the step counters, and — through a halted
+    /// checkpointing run's snapshot file — the PS buffers, their
+    /// cursors and the walker lanes mid-walk, byte for byte.
+    #[derive(Debug, PartialEq)]
+    struct Trace {
+        rows: Vec<Vec<VertexId>>,
+        steps_taken: u64,
+        per_partition_steps: Vec<u64>,
+        visits: Option<Vec<u64>>,
+        snapshot: Vec<u8>,
+        resumed_rows: Vec<Vec<VertexId>>,
+    }
+
+    /// Runs `cfg` on `graph` with the stream guard forced to
+    /// `lines_per_walker`: a whole run, a run halted after its first
+    /// checkpoint, and a resume from that checkpoint.
+    fn trace(
+        graph: &Csr,
+        cfg: &WalkConfig,
+        lines_per_walker: usize,
+        tag: &str,
+    ) -> (Trace, RunStats) {
+        let mut engine = FlashMob::new(graph, cfg.clone()).unwrap();
+        engine.hint_lines_per_walker = lines_per_walker;
+        let (out, stats) = engine.run_with_stats().unwrap();
+        let dir = std::env::temp_dir().join(format!("fm_hint_{}_{tag}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let halt = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 2).halt_after(1));
+        assert!(matches!(
+            engine.run_with(&halt, &mut Telemetry::off()),
+            Err(WalkError::Halted { generation: 1 })
+        ));
+        let snapshot = std::fs::read(dir.join(CheckpointSink::snapshot_name(1))).unwrap();
+        let resume = RunOptions::default().resume_from(&dir);
+        let (resumed, resumed_stats) = engine.run_with(&resume, &mut Telemetry::off()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(resumed_stats.steps_taken, stats.steps_taken, "{tag}");
+        let trace = Trace {
+            rows: out.raw_steps().to_vec(),
+            steps_taken: stats.steps_taken,
+            per_partition_steps: stats.per_partition_steps.clone(),
+            visits: stats.visits_sorted.clone(),
+            snapshot,
+            resumed_rows: resumed.raw_steps().to_vec(),
+        };
+        (trace, stats)
+    }
+
+    /// `g` with edge `e` labelled `e % 2` (every vertex of a graph of
+    /// minimum degree 2 keeps both labels within reach often enough).
+    fn labeled_copy(g: &Csr) -> Csr {
+        let labels = (0..g.edge_count()).map(|e| (e % 2) as u8).collect();
+        g.clone().with_edge_labels(labels).unwrap()
+    }
+
+    /// The tentpole's invariant, end to end: the hint stage is invisible.
+    /// Guard *never*, the shipped guard and *always* leave the same
+    /// rows, counters and snapshot bytes, for every first-order program
+    /// on every plan shape at every thread count — through a mid-walk
+    /// checkpoint, and with the walker ring forced to 16 on top.
+    #[test]
+    fn hint_stage_is_invisible_in_every_first_order_run() {
+        let g = synth::power_law(400, 2.0, 2, 40, 9);
+        let base = config(300, 6).record_visits(true);
+        let with = |algorithm: WalkAlgorithm| {
+            let mut cfg = base.clone();
+            cfg.algorithm = algorithm;
+            cfg
+        };
+        let mut geometric = base.clone();
+        geometric.stop = StopRule::Geometric {
+            exit_prob: 0.3,
+            max_steps: 6,
+        };
+        let pattern = crate::algorithm::MetapathPattern::new(&[0, 1]).unwrap();
+        let cells = [
+            ("deepwalk", g.clone(), base.clone()),
+            ("weighted", weighted_copy(&g), with(WalkAlgorithm::Weighted)),
+            ("ppr", g.clone(), with(WalkAlgorithm::Ppr { alpha: 0.2 })),
+            ("early-exit", g.clone(), with(WalkAlgorithm::EarlyExit)),
+            (
+                "metapath",
+                labeled_copy(&g),
+                with(WalkAlgorithm::Metapath { pattern }),
+            ),
+            // A populated dead bin from the first iteration on.
+            ("geometric", g.clone(), geometric),
+        ];
+        for (algo, graph, cfg) in &cells {
+            for strategy in [
+                PlanStrategy::DynamicProgramming,
+                PlanStrategy::UniformPs,
+                PlanStrategy::UniformDs,
+            ] {
+                let cfg = cfg.clone().strategy(strategy);
+                let tag = format!("{algo}_{strategy:?}");
+                let (want, never) = trace(graph, &cfg, 0, &tag);
+                assert_eq!(
+                    never.per_partition_prefetches.iter().sum::<u64>(),
+                    0,
+                    "{tag}"
+                );
+                for threads in [1usize, 2, 3, 8] {
+                    for ring in [None, Some(16)] {
+                        let mut cfg = cfg.clone().threads(threads);
+                        cfg.ring_depth = ring;
+                        let what = format!("{tag}_{threads}_{ring:?}");
+                        for guard in [0, HINT_LINES_PER_WALKER, usize::MAX] {
+                            let (got, stats) = trace(graph, &cfg, guard, &what);
+                            assert_eq!(got, want, "{what} guard {guard}");
+                            let hinted = stats.prefetch_totals().1 > 0;
+                            assert_eq!(hinted, guard > 0, "{what} guard {guard}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Which partitions the stage hints, on one step from known starts:
+    /// with the guard at *always*, every occupied partition but the
+    /// first of its range — so the last partition hints nothing after
+    /// it, an empty neighbour and a run of empty partitions are skipped
+    /// over, a run of empty partitions to the end hints nothing, and a
+    /// one-partition plan never hints.
+    #[test]
+    fn hints_go_to_the_next_occupied_partition_of_the_range() {
+        let g = synth::power_law(2_000, 2.0, 2, 60, 4);
+        let params = PlannerParams {
+            max_partitions: 32,
+            ..small_params()
+        };
+        let probe = FlashMob::new(
+            &g,
+            config(8, 1)
+                .planner(params.clone())
+                .strategy(PlanStrategy::UniformDs),
+        )
+        .unwrap();
+        let parts = probe.plan().partitions.clone();
+        assert!(parts.len() >= 8);
+        let last = parts.len() - 1;
+        // One original-id start vertex inside sorted partition `pi`.
+        let start_in = |pi: usize| probe.relabeling().to_old(parts[pi].start);
+        let occupied_sets: [&[usize]; 5] = [&[0], &[0, 1, 2], &[1, 3, last], &[2, 6], &[last]];
+        for strategy in [PlanStrategy::UniformDs, PlanStrategy::UniformPs] {
+            for occupied in occupied_sets {
+                let starts = occupied.iter().map(|&pi| start_in(pi)).collect();
+                let cfg = config(8, 1)
+                    .planner(params.clone())
+                    .strategy(strategy)
+                    .init(WalkerInit::Fixed(starts));
+                let run = |guard: usize| {
+                    let mut engine = FlashMob::new(&g, cfg.clone()).unwrap();
+                    assert_eq!(engine.plan().partitions.len(), parts.len());
+                    engine.hint_lines_per_walker = guard;
+                    engine.run_with_stats().unwrap()
+                };
+                let (out, stats) = run(usize::MAX);
+                let hinted: Vec<usize> = (0..parts.len())
+                    .filter(|&pi| stats.per_partition_stream_hints[pi] > 0)
+                    .collect();
+                assert_eq!(hinted, occupied[1..], "{strategy:?} {occupied:?}");
+                assert_eq!(out.paths(), run(0).0.paths(), "{strategy:?} {occupied:?}");
+            }
+        }
+        // A one-partition plan has no next partition.
+        let one = PlannerParams {
+            max_partitions: 1,
+            ..small_params()
+        };
+        let mut engine = FlashMob::new(
+            &g,
+            config(500, 3)
+                .planner(one)
+                .strategy(PlanStrategy::UniformDs),
+        )
+        .unwrap();
+        assert_eq!(engine.plan().partitions.len(), 1);
+        engine.hint_lines_per_walker = usize::MAX;
+        let (_, stats) = engine.run_with_stats().unwrap();
+        assert_eq!(stats.per_partition_prefetches, vec![0]);
     }
 
     #[test]

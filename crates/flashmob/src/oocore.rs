@@ -1432,6 +1432,30 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Placement runs behind its own prefetches; through this engine's
+    /// call, on the offsets index alone, it must still put walker `j` on
+    /// the source of the `j`-th edge drawn — at walker counts around the
+    /// lag ring's fill and drain as much as at large ones.
+    #[test]
+    fn init_positions_place_each_walker_on_its_drawn_edge() {
+        use fm_rng::{Rng64, Xorshift64Star};
+        let g = synth::power_law(900, 2.0, 1, 120, 11);
+        let path = temp_path("placement.fmdisk");
+        let disk = DiskGraph::create(&g, &path).unwrap();
+        for walkers in [1, 15, 16, 17, 32, 33, 100_000] {
+            let cfg = WalkConfig::deepwalk().walkers(walkers).seed(walkers as u64);
+            let mut rng = Xorshift64Star::new(cfg.seed);
+            let want: Vec<VertexId> = (0..walkers)
+                .map(|_| {
+                    let edge = rng.gen_index(disk.edge_count());
+                    (disk.offsets.partition_point(|&o| o <= edge) - 1) as VertexId
+                })
+                .collect();
+            assert_eq!(init_positions(&disk, &cfg), want, "{walkers} walkers");
+        }
+        std::fs::remove_file(path).ok();
+    }
+
     #[test]
     fn ooc_walk_stays_on_edges() {
         let g = synth::power_law(400, 2.0, 1, 40, 5);

@@ -111,7 +111,10 @@ impl Plan {
     /// [`crate::sample::ring`]): the model's
     /// [`ring_depth`](AnalyticCostModel::ring_depth) knob applied to
     /// each partition's sample working set, so only LLC-exceeding
-    /// partitions pay for prefetch instructions.
+    /// partitions run the ring.  A depth of 1 says the working set
+    /// *fits*, not that it is *resident* when the task starts; the
+    /// engine streams fitting partitions in one task ahead instead
+    /// (`sample::hint_partition`), gated on the shuffle's occupancy.
     ///
     /// The working-set formulas mirror the cost model's
     /// `sample_cost_ns`: DS touches the partition's edges plus (for

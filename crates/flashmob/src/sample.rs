@@ -26,6 +26,12 @@
 //! RNG consumer and runs in strict walker order, so every depth —
 //! including depth 1, the legacy one-walker-at-a-time loop — produces
 //! bit-identical walks (see the module docs of [`ring`]).
+//!
+//! In front of each first-order task the engine runs one hint-only
+//! stage, [`hint_partition`]: while partition *i* samples, the working
+//! set of the next occupied partition is streamed in, because a
+//! partition that fits in cache is not in cache when its task starts.
+//! [`worth_hinting`] gates it on walkers per cache line.
 
 pub mod ring;
 
@@ -258,6 +264,91 @@ pub fn sample_partition<R: Rng64, P: Probe>(
             sample_ds(graph, part, slab, ctx, io, rng, probe, addr, ring_depth)
         }
     }
+}
+
+/// A partition is streamed in ahead of its task when it holds at most
+/// this many cache lines per walker about to visit it.
+///
+/// Below that, most lines are touched this iteration and nearly every
+/// walker read would be a line's first — a miss the stream turns into a
+/// hit; above it, most of the hinted lines would not be read before
+/// they are evicted again.  Swept over {½, 1, 2, 4, 8, always} on the
+/// YH analog at |V|/2 and |V|/16 walkers (EXPERIMENTS.md, PR 21 ledger):
+/// 2 sits on the plateau of both.
+pub(crate) const HINT_LINES_PER_WALKER: usize = 2;
+
+/// Whether hinting `part`'s working set can pay for `walkers` visits:
+/// a function of the plan and the shuffle's bin width alone, so the
+/// same partitions are hinted on every thread count.  The line count is
+/// the edge array's for DS and one active buffer line per vertex for PS
+/// (the two working sets [`crate::plan::Plan::ring_depths`] sizes).
+pub(crate) fn worth_hinting(part: &Partition, walkers: usize, lines_per_walker: usize) -> bool {
+    let lines = match part.policy {
+        SamplePolicy::Direct => part.edges.div_ceil(16),
+        SamplePolicy::PreSample => part.vertex_count(),
+    };
+    walkers.saturating_mul(lines_per_walker) >= lines
+}
+
+/// The hint-only stage in front of a first-order sample task: streams
+/// in what `part`'s next [`sample_partition`] call will read, and
+/// returns the number of hints issued.
+///
+/// A cache-sized partition is not cache-*resident* when its task
+/// starts — every other partition, the PS buffers and a shuffle have
+/// been through the cache since its last visit — so the first touch of
+/// each line misses, and at a walker or fewer per line those first
+/// touches are most of the task's reads.  The engine calls this one
+/// task ahead (while the previous occupied partition samples), which
+/// turns the scattered misses into one sequential stream:
+///
+/// * DS: the slab's storage, or the CSR target range plus its offset
+///   pairs, line by line;
+/// * PS: per vertex, the one buffer line the next [`consume`] will read
+///   (`buf[bstart + d - remaining]`), or — where a zero cursor says a
+///   refill comes first — the adjacency head and the buffer head.
+///
+/// Hints consume no RNG and write no walker, cursor or buffer state,
+/// and use the simulated addresses the demand touches will use.
+pub(crate) fn hint_partition<P: Probe>(
+    graph: &Csr,
+    part: &Partition,
+    slab: Option<&FixedDegreeSlab>,
+    ps: Option<&PsBuffers>,
+    probe: &mut P,
+    addr: &AddrMap,
+) -> u64 {
+    let mut pf = ring::Pf::new(true);
+    let (start, end) = (part.start as usize, part.end as usize);
+    match (part.policy, ps, slab) {
+        (SamplePolicy::PreSample, Some(buffers), _) => {
+            let targets = graph.targets();
+            for (i, &remaining) in buffers.cursor.iter().enumerate() {
+                let bstart = buffers.local_offsets[i] as usize;
+                if remaining == 0 {
+                    let off = graph.adjacency_start((start + i) as VertexId);
+                    pf.element(probe, targets, off, addr.targets);
+                    pf.element(probe, &buffers.buf, bstart, addr.ps_buf);
+                } else {
+                    let bend = buffers.local_offsets[i + 1] as usize;
+                    let pos = bend - remaining as usize;
+                    pf.element(probe, &buffers.buf, pos, addr.ps_buf);
+                }
+            }
+        }
+        (_, _, Some(slab)) => pf.stream(probe, slab.targets(), addr.slab_targets),
+        (_, _, None) => {
+            let offsets = &graph.offsets()[start..=end];
+            let (first_edge, edge_end) = (offsets[0], offsets[end - start]);
+            pf.stream(probe, offsets, addr.offsets + 8 * start as u64);
+            pf.stream(
+                probe,
+                &graph.targets()[first_edge..edge_end],
+                addr.targets + 4 * first_edge as u64,
+            );
+        }
+    }
+    pf.issued()
 }
 
 /// Slot payload carried from the ring's fetch stage to its execute
@@ -1471,6 +1562,193 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Records what a hint stage asks for, as (address, bytes).
+    #[derive(Default)]
+    struct HintLog(Vec<(u64, u32)>);
+
+    impl Probe for HintLog {
+        fn touch(&mut self, _: u64, _: u32, _: AccessKind) {
+            panic!("a hint stage makes no demand access");
+        }
+        fn prefetch(&mut self, addr: u64, bytes: u32) {
+            self.0.push((addr, bytes));
+        }
+    }
+
+    /// PS hints per vertex, at the two ends of a buffer's life: every
+    /// cursor zero (a fresh run: refill first, so adjacency head and
+    /// buffer head) and every cursor full (nothing consumed yet: the
+    /// buffer head alone), and one in between.  The stage reads the
+    /// buffers and leaves them as they were.
+    #[test]
+    fn ps_hints_follow_the_cursor() {
+        let g = synth::power_law(200, 2.0, 1, 40, 3);
+        let part = make_part(&g, SamplePolicy::PreSample);
+        let addr = AddrMap {
+            targets: 0x10_0000,
+            ps_buf: 0x80_0000,
+            ..AddrMap::default()
+        };
+        let mut ps = PsBuffers::new(&g, &part);
+        let degrees: Vec<u32> = (0..200).map(|v| g.degree(v) as u32).collect();
+        let heads = |base: u64| -> Vec<(u64, u32)> {
+            (0..200)
+                .map(|v| (base + 4 * g.adjacency_start(v) as u64, 4))
+                .collect()
+        };
+        let hint = |ps: &PsBuffers| {
+            let mut log = HintLog::default();
+            let issued = hint_partition(&g, &part, None, Some(ps), &mut log, &addr);
+            assert_eq!(issued as usize, log.0.len());
+            log.0
+        };
+
+        // Every cursor zero.
+        let mut got = hint(&ps);
+        let mut want = heads(addr.targets);
+        want.extend(heads(addr.ps_buf));
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want);
+
+        // Every cursor full: buffer layout mirrors CSR, so heads again.
+        ps.cursor.copy_from_slice(&degrees);
+        assert_eq!(hint(&ps), heads(addr.ps_buf));
+
+        // Mid-buffer: `remaining` left of `d` puts the next read at
+        // `bstart + d - remaining`.
+        for (c, &d) in ps.cursor.iter_mut().zip(&degrees) {
+            *c = d.div_ceil(2);
+        }
+        let before = ps.export();
+        let mid: Vec<(u64, u32)> = (0..200)
+            .map(|v| {
+                let d = g.degree(v) as u64;
+                let pos = g.adjacency_start(v) as u64 + d - d.div_ceil(2);
+                (addr.ps_buf + 4 * pos, 4)
+            })
+            .collect();
+        assert_eq!(hint(&ps), mid);
+        assert_eq!(ps.export(), before, "a hint stage writes no PS state");
+    }
+
+    /// DS hints: the slab's storage where there is one, otherwise the
+    /// partition's offset pairs and its target range — each as one
+    /// stream at the addresses the demand touches will use.
+    #[test]
+    fn ds_hints_cover_the_slab_or_the_csr_range() {
+        let g = synth::regular_ring(64, 4);
+        let part = make_part(&g, SamplePolicy::Direct);
+        let slab = part.slab(&g).unwrap();
+        let addr = AddrMap {
+            offsets: 0x10_0000,
+            targets: 0x20_0000,
+            slab_targets: 0x50_0000,
+            ..AddrMap::default()
+        };
+        let mut log = HintLog::default();
+        let issued = hint_partition(&g, &part, Some(&slab), None, &mut log, &addr);
+        assert_eq!(log.0, vec![(0x50_0000, 64 * 4 * 4)]);
+        assert_eq!(issued, 16 + 1, "a hint a line and one for the tail");
+
+        // CSR, on a partition in the middle of the graph.
+        let (edges, uniform) = Partition::annotate(&g, 16, 48);
+        let mid = Partition {
+            start: 16,
+            end: 48,
+            policy: SamplePolicy::Direct,
+            group: 0,
+            edges,
+            uniform_degree: uniform,
+        };
+        let mut log = HintLog::default();
+        hint_partition(&g, &mid, None, None, &mut log, &addr);
+        assert_eq!(
+            log.0,
+            vec![(0x10_0000 + 8 * 16, 8 * 33), (0x20_0000 + 4 * 64, 4 * 128)]
+        );
+    }
+
+    /// The memory-model half of the claim: a dense DS-slab task whose
+    /// hint stage ran first finds its lines in cache.  Cold, two
+    /// walkers a line, the slab well past L1: without the stream every
+    /// line's first touch misses all the way down; with it the hints
+    /// are the slab's line count and the task's demand misses in L2
+    /// all but disappear.  Same walk either way.
+    #[test]
+    fn hinted_slab_task_hits_where_the_cold_one_misses() {
+        use fm_memsim::{HierarchyConfig, MemorySystem};
+        let g = synth::regular_ring(16_384, 8);
+        let part = make_part(&g, SamplePolicy::Direct);
+        let slab = part.slab(&g).unwrap();
+        let lines = (slab.footprint_bytes() / 64) as u64;
+        let walkers = 2 * lines as usize;
+        assert!(worth_hinting(&part, walkers, HINT_LINES_PER_WALKER));
+        let scur: Vec<VertexId> = (0..walkers)
+            .map(|j| (j * 7919 % 16_384) as VertexId)
+            .collect();
+        let addr = AddrMap {
+            slab_targets: 0x500_0000,
+            scur: 0x300_0000,
+            snext: 0x400_0000,
+            ..AddrMap::default()
+        };
+        let run = |hinted: bool| {
+            let mut probe = MemorySystem::new(HierarchyConfig::skylake_server());
+            if hinted {
+                hint_partition(&g, &part, Some(&slab), None, &mut probe, &addr);
+            }
+            let mut snext = vec![0; walkers];
+            let io = TaskIo {
+                scur: &scur,
+                sprev: None,
+                snext: &mut snext,
+                slice_base: 0,
+                visits: None,
+            };
+            sample_partition(
+                &g,
+                &part,
+                Some(&slab),
+                None,
+                &first_order_ctx(),
+                io,
+                &mut Xorshift64Star::new(5),
+                &mut probe,
+                &addr,
+                1,
+            );
+            (snext, probe.stats().clone())
+        };
+        let (cold_next, cold) = run(false);
+        let (warm_next, warm) = run(true);
+        assert_eq!(cold_next, warm_next);
+        assert_eq!(cold.accesses, warm.accesses, "demand stream must match");
+        assert_eq!(cold.prefetch_lines, 0);
+        assert_eq!(warm.prefetch_lines, lines);
+        assert!(
+            warm.l2.misses * 4 < cold.l2.misses,
+            "demand L2 misses: {} hinted, {} cold",
+            warm.l2.misses,
+            cold.l2.misses
+        );
+    }
+
+    /// The guard is walkers against lines: edges / 16 for DS, one
+    /// buffer line a vertex for PS.
+    #[test]
+    fn guard_compares_walkers_with_lines() {
+        let g = synth::regular_ring(1_024, 8);
+        let ds = make_part(&g, SamplePolicy::Direct); // 512 lines
+        let ps = make_part(&g, SamplePolicy::PreSample); // 1024 lines
+        for (part, lines) in [(&ds, 512), (&ps, 1_024)] {
+            assert!(worth_hinting(part, lines / 2, 2));
+            assert!(!worth_hinting(part, lines / 2 - 1, 2));
+            assert!(worth_hinting(part, 1, usize::MAX), "always");
+            assert!(!worth_hinting(part, usize::MAX, 0), "never");
         }
     }
 

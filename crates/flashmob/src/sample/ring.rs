@@ -46,9 +46,27 @@
 //! cannot change a single draw.  Any depth therefore produces the same
 //! walk; depth only changes how far ahead the hints run.
 //!
-//! The planner disables the ring (depth 1) for partitions whose working
-//! set already fits in cache — prefetch hints into a cache-resident set
-//! are pure instruction overhead (see `cost::AnalyticCostModel::ring_depth`).
+//! # What the ring is not for
+//!
+//! The planner turns the ring off (depth 1) for partitions whose working
+//! set fits in cache (`cost::AnalyticCostModel::ring_depth`).  That is
+//! not because such a partition's reads hit: *fits* is not *resident*.
+//! A task's partition was last touched a whole sweep ago, and every
+//! other partition, the PS buffers and a shuffle have been through the
+//! cache since, so the first touch of each line in each iteration comes
+//! from L3 or DRAM — and at the densities the paper runs at (|V|/2
+//! walkers over the YH analog's 27.7 M edges is 0.87 walkers per
+//! 64-byte line of the edge array per iteration) two thirds of all
+//! walker reads *are* a line's first touch.  The ring is the weaker
+//! tool against those misses: it runs at most [`MAX_RING_DEPTH`]
+//! walkers ahead inside a task that is cold from its first walker to
+//! its last, where the partition stream ([`super::hint_partition`],
+//! [`Pf::stream`]) brings the whole working set in sequentially, one
+//! task ahead.  Forced to 16 the ring recovers about half of what the
+//! stream does, and the two together are slower than the stream alone
+//! (EXPERIMENTS.md, PR 21 ledger).  So depth 1 stays the plan for
+//! cache-sized partitions, and the ring keeps the case it was built
+//! for: working sets no task-ahead stream could hold.
 
 use fm_memsim::Probe;
 
@@ -148,6 +166,33 @@ impl Pf {
             probe.prefetch(base + (sz * i) as u64, sz as u32);
             self.issued += 1;
         }
+    }
+
+    /// Hints every line of `data`, uncapped: the partition stream
+    /// ([`super::hint_partition`]) brings a whole slab or edge range in
+    /// this way, one task before its walkers arrive.  One hardware hint
+    /// per 64 bytes of the slice and one for its last element (a slice
+    /// that starts mid-line overlaps one line more than it fills), so
+    /// the count is a function of the length alone; the model is told
+    /// the same bytes at `base`.
+    #[inline]
+    pub fn stream<T, P: Probe>(&mut self, probe: &mut P, data: &[T], base: u64) {
+        let Some(last) = data.last() else {
+            return;
+        };
+        if !self.active {
+            return;
+        }
+        let per_line = (LINE_BYTES / core::mem::size_of::<T>().max(1)).max(1);
+        for first in data.iter().step_by(per_line) {
+            prefetch_read(first as *const T);
+        }
+        prefetch_read(last as *const T);
+        self.issued += data.len().div_ceil(per_line) as u64 + 1;
+        // The model's length is a `u32`; no cache-sized partition is
+        // anywhere near it.
+        let bytes = core::mem::size_of_val(data);
+        probe.prefetch(base, bytes.min(u32::MAX as usize) as u32);
     }
 
     /// Hints the lines covering `data[i .. i + len]`, capped at

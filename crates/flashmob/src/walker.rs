@@ -6,6 +6,7 @@
 //! implicitly by array order — halving message footprint versus explicit
 //! `<walker, vertex>` pairs.
 
+use fm_graph::prefetch::prefetch_read;
 use fm_graph::{Csr, VertexId};
 use fm_recover::Fingerprint;
 use fm_rng::{Rng64, Xorshift64Star};
@@ -77,10 +78,7 @@ pub(crate) fn initialize_from_offsets(
         WalkerInit::UniformEdge => {
             let e = offsets[n];
             assert!(e > 0, "uniform-edge init needs edges");
-            let index = EdgeIndex::build(offsets, count);
-            (0..count)
-                .map(|_| index.source(offsets, rng.gen_index(e)))
-                .collect()
+            EdgeIndex::build(offsets, count).place(offsets, count, || rng.gen_index(e))
         }
         WalkerInit::EveryVertex => (0..count).map(|j| (j % n) as VertexId).collect(),
         WalkerInit::Fixed(starts) => {
@@ -101,8 +99,10 @@ pub(crate) fn initialize_from_offsets(
 /// any edge in the bucket lies in `first[b] ..= first[b + 1]`: one table
 /// read, then a search over the few offsets that range spans.  Lookups
 /// of successive walkers are independent of each other, so their cache
-/// misses overlap; a binary search over the whole array is one chain of
-/// dependent misses per walker.
+/// misses overlap — [`EdgeIndex::place`] makes them, running each
+/// walker's two dependent reads behind their own prefetches; a binary
+/// search over the whole array is one chain of dependent misses per
+/// walker.
 ///
 /// The table is built by one sequential pass over `offsets` and lives
 /// for a single placement.  `shift` is the smallest that gives at most
@@ -151,12 +151,63 @@ impl EdgeIndex {
         Self { shift, first }
     }
 
-    /// Source vertex of `edge`: the last `v` with `offsets[v] <= edge`.
+    /// The vertex range `lo ..= hi` the source of `edge` lies in.
     #[inline]
-    fn source(&self, offsets: &[usize], edge: usize) -> VertexId {
+    fn bucket(&self, edge: usize) -> (VertexId, VertexId) {
         let b = edge >> self.shift;
-        let (lo, hi) = (self.first[b] as usize, self.first[b + 1] as usize);
+        (self.first[b], self.first[b + 1])
+    }
+
+    /// The source of `edge` — the last `v` with `offsets[v] <= edge` —
+    /// within its [`EdgeIndex::bucket`].
+    #[inline]
+    fn search(offsets: &[usize], edge: usize, lo: VertexId, hi: VertexId) -> VertexId {
+        let (lo, hi) = (lo as usize, hi as usize);
         (lo + offsets[lo + 1..=hi].partition_point(|&o| o <= edge)) as VertexId
+    }
+
+    /// Walkers between two stages of [`EdgeIndex::place`].  Swept over
+    /// {0, 4, 8, 16, 32, 64} on the YH and YT analogs at |V|/2 walkers
+    /// (EXPERIMENTS.md, PR 21 ledger): −15 % and −29 % of a placement,
+    /// flat from 8 to 64.  At |V|/16 walkers and fewer the table fits in
+    /// L2, placement is mostly index build, and the ring costs ~5 % of it.
+    const LAG: usize = 16;
+
+    /// The sources of `count` edges, `draw`n in walker order.  Walker
+    /// `j`'s table entry is hinted when its edge is drawn, read `LAG`
+    /// draws later — which hints the first offset of its bucket — and
+    /// searched `LAG` after that: both of a walker's cold reads (a
+    /// table of 4 bytes a walker, an offsets array of 8 a vertex) are in
+    /// flight for `LAG` walkers' work before they are needed.  The ring
+    /// lives on the stack; order of draws and of output is the
+    /// un-lagged loop's.
+    fn place(
+        &self,
+        offsets: &[usize],
+        count: usize,
+        mut draw: impl FnMut() -> usize,
+    ) -> Vec<VertexId> {
+        const SLOTS: usize = 2 * EdgeIndex::LAG;
+        let mut ring = [(0usize, 0 as VertexId, 0 as VertexId); SLOTS];
+        let mut out = Vec::with_capacity(count);
+        for j in 0..count + SLOTS {
+            // Walker `j - SLOTS` leaves the slot walker `j` is about to take.
+            if j >= SLOTS {
+                let (edge, lo, hi) = ring[j % SLOTS];
+                out.push(Self::search(offsets, edge, lo, hi));
+            }
+            if (Self::LAG..count + Self::LAG).contains(&j) {
+                let slot = &mut ring[(j - Self::LAG) % SLOTS];
+                (slot.1, slot.2) = self.bucket(slot.0);
+                prefetch_read(&offsets[slot.1 as usize + 1]);
+            }
+            if j < count {
+                let edge = draw();
+                ring[j % SLOTS].0 = edge;
+                prefetch_read(&self.first[edge >> self.shift]);
+            }
+        }
+        out
     }
 }
 
@@ -252,7 +303,8 @@ mod tests {
             let index = EdgeIndex::build(&offsets, walkers);
             assert!(index.first.len() - 1 <= walkers.min(edges), "{walkers} walkers");
             for edge in 0..edges {
-                let v = index.source(&offsets, edge) as usize;
+                let (lo, hi) = index.bucket(edge);
+                let v = EdgeIndex::search(&offsets, edge, lo, hi) as usize;
                 assert!(
                     offsets[v] <= edge && edge < offsets[v + 1],
                     "edge {edge} -> vertex {v} at {walkers} walkers"
@@ -286,6 +338,28 @@ mod tests {
                         assert_eq!(initialize_from_offsets(&offsets, init, count, seed), want);
                     }
                 }
+            }
+        }
+    }
+
+    /// The lagged placement against the un-lagged loop where its ring
+    /// fills and drains: fewer walkers than one lag, exactly one, one
+    /// more than the ring holds, and many — on a bare offsets copy, which
+    /// is how `oocore` calls it.
+    #[test]
+    fn lagged_placement_equals_the_unlagged_loop_around_its_drain() {
+        let graph = synth::power_law(5_000, 2.0, 1, 400, 21);
+        let (sorted, _) = sort_by_degree(&graph);
+        let offsets = sorted.offsets().to_vec();
+        let lag = EdgeIndex::LAG;
+        for count in [1, lag - 1, lag, lag + 1, 2 * lag, 2 * lag + 1, 100_000] {
+            for seed in [1u64, 2, 3] {
+                let init = WalkerInit::UniformEdge;
+                assert_eq!(
+                    initialize_from_offsets(&offsets, &init, count, seed),
+                    model(&offsets, &init, count, seed),
+                    "{count} walkers, seed {seed}"
+                );
             }
         }
     }

@@ -8,6 +8,7 @@
 //! (Section 5.2 reports 7.7 s on YahooWeb).
 
 use crate::csr::Csr;
+use crate::prefetch::prefetch_read;
 use crate::VertexId;
 
 /// A bijection between original and degree-sorted vertex IDs.
@@ -96,12 +97,23 @@ impl Relabeling {
     pub fn apply(&self, graph: &Csr) -> Csr {
         let n = graph.vertex_count();
         assert_eq!(n, self.len(), "relabeling size must match graph");
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
+        // Rows are fetched in degree order, which is no order at all in
+        // the input: each is a cold offset pair, then a cold row head.
+        // Both loops run behind their own prefetches — a row's offset
+        // pair is hinted `FAR` rows ahead and, once resident, read
+        // `NEAR` rows ahead to hint the row's first line.
+        const FAR: usize = 32;
+        const NEAR: usize = 16;
+        let (src_offsets, src_targets) = (graph.offsets(), graph.targets());
+        let hint_pair = |row: usize| {
+            if let Some(&old) = self.new_to_old.get(row) {
+                prefetch_read(&src_offsets[old as usize]);
+            }
+        };
+        let mut offsets = vec![0usize; n + 1];
         for new_id in 0..n {
-            acc += graph.degree(self.new_to_old[new_id]);
-            offsets.push(acc);
+            hint_pair(new_id + FAR);
+            offsets[new_id + 1] = offsets[new_id] + graph.degree(self.new_to_old[new_id]);
         }
         let mut targets = Vec::with_capacity(graph.edge_count());
         let mut weights = graph
@@ -111,10 +123,19 @@ impl Relabeling {
             .is_labeled()
             .then(|| Vec::with_capacity(graph.edge_count()));
         for new_id in 0..n {
-            let old = self.new_to_old[new_id];
-            for &t in graph.neighbors(old) {
-                targets.push(self.old_to_new[t as usize]);
+            hint_pair(new_id + FAR);
+            if let Some(&old) = self.new_to_old.get(new_id + NEAR) {
+                // Past the end for a trailing zero-degree vertex: a hint
+                // may point anywhere.
+                prefetch_read(src_targets.as_ptr().wrapping_add(src_offsets[old as usize]));
             }
+            let old = self.new_to_old[new_id];
+            targets.extend(
+                graph
+                    .neighbors(old)
+                    .iter()
+                    .map(|&t| self.old_to_new[t as usize]),
+            );
             if let (Some(ws), Some(src)) = (weights.as_mut(), graph.edge_weights(old)) {
                 ws.extend_from_slice(src);
             }

@@ -152,8 +152,9 @@ pub struct PartitionCounters {
     /// latency-hiding ring; 1 when the ring is off, 0 when the
     /// partition never ran).
     pub ring_occupancy: u64,
-    /// Software-prefetch hints issued by the sample ring on this
-    /// partition's behalf.
+    /// Software-prefetch hints issued on this partition's behalf by the
+    /// sample stage: the walker ring's, and the partition stream's one
+    /// task ahead of it.
     pub prefetch_issued: u64,
 }
 
@@ -473,9 +474,9 @@ impl Telemetry {
     /// Records one step's latency-hiding ring statistics for partition
     /// `pi`: the ring occupancy achieved (in-flight walkers, capped by
     /// the partition's live walker count) and the software-prefetch
-    /// hints issued.  A no-op when the partition never ran
-    /// (`occupancy == 0 && issued == 0`), so idle partitions report
-    /// zeros rather than phantom depth-1 rings.
+    /// hints issued for it, by the ring or ahead of it.  A no-op when
+    /// the partition never ran (`occupancy == 0 && issued == 0`), so
+    /// idle partitions report zeros rather than phantom depth-1 rings.
     #[inline]
     pub fn record_partition_ring(&mut self, pi: usize, occupancy: u64, issued: u64) {
         if !self.is_on() || (occupancy == 0 && issued == 0) {
