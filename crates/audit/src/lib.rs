@@ -17,10 +17,9 @@
 //!   workspace call graph with conservative trait fan-out and explicit
 //!   open edges, and four reachability/taint lints on top of it —
 //!   determinism-taint (clock/entropy/env/hash-order sources must not
-//!   reach the deterministic crates, superseding the old textual
-//!   wall-clock lint), panic-reachability (no panicking call sites
-//!   reachable from the sample loops), rng-purity (RNG construction
-//!   flows from seed + structured indices), and
+//!   reach the deterministic crates), panic-reachability (no panicking
+//!   call sites reachable from the sample loops), rng-purity (RNG
+//!   construction flows from seed + structured indices), and
 //!   fingerprint-completeness (every config field the run path reads
 //!   is folded into the checkpoint fingerprint).
 //! * [`disjoint`] — a runtime checker for the pool's `DisjointSlice`

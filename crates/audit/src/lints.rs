@@ -18,10 +18,9 @@
 //! * `determinism-taint` / `panic-reachability` / `rng-purity` /
 //!   `fingerprint-completeness` — the flow-aware lints, defined in
 //!   [`crate::taint`] over the call graph ([`crate::callgraph`]) rather
-//!   than per line.  `determinism-taint` supersedes the old textual
-//!   `wall-clock` lint (that name survives as an allow.toml alias):
-//!   clock / entropy / env-var / hash-order sources must not *reach*
-//!   a deterministic crate, not merely appear in one.
+//!   than per line.  `determinism-taint`: clock / entropy / env-var /
+//!   hash-order sources must not *reach* a deterministic crate, not
+//!   merely appear in one.
 //! * `narrowing-cast` — narrowing `as` casts are forbidden in
 //!   `recover/src/wire.rs` and `crc.rs`: snapshot decoding must use
 //!   checked conversions so corrupt length fields cannot wrap.
@@ -60,8 +59,7 @@ pub enum Lint {
     PerfSyscall,
     /// Flow-aware (`--graph`): wall-clock / entropy / env-var /
     /// hash-iteration-order sources must not reach the deterministic
-    /// crates, transitively.  Supersedes the old textual `wall-clock`
-    /// lint; that name is still accepted in allow.toml as an alias.
+    /// crates, transitively.
     DeterminismTaint,
     /// Flow-aware: no panic/unwrap/expect reachable from the PS/DS/
     /// ring/oocore sample loops without an allow-listed exemption.
@@ -108,11 +106,6 @@ impl Lint {
     }
 
     pub fn from_name(s: &str) -> Option<Lint> {
-        // `wall-clock` was the textual ancestor of the taint pass; the
-        // alias keeps existing allow.toml entries meaningful.
-        if s == "wall-clock" {
-            return Some(Lint::DeterminismTaint);
-        }
         Lint::ALL.into_iter().find(|l| l.name() == s)
     }
 }
@@ -519,20 +512,6 @@ mod tests {
         // Widening casts are fine even in the codec files.
         let widen = "fn f(x: u8) -> u64 { x as u64 }\n";
         assert!(lints_of("crates/recover/src/crc.rs", widen).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_is_now_flow_aware_not_textual() {
-        // The textual scanner no longer fires on clock tokens — the
-        // determinism-taint pass owns them (crate::taint) — but the old
-        // lint name still resolves for allow.toml compatibility.
-        let src = "fn f() { let t = std::time::SystemTime::now(); let _ = t; }\n";
-        assert!(lints_of("crates/rng/src/lib.rs", src).is_empty());
-        assert_eq!(Lint::from_name("wall-clock"), Some(Lint::DeterminismTaint));
-        assert_eq!(
-            Lint::from_name("determinism-taint"),
-            Some(Lint::DeterminismTaint)
-        );
     }
 
     #[test]

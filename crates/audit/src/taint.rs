@@ -4,11 +4,8 @@
 //!   ambient entropy (`thread_rng`/`from_entropy`/`rand::random`/
 //!   `RandomState`), environment reads (`env::var`/`env::temp_dir`/…)
 //!   and `HashMap`/`HashSet` iteration-order sources must not reach any
-//!   function in the deterministic crates, transitively.  This
-//!   supersedes the old textual `wall-clock` lint: the source set is
-//!   the same *plus* env/hash-order, and reachability replaces "in this
-//!   file".  `Instant` stays allowed — elapsed-time telemetry never
-//!   feeds walk results.
+//!   function in the deterministic crates, transitively.  `Instant`
+//!   stays allowed — elapsed-time telemetry never feeds walk results.
 //! * **panic-reachability** — no `panic!` / `unwrap` / `expect` /
 //!   `unreachable!` / `assert!` reachable from the PS/DS/ring/oocore
 //!   sample loops, except through a reason-carrying allow entry.

@@ -667,7 +667,6 @@ mod tests {
         assert_eq!(ss.steps_taken, ps.steps_taken);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn traced_run_is_bit_identical_and_counts_exactly() {
         let g = synth::power_law(300, 2.0, 1, 30, 2);
@@ -699,7 +698,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn traced_stats_summaries_are_machine_readable() {
         let g = synth::cycle(16);

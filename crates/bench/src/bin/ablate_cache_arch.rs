@@ -7,13 +7,113 @@
 //! the same engine + workload through both simulated hierarchies and
 //! reports miss counts and estimated data-bound time, plus each
 //! architecture's DP plan shape.
+//!
+//! Three wall-clock ablations of FlashMob's own design choices follow
+//! it (EXPERIMENTS.md, Ablations): xorshift* vs MT19937, implicit
+//! 4-byte vs explicit 8-byte walker messages, and the shuffle bin
+//! budget.  Reproducers, best of [`REPEATS`]; nothing gates on them.
 
+use std::hint::black_box;
+
+use flashmob::partition::{Partition, PartitionMap, SamplePolicy};
+use flashmob::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
 use flashmob::{FlashMob, PlannerParams, WalkConfig};
 use fm_baseline::{Baseline, BaselineConfig};
-use fm_bench::{analog, HarnessOpts};
+use fm_bench::{analog, timed, HarnessOpts};
 use fm_graph::presets::PaperGraph;
-use fm_graph::Csr;
-use fm_memsim::{HierarchyConfig, MemoryStats, MemorySystem};
+use fm_graph::{Csr, VertexId};
+use fm_memsim::{HierarchyConfig, MemoryStats, MemorySystem, NullProbe};
+use fm_rng::{Mt19937, Rng64, Xorshift64Star};
+
+const REPEATS: usize = 5;
+
+/// Best-of-[`REPEATS`] wall seconds of `f`.
+fn best_of<T>(mut f: impl FnMut() -> T) -> f64 {
+    (0..REPEATS)
+        .map(|_| timed(|| black_box(f())).1)
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The Table 5 compute-side aside: one bounded draw from each
+/// generator.
+fn ablate_rng() {
+    const DRAWS: usize = 4_000_000;
+    fn draw_ns(mut r: impl Rng64) -> f64 {
+        best_of(|| (0..DRAWS).fold(0, |acc, _| acc ^ r.gen_range(1000))) * 1e9 / DRAWS as f64
+    }
+    println!("Ablation — RNG: ns per bounded draw, gen_range(1000)");
+    println!("xorshift64*  {:>8.2}", draw_ns(Xorshift64Star::new(1)));
+    println!("mt19937      {:>8.2}", draw_ns(Mt19937::new(1)));
+}
+
+/// Best-of-[`REPEATS`] milliseconds to shuffle `walkers` uniformly
+/// placed walkers over `bins` 16-vertex partitions: count + scatter,
+/// carrying explicit walker ids beside the VIDs when `explicit_ids`,
+/// plus the gather back into walker order when `full_cycle`.
+fn shuffle_ms(bins: usize, walkers: usize, explicit_ids: bool, full_cycle: bool) -> f64 {
+    let n = bins * 16;
+    let parts: Vec<Partition> = (0..bins)
+        .map(|i| Partition {
+            start: (i * 16) as VertexId,
+            end: ((i + 1) * 16) as VertexId,
+            policy: SamplePolicy::Direct,
+            group: 0,
+            edges: 0,
+            uniform_degree: None,
+        })
+        .collect();
+    let map = PartitionMap::new(&parts, n);
+    let shuffler = Shuffler::single_level(&map);
+    let mut rng = Xorshift64Star::new(7);
+    let w: Vec<VertexId> = (0..walkers).map(|_| rng.gen_index(n) as VertexId).collect();
+    let ids: Vec<VertexId> = (0..walkers as VertexId).collect();
+    let (mut sw, mut sids, mut back) = (vec![0; walkers], vec![0; walkers], vec![0; walkers]);
+    let mut scratch = ShuffleScratch::default();
+    let (addrs, mut probe) = (ShuffleAddrs::default(), NullProbe);
+    let secs = best_of(|| {
+        shuffler.count(&w, &mut scratch, addrs, &mut probe);
+        let (aux, saux) = if explicit_ids {
+            (Some(&ids[..]), Some(&mut sids[..]))
+        } else {
+            (None, None)
+        };
+        shuffler.scatter(&w, aux, &mut sw, saux, &mut scratch, addrs, &mut probe);
+        if full_cycle {
+            shuffler.gather(
+                &w,
+                &sw,
+                &mut back,
+                None,
+                None,
+                &mut scratch,
+                addrs,
+                &mut probe,
+            );
+        }
+    });
+    secs * 1e3
+}
+
+/// Section 4.3's implicit walker identity, then the L2 bin budget (the
+/// planner caps one shuffle level at 2048 bins).
+fn ablate_shuffle() {
+    println!("Ablation — walker identity: count + scatter, 200k walkers, 1024 bins");
+    let implicit = shuffle_ms(1024, 200_000, false, false);
+    let explicit = shuffle_ms(1024, 200_000, true, false);
+    println!("implicit 4 B VIDs        {implicit:>8.2} ms");
+    println!(
+        "explicit 8 B <wID, VID>  {explicit:>8.2} ms ({:+.0}%)",
+        (explicit / implicit - 1.0) * 100.0
+    );
+    println!();
+    println!("Ablation — shuffle bin budget: full cycle (count + scatter + gather), 100k walkers");
+    for bins in [64usize, 512, 2048, 8192] {
+        println!(
+            "{bins:>6} bins {:>8.2} ms",
+            shuffle_ms(bins, 100_000, false, true)
+        );
+    }
+}
 
 fn probe_fm(g: &Csr, hierarchy: HierarchyConfig, opts: &HarnessOpts) -> (MemoryStats, f64) {
     let params = PlannerParams {
@@ -101,4 +201,8 @@ fn main() {
     println!("DRAM traffic (L2 contents are not duplicated in L3, so the combined");
     println!("capacity is larger); the baseline barely cares — its misses go to");
     println!("DRAM under either design.");
+    println!();
+    ablate_rng();
+    println!();
+    ablate_shuffle();
 }

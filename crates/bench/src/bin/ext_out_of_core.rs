@@ -89,7 +89,6 @@ fn main() {
     threads.dedup();
     let l3 = scaled_planner(opts.scale).hierarchy.l3.size_bytes;
     let budgets = [l3 / 4, l3, l3 * 4];
-    let scale_tag = format!("{:?}", opts.scale).to_lowercase();
 
     for which in PaperGraph::ALL {
         let g = analog(which, opts.scale);
@@ -117,22 +116,6 @@ fn main() {
                 "--",
                 "--",
             );
-            if opts.json {
-                println!(
-                    "{}",
-                    fm_bench::json_line(
-                        "ext_oocore2",
-                        which.tag(),
-                        &[
-                            ("engine", "\"flashmob\"".into()),
-                            ("algo", "\"node2vec\"".into()),
-                            ("scale", format!("\"{scale_tag}\"")),
-                            ("threads", t.to_string()),
-                            ("per_step_ns", format!("{:.1}", mem.per_step_ns())),
-                        ],
-                    )
-                );
-            }
         }
 
         let path = dir.join(format!("{}-n2v.fmdisk", which.tag()));
@@ -155,25 +138,6 @@ fn main() {
                 ooc.walkers_parked,
                 ooc.io_retries,
             );
-            if opts.json {
-                println!(
-                    "{}",
-                    fm_bench::json_line(
-                        "ext_oocore2",
-                        which.tag(),
-                        &[
-                            ("engine", "\"oocore\"".into()),
-                            ("algo", "\"node2vec\"".into()),
-                            ("scale", format!("\"{scale_tag}\"")),
-                            ("threads", "1".into()),
-                            ("budget_bytes", budget.to_string()),
-                            ("per_step_ns", format!("{:.1}", ooc.per_step_ns())),
-                            ("probes", ooc.probes.to_string()),
-                            ("prefetches", ooc.prefetches.to_string()),
-                        ],
-                    )
-                );
-            }
         }
         std::fs::remove_file(&path).ok();
     }

@@ -57,22 +57,6 @@ fn flashmob_stats(
         .1
 }
 
-/// One machine-readable record per (figure, graph, engine) cell.
-fn emit_json(fig: &str, graph: &str, engine: &str, stats_json: String) {
-    use fm_telemetry::json;
-    println!(
-        "{}",
-        fm_bench::json_line(
-            fig,
-            graph,
-            &[
-                ("engine", format!("\"{}\"", json::escape(engine))),
-                ("stats", stats_json),
-            ],
-        )
-    );
-}
-
 fn main() {
     let opts = HarnessOpts::from_args();
 
@@ -111,11 +95,6 @@ fn main() {
             gv / kk,
             kk / fm
         );
-        if opts.json {
-            emit_json("08a", which.tag(), "graphvite", gvs.to_json());
-            emit_json("08a", which.tag(), "knightking", kks.to_json());
-            emit_json("08a", which.tag(), "flashmob", fms.to_json());
-        }
     }
     println!("(paper: GV/KK = 2.2-3.8x, KK/FM = 5.4-13.7x, FlashMob 21.5-36.7 ns/step)");
 
@@ -142,10 +121,6 @@ fn main() {
             fm,
             kk / fm
         );
-        if opts.json {
-            emit_json("08b", which.tag(), "knightking", kks.to_json());
-            emit_json("08b", which.tag(), "flashmob", fms.to_json());
-        }
     }
     println!("(paper: KK/FM = 3.9-19.9x; smaller than DeepWalk because the");
     println!(" connectivity check escapes the current VP)");

@@ -54,20 +54,6 @@ fn main() {
             stats.per_step_ns(),
             sample
         );
-        if opts.json {
-            println!(
-                "{}",
-                fm_bench::json_line(
-                    "11a",
-                    &format!("x{mult}"),
-                    &[
-                        ("vertices", g.vertex_count().to_string()),
-                        ("edges", g.edge_count().to_string()),
-                        ("stats", stats.to_json()),
-                    ],
-                )
-            );
-        }
     }
     println!("(expected: sampling cost rises steadily as VPs grow / more go DS)");
 
@@ -101,23 +87,6 @@ fn main() {
             sample,
             (1.0 - sample / base_sample) * 100.0
         );
-        if opts.json {
-            println!(
-                "{}",
-                fm_bench::json_line(
-                    "11b",
-                    &format!("{mult}|V|"),
-                    &[
-                        ("walkers", walkers.to_string()),
-                        (
-                            "density",
-                            fm_telemetry::json::num(walkers as f64 / tw.edge_count() as f64),
-                        ),
-                        ("stats", stats.to_json()),
-                    ],
-                )
-            );
-        }
     }
     println!("(paper: 32.6% sampling-cost reduction at 8|V|, leveling off after)");
 }

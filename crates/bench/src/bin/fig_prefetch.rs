@@ -15,7 +15,7 @@
 
 use flashmob::{FlashMob, MetapathPattern, WalkAlgorithm, WalkConfig};
 use fm_bench::{analog, scaled_planner, timed, HarnessOpts};
-use fm_graph::presets::{AnalogScale, PaperGraph};
+use fm_graph::presets::PaperGraph;
 use fm_graph::Csr;
 use fm_rng::Rng64;
 
@@ -79,13 +79,6 @@ fn run_once(
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    // Part of the JSONL identity key: cells measured at different
-    // analog scales must never be compared against each other.
-    let scale_tag = match opts.scale {
-        AnalogScale::Test => "test",
-        AnalogScale::Bench => "bench",
-        AnalogScale::Large => "large",
-    };
     let which = PaperGraph::YahooWeb;
     let g = analog(which, opts.scale);
     let wg = weighted_copy(&g);
@@ -145,27 +138,6 @@ fn main() {
                     base_ns / ns,
                     prefetches
                 );
-                if opts.json {
-                    use fm_telemetry::json;
-                    println!(
-                        "{}",
-                        fm_bench::json_line(
-                            "prefetch",
-                            which.tag(),
-                            &[
-                                ("algo", format!("\"{}\"", json::escape(name))),
-                                ("scale", format!("\"{}\"", json::escape(scale_tag))),
-                                ("threads", json::num(threads as f64)),
-                                ("ring_depth", json::num(depth as f64)),
-                                ("wall_s", json::num(secs)),
-                                ("per_step_ns", json::num(ns)),
-                                ("speedup_vs_depth1", json::num(base_ns / ns)),
-                                ("prefetches", json::num(prefetches as f64)),
-                                ("stats", stats.to_json()),
-                            ],
-                        )
-                    );
-                }
             }
         }
     }

@@ -9,8 +9,6 @@
 //! * [`analog`] — cached generation of the five graph analogs;
 //! * small table-formatting helpers.
 
-pub mod baseline;
-
 use std::time::Instant;
 
 use fm_graph::presets::{AnalogScale, PaperGraph};
@@ -27,8 +25,6 @@ pub struct HarnessOpts {
     pub walkers_mult: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Also emit machine-readable JSON-lines records (one per cell).
-    pub json: bool,
 }
 
 impl HarnessOpts {
@@ -40,7 +36,6 @@ impl HarnessOpts {
             steps: 16,
             walkers_mult: 1,
             threads: 1,
-            json: false,
         };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -75,7 +70,6 @@ impl HarnessOpts {
                         .and_then(|v| v.parse().ok())
                         .expect("--threads expects a number");
                 }
-                "--json" => opts.json = true,
                 other => panic!("unknown argument {other:?} (try --full)"),
             }
         }
@@ -83,12 +77,15 @@ impl HarnessOpts {
     }
 }
 
+const ANALOG_CACHE_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/fm-analog-cache");
+
 /// Generates (and memoizes on disk) the analog for one paper graph.
 ///
 /// Generation is deterministic, but the larger analogs take seconds to
-/// wire, so they are cached under `target/fm-analog-cache/`.
+/// wire, so they are cached under the workspace's
+/// `target/fm-analog-cache/`, whatever directory the caller runs from.
 pub fn analog(which: PaperGraph, scale: AnalogScale) -> Csr {
-    let dir = std::path::Path::new("target/fm-analog-cache");
+    let dir = std::path::Path::new(ANALOG_CACHE_DIR);
     let name = format!("{}-{:?}.bin", which.tag().to_lowercase(), scale);
     let path = dir.join(name);
     if let Ok(g) = fm_graph::io::load_binary(&path) {
@@ -139,26 +136,6 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Renders one machine-readable JSON-lines record for a benchmark cell.
-///
-/// `fields` values must already be rendered JSON (use
-/// [`fm_telemetry::json::escape`] for strings, or an engine stats
-/// `to_json()` for whole objects); keys and the fig/label pair are
-/// escaped here.
-pub fn json_line(fig: &str, label: &str, fields: &[(&str, String)]) -> String {
-    use fm_telemetry::json;
-    let mut out = format!(
-        "{{\"fig\": \"{}\", \"label\": \"{}\"",
-        json::escape(fig),
-        json::escape(label)
-    );
-    for (k, v) in fields {
-        out.push_str(&format!(", \"{}\": {}", json::escape(k), v));
-    }
-    out.push('}');
-    out
-}
-
 /// Formats a byte count with binary units.
 pub fn fmt_bytes(b: usize) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
@@ -185,31 +162,14 @@ mod tests {
     }
 
     #[test]
-    fn json_line_is_valid_json() {
-        use fm_telemetry::json;
-        let line = json_line(
-            "08a",
-            "YT \"quoted\"",
-            &[
-                ("per_step_ns", json::num(21.5)),
-                ("engine", format!("\"{}\"", json::escape("flashmob"))),
-            ],
-        );
-        let v = json::parse(&line).expect("valid JSON");
-        assert_eq!(v.get("fig").and_then(json::Value::as_str), Some("08a"));
-        assert_eq!(
-            v.get("label").and_then(json::Value::as_str),
-            Some("YT \"quoted\"")
-        );
-        assert_eq!(
-            v.get("per_step_ns").and_then(json::Value::as_num),
-            Some(21.5)
-        );
-    }
-
-    #[test]
     fn analog_cache_round_trips() {
+        // Anchored to the workspace, not to the cwd (`cargo test` runs
+        // this from `crates/bench`): the first call must write the file
+        // there, the second load it back.
+        let cached = std::path::Path::new(ANALOG_CACHE_DIR).join("yt-Test.bin");
+        let _ = std::fs::remove_file(&cached);
         let a = analog(PaperGraph::Youtube, AnalogScale::Test);
+        assert!(cached.is_file(), "{} missing", cached.display());
         let b = analog(PaperGraph::Youtube, AnalogScale::Test);
         assert_eq!(a.vertex_count(), b.vertex_count());
         assert_eq!(a.edge_count(), b.edge_count());

@@ -139,24 +139,15 @@ pub enum Command {
         /// analytic oracles) plus the registry/oracle audit instead of
         /// the classical-algorithm lattice.
         programs: bool,
+        /// Force this walker-ring depth in every FlashMob cell; the
+        /// committed digests must hold at any depth.
+        ring_depth: Option<usize>,
     },
     /// `fmwalk cachecheck`: cross-validate the memsim cache model
     /// against hardware counters on the profiler's synthetic-VP sweep.
     Cachecheck {
         /// Use the small grid (seconds instead of minutes).
         quick: bool,
-        /// Emit JSONL records instead of the human table.
-        json: bool,
-    },
-    /// `fmwalk bench-diff`: compare a fresh JSONL bench run against the
-    /// committed baseline ledger.
-    BenchDiff {
-        /// Fresh results (JSON Lines, the bench bins' `--json` output).
-        fresh: PathBuf,
-        /// Baseline ledger path.
-        baseline: PathBuf,
-        /// Fractional regression tolerance (e.g. 0.5 = 50% slower).
-        tolerance: f64,
     },
     /// `fmwalk trace-check`.
     TraceCheck {
@@ -586,12 +577,14 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
             let mut full = false;
             let mut emit_golden = false;
             let mut programs = false;
+            let mut ring_depth = None;
             while let Some(flag) = c.next() {
                 match flag.as_str() {
                     "--quick" => full = false,
                     "--full" => full = true,
                     "--emit-golden" => emit_golden = true,
                     "--programs" => programs = true,
+                    "--ring-depth" => ring_depth = Some(c.value("--ring-depth")?),
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
             }
@@ -599,39 +592,18 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                 full,
                 emit_golden,
                 programs,
+                ring_depth,
             })
         }
         "cachecheck" => {
             let mut quick = false;
-            let mut json = false;
             while let Some(flag) = c.next() {
                 match flag.as_str() {
                     "--quick" => quick = true,
-                    "--json" => json = true,
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
             }
-            Ok(Command::Cachecheck { quick, json })
-        }
-        "bench-diff" => {
-            let fresh = PathBuf::from(c.demand("fresh results path")?);
-            let mut baseline = PathBuf::from("BENCH_BASELINE.json");
-            let mut tolerance = fm_bench::baseline::DEFAULT_TOLERANCE;
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--baseline" => baseline = PathBuf::from(c.demand("baseline path")?),
-                    "--tolerance" => tolerance = c.value("--tolerance")?,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            if !tolerance.is_finite() || tolerance < 0.0 {
-                return Err(err("--tolerance must be a finite non-negative fraction"));
-            }
-            Ok(Command::BenchDiff {
-                fresh,
-                baseline,
-                tolerance,
-            })
+            Ok(Command::Cachecheck { quick })
         }
         "trace-check" => {
             let file = PathBuf::from(c.demand("trace file")?);
@@ -882,7 +854,8 @@ mod tests {
             Command::Conform {
                 full: false,
                 emit_golden: false,
-                programs: false
+                programs: false,
+                ring_depth: None,
             }
         );
         assert_eq!(
@@ -890,7 +863,8 @@ mod tests {
             Command::Conform {
                 full: false,
                 emit_golden: false,
-                programs: false
+                programs: false,
+                ring_depth: None,
             }
         );
         assert_eq!(
@@ -898,7 +872,8 @@ mod tests {
             Command::Conform {
                 full: true,
                 emit_golden: false,
-                programs: false
+                programs: false,
+                ring_depth: None,
             }
         );
         assert_eq!(
@@ -906,7 +881,8 @@ mod tests {
             Command::Conform {
                 full: true,
                 emit_golden: true,
-                programs: false
+                programs: false,
+                ring_depth: None,
             }
         );
         assert_eq!(
@@ -914,7 +890,17 @@ mod tests {
             Command::Conform {
                 full: false,
                 emit_golden: false,
-                programs: true
+                programs: true,
+                ring_depth: None,
+            }
+        );
+        assert_eq!(
+            p("conform --programs --ring-depth 16").unwrap(),
+            Command::Conform {
+                full: false,
+                emit_golden: false,
+                programs: true,
+                ring_depth: Some(16),
             }
         );
         assert!(p("conform --fast").unwrap_err().0.contains("unknown flag"));
@@ -1084,55 +1070,37 @@ mod tests {
     fn cachecheck_command() {
         assert_eq!(
             p("cachecheck").unwrap(),
-            Command::Cachecheck {
-                quick: false,
-                json: false
-            }
+            Command::Cachecheck { quick: false }
         );
         assert_eq!(
-            p("cachecheck --quick --json").unwrap(),
-            Command::Cachecheck {
-                quick: true,
-                json: true
-            }
+            p("cachecheck --quick").unwrap(),
+            Command::Cachecheck { quick: true }
         );
         assert!(p("cachecheck --bogus").unwrap_err().0.contains("unknown flag"));
     }
 
     #[test]
-    fn bench_diff_command() {
-        match p("bench-diff fresh.jsonl").unwrap() {
-            Command::BenchDiff {
-                fresh,
-                baseline,
-                tolerance,
-            } => {
-                assert_eq!(fresh, PathBuf::from("fresh.jsonl"));
-                assert_eq!(baseline, PathBuf::from("BENCH_BASELINE.json"));
-                assert_eq!(tolerance, fm_bench::baseline::DEFAULT_TOLERANCE);
-            }
-            other => panic!("{other:?}"),
+    fn usage_and_parser_agree() {
+        // Every `fmwalk <word>` line of USAGE names a command the
+        // parser knows (it may still demand arguments), and a retired
+        // command is unknown rather than silently aliased.
+        let unknown = |word: &str| match p(word) {
+            Err(e) => e.0.contains("unknown command"),
+            Ok(_) => false,
+        };
+        let words: Vec<&str> = crate::USAGE
+            .lines()
+            .filter_map(|l| l.strip_prefix("  fmwalk "))
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        assert_eq!(words.len(), 13, "{words:?}");
+        for word in words {
+            assert!(
+                !unknown(word),
+                "USAGE lists `{word}`, the parser rejects it"
+            );
         }
-        match p("bench-diff f.jsonl --baseline b.json --tolerance 0.25").unwrap() {
-            Command::BenchDiff {
-                baseline,
-                tolerance,
-                ..
-            } => {
-                assert_eq!(baseline, PathBuf::from("b.json"));
-                assert_eq!(tolerance, 0.25);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(p("bench-diff").unwrap_err().0.contains("fresh results"));
-        assert!(p("bench-diff f --tolerance -1")
-            .unwrap_err()
-            .0
-            .contains("non-negative"));
-        assert!(p("bench-diff f --tolerance x")
-            .unwrap_err()
-            .0
-            .contains("bad value"));
+        assert!(unknown("bench-diff"));
     }
 
     #[test]

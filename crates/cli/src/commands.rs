@@ -500,11 +500,12 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             full,
             emit_golden,
             programs,
+            ring_depth,
         } => {
             use fm_conformance::runner::{self, AlgoKind, EngineKind, LatticeConfig, Outcome};
 
             if programs {
-                return conform_programs(out, full, emit_golden);
+                return conform_programs(out, full, emit_golden, ring_depth);
             }
 
             if emit_golden {
@@ -535,11 +536,12 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 return Ok(());
             }
 
-            let config = if full {
+            let mut config = if full {
                 LatticeConfig::full()
             } else {
                 LatticeConfig::quick()
             };
+            config.ring_depth = ring_depth;
             let report = runner::run_lattice(&config);
             writeln!(
                 out,
@@ -604,7 +606,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             }
             Ok(())
         }
-        Command::Cachecheck { quick, json } => {
+        Command::Cachecheck { quick } => {
             use fm_profiler::cachecheck;
             let grid = cachecheck::default_grid(quick);
             let n_cells = grid.vp_sizes.len() * grid.degrees.len() * grid.densities.len() * 2;
@@ -624,39 +626,31 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 None => writeln!(out, "hw events: {}", report.hw_events.join(", "))
                     .map_err(fail)?,
             }
-            if json {
-                for c in &report.cells {
-                    writeln!(out, "{}", cachecheck_json(c)).map_err(fail)?;
-                }
-            } else {
-                let header = format!(
-                    "{:>9} {:>6} {:>5} {:<9} {:>10} {:>9} {:>9} {:>9}",
-                    "vp", "deg", "dens", "policy", "ns/step", "sim miss", "hw miss", "diverg"
-                );
-                writeln!(out, "{header}").map_err(fail)?;
-                for c in &report.cells {
-                    let pct = |v: f64| format!("{:.1}%", v * 100.0);
-                    let opt = |v: Option<f64>| {
-                        v.map(pct).unwrap_or_else(|| "--".to_string())
-                    };
-                    writeln!(
-                        out,
-                        "{:>9} {:>6} {:>5.2} {:<9} {:>10} {:>9} {:>9} {:>9}",
-                        c.vp_size,
-                        c.degree,
-                        c.density,
-                        format!("{:?}", c.policy),
-                        if c.ns_per_step.is_finite() {
-                            format!("{:.1}", c.ns_per_step)
-                        } else {
-                            "--".to_string()
-                        },
-                        pct(c.sim_llc_miss_rate),
-                        opt(c.hw.as_ref().and_then(|h| h.llc_miss_rate)),
-                        opt(c.divergence()),
-                    )
-                    .map_err(fail)?;
-                }
+            let header = format!(
+                "{:>9} {:>6} {:>5} {:<9} {:>10} {:>9} {:>9} {:>9}",
+                "vp", "deg", "dens", "policy", "ns/step", "sim miss", "hw miss", "diverg"
+            );
+            writeln!(out, "{header}").map_err(fail)?;
+            for c in &report.cells {
+                let pct = |v: f64| format!("{:.1}%", v * 100.0);
+                let opt = |v: Option<f64>| v.map(pct).unwrap_or_else(|| "--".to_string());
+                writeln!(
+                    out,
+                    "{:>9} {:>6} {:>5.2} {:<9} {:>10} {:>9} {:>9} {:>9}",
+                    c.vp_size,
+                    c.degree,
+                    c.density,
+                    format!("{:?}", c.policy),
+                    if c.ns_per_step.is_finite() {
+                        format!("{:.1}", c.ns_per_step)
+                    } else {
+                        "--".to_string()
+                    },
+                    pct(c.sim_llc_miss_rate),
+                    opt(c.hw.as_ref().and_then(|h| h.llc_miss_rate)),
+                    opt(c.divergence()),
+                )
+                .map_err(fail)?;
             }
             match report.max_divergence() {
                 Some(d) => writeln!(
@@ -670,89 +664,6 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                     "no measured side available; predicted columns only"
                 )
                 .map_err(fail)?,
-            }
-            Ok(())
-        }
-        Command::BenchDiff {
-            fresh,
-            baseline,
-            tolerance,
-        } => {
-            use fm_bench::baseline as ledger;
-            // A missing baseline is an environment failure (exit 2),
-            // distinct from a regression (exit 1): ci.sh and scripted
-            // callers dispatch on the difference.
-            let btext = std::fs::read_to_string(&baseline).map_err(|e| {
-                fail_io(format!(
-                    "cannot read baseline {}: {e} (regenerate with the bench \
-                     bins' --json output and commit BENCH_BASELINE.json)",
-                    baseline.display()
-                ))
-            })?;
-            let ftext = std::fs::read_to_string(&fresh).map_err(|e| {
-                fail_io(format!("cannot read fresh results {}: {e}", fresh.display()))
-            })?;
-            let b = ledger::parse_jsonl(&btext)
-                .map_err(|e| fail(format!("baseline {}: {e}", baseline.display())))?;
-            let f = ledger::parse_jsonl(&ftext)
-                .map_err(|e| fail(format!("fresh {}: {e}", fresh.display())))?;
-            let report = ledger::diff(&b, &f, tolerance);
-            writeln!(
-                out,
-                "bench-diff: {} compared metric(s) across {} baseline / {} fresh \
-                 cell(s), tolerance {:.0}%",
-                report.lines.len(),
-                b.len(),
-                f.len(),
-                tolerance * 100.0
-            )
-            .map_err(fail)?;
-            for l in &report.lines {
-                writeln!(
-                    out,
-                    "{:<5} {:<20} {:>12.4} -> {:>12.4} ({:>5.2}x)  {}",
-                    if l.regressed { "REGR" } else { "ok" },
-                    l.metric,
-                    l.baseline,
-                    l.fresh,
-                    l.ratio,
-                    l.key
-                )
-                .map_err(fail)?;
-            }
-            if report.unmatched_fresh > 0 {
-                writeln!(
-                    out,
-                    "{} fresh cell(s) have no baseline counterpart (new coverage)",
-                    report.unmatched_fresh
-                )
-                .map_err(fail)?;
-            }
-            if report.unmatched_baseline > 0 {
-                writeln!(
-                    out,
-                    "{} baseline cell(s) not covered by this run",
-                    report.unmatched_baseline
-                )
-                .map_err(fail)?;
-            }
-            if report.lines.is_empty() {
-                writeln!(
-                    out,
-                    "warning: no comparable cells (identity keys are disjoint)"
-                )
-                .map_err(fail)?;
-            }
-            let regressed = report.regressions().count();
-            if regressed > 0 {
-                return Err(CmdError(
-                    format!(
-                        "bench-diff: {regressed} metric(s) regressed beyond the \
-                         {:.0}% tolerance",
-                        tolerance * 100.0
-                    ),
-                    ExitKind::Other,
-                ));
             }
             Ok(())
         }
@@ -850,7 +761,12 @@ fn with_derived_labels(g: Csr, k: usize) -> Result<Csr, CmdError> {
 /// `conform --programs`: the registry/oracle audit plus the
 /// program-conformance lattice (PPR, early-exit, metapath vs their
 /// analytic oracles across the direct FlashMob engines).
-fn conform_programs<W: Write>(out: &mut W, full: bool, emit_golden: bool) -> Result<(), CmdError> {
+fn conform_programs<W: Write>(
+    out: &mut W,
+    full: bool,
+    emit_golden: bool,
+    ring_depth: Option<usize>,
+) -> Result<(), CmdError> {
     use fm_conformance::{
         oracle_backed, program_cell_digest, run_program_lattice, ProgramKind,
         ProgramLatticeConfig, ProgramOutcome, PROGRAM_ENGINES,
@@ -906,11 +822,12 @@ fn conform_programs<W: Write>(out: &mut W, full: bool, emit_golden: bool) -> Res
         return Ok(());
     }
 
-    let config = if full {
+    let mut config = if full {
         ProgramLatticeConfig::full()
     } else {
         ProgramLatticeConfig::quick()
     };
+    config.ring_depth = ring_depth;
     let report = run_program_lattice(&config);
     writeln!(
         out,
@@ -965,39 +882,6 @@ fn conform_programs<W: Write>(out: &mut W, full: bool, emit_golden: bool) -> Res
         ));
     }
     Ok(())
-}
-
-/// Renders one `fmwalk cachecheck --json` record in the shared bench
-/// JSONL schema (`fig`/`label` identity plus compared metric fields),
-/// so cachecheck output feeds `bench-diff` like any harness binary.
-fn cachecheck_json(c: &fm_profiler::cachecheck::CellResult) -> String {
-    use fm_telemetry::json;
-    let mut fields: Vec<(&str, String)> = vec![
-        ("policy", format!("\"{:?}\"", c.policy)),
-        ("vp_size", json::num(c.vp_size as f64)),
-        ("degree", json::num(c.degree as f64)),
-        ("density", json::num(c.density)),
-        ("steps", json::num(c.steps as f64)),
-        ("sim_llc_miss_rate", json::num(c.sim_llc_miss_rate)),
-        ("sim_fills_per_step", json::num(c.sim_fills_per_step)),
-    ];
-    if c.ns_per_step.is_finite() {
-        fields.push(("ns_per_step", json::num(c.ns_per_step)));
-    }
-    if let Some(h) = &c.hw {
-        fields.push(("llc_misses_per_step", json::num(h.llc_misses_per_step)));
-        fields.push(("dtlb_misses_per_step", json::num(h.dtlb_misses_per_step)));
-        if let Some(v) = h.llc_miss_rate {
-            fields.push(("llc_miss_rate", json::num(v)));
-        }
-        if let Some(v) = h.ipc {
-            fields.push(("ipc", json::num(v)));
-        }
-    }
-    if let Some(d) = c.divergence() {
-        fields.push(("divergence", json::num(d)));
-    }
-    fm_bench::json_line("cachecheck", "synthetic-vp", &fields)
 }
 
 /// Formats a steps/s rate compactly for the heartbeat line.
@@ -1391,7 +1275,6 @@ mod tests {
         std::fs::remove_file(bin).ok();
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn walk_trace_and_metrics_round_trip() {
         let bin = tmp("trace_walk.bin");

@@ -38,8 +38,8 @@ USAGE:
                       [--degree N] [--seed N]
   fmwalk profile [--out <profile.txt>] [--quick]
   fmwalk conform [--quick | --full] [--emit-golden] [--programs]
-  fmwalk cachecheck [--quick] [--json]
-  fmwalk bench-diff <fresh.jsonl> [--baseline <file>] [--tolerance X]
+                 [--ring-depth N]
+  fmwalk cachecheck [--quick]
   fmwalk trace-check <trace.json>
   fmwalk audit [--root <dir>] [--json] [--update-ratchet] [--graph]
                [--why <query>]
@@ -60,10 +60,7 @@ pipeline stages via perf_event and folds them into `--stats`,
 run degrades with a stderr notice and is otherwise bit-identical.
 `cachecheck` cross-validates the memsim cache model against the same
 counters on the profiler's synthetic-VP sweep (simulation-only, exit
-0, when counters are unavailable).  `bench-diff` compares a fresh
-bench `--json` run against the committed `BENCH_BASELINE.json` ledger
-with a noise-tolerant threshold (default 50%): exit 0 pass, 1
-regression, 2 baseline missing.
+0, when counters are unavailable).
 
 `walk --program` (alias of `--algo`) selects a walk program: `ppr`
 restarts at the walker's origin with probability `--alpha` (default
@@ -74,7 +71,9 @@ home; `metapath` follows the cyclic edge-type pattern `--pattern`
 Programs run on the FlashMob engine (the walker-at-a-time baselines
 reject them).  `conform --programs` checks every registered program
 against its analytic oracle and committed golden digests, and fails
-if any program lacks an oracle.
+if any program lacks an oracle.  `conform --ring-depth N` forces the
+walker ring to depth N in every FlashMob and out-of-core cell; the
+same digests must hold at every depth.
 
 `walk --checkpoint-dir` writes a crash-consistent checkpoint every
 `--checkpoint-every` iterations (default 8); `resume` continues an

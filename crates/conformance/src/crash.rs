@@ -287,7 +287,7 @@ fn crash_flashmob_cell(
 /// Kill-and-resume for one classical-algorithm FlashMob cell.
 fn crash_flashmob(engine: EngineKind, algo: AlgoKind, threads: usize, out: &mut Vec<CrashCase>) {
     let graph = conformance_graph();
-    let config = flashmob_config(algo, threads).strategy(engine_strategy(engine));
+    let config = flashmob_config(algo, threads, None).strategy(engine_strategy(engine));
     let want = golden::lookup(engine.label(), algo.label(), threads);
     crash_flashmob_cell(engine, algo.label(), threads, &graph, config, want, out);
 }
@@ -302,7 +302,7 @@ fn crash_program(
     out: &mut Vec<CrashCase>,
 ) {
     let graph = program_graph(program);
-    let config = program_config(program, threads).strategy(engine_strategy(engine));
+    let config = program_config(program, threads, None).strategy(engine_strategy(engine));
     let want = golden::lookup_program(engine.label(), program.label(), threads);
     crash_flashmob_cell(engine, program.label(), threads, &graph, config, want, out);
 }
@@ -487,11 +487,11 @@ const CRASH_BIBLOCK_BUDGET: usize = 2 * 1024;
 /// on the bi-block pair-slot cadence, with parked-walker buffers and
 /// the schedule cursor crossing the snapshot boundary).
 fn crash_oocore(out: &mut Vec<CrashCase>) {
-    let deepwalk = flashmob_config(AlgoKind::DeepWalk, 1);
+    let deepwalk = flashmob_config(AlgoKind::DeepWalk, 1, None);
     crash_oocore_cell("deepwalk", &deepwalk, 64 * 1024, out);
-    let node2vec = flashmob_config(AlgoKind::Node2Vec, 1);
+    let node2vec = flashmob_config(AlgoKind::Node2Vec, 1, None);
     crash_oocore_cell("node2vec", &node2vec, CRASH_BIBLOCK_BUDGET, out);
-    let mut ppr = flashmob_config(AlgoKind::DeepWalk, 1);
+    let mut ppr = flashmob_config(AlgoKind::DeepWalk, 1, None);
     ppr.algorithm = WalkAlgorithm::Ppr { alpha: PPR_ALPHA };
     crash_oocore_cell("ppr", &ppr, CRASH_BIBLOCK_BUDGET, out);
 }

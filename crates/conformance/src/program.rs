@@ -134,6 +134,8 @@ pub struct ProgramLatticeConfig {
     pub threads: Vec<usize>,
     /// Whether digests must match the committed program golden table.
     pub check_golden: bool,
+    /// See [`crate::runner::LatticeConfig::ring_depth`].
+    pub ring_depth: Option<usize>,
 }
 
 impl ProgramLatticeConfig {
@@ -142,6 +144,7 @@ impl ProgramLatticeConfig {
         Self {
             threads: vec![1, 8],
             check_golden: true,
+            ring_depth: None,
         }
     }
 
@@ -150,6 +153,7 @@ impl ProgramLatticeConfig {
         Self {
             threads: vec![1, 2, 8],
             check_golden: true,
+            ring_depth: None,
         }
     }
 }
@@ -242,8 +246,12 @@ pub(crate) fn program_graph(program: ProgramKind) -> Csr {
     }
 }
 
-pub(crate) fn program_config(program: ProgramKind, threads: usize) -> flashmob::WalkConfig {
-    let mut config = flashmob_config(AlgoKind::DeepWalk, threads);
+pub(crate) fn program_config(
+    program: ProgramKind,
+    threads: usize,
+    ring_depth: Option<usize>,
+) -> flashmob::WalkConfig {
+    let mut config = flashmob_config(AlgoKind::DeepWalk, threads, ring_depth);
     config.algorithm = program.walk_algorithm();
     config
 }
@@ -253,6 +261,7 @@ fn run_program_cell(
     engine: EngineKind,
     program: ProgramKind,
     threads: usize,
+    ring_depth: Option<usize>,
 ) -> Result<ProgramCellData, String> {
     let strategy = match engine {
         EngineKind::FlashMobAuto => PlanStrategy::DynamicProgramming,
@@ -260,7 +269,7 @@ fn run_program_cell(
         EngineKind::FlashMobDs => PlanStrategy::UniformDs,
         other => return Err(format!("{} is not a program engine", other.label())),
     };
-    let config = program_config(program, threads).strategy(strategy);
+    let config = program_config(program, threads, ring_depth).strategy(strategy);
     let fm = FlashMob::new(graph, config).map_err(|e| e.to_string())?;
     let mut extra = Vec::new();
     for iter in 0..LATTICE_STEPS {
@@ -514,6 +523,7 @@ pub fn run_program_lattice(config: &ProgramLatticeConfig) -> ProgramReport {
         .map(|p| p.stat_tests() * PROGRAM_ENGINES.len() * config.threads.len())
         .sum();
     let per_test_alpha = ALPHA / tests_total.max(1) as f64;
+    let ring = config.ring_depth;
 
     let mut cells = Vec::new();
     for program in ProgramKind::ALL {
@@ -521,7 +531,7 @@ pub fn run_program_lattice(config: &ProgramLatticeConfig) -> ProgramReport {
         let oracle = build_oracle(program, &graph);
         for engine in PROGRAM_ENGINES {
             for &threads in &config.threads {
-                let outcome = match run_program_cell(&graph, engine, program, threads)
+                let outcome = match run_program_cell(&graph, engine, program, threads, ring)
                     .and_then(|data| {
                         check_program_cell(&data, &oracle, per_test_alpha)
                             .map(|ps| (ps, digest_cell(&data)))
@@ -571,7 +581,7 @@ pub fn program_cell_digest(
     threads: usize,
 ) -> Option<u64> {
     let graph = program_graph(program);
-    let data = run_program_cell(&graph, engine, program, threads).ok()?;
+    let data = run_program_cell(&graph, engine, program, threads, None).ok()?;
     Some(digest_cell(&data))
 }
 
@@ -614,7 +624,7 @@ mod tests {
     fn single_ppr_cell_passes_against_oracle() {
         let graph = program_graph(ProgramKind::Ppr);
         let oracle = build_oracle(ProgramKind::Ppr, &graph);
-        let data = run_program_cell(&graph, EngineKind::FlashMobAuto, ProgramKind::Ppr, 1)
+        let data = run_program_cell(&graph, EngineKind::FlashMobAuto, ProgramKind::Ppr, 1, None)
             .expect("cell runs");
         let ps = check_program_cell(&data, &oracle, 1e-6).expect("cell conforms");
         assert_eq!(ps.len(), 2);
@@ -625,8 +635,14 @@ mod tests {
     fn single_early_exit_cell_passes_against_oracle() {
         let graph = program_graph(ProgramKind::EarlyExit);
         let oracle = build_oracle(ProgramKind::EarlyExit, &graph);
-        let data = run_program_cell(&graph, EngineKind::FlashMobDs, ProgramKind::EarlyExit, 1)
-            .expect("cell runs");
+        let data = run_program_cell(
+            &graph,
+            EngineKind::FlashMobDs,
+            ProgramKind::EarlyExit,
+            1,
+            None,
+        )
+        .expect("cell runs");
         let ps = check_program_cell(&data, &oracle, 1e-6).expect("cell conforms");
         assert_eq!(ps.len(), 1);
         assert!(ps[0] > 1e-6);
@@ -636,8 +652,14 @@ mod tests {
     fn single_metapath_cell_passes_against_oracle() {
         let graph = program_graph(ProgramKind::Metapath);
         let oracle = build_oracle(ProgramKind::Metapath, &graph);
-        let data = run_program_cell(&graph, EngineKind::FlashMobPs, ProgramKind::Metapath, 1)
-            .expect("cell runs");
+        let data = run_program_cell(
+            &graph,
+            EngineKind::FlashMobPs,
+            ProgramKind::Metapath,
+            1,
+            None,
+        )
+        .expect("cell runs");
         let ps = check_program_cell(&data, &oracle, 1e-6).expect("cell conforms");
         assert_eq!(ps.len(), 1);
         assert!(ps[0] > 1e-6);

@@ -193,6 +193,9 @@ pub struct LatticeConfig {
     pub threads: Vec<usize>,
     /// Whether digests must match the committed golden table.
     pub check_golden: bool,
+    /// Walker-ring depth forced on every FlashMob and out-of-core cell
+    /// (`None`: the cost model's choice).  No digest may depend on it.
+    pub ring_depth: Option<usize>,
 }
 
 impl LatticeConfig {
@@ -201,6 +204,7 @@ impl LatticeConfig {
         Self {
             threads: vec![1, 8],
             check_golden: true,
+            ring_depth: None,
         }
     }
 
@@ -211,6 +215,7 @@ impl LatticeConfig {
         Self {
             threads: vec![1, 2, 3, 8],
             check_golden: true,
+            ring_depth: None,
         }
     }
 }
@@ -315,7 +320,11 @@ pub(crate) fn ooc_temp_path() -> PathBuf {
     ))
 }
 
-pub(crate) fn flashmob_config(algo: AlgoKind, threads: usize) -> WalkConfig {
+pub(crate) fn flashmob_config(
+    algo: AlgoKind,
+    threads: usize,
+    ring_depth: Option<usize>,
+) -> WalkConfig {
     let mut config = WalkConfig::deepwalk()
         .walkers(LATTICE_WALKERS)
         .steps(LATTICE_STEPS)
@@ -325,7 +334,10 @@ pub(crate) fn flashmob_config(algo: AlgoKind, threads: usize) -> WalkConfig {
         .threads(threads)
         .planner(conformance_planner());
     config.algorithm = algo.walk_algorithm();
-    config
+    match ring_depth {
+        Some(depth) => config.ring_depth(depth),
+        None => config,
+    }
 }
 
 fn run_cell_data(
@@ -333,6 +345,7 @@ fn run_cell_data(
     engine: EngineKind,
     algo: AlgoKind,
     threads: usize,
+    ring_depth: Option<usize>,
 ) -> Result<CellData, String> {
     let err = |e: flashmob::WalkError| e.to_string();
     match engine {
@@ -342,7 +355,7 @@ fn run_cell_data(
                 EngineKind::FlashMobPs => PlanStrategy::UniformPs,
                 _ => PlanStrategy::UniformDs,
             };
-            let config = flashmob_config(algo, threads).strategy(strategy);
+            let config = flashmob_config(algo, threads, ring_depth).strategy(strategy);
             let fm = FlashMob::new(graph, config).map_err(err)?;
             let mut extra = Vec::new();
             for iter in 0..LATTICE_STEPS {
@@ -361,7 +374,7 @@ fn run_cell_data(
             } else {
                 NumaMode::Replicated
             };
-            let base = flashmob_config(algo, threads);
+            let base = flashmob_config(algo, threads, ring_depth);
             let outputs = run_numa_paths(graph, base, mode, LATTICE_SOCKETS).map_err(err)?;
             let mut paths = Vec::with_capacity(LATTICE_WALKERS);
             for o in &outputs {
@@ -374,7 +387,7 @@ fn run_cell_data(
             })
         }
         EngineKind::OutOfCore => {
-            let config = flashmob_config(algo, threads);
+            let config = flashmob_config(algo, threads, ring_depth);
             let path = ooc_temp_path();
             let disk = DiskGraph::create(graph, &path).map_err(|e| e.to_string())?;
             // node2vec exercises the bi-block scheduler; a tight budget
@@ -579,7 +592,7 @@ pub fn run_lattice_traced(config: &LatticeConfig, tel: &mut Telemetry) -> Lattic
                     Outcome::Skipped { reason }
                 } else {
                     let span_start = tel.is_on().then(|| tel.now_ns());
-                    let data = run_cell_data(graph, engine, algo, threads);
+                    let data = run_cell_data(graph, engine, algo, threads, config.ring_depth);
                     stream_hints = data.as_ref().map_or(0, |d| d.stream_hints);
                     let outcome = match data
                         .and_then(|data| check_cell(&data, occ, edge, edges, per_test_alpha))
@@ -641,7 +654,7 @@ pub fn cell_digest(engine: EngineKind, algo: AlgoKind, threads: usize) -> Option
     } else {
         &unweighted
     };
-    let data = run_cell_data(graph, engine, algo, threads).ok()?;
+    let data = run_cell_data(graph, engine, algo, threads, None).ok()?;
     let mut d = PathDigest::new();
     d.fold_u64(data.paths.len() as u64);
     for p in &data.paths {
@@ -693,20 +706,33 @@ mod tests {
         // runs in the integration suite and in CI via `conform`).
         let graph = conformance_graph();
         let (occ, edge, edges) = oracle_distributions(&graph, AlgoKind::DeepWalk);
-        let data = run_cell_data(&graph, EngineKind::FlashMobAuto, AlgoKind::DeepWalk, 1)
-            .expect("cell runs");
+        let cell = |ring_depth| {
+            run_cell_data(
+                &graph,
+                EngineKind::FlashMobAuto,
+                AlgoKind::DeepWalk,
+                1,
+                ring_depth,
+            )
+            .expect("cell runs")
+        };
+        let data = cell(None);
         let (p_occ, p_tr, digest) =
             check_cell(&data, &occ, &edge, &edges, 1e-6).expect("cell conforms");
         assert!(p_occ > 1e-6 && p_tr > 1e-6);
         assert_ne!(digest, 0);
+        // A forced ring depth reaches the cell's config and moves nothing.
+        let forced = |ring_depth| flashmob_config(AlgoKind::DeepWalk, 1, ring_depth).ring_depth;
+        assert_eq!((forced(None), forced(Some(16))), (None, Some(16)));
+        assert_eq!(cell(Some(16)).paths, data.paths);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn traced_lattice_records_one_cell_span_per_executed_cell() {
         let config = LatticeConfig {
             threads: vec![1],
             check_golden: false,
+            ring_depth: None,
         };
         let mut tel = Telemetry::new();
         let report = run_lattice_traced(&config, &mut tel);

@@ -322,11 +322,11 @@ pub struct FlashMob {
     addr: EngineAddrs,
     /// Per-partition latency-hiding ring depth for the sample stage
     /// (see [`crate::sample::ring`]).  Resolved once at build time:
-    /// `FMWALK_RING` env override > [`WalkConfig::ring_depth`] > the
-    /// planner's per-partition auto choice (ring on only for
-    /// LLC-exceeding working sets).  Purely a performance knob: the
-    /// walk output is bit-identical at every depth, so it is *not*
-    /// part of `config_tag` and checkpoints resume across depths.
+    /// [`WalkConfig::ring_depth`] > the planner's per-partition auto
+    /// choice (ring on only for LLC-exceeding working sets).  Purely a
+    /// performance knob: the walk output is bit-identical at every
+    /// depth, so it is *not* part of `config_tag` and checkpoints
+    /// resume across depths.
     ring_depths: Vec<usize>,
     /// The partition stream's occupancy guard
     /// ([`HINT_LINES_PER_WALKER`]; see [`worth_hinting`]).  A field only
@@ -979,7 +979,7 @@ impl FlashMob {
         // the *analytic* model — a measured `CostModel` knows costs,
         // not working-set fits — so depths are deterministic for a
         // given hierarchy regardless of how the plan was costed.
-        let ring_depths = match ring_override(&config) {
+        let ring_depths = match config.ring_depth {
             Some(d) => vec![d; plan.partitions.len()],
             None => plan.ring_depths(&Planner::analytic_model(&config.planner)),
         };
@@ -1936,18 +1936,6 @@ impl<'a> TaskLanes<'a> {
     }
 }
 
-/// A forced uniform ring depth, if any: the `FMWALK_RING` environment
-/// variable (clamped, malformed values ignored) wins over
-/// [`WalkConfig::ring_depth`]; `None` leaves the depth to the cost
-/// model (per partition in memory, per run out of core).
-pub(crate) fn ring_override(config: &WalkConfig) -> Option<usize> {
-    std::env::var("FMWALK_RING")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|d| d.clamp(1, crate::sample::ring::MAX_RING_DEPTH))
-        .or(config.ring_depth)
-}
-
 /// The RNG stream id consumed by partition `pi` during iteration `iter`
 /// of a run seeded with `seed`.
 ///
@@ -2807,7 +2795,6 @@ mod tests {
         assert!(human.contains("idle ratio"), "{human}");
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn traced_run_is_bit_identical_and_counts_exactly() {
         let g = synth::power_law(400, 2.0, 1, 40, 3);
@@ -2844,7 +2831,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn traced_run_attributes_ps_and_ds_policies() {
         let g = synth::power_law(600, 1.9, 1, 60, 4);

@@ -119,8 +119,7 @@ pub struct WalkConfig {
     /// for cache-resident ones.  `Some(d)` forces depth `d` everywhere
     /// (1 disables the ring).  The walk output is bit-identical at
     /// every depth; this knob only trades prefetch instructions against
-    /// stall time.  The `FMWALK_RING` environment variable overrides
-    /// both.
+    /// stall time.
     pub ring_depth: Option<usize>,
 }
 

@@ -351,7 +351,6 @@ mod tests {
         assert!(second < first);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn traced_numa_paths_merge_without_double_counting() {
         let g = synth::power_law(400, 2.0, 1, 40, 2);
@@ -388,7 +387,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn traced_numa_partitioned_counts_exactly() {
         let g = synth::power_law(300, 2.0, 1, 30, 4);

@@ -36,7 +36,7 @@ use fm_rng::{Rng64, Xorshift64Star};
 use fm_telemetry::{Stage, Telemetry, NO_PARTITION, NO_STEP};
 
 use crate::algorithm::Node2VecRule;
-use crate::engine::{partition_stream_id, ring_override};
+use crate::engine::partition_stream_id;
 use crate::output::WalkOutput;
 use crate::plan::Planner;
 use crate::sample::ring;
@@ -338,9 +338,9 @@ impl OocOptions {
 /// one partition's for DeepWalk (the paper's analysis suggests the L3
 /// capacity), a pair of half-budget blocks' for the other two.  The
 /// bi-block stepping loop runs through the walker ring, so
-/// `FMWALK_RING` and [`WalkConfig::ring_depth`] reach this engine as
-/// they do the in-memory one; unset, the cost model picks the depth
-/// from the resident pair's size.  The walk is the same at every depth.
+/// [`WalkConfig::ring_depth`] reaches this engine as it does the
+/// in-memory one; unset, the cost model picks the depth from the
+/// resident pair's size.  The walk is the same at every depth.
 pub fn run_ooc(
     disk: &DiskGraph,
     config: &WalkConfig,
@@ -1291,7 +1291,7 @@ fn run_ooc_biblock(
         // One ring depth for the run: the stepping loop's working set is
         // the resident pair plus the offsets index, whichever pair is
         // loaded.
-        depth: ring_override(config).unwrap_or_else(|| {
+        depth: config.ring_depth.unwrap_or_else(|| {
             Planner::analytic_model(&config.planner)
                 .ring_depth(2 * largest * 4 + std::mem::size_of_val(offsets))
         }),
@@ -1533,7 +1533,6 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn traced_ooc_records_io_spans_and_exact_counters() {
         let g = synth::power_law(400, 2.0, 1, 40, 5);
@@ -1837,7 +1836,6 @@ mod tests {
         (disk, 2 * per_block * (n - 1) * 4)
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn biblock_loads_only_what_is_not_resident() {
         let spans = |tel: &Telemetry, stage: Stage, epoch: u32| {
@@ -2437,7 +2435,6 @@ mod tests {
         std::fs::remove_file(&disk.path).ok();
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn traced_biblock_attributes_ring_hints_to_blocks() {
         let (disk, budget) = complete_in_blocks(4, 16, "bb_ringtel.fmdisk");

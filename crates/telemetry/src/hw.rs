@@ -14,7 +14,7 @@
 //! Scope and honesty notes, mirrored in DESIGN.md §12:
 //!
 //! * Counters are per-thread.  In single-threaded runs (the default,
-//!   and everything `cachecheck`/`bench-diff` measure) the coordinator
+//!   and everything `cachecheck` measures) the coordinator
 //!   *is* the whole walk.  In pooled runs, worker-thread work shows up
 //!   only in the coordinator's dispatch wait, so per-stage deltas
 //!   remain meaningful (the coordinator blocks inside the stage) while

@@ -23,11 +23,8 @@
 //!   (loadable in `chrome://tracing` / Perfetto), a JSONL metrics
 //!   stream, and a human summary; [`tef`] validates emitted traces.
 //!
-//! Recording is cheap enough to stay compiled in by default; the
-//! `telemetry-off` cargo feature turns every record path into a no-op
-//! (and [`Telemetry::is_on`] into a constant `false`) for overhead
-//! -sensitive builds, while [`Telemetry::off`] provides the same at
-//! runtime.
+//! Recording is always compiled in; [`Telemetry::off`] is the one off
+//! switch, and every record path is a no-op behind it.
 
 pub mod export;
 pub mod hist;
@@ -259,8 +256,7 @@ pub struct StageTotals {
 ///
 /// The coordinator owns it mutably; pool workers receive disjoint
 /// [`WorkerLog`] lanes for the duration of one dispatch.  All recording
-/// methods are no-ops when the recorder is disabled (runtime toggle) or
-/// when the crate is compiled with the `telemetry-off` feature.
+/// methods are no-ops when the recorder is disabled ([`Telemetry::off`]).
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
@@ -344,11 +340,10 @@ impl Telemetry {
         self.enabled = enabled;
     }
 
-    /// Whether recording is active.  A constant `false` when compiled
-    /// with `telemetry-off`, letting the optimizer strip call sites.
+    /// Whether recording is active.
     #[inline]
     pub fn is_on(&self) -> bool {
-        cfg!(not(feature = "telemetry-off")) && self.enabled
+        self.enabled
     }
 
     /// Nanoseconds since this recorder's origin (for span start stamps).
@@ -698,9 +693,6 @@ mod tests {
     #[test]
     fn spans_accumulate_per_stage() {
         let mut t = Telemetry::new();
-        if !t.is_on() {
-            return; // telemetry-off build
-        }
         t.span(ev(Stage::Sample, 100));
         t.span(ev(Stage::Sample, 300));
         t.span(ev(Stage::Shuffle, 50));
@@ -717,12 +709,9 @@ mod tests {
         t.record_partition_step(3, 10, true);
         assert!(t.events().is_empty());
         assert_eq!(t.partition_steps_total(), 0);
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            t.set_enabled(true);
-            t.span(ev(Stage::Sample, 100));
-            assert_eq!(t.events().len(), 1);
-        }
+        t.set_enabled(true);
+        t.span(ev(Stage::Sample, 100));
+        assert_eq!(t.events().len(), 1);
     }
 
     #[test]
@@ -731,9 +720,6 @@ mod tests {
         t.record_partition_step(0, 10, true);
         t.record_partition_step(1, 4, false);
         t.record_partition_step(0, 6, true);
-        if !t.is_on() {
-            return; // telemetry-off build
-        }
         let c = t.partition_counters();
         assert_eq!(c[0].steps, 16);
         assert_eq!(c[0].ps_steps, 16);
@@ -754,9 +740,6 @@ mod tests {
             lanes[1].record(ev(Stage::Shuffle, 9));
         }
         t.drain_workers();
-        if !t.is_on() {
-            return;
-        }
         assert_eq!(t.events().len(), 3);
         assert_eq!(t.stage(Stage::Sample).spans, 2);
         assert_eq!(t.dropped(), 0);
@@ -775,9 +758,6 @@ mod tests {
     #[test]
     fn heartbeat_fires_on_interval() {
         let mut t = Telemetry::new();
-        if !t.is_on() {
-            return;
-        }
         let fired = std::rc::Rc::new(std::cell::Cell::new(0u32));
         let f = fired.clone();
         t.set_heartbeat(Duration::ZERO, move |p| {

@@ -16,8 +16,6 @@
 //! `perfmon::available()` and the degradation assertions gate on its
 //! negation, so exactly one side is exercised wherever it runs.
 
-#![cfg(not(feature = "telemetry-off"))]
-
 use flashmob_repro::flashmob::{FlashMob, WalkConfig};
 use flashmob_repro::graph::synth;
 use flashmob_repro::perfmon::{self, CounterGroup, HwEvent, PerfError};

@@ -124,7 +124,6 @@ fn checkpoint_overhead_stays_under_five_percent() {
     );
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 #[test]
 fn numa_run_killed_between_sockets_resumes_bit_exactly() {
     let g = synth::power_law(600, 2.0, 2, 40, 17);
