@@ -11,7 +11,9 @@
 #      insisting that the lattice ran the partition stream (the
 #      hint-only stage in front of each first-order sample task) at
 #      all, and a dense CLI walk whose paths are equal at depth 1 and
-#      16 while --stats tells the two kinds of hint apart
+#      16 while --stats tells the two kinds of hint apart; then a sparse
+#      and a dense CLI walk whose --stats must show PS refills reserved
+#      and produced, with paths equal at both depths
 #   5. program tier: the walk-program lattice (PPR, early-exit,
 #      metapath vs their analytic oracles at {1,8} threads, golden
 #      digests checked) plus the registry/oracle audit — any program
@@ -44,7 +46,8 @@
 #      `cachecheck --quick` exit 0 with or without PMU access
 #  12. reproducer tier: each of the 14 paper-figure bins of `fm-bench`
 #      at its default scale exits 0 and prints its table (about 20 s);
-#      nothing reads their numbers
+#      nothing reads their numbers; run from `crates/bench`, a bin
+#      leaves no `target/` tree there
 #  13. fmbench tier: the benchmark package's own tests (metric names
 #      against BENCHMARK.json, estimator, span tiling, input pinning),
 #      which no workspace command reaches because `benchmark/` is its
@@ -101,6 +104,13 @@ cargo run --release -q -p fm-cli -- conform --quick --ring-depth 16
 RING_OFF="$(cargo run --release -q -p fm-cli -- conform --quick --ring-depth 1)"
 grep -Eq '^partition stream: [1-9][0-9]* cells hinted' <<< "$RING_OFF" || {
     echo "ring tier: no lattice cell ran the partition stream" >&2; exit 1; }
+# The lattice also says how many cells took a PS refill in reserved
+# form.  It is dense (12 000 walkers on 96 vertices), so the engine's
+# rule produces everywhere in it and the count is 0 by construction; the
+# line must be there, and the sparse CLI walk below is where a reserved
+# run is demanded.
+grep -Eq '^reserved generations: [0-9]+ cells, [0-9]+ draws reserved' <<< "$RING_OFF" || {
+    echo "ring tier: the lattice did not report its reserved generations" >&2; exit 1; }
 # A dense walk through the CLI: the stream hints (and says so in
 # --stats) with the ring off, the ring adds its own at depth 16, and
 # the paths are the same bytes.
@@ -119,6 +129,29 @@ grep -Eq ': 0 by the walker ring, [1-9][0-9]* streaming partitions in' "$RING_TM
 grep -Eq ': [1-9][0-9]* by the walker ring, [1-9][0-9]* streaming partitions in' \
     "$RING_TMP/stats16.txt" || {
     echo "ring tier: the dense walk at depth 16 did not report both kinds of hint" >&2; exit 1; }
+# Reserved generations: a PS refill is produced (d(v) samples drawn into
+# the buffer) or reserved (the generator skipped past them, each sample
+# drawn when a walker asks), by walkers x steps left against the
+# partition's edges.  A sparse walk (|V|/32 walkers) must reserve more
+# than it produces, a dense one (|V|/2) must still produce, --stats must
+# say which, and neither form may show in the paths, ring off or on.
+for walkers in 625 10000; do
+    for depth in 1 16; do
+        cargo run --release -q -p fm-cli -- walk "$RING_TMP/g.bin" \
+            --walkers $walkers --steps 8 --seed 11 --stats --ring-depth $depth \
+            --output "$RING_TMP/ps$walkers-$depth.txt" > "$RING_TMP/psstats$walkers-$depth.txt"
+    done
+    cmp "$RING_TMP/ps$walkers-1.txt" "$RING_TMP/ps$walkers-16.txt"
+done
+pre_samples() {  # prints "produced reserved" of a --stats file
+    sed -nE 's/^pre-samples: ([0-9]+) produced, ([0-9]+) reserved, .*/\1 \2/p' "$1"
+}
+read -r SPARSE_PRODUCED SPARSE_RESERVED <<< "$(pre_samples "$RING_TMP/psstats625-1.txt")"
+read -r DENSE_PRODUCED _ <<< "$(pre_samples "$RING_TMP/psstats10000-1.txt")"
+[[ "${SPARSE_RESERVED:-0}" -gt "${SPARSE_PRODUCED:-0}" ]] || {
+    echo "ring tier: the sparse walk did not reserve more than it produced" >&2; exit 1; }
+[[ "${DENSE_PRODUCED:-0}" -gt 0 ]] || {
+    echo "ring tier: the dense walk produced no pre-samples" >&2; exit 1; }
 
 tier "program tier (WalkProgram lattice + registry audit)"
 # Every walk program registered in the engine crate must have an
@@ -351,6 +384,13 @@ for src in crates/bench/src/bin/*.rs; do
     [[ "$(grep -A1 '^---' <<< "$out" | grep -c '[0-9]')" -ge 1 ]] || {
         echo "reproducer tier: $bin printed no table" >&2; exit 1; }
 done
+# Scratch files (the analog cache, ext_out_of_core's .fmdisk) are
+# anchored to the workspace's target/, not to the cwd: run from the
+# crate's own directory, a bin must leave no target/ tree there.
+rm -rf crates/bench/target
+(cd crates/bench && ../../target/release/ext_out_of_core >/dev/null)
+[[ ! -e crates/bench/target ]] || {
+    echo "reproducer tier: ext_out_of_core left crates/bench/target behind" >&2; exit 1; }
 
 tier "fmbench tier (benchmark tests + smoke)"
 # `benchmark/` is a workspace of its own, so the tier-1 command never

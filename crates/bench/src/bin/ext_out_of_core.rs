@@ -36,7 +36,12 @@ fn main() {
     println!("{header}");
     fm_bench::rule(&header);
 
-    let dir = std::path::Path::new("target/fm-oocore");
+    // Anchored to the workspace like `fm_bench::analog`'s cache, so a run
+    // from another directory leaves no `target/` tree of its own behind.
+    let dir = std::path::Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../target/fm-oocore"
+    ));
     std::fs::create_dir_all(dir).expect("scratch dir");
     for which in PaperGraph::ALL {
         let g = analog(which, opts.scale);

@@ -598,6 +598,15 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 hinted.map(|c| c.stream_hints).sum::<u64>()
             )
             .map_err(fail)?;
+            // And whether any cell took a PS refill in reserved form.
+            let reserved = report.cells.iter().filter(|c| c.reserved_draws > 0);
+            writeln!(
+                out,
+                "reserved generations: {} cells, {} draws reserved",
+                reserved.clone().count(),
+                reserved.map(|c| c.reserved_draws).sum::<u64>()
+            )
+            .map_err(fail)?;
             if failed > 0 {
                 return Err(CmdError(
                     format!("{failed} conformance cell(s) failed; see table above"),

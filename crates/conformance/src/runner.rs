@@ -263,6 +263,14 @@ pub struct Cell {
     /// the other engines).  A lattice in which no cell reports any has
     /// never run the hint stage and proves nothing about it.
     pub stream_hints: u64,
+    /// Draws the cell's PS refills reserved instead of producing
+    /// (`RunStats::per_partition_ps_reserved`, summed; 0 for the other
+    /// engines).  The lattice is dense — 12 000 walkers on 96 vertices —
+    /// so the engine's rule produces everywhere in it and this reads 0:
+    /// the reserved form is proven invisible where it can be forced
+    /// (`engine::tests::reserved_generations_are_invisible`), and a run
+    /// that does reserve says so in `walk --stats`.
+    pub reserved_draws: u64,
 }
 
 /// The full lattice report.
@@ -306,6 +314,8 @@ struct CellData {
     extra: Vec<u64>,
     /// See [`Cell::stream_hints`].
     stream_hints: u64,
+    /// See [`Cell::reserved_draws`].
+    reserved_draws: u64,
 }
 
 /// Unique temp path for out-of-core cells (tests in one process run
@@ -366,6 +376,7 @@ fn run_cell_data(
                 paths: output.paths(),
                 extra,
                 stream_hints: stats.prefetch_totals().1,
+                reserved_draws: stats.pre_sample_totals().1,
             })
         }
         EngineKind::NumaP | EngineKind::NumaR => {
@@ -384,6 +395,7 @@ fn run_cell_data(
                 paths,
                 extra: Vec::new(),
                 stream_hints: 0,
+                reserved_draws: 0,
             })
         }
         EngineKind::OutOfCore => {
@@ -403,6 +415,7 @@ fn run_cell_data(
                 paths: output.paths(),
                 extra: Vec::new(),
                 stream_hints: 0,
+                reserved_draws: 0,
             })
         }
         EngineKind::KnightKing | EngineKind::GraphVite => {
@@ -425,6 +438,7 @@ fn run_cell_data(
                 paths: output.paths(),
                 extra: Vec::new(),
                 stream_hints: 0,
+                reserved_draws: 0,
             })
         }
     }
@@ -587,13 +601,15 @@ pub fn run_lattice_traced(config: &LatticeConfig, tel: &mut Telemetry) -> Lattic
                 .expect("oracle precomputed for every algorithm");
             for &threads in &config.threads {
                 let cell_index = cells.len();
-                let mut stream_hints = 0;
+                let (mut stream_hints, mut reserved_draws) = (0, 0);
                 let outcome = if let Some(reason) = engine.skip_reason(algo, threads) {
                     Outcome::Skipped { reason }
                 } else {
                     let span_start = tel.is_on().then(|| tel.now_ns());
                     let data = run_cell_data(graph, engine, algo, threads, config.ring_depth);
-                    stream_hints = data.as_ref().map_or(0, |d| d.stream_hints);
+                    if let Ok(d) = &data {
+                        (stream_hints, reserved_draws) = (d.stream_hints, d.reserved_draws);
+                    }
                     let outcome = match data
                         .and_then(|data| check_cell(&data, occ, edge, edges, per_test_alpha))
                     {
@@ -631,6 +647,7 @@ pub fn run_lattice_traced(config: &LatticeConfig, tel: &mut Telemetry) -> Lattic
                     threads,
                     outcome,
                     stream_hints,
+                    reserved_draws,
                 });
             }
         }

@@ -156,7 +156,12 @@ impl CostModel for AnalyticCostModel {
                 // cursor per vertex.
                 let ws_c = s * (line + 4.0);
                 let level_c = self.fit(ws_c as usize);
-                // Production reads stay within one adjacency list.
+                // Production reads stay within one adjacency list.  One
+                // production is charged per walker-step, which holds
+                // where every slot is read (the paper's |V| × 80
+                // walker-steps); where most are not, the engine reserves
+                // the generation instead of producing it
+                // (`sample::reserves`), which this model does not price.
                 let level_p = self.fit((d * vid) as usize);
                 let production = self.rand(level_p) + vid * self.seq_byte();
                 // Samples consumed from one buffer line before moving on;

@@ -22,7 +22,7 @@ use crate::plan::{Plan, Planner};
 use crate::pool::{DisjointSlice, PoolStats, WorkerPool};
 use crate::sample::{
     apply_exit, hint_partition, node2vec_keeps, propose, sample_partition, worth_hinting, AddrMap,
-    AlgoCtx, PsBuffers, TaskIo, HINT_LINES_PER_WALKER,
+    AlgoCtx, PsBuffers, TaskIo, HINT_LINES_PER_WALKER, RESERVE_FACTOR,
 };
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
 use crate::walker::{fold_init, initialize, WalkerInit};
@@ -71,6 +71,17 @@ pub struct RunStats {
     /// skipped it).  The remainder is the ring's: the two are equal
     /// exactly when the ring is off.
     pub per_partition_stream_hints: Vec<u64>,
+    /// Pre-samples each PS partition's refills drew into its buffers
+    /// (zero for a DS partition).  Like the two lanes above, exact for
+    /// a seed and not checkpointed.
+    pub per_partition_ps_produced: Vec<u64>,
+    /// Pre-samples each PS partition's refills skipped unmade
+    /// (`sample::PsBuffers`, reserved generations): with
+    /// [`Self::per_partition_ps_produced`], the length of the RNG stream
+    /// its refills stood for, whichever form they took.
+    pub per_partition_ps_reserved: Vec<u64>,
+    /// Samples each PS partition handed to walkers.
+    pub per_partition_ps_consumed: Vec<u64>,
     /// Per-vertex visit counts in the *sorted* ID space, when
     /// `record_visits` was set.
     pub visits_sorted: Option<Vec<u64>>,
@@ -111,6 +122,18 @@ impl RunStats {
         add(
             &mut self.per_partition_stream_hints,
             &other.per_partition_stream_hints,
+        );
+        add(
+            &mut self.per_partition_ps_produced,
+            &other.per_partition_ps_produced,
+        );
+        add(
+            &mut self.per_partition_ps_reserved,
+            &other.per_partition_ps_reserved,
+        );
+        add(
+            &mut self.per_partition_ps_consumed,
+            &other.per_partition_ps_consumed,
         );
         if let Some(visits) = &other.visits_sorted {
             add(self.visits_sorted.get_or_insert_with(Vec::new), visits);
@@ -166,6 +189,16 @@ impl RunStats {
         (all - stream, stream)
     }
 
+    /// Pre-samples over all partitions, as `(produced, reserved,
+    /// consumed)`.
+    pub fn pre_sample_totals(&self) -> (u64, u64, u64) {
+        (
+            self.per_partition_ps_produced.iter().sum(),
+            self.per_partition_ps_reserved.iter().sum(),
+            self.per_partition_ps_consumed.iter().sum(),
+        )
+    }
+
     /// Percentage of wall-clock time attributed to each stage:
     /// `(sample, shuffle, other)`.  All zeros when the wall is zero —
     /// never NaN.
@@ -212,6 +245,14 @@ impl RunStats {
                 (ring + stream) as f64 / self.steps_taken.max(1) as f64
             ));
         }
+        let (produced, reserved, consumed) = self.pre_sample_totals();
+        if produced + reserved > 0 {
+            out.push_str(&format!(
+                "pre-samples: {produced} produced, {reserved} reserved, {consumed} consumed \
+                 ({:.1} per consume)\n",
+                (produced + reserved) as f64 / consumed.max(1) as f64
+            ));
+        }
         if self.pool.spawned > 0 {
             out.push_str(&format!(
                 "pool: {} threads spawned, {} epochs dispatched, {:.1?} cumulative worker idle (idle ratio {:.1}%)\n",
@@ -254,8 +295,11 @@ impl RunStats {
             out.push_str(&s.to_string());
         }
         let (ring, stream) = self.prefetch_totals();
+        let (produced, reserved, consumed) = self.pre_sample_totals();
         out.push_str(&format!(
-            "], \"ring_prefetches\": {ring}, \"stream_hints\": {stream}}}"
+            "], \"ring_prefetches\": {ring}, \"stream_hints\": {stream}, \
+             \"ps_produced\": {produced}, \"ps_reserved\": {reserved}, \
+             \"ps_consumed\": {consumed}}}"
         ));
         out
     }
@@ -333,6 +377,11 @@ pub struct FlashMob {
     /// so the tests can force it to *always* (`usize::MAX`) and *never*
     /// (0); like the ring depth it cannot change a walk.
     hint_lines_per_walker: usize,
+    /// When a PS task reserves its refills instead of producing them
+    /// ([`RESERVE_FACTOR`]; see `sample::reserves`).  A field for the
+    /// same reason: the tests force *always* (0) and *never*
+    /// (`usize::MAX`), and no walk, digest or snapshot may notice.
+    reserve_factor: usize,
     /// Wall-clock time spent in pre-processing (relabel + planning),
     /// attributed to the Plan stage of traced runs.
     plan_wall: Duration,
@@ -356,6 +405,7 @@ struct EngineAddrs {
 
 /// One run's PS buffers: `Some` for every pre-sampling partition.
 type PsSet = Vec<Option<PsBuffers>>;
+
 
 /// A background checkpoint write in flight: the thread owns the sink
 /// and returns it together with the transient retries it absorbed and
@@ -659,7 +709,7 @@ impl EpochState {
                 .iter()
                 .map(|o| {
                     o.as_ref().map(|b| {
-                        let (buf, cursor) = b.export();
+                        let (buf, cursor) = b.export::<Xorshift64Star>(&engine.graph);
                         PsPartState { buf, cursor }
                     })
                 })
@@ -750,7 +800,8 @@ impl EpochState {
         let ctx = AlgoCtx::new(effective_algo, config.stop, engine.cum_weights.as_deref())
             .with_edge_filter(engine.edge_bloom.as_ref())
             .at_iter(iter)
-            .with_edge_labels(engine.graph.edge_labels());
+            .with_edge_labels(engine.graph.edge_labels())
+            .with_reserve_factor(engine.reserve_factor);
         let dead_start = self.scratch.shuffle.offsets[parts.len()] as usize;
         self.scratch.snext[dead_start..].fill(DEAD);
         let pf_before = traced.then(|| self.scratch.prefetches.clone());
@@ -995,6 +1046,7 @@ impl FlashMob {
             addr,
             ring_depths,
             hint_lines_per_walker: HINT_LINES_PER_WALKER,
+            reserve_factor: RESERVE_FACTOR,
             plan_wall,
             ps_pool: Mutex::new(None),
         })
@@ -1331,6 +1383,10 @@ impl FlashMob {
             scratch,
             ..
         } = state;
+        let ps_counts: Vec<_> = ps
+            .iter()
+            .map(|b| b.as_ref().map(PsBuffers::counts).unwrap_or_default())
+            .collect();
         *self.lock_ps_pool() = Some(ps);
 
         let wall = wall_start.elapsed();
@@ -1350,6 +1406,9 @@ impl FlashMob {
             per_partition_steps,
             per_partition_prefetches: scratch.prefetches,
             per_partition_stream_hints: scratch.stream_hints,
+            per_partition_ps_produced: ps_counts.iter().map(|c| c.produced).collect(),
+            per_partition_ps_reserved: ps_counts.iter().map(|c| c.reserved).collect(),
+            per_partition_ps_consumed: ps_counts.iter().map(|c| c.consumed).collect(),
             visits_sorted: visits,
             pool: pool.as_ref().map(WorkerPool::stats).unwrap_or_default(),
         };
@@ -1501,7 +1560,7 @@ impl FlashMob {
                         &mut lanes.prefetches.slice_mut(next, 1)[0],
                     )
                 };
-                let issued = hint_partition(
+                let issued = hint_partition::<Xorshift64Star, _>(
                     &self.graph,
                     &self.plan.partitions[next],
                     self.slabs[next].as_ref(),
@@ -1659,6 +1718,10 @@ impl FlashMob {
             }
             let addr = self.task_addrs(pi);
             let ps = &mut ps_buffers[pi];
+            // The redraw rounds below are the same task, later.
+            if let Some(ps) = ps {
+                ps.begin_task(&parts[pi], b - a, ctx);
+            }
             for slot in a..b {
                 let v = sw[slot];
                 probe.touch(
@@ -2188,17 +2251,17 @@ mod tests {
         resumed_rows: Vec<Vec<VertexId>>,
     }
 
-    /// Runs `cfg` on `graph` with the stream guard forced to
-    /// `lines_per_walker`: a whole run, a run halted after its first
-    /// checkpoint, and a resume from that checkpoint.
+    /// Runs `cfg` on `graph` with one of the engine's bit-invisible
+    /// choices forced by `force`: a whole run, a run halted after its
+    /// first checkpoint, and a resume from that checkpoint.
     fn trace(
         graph: &Csr,
         cfg: &WalkConfig,
-        lines_per_walker: usize,
+        force: impl Fn(&mut FlashMob),
         tag: &str,
     ) -> (Trace, RunStats) {
         let mut engine = FlashMob::new(graph, cfg.clone()).unwrap();
-        engine.hint_lines_per_walker = lines_per_walker;
+        force(&mut engine);
         let (out, stats) = engine.run_with_stats().unwrap();
         let dir = std::env::temp_dir().join(format!("fm_hint_{}_{tag}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -2271,7 +2334,9 @@ mod tests {
             ] {
                 let cfg = cfg.clone().strategy(strategy);
                 let tag = format!("{algo}_{strategy:?}");
-                let (want, never) = trace(graph, &cfg, 0, &tag);
+                let guarded =
+                    |guard: usize| move |e: &mut FlashMob| e.hint_lines_per_walker = guard;
+                let (want, never) = trace(graph, &cfg, guarded(0), &tag);
                 assert_eq!(
                     never.per_partition_prefetches.iter().sum::<u64>(),
                     0,
@@ -2283,7 +2348,7 @@ mod tests {
                         cfg.ring_depth = ring;
                         let what = format!("{tag}_{threads}_{ring:?}");
                         for guard in [0, HINT_LINES_PER_WALKER, usize::MAX] {
-                            let (got, stats) = trace(graph, &cfg, guard, &what);
+                            let (got, stats) = trace(graph, &cfg, guarded(guard), &what);
                             assert_eq!(got, want, "{what} guard {guard}");
                             let hinted = stats.prefetch_totals().1 > 0;
                             assert_eq!(hinted, guard > 0, "{what} guard {guard}");
@@ -2292,6 +2357,117 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The reserved form of a PS generation is invisible, end to end.
+    /// With every refill produced (the rule at *never*), under the
+    /// shipped rule and with every refill that can be reserved
+    /// (*always*), a run leaves the same rows, counters and snapshot
+    /// bytes and resumes to the same rows — for each program that
+    /// consumes pre-samples, on the planner's plan and with PS forced
+    /// everywhere, at every thread count, ring off and at 16.  The
+    /// snapshot is cut after iteration 2 of 6, with generations part
+    /// read in whichever form they took, on buffers a previous run left
+    /// behind.  What the forms do differ in is counted, and the count is
+    /// exact: the same stream length and the same consumes.
+    #[test]
+    fn reserved_generations_are_invisible() {
+        let g = synth::power_law(400, 2.0, 2, 40, 9);
+        let base = config(300, 6).record_visits(true);
+        let with = |algorithm: WalkAlgorithm| {
+            let mut cfg = base.clone();
+            cfg.algorithm = algorithm;
+            cfg
+        };
+        let mut geometric = base.clone();
+        geometric.stop = StopRule::Geometric {
+            exit_prob: 0.3,
+            max_steps: 6,
+        };
+        let cells = [
+            ("deepwalk", base.clone()),
+            ("node2vec", with(WalkAlgorithm::Node2Vec { p: 2.0, q: 0.5 })),
+            ("ppr", with(WalkAlgorithm::Ppr { alpha: 0.2 })),
+            ("early-exit", with(WalkAlgorithm::EarlyExit)),
+            ("geometric", geometric),
+        ];
+        let factor = |k: usize| move |e: &mut FlashMob| e.reserve_factor = k;
+        const NEVER: usize = usize::MAX;
+        const ALWAYS: usize = 0;
+        for (algo, cfg) in &cells {
+            for strategy in [PlanStrategy::DynamicProgramming, PlanStrategy::UniformPs] {
+                let cfg = cfg.clone().strategy(strategy);
+                for threads in [1usize, 2, 3, 8] {
+                    for ring in [Some(1), Some(16)] {
+                        let mut cfg = cfg.clone().threads(threads);
+                        cfg.ring_depth = ring;
+                        let what = format!("{algo}_{strategy:?}_{threads}_{ring:?}");
+                        let (want, never) = trace(&g, &cfg, factor(NEVER), &what);
+                        let (produced, reserved, consumed) = never.pre_sample_totals();
+                        assert_eq!(reserved, 0, "{what}");
+                        assert!(consumed > 0 && produced > consumed, "{what}");
+                        for k in [RESERVE_FACTOR, ALWAYS] {
+                            let (got, stats) = trace(&g, &cfg, factor(k), &what);
+                            assert_eq!(got, want, "{what} factor {k}");
+                            let (p, r, c) = stats.pre_sample_totals();
+                            assert_eq!((p + r, c), (produced, consumed), "{what} factor {k}");
+                            // Four-edge rows and longer are most of a
+                            // power-law graph's edges.
+                            assert!(k != ALWAYS || r > p, "{what}: {r} reserved, {p} produced");
+                            let again = trace(&g, &cfg, factor(k), &what).1;
+                            assert_eq!(
+                                again.per_partition_ps_reserved,
+                                stats.per_partition_ps_reserved
+                            );
+                            assert_eq!(
+                                again.per_partition_ps_produced,
+                                stats.per_partition_ps_produced
+                            );
+                            assert_eq!(
+                                again.per_partition_ps_consumed,
+                                stats.per_partition_ps_consumed
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The shipped rule reserves where walkers are few for the edges
+    /// and produces where they are many, and says so in `--stats`.
+    #[test]
+    fn sparse_tasks_reserve_and_dense_tasks_produce() {
+        let g = synth::power_law(4_000, 2.0, 4, 200, 13);
+        let run = |walkers: usize| {
+            let cfg = config(walkers, 4).strategy(PlanStrategy::UniformPs);
+            FlashMob::new(&g, cfg).unwrap().run_with_stats().unwrap().1
+        };
+        let sparse = run(40);
+        let (produced, reserved, consumed) = sparse.pre_sample_totals();
+        assert_eq!(produced, 0, "minimum degree 4: every row can be reserved");
+        assert!(reserved > 0 && consumed == 160);
+        let summary = sparse.human_summary();
+        assert!(
+            summary.contains(&format!(
+                "pre-samples: 0 produced, {reserved} reserved, 160 consumed"
+            )),
+            "{summary}"
+        );
+        assert!(sparse
+            .to_json()
+            .contains(&format!("\"ps_reserved\": {reserved}")));
+        let dense = run(40_000);
+        let (produced, reserved, _) = dense.pre_sample_totals();
+        assert!(produced > 0 && reserved == 0, "{produced} {reserved}");
+        // A DS plan pre-samples nothing and prints no such line.
+        let ds = FlashMob::new(&g, config(40, 4).strategy(PlanStrategy::UniformDs))
+            .unwrap()
+            .run_with_stats()
+            .unwrap()
+            .1;
+        assert_eq!(ds.pre_sample_totals(), (0, 0, 0));
+        assert!(!ds.human_summary().contains("pre-samples"));
     }
 
     /// Which partitions the stage hints, on one step from known starts:

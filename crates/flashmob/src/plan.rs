@@ -119,7 +119,9 @@ impl Plan {
     /// The working-set formulas mirror the cost model's
     /// `sample_cost_ns`: DS touches the partition's edges plus (for
     /// irregular layouts) its offset pairs; PS consumption touches one
-    /// active buffer line and a cursor per vertex.
+    /// active buffer line and a cursor per vertex (a generation held
+    /// reserved, `sample::PsBuffers`, reads its row instead: the sparse
+    /// case, which neither formula sizes).
     pub fn ring_depths(&self, model: &AnalyticCostModel) -> Vec<usize> {
         let line = model.config().line_bytes;
         self.partitions

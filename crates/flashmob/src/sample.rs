@@ -78,6 +78,17 @@ pub struct AddrMap {
 /// The buffer of vertex `v` has capacity `d(v)` and mirrors the CSR
 /// adjacency layout, so the whole structure is one flat array plus a
 /// cursor per vertex.
+///
+/// A generation — the `d(v)` samples one refill stands for — is held in
+/// one of two forms.  *Produced*: all `d` samples sit in the buffer and
+/// the cursor counts the unread ones.  *Reserved*: the generator was
+/// advanced past the `d` draws without making them
+/// ([`Rng64::reserve_range`]); the buffer's first four slots hold the
+/// state the generation starts from and the state its next sample comes
+/// from, [`RESERVED`] is set in the cursor, and a sample is drawn when a
+/// walker asks for it.  Both forms hand out the same samples and leave
+/// the task's generator in the same state, so which one a refill takes
+/// ([`reserves`]) shows in no walk, digest or snapshot.
 #[derive(Debug, Clone)]
 pub struct PsBuffers {
     start: VertexId,
@@ -85,35 +96,172 @@ pub struct PsBuffers {
     /// `buf[local_offsets[i] .. local_offsets[i + 1]]`.
     buf: Vec<VertexId>,
     local_offsets: Vec<u32>,
-    /// Remaining unconsumed samples per vertex (0 = needs refill).
+    /// Remaining unconsumed samples per vertex (0 = needs refill), with
+    /// [`RESERVED`] on top; read through [`PsBuffers::row`].
     cursor: Vec<u32>,
+    /// Whether some row is too long for the cursor's top bit to be a flag
+    /// ([`split_cursor`]); where none is, [`PsBuffers::reset`] is one
+    /// mask over the cursors.
+    wide: bool,
+    /// Whether the task now running takes its refills reserved: set by
+    /// whoever knows the task's walker count ([`PsBuffers::begin_task`]).
+    reserving: bool,
+    /// Pre-samples drawn into buffers, pre-samples skipped by a
+    /// reservation, and samples handed to walkers, since the last
+    /// [`PsBuffers::reset`].
+    counts: PsCounts,
+}
+
+/// What one partition's buffers did, in samples.  `produced + reserved`
+/// is the length of the RNG stream refills stood for, whichever form
+/// they took.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PsCounts {
+    /// Samples drawn and written by produced refills.
+    pub(crate) produced: u64,
+    /// Draws skipped, unmade, by reserved refills.
+    pub(crate) reserved: u64,
+    /// Samples handed to walkers.
+    pub(crate) consumed: u64,
+}
+
+/// Cursor flag: the generation is reserved, not produced.  The low 31
+/// bits stay the unread count, so a row of `d ≥ 2³¹` — whose count needs
+/// the bit — is always produced ([`split_cursor`]).
+const RESERVED: u32 = 1 << 31;
+
+/// Slots of a reserved generation's buffer that hold generator state,
+/// two `u32` each: at [`FIRST_STATE`] the state its first sample is
+/// drawn from (what [`PsBuffers::export`] replays), at [`NEXT_STATE`]
+/// the state its next one is.  Rows shorter than this are produced.
+const STATE_SLOTS: usize = 4;
+const FIRST_STATE: usize = 0;
+const NEXT_STATE: usize = 2;
+
+/// Whether a row of degree `d` can hold a reserved generation.
+#[inline]
+fn reservable(d: usize) -> bool {
+    (STATE_SLOTS..RESERVED as usize).contains(&d)
+}
+
+/// Splits the cursor word of a row of degree `d` into (reserved, unread).
+#[inline]
+fn split_cursor(word: u32, d: usize) -> (bool, usize) {
+    if reservable(d) {
+        (word & RESERVED != 0, (word & !RESERVED) as usize)
+    } else {
+        (false, word as usize)
+    }
+}
+
+/// Buffer start offsets of a partition whose rows have these degrees.
+///
+/// # Panics
+///
+/// When the partition holds 2³² pre-sampled edges or more: the offsets
+/// are `u32`, and a wrapped one would hand a vertex another's slots.
+/// (`PsBuffers::new` cannot return an error without changing a
+/// signature the benchmark calls, so this panics, naming the partition.)
+fn local_offsets(degrees: impl Iterator<Item = usize>, part: &Partition) -> Vec<u32> {
+    let mut offsets = Vec::with_capacity(part.vertex_count() + 1);
+    let mut acc = 0u32;
+    offsets.push(0);
+    for d in degrees {
+        acc = u32::try_from(d)
+            .ok()
+            .and_then(|d| acc.checked_add(d))
+            .unwrap_or_else(|| {
+                panic!(
+                    "partition [{}, {}) holds more than 2^32 pre-sampled edges",
+                    part.start, part.end
+                )
+            });
+        offsets.push(acc);
+    }
+    offsets
+}
+
+/// One vertex of a [`PsBuffers`], as [`PsBuffers::row`] reads it.
+struct Row {
+    bstart: usize,
+    d: usize,
+    reserved: bool,
+    unread: usize,
+}
+
+#[inline]
+fn read_state(slots: &[VertexId]) -> u64 {
+    slots[0] as u64 | (slots[1] as u64) << 32
+}
+
+#[inline]
+fn write_state(slots: &mut [VertexId], state: u64) {
+    slots[0] = state as u32;
+    slots[1] = (state >> 32) as u32;
 }
 
 impl PsBuffers {
     /// Allocates empty buffers for a partition.
     pub fn new(graph: &Csr, part: &Partition) -> Self {
         let count = part.vertex_count();
-        let mut local_offsets = Vec::with_capacity(count + 1);
-        let mut acc = 0u32;
-        local_offsets.push(0);
-        for v in part.start..part.end {
-            acc += graph.degree(v) as u32;
-            local_offsets.push(acc);
-        }
+        let local_offsets = local_offsets((part.start..part.end).map(|v| graph.degree(v)), part);
         Self {
             start: part.start,
-            buf: vec![0; acc as usize],
+            buf: vec![0; local_offsets[count] as usize],
+            wide: local_offsets.windows(2).any(|w| w[1] - w[0] >= RESERVED),
             local_offsets,
             cursor: vec![0; count],
+            reserving: false,
+            counts: PsCounts::default(),
         }
+    }
+
+    /// Where local vertex `i` stands: its buffer's first slot, its
+    /// degree, and its generation's form and unread count.
+    #[inline]
+    fn row(&self, i: usize) -> Row {
+        let bstart = self.local_offsets[i] as usize;
+        let d = self.local_offsets[i + 1] as usize - bstart;
+        let (reserved, unread) = split_cursor(self.cursor[i], d);
+        Row {
+            bstart,
+            d,
+            reserved,
+            unread,
+        }
+    }
+
+    /// The row index a reserved generation's next sample will pick,
+    /// leaving the saved state where it is.
+    #[inline]
+    fn peek_reserved<R: Rng64>(&self, row: &Row) -> usize {
+        let mut state = read_state(&self.buf[row.bstart + NEXT_STATE..]);
+        R::index_from(&mut state, row.d as u64) as usize
+    }
+
+    /// Chooses the form this task's refills take ([`reserves`]).
+    pub(crate) fn begin_task(&mut self, part: &Partition, walkers: usize, ctx: &AlgoCtx<'_>) {
+        self.reserving = reserves(part, walkers, ctx);
     }
 
     /// Marks every vertex's buffer empty so the next consume refills it:
     /// what a run that inherits the previous run's buffers does in place
-    /// of allocating.  Contents stay as they are; a zero cursor means
-    /// they are overwritten before they are read.
+    /// of allocating.  Contents stay as they are — a reserved generation
+    /// keeps its flag, which is what says how to read them — and an
+    /// unread count of zero means they are overwritten before they are
+    /// read.
     pub fn reset(&mut self) {
-        self.cursor.fill(0);
+        if self.wide {
+            for (word, row) in self.cursor.iter_mut().zip(self.local_offsets.windows(2)) {
+                let (reserved, _) = split_cursor(*word, (row[1] - row[0]) as usize);
+                *word = if reserved { RESERVED } else { 0 };
+            }
+        } else {
+            // A row too short to reserve never has the bit set: its
+            // count is at most its degree.
+            self.cursor.iter_mut().for_each(|word| *word &= RESERVED);
+        }
+        self.counts = PsCounts::default();
     }
 
     /// Heap footprint in bytes (planner/report helper).
@@ -121,12 +269,41 @@ impl PsBuffers {
         self.buf.len() * 4 + self.local_offsets.len() * 4 + self.cursor.len() * 4
     }
 
+    /// Samples produced, reserved and consumed since the last reset.
+    pub(crate) fn counts(&self) -> PsCounts {
+        self.counts
+    }
+
     /// Snapshots the resumable state: buffer contents and per-vertex
     /// cursors.  Buffers refill lazily and carry unconsumed samples
     /// across iterations, so checkpoints must capture both (`start` and
     /// `local_offsets` are reconstructed from the graph and plan).
-    pub fn export(&self) -> (Vec<VertexId>, Vec<u32>) {
-        (self.buf.clone(), self.cursor.clone())
+    ///
+    /// The snapshot is in produced form whatever form the generations
+    /// are held in: a reserved one is replayed from its first state, its
+    /// read slots included, into exactly the bytes production would have
+    /// left (`R` is the generator the tasks draw from).  One format for
+    /// the WLKR frame, for [`PsBuffers::import`] and for every reader.
+    pub fn export<R: Rng64>(&self, graph: &Csr) -> (Vec<VertexId>, Vec<u32>) {
+        let (mut buf, mut cursor) = (self.buf.clone(), self.cursor.clone());
+        for (i, word) in cursor.iter_mut().enumerate() {
+            let Row {
+                bstart,
+                d,
+                reserved,
+                unread,
+            } = self.row(i);
+            if !reserved {
+                continue;
+            }
+            let adj = graph.neighbors(self.start + i as VertexId);
+            let mut state = read_state(&self.buf[bstart + FIRST_STATE..]);
+            for slot in &mut buf[bstart..bstart + d] {
+                *slot = adj[R::index_from(&mut state, d as u64) as usize];
+            }
+            *word = unread as u32;
+        }
+        (buf, cursor)
     }
 
     /// Restores state captured by [`PsBuffers::export`].  Returns
@@ -141,6 +318,34 @@ impl PsBuffers {
         self.cursor = cursor;
         true
     }
+}
+
+/// A PS task takes its refills reserved when the samples its partition
+/// can expect to hand out before the walk ends, times this, still fall
+/// short of the samples one generation of every vertex holds.
+///
+/// A produced sample costs its draw plus a row read and a buffer write
+/// (3.5 ns hot, twice that cold); a reserved one costs a checked step
+/// (≈ 1 ns) and, if it is ever read, a second step and a scattered row
+/// read (≈ 90 ns cold).  So reserving wins wherever most of a generation
+/// is never read, and loses where it is read through; on the TW analog
+/// the two meet near 15 draws stood for per sample read.  Swept over
+/// {never, 2, 4, 8, 16, 32, always} on `n2v_tw`, `dw_yh` and `txt_dw_yt`
+/// — one plateau from 2 to 32 on all three, which are far from the
+/// crossing — and placed on it by a walker-density series
+/// (EXPERIMENTS.md, PR 24 ledger).
+pub(crate) const RESERVE_FACTOR: usize = 16;
+
+/// Whether a task of `walkers` on `part` reserves: `walkers × steps left
+/// × factor < PS edges`.  A function of the plan, the shuffle's bin
+/// width and the iteration alone, so the same tasks reserve at every
+/// thread count; the walk does not depend on it either way.
+pub(crate) fn reserves(part: &Partition, walkers: usize, ctx: &AlgoCtx<'_>) -> bool {
+    let steps_left = ctx.max_steps.saturating_sub(ctx.iter).max(1);
+    walkers
+        .saturating_mul(steps_left)
+        .saturating_mul(ctx.reserve_factor)
+        < part.edges
 }
 
 /// Algorithm context shared by every task of a run.
@@ -174,14 +379,22 @@ pub struct AlgoCtx<'g> {
     /// Per-edge type labels parallel to the CSR targets array (metapath
     /// walks only).
     pub edge_labels: Option<&'g [u8]>,
+    /// The stop rule's step cap: with `iter`, how much of the walk is
+    /// left for a PS task to hand samples to ([`reserves`]).
+    pub(crate) max_steps: usize,
+    /// [`RESERVE_FACTOR`], but for the tests that force it.
+    pub(crate) reserve_factor: usize,
 }
 
 impl<'g> AlgoCtx<'g> {
     /// Builds the context for a run.
     pub fn new(algo: WalkAlgorithm, stop: StopRule, cum_weights: Option<&'g [f32]>) -> Self {
-        let exit_prob = match stop {
-            StopRule::FixedSteps(_) => 0.0,
-            StopRule::Geometric { exit_prob, .. } => exit_prob,
+        let (exit_prob, max_steps) = match stop {
+            StopRule::FixedSteps(n) => (0.0, n),
+            StopRule::Geometric {
+                exit_prob,
+                max_steps,
+            } => (exit_prob, max_steps),
         };
         Self {
             algo,
@@ -191,6 +404,8 @@ impl<'g> AlgoCtx<'g> {
             exit_prob,
             iter: 0,
             edge_labels: None,
+            max_steps,
+            reserve_factor: RESERVE_FACTOR,
         }
     }
 
@@ -203,6 +418,13 @@ impl<'g> AlgoCtx<'g> {
     /// Sets the walk iteration this stage advances.
     pub fn at_iter(mut self, iter: usize) -> Self {
         self.iter = iter;
+        self
+    }
+
+    /// Replaces [`RESERVE_FACTOR`]: 0 reserves every refill that can be,
+    /// `usize::MAX` none.  Like the ring depth it cannot change a walk.
+    pub(crate) fn with_reserve_factor(mut self, factor: usize) -> Self {
+        self.reserve_factor = factor;
         self
     }
 
@@ -258,6 +480,7 @@ pub fn sample_partition<R: Rng64, P: Probe>(
     debug_assert_eq!(io.scur.len(), io.snext.len());
     match (part.policy, ps) {
         (SamplePolicy::PreSample, Some(buffers)) => {
+            buffers.begin_task(part, io.scur.len(), ctx);
             sample_ps(graph, part, buffers, ctx, io, rng, probe, addr, ring_depth)
         }
         (SamplePolicy::Direct, _) | (SamplePolicy::PreSample, None) => {
@@ -306,11 +529,13 @@ pub(crate) fn worth_hinting(part: &Partition, walkers: usize, lines_per_walker: 
 ///   pairs, line by line;
 /// * PS: per vertex, the one buffer line the next [`consume`] will read
 ///   (`buf[bstart + d - remaining]`), or — where a zero cursor says a
-///   refill comes first — the adjacency head and the buffer head.
+///   refill comes first — the adjacency head and the buffer head; for
+///   a reserved generation, whose samples are adjacency not buffer, the
+///   buffer head (its state) and the row entry its next draw will pick.
 ///
 /// Hints consume no RNG and write no walker, cursor or buffer state,
 /// and use the simulated addresses the demand touches will use.
-pub(crate) fn hint_partition<P: Probe>(
+pub(crate) fn hint_partition<R: Rng64, P: Probe>(
     graph: &Csr,
     part: &Partition,
     slab: Option<&FixedDegreeSlab>,
@@ -323,15 +548,18 @@ pub(crate) fn hint_partition<P: Probe>(
     match (part.policy, ps, slab) {
         (SamplePolicy::PreSample, Some(buffers), _) => {
             let targets = graph.targets();
-            for (i, &remaining) in buffers.cursor.iter().enumerate() {
-                let bstart = buffers.local_offsets[i] as usize;
-                if remaining == 0 {
-                    let off = graph.adjacency_start((start + i) as VertexId);
-                    pf.element(probe, targets, off, addr.targets);
-                    pf.element(probe, &buffers.buf, bstart, addr.ps_buf);
+            for i in 0..buffers.cursor.len() {
+                let row = buffers.row(i);
+                let off = || graph.adjacency_start((start + i) as VertexId);
+                if row.unread == 0 {
+                    pf.element(probe, targets, off(), addr.targets);
+                    pf.element(probe, &buffers.buf, row.bstart, addr.ps_buf);
+                } else if row.reserved {
+                    let k = buffers.peek_reserved::<R>(&row);
+                    pf.element(probe, &buffers.buf, row.bstart, addr.ps_buf);
+                    pf.element(probe, targets, off() + k, addr.targets);
                 } else {
-                    let bend = buffers.local_offsets[i + 1] as usize;
-                    let pos = bend - remaining as usize;
+                    let pos = row.bstart + row.d - row.unread;
                     pf.element(probe, &buffers.buf, pos, addr.ps_buf);
                 }
             }
@@ -529,10 +757,11 @@ fn sample_ds<R: Rng64, P: Probe>(
 ///
 /// PS state (cursors, buffer contents) mutates as walkers execute, so
 /// the fetch stage carries no payload: it only *hints* the likely next
-/// read position — the cursor line, the buffer slot a consume will
-/// read, or (on an imminent refill) the offset pair plus adjacency
-/// head.  A hint gone stale because an intervening walker consumed from
-/// the same vertex wastes one prefetch and nothing else.
+/// read position — the cursor line, the buffer slot (or, of a reserved
+/// generation, the row entry) a consume will read, or (on an imminent
+/// refill) the offset pair plus adjacency head.  A hint gone stale
+/// because an intervening walker consumed from the same vertex wastes
+/// one prefetch and nothing else.
 #[allow(clippy::too_many_arguments)]
 fn sample_ps<R: Rng64, P: Probe>(
     graph: &Csr,
@@ -595,10 +824,9 @@ fn sample_ps<R: Rng64, P: Probe>(
             }
             let (probe, buffers) = st;
             let i = (v - buffers.start) as usize;
-            let bstart = buffers.local_offsets[i] as usize;
-            let d = buffers.local_offsets[i + 1] as usize - bstart;
-            let remaining = buffers.cursor[i] as usize;
-            if remaining == 0 {
+            let row = buffers.row(i);
+            let (bstart, d) = (row.bstart, row.d);
+            if row.unread == 0 {
                 // Refill imminent: the batch reads v's offset pair,
                 // random targets within one adjacency, and streams
                 // writes into the buffer.
@@ -611,11 +839,20 @@ fn sample_ps<R: Rng64, P: Probe>(
                 pf.element(probe, &buffers.buf, bstart, addr.ps_buf);
                 return;
             }
-            let pos = bstart + (d - remaining);
-            pf.element(probe, &buffers.buf, pos, addr.ps_buf);
+            // A reserved generation's samples are in the adjacency, not
+            // the buffer: the slot to hint is the row entry the saved
+            // state picks next (computed, not stored).
+            let (slots, pos, base) = if row.reserved {
+                pf.element(probe, offsets, v as usize, addr.offsets);
+                let pos = graph.adjacency_start(v) + buffers.peek_reserved::<R>(&row);
+                (targets, pos, addr.targets)
+            } else {
+                (&buffers.buf[..], bstart + (d - row.unread), addr.ps_buf)
+            };
+            pf.element(probe, slots, pos, base);
             if let (WalkAlgorithm::Node2Vec { .. }, Some(sp)) = (ctx.algo, sprev) {
                 let t = sp[j];
-                let cand = buffers.buf[pos];
+                let cand = slots[pos];
                 if let Some(bloom) = ctx.edge_filter {
                     prefetch_bloom(pf, probe, bloom, t, cand, addr);
                 }
@@ -753,6 +990,17 @@ pub(crate) fn prefetch_bloom<P: Probe>(
 }
 
 /// Takes one pre-sampled edge from `v`'s buffer, refilling it when empty.
+///
+/// A refill stands for `d` draws of `gen_index(d)` from the task's
+/// generator, and everything after it depends on those draws only
+/// through the state they leave behind.  So a sparse task
+/// ([`PsBuffers::begin_task`]) skips them instead — checked, so that
+/// the skip is exact or declined — and keeps the state they start from;
+/// each consume then draws its own sample from that state: the value
+/// slot `d − remaining` would have held, in the order it would have been
+/// read.  Weighted refills (one `next_f64` and a search per sample) stay
+/// produced: the pair on [`Rng64`] speaks `gen_range`, and no workload
+/// pre-samples a weighted graph sparsely.
 pub(crate) fn consume<R: Rng64, P: Probe>(
     graph: &Csr,
     buffers: &mut PsBuffers,
@@ -764,35 +1012,109 @@ pub(crate) fn consume<R: Rng64, P: Probe>(
 ) -> VertexId {
     let i = (v - buffers.start) as usize;
     probe.touch(addr.ps_cursor + 4 * i as u64, 4, AccessKind::Random);
-    let bstart = buffers.local_offsets[i] as usize;
-    let bend = buffers.local_offsets[i + 1] as usize;
-    let d = bend - bstart;
+    let Row {
+        bstart,
+        d,
+        mut reserved,
+        unread: mut remaining,
+    } = buffers.row(i);
     debug_assert!(d > 0, "PS vertex must have out-edges");
-    if buffers.cursor[i] == 0 {
-        // Production: refill the whole buffer in one batch.  Random
-        // reads stay within v's adjacency list; writes stream.
-        let off = graph.adjacency_start(v);
-        probe.touch(addr.offsets + 8 * v as u64, 8, AccessKind::Random);
-        for slot in 0..d {
-            let k = match ctx.cum_weights {
-                Some(cw) => weighted_pick(cw, off, d, rng, probe, addr),
-                None => rng.gen_index(d),
-            };
-            probe.touch(addr.targets + 4 * (off + k) as u64, 4, AccessKind::Random);
-            buffers.buf[bstart + slot] = graph.targets()[off + k];
-            probe.touch_write(
-                addr.ps_buf + 4 * (bstart + slot) as u64,
-                4,
-                AccessKind::Sequential,
-            );
+    if remaining == 0 {
+        reserved = buffers.reserving && reserve(buffers, bstart, d, ctx, rng, probe, addr);
+        if !reserved {
+            produce(graph, buffers, v, bstart, d, ctx, rng, probe, addr);
         }
-        buffers.cursor[i] = d as u32;
+        remaining = d;
+        let flag = if reserved { RESERVED } else { 0 };
+        buffers.cursor[i] = flag | d as u32;
         probe.touch_write(addr.ps_cursor + 4 * i as u64, 4, AccessKind::Random);
     }
-    let pos = bstart + (d - buffers.cursor[i] as usize);
+    buffers.counts.consumed += 1;
+    // One fewer unread, whatever the form: the count is at least 1, so
+    // the borrow never reaches the flag.  (Written as the parent's plain
+    // decrement on purpose — walkers queue on a hub's cursor, and this
+    // load, decrement and store is the chain they queue on.)
     buffers.cursor[i] -= 1;
+    if reserved {
+        // The next sample's state lives beside the first one, in the
+        // head of the buffer; the sample itself is read from the row.
+        let next = bstart + NEXT_STATE;
+        probe.touch(addr.ps_buf + 4 * next as u64, 8, AccessKind::Random);
+        let mut state = read_state(&buffers.buf[next..]);
+        let k = R::index_from(&mut state, d as u64) as usize;
+        write_state(&mut buffers.buf[next..], state);
+        probe.touch(addr.offsets + 8 * v as u64, 8, AccessKind::Random);
+        let off = graph.adjacency_start(v);
+        probe.touch(addr.targets + 4 * (off + k) as u64, 4, AccessKind::Random);
+        return graph.targets()[off + k];
+    }
+    let pos = bstart + (d - remaining);
     probe.touch(addr.ps_buf + 4 * pos as u64, 4, AccessKind::Random);
     buffers.buf[pos]
+}
+
+/// Production: refills the whole buffer in one batch.  Random reads
+/// stay within `v`'s adjacency list; writes stream.
+///
+/// Out of line, as [`reserve`] is, and apart from it: the loop's speed
+/// is the generator's dependent chain, which stays in a register only
+/// while nothing else in the function takes the generator by reference
+/// — beside a `reserve_range` call it went through memory every draw.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn produce<R: Rng64, P: Probe>(
+    graph: &Csr,
+    buffers: &mut PsBuffers,
+    v: VertexId,
+    bstart: usize,
+    d: usize,
+    ctx: &AlgoCtx<'_>,
+    rng: &mut R,
+    probe: &mut P,
+    addr: &AddrMap,
+) {
+    let off = graph.adjacency_start(v);
+    probe.touch(addr.offsets + 8 * v as u64, 8, AccessKind::Random);
+    for slot in 0..d {
+        let k = match ctx.cum_weights {
+            Some(cw) => weighted_pick(cw, off, d, rng, probe, addr),
+            None => rng.gen_index(d),
+        };
+        probe.touch(addr.targets + 4 * (off + k) as u64, 4, AccessKind::Random);
+        buffers.buf[bstart + slot] = graph.targets()[off + k];
+        probe.touch_write(
+            addr.ps_buf + 4 * (bstart + slot) as u64,
+            4,
+            AccessKind::Sequential,
+        );
+    }
+    buffers.counts.produced += d as u64;
+}
+
+/// Takes the refill of the row at `bstart` reserved, if it can be:
+/// the generator skips the row's `d` draws and both saved states start
+/// at the one they begin from.
+#[inline(never)]
+fn reserve<R: Rng64, P: Probe>(
+    buffers: &mut PsBuffers,
+    bstart: usize,
+    d: usize,
+    ctx: &AlgoCtx<'_>,
+    rng: &mut R,
+    probe: &mut P,
+    addr: &AddrMap,
+) -> bool {
+    if !reservable(d) || ctx.cum_weights.is_some() {
+        return false;
+    }
+    let Some(first) = rng.reserve_range(d as u64, d) else {
+        return false;
+    };
+    write_state(&mut buffers.buf[bstart + FIRST_STATE..], first);
+    write_state(&mut buffers.buf[bstart + NEXT_STATE..], first);
+    probe.touch_write(addr.ps_buf + 4 * bstart as u64, 16, AccessKind::Random);
+    buffers.counts.reserved += d as u64;
+    true
 }
 
 /// Draws one outgoing edge of `v` under the algorithm, using `fetch` to
@@ -1232,6 +1554,35 @@ mod tests {
     /// the generator's state all equal the model's, weighted or not.
     #[test]
     fn ps_refill_is_byte_identical_to_its_model() {
+        let counts = refill_against_model(false);
+        assert!(counts.iter().all(|c| c.reserved == 0 && c.produced > 0));
+    }
+
+    /// The same model, the same bytes, with every refill that can be
+    /// taken reserved: the plain graph's generations of four edges and
+    /// more are never produced, the weighted graph's always are, and
+    /// the stream each stands for is as long as it was.
+    #[test]
+    fn reserved_refill_is_byte_identical_to_the_same_model() {
+        let produced = refill_against_model(false);
+        let reserved = refill_against_model(true);
+        for (p, r) in produced.iter().zip(&reserved) {
+            assert_eq!(p.produced, r.produced + r.reserved);
+            assert_eq!(p.consumed, r.consumed);
+        }
+        // Seeds 1, 7, 42 of the plain graph, then of the weighted one.
+        assert!(
+            reserved[..3].iter().all(|c| c.reserved > 4_000),
+            "{reserved:?}"
+        );
+        assert!(reserved[3..].iter().all(|c| c.reserved == 0));
+    }
+
+    /// Runs [`consume`] against [`consume_model`] on a plain and a
+    /// weighted graph, with the buffers told to reserve or not, and
+    /// returns what each of the six runs counted.
+    fn refill_against_model(reserving: bool) -> Vec<PsCounts> {
+        let mut counts = Vec::new();
         let plain = synth::power_law(300, 2.0, 1, 120, 29);
         let weights: Vec<f32> = (0..plain.edge_count())
             .map(|e| 0.25 + (e % 7) as f32)
@@ -1257,7 +1608,8 @@ mod tests {
             let ctx = AlgoCtx::new(algo, StopRule::FixedSteps(1), cum);
             for seed in [1u64, 7, 42] {
                 let mut ps = PsBuffers::new(graph, &part);
-                let (mut buf, mut cursor) = ps.export();
+                ps.reserving = reserving;
+                let (mut buf, mut cursor) = ps.export::<Xorshift64Star>(graph);
                 let mut rng = Xorshift64Star::new(seed);
                 let mut rng_model = Xorshift64Star::new(seed);
                 // Visits skewed to low ids (the hubs), so buffers run dry
@@ -1277,9 +1629,143 @@ mod tests {
                     let want = consume_model(graph, cum, &mut buf, &mut cursor, v, &mut rng_model);
                     assert_eq!(got, want, "{algo:?} seed {seed} consume {n} at {v}");
                 }
-                assert_eq!(ps.export(), (buf, cursor), "{algo:?} seed {seed}");
+                assert_eq!(
+                    ps.export::<Xorshift64Star>(graph),
+                    (buf, cursor),
+                    "{algo:?} seed {seed}"
+                );
                 assert_eq!(rng.state(), rng_model.state(), "{algo:?} seed {seed}");
+                counts.push(ps.counts());
             }
+        }
+        counts
+    }
+
+    /// A reserved consume reads its vertex's cursor, the running state
+    /// in the head of its buffer, its offset pair and one row entry —
+    /// never a sample slot — and the refill before it writes the two
+    /// states and nothing else.
+    #[test]
+    fn reserved_consume_reads_the_row_not_the_buffer() {
+        #[derive(Default)]
+        struct Log(Vec<(u64, u32, bool)>);
+        impl Probe for Log {
+            fn touch(&mut self, addr: u64, bytes: u32, _: AccessKind) {
+                self.0.push((addr, bytes, false));
+            }
+            fn touch_write(&mut self, addr: u64, bytes: u32, _: AccessKind) {
+                self.0.push((addr, bytes, true));
+            }
+        }
+        let g = synth::power_law(200, 2.0, 1, 40, 3);
+        let part = make_part(&g, SamplePolicy::PreSample);
+        let addr = AddrMap {
+            offsets: 0x10_0000,
+            targets: 0x20_0000,
+            ps_buf: 0x80_0000,
+            ps_cursor: 0x90_0000,
+            ..AddrMap::default()
+        };
+        let v: VertexId = 0;
+        let (off, d) = (g.adjacency_start(v) as u64, g.degree(v));
+        assert!(reservable(d));
+        let mut ps = PsBuffers::new(&g, &part);
+        ps.reserving = true;
+        let mut rng = Xorshift64Star::new(11);
+        let mut twin = rng.clone();
+        let mut log = Log::default();
+        let ctx = first_order_ctx();
+        let first = consume(&g, &mut ps, v, &ctx, &mut rng, &mut log, &addr);
+        let k = twin.gen_index(d) as u64;
+        assert_eq!(first, g.neighbors(v)[k as usize]);
+        let consume_touches = [
+            (addr.ps_buf + 4 * (off + 2), 8, false),
+            (addr.offsets + 8 * v as u64, 8, false),
+            (addr.targets + 4 * (off + k), 4, false),
+        ];
+        let mut want = vec![
+            (addr.ps_cursor + 4 * v as u64, 4, false),
+            (addr.ps_buf + 4 * off, 16, true),
+            (addr.ps_cursor + 4 * v as u64, 4, true),
+        ];
+        want.extend(consume_touches);
+        assert_eq!(log.0, want);
+        assert_eq!(ps.counts().reserved, d as u64);
+
+        // The second consume refills nothing and reads the same shape.
+        log.0.clear();
+        consume(&g, &mut ps, v, &ctx, &mut rng, &mut log, &addr);
+        let k = twin.gen_index(d) as u64;
+        assert_eq!(log.0[0], (addr.ps_cursor + 4 * v as u64, 4, false));
+        assert_eq!(log.0[1], consume_touches[0]);
+        assert_eq!(log.0[3], (addr.targets + 4 * (off + k), 4, false));
+        assert_eq!(log.0.len(), 4);
+        // The generator is where `d` draws leave it, not two.
+        for _ in 2..d {
+            twin.gen_index(d);
+        }
+        assert_eq!(rng.state(), twin.state());
+    }
+
+    /// The cursor's top bit is the reserved flag only on rows whose
+    /// count never needs it, and rows too short for the states are
+    /// produced too.
+    #[test]
+    fn the_flag_bit_belongs_to_the_count_on_rows_past_two_to_the_31() {
+        let top = 1usize << 31;
+        assert!(!reservable(STATE_SLOTS - 1));
+        assert!(reservable(STATE_SLOTS));
+        assert!(reservable(top - 1));
+        assert!(!reservable(top));
+        assert_eq!(split_cursor(RESERVED | 5, top - 1), (true, 5));
+        assert_eq!(split_cursor(5, top - 1), (false, 5));
+        assert_eq!(split_cursor(RESERVED | 5, top), (false, top + 5));
+        assert_eq!(
+            split_cursor(u32::MAX, u32::MAX as usize),
+            (false, u32::MAX as usize)
+        );
+        assert_eq!(split_cursor(RESERVED, 3), (false, top));
+
+        // `reset` keeps the flag and only the flag: by one mask where no
+        // row is wide, row by row where one is (buffers never touched,
+        // so none is allocated here).
+        let buffers = |degrees: [usize; 2], cursor: [u32; 2]| {
+            let offsets = vec![0, degrees[0] as u32, (degrees[0] + degrees[1]) as u32];
+            PsBuffers {
+                start: 0,
+                buf: Vec::new(),
+                wide: degrees.iter().any(|&d| d >= top),
+                local_offsets: offsets,
+                cursor: cursor.to_vec(),
+                reserving: false,
+                counts: PsCounts::default(),
+            }
+        };
+        let mut narrow = buffers([10, 3], [RESERVED | 5, 2]);
+        narrow.reset();
+        assert_eq!(narrow.cursor, [RESERVED, 0]);
+        let mut wide = buffers([10, top], [RESERVED | 5, RESERVED | 7]);
+        assert!(wide.wide);
+        wide.reset();
+        assert_eq!(wide.cursor, [RESERVED, 0], "a wide row's top bit is count");
+    }
+
+    /// The offsets are `u32`: a partition may hold 2³² − 1 pre-sampled
+    /// edges and not one more, however they are spread over its rows.
+    #[test]
+    fn buffer_offsets_are_a_checked_sum() {
+        let g = synth::star(5);
+        let part = make_part(&g, SamplePolicy::PreSample);
+        let top = 1usize << 31;
+        assert_eq!(
+            local_offsets([top, top - 1].into_iter(), &part),
+            vec![0, 1 << 31, u32::MAX]
+        );
+        for rows in [vec![top, top], vec![top, top - 1, 1], vec![1, 1usize << 32]] {
+            let panic = std::panic::catch_unwind(|| local_offsets(rows.into_iter(), &part))
+                .expect_err("the sum does not fit");
+            let msg = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("partition [0, 5)"), "{msg}");
         }
     }
 
@@ -1601,7 +2087,8 @@ mod tests {
         };
         let hint = |ps: &PsBuffers| {
             let mut log = HintLog::default();
-            let issued = hint_partition(&g, &part, None, Some(ps), &mut log, &addr);
+            let issued =
+                hint_partition::<Xorshift64Star, _>(&g, &part, None, Some(ps), &mut log, &addr);
             assert_eq!(issued as usize, log.0.len());
             log.0
         };
@@ -1623,7 +2110,7 @@ mod tests {
         for (c, &d) in ps.cursor.iter_mut().zip(&degrees) {
             *c = d.div_ceil(2);
         }
-        let before = ps.export();
+        let before = ps.export::<Xorshift64Star>(&g);
         let mid: Vec<(u64, u32)> = (0..200)
             .map(|v| {
                 let d = g.degree(v) as u64;
@@ -1632,7 +2119,42 @@ mod tests {
             })
             .collect();
         assert_eq!(hint(&ps), mid);
-        assert_eq!(ps.export(), before, "a hint stage writes no PS state");
+        assert_eq!(
+            ps.export::<Xorshift64Star>(&g),
+            before,
+            "a hint stage writes no PS state"
+        );
+
+        // A reserved generation part-read: its samples are row entries,
+        // so the hints are the buffer head (the states) and the entry
+        // the next draw picks — which the consume after it then reads.
+        ps.reset();
+        ps.reserving = true;
+        let mut rng = Xorshift64Star::new(5);
+        let ctx = first_order_ctx();
+        let v: VertexId = 0;
+        assert!(reservable(g.degree(v)));
+        for _ in 0..3 {
+            consume(&g, &mut ps, v, &ctx, &mut rng, &mut NullProbe, &addr);
+        }
+        let before = ps.export::<Xorshift64Star>(&g);
+        let hints = hint(&ps);
+        assert_eq!(ps.export::<Xorshift64Star>(&g), before);
+        let next = consume(&g, &mut ps, v, &ctx, &mut rng, &mut NullProbe, &addr);
+        let head = g.adjacency_start(v) as u64;
+        let k = g.neighbors(v).iter().position(|&t| t == next).unwrap() as u64;
+        assert_eq!(hints[0], (addr.ps_buf + 4 * head, 4));
+        assert!(
+            g.neighbors(v)[k as usize] == next && hints[1].0 >= addr.targets + 4 * head,
+            "{hints:?}"
+        );
+        assert_eq!(
+            g.targets()[((hints[1].0 - addr.targets) / 4) as usize],
+            next,
+            "the hinted entry is the one the next consume returns"
+        );
+        // Every other vertex is empty still: adjacency and buffer heads.
+        assert_eq!(hints.len(), 2 + 2 * 199);
     }
 
     /// DS hints: the slab's storage where there is one, otherwise the
@@ -1650,7 +2172,8 @@ mod tests {
             ..AddrMap::default()
         };
         let mut log = HintLog::default();
-        let issued = hint_partition(&g, &part, Some(&slab), None, &mut log, &addr);
+        let issued =
+            hint_partition::<Xorshift64Star, _>(&g, &part, Some(&slab), None, &mut log, &addr);
         assert_eq!(log.0, vec![(0x50_0000, 64 * 4 * 4)]);
         assert_eq!(issued, 16 + 1, "a hint a line and one for the tail");
 
@@ -1665,7 +2188,7 @@ mod tests {
             uniform_degree: uniform,
         };
         let mut log = HintLog::default();
-        hint_partition(&g, &mid, None, None, &mut log, &addr);
+        hint_partition::<Xorshift64Star, _>(&g, &mid, None, None, &mut log, &addr);
         assert_eq!(
             log.0,
             vec![(0x10_0000 + 8 * 16, 8 * 33), (0x20_0000 + 4 * 64, 4 * 128)]
@@ -1699,7 +2222,14 @@ mod tests {
         let run = |hinted: bool| {
             let mut probe = MemorySystem::new(HierarchyConfig::skylake_server());
             if hinted {
-                hint_partition(&g, &part, Some(&slab), None, &mut probe, &addr);
+                hint_partition::<Xorshift64Star, _>(
+                    &g,
+                    &part,
+                    Some(&slab),
+                    None,
+                    &mut probe,
+                    &addr,
+                );
             }
             let mut snext = vec![0; walkers];
             let io = TaskIo {

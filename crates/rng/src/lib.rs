@@ -93,6 +93,35 @@ pub trait Rng64 {
     fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
+
+    /// Advances past `n` draws of [`Rng64::gen_range`]`(bound)` without
+    /// producing them, and returns the state they start from: handing
+    /// that state to [`Rng64::index_from`] `n` times yields the `n`
+    /// values in order, and the generator is left exactly where the `n`
+    /// draws would have left it.
+    ///
+    /// Declines with `None`, the generator untouched, when it cannot
+    /// jump or when any of the `n` draws would enter `gen_range`'s
+    /// `lo < bound` branch (the only place a draw can take a second
+    /// `next_u64`), so a caller that falls back to drawing loses
+    /// nothing.  The default declines.
+    #[inline]
+    fn reserve_range(&mut self, _bound: u64, _n: usize) -> Option<u64> {
+        None
+    }
+
+    /// The next `gen_range(bound)` value of a state handed out by
+    /// [`Rng64::reserve_range`], stepping the state past it.  Only a
+    /// generator that reserves is ever asked; the default has no state
+    /// to read.
+    #[inline]
+    fn index_from(_state: &mut u64, _bound: u64) -> u64
+    where
+        Self: Sized,
+    {
+        debug_assert!(false, "a generator that never reserves hands out no state");
+        0
+    }
 }
 
 /// Derives a statistically independent child seed for task `index`.

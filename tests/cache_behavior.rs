@@ -121,6 +121,21 @@ fn higher_density_improves_flashmob_cache_hits() {
 }
 
 #[test]
+fn sparse_walk_reads_rows_not_refills() {
+    // A hundredth of |V| walkers: a PS refill produced in full is d(v)
+    // row reads and d(v) buffer writes for the one or two samples a
+    // walker then takes — 110 touches and 6.5 DRAM fills per step
+    // before generations could be reserved.  Reserved, a sample is drawn
+    // when it is read: the cursor, the saved state, the offset pair and
+    // one row entry.
+    let fm = probe_flashmob(300, 8);
+    let touches = fm.per_step(fm.accesses);
+    let fills = fm.per_step(fm.dram_fill_lines);
+    assert!(touches < 15.0, "touches per step {touches:.1}");
+    assert!(fills < 2.0, "DRAM fills per step {fills:.2}");
+}
+
+#[test]
 fn exclusive_llc_outperforms_inclusive_for_flashmob() {
     // Section 2.3: the Skylake exclusive-L3 design rewards FlashMob's
     // L2-resident working sets (no duplicated lines).
