@@ -24,10 +24,11 @@
 #   7. recover tier: an end-to-end checkpoint -> kill -> resume round
 #      trip through the CLI (bit-identical output, correct exit codes)
 #   8. oocore tier: the out-of-core fault-transparency test plus a CLI
-#      crash drill over the FMDISK1 bi-block path — convert, walk a
-#      second-order chain under 15% injected faults, halt deliberately
-#      mid-schedule, resume bit-exactly, and check the exit-code
-#      contract (4 wrong budget, 2 persistent faults, 3 corrupt graph)
+#      crash drill over the FMDISK1 bi-block path, for node2vec and for
+#      DeepWalk — convert, walk with the ring off and at depth 16, halt
+#      deliberately mid-schedule under 15% injected faults, resume
+#      bit-exactly, and check the exit-code contract (4 wrong budget,
+#      2 persistent faults, 3 corrupt graph)
 #   9. ingest tier: one text edge list (comments, CRLF, no final
 #      newline) through `convert` and `stats` — the text and the FMG1
 #      decoder must report the same graph — plus the exit-code contract
@@ -211,52 +212,58 @@ fi
 
 tier "oocore tier (bi-block crash drill + fault transparency)"
 # The quick conformance lattice above already chi-squares the
-# oocore x node2vec bi-block cell against the exact second-order
-# oracle with its committed golden digest; this tier adds the fault
+# oocore x {deepwalk, node2vec} bi-block cells against the exact
+# oracles with their committed golden digests; this tier adds the fault
 # and crash-consistency guarantees on top.
 cargo test -q --test recover_suite ooc_transient_faults_are_absorbed_without_changing_output
-# CLI crash drill: convert to FMDISK1, run a second-order walk under
-# 15% injected faults with a deliberate mid-schedule halt (exit 0 by
-# contract), then resume under the same faults and demand the output
-# of the uninterrupted fault-free run, bit for bit.
+# CLI crash drill, once per walker kind of the one bi-block loop
+# (node2vec off the diagonal, DeepWalk on it): convert to FMDISK1, walk
+# with the ring off and at depth 16, run under 15% injected faults with
+# a deliberate mid-schedule halt (exit 0 by contract), then resume
+# under the same faults and demand the output of the uninterrupted
+# fault-free run, bit for bit.
 OOC_TMP="$(mktemp -d)"
 trap 'rm -rf "$RING_TMP" "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP"' EXIT
 cargo run --release -q -p fm-cli -- synth power-law "$OOC_TMP/g.bin" \
     --n 2048 --alpha 2.0 --min-degree 2 --max-degree 64 --seed 11
 cargo run --release -q -p fm-cli -- disk "$OOC_TMP/g.bin" "$OOC_TMP/g.fmdisk"
-OOC_FLAGS="--algo node2vec --p 2.0 --q 0.5 --walkers 512 --steps 8 --seed 5 \
-    --oocore-budget 4096"
-cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \
-    --output "$OOC_TMP/full.txt"
-# The walker ring is invisible out of core too: the same FMDISK1 walked
-# with the ring off and at its deepest writes the same paths.
-for depth in 1 16; do
-    cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" \
-        $OOC_FLAGS --ring-depth $depth --output "$OOC_TMP/ring$depth.txt"
+OOC_WALK="--walkers 512 --steps 8 --seed 5"
+for ALGO in "node2vec --p 2.0 --q 0.5" deepwalk; do
+    OOC_FLAGS="--algo $ALGO $OOC_WALK --oocore-budget 4096"
+    DRILL="$OOC_TMP/${ALGO%% *}"
+    mkdir -p "$DRILL"
+    cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \
+        --output "$DRILL/full.txt"
+    # The walker ring is invisible out of core too: the same FMDISK1
+    # walked with the ring off and at its deepest writes the same paths.
+    for depth in 1 16; do
+        cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" \
+            $OOC_FLAGS --ring-depth $depth --output "$DRILL/ring$depth.txt"
+    done
+    cmp "$DRILL/ring1.txt" "$DRILL/ring16.txt"
+    cmp "$DRILL/full.txt" "$DRILL/ring16.txt"
+    if cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \
+        --checkpoint-dir "$DRILL/ckpt" --checkpoint-every 3 --halt-after 2 \
+        --fault-rate 0.15 --fault-seed 7 --output /dev/null; then
+        : # --halt-after stops right after generation 2 and exits 0
+    else
+        echo "deliberate oocore $ALGO halt exited $?" >&2; exit 1
+    fi
+    cargo run --release -q -p fm-cli -- resume "$OOC_TMP/g.fmdisk" "$DRILL/ckpt" \
+        $OOC_FLAGS --fault-rate 0.15 --fault-seed 7 \
+        --output "$DRILL/resumed.txt"
+    cmp "$DRILL/full.txt" "$DRILL/resumed.txt"
+    # A resume under a different block budget must exit 4 (invalid
+    # plan): the schedule cursor is only meaningful for the budget it
+    # was cut for.
+    if cargo run --release -q -p fm-cli -- resume "$OOC_TMP/g.fmdisk" "$DRILL/ckpt" \
+        --algo $ALGO $OOC_WALK --oocore-budget 8192 --output /dev/null 2>/dev/null; then
+        echo "wrong-budget oocore $ALGO resume unexpectedly succeeded" >&2; exit 1
+    else
+        code=$?
+        [[ "$code" == 4 ]] || { echo "wrong-budget $ALGO resume exited $code, want 4" >&2; exit 1; }
+    fi
 done
-cmp "$OOC_TMP/ring1.txt" "$OOC_TMP/ring16.txt"
-cmp "$OOC_TMP/full.txt" "$OOC_TMP/ring16.txt"
-if cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \
-    --checkpoint-dir "$OOC_TMP/ckpt" --checkpoint-every 3 --halt-after 2 \
-    --fault-rate 0.15 --fault-seed 7 --output /dev/null; then
-    : # --halt-after stops right after generation 2 and exits 0
-else
-    echo "deliberate oocore halt exited $?" >&2; exit 1
-fi
-cargo run --release -q -p fm-cli -- resume "$OOC_TMP/g.fmdisk" "$OOC_TMP/ckpt" \
-    $OOC_FLAGS --fault-rate 0.15 --fault-seed 7 \
-    --output "$OOC_TMP/resumed.txt"
-cmp "$OOC_TMP/full.txt" "$OOC_TMP/resumed.txt"
-# A resume under a different block budget must exit 4 (invalid plan):
-# the schedule cursor is only meaningful for the budget it was cut for.
-if cargo run --release -q -p fm-cli -- resume "$OOC_TMP/g.fmdisk" "$OOC_TMP/ckpt" \
-    --algo node2vec --p 2.0 --q 0.5 --walkers 512 --steps 8 --seed 5 \
-    --oocore-budget 8192 --output /dev/null 2>/dev/null; then
-    echo "wrong-budget oocore resume unexpectedly succeeded" >&2; exit 1
-else
-    code=$?
-    [[ "$code" == 4 ]] || { echo "wrong-budget resume exited $code, want 4" >&2; exit 1; }
-fi
 # A persistent fault storm must exhaust the bounded retries and exit 2
 # (IO error), never panic or spin.
 if cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \

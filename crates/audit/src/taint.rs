@@ -14,7 +14,7 @@
 //!   (seed/epoch/partition/slot/…), never from an ambient source.
 //! * **fingerprint-completeness** — every `WalkConfig` field read on an
 //!   engine's run path must be folded into that engine's checkpoint
-//!   config fingerprint (`config_tag` / `ooc_config_tag`), so a
+//!   config fingerprint (`config_tag` / `biblock_config_tag`), so a
 //!   wrong-alpha or wrong-budget resume is caught at audit time rather
 //!   than as exit-4 at runtime.
 //!
@@ -103,7 +103,7 @@ const ENGINES: [(&str, &str, &[&str]); 2] = [
     (
         "flashmob/src/oocore.rs",
         "run_ooc",
-        &["ooc_config_tag", "biblock_config_tag", "fold_init"],
+        &["biblock_config_tag", "fold_init"],
     ),
 ];
 

@@ -1,12 +1,14 @@
 //! Extension experiment: walking a disk-resident graph (paper §4.5/§5.4
 //! future work, implemented in `flashmob::oocore`).
 //!
-//! Compares the in-memory engine against the out-of-core streaming walk
-//! on the same analog, reporting per-step time, disk bytes streamed per
-//! step, and the fraction of partition reads skipped because no walker
-//! was present (the shuffle's sparse-access dividend).  The paper's
-//! budget: streaming at ~5 GB/s would sustain an 80-step walk over a
-//! graph larger than DRAM.
+//! Compares the in-memory engine against the out-of-core bi-block walk
+//! on the same analog, first for DeepWalk — whose walkers read one list
+//! a step and keep to the schedule's diagonal — then for node2vec across
+//! block budgets.  The first table reports per-step time, disk bytes
+//! streamed per step, and block loads against pair slots skipped because
+//! no walker waited in them (the schedule's sparse-access dividend).
+//! The paper's budget: streaming at ~5 GB/s would sustain an 80-step
+//! walk over a graph larger than DRAM.
 
 use flashmob::oocore::{run_ooc, DiskGraph};
 use flashmob::{FlashMob, WalkConfig};
@@ -30,8 +32,8 @@ fn main() {
     let opts = HarnessOpts::from_args();
     println!("Extension — out-of-core walk vs in-memory (DeepWalk)");
     let header = format!(
-        "{:<8}{:>10}{:>12}{:>12}{:>12}{:>14}{:>12}",
-        "Graph", "file", "mem ns/st", "ooc ns/st", "B/step", "reads:skips", "read MB/s"
+        "{:<8}{:>10}{:>12}{:>12}{:>12}{:>22}{:>12}",
+        "Graph", "file", "mem ns/st", "ooc ns/st", "B/step", "blocks:pairs-skipped", "read MB/s"
     );
     println!("{header}");
     fm_bench::rule(&header);
@@ -68,13 +70,13 @@ fn main() {
             f64::INFINITY
         };
         println!(
-            "{:<8}{:>10}{:>12.1}{:>12.1}{:>12.1}{:>14}{:>12.0}",
+            "{:<8}{:>10}{:>12.1}{:>12.1}{:>12.1}{:>22}{:>12.0}",
             which.tag(),
             fmt_bytes(disk.edge_count() * 4),
             mem.per_step_ns(),
             ooc.per_step_ns(),
             ooc.bytes_per_step(),
-            format!("{}:{}", ooc.partitions_read, ooc.partitions_skipped),
+            format!("{}:{}", ooc.blocks_streamed, ooc.pairs_skipped),
             mb_s,
         );
         std::fs::remove_file(&path).ok();
@@ -150,7 +152,7 @@ fn main() {
     println!();
     println!("Expected shape: out-of-core stays within a small factor of in-memory");
     println!("(page cache serves re-reads), and bytes/step stays bounded as walkers");
-    println!("concentrate on hot partitions.  The bi-block sweep should show");
+    println!("concentrate on hot blocks.  The node2vec sweep should show");
     println!("ns/step falling as the block budget grows (fewer, larger pairs);");
     println!("parked-walker counts rise as blocks shrink.");
 }

@@ -927,13 +927,13 @@ struct OocRun {
     progress: bool,
 }
 
-/// Runs `walk`/`resume` against an `FMDISK1` disk graph: first-order
-/// DeepWalk streams partitions; node2vec and PPR go through the
-/// triangular bi-block scheduler.  `--fault-rate` injects seeded
-/// transient faults into every block read (absorbed by the retry
-/// layer and reported in stats/metrics); `--halt-after G` stops
-/// deliberately right after checkpoint generation `G` — the scripted
-/// crash-drill hook, a success, not an error.
+/// Runs `walk`/`resume` against an `FMDISK1` disk graph: DeepWalk,
+/// node2vec and PPR all go through the triangular bi-block scheduler,
+/// and `--checkpoint-every` counts its pair slots.  `--fault-rate`
+/// injects seeded transient faults into every block read (absorbed by
+/// the retry layer and reported in stats/metrics); `--halt-after G`
+/// stops deliberately right after checkpoint generation `G` — the
+/// scripted crash-drill hook, a success, not an error.
 fn run_ooc_command<W: Write>(out: &mut W, a: OocRun) -> Result<(), CmdError> {
     if a.threads > 1 {
         return Err(fail_plan("out-of-core walking is single-threaded"));

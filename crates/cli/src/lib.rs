@@ -76,7 +76,8 @@ walker ring to depth N in every FlashMob and out-of-core cell; the
 same digests must hold at every depth.
 
 `walk --checkpoint-dir` writes a crash-consistent checkpoint every
-`--checkpoint-every` iterations (default 8); `resume` continues an
+`--checkpoint-every` iterations (default 8) — out of core, every that
+many pair slots of the block schedule; `resume` continues an
 interrupted run from the latest checkpoint, bit-identically to the
 uninterrupted run.  The `resume` configuration flags must match the
 interrupted invocation (thread count may differ).
@@ -84,9 +85,10 @@ interrupted invocation (thread count may differ).
 `disk` converts a graph to the out-of-core FMDISK1 layout; `walk` and
 `resume` detect the magic and stream it instead of loading it, with
 the adjacency buffer capped by `--oocore-budget` (default 64 MiB).
-DeepWalk streams partitions; node2vec and ppr run the triangular
-bi-block pair schedule, so a (prev, cur) second-order step always
-finds both adjacency lists resident.  `--fault-rate`/`--fault-seed`
+deepwalk, node2vec and ppr all run the triangular bi-block pair
+schedule: a (prev, cur) node2vec step always finds both adjacency
+lists resident, and deepwalk and ppr, which read one list a step,
+keep to the diagonal's single blocks.  `--fault-rate`/`--fault-seed`
 inject seeded transient faults into every block read (absorbed by the
 bounded-retry layer, counted in `--stats`/`--metrics`); `--halt-after
 G` stops deliberately — exit 0 — right after checkpoint generation G,

@@ -46,6 +46,7 @@ use crate::golden;
 use crate::program::{program_config, program_graph, ProgramKind, PPR_ALPHA};
 use crate::runner::{
     conformance_graph, flashmob_config, ooc_temp_path, AlgoKind, EngineKind, LATTICE_STEPS,
+    OOC_BUDGET,
 };
 
 /// Fault rate injected into every out-of-core kill/resume run: the
@@ -58,9 +59,10 @@ pub const CRASH_FAULT_RATE: f64 = 0.15;
 const CRASH_FAULT_SEED: u64 = 7;
 
 /// Checkpoint cadence for the crash matrix.  With [`LATTICE_STEPS`]`
-/// = 8` this yields checkpoints after iterations 2, 4, 6 and 8 —
-/// generations 1 through 4, the last of which fires when the walk is
-/// already complete (the resume-executes-nothing edge case).
+/// = 8` this yields in-memory checkpoints after iterations 2, 4, 6 and
+/// 8 — generations 1 through 4, the last of which fires when the walk
+/// is already complete (the resume-executes-nothing edge case).  Out of
+/// core it counts pair slots.
 pub const CRASH_EVERY: usize = 2;
 
 /// The two-kill schedule every FlashMob cell runs after its single
@@ -476,24 +478,20 @@ fn crash_oocore_cell(
     std::fs::remove_file(&path).ok();
 }
 
-/// Budget used by the out-of-core second-order crash cells; matches
-/// the conformance lattice so the node2vec reference digest is pinned
-/// by the same golden entry, and small enough that the 96-vertex graph
-/// splits into several blocks and the pair schedule actually runs.
-const CRASH_BIBLOCK_BUDGET: usize = 2 * 1024;
-
-/// The out-of-core crash cells: first-order deepwalk (iteration-cadence
-/// checkpoints), second-order node2vec, and origin-stateful PPR (both
-/// on the bi-block pair-slot cadence, with parked-walker buffers and
-/// the schedule cursor crossing the snapshot boundary).
+/// The out-of-core crash cells: first-order deepwalk, second-order
+/// node2vec, and origin-stateful PPR, all on the bi-block pair-slot
+/// cadence with parked-walker buffers and the schedule cursor crossing
+/// the snapshot boundary.  They run at the lattice's budget, so the
+/// deepwalk and node2vec reference digests are pinned by the same
+/// golden entries.
 fn crash_oocore(out: &mut Vec<CrashCase>) {
     let deepwalk = flashmob_config(AlgoKind::DeepWalk, 1, None);
-    crash_oocore_cell("deepwalk", &deepwalk, 64 * 1024, out);
+    crash_oocore_cell("deepwalk", &deepwalk, OOC_BUDGET, out);
     let node2vec = flashmob_config(AlgoKind::Node2Vec, 1, None);
-    crash_oocore_cell("node2vec", &node2vec, CRASH_BIBLOCK_BUDGET, out);
+    crash_oocore_cell("node2vec", &node2vec, OOC_BUDGET, out);
     let mut ppr = flashmob_config(AlgoKind::DeepWalk, 1, None);
     ppr.algorithm = WalkAlgorithm::Ppr { alpha: PPR_ALPHA };
-    crash_oocore_cell("ppr", &ppr, CRASH_BIBLOCK_BUDGET, out);
+    crash_oocore_cell("ppr", &ppr, OOC_BUDGET, out);
 }
 
 /// Runs the crash matrix.
@@ -562,10 +560,10 @@ mod tests {
         let relays = report.cases.iter().filter(|c| c.kills == RELAY).count();
         assert_eq!(relays, 4);
         // Each oocore cell contributes a no-kill fault-transparency
-        // case plus one kill point per discovered generation; deepwalk's
-        // iteration cadence pins 4, the bi-block pair-slot cadence is
-        // schedule-shaped, so only a floor is asserted — including the
-        // resume-after-complete final generation.
+        // case plus one kill point per discovered generation; the
+        // pair-slot cadence is schedule-shaped, so only a floor is
+        // asserted — including the resume-after-complete final
+        // generation.
         let ooc = |algo: &str| {
             report
                 .cases
@@ -573,7 +571,7 @@ mod tests {
                 .filter(|c| c.engine == "oocore" && c.algo == algo)
                 .count()
         };
-        assert_eq!(ooc("deepwalk"), 5);
+        assert!(ooc("deepwalk") >= 3, "deepwalk cells: {}", ooc("deepwalk"));
         assert!(ooc("node2vec") >= 3, "node2vec cells: {}", ooc("node2vec"));
         assert!(ooc("ppr") >= 3, "ppr cells: {}", ooc("ppr"));
     }

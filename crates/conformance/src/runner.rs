@@ -55,6 +55,9 @@ pub const LATTICE_STEPS: usize = 8;
 pub const LATTICE_SOCKETS: usize = 2;
 /// Global significance level, Bonferroni-split over all tests run.
 pub const ALPHA: f64 = 1e-3;
+/// Block budget of the out-of-core cells, in bytes: small enough that
+/// the 96-vertex graph splits into several blocks.
+pub const OOC_BUDGET: usize = 2 * 1024;
 
 /// The canonical unweighted conformance graph: a fixed power-law graph
 /// small enough for exact oracles yet irregular enough to exercise
@@ -402,13 +405,9 @@ fn run_cell_data(
             let config = flashmob_config(algo, threads, ring_depth);
             let path = ooc_temp_path();
             let disk = DiskGraph::create(graph, &path).map_err(|e| e.to_string())?;
-            // node2vec exercises the bi-block scheduler; a tight budget
-            // forces multiple blocks so pair scheduling actually runs.
-            let budget = match algo {
-                AlgoKind::Node2Vec => 2 * 1024,
-                _ => 64 * 1024,
-            };
-            let result = run_ooc(&disk, &config, budget);
+            // A tight budget forces multiple blocks, so pair scheduling,
+            // parking and (in the crash matrix) the BBLK frame all run.
+            let result = run_ooc(&disk, &config, OOC_BUDGET);
             std::fs::remove_file(&path).ok();
             let (output, _) = result.map_err(err)?;
             Ok(CellData {

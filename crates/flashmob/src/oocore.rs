@@ -8,16 +8,16 @@
 //!
 //! This module implements that extension: the degree-sorted CSR lives in
 //! a file; only the offsets index and the walker arrays stay in memory.
-//! For first-order uniform walks each iteration shuffles walkers in
-//! memory exactly as the in-memory engine does, then streams the
-//! adjacency bytes of each partition *that currently hosts walkers* from
-//! disk into a reusable buffer and direct-samples from it.  Because
-//! walkers concentrate on the high-degree head (Table 2), cold
-//! partitions are skipped and the realized read volume per iteration is
-//! typically far below the file size — the sparse-access advantage the
-//! shuffle buys.  Second-order and origin-stateful walks need two
-//! adjacency lists a step and run the bi-block pair schedule instead
-//! (`run_ooc_biblock`).
+//! Every walk runs one loop, GraSorw's triangular bi-block schedule
+//! ([`run_ooc_with`]): the sorted vertex array is cut into blocks of half
+//! the budget, walkers wait in the bucket of the block pair their next
+//! step reads, and a sweep loads the pairs whose buckets hold walkers and
+//! steps each walker until its lookups leave the pair.  A node2vec step
+//! reads two lists, `adj(prev)` and `adj(cur)`, so its walkers use the
+//! off-diagonal pairs; DeepWalk and PPR read one list and live on the
+//! diagonal, where a pair is one block.  Because walkers concentrate on
+//! the high-degree head (Table 2), cold pairs are skipped and the
+//! realized read volume is typically far below the file size.
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -40,9 +40,8 @@ use crate::engine::partition_stream_id;
 use crate::output::WalkOutput;
 use crate::plan::Planner;
 use crate::sample::ring;
-use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
 use crate::walker::{fold_init, initialize_from_offsets, WalkerInit};
-use crate::{Partition, PartitionMap, SamplePolicy, WalkConfig, WalkError, DEAD};
+use crate::{StopRule, WalkAlgorithm, WalkConfig, WalkError, DEAD};
 
 const MAGIC: &[u8; 8] = b"FMDISK1\0";
 
@@ -240,31 +239,26 @@ pub struct OocStats {
     pub bytes_read: u64,
     /// Time spent in disk reads.
     pub read_time: Duration,
-    /// Partitions whose read was skipped because no walker was present.
-    pub partitions_skipped: u64,
-    /// Partition reads performed.
-    pub partitions_read: u64,
     /// Transient IO errors absorbed by the retry layer (disk reads and
     /// checkpoint writes).
     pub io_retries: u64,
     /// Block loads performed: a scheduled pair loads only the blocks
-    /// its two buffers do not already hold, so between zero and two.
-    /// First-order runs count their partition reads here too.
+    /// its two buffers do not already hold, so between zero and two
+    /// (one at most on the diagonal).
     pub blocks_streamed: u64,
-    /// Bi-block scheduler only: pair slots whose boundary bucket held
-    /// walkers and were therefore scheduled.
+    /// Pair slots whose boundary bucket held walkers and were therefore
+    /// scheduled.
     pub pairs_scheduled: u64,
-    /// Bi-block scheduler only: pair slots skipped because their
+    /// Pair slots skipped, and their blocks left unread, because their
     /// boundary bucket was empty.
     pub pairs_skipped: u64,
-    /// Bi-block scheduler only: walkers parked into boundary buckets,
-    /// cumulative over the run.
+    /// Walkers parked into boundary buckets, cumulative over the run.
     pub walkers_parked: u64,
-    /// Bi-block scheduler only: peak simultaneous boundary-buffer
-    /// occupancy (the scheduler's memory high-water mark in walkers).
+    /// Peak simultaneous boundary-buffer occupancy (the scheduler's
+    /// memory high-water mark in walkers).
     pub peak_parked: u64,
-    /// Bi-block node2vec only: connectivity scans performed — rejection
-    /// draws the rule could not decide without the graph.
+    /// node2vec only: connectivity scans performed — rejection draws
+    /// the rule could not decide without the graph.
     pub probes: u64,
     /// Software-prefetch hints the walker ring issued (0 at depth 1),
     /// as `RunStats::per_partition_prefetches` counts them in memory.
@@ -330,16 +324,16 @@ impl OocOptions {
     }
 }
 
-/// Walks a disk-resident graph: DeepWalk by streaming one partition at
-/// a time, node2vec and PPR through the bi-block pair schedule; any
-/// other algorithm is a [`WalkError::Planning`].
+/// Walks a disk-resident graph — DeepWalk, node2vec or PPR, for a fixed
+/// number of steps — through the bi-block pair schedule; any other
+/// algorithm or stop rule is a [`WalkError::Planning`].
 ///
-/// `partition_budget_bytes` bounds the adjacency bytes held at once —
-/// one partition's for DeepWalk (the paper's analysis suggests the L3
-/// capacity), a pair of half-budget blocks' for the other two.  The
-/// bi-block stepping loop runs through the walker ring, so
-/// [`WalkConfig::ring_depth`] reaches this engine as it does the
-/// in-memory one; unset, the cost model picks the depth from the
+/// `partition_budget_bytes` bounds the adjacency bytes held at once: a
+/// pair of half-budget blocks (the paper's analysis suggests the L3
+/// capacity).  DeepWalk and PPR read one list a step, so they only ever
+/// fill one of the two.  The stepping loop runs through the walker
+/// ring, so [`WalkConfig::ring_depth`] reaches this engine as it does
+/// the in-memory one; unset, the cost model picks the depth from the
 /// resident pair's size.  The walk is the same at every depth.
 pub fn run_ooc(
     disk: &DiskGraph,
@@ -356,7 +350,7 @@ pub fn run_ooc(
 }
 
 /// Places walkers per `config.init` using only in-memory metadata (the
-/// offsets index); shared by the first-order and bi-block paths.
+/// offsets index).
 fn init_positions(disk: &DiskGraph, config: &WalkConfig) -> Vec<VertexId> {
     let relabeled;
     let init = match &config.init {
@@ -369,42 +363,31 @@ fn init_positions(disk: &DiskGraph, config: &WalkConfig) -> Vec<VertexId> {
     initialize_from_offsets(&disk.offsets, init, config.walkers, config.seed)
 }
 
-/// Fingerprint of everything that determines the out-of-core chain;
-/// the partition budget is included because it fixes the partition
-/// layout and therefore the per-partition RNG stream assignment.
-fn ooc_config_tag(config: &WalkConfig, partition_budget_bytes: usize) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.fold_u64(0x00C0_FEED) // domain separator: out-of-core engine
-        .fold_u64(config.walkers as u64)
-        .fold_u64(config.seed)
-        .fold_u64(config.max_steps() as u64)
-        .fold_u64(config.record_paths as u64)
-        .fold_u64(partition_budget_bytes as u64);
-    fold_init(&mut fp, &config.init);
-    fp.value()
-}
-
-/// Fingerprint of a bi-block second-order run.  A distinct domain
-/// separator keeps first-order snapshots from resuming bi-block runs
-/// (and vice versa) even when every scalar matches; the algorithm
-/// parameters are folded because they change the sampled chain.
+/// Fingerprint of everything that determines an out-of-core chain.  The
+/// budget is folded because it fixes the block cut and with it every
+/// pair slot's RNG stream; the algorithm and its parameters because
+/// they change the sampled chain.  The domain separator keeps snapshots
+/// of the in-memory engine, and of the partition-streaming loop
+/// DeepWalk once ran here, from resuming an out-of-core run.
 fn biblock_config_tag(config: &WalkConfig, partition_budget_bytes: usize) -> u64 {
     let mut fp = Fingerprint::new();
     fp.fold_u64(0x00B1_B10C) // domain separator: bi-block scheduler
         .fold_u64(config.walkers as u64)
-        .fold_u64(config.seed)
-        .fold_u64(config.max_steps() as u64)
-        .fold_u64(config.record_paths as u64)
+        .fold_u64(config.seed);
+    // `run_ooc_with` admits a fixed step count only.
+    if let StopRule::FixedSteps(steps) = config.stop {
+        fp.fold_u64(steps as u64);
+    }
+    fp.fold_u64(config.record_paths as u64)
         .fold_u64(partition_budget_bytes as u64);
     match config.algorithm {
-        crate::WalkAlgorithm::Node2Vec { p, q } => {
-            fp.fold_u64(1).fold_u64(p.to_bits()).fold_u64(q.to_bits());
+        WalkAlgorithm::Node2Vec { p, q } => {
+            fp.fold_u64(1).fold_u64(p.to_bits()).fold_u64(q.to_bits())
         }
-        crate::WalkAlgorithm::Ppr { alpha } => {
-            fp.fold_u64(2).fold_u64(alpha.to_bits());
-        }
-        _ => unreachable!("bi-block scheduler runs node2vec and PPR only"),
-    }
+        WalkAlgorithm::Ppr { alpha } => fp.fold_u64(2).fold_u64(alpha.to_bits()),
+        // DeepWalk, the one other algorithm `run_ooc_with` admits.
+        _ => fp.fold_u64(3),
+    };
     fold_init(&mut fp, &config.init);
     fp.value()
 }
@@ -423,9 +406,32 @@ fn ooc_graph_tag(disk: &DiskGraph) -> u64 {
 /// [`run_ooc`] with the full robustness surface — crash-consistent
 /// checkpoints, resume, seeded fault injection on the read stream, and
 /// bounded retries with exponential backoff for transient IO errors —
-/// and telemetry: Shuffle/Sample spans per iteration, an Io span per
-/// partition read, per-partition counters (steps plus the actual
-/// adjacency bytes streamed from disk), and heartbeat ticks.
+/// and telemetry: a Sample span per scheduled pair slot, an Io span per
+/// block load, per-block counters (steps plus the actual adjacency
+/// bytes streamed from disk), and a heartbeat tick per sweep.
+///
+/// The schedule is GraSorw's triangular bi-block sweep.  The sorted
+/// vertex array is cut into blocks of at most *half* the byte budget,
+/// so a block **pair** always fits in the configured buffer; a hub
+/// vertex whose adjacency alone exceeds the half-budget gets a
+/// singleton block — the scheduler degrades to smaller pairs instead of
+/// overrunning the budget.  Each epoch sweeps the upper triangle of
+/// block pairs `(i, j)`, `i <= j`; a walker is *resident* while every
+/// adjacency lookup of its next step lands in the loaded pair, steps
+/// repeatedly while resident, and parks into the boundary bucket of its
+/// next pair when a step crosses out.  node2vec looks up `prev` and
+/// `cur`; DeepWalk and PPR look up `cur` alone (PPR's origin rides in
+/// the `prev` lane and needs no lookup), so they live on the diagonal
+/// and off-diagonal slots stay empty.  A resident pair's walkers step
+/// through the walker ring ([`Stepper::drain`]), the same walk at every
+/// depth.
+///
+/// Determinism and crash safety: the RNG stream of a pair slot is
+/// `partition_stream_id(seed, epoch, slot)`, restarted at each slot,
+/// so resume at any slot boundary has no RNG carry-over; buckets are
+/// drained and refilled in deterministic walker order; checkpoints
+/// fire on a pair-slot cadence (`pairs_done % every`), which counts
+/// empty slots too and is therefore data-independent within an epoch.
 pub fn run_ooc_with(
     disk: &DiskGraph,
     config: &WalkConfig,
@@ -445,61 +451,65 @@ pub fn run_ooc_with(
             return Err(WalkError::SinkVertex(v as VertexId));
         }
     }
-    match config.algorithm {
-        crate::WalkAlgorithm::DeepWalk => {}
-        crate::WalkAlgorithm::Node2Vec { .. } | crate::WalkAlgorithm::Ppr { .. } => {
-            return run_ooc_biblock(disk, config, partition_budget_bytes, opts, tel);
-        }
+    let kind = match config.algorithm {
+        WalkAlgorithm::DeepWalk => Kind::DeepWalk,
+        WalkAlgorithm::Node2Vec { .. } => Kind::Node2Vec(config.algorithm.node2vec_rule()),
+        WalkAlgorithm::Ppr { alpha } => Kind::Ppr { alpha },
         _ => {
             return Err(WalkError::Planning(
                 "out-of-core walking supports DeepWalk, node2vec, and PPR only".into(),
             ))
         }
+    };
+    // No stepping loop here flips an exit coin, so the rule is refused
+    // rather than run as `max_steps` fixed steps.
+    let StopRule::FixedSteps(steps) = config.stop else {
+        return Err(WalkError::Planning(
+            "out-of-core walking supports a fixed step count only, not a geometric stop".into(),
+        ));
+    };
+    let walkers = config.walkers;
+    if u32::try_from(walkers).is_err() {
+        return Err(WalkError::Planning(format!(
+            "bi-block boundary buckets hold 32-bit walker ids; {walkers} walkers do not fit"
+        )));
     }
-
-    // Cut the sorted vertex array into partitions under the byte budget
-    // (every vertex has an edge, so the cut's one-edge floor is idle).
-    let cut = Blocks::cut(&disk.offsets, partition_budget_bytes);
-    let partitions: Vec<Partition> = (0..cut.len())
-        .map(|b| cut.range(b))
-        .map(|r| Partition {
-            start: r.start as VertexId,
-            end: r.end as VertexId,
-            policy: SamplePolicy::Direct,
-            group: 0,
-            edges: disk.offsets[r.end] - disk.offsets[r.start],
-            uniform_degree: None,
-        })
-        .collect();
-    let map = PartitionMap::new(&partitions, n);
-    let shuffler = Shuffler::single_level(&map);
+    let offsets = &disk.offsets[..];
+    let blocks = Blocks::cut(offsets, partition_budget_bytes / 2);
+    let (nblocks, n_pairs) = (blocks.len(), blocks.pairs());
+    let block_range = |b: usize| {
+        let r = blocks.range(b);
+        (r.start as VertexId, r.end as VertexId)
+    };
 
     let wall_start = Instant::now();
-    let steps = config.max_steps();
-    let walkers = config.walkers;
-    let mut w = init_positions(disk, config);
-    let mut w_next = vec![0 as VertexId; walkers];
-    let mut sw = vec![0 as VertexId; walkers];
-    let mut snext = vec![0 as VertexId; walkers];
-    let mut scratch = ShuffleScratch::default();
-    let mut rows = Vec::new();
-    if config.record_paths {
-        rows.push(w.clone());
-    }
-
+    let cur = init_positions(disk, config);
+    let mut lanes = Lanes {
+        prevv: if matches!(kind, Kind::Ppr { .. }) {
+            cur.clone()
+        } else {
+            vec![DEAD; walkers]
+        },
+        done: vec![0; walkers],
+        rows: Vec::new(),
+        buckets: vec![Vec::new(); n_pairs],
+        remaining: if steps == 0 { 0 } else { walkers },
+        parked_now: 0,
+        cur,
+    };
     let mut stats = OocStats::default();
+    let mut epoch = 0usize;
+    let mut start_slot = 0usize;
+    let mut pairs_done = 0u64;
+
     let file = File::open(&disk.path).map_err(|e| GraphError::io_at(&disk.path, None, e))?;
     let mut file = match opts.fault {
         Some(policy) => FaultyFile::with_policy(file, policy),
         None => FaultyFile::passthrough(file),
     };
-    let mut buf = BlockBuf::new(partitions.iter().map(|p| p.edges).max().unwrap_or(0));
-    let mut probe = NullProbe;
     if tel.is_on() {
-        tel.ensure_partitions(partitions.len());
+        tel.ensure_partitions(nblocks);
     }
-
-    // Checkpoint sink and the tags that pin snapshots to this engine.
     let mut sink = opts
         .checkpoint
         .as_ref()
@@ -507,167 +517,259 @@ pub fn run_ooc_with(
         .map(CheckpointSink::from_spec);
     let (config_tag, graph_tag) = if sink.is_some() || opts.resume_from.is_some() {
         (
-            ooc_config_tag(config, partition_budget_bytes),
+            biblock_config_tag(config, partition_budget_bytes),
             ooc_graph_tag(disk),
         )
     } else {
         (0, 0)
     };
 
-    // Resume: replace the fresh walker state with the snapshot's.
-    let mut start_iter = 0usize;
     if let Some(dir) = opts.resume_from.as_ref() {
         let span = tel.is_on().then(|| tel.now_ns());
-        let (_generation, snap) = load_latest(dir)?;
-        let mismatch = |detail: String| WalkError::Recover(RecoverError::Mismatch { detail });
+        let (_generation, mut snap) = load_latest(dir)?;
+        let mismatch =
+            |detail: &str| WalkError::Recover(RecoverError::Mismatch { detail: detail.into() });
         if snap.config_tag != config_tag {
             return Err(mismatch(
-                "snapshot was written under a different out-of-core configuration".into(),
+                "snapshot was written under a different out-of-core configuration",
             ));
         }
         if snap.graph_tag != graph_tag {
-            return Err(mismatch(
-                "snapshot was written against a different disk graph".into(),
-            ));
+            return Err(mismatch("snapshot was written against a different disk graph"));
         }
+        let bb = snap
+            .biblock
+            .take()
+            .ok_or_else(|| mismatch("snapshot carries no bi-block scheduler state"))?;
         if snap.seed != config.seed
             || snap.walkers as usize != walkers
             || snap.w.len() != walkers
+            || snap.prev.len() != walkers
             || snap.steps_total as usize != steps
-            || snap.iter_next as usize > steps
-            || snap.ps.len() != partitions.len()
+            || bb.done.len() != walkers
+            || bb.blocks as usize != nblocks
+            || bb.buckets.len() != n_pairs
+            || bb.cursor as usize >= n_pairs
+            || bb.done.iter().any(|&d| d as usize > steps)
         {
-            return Err(mismatch("snapshot shape does not fit this run".into()));
+            return Err(mismatch("snapshot shape does not fit this run"));
         }
-        if config.record_paths
-            && (snap.rows.len() != snap.iter_next as usize + 1
-                || snap.rows.iter().any(|r| r.len() != walkers))
-        {
-            return Err(mismatch("snapshot path rows are inconsistent".into()));
-        }
-        w = snap.w;
         if config.record_paths {
-            rows = snap.rows;
+            if bb.paths.len() != walkers
+                || bb
+                    .paths
+                    .iter()
+                    .zip(&bb.done)
+                    .any(|(p, &d)| p.len() != d as usize + 1)
+            {
+                return Err(mismatch("snapshot path rows are inconsistent"));
+            }
+        } else if !bb.paths.is_empty() {
+            return Err(mismatch("snapshot path rows are inconsistent"));
         }
+        // Every unfinished walker must be parked in exactly one bucket.
+        let mut seen = vec![false; walkers];
+        let mut parked = 0u64;
+        for bucket in &bb.buckets {
+            for &k in bucket {
+                let k = k as usize;
+                if k >= walkers || seen[k] || bb.done[k] as usize >= steps {
+                    return Err(mismatch("snapshot boundary buckets are inconsistent"));
+                }
+                seen[k] = true;
+                parked += 1;
+            }
+        }
+        let unfinished = bb.done.iter().filter(|&&d| (d as usize) < steps).count();
+        if parked != unfinished as u64 {
+            return Err(mismatch("snapshot boundary buckets are inconsistent"));
+        }
+        if config.record_paths {
+            lanes.rows = Lanes::scatter_paths(&bb.paths, steps);
+        }
+        lanes.cur = snap.w;
+        lanes.prevv = snap.prev;
+        lanes.done = bb.done;
+        lanes.buckets = bb.buckets;
+        lanes.parked_now = parked;
+        lanes.remaining = unfinished;
         stats.steps_taken = snap.steps_taken;
-        start_iter = snap.iter_next as usize;
+        pairs_done = snap.iter_next;
+        epoch = bb.epoch as usize;
+        start_slot = bb.cursor as usize;
         if let Some(s) = span {
             tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
         }
+    } else {
+        if config.record_paths {
+            lanes.rows = vec![vec![0 as VertexId; walkers]; steps + 1];
+            lanes.rows[0].copy_from_slice(&lanes.cur);
+        }
+        if steps > 0 {
+            // Fresh start: park every walker in its home bucket (no
+            // second block to wait for yet: DeepWalk and PPR never have
+            // one, node2vec has no predecessor).
+            for (k, &c) in lanes.cur.iter().enumerate() {
+                let b = blocks.of(c);
+                lanes.buckets[blocks.slot_of(b, b)].push(k as u32);
+            }
+            lanes.parked_now = walkers as u64;
+            stats.walkers_parked = walkers as u64;
+            stats.peak_parked = walkers as u64;
+        }
+    }
+    // What a checkpoint taken now holds, resuming at `(epoch, cursor)`.
+    let snapshot =
+        |lanes: &Lanes, steps_taken: u64, pairs_done: u64, epoch: u64, cursor: u64| WalkSnapshot {
+            seed: config.seed,
+            iter_next: pairs_done,
+            steps_total: steps as u64,
+            walkers: walkers as u64,
+            steps_taken,
+            config_tag,
+            graph_tag,
+            per_partition_steps: Vec::new(),
+            w: lanes.cur.clone(),
+            prev: lanes.prevv.clone(),
+            visits: Vec::new(),
+            ps: Vec::new(),
+            rows: Vec::new(),
+            biblock: Some(BiBlockState {
+                epoch,
+                cursor,
+                blocks: nblocks as u64,
+                done: lanes.done.clone(),
+                buckets: lanes.buckets.clone(),
+                paths: lanes.gather_paths(),
+            }),
+        };
+
+    // Two block buffers, the whole of the engine's block memory.
+    let largest = (0..nblocks)
+        .map(|b| blocks.range(b))
+        .map(|r| offsets[r.end] - offsets[r.start])
+        .max()
+        .unwrap_or(0);
+    let mut bufs = [BlockBuf::new(largest), BlockBuf::new(largest)];
+    let stepper = Stepper {
+        offsets,
+        blocks: &blocks,
+        kind,
+        steps,
+        // One ring depth for the run: the stepping loop's working set is
+        // the resident pair plus the offsets index, whichever pair is
+        // loaded.
+        depth: config.ring_depth.unwrap_or_else(|| {
+            Planner::analytic_model(&config.planner)
+                .ring_depth(2 * largest * 4 + std::mem::size_of_val(offsets))
+        }),
+    };
+    'sweep: while lanes.remaining > 0 {
+        // Every unfinished walker's own pair is visited once per sweep
+        // and steps it at least once, so epochs are bounded by steps.
+        let mut slot = 0usize;
+        for i in 0..nblocks {
+            for j in i..nblocks {
+                let s = slot;
+                slot += 1;
+                if s < start_slot {
+                    continue;
+                }
+                let bucket = std::mem::take(&mut lanes.buckets[s]);
+                if bucket.is_empty() {
+                    stats.pairs_skipped += 1;
+                } else {
+                    lanes.parked_now -= bucket.len() as u64;
+                    stats.pairs_scheduled += 1;
+                    // `bufs[0]` serves block `i`, `bufs[1]` block `j`: swap
+                    // rather than reload when they hold the needed blocks
+                    // the other way round, then load what is missing (a
+                    // diagonal pair needs one block only).
+                    if bufs[1].block == Some(i) || (j != i && bufs[0].block == Some(j)) {
+                        bufs.swap(0, 1);
+                    }
+                    let needed = if j == i { 1 } else { 2 };
+                    for (buf, b) in bufs.iter_mut().zip([i, j]).take(needed) {
+                        ensure_resident(
+                            disk,
+                            &mut file,
+                            &opts.retry,
+                            block_range(b),
+                            buf,
+                            epoch,
+                            b,
+                            &mut stats,
+                            tel,
+                        )?;
+                    }
+                    let sample_span = tel.is_on().then(|| tel.now_ns());
+                    let steps_before = stats.steps_taken;
+                    let rng = Xorshift64Star::new(partition_stream_id(config.seed, epoch, s));
+                    let hints = stepper.drain((i, j), &bufs, &bucket, rng, &mut lanes, &mut stats);
+                    stats.prefetches += hints;
+                    if let Some(sp) = sample_span {
+                        tel.span_since(Stage::Sample, sp, epoch as u32, i as u32);
+                        tel.record_partition_step(i, stats.steps_taken - steps_before, false);
+                        let in_flight = stepper.depth.min(bucket.len()) as u64;
+                        tel.record_partition_ring(i, in_flight, hints);
+                    }
+                }
+
+                // Pair-slot cadence checkpointing: `pairs_done` counts
+                // empty slots too, so kill generations are deterministic
+                // and data-independent within an epoch.
+                pairs_done += 1;
+                if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
+                    if pairs_done.is_multiple_of(ck.every as u64) {
+                        let generation = pairs_done / ck.every as u64;
+                        let (next_epoch, next_cursor) = if s + 1 == n_pairs {
+                            (epoch as u64 + 1, 0)
+                        } else {
+                            (epoch as u64, s as u64 + 1)
+                        };
+                        let taken = stats.steps_taken;
+                        save_checkpoint(ck, sink, generation, epoch, &mut stats, tel, || {
+                            snapshot(&lanes, taken, pairs_done, next_epoch, next_cursor)
+                        })?;
+                    }
+                }
+                if lanes.remaining == 0 {
+                    break 'sweep;
+                }
+            }
+        }
+        start_slot = 0;
+        epoch += 1;
+        tel.tick(epoch, steps, stats.steps_taken);
     }
 
-    for iter in start_iter..steps {
-        let traced = tel.is_on();
-        let span0 = traced.then(|| tel.now_ns());
-        shuffler.count(&w, &mut scratch, ShuffleAddrs::default(), &mut probe);
-        shuffler.scatter(
-            &w,
-            None,
-            &mut sw,
-            None,
-            &mut scratch,
-            ShuffleAddrs::default(),
-            &mut probe,
-        );
-        if let Some(s) = span0 {
-            tel.span_since(Stage::Shuffle, s, iter as u32, NO_PARTITION);
-        }
-        let dead_start = scratch.offsets[partitions.len()] as usize;
-        snext[dead_start..].fill(DEAD);
-
-        for (pi, part) in partitions.iter().enumerate() {
-            let (a, b) = (
-                scratch.offsets[pi] as usize,
-                scratch.offsets[pi + 1] as usize,
-            );
-            if a == b {
-                stats.partitions_skipped += 1;
-                continue;
-            }
-            // Stream this partition's adjacency bytes from disk unless
-            // the buffer still holds them from the previous iteration.
-            ensure_resident(
-                disk,
-                &mut file,
-                &opts.retry,
-                (part.start, part.end),
-                &mut buf,
-                iter,
-                pi,
-                &mut stats,
-                tel,
-            )?;
-
-            let sample_span = traced.then(|| tel.now_ns());
-            let base = disk.offsets[part.start as usize];
-            let mut rng =
-                Xorshift64Star::new(crate::engine::partition_stream_id(config.seed, iter, pi));
-            for j in a..b {
-                let v = sw[j];
-                let lo = disk.offsets[v as usize] - base;
-                let d = disk.degree(v);
-                let k = rng.gen_index(d);
-                snext[j] = buf.words[lo + k];
-                stats.steps_taken += 1;
-            }
-            if let Some(s) = sample_span {
-                tel.span_since(Stage::Sample, s, iter as u32, pi as u32);
-                tel.record_partition_step(pi, (b - a) as u64, false);
-            }
-        }
-        tel.tick(iter + 1, steps, stats.steps_taken);
-
-        shuffler.gather(
-            &w,
-            &snext,
-            &mut w_next,
-            None,
-            None,
-            &mut scratch,
-            ShuffleAddrs::default(),
-            &mut probe,
-        );
-        std::mem::swap(&mut w, &mut w_next);
-        if config.record_paths {
-            rows.push(w.clone());
-        }
-
-        // Checkpoint at the epoch boundary: the walker array here is
-        // exactly the input of iteration `iter + 1`.
-        if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
-            if (iter + 1) % ck.every == 0 {
-                let generation = ((iter + 1) / ck.every) as u64;
-                let steps_taken = stats.steps_taken;
-                save_checkpoint(ck, sink, generation, iter, &mut stats, tel, || {
-                    WalkSnapshot {
-                        seed: config.seed,
-                        iter_next: (iter + 1) as u64,
-                        steps_total: steps as u64,
-                        walkers: walkers as u64,
-                        steps_taken,
-                        config_tag,
-                        graph_tag,
-                        per_partition_steps: vec![0; partitions.len()],
-                        w: w.clone(),
-                        prev: Vec::new(),
-                        visits: Vec::new(),
-                        ps: vec![None; partitions.len()],
-                        rows: rows.clone(),
-                        biblock: None,
-                    }
-                })?;
-            }
+    // Unconditional completion checkpoint: a kill *after* the last work
+    // slot must still resume cleanly (the resume-after-complete case),
+    // so the final generation is written whenever the cadence did not
+    // land exactly on the last processed slot.
+    if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
+        if !pairs_done.is_multiple_of(ck.every as u64) {
+            let generation = pairs_done / ck.every as u64 + 1;
+            let taken = stats.steps_taken;
+            save_checkpoint(ck, sink, generation, epoch, &mut stats, tel, || {
+                snapshot(&lanes, taken, pairs_done, epoch as u64, 0)
+            })?;
         }
     }
 
     tel.record_io_retries(stats.io_retries);
     stats.wall = wall_start.elapsed();
-    let output = if config.record_paths {
-        WalkOutput::new(rows, walkers, Arc::clone(&disk.relabel))
+    // No out-of-core walker dies early, so every recorded row is full;
+    // without paths the one row is where the walkers ended.
+    let rows = if config.record_paths {
+        lanes.rows
     } else {
-        WalkOutput::new(vec![w], walkers, Arc::clone(&disk.relabel))
+        vec![lanes.cur]
     };
-    Ok((output, stats))
+    Ok((
+        WalkOutput::new(rows, walkers, Arc::clone(&disk.relabel)),
+        stats,
+    ))
 }
 
 /// Flat triangular index of the block pair `(i, j)` with `i <= j`
@@ -677,8 +779,8 @@ fn pair_index(i: usize, j: usize, blocks: usize) -> usize {
     i * (2 * blocks - i + 1) / 2 + (j - i)
 }
 
-/// One block-sized adjacency buffer and the block (or first-order
-/// partition) it holds.  Allocated once at the largest block's size, so
+/// One block-sized adjacency buffer and the block it holds.  Allocated
+/// once at the largest block's size, so
 /// loads never reallocate; residency is run-local state, in no snapshot
 /// (a resume starts cold).
 struct BlockBuf {
@@ -730,7 +832,6 @@ fn ensure_resident(
     stats.read_time += t0.elapsed();
     stats.bytes_read += bytes as u64;
     stats.blocks_streamed += 1;
-    stats.partitions_read += 1;
     if let Some(s) = io_span {
         tel.span_since(Stage::Io, s, epoch as u32, blk as u32);
         tel.record_partition_bytes(blk, bytes as u64);
@@ -862,16 +963,27 @@ fn save_checkpoint(
     Ok(())
 }
 
+/// What a walker of each out-of-core algorithm reads and draws.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// First-order uniform: reads `adj(cur)` alone and draws with no
+    /// coin; its `prev` lane stays `DEAD`, so it lives on the diagonal.
+    DeepWalk,
+    /// Second-order, under this rejection rule: the `prev` lane holds
+    /// the predecessor, whose list the rule probes, so a walker waits in
+    /// the slot of `(block(prev), block(cur))`.
+    Node2Vec(Node2VecRule),
+    /// Restart coin first, with this probability: the `prev` lane holds
+    /// the origin, never looked up, so it lives on the diagonal too.
+    Ppr { alpha: f64 },
+}
+
 /// What stays the same for every slot of a bi-block run, and the loop
 /// that steps one slot's walkers against the resident pair.
 struct Stepper<'a> {
     offsets: &'a [usize],
     blocks: &'a Blocks,
-    is_ppr: bool,
-    /// PPR's restart probability.
-    alpha: f64,
-    /// node2vec's rejection rule.
-    rule: Node2VecRule,
+    kind: Kind,
     steps: usize,
     /// Walker-ring depth; 1 steps one walker at a time, hints off.
     depth: usize,
@@ -883,9 +995,10 @@ impl Stepper<'_> {
     /// lookups leave the pair and it parks; returns the hints issued.
     ///
     /// The bucket goes through [`ring::drive_scouted`]: a walker's first
-    /// step in the slot reads its id from the bucket, its lanes, two
-    /// offset pairs and two adjacency lists, each address depending on
-    /// the load before and none of it on a draw — a walker sits in
+    /// step in the slot reads its id from the bucket, its lanes, and the
+    /// offset pair and adjacency list of each vertex it looks up (two for
+    /// node2vec, one otherwise), each address depending on the load
+    /// before and none of it on a draw — a walker sits in
     /// exactly one bucket and nothing parks into the slot being drained,
     /// so its lanes are still when the hint stages read them ahead.
     /// `execute` alone draws and mutates, in bucket order, so the walk
@@ -902,10 +1015,11 @@ impl Stepper<'_> {
         let &Self {
             offsets,
             blocks,
-            is_ppr,
-            rule,
+            kind,
             ..
         } = self;
+        // Whether a step looks up the `prev` lane's list too.
+        let second_order = matches!(kind, Kind::Node2Vec(_));
         // Block `b`'s words and the edge offset they start at.
         let base = [i, j].map(|b| offsets[blocks.start[b]]);
         let resident = |b: usize| -> (&[VertexId], usize) {
@@ -936,18 +1050,18 @@ impl Stepper<'_> {
                 let k = bucket[jj] as usize;
                 pf.element(&mut NullProbe, &lanes.cur, k, 0);
                 pf.element(&mut NullProbe, &lanes.done, k, 0);
-                if !is_ppr {
+                if second_order {
                     pf.element(&mut NullProbe, &lanes.prevv, k, 0);
                 }
             },
             // Inspect: the lanes are in; hint the offset pairs.  PPR
             // reads its origin's list never — that block need not even
-            // be resident.
+            // be resident — and DeepWalk has no `prev` to read.
             |pf, (lanes, ..), jj| {
                 let k = bucket[jj] as usize;
                 pf.element(&mut NullProbe, offsets, lanes.cur[k] as usize, 0);
                 let t = lanes.prevv[k];
-                if !is_ppr && t != DEAD {
+                if second_order && t != DEAD {
                     pf.element(&mut NullProbe, offsets, t as usize, 0);
                 }
             },
@@ -962,7 +1076,7 @@ impl Stepper<'_> {
                 let (words, lo, d) = list_of(lanes.cur[k]);
                 pf.span(&mut NullProbe, words, lo, d, 0);
                 let t = lanes.prevv[k];
-                if !is_ppr && t != DEAD {
+                if second_order && t != DEAD {
                     let (words, lo, d) = list_of(t);
                     pf.span(&mut NullProbe, words, lo, d, 0);
                 }
@@ -977,7 +1091,7 @@ impl Stepper<'_> {
                 // A walker's blocks are looked up once as it enters the
                 // slot and once per step after.
                 let mut bv = blocks.of(v);
-                let mut bt = if is_ppr || t == DEAD {
+                let mut bt = if !second_order || t == DEAD {
                     bv
                 } else {
                     blocks.of(t)
@@ -987,44 +1101,47 @@ impl Stepper<'_> {
                     let lo = offsets[v as usize] - vbase;
                     let d = offsets[v as usize + 1] - offsets[v as usize];
                     let adj = &vwords[lo..lo + d];
-                    let next = if is_ppr {
+                    let next = match kind {
+                        Kind::DeepWalk => adj[rng.gen_index(d)],
                         // Restart coin first: a teleport reads no edge at
                         // all (mirrors the in-memory sampler and the PPR
                         // oracle).
-                        if rng.next_f64() < self.alpha {
-                            t
-                        } else {
-                            adj[rng.gen_index(d)]
+                        Kind::Ppr { alpha } => {
+                            if rng.next_f64() < alpha {
+                                t
+                            } else {
+                                adj[rng.gen_index(d)]
+                            }
                         }
-                    } else if t == DEAD {
                         // First transition of a node2vec walker:
                         // first-order uniform, matching the oracle's
                         // edge-chain start.
-                        adj[rng.gen_index(d)]
-                    } else {
-                        let (twords, tbase) = resident(bt);
-                        let tlo = offsets[t as usize] - tbase;
-                        let td = offsets[t as usize + 1] - offsets[t as usize];
-                        let tadj = &twords[tlo..tlo + td];
-                        let mut attempts = 0;
-                        // Rejection under the shared rule, mirroring the
-                        // in-memory sampler; FMDISK1 lists are unsorted,
-                        // so a probe is a scan.  The attempt cap is the
-                        // termination backstop.
-                        loop {
-                            let cand = adj[rng.gen_index(d)];
-                            attempts += 1;
-                            let x = rng.next_f64() * rule.bound;
-                            let scan = || {
-                                stats.probes += 1;
-                                tadj.contains(&cand)
-                            };
-                            if attempts >= 64 || rule.keeps(x, cand == t, scan) {
-                                break cand;
+                        Kind::Node2Vec(_) if t == DEAD => adj[rng.gen_index(d)],
+                        Kind::Node2Vec(rule) => {
+                            let (twords, tbase) = resident(bt);
+                            let tlo = offsets[t as usize] - tbase;
+                            let td = offsets[t as usize + 1] - offsets[t as usize];
+                            let tadj = &twords[tlo..tlo + td];
+                            let mut attempts = 0;
+                            // Rejection under the shared rule, mirroring
+                            // the in-memory sampler; FMDISK1 lists are
+                            // unsorted, so a probe is a scan.  The attempt
+                            // cap is the termination backstop.
+                            loop {
+                                let cand = adj[rng.gen_index(d)];
+                                attempts += 1;
+                                let x = rng.next_f64() * rule.bound;
+                                let scan = || {
+                                    stats.probes += 1;
+                                    tadj.contains(&cand)
+                                };
+                                if attempts >= 64 || rule.keeps(x, cand == t, scan) {
+                                    break cand;
+                                }
                             }
                         }
                     };
-                    if !is_ppr {
+                    if second_order {
                         (t, bt) = (v, bv);
                     }
                     v = next;
@@ -1041,7 +1158,7 @@ impl Stepper<'_> {
                     if bv != i && bv != j {
                         // Crossed out of the pair (the new `prev` was its
                         // `cur`, so that one is in): park.
-                        let from = if is_ppr { bv } else { bt };
+                        let from = if second_order { bt } else { bv };
                         lanes.buckets[blocks.slot_of(from, bv)].push(kw);
                         lanes.parked_now += 1;
                         stats.walkers_parked += 1;
@@ -1056,357 +1173,6 @@ impl Stepper<'_> {
         );
         pf.issued()
     }
-}
-
-/// GraSorw-style triangular bi-block scheduling for second-order
-/// (node2vec) and origin-stateful (PPR) walks over a disk-resident CSR.
-///
-/// The sorted vertex array is cut into blocks of at most *half* the
-/// byte budget, so a block **pair** always fits in the configured
-/// buffer; a hub vertex whose adjacency alone exceeds the half-budget
-/// gets a singleton block — the scheduler degrades to smaller pairs
-/// instead of overrunning the budget.  Each epoch sweeps the upper
-/// triangle of block pairs `(i, j)`, `i <= j`; a walker is *resident*
-/// while both its `prev` and `cur` adjacency lookups land in the
-/// loaded pair, steps repeatedly while resident, and parks into the
-/// boundary bucket of its next pair when a step crosses out.  PPR
-/// walkers read only the current vertex's adjacency (the origin rides
-/// in the `prev` lane and needs no lookup), so they live on the
-/// diagonal and off-diagonal slots stay empty.
-///
-/// A resident pair's walkers step through the walker ring
-/// ([`Stepper::drain`]), the same walk at every depth.
-///
-/// Determinism and crash safety: the RNG stream of a pair slot is
-/// `partition_stream_id(seed, epoch, slot)`, restarted at each slot,
-/// so resume at any slot boundary has no RNG carry-over; buckets are
-/// drained and refilled in deterministic walker order; checkpoints
-/// fire on a pair-slot cadence (`pairs_done % every`), which counts
-/// empty slots too and is therefore data-independent within an epoch.
-fn run_ooc_biblock(
-    disk: &DiskGraph,
-    config: &WalkConfig,
-    partition_budget_bytes: usize,
-    opts: &OocOptions,
-    tel: &mut Telemetry,
-) -> Result<(WalkOutput, OocStats), WalkError> {
-    let steps = config.max_steps();
-    let walkers = config.walkers;
-    if u32::try_from(walkers).is_err() {
-        return Err(WalkError::Planning(format!(
-            "bi-block boundary buckets hold 32-bit walker ids; {walkers} walkers do not fit"
-        )));
-    }
-    let is_ppr = matches!(config.algorithm, crate::WalkAlgorithm::Ppr { .. });
-    let alpha = match config.algorithm {
-        crate::WalkAlgorithm::Node2Vec { .. } => 0.0,
-        crate::WalkAlgorithm::Ppr { alpha } => alpha,
-        _ => unreachable!("bi-block scheduler runs node2vec and PPR only"),
-    };
-
-    let offsets = &disk.offsets[..];
-    let blocks = Blocks::cut(offsets, partition_budget_bytes / 2);
-    let (nblocks, n_pairs) = (blocks.len(), blocks.pairs());
-    let block_range = |b: usize| {
-        let r = blocks.range(b);
-        (r.start as VertexId, r.end as VertexId)
-    };
-
-    let wall_start = Instant::now();
-    let cur = init_positions(disk, config);
-    let mut lanes = Lanes {
-        prevv: if is_ppr {
-            cur.clone()
-        } else {
-            vec![DEAD; walkers]
-        },
-        done: vec![0; walkers],
-        rows: Vec::new(),
-        buckets: vec![Vec::new(); n_pairs],
-        remaining: if steps == 0 { 0 } else { walkers },
-        parked_now: 0,
-        cur,
-    };
-    let mut stats = OocStats::default();
-    let mut epoch = 0usize;
-    let mut start_slot = 0usize;
-    let mut pairs_done = 0u64;
-
-    let file = File::open(&disk.path).map_err(|e| GraphError::io_at(&disk.path, None, e))?;
-    let mut file = match opts.fault {
-        Some(policy) => FaultyFile::with_policy(file, policy),
-        None => FaultyFile::passthrough(file),
-    };
-    if tel.is_on() {
-        tel.ensure_partitions(nblocks);
-    }
-    let mut sink = opts
-        .checkpoint
-        .as_ref()
-        .filter(|ck| ck.every > 0)
-        .map(CheckpointSink::from_spec);
-    let (config_tag, graph_tag) = if sink.is_some() || opts.resume_from.is_some() {
-        (
-            biblock_config_tag(config, partition_budget_bytes),
-            ooc_graph_tag(disk),
-        )
-    } else {
-        (0, 0)
-    };
-
-    if let Some(dir) = opts.resume_from.as_ref() {
-        let span = tel.is_on().then(|| tel.now_ns());
-        let (_generation, mut snap) = load_latest(dir)?;
-        let mismatch =
-            |detail: &str| WalkError::Recover(RecoverError::Mismatch { detail: detail.into() });
-        if snap.config_tag != config_tag {
-            return Err(mismatch(
-                "snapshot was written under a different out-of-core configuration",
-            ));
-        }
-        if snap.graph_tag != graph_tag {
-            return Err(mismatch("snapshot was written against a different disk graph"));
-        }
-        let bb = snap
-            .biblock
-            .take()
-            .ok_or_else(|| mismatch("snapshot carries no bi-block scheduler state"))?;
-        if snap.seed != config.seed
-            || snap.walkers as usize != walkers
-            || snap.w.len() != walkers
-            || snap.prev.len() != walkers
-            || snap.steps_total as usize != steps
-            || bb.done.len() != walkers
-            || bb.blocks as usize != nblocks
-            || bb.buckets.len() != n_pairs
-            || bb.cursor as usize >= n_pairs
-            || bb.done.iter().any(|&d| d as usize > steps)
-        {
-            return Err(mismatch("snapshot shape does not fit this run"));
-        }
-        if config.record_paths {
-            if bb.paths.len() != walkers
-                || bb
-                    .paths
-                    .iter()
-                    .zip(&bb.done)
-                    .any(|(p, &d)| p.len() != d as usize + 1)
-            {
-                return Err(mismatch("snapshot path rows are inconsistent"));
-            }
-        } else if !bb.paths.is_empty() {
-            return Err(mismatch("snapshot path rows are inconsistent"));
-        }
-        // Every unfinished walker must be parked in exactly one bucket.
-        let mut seen = vec![false; walkers];
-        let mut parked = 0u64;
-        for bucket in &bb.buckets {
-            for &k in bucket {
-                let k = k as usize;
-                if k >= walkers || seen[k] || bb.done[k] as usize >= steps {
-                    return Err(mismatch("snapshot boundary buckets are inconsistent"));
-                }
-                seen[k] = true;
-                parked += 1;
-            }
-        }
-        let unfinished = bb.done.iter().filter(|&&d| (d as usize) < steps).count();
-        if parked != unfinished as u64 {
-            return Err(mismatch("snapshot boundary buckets are inconsistent"));
-        }
-        if config.record_paths {
-            lanes.rows = Lanes::scatter_paths(&bb.paths, steps);
-        }
-        lanes.cur = snap.w;
-        lanes.prevv = snap.prev;
-        lanes.done = bb.done;
-        lanes.buckets = bb.buckets;
-        lanes.parked_now = parked;
-        lanes.remaining = unfinished;
-        stats.steps_taken = snap.steps_taken;
-        pairs_done = snap.iter_next;
-        epoch = bb.epoch as usize;
-        start_slot = bb.cursor as usize;
-        if let Some(s) = span {
-            tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
-        }
-    } else {
-        if config.record_paths {
-            lanes.rows = vec![vec![0 as VertexId; walkers]; steps + 1];
-            lanes.rows[0].copy_from_slice(&lanes.cur);
-        }
-        if steps > 0 {
-            // Fresh start: park every walker in its home bucket (no
-            // second block to wait for yet: PPR never has one, node2vec
-            // has no predecessor).
-            for (k, &c) in lanes.cur.iter().enumerate() {
-                let b = blocks.of(c);
-                lanes.buckets[blocks.slot_of(b, b)].push(k as u32);
-            }
-            lanes.parked_now = walkers as u64;
-            stats.walkers_parked = walkers as u64;
-            stats.peak_parked = walkers as u64;
-        }
-    }
-    // What a checkpoint taken now holds, resuming at `(epoch, cursor)`.
-    let snapshot =
-        |lanes: &Lanes, steps_taken: u64, pairs_done: u64, epoch: u64, cursor: u64| WalkSnapshot {
-            seed: config.seed,
-            iter_next: pairs_done,
-            steps_total: steps as u64,
-            walkers: walkers as u64,
-            steps_taken,
-            config_tag,
-            graph_tag,
-            per_partition_steps: Vec::new(),
-            w: lanes.cur.clone(),
-            prev: lanes.prevv.clone(),
-            visits: Vec::new(),
-            ps: Vec::new(),
-            rows: Vec::new(),
-            biblock: Some(BiBlockState {
-                epoch,
-                cursor,
-                blocks: nblocks as u64,
-                done: lanes.done.clone(),
-                buckets: lanes.buckets.clone(),
-                paths: lanes.gather_paths(),
-            }),
-        };
-
-    // Two block buffers, the whole of the engine's block memory.
-    let largest = (0..nblocks)
-        .map(|b| blocks.range(b))
-        .map(|r| offsets[r.end] - offsets[r.start])
-        .max()
-        .unwrap_or(0);
-    let mut bufs = [BlockBuf::new(largest), BlockBuf::new(largest)];
-    let stepper = Stepper {
-        offsets,
-        blocks: &blocks,
-        is_ppr,
-        alpha,
-        rule: config.algorithm.node2vec_rule(),
-        steps,
-        // One ring depth for the run: the stepping loop's working set is
-        // the resident pair plus the offsets index, whichever pair is
-        // loaded.
-        depth: config.ring_depth.unwrap_or_else(|| {
-            Planner::analytic_model(&config.planner)
-                .ring_depth(2 * largest * 4 + std::mem::size_of_val(offsets))
-        }),
-    };
-    'sweep: while lanes.remaining > 0 {
-        // Every unfinished walker's own pair is visited once per sweep
-        // and steps it at least once, so epochs are bounded by steps.
-        assert!(
-            epoch <= steps,
-            "bi-block sweep failed to converge: epoch {epoch} of a {steps}-step walk"
-        );
-        let mut slot = 0usize;
-        for i in 0..nblocks {
-            for j in i..nblocks {
-                let s = slot;
-                slot += 1;
-                if s < start_slot {
-                    continue;
-                }
-                let bucket = std::mem::take(&mut lanes.buckets[s]);
-                if bucket.is_empty() {
-                    stats.pairs_skipped += 1;
-                    stats.partitions_skipped += 1;
-                } else {
-                    lanes.parked_now -= bucket.len() as u64;
-                    stats.pairs_scheduled += 1;
-                    // `bufs[0]` serves block `i`, `bufs[1]` block `j`: swap
-                    // rather than reload when they hold the needed blocks
-                    // the other way round, then load what is missing (a
-                    // diagonal pair needs one block only).
-                    if bufs[1].block == Some(i) || (j != i && bufs[0].block == Some(j)) {
-                        bufs.swap(0, 1);
-                    }
-                    let needed = if j == i { 1 } else { 2 };
-                    for (buf, b) in bufs.iter_mut().zip([i, j]).take(needed) {
-                        ensure_resident(
-                            disk,
-                            &mut file,
-                            &opts.retry,
-                            block_range(b),
-                            buf,
-                            epoch,
-                            b,
-                            &mut stats,
-                            tel,
-                        )?;
-                    }
-                    let sample_span = tel.is_on().then(|| tel.now_ns());
-                    let steps_before = stats.steps_taken;
-                    let rng = Xorshift64Star::new(partition_stream_id(config.seed, epoch, s));
-                    let hints = stepper.drain((i, j), &bufs, &bucket, rng, &mut lanes, &mut stats);
-                    stats.prefetches += hints;
-                    if let Some(sp) = sample_span {
-                        tel.span_since(Stage::Sample, sp, epoch as u32, i as u32);
-                        tel.record_partition_step(i, stats.steps_taken - steps_before, false);
-                        let in_flight = stepper.depth.min(bucket.len()) as u64;
-                        tel.record_partition_ring(i, in_flight, hints);
-                    }
-                }
-
-                // Pair-slot cadence checkpointing: `pairs_done` counts
-                // empty slots too, so kill generations are deterministic
-                // and data-independent within an epoch.
-                pairs_done += 1;
-                if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
-                    if pairs_done.is_multiple_of(ck.every as u64) {
-                        let generation = pairs_done / ck.every as u64;
-                        let (next_epoch, next_cursor) = if s + 1 == n_pairs {
-                            (epoch as u64 + 1, 0)
-                        } else {
-                            (epoch as u64, s as u64 + 1)
-                        };
-                        let taken = stats.steps_taken;
-                        save_checkpoint(ck, sink, generation, epoch, &mut stats, tel, || {
-                            snapshot(&lanes, taken, pairs_done, next_epoch, next_cursor)
-                        })?;
-                    }
-                }
-                if lanes.remaining == 0 {
-                    break 'sweep;
-                }
-            }
-        }
-        start_slot = 0;
-        epoch += 1;
-        tel.tick(epoch, steps, stats.steps_taken);
-    }
-
-    // Unconditional completion checkpoint: a kill *after* the last work
-    // slot must still resume cleanly (the resume-after-complete case),
-    // so the final generation is written whenever the cadence did not
-    // land exactly on the last processed slot.
-    if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
-        if !pairs_done.is_multiple_of(ck.every as u64) {
-            let generation = pairs_done / ck.every as u64 + 1;
-            let taken = stats.steps_taken;
-            save_checkpoint(ck, sink, generation, epoch, &mut stats, tel, || {
-                snapshot(&lanes, taken, pairs_done, epoch as u64, 0)
-            })?;
-        }
-    }
-
-    tel.record_io_retries(stats.io_retries);
-    stats.wall = wall_start.elapsed();
-    // node2vec and PPR walkers never die early, so every recorded row
-    // is full; without paths the one row is where the walkers ended.
-    let rows = if config.record_paths {
-        lanes.rows
-    } else {
-        vec![lanes.cur]
-    };
-    Ok((
-        WalkOutput::new(rows, walkers, Arc::clone(&disk.relabel)),
-        stats,
-    ))
 }
 
 #[cfg(test)]
@@ -1500,7 +1266,8 @@ mod tests {
 
     #[test]
     fn cold_partitions_are_skipped() {
-        // All walkers pinned on the hub: tail partitions never read.
+        // All walkers pinned on the hub: at most 64 of the ~160 leaf
+        // blocks host a walker, and the pairs of the rest are never read.
         let g = synth::star(10_000);
         let path = temp_path("skip.fmdisk");
         let disk = DiskGraph::create(&g, &path).unwrap();
@@ -1511,10 +1278,10 @@ mod tests {
             .init(WalkerInit::Fixed(vec![0]));
         let (_, stats) = run_ooc(&disk, &cfg, 512).unwrap();
         assert!(
-            stats.partitions_skipped > stats.partitions_read,
+            stats.pairs_skipped > stats.blocks_streamed,
             "read {} skipped {}",
-            stats.partitions_read,
-            stats.partitions_skipped
+            stats.blocks_streamed,
+            stats.pairs_skipped
         );
         // Read volume far below 2 full passes over the file.
         assert!(stats.bytes_read < 2 * disk.edge_count() as u64 * 4);
@@ -1542,8 +1309,9 @@ mod tests {
         let mut tel = Telemetry::new();
         let (out, stats) = run_ooc_with(&disk, &cfg, 8 << 10, &OocOptions::default(), &mut tel).unwrap();
         assert_eq!(tel.partition_steps_total(), stats.steps_taken);
-        // One Io span per performed partition read, none for skips.
-        assert_eq!(tel.stage(Stage::Io).spans, stats.partitions_read);
+        // One Io span per block load performed, none for skipped pairs.
+        assert!(stats.blocks_streamed > 0 && stats.pairs_skipped > 0);
+        assert_eq!(tel.stage(Stage::Io).spans, stats.blocks_streamed);
         // Counters include the streamed adjacency bytes.
         let counted: u64 = tel.partition_counters().iter().map(|c| c.edge_bytes).sum();
         assert!(counted >= stats.bytes_read);
@@ -1569,6 +1337,25 @@ mod tests {
             run_ooc(&disk, &cfg, 4 << 10),
             Err(WalkError::Planning(_))
         ));
+        // No loop here flips an exit coin, so a geometric stop is refused
+        // rather than walked as `max_steps` fixed steps.
+        for algorithm in [
+            crate::WalkAlgorithm::DeepWalk,
+            crate::WalkAlgorithm::Node2Vec { p: 0.5, q: 2.0 },
+            crate::WalkAlgorithm::Ppr { alpha: 0.2 },
+        ] {
+            cfg.algorithm = algorithm;
+            cfg.stop = StopRule::Geometric {
+                exit_prob: 0.5,
+                max_steps: 2,
+            };
+            assert!(
+                matches!(run_ooc(&disk, &cfg, 4 << 10), Err(WalkError::Planning(_))),
+                "{algorithm:?}"
+            );
+            cfg.stop = StopRule::FixedSteps(2);
+            assert!(run_ooc(&disk, &cfg, 4 << 10).is_ok(), "{algorithm:?}");
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -1895,8 +1682,10 @@ mod tests {
         let disk = DiskGraph::create(&g, &path).unwrap();
         let cfg = WalkConfig::deepwalk().walkers(200).steps(6).seed(9);
         let whole = disk.edge_count() * 4;
-        let (out, stats) = run_ooc(&disk, &cfg, whole).unwrap();
-        assert_eq!(stats.partitions_read, 1, "one partition, six iterations");
+        // Blocks are cut at half the budget: twice the file is one block.
+        let (out, stats) = run_ooc(&disk, &cfg, 2 * whole).unwrap();
+        assert_eq!(stats.blocks_streamed, 1, "one block, six steps");
+        assert_eq!((stats.pairs_scheduled, stats.pairs_skipped), (1, 0));
         assert_eq!(stats.bytes_read, whole as u64);
         assert_eq!(stats.steps_taken, 200 * 6);
         for path in out.paths() {
@@ -1918,6 +1707,7 @@ mod tests {
         for algorithm in [
             crate::WalkAlgorithm::Node2Vec { p: 0.25, q: 4.0 },
             crate::WalkAlgorithm::Ppr { alpha: 0.2 },
+            crate::WalkAlgorithm::DeepWalk,
         ] {
             let mut base = WalkConfig::deepwalk().walkers(300).steps(12).seed(13);
             base.algorithm = algorithm;
@@ -2032,7 +1822,8 @@ mod tests {
     /// The bi-block walk as it ran before the ring, kept as the model:
     /// one walker at a time, a `Vec` of path per walker, the candidate's
     /// weight looked up and then compared.  Reads the in-memory sorted
-    /// CSR, which is what the block buffers hold.
+    /// CSR, which is what the block buffers hold.  DeepWalk walks it as
+    /// PPR does without the coin: one list a step, on the diagonal.
     fn model_biblock(
         sorted: &Csr,
         config: &WalkConfig,
@@ -2043,6 +1834,7 @@ mod tests {
         let n = sorted.vertex_count();
         let (steps, walkers) = (config.max_steps(), config.walkers);
         let is_ppr = matches!(config.algorithm, crate::WalkAlgorithm::Ppr { .. });
+        let second_order = config.algorithm.is_second_order();
         let (p_ret, q_inout, bound, bound_min, alpha) = match config.algorithm {
             crate::WalkAlgorithm::Node2Vec { p, q } => (
                 p,
@@ -2052,6 +1844,7 @@ mod tests {
                 0.0,
             ),
             crate::WalkAlgorithm::Ppr { alpha } => (0.0, 0.0, 1.0, 1.0, alpha),
+            crate::WalkAlgorithm::DeepWalk => (0.0, 0.0, 1.0, 1.0, 0.0),
             _ => unreachable!(),
         };
         let blocks = Blocks::cut(offsets, budget / 2);
@@ -2059,7 +1852,7 @@ mod tests {
         let block_of = |v: VertexId| blocks.of(v);
         let pair_of = |cur: VertexId, prev: VertexId| {
             let bc = block_of(cur);
-            if is_ppr || prev == DEAD {
+            if !second_order || prev == DEAD {
                 return pair_index(bc, bc, nblocks);
             }
             let bp = block_of(prev);
@@ -2120,7 +1913,8 @@ mod tests {
                                 } else {
                                     adj[rng.gen_index(d)]
                                 }
-                            } else if prevv[k] == DEAD {
+                            } else if !second_order || prevv[k] == DEAD {
+                                // DeepWalk, or node2vec's first step.
                                 adj[rng.gen_index(d)]
                             } else {
                                 let t = prevv[k];
@@ -2151,7 +1945,7 @@ mod tests {
                                     }
                                 }
                             };
-                            if !is_ppr {
+                            if second_order {
                                 prevv[k] = v;
                             }
                             cur[k] = next;
@@ -2166,7 +1960,7 @@ mod tests {
                             }
                             let bc = block_of(cur[k]);
                             let resident = (bc == i || bc == j)
-                                && (is_ppr || {
+                                && (!second_order || {
                                     let bp = block_of(prevv[k]);
                                     bp == i || bp == j
                                 });
@@ -2256,6 +2050,7 @@ mod tests {
             for algorithm in [
                 crate::WalkAlgorithm::Node2Vec { p: 2.0, q: 0.5 },
                 crate::WalkAlgorithm::Ppr { alpha: 0.2 },
+                crate::WalkAlgorithm::DeepWalk,
             ] {
                 for record_paths in [true, false] {
                     let mut base = WalkConfig::deepwalk().walkers(90).steps(6).seed(29);
@@ -2308,11 +2103,7 @@ mod tests {
                             "{what}, depth {depth}"
                         );
                         assert_eq!(stats.prefetches == 0, depth == 1, "{what}, depth {depth}");
-                        let io = (
-                            stats.blocks_streamed,
-                            stats.bytes_read,
-                            stats.partitions_read,
-                        );
+                        let io = (stats.blocks_streamed, stats.bytes_read);
                         assert_eq!(*loads.get_or_insert(io), io, "{what}, depth {depth}");
                         // ... through the same checkpoints (all of them
                         // at the planner's depth, the ends at the others).
@@ -2327,7 +2118,7 @@ mod tests {
                             );
                         }
                     }
-                    if !matches!(algorithm, crate::WalkAlgorithm::Ppr { .. }) {
+                    if algorithm.is_second_order() {
                         // Fewer scans than the loop that scanned on every
                         // draw above the smallest weight.
                         assert!(model.deciding_scans < model.scans, "{what}");
@@ -2375,8 +2166,10 @@ mod tests {
     #[test]
     fn biblock_snapshot_frame_is_pinned() {
         // The generation-1 snapshot of a fixed tiny run, byte for byte
-        // what the commit before the ring wrote (FNVs recorded there): a
-        // snapshot written by the old loop resumes on this one.
+        // what the commit before the ring wrote (node2vec and PPR FNVs
+        // recorded there; DeepWalk's on the commit that moved it onto
+        // this loop): a snapshot written by the old loop resumes on this
+        // one.
         for (name, algorithm, fnv, len) in [
             (
                 "n2v",
@@ -2389,6 +2182,12 @@ mod tests {
                 crate::WalkAlgorithm::Ppr { alpha: 0.2 },
                 0x7fae_c026_6c0b_a27c,
                 1492,
+            ),
+            (
+                "dw",
+                crate::WalkAlgorithm::DeepWalk,
+                0xb858_8c49_6468_586e,
+                1500,
             ),
         ] {
             let (disk, budget) = complete_in_blocks(3, 6, &format!("bb_pin_{name}.fmdisk"));
@@ -2479,18 +2278,68 @@ mod tests {
         ));
         std::fs::remove_file(&disk.path).ok();
     }
-    #[test]
-    fn config_tags_are_pinned() {
-        // Recorded before `fold_init` moved next to `WalkerInit`: the
-        // tags of snapshots already on disk must not move.
-        let cfg = WalkConfig::deepwalk()
+    /// The tag the partition-streaming loop DeepWalk ran on before this
+    /// one folded for [`pinned_tag_config`] at an 8 KiB budget.
+    const OLD_FIRST_ORDER_TAG: u64 = 0x97a1_1302_f73f_91d9;
+
+    fn pinned_tag_config() -> WalkConfig {
+        WalkConfig::deepwalk()
             .walkers(120)
             .steps(6)
             .seed(7)
-            .init(WalkerInit::Fixed(vec![3, 1, 4, 1, 5]));
-        assert_eq!(ooc_config_tag(&cfg, 8 << 10), 0x97a1_1302_f73f_91d9);
+            .init(WalkerInit::Fixed(vec![3, 1, 4, 1, 5]))
+    }
+
+    #[test]
+    fn config_tags_are_pinned() {
+        // node2vec's was recorded before `fold_init` moved next to
+        // `WalkerInit`, DeepWalk's when it joined this loop: the tags of
+        // snapshots already on disk must not move.
+        let cfg = pinned_tag_config();
+        assert_eq!(biblock_config_tag(&cfg, 8 << 10), 0xdaa9_9d4b_4f38_1c5f);
+        assert_ne!(biblock_config_tag(&cfg, 8 << 10), OLD_FIRST_ORDER_TAG);
         let mut n2v = cfg;
         n2v.algorithm = crate::WalkAlgorithm::Node2Vec { p: 0.5, q: 2.0 };
         assert_eq!(biblock_config_tag(&n2v, 4 << 10), 0x42fd_9401_df02_e5bc);
+    }
+
+    #[test]
+    fn old_first_order_checkpoints_are_refused() {
+        // What the partition-streaming loop wrote: its own tag, walker
+        // positions at an iteration boundary, no BBLK frame.  This loop
+        // walks a different sequence, so it must refuse the snapshot —
+        // typed, as the CLI's exit 4 — rather than resume from it.
+        let disk = DiskGraph::create(&synth::cycle(16), temp_path("old_dw.fmdisk")).unwrap();
+        let ckdir = temp_path("old_dw_dir");
+        std::fs::remove_dir_all(&ckdir).ok();
+        let cfg = pinned_tag_config();
+        let w = init_positions(&disk, &cfg);
+        let old = WalkSnapshot {
+            seed: cfg.seed,
+            iter_next: 2,
+            steps_total: 6,
+            walkers: 120,
+            steps_taken: 240,
+            config_tag: OLD_FIRST_ORDER_TAG,
+            graph_tag: ooc_graph_tag(&disk),
+            per_partition_steps: vec![0],
+            prev: Vec::new(),
+            visits: Vec::new(),
+            ps: vec![None],
+            rows: vec![w.clone(); 3],
+            w,
+            biblock: None,
+        };
+        let mut sink = CheckpointSink::from_spec(&CheckpointSpec::new(&ckdir, 1));
+        sink.save(1, &old).unwrap();
+        // The budget the old loop's tag was taken at.
+        let resume = OocOptions::default().resume_from(&ckdir);
+        let err = run_ooc_with(&disk, &cfg, 8 << 10, &resume, &mut Telemetry::off()).unwrap_err();
+        assert!(
+            matches!(err, WalkError::Recover(RecoverError::Mismatch { .. })),
+            "{err:?}"
+        );
+        std::fs::remove_dir_all(&ckdir).ok();
+        std::fs::remove_file(&disk.path).ok();
     }
 }

@@ -7,14 +7,16 @@
 //! comes near).  The engine holds two block buffers, sized once, and
 //! reads into them directly, so at no point are more than two
 //! block-sized allocations alive and their capacities sum to at most the
-//! budget.  (A scratch vector per load made it three, and 1.5x.)
+//! budget.  (A scratch vector per load made it three, and 1.5x.)  A
+//! DeepWalk run reads one list a step and fills only one of the two, on
+//! the same cut.
 //!
 //! One test only: the counters are process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use flashmob::oocore::{run_ooc, DiskGraph};
+use flashmob::oocore::{run_ooc, DiskGraph, OocStats};
 use flashmob::WalkConfig;
 
 struct BlockSizedAlloc;
@@ -97,26 +99,53 @@ fn biblock_block_memory_stays_within_the_budget() {
         disk.degree(0) * 4 <= half_budget,
         "no hub may overflow the half-budget"
     );
-    let cfg = WalkConfig::node2vec(2.0, 0.5)
+    let node2vec = WalkConfig::node2vec(2.0, 0.5)
+        .walkers(64)
+        .steps(6)
+        .seed(3)
+        .record_paths(false);
+    let deepwalk = WalkConfig::deepwalk()
         .walkers(64)
         .steps(6)
         .seed(3)
         .record_paths(false);
 
-    THRESHOLD.store(half_budget / 2, Ordering::SeqCst);
-    let result = run_ooc(&disk, &cfg, budget);
-    THRESHOLD.store(0, Ordering::SeqCst);
+    // Runs `cfg` with the counters tracking block-sized allocations
+    // from zero; returns its stats and the peak live count and bytes.
+    let tracked_run = |cfg: &WalkConfig| -> (OocStats, usize, usize) {
+        for counter in [&LIVE, &LIVE_BYTES, &PEAK_LIVE, &PEAK_BYTES] {
+            counter.store(0, Ordering::SeqCst);
+        }
+        THRESHOLD.store(half_budget / 2, Ordering::SeqCst);
+        let result = run_ooc(&disk, cfg, budget);
+        THRESHOLD.store(0, Ordering::SeqCst);
+        let (_, stats) = result.expect("bi-block run");
+        (
+            stats,
+            PEAK_LIVE.load(Ordering::SeqCst),
+            PEAK_BYTES.load(Ordering::SeqCst),
+        )
+    };
+    let (n2v, n2v_live, n2v_bytes) = tracked_run(&node2vec);
+    let (dw, dw_live, dw_bytes) = tracked_run(&deepwalk);
     std::fs::remove_file(&path).ok();
 
-    let (_, stats) = result.expect("bi-block run");
-    assert!(stats.blocks_streamed > 8, "the run must swap blocks");
-    let (peak_live, peak_bytes) = (
-        PEAK_LIVE.load(Ordering::SeqCst),
-        PEAK_BYTES.load(Ordering::SeqCst),
-    );
-    assert_eq!(peak_live, 2, "two block buffers, no scratch");
+    assert!(n2v.blocks_streamed > 8, "the run must swap blocks");
+    assert_eq!(n2v_live, 2, "two block buffers, no scratch");
     assert!(
-        peak_bytes <= budget,
-        "block buffers hold {peak_bytes} bytes under a budget of {budget}"
+        n2v_bytes <= budget,
+        "block buffers hold {n2v_bytes} bytes under a budget of {budget}"
+    );
+    assert!(
+        dw.blocks_streamed > 8,
+        "the DeepWalk run must swap blocks too"
+    );
+    assert!(
+        (1..=2).contains(&dw_live),
+        "{dw_live} block-sized allocations live in a DeepWalk run"
+    );
+    assert!(
+        dw_bytes <= budget,
+        "DeepWalk's block buffers hold {dw_bytes} bytes under a budget of {budget}"
     );
 }

@@ -58,8 +58,8 @@ fn full_crash_matrix_resumes_bit_exactly() {
     assert_eq!(fm, 5 * 3 * 3 * 5);
     // The oocore cells (deepwalk, node2vec, ppr) each add a
     // fault-transparency case plus one kill per discovered generation;
-    // deepwalk's iteration cadence pins 4, the bi-block pair-slot
-    // cadence is schedule-shaped so only a floor is asserted.
+    // the pair-slot cadence is schedule-shaped so only a floor is
+    // asserted.
     let ooc = |algo: &str| {
         report
             .cases
@@ -67,7 +67,7 @@ fn full_crash_matrix_resumes_bit_exactly() {
             .filter(|c| c.engine == "oocore" && c.algo == algo)
             .count()
     };
-    assert_eq!(ooc("deepwalk"), 5);
+    assert!(ooc("deepwalk") >= 3);
     assert!(ooc("node2vec") >= 3);
     assert!(ooc("ppr") >= 3);
 }
@@ -179,8 +179,8 @@ fn ooc_transient_faults_are_absorbed_without_changing_output() {
 
     let (clean, clean_stats) = run_ooc(&disk, &config, 32 * 1024).expect("fault-free run");
 
-    // 15% of partition reads fail transiently; retries must absorb
-    // every one of them.
+    // 15% of block reads fail transiently; retries must absorb every
+    // one of them.
     let mut tel = Telemetry::new();
     let opts = OocOptions::default().fault(FaultPolicy::transient(7, 0.15));
     let (faulty, faulty_stats) =
@@ -192,8 +192,8 @@ fn ooc_transient_faults_are_absorbed_without_changing_output() {
     assert_eq!(clean_stats.io_retries, 0);
     assert!(
         faulty_stats.io_retries > 0,
-        "a 15% fault rate over {} partition reads must trigger retries",
-        faulty_stats.partitions_read
+        "a 15% fault rate over {} block reads must trigger retries",
+        faulty_stats.blocks_streamed
     );
 
     // The absorbed retries surface in the JSONL metrics export.

@@ -95,7 +95,7 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
         }
     }
 
-    // The out-of-core engine is single-threaded but streams partitions
+    // The out-of-core engine is single-threaded but streams blocks
     // through a bounded buffer; counters must still be exact and its
     // Io spans must cover real bytes.
     let path = std::env::temp_dir().join(format!("fm-telsuite-{}.fmdisk", std::process::id()));
@@ -110,10 +110,10 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
         "streaming runs must record Io spans"
     );
 
-    // Second-order walks take the triangular bi-block path; its block
-    // loads and per-pair step counters must obey the same exact-sum
-    // contract as the partition-streaming loop, with one Io span per
-    // block actually read from disk.
+    // A second-order walk uses the off-diagonal pairs of the same
+    // bi-block schedule; its block loads and per-pair step counters obey
+    // the same exact-sum contract, with one Io span per block actually
+    // read from disk.
     let mut tel = Telemetry::new();
     let config = WalkConfig::node2vec(2.0, 0.5)
         .walkers(300)
