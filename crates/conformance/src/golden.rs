@@ -78,7 +78,9 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("numa-r", "node2vec", 2, 0x909e7cbf9aac89fb),
     ("numa-r", "node2vec", 3, 0x909e7cbf9aac89fb),
     ("numa-r", "node2vec", 8, 0x909e7cbf9aac89fb),
-    ("oocore", "deepwalk", 1, 0x7b2801556643861d),
+    // Re-pinned in PR 25 (DeepWalk onto the bi-block diagonal, 2 KiB
+    // budget): oracle chi-square p_occ 0.070, p_tr 0.167.
+    ("oocore", "deepwalk", 1, 0x530aa6f10b9d93c5),
     ("oocore", "node2vec", 1, 0xad8e5d47e99a7859),
     ("knightking", "deepwalk", 1, 0xd89e64dff9bbddc8),
     ("knightking", "deepwalk", 2, 0xf3503a3c72dc3473),
