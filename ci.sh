@@ -2,7 +2,10 @@
 # Tier-1 verification plus lints, as a single gate:
 #   1. release build of the whole workspace
 #   2. full test suite
-#   3. cross-engine conformance, quick tier (sub-second; pass
+#   3. cross-engine conformance, quick tier: the registry audit (a
+#      walk program registered without an oracle fails the build), then
+#      one engine x walk x threads lattice, programs included, against
+#      the exact oracles and the golden digests (sub-second; pass
 #      CONFORM_FULL=1 to sweep the full thread lattice instead)
 #   4. ring tier: the same quick lattice with --ring-depth 16, proving
 #      the latency-hiding walker ring is bit-invisible at max depth —
@@ -14,27 +17,23 @@
 #      16 while --stats tells the two kinds of hint apart; then a sparse
 #      and a dense CLI walk whose --stats must show PS refills reserved
 #      and produced, with paths equal at both depths
-#   5. program tier: the walk-program lattice (PPR, early-exit,
-#      metapath vs their analytic oracles at {1,8} threads, golden
-#      digests checked) plus the registry/oracle audit — any program
-#      registered without an oracle fails the build — and the same
-#      lattice again at --ring-depth 16
-#   6. telemetry tier: the overhead guard and an end-to-end
+#   5. telemetry tier: the overhead guard and an end-to-end
 #      `walk --trace` -> `trace-check` round trip
-#   7. recover tier: an end-to-end checkpoint -> kill -> resume round
+#   6. recover tier: an end-to-end checkpoint -> kill -> resume round
 #      trip through the CLI (bit-identical output, correct exit codes)
-#   8. oocore tier: the out-of-core fault-transparency test plus a CLI
+#   7. oocore tier: the out-of-core fault-transparency test plus a CLI
 #      crash drill over the FMDISK1 bi-block path, for node2vec and for
-#      DeepWalk — convert, walk with the ring off and at depth 16, halt
-#      deliberately mid-schedule under 15% injected faults, resume
-#      bit-exactly, and check the exit-code contract (4 wrong budget,
-#      2 persistent faults, 3 corrupt graph)
-#   9. ingest tier: one text edge list (comments, CRLF, no final
+#      DeepWalk — convert, walk with the ring off and at depth 16 (same
+#      paths, ring hints only at 16), halt deliberately mid-schedule
+#      under 15% injected faults, resume bit-exactly, and check the
+#      exit-code contract (4 wrong budget, 2 persistent faults, 3
+#      corrupt graph)
+#   8. ingest tier: one text edge list (comments, CRLF, no final
 #      newline) through `convert` and `stats` — the text and the FMG1
 #      decoder must report the same graph — plus the exit-code contract
 #      for malformed input (1 and the line number for a bad data line,
 #      1 and "bad binary graph" for a truncated .bin, never a panic)
-#  10. audit tier: the flow-aware fm-audit scanner (`audit --graph`) at
+#   9. audit tier: the flow-aware fm-audit scanner (`audit --graph`) at
 #      -D warnings severity — textual lints plus call-graph taint,
 #      panic-reachability, rng-purity and fingerprint-completeness —
 #      with the JSON schema self-check, a seeded-violation check per
@@ -43,18 +42,18 @@
 #      and the conformance quick lattice under --features
 #      audit-disjoint; an env-gated nightly Miri pass (AUDIT_MIRI=1)
 #      covers the recover codecs, fm-rng and oocore's byte view
-#  11. hw-counter degradation tier: `walk --hw-counters` and
+#  10. hw-counter degradation tier: `walk --hw-counters` and
 #      `cachecheck --quick` exit 0 with or without PMU access
-#  12. reproducer tier: each of the 14 paper-figure bins of `fm-bench`
+#  11. reproducer tier: each of the 14 paper-figure bins of `fm-bench`
 #      at its default scale exits 0 and prints its table (about 20 s);
 #      nothing reads their numbers; run from `crates/bench`, a bin
 #      leaves no `target/` tree there
-#  13. fmbench tier: the benchmark package's own tests (metric names
+#  12. fmbench tier: the benchmark package's own tests (metric names
 #      against BENCHMARK.json, estimator, span tiling, input pinning),
 #      which no workspace command reaches because `benchmark/` is its
 #      own workspace, and `fmbench smoke` — the four workloads, run and
 #      traced, at test scale against their golden digests (about 1 s)
-#  14. clippy with warnings promoted to errors
+#  13. clippy with warnings promoted to errors
 # and ends with two tables: seconds per tier, and non-test source lines
 # per crate (the lines above each file's `#[cfg(test)]`) — what the
 # tooling costs to run and to read, next to what it checks.
@@ -93,8 +92,9 @@ fi
 tier "ring tier (latency-hiding sample stage)"
 # The quick conformance lattice again, with the walker ring forced to
 # its maximum depth.  The ring must be invisible in the output: same
-# golden digests, same cross-engine agreement, at any depth.  The
-# lattice's oocore cells (bi-block node2vec and PPR, whose budgets would
+# golden digests, same cross-engine agreement, at any depth — for the
+# walk programs as for the paper's algorithms.  The lattice's oocore
+# cells (bi-block deepwalk, node2vec and ppr, whose budgets would
 # otherwise resolve to depth 1) run at depth 16 here for free.
 cargo run --release -q -p fm-cli -- conform --quick --ring-depth 16
 # The hint-only stage in front of each first-order sample task (the
@@ -154,18 +154,6 @@ read -r DENSE_PRODUCED _ <<< "$(pre_samples "$RING_TMP/psstats10000-1.txt")"
 [[ "${DENSE_PRODUCED:-0}" -gt 0 ]] || {
     echo "ring tier: the dense walk produced no pre-samples" >&2; exit 1; }
 
-tier "program tier (WalkProgram lattice + registry audit)"
-# Every walk program registered in the engine crate must have an
-# analytic oracle and lattice cells; the audit runs twice on purpose —
-# once as a unit test, once inside `conform --programs` — so neither a
-# test edit nor a CLI edit can silently drop it.
-cargo test -q -p fm-conformance every_registered_program_has_an_oracle
-# PPR, early-exit, and metapath vs their oracles on auto/PS/DS at
-# {1, 8} threads, with committed golden digests.
-cargo run --release -q -p fm-cli -- conform --programs
-# The walker ring must stay bit-invisible for programs too.
-cargo run --release -q -p fm-cli -- conform --programs --ring-depth 16
-
 tier "telemetry tier"
 # Overhead guard: enabled recorder within 5% of disabled.
 cargo test -q --test telemetry_suite telemetry_overhead_stays_under_five_percent
@@ -212,7 +200,7 @@ fi
 
 tier "oocore tier (bi-block crash drill + fault transparency)"
 # The quick conformance lattice above already chi-squares the
-# oocore x {deepwalk, node2vec} bi-block cells against the exact
+# oocore x {deepwalk, node2vec, ppr} bi-block cells against the exact
 # oracles with their committed golden digests; this tier adds the fault
 # and crash-consistency guarantees on top.
 cargo test -q --test recover_suite ooc_transient_faults_are_absorbed_without_changing_output
@@ -235,13 +223,19 @@ for ALGO in "node2vec --p 2.0 --q 0.5" deepwalk; do
     cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \
         --output "$DRILL/full.txt"
     # The walker ring is invisible out of core too: the same FMDISK1
-    # walked with the ring off and at its deepest writes the same paths.
+    # walked with the ring off and at its deepest writes the same paths,
+    # and --stats shows the depth reached the loop (hints only at 16).
     for depth in 1 16; do
         cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" \
-            $OOC_FLAGS --ring-depth $depth --output "$DRILL/ring$depth.txt"
+            $OOC_FLAGS --ring-depth $depth --stats --output "$DRILL/ring$depth.txt" \
+            > "$DRILL/stats$depth.txt"
     done
     cmp "$DRILL/ring1.txt" "$DRILL/ring16.txt"
     cmp "$DRILL/full.txt" "$DRILL/ring16.txt"
+    grep -q ', 0 ring prefetch hints$' "$DRILL/stats1.txt" || {
+        echo "oocore tier: $ALGO at ring depth 1 issued ring hints" >&2; exit 1; }
+    grep -Eq ', [1-9][0-9]* ring prefetch hints$' "$DRILL/stats16.txt" || {
+        echo "oocore tier: $ALGO at ring depth 16 issued no ring hints" >&2; exit 1; }
     if cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \
         --checkpoint-dir "$DRILL/ckpt" --checkpoint-every 3 --halt-after 2 \
         --fault-rate 0.15 --fault-seed 7 --output /dev/null; then

@@ -135,10 +135,6 @@ pub enum Command {
         full: bool,
         /// Print golden-table rows for every cell instead of checking.
         emit_golden: bool,
-        /// Run the program lattice (PPR, early-exit, metapath vs their
-        /// analytic oracles) plus the registry/oracle audit instead of
-        /// the classical-algorithm lattice.
-        programs: bool,
         /// Force this walker-ring depth in every FlashMob cell; the
         /// committed digests must hold at any depth.
         ring_depth: Option<usize>,
@@ -576,14 +572,12 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
         "conform" => {
             let mut full = false;
             let mut emit_golden = false;
-            let mut programs = false;
             let mut ring_depth = None;
             while let Some(flag) = c.next() {
                 match flag.as_str() {
                     "--quick" => full = false,
                     "--full" => full = true,
                     "--emit-golden" => emit_golden = true,
-                    "--programs" => programs = true,
                     "--ring-depth" => ring_depth = Some(c.value("--ring-depth")?),
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
@@ -591,7 +585,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
             Ok(Command::Conform {
                 full,
                 emit_golden,
-                programs,
                 ring_depth,
             })
         }
@@ -854,7 +847,6 @@ mod tests {
             Command::Conform {
                 full: false,
                 emit_golden: false,
-                programs: false,
                 ring_depth: None,
             }
         );
@@ -863,7 +855,6 @@ mod tests {
             Command::Conform {
                 full: false,
                 emit_golden: false,
-                programs: false,
                 ring_depth: None,
             }
         );
@@ -872,7 +863,6 @@ mod tests {
             Command::Conform {
                 full: true,
                 emit_golden: false,
-                programs: false,
                 ring_depth: None,
             }
         );
@@ -881,25 +871,14 @@ mod tests {
             Command::Conform {
                 full: true,
                 emit_golden: true,
-                programs: false,
                 ring_depth: None,
             }
         );
         assert_eq!(
-            p("conform --programs").unwrap(),
+            p("conform --ring-depth 16").unwrap(),
             Command::Conform {
                 full: false,
                 emit_golden: false,
-                programs: true,
-                ring_depth: None,
-            }
-        );
-        assert_eq!(
-            p("conform --programs --ring-depth 16").unwrap(),
-            Command::Conform {
-                full: false,
-                emit_golden: false,
-                programs: true,
                 ring_depth: Some(16),
             }
         );

@@ -297,6 +297,9 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             fault_seed,
             halt_after,
         } => {
+            if checkpoint_every > 0 && checkpoint_dir.is_none() {
+                return Err(fail_plan("--checkpoint-every requires --checkpoint-dir"));
+            }
             if is_disk_graph(&graph) {
                 if engine != EngineChoice::FlashMob {
                     return Err(fail_plan("disk graphs run on --engine flashmob only"));
@@ -313,6 +316,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                         steps,
                         seed,
                         threads,
+                        ring_depth,
                         budget: oocore_budget,
                         fault_rate,
                         fault_seed,
@@ -352,23 +356,14 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 }
             }
             let checkpoint = match (checkpoint_dir, checkpoint_every) {
-                (None, 0) => None,
-                (None, _) => {
-                    return Err(fail_plan(
-                        "--checkpoint-every requires --checkpoint-dir",
-                    ))
+                (None, _) => None,
+                (Some(_), _) if engine != EngineChoice::FlashMob => {
+                    return Err(fail_plan("checkpointing requires --engine flashmob"));
                 }
-                (Some(dir), every) => {
-                    if engine != EngineChoice::FlashMob {
-                        return Err(fail_plan(
-                            "checkpointing requires --engine flashmob",
-                        ));
-                    }
-                    Some(flashmob::CheckpointSpec::new(
-                        dir,
-                        if every == 0 { 8 } else { every },
-                    ))
-                }
+                (Some(dir), every) => Some(flashmob::CheckpointSpec::new(
+                    dir,
+                    if every == 0 { 8 } else { every },
+                )),
             };
             let (walk_output, steps_taken, per_step_ns, visits_vec, stats_report): (
                 Option<WalkOutput>,
@@ -499,14 +494,36 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
         Command::Conform {
             full,
             emit_golden,
-            programs,
             ring_depth,
         } => {
-            use fm_conformance::runner::{self, AlgoKind, EngineKind, LatticeConfig, Outcome};
+            use fm_conformance::runner::{
+                self, oracle_backed, AlgoKind, EngineKind, LatticeConfig, Outcome,
+            };
 
-            if programs {
-                return conform_programs(out, full, emit_golden, ring_depth);
+            // Registry audit: every walk the engine crate registers must
+            // be a lattice walk with an analytic oracle.  One merged
+            // without its oracle fails the build here.
+            let registry = flashmob::program::REGISTRY;
+            let missing: Vec<&str> = registry
+                .iter()
+                .copied()
+                .filter(|name| !oracle_backed(name))
+                .collect();
+            if !missing.is_empty() {
+                return Err(CmdError(
+                    format!(
+                        "walk(s) registered without a conformance oracle: {}",
+                        missing.join(", ")
+                    ),
+                    ExitKind::Other,
+                ));
             }
+            writeln!(
+                out,
+                "registry audit: {} registered walks, all oracle-backed",
+                registry.len()
+            )
+            .map_err(fail)?;
 
             if emit_golden {
                 // Golden digests cover the *full* thread lattice so the
@@ -518,7 +535,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 .map_err(fail)?;
                 for engine in EngineKind::ALL {
                     for algo in AlgoKind::ALL {
-                        for threads in [1usize, 2, 3, 8] {
+                        for threads in LatticeConfig::full().threads {
                             if let Some(d) = runner::cell_digest(engine, algo, threads) {
                                 writeln!(
                                     out,
@@ -553,31 +570,33 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             .map_err(fail)?;
             writeln!(
                 out,
-                "{:<14} {:<9} {:>7}  {:<7} detail",
-                "engine", "algo", "threads", "result"
+                "{:<14} {:<10} {:>7}  {:<7} detail",
+                "engine", "walk", "threads", "result"
             )
             .map_err(fail)?;
             for cell in &report.cells {
                 let (result, detail) = match &cell.outcome {
                     Outcome::Pass {
-                        occupancy_p,
-                        transition_p,
+                        p_values,
                         digest,
                         golden_checked,
-                    } => (
-                        "pass",
-                        format!(
-                            "p_occ {occupancy_p:.3}, p_tr {transition_p:.3}, \
-                             digest {digest:#018x}{}",
-                            if *golden_checked { " (golden ok)" } else { "" }
-                        ),
-                    ),
+                    } => {
+                        let ps: Vec<String> = p_values.iter().map(|p| format!("{p:.3}")).collect();
+                        (
+                            "pass",
+                            format!(
+                                "p {}, digest {digest:#018x}{}",
+                                ps.join("/"),
+                                if *golden_checked { " (golden ok)" } else { "" }
+                            ),
+                        )
+                    }
                     Outcome::Skipped { reason } => ("skip", (*reason).to_string()),
                     Outcome::Fail { reason } => ("FAIL", reason.clone()),
                 };
                 writeln!(
                     out,
-                    "{:<14} {:<9} {:>7}  {:<7} {}",
+                    "{:<14} {:<10} {:>7}  {:<7} {}",
                     cell.engine.label(),
                     cell.algo.label(),
                     cell.threads,
@@ -767,132 +786,6 @@ fn with_derived_labels(g: Csr, k: usize) -> Result<Csr, CmdError> {
     g.with_edge_labels(labels).map_err(fail_graph)
 }
 
-/// `conform --programs`: the registry/oracle audit plus the
-/// program-conformance lattice (PPR, early-exit, metapath vs their
-/// analytic oracles across the direct FlashMob engines).
-fn conform_programs<W: Write>(
-    out: &mut W,
-    full: bool,
-    emit_golden: bool,
-    ring_depth: Option<usize>,
-) -> Result<(), CmdError> {
-    use fm_conformance::{
-        oracle_backed, program_cell_digest, run_program_lattice, ProgramKind,
-        ProgramLatticeConfig, ProgramOutcome, PROGRAM_ENGINES,
-    };
-
-    // Registry/oracle audit: every walk program the engine crate
-    // registers must be backed by an analytic oracle and lattice cells.
-    // A program merged without its oracle fails the build here.
-    let missing: Vec<&str> = flashmob::program::REGISTRY
-        .iter()
-        .copied()
-        .filter(|name| !oracle_backed(name))
-        .collect();
-    if !missing.is_empty() {
-        return Err(CmdError(
-            format!(
-                "program(s) registered without a conformance oracle: {}",
-                missing.join(", ")
-            ),
-            ExitKind::Other,
-        ));
-    }
-    writeln!(
-        out,
-        "registry audit: {} registered programs, all oracle-backed",
-        flashmob::program::REGISTRY.len()
-    )
-    .map_err(fail)?;
-
-    if emit_golden {
-        writeln!(
-            out,
-            "// Paste into crates/conformance/src/golden.rs (PROGRAM_GOLDEN table):"
-        )
-        .map_err(fail)?;
-        for program in ProgramKind::ALL {
-            for engine in PROGRAM_ENGINES {
-                for threads in [1usize, 2, 8] {
-                    if let Some(d) = program_cell_digest(engine, program, threads) {
-                        writeln!(
-                            out,
-                            "    (\"{}\", \"{}\", {}, {:#018x}),",
-                            engine.label(),
-                            program.label(),
-                            threads,
-                            d
-                        )
-                        .map_err(fail)?;
-                    }
-                }
-            }
-        }
-        return Ok(());
-    }
-
-    let mut config = if full {
-        ProgramLatticeConfig::full()
-    } else {
-        ProgramLatticeConfig::quick()
-    };
-    config.ring_depth = ring_depth;
-    let report = run_program_lattice(&config);
-    writeln!(
-        out,
-        "program lattice ({} tier): {} cells, per-test alpha {:.2e}",
-        if full { "full" } else { "quick" },
-        report.cells.len(),
-        report.per_test_alpha
-    )
-    .map_err(fail)?;
-    writeln!(
-        out,
-        "{:<14} {:<11} {:>7}  {:<7} detail",
-        "engine", "program", "threads", "result"
-    )
-    .map_err(fail)?;
-    for cell in &report.cells {
-        let (result, detail) = match &cell.outcome {
-            ProgramOutcome::Pass {
-                p_values,
-                digest,
-                golden_checked,
-            } => {
-                let ps: Vec<String> = p_values.iter().map(|p| format!("{p:.3}")).collect();
-                (
-                    "pass",
-                    format!(
-                        "p {}, digest {digest:#018x}{}",
-                        ps.join("/"),
-                        if *golden_checked { " (golden ok)" } else { "" }
-                    ),
-                )
-            }
-            ProgramOutcome::Fail { reason } => ("FAIL", reason.clone()),
-        };
-        writeln!(
-            out,
-            "{:<14} {:<11} {:>7}  {:<7} {}",
-            cell.engine.label(),
-            cell.program.label(),
-            cell.threads,
-            result,
-            detail
-        )
-        .map_err(fail)?;
-    }
-    let (passed, failed) = report.tally();
-    writeln!(out, "{passed} passed, {failed} failed").map_err(fail)?;
-    if failed > 0 {
-        return Err(CmdError(
-            format!("{failed} program-conformance cell(s) failed; see table above"),
-            ExitKind::Other,
-        ));
-    }
-    Ok(())
-}
-
 /// Formats a steps/s rate compactly for the heartbeat line.
 fn fmt_rate(rate: f64) -> String {
     if rate >= 1e6 {
@@ -912,6 +805,8 @@ struct OocRun {
     steps: usize,
     seed: u64,
     threads: usize,
+    /// Forced walker-ring depth (0 = the cost model's choice).
+    ring_depth: usize,
     /// Streaming-buffer budget in bytes (0 = 64 MiB default).
     budget: usize,
     fault_rate: f64,
@@ -946,6 +841,9 @@ fn run_ooc_command<W: Write>(out: &mut W, a: OocRun) -> Result<(), CmdError> {
         .steps(a.steps)
         .seed(a.seed)
         .record_paths(record_paths);
+    if a.ring_depth > 0 {
+        cfg = cfg.ring_depth(a.ring_depth);
+    }
     cfg.algorithm = walk_algorithm(a.algo);
     let budget = if a.budget == 0 { 64 << 20 } else { a.budget };
     let mut opts = OocOptions::default();
@@ -1690,5 +1588,61 @@ mod tests {
         std::fs::remove_file(full).ok();
         std::fs::remove_file(resumed).ok();
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn disk_walk_takes_ring_depth_and_refuses_orphan_checkpoint_cadence() {
+        let bin = tmp("ooc_ring.bin");
+        let fmdisk = tmp("ooc_ring.fmdisk");
+        exec(&format!(
+            "synth power-law {} --n 400 --max-degree 40",
+            bin.display()
+        ))
+        .unwrap();
+        exec(&format!("disk {} {}", bin.display(), fmdisk.display())).unwrap();
+        let walk_flags = "--walkers 200 --steps 6 --seed 9 --oocore-budget 4096";
+
+        // `--ring-depth` reaches the bi-block loop: hints at depth 16,
+        // none at depth 1, and the same paths either way.
+        for algo in ["node2vec --p 0.25 --q 4.0", "deepwalk"] {
+            let walk = |depth: usize| {
+                let paths = tmp(&format!("ooc_ring_{depth}.txt"));
+                let msg = exec(&format!(
+                    "walk {} --algo {algo} {walk_flags} --ring-depth {depth} --stats --output {}",
+                    fmdisk.display(),
+                    paths.display()
+                ))
+                .unwrap();
+                let hints: u64 = msg
+                    .lines()
+                    .find_map(|l| l.strip_suffix(" ring prefetch hints"))
+                    .and_then(|l| l.rsplit(' ').next())
+                    .and_then(|n| n.parse().ok())
+                    .unwrap_or_else(|| panic!("no ring hint count in {msg}"));
+                let bytes = std::fs::read(&paths).unwrap();
+                std::fs::remove_file(paths).ok();
+                (hints, bytes)
+            };
+            let (shallow, deep) = (walk(1), walk(16));
+            assert_eq!(shallow.0, 0, "{algo} at depth 1");
+            assert!(deep.0 > 0, "{algo} at depth 16 issued no ring hints");
+            assert!(
+                !shallow.1.is_empty() && shallow.1 == deep.1,
+                "{algo} paths moved"
+            );
+        }
+
+        // A checkpoint cadence with nowhere to write is refused, as in
+        // memory (exit 4), instead of walking without checkpoints.
+        let err = exec(&format!(
+            "walk {} {walk_flags} --checkpoint-every 4",
+            fmdisk.display()
+        ))
+        .unwrap_err();
+        assert!(err.0.contains("--checkpoint-dir"), "{}", err.0);
+        assert_eq!(err.1, ExitKind::Plan);
+
+        std::fs::remove_file(bin).ok();
+        std::fs::remove_file(fmdisk).ok();
     }
 }

@@ -22,7 +22,8 @@ USAGE:
                       [--p X] [--q X] [--alpha X] [--pattern L,L,...]
                       [--labels K]
                       [--walkers N | --walkers-mult M] [--steps N] [--seed N]
-                      [--threads N] [--strategy dp|ups|uds|manual]
+                      [--threads N] [--ring-depth N]
+                      [--strategy dp|ups|uds|manual]
                       [--output <paths.txt>] [--visits <visits.txt>] [--stats]
                       [--trace <out.json>] [--metrics <out.jsonl>] [--progress]
                       [--hw-counters]
@@ -37,8 +38,7 @@ USAGE:
                       [--scale N] [--edge-factor N] [--m N] [--beta X]
                       [--degree N] [--seed N]
   fmwalk profile [--out <profile.txt>] [--quick]
-  fmwalk conform [--quick | --full] [--emit-golden] [--programs]
-                 [--ring-depth N]
+  fmwalk conform [--quick | --full] [--emit-golden] [--ring-depth N]
   fmwalk cachecheck [--quick]
   fmwalk trace-check <trace.json>
   fmwalk audit [--root <dir>] [--json] [--update-ratchet] [--graph]
@@ -68,12 +68,16 @@ restarts at the walker's origin with probability `--alpha` (default
 home; `metapath` follows the cyclic edge-type pattern `--pattern`
 (default `0,1`) and needs a labeled graph — `--labels K` derives
 `slot % K` edge types at load for graphs without type information.
-Programs run on the FlashMob engine (the walker-at-a-time baselines
-reject them).  `conform --programs` checks every registered program
-against its analytic oracle and committed golden digests, and fails
-if any program lacks an oracle.  `conform --ring-depth N` forces the
-walker ring to depth N in every FlashMob and out-of-core cell; the
-same digests must hold at every depth.
+Programs run on the FlashMob engines, and ppr out of core too (the
+walker-at-a-time baselines reject them).
+
+`conform` checks every engine × walk × thread-count cell an engine
+accepts (programs included) against its walk's analytic oracle and
+committed golden digest, and fails if a registered walk has no
+oracle; a refused cell is listed as skipped, with the engine's reason.
+`--emit-golden` prints the digest rows instead.  `--ring-depth N`
+forces the walker ring to depth N in every FlashMob and out-of-core
+cell; the same digests must hold at every depth.
 
 `walk --checkpoint-dir` writes a crash-consistent checkpoint every
 `--checkpoint-every` iterations (default 8) — out of core, every that

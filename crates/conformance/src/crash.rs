@@ -6,13 +6,14 @@
 //! boundary and resuming it from the latest on-disk checkpoint
 //! reproduces the same digest, bit for bit.**
 //!
-//! For each covered cell (FlashMob auto/PS/DS at 1 and 8 threads, the
-//! out-of-core engine, plus the programmable walks — whose per-walker
-//! origin state and early-terminated walkers must survive resume) the
-//! matrix:
+//! Every covered cell is a lattice cell, run with the lattice's graph,
+//! config and golden row: FlashMob auto/PS/DS, and every walk out of
+//! core accepts, the walk programs included (their per-walker origins
+//! and early-terminated walkers must survive resume too).  For each,
+//! the matrix:
 //!
-//! 1. runs uninterrupted once to get the reference digest (and checks
-//!    it against the committed golden table where an entry exists);
+//! 1. runs uninterrupted once to get the reference digest and checks
+//!    it against the committed golden row;
 //! 2. re-runs with checkpoints every [`CRASH_EVERY`] iterations and a
 //!    programmed halt after generation `k`, for every reachable
 //!    generation `k` — including the final one, where the walk is
@@ -32,21 +33,17 @@
 
 use std::path::{Path, PathBuf};
 
-use fm_graph::{Csr, VertexId};
 use flashmob::{
     load_latest,
     oocore::{run_ooc_with, DiskGraph, OocOptions},
-    CheckpointSpec, FaultPolicy, FlashMob, PlanStrategy, RunOptions, WalkAlgorithm, WalkConfig,
-    WalkError,
+    CheckpointSpec, FaultPolicy, FlashMob, RunOptions, WalkError,
 };
 use fm_telemetry::Telemetry;
 
-use crate::digest::PathDigest;
+use crate::digest::digest_paths;
 use crate::golden;
-use crate::program::{program_config, program_graph, ProgramKind, PPR_ALPHA};
 use crate::runner::{
-    conformance_graph, flashmob_config, ooc_temp_path, AlgoKind, EngineKind, LATTICE_STEPS,
-    OOC_BUDGET,
+    cell_config, ooc_temp_path, stream_ids, AlgoKind, EngineKind, LATTICE_STEPS, OOC_BUDGET,
 };
 
 /// Fault rate injected into every out-of-core kill/resume run: the
@@ -151,65 +148,33 @@ fn snapshot_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
     files
 }
 
-fn digest_output(paths: &[Vec<VertexId>], extra: &[u64]) -> u64 {
-    let mut d = PathDigest::new();
-    d.fold_u64(paths.len() as u64);
-    for p in paths {
-        d.fold_path(p);
-    }
-    for &x in extra {
-        d.fold_u64(x);
-    }
-    d.finish()
-}
-
 fn fail(case: &mut CrashCase, detail: String) {
     case.ok = false;
     case.detail = detail;
 }
 
-/// The plan strategy a direct FlashMob engine kind forces.
-fn engine_strategy(engine: EngineKind) -> PlanStrategy {
-    match engine {
-        EngineKind::FlashMobAuto => PlanStrategy::DynamicProgramming,
-        EngineKind::FlashMobPs => PlanStrategy::UniformPs,
-        _ => PlanStrategy::UniformDs,
-    }
-}
-
 /// Runs kill-and-resume at every generation, then the [`RELAY`], for
-/// one FlashMob cell (any algorithm or program) and appends one case per
-/// kill schedule to `out`.  `golden_want` pins the uninterrupted
-/// reference digest when a committed entry exists.
-fn crash_flashmob_cell(
-    engine: EngineKind,
-    algo: &'static str,
-    threads: usize,
-    graph: &Csr,
-    config: WalkConfig,
-    golden_want: Option<u64>,
-    out: &mut Vec<CrashCase>,
-) {
+/// one direct FlashMob lattice cell and appends one case per kill
+/// schedule to `out`.
+fn crash_flashmob(engine: EngineKind, walk: AlgoKind, threads: usize, out: &mut Vec<CrashCase>) {
+    let algo = walk.label();
     let setup_fail = |out: &mut Vec<CrashCase>, detail: String| {
         let mut case = CrashCase::new(engine.label(), algo, threads, &[]);
         fail(&mut case, detail);
         out.push(case);
     };
-    let fm = match FlashMob::new(graph, config) {
+    let fm = match FlashMob::new(&walk.graph(), cell_config(engine, walk, threads, None)) {
         Ok(fm) => fm,
         Err(e) => return setup_fail(out, format!("engine construction failed: {e}")),
     };
-    let mut extra = Vec::new();
-    for iter in 0..LATTICE_STEPS {
-        extra.extend(fm.partition_stream_ids(iter));
-    }
+    let stream_ids = stream_ids(&fm);
 
     // Uninterrupted reference, checked against the golden table.
     let (reference, want) = match fm.run_with_stats() {
-        Ok((output, stats)) => (digest_output(&output.paths(), &extra), stats),
+        Ok((output, stats)) => (digest_paths(&output.paths(), &stream_ids), stats),
         Err(e) => return setup_fail(out, format!("uninterrupted run failed: {e}")),
     };
-    if let Some(golden) = golden_want {
+    if let Some(golden) = golden::lookup(engine.label(), algo, threads) {
         if reference != golden {
             return setup_fail(
                 out,
@@ -264,7 +229,7 @@ fn crash_flashmob_cell(
             let resume = RunOptions::default().resume_from(&dir);
             match fm.run_with(&resume, &mut Telemetry::off()) {
                 Ok((output, stats)) => {
-                    let got = digest_output(&output.paths(), &extra);
+                    let got = digest_paths(&output.paths(), &stream_ids);
                     if got != reference {
                         fail(
                             &mut case,
@@ -286,35 +251,12 @@ fn crash_flashmob_cell(
     }
 }
 
-/// Kill-and-resume for one classical-algorithm FlashMob cell.
-fn crash_flashmob(engine: EngineKind, algo: AlgoKind, threads: usize, out: &mut Vec<CrashCase>) {
-    let graph = conformance_graph();
-    let config = flashmob_config(algo, threads, None).strategy(engine_strategy(engine));
-    let want = golden::lookup(engine.label(), algo.label(), threads);
-    crash_flashmob_cell(engine, algo.label(), threads, &graph, config, want, out);
-}
-
-/// Kill-and-resume for one program cell: proves per-walker program
-/// state (PPR/early-exit origins), early-terminated walkers, and edge
-/// labels (metapath) all survive the checkpoint boundary bit-exactly.
-fn crash_program(
-    engine: EngineKind,
-    program: ProgramKind,
-    threads: usize,
-    out: &mut Vec<CrashCase>,
-) {
-    let graph = program_graph(program);
-    let config = program_config(program, threads, None).strategy(engine_strategy(engine));
-    let want = golden::lookup_program(engine.label(), program.label(), threads);
-    crash_flashmob_cell(engine, program.label(), threads, &graph, config, want, out);
-}
-
 /// Runs kill-and-resume at every generation for one out-of-core cell,
 /// with transient faults injected at [`CRASH_FAULT_RATE`] into every
 /// disk-graph read of the interrupted *and* resumed runs.
 ///
 /// The reference digest comes from a fault-free uninterrupted run
-/// (pinned to the golden table where an entry exists), so digest
+/// (pinned to the cell's golden row), so digest
 /// equality simultaneously proves bit-exact resume and fault
 /// transparency.  The first case is a dedicated no-kill transparency
 /// case that also demands the retry layer actually absorbed something.
@@ -325,15 +267,12 @@ fn crash_program(
 /// count is not a simple function of [`LATTICE_STEPS`].  The final
 /// generation is always written at completion, so `k = G` is the
 /// resume-after-complete case in every cell.
-fn crash_oocore_cell(
-    algo: &'static str,
-    config: &WalkConfig,
-    budget: usize,
-    out: &mut Vec<CrashCase>,
-) {
-    let label = EngineKind::OutOfCore.label();
+fn crash_oocore_cell(walk: AlgoKind, out: &mut Vec<CrashCase>) {
+    let (label, algo) = (EngineKind::OutOfCore.label(), walk.label());
+    let config = &cell_config(EngineKind::OutOfCore, walk, 1, None);
+    let budget = OOC_BUDGET;
     let fault = FaultPolicy::transient(CRASH_FAULT_SEED, CRASH_FAULT_RATE);
-    let graph = conformance_graph();
+    let graph = walk.graph();
     let setup_fail = |out: &mut Vec<CrashCase>, detail: String| {
         let mut case = CrashCase::new(label, algo, 1, &[]);
         fail(&mut case, detail);
@@ -355,7 +294,7 @@ fn crash_oocore_cell(
         &OocOptions::default(),
         &mut Telemetry::off(),
     ) {
-        Ok((output, _)) => digest_output(&output.paths(), &[]),
+        Ok((output, _)) => digest_paths(&output.paths(), &[]),
         Err(e) => {
             std::fs::remove_file(&path).ok();
             setup_fail(out, format!("uninterrupted run failed: {e}"));
@@ -384,7 +323,7 @@ fn crash_oocore_cell(
             &mut Telemetry::off(),
         ) {
             Ok((output, stats)) => {
-                let got = digest_output(&output.paths(), &[]);
+                let got = digest_paths(&output.paths(), &[]);
                 if got != reference {
                     fail(
                         &mut case,
@@ -459,7 +398,7 @@ fn crash_oocore_cell(
             );
             match resumed {
                 Ok((output, _)) => {
-                    let got = digest_output(&output.paths(), &[]);
+                    let got = digest_paths(&output.paths(), &[]);
                     if got != reference {
                         fail(
                             &mut case,
@@ -478,32 +417,18 @@ fn crash_oocore_cell(
     std::fs::remove_file(&path).ok();
 }
 
-/// The out-of-core crash cells: first-order deepwalk, second-order
-/// node2vec, and origin-stateful PPR, all on the bi-block pair-slot
-/// cadence with parked-walker buffers and the schedule cursor crossing
-/// the snapshot boundary.  They run at the lattice's budget, so the
-/// deepwalk and node2vec reference digests are pinned by the same
-/// golden entries.
-fn crash_oocore(out: &mut Vec<CrashCase>) {
-    let deepwalk = flashmob_config(AlgoKind::DeepWalk, 1, None);
-    crash_oocore_cell("deepwalk", &deepwalk, OOC_BUDGET, out);
-    let node2vec = flashmob_config(AlgoKind::Node2Vec, 1, None);
-    crash_oocore_cell("node2vec", &node2vec, OOC_BUDGET, out);
-    let mut ppr = flashmob_config(AlgoKind::DeepWalk, 1, None);
-    ppr.algorithm = WalkAlgorithm::Ppr { alpha: PPR_ALPHA };
-    crash_oocore_cell("ppr", &ppr, OOC_BUDGET, out);
-}
-
 /// Runs the crash matrix.
 ///
-/// `full` sweeps deepwalk and node2vec on FlashMob auto/PS/DS at 1, 3
-/// and 8 threads plus the out-of-core engine, and every program × plan
-/// policy × {1, 3, 8} threads; the quick tier keeps the auto plan at 1
-/// thread, the out-of-core engine, and the two *stateful* programs
-/// (PPR, early-exit) on the auto plan — per-walker state (node2vec's
-/// predecessor, a program's origin) must round-trip the checkpoint
-/// boundary in every CI run (every kill schedule in both tiers).
+/// `full` sweeps every walk but weighted on FlashMob auto/PS/DS at 1, 3
+/// and 8 threads; the quick tier keeps the auto plan at 1 thread and
+/// the walks with per-walker state (node2vec's predecessor, PPR's and
+/// early exit's origin), which must round-trip the checkpoint boundary
+/// in every CI run (every kill schedule in both tiers).  Both tiers
+/// then run every walk out of core accepts — on the bi-block pair-slot
+/// cadence, with parked-walker buffers and the schedule cursor crossing
+/// the snapshot boundary.
 pub fn run_crash_matrix(full: bool) -> CrashReport {
+    use AlgoKind::{DeepWalk, EarlyExit, Metapath, Node2Vec, Ppr};
     let mut cases = Vec::new();
     let engines = [
         EngineKind::FlashMobAuto,
@@ -512,23 +437,21 @@ pub fn run_crash_matrix(full: bool) -> CrashReport {
     ];
     let threads: &[usize] = if full { &[1, 3, 8] } else { &[1] };
     let engines: &[EngineKind] = if full { &engines } else { &engines[..1] };
-    for &engine in engines {
-        for &t in threads {
-            crash_flashmob(engine, AlgoKind::DeepWalk, t, &mut cases);
-            crash_flashmob(engine, AlgoKind::Node2Vec, t, &mut cases);
-        }
-    }
-    crash_oocore(&mut cases);
-    let programs: &[ProgramKind] = if full {
-        &ProgramKind::ALL
+    let walks: &[AlgoKind] = if full {
+        &[DeepWalk, Node2Vec, Ppr, EarlyExit, Metapath]
     } else {
-        &[ProgramKind::Ppr, ProgramKind::EarlyExit]
+        &[DeepWalk, Node2Vec, Ppr, EarlyExit]
     };
-    for &program in programs {
+    for &walk in walks {
         for &engine in engines {
             for &t in threads {
-                crash_program(engine, program, t, &mut cases);
+                crash_flashmob(engine, walk, t, &mut cases);
             }
+        }
+    }
+    for walk in AlgoKind::ALL {
+        if EngineKind::OutOfCore.skip_reason(walk, 1).is_none() {
+            crash_oocore_cell(walk, &mut cases);
         }
     }
     CrashReport { cases }
@@ -552,9 +475,8 @@ mod tests {
             })
             .collect();
         assert!(report.all_ok(), "crash matrix failures:\n{}", failures.join("\n"));
-        // deepwalk and node2vec on auto@1 have 4 kill points and the
-        // relay each; the two stateful programs (ppr, early-exit) on
-        // auto@1 add as many each.
+        // deepwalk, node2vec, ppr and early-exit on auto@1 have 4 kill
+        // points and the relay each.
         let fm = report.cases.iter().filter(|c| c.engine != "oocore").count();
         assert_eq!(fm, 20);
         let relays = report.cases.iter().filter(|c| c.kills == RELAY).count();

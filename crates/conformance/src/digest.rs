@@ -7,57 +7,30 @@
 //! suffixes cannot alias) gives a stable 64-bit fingerprint that is
 //! cheap enough to run over every lattice cell.
 
-/// Incremental FNV-1a 64-bit hasher.
-#[derive(Debug, Clone, Copy)]
-pub struct PathDigest {
-    state: u64,
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-impl PathDigest {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Self { state: FNV_OFFSET }
-    }
-
-    /// Folds one `u64` in, little-endian byte order.
-    pub fn fold_u64(&mut self, value: u64) {
+/// Digest of a full path matrix (one entry per walker, in walker order)
+/// followed by `stream_ids`: the per-partition RNG stream ids of every
+/// iteration for a direct FlashMob run, empty for every other engine.
+///
+/// Every value is folded as a little-endian `u64`: the walker count,
+/// then each path's length and vertices, then the stream ids.
+pub fn digest_paths(paths: &[Vec<u32>], stream_ids: &[u64]) -> u64 {
+    let mut state = FNV_OFFSET;
+    let mut fold = |value: u64| {
         for byte in value.to_le_bytes() {
-            self.state ^= byte as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+            state ^= byte as u64;
+            state = state.wrapping_mul(FNV_PRIME);
         }
+    };
+    fold(paths.len() as u64);
+    for path in paths {
+        fold(path.len() as u64);
+        path.iter().for_each(|&v| fold(v as u64));
     }
-
-    /// Folds one walker path: length first, then every vertex.
-    pub fn fold_path(&mut self, path: &[u32]) {
-        self.fold_u64(path.len() as u64);
-        for &v in path {
-            self.fold_u64(v as u64);
-        }
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for PathDigest {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Digest of a full path matrix (one entry per walker, in walker order).
-pub fn digest_paths(paths: &[Vec<u32>]) -> u64 {
-    let mut d = PathDigest::new();
-    d.fold_u64(paths.len() as u64);
-    for p in paths {
-        d.fold_path(p);
-    }
-    d.finish()
+    stream_ids.iter().for_each(|&id| fold(id));
+    state
 }
 
 #[cfg(test)]
@@ -67,14 +40,14 @@ mod tests {
     #[test]
     fn digest_is_deterministic() {
         let paths = vec![vec![1, 2, 3], vec![4, 5]];
-        assert_eq!(digest_paths(&paths), digest_paths(&paths));
+        assert_eq!(digest_paths(&paths, &[]), digest_paths(&paths, &[]));
     }
 
     #[test]
     fn digest_sees_every_vertex() {
         let a = vec![vec![1, 2, 3]];
         let b = vec![vec![1, 2, 4]];
-        assert_ne!(digest_paths(&a), digest_paths(&b));
+        assert_ne!(digest_paths(&a, &[]), digest_paths(&b, &[]));
     }
 
     #[test]
@@ -82,26 +55,19 @@ mod tests {
         // Same vertex stream, different split across walkers.
         let a = vec![vec![1, 2], vec![3]];
         let b = vec![vec![1], vec![2, 3]];
-        assert_ne!(digest_paths(&a), digest_paths(&b));
+        assert_ne!(digest_paths(&a, &[]), digest_paths(&b, &[]));
     }
 
     #[test]
     fn empty_inputs_are_distinct() {
         let none: Vec<Vec<u32>> = vec![];
         let one_empty = vec![vec![]];
-        assert_ne!(digest_paths(&none), digest_paths(&one_empty));
+        assert_ne!(digest_paths(&none, &[]), digest_paths(&one_empty, &[]));
     }
 
     #[test]
     fn extra_u64_changes_digest() {
         let paths = vec![vec![7, 8]];
-        let base = digest_paths(&paths);
-        let mut d = PathDigest::new();
-        d.fold_u64(paths.len() as u64);
-        for p in &paths {
-            d.fold_path(p);
-        }
-        d.fold_u64(42);
-        assert_ne!(base, d.finish());
+        assert_ne!(digest_paths(&paths, &[]), digest_paths(&paths, &[42]));
     }
 }

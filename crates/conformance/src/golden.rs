@@ -8,15 +8,19 @@
 //!
 //! **Regeneration** (only when a run-output change is *intentional* —
 //! a new RNG stream layout, a changed sampler order, a different
-//! canonical lattice): run `fmwalk conform --emit-golden`, review that
-//! the diff is expected, and paste the emitted rows over the table
-//! below.  See DESIGN.md, "Correctness methodology".
+//! canonical lattice): run `fmwalk conform --emit-golden`, which prints
+//! one row for every runnable cell of the full lattice, programs
+//! included; review that the diff is expected, and paste the emitted
+//! rows over the one table below.  See DESIGN.md, "Correctness
+//! methodology".
 
-/// One committed digest: `(engine label, algo label, threads, digest)`.
+/// One committed digest: `(engine label, walk label, threads, digest)`.
 pub type GoldenEntry = (&'static str, &'static str, usize, u64);
 
-/// The committed table, covering the full lattice
-/// (every engine × algorithm × {1, 2, 3, 8} threads cell that runs).
+/// The committed table, covering the full lattice: every engine × walk
+/// × {1, 2, 3, 8} threads cell that runs.  Rows are per thread count
+/// even where the digest is thread-invariant: that invariance is part
+/// of what they pin.
 pub static GOLDEN: &[GoldenEntry] = &[
     ("flashmob-auto", "deepwalk", 1, 0xb7d4856302979415),
     ("flashmob-auto", "deepwalk", 2, 0xb7d4856302979415),
@@ -30,6 +34,18 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("flashmob-auto", "node2vec", 2, 0x10138fcf9ecdaae0),
     ("flashmob-auto", "node2vec", 3, 0x10138fcf9ecdaae0),
     ("flashmob-auto", "node2vec", 8, 0x10138fcf9ecdaae0),
+    ("flashmob-auto", "ppr", 1, 0x79566922ef505d27),
+    ("flashmob-auto", "ppr", 2, 0x79566922ef505d27),
+    ("flashmob-auto", "ppr", 3, 0x79566922ef505d27),
+    ("flashmob-auto", "ppr", 8, 0x79566922ef505d27),
+    ("flashmob-auto", "early-exit", 1, 0xb1e5ce663ca56ac1),
+    ("flashmob-auto", "early-exit", 2, 0xb1e5ce663ca56ac1),
+    ("flashmob-auto", "early-exit", 3, 0xb1e5ce663ca56ac1),
+    ("flashmob-auto", "early-exit", 8, 0xb1e5ce663ca56ac1),
+    ("flashmob-auto", "metapath", 1, 0xfe92b9975dbfd3e7),
+    ("flashmob-auto", "metapath", 2, 0xfe92b9975dbfd3e7),
+    ("flashmob-auto", "metapath", 3, 0xfe92b9975dbfd3e7),
+    ("flashmob-auto", "metapath", 8, 0xfe92b9975dbfd3e7),
     ("flashmob-ps", "deepwalk", 1, 0x287203edc97b40ee),
     ("flashmob-ps", "deepwalk", 2, 0x287203edc97b40ee),
     ("flashmob-ps", "deepwalk", 3, 0x287203edc97b40ee),
@@ -42,6 +58,18 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("flashmob-ps", "node2vec", 2, 0xcb18c75f2ae811dc),
     ("flashmob-ps", "node2vec", 3, 0xcb18c75f2ae811dc),
     ("flashmob-ps", "node2vec", 8, 0xcb18c75f2ae811dc),
+    ("flashmob-ps", "ppr", 1, 0x02bd82a97f376de4),
+    ("flashmob-ps", "ppr", 2, 0x02bd82a97f376de4),
+    ("flashmob-ps", "ppr", 3, 0x02bd82a97f376de4),
+    ("flashmob-ps", "ppr", 8, 0x02bd82a97f376de4),
+    ("flashmob-ps", "early-exit", 1, 0xf0896a676b53a50e),
+    ("flashmob-ps", "early-exit", 2, 0xf0896a676b53a50e),
+    ("flashmob-ps", "early-exit", 3, 0xf0896a676b53a50e),
+    ("flashmob-ps", "early-exit", 8, 0xf0896a676b53a50e),
+    ("flashmob-ps", "metapath", 1, 0xe9d8b151880ba4bc),
+    ("flashmob-ps", "metapath", 2, 0xe9d8b151880ba4bc),
+    ("flashmob-ps", "metapath", 3, 0xe9d8b151880ba4bc),
+    ("flashmob-ps", "metapath", 8, 0xe9d8b151880ba4bc),
     ("flashmob-ds", "deepwalk", 1, 0x6130505c1aff6682),
     ("flashmob-ds", "deepwalk", 2, 0x6130505c1aff6682),
     ("flashmob-ds", "deepwalk", 3, 0x6130505c1aff6682),
@@ -54,6 +82,18 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("flashmob-ds", "node2vec", 2, 0x5db5e460a6a813e0),
     ("flashmob-ds", "node2vec", 3, 0x5db5e460a6a813e0),
     ("flashmob-ds", "node2vec", 8, 0x5db5e460a6a813e0),
+    ("flashmob-ds", "ppr", 1, 0x51ce964cd13c662f),
+    ("flashmob-ds", "ppr", 2, 0x51ce964cd13c662f),
+    ("flashmob-ds", "ppr", 3, 0x51ce964cd13c662f),
+    ("flashmob-ds", "ppr", 8, 0x51ce964cd13c662f),
+    ("flashmob-ds", "early-exit", 1, 0x6a6a29dfe9b9bd2b),
+    ("flashmob-ds", "early-exit", 2, 0x6a6a29dfe9b9bd2b),
+    ("flashmob-ds", "early-exit", 3, 0x6a6a29dfe9b9bd2b),
+    ("flashmob-ds", "early-exit", 8, 0x6a6a29dfe9b9bd2b),
+    ("flashmob-ds", "metapath", 1, 0xe9d8b151880ba4bc),
+    ("flashmob-ds", "metapath", 2, 0xe9d8b151880ba4bc),
+    ("flashmob-ds", "metapath", 3, 0xe9d8b151880ba4bc),
+    ("flashmob-ds", "metapath", 8, 0xe9d8b151880ba4bc),
     ("numa-p", "deepwalk", 1, 0x3295eea4334989a9),
     ("numa-p", "deepwalk", 2, 0x3295eea4334989a9),
     ("numa-p", "deepwalk", 3, 0x3295eea4334989a9),
@@ -66,6 +106,18 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("numa-p", "node2vec", 2, 0x9b872657f3b1e890),
     ("numa-p", "node2vec", 3, 0x9b872657f3b1e890),
     ("numa-p", "node2vec", 8, 0x9b872657f3b1e890),
+    ("numa-p", "ppr", 1, 0x0c1397343286899b),
+    ("numa-p", "ppr", 2, 0x0c1397343286899b),
+    ("numa-p", "ppr", 3, 0x0c1397343286899b),
+    ("numa-p", "ppr", 8, 0x0c1397343286899b),
+    ("numa-p", "early-exit", 1, 0x3f0ee64ab5350395),
+    ("numa-p", "early-exit", 2, 0x3f0ee64ab5350395),
+    ("numa-p", "early-exit", 3, 0x3f0ee64ab5350395),
+    ("numa-p", "early-exit", 8, 0x3f0ee64ab5350395),
+    ("numa-p", "metapath", 1, 0xf58753afca37975b),
+    ("numa-p", "metapath", 2, 0xf58753afca37975b),
+    ("numa-p", "metapath", 3, 0xf58753afca37975b),
+    ("numa-p", "metapath", 8, 0xf58753afca37975b),
     ("numa-r", "deepwalk", 1, 0x59db66432794e001),
     ("numa-r", "deepwalk", 2, 0x59db66432794e001),
     ("numa-r", "deepwalk", 3, 0x59db66432794e001),
@@ -78,10 +130,23 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("numa-r", "node2vec", 2, 0x909e7cbf9aac89fb),
     ("numa-r", "node2vec", 3, 0x909e7cbf9aac89fb),
     ("numa-r", "node2vec", 8, 0x909e7cbf9aac89fb),
+    ("numa-r", "ppr", 1, 0x54d6be0a23530881),
+    ("numa-r", "ppr", 2, 0x54d6be0a23530881),
+    ("numa-r", "ppr", 3, 0x54d6be0a23530881),
+    ("numa-r", "ppr", 8, 0x54d6be0a23530881),
+    ("numa-r", "early-exit", 1, 0x30067a1b4b9aaa0d),
+    ("numa-r", "early-exit", 2, 0x30067a1b4b9aaa0d),
+    ("numa-r", "early-exit", 3, 0x30067a1b4b9aaa0d),
+    ("numa-r", "early-exit", 8, 0x30067a1b4b9aaa0d),
+    ("numa-r", "metapath", 1, 0x078872e735045702),
+    ("numa-r", "metapath", 2, 0x078872e735045702),
+    ("numa-r", "metapath", 3, 0x078872e735045702),
+    ("numa-r", "metapath", 8, 0x078872e735045702),
     // Re-pinned in PR 25 (DeepWalk onto the bi-block diagonal, 2 KiB
     // budget): oracle chi-square p_occ 0.070, p_tr 0.167.
     ("oocore", "deepwalk", 1, 0x530aa6f10b9d93c5),
     ("oocore", "node2vec", 1, 0xad8e5d47e99a7859),
+    ("oocore", "ppr", 1, 0x265e1ab83c8724ac),
     ("knightking", "deepwalk", 1, 0xd89e64dff9bbddc8),
     ("knightking", "deepwalk", 2, 0xf3503a3c72dc3473),
     ("knightking", "deepwalk", 3, 0x3dbfebd29ca27dc6),
@@ -116,82 +181,51 @@ pub fn lookup(engine: &str, algo: &str, threads: usize) -> Option<u64> {
         .map(|&(_, _, _, d)| d)
 }
 
-/// The committed program-lattice table (see [`crate::program`]): every
-/// program × direct-FlashMob plan policy × {1, 2, 8} threads.  The
-/// programs are first-order, so — like DeepWalk — each cell's digest
-/// is thread-invariant; the rows are committed per thread count anyway
-/// so a threading regression fails by *missing* digest rather than
-/// silently skipping the check.
-pub static PROGRAM_GOLDEN: &[GoldenEntry] = &[
-    ("flashmob-auto", "ppr", 1, 0x79566922ef505d27),
-    ("flashmob-auto", "ppr", 2, 0x79566922ef505d27),
-    ("flashmob-auto", "ppr", 8, 0x79566922ef505d27),
-    ("flashmob-ps", "ppr", 1, 0x02bd82a97f376de4),
-    ("flashmob-ps", "ppr", 2, 0x02bd82a97f376de4),
-    ("flashmob-ps", "ppr", 8, 0x02bd82a97f376de4),
-    ("flashmob-ds", "ppr", 1, 0x51ce964cd13c662f),
-    ("flashmob-ds", "ppr", 2, 0x51ce964cd13c662f),
-    ("flashmob-ds", "ppr", 8, 0x51ce964cd13c662f),
-    ("flashmob-auto", "early-exit", 1, 0xb1e5ce663ca56ac1),
-    ("flashmob-auto", "early-exit", 2, 0xb1e5ce663ca56ac1),
-    ("flashmob-auto", "early-exit", 8, 0xb1e5ce663ca56ac1),
-    ("flashmob-ps", "early-exit", 1, 0xf0896a676b53a50e),
-    ("flashmob-ps", "early-exit", 2, 0xf0896a676b53a50e),
-    ("flashmob-ps", "early-exit", 8, 0xf0896a676b53a50e),
-    ("flashmob-ds", "early-exit", 1, 0x6a6a29dfe9b9bd2b),
-    ("flashmob-ds", "early-exit", 2, 0x6a6a29dfe9b9bd2b),
-    ("flashmob-ds", "early-exit", 8, 0x6a6a29dfe9b9bd2b),
-    ("flashmob-auto", "metapath", 1, 0xfe92b9975dbfd3e7),
-    ("flashmob-auto", "metapath", 2, 0xfe92b9975dbfd3e7),
-    ("flashmob-auto", "metapath", 8, 0xfe92b9975dbfd3e7),
-    ("flashmob-ps", "metapath", 1, 0xe9d8b151880ba4bc),
-    ("flashmob-ps", "metapath", 2, 0xe9d8b151880ba4bc),
-    ("flashmob-ps", "metapath", 8, 0xe9d8b151880ba4bc),
-    ("flashmob-ds", "metapath", 1, 0xe9d8b151880ba4bc),
-    ("flashmob-ds", "metapath", 2, 0xe9d8b151880ba4bc),
-    ("flashmob-ds", "metapath", 8, 0xe9d8b151880ba4bc),
-];
-
-/// Looks up the committed digest for a program-lattice cell.
-pub fn lookup_program(engine: &str, program: &str, threads: usize) -> Option<u64> {
-    PROGRAM_GOLDEN
-        .iter()
-        .find(|&&(e, p, t, _)| e == engine && p == program && t == threads)
-        .map(|&(_, _, _, d)| d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{AlgoKind, EngineKind, LatticeConfig};
     use std::collections::BTreeSet;
 
     #[test]
     fn table_has_no_duplicate_keys() {
         let mut seen = BTreeSet::new();
-        for &(e, a, t, _) in GOLDEN.iter().chain(PROGRAM_GOLDEN) {
-            assert!(seen.insert((e, a, t)), "duplicate golden key ({e}, {a}, {t})");
+        for &(e, a, t, _) in GOLDEN {
+            assert!(
+                seen.insert((e, a, t)),
+                "duplicate golden key ({e}, {a}, {t})"
+            );
         }
     }
 
     #[test]
     fn lookup_misses_cleanly() {
         assert_eq!(lookup("no-such-engine", "deepwalk", 1), None);
-        assert_eq!(lookup_program("flashmob-auto", "deepwalk", 1), None);
+        assert_eq!(lookup("knightking", "ppr", 1), None);
     }
 
     #[test]
-    fn program_table_covers_the_full_program_lattice() {
-        for program in crate::program::ProgramKind::ALL {
-            for engine in crate::program::PROGRAM_ENGINES {
-                for threads in [1, 2, 8] {
-                    assert!(
-                        lookup_program(engine.label(), program.label(), threads).is_some(),
-                        "missing program golden entry ({}, {}, {threads})",
+    fn table_covers_every_runnable_cell() {
+        // Every cell of the full lattice that an engine runs has a row,
+        // and no row names a cell the lattice skips or never sweeps.
+        let threads = LatticeConfig::full().threads;
+        let mut runnable = 0;
+        for engine in EngineKind::ALL {
+            for algo in AlgoKind::ALL {
+                for &t in &threads {
+                    let row = lookup(engine.label(), algo.label(), t);
+                    let runs = engine.skip_reason(algo, t).is_none();
+                    assert_eq!(
+                        row.is_some(),
+                        runs,
+                        "golden row for ({}, {}, {t}): {row:?}, runnable: {runs}",
                         engine.label(),
-                        program.label()
+                        algo.label()
                     );
+                    runnable += runs as usize;
                 }
             }
         }
+        assert_eq!(GOLDEN.len(), runnable);
     }
 }

@@ -10,26 +10,28 @@
 //!
 //! * [`oracle`] — closed-form one-step transition matrices for
 //!   DeepWalk (uniform and weighted) and node2vec (exact p/q biases
-//!   with exact connectivity), plus exact k-step occupancy by repeated
-//!   matrix application ([`matrix`]).
-//! * [`runner`] — sweeps {FlashMob auto/PS/DS, NUMA-P/R, out-of-core,
-//!   KnightKing, GraphVite} × {deepwalk, weighted, node2vec} ×
-//!   thread counts and chi-square-tests each cell's final occupancy
-//!   and last-hop transitions against the oracle, with fixed seeds and
-//!   a Bonferroni-corrected alpha (zero flake budget).
+//!   with exact connectivity), the walk programs' chains (PPR's
+//!   restarts, early exit's absorption, metapath's phases), plus exact
+//!   k-step occupancy by repeated matrix application ([`matrix`]).
+//! * [`runner`] — sweeps one lattice: {FlashMob auto/PS/DS, NUMA-P/R,
+//!   out-of-core, KnightKing, GraphVite} × {deepwalk, weighted,
+//!   node2vec, ppr, early-exit, metapath} × thread counts, and
+//!   chi-square-tests every cell an engine accepts against its walk's
+//!   oracle, with fixed seeds and a Bonferroni-corrected alpha (zero
+//!   flake budget).  Every walk the engine crate registers is a walk of
+//!   the lattice; `fmwalk conform` fails for one that is not.
+//! * [`program`] — the walk programs' own structural and chi-square
+//!   checks within that lattice (a restart or an early death is not a
+//!   last hop along an edge).
 //! * [`digest`] / [`golden`] — bit-exact FNV-1a digests of each cell's
-//!   path matrix, committed so that a refactor which silently perturbs
-//!   RNG stream assignment fails loudly even when the perturbed walk
-//!   is statistically indistinguishable.
-//! * [`program`] — the same discipline for user-programmable walks:
-//!   every `WalkProgram` registered in the engine crate (PPR,
-//!   early-exit, metapath) gets an analytic oracle ([`oracle`]),
-//!   lattice cells of its own, and committed golden digests; the
-//!   registry/oracle audit fails the build for any program without
-//!   them.
+//!   path matrix, committed in one table so that a refactor which
+//!   silently perturbs RNG stream assignment fails loudly even when the
+//!   perturbed walk is statistically indistinguishable.
+//! * [`crash`] — the same cells killed at every checkpoint and resumed,
+//!   against the same golden rows.
 //!
 //! Driven by `fmwalk conform` (quick tier in `ci.sh`, full lattice
-//! behind `--full`, program lattice behind `--programs`).
+//! behind `--full`).
 
 pub mod crash;
 pub mod digest;
@@ -40,18 +42,14 @@ pub mod program;
 pub mod runner;
 
 pub use crash::{run_crash_matrix, CrashCase, CrashReport};
-pub use digest::{digest_paths, PathDigest};
+pub use digest::digest_paths;
 pub use matrix::StochasticMatrix;
 pub use oracle::{
     init_distribution, EarlyExitOracle, EdgeIndex, FirstOrderOracle, MetapathOracle,
     Node2VecOracle, PprOracle,
 };
-pub use program::{
-    labeled_conformance_graph, oracle_backed, program_cell_digest, run_program_lattice,
-    ProgramCell, ProgramKind, ProgramLatticeConfig, ProgramOutcome, ProgramReport,
-    METAPATH_PATTERN, PPR_ALPHA, PROGRAM_ENGINES,
-};
 pub use runner::{
-    cell_digest, conformance_graph, run_lattice, weighted_conformance_graph, AlgoKind, Cell,
-    EngineKind, LatticeConfig, LatticeReport, Outcome,
+    cell_digest, conformance_graph, labeled_conformance_graph, oracle_backed, run_lattice,
+    weighted_conformance_graph, AlgoKind, Cell, EngineKind, LatticeConfig, LatticeReport,
+    Outcome, METAPATH_PATTERN, PPR_ALPHA,
 };

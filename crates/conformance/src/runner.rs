@@ -1,16 +1,19 @@
 //! The differential conformance runner.
 //!
-//! Sweeps the full engine/algorithm/thread lattice on one canonical
-//! small graph and checks every cell twice:
+//! Sweeps one lattice — engine × walk × threads — and checks every cell
+//! twice:
 //!
-//! 1. **Statistically**, against the exact oracle.  Two chi-square
-//!    tests per cell, both over quantities that are i.i.d. across
-//!    walkers (one sample per walker, so Pearson's test is valid,
-//!    unlike whole-path visit counts whose within-walker correlation
-//!    would wreck the statistic):
-//!    * final-step occupancy vs. the oracle's `k`-step distribution;
-//!    * the last hop `(position_{k-1}, position_k)` vs. the oracle's
-//!      exact last-hop edge distribution.
+//! 1. **Statistically**, against the walk's exact oracle.  Every
+//!    chi-square runs over a quantity that is i.i.d. across walkers (one
+//!    sample per walker, so Pearson's test is valid, unlike whole-path
+//!    visit counts whose within-walker correlation would wreck the
+//!    statistic):
+//!    * deepwalk, weighted and node2vec: final-step occupancy vs. the
+//!      oracle's `k`-step distribution, and the last hop
+//!      `(position_{k-1}, position_k)` vs. the oracle's exact last-hop
+//!      edge distribution;
+//!    * the walk programs (PPR, early exit, metapath): the tests and
+//!      structural checks of [`crate::program`].
 //!
 //!    Seeds are fixed, so every p-value is a deterministic number:
 //!    a cell either passes forever or fails forever — zero flake
@@ -18,10 +21,13 @@
 //!    global `ALPHA` is split evenly over every test the lattice runs.
 //! 2. **Bit-exactly**, against committed golden digests
 //!    ([`crate::golden`]): the FNV-1a digest of the full path matrix
-//!    (plus, for FlashMob cells, the per-partition RNG stream ids of
-//!    every iteration) must match the committed value, so a refactor
+//!    (plus, for direct FlashMob cells, the per-partition RNG stream ids
+//!    of every iteration) must match the committed value, so a refactor
 //!    that silently re-seeds or re-orders sampling fails loudly even
 //!    if the perturbed walk is still statistically fine.
+//!
+//! Cells are the full product.  A cell is skipped only where the engine
+//! itself refuses the walk ([`EngineKind::skip_reason`]).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,18 +38,26 @@ use fm_telemetry::{Stage, Telemetry, NO_PARTITION};
 use flashmob::{
     numa::{run_numa_paths, NumaMode},
     oocore::{run_ooc, DiskGraph},
-    FlashMob, PlanStrategy, PlannerParams, WalkAlgorithm, WalkConfig, WalkerInit,
+    FlashMob, MetapathPattern, PlanStrategy, PlannerParams, WalkAlgorithm, WalkConfig, WalkerInit,
 };
 use fm_baseline::{Baseline, BaselineConfig};
 
-use crate::digest::PathDigest;
+use crate::digest::digest_paths;
 use crate::golden;
-use crate::oracle::{init_distribution, EdgeIndex, FirstOrderOracle, Node2VecOracle};
+use crate::oracle::{
+    init_distribution, EarlyExitOracle, EdgeIndex, FirstOrderOracle, MetapathOracle,
+    Node2VecOracle, PprOracle,
+};
+use crate::program::{check_early_exit, check_metapath, check_ppr};
 
 /// node2vec return parameter used throughout the lattice.
 pub const NODE2VEC_P: f64 = 0.25;
 /// node2vec in-out parameter used throughout the lattice.
 pub const NODE2VEC_Q: f64 = 4.0;
+/// PPR restart probability used throughout the lattice.
+pub const PPR_ALPHA: f64 = 0.15;
+/// Metapath phase pattern used throughout the lattice.
+pub const METAPATH_PATTERN: [u8; 2] = [0, 1];
 /// The lattice seed.  Changing it invalidates every golden digest.
 pub const LATTICE_SEED: u64 = 20_210_423; // FlashMob's SOSP submission spring
 /// Walkers per cell: enough for tight chi-square power on the
@@ -78,6 +92,22 @@ pub fn weighted_conformance_graph() -> Csr {
         .collect();
     Csr::from_parts(g.offsets().to_vec(), g.targets().to_vec(), Some(weights))
         .expect("same topology stays valid")
+}
+
+/// The labeled twin of [`conformance_graph`]: same topology, with each
+/// adjacency slot labeled `slot % 2`.  The canonical graph's minimum
+/// out-degree is 2, so every vertex carries both labels and no lattice
+/// walker dies — death handling is exercised by the edge-case suite on
+/// purpose-built graphs instead.
+pub fn labeled_conformance_graph() -> Csr {
+    let g = conformance_graph();
+    let mut labels = Vec::with_capacity(g.edge_count());
+    for u in 0..g.vertex_count() {
+        let d = g.degree(u as VertexId);
+        labels.extend((0..d).map(|slot| (slot % 2) as u8));
+    }
+    g.with_edge_labels(labels)
+        .unwrap_or_else(|e| unreachable!("labels are parallel to the target array: {e}"))
 }
 
 /// Planner parameters scaled to the 96-vertex conformance graph.
@@ -138,21 +168,46 @@ impl EngineKind {
         }
     }
 
-    /// Why this engine cannot run a cell, if it cannot.
-    pub fn skip_reason(self, algo: AlgoKind, threads: usize) -> Option<&'static str> {
+    /// The plan policy of this engine's cells: the auto plan unless the
+    /// engine forces one.
+    fn strategy(self) -> PlanStrategy {
         match self {
-            EngineKind::OutOfCore if algo == AlgoKind::Weighted => {
-                Some("out-of-core walking does not support weighted graphs")
+            EngineKind::FlashMobPs => PlanStrategy::UniformPs,
+            EngineKind::FlashMobDs => PlanStrategy::UniformDs,
+            _ => PlanStrategy::DynamicProgramming,
+        }
+    }
+
+    /// Why this engine refuses a cell, if it does.  Each reason is the
+    /// engine's own: the baselines implement the paper's three
+    /// algorithms, and out of core walks DeepWalk, node2vec and PPR on
+    /// one thread.
+    pub fn skip_reason(self, algo: AlgoKind, threads: usize) -> Option<&'static str> {
+        let walk = algo.walk_algorithm();
+        match self {
+            EngineKind::KnightKing | EngineKind::GraphVite
+                if walk.is_stateful() || walk.uses_edge_labels() =>
+            {
+                Some("the walker-at-a-time baselines do not implement walk programs")
             }
-            EngineKind::OutOfCore if threads > 1 => {
-                Some("out-of-core walking is single-threaded")
+            EngineKind::OutOfCore
+                if !matches!(
+                    walk,
+                    WalkAlgorithm::DeepWalk
+                        | WalkAlgorithm::Node2Vec { .. }
+                        | WalkAlgorithm::Ppr { .. }
+                ) =>
+            {
+                Some("out-of-core walking supports DeepWalk, node2vec, and PPR only")
             }
+            EngineKind::OutOfCore if threads > 1 => Some("out-of-core walking is single-threaded"),
             _ => None,
         }
     }
 }
 
-/// Algorithm dimension of the lattice.
+/// Walk dimension of the lattice: the paper's three algorithms and the
+/// walk programs, one entry per `flashmob::program::REGISTRY` name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgoKind {
     /// First-order uniform.
@@ -161,18 +216,34 @@ pub enum AlgoKind {
     Weighted,
     /// Second-order node2vec with [`NODE2VEC_P`] / [`NODE2VEC_Q`].
     Node2Vec,
+    /// Personalized PageRank with restart probability [`PPR_ALPHA`].
+    Ppr,
+    /// Early-exit walk (die one iteration after returning home).
+    EarlyExit,
+    /// Metapath walk under [`METAPATH_PATTERN`] on the labeled twin.
+    Metapath,
 }
 
 impl AlgoKind {
-    /// All algorithms, in lattice order.
-    pub const ALL: [AlgoKind; 3] = [AlgoKind::DeepWalk, AlgoKind::Weighted, AlgoKind::Node2Vec];
+    /// All walks, in lattice order.
+    pub const ALL: [AlgoKind; 6] = [
+        AlgoKind::DeepWalk,
+        AlgoKind::Weighted,
+        AlgoKind::Node2Vec,
+        AlgoKind::Ppr,
+        AlgoKind::EarlyExit,
+        AlgoKind::Metapath,
+    ];
 
-    /// Display label (also the golden-table key).
+    /// Display label (also the golden-table key and the registry name).
     pub fn label(self) -> &'static str {
         match self {
             AlgoKind::DeepWalk => "deepwalk",
             AlgoKind::Weighted => "weighted",
             AlgoKind::Node2Vec => "node2vec",
+            AlgoKind::Ppr => "ppr",
+            AlgoKind::EarlyExit => "early-exit",
+            AlgoKind::Metapath => "metapath",
         }
     }
 
@@ -185,8 +256,41 @@ impl AlgoKind {
                 p: NODE2VEC_P,
                 q: NODE2VEC_Q,
             },
+            AlgoKind::Ppr => WalkAlgorithm::Ppr { alpha: PPR_ALPHA },
+            AlgoKind::EarlyExit => WalkAlgorithm::EarlyExit,
+            AlgoKind::Metapath => WalkAlgorithm::Metapath {
+                pattern: MetapathPattern::new(&METAPATH_PATTERN)
+                    .unwrap_or_else(|| unreachable!("the canonical pattern is valid")),
+            },
         }
     }
+
+    /// The graph this walk's cells run on — the one seam where a walk
+    /// picks its input: the weighted twin for `weighted`, the labeled
+    /// twin for `metapath`, the canonical graph otherwise.
+    pub fn graph(self) -> Csr {
+        match self {
+            AlgoKind::Weighted => weighted_conformance_graph(),
+            AlgoKind::Metapath => labeled_conformance_graph(),
+            _ => conformance_graph(),
+        }
+    }
+
+    /// Chi-square tests one cell of this walk runs (its share of the
+    /// Bonferroni split).
+    pub(crate) fn stat_tests(self) -> usize {
+        match self {
+            AlgoKind::EarlyExit | AlgoKind::Metapath => 1,
+            _ => 2,
+        }
+    }
+}
+
+/// Whether `name` (a `flashmob::program::REGISTRY` spelling) is a
+/// lattice walk, with an exact oracle and cells of its own — the audit
+/// `fmwalk conform` runs before the lattice.
+pub fn oracle_backed(name: &str) -> bool {
+    AlgoKind::ALL.iter().any(|a| a.label() == name)
 }
 
 /// Which slice of the lattice to run.
@@ -202,7 +306,7 @@ pub struct LatticeConfig {
 }
 
 impl LatticeConfig {
-    /// The CI tier: every engine and algorithm at {1, 8} threads.
+    /// The CI tier: every engine and walk at {1, 8} threads.
     pub fn quick() -> Self {
         Self {
             threads: vec![1, 8],
@@ -211,9 +315,9 @@ impl LatticeConfig {
         }
     }
 
-    /// The pre-release tier: every engine and algorithm at
-    /// {1, 2, 3, 8} threads (non-power-of-two counts catch remainder
-    /// bugs in the walker-range splitter).
+    /// The pre-release tier: every engine and walk at {1, 2, 3, 8}
+    /// threads (non-power-of-two counts catch remainder bugs in the
+    /// walker-range splitter).
     pub fn full() -> Self {
         Self {
             threads: vec![1, 2, 3, 8],
@@ -226,19 +330,17 @@ impl LatticeConfig {
 /// Outcome of one lattice cell.
 #[derive(Debug, Clone)]
 pub enum Outcome {
-    /// Both chi-square tests passed and the digest matched (or no
-    /// golden entry exists for this cell).
+    /// Every chi-square and structural check passed and the digest
+    /// matched (or no golden entry exists for this cell).
     Pass {
-        /// p-value of the final-step occupancy test.
-        occupancy_p: f64,
-        /// p-value of the last-hop transition test.
-        transition_p: f64,
+        /// p-values of the cell's chi-square tests, in check order.
+        p_values: Vec<f64>,
         /// Path digest of the cell.
         digest: u64,
         /// Whether a golden entry was found and verified.
         golden_checked: bool,
     },
-    /// The cell is not runnable on this engine.
+    /// The engine refuses this cell.
     Skipped {
         /// Why.
         reason: &'static str,
@@ -255,7 +357,7 @@ pub enum Outcome {
 pub struct Cell {
     /// Engine dimension.
     pub engine: EngineKind,
-    /// Algorithm dimension.
+    /// Walk dimension.
     pub algo: AlgoKind,
     /// Thread count.
     pub threads: usize,
@@ -309,16 +411,33 @@ impl LatticeReport {
 }
 
 /// Raw result of executing one cell.
-struct CellData {
+pub(crate) struct CellData {
     /// Recorded paths, one per walker, original vertex IDs.
-    paths: Vec<Vec<VertexId>>,
-    /// Extra values folded into the digest (FlashMob cells fold the
-    /// per-partition RNG stream ids of every iteration).
-    extra: Vec<u64>,
+    pub(crate) paths: Vec<Vec<VertexId>>,
+    /// The per-partition RNG stream ids of every iteration (direct
+    /// FlashMob cells; empty for the other engines), folded into the
+    /// digest after the paths.
+    stream_ids: Vec<u64>,
     /// See [`Cell::stream_hints`].
     stream_hints: u64,
     /// See [`Cell::reserved_draws`].
     reserved_draws: u64,
+}
+
+impl CellData {
+    fn from_paths(paths: Vec<Vec<VertexId>>) -> Self {
+        Self {
+            paths,
+            stream_ids: Vec::new(),
+            stream_hints: 0,
+            reserved_draws: 0,
+        }
+    }
+
+    /// The cell's golden-table digest.
+    pub(crate) fn digest(&self) -> u64 {
+        digest_paths(&self.paths, &self.stream_ids)
+    }
 }
 
 /// Unique temp path for out-of-core cells (tests in one process run
@@ -333,7 +452,10 @@ pub(crate) fn ooc_temp_path() -> PathBuf {
     ))
 }
 
-pub(crate) fn flashmob_config(
+/// The engine configuration of one FlashMob, NUMA or out-of-core cell
+/// (the crash matrix runs the same).
+pub(crate) fn cell_config(
+    engine: EngineKind,
     algo: AlgoKind,
     threads: usize,
     ring_depth: Option<usize>,
@@ -345,7 +467,8 @@ pub(crate) fn flashmob_config(
         .init(WalkerInit::UniformEdge)
         .record_paths(true)
         .threads(threads)
-        .planner(conformance_planner());
+        .planner(conformance_planner())
+        .strategy(engine.strategy());
     config.algorithm = algo.walk_algorithm();
     match ring_depth {
         Some(depth) => config.ring_depth(depth),
@@ -353,7 +476,14 @@ pub(crate) fn flashmob_config(
     }
 }
 
-fn run_cell_data(
+/// The stream ids every iteration of `fm` draws from, in order.
+pub(crate) fn stream_ids(fm: &FlashMob) -> Vec<u64> {
+    (0..LATTICE_STEPS)
+        .flat_map(|iter| fm.partition_stream_ids(iter))
+        .collect()
+}
+
+pub(crate) fn run_cell_data(
     graph: &Csr,
     engine: EngineKind,
     algo: AlgoKind,
@@ -361,23 +491,15 @@ fn run_cell_data(
     ring_depth: Option<usize>,
 ) -> Result<CellData, String> {
     let err = |e: flashmob::WalkError| e.to_string();
+    let config = cell_config(engine, algo, threads, ring_depth);
     match engine {
         EngineKind::FlashMobAuto | EngineKind::FlashMobPs | EngineKind::FlashMobDs => {
-            let strategy = match engine {
-                EngineKind::FlashMobAuto => PlanStrategy::DynamicProgramming,
-                EngineKind::FlashMobPs => PlanStrategy::UniformPs,
-                _ => PlanStrategy::UniformDs,
-            };
-            let config = flashmob_config(algo, threads, ring_depth).strategy(strategy);
             let fm = FlashMob::new(graph, config).map_err(err)?;
-            let mut extra = Vec::new();
-            for iter in 0..LATTICE_STEPS {
-                extra.extend(fm.partition_stream_ids(iter));
-            }
+            let stream_ids = stream_ids(&fm);
             let (output, stats) = fm.run_with_stats().map_err(err)?;
             Ok(CellData {
                 paths: output.paths(),
-                extra,
+                stream_ids,
                 stream_hints: stats.prefetch_totals().1,
                 reserved_draws: stats.pre_sample_totals().1,
             })
@@ -388,34 +510,19 @@ fn run_cell_data(
             } else {
                 NumaMode::Replicated
             };
-            let base = flashmob_config(algo, threads, ring_depth);
-            let outputs = run_numa_paths(graph, base, mode, LATTICE_SOCKETS).map_err(err)?;
-            let mut paths = Vec::with_capacity(LATTICE_WALKERS);
-            for o in &outputs {
-                paths.extend(o.paths());
-            }
-            Ok(CellData {
-                paths,
-                extra: Vec::new(),
-                stream_hints: 0,
-                reserved_draws: 0,
-            })
+            let outputs = run_numa_paths(graph, config, mode, LATTICE_SOCKETS).map_err(err)?;
+            Ok(CellData::from_paths(
+                outputs.iter().flat_map(|o| o.paths()).collect(),
+            ))
         }
         EngineKind::OutOfCore => {
-            let config = flashmob_config(algo, threads, ring_depth);
             let path = ooc_temp_path();
             let disk = DiskGraph::create(graph, &path).map_err(|e| e.to_string())?;
             // A tight budget forces multiple blocks, so pair scheduling,
             // parking and (in the crash matrix) the BBLK frame all run.
             let result = run_ooc(&disk, &config, OOC_BUDGET);
             std::fs::remove_file(&path).ok();
-            let (output, _) = result.map_err(err)?;
-            Ok(CellData {
-                paths: output.paths(),
-                extra: Vec::new(),
-                stream_hints: 0,
-                reserved_draws: 0,
-            })
+            Ok(CellData::from_paths(result.map_err(err)?.0.paths()))
         }
         EngineKind::KnightKing | EngineKind::GraphVite => {
             let base = if engine == EngineKind::KnightKing {
@@ -424,7 +531,7 @@ fn run_cell_data(
                 BaselineConfig::graphvite_deepwalk()
             };
             let config = base
-                .algorithm(algo.walk_algorithm())
+                .algorithm(config.algorithm)
                 .walkers(LATTICE_WALKERS)
                 .steps(LATTICE_STEPS)
                 .seed(LATTICE_SEED)
@@ -432,64 +539,147 @@ fn run_cell_data(
                 .record_paths(true)
                 .threads(threads);
             let engine = Baseline::new(graph, config).map_err(err)?;
-            let output = engine.run().map_err(err)?;
-            Ok(CellData {
-                paths: output.paths(),
-                extra: Vec::new(),
-                stream_hints: 0,
-                reserved_draws: 0,
-            })
+            Ok(CellData::from_paths(engine.run().map_err(err)?.paths()))
         }
     }
 }
 
-/// Exact oracle distributions for one algorithm on its lattice graph:
-/// `(occupancy at k, last-hop edge distribution at k, edge bins)`.
-type OracleDistributions = (Vec<f64>, Vec<f64>, EdgeIndex);
+/// One Pearson test of per-vertex (or per-edge) walker counts against
+/// the oracle's probabilities; the p-value when it fits at `alpha`.
+pub(crate) fn chi_square(
+    what: &str,
+    observed: &[u64],
+    expected: &[f64],
+    alpha: f64,
+) -> Result<f64, String> {
+    let counts: Vec<f64> = expected
+        .iter()
+        .map(|p| p * LATTICE_WALKERS as f64)
+        .collect();
+    let r = chi_square_test(observed, &counts);
+    if r.fits(alpha) {
+        Ok(r.p_value)
+    } else {
+        Err(format!(
+            "{what} chi-square rejected: p = {:.3e} < alpha = {alpha:.3e}",
+            r.p_value
+        ))
+    }
+}
 
-fn oracle_distributions(graph: &Csr, algo: AlgoKind) -> OracleDistributions {
-    let pi0 = init_distribution(graph, &WalkerInit::UniformEdge, LATTICE_WALKERS);
-    match algo {
-        AlgoKind::DeepWalk | AlgoKind::Weighted => {
-            let oracle = if algo == AlgoKind::Weighted {
-                FirstOrderOracle::weighted(graph)
-            } else {
-                FirstOrderOracle::deepwalk(graph)
-            };
-            (
-                oracle.occupancy(&pi0, LATTICE_STEPS),
-                oracle.edge_distribution(&pi0, LATTICE_STEPS),
-                oracle.edge_index().clone(),
-            )
+/// A walk's exact expectations on its lattice graph.  They depend on
+/// neither the engine nor the thread count, so every cell of the walk
+/// shares them.
+pub(crate) enum Oracle {
+    /// deepwalk, weighted and node2vec: occupancy at step `k` and the
+    /// last-hop distribution over `edges`.
+    Chain {
+        occupancy: Vec<f64>,
+        last_hop: Vec<f64>,
+        edges: EdgeIndex,
+    },
+    /// PPR: occupancy at steps `k` and `k - 1`.
+    Ppr {
+        oracle: PprOracle,
+        at_k: Vec<f64>,
+        at_km1: Vec<f64>,
+    },
+    /// Early exit: the final path vertex's distribution.
+    EarlyExit { edges: EdgeIndex, finals: Vec<f64> },
+    /// Metapath: the final path vertex's distribution.
+    Metapath {
+        oracle: MetapathOracle,
+        finals: Vec<f64>,
+    },
+}
+
+impl Oracle {
+    /// The oracle of `algo` on `graph` (its [`AlgoKind::graph`]).
+    pub(crate) fn new(algo: AlgoKind, graph: &Csr) -> Self {
+        let pi0 = init_distribution(graph, &WalkerInit::UniformEdge, LATTICE_WALKERS);
+        let k = LATTICE_STEPS;
+        match algo {
+            AlgoKind::DeepWalk | AlgoKind::Weighted => {
+                let oracle = if algo == AlgoKind::Weighted {
+                    FirstOrderOracle::weighted(graph)
+                } else {
+                    FirstOrderOracle::deepwalk(graph)
+                };
+                Oracle::Chain {
+                    occupancy: oracle.occupancy(&pi0, k),
+                    last_hop: oracle.edge_distribution(&pi0, k),
+                    edges: oracle.edge_index().clone(),
+                }
+            }
+            AlgoKind::Node2Vec => {
+                let oracle = Node2VecOracle::new(graph, NODE2VEC_P, NODE2VEC_Q);
+                Oracle::Chain {
+                    occupancy: oracle.occupancy(&pi0, k),
+                    last_hop: oracle.state_distribution(&pi0, k),
+                    edges: oracle.edge_index().clone(),
+                }
+            }
+            AlgoKind::Ppr => {
+                let oracle = PprOracle::new(graph, PPR_ALPHA);
+                Oracle::Ppr {
+                    at_k: oracle.occupancy(&pi0, k),
+                    at_km1: oracle.occupancy(&pi0, k - 1),
+                    oracle,
+                }
+            }
+            AlgoKind::EarlyExit => Oracle::EarlyExit {
+                edges: EdgeIndex::new(graph),
+                finals: EarlyExitOracle::new(graph).final_distribution(&pi0, k),
+            },
+            AlgoKind::Metapath => {
+                let oracle = MetapathOracle::new(graph, &METAPATH_PATTERN);
+                Oracle::Metapath {
+                    finals: oracle.final_distribution(&pi0, k),
+                    oracle,
+                }
+            }
         }
-        AlgoKind::Node2Vec => {
-            let oracle = Node2VecOracle::new(graph, NODE2VEC_P, NODE2VEC_Q);
-            (
-                oracle.occupancy(&pi0, LATTICE_STEPS),
-                oracle.state_distribution(&pi0, LATTICE_STEPS),
-                oracle.edge_index().clone(),
-            )
+    }
+
+    /// The structural and chi-square checks of one cell's paths: the
+    /// p-value of every test, in check order.
+    pub(crate) fn check(&self, paths: &[Vec<VertexId>], alpha: f64) -> Result<Vec<f64>, String> {
+        if paths.len() != LATTICE_WALKERS {
+            return Err(format!(
+                "expected {LATTICE_WALKERS} paths, got {}",
+                paths.len()
+            ));
+        }
+        match self {
+            Oracle::Chain {
+                occupancy,
+                last_hop,
+                edges,
+            } => check_chain(paths, occupancy, last_hop, edges, alpha),
+            Oracle::Ppr {
+                oracle,
+                at_k,
+                at_km1,
+            } => check_ppr(paths, oracle, at_k, at_km1, alpha),
+            Oracle::EarlyExit { edges, finals } => check_early_exit(paths, edges, finals, alpha),
+            Oracle::Metapath { oracle, finals } => check_metapath(paths, oracle, finals, alpha),
         }
     }
 }
 
-fn check_cell(
-    data: &CellData,
+/// Full-length paths whose last hop is an edge; final-step occupancy
+/// and last-hop chi-squares.
+fn check_chain(
+    paths: &[Vec<VertexId>],
     occupancy_expected: &[f64],
-    edge_expected: &[f64],
+    last_hop_expected: &[f64],
     edges: &EdgeIndex,
     alpha: f64,
-) -> Result<(f64, f64, u64), String> {
-    if data.paths.len() != LATTICE_WALKERS {
-        return Err(format!(
-            "expected {LATTICE_WALKERS} paths, got {}",
-            data.paths.len()
-        ));
-    }
+) -> Result<Vec<f64>, String> {
     let n = occupancy_expected.len();
     let mut occupancy = vec![0u64; n];
     let mut transitions = vec![0u64; edges.len()];
-    for path in &data.paths {
+    for path in paths {
         if path.len() != LATTICE_STEPS + 1 {
             return Err(format!(
                 "path length {} != steps + 1 = {}",
@@ -508,39 +698,10 @@ fn check_cell(
             None => return Err(format!("walker hopped along non-edge {u} -> {v}")),
         }
     }
-
-    let occ_counts: Vec<f64> = occupancy_expected
-        .iter()
-        .map(|p| p * LATTICE_WALKERS as f64)
-        .collect();
-    let occ = chi_square_test(&occupancy, &occ_counts);
-    if !occ.fits(alpha) {
-        return Err(format!(
-            "occupancy chi-square rejected: p = {:.3e} < alpha = {:.3e}",
-            occ.p_value, alpha
-        ));
-    }
-    let edge_counts: Vec<f64> = edge_expected
-        .iter()
-        .map(|p| p * LATTICE_WALKERS as f64)
-        .collect();
-    let tr = chi_square_test(&transitions, &edge_counts);
-    if !tr.fits(alpha) {
-        return Err(format!(
-            "transition chi-square rejected: p = {:.3e} < alpha = {:.3e}",
-            tr.p_value, alpha
-        ));
-    }
-
-    let mut digest = PathDigest::new();
-    digest.fold_u64(data.paths.len() as u64);
-    for p in &data.paths {
-        digest.fold_path(p);
-    }
-    for &x in &data.extra {
-        digest.fold_u64(x);
-    }
-    Ok((occ.p_value, tr.p_value, digest.finish()))
+    Ok(vec![
+        chi_square("occupancy", &occupancy, occupancy_expected, alpha)?,
+        chi_square("transition", &transitions, last_hop_expected, alpha)?,
+    ])
 }
 
 /// Runs the configured lattice slice and reports every cell.
@@ -554,50 +715,33 @@ pub fn run_lattice(config: &LatticeConfig) -> LatticeReport {
 /// sink can report lattice progress.  Cell execution itself is
 /// untouched — digests stay bit-identical to untraced sweeps.
 pub fn run_lattice_traced(config: &LatticeConfig, tel: &mut Telemetry) -> LatticeReport {
-    let unweighted = conformance_graph();
-    let weighted = weighted_conformance_graph();
-
-    // Count runnable cells first so the Bonferroni split is known
-    // before any test executes (two chi-square tests per cell).
-    let mut runnable = 0usize;
+    // The Bonferroni split over every chi-square the runnable cells
+    // run, known before any test executes.
+    let mut tests = 0usize;
     for engine in EngineKind::ALL {
         for algo in AlgoKind::ALL {
             for &threads in &config.threads {
                 if engine.skip_reason(algo, threads).is_none() {
-                    runnable += 1;
+                    tests += algo.stat_tests();
                 }
             }
         }
     }
-    let per_test_alpha = ALPHA / (2.0 * runnable.max(1) as f64);
+    let per_test_alpha = ALPHA / tests.max(1) as f64;
 
-    // Oracle distributions depend only on the algorithm, not the
-    // engine or thread count — compute each once.
-    let oracles: Vec<(AlgoKind, OracleDistributions)> = AlgoKind::ALL
+    let walks: Vec<(Csr, Oracle)> = AlgoKind::ALL
         .iter()
         .map(|&algo| {
-            let graph = if algo == AlgoKind::Weighted {
-                &weighted
-            } else {
-                &unweighted
-            };
-            (algo, oracle_distributions(graph, algo))
+            let graph = algo.graph();
+            let oracle = Oracle::new(algo, &graph);
+            (graph, oracle)
         })
         .collect();
 
     let total_cells = EngineKind::ALL.len() * AlgoKind::ALL.len() * config.threads.len();
-    let mut cells = Vec::new();
+    let mut cells = Vec::with_capacity(total_cells);
     for engine in EngineKind::ALL {
-        for algo in AlgoKind::ALL {
-            let graph = if algo == AlgoKind::Weighted {
-                &weighted
-            } else {
-                &unweighted
-            };
-            let (_, (occ, edge, edges)) = oracles
-                .iter()
-                .find(|(a, _)| *a == algo)
-                .expect("oracle precomputed for every algorithm");
+        for (algo, (graph, oracle)) in AlgoKind::ALL.into_iter().zip(&walks) {
             for &threads in &config.threads {
                 let cell_index = cells.len();
                 let (mut stream_hints, mut reserved_draws) = (0, 0);
@@ -605,14 +749,14 @@ pub fn run_lattice_traced(config: &LatticeConfig, tel: &mut Telemetry) -> Lattic
                     Outcome::Skipped { reason }
                 } else {
                     let span_start = tel.is_on().then(|| tel.now_ns());
-                    let data = run_cell_data(graph, engine, algo, threads, config.ring_depth);
-                    if let Ok(d) = &data {
-                        (stream_hints, reserved_draws) = (d.stream_hints, d.reserved_draws);
-                    }
-                    let outcome = match data
-                        .and_then(|data| check_cell(&data, occ, edge, edges, per_test_alpha))
-                    {
-                        Ok((occupancy_p, transition_p, digest)) => {
+                    let checked = run_cell_data(graph, engine, algo, threads, config.ring_depth)
+                        .and_then(|data| {
+                            (stream_hints, reserved_draws) =
+                                (data.stream_hints, data.reserved_draws);
+                            Ok((oracle.check(&data.paths, per_test_alpha)?, data.digest()))
+                        });
+                    let outcome = match checked {
+                        Ok((p_values, digest)) => {
                             let expected = golden::lookup(engine.label(), algo.label(), threads);
                             match expected {
                                 Some(want) if config.check_golden && want != digest => {
@@ -625,8 +769,7 @@ pub fn run_lattice_traced(config: &LatticeConfig, tel: &mut Telemetry) -> Lattic
                                     }
                                 }
                                 _ => Outcome::Pass {
-                                    occupancy_p,
-                                    transition_p,
+                                    p_values,
                                     digest,
                                     golden_checked: config.check_golden && expected.is_some(),
                                 },
@@ -663,23 +806,8 @@ pub fn cell_digest(engine: EngineKind, algo: AlgoKind, threads: usize) -> Option
     if engine.skip_reason(algo, threads).is_some() {
         return None;
     }
-    let unweighted = conformance_graph();
-    let weighted = weighted_conformance_graph();
-    let graph = if algo == AlgoKind::Weighted {
-        &weighted
-    } else {
-        &unweighted
-    };
-    let data = run_cell_data(graph, engine, algo, threads, None).ok()?;
-    let mut d = PathDigest::new();
-    d.fold_u64(data.paths.len() as u64);
-    for p in &data.paths {
-        d.fold_path(p);
-    }
-    for &x in &data.extra {
-        d.fold_u64(x);
-    }
-    Some(d.finish())
+    let data = run_cell_data(&algo.graph(), engine, algo, threads, None).ok()?;
+    Some(data.digest())
 }
 
 #[cfg(test)]
@@ -699,17 +827,29 @@ mod tests {
 
     #[test]
     fn skip_matrix_matches_support() {
-        assert!(EngineKind::OutOfCore
-            .skip_reason(AlgoKind::Weighted, 1)
-            .is_some());
+        // Every cell the lattice skips at one thread, the engine itself
+        // refuses; the thread skip is the only other reason.
+        for engine in EngineKind::ALL {
+            for algo in AlgoKind::ALL {
+                if let Some(reason) = engine.skip_reason(algo, 1) {
+                    let run = run_cell_data(&algo.graph(), engine, algo, 1, None);
+                    assert!(
+                        run.is_err(),
+                        "{} ran {} although the lattice skips it: {reason}",
+                        engine.label(),
+                        algo.label()
+                    );
+                }
+            }
+        }
         assert!(EngineKind::OutOfCore
             .skip_reason(AlgoKind::DeepWalk, 8)
             .is_some());
-        assert!(EngineKind::OutOfCore
-            .skip_reason(AlgoKind::DeepWalk, 1)
-            .is_none());
-        assert!(EngineKind::OutOfCore
-            .skip_reason(AlgoKind::Node2Vec, 1)
+        for algo in [AlgoKind::DeepWalk, AlgoKind::Node2Vec, AlgoKind::Ppr] {
+            assert!(EngineKind::OutOfCore.skip_reason(algo, 1).is_none());
+        }
+        assert!(EngineKind::NumaR
+            .skip_reason(AlgoKind::Metapath, 8)
             .is_none());
         assert!(EngineKind::FlashMobAuto
             .skip_reason(AlgoKind::Node2Vec, 8)
@@ -719,9 +859,9 @@ mod tests {
     #[test]
     fn single_cell_passes_against_oracle() {
         // One representative cell end to end (the full quick lattice
-        // runs in the integration suite and in CI via `conform`).
+        // runs in the traced test below and in CI via `conform`).
         let graph = conformance_graph();
-        let (occ, edge, edges) = oracle_distributions(&graph, AlgoKind::DeepWalk);
+        let oracle = Oracle::new(AlgoKind::DeepWalk, &graph);
         let cell = |ring_depth| {
             run_cell_data(
                 &graph,
@@ -733,26 +873,45 @@ mod tests {
             .expect("cell runs")
         };
         let data = cell(None);
-        let (p_occ, p_tr, digest) =
-            check_cell(&data, &occ, &edge, &edges, 1e-6).expect("cell conforms");
-        assert!(p_occ > 1e-6 && p_tr > 1e-6);
-        assert_ne!(digest, 0);
+        let ps = oracle.check(&data.paths, 1e-6).expect("cell conforms");
+        assert_eq!(ps.len(), AlgoKind::DeepWalk.stat_tests());
+        assert!(ps.iter().all(|&p| p > 1e-6));
+        assert_ne!(data.digest(), 0);
         // A forced ring depth reaches the cell's config and moves nothing.
-        let forced = |ring_depth| flashmob_config(AlgoKind::DeepWalk, 1, ring_depth).ring_depth;
+        let forced = |ring_depth| {
+            cell_config(EngineKind::FlashMobAuto, AlgoKind::DeepWalk, 1, ring_depth).ring_depth
+        };
         assert_eq!((forced(None), forced(Some(16))), (None, Some(16)));
         assert_eq!(cell(Some(16)).paths, data.paths);
     }
 
     #[test]
     fn traced_lattice_records_one_cell_span_per_executed_cell() {
-        let config = LatticeConfig {
-            threads: vec![1],
-            check_golden: false,
-            ring_depth: None,
-        };
+        // The quick tier with its committed digests checked: a digest
+        // that moves at any thread count fails here, not only in CI.
         let mut tel = Telemetry::new();
-        let report = run_lattice_traced(&config, &mut tel);
-        assert!(report.failures().is_empty(), "lattice must pass");
+        let report = run_lattice_traced(&LatticeConfig::quick(), &mut tel);
+        let failures: Vec<String> = report
+            .failures()
+            .iter()
+            .map(|c| {
+                let (e, a) = (c.engine.label(), c.algo.label());
+                format!("{e} {a} t={}: {:?}", c.threads, c.outcome)
+            })
+            .collect();
+        assert!(
+            failures.is_empty(),
+            "lattice must pass:\n{}",
+            failures.join("\n")
+        );
+        assert_eq!(report.tally(), (75, 21, 0));
+        assert!(report.cells.iter().all(|c| !matches!(
+            c.outcome,
+            Outcome::Pass {
+                golden_checked: false,
+                ..
+            }
+        )));
         let (passed, skipped, _) = report.tally();
         let cell_spans: Vec<u32> = tel
             .events()
