@@ -42,8 +42,10 @@
 #      and the conformance quick lattice under --features
 #      audit-disjoint; an env-gated nightly Miri pass (AUDIT_MIRI=1)
 #      covers the recover codecs, fm-rng and oocore's byte view
-#  10. hw-counter degradation tier: `walk --hw-counters` and
-#      `cachecheck --quick` exit 0 with or without PMU access
+#  10. fault tier: `walk --stats --metrics` on the synth graph prints a
+#      per-stage fault line and puts `minor_faults` on the `run` and
+#      `stage` records; the retired `walk --hw-counters` and
+#      `fmwalk cachecheck` exit 64 (unknown)
 #  11. reproducer tier: each of the 14 paper-figure bins of `fm-bench`
 #      at its default scale exits 0 and prints its table (about 20 s);
 #      nothing reads their numbers; run from `crates/bench`, a bin
@@ -365,13 +367,28 @@ else
     echo "audit: Miri tier skipped (set AUDIT_MIRI=1 on a nightly with miri)"
 fi
 
-tier "hw-counter degradation tier"
-# Both commands must exit 0 with or without PMU access; --hw-counters
-# merely adds a stderr notice when degraded, and cachecheck labels its
-# report SIMULATION-ONLY.
+tier "fault tier"
+# Telemetry reads the process's page faults from /proc at each stage
+# boundary: --stats prints them per stage and --metrics carries them on
+# the run and stage records.  The PMU path they replaced is gone, with
+# no alias.
 cargo run --release -q -p fm-cli -- walk "$TELEMETRY_TMP/g.bin" \
-    --steps 8 --walkers 1024 --hw-counters >/dev/null
-cargo run --release -q -p fm-cli -- cachecheck --quick >/dev/null
+    --steps 8 --walkers 1024 --stats --metrics "$TELEMETRY_TMP/m.jsonl" \
+    > "$TELEMETRY_TMP/faults.txt"
+grep -Eq '^  sample +faults [0-9]+ minor, [0-9]+ major; rss max [1-9][0-9]* KiB$' \
+    "$TELEMETRY_TMP/faults.txt" || {
+    echo "fault tier: --stats printed no sample-stage fault line" >&2; exit 1; }
+for kind in run stage; do
+    grep -q "\"kind\": \"$kind\".*\"minor_faults\": [0-9]" "$TELEMETRY_TMP/m.jsonl" || {
+        echo "fault tier: no $kind record carries minor_faults" >&2; exit 1; }
+done
+for retired in "walk $TELEMETRY_TMP/g.bin --hw-counters" "cachecheck --quick"; do
+    code=0
+    # shellcheck disable=SC2086  # word-split the command on purpose
+    cargo run --release -q -p fm-cli -- $retired >/dev/null 2>&1 || code=$?
+    [[ $code -eq 64 ]] || {
+        echo "fault tier: \`fmwalk $retired\` exited $code, not 64" >&2; exit 1; }
+done
 
 tier "reproducer tier (the 14 paper-figure bins)"
 # Each `fm-bench` bin regenerates one table or figure of the paper at

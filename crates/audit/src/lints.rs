@@ -33,12 +33,6 @@
 //!   there each site needs a `SAFETY:` comment; everything else must
 //!   call its `prefetch_read` wrapper (the sample ring re-exports it)
 //!   so hint behavior stays auditable in one place.
-//! * `perf-syscall` — raw perf access (`syscall(`, `perf_event_open`,
-//!   `PERF_EVENT_IOC` requests) is confined to the perfmon syscall shim
-//!   (`perfmon/src/syscall.rs`), and even there each site needs a
-//!   `SAFETY:` comment; everything else must go through fm-perfmon's
-//!   typed `CounterGroup` so the hand-declared kernel ABI stays
-//!   auditable in one file.
 //!
 //! Lint checks other than `unsafe-needs-safety` skip test code: files
 //! under `tests/`, `benches/`, `examples/`, and in-file
@@ -56,7 +50,6 @@ pub enum Lint {
     UnwrapRatchet,
     StaleAllow,
     PrefetchIntrinsic,
-    PerfSyscall,
     /// Flow-aware (`--graph`): wall-clock / entropy / env-var /
     /// hash-iteration-order sources must not reach the deterministic
     /// crates, transitively.
@@ -73,7 +66,7 @@ pub enum Lint {
 }
 
 impl Lint {
-    pub const ALL: [Lint; 12] = [
+    pub const ALL: [Lint; 11] = [
         Lint::UnsafeNeedsSafety,
         Lint::ThreadDiscipline,
         Lint::RawFileIo,
@@ -81,7 +74,6 @@ impl Lint {
         Lint::UnwrapRatchet,
         Lint::StaleAllow,
         Lint::PrefetchIntrinsic,
-        Lint::PerfSyscall,
         Lint::DeterminismTaint,
         Lint::PanicReachability,
         Lint::RngPurity,
@@ -97,7 +89,6 @@ impl Lint {
             Lint::UnwrapRatchet => "unwrap-ratchet",
             Lint::StaleAllow => "stale-allow",
             Lint::PrefetchIntrinsic => "prefetch-intrinsic",
-            Lint::PerfSyscall => "perf-syscall",
             Lint::DeterminismTaint => "determinism-taint",
             Lint::PanicReachability => "panic-reachability",
             Lint::RngPurity => "rng-purity",
@@ -169,16 +160,12 @@ const CAST_FREE_FILES: [&str; 2] = ["crates/recover/src/wire.rs", "crates/recove
 /// The only file allowed to touch architectural prefetch intrinsics.
 const PREFETCH_HOME: &str = "crates/graph/src/prefetch.rs";
 
-/// The only file allowed to issue raw syscalls (the perf_event shim).
-const PERF_SYSCALL_HOME: &str = "crates/perfmon/src/syscall.rs";
-
 const THREAD_TOKENS: [&str; 3] = ["thread::spawn", "thread::scope", "thread::Builder"];
 const FILE_TOKENS: [&str; 3] = ["File::open", "File::create", "OpenOptions"];
 const NARROWING_TOKENS: [&str; 8] = [
     "as u8", "as u16", "as u32", "as usize", "as i8", "as i16", "as i32", "as isize",
 ];
 const PREFETCH_TOKENS: [&str; 3] = ["core::arch", "std::arch", "_mm_prefetch"];
-const PERF_SYSCALL_TOKENS: [&str; 3] = ["syscall(", "perf_event_open", "PERF_EVENT_IOC"];
 
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 const SAFETY_WINDOW: usize = 4;
@@ -414,35 +401,6 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
             break; // one finding per line is enough
         }
 
-        for tok in PERF_SYSCALL_TOKENS {
-            if !code.contains(tok) {
-                continue;
-            }
-            if path != PERF_SYSCALL_HOME {
-                scan.findings.push(Finding::new(
-                    Lint::PerfSyscall,
-                    path,
-                    lineno,
-                    format!(
-                        "`{tok}` outside the perfmon syscall shim; raw perf \
-                         access must go through fm-perfmon::CounterGroup so \
-                         the hand-declared kernel ABI stays in one file"
-                    ),
-                ));
-            } else if !safety_comment_near(&lines, i) {
-                scan.findings.push(Finding::new(
-                    Lint::PerfSyscall,
-                    path,
-                    lineno,
-                    format!(
-                        "`{tok}` in the syscall shim without a `SAFETY:` \
-                         comment; document the kernel contract of the call"
-                    ),
-                ));
-            }
-            break; // one finding per line is enough
-        }
-
         if cast_free {
             for tok in NARROWING_TOKENS {
                 if has_token(code, tok) {
@@ -512,20 +470,6 @@ mod tests {
         // Widening casts are fine even in the codec files.
         let widen = "fn f(x: u8) -> u64 { x as u64 }\n";
         assert!(lints_of("crates/recover/src/crc.rs", widen).is_empty());
-    }
-
-    #[test]
-    fn perf_syscall_confined_to_shim() {
-        let rogue = "extern \"C\" {\n    fn syscall(num: i64, ...) -> i64;\n}\n";
-        assert_eq!(
-            lints_of("crates/x/src/a.rs", rogue),
-            vec![Lint::PerfSyscall]
-        );
-        // In the shim, a site with a SAFETY comment passes...
-        let home = "// SAFETY: signatures match the libc prototypes.\nextern \"C\" {\n    fn syscall(num: i64, ...) -> i64;\n}\n";
-        assert!(lints_of(PERF_SYSCALL_HOME, home).is_empty());
-        // ...and one without is still flagged.
-        assert_eq!(lints_of(PERF_SYSCALL_HOME, rogue), vec![Lint::PerfSyscall]);
     }
 
     #[test]

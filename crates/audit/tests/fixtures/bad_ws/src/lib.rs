@@ -1,6 +1,6 @@
 // Violates unsafe-needs-safety, thread-discipline, raw-file-io,
-// prefetch-intrinsic, perf-syscall and the unwrap ratchet (no
-// ratchet.toml exists here) in one file.
+// prefetch-intrinsic and the unwrap ratchet (no ratchet.toml exists
+// here) in one file.
 pub unsafe fn no_safety_doc(p: *const u8) -> u8 {
     unsafe { *p }
 }
@@ -21,13 +21,4 @@ pub fn panicky(v: Option<u32>) -> u32 {
 pub fn rogue_prefetch(p: *const u8) {
     // SAFETY: the hint never faults; this file is outside the ring module.
     unsafe { core::arch::x86_64::_mm_prefetch(p as *const i8, 0) };
-}
-
-extern "C" {
-    fn syscall(num: i64, ...) -> i64;
-}
-
-pub fn rogue_perf() -> i64 {
-    // SAFETY: getpid takes no arguments and cannot fail.
-    unsafe { syscall(39) }
 }

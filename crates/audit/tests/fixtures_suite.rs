@@ -37,7 +37,7 @@ fn graph_scan(rel: &str) -> fm_audit::AuditReport {
 }
 
 /// (fixture dir, lint, synthetic path the lint applies at).
-const RS_CASES: [(&str, Lint, &str); 6] = [
+const RS_CASES: [(&str, Lint, &str); 5] = [
     (
         "unsafe_needs_safety",
         Lint::UnsafeNeedsSafety,
@@ -59,7 +59,6 @@ const RS_CASES: [(&str, Lint, &str); 6] = [
         Lint::PrefetchIntrinsic,
         "crates/x/src/a.rs",
     ),
-    ("perf_syscall", Lint::PerfSyscall, "crates/x/src/a.rs"),
 ];
 
 /// (fixture workspace dir, the flow lint it exercises).
@@ -174,7 +173,6 @@ fn bad_workspace_trips_every_lint() {
         Lint::NarrowingCast,
         Lint::UnwrapRatchet,
         Lint::PrefetchIntrinsic,
-        Lint::PerfSyscall,
         Lint::DeterminismTaint,
         Lint::PanicReachability,
         Lint::RngPurity,

@@ -87,10 +87,6 @@ pub enum Command {
         /// 0 = leave the graph unlabeled).  Metapath programs need a
         /// labeled graph.
         labels: usize,
-        /// Attribute hardware counters (cycles, LLC/dTLB misses) to
-        /// stages via perf_event; degrades with a notice when the host
-        /// grants no perf access.
-        hw_counters: bool,
         /// Out-of-core streaming-buffer budget in bytes (used when the
         /// graph is an `FMDISK1` disk graph; 0 = 64 MiB default).
         oocore_budget: usize,
@@ -138,12 +134,6 @@ pub enum Command {
         /// Force this walker-ring depth in every FlashMob cell; the
         /// committed digests must hold at any depth.
         ring_depth: Option<usize>,
-    },
-    /// `fmwalk cachecheck`: cross-validate the memsim cache model
-    /// against hardware counters on the profiler's synthetic-VP sweep.
-    Cachecheck {
-        /// Use the small grid (seconds instead of minutes).
-        quick: bool,
     },
     /// `fmwalk trace-check`.
     TraceCheck {
@@ -421,21 +411,19 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
             let mut progress = false;
             let mut checkpoint_dir = None;
             let mut checkpoint_every = 0usize;
-            let mut hw_counters = false;
             let mut oocore_budget = 0usize;
             let mut fault_rate = 0.0f64;
             let mut fault_seed = 1u64;
             let mut halt_after = 0u64;
             // `resume` replays an interrupted `walk` under that run's
             // configuration flags; it does not choose an engine, set up
-            // checkpointing, or attach counters (a replay stays
-            // bit-identical to the interrupted invocation's flag set).
+            // checkpointing (a replay stays bit-identical to the
+            // interrupted invocation's flag set).
             let walk_only = [
                 "--engine",
                 "--checkpoint-dir",
                 "--checkpoint-every",
                 "--halt-after",
-                "--hw-counters",
             ];
             while let Some(flag) = c.next() {
                 if resume_from.is_some() && walk_only.contains(&flag.as_str()) {
@@ -479,7 +467,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                     "--trace" => trace = Some(PathBuf::from(c.demand("trace path")?)),
                     "--metrics" => metrics = Some(PathBuf::from(c.demand("metrics path")?)),
                     "--progress" => progress = true,
-                    "--hw-counters" => hw_counters = true,
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
             }
@@ -504,7 +491,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                 checkpoint_dir,
                 checkpoint_every,
                 labels,
-                hw_counters,
                 oocore_budget,
                 fault_rate,
                 fault_seed,
@@ -587,16 +573,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                 emit_golden,
                 ring_depth,
             })
-        }
-        "cachecheck" => {
-            let mut quick = false;
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--quick" => quick = true,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            Ok(Command::Cachecheck { quick })
         }
         "trace-check" => {
             let file = PathBuf::from(c.demand("trace file")?);
@@ -1029,33 +1005,19 @@ mod tests {
 
     #[test]
     fn walk_hw_counters_flag() {
-        match p("walk g.bin --hw-counters").unwrap() {
-            Command::Walk { hw_counters, .. } => assert!(hw_counters),
-            other => panic!("{other:?}"),
+        // The PMU path is gone with no alias: the flag is unknown to
+        // both walk and resume.
+        for line in ["walk g.bin --hw-counters", "resume g.bin ck --hw-counters"] {
+            assert!(p(line).unwrap_err().0.contains("unknown flag"), "{line}");
         }
-        match p("walk g.bin").unwrap() {
-            Command::Walk { hw_counters, .. } => assert!(!hw_counters),
-            other => panic!("{other:?}"),
-        }
-        // Resume does not take the flag (checkpointed replay must stay
-        // bit-identical to the interrupted invocation's flag set).
-        assert!(p("resume g.bin ck --hw-counters")
-            .unwrap_err()
-            .0
-            .contains("unknown flag"));
     }
 
     #[test]
     fn cachecheck_command() {
-        assert_eq!(
-            p("cachecheck").unwrap(),
-            Command::Cachecheck { quick: false }
-        );
-        assert_eq!(
-            p("cachecheck --quick").unwrap(),
-            Command::Cachecheck { quick: true }
-        );
-        assert!(p("cachecheck --bogus").unwrap_err().0.contains("unknown flag"));
+        assert!(p("cachecheck --quick")
+            .unwrap_err()
+            .0
+            .contains("unknown command"));
     }
 
     #[test]
@@ -1072,7 +1034,7 @@ mod tests {
             .filter_map(|l| l.strip_prefix("  fmwalk "))
             .filter_map(|rest| rest.split_whitespace().next())
             .collect();
-        assert_eq!(words.len(), 13, "{words:?}");
+        assert_eq!(words.len(), 12, "{words:?}");
         for word in words {
             assert!(
                 !unknown(word),

@@ -291,7 +291,6 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             checkpoint_dir,
             checkpoint_every,
             labels,
-            hw_counters,
             oocore_budget,
             fault_rate,
             fault_seed,
@@ -342,19 +341,8 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             let algorithm = walk_algorithm(algo);
             let record_paths = output.is_some();
             let record_visits = visits.is_some();
-            let mut tel = make_telemetry(
-                trace.is_some() || metrics.is_some() || hw_counters,
-                progress,
-                show_stats,
-            );
-            if hw_counters {
-                // Degradation is part of the contract: unprivileged or
-                // PMU-less hosts get a notice on stderr and an otherwise
-                // bit-identical run.
-                if let Err(reason) = tel.enable_hw_counters() {
-                    eprintln!("[fmwalk] {reason}; continuing without");
-                }
-            }
+            let mut tel =
+                make_telemetry(trace.is_some() || metrics.is_some(), progress, show_stats);
             let checkpoint = match (checkpoint_dir, checkpoint_every) {
                 (None, _) => None,
                 (Some(_), _) if engine != EngineChoice::FlashMob => {
@@ -631,67 +619,6 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                     format!("{failed} conformance cell(s) failed; see table above"),
                     ExitKind::Other,
                 ));
-            }
-            Ok(())
-        }
-        Command::Cachecheck { quick } => {
-            use fm_profiler::cachecheck;
-            let grid = cachecheck::default_grid(quick);
-            let n_cells = grid.vp_sizes.len() * grid.degrees.len() * grid.densities.len() * 2;
-            writeln!(
-                out,
-                "cachecheck: {n_cells} cells, memsim (Skylake-SP model) vs hardware counters"
-            )
-            .map_err(fail)?;
-            let report = cachecheck::run(&grid, fm_memsim::HierarchyConfig::skylake_server());
-            match &report.hw_reason {
-                // Degraded hosts still get the predicted side; the label
-                // makes clear no hardware was measured.  Exit 0 either
-                // way — cachecheck reports, it does not gate.
-                Some(reason) => {
-                    writeln!(out, "{reason}; SIMULATION-ONLY report").map_err(fail)?
-                }
-                None => writeln!(out, "hw events: {}", report.hw_events.join(", "))
-                    .map_err(fail)?,
-            }
-            let header = format!(
-                "{:>9} {:>6} {:>5} {:<9} {:>10} {:>9} {:>9} {:>9}",
-                "vp", "deg", "dens", "policy", "ns/step", "sim miss", "hw miss", "diverg"
-            );
-            writeln!(out, "{header}").map_err(fail)?;
-            for c in &report.cells {
-                let pct = |v: f64| format!("{:.1}%", v * 100.0);
-                let opt = |v: Option<f64>| v.map(pct).unwrap_or_else(|| "--".to_string());
-                writeln!(
-                    out,
-                    "{:>9} {:>6} {:>5.2} {:<9} {:>10} {:>9} {:>9} {:>9}",
-                    c.vp_size,
-                    c.degree,
-                    c.density,
-                    format!("{:?}", c.policy),
-                    if c.ns_per_step.is_finite() {
-                        format!("{:.1}", c.ns_per_step)
-                    } else {
-                        "--".to_string()
-                    },
-                    pct(c.sim_llc_miss_rate),
-                    opt(c.hw.as_ref().and_then(|h| h.llc_miss_rate)),
-                    opt(c.divergence()),
-                )
-                .map_err(fail)?;
-            }
-            match report.max_divergence() {
-                Some(d) => writeln!(
-                    out,
-                    "max predicted-vs-measured LLC miss-rate divergence: {:.1}%",
-                    d * 100.0
-                )
-                .map_err(fail)?,
-                None => writeln!(
-                    out,
-                    "no measured side available; predicted columns only"
-                )
-                .map_err(fail)?,
             }
             Ok(())
         }
@@ -1003,27 +930,6 @@ fn report_run<W: Write>(out: &mut W, tel: &Telemetry, r: RunReport) -> Result<()
         r.steps_taken, r.per_step_ns
     )
     .map_err(fail)?;
-    if let Some(t) = tel.hw_total() {
-        use fm_telemetry::HwEvent;
-        let ipc = t
-            .ipc()
-            .map(|v| format!("{v:.2}"))
-            .unwrap_or_else(|| "--".to_string());
-        let miss = t
-            .llc_miss_rate()
-            .map(|v| format!("{:.1}%", v * 100.0))
-            .unwrap_or_else(|| "--".to_string());
-        writeln!(
-            out,
-            "hw: {} cycles, {} instructions (ipc {}), llc miss {}, {} dtlb misses",
-            t.get(HwEvent::Cycles),
-            t.get(HwEvent::Instructions),
-            ipc,
-            miss,
-            t.get(HwEvent::DtlbMisses)
-        )
-        .map_err(fail)?;
-    }
     if let Some(report) = r.stats_report {
         write!(out, "{report}").map_err(fail)?;
         if tel.is_on() {

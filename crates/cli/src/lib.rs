@@ -26,7 +26,6 @@ USAGE:
                       [--strategy dp|ups|uds|manual]
                       [--output <paths.txt>] [--visits <visits.txt>] [--stats]
                       [--trace <out.json>] [--metrics <out.jsonl>] [--progress]
-                      [--hw-counters]
                       [--checkpoint-dir <dir>] [--checkpoint-every N]
                       [--oocore-budget BYTES] [--fault-rate X]
                       [--fault-seed N] [--halt-after G]
@@ -39,7 +38,6 @@ USAGE:
                       [--degree N] [--seed N]
   fmwalk profile [--out <profile.txt>] [--quick]
   fmwalk conform [--quick | --full] [--emit-golden] [--ring-depth N]
-  fmwalk cachecheck [--quick]
   fmwalk trace-check <trace.json>
   fmwalk audit [--root <dir>] [--json] [--update-ratchet] [--graph]
                [--why <query>]
@@ -51,16 +49,12 @@ FMG1 magic, as a whitespace edge list otherwise.
 `walk --trace` writes a Chrome Trace Event Format file (open in
 chrome://tracing or Perfetto); `--metrics` writes per-stage and
 per-partition counters as JSON Lines; `trace-check` validates a trace
-file against the in-tree TEF checker.
-
-`walk --hw-counters` attributes hardware counters (cycles,
-instructions, LLC loads/misses, dTLB misses, backend stalls) to
-pipeline stages via perf_event and folds them into `--stats`,
-`--trace`, and `--metrics` output.  On hosts without perf access the
-run degrades with a stderr notice and is otherwise bit-identical.
-`cachecheck` cross-validates the memsim cache model against the same
-counters on the profiler's synthetic-VP sweep (simulation-only, exit
-0, when counters are unavailable).
+file against the in-tree TEF checker.  A traced run (`--stats`,
+`--trace`, `--metrics`, `--progress`) also counts the process's
+minor/major page faults and peak resident set per stage, read from
+/proc at each stage boundary: `--stats` prints them and `--metrics`
+adds them to the `run` and `stage` lines (left out where /proc is
+unreadable).
 
 `walk --program` (alias of `--algo`) selects a walk program: `ppr`
 restarts at the walker's origin with probability `--alpha` (default

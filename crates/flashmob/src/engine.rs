@@ -817,7 +817,7 @@ impl EpochState {
             // adjacency list cache-hot across many queries.
             engine.sample_stage_node2vec_batched(self, &ctx, probe)
         } else {
-            engine.sample_stage_sequential(self, &ctx, probe, tel)
+            engine.sample_stage_sequential(self, &ctx, probe)
         };
         stage.sample += t1.elapsed();
         if traced {
@@ -1497,18 +1497,9 @@ impl FlashMob {
         state: &mut EpochState,
         ctx: &AlgoCtx<'_>,
         probe: &mut P,
-        tel: &mut Telemetry,
     ) -> u64 {
         let lanes = TaskLanes::of(self, state);
-        let hw = tel.hw_enabled();
-        self.sample_range(&lanes, 0..self.plan.partitions.len(), ctx, probe, |pi| {
-            // With a counter session attached, attribute the PMU delta
-            // of this partition's sample work to it (the coordinator is
-            // the only thread on this path, so the delta is exact).
-            if hw {
-                tel.hw_partition_span(pi);
-            }
-        })
+        self.sample_range(&lanes, 0..self.plan.partitions.len(), ctx, probe, |_| {})
     }
 
     /// The first-order sample tasks of partitions `range`, in order:

@@ -20,7 +20,6 @@
 //! * profiles round-trip through a simple text format so the one-time
 //!   cost (258 s on the paper's machine) is paid once.
 
-pub mod cachecheck;
 pub mod micro;
 pub mod table;
 

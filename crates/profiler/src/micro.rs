@@ -95,51 +95,6 @@ pub fn measure_point(
     uniform_layout: bool,
     min_steps: usize,
 ) -> ProfilePoint {
-    let (steps, elapsed_ns) = measure_point_probed(
-        vp_size,
-        degree,
-        density,
-        policy,
-        uniform_layout,
-        min_steps,
-        &mut NullProbe,
-        &AddrMap::default(),
-        || {},
-    );
-    ProfilePoint {
-        vp_size,
-        degree,
-        density,
-        policy,
-        uniform_layout,
-        ns_per_step: elapsed_ns / steps.max(1) as f64,
-    }
-}
-
-/// Drives the same synthetic cell as [`measure_point`] under an
-/// arbitrary memory probe and address map, returning `(walker_steps,
-/// elapsed_ns)` for the timed rounds.
-///
-/// This is the shared substrate of the profiler sweep and `fmwalk
-/// cachecheck`: the *identical* kernel invocation is run once with a
-/// `fm_memsim::MemorySystem` probe (predicted cache behavior) and once
-/// with [`NullProbe`] under hardware counters (measured behavior), so
-/// the two sides of the cross-validation cannot drift apart.
-/// `before_timed` fires after the warm-up round, immediately before the
-/// timed loop — the hardware pass uses it to reset its counter group so
-/// setup and warm-up stay out of the measurement.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_point_probed<P: fm_memsim::Probe>(
-    vp_size: usize,
-    degree: usize,
-    density: f64,
-    policy: SamplePolicy,
-    uniform_layout: bool,
-    min_steps: usize,
-    probe: &mut P,
-    addr: &AddrMap,
-    before_timed: impl FnOnce(),
-) -> (u64, f64) {
     let graph = synthetic_vp(vp_size, degree, 0xC0FFEE ^ vp_size as u64 ^ degree as u64);
     let (edges, uniform) = Partition::annotate(&graph, 0, vp_size as VertexId);
     debug_assert_eq!(uniform, Some(degree));
@@ -164,6 +119,8 @@ pub fn measure_point_probed<P: fm_memsim::Probe>(
     let mut snext = vec![0 as VertexId; walkers];
     let ctx = AlgoCtx::new(WalkAlgorithm::DeepWalk, StopRule::FixedSteps(1), None);
 
+    let addr = AddrMap::default();
+
     // Warm-up round (fills caches and PS buffers).
     let mut task_rng = Xorshift64Star::new(99);
     let io = TaskIo {
@@ -181,12 +138,11 @@ pub fn measure_point_probed<P: fm_memsim::Probe>(
         &ctx,
         io,
         &mut task_rng,
-        probe,
-        addr,
+        &mut NullProbe,
+        &addr,
         1,
     );
 
-    before_timed();
     let rounds = min_steps.div_ceil(walkers).max(1);
     let start = Instant::now();
     let mut steps = 0u64;
@@ -206,15 +162,22 @@ pub fn measure_point_probed<P: fm_memsim::Probe>(
             &ctx,
             io,
             &mut task_rng,
-            probe,
-            addr,
+            &mut NullProbe,
+            &addr,
             1,
         )
         .steps;
     }
-    let elapsed = start.elapsed();
+    let elapsed_ns = start.elapsed().as_nanos() as f64;
     std::hint::black_box(&snext);
-    (steps, elapsed.as_nanos() as f64)
+    ProfilePoint {
+        vp_size,
+        degree,
+        density,
+        policy,
+        uniform_layout,
+        ns_per_step: elapsed_ns / steps.max(1) as f64,
+    }
 }
 
 /// Sweeps the full grid for both policies (plus the DS slab layout when

@@ -9,21 +9,19 @@
 //! becomes the TEF `pid` so per-socket rows stay separate.
 
 use crate::json::{escape, num};
-use crate::{HwCounters, HwEvent, SpanEvent, Stage, Telemetry, NO_PARTITION, NO_STEP};
+use crate::{SpanEvent, Stage, StageFaults, Telemetry, NO_PARTITION, NO_STEP};
 use std::io::{self, Write};
 
-/// Renders one [`HwCounters`] as a JSON object (stable key order:
-/// canonical event order, then the enabled/running times).
-pub fn hw_counters_json(c: &HwCounters) -> String {
-    let mut out = String::from("{");
-    for ev in HwEvent::ALL {
-        out.push_str(&format!("\"{}\": {}, ", ev.label(), c.get(ev)));
-    }
-    out.push_str(&format!(
-        "\"time_enabled_ns\": {}, \"time_running_ns\": {}}}",
-        c.time_enabled_ns, c.time_running_ns
-    ));
-    out
+/// The fault fields of a `run` or `stage` JSONL line (with a leading
+/// `, `), or nothing when the counters were never read.
+fn fault_fields(f: Option<StageFaults>) -> String {
+    f.map(|f| {
+        format!(
+            ", \"minor_faults\": {}, \"major_faults\": {}, \"rss_kib_max\": {}",
+            f.minor_faults, f.major_faults, f.rss_kib_max
+        )
+    })
+    .unwrap_or_default()
 }
 
 /// The TEF (pid, tid) lane of a span: foreign (absorbed) recorders tag
@@ -69,30 +67,6 @@ pub fn write_chrome_trace(w: &mut impl Write, tel: &Telemetry) -> io::Result<()>
         }
         write!(w, "}}}}")?;
     }
-    // Per-stage hardware counter totals ride along as TEF counter
-    // ("C") events so Perfetto renders them as tracks next to the
-    // spans they were attributed across.
-    if let Some(stages) = tel.hw_stage_totals() {
-        let ts = num(tel.now_ns() as f64 / 1000.0);
-        for stage in Stage::ALL {
-            let c = &stages[stage.index()];
-            if c.is_zero() {
-                continue;
-            }
-            if !first {
-                writeln!(w, ",")?;
-            }
-            first = false;
-            write!(
-                w,
-                "  {{\"name\": \"hw:{}\", \"cat\": \"hw\", \"ph\": \"C\", \"ts\": {}, \"pid\": {}, \"tid\": 0, \"args\": {}}}",
-                escape(stage.label()),
-                ts,
-                tel.pid(),
-                hw_counters_json(c),
-            )?;
-        }
-    }
     if !first {
         writeln!(w)?;
     }
@@ -105,7 +79,7 @@ pub fn write_chrome_trace(w: &mut impl Write, tel: &Telemetry) -> io::Result<()>
 pub fn write_metrics_jsonl(w: &mut impl Write, tel: &Telemetry) -> io::Result<()> {
     writeln!(
         w,
-        "{{\"kind\": \"run\", \"pid\": {}, \"events\": {}, \"dropped\": {}, \"partition_steps_total\": {}, \"occupancy_mean\": {}, \"occupancy_max\": {}, \"io_retries\": {}}}",
+        "{{\"kind\": \"run\", \"pid\": {}, \"events\": {}, \"dropped\": {}, \"partition_steps_total\": {}, \"occupancy_mean\": {}, \"occupancy_max\": {}, \"io_retries\": {}{}}}",
         tel.pid(),
         tel.events().len(),
         tel.dropped(),
@@ -113,6 +87,7 @@ pub fn write_metrics_jsonl(w: &mut impl Write, tel: &Telemetry) -> io::Result<()
         num(tel.occupancy_hist().mean()),
         tel.occupancy_hist().max(),
         tel.io_retries(),
+        fault_fields(tel.fault_total()),
     )?;
     for stage in Stage::ALL {
         let t = tel.stage(stage);
@@ -135,7 +110,7 @@ pub fn write_metrics_jsonl(w: &mut impl Write, tel: &Telemetry) -> io::Result<()
             }
             write!(w, "[{low}, {count}]")?;
         }
-        writeln!(w, "]}}")?;
+        writeln!(w, "]{}}}", fault_fields(t.faults))?;
     }
     for (pi, c) in tel.partition_counters().iter().enumerate() {
         if c.steps == 0 && c.edge_bytes == 0 {
@@ -147,44 +122,6 @@ pub fn write_metrics_jsonl(w: &mut impl Write, tel: &Telemetry) -> io::Result<()
             pi, c.steps, c.walkers_in, c.ps_steps, c.ds_steps, c.edge_bytes, c.max_occupancy,
             c.ring_occupancy, c.prefetch_issued,
         )?;
-    }
-    if let Some(total) = tel.hw_total() {
-        write!(w, "{{\"kind\": \"hw_run\", \"events\": [")?;
-        for (i, ev) in tel.hw_events().iter().enumerate() {
-            if i > 0 {
-                write!(w, ", ")?;
-            }
-            write!(w, "\"{}\"", ev.label())?;
-        }
-        writeln!(w, "], \"total\": {}}}", hw_counters_json(total))?;
-        for stage in Stage::ALL {
-            let c = &tel.hw_stage_totals().unwrap_or(&[])[stage.index()];
-            if c.is_zero() {
-                continue;
-            }
-            writeln!(
-                w,
-                "{{\"kind\": \"hw_stage\", \"stage\": \"{}\", \"counters\": {}}}",
-                escape(stage.label()),
-                hw_counters_json(c),
-            )?;
-        }
-        for (pi, c) in tel
-            .hw_partition_counters()
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
-        {
-            if c.is_zero() {
-                continue;
-            }
-            writeln!(
-                w,
-                "{{\"kind\": \"hw_partition\", \"partition\": {}, \"counters\": {}}}",
-                pi,
-                hw_counters_json(c),
-            )?;
-        }
     }
     Ok(())
 }
@@ -224,42 +161,14 @@ pub fn human_summary(tel: &Telemetry) -> String {
             t.latency.quantile_low(0.50),
             t.latency.quantile_low(0.99),
         ));
-    }
-    if let Some(stages) = tel.hw_stage_totals() {
-        let events = tel.hw_events();
-        out.push_str(&format!(
-            "  hw: {} counters attributed across coordinator span boundaries\n",
-            events.len(),
-        ));
-        for stage in Stage::ALL {
-            let c = &stages[stage.index()];
-            if c.is_zero() {
-                continue;
-            }
-            let ipc = c.ipc().map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into());
-            let llc = c
-                .llc_miss_rate()
-                .map(|v| format!("{:.1}%", 100.0 * v))
-                .unwrap_or_else(|| "-".into());
+        if let Some(f) = t.faults {
             out.push_str(&format!(
-                "  hw[{}]: {} cycles, {} instr (ipc {}), llc {}/{} ({} miss), dtlb {} miss\n",
+                "  {:<8} faults {} minor, {} major; rss max {} KiB\n",
                 stage.label(),
-                c.get(HwEvent::Cycles),
-                c.get(HwEvent::Instructions),
-                ipc,
-                c.get(HwEvent::LlcMisses),
-                c.get(HwEvent::LlcLoads),
-                llc,
-                c.get(HwEvent::DtlbMisses),
+                f.minor_faults,
+                f.major_faults,
+                f.rss_kib_max,
             ));
-        }
-        if let Some(frac) = tel.hw_total().and_then(|t| t.running_fraction()) {
-            if frac < 0.999 {
-                out.push_str(&format!(
-                    "  hw: group multiplexed — counting {:.1}% of enabled time\n",
-                    100.0 * frac,
-                ));
-            }
         }
     }
     if tel.io_retries() > 0 {

@@ -19,6 +19,9 @@
 //!   bytes, peak occupancy.
 //! * **Histograms** ([`Hist64`]) are 64-bucket log2 distributions used
 //!   for stage latencies and shuffle bucket occupancy.
+//! * **Faults** ([`faults`]) attribute the process's minor/major page
+//!   faults between coordinator span boundaries to the span's stage,
+//!   with the peak resident set seen there.
 //! * **Exporters** ([`export`]) render the Chrome Trace Event Format
 //!   (loadable in `chrome://tracing` / Perfetto), a JSONL metrics
 //!   stream, and a human summary; [`tef`] validates emitted traces.
@@ -27,14 +30,15 @@
 //! switch, and every record path is a no-op behind it.
 
 pub mod export;
+pub mod faults;
 pub mod hist;
-pub mod hw;
 pub mod json;
 pub mod tef;
 
+pub use faults::{ProcStat, StageFaults};
 pub use hist::Hist64;
-pub use hw::{HwCounters, HwEvent};
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Pipeline stage a span is attributed to.
@@ -250,6 +254,9 @@ pub struct StageTotals {
     pub total_ns: u64,
     /// Log2 histogram of span durations (nanoseconds).
     pub latency: Hist64,
+    /// Page faults attributed at this stage's span boundaries; `None`
+    /// until a boundary could read them.
+    pub faults: Option<StageFaults>,
 }
 
 /// The telemetry recorder: one per run (or per merged report).
@@ -277,9 +284,11 @@ pub struct Telemetry {
     /// reads and checkpoint writes).
     io_retries: u64,
     heartbeat: Option<Heartbeat>,
-    /// Hardware-counter session (`--hw-counters`); `None` — the
-    /// default — keeps every record path free of perf reads.
-    hw: Option<Box<hw::HwSession>>,
+    /// Where span boundaries read the fault counters; `None` when off
+    /// or unreadable.
+    proc_stat: Option<ProcStat>,
+    /// The reading at the previous span boundary (or at creation).
+    last_faults: Option<faults::FaultSample>,
 }
 
 /// Default cap on coordinator-lane events per run.
@@ -295,10 +304,22 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// An enabled recorder with default buffer sizing.
+    /// An enabled recorder with default buffer sizing, reading fault
+    /// counters from `/proc/self`.
     pub fn new() -> Self {
+        Self::with_enabled(true)
+    }
+
+    /// A disabled recorder: every record call is a no-op, and `/proc`
+    /// is never opened (enabling it later does not count faults).
+    /// Engines use this internally for untraced entry points.
+    pub fn off() -> Self {
+        Self::with_enabled(false)
+    }
+
+    fn with_enabled(enabled: bool) -> Self {
         Self {
-            enabled: true,
+            enabled,
             origin: Instant::now(),
             pid: 0,
             events: Vec::new(),
@@ -311,16 +332,18 @@ impl Telemetry {
             dropped: 0,
             io_retries: 0,
             heartbeat: None,
-            hw: None,
+            proc_stat: None,
+            last_faults: None,
         }
+        .with_proc_dir(Path::new("/proc/self"))
     }
 
-    /// A disabled recorder: every record call is a no-op.  Engines use
-    /// this internally for untraced entry points.
-    pub fn off() -> Self {
-        let mut t = Self::new();
-        t.enabled = false;
-        t
+    /// Reads fault counters from the `/proc/<pid>` directory `dir`
+    /// instead of `/proc/self` (a disabled recorder opens nothing).
+    pub fn with_proc_dir(mut self, dir: &Path) -> Self {
+        self.proc_stat = self.enabled.then(|| ProcStat::open(dir)).flatten();
+        self.last_faults = self.proc_stat.as_mut().and_then(ProcStat::read);
+        self
     }
 
     /// Tags exported events with `pid` (the TEF process lane; NUMA runs
@@ -363,8 +386,12 @@ impl Telemetry {
         if !self.is_on() {
             return;
         }
-        if let Some(hw) = self.hw.as_mut() {
-            hw.attribute(ev.stage, ev.partition);
+        if let Some(now) = self.proc_stat.as_mut().and_then(ProcStat::read) {
+            if let Some(last) = self.last_faults {
+                let f = self.stages[ev.stage.index()].faults.get_or_insert_with(Default::default);
+                f.attribute(&last, &now);
+            }
+            self.last_faults = Some(now);
         }
         self.note_stage(ev.stage, ev.dur_ns);
         if self.events.len() < self.event_capacity {
@@ -573,65 +600,13 @@ impl Telemetry {
         self.io_retries
     }
 
-    /// Attaches a hardware-counter session to this recorder: every
-    /// subsequent coordinator span boundary attributes the PMU delta
-    /// since the previous boundary to the span's stage (and partition,
-    /// when named — see [`mod@hw`] for the attribution contract).
-    ///
-    /// Returns the degradation reason when counters are unavailable
-    /// (non-Linux, containers, `perf_event_paranoid`); the recorder
-    /// then behaves exactly as if the call never happened.
-    pub fn enable_hw_counters(&mut self) -> Result<(), String> {
-        if !self.is_on() {
-            return Err("telemetry recording is disabled".to_string());
-        }
-        match hw::HwSession::open() {
-            Ok(session) => {
-                self.hw = Some(Box::new(session));
-                Ok(())
-            }
-            Err(e) => Err(e.to_string()),
-        }
-    }
-
-    /// Whether a hardware-counter session is attached.
-    pub fn hw_enabled(&self) -> bool {
-        self.hw.is_some()
-    }
-
-    /// Attributes the PMU delta since the last boundary to the sample
-    /// stage *and* partition `pi`.  The engine's sequential sample loop
-    /// calls this after each partition so per-partition counter rows
-    /// exist on the path where one thread demonstrably did the work; a
-    /// no-op without a session.
-    #[inline]
-    pub fn hw_partition_span(&mut self, pi: usize) {
-        if let Some(hw) = self.hw.as_mut() {
-            hw.attribute(Stage::Sample, pi as u32);
-        }
-    }
-
-    /// Per-stage hardware counter deltas (indexed by [`Stage::index`]),
-    /// when a session is attached.
-    pub fn hw_stage_totals(&self) -> Option<&[HwCounters]> {
-        self.hw.as_deref().map(|s| s.stages.as_slice())
-    }
-
-    /// Per-partition hardware counter deltas (sequential sample path),
-    /// when a session is attached.
-    pub fn hw_partition_counters(&self) -> Option<&[HwCounters]> {
-        self.hw.as_deref().map(|s| s.partitions.as_slice())
-    }
-
-    /// Total attributed hardware counters, when a session is attached.
-    pub fn hw_total(&self) -> Option<&HwCounters> {
-        self.hw.as_deref().map(|s| &s.total)
-    }
-
-    /// The hardware events that actually opened (empty without a
-    /// session).
-    pub fn hw_events(&self) -> Vec<HwEvent> {
-        self.hw.as_deref().map(|s| s.events()).unwrap_or_default()
+    /// The run's fault totals: every stage's deltas summed, the largest
+    /// resident set of any; `None` when no boundary read the counters.
+    pub fn fault_total(&self) -> Option<StageFaults> {
+        self.stages.iter().filter_map(|t| t.faults).reduce(|mut a, b| {
+            a.absorb(&b);
+            a
+        })
     }
 
     /// Sum of per-partition step counters (must equal the engine's
@@ -664,6 +639,16 @@ impl Telemetry {
             } else {
                 self.dropped += 1;
             }
+        }
+        for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
+            if let Some(f) = theirs.faults {
+                mine.faults.get_or_insert_with(Default::default).absorb(&f);
+            }
+        }
+        // The other recorder's boundaries are later than ours, so the
+        // faults up to its last one are counted; start from there.
+        if other.last_faults.is_some() {
+            self.last_faults = other.last_faults;
         }
         self.ensure_partitions(other.partitions.len());
         for (mine, theirs) in self.partitions.iter_mut().zip(&other.partitions) {

@@ -12,14 +12,12 @@
 //!   degree statistics, IO.
 //! * [`rng`] — xorshift*/MT19937 and discrete samplers.
 //! * [`memsim`] — the software cache-hierarchy simulator standing in
-//!   for perf/VTune counters.
+//!   for perf/VTune counters (Table 5's model).
 //! * [`mckp`] — the exact Multiple-Choice Knapsack DP solver.
 //! * [`profiler`] — offline machine profiling feeding the planner.
 //! * [`telemetry`] — dependency-free spans, per-partition counters,
-//!   and exporters (Chrome Trace Event Format, JSONL, human summary).
-//! * [`perfmon`] — zero-dependency `perf_event_open` counter groups
-//!   (cycles, instructions, LLC/dTLB misses) with graceful degradation
-//!   on hosts without perf access.
+//!   page-fault and RSS counts from `/proc`, and exporters (Chrome
+//!   Trace Event Format, JSONL, human summary).
 //! * [`recover`] — crash-safe checkpoint snapshots, atomic manifest
 //!   publication, deterministic fault injection, and bounded retries.
 //! * [`baseline`] — KnightKing- and GraphVite-style comparison engines.
@@ -45,7 +43,6 @@ pub use fm_conformance as conformance;
 pub use fm_graph as graph;
 pub use fm_mckp as mckp;
 pub use fm_memsim as memsim;
-pub use fm_perfmon as perfmon;
 pub use fm_profiler as profiler;
 pub use fm_recover as recover;
 pub use fm_rng as rng;

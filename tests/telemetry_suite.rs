@@ -18,7 +18,7 @@ use flashmob_repro::flashmob::numa::{run_numa_paths_with, NumaMode};
 use flashmob_repro::flashmob::oocore::{run_ooc_with, DiskGraph, OocOptions};
 use flashmob_repro::flashmob::{CheckpointSpec, FlashMob, RunOptions, WalkConfig, WalkError};
 use flashmob_repro::graph::synth;
-use flashmob_repro::telemetry::{export, tef, Stage, Telemetry};
+use flashmob_repro::telemetry::{export, json, tef, ProcStat, Stage, Telemetry};
 
 fn walk_config(walkers: usize, steps: usize, threads: usize) -> WalkConfig {
     WalkConfig::deepwalk()
@@ -238,33 +238,96 @@ fn emitted_chrome_trace_validates_with_exact_span_coverage() {
     );
 }
 
+/// The `run` and `stage` lines of a metrics export, parsed.
+fn metrics_lines(tel: &Telemetry) -> Vec<json::Value> {
+    let mut buf = Vec::new();
+    export::write_metrics_jsonl(&mut buf, tel).expect("jsonl");
+    String::from_utf8(buf)
+        .expect("utf8")
+        .lines()
+        .map(|l| json::parse(l).expect("every line is standalone JSON"))
+        .filter(|v| {
+            matches!(
+                v.get("kind").and_then(|k| k.as_str()),
+                Some("run" | "stage")
+            )
+        })
+        .collect()
+}
+
+const FAULT_FIELDS: [&str; 3] = ["minor_faults", "major_faults", "rss_kib_max"];
+
 #[test]
-fn hw_counters_off_leaves_no_state_and_no_output() {
-    // 5. **Hardware-counter opt-in**: a recorder that never attached a
-    //    counter session (the `--hw-counters` off default) must carry
-    //    zero hw state, and every exporter must emit exactly what it
-    //    emitted before the hw layer existed — no sections, no keys.
-    let g = synth::power_law(500, 2.0, 1, 40, 3);
-    let engine = FlashMob::new(&g, walk_config(400, 6, 1)).expect("engine");
-    let mut tel = Telemetry::new();
-    engine.run_traced(&mut tel).expect("run");
+fn fault_counters_off_leave_no_state_and_no_output() {
+    // 5. **Fault counters**: an enabled recorder attributes the
+    //    process's faults to stages, and the stages' deltas sum to the
+    //    run line's total; a disabled one never reads /proc, so it
+    //    holds no fault sample and exports no fault field.  The traced
+    //    run goes first: the engine parks its PS buffers between runs,
+    //    so only a first run's sample stage touches them fresh.  The
+    //    graph makes them megabytes, more than this process's heap
+    //    keeps free and already resident.
+    let g = synth::power_law(1 << 17, 2.0, 2, 1000, 3);
+    let engine = FlashMob::new(&g, walk_config(1 << 16, 6, 1)).expect("engine");
 
-    assert!(!tel.hw_enabled());
-    assert!(tel.hw_total().is_none());
-    assert!(tel.hw_stage_totals().is_none());
-    assert!(tel.hw_partition_counters().is_none());
-    assert!(tel.hw_events().is_empty());
-
-    let mut trace = Vec::new();
-    export::write_chrome_trace(&mut trace, &tel).expect("tef");
-    let mut metrics = Vec::new();
-    export::write_metrics_jsonl(&mut metrics, &tel).expect("jsonl");
-    for (name, buf) in [("trace", &trace), ("metrics", &metrics)] {
-        let text = String::from_utf8(buf.clone()).expect("utf8");
-        assert!(
-            !text.contains("\"hw"),
-            "{name} export must have no hw records without a session"
-        );
+    if ProcStat::open(std::path::Path::new("/proc/self")).is_some() {
+        let mut tel = Telemetry::new();
+        engine.run_traced(&mut tel).expect("traced run");
+        let sample = tel
+            .stage(Stage::Sample)
+            .faults
+            .expect("sample stage read its faults");
+        assert!(sample.minor_faults > 0, "{sample:?}");
+        assert!(sample.rss_kib_max > 0, "{sample:?}");
+        let lines = metrics_lines(&tel);
+        let field = |v: &json::Value, name: &str| v.get(name).and_then(|x| x.as_num()).expect(name);
+        let run = lines
+            .iter()
+            .find(|v| v.get("kind").unwrap().as_str() == Some("run"))
+            .unwrap();
+        let stages: Vec<_> = lines.iter().filter(|v| v.get("stage").is_some()).collect();
+        for name in ["minor_faults", "major_faults"] {
+            let sum: f64 = stages.iter().map(|v| field(v, name)).sum();
+            assert_eq!(
+                sum,
+                field(run, name),
+                "{name}: stage deltas must sum to the run total"
+            );
+        }
+        let peak = stages
+            .iter()
+            .map(|v| field(v, "rss_kib_max"))
+            .fold(0.0, f64::max);
+        assert_eq!(peak, field(run, "rss_kib_max"));
+        assert!(export::human_summary(&tel).contains("sample   faults"));
     }
-    assert!(!export::human_summary(&tel).contains("hw"));
+
+    let mut off = Telemetry::off();
+    engine.run_traced(&mut off).expect("off run");
+    assert!(off.fault_total().is_none());
+    assert!(Stage::ALL.iter().all(|&s| off.stage(s).faults.is_none()));
+    for v in metrics_lines(&off) {
+        for field in FAULT_FIELDS {
+            assert!(v.get(field).is_none(), "an off recorder exported {field}");
+        }
+    }
+    assert!(!export::human_summary(&off).contains("faults"));
+}
+
+#[test]
+fn an_unreadable_proc_leaves_the_fault_fields_out_and_the_walk_alone() {
+    let g = synth::power_law(2_000, 2.0, 1, 60, 5);
+    let engine = FlashMob::new(&g, walk_config(2_000, 8, 1).record_paths(true)).expect("engine");
+    let plain = engine.run().expect("untraced");
+    let mut tel = Telemetry::new().with_proc_dir(std::path::Path::new("/nonexistent/proc"));
+    let (traced, _) = engine.run_traced(&mut tel).expect("traced");
+    assert_eq!(plain.paths(), traced.paths());
+    assert!(tel.fault_total().is_none());
+    let lines = metrics_lines(&tel);
+    assert!(lines.len() > 1, "run and stage lines are still written");
+    for v in &lines {
+        for field in FAULT_FIELDS {
+            assert!(v.get(field).is_none(), "{field} without a readable /proc");
+        }
+    }
 }
