@@ -16,7 +16,9 @@
 #      all, and a dense CLI walk whose paths are equal at depth 1 and
 #      16 while --stats tells the two kinds of hint apart; then a sparse
 #      and a dense CLI walk whose --stats must show PS refills reserved
-#      and produced, with paths equal at both depths
+#      and produced, with paths equal at both depths, and the sparse one
+#      must name the wide checked-skip kernel wherever /proc/cpuinfo
+#      lists avx512dq
 #   5. telemetry tier: the overhead guard and an end-to-end
 #      `walk --trace` -> `trace-check` round trip
 #   6. recover tier: an end-to-end checkpoint -> kill -> resume round
@@ -155,6 +157,17 @@ read -r DENSE_PRODUCED _ <<< "$(pre_samples "$RING_TMP/psstats10000-1.txt")"
     echo "ring tier: the sparse walk did not reserve more than it produced" >&2; exit 1; }
 [[ "${DENSE_PRODUCED:-0}" -gt 0 ]] || {
     echo "ring tier: the dense walk produced no pre-samples" >&2; exit 1; }
+# The reserving walk names its checked-skip kernel.  On a CPU with
+# AVX-512 DQ it must be the wide one: a scalar fallback there would leave
+# the ledger flat without failing anything else.
+if grep -qw avx512dq /proc/cpuinfo 2>/dev/null; then
+    WANT_KERNEL='16/8-lane avx512'
+else
+    WANT_KERNEL='(16/8-lane avx512|4-lane scalar)'
+fi
+grep -Eq "^checked skip: $WANT_KERNEL\$" "$RING_TMP/psstats625-1.txt" || {
+    echo "ring tier: the sparse walk did not run the host's checked-skip kernel" \
+        "($WANT_KERNEL): $(grep '^checked skip' "$RING_TMP/psstats625-1.txt")" >&2; exit 1; }
 
 tier "telemetry tier"
 # Overhead guard: enabled recorder within 5% of disabled.

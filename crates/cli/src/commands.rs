@@ -863,8 +863,8 @@ fn ooc_summary(s: &OocStats) -> String {
     );
     let _ = writeln!(
         t,
-        "oocore: {} connectivity scans, {} ring prefetch hints",
-        s.probes, s.prefetches,
+        "oocore: {} connectivity scans ({} adjacency words read), {} ring prefetch hints",
+        s.probes, s.scan_words, s.prefetches,
     );
     let _ = writeln!(t, "oocore: {} transient io retries absorbed", s.io_retries);
     t

@@ -91,6 +91,10 @@ impl AnalyticCostModel {
     /// stream one task ahead (`sample::hint_partition`), and the ring's
     /// per-walker hints on top of it only cost instructions (measured:
     /// EXPERIMENTS.md, PR 21 ledger).
+    ///
+    /// The batched node2vec stage, which no stream runs ahead of, asks
+    /// once for the probe chain's working set: the bloom filter plus the
+    /// CSR.
     pub fn ring_depth(&self, ws_bytes: usize) -> usize {
         if self.fit(ws_bytes) == Level::LocalMem {
             crate::sample::ring::DEFAULT_RING_DEPTH

@@ -20,9 +20,10 @@ use crate::output::WalkOutput;
 use crate::partition::SamplePolicy;
 use crate::plan::{Plan, Planner};
 use crate::pool::{DisjointSlice, PoolStats, WorkerPool};
+use crate::sample::ring::Pf;
 use crate::sample::{
-    apply_exit, hint_partition, node2vec_keeps, propose, sample_partition, worth_hinting, AddrMap,
-    AlgoCtx, PsBuffers, TaskIo, HINT_LINES_PER_WALKER, RESERVE_FACTOR,
+    apply_exit, hint_ds_row, hint_partition, node2vec_keeps, propose, sample_partition,
+    worth_hinting, AddrMap, AlgoCtx, PsBuffers, TaskIo, HINT_LINES_PER_WALKER, RESERVE_FACTOR,
 };
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
 use crate::walker::{fold_init, initialize, WalkerInit};
@@ -253,6 +254,10 @@ impl RunStats {
                 (produced + reserved) as f64 / consumed.max(1) as f64
             ));
         }
+        if reserved > 0 {
+            // The kernel is picked once per process, from the CPU.
+            out.push_str(&format!("checked skip: {}\n", fm_rng::skip_kernel()));
+        }
         if self.pool.spawned > 0 {
             out.push_str(&format!(
                 "pool: {} threads spawned, {} epochs dispatched, {:.1?} cumulative worker idle (idle ratio {:.1}%)\n",
@@ -372,6 +377,12 @@ pub struct FlashMob {
     /// depth, so it is *not* part of `config_tag` and checkpoints
     /// resume across depths.
     ring_depths: Vec<usize>,
+    /// Ring depth of the batched node2vec stage ([`FlashMob::
+    /// sample_stage_node2vec_batched`]): its proposal rounds and its
+    /// resolve rounds both run over the whole graph, so the working set
+    /// is the probe chain's — bloom filter plus CSR — not a partition's.
+    /// [`WalkConfig::ring_depth`] overrides it as it does `ring_depths`.
+    probe_ring_depth: usize,
     /// The partition stream's occupancy guard
     /// ([`HINT_LINES_PER_WALKER`]; see [`worth_hinting`]).  A field only
     /// so the tests can force it to *always* (`usize::MAX`) and *never*
@@ -406,6 +417,10 @@ struct EngineAddrs {
 /// One run's PS buffers: `Some` for every pre-sampling partition.
 type PsSet = Vec<Option<PsBuffers>>;
 
+/// What the batched node2vec stage's ring stages share: the probe, the
+/// PS buffers (read by the hints, consumed by `execute`) and the
+/// per-partition hint counters.
+type ProposalLanes<'a, P> = (&'a mut P, &'a mut PsSet, &'a mut [u64]);
 
 /// A background checkpoint write in flight: the thread owns the sink
 /// and returns it together with the transient retries it absorbed and
@@ -808,9 +823,10 @@ impl EpochState {
 
         // The parallel stage runs only from the uninstrumented entry
         // points (NullProbe), so counter attribution stays exact.
+        let batched = pool.is_none() && effective_algo.is_second_order();
         self.steps_taken += if let Some(pool) = pool {
             engine.sample_stage_parallel(self, &ctx, pool, tel)
-        } else if effective_algo.is_second_order() {
+        } else if batched {
             // The paper's batched connectivity checks: rejection
             // probes are deferred and resolved grouped by the
             // previous vertex's partition, keeping each hub's
@@ -836,12 +852,18 @@ impl EpochState {
                 // Ring attribution: the depth actually achieved this
                 // iteration (capped by the partition's live walkers)
                 // and the hints issued on its behalf, by the ring and
-                // by the partition stream one task ahead of it.
+                // by the partition stream one task ahead of it.  The
+                // batched stage runs one ring at the probe chain's depth.
                 let issued = self.scratch.prefetches[pi] - pf_before.as_ref().map_or(0, |b| b[pi]);
+                let depth = if batched {
+                    engine.probe_ring_depth
+                } else {
+                    engine.ring_depths[pi]
+                };
                 let ring_occ = if occ == 0 {
                     0
                 } else {
-                    engine.ring_depths[pi].min(occ as usize) as u64
+                    depth.min(occ as usize) as u64
                 };
                 tel.record_partition_ring(pi, ring_occ, issued);
             }
@@ -1030,10 +1052,16 @@ impl FlashMob {
         // the *analytic* model — a measured `CostModel` knows costs,
         // not working-set fits — so depths are deterministic for a
         // given hierarchy regardless of how the plan was costed.
+        let depth_model = Planner::analytic_model(&config.planner);
         let ring_depths = match config.ring_depth {
             Some(d) => vec![d; plan.partitions.len()],
-            None => plan.ring_depths(&Planner::analytic_model(&config.planner)),
+            None => plan.ring_depths(&depth_model),
         };
+        let probe_ring_depth = config.ring_depth.unwrap_or_else(|| {
+            let csr =
+                std::mem::size_of_val(sorted.offsets()) + std::mem::size_of_val(sorted.targets());
+            depth_model.ring_depth(bloom_bytes + csr)
+        });
 
         Ok(Self {
             graph: sorted,
@@ -1045,6 +1073,7 @@ impl FlashMob {
             edge_bloom,
             addr,
             ring_depths,
+            probe_ring_depth,
             hint_lines_per_walker: HINT_LINES_PER_WALKER,
             reserve_factor: RESERVE_FACTOR,
             plan_wall,
@@ -1622,6 +1651,11 @@ impl FlashMob {
     /// Walkers whose candidate is rejected re-enter the proposal loop in
     /// the next round (their slots stay grouped by source VP because the
     /// shuffled array is partition-ordered).
+    ///
+    /// Every round runs through the walker ring at `probe_ring_depth`:
+    /// the proposals ([`FlashMob::drive_proposals`]) and the resolves,
+    /// whose hints read only the frozen slot arrays, the graph and the
+    /// PS buffers, so the draws are those of the loop without hints.
     fn sample_stage_node2vec_batched<P: Probe>(
         &self,
         state: &mut EpochState,
@@ -1701,20 +1735,33 @@ impl FlashMob {
             }
         }
 
-        // Round 0: every live walker proposes once.
-        for pi in 0..parts.len() {
-            let (a, b) = (offsets[pi] as usize, offsets[pi + 1] as usize);
-            if a == b {
-                continue;
-            }
-            let addr = self.task_addrs(pi);
-            let ps = &mut ps_buffers[pi];
-            // The redraw rounds below are the same task, later.
-            if let Some(ps) = ps {
-                ps.begin_task(&parts[pi], b - a, ctx);
-            }
-            for slot in a..b {
+        // Round 0: every live walker proposes once, in slot order, which
+        // is partition order (dead walkers sit past the last bin).  The
+        // ring runs over every live slot, so its hints cross from one
+        // partition's task into the next.
+        let depth = self.probe_ring_depth;
+        let mut lanes: ProposalLanes<'_, P> = (probe, ps_buffers, ring_prefetches);
+        let live = offsets[parts.len()] as usize;
+        let (mut task, mut addr) = (usize::MAX, AddrMap::default());
+        self.drive_proposals(
+            depth,
+            sw,
+            live,
+            |j| j,
+            &mut lanes,
+            |lanes, slot| {
+                let (probe, ps_buffers, _) = lanes;
                 let v = sw[slot];
+                let pi = self.plan.map.partition_of(v);
+                if pi != task {
+                    task = pi;
+                    addr = self.task_addrs(pi);
+                    // The redraw rounds below are the same task, later.
+                    if let Some(ps) = &mut ps_buffers[pi] {
+                        ps.begin_task(&parts[pi], (offsets[pi + 1] - offsets[pi]) as usize, ctx);
+                    }
+                }
+                let probe: &mut P = probe;
                 probe.touch(
                     addr.scur + 4 * slot as u64,
                     4,
@@ -1740,7 +1787,7 @@ impl FlashMob {
                     v,
                     t,
                     &mut rngs[pi],
-                    ps,
+                    &mut ps_buffers[pi],
                     probe,
                     &addr,
                     &mut pending,
@@ -1752,8 +1799,8 @@ impl FlashMob {
                         fm_memsim::AccessKind::Sequential,
                     );
                 }
-            }
-        }
+            },
+        );
 
         // Resolution rounds: check the backlog grouped by prev-partition,
         // then redraw the rejected walkers grouped by source partition.
@@ -1765,6 +1812,9 @@ impl FlashMob {
         // (weight-blind) candidate.  The backlog empties geometrically,
         // so the loop almost always breaks long before the cap.
         let mut redraw: Vec<u32> = Vec::new();
+        let addr = self.task_addrs(0);
+        let offsets_arr = self.graph.offsets();
+        let targets_arr = self.graph.targets();
         for _round in 0..63 {
             if pending.is_empty() {
                 break;
@@ -1776,24 +1826,19 @@ impl FlashMob {
             // and stays cache-hot across its whole query group.
             pending.sort_unstable_by_key(|&(slot, _, _)| sprev[slot as usize]);
             redraw.clear();
-            let addr = self.task_addrs(0);
             // Resolve the backlog through the walker ring: while query
             // `j` runs its exact check, the bloom lines and offset pair
             // of query `j+depth` and the adjacency endpoints of query
             // `j+lead` are already in flight.  Execution order — and
             // therefore RNG order — is untouched; hints are computed
             // from the immutable (slot, cand) backlog only.
-            let depth = self.ring_depths.iter().copied().max().unwrap_or(1);
             let mut pf = crate::sample::ring::Pf::new(depth > 1);
-            let offsets_arr = self.graph.offsets();
-            let targets_arr = self.graph.targets();
-            let mut st = (&mut *probe, &mut *ring_prefetches);
             crate::sample::ring::drive(
                 depth,
                 pending.len(),
                 &mut pf,
-                &mut st,
-                |pf, st, j| {
+                &mut lanes,
+                |pf, lanes, j| {
                     let (slot, cand, x) = pending[j];
                     if rule.verdict(x, false) != Verdict::Probe {
                         // Decided without the graph: nothing to hint.
@@ -1801,13 +1846,13 @@ impl FlashMob {
                     }
                     let t = sprev[slot as usize];
                     let before = pf.issued();
-                    pf.element(st.0, offsets_arr, t as usize, addr.offsets);
+                    pf.element(lanes.0, offsets_arr, t as usize, addr.offsets);
                     if let Some(bloom) = ctx.edge_filter {
-                        crate::sample::prefetch_bloom(pf, st.0, bloom, t, cand, &addr);
+                        crate::sample::prefetch_bloom(pf, lanes.0, bloom, t, cand, &addr);
                     }
-                    st.1[self.plan.map.partition_of(t)] += pf.issued() - before;
+                    lanes.2[self.plan.map.partition_of(t)] += pf.issued() - before;
                 },
-                |pf, st, j| {
+                |pf, lanes, j| {
                     let (slot, _, x) = pending[j];
                     let t = sprev[slot as usize];
                     if pf.active() && rule.verdict(x, false) == Verdict::Probe {
@@ -1816,17 +1861,17 @@ impl FlashMob {
                         let d = self.graph.degree(t);
                         // The first two levels of the exact search.
                         fm_graph::csr::sorted_probe_points(d, 2, &mut |k| {
-                            pf.element(st.0, targets_arr, off + k, addr.targets)
+                            pf.element(lanes.0, targets_arr, off + k, addr.targets)
                         });
-                        st.1[self.plan.map.partition_of(t)] += pf.issued() - before;
+                        lanes.2[self.plan.map.partition_of(t)] += pf.issued() - before;
                     }
                 },
-                |st, j, ()| {
+                |lanes, j, ()| {
                     let (slot, cand, x) = pending[j];
                     let t = sprev[slot as usize];
                     // Attempt 0: the 64-attempt cap was applied when
                     // the entry was deferred.
-                    if node2vec_keeps(&self.graph, ctx, t, cand, x, 0, &mut *st.0, &addr) {
+                    if node2vec_keeps(&self.graph, ctx, t, cand, x, 0, &mut *lanes.0, &addr) {
                         let pi = self.plan.map.partition_of(sw[slot as usize]);
                         snext[slot as usize] = apply_exit(cand, ctx, &mut rngs[pi]);
                     } else {
@@ -1836,30 +1881,37 @@ impl FlashMob {
             );
             pending.clear();
             // Redraw in slot order == source-partition order (the
-            // shuffled array is grouped by VP).
+            // shuffled array is grouped by VP), through the same ring
+            // as round 0.
             redraw.sort_unstable();
-            for &slot in &redraw {
-                let v = sw[slot as usize];
-                let t = sprev[slot as usize];
-                let pi = self.plan.map.partition_of(v);
-                let addr = self.task_addrs(pi);
-                let ps = &mut ps_buffers[pi];
-                if let Some(next) = try_resolve(
-                    self,
-                    ctx,
-                    pi,
-                    slot as usize,
-                    v,
-                    t,
-                    &mut rngs[pi],
-                    ps,
-                    probe,
-                    &addr,
-                    &mut pending,
-                ) {
-                    snext[slot as usize] = apply_exit(next, ctx, &mut rngs[pi]);
-                }
-            }
+            let slot_of = |j: usize| redraw[j] as usize;
+            self.drive_proposals(
+                depth,
+                sw,
+                redraw.len(),
+                slot_of,
+                &mut lanes,
+                |lanes, slot| {
+                    let (probe, ps_buffers, _) = lanes;
+                    let v = sw[slot];
+                    let pi = self.plan.map.partition_of(v);
+                    if let Some(next) = try_resolve(
+                        self,
+                        ctx,
+                        pi,
+                        slot,
+                        v,
+                        sprev[slot],
+                        &mut rngs[pi],
+                        &mut ps_buffers[pi],
+                        &mut **probe,
+                        &self.task_addrs(pi),
+                        &mut pending,
+                    ) {
+                        snext[slot] = apply_exit(next, ctx, &mut rngs[pi]);
+                    }
+                },
+            );
         }
         // Backstop (mirrors the 64-attempt cap of the unbatched path):
         // accept the last candidates of anything still unresolved.
@@ -1868,6 +1920,62 @@ impl FlashMob {
             snext[slot as usize] = apply_exit(cand, ctx, &mut rngs[pi]);
         }
         taken
+    }
+
+    /// Runs one proposal for each walker at `slot_of(0..n)` of the
+    /// shuffled array `sw`, through the walker ring at `depth`: three
+    /// hint stages, each one dependent load deeper, in front of
+    /// `execute(lanes, slot)`, which runs in list order and is the only
+    /// stage that draws or writes.  A PS partition's walker gets the
+    /// hints `sample_ps` gives it — its cursor; then the running state,
+    /// next slot or refill head, with its offset pair; then the row
+    /// entry a reserved generation picks next, or the row a refill reads
+    /// — and a DS walker its offset pair (or slab row), then its edge
+    /// range.  Each hint is counted to the walker's partition.
+    fn drive_proposals<P: Probe>(
+        &self,
+        depth: usize,
+        sw: &[VertexId],
+        n: usize,
+        slot_of: impl Fn(usize) -> usize,
+        lanes: &mut ProposalLanes<'_, P>,
+        mut execute: impl FnMut(&mut ProposalLanes<'_, P>, usize),
+    ) {
+        let hint = |stage: usize, pf: &mut Pf, lanes: &mut ProposalLanes<'_, P>, j: usize| {
+            if !pf.active() {
+                return;
+            }
+            let v = sw[slot_of(j)];
+            let pi = self.plan.map.partition_of(v);
+            let addr = self.task_addrs(pi);
+            let (probe, ps_buffers, hints) = lanes;
+            let before = pf.issued();
+            match (&ps_buffers[pi], self.slabs[pi].as_ref(), stage) {
+                (Some(ps), _, 0) => ps.hint_cursor(pf, *probe, v, &addr),
+                (Some(ps), _, 1) => ps.hint_head(pf, *probe, &self.graph, v, &addr),
+                (Some(ps), _, _) => {
+                    ps.hint_sample::<Xorshift64Star, _>(pf, *probe, &self.graph, v, None, &addr);
+                }
+                (None, slab, 0) => hint_ds_row(pf, *probe, &self.graph, slab, v, &addr),
+                (None, None, 1) => {
+                    let (off, d) = (self.graph.adjacency_start(v), self.graph.degree(v));
+                    pf.span(*probe, self.graph.targets(), off, d, addr.targets);
+                }
+                (None, _, _) => {}
+            }
+            hints[pi] += pf.issued() - before;
+        };
+        let mut pf = Pf::new(depth > 1);
+        crate::sample::ring::drive_scouted(
+            depth,
+            n,
+            &mut pf,
+            lanes,
+            |pf, lanes, j| hint(0, pf, lanes, j),
+            |pf, lanes, j| hint(1, pf, lanes, j),
+            |pf, lanes, j| hint(2, pf, lanes, j),
+            |lanes, j, ()| execute(lanes, slot_of(j)),
+        );
     }
 
     /// Parallel sample stage over the persistent pool: partitions are
@@ -2137,18 +2245,21 @@ mod tests {
         // The latency-hiding ring must not move a single RNG draw: every
         // depth yields the same walk as the legacy depth-1 loop, for
         // every sample-stage variant — sequential DS/PS, the parallel
-        // pool, and the batched node2vec resolver.
+        // pool, and the batched node2vec stage's proposal and resolve
+        // rounds.  The sparse node2vec case (40 walkers) reserves its
+        // refills, so the hint that peeks a reserved row is on the path.
         let g = synth::power_law(400, 2.0, 2, 40, 9);
         let wg = weighted_copy(&g);
-        for algo in ["deepwalk", "node2vec", "weighted"] {
+        for algo in ["deepwalk", "node2vec", "sparse node2vec", "weighted"] {
             for threads in [1usize, 2] {
                 let run = |depth: usize| {
+                    let node2vec = WalkConfig::node2vec(0.5, 2.0)
+                        .steps(5)
+                        .seed(7)
+                        .planner(small_params());
                     let mut cfg = match algo {
-                        "node2vec" => WalkConfig::node2vec(0.5, 2.0)
-                            .walkers(300)
-                            .steps(5)
-                            .seed(7)
-                            .planner(small_params()),
+                        "node2vec" => node2vec.walkers(300),
+                        "sparse node2vec" => node2vec.walkers(40),
                         _ => config(300, 5),
                     };
                     if algo == "weighted" {
@@ -2157,16 +2268,27 @@ mod tests {
                     let graph = if algo == "weighted" { &wg } else { &g };
                     FlashMob::new(graph, cfg.threads(threads).ring_depth(depth))
                         .unwrap()
-                        .run()
+                        .run_with_stats()
                         .unwrap()
                 };
-                let baseline = run(1);
+                let (baseline, stats) = run(1);
+                if algo == "sparse node2vec" {
+                    let (_, reserved, _) = stats.pre_sample_totals();
+                    assert!(reserved > 0, "threads={threads}: no refill was reserved");
+                }
                 for depth in [2usize, 4, 8, 16] {
+                    let (out, hinted) = run(depth);
                     assert_eq!(
                         baseline.paths(),
-                        run(depth).paths(),
+                        out.paths(),
                         "{algo} threads={threads}: depth 1 vs {depth}"
                     );
+                    assert_eq!(
+                        stats.pre_sample_totals(),
+                        hinted.pre_sample_totals(),
+                        "{algo} threads={threads}: depth 1 vs {depth}"
+                    );
+                    assert!(hinted.prefetch_totals().0 > 0, "{algo} at depth {depth}");
                 }
             }
         }
@@ -2445,12 +2567,15 @@ mod tests {
             )),
             "{summary}"
         );
+        let kernel = format!("checked skip: {}\n", fm_rng::skip_kernel());
+        assert!(summary.contains(&kernel), "{summary}");
         assert!(sparse
             .to_json()
             .contains(&format!("\"ps_reserved\": {reserved}")));
         let dense = run(40_000);
         let (produced, reserved, _) = dense.pre_sample_totals();
         assert!(produced > 0 && reserved == 0, "{produced} {reserved}");
+        assert!(!dense.human_summary().contains("checked skip"));
         // A DS plan pre-samples nothing and prints no such line.
         let ds = FlashMob::new(&g, config(40, 4).strategy(PlanStrategy::UniformDs))
             .unwrap()

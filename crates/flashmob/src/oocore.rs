@@ -260,6 +260,11 @@ pub struct OocStats {
     /// node2vec only: connectivity scans performed — rejection draws
     /// the rule could not decide without the graph.
     pub probes: u64,
+    /// node2vec only: adjacency words those scans read.  FMDISK1 lists
+    /// are unsorted, so a scan reads the predecessor's list front to
+    /// back: up to and including the candidate where it is there, the
+    /// whole list where it is not.
+    pub scan_words: u64,
     /// Software-prefetch hints the walker ring issued (0 at depth 1),
     /// as `RunStats::per_partition_prefetches` counts them in memory.
     pub prefetches: u64,
@@ -779,6 +784,21 @@ fn pair_index(i: usize, j: usize, blocks: usize) -> usize {
     i * (2 * blocks - i + 1) / 2 + (j - i)
 }
 
+/// Whether `cand` is in the unsorted list `adj`, and how many of its
+/// words a front-to-back scan reads to say so ([`OocStats::scan_words`]).
+/// By chunks, so that the compare stays as vectorised as `contains`'s;
+/// only the chunk that holds the match is searched word by word.
+fn scan_list(adj: &[VertexId], cand: VertexId) -> (bool, usize) {
+    const CHUNK: usize = 64;
+    for (c, chunk) in adj.chunks(CHUNK).enumerate() {
+        if chunk.contains(&cand) {
+            let at = chunk.iter().take_while(|&&w| w != cand).count();
+            return (true, c * CHUNK + at + 1);
+        }
+    }
+    (false, adj.len())
+}
+
 /// One block-sized adjacency buffer and the block it holds.  Allocated
 /// once at the largest block's size, so
 /// loads never reallocate; residency is run-local state, in no snapshot
@@ -1132,8 +1152,10 @@ impl Stepper<'_> {
                                 attempts += 1;
                                 let x = rng.next_f64() * rule.bound;
                                 let scan = || {
+                                    let (hit, words) = scan_list(tadj, cand);
                                     stats.probes += 1;
-                                    tadj.contains(&cand)
+                                    stats.scan_words += words as u64;
+                                    hit
                                 };
                                 if attempts >= 64 || rule.keeps(x, cand == t, scan) {
                                     break cand;
@@ -1817,6 +1839,9 @@ mod tests {
         scans: u64,
         /// The scans among them whose answer changed the decision.
         deciding_scans: u64,
+        /// The list words those deciding scans read, front to back up to
+        /// the candidate or to the end.
+        deciding_scan_words: u64,
     }
 
     /// The bi-block walk as it ran before the ring, kept as the model:
@@ -1885,6 +1910,7 @@ mod tests {
             peak_parked: walkers as u64,
             scans: 0,
             deciding_scans: 0,
+            deciding_scan_words: 0,
         };
         let (mut remaining, mut parked_now, mut steps_taken) = (walkers, walkers as u64, 0u64);
         let mut epoch = 0usize;
@@ -1932,8 +1958,14 @@ mod tests {
                                         1.0 / p_ret
                                     } else {
                                         run.scans += 1;
-                                        run.deciding_scans +=
-                                            ((x < 1.0) != (x < 1.0 / q_inout)) as u64;
+                                        if (x < 1.0) != (x < 1.0 / q_inout) {
+                                            run.deciding_scans += 1;
+                                            run.deciding_scan_words += tadj
+                                                .iter()
+                                                .position(|&w| w == cand)
+                                                .map_or(tadj.len(), |at| at + 1)
+                                                as u64;
+                                        }
                                         if tadj.contains(&cand) {
                                             1.0
                                         } else {
@@ -2223,14 +2255,19 @@ mod tests {
             let model = model_biblock(&sorted, &cfg, budget, |_| false);
             let (_, stats) = run_ooc(&disk, &cfg, budget).unwrap();
             assert_eq!(stats.probes, model.deciding_scans, "p {p} q {q}");
+            assert_eq!(stats.scan_words, model.deciding_scan_words, "p {p} q {q}");
             // q = 1: adjacent or not, the weight is 1.
             assert_eq!(stats.probes == 0, q == 1.0, "p {p} q {q}");
+            assert_eq!(stats.scan_words == 0, q == 1.0, "p {p} q {q}");
             assert!(stats.probes <= model.scans);
+            // A scan reads at least the one word it matches or rejects.
+            assert!(stats.scan_words >= stats.probes, "p {p} q {q}");
         }
         // PPR has no second-order bias to probe for.
         let mut cfg = WalkConfig::deepwalk().walkers(200).steps(8).seed(7);
         cfg.algorithm = crate::WalkAlgorithm::Ppr { alpha: 0.2 };
-        assert_eq!(run_ooc(&disk, &cfg, budget).unwrap().1.probes, 0);
+        let (_, ppr) = run_ooc(&disk, &cfg, budget).unwrap();
+        assert_eq!((ppr.probes, ppr.scan_words), (0, 0));
         std::fs::remove_file(&disk.path).ok();
     }
 

@@ -239,6 +239,88 @@ impl PsBuffers {
         R::index_from(&mut state, row.d as u64) as usize
     }
 
+    /// The first of the three ring hints in front of a [`consume`] from
+    /// `v`: its cursor, the one address known before anything is read.
+    #[inline]
+    pub(crate) fn hint_cursor<P: Probe>(
+        &self,
+        pf: &mut ring::Pf,
+        probe: &mut P,
+        v: VertexId,
+        addr: &AddrMap,
+    ) {
+        let i = (v - self.start) as usize;
+        pf.element(probe, &self.cursor, i, addr.ps_cursor);
+        // The row's bounds, which every later stage reads with the
+        // cursor (hardware only: the model gives them no address).
+        if let Some(bound) = self.local_offsets.get(i) {
+            pf.hw(bound);
+        }
+    }
+
+    /// The second hint, the cursor now in: the buffer line the consume
+    /// reads — a reserved generation's running state, a produced one's
+    /// next slot, or the head an imminent refill writes — and `v`'s
+    /// offset pair wherever the consume will read the row.
+    #[inline]
+    pub(crate) fn hint_head<P: Probe>(
+        &self,
+        pf: &mut ring::Pf,
+        probe: &mut P,
+        graph: &Csr,
+        v: VertexId,
+        addr: &AddrMap,
+    ) {
+        if !pf.active() {
+            return;
+        }
+        let row = self.row((v - self.start) as usize);
+        let pos = match (row.unread, row.reserved) {
+            (0, _) => row.bstart,
+            (_, true) => row.bstart + NEXT_STATE,
+            (unread, false) => row.bstart + row.d - unread,
+        };
+        pf.element(probe, &self.buf, pos, addr.ps_buf);
+        if row.unread == 0 || row.reserved {
+            pf.element(probe, graph.offsets(), v as usize, addr.offsets);
+        }
+    }
+
+    /// The third hint, state and offsets now in: the row a refill draws
+    /// from (`cum_weights` too, when they pick), or the one entry a
+    /// reserved generation's next draw picks — computed, not stored.
+    /// Returns where the consume's sample sits: nowhere yet before a
+    /// refill, the peeked entry of the row, or the produced slot.
+    #[inline]
+    pub(crate) fn hint_sample<'a, R: Rng64, P: Probe>(
+        &'a self,
+        pf: &mut ring::Pf,
+        probe: &mut P,
+        graph: &'a Csr,
+        v: VertexId,
+        cum_weights: Option<&[f32]>,
+        addr: &AddrMap,
+    ) -> Option<(&'a [VertexId], usize)> {
+        if !pf.active() {
+            return None;
+        }
+        let row = self.row((v - self.start) as usize);
+        if row.unread == 0 {
+            let off = graph.adjacency_start(v);
+            pf.span(probe, graph.targets(), off, row.d, addr.targets);
+            if let Some(cw) = cum_weights {
+                pf.span(probe, cw, off, row.d, addr.cum_weights);
+            }
+            return None;
+        }
+        if !row.reserved {
+            return Some((&self.buf, row.bstart + row.d - row.unread));
+        }
+        let pos = graph.adjacency_start(v) + self.peek_reserved::<R>(&row);
+        pf.element(probe, graph.targets(), pos, addr.targets);
+        Some((graph.targets(), pos))
+    }
+
     /// Chooses the form this task's refills take ([`reserves`]).
     pub(crate) fn begin_task(&mut self, part: &Partition, walkers: usize, ctx: &AlgoCtx<'_>) {
         self.reserving = reserves(part, walkers, ctx);
@@ -579,6 +661,27 @@ pub(crate) fn hint_partition<R: Rng64, P: Probe>(
     pf.issued()
 }
 
+/// The first ring hint in front of a direct draw from `v`: its slab
+/// row, or its CSR offset pair.
+#[inline]
+pub(crate) fn hint_ds_row<P: Probe>(
+    pf: &mut ring::Pf,
+    probe: &mut P,
+    graph: &Csr,
+    slab: Option<&FixedDegreeSlab>,
+    v: VertexId,
+    addr: &AddrMap,
+) {
+    match slab {
+        Some(s) => {
+            let row = s.neighbors(v);
+            let base = addr.slab_targets + 4 * part_slab_index(s, v, 0) as u64;
+            pf.span(probe, row, 0, row.len(), base);
+        }
+        None => pf.element(probe, graph.offsets(), v as usize, addr.offsets),
+    }
+}
+
 /// Slot payload carried from the ring's fetch stage to its execute
 /// stage on the DS path: the CSR offset pair, read once while the line
 /// is fresh (immutable data, so caching it cannot change the walk).
@@ -626,19 +729,7 @@ fn sample_ds<R: Rng64, P: Probe>(
             if v == DEAD {
                 return;
             }
-            match slab {
-                Some(s) => {
-                    let row = s.neighbors(v);
-                    pf.span(
-                        probe,
-                        row,
-                        0,
-                        row.len(),
-                        addr.slab_targets + 4 * part_slab_index(s, v, 0) as u64,
-                    );
-                }
-                None => pf.element(probe, offsets, v as usize, addr.offsets),
-            }
+            hint_ds_row(pf, probe, graph, slab, v, addr);
             if ctx.algo.is_second_order() {
                 if let Some(sp) = sprev {
                     // The connectivity probe will read t's offset pair.
@@ -756,12 +847,13 @@ fn sample_ds<R: Rng64, P: Probe>(
 /// pipelined through the walker ring.
 ///
 /// PS state (cursors, buffer contents) mutates as walkers execute, so
-/// the fetch stage carries no payload: it only *hints* the likely next
-/// read position — the cursor line, the buffer slot (or, of a reserved
-/// generation, the row entry) a consume will read, or (on an imminent
-/// refill) the offset pair plus adjacency head.  A hint gone stale
-/// because an intervening walker consumed from the same vertex wastes
-/// one prefetch and nothing else.
+/// the hint stages carry no payload: they only *hint* the likely next
+/// reads, one dependent load per stage ([`PsBuffers::hint_cursor`],
+/// [`PsBuffers::hint_head`], [`PsBuffers::hint_sample`]) — the cursor
+/// line; then the running state, the next slot or the refill head;
+/// then the row entry a reserved generation picks or the adjacency a
+/// refill reads.  A hint gone stale because an intervening walker
+/// consumed from the same vertex wastes one prefetch and nothing else.
 #[allow(clippy::too_many_arguments)]
 fn sample_ps<R: Rng64, P: Probe>(
     graph: &Csr,
@@ -786,12 +878,12 @@ fn sample_ps<R: Rng64, P: Probe>(
     let offsets = graph.offsets();
     let targets = graph.targets();
     let mut st = (probe, buffers);
-    ring::drive(
+    ring::drive_scouted(
         ring_depth,
         scur.len(),
         &mut pf,
         &mut st,
-        // Inspect: hint the walker's PS cursor (and for second-order
+        // Scout: hint the walker's PS cursor (and for second-order
         // walks the previous vertex's offset pair).
         |pf: &mut ring::Pf, st: &mut (&mut P, &mut PsBuffers), j| {
             let v = scur[j];
@@ -799,8 +891,7 @@ fn sample_ps<R: Rng64, P: Probe>(
                 return;
             }
             let (probe, buffers) = st;
-            let i = (v - buffers.start) as usize;
-            pf.element(probe, &buffers.cursor, i, addr.ps_cursor);
+            buffers.hint_cursor(pf, probe, v, addr);
             if ctx.algo.is_second_order() {
                 if let Some(sp) = sprev {
                     // The connectivity probe will read t's offset pair.
@@ -810,11 +901,20 @@ fn sample_ps<R: Rng64, P: Probe>(
                 }
             }
         },
-        // Fetch: read the (now-resident) cursor and hint what the
-        // consume will touch.  For node2vec, peek the likely candidate
-        // and hint its whole probe chain: bloom words first, then the
-        // exact search's first reads.
+        // Inspect: read the (now-resident) cursor and hint the buffer
+        // line the consume starts from.
         |pf: &mut ring::Pf, st: &mut (&mut P, &mut PsBuffers), j| {
+            let v = scur[j];
+            if v != DEAD {
+                let (probe, buffers) = st;
+                buffers.hint_head(pf, probe, graph, v, addr);
+            }
+        },
+        // Fetch: hint the row the consume reads.  For node2vec, peek
+        // the likely candidate and hint its whole probe chain: bloom
+        // words first, then the exact search's first reads.
+        |pf: &mut ring::Pf, st: &mut (&mut P, &mut PsBuffers), j| {
+            // At depth 1 this is the only hint stage that runs.
             if !pf.active() {
                 return;
             }
@@ -823,34 +923,10 @@ fn sample_ps<R: Rng64, P: Probe>(
                 return;
             }
             let (probe, buffers) = st;
-            let i = (v - buffers.start) as usize;
-            let row = buffers.row(i);
-            let (bstart, d) = (row.bstart, row.d);
-            if row.unread == 0 {
-                // Refill imminent: the batch reads v's offset pair,
-                // random targets within one adjacency, and streams
-                // writes into the buffer.
-                pf.element(probe, offsets, v as usize, addr.offsets);
-                let off = graph.adjacency_start(v);
-                pf.span(probe, targets, off, d, addr.targets);
-                if let Some(cw) = ctx.cum_weights {
-                    pf.span(probe, cw, off, d, addr.cum_weights);
-                }
-                pf.element(probe, &buffers.buf, bstart, addr.ps_buf);
-                return;
-            }
-            // A reserved generation's samples are in the adjacency, not
-            // the buffer: the slot to hint is the row entry the saved
-            // state picks next (computed, not stored).
-            let (slots, pos, base) = if row.reserved {
-                pf.element(probe, offsets, v as usize, addr.offsets);
-                let pos = graph.adjacency_start(v) + buffers.peek_reserved::<R>(&row);
-                (targets, pos, addr.targets)
-            } else {
-                (&buffers.buf[..], bstart + (d - row.unread), addr.ps_buf)
-            };
-            pf.element(probe, slots, pos, base);
-            if let (WalkAlgorithm::Node2Vec { .. }, Some(sp)) = (ctx.algo, sprev) {
+            let sample = buffers.hint_sample::<R, _>(pf, probe, graph, v, ctx.cum_weights, addr);
+            if let (Some((slots, pos)), WalkAlgorithm::Node2Vec { .. }, Some(sp)) =
+                (sample, ctx.algo, sprev)
+            {
                 let t = sp[j];
                 let cand = slots[pos];
                 if let Some(bloom) = ctx.edge_filter {

@@ -12,8 +12,9 @@
 //! them.
 //!
 //! [`drive`] runs a three-stage pipeline over one task's walkers
-//! ([`drive_scouted`] puts a fourth, hint-only stage in front for
-//! out-of-core stepping, whose addresses sit one load deeper):
+//! ([`drive_scouted`] puts a fourth, hint-only stage in front where the
+//! addresses sit one load deeper: out-of-core stepping, and a PS
+//! consume, whose cursor names the buffer line that names the row):
 //!
 //! ```text
 //!   walker index:   j ......... j+G/2 ........ j+G
@@ -66,7 +67,10 @@
 //! stream does, and the two together are slower than the stream alone
 //! (EXPERIMENTS.md, PR 21 ledger).  So depth 1 stays the plan for
 //! cache-sized partitions, and the ring keeps the case it was built
-//! for: working sets no task-ahead stream could hold.
+//! for: working sets no task-ahead stream could hold.  The batched
+//! node2vec stage is one: its proposal and resolve rounds each run over
+//! every live walker of the step, so its depth is priced on the probe
+//! chain's working set — bloom filter plus CSR — not on a partition's.
 
 use fm_memsim::Probe;
 

@@ -34,7 +34,7 @@ pub use alias::AliasTable;
 pub use its::InverseTransform;
 pub use mt19937::Mt19937;
 pub use rejection::RejectionSampler;
-pub use xorshift::{SplitMix64, Xorshift64Star};
+pub use xorshift::{skip_kernel, SplitMix64, Xorshift64Star};
 
 /// A minimal 64-bit pseudo-random generator interface.
 ///

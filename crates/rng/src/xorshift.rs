@@ -91,22 +91,153 @@ impl Jump {
     }
 }
 
-/// Lanes [`Xorshift64Star::reserve_range`] steps side by side: one
-/// step is a six-operation dependent chain, so a single chain leaves
-/// most of the core idle; four independent ones fill it.
+/// Lanes the scalar passes of [`Xorshift64Star::reserve_range`] step
+/// side by side: one step is a six-operation dependent chain, so a
+/// single chain leaves most of the core idle; four independent ones
+/// fill it.
 const LANES: usize = 4;
 
 /// Lane lengths of the checked skip, longest first, each with the jump
-/// that starts the next lane.  A run of `LANES * len` draws is split
-/// into `LANES` consecutive chains of `len`; what is left over falls to
-/// the next length, and the last few draws to a single chain.  Evaluated
-/// at compile time: 48 KiB of `.rodata`, nothing initialised at run time.
+/// that starts the next lane.  A run of `L * len` draws is split into
+/// `L` consecutive chains of `len`; what is left over falls to the next
+/// length, and the last few draws to a single chain.  Evaluated at
+/// compile time: 48 KiB of `.rodata`, nothing initialised at run time.
 static BLOCKS: [(usize, Jump); 3] = {
     let short = Jump::single().repeated(8);
     let mid = short.repeated(8);
     let long = mid.repeated(8);
     [(512, long), (64, mid), (8, short)]
 };
+
+/// The checked-skip kernel this host runs, by name: `16/8-lane avx512`
+/// where the CPU has AVX-512 F/DQ/VL, `4-lane scalar` elsewhere.
+pub fn skip_kernel() -> &'static str {
+    if wide_lanes() {
+        "16/8-lane avx512"
+    } else {
+        "4-lane scalar"
+    }
+}
+
+/// Whether [`checked_chain`] takes the wide kernel, probed on first use.
+fn wide_lanes() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static WIDE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *WIDE.get_or_init(|| {
+            is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512vl")
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// `L` consecutive chains of `len` steps from `s`, side by side, for as
+/// long as `left` holds `L * len` draws; each chain starts where the one
+/// before it ends (`starts` leaps `len` steps).  Moves `s` and `left`
+/// past the draws taken and returns the least `lo = state · lo_factor`
+/// of any of them.
+#[inline(always)]
+fn pass<const L: usize>(
+    s: &mut u64,
+    left: &mut usize,
+    len: usize,
+    lo_factor: u64,
+    starts: impl Fn(u64) -> [u64; L],
+) -> u64 {
+    let mut least = [u64::MAX; L];
+    while *left >= L * len {
+        let first = starts(*s);
+        let mut lane = first;
+        for _ in 0..len {
+            for (x, least) in lane.iter_mut().zip(&mut least) {
+                *x = step(*x);
+                *least = (*least).min(x.wrapping_mul(lo_factor));
+            }
+        }
+        // Each chain ends where the next one started: the jump table
+        // agrees with the steps it stands for.
+        debug_assert_eq!(lane[..L - 1], first[1..]);
+        *s = lane[L - 1];
+        *left -= L * len;
+    }
+    least.iter().fold(u64::MAX, |a, &b| a.min(b))
+}
+
+/// `s` and the `L - 1` states after it, each `jump` on from the one
+/// before.
+#[inline(always)]
+fn lane_starts<const L: usize>(s: u64, jump: &Jump) -> [u64; L] {
+    let mut lane = [s; L];
+    for l in 1..L {
+        lane[l] = jump.leap(lane[l - 1]);
+    }
+    lane
+}
+
+/// [`lane_starts`] out of line, for [`wide_chain`]: inlined there, a
+/// leap's eight table lookups become one gather, which takes longer
+/// than the eight loads.
+#[inline(never)]
+fn lane_starts_outlined<const L: usize>(s: u64, jump: &Jump) -> [u64; L] {
+    lane_starts(s, jump)
+}
+
+/// The checked chain of `n` draws from `s` on [`LANES`] lanes: the state
+/// after them and the least `lo` among them.  Out of line so that it
+/// stays in general-purpose registers when [`wide_chain`] falls through
+/// to it: vectorised there, its short passes ran slower.
+#[inline(never)]
+fn scalar_chain(mut s: u64, n: usize, lo_factor: u64) -> (u64, u64) {
+    let (mut left, mut least) = (n, u64::MAX);
+    for (len, jump) in &BLOCKS {
+        let starts = |s| lane_starts(s, jump);
+        least = least.min(pass::<LANES>(&mut s, &mut left, *len, lo_factor, starts));
+    }
+    for _ in 0..left {
+        s = step(s);
+        least = least.min(s.wrapping_mul(lo_factor));
+    }
+    (s, least)
+}
+
+/// [`scalar_chain`] with 16 and then 8 lanes of 512, and of 64, in
+/// front.  The lanes are plain arrays, which this function's features
+/// let the compiler keep in two, then one, 512-bit registers (`vpmullq`
+/// is the DQ multiply, `vpminuq` the F minimum); no intrinsic is named.
+/// What is left, under 8 · 64 draws, falls through to the scalar passes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn wide_chain(mut s: u64, n: usize, lo_factor: u64) -> (u64, u64) {
+    let (mut left, mut least) = (n, u64::MAX);
+    for (len, jump) in &BLOCKS[..2] {
+        let wide = pass::<16>(&mut s, &mut left, *len, lo_factor, |s| {
+            lane_starts_outlined(s, jump)
+        });
+        let half = pass::<8>(&mut s, &mut left, *len, lo_factor, |s| {
+            lane_starts_outlined(s, jump)
+        });
+        least = least.min(wide).min(half);
+    }
+    let (s, rest) = scalar_chain(s, left, lo_factor);
+    (s, least.min(rest))
+}
+
+/// The checked chain on the widest kernel this host has; a run too
+/// short for the wide lanes goes straight to the scalar passes.
+fn checked_chain(s: u64, n: usize, lo_factor: u64) -> (u64, u64) {
+    #[cfg(target_arch = "x86_64")]
+    if n >= 8 * 64 && wide_lanes() {
+        // SAFETY: `wide_lanes` saw avx512f, avx512dq and avx512vl on this
+        // CPU, the three features `wide_chain` is compiled for.
+        return unsafe { wide_chain(s, n, lo_factor) };
+    }
+    scalar_chain(s, n, lo_factor)
+}
 
 /// Marsaglia's xorshift64 generator with Vigna's multiplicative scrambler.
 ///
@@ -136,6 +267,33 @@ impl Xorshift64Star {
     pub fn state(&self) -> u64 {
         self.state
     }
+
+    /// [`Rng64::reserve_range`] with `chain` as the checked chain.
+    #[inline(always)]
+    fn reserve_on(
+        &mut self,
+        bound: u64,
+        n: usize,
+        chain: impl FnOnce(u64, usize, u64) -> (u64, u64),
+    ) -> Option<u64> {
+        if bound == 0 {
+            return None;
+        }
+        let first = self.state;
+        let (s, least) = chain(first, n, SCRAMBLE.wrapping_mul(bound));
+        if least < bound {
+            return None;
+        }
+        self.state = s;
+        Some(first)
+    }
+
+    /// [`Rng64::reserve_range`] on the scalar passes whatever the host
+    /// has, for the tests that hold the two kernels equal.
+    #[cfg(test)]
+    fn reserve_range_scalar(&mut self, bound: u64, n: usize) -> Option<u64> {
+        self.reserve_on(bound, n, scalar_chain)
+    }
 }
 
 impl Rng64 for Xorshift64Star {
@@ -148,44 +306,11 @@ impl Rng64 for Xorshift64Star {
     /// The checked skip.  A draw's `lo` is `state · (SCRAMBLE · bound)
     /// mod 2⁶⁴`, so proving that one draw stays out of the `lo < bound`
     /// branch costs a multiply and a compare on top of its step, and
-    /// nothing is read or written.
+    /// nothing is read or written.  The chains run on the widest lanes
+    /// the host has ([`skip_kernel`]); every kernel checks every draw
+    /// and ends in the same state.
     fn reserve_range(&mut self, bound: u64, n: usize) -> Option<u64> {
-        if bound == 0 {
-            return None;
-        }
-        let lo_factor = SCRAMBLE.wrapping_mul(bound);
-        let first = self.state;
-        // The smallest `lo` of any draw so far, per lane.
-        let (mut s, mut left, mut least) = (first, n, [u64::MAX; LANES]);
-        for (len, jump) in &BLOCKS {
-            while left >= LANES * len {
-                let mut lane = [s; LANES];
-                for l in 1..LANES {
-                    lane[l] = jump.leap(lane[l - 1]);
-                }
-                let starts = lane;
-                for _ in 0..*len {
-                    for (x, least) in lane.iter_mut().zip(&mut least) {
-                        *x = step(*x);
-                        *least = (*least).min(x.wrapping_mul(lo_factor));
-                    }
-                }
-                // Each chain ends where the next one started: the jump
-                // table agrees with the steps it stands for.
-                debug_assert_eq!(lane[..LANES - 1], starts[1..]);
-                s = lane[LANES - 1];
-                left -= LANES * len;
-            }
-        }
-        for _ in 0..left {
-            s = step(s);
-            least[0] = least[0].min(s.wrapping_mul(lo_factor));
-        }
-        if least.iter().any(|&lo| lo < bound) {
-            return None;
-        }
-        self.state = s;
-        Some(first)
+        self.reserve_on(bound, n, checked_chain)
     }
 
     #[inline]
@@ -272,12 +397,16 @@ mod tests {
 
     #[test]
     fn reserve_range_equals_the_draws_it_skips() {
-        // Around every lane-block boundary (4 lanes of 8, 64, 512), two
-        // degrees the TW analog has, and one long run.
+        // Around every lane-block boundary (4 lanes of 8, 64, 512; 8 and
+        // 16 lanes of 64 and 512), two degrees the TW analog has, its
+        // largest hub, and one long run.
         let counts = [
-            0, 1, 2, 31, 32, 33, 63, 64, 255, 256, 257, 288, 740, 2047, 2048, 2049, 2400, 24_576,
-            1_000_000,
+            0, 1, 2, 31, 32, 33, 63, 64, 255, 256, 257, 288, 511, 512, 513, 740, 1023, 1024, 1025,
+            2047, 2048, 2049, 2400, 4095, 4096, 4097, 8191, 8192, 8193, 24_576, 1_000_000,
         ];
+        // The dispatched kernel is the wide one only where the host has
+        // the features; the scalar passes run everywhere.
+        eprintln!("dispatched checked-skip kernel: {}", skip_kernel());
         let bounds = [
             1u64,
             2,
@@ -299,7 +428,14 @@ mod tests {
                 let mut r = Xorshift64Star::new((i * 100 + j) as u64);
                 let before = r.clone();
                 let clean = none_enters_the_slow_branch(&r, bound, n);
+                let mut scalar = r.clone();
                 let got = r.reserve_range(bound, n);
+                assert_eq!(
+                    scalar.reserve_range_scalar(bound, n),
+                    got,
+                    "kernels disagree: n {n} bound {bound}"
+                );
+                assert_eq!(scalar.state(), r.state(), "n {n} bound {bound}");
                 if !clean {
                     assert_eq!(got, None, "n {n} bound {bound}");
                     assert_eq!(r.state(), before.state(), "a decline moves nothing");
@@ -330,7 +466,7 @@ mod tests {
     fn reserve_range_declines_where_a_draw_may_redraw() {
         // At bound ≥ 2⁶³ every other draw has `lo < bound`.
         for bound in [1u64 << 63, (1 << 63) + 1, u64::MAX] {
-            for n in [8usize, 64, 740] {
+            for n in [8usize, 64, 512, 740, 1024, 4096, 8192] {
                 let mut r = Xorshift64Star::new(n as u64);
                 let before = r.state();
                 assert!(!none_enters_the_slow_branch(&r, bound, n));
