@@ -2,11 +2,11 @@
 # Tier-1 verification plus lints, as a single gate:
 #   1. release build of the whole workspace
 #   2. full test suite
-#   3. cross-engine conformance, quick tier: the registry audit (a
-#      walk program registered without an oracle fails the build), then
-#      one engine x walk x threads lattice, programs included, against
-#      the exact oracles and the golden digests (sub-second; pass
-#      CONFORM_FULL=1 to sweep the full thread lattice instead)
+#   3. cross-engine conformance, quick tier: one engine x walk x
+#      threads lattice over every WalkAlgorithm, programs included (a
+#      walk without a lattice walk does not build), against the exact
+#      oracles and the golden digests (sub-second; pass CONFORM_FULL=1
+#      to sweep the full thread lattice instead)
 #   4. ring tier: the same quick lattice with --ring-depth 16, proving
 #      the latency-hiding walker ring is bit-invisible at max depth —
 #      in memory and, since the bi-block loop steps through the same

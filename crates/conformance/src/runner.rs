@@ -183,7 +183,7 @@ impl EngineKind {
     /// algorithms, and out of core walks DeepWalk, node2vec and PPR on
     /// one thread.
     pub fn skip_reason(self, algo: AlgoKind, threads: usize) -> Option<&'static str> {
-        let walk = algo.walk_algorithm();
+        let walk = algo.algorithm();
         match self {
             EngineKind::KnightKing | EngineKind::GraphVite
                 if walk.is_stateful() || walk.uses_edge_labels() =>
@@ -207,7 +207,7 @@ impl EngineKind {
 }
 
 /// Walk dimension of the lattice: the paper's three algorithms and the
-/// walk programs, one entry per `flashmob::program::REGISTRY` name.
+/// walk programs, one entry per [`WalkAlgorithm`] variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgoKind {
     /// First-order uniform.
@@ -225,30 +225,41 @@ pub enum AlgoKind {
 }
 
 impl AlgoKind {
-    /// All walks, in lattice order.
-    pub const ALL: [AlgoKind; 6] = [
-        AlgoKind::DeepWalk,
-        AlgoKind::Weighted,
-        AlgoKind::Node2Vec,
-        AlgoKind::Ppr,
-        AlgoKind::EarlyExit,
-        AlgoKind::Metapath,
-    ];
+    /// All walks, in lattice order: every [`WalkAlgorithm::ALL`] entry,
+    /// as [`AlgoKind::of`] maps it.
+    pub const ALL: [AlgoKind; WalkAlgorithm::ALL.len()] = {
+        let mut all = [AlgoKind::DeepWalk; WalkAlgorithm::ALL.len()];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = AlgoKind::of(WalkAlgorithm::ALL[i]);
+            i += 1;
+        }
+        all
+    };
 
-    /// Display label (also the golden-table key and the registry name).
-    pub fn label(self) -> &'static str {
-        match self {
-            AlgoKind::DeepWalk => "deepwalk",
-            AlgoKind::Weighted => "weighted",
-            AlgoKind::Node2Vec => "node2vec",
-            AlgoKind::Ppr => "ppr",
-            AlgoKind::EarlyExit => "early-exit",
-            AlgoKind::Metapath => "metapath",
+    /// The lattice walk of an engine walk.  The match is exhaustive on
+    /// purpose: a walk added to the engine without a lattice walk (and
+    /// with it an oracle) does not build.
+    pub const fn of(walk: WalkAlgorithm) -> AlgoKind {
+        match walk {
+            WalkAlgorithm::DeepWalk => AlgoKind::DeepWalk,
+            WalkAlgorithm::Weighted => AlgoKind::Weighted,
+            WalkAlgorithm::Node2Vec { .. } => AlgoKind::Node2Vec,
+            WalkAlgorithm::Ppr { .. } => AlgoKind::Ppr,
+            WalkAlgorithm::EarlyExit => AlgoKind::EarlyExit,
+            WalkAlgorithm::Metapath { .. } => AlgoKind::Metapath,
         }
     }
 
-    /// The engine-side algorithm specification.
-    pub fn walk_algorithm(self) -> WalkAlgorithm {
+    /// Display label: the walk's [`WalkAlgorithm::name`], which is also
+    /// its golden-table key.
+    pub fn label(self) -> &'static str {
+        self.algorithm().name()
+    }
+
+    /// The engine-side algorithm specification, at the lattice's
+    /// parameters.
+    pub fn algorithm(self) -> WalkAlgorithm {
         match self {
             AlgoKind::DeepWalk => WalkAlgorithm::DeepWalk,
             AlgoKind::Weighted => WalkAlgorithm::Weighted,
@@ -284,13 +295,6 @@ impl AlgoKind {
             _ => 2,
         }
     }
-}
-
-/// Whether `name` (a `flashmob::program::REGISTRY` spelling) is a
-/// lattice walk, with an exact oracle and cells of its own — the audit
-/// `fmwalk conform` runs before the lattice.
-pub fn oracle_backed(name: &str) -> bool {
-    AlgoKind::ALL.iter().any(|a| a.label() == name)
 }
 
 /// Which slice of the lattice to run.
@@ -469,7 +473,7 @@ pub(crate) fn cell_config(
         .threads(threads)
         .planner(conformance_planner())
         .strategy(engine.strategy());
-    config.algorithm = algo.walk_algorithm();
+    config.algorithm = algo.algorithm();
     match ring_depth {
         Some(depth) => config.ring_depth(depth),
         None => config,

@@ -56,15 +56,16 @@ impl MetapathPattern {
     }
 }
 
-/// The transition-probability specification of a walk.
+/// The transition-probability specification of a walk: the one
+/// description of a walk, from the CLI's `--algo` name to the PS/DS/ring
+/// kernels, which match on it inside their innermost loops.
 ///
 /// The paper evaluates DeepWalk (first-order, uniform) and node2vec
 /// (second-order); [`WalkAlgorithm::Weighted`] covers static per-edge
 /// weights, the other classical first-order case.  The remaining
-/// variants are the kernels behind the programmable-walk API
-/// (`flashmob::program`): personalized PageRank with restart, walks
-/// that terminate on returning to their origin, and metapath walks
-/// over typed edges.
+/// variants are the walk programs: personalized PageRank with restart,
+/// walks that terminate on returning to their origin, and metapath
+/// walks over typed edges.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WalkAlgorithm {
     /// First-order uniform walk (DeepWalk).
@@ -104,6 +105,29 @@ pub enum WalkAlgorithm {
 }
 
 impl WalkAlgorithm {
+    /// Every walk, each at its default parameters (node2vec `p = q = 1`,
+    /// PPR `alpha = 0.15`, metapath the two-phase `0,1` cycle), in the
+    /// order the conformance lattice sweeps them.
+    pub const ALL: [WalkAlgorithm; 6] = [
+        WalkAlgorithm::DeepWalk,
+        WalkAlgorithm::Weighted,
+        WalkAlgorithm::Node2Vec { p: 1.0, q: 1.0 },
+        WalkAlgorithm::Ppr { alpha: 0.15 },
+        WalkAlgorithm::EarlyExit,
+        WalkAlgorithm::Metapath {
+            pattern: MetapathPattern {
+                labels: [0, 1, 0, 0, 0, 0, 0, 0],
+                len: 2,
+            },
+        },
+    ];
+
+    /// The walk [`WalkAlgorithm::name`] calls `name`, at its default
+    /// parameters; `None` for a name no walk has.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|walk| walk.name() == name)
+    }
+
     /// Whether edge sampling needs the walker's previous position.
     pub fn is_second_order(&self) -> bool {
         matches!(self, WalkAlgorithm::Node2Vec { .. })
@@ -129,7 +153,8 @@ impl WalkAlgorithm {
         matches!(self, WalkAlgorithm::Metapath { .. })
     }
 
-    /// Stable short name, matching the CLI `--program` spelling.
+    /// Stable short name: the CLI's `--algo` spelling, and the
+    /// conformance lattice's golden-table key.
     pub fn name(&self) -> &'static str {
         match self {
             WalkAlgorithm::DeepWalk => "deepwalk",
@@ -138,18 +163,6 @@ impl WalkAlgorithm {
             WalkAlgorithm::Ppr { .. } => "ppr",
             WalkAlgorithm::EarlyExit => "early-exit",
             WalkAlgorithm::Metapath { .. } => "metapath",
-        }
-    }
-
-    /// The maximum unnormalized node2vec weight (rejection bound).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a first-order algorithm.
-    pub fn node2vec_bound(&self) -> f64 {
-        match self {
-            WalkAlgorithm::Node2Vec { p, q } => (1.0 / p).max(1.0).max(1.0 / q),
-            _ => panic!("node2vec_bound on a first-order algorithm"),
         }
     }
 
@@ -280,12 +293,31 @@ mod tests {
 
     #[test]
     fn node2vec_bound_covers_all_cases() {
-        let a = WalkAlgorithm::Node2Vec { p: 0.25, q: 2.0 };
-        assert_eq!(a.node2vec_bound(), 4.0);
-        let b = WalkAlgorithm::Node2Vec { p: 4.0, q: 0.5 };
-        assert_eq!(b.node2vec_bound(), 2.0);
-        let c = WalkAlgorithm::Node2Vec { p: 2.0, q: 2.0 };
-        assert_eq!(c.node2vec_bound(), 1.0);
+        let bound = |p, q| WalkAlgorithm::Node2Vec { p, q }.node2vec_rule().bound;
+        assert_eq!(bound(0.25, 2.0), 4.0);
+        assert_eq!(bound(4.0, 0.5), 2.0);
+        assert_eq!(bound(2.0, 2.0), 1.0);
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for walk in WalkAlgorithm::ALL {
+            let name = walk.name();
+            assert_eq!(WalkAlgorithm::from_name(name).map(|w| w.name()), Some(name));
+            assert_eq!(WalkAlgorithm::from_name(name), Some(walk));
+        }
+        // One entry per variant: the names are distinct.
+        let mut names = WalkAlgorithm::ALL.map(|w| w.name());
+        names.sort_unstable();
+        assert!(names.windows(2).all(|pair| pair[0] != pair[1]), "{names:?}");
+        assert_eq!(WalkAlgorithm::from_name("frobwalk"), None);
+        // The documented defaults.
+        assert_eq!(
+            WalkAlgorithm::from_name("metapath"),
+            Some(WalkAlgorithm::Metapath {
+                pattern: MetapathPattern::new(&[0, 1]).unwrap()
+            })
+        );
     }
 
     /// `verdict` against the comparison it replaces, `x < weight`, at
@@ -297,10 +329,7 @@ mod tests {
             for q in grid {
                 let rule = Node2VecRule::new(p, q);
                 assert_eq!(rule, WalkAlgorithm::Node2Vec { p, q }.node2vec_rule());
-                assert_eq!(
-                    rule.bound,
-                    WalkAlgorithm::Node2Vec { p, q }.node2vec_bound()
-                );
+                assert_eq!(rule.bound, (1.0 / p).max(1.0).max(1.0 / q));
                 assert_eq!(rule.bound_min, (1.0 / p).min(1.0).min(1.0 / q));
                 let mut probed = 0;
                 for at in [
@@ -355,12 +384,6 @@ mod tests {
         let trivial = WalkAlgorithm::DeepWalk.node2vec_rule();
         assert_eq!(trivial, Node2VecRule::new(1.0, 1.0));
         assert_eq!(trivial.verdict(0.999_999, false), Verdict::Accept);
-    }
-
-    #[test]
-    #[should_panic(expected = "first-order")]
-    fn bound_panics_for_first_order() {
-        let _ = WalkAlgorithm::DeepWalk.node2vec_bound();
     }
 
     #[test]

@@ -1149,13 +1149,14 @@ impl FlashMob {
     /// With [`RunOptions::resume_from`] the run continues from the latest
     /// checkpoint in that directory; its output is bit-identical to the
     /// uninterrupted run's.  The engine must be constructed over the same
-    /// graph with the same configuration as the interrupted run (thread
-    /// count may differ — runs are bit-identical across thread counts);
+    /// graph with the same configuration as the interrupted run;
     /// mismatches are rejected with
-    /// [`fm_recover::RecoverError::Mismatch`].  With both, a resumed run
-    /// keeps checkpointing, and its generation numbers continue the
-    /// interrupted run's — they derive from the absolute iteration, not
-    /// from time since resume.
+    /// [`fm_recover::RecoverError::Mismatch`].  The thread count may
+    /// differ, except that a second-order walk does not cross between
+    /// one thread and several (see [`WalkConfig::threads`]).  With both,
+    /// a resumed run keeps checkpointing, and its generation numbers
+    /// continue the interrupted run's — they derive from the absolute
+    /// iteration, not from time since resume.
     ///
     /// An enabled `tel` receives a Plan span for the pre-processing done
     /// at construction, a prologue span, Shuffle/Sample/Output spans for
@@ -1178,9 +1179,12 @@ impl FlashMob {
     ///
     /// Snapshots carry this tag and a resume verifies it: resuming under
     /// a different algorithm, stop rule, seed, or plan would silently
-    /// produce garbage.  Thread count is deliberately excluded — runs
-    /// are bit-identical across thread counts, so a checkpoint written
-    /// at 8 threads resumes correctly at 1 (and vice versa).
+    /// produce garbage.  Thread count is left out where it does not pick
+    /// the chain: first-order runs are bit-identical at every count, so
+    /// their checkpoints written at 8 threads resume at 1 and vice versa.
+    /// A second-order walk runs the batched stage at one thread and the
+    /// per-partition stage at more, which draw different chains, so its
+    /// tag carries one extra word above one thread.
     fn config_tag(&self) -> u64 {
         let c = &self.config;
         let mut fp = Fingerprint::new();
@@ -1234,6 +1238,9 @@ impl FlashMob {
             .fold_u64(c.planner.target_groups as u64)
             .fold_u64(c.planner.max_partitions as u64)
             .fold_u64(c.planner.min_vp_vertices as u64);
+        if c.algorithm.is_second_order() && c.threads > 1 {
+            fp.fold_u64(2); // the per-partition stage, not the batched one
+        }
         fp.value()
     }
 
@@ -2981,6 +2988,53 @@ mod tests {
         }
         assert_eq!(paths.value(), 0x3beb_aec7_c1eb_9bca);
         assert_eq!(stats.steps_taken, 720);
+    }
+
+    #[test]
+    fn second_order_resume_does_not_cross_one_thread() {
+        // node2vec runs the batched stage at one thread and the
+        // per-partition stage at more: a checkpoint written on one side
+        // is refused on the other instead of resumed into a chain that
+        // neither run draws.  Everything else resumes bit-exactly.
+        let g = synth::power_law(400, 2.0, 2, 40, 9);
+        for (algo, graph, cfg) in matrix_cells(&g, 300) {
+            let engine =
+                |threads: usize| FlashMob::new(&graph, cfg.clone().threads(threads)).unwrap();
+            for written in [1usize, 2] {
+                let dir = std::env::temp_dir().join(format!(
+                    "fm_engine_cross_{}_{algo}_{written}",
+                    std::process::id()
+                ));
+                std::fs::remove_dir_all(&dir).ok();
+                let halt =
+                    RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 2).halt_after(1));
+                assert!(matches!(
+                    engine(written).run_with(&halt, &mut Telemetry::off()),
+                    Err(WalkError::Halted { generation: 1 })
+                ));
+                let resume = RunOptions::default().resume_from(&dir);
+                for threads in [1usize, 2, 8] {
+                    let what = format!("{algo} written at {written}, resumed at {threads} threads");
+                    let crosses = algo == "node2vec" && (written == 1) != (threads == 1);
+                    match engine(threads).run_with(&resume, &mut Telemetry::off()) {
+                        Ok((out, _)) => {
+                            assert!(!crosses, "{what}: resumed");
+                            assert_eq!(
+                                out.paths(),
+                                engine(threads).run().unwrap().paths(),
+                                "{what}"
+                            );
+                        }
+                        Err(e) => assert!(
+                            crosses
+                                && matches!(e, WalkError::Recover(RecoverError::Mismatch { .. })),
+                            "{what}: {e}"
+                        ),
+                    }
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
     }
 
     /// Blocks its run at the first memory access until the other run has

@@ -60,13 +60,11 @@ pub mod output;
 pub mod partition;
 pub mod plan;
 pub mod pool;
-pub mod program;
 pub mod sample;
 pub mod shuffle;
 pub mod walker;
 
 pub use algorithm::{MetapathPattern, StopRule, WalkAlgorithm, MAX_METAPATH_LEN};
-pub use program::WalkProgram;
 pub use engine::{partition_stream_id, FlashMob, RunOptions, RunStats, StageTimes};
 pub use output::WalkOutput;
 pub use partition::{Partition, PartitionMap, SamplePolicy};
@@ -88,7 +86,7 @@ use fm_graph::VertexId;
 pub const DEAD: VertexId = VertexId::MAX;
 
 /// Configuration of one random-walk execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalkConfig {
     /// The transition-probability specification.
     pub algorithm: WalkAlgorithm,
@@ -189,11 +187,12 @@ impl WalkConfig {
     /// Sets the worker thread count.
     ///
     /// First-order walks are bit-identical at every thread count.
-    /// Second-order walks are distribution-identical but not
-    /// path-identical across thread counts: the sequential path uses the
-    /// batched connectivity-check stage while the parallel path resolves
-    /// checks per partition, consuming the RNG streams in different
-    /// orders.
+    /// Second-order walks are bit-identical among counts above one, but
+    /// only distribution-identical between one thread and more: the
+    /// sequential path uses the batched connectivity-check stage while
+    /// the parallel path resolves checks per partition, consuming the
+    /// RNG streams in different orders.  A second-order checkpoint
+    /// therefore resumes only on its own side of that boundary.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

@@ -1864,7 +1864,7 @@ mod tests {
             crate::WalkAlgorithm::Node2Vec { p, q } => (
                 p,
                 q,
-                config.algorithm.node2vec_bound(),
+                config.algorithm.node2vec_rule().bound,
                 (1.0 / p).min(1.0).min(1.0 / q),
                 0.0,
             ),

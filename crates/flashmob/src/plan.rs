@@ -26,7 +26,7 @@ use crate::partition::{Partition, PartitionMap, SamplePolicy};
 use crate::WalkError;
 
 /// Planner inputs that describe the machine rather than the graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerParams {
     /// Cache hierarchy the plan optimizes for.
     pub hierarchy: HierarchyConfig,

@@ -12,7 +12,7 @@ use fm_recover::Fingerprint;
 use fm_rng::{Rng64, Xorshift64Star};
 
 /// How walkers are initially placed on the graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalkerInit {
     /// Place each walker on a uniformly random vertex.
     UniformVertex,

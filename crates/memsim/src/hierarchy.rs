@@ -5,7 +5,7 @@ use crate::latency::LatencyModel;
 use crate::{AccessKind, Level, Probe};
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Capacity in bytes.
     pub size_bytes: usize,
@@ -25,7 +25,7 @@ pub enum LlcPolicy {
 }
 
 /// Full hierarchy configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyConfig {
     /// Cache line size in bytes.
     pub line_bytes: usize,

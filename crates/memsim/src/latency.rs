@@ -10,7 +10,7 @@ use crate::{AccessKind, Level};
 /// misses to DRAM costs 0.76 ns because the prefetcher has already
 /// streamed the line, while a *pointer-chasing* DRAM access costs
 /// 116.9 ns because nothing can overlap it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyModel {
     /// `ns[kind][level]` in [`AccessKind::ALL`] x [`Level::ALL`] order.
     ns: [[f64; 5]; 3],

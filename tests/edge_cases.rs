@@ -407,7 +407,7 @@ fn walker_ids_preserved_across_episodes_and_outputs() {
     }
 }
 
-// ---- WalkProgram edge cases ---------------------------------------------
+// ---- Walk-program edge cases --------------------------------------------
 
 /// A labeled cycle with every edge labeled `label`.
 fn labeled_cycle(n: usize, label: u8) -> Csr {

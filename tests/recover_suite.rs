@@ -4,7 +4,7 @@
 //!    generation and resuming it reproduces the golden path digest of
 //!    the uninterrupted run, bit for bit, for FlashMob auto/PS/DS at
 //!    1, 3 and 8 threads, for the out-of-core engine, and for every
-//!    registered walk program — whose per-walker origin state, early
+//!    walk program — whose per-walker origin state, early
 //!    deaths, and edge labels must survive the checkpoint boundary
 //!    (the full crash matrix from
 //!    [`flashmob_repro::conformance::crash`]); so does a run relayed
