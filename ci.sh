@@ -19,8 +19,10 @@
 #      and produced, with paths equal at both depths, and the sparse one
 #      must name the wide checked-skip kernel wherever /proc/cpuinfo
 #      lists avx512dq
-#   5. telemetry tier: the overhead guard and an end-to-end
-#      `walk --trace` -> `trace-check` round trip
+#   5. telemetry tier: the overhead guard, an end-to-end
+#      `walk --trace` -> `trace-check` round trip, and `trace-check` on
+#      a 200 000-deep JSON nest (an invalid trace, exit 1, not a stack
+#      overflow)
 #   6. recover tier: an end-to-end checkpoint -> kill -> resume round
 #      trip through the CLI (bit-identical output, correct exit codes)
 #   7. oocore tier: the out-of-core fault-transparency test plus a CLI
@@ -35,15 +37,16 @@
 #      decoder must report the same graph — plus the exit-code contract
 #      for malformed input (1 and the line number for a bad data line,
 #      1 and "bad binary graph" for a truncated .bin, never a panic)
-#   9. audit tier: the flow-aware fm-audit scanner (`audit --graph`) at
+#   9. audit tier: the fm-audit scanner (`audit`, one mode) at
 #      -D warnings severity — textual lints plus call-graph taint,
 #      panic-reachability, rng-purity and fingerprint-completeness —
 #      with the JSON schema self-check, a seeded-violation check per
 #      flow lint, a `--why` call-path reproduction, the pinned 0/1/2
-#      exit-code contract, the dynamic disjointness checker's tests,
-#      and the conformance quick lattice under --features
-#      audit-disjoint; an env-gated nightly Miri pass (AUDIT_MIRI=1)
-#      covers the recover codecs, fm-rng and oocore's byte view
+#      exit-code contract (and 64 for the retired `--graph`), the
+#      dynamic disjointness checker's tests, and the conformance quick
+#      lattice under --features audit-disjoint; an env-gated nightly
+#      Miri pass (AUDIT_MIRI=1) covers the recover codecs, fm-rng and
+#      oocore's byte view
 #  10. fault tier: `walk --stats --metrics` on the synth graph prints a
 #      per-stage fault line and puts `minor_faults` on the `run` and
 #      `stage` records; the retired `walk --hw-counters` and
@@ -181,6 +184,12 @@ cargo run --release -q -p fm-cli -- walk "$TELEMETRY_TMP/g.bin" \
     --steps 12 --walkers 2048 --threads 2 \
     --trace "$TELEMETRY_TMP/trace.json" --metrics "$TELEMETRY_TMP/metrics.jsonl"
 cargo run --release -q -p fm-cli -- trace-check "$TELEMETRY_TMP/trace.json"
+# The JSON reader caps nesting: a deep nest is an invalid trace (exit
+# 1), not a stack overflow (exit 134).
+head -c 200000 /dev/zero | tr '\0' '[' > "$TELEMETRY_TMP/deep.json"
+code=0
+cargo run --release -q -p fm-cli -- trace-check "$TELEMETRY_TMP/deep.json" >/dev/null 2>&1 || code=$?
+[[ $code -eq 1 ]] || { echo "trace-check on a deep nest exited $code, want 1" >&2; exit 1; }
 
 tier "recover tier"
 # Checkpoint a walk, then resume it from the written snapshots and
@@ -316,29 +325,33 @@ head -c $(($(stat -c %s "$INGEST_TMP/g.bin") - 3)) "$INGEST_TMP/g.bin" > "$INGES
 rejects trunc.bin "bad binary graph"
 
 tier "audit tier"
-# Flow-aware static scan: the textual lint catalogue (SAFETY comments,
+# Static scan, one mode: the textual lint catalogue (SAFETY comments,
 # thread/IO discipline, cast-free codecs, unwrap ratchet) plus the call
 # graph passes (determinism-taint, panic-reachability, rng-purity,
 # fingerprint-completeness).  Any finding is an error — the scanner's
 # own -D warnings.  Exit-code contract: 0 clean, 1 findings, 2 IO/config.
-cargo run --release -q -p fm-cli -- audit --graph
+cargo run --release -q -p fm-cli -- audit
+# The retired mode flag is unknown, with no alias.
+code=0
+cargo run --release -q -p fm-cli -- audit --graph >/dev/null 2>&1 || code=$?
+[[ $code -eq 64 ]] || { echo "audit --graph exited $code, not 64" >&2; exit 1; }
 # --json emits the machine-readable report and self-validates it
 # against the documented schema (schema drift exits 2); check the
 # stream is non-empty and carries the graph block too.
-AUDIT_JSON="$(cargo run --release -q -p fm-cli -- audit --graph --json)"
-grep -q '"graph":' <<< "$AUDIT_JSON" || {
+AUDIT_JSON="$(cargo run --release -q -p fm-cli -- audit --json)"
+grep -q '"graph": {"functions": ' <<< "$AUDIT_JSON" || {
     echo "audit --json lost the graph stats block" >&2; exit 1; }
 # The seeded bad workspace must trip every flow lint, exit with the
 # findings code, and reproduce a full call path via --why.
 BAD_WS=crates/audit/tests/fixtures/bad_ws
-if cargo run --release -q -p fm-cli -- audit --graph \
+if cargo run --release -q -p fm-cli -- audit \
     --root "$BAD_WS" >/dev/null 2>&1; then
     echo "audit unexpectedly passed on the seeded bad workspace" >&2; exit 1
 else
     code=$?
     [[ "$code" == 1 ]] || { echo "bad_ws audit exited $code, want 1" >&2; exit 1; }
 fi
-BAD_OUT="$(cargo run --release -q -p fm-cli -- audit --graph --root "$BAD_WS" 2>&1 || true)"
+BAD_OUT="$(cargo run --release -q -p fm-cli -- audit --root "$BAD_WS" 2>&1 || true)"
 for lint in determinism-taint panic-reachability rng-purity fingerprint-completeness; do
     grep -q "\[$lint\]" <<< "$BAD_OUT" || {
         echo "bad_ws audit did not fire $lint" >&2; exit 1; }
@@ -348,7 +361,7 @@ WHY_OUT="$(cargo run --release -q -p fm-cli -- audit --root "$BAD_WS" \
 grep -q "fn sample_partition (call at line" <<< "$WHY_OUT" || {
     echo "audit --why did not reproduce the bad_ws panic path" >&2; exit 1; }
 # A nonexistent root is an IO error, not a findings failure: exit 2.
-if cargo run --release -q -p fm-cli -- audit --graph \
+if cargo run --release -q -p fm-cli -- audit \
     --root /nonexistent-audit-root >/dev/null 2>&1; then
     echo "audit passed on a nonexistent root" >&2; exit 1
 else

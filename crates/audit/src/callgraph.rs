@@ -366,12 +366,13 @@ pub fn build(files: &[FileAst]) -> CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lex::strip_lines;
     use crate::parse::parse_file;
 
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
         let asts: Vec<FileAst> = files
             .iter()
-            .map(|(p, s)| parse_file(p, s, false))
+            .map(|(p, s)| parse_file(p, &strip_lines(s)))
             .collect();
         build(&asts)
     }

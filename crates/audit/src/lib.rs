@@ -1,21 +1,23 @@
 //! fm-audit: in-tree static analysis + dynamic disjointness checking.
 //!
-//! The engine's cache-efficient sample/shuffle pipeline rests on ~35
+//! The engine's cache-efficient sample/shuffle pipeline rests on 72
 //! `unsafe` sites whose soundness is asserted by `SAFETY:` comments
 //! claiming pairwise-disjoint `DisjointSlice` ranges.  This crate makes
-//! those claims machine-checked, in the same zero-dependency style as
-//! fm-telemetry and fm-recover:
+//! those claims machine-checked with no external dependency (its one
+//! dependency is fm-telemetry's JSON module).  One run is one pass:
+//! every file is lexed once ([`lex`]), item-parsed once ([`parse`]), and
+//! linted; then the flow lints run over the parsed workspace.
 //!
-//! * [`lints`] + [`scan`] — a hand-rolled source scanner (line/token
-//!   level, no `syn`) enforcing the project lint catalogue: SAFETY
-//!   comments on every unsafe site, thread/file-IO discipline,
-//!   cast-free snapshot codecs, and an unwrap ratchet ([`ratchet`])
-//!   whose committed baseline may only decrease.  Exemptions live in a
+//! * [`lints`] + [`scan`] — the project lint catalogue over the lexed
+//!   lines (no `syn`): SAFETY comments on every unsafe site,
+//!   thread/file-IO discipline, cast-free snapshot codecs, and an unwrap
+//!   ratchet ([`ratchet`]) whose committed baseline may only decrease.
+//!   The parser says which lines are test code.  Exemptions live in a
 //!   reason-carrying allowlist ([`allow`]); stale entries are findings.
-//! * [`parse`] + [`callgraph`] + [`taint`] — the flow-aware analyzer
-//!   (`fmwalk audit --graph`): an in-tree item parser feeding a
-//!   workspace call graph with conservative trait fan-out and explicit
-//!   open edges, and four reachability/taint lints on top of it —
+//! * [`parse`] + [`callgraph`] + [`taint`] — the flow-aware analyzer: the
+//!   item parser feeds a workspace call graph with conservative trait
+//!   fan-out and explicit open edges, and four reachability/taint lints
+//!   run on top of it —
 //!   determinism-taint (clock/entropy/env/hash-order sources must not
 //!   reach the deterministic crates), panic-reachability (no panicking
 //!   call sites reachable from the sample loops), rng-purity (RNG

@@ -29,16 +29,17 @@
 //!   (checked in [`crate::ratchet`], counted here).
 //! * `prefetch-intrinsic` — architectural prefetch intrinsics
 //!   (`core::arch` / `std::arch` / `_mm_prefetch`) are confined to the
-//!   graph crate's prefetch module (`graph/src/prefetch.rs`), and even
-//!   there each site needs a `SAFETY:` comment; everything else must
-//!   call its `prefetch_read` wrapper (the sample ring re-exports it)
-//!   so hint behavior stays auditable in one place.
+//!   graph crate's prefetch module (`graph/src/prefetch.rs`); everything
+//!   else must call its `prefetch_read` wrapper (the sample ring
+//!   re-exports it) so hint behavior stays auditable in one place.
 //!
-//! Lint checks other than `unsafe-needs-safety` skip test code: files
-//! under `tests/`, `benches/`, `examples/`, and in-file
-//! `#[cfg(test)] mod` regions (tracked by brace depth).
+//! Lint checks other than `unsafe-needs-safety` skip the lines the item
+//! parser classifies as test code ([`FileAst::test_lines`]): files under
+//! `tests/`, `benches/`, `examples/`, and `#[test]` / `#[cfg(test)]`
+//! items.
 
 use crate::lex::{has_token, strip_lines, Line};
+use crate::parse::{parse_file, FileAst};
 
 /// Stable lint identifiers (kebab-case, used in reports and allowlists).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,7 +51,7 @@ pub enum Lint {
     UnwrapRatchet,
     StaleAllow,
     PrefetchIntrinsic,
-    /// Flow-aware (`--graph`): wall-clock / entropy / env-var /
+    /// Flow-aware: wall-clock / entropy / env-var /
     /// hash-iteration-order sources must not reach the deterministic
     /// crates, transitively.
     DeterminismTaint,
@@ -139,6 +140,8 @@ pub struct FileScan {
     pub unwrap_count: usize,
     /// Total `unsafe` keyword sites seen (inventory, not findings).
     pub unsafe_sites: usize,
+    /// The file's item skeleton, for the flow passes.
+    pub ast: FileAst,
 }
 
 /// Crates whose walk results must be bit-reproducible from a seed.
@@ -169,65 +172,6 @@ const PREFETCH_TOKENS: [&str; 3] = ["core::arch", "std::arch", "_mm_prefetch"];
 
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 const SAFETY_WINDOW: usize = 4;
-
-/// Is this path test/bench/example code by location?  Shared with the
-/// flow passes: [`crate::scan`] feeds it to the item parser so fns in
-/// tests/ trees are marked `is_test`.
-pub fn is_test_path(path: &str) -> bool {
-    path.contains("/tests/")
-        || path.contains("/benches/")
-        || path.contains("/examples/")
-        || path.starts_with("tests/")
-        || path.starts_with("benches/")
-        || path.starts_with("examples/")
-}
-
-/// Marks lines inside `#[cfg(test)] mod … { … }` regions.
-fn cfg_test_mask(lines: &[Line]) -> Vec<bool> {
-    let mut mask = vec![false; lines.len()];
-    let mut depth: i64 = 0;
-    // Some(d): a cfg(test) attribute is pending; the next `{` opens the
-    // region and it closes when depth returns to d.
-    let mut pending = false;
-    let mut region_floor: Option<i64> = None;
-    for (i, line) in lines.iter().enumerate() {
-        if line.code.contains("#[cfg(test)]") && region_floor.is_none() {
-            pending = true;
-        } else if pending {
-            // The attribute only attaches through further attributes to a
-            // `mod … {`; anything else cancels it (e.g. `#[cfg(test)]`
-            // on a lone `use` item).
-            let t = line.code.trim();
-            if !t.is_empty() && !t.starts_with("#[") && !has_token(t, "mod") {
-                pending = false;
-            }
-        }
-        let mut in_region = region_floor.is_some();
-        for c in line.code.chars() {
-            match c {
-                '{' => {
-                    if pending && region_floor.is_none() {
-                        region_floor = Some(depth);
-                        pending = false;
-                        in_region = true;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if region_floor == Some(depth) {
-                        region_floor = None;
-                        // Region includes this closing line.
-                        in_region = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        mask[i] = in_region || region_floor.is_some();
-    }
-    mask
-}
 
 /// Classifies an `unsafe` token's syntactic role by what follows it.
 #[derive(PartialEq)]
@@ -301,17 +245,16 @@ fn safety_doc_above(lines: &[Line], i: usize) -> bool {
     false
 }
 
-/// Runs every lint over one file.  `path` is workspace-relative.
+/// Lexes and parses one file once, then runs every lint over it.
+/// `path` is workspace-relative.
 pub fn scan_file(path: &str, src: &str) -> FileScan {
     let lines = strip_lines(src);
-    let test_mask = cfg_test_mask(&lines);
-    let path_is_test = is_test_path(path);
+    let ast = parse_file(path, &lines);
     let cast_free = CAST_FREE_FILES.contains(&path);
 
     let mut scan = FileScan::default();
     for (i, line) in lines.iter().enumerate() {
         let lineno = i + 1;
-        let in_test = path_is_test || test_mask[i];
         let code = &line.code;
 
         // unsafe-needs-safety: applies everywhere, tests included.
@@ -339,7 +282,7 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
             }
         }
 
-        if in_test {
+        if ast.test_lines[i] {
             continue; // remaining lints are library-code rules
         }
 
@@ -372,33 +315,19 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
             }
         }
 
-        for tok in PREFETCH_TOKENS {
-            if !code.contains(tok) {
-                continue;
-            }
-            if path != PREFETCH_HOME {
-                scan.findings.push(Finding::new(
-                    Lint::PrefetchIntrinsic,
-                    path,
-                    lineno,
-                    format!(
-                        "`{tok}` outside the graph prefetch module; call \
-                         fm_graph::prefetch::prefetch_read instead of raw \
-                         architectural intrinsics"
-                    ),
-                ));
-            } else if !safety_comment_near(&lines, i) {
-                scan.findings.push(Finding::new(
-                    Lint::PrefetchIntrinsic,
-                    path,
-                    lineno,
-                    format!(
-                        "`{tok}` in the prefetch module without a `SAFETY:` \
-                         comment; document why the hint cannot fault"
-                    ),
-                ));
-            }
-            break; // one finding per line is enough
+        // One finding per line is enough.
+        let prefetch = PREFETCH_TOKENS.into_iter().find(|tok| code.contains(tok));
+        if let Some(tok) = prefetch.filter(|_| path != PREFETCH_HOME) {
+            scan.findings.push(Finding::new(
+                Lint::PrefetchIntrinsic,
+                path,
+                lineno,
+                format!(
+                    "`{tok}` outside the graph prefetch module; call \
+                     fm_graph::prefetch::prefetch_read instead of raw \
+                     architectural intrinsics"
+                ),
+            ));
         }
 
         if cast_free {
@@ -419,6 +348,7 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
 
         scan.unwrap_count += code.matches(".unwrap()").count() + code.matches(".expect(").count();
     }
+    scan.ast = ast;
     scan
 }
 

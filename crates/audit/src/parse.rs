@@ -5,16 +5,21 @@
 //! exist, which impl/trait they belong to, what their bodies call, and
 //! which struct fields a body reads.  None of that needs expression
 //! parsing: a token stream per body plus item boundaries is enough, and
-//! it keeps the crate zero-dependency (no `syn`).  The tokenizer rides
-//! on [`crate::lex::strip_lines`], so comments and literal contents are
-//! already gone and token matches can never hit a string.
+//! it keeps the crate free of external deps (no `syn`).  The tokenizer
+//! reads the lexer's [`Line`]s — the same ones the textual lints read, so
+//! each file is lexed once — with comments and literal contents already
+//! gone, so token matches can never hit a string.
+//!
+//! The parser is also the one test-code classifier: [`FileAst::test_lines`]
+//! marks the lines of `#[test]` / `#[cfg(test)]` items (and of whole
+//! tests/benches/examples files), which the textual lints skip.
 //!
 //! Soundness stance: the parser is a *conservative over-approximation*.
 //! Anything it cannot classify (macros, `macro_rules!` bodies, stray
 //! braces) is skipped structurally but surfaces later as an *open edge*
 //! in the call graph rather than being silently dropped.
 
-use crate::lex::strip_lines;
+use crate::lex::Line;
 
 /// One code token: an identifier/number, or a punctuation run.
 ///
@@ -41,10 +46,10 @@ impl Tok {
     }
 }
 
-/// Splits the code channel of `src` into tokens with line numbers.
-pub fn tokenize(src: &str) -> Vec<Tok> {
+/// Splits the code channel of `lines` into tokens with line numbers.
+fn tokenize(lines: &[Line]) -> Vec<Tok> {
     let mut out = Vec::new();
-    for (i, line) in strip_lines(src).iter().enumerate() {
+    for (i, line) in lines.iter().enumerate() {
         let lineno = i + 1;
         let chars: Vec<char> = line.code.chars().collect();
         let mut j = 0;
@@ -124,6 +129,10 @@ pub struct FileAst {
     pub fns: Vec<FnDef>,
     pub structs: Vec<StructDef>,
     pub uses: Vec<UseAlias>,
+    /// Per source line (index = line - 1): is it test code?  Set for the
+    /// whole file on a test path, else for every item from its test
+    /// attribute to its last token.
+    pub test_lines: Vec<bool>,
 }
 
 /// Item-level modifier keywords that may precede `fn` / `struct` / etc.
@@ -235,19 +244,39 @@ impl Parser {
     }
 }
 
-/// Parses one file into its item skeleton.  `path_is_test` marks every
-/// fn as test code (tests/benches/examples trees).
-pub fn parse_file(path: &str, src: &str, path_is_test: bool) -> FileAst {
+/// Is this path test/bench/example code by location?
+fn is_test_path(path: &str) -> bool {
+    path.contains("/tests/")
+        || path.contains("/benches/")
+        || path.contains("/examples/")
+        || path.starts_with("tests/")
+        || path.starts_with("benches/")
+        || path.starts_with("examples/")
+}
+
+/// Parses one lexed file into its item skeleton.  A file under
+/// `tests/`, `benches/` or `examples/` is test code throughout.
+pub fn parse_file(path: &str, lines: &[Line]) -> FileAst {
+    let path_is_test = is_test_path(path);
     let mut ast = FileAst {
         path: path.to_string(),
+        test_lines: vec![path_is_test; lines.len()],
         ..FileAst::default()
     };
     let mut p = Parser {
-        toks: tokenize(src),
+        toks: tokenize(lines),
         pos: 0,
     };
     parse_items(&mut p, &mut ast, path_is_test, None, None);
     ast
+}
+
+/// Closes the item the parser just consumed: if a test attribute (first
+/// seen on line `test_attr`) was pending, marks its lines as test code.
+fn end_item(p: &Parser, ast: &mut FileAst, test_attr: &mut Option<usize>) {
+    if let (Some(from), Some(last)) = (test_attr.take(), p.toks[..p.pos].last()) {
+        ast.test_lines[from - 1..last.line].fill(true);
+    }
 }
 
 /// Parses items until EOF or an unmatched `}` (the caller's close).
@@ -258,20 +287,25 @@ fn parse_items(
     self_ty: Option<&str>,
     trait_name: Option<&str>,
 ) {
-    let mut attr_test = false;
+    // Line of a pending `#[test]` / `#[cfg(test)]` attribute: the next
+    // item is test code.
+    let mut test_attr: Option<usize> = None;
     while let Some(t) = p.peek() {
-        let s = t.s.clone();
+        let (s, line) = (t.s.clone(), t.line);
+        let attr_test = test_attr.is_some();
         match s.as_str() {
             "}" => {
                 p.bump();
                 return;
             }
             "#" => {
-                attr_test |= p.eat_attr();
+                if p.eat_attr() {
+                    test_attr.get_or_insert(line);
+                }
             }
             "use" => {
                 parse_use(p, ast);
-                attr_test = false;
+                end_item(p, ast, &mut test_attr);
             }
             "mod" => {
                 p.bump();
@@ -282,11 +316,11 @@ fn parse_items(
                 } else {
                     p.bump(); // ';'
                 }
-                attr_test = false;
+                end_item(p, ast, &mut test_attr);
             }
             "struct" => {
                 parse_struct(p, ast);
-                attr_test = false;
+                end_item(p, ast, &mut test_attr);
             }
             "enum" | "union" => {
                 p.bump();
@@ -307,11 +341,11 @@ fn parse_items(
                         }
                     }
                 }
-                attr_test = false;
+                end_item(p, ast, &mut test_attr);
             }
             "impl" => {
                 parse_impl(p, ast, in_test || attr_test);
-                attr_test = false;
+                end_item(p, ast, &mut test_attr);
             }
             "trait" => {
                 p.bump();
@@ -334,11 +368,11 @@ fn parse_items(
                     p.bump();
                     parse_items(p, ast, in_test || attr_test, Some(&name), Some(&name));
                 }
-                attr_test = false;
+                end_item(p, ast, &mut test_attr);
             }
             "fn" => {
                 parse_fn(p, ast, in_test || attr_test, self_ty, trait_name);
-                attr_test = false;
+                end_item(p, ast, &mut test_attr);
             }
             "macro_rules" => {
                 // `macro_rules! name { ... }` — skip the whole body;
@@ -356,7 +390,7 @@ fn parse_items(
                         p.bump();
                     }
                 }
-                attr_test = false;
+                end_item(p, ast, &mut test_attr);
             }
             "{" => {
                 // Unclassified brace group (const block, static init…).
@@ -652,9 +686,10 @@ fn parse_fn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lex::strip_lines;
 
     fn parse(src: &str) -> FileAst {
-        parse_file("crates/x/src/a.rs", src, false)
+        parse_file("crates/x/src/a.rs", &strip_lines(src))
     }
 
     #[test]
@@ -712,6 +747,21 @@ mod tests {
         let ast = parse(src);
         assert!(!ast.fns[0].is_test);
         assert!(ast.fns[1].is_test);
+        // Lines 2-6: the attribute through the module's closing brace.
+        assert_eq!(ast.test_lines, [false, true, true, true, true, true]);
+    }
+
+    #[test]
+    fn cfg_test_items_mark_their_lines() {
+        let src = "impl S {\n    #[cfg(test)]\n    fn t(&self) {\n        x.unwrap();\n    }\n    fn lib() {}\n}\n";
+        let ast = parse(src);
+        assert_eq!(
+            ast.test_lines,
+            [false, true, true, true, true, false, false]
+        );
+        let on_test_path = parse_file("crates/x/tests/a.rs", &strip_lines(src));
+        assert!(on_test_path.test_lines.iter().all(|&t| t));
+        assert!(on_test_path.fns.iter().all(|f| f.is_test));
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Report rendering: human-readable lines, a `--json` encoding, and an
-//! in-tree schema check for the JSON output.
+//! Report rendering: human-readable lines, a `--json` encoding, and a
+//! schema check for the JSON output.
 //!
-//! The schema validator is a tiny hand-rolled JSON reader (the
-//! workspace is zero-dependency): it parses the emitted document and
-//! asserts the shape CI scripts rely on — required keys, value types,
-//! and per-finding fields.  `fmwalk audit --json` self-validates before
-//! printing, so a malformed report is an internal error (exit 2), never
-//! something a consumer has to discover downstream.
+//! Both JSON halves use the workspace's one JSON module,
+//! [`fm_telemetry::json`]: the schema check parses the emitted document
+//! with it and asserts the shape CI scripts rely on — required keys,
+//! value types, and per-finding fields.  `fmwalk audit --json`
+//! self-validates before printing, so a malformed report is an internal
+//! error (exit 2), never something a consumer has to discover
+//! downstream.
+
+use fm_telemetry::json::{escape, parse, Value};
 
 use crate::scan::AuditReport;
 
@@ -23,12 +26,11 @@ pub fn human(report: &AuditReport) -> String {
     if report.ratchet_updated {
         s.push_str("audit: ratchet baseline rewritten from measured counts\n");
     }
-    if let Some(g) = &report.graph {
-        s.push_str(&format!(
-            "audit: call graph: {} fn(s), {} edge(s), {} open edge(s)\n",
-            g.functions, g.edges, g.open_edges
-        ));
-    }
+    let g = &report.graph;
+    s.push_str(&format!(
+        "audit: call graph: {} fn(s), {} edge(s), {} open edge(s)\n",
+        g.functions, g.edges, g.open_edges
+    ));
     s.push_str(&format!(
         "audit: {} file(s), {} unsafe site(s), {} finding(s)\n",
         report.files_scanned,
@@ -101,16 +103,13 @@ pub fn json(report: &AuditReport) -> String {
     if !report.unwrap_counts.is_empty() {
         s.push_str("\n  ");
     }
-    s.push_str("},\n  \"graph\": ");
-    match &report.graph {
-        Some(g) => s.push_str(&format!(
-            "{{\"functions\": {}, \"edges\": {}, \"open_edges\": {}}}",
-            g.functions, g.edges, g.open_edges
-        )),
-        None => s.push_str("null"),
-    }
+    let g = &report.graph;
     s.push_str(&format!(
-        ",\n  \"files_scanned\": {},\n  \"unsafe_sites\": {},\n  \"clean\": {}\n}}\n",
+        "}},\n  \"graph\": {{\"functions\": {}, \"edges\": {}, \"open_edges\": {}}},\n",
+        g.functions, g.edges, g.open_edges
+    ));
+    s.push_str(&format!(
+        "  \"files_scanned\": {},\n  \"unsafe_sites\": {},\n  \"clean\": {}\n}}\n",
         report.files_scanned,
         report.unsafe_sites,
         report.clean()
@@ -118,266 +117,53 @@ pub fn json(report: &AuditReport) -> String {
     s
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// JSON schema check
-
-/// A parsed JSON value, just enough for shape validation.
-#[derive(Debug)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Value> {
-        match self {
-            Value::Obj(kvs) => kvs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "json byte {}: expected `{}`, got `{}`",
-                self.i,
-                c as char,
-                self.b.get(self.i).map(|&b| b as char).unwrap_or('?')
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.lit("true", Value::Bool(true)),
-            Some(b'f') => self.lit("false", Value::Bool(false)),
-            Some(b'n') => self.lit("null", Value::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            other => Err(format!("json byte {}: unexpected {:?}", self.i, other)),
-        }
-    }
-
-    fn lit(&mut self, s: &str, v: Value) -> Result<Value, String> {
-        if self.b[self.i..].starts_with(s.as_bytes()) {
-            self.i += s.len();
-            Ok(v)
-        } else {
-            Err(format!("json byte {}: expected `{s}`", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || *c == b'.' || *c == b'e' || *c == b'E' || *c == b'+' || *c == b'-')
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("json byte {start}: bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .b
-                        .get(self.i)
-                        .ok_or_else(|| "json: truncated escape".to_string())?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or_else(|| "json: truncated \\u".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        other => {
-                            return Err(format!("json: unknown escape `\\{}`", other as char))
-                        }
-                    }
-                }
-                c => out.push(c as char),
-            }
-        }
-        Err("json: unterminated string".to_string())
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => return Err(format!("json byte {}: expected , or ] got {:?}", self.i, other)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.eat(b'{')?;
-        let mut kvs = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Value::Obj(kvs));
-        }
-        loop {
-            self.ws();
-            let k = self.string()?;
-            self.eat(b':')?;
-            let v = self.value()?;
-            kvs.push((k, v));
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Value::Obj(kvs));
-                }
-                other => return Err(format!("json byte {}: expected , or }} got {:?}", self.i, other)),
-            }
-        }
-    }
-}
-
 /// Validates `--json` output against the report schema.  Returns the
 /// first shape violation, or `Ok(())` for a conforming document.
 pub fn validate_json(text: &str) -> Result<(), String> {
-    let mut p = JsonParser {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let doc = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("json byte {}: trailing garbage", p.i));
-    }
+    let doc = parse(text)?;
     let need = |key: &str| doc.get(key).ok_or_else(|| format!("missing key `{key}`"));
-    let findings = match need("findings")? {
-        Value::Arr(a) => a,
-        _ => return Err("`findings` is not an array".to_string()),
-    };
+    let findings = need("findings")?
+        .as_arr()
+        .ok_or("`findings` is not an array")?;
     for (i, f) in findings.iter().enumerate() {
         let ctx = |k: &str| format!("findings[{i}].{k}");
-        for (key, want_str) in [("lint", true), ("path", true), ("msg", true)] {
-            match f.get(key) {
-                Some(Value::Str(s)) if !s.is_empty() => {}
-                Some(Value::Str(_)) => return Err(format!("{} is empty", ctx(key))),
-                _ if want_str => return Err(format!("{} missing or not a string", ctx(key))),
-                _ => {}
+        for key in ["lint", "path", "msg"] {
+            match f.get(key).and_then(Value::as_str) {
+                Some("") => return Err(format!("{} is empty", ctx(key))),
+                Some(_) => {}
+                None => return Err(format!("{} missing or not a string", ctx(key))),
             }
         }
-        match f.get("line") {
-            Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => {}
-            _ => return Err(format!("{} missing or not a non-negative integer", ctx("line"))),
+        if !is_count(f.get("line")) {
+            return Err(format!(
+                "{} missing or not a non-negative integer",
+                ctx("line")
+            ));
         }
-        match f.get("item") {
-            Some(Value::Str(_)) | Some(Value::Null) => {}
-            _ => return Err(format!("{} missing or not string|null", ctx("item"))),
+        if !matches!(f.get("item"), Some(Value::Str(_) | Value::Null)) {
+            return Err(format!("{} missing or not string|null", ctx("item")));
         }
-        match f.get("why") {
-            Some(Value::Arr(ws)) if ws.iter().all(|w| matches!(w, Value::Str(_))) => {}
+        match f.get("why").and_then(Value::as_arr) {
+            Some(ws) if ws.iter().all(|w| w.as_str().is_some()) => {}
             _ => return Err(format!("{} missing or not an array of strings", ctx("why"))),
         }
     }
     match need("unwrap_counts")? {
-        Value::Obj(kvs) if kvs.iter().all(|(_, v)| matches!(v, Value::Num(_))) => {}
+        Value::Obj(kvs) if kvs.iter().all(|(_, v)| v.as_num().is_some()) => {}
         _ => return Err("`unwrap_counts` is not an object of numbers".to_string()),
     }
-    match need("graph")? {
-        Value::Null => {}
-        g @ Value::Obj(_) => {
-            for key in ["functions", "edges", "open_edges"] {
-                match g.get(key) {
-                    Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => {}
-                    _ => return Err(format!("graph.{key} missing or not an integer")),
-                }
-            }
+    let graph = need("graph")?;
+    if !matches!(graph, Value::Obj(_)) {
+        return Err("`graph` is not an object".to_string());
+    }
+    for key in ["functions", "edges", "open_edges"] {
+        if !is_count(graph.get(key)) {
+            return Err(format!("graph.{key} missing or not an integer"));
         }
-        _ => return Err("`graph` is not object|null".to_string()),
     }
     for key in ["files_scanned", "unsafe_sites"] {
-        match need(key)? {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => {}
-            _ => return Err(format!("`{key}` is not a non-negative integer")),
+        if !is_count(Some(need(key)?)) {
+            return Err(format!("`{key}` is not a non-negative integer"));
         }
     }
     match need("clean")? {
@@ -385,6 +171,12 @@ pub fn validate_json(text: &str) -> Result<(), String> {
         Value::Bool(_) => Err("`clean` contradicts the findings array".to_string()),
         _ => Err("`clean` is not a bool".to_string()),
     }
+}
+
+/// Is `v` a number holding a non-negative integer?
+fn is_count(v: Option<&Value>) -> bool {
+    v.and_then(Value::as_num)
+        .is_some_and(|n| n >= 0.0 && n.fract() == 0.0)
 }
 
 #[cfg(test)]
@@ -424,11 +216,11 @@ mod tests {
         assert!(validate_json(&json(&r)).is_ok());
         r.findings.push(finding());
         r.unwrap_counts.insert("crates/x".to_string(), 3);
-        r.graph = Some(GraphStats {
+        r.graph = GraphStats {
             functions: 10,
             edges: 20,
             open_edges: 5,
-        });
+        };
         let j = json(&r);
         validate_json(&j).unwrap();
     }
@@ -444,6 +236,11 @@ mod tests {
         // line must be an integer, not a string.
         assert!(validate_json(
             "{\"findings\": [{\"lint\": \"x\", \"path\": \"p\", \"line\": \"3\", \"item\": null, \"msg\": \"m\", \"why\": []}], \"unwrap_counts\": {}, \"graph\": null, \"files_scanned\": 0, \"unsafe_sites\": 0, \"clean\": true}"
+        )
+        .is_err());
+        // The call graph always runs, so `graph` must be an object.
+        assert!(validate_json(
+            "{\"findings\": [], \"unwrap_counts\": {}, \"graph\": null, \"files_scanned\": 0, \"unsafe_sites\": 0, \"clean\": true}"
         )
         .is_err());
     }

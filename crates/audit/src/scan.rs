@@ -1,14 +1,13 @@
-//! Workspace walker: applies the lint catalogue to every `.rs` file,
-//! optionally runs the flow-aware graph passes, filters through the
-//! allowlist, and checks the unwrap ratchet.
+//! Workspace walker: lexes, parses and lints every `.rs` file once, runs
+//! the flow-aware graph passes over the parsed workspace, filters
+//! through the allowlist, and checks the unwrap ratchet.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::allow::Allowlist;
-use crate::lints::{is_test_path, scan_file, Finding};
-use crate::parse::{parse_file, FileAst};
+use crate::lints::{scan_file, Finding};
 use crate::ratchet::Ratchet;
 use crate::taint::{self, GraphStats};
 
@@ -18,10 +17,6 @@ pub struct RunOptions {
     /// Rewrite `audit/ratchet.toml` from measured counts instead of
     /// checking it.
     pub update_ratchet: bool,
-    /// Also run the flow-aware passes (item parser → call graph →
-    /// determinism-taint / panic-reachability / rng-purity /
-    /// fingerprint-completeness).
-    pub graph: bool,
 }
 
 /// Everything one audit run produced.
@@ -38,8 +33,8 @@ pub struct AuditReport {
     /// Total `unsafe` keyword sites inventoried across the workspace.
     pub unsafe_sites: usize,
     pub files_scanned: usize,
-    /// Call-graph size counters (graph runs only).
-    pub graph: Option<GraphStats>,
+    /// Call-graph size counters.
+    pub graph: GraphStats,
     /// Set when `--update-ratchet` rewrote the baseline.
     pub ratchet_updated: bool,
 }
@@ -53,10 +48,10 @@ impl AuditReport {
 /// Runs the full audit over the workspace at `root`.
 ///
 /// Reads `audit/allow.toml` (optional) and `audit/ratchet.toml`
-/// (optional; absence flags every crate with unwrap sites).  With
-/// `opts.graph`, every file is additionally item-parsed and the four
-/// flow-aware lints run over the workspace call graph.  Errors are
-/// IO/config problems, not lint findings.
+/// (optional; absence flags every crate with unwrap sites).  Each file
+/// is lexed and parsed once ([`scan_file`]); the four flow-aware lints
+/// then run over the workspace call graph.  Errors are IO/config
+/// problems, not lint findings.
 pub fn run(root: &Path, opts: RunOptions) -> Result<AuditReport, String> {
     if !root.join("Cargo.toml").exists() {
         return Err(format!(
@@ -67,7 +62,7 @@ pub fn run(root: &Path, opts: RunOptions) -> Result<AuditReport, String> {
     let files = collect_rs_files(root)?;
     let mut report = AuditReport::default();
     let mut raw_findings = Vec::new();
-    let mut asts: Vec<FileAst> = Vec::new();
+    let mut asts = Vec::with_capacity(files.len());
     for rel in &files {
         let text = fs::read_to_string(root.join(rel))
             .map_err(|e| format!("read {rel}: {e}"))?;
@@ -81,15 +76,11 @@ pub fn run(root: &Path, opts: RunOptions) -> Result<AuditReport, String> {
                 .or_insert(0) += scan.unwrap_count;
         }
         report.files_scanned += 1;
-        if opts.graph {
-            asts.push(parse_file(rel, &text, is_test_path(rel)));
-        }
+        asts.push(scan.ast);
     }
-    if opts.graph {
-        let (flow_findings, stats) = taint::analyze(&asts);
-        raw_findings.extend(flow_findings);
-        report.graph = Some(stats);
-    }
+    let (flow_findings, stats) = taint::analyze(&asts);
+    raw_findings.extend(flow_findings);
+    report.graph = stats;
 
     let allow_path = root.join("audit/allow.toml");
     let allowlist = if allow_path.exists() {

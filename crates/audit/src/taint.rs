@@ -23,7 +23,7 @@
 //! callee outside the deterministic crates is tainted.  Deeper
 //! deterministic callers are implied and not repeated.  Every finding
 //! carries its call path (`Finding::why`), printable via
-//! `fmwalk audit --graph --why <query>`.
+//! `fmwalk audit --why <query>`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -576,12 +576,13 @@ fn fingerprint_completeness(files: &[FileAst], graph: &CallGraph, findings: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lex::strip_lines;
     use crate::parse::parse_file;
 
     fn analyze_files(files: &[(&str, &str)]) -> Vec<Finding> {
         let asts: Vec<FileAst> = files
             .iter()
-            .map(|(p, s)| parse_file(p, s, false))
+            .map(|(p, s)| parse_file(p, &strip_lines(s)))
             .collect();
         analyze(&asts).0
     }

@@ -142,11 +142,8 @@ pub enum Command {
         json: bool,
         /// Rewrite audit/ratchet.toml from measured unwrap counts.
         update_ratchet: bool,
-        /// Also run the flow-aware passes (call graph + taint lints).
-        graph: bool,
         /// Print the offending call path for findings matching this
         /// query (substring of path/item, or an exact lint name).
-        /// Implies --graph.
         why: Option<String>,
     },
     /// `fmwalk help`.
@@ -545,14 +542,12 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
             let mut root = None;
             let mut json = false;
             let mut update_ratchet = false;
-            let mut graph = false;
             let mut why = None;
             while let Some(flag) = c.next() {
                 match flag.as_str() {
                     "--root" => root = Some(PathBuf::from(c.demand("workspace root")?)),
                     "--json" => json = true,
                     "--update-ratchet" => update_ratchet = true,
-                    "--graph" => graph = true,
                     "--why" => why = Some(c.demand("finding query")?),
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
@@ -561,7 +556,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                 root,
                 json,
                 update_ratchet,
-                graph: graph || why.is_some(),
                 why,
             })
         }
@@ -931,31 +925,30 @@ mod tests {
                 root: None,
                 json: false,
                 update_ratchet: false,
-                graph: false,
                 why: None
             }
         );
         assert_eq!(
-            p("audit --root /tmp/ws --json --update-ratchet --graph").unwrap(),
+            p("audit --root /tmp/ws --json --update-ratchet").unwrap(),
             Command::Audit {
                 root: Some(PathBuf::from("/tmp/ws")),
                 json: true,
                 update_ratchet: true,
-                graph: true,
                 why: None
             }
         );
-        // --why implies --graph (a call path needs the call graph).
         assert_eq!(
             p("audit --why sample.rs").unwrap(),
             Command::Audit {
                 root: None,
                 json: false,
                 update_ratchet: false,
-                graph: true,
                 why: Some("sample.rs".to_string())
             }
         );
+        // Every audit runs the flow lints: the mode flag is gone, with no
+        // alias.
+        assert!(p("audit --graph").unwrap_err().0.contains("unknown flag"));
         assert!(p("audit --bogus").unwrap_err().0.contains("unknown flag"));
         assert!(p("audit --root").unwrap_err().0.contains("workspace root"));
         assert!(p("audit --why").unwrap_err().0.contains("finding query"));

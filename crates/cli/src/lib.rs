@@ -39,8 +39,7 @@ USAGE:
   fmwalk profile [--out <profile.txt>] [--quick]
   fmwalk conform [--quick | --full] [--emit-golden] [--ring-depth N]
   fmwalk trace-check <trace.json>
-  fmwalk audit [--root <dir>] [--json] [--update-ratchet] [--graph]
-               [--why <query>]
+  fmwalk audit [--root <dir>] [--json] [--update-ratchet] [--why <query>]
   fmwalk help
 
 Graphs are loaded as the binary format when the file starts with the
@@ -96,21 +95,21 @@ the scripted crash drill.  Checkpoints cover the parked-walker
 boundary buffers and the pair-schedule cursor, so a mid-schedule
 resume is bit-exact.  A corrupt or truncated disk graph exits 3.
 
-`audit` runs the fm-audit source scanner over the workspace (SAFETY
+`audit` runs the fm-audit source scanner over the workspace: SAFETY
 comments on every unsafe site, thread/file-IO discipline, cast-free
-snapshot codecs, the unwrap ratchet).  `--graph` adds the flow-aware
-passes: an in-tree item parser builds a workspace call graph and runs
+snapshot codecs, the unwrap ratchet, and the flow-aware passes — an
+in-tree item parser builds a workspace call graph and runs
 determinism-taint (clock/entropy/env/hash-order sources must not
 reach the deterministic crates), panic-reachability (no panicking
 site reachable from the sample loops), rng-purity (RNG seeds flow
 from seed + structured indices), and fingerprint-completeness (every
 config field the run path reads is folded into the checkpoint
 fingerprint).  `--why <query>` prints the offending call path for
-findings matching a path/item substring or lint name (implies
---graph).  Exemptions live in audit/allow.toml (optionally scoped to
-one item); the ratchet baseline in audit/ratchet.toml only moves down
-(`--update-ratchet` refreshes it after removing call sites).  Clean
-exits 0, findings exit 1, IO or config errors exit 2.
+findings matching a path/item substring or lint name.  Exemptions
+live in audit/allow.toml (optionally scoped to one item); the ratchet
+baseline in audit/ratchet.toml only moves down (`--update-ratchet`
+refreshes it after removing call sites).  Clean exits 0, findings
+exit 1, IO or config errors exit 2.
 
 Exit codes: 0 success, 1 generic failure, 2 IO error, 3 corrupt
 checkpoint, 4 invalid plan or configuration, 64 usage error.

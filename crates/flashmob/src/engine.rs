@@ -1101,12 +1101,6 @@ impl FlashMob {
         &self.config
     }
 
-    /// One-past-the-end of the simulated address space (the walker
-    /// arrays occupy its top; used by the NUMA remote-traffic probe).
-    pub fn simulated_address_top(&self) -> u64 {
-        self.addr.sprev_region + (self.config.walkers as u64) * 4
-    }
-
     /// The per-partition RNG stream ids iteration `iter` will consume
     /// under the configured seed.
     ///

@@ -4,9 +4,11 @@
 //! The workspace is deliberately zero-external-dep, so every crate that
 //! emits machine-readable output shares these helpers instead of
 //! scattering ad-hoc `format!` escapes.  The parser exists for the
-//! in-tree Trace Event Format validator ([`crate::tef`]) and for tests
-//! that round-trip exported documents; it is not a streaming parser and
-//! is sized for trace files, not arbitrary hostile input.
+//! in-tree Trace Event Format validator ([`crate::tef`]), fm-audit's
+//! report schema check, and tests that round-trip exported documents;
+//! it is not a streaming parser and is sized for trace files, not
+//! arbitrary hostile input.  Nesting is capped at `MAX_DEPTH` so a deep
+//! document is an error rather than a stack overflow.
 
 use std::fmt::Write as _;
 
@@ -46,6 +48,10 @@ pub fn num(v: f64) -> String {
         "null".to_string()
     }
 }
+
+/// The deepest array/object nesting [`parse`] accepts.  TEF traces and
+/// audit reports nest a few levels; the cap only bounds the recursion.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,6 +109,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -116,6 +123,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -159,8 +168,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -172,6 +181,21 @@ impl<'a> Parser<'a> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// `MAX_DEPTH`.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -347,6 +371,17 @@ mod tests {
         assert!(parse("123 456").is_err());
         assert!(parse("\"open").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past the cap: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

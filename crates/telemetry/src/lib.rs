@@ -564,11 +564,6 @@ impl Telemetry {
         &self.partitions
     }
 
-    /// Per-stage totals (indexed by [`Stage::index`]).
-    pub fn stage_totals(&self) -> &[StageTotals] {
-        &self.stages
-    }
-
     /// Totals for one stage.
     pub fn stage(&self, stage: Stage) -> &StageTotals {
         &self.stages[stage.index()]
