@@ -132,6 +132,13 @@ for depth in 1 16; do
         --output "$RING_TMP/ring$depth.txt" > "$RING_TMP/stats$depth.txt"
 done
 cmp "$RING_TMP/ring1.txt" "$RING_TMP/ring16.txt"
+# First-order walks are the same bytes at any thread count, so the same
+# walk at three threads runs the parallel shuffle passes (the bin lane
+# and its in-place gather) in a release build and must cmp equal.
+cargo run --release -q -p fm-cli -- walk "$RING_TMP/g.bin" \
+    --walkers 20000 --steps 8 --seed 11 --threads 3 \
+    --output "$RING_TMP/threads3.txt" >/dev/null
+cmp "$RING_TMP/ring1.txt" "$RING_TMP/threads3.txt"
 grep -Eq ': 0 by the walker ring, [1-9][0-9]* streaming partitions in' "$RING_TMP/stats1.txt" || {
     echo "ring tier: the dense walk at depth 1 did not report stream hints alone" >&2; exit 1; }
 grep -Eq ': [1-9][0-9]* by the walker ring, [1-9][0-9]* streaming partitions in' \

@@ -193,9 +193,15 @@ impl CostModel for AnalyticCostModel {
     }
 
     fn shuffle_cost_ns(&self) -> f64 {
-        // Per walker per shuffle level: count-pass read, scatter
-        // read+write, gather read+write — five streaming 4-byte touches —
-        // plus the in-L1 bin lookup and index arithmetic.
+        // Priced as five streaming 4-byte touches per walker per shuffle
+        // level plus the in-L1 bin lookup and index arithmetic.  The
+        // passes now make eight (count: read `w`, write the bin lane;
+        // scatter: read `w` and the lane, write `SW`; gather: read the
+        // lane and `SNext`, overwrite the lane) and look a bin up once
+        // rather than three times, with the scatter and gather streams
+        // hinted (DESIGN.md §22).  The value stays: it prices the MCKP's
+        // internal-shuffle items, so a new one re-plans and moves golden
+        // digests (ROADMAP item 10).
         5.0 * 4.0 * self.seq_byte() + 1.0
     }
 }

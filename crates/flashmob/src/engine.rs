@@ -412,6 +412,8 @@ struct EngineAddrs {
     sw: u64,
     snext_region: u64,
     sprev_region: u64,
+    /// The shuffle's bin lane (the gather writes `W_{i+1}` over it).
+    lane: u64,
 }
 
 /// One run's PS buffers: `Some` for every pre-sampling partition.
@@ -483,13 +485,13 @@ impl Checkpointer {
 /// The lanes a step works in.  Each is rewritten before it is read —
 /// within the step for the walker lanes, from the first count pass for
 /// the shuffle scratch — so no snapshot carries them and a resumed run
-/// starts them from zeroes.  `prefetches` and `stream_hints` are the
-/// exception that accumulates: they count this process's hints, and a
-/// resumed run reports only its own
+/// starts them from zeroes.  `w`'s gather target is the shuffle's bin
+/// lane: the gather overwrites each walker's bin with its next vertex,
+/// and the lane and `w` swap at the end of a step.  `prefetches` and
+/// `stream_hints` are the exception that accumulates: they count this
+/// process's hints, and a resumed run reports only its own
 /// ([`RunStats::per_partition_prefetches`] and its stream share).
 struct Scratch {
-    /// Gather target for `w`; the two swap at the end of a step.
-    w_next: Vec<VertexId>,
     /// `w` grouped by partition, and the vertices sampled for it.
     sw: Vec<VertexId>,
     snext: Vec<VertexId>,
@@ -511,7 +513,6 @@ impl Scratch {
         let walkers = engine.config.walkers;
         let lane = |used: bool| vec![0 as VertexId; if used { walkers } else { 0 }];
         Self {
-            w_next: lane(true),
             sw: lane(true),
             snext: lane(true),
             sprev: lane(engine.carries_aux()),
@@ -785,6 +786,7 @@ impl EpochState {
                 let addrs = ShuffleAddrs {
                     src: engine.addr.w,
                     dst: engine.addr.sw,
+                    lane: engine.addr.lane,
                 };
                 shuffler.count(&self.w, &mut s.shuffle, addrs, probe);
                 shuffler.scatter(
@@ -869,7 +871,8 @@ impl EpochState {
             }
         }
 
-        // Shuffle: gather back into walker order.  The parallel
+        // Shuffle: gather back into walker order, in place over the bin
+        // lane the count wrote, which then becomes `w`.  The parallel
         // gather rebuilds its cursors in place from the count matrix
         // `par_count` left in the scratch — no per-step clone.
         let span2 = traced.then(|| tel.now_ns());
@@ -879,31 +882,16 @@ impl EpochState {
             let sw = second_order.then_some(s.sw.as_slice());
             let prev_next = second_order.then_some(s.prev_next.as_mut_slice());
             if let Some(pool) = shuffle_pool {
-                shuffler.par_gather(
-                    &self.w,
-                    &s.snext,
-                    &mut s.w_next,
-                    sw,
-                    prev_next,
-                    pool,
-                    &mut s.shuffle,
-                );
+                shuffler.par_gather(&s.snext, sw, prev_next, pool, &mut s.shuffle);
             } else {
-                shuffler.gather(
-                    &self.w,
-                    &s.snext,
-                    &mut s.w_next,
-                    sw,
-                    prev_next,
-                    &mut s.shuffle,
-                    ShuffleAddrs {
-                        src: engine.addr.w,
-                        dst: engine.addr.snext_region,
-                    },
-                    probe,
-                );
+                let addrs = ShuffleAddrs {
+                    src: engine.addr.w,
+                    dst: engine.addr.snext_region,
+                    lane: engine.addr.lane,
+                };
+                shuffler.gather_in_place(&s.snext, sw, prev_next, &mut s.shuffle, addrs, probe);
             }
-            std::mem::swap(&mut self.w, &mut s.w_next);
+            s.shuffle.swap_lane(&mut self.w);
             if second_order {
                 std::mem::swap(&mut self.prev, &mut s.prev_next);
             }
@@ -948,6 +936,12 @@ impl FlashMob {
         }
         if config.walkers == 0 {
             return Err(WalkError::NoWalkers);
+        }
+        let walkers = config.walkers;
+        if u32::try_from(walkers).is_err() {
+            return Err(WalkError::Planning(format!(
+                "the shuffle counts walkers in 32 bits; {walkers} walkers do not fit"
+            )));
         }
         for v in 0..graph.vertex_count() {
             if graph.degree(v as VertexId) == 0 {
@@ -1023,7 +1017,6 @@ impl FlashMob {
         let mut space = AddressSpace::new();
         let n = sorted.vertex_count();
         let e = sorted.edge_count();
-        let walkers = config.walkers;
         let bloom_bytes = edge_bloom.as_ref().map_or(64, |b| b.footprint_bytes());
         let map = AddrMap {
             offsets: space.alloc(((n + 1) * 8) as u64),
@@ -1044,8 +1037,8 @@ impl FlashMob {
             w: space.alloc((walkers * 4) as u64),
             sw: space.alloc((walkers * 4) as u64),
             snext_region: space.alloc((walkers * 4) as u64),
-
             sprev_region: space.alloc((walkers * 4) as u64),
+            lane: space.alloc((walkers * 4) as u64),
         };
 
         // Resolve sample-stage ring depths.  The auto path always uses
@@ -3072,6 +3065,18 @@ mod tests {
             assert_eq!(b, want, "{algo}");
             assert_eq!(engine.run().unwrap().paths(), want, "{algo}: after");
         }
+    }
+
+    #[test]
+    fn rejects_walker_counts_beyond_its_shuffle_counters() {
+        if usize::BITS <= 32 {
+            return;
+        }
+        // Refused at construction, before a lane is allocated.
+        assert!(matches!(
+            FlashMob::new(&synth::cycle(16), config(u32::MAX as usize + 1, 2)),
+            Err(WalkError::Planning(_))
+        ));
     }
 
     #[test]

@@ -368,6 +368,15 @@ impl<T> DisjointSlice<T> {
         self.len == 0
     }
 
+    /// Hints the line holding element `index` to the hardware; nothing
+    /// past the end.  A hint reads nothing, so it claims no element.
+    #[inline(always)]
+    pub fn prefetch(&self, index: usize) {
+        if index < self.len {
+            fm_graph::prefetch::prefetch_read(self.ptr.wrapping_add(index));
+        }
+    }
+
     /// Reborrows the sub-range `[start, start + len)` mutably.
     ///
     /// # Safety

@@ -7,9 +7,19 @@
 //! sum turns counts into bin offsets, and a second pass scatters.
 //!
 //! Stability is what makes the paper's implicit-walker-identity trick
-//! work: walkers within each VP keep the order in which a linear scan of
-//! `W_i` encounters them, so scanning `W_i` again after sampling locates
-//! each walker's updated position in `SW_i` without storing walker IDs.
+//! work: walkers within each bin keep their `W_i` order, so the `k`-th
+//! walker of bin `b` in `W_i` owns slot `offsets[b] + k` of `SW_i`, and
+//! no walker ID is stored.  The count pass records each walker's bin in
+//! a *lane* (one `u32` a walker), so the scatter and the gather read it
+//! there instead of recomputing it: a walker's bin is computed once a
+//! step.  The gather then overwrites the lane in place with each
+//! walker's next vertex, and the lane becomes `W_{i+1}`
+//! ([`ShuffleScratch::swap_lane`]).
+//!
+//! Scatter and gather each follow one write or read stream per bin —
+//! thousands of them, more than a hardware prefetcher tracks — so both
+//! hint the next line of a bin's stream as the stream enters a line
+//! (DESIGN.md §22).
 //!
 //! The number of concurrent scatter streams is bounded by what fits in
 //! L2; when a plan creates more VPs than that budget, the shuffle runs
@@ -19,11 +29,16 @@
 //! to a hypothetical single-level shuffle (verified by tests), only the
 //! memory traffic differs.
 
+use fm_graph::prefetch::prefetch_read;
 use fm_graph::VertexId;
-use fm_memsim::{AccessKind, Probe};
+use fm_memsim::{AccessKind, NullProbe, Probe};
 
 use crate::partition::PartitionMap;
 use crate::pool::{DisjointSlice, WorkerPool};
+
+/// Entries of a walker array per 64-byte line: a bin's stream hints the
+/// line this many entries ahead.
+const LINE_ENTRIES: usize = 64 / std::mem::size_of::<VertexId>();
 
 /// Reusable shuffle working memory.
 #[derive(Debug, Default, Clone)]
@@ -34,6 +49,10 @@ pub struct ShuffleScratch {
     pub offsets: Vec<u32>,
     /// Mutable cursors, reset from `offsets` per pass.
     cursors: Vec<u32>,
+    /// Walker `j`'s fine bin, written by the count pass and read by the
+    /// scatter and the gather; an in-place gather overwrites it with the
+    /// walker's next vertex.
+    lane: Vec<VertexId>,
     /// Intermediate walker buffer for the two-level path.
     tmp: Vec<VertexId>,
     /// Intermediate aux buffer for the two-level path.
@@ -43,12 +62,46 @@ pub struct ShuffleScratch {
     /// Per-(chunk, bin) walker counts for the parallel passes, flattened
     /// chunk-major (`chunk * bins + bin`); filled by `par_count` and kept
     /// valid through the matching `par_scatter` / `par_gather` (all
-    /// three passes scan the same pre-shuffle walker array).
+    /// three passes walk the same lane).
     chunk_counts: Vec<u32>,
     /// Per-(chunk, bin) write cursors derived from `chunk_counts`,
     /// rebuilt in place before each parallel scatter/gather pass so the
     /// steady-state step performs no heap allocation.
     chunk_cursors: Vec<u32>,
+    /// Whether the lane and `chunk_counts` are one `par_count`'s, which
+    /// `par_scatter`'s disjoint writes rely on: set by `par_count`,
+    /// cleared by anything else that rewrites the lane.
+    chunked: bool,
+}
+
+impl ShuffleScratch {
+    /// Swaps the lane with `w`.  After an in-place gather
+    /// ([`Shuffler::gather_in_place`], [`Shuffler::par_gather`]) the lane
+    /// holds every walker's next vertex, so this makes it the walker
+    /// array, and `w`'s old buffer becomes the lane the next count pass
+    /// overwrites: the shuffle adds no walker-sized array of its own.
+    pub fn swap_lane(&mut self, w: &mut Vec<VertexId>) {
+        std::mem::swap(&mut self.lane, w);
+        self.chunked = false;
+    }
+
+    /// Turns `counts` into the exclusive prefix sums `offsets`.
+    fn fill_offsets(&mut self) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        let mut acc = 0u32;
+        for &c in &self.counts {
+            acc += c;
+            self.offsets.push(acc);
+        }
+    }
+
+    /// Resets the cursors to the bin starts.
+    fn reset_cursors(&mut self) {
+        self.cursors.clear();
+        self.cursors
+            .extend_from_slice(&self.offsets[..self.counts.len()]);
+    }
 }
 
 /// Simulated-address bases for probe attribution.
@@ -58,6 +111,8 @@ pub struct ShuffleAddrs {
     pub src: u64,
     /// Base address of the destination walker array.
     pub dst: u64,
+    /// Base address of the bin lane.
+    pub lane: u64,
 }
 
 /// A configured shuffler over one partition map.
@@ -120,7 +175,7 @@ impl<'p> Shuffler<'p> {
     }
 
     /// Counting pass: fills `scratch.counts` / `scratch.offsets` from the
-    /// walker positions in `w`.
+    /// walker positions in `w`, and the lane with each walker's bin.
     pub fn count<P: Probe>(
         &self,
         w: &[VertexId],
@@ -128,21 +183,30 @@ impl<'p> Shuffler<'p> {
         addrs: ShuffleAddrs,
         probe: &mut P,
     ) {
-        let bins = self.map.bins();
         scratch.counts.clear();
-        scratch.counts.resize(bins, 0);
-        for (j, &v) in w.iter().enumerate() {
+        scratch.counts.resize(self.map.bins(), 0);
+        scratch.lane.resize(w.len(), 0);
+        self.count_pass(w, &mut scratch.lane, &mut scratch.counts, addrs, probe);
+        scratch.fill_offsets();
+        scratch.chunked = false;
+    }
+
+    /// The count loop over one run of walkers and its piece of the lane.
+    fn count_pass<P: Probe>(
+        &self,
+        w: &[VertexId],
+        lane: &mut [VertexId],
+        counts: &mut [u32],
+        addrs: ShuffleAddrs,
+        probe: &mut P,
+    ) {
+        for (j, (&v, bin)) in w.iter().zip(lane).enumerate() {
             probe.touch(addrs.src + 4 * j as u64, 4, AccessKind::Sequential);
-            scratch.counts[self.map.partition_of(v)] += 1;
+            let b = self.map.partition_of(v);
+            counts[b] += 1;
+            *bin = b as VertexId;
+            probe.touch_write(addrs.lane + 4 * j as u64, 4, AccessKind::Sequential);
         }
-        scratch.offsets.clear();
-        scratch.offsets.resize(bins + 1, 0);
-        let mut acc = 0u32;
-        for (i, &c) in scratch.counts.iter().enumerate() {
-            scratch.offsets[i] = acc;
-            acc += c;
-        }
-        scratch.offsets[bins] = acc;
     }
 
     /// Scatter pass: writes `sw` (and `saux`, when provided) grouped by
@@ -164,97 +228,58 @@ impl<'p> Shuffler<'p> {
         probe: &mut P,
     ) {
         assert_eq!(w.len(), sw.len());
-        if let (Some(a), Some(ref s)) = (aux, &saux) {
-            assert_eq!(a.len(), w.len());
-            assert_eq!(s.len(), w.len());
+        assert_eq!(scratch.lane.len(), w.len(), "count `w` first");
+        let aux = pair(aux, saux, w.len());
+        scratch.reset_cursors();
+        let ShuffleScratch {
+            counts,
+            lane,
+            cursors,
+            tmp,
+            tmp_aux,
+            outer_cursors,
+            ..
+        } = scratch;
+        let Some(outer_of_fine) = &self.outer_of_fine else {
+            let bin_of = |j: usize, _: VertexId| lane[j] as usize;
+            scatter_pass(w, aux, sw, cursors, bin_of, true, addrs, probe);
+            return;
+        };
+        // Outer cursors: the exclusive prefix of the fine counts summed
+        // per outer bin.
+        let outer_bins = *outer_of_fine.last().expect("non-empty") as usize + 1;
+        outer_cursors.clear();
+        outer_cursors.resize(outer_bins, 0);
+        for (&o, &c) in outer_of_fine.iter().zip(counts.iter()) {
+            outer_cursors[o as usize] += c;
         }
-        match &self.outer_of_fine {
-            None => {
-                scratch.cursors.clear();
-                scratch
-                    .cursors
-                    .extend_from_slice(&scratch.offsets[..self.map.bins()]);
-                scatter_pass(
-                    w,
-                    aux,
-                    sw,
-                    saux,
-                    &mut scratch.cursors,
-                    |v| self.map.partition_of(v),
-                    addrs,
-                    probe,
-                );
-            }
-            Some(outer_of_fine) => {
-                let outer_bins = *outer_of_fine.last().expect("non-empty") as usize + 1;
-                // Outer counts by summing fine counts.
-                scratch.outer_cursors.clear();
-                scratch.outer_cursors.resize(outer_bins, 0);
-                for (fine, &o) in outer_of_fine.iter().enumerate() {
-                    scratch.outer_cursors[o as usize] += scratch.counts[fine];
-                }
-                // Exclusive prefix -> outer cursors.
-                let mut acc = 0u32;
-                for c in scratch.outer_cursors.iter_mut() {
-                    let n = *c;
-                    *c = acc;
-                    acc += n;
-                }
-                // Level 1: scatter into the intermediate buffer by outer
-                // bin.
-                scratch.tmp.resize(w.len(), 0);
-                if aux.is_some() {
-                    scratch.tmp_aux.resize(w.len(), 0);
-                }
-                {
-                    // Split borrows of scratch fields.
-                    let ShuffleScratch {
-                        tmp,
-                        tmp_aux,
-                        outer_cursors,
-                        ..
-                    } = scratch;
-                    scatter_pass(
-                        w,
-                        aux,
-                        tmp,
-                        aux.is_some().then_some(tmp_aux.as_mut_slice()),
-                        outer_cursors,
-                        |v| outer_of_fine[self.map.partition_of(v)] as usize,
-                        addrs,
-                        probe,
-                    );
-                }
-                // Level 2: within each outer bin, scatter by fine bin.
-                scratch.cursors.clear();
-                scratch
-                    .cursors
-                    .extend_from_slice(&scratch.offsets[..self.map.bins()]);
-                let ShuffleScratch {
-                    tmp,
-                    tmp_aux,
-                    cursors,
-                    ..
-                } = scratch;
-                scatter_pass(
-                    tmp,
-                    aux.is_some().then_some(tmp_aux.as_slice()),
-                    sw,
-                    saux,
-                    cursors,
-                    |v| self.map.partition_of(v),
-                    addrs,
-                    probe,
-                );
-            }
+        let mut acc = 0u32;
+        for c in outer_cursors.iter_mut() {
+            (*c, acc) = (acc, acc + *c);
         }
+        // Level 1: scatter into the intermediate buffer by outer bin.
+        tmp.resize(w.len(), 0);
+        let (aux, sw_aux) = match aux {
+            Some((a, sa)) => {
+                tmp_aux.resize(w.len(), 0);
+                (Some((a, tmp_aux.as_mut_slice())), Some(sa))
+            }
+            None => (None, None),
+        };
+        let bin_of = |j: usize, _: VertexId| outer_of_fine[lane[j] as usize] as usize;
+        scatter_pass(w, aux, tmp, outer_cursors, bin_of, true, addrs, probe);
+        // Level 2: within each outer bin, scatter by fine bin.
+        let aux = sw_aux.map(|sa| (tmp_aux.as_slice(), sa));
+        let bin_of = |_: usize, v: VertexId| self.map.partition_of(v);
+        scatter_pass(tmp, aux, sw, cursors, bin_of, false, addrs, probe);
     }
 
-    /// Gather pass: the inverse permutation.  Scanning the *pre-shuffle*
-    /// walker array `w_old` in order locates, for each walker, its slot
-    /// in the shuffled array; `w_new[j] = snext[slot]` (and likewise for
-    /// the aux arrays).  This is how `W_{i+1}` is produced while
-    /// preserving walker order (paper Figure 5).
+    /// Gather pass: the inverse permutation, into `w_new`.  Walker `j`'s
+    /// bin in the lane [`Shuffler::count`] wrote for `w_old` names the
+    /// stream it was scattered into, and that bin's cursor is its slot in
+    /// the shuffled array: `w_new[j] = snext[slot]` (and likewise for the
+    /// aux arrays).  This is how `W_{i+1}` is produced while preserving
+    /// walker order (paper Figure 5).  The lane is left as it was.
     #[allow(clippy::too_many_arguments)]
     pub fn gather<P: Probe>(
         &self,
@@ -267,49 +292,56 @@ impl<'p> Shuffler<'p> {
         addrs: ShuffleAddrs,
         probe: &mut P,
     ) {
-        assert_eq!(w_old.len(), snext.len());
         assert_eq!(w_old.len(), w_new.len());
-        scratch.cursors.clear();
-        scratch
-            .cursors
-            .extend_from_slice(&scratch.offsets[..self.map.bins()]);
-        match (aux_src, aux_new) {
-            (Some(asrc), Some(anew)) => {
-                assert_eq!(asrc.len(), w_old.len());
-                assert_eq!(anew.len(), w_old.len());
-                for (j, &v) in w_old.iter().enumerate() {
-                    probe.touch(addrs.src + 4 * j as u64, 4, AccessKind::Sequential);
-                    let bin = self.map.partition_of(v);
-                    let slot = scratch.cursors[bin] as usize;
-                    scratch.cursors[bin] += 1;
-                    probe.touch(addrs.dst + 4 * slot as u64, 4, AccessKind::Sequential);
-                    w_new[j] = snext[slot];
-                    anew[j] = asrc[slot];
-                    probe.touch_write(addrs.src + 4 * j as u64, 4, AccessKind::Sequential);
-                }
-            }
-            (None, None) => {
-                for (j, &v) in w_old.iter().enumerate() {
-                    probe.touch(addrs.src + 4 * j as u64, 4, AccessKind::Sequential);
-                    let bin = self.map.partition_of(v);
-                    let slot = scratch.cursors[bin] as usize;
-                    scratch.cursors[bin] += 1;
-                    probe.touch(addrs.dst + 4 * slot as u64, 4, AccessKind::Sequential);
-                    w_new[j] = snext[slot];
-                    probe.touch_write(addrs.src + 4 * j as u64, 4, AccessKind::Sequential);
-                }
-            }
-            _ => panic!("aux_src and aux_new must be provided together"),
-        }
+        assert_eq!(scratch.lane.len(), w_old.len(), "count `w_old` first");
+        self.gather_with(Some(w_new), snext, aux_src, aux_new, scratch, addrs, probe);
+    }
+
+    /// [`Shuffler::gather`] in place: each walker's bin in the lane is
+    /// overwritten by its next vertex, and [`ShuffleScratch::swap_lane`]
+    /// then hands the lane over as `W_{i+1}`.
+    pub fn gather_in_place<P: Probe>(
+        &self,
+        snext: &[VertexId],
+        aux_src: Option<&[VertexId]>,
+        aux_new: Option<&mut [VertexId]>,
+        scratch: &mut ShuffleScratch,
+        addrs: ShuffleAddrs,
+        probe: &mut P,
+    ) {
+        self.gather_with(None, snext, aux_src, aux_new, scratch, addrs, probe);
+    }
+
+    /// Both gathers: into `out`, or over the lane when there is none.
+    #[allow(clippy::too_many_arguments)]
+    fn gather_with<P: Probe>(
+        &self,
+        out: Option<&mut [VertexId]>,
+        snext: &[VertexId],
+        aux_src: Option<&[VertexId]>,
+        aux_new: Option<&mut [VertexId]>,
+        scratch: &mut ShuffleScratch,
+        addrs: ShuffleAddrs,
+        probe: &mut P,
+    ) {
+        let n = scratch.lane.len();
+        assert_eq!(snext.len(), n);
+        let aux = pair(aux_src, aux_new, n);
+        scratch.reset_cursors();
+        // In place, the lane ends up holding vertices, not bins.
+        scratch.chunked &= out.is_some();
+        let ShuffleScratch { lane, cursors, .. } = scratch;
+        gather_pass(lane, out, snext, aux, cursors, addrs, probe);
     }
 }
 
 /// Parallel variants of the three shuffle passes, dispatched over the
 /// persistent [`WorkerPool`].
 ///
-/// The walker array is split into one contiguous chunk per pool worker.
-/// The count pass produces a per-(chunk, bin) count matrix; prefix-
-/// summing it *bin-major* yields disjoint per-(chunk, bin) output
+/// The walker array is split into one contiguous chunk per pool worker,
+/// and each worker writes, reads or overwrites only its own chunk of
+/// the lane.  The count pass produces a per-(chunk, bin) count matrix;
+/// prefix-summing it *bin-major* yields disjoint per-(chunk, bin) output
 /// ranges, so the scatter workers write to non-overlapping positions of
 /// the shared destination — the classic parallel stable counting sort,
 /// and exactly the paper's "threads work on disjoint array areas,
@@ -335,17 +367,19 @@ impl<'p> Shuffler<'p> {
         let chunk = w.len().div_ceil(chunks);
         scratch.chunk_counts.clear();
         scratch.chunk_counts.resize(chunks * bins, 0);
+        scratch.lane.resize(w.len(), 0);
         {
             let rows = DisjointSlice::new(&mut scratch.chunk_counts);
+            let lane = DisjointSlice::new(&mut scratch.lane);
             pool.run_labeled("shuffle-count", &|t| {
                 let lo = (t * chunk).min(w.len());
                 let hi = ((t + 1) * chunk).min(w.len());
-                // SAFETY: row `t` of the matrix belongs to worker `t`
-                // alone.
-                let counts = unsafe { rows.slice_mut(t * bins, bins) };
-                for &v in &w[lo..hi] {
-                    counts[self.map.partition_of(v)] += 1;
-                }
+                // SAFETY: row `t` of the matrix and lane range `[lo, hi)`
+                // belong to worker `t` alone.
+                let (counts, bins_out) =
+                    unsafe { (rows.slice_mut(t * bins, bins), lane.slice_mut(lo, hi - lo)) };
+                let addrs = ShuffleAddrs::default();
+                self.count_pass(&w[lo..hi], bins_out, counts, addrs, &mut NullProbe);
             });
         }
 
@@ -353,28 +387,28 @@ impl<'p> Shuffler<'p> {
         scratch.counts.clear();
         scratch.counts.resize(bins, 0);
         for row in scratch.chunk_counts.chunks_exact(bins) {
-            for (b, &c) in row.iter().enumerate() {
-                scratch.counts[b] += c;
+            for (total, &c) in scratch.counts.iter_mut().zip(row) {
+                *total += c;
             }
         }
-        scratch.offsets.clear();
-        scratch.offsets.resize(bins + 1, 0);
-        let mut acc = 0u32;
-        for (b, &c) in scratch.counts.iter().enumerate() {
-            scratch.offsets[b] = acc;
-            acc += c;
-        }
-        scratch.offsets[bins] = acc;
+        scratch.fill_offsets();
+        scratch.chunked = true;
     }
 
     /// Rebuilds the per-(chunk, bin) start cursors from the count matrix
     /// left by [`Shuffler::par_count`]: bin-major prefix over chunks,
     /// offset by the bin start.  Scatter and gather each rebuild in
-    /// place instead of cloning, because both scan the same pre-shuffle
-    /// walker array.
-    fn rebuild_chunk_cursors(&self, scratch: &mut ShuffleScratch) -> usize {
+    /// place instead of cloning, because both walk the same lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `par_count` on `pool` wrote the lane last: the
+    /// scatter's writes are disjoint only for the bins it counted.
+    fn rebuild_chunk_cursors(&self, scratch: &mut ShuffleScratch, pool: &WorkerPool) -> usize {
         let bins = self.map.bins();
         let chunks = scratch.chunk_counts.len() / bins;
+        assert!(scratch.chunked, "par_count the lane first");
+        assert_eq!(chunks, pool.threads(), "par_count on the same pool first");
         scratch.chunk_cursors.clear();
         scratch.chunk_cursors.resize(chunks * bins, 0);
         for b in 0..bins {
@@ -388,7 +422,7 @@ impl<'p> Shuffler<'p> {
     }
 
     /// Parallel stable scatter over the pool, using the count matrix
-    /// from [`Shuffler::par_count`].
+    /// and the lane from [`Shuffler::par_count`].
     ///
     /// Each worker writes only within its pre-computed per-(chunk, bin)
     /// ranges, which partition `sw`; the disjointness is what makes the
@@ -403,131 +437,192 @@ impl<'p> Shuffler<'p> {
         scratch: &mut ShuffleScratch,
     ) {
         assert_eq!(w.len(), sw.len());
+        assert_eq!(scratch.lane.len(), w.len(), "count `w` first");
         let bins = self.map.bins();
-        let chunks = self.rebuild_chunk_cursors(scratch);
+        let chunks = self.rebuild_chunk_cursors(scratch, pool);
         let chunk = w.len().div_ceil(chunks);
         let sw_ptr = DisjointSlice::new(sw);
-        let saux_ptr = saux.map(|s| {
-            assert_eq!(s.len(), w.len());
-            DisjointSlice::new(s)
-        });
+        let aux = pair(aux, saux, w.len()).map(|(a, sa)| (a, DisjointSlice::new(sa)));
+        let lane = &scratch.lane;
         let cursors = DisjointSlice::new(&mut scratch.chunk_cursors);
         pool.run_labeled("shuffle-scatter", &|t| {
             let lo = (t * chunk).min(w.len());
             let hi = ((t + 1) * chunk).min(w.len());
             // SAFETY: cursor row `t` belongs to worker `t` alone.
             let cur = unsafe { cursors.slice_mut(t * bins, bins) };
-            for (j, &v) in w[lo..hi].iter().enumerate() {
-                let bin = self.map.partition_of(v);
+            for j in lo..hi {
+                let bin = lane[j] as usize;
                 let pos = cur[bin] as usize;
                 cur[bin] += 1;
+                if pos.is_multiple_of(LINE_ENTRIES) {
+                    sw_ptr.prefetch(pos + LINE_ENTRIES);
+                }
                 // SAFETY: `pos` lies in this worker's exclusive
                 // per-(chunk, bin) range established by `par_count`'s
                 // bin-major prefix sums; no two workers ever receive
                 // the same position.
-                unsafe { sw_ptr.write(pos, v) };
-                if let (Some(a), Some(sa)) = (aux, &saux_ptr) {
+                unsafe { sw_ptr.write(pos, w[j]) };
+                if let Some((a, sa)) = &aux {
+                    if pos.is_multiple_of(LINE_ENTRIES) {
+                        sa.prefetch(pos + LINE_ENTRIES);
+                    }
                     // SAFETY: same disjoint position as above.
-                    unsafe { sa.write(pos, a[lo + j]) };
+                    unsafe { sa.write(pos, a[j]) };
                 }
             }
         });
     }
 
-    /// Parallel gather over the pool: the inverse permutation, with the
-    /// cursor matrix rebuilt in place from [`Shuffler::par_count`]'s
-    /// counts (both passes scan the same *pre-shuffle* walker array, so
-    /// the matrix is still valid — no per-step clone).
-    #[allow(clippy::too_many_arguments)]
+    /// Parallel in-place gather over the pool: [`Shuffler::gather_in_place`]
+    /// with the cursor matrix rebuilt in place from
+    /// [`Shuffler::par_count`]'s counts (the lane still holds the bins
+    /// the count wrote, so the matrix is still valid — no per-step
+    /// clone).
     pub fn par_gather(
         &self,
-        w_old: &[VertexId],
         snext: &[VertexId],
-        w_new: &mut [VertexId],
         aux_src: Option<&[VertexId]>,
         aux_new: Option<&mut [VertexId]>,
         pool: &WorkerPool,
         scratch: &mut ShuffleScratch,
     ) {
-        assert_eq!(w_old.len(), snext.len());
-        assert_eq!(w_old.len(), w_new.len());
+        let n = scratch.lane.len();
+        assert_eq!(snext.len(), n);
         let bins = self.map.bins();
-        let chunks = self.rebuild_chunk_cursors(scratch);
-        let chunk = w_old.len().div_ceil(chunks);
-        let w_new_ptr = DisjointSlice::new(w_new);
-        let aux_new_ptr = aux_new.map(|a| {
-            assert_eq!(a.len(), w_old.len());
-            DisjointSlice::new(a)
-        });
+        let chunks = self.rebuild_chunk_cursors(scratch, pool);
+        let chunk = n.div_ceil(chunks);
+        let aux = pair(aux_src, aux_new, n).map(|(a, anew)| (a, DisjointSlice::new(anew)));
+        let lane = DisjointSlice::new(&mut scratch.lane);
         let cursors = DisjointSlice::new(&mut scratch.chunk_cursors);
         pool.run_labeled("shuffle-gather", &|t| {
-            let lo = (t * chunk).min(w_old.len());
-            let hi = ((t + 1) * chunk).min(w_old.len());
-            // SAFETY: cursor row `t` belongs to worker `t` alone.
-            let cur = unsafe { cursors.slice_mut(t * bins, bins) };
-            // SAFETY: output range `[lo, hi)` belongs to worker `t`
-            // alone (chunks are contiguous and non-overlapping).
-            let out = unsafe { w_new_ptr.slice_mut(lo, hi - lo) };
-            match (aux_src, &aux_new_ptr) {
-                (Some(asrc), Some(anew)) => {
-                    // SAFETY: same disjoint output range as above.
-                    let aout = unsafe { anew.slice_mut(lo, hi - lo) };
-                    for (j, &v) in w_old[lo..hi].iter().enumerate() {
-                        let bin = self.map.partition_of(v);
-                        let slot = cur[bin] as usize;
-                        cur[bin] += 1;
-                        out[j] = snext[slot];
-                        aout[j] = asrc[slot];
-                    }
-                }
-                _ => {
-                    for (j, &v) in w_old[lo..hi].iter().enumerate() {
-                        let bin = self.map.partition_of(v);
-                        let slot = cur[bin] as usize;
-                        cur[bin] += 1;
-                        out[j] = snext[slot];
-                    }
-                }
-            }
+            let lo = (t * chunk).min(n);
+            let hi = ((t + 1) * chunk).min(n);
+            // SAFETY: cursor row `t` and lane range `[lo, hi)` belong to
+            // worker `t` alone (chunks are contiguous and
+            // non-overlapping).
+            let (cur, out) = unsafe {
+                (
+                    cursors.slice_mut(t * bins, bins),
+                    lane.slice_mut(lo, hi - lo),
+                )
+            };
+            let aux = aux.as_ref().map(|(asrc, anew)| {
+                // SAFETY: the same disjoint range `[lo, hi)` as above.
+                (*asrc, unsafe { anew.slice_mut(lo, hi - lo) })
+            });
+            let addrs = ShuffleAddrs::default();
+            gather_pass(out, None, snext, aux, cur, addrs, &mut NullProbe);
         });
+        scratch.chunked = false;
     }
 }
 
-/// One stable counting-scatter pass.
+/// Pairs an auxiliary source with its destination.
+///
+/// # Panics
+///
+/// Panics if only one is given, or either is not `n` long.
+fn pair<'a>(
+    src: Option<&'a [VertexId]>,
+    dst: Option<&'a mut [VertexId]>,
+    n: usize,
+) -> Option<(&'a [VertexId], &'a mut [VertexId])> {
+    match (src, dst) {
+        (Some(s), Some(d)) => {
+            assert_eq!(
+                (s.len(), d.len()),
+                (n, n),
+                "aux lanes must match the walkers"
+            );
+            Some((s, d))
+        }
+        (None, None) => None,
+        _ => panic!("aux source and destination must be provided together"),
+    }
+}
+
+/// Hints the next line of one bin's stream: when `pos` opens a line of
+/// `data` (by index), the line [`LINE_ENTRIES`] entries on, to the
+/// hardware and, at `base`, to the model — the ring's
+/// [`Pf`](crate::sample::ring::Pf) pairing.  Whether a hint goes out
+/// depends on `pos` alone, and a pass visits every position once, so its
+/// hints are a function of its bin widths.
+#[inline(always)]
+fn hint_next_line<P: Probe>(probe: &mut P, data: &[VertexId], pos: usize, base: u64) {
+    if pos.is_multiple_of(LINE_ENTRIES) {
+        if let Some(next) = data.get(pos + LINE_ENTRIES) {
+            prefetch_read(next);
+            probe.prefetch(base + 4 * (pos + LINE_ENTRIES) as u64, 4);
+        }
+    }
+}
+
+/// One stable counting-scatter pass: walker `j` (with its aux entry)
+/// goes to the next slot of bin `bin_of(j, src[j])`.  `reads_lane` says
+/// the bin comes from the lane, which the probe is then told about.
 #[allow(clippy::too_many_arguments)]
 fn scatter_pass<P: Probe>(
     src: &[VertexId],
-    aux: Option<&[VertexId]>,
+    mut aux: Option<(&[VertexId], &mut [VertexId])>,
     dst: &mut [VertexId],
-    daux: Option<&mut [VertexId]>,
     cursors: &mut [u32],
-    bin_of: impl Fn(VertexId) -> usize,
+    bin_of: impl Fn(usize, VertexId) -> usize,
+    reads_lane: bool,
     addrs: ShuffleAddrs,
     probe: &mut P,
 ) {
-    match (aux, daux) {
-        (Some(a), Some(da)) => {
-            for (j, &v) in src.iter().enumerate() {
-                probe.touch(addrs.src + 4 * j as u64, 4, AccessKind::Sequential);
-                let bin = bin_of(v);
-                let pos = cursors[bin] as usize;
-                cursors[bin] += 1;
-                dst[pos] = v;
-                da[pos] = a[j];
-                probe.touch_write(addrs.dst + 4 * pos as u64, 4, AccessKind::Sequential);
+    for (j, &v) in src.iter().enumerate() {
+        probe.touch(addrs.src + 4 * j as u64, 4, AccessKind::Sequential);
+        if reads_lane {
+            probe.touch(addrs.lane + 4 * j as u64, 4, AccessKind::Sequential);
+        }
+        let bin = bin_of(j, v);
+        let pos = cursors[bin] as usize;
+        cursors[bin] += 1;
+        hint_next_line(probe, dst, pos, addrs.dst);
+        dst[pos] = v;
+        if let Some((a, da)) = aux.as_mut() {
+            hint_next_line(&mut NullProbe, da, pos, 0);
+            da[pos] = a[j];
+        }
+        probe.touch_write(addrs.dst + 4 * pos as u64, 4, AccessKind::Sequential);
+    }
+}
+
+/// One gather pass: walker `j` takes the next slot of the bin in
+/// `lane[j]`, and its next vertex `snext[slot]` goes to `out[j]` — or,
+/// with no `out`, over its bin in the lane.
+fn gather_pass<P: Probe>(
+    lane: &mut [VertexId],
+    mut out: Option<&mut [VertexId]>,
+    snext: &[VertexId],
+    mut aux: Option<(&[VertexId], &mut [VertexId])>,
+    cursors: &mut [u32],
+    addrs: ShuffleAddrs,
+    probe: &mut P,
+) {
+    for j in 0..lane.len() {
+        probe.touch(addrs.lane + 4 * j as u64, 4, AccessKind::Sequential);
+        let bin = lane[j] as usize;
+        let slot = cursors[bin] as usize;
+        cursors[bin] += 1;
+        hint_next_line(probe, snext, slot, addrs.dst);
+        probe.touch(addrs.dst + 4 * slot as u64, 4, AccessKind::Sequential);
+        let next = snext[slot];
+        if let Some((asrc, anew)) = aux.as_mut() {
+            hint_next_line(&mut NullProbe, asrc, slot, 0);
+            anew[j] = asrc[slot];
+        }
+        match out.as_deref_mut() {
+            Some(out) => {
+                out[j] = next;
+                probe.touch_write(addrs.src + 4 * j as u64, 4, AccessKind::Sequential);
+            }
+            None => {
+                lane[j] = next;
+                probe.touch_write(addrs.lane + 4 * j as u64, 4, AccessKind::Sequential);
             }
         }
-        (None, None) => {
-            for (j, &v) in src.iter().enumerate() {
-                probe.touch(addrs.src + 4 * j as u64, 4, AccessKind::Sequential);
-                let bin = bin_of(v);
-                let pos = cursors[bin] as usize;
-                cursors[bin] += 1;
-                dst[pos] = v;
-                probe.touch_write(addrs.dst + 4 * pos as u64, 4, AccessKind::Sequential);
-            }
-        }
-        _ => panic!("aux and daux must be provided together"),
     }
 }
 
@@ -536,7 +631,7 @@ mod tests {
     use super::*;
     use crate::partition::{Partition, SamplePolicy};
     use crate::DEAD;
-    use fm_memsim::NullProbe;
+    use fm_rng::{Rng64, Xorshift64Star};
 
     fn map(bounds: &[(u32, u32)], n: usize) -> PartitionMap {
         let parts: Vec<Partition> = bounds
@@ -810,8 +905,7 @@ mod tests {
     fn parallel_shuffle_is_bit_identical_to_sequential() {
         let m = map(&[(0, 3), (3, 10), (10, 32)], 32);
         let s = Shuffler::single_level(&m);
-        let mut rng = fm_rng::Xorshift64Star::new(9);
-        use fm_rng::Rng64;
+        let mut rng = Xorshift64Star::new(9);
         let w: Vec<VertexId> = (0..5000)
             .map(|_| {
                 if rng.gen_bool(0.02) {
@@ -860,22 +954,21 @@ mod tests {
             assert_eq!(scratch.counts, scratch2.counts, "{threads} threads");
             assert_eq!(scratch.offsets, scratch2.offsets);
             let (mut sw2, mut sp2) = (vec![0; w.len()], vec![0; w.len()]);
-            s.par_scatter(&w, Some(&prev), &mut sw2, Some(&mut sp2), &pool, &mut scratch2);
-            assert_eq!(sw1, sw2, "{threads} threads scatter");
-            assert_eq!(sp1, sp2, "{threads} threads scatter aux");
-            // Gather reuses the count matrix in place — no re-count, no
-            // clone.
-            let (mut wn2, mut pn2) = (vec![0; w.len()], vec![0; w.len()]);
-            s.par_gather(
+            s.par_scatter(
                 &w,
-                &snext,
-                &mut wn2,
-                Some(&sw2),
-                Some(&mut pn2),
+                Some(&prev),
+                &mut sw2,
+                Some(&mut sp2),
                 &pool,
                 &mut scratch2,
             );
-            assert_eq!(wn1, wn2, "{threads} threads gather");
+            assert_eq!(sw1, sw2, "{threads} threads scatter");
+            assert_eq!(sp1, sp2, "{threads} threads scatter aux");
+            // Gather reuses the count matrix in place — no re-count, no
+            // clone — and overwrites the lane with the next positions.
+            let mut pn2 = vec![0; w.len()];
+            s.par_gather(&snext, Some(&sw2), Some(&mut pn2), &pool, &mut scratch2);
+            assert_eq!(wn1, scratch2.lane, "{threads} threads gather");
             assert_eq!(pn1, pn2, "{threads} threads gather aux");
         }
     }
@@ -919,10 +1012,291 @@ mod tests {
         let addrs = ShuffleAddrs {
             src: 0x10_0000,
             dst: 0x20_0000,
+            lane: 0x30_0000,
         };
         s.count(&w, &mut scratch, addrs, &mut probe);
+        // Count: read `w`, write the lane.
+        assert_eq!(probe.stats().accesses, 2 * w.len() as u64);
         s.scatter(&w, None, &mut sw, None, &mut scratch, addrs, &mut probe);
-        // Count + scatter = three streaming touches per walker.
-        assert_eq!(probe.stats().accesses, 3 * w.len() as u64);
+        // Scatter: read `w` and the lane, write `sw`.
+        assert_eq!(probe.stats().accesses, 5 * w.len() as u64);
+        let snext = sw.clone();
+        s.gather_in_place(&snext, None, None, &mut scratch, addrs, &mut probe);
+        // Gather: read the lane and `snext`, overwrite the lane.
+        assert_eq!(probe.stats().accesses, 8 * w.len() as u64);
+        assert_eq!(scratch.lane, w);
+    }
+
+    #[test]
+    fn hinted_passes_report_prefetch_lines() {
+        use fm_memsim::{HierarchyConfig, MemorySystem};
+        let m = map(&[(0, 5), (5, 6), (6, 40), (40, 64)], 64);
+        let s = Shuffler::single_level(&m);
+        let w = walkers(3, 1000, 64);
+        // The same walkers in another order: the same bin widths.
+        let mut reordered = w.clone();
+        reordered.reverse();
+        let addrs = ShuffleAddrs {
+            src: 0x10_0000,
+            dst: 0x20_0000,
+            lane: 0x30_0000,
+        };
+        let run = |w: &[VertexId]| {
+            let mut scratch = ShuffleScratch::default();
+            let mut sw = vec![0; w.len()];
+            let mut probe = MemorySystem::new(HierarchyConfig::skylake_server());
+            s.count(w, &mut scratch, addrs, &mut probe);
+            assert_eq!(probe.stats().prefetch_lines, 0, "the count hints nothing");
+            s.scatter(w, None, &mut sw, None, &mut scratch, addrs, &mut probe);
+            s.gather_in_place(&sw, None, None, &mut scratch, addrs, &mut probe);
+            probe.stats().prefetch_lines
+        };
+        let lines = run(&w);
+        assert!(lines > 0, "scatter and gather must hint");
+        assert_eq!(run(&w), lines, "the hints repeat run to run");
+        assert_eq!(run(&reordered), lines, "the hints follow the bin widths");
+        // Each pass visits every slot once and hints at each line-opening
+        // slot with a line after it: 62 of them below 1000 entries.
+        assert_eq!(lines, 2 * 62);
+    }
+
+    /// The passes as they were before the lane: each computes a walker's
+    /// bin with `partition_of`.  The lane passes must match them byte for
+    /// byte.
+    mod model {
+        use super::*;
+
+        /// Counts and offsets.
+        pub fn count(m: &PartitionMap, w: &[VertexId]) -> (Vec<u32>, Vec<u32>) {
+            let mut counts = vec![0u32; m.bins()];
+            for &v in w {
+                counts[m.partition_of(v)] += 1;
+            }
+            let mut offsets = vec![0u32];
+            for &c in &counts {
+                offsets.push(offsets.last().unwrap() + c);
+            }
+            (counts, offsets)
+        }
+
+        /// `w` and `aux` grouped by bin.
+        pub fn scatter(
+            m: &PartitionMap,
+            w: &[VertexId],
+            aux: &[VertexId],
+        ) -> (Vec<VertexId>, Vec<VertexId>) {
+            let mut cursors = count(m, w).1;
+            let (mut sw, mut saux) = (vec![0; w.len()], vec![0; aux.len()]);
+            for (j, &v) in w.iter().enumerate() {
+                let bin = m.partition_of(v);
+                let pos = cursors[bin] as usize;
+                cursors[bin] += 1;
+                sw[pos] = v;
+                if !aux.is_empty() {
+                    saux[pos] = aux[j];
+                }
+            }
+            (sw, saux)
+        }
+
+        /// `snext` and `asrc` back in walker order.
+        pub fn gather(
+            m: &PartitionMap,
+            w_old: &[VertexId],
+            snext: &[VertexId],
+            asrc: &[VertexId],
+        ) -> (Vec<VertexId>, Vec<VertexId>) {
+            let mut cursors = count(m, w_old).1;
+            let (mut w_new, mut anew) = (vec![0; w_old.len()], vec![0; asrc.len()]);
+            for (j, &v) in w_old.iter().enumerate() {
+                let bin = m.partition_of(v);
+                let slot = cursors[bin] as usize;
+                cursors[bin] += 1;
+                w_new[j] = snext[slot];
+                if !asrc.is_empty() {
+                    anew[j] = asrc[slot];
+                }
+            }
+            (w_new, anew)
+        }
+
+        /// Everything the model makes of `w` and its aux lane `prev`
+        /// (empty when there is none), with [`sampled`] as the sample
+        /// stage and the new `prev` gathered from `sw`.
+        pub struct Expected {
+            pub counts: Vec<u32>,
+            pub offsets: Vec<u32>,
+            pub sw: Vec<VertexId>,
+            pub sprev: Vec<VertexId>,
+            pub snext: Vec<VertexId>,
+            pub next: Vec<VertexId>,
+            pub prev_next: Vec<VertexId>,
+        }
+
+        pub fn expected(m: &PartitionMap, w: &[VertexId], prev: &[VertexId]) -> Expected {
+            let (counts, offsets) = count(m, w);
+            let (sw, sprev) = scatter(m, w, prev);
+            let snext = sampled(&sw);
+            let (next, prev_next) = gather(m, w, &snext, &sw[..prev.len()]);
+            Expected {
+                counts,
+                offsets,
+                sw,
+                sprev,
+                snext,
+                next,
+                prev_next,
+            }
+        }
+    }
+
+    /// `n` seeded walkers on the lower half of `vertices` (so the upper
+    /// half's partitions stay empty), about one in sixteen DEAD.
+    fn walkers(seed: u64, n: usize, vertices: usize) -> Vec<VertexId> {
+        let mut rng = Xorshift64Star::new(seed);
+        (0..n)
+            .map(|_| {
+                if rng.gen_bool(1.0 / 16.0) {
+                    DEAD
+                } else {
+                    rng.gen_index(vertices / 2) as VertexId
+                }
+            })
+            .collect()
+    }
+
+    /// The lattice of the model tests: a map with a one-vertex partition
+    /// and empty upper partitions, and a two-level grouping of it.
+    fn lane_map() -> (PartitionMap, Vec<u32>) {
+        let m = map(
+            &[(0, 3), (3, 10), (10, 11), (11, 32), (32, 40), (40, 64)],
+            64,
+        );
+        (m, vec![0, 0, 1, 1, 2, 2, 3])
+    }
+
+    /// The sampled vertex of a walker at `v` (DEAD stays DEAD).
+    fn sampled(sw: &[VertexId]) -> Vec<VertexId> {
+        sw.iter()
+            .map(|&v| if v == DEAD { DEAD } else { (v * 7 + 1) % 64 })
+            .collect()
+    }
+
+    /// An aux lane for `w` (the `prev` of a second-order walk), or none.
+    fn aux_lane(w: &[VertexId], with_aux: bool) -> Vec<VertexId> {
+        let lane = w.iter().map(|&v| v ^ 0x55);
+        lane.take(if with_aux { w.len() } else { 0 }).collect()
+    }
+
+    #[test]
+    fn lane_passes_match_the_partition_of_model() {
+        let (m, outer) = lane_map();
+        for shuffler in [Shuffler::single_level(&m), Shuffler::two_level(&m, outer)] {
+            for (seed, n) in [(1, 0), (2, 1), (3, 17), (4, 5000)] {
+                let w = walkers(seed, n, 64);
+                for with_aux in [false, true] {
+                    let what = format!("{} levels, seed {seed}, aux {with_aux}", shuffler.levels());
+                    let prev = aux_lane(&w, with_aux);
+                    let want = model::expected(&m, &w, &prev);
+                    let snext = &want.snext;
+
+                    let (mut scratch, mut p) = (ShuffleScratch::default(), NullProbe);
+                    let addrs = ShuffleAddrs::default();
+                    shuffler.count(&w, &mut scratch, addrs, &mut p);
+                    assert_eq!(scratch.counts, want.counts, "{what}");
+                    assert_eq!(scratch.offsets, want.offsets, "{what}");
+                    let (mut sw, mut sprev) = (vec![0; n], vec![0; prev.len()]);
+                    let aux = with_aux.then_some(prev.as_slice());
+                    let saux = with_aux.then_some(sprev.as_mut_slice());
+                    shuffler.scatter(&w, aux, &mut sw, saux, &mut scratch, addrs, &mut p);
+                    assert_eq!((&sw, &sprev), (&want.sw, &want.sprev), "{what}: scatter");
+
+                    let (mut next, mut prev_next) = (vec![0; n], vec![0; prev.len()]);
+                    let asrc = with_aux.then_some(sw.as_slice());
+                    let anew = with_aux.then_some(prev_next.as_mut_slice());
+                    shuffler.gather(
+                        &w,
+                        snext,
+                        &mut next,
+                        asrc,
+                        anew,
+                        &mut scratch,
+                        addrs,
+                        &mut p,
+                    );
+                    assert_eq!(next, want.next, "{what}: gather");
+                    assert_eq!(prev_next, want.prev_next, "{what}: gather aux");
+
+                    // In place, the lane becomes what `gather` wrote.
+                    let mut in_place = vec![0; prev.len()];
+                    let anew = with_aux.then_some(in_place.as_mut_slice());
+                    shuffler.gather_in_place(snext, asrc, anew, &mut scratch, addrs, &mut p);
+                    assert_eq!(scratch.lane, next, "{what}: in-place gather");
+                    assert_eq!(in_place, prev_next, "{what}: in-place aux");
+                    let mut w_next = Vec::new();
+                    scratch.swap_lane(&mut w_next);
+                    assert_eq!(w_next, next, "{what}: the lane hands over");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_lane_passes_match_the_partition_of_model() {
+        let (m, _) = lane_map();
+        let s = Shuffler::single_level(&m);
+        for threads in [1usize, 2, 3, 7] {
+            let pool = WorkerPool::new(threads);
+            // Fewer walkers than threads included: idle workers own
+            // empty chunks.
+            for (seed, n) in [(5, 0), (6, 2), (7, 5), (8, 4999)] {
+                let w = walkers(seed, n, 64);
+                for with_aux in [false, true] {
+                    let what = format!("{threads} threads, seed {seed}, aux {with_aux}");
+                    let prev = aux_lane(&w, with_aux);
+                    let want = model::expected(&m, &w, &prev);
+
+                    let mut scratch = ShuffleScratch::default();
+                    s.par_count(&w, &pool, &mut scratch);
+                    assert_eq!(scratch.counts, want.counts, "{what}");
+                    assert_eq!(scratch.offsets, want.offsets, "{what}");
+                    let (mut sw, mut sprev) = (vec![0; n], vec![0; prev.len()]);
+                    let aux = with_aux.then_some(prev.as_slice());
+                    let saux = with_aux.then_some(sprev.as_mut_slice());
+                    s.par_scatter(&w, aux, &mut sw, saux, &pool, &mut scratch);
+                    assert_eq!((&sw, &sprev), (&want.sw, &want.sprev), "{what}: scatter");
+
+                    let mut prev_next = vec![0; prev.len()];
+                    let asrc = with_aux.then_some(sw.as_slice());
+                    let anew = with_aux.then_some(prev_next.as_mut_slice());
+                    s.par_gather(&want.snext, asrc, anew, &pool, &mut scratch);
+                    assert_eq!(scratch.lane, want.next, "{what}: gather");
+                    assert_eq!(prev_next, want.prev_next, "{what}: gather aux");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_scatter_refuses_a_lane_par_count_did_not_write() {
+        // Its writes are disjoint only for the bins `par_count` counted,
+        // chunk by chunk, on the pool it runs on.
+        let (m, _) = lane_map();
+        let s = Shuffler::single_level(&m);
+        let w = walkers(9, 100, 64);
+        let (pool2, pool3) = (WorkerPool::new(2), WorkerPool::new(3));
+        let refused = |scratch: &mut ShuffleScratch, pool: &WorkerPool| {
+            let mut sw = vec![0; w.len()];
+            let scatter = || s.par_scatter(&w, None, &mut sw, None, pool, scratch);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(scatter)).is_err()
+        };
+        let mut scratch = ShuffleScratch::default();
+        s.par_count(&w, &pool2, &mut scratch);
+        assert!(refused(&mut scratch, &pool3), "another pool");
+        assert!(!refused(&mut scratch, &pool2), "the counted lane");
+        s.par_gather(&w, None, None, &pool2, &mut scratch);
+        assert!(refused(&mut scratch, &pool2), "after an in-place gather");
+        s.count(&w, &mut scratch, ShuffleAddrs::default(), &mut NullProbe);
+        assert!(refused(&mut scratch, &pool2), "after a sequential count");
     }
 }

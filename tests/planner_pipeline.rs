@@ -156,39 +156,51 @@ fn measured_profile_plans_and_runs() {
 fn two_level_shuffle_plans_run_end_to_end() {
     // A graph far larger than the (scaled) caches under a tight bin
     // budget: the DP must shuffle some groups internally (2 levels), and
-    // the resulting run must still be a correct walk.
+    // the resulting run must still be a correct walk — the very walk a
+    // single-level shuffle would produce, at any thread count (the
+    // lattice never plans two levels, so the digest is pinned here).
+    const PATHS_DIGEST: u64 = 0xb97d_6974_3a63_b3d5;
     let g = flashmob_repro::graph::synth::power_law(30_000, 1.9, 2, 1500, 5);
-    let cfg = WalkConfig::deepwalk()
-        .walkers(20_000)
-        .steps(4)
-        .seed(8)
-        .planner(PlannerParams {
-            hierarchy: flashmob_repro::memsim::HierarchyConfig::scaled(64),
-            target_groups: 24,
-            max_partitions: 32,
-            min_vp_vertices: 16,
-        });
-    let engine = FlashMob::new(&g, cfg).expect("engine");
-    let plan = engine.plan();
-    assert_eq!(
-        plan.shuffle_levels(),
-        2,
-        "budget must force internal shuffle"
-    );
-    assert!(plan.outer_bins <= 32);
-    assert!(
-        plan.partitions.len() > 32,
-        "fine partitions exceed the budget"
-    );
-    plan.validate(engine.sorted_graph().vertex_count(), 32)
-        .expect("valid");
+    for threads in [1usize, 3] {
+        let cfg = WalkConfig::deepwalk()
+            .walkers(20_000)
+            .steps(4)
+            .seed(8)
+            .threads(threads)
+            .planner(PlannerParams {
+                hierarchy: flashmob_repro::memsim::HierarchyConfig::scaled(64),
+                target_groups: 24,
+                max_partitions: 32,
+                min_vp_vertices: 16,
+            });
+        let engine = FlashMob::new(&g, cfg).expect("engine");
+        let plan = engine.plan();
+        assert_eq!(
+            plan.shuffle_levels(),
+            2,
+            "budget must force internal shuffle"
+        );
+        assert!(plan.outer_bins <= 32);
+        assert!(
+            plan.partitions.len() > 32,
+            "fine partitions exceed the budget"
+        );
+        plan.validate(engine.sorted_graph().vertex_count(), 32)
+            .expect("valid");
 
-    let (out, stats) = engine.run_with_stats().expect("run");
-    assert_eq!(stats.steps_taken, 20_000 * 4);
-    for path in out.paths().iter().take(500) {
-        for hop in path.windows(2) {
-            assert!(g.neighbors(hop[0]).contains(&hop[1]));
+        let (out, stats) = engine.run_with_stats().expect("run");
+        assert_eq!(stats.steps_taken, 20_000 * 4);
+        let paths = out.paths();
+        for path in paths.iter().take(500) {
+            for hop in path.windows(2) {
+                assert!(g.neighbors(hop[0]).contains(&hop[1]));
+            }
         }
+        assert_eq!(
+            flashmob_repro::conformance::digest_paths(&paths, &[]),
+            PATHS_DIGEST,
+            "{threads} threads"
+        );
     }
 }
 
