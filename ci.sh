@@ -132,6 +132,11 @@ for depth in 1 16; do
         --output "$RING_TMP/ring$depth.txt" > "$RING_TMP/stats$depth.txt"
 done
 cmp "$RING_TMP/ring1.txt" "$RING_TMP/ring16.txt"
+# The path file itself is pinned: WalkOutput::paths() and the CLI's path
+# writer, byte for byte in a release build.
+RING_CKSUM="$(cksum < "$RING_TMP/ring1.txt")"
+[ "$RING_CKSUM" = "1055252307 979950" ] || {
+    echo "ring tier: path file cksum $RING_CKSUM, pinned 1055252307 979950" >&2; exit 1; }
 # First-order walks are the same bytes at any thread count, so the same
 # walk at three threads runs the parallel shuffle passes (the bin lane
 # and its in-place gather) in a release build and must cmp equal.

@@ -812,23 +812,55 @@ fn report_run<W: Write>(
         writeln!(out, "metrics written to {}", path.display()).map_err(fail)?;
     }
     if let Some(path) = output {
-        let mut f = std::fs::File::create(&path).map_err(fail_io)?;
-        let mut buffered = std::io::BufWriter::new(&mut f);
-        for walk in r.walk_output.paths() {
-            let line: Vec<String> = walk.iter().map(|v| v.to_string()).collect();
-            writeln!(buffered, "{}", line.join(" ")).map_err(fail_io)?;
-        }
+        let f = std::fs::File::create(&path).map_err(fail_io)?;
+        let mut w = std::io::BufWriter::new(f);
+        write_paths(&mut w, &r.walk_output.paths()).map_err(fail_io)?;
+        w.flush().map_err(fail_io)?;
         writeln!(out, "paths written to {}", path.display()).map_err(fail)?;
     }
     if let (Some(path), Some(v)) = (visits, r.visits_vec) {
-        let mut f = std::fs::File::create(&path).map_err(fail_io)?;
-        let mut buffered = std::io::BufWriter::new(&mut f);
+        let f = std::fs::File::create(&path).map_err(fail_io)?;
+        let mut w = std::io::BufWriter::new(f);
         for (vertex, count) in v.iter().enumerate() {
-            writeln!(buffered, "{vertex} {count}").map_err(fail_io)?;
+            writeln!(w, "{vertex} {count}").map_err(fail_io)?;
         }
+        w.flush().map_err(fail_io)?;
         writeln!(out, "visit counts written to {}", path.display()).map_err(fail)?;
     }
     Ok(())
+}
+
+/// Writes one line per path: its vertex IDs in decimal, separated by
+/// single spaces.  Each line is formatted into one reused buffer.
+fn write_paths<W: Write>(w: &mut W, paths: &[Vec<VertexId>]) -> std::io::Result<()> {
+    let mut line = Vec::new();
+    for path in paths {
+        line.clear();
+        for (k, &v) in path.iter().enumerate() {
+            if k > 0 {
+                line.push(b' ');
+            }
+            push_decimal(&mut line, v);
+        }
+        line.push(b'\n');
+        w.write_all(&line)?;
+    }
+    Ok(())
+}
+
+/// Appends `v` to `buf` in decimal, as `v.to_string()` spells it.
+fn push_decimal(buf: &mut Vec<u8>, mut v: VertexId) {
+    let mut digits = [0u8; VertexId::MAX.ilog10() as usize + 1];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
 }
 
 fn grid_cells(grid: &fm_profiler::ProfileGrid) -> usize {
@@ -891,6 +923,100 @@ mod tests {
 
         std::fs::remove_file(bin).ok();
         std::fs::remove_file(paths).ok();
+    }
+
+    /// The path writer as it was: a `String` per vertex, joined per line.
+    fn write_paths_by_join<W: Write>(w: &mut W, paths: &[Vec<VertexId>]) -> std::io::Result<()> {
+        for walk in paths {
+            let line: Vec<String> = walk.iter().map(|v| v.to_string()).collect();
+            writeln!(w, "{}", line.join(" "))?;
+        }
+        Ok(())
+    }
+
+    /// The paths of a `walk` command line, run in process.
+    fn walk_paths(g: &Csr, line: &str) -> Vec<Vec<VertexId>> {
+        let Command::Walk {
+            config, walkers, ..
+        } = parse(line.split_whitespace().map(String::from)).expect("parse")
+        else {
+            panic!("not a walk: {line}");
+        };
+        let config = config.walkers(walker_count(walkers, g.vertex_count()).unwrap());
+        FlashMob::new(g, config).unwrap().run().unwrap().paths()
+    }
+
+    #[test]
+    fn path_file_bytes_match_the_join_model() {
+        let bin = tmp("path_bytes.bin");
+        let paths = tmp("path_bytes.txt");
+        exec(&format!(
+            "synth power-law {} --n 3000 --min-degree 2 --max-degree 150 --seed 7",
+            bin.display()
+        ))
+        .unwrap();
+        let g = load_graph(&bin).unwrap();
+        // Fixed-length paths, and early-exit ones that stop short.
+        for program in ["deepwalk", "early-exit"] {
+            let line = format!(
+                "walk {} --program {program} --steps 12 --walkers 2000 --seed 11 --output {}",
+                bin.display(),
+                paths.display()
+            );
+            exec(&line).unwrap();
+            let mut model = Vec::new();
+            write_paths_by_join(&mut model, &walk_paths(&g, &line)).unwrap();
+            assert_eq!(std::str::from_utf8(&model).unwrap().lines().count(), 2000);
+            assert!(
+                std::fs::read(&paths).unwrap() == model,
+                "{program}: file bytes moved"
+            );
+        }
+        // Geometric stop: lines of every length up to 13 IDs.
+        let config = WalkConfig {
+            stop: flashmob::StopRule::Geometric {
+                exit_prob: 0.25,
+                max_steps: 12,
+            },
+            ..WalkConfig::deepwalk().walkers(2000).seed(11)
+        };
+        let geometric = FlashMob::new(&g, config).unwrap().run().unwrap().paths();
+        assert!(geometric.iter().any(|p| p.len() == 1) && geometric.iter().any(|p| p.len() == 13));
+        // Each digit count's edges, an empty line, the largest ID.
+        let edges = vec![
+            vec![],
+            vec![0],
+            vec![9, 10, 99, 100, 999_999_999, 1_000_000_000],
+            vec![VertexId::MAX - 1],
+        ];
+        for paths in [geometric, edges] {
+            let (mut bytes, mut model) = (Vec::new(), Vec::new());
+            write_paths(&mut bytes, &paths).unwrap();
+            write_paths_by_join(&mut model, &paths).unwrap();
+            assert!(bytes == model);
+        }
+        std::fs::remove_file(bin).ok();
+        std::fs::remove_file(paths).ok();
+    }
+
+    #[test]
+    fn failed_output_writes_exit_2() {
+        // Writes to /dev/full fail with ENOSPC; a short file fits in the
+        // writer's buffer, so only its flush can report it.
+        if !std::path::Path::new("/dev/full").exists() {
+            return;
+        }
+        let bin = tmp("dev_full.bin");
+        exec(&format!("synth ring {} --n 64 --degree 4", bin.display())).unwrap();
+        for flag in ["--output", "--visits"] {
+            let err = exec(&format!(
+                "walk {} --walkers 10 --steps 3 {flag} /dev/full",
+                bin.display()
+            ))
+            .unwrap_err();
+            assert_eq!(err.1, ExitKind::Io, "{flag}: {}", err.0);
+        }
+        std::fs::remove_file(bin).ok();
     }
 
     #[test]

@@ -2,15 +2,26 @@
 //!
 //! At the end of an `n`-step walk the engine holds `n + 1` `W_i` arrays,
 //! together storing the entire walk history (paper Section 4.3, "Random
-//! walk paths output").  Transposing yields per-walker paths; streaming
-//! the consecutive pairs `<W_i[j], W_{i+1}[j]>` feeds an embedding
-//! trainer without materializing the transpose.
+//! walk paths output").  Transposing yields per-walker paths, a block of
+//! walkers at a time: every row's slice of the block is translated back
+//! to original IDs into one reused scratch, whose independent table
+//! reads overlap their misses, and each walker then copies out its own
+//! column.  Streaming the consecutive pairs `<W_i[j], W_{i+1}[j]>` feeds
+//! an embedding trainer without materializing the transpose.
 
 use std::sync::Arc;
 
 use fm_graph::{relabel::Relabeling, VertexId};
 
 use crate::DEAD;
+
+/// Bound on [`WalkOutput::paths`]'s scratch, in IDs: 256 KiB.
+const PATHS_SCRATCH_IDS: usize = (256 << 10) / std::mem::size_of::<VertexId>();
+
+/// Walkers per [`WalkOutput::paths`] block over `rows` step rows.
+fn paths_block(rows: usize) -> usize {
+    (PATHS_SCRATCH_IDS / rows).max(1)
+}
 
 /// The recorded output of one walk execution.
 ///
@@ -61,23 +72,48 @@ impl WalkOutput {
 
     /// Per-walker paths in original vertex IDs, truncated at termination.
     ///
-    /// Walker-major: each path is filled by reading the walker's column
-    /// down the step rows, so one destination vector is hot at a time
-    /// and the reads are `steps + 1` sequential streams.
+    /// Two loops per block of walkers.  The first reads the block's
+    /// entries of every step row in order and writes each entry,
+    /// translated through the relabeling, into its walker's column of
+    /// one reused scratch; the table reads do not depend on each other,
+    /// so their cache misses overlap.  The second hands each walker its
+    /// column, copied whole unless the block holds a [`DEAD`] entry, in
+    /// which case the dead entries are filtered out.  The block is sized
+    /// from the row count so the scratch stays within 256 KiB (one
+    /// column, if a single path is longer).
     pub fn paths(&self) -> Vec<Vec<VertexId>> {
-        (0..self.walkers)
-            .map(|j| {
-                let mut path = Vec::with_capacity(self.steps.len());
-                path.extend(
-                    self.steps
-                        .iter()
-                        .map(|row| row[j])
-                        .filter(|&v| v != DEAD)
-                        .map(|v| self.relabel.to_old(v)),
-                );
-                path
-            })
-            .collect()
+        let rows = self.steps.len();
+        if rows == 0 {
+            return vec![Vec::new(); self.walkers];
+        }
+        let block = paths_block(rows);
+        let mut scratch = vec![0; block.min(self.walkers) * rows];
+        let mut paths = Vec::with_capacity(self.walkers);
+        for start in (0..self.walkers).step_by(block) {
+            let end = (start + block).min(self.walkers);
+            let columns = &mut scratch[..(end - start) * rows];
+            let mut dead = false;
+            for (i, row) in self.steps.iter().enumerate() {
+                let slots = columns[i..].iter_mut().step_by(rows);
+                for (slot, &v) in slots.zip(&row[start..end]) {
+                    *slot = if v == DEAD {
+                        dead = true;
+                        DEAD
+                    } else {
+                        self.relabel.to_old(v)
+                    };
+                }
+            }
+            paths.extend(columns.chunks_exact(rows).map(|column| match dead {
+                false => column.to_vec(),
+                true => {
+                    let mut path = Vec::with_capacity(rows);
+                    path.extend(column.iter().copied().filter(|&v| v != DEAD));
+                    path
+                }
+            }));
+        }
+        paths
     }
 
     /// The location of walker `j` after step `i` (step 0 = start), in
@@ -159,8 +195,8 @@ mod tests {
         assert_eq!(out.position(1, 0), Some(1));
     }
 
-    /// `paths()` as it was: every row streamed across all the path
-    /// vectors.  The walker-major gather must return the same paths.
+    /// `paths()` as it once was: every row streamed across all the path
+    /// vectors.  The block transpose must return the same paths.
     fn row_major_paths(out: &WalkOutput) -> Vec<Vec<VertexId>> {
         let mut paths = vec![Vec::new(); out.walkers];
         for row in &out.steps {
@@ -173,29 +209,80 @@ mod tests {
         paths
     }
 
+    /// `rows` step rows of `death.len()` walkers on 64 vertices: walker
+    /// `j` is at a random vertex before row `death[j]` and dead from it on.
+    fn steps_dying_at(
+        rng: &mut impl fm_rng::Rng64,
+        death: &[usize],
+        rows: usize,
+    ) -> Vec<Vec<VertexId>> {
+        (0..rows)
+            .map(|i| {
+                death
+                    .iter()
+                    .map(|&d| match i < d {
+                        true => rng.gen_index(64) as VertexId,
+                        false => DEAD,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn paths_equal_the_row_major_model() {
         use fm_rng::{Rng64, Xorshift64Star};
         let g = fm_graph::synth::power_law(64, 2.0, 1, 20, 3);
         let relabel = Arc::new(Relabeling::by_descending_degree(&g));
         let mut rng = Xorshift64Star::new(8);
-        for (walkers, rows) in [(1, 1), (1, 9), (7, 1), (33, 6), (200, 13)] {
+        let check = |rng: &mut Xorshift64Star, death: &[usize], rows: usize, what: &str| {
+            let steps = steps_dying_at(rng, death, rows);
+            let out = WalkOutput::new(steps, death.len(), Arc::clone(&relabel));
+            assert_eq!(
+                out.paths(),
+                row_major_paths(&out),
+                "{what}: {} x {rows}",
+                death.len()
+            );
+        };
+        let mut cases: Vec<(usize, usize)> = vec![(1, 1), (1, 9), (7, 1), (33, 6), (200, 13)];
+        // Walker counts at the block edges, for one row, a few, and the
+        // 81 of an 80-step walk.
+        for rows in [1, 6, 81] {
+            let block = paths_block(rows);
+            cases.extend([block - 1, block, block + 1, 2 * block + 3].map(|w| (w, rows)));
+        }
+        for (walkers, rows) in cases {
             // Walkers die at a random row and stay dead, a few are dead
             // from the start, and some never die.
             let death: Vec<usize> = (0..walkers).map(|_| rng.gen_index(2 * rows)).collect();
-            let steps: Vec<Vec<VertexId>> = (0..rows)
-                .map(|i| {
-                    (0..walkers)
-                        .map(|j| match i < death[j] {
-                            true => rng.gen_index(64) as VertexId,
-                            false => DEAD,
-                        })
-                        .collect()
-                })
-                .collect();
-            let out = WalkOutput::new(steps, walkers, Arc::clone(&relabel));
-            assert_eq!(out.paths(), row_major_paths(&out), "{walkers} x {rows}");
+            check(&mut rng, &death, rows, "random deaths");
         }
+        for rows in [1, 6, 81] {
+            let block = paths_block(rows);
+            let walkers = 2 * block + 3;
+            // One walker dies, in the short last block; the full blocks
+            // before it are DEAD-free.
+            let mut death = vec![rows; walkers];
+            death[walkers - 2] = rows / 2;
+            check(&mut rng, &death, rows, "dead in the last block");
+            // A dead walker in the middle block only: DEAD-free blocks
+            // on both sides of it.
+            let mut death = vec![rows; walkers];
+            death[block + block / 2] = rows - 1;
+            check(&mut rng, &death, rows, "dead in the middle block");
+        }
+    }
+
+    #[test]
+    fn paths_of_empty_outputs() {
+        let relabel = Arc::new(Relabeling::identity(4));
+        let no_rows = WalkOutput::new(vec![], 3, Arc::clone(&relabel));
+        assert_eq!(no_rows.paths(), vec![Vec::<VertexId>::new(); 3]);
+        let no_walkers = WalkOutput::new(vec![vec![]; 5], 0, Arc::clone(&relabel));
+        assert!(no_walkers.paths().is_empty());
+        let neither = WalkOutput::new(vec![], 0, relabel);
+        assert!(neither.paths().is_empty());
     }
 
     #[test]
