@@ -18,7 +18,8 @@
 #      and a dense CLI walk whose --stats must show PS refills reserved
 #      and produced, with paths equal at both depths, and the sparse one
 #      must name the wide checked-skip kernel wherever /proc/cpuinfo
-#      lists avx512dq
+#      lists avx512dq; then the two baselines' path and visit files at
+#      pinned cksums, and exit 4 for flags an engine would not read
 #   5. telemetry tier: the overhead guard, an end-to-end
 #      `walk --trace` -> `trace-check` round trip, and `trace-check` on
 #      a 200 000-deep JSON nest (an invalid trace, exit 1, not a stack
@@ -144,6 +145,37 @@ cargo run --release -q -p fm-cli -- walk "$RING_TMP/g.bin" \
     --walkers 20000 --steps 8 --seed 11 --threads 3 \
     --output "$RING_TMP/threads3.txt" >/dev/null
 cmp "$RING_TMP/ring1.txt" "$RING_TMP/threads3.txt"
+# The baselines' bytes are pinned too: KnightKing at one thread,
+# GraphVite at three (per-thread generators, so another walk), paths
+# and visit counts each.
+for run in "knightking 1" "graphvite 3"; do
+    read -r engine threads <<< "$run"
+    cargo run --release -q -p fm-cli -- walk "$RING_TMP/g.bin" \
+        --walkers 20000 --steps 8 --seed 11 --engine "$engine" --threads "$threads" \
+        --output "$RING_TMP/$engine.txt" --visits "$RING_TMP/$engine-visits.txt" >/dev/null
+done
+for pin in "knightking.txt 1702932796 980002" "knightking-visits.txt 1706622867 152628" \
+    "graphvite.txt 2127381036 980480" "graphvite-visits.txt 2582462215 152617"; do
+    read -r file want <<< "$pin"
+    got="$(cksum < "$RING_TMP/$file")"
+    [ "$got" = "$want" ] || {
+        echo "ring tier: $file cksum $got, pinned $want" >&2; exit 1; }
+done
+# A flag the chosen engine never reads is a plan error (exit 4), not
+# silently ignored: --ring-depth or a non-dp --strategy under a
+# baseline, a non-dp --strategy on an FMDISK1 graph.
+cargo run --release -q -p fm-cli -- disk "$RING_TMP/g.bin" "$RING_TMP/g.fmdisk" >/dev/null
+for args in "g.bin --engine knightking --ring-depth 4 --strategy ups" "g.fmdisk --strategy ups"; do
+    read -r graph flags <<< "$args"
+    # shellcheck disable=SC2086  # $flags is a word list
+    if cargo run --release -q -p fm-cli -- walk "$RING_TMP/$graph" $flags \
+        --output "$RING_TMP/refused.txt" 2>/dev/null; then
+        echo "ring tier: walk $args unexpectedly succeeded" >&2; exit 1
+    else
+        code=$?
+        [[ "$code" == 4 ]] || { echo "ring tier: walk $args exited $code, want 4" >&2; exit 1; }
+    fi
+done
 grep -Eq ': 0 by the walker ring, [1-9][0-9]* streaming partitions in' "$RING_TMP/stats1.txt" || {
     echo "ring tier: the dense walk at depth 1 did not report stream hints alone" >&2; exit 1; }
 grep -Eq ': [1-9][0-9]* by the walker ring, [1-9][0-9]* streaming partitions in' \

@@ -1,110 +1,23 @@
 //! The walker-at-a-time baseline execution loop.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fm_graph::relabel::Relabeling;
 use fm_graph::{Csr, VertexId};
 use fm_memsim::{AccessKind, AddressSpace, NullProbe, Probe};
-use fm_rng::{split_stream, Mt19937, Rng64, Xorshift64Star};
-use fm_telemetry::{json, SpanEvent, Stage, Telemetry, NO_STEP};
+use fm_rng::{split_stream, Mt19937, Rng64};
+use fm_telemetry::{SpanEvent, Stage, Telemetry, NO_STEP};
 
-use flashmob::pool::{DisjointSlice, PoolStats, WorkerPool};
+use flashmob::pool::{DisjointSlice, WorkerPool};
 
 use flashmob::algorithm::Node2VecRule;
 use flashmob::output::WalkOutput;
 use flashmob::walker::initialize;
-use flashmob::{StopRule, WalkAlgorithm, WalkError, DEAD};
+use flashmob::{PlanStrategy, RunStats, StopRule, WalkAlgorithm, WalkError, DEAD};
 
 use crate::sampler::{BaselineAddrs, SamplerKind};
-use crate::{BaselineConfig, BaselineKind, RngKind};
-
-/// Either baseline RNG behind one dispatch point.
-enum AnyRng {
-    Mt(Box<Mt19937>),
-    Xs(Xorshift64Star),
-}
-
-impl Rng64 for AnyRng {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        match self {
-            AnyRng::Mt(r) => r.next_u64(),
-            AnyRng::Xs(r) => r.next_u64(),
-        }
-    }
-}
-
-/// Execution statistics of a baseline run.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineStats {
-    /// Number of walkers.
-    pub walkers: usize,
-    /// Live walker-steps executed.
-    pub steps_taken: u64,
-    /// Total wall-clock time.
-    pub wall: Duration,
-    /// Per-vertex visit counts (original ID space) when requested.
-    pub visits: Option<Vec<u64>>,
-    /// Worker-pool accounting (zero for sequential runs).
-    pub pool: PoolStats,
-}
-
-impl BaselineStats {
-    /// Average wall-clock nanoseconds per walker-step.
-    pub fn per_step_ns(&self) -> f64 {
-        if self.steps_taken == 0 {
-            return 0.0;
-        }
-        self.wall.as_nanos() as f64 / self.steps_taken as f64
-    }
-
-    /// Fraction of worker capacity spent idle (0.0 for sequential runs
-    /// and zero-length walls — never NaN).
-    pub fn pool_idle_ratio(&self) -> f64 {
-        let denom = self.pool.spawned as f64 * self.wall.as_secs_f64();
-        if denom <= 0.0 {
-            return 0.0;
-        }
-        (self.pool.idle.as_secs_f64() / denom).min(1.0)
-    }
-
-    /// Human-readable summary; all ratios guarded against
-    /// `steps_taken == 0`.
-    pub fn human_summary(&self) -> String {
-        let mut out = format!(
-            "walkers: {}, steps taken: {}, wall: {:.3?}\n",
-            self.walkers, self.steps_taken, self.wall
-        );
-        out.push_str(&format!("per-step: {:.1} ns\n", self.per_step_ns()));
-        if self.pool.spawned > 0 {
-            out.push_str(&format!(
-                "pool: {} threads spawned, {} epochs dispatched, {:.1?} cumulative worker idle (idle ratio {:.1}%)\n",
-                self.pool.spawned,
-                self.pool.epochs,
-                self.pool.idle,
-                100.0 * self.pool_idle_ratio(),
-            ));
-        }
-        out
-    }
-
-    /// Machine-readable JSON rendering (hand-rolled, no dependencies).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"walkers\": {}, \"steps_taken\": {}, \"wall_ns\": {}, \"per_step_ns\": {}, \
-             \"pool\": {{\"spawned\": {}, \"epochs\": {}, \"idle_ns\": {}, \"idle_ratio\": {}}}}}",
-            self.walkers,
-            self.steps_taken,
-            self.wall.as_nanos(),
-            json::num(self.per_step_ns()),
-            self.pool.spawned,
-            self.pool.epochs,
-            self.pool.idle.as_nanos(),
-            json::num(self.pool_idle_ratio()),
-        )
-    }
-}
+use crate::{BaselineConfig, BaselineKind};
 
 /// A prepared baseline engine.
 ///
@@ -127,7 +40,8 @@ impl Baseline {
         if graph.vertex_count() == 0 {
             return Err(WalkError::EmptyGraph);
         }
-        if config.walkers == 0 {
+        let walk = &config.walk;
+        if walk.walkers == 0 {
             return Err(WalkError::NoWalkers);
         }
         for v in 0..graph.vertex_count() {
@@ -135,17 +49,31 @@ impl Baseline {
                 return Err(WalkError::SinkVertex(v as VertexId));
             }
         }
-        if matches!(config.algorithm, WalkAlgorithm::Weighted) && !graph.is_weighted() {
+        if matches!(walk.algorithm, WalkAlgorithm::Weighted) && !graph.is_weighted() {
             return Err(WalkError::MissingWeights);
         }
-        if config.algorithm.is_stateful() || config.algorithm.uses_edge_labels() {
+        // The plan knobs are FlashMob's: refused rather than ignored.
+        if walk.ring_depth.is_some() {
+            return Err(WalkError::Planning(format!(
+                "{} steps one walker at a time and has no walker ring; ring_depth must be unset",
+                config.kind.label()
+            )));
+        }
+        if walk.strategy != PlanStrategy::DynamicProgramming {
+            return Err(WalkError::Planning(format!(
+                "{} takes no partition plan; strategy {:?} is FlashMob's",
+                config.kind.label(),
+                walk.strategy
+            )));
+        }
+        if walk.algorithm.is_stateful() || walk.algorithm.uses_edge_labels() {
             return Err(WalkError::Planning(format!(
                 "the walker-at-a-time baselines do not implement the {} program",
-                config.algorithm.name()
+                walk.algorithm.name()
             )));
         }
         let mut graph = graph.clone();
-        if config.algorithm.is_second_order() {
+        if walk.algorithm.is_second_order() {
             if graph.is_weighted() {
                 return Err(WalkError::Planning(
                     "node2vec on weighted graphs is not supported".into(),
@@ -153,7 +81,7 @@ impl Baseline {
             }
             graph.sort_adjacency_lists();
         }
-        let sampler = match (config.kind, &config.algorithm) {
+        let sampler = match (config.kind, &walk.algorithm) {
             (BaselineKind::GraphVite, _) => SamplerKind::alias_for(&graph),
             (BaselineKind::KnightKing, WalkAlgorithm::Weighted) => {
                 SamplerKind::cumulative_for(&graph)
@@ -191,9 +119,15 @@ impl Baseline {
     }
 
     /// Runs the walk and returns statistics.
-    pub fn run_with_stats(&self) -> Result<(WalkOutput, BaselineStats), WalkError> {
-        let mut probe = NullProbe;
-        self.run_internal(&mut probe, true)
+    ///
+    /// The record is FlashMob's: `walkers`, `steps_taken`, `wall` and
+    /// `pool`, `init` (walker placement plus row set-up), the walk loop
+    /// as `stages.sample` and the rest of the wall as `stages.other`
+    /// (there is no shuffle), and the visit counts in `visits_sorted` —
+    /// already original order under the identity relabeling.  The
+    /// per-partition lanes stay empty: a baseline has no partitions.
+    pub fn run_with_stats(&self) -> Result<(WalkOutput, RunStats), WalkError> {
+        self.run_loop(&mut NullProbe, true, &mut Telemetry::off())
     }
 
     /// Runs the walk recording telemetry into `tel`.
@@ -201,14 +135,10 @@ impl Baseline {
     /// Baselines have no vertex partitions, so the partition axis maps
     /// to the *worker chunk* index: chunk `t`'s spans and step counters
     /// land on partition `t`, and the counter totals still sum exactly
-    /// to [`BaselineStats::steps_taken`].  Recording does not touch the
+    /// to [`RunStats::steps_taken`].  Recording does not touch the
     /// walk's RNG streams, so traced output is bit-identical.
-    pub fn run_traced(
-        &self,
-        tel: &mut Telemetry,
-    ) -> Result<(WalkOutput, BaselineStats), WalkError> {
-        let mut probe = NullProbe;
-        self.run_internal_tel(&mut probe, true, tel)
+    pub fn run_traced(&self, tel: &mut Telemetry) -> Result<(WalkOutput, RunStats), WalkError> {
+        self.run_loop(&mut NullProbe, true, tel)
     }
 
     /// Runs the walk feeding every memory access into `probe`.
@@ -216,53 +146,39 @@ impl Baseline {
     /// Instrumented runs execute sequentially regardless of the
     /// configured thread count so counter attribution is exact and
     /// identical to the historical single-threaded baseline trace.
-    pub fn run_probed<P: Probe>(
-        &self,
-        probe: &mut P,
-    ) -> Result<(WalkOutput, BaselineStats), WalkError> {
-        self.run_internal(probe, false)
+    pub fn run_probed<P: Probe>(&self, probe: &mut P) -> Result<(WalkOutput, RunStats), WalkError> {
+        self.run_loop(probe, false, &mut Telemetry::off())
     }
 
-    /// Builds the configured RNG from a seed value.
-    fn make_rng(&self, seed: u64) -> AnyRng {
-        match self.config.rng {
-            RngKind::Mt19937 => AnyRng::Mt(Box::new(Mt19937::new(seed as u32))),
-            RngKind::XorShift => AnyRng::Xs(Xorshift64Star::new(seed)),
-        }
-    }
-
-    fn run_internal<P: Probe>(
-        &self,
-        probe: &mut P,
-        allow_parallel: bool,
-    ) -> Result<(WalkOutput, BaselineStats), WalkError> {
-        self.run_internal_tel(probe, allow_parallel, &mut Telemetry::off())
-    }
-
-    fn run_internal_tel<P: Probe>(
+    /// The one run path.  `allow_parallel` is off for instrumented runs
+    /// only.
+    fn run_loop<P: Probe>(
         &self,
         probe: &mut P,
         allow_parallel: bool,
         tel: &mut Telemetry,
-    ) -> Result<(WalkOutput, BaselineStats), WalkError> {
+    ) -> Result<(WalkOutput, RunStats), WalkError> {
         let start = Instant::now();
-        let walkers = self.config.walkers;
-        let steps = self.config.max_steps();
+        let walk = &self.config.walk;
+        let walkers = walk.walkers;
+        let steps = walk.max_steps();
 
-        let w0 = initialize(&self.graph, &self.config.init, walkers, self.config.seed);
-        let mut rows: Vec<Vec<VertexId>> = if self.config.record_paths {
+        let w0 = initialize(&self.graph, &walk.init, walkers, walk.seed);
+        let mut rows: Vec<Vec<VertexId>> = if walk.record_paths {
             vec![vec![DEAD; walkers]; steps + 1]
         } else {
             vec![vec![DEAD; walkers]] // only final positions
         };
-        let mut visits = self
-            .config
+        let mut visits = walk
             .record_visits
             .then(|| vec![0u64; self.graph.vertex_count()]);
+        let mut stats = RunStats {
+            walkers,
+            init: start.elapsed(),
+            ..RunStats::default()
+        };
 
-        let steps_taken;
-        let mut pool_stats = PoolStats::default();
-        let threads = self.config.threads.max(1).min(walkers.max(1));
+        let threads = walk.threads.max(1).min(walkers.max(1));
         if allow_parallel && threads > 1 {
             // Walker-chunk loop over the persistent pool: contiguous
             // walker ranges, one per worker, each with its own RNG
@@ -285,7 +201,6 @@ impl Baseline {
             };
             let record_visits = visits.is_some();
             let shard_ptr = DisjointSlice::new(&mut shards);
-            let taken = std::sync::atomic::AtomicU64::new(0);
             // Per-worker telemetry lanes (spans) and step slots
             // (counters), both single-writer during the dispatch and
             // read back by the coordinator after it returns.
@@ -295,6 +210,7 @@ impl Baseline {
             let chunk_ptr = DisjointSlice::new(&mut chunk_steps);
             let lanes = tel.worker_lanes(if traced { threads } else { 0 });
             let lanes_ptr = DisjointSlice::new(lanes);
+            let sample_start = Instant::now();
             pool.run_labeled("baseline-sample", &|t| {
                 let (lo, hi) = bounds[t];
                 if lo >= hi {
@@ -308,9 +224,8 @@ impl Baseline {
                     .map(|r| unsafe { r.slice_mut(lo, hi - lo) })
                     .collect();
                 // SAFETY: visit shard `t` belongs to worker `t` alone.
-                let shard = record_visits
-                    .then(|| unsafe { &mut shard_ptr.slice_mut(t, 1)[0] });
-                let mut rng = self.make_rng(split_stream(self.config.seed, t as u64));
+                let shard = record_visits.then(|| unsafe { &mut shard_ptr.slice_mut(t, 1)[0] });
+                let mut rng = Mt19937::new(split_stream(walk.seed, t as u64) as u32);
                 let local = self.walk_chunk(
                     &w0[lo..hi],
                     &mut cols,
@@ -333,15 +248,15 @@ impl Baseline {
                 }
                 // SAFETY: step slot `t` belongs to this worker alone.
                 unsafe { chunk_ptr.slice_mut(t, 1)[0] = local };
-                taken.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
             });
+            stats.stages.sample = sample_start.elapsed();
             tel.drain_workers();
             if traced {
                 for (t, &steps) in chunk_steps.iter().enumerate() {
                     tel.record_partition_step(t, steps, false);
                 }
             }
-            steps_taken = taken.into_inner();
+            stats.steps_taken = chunk_steps.iter().sum();
             if let Some(vis) = visits.as_deref_mut() {
                 for shard in &shards {
                     for (a, b) in vis.iter_mut().zip(shard) {
@@ -349,33 +264,29 @@ impl Baseline {
                     }
                 }
             }
-            pool_stats = pool.stats();
+            stats.pool = pool.stats();
         } else {
             // One generator for the whole (single-threaded) walk,
             // matching the real systems' per-thread RNG; constructing
             // MT19937's 2.5 KiB state per walker would dominate short
             // walks.
-            let mut rng = self.make_rng(self.config.seed);
-            let mut cols: Vec<&mut [VertexId]> =
-                rows.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut rng = Mt19937::new(walk.seed as u32);
+            let mut cols: Vec<&mut [VertexId]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
             let span_start = tel.is_on().then(|| tel.now_ns());
-            steps_taken =
+            let sample_start = Instant::now();
+            stats.steps_taken =
                 self.walk_chunk(&w0, &mut cols, visits.as_deref_mut(), &mut rng, probe);
+            stats.stages.sample = sample_start.elapsed();
             if let Some(s) = span_start {
                 tel.span_since(Stage::Sample, s, NO_STEP, 0);
-                tel.record_partition_step(0, steps_taken, false);
+                tel.record_partition_step(0, stats.steps_taken, false);
             }
         }
 
-        let wall = start.elapsed();
+        stats.visits_sorted = visits;
+        stats.wall = start.elapsed();
+        stats.stages.other = stats.wall.saturating_sub(stats.stages.sample);
         let output = WalkOutput::new(rows, walkers, Arc::clone(&self.relabel));
-        let stats = BaselineStats {
-            walkers,
-            steps_taken,
-            wall,
-            visits,
-            pool: pool_stats,
-        };
         Ok((output, stats))
     }
 
@@ -393,17 +304,18 @@ impl Baseline {
         rng: &mut R,
         probe: &mut P,
     ) -> u64 {
-        let steps = self.config.max_steps();
-        let exit_prob = match self.config.stop {
+        let walk = &self.config.walk;
+        let steps = walk.max_steps();
+        let exit_prob = match walk.stop {
             StopRule::Geometric { exit_prob, .. } => exit_prob,
             StopRule::FixedSteps(_) => 0.0,
         };
-        let rule = self.config.algorithm.node2vec_rule();
+        let rule = walk.algorithm.node2vec_rule();
         let mut steps_taken = 0u64;
         for (j, &start_v) in w0.iter().enumerate() {
             let mut v = start_v;
             let mut prev: Option<VertexId> = None;
-            if self.config.record_paths {
+            if walk.record_paths {
                 rows[0][j] = v;
             }
             for i in 0..steps {
@@ -416,7 +328,7 @@ impl Baseline {
                 prev = Some(v);
                 v = next;
                 let died = exit_prob > 0.0 && rng.next_f64() < exit_prob;
-                if self.config.record_paths {
+                if walk.record_paths {
                     rows[i + 1][j] = if died { DEAD } else { v };
                 }
                 if died {
@@ -424,7 +336,7 @@ impl Baseline {
                     break;
                 }
             }
-            if !self.config.record_paths {
+            if !walk.record_paths {
                 rows[0][j] = v;
             }
         }
@@ -442,7 +354,7 @@ impl Baseline {
         probe: &mut P,
     ) -> VertexId {
         let off = self.graph.adjacency_start(v);
-        match self.config.algorithm {
+        match self.config.walk.algorithm {
             WalkAlgorithm::DeepWalk | WalkAlgorithm::Weighted => {
                 let k = self.sampler.pick(&self.graph, v, rng, probe, &self.addrs);
                 probe.touch(
@@ -503,46 +415,29 @@ impl Baseline {
     }
 }
 
-/// Convenience: runs DeepWalk on both the baseline and FlashMob with the
-/// same workload and returns `(baseline_ns, flashmob_ns)` per step —
-/// used by tests and the Figure 8 harness.
-pub fn head_to_head_deepwalk(
-    graph: &Csr,
-    walkers: usize,
-    steps: usize,
-    seed: u64,
-) -> Result<(f64, f64), WalkError> {
-    let b = Baseline::new(
-        graph,
-        BaselineConfig::knightking_deepwalk()
-            .walkers(walkers)
-            .steps(steps)
-            .seed(seed)
-            .record_paths(false),
-    )?;
-    let (_, bs) = b.run_with_stats()?;
-    let f = flashmob::FlashMob::new(
-        graph,
-        flashmob::WalkConfig::deepwalk()
-            .walkers(walkers)
-            .steps(steps)
-            .seed(seed)
-            .record_paths(false),
-    )?;
-    let (_, fs) = f.run_with_stats()?;
-    Ok((bs.per_step_ns(), fs.per_step_ns()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashmob::WalkConfig;
     use fm_graph::synth;
+    use std::time::Duration;
 
-    fn config(walkers: usize, steps: usize) -> BaselineConfig {
-        BaselineConfig::knightking_deepwalk()
+    fn walk(walkers: usize, steps: usize) -> WalkConfig {
+        WalkConfig::deepwalk()
             .walkers(walkers)
             .steps(steps)
             .seed(11)
+    }
+
+    fn kk(walk: WalkConfig) -> BaselineConfig {
+        BaselineConfig {
+            kind: BaselineKind::KnightKing,
+            walk,
+        }
+    }
+
+    fn config(walkers: usize, steps: usize) -> BaselineConfig {
+        kk(walk(walkers, steps))
     }
 
     #[test]
@@ -561,8 +456,10 @@ mod tests {
     #[test]
     fn graphvite_paths_follow_edges() {
         let g = synth::power_law(300, 2.0, 1, 30, 2);
-        let mut cfg = config(50, 5);
-        cfg.kind = BaselineKind::GraphVite;
+        let cfg = BaselineConfig {
+            kind: BaselineKind::GraphVite,
+            ..config(50, 5)
+        };
         let engine = Baseline::new(&g, cfg).unwrap();
         for path in engine.run().unwrap().paths() {
             for hop in path.windows(2) {
@@ -576,17 +473,6 @@ mod tests {
         let g = synth::power_law(200, 2.0, 1, 20, 3);
         let engine = Baseline::new(&g, config(50, 4)).unwrap();
         assert_eq!(engine.run().unwrap().paths(), engine.run().unwrap().paths());
-    }
-
-    #[test]
-    fn rng_kinds_both_work() {
-        let g = synth::cycle(32);
-        for rng in [RngKind::Mt19937, RngKind::XorShift] {
-            let engine = Baseline::new(&g, config(20, 5).rng(rng)).unwrap();
-            let (out, stats) = engine.run_with_stats().unwrap();
-            assert_eq!(stats.steps_taken, 100);
-            assert_eq!(out.paths().len(), 20);
-        }
     }
 
     #[test]
@@ -605,7 +491,7 @@ mod tests {
     fn geometric_stop_truncates() {
         let g = synth::cycle(16);
         let mut cfg = config(1000, 50);
-        cfg.stop = StopRule::Geometric {
+        cfg.walk.stop = StopRule::Geometric {
             exit_prob: 0.5,
             max_steps: 50,
         };
@@ -618,9 +504,9 @@ mod tests {
     #[test]
     fn visits_are_departure_counts() {
         let g = synth::cycle(8);
-        let engine = Baseline::new(&g, config(10, 3).record_visits(true)).unwrap();
+        let engine = Baseline::new(&g, kk(walk(10, 3).record_visits(true))).unwrap();
         let (out, stats) = engine.run_with_stats().unwrap();
-        let visits = stats.visits.unwrap();
+        let visits = stats.visits_sorted.unwrap();
         assert_eq!(visits.iter().sum::<u64>(), 30);
         assert_eq!(visits, out.visit_counts(8));
     }
@@ -628,7 +514,7 @@ mod tests {
     #[test]
     fn parallel_walk_is_deterministic_and_valid() {
         let g = synth::power_law(300, 2.0, 1, 30, 2);
-        let engine = Baseline::new(&g, config(100, 6).threads(4)).unwrap();
+        let engine = Baseline::new(&g, kk(walk(100, 6).threads(4))).unwrap();
         let (out1, s1) = engine.run_with_stats().unwrap();
         let (out2, _) = engine.run_with_stats().unwrap();
         assert_eq!(out1.paths(), out2.paths(), "same (seed, threads) repeats");
@@ -642,11 +528,29 @@ mod tests {
     }
 
     #[test]
+    fn plan_knobs_are_refused() {
+        use flashmob::PlanStrategy;
+        let g = synth::cycle(8);
+        for kind in [BaselineKind::KnightKing, BaselineKind::GraphVite] {
+            for walk in [
+                walk(4, 2).ring_depth(4),
+                walk(4, 2).strategy(PlanStrategy::UniformPs),
+                walk(4, 2).strategy(PlanStrategy::ManualHeuristic),
+            ] {
+                let err = Baseline::new(&g, BaselineConfig { kind, walk }).err();
+                assert!(matches!(err, Some(WalkError::Planning(_))), "{kind:?}");
+            }
+            let dp = walk(4, 2).strategy(PlanStrategy::DynamicProgramming);
+            assert!(Baseline::new(&g, BaselineConfig { kind, walk: dp }).is_ok());
+        }
+    }
+
+    #[test]
     fn parallel_visits_merge_correctly() {
         let g = synth::cycle(8);
-        let engine = Baseline::new(&g, config(10, 3).record_visits(true).threads(3)).unwrap();
+        let engine = Baseline::new(&g, kk(walk(10, 3).record_visits(true).threads(3))).unwrap();
         let (out, stats) = engine.run_with_stats().unwrap();
-        let visits = stats.visits.unwrap();
+        let visits = stats.visits_sorted.unwrap();
         assert_eq!(visits.iter().sum::<u64>(), 30);
         assert_eq!(visits, out.visit_counts(8));
     }
@@ -655,8 +559,8 @@ mod tests {
     fn probed_runs_stay_sequential() {
         use fm_memsim::{HierarchyConfig, MemorySystem};
         let g = synth::power_law(500, 2.0, 1, 30, 4);
-        let par = Baseline::new(&g, config(100, 5).record_paths(false).threads(4)).unwrap();
-        let seq = Baseline::new(&g, config(100, 5).record_paths(false)).unwrap();
+        let par = Baseline::new(&g, kk(walk(100, 5).record_paths(false).threads(4))).unwrap();
+        let seq = Baseline::new(&g, kk(walk(100, 5).record_paths(false))).unwrap();
         let mut pp = MemorySystem::new(HierarchyConfig::skylake_server());
         let mut sp = MemorySystem::new(HierarchyConfig::skylake_server());
         let (po, ps) = par.run_probed(&mut pp).unwrap();
@@ -671,11 +575,15 @@ mod tests {
     fn traced_run_is_bit_identical_and_counts_exactly() {
         let g = synth::power_law(300, 2.0, 1, 30, 2);
         for threads in [1, 4] {
-            let engine = Baseline::new(&g, config(100, 6).threads(threads)).unwrap();
+            let engine = Baseline::new(&g, kk(walk(100, 6).threads(threads))).unwrap();
             let (plain, ps) = engine.run_with_stats().unwrap();
             let mut tel = fm_telemetry::Telemetry::new();
             let (traced, ts) = engine.run_traced(&mut tel).unwrap();
-            assert_eq!(plain.paths(), traced.paths(), "tracing must not perturb RNG");
+            assert_eq!(
+                plain.paths(),
+                traced.paths(),
+                "tracing must not perturb RNG"
+            );
             assert_eq!(ps.steps_taken, ts.steps_taken);
             assert_eq!(
                 tel.partition_steps_total(),
@@ -699,30 +607,30 @@ mod tests {
     }
 
     #[test]
-    fn traced_stats_summaries_are_machine_readable() {
-        let g = synth::cycle(16);
-        let engine = Baseline::new(&g, config(10, 3).threads(2)).unwrap();
-        let (_, stats) = engine.run_with_stats().unwrap();
-        let text = stats.human_summary();
-        assert!(text.contains("per-step"));
-        assert!(text.contains("idle ratio"));
-        let parsed = json::parse(&stats.to_json()).expect("valid JSON");
-        assert_eq!(
-            parsed.get("steps_taken").and_then(json::Value::as_num),
-            Some(stats.steps_taken as f64)
-        );
-        assert!(parsed.get("pool").is_some());
+    fn stats_tile_the_wall_and_summarise() {
+        let g = synth::power_law(300, 2.0, 1, 30, 2);
+        for threads in [1, 3] {
+            let engine = Baseline::new(&g, kk(walk(200, 8).threads(threads))).unwrap();
+            let (_, stats) = engine.run_with_stats().unwrap();
+            let stages = stats.stages;
+            assert_eq!(stats.walkers, 200);
+            assert_eq!(stats.steps_taken, 200 * 8);
+            assert_eq!(stages.shuffle, Duration::ZERO, "a baseline has no shuffle");
+            assert_eq!(stages.sample + stages.shuffle + stages.other, stats.wall);
+            assert!(stats.init <= stages.other, "{stats:?}");
+            assert!(stats.per_partition_steps.is_empty());
+            let text = stats.human_summary();
+            assert!(text.contains("per-step"), "{text}");
+            assert_eq!(text.contains("idle ratio"), threads > 1, "{text}");
+        }
     }
 
     #[test]
     fn zero_step_stats_are_nan_free() {
-        let stats = BaselineStats {
-            walkers: 0,
-            steps_taken: 0,
-            wall: Duration::ZERO,
-            visits: None,
-            pool: PoolStats::default(),
-        };
+        let g = synth::cycle(8);
+        let engine = Baseline::new(&g, config(10, 0)).unwrap();
+        let (_, stats) = engine.run_with_stats().unwrap();
+        assert_eq!(stats.steps_taken, 0);
         assert_eq!(stats.per_step_ns(), 0.0);
         assert_eq!(stats.pool_idle_ratio(), 0.0);
         let text = stats.human_summary();
@@ -752,9 +660,9 @@ mod tests {
         let walkers = 2000;
         let steps = 20;
 
-        let b = Baseline::new(&g, config(walkers, steps).record_visits(true)).unwrap();
+        let b = Baseline::new(&g, kk(walk(walkers, steps).record_visits(true))).unwrap();
         let (_, bs) = b.run_with_stats().unwrap();
-        let bv = bs.visits.unwrap();
+        let bv = bs.visits_sorted.unwrap();
 
         let f = flashmob::FlashMob::new(
             &g,
@@ -787,7 +695,7 @@ mod tests {
     fn probe_shows_pointer_chase_offsets() {
         use fm_memsim::{HierarchyConfig, MemorySystem};
         let g = synth::power_law(2000, 2.0, 1, 50, 4);
-        let engine = Baseline::new(&g, config(200, 10).record_paths(false)).unwrap();
+        let engine = Baseline::new(&g, kk(walk(200, 10).record_paths(false))).unwrap();
         let mut probe = MemorySystem::new(HierarchyConfig::skylake_server());
         let (_, stats) = engine.run_probed(&mut probe).unwrap();
         assert_eq!(probe.stats().steps, stats.steps_taken);

@@ -12,7 +12,7 @@
 //!   (second-order) probabilities use rejection sampling.  Its stock RNG
 //!   is the Mersenne Twister — the paper notes swapping in xorshift*
 //!   only gains 4-9% because the engine is memory-bound, an ablation
-//!   [`BaselineConfig::rng`] reproduces.
+//!   the `ablate_cache_arch` harness measures on the two generators.
 //! * **GraphVite** (`kind = `[`BaselineKind::GraphVite`]): the random
 //!   walk component of the CPU-GPU node-embedding system.  It finishes
 //!   one walker's entire path before starting another and samples edges
@@ -20,16 +20,18 @@
 //!   arrays roughly triple the random traffic per step — which is why
 //!   the paper measures KnightKing 2.2-3.8x faster.
 //!
-//! Both engines share FlashMob's algorithm/stop/init/output types, so
-//! every experiment can swap engines without touching the workload.
+//! Both engines take FlashMob's [`WalkConfig`] (inside
+//! [`BaselineConfig`]) and return its [`flashmob::WalkOutput`] and
+//! [`flashmob::RunStats`], so every experiment can swap engines without
+//! touching the workload or the way it reads the result.
 
 mod engine;
 mod sampler;
 
-pub use engine::{head_to_head_deepwalk, Baseline, BaselineStats};
+pub use engine::Baseline;
 pub use sampler::SamplerKind;
 
-use flashmob::{StopRule, WalkAlgorithm, WalkerInit};
+use flashmob::{WalkAlgorithm, WalkConfig};
 
 /// Which baseline system to emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,44 +52,27 @@ impl BaselineKind {
     }
 }
 
-/// The pseudo-random generator a baseline uses (Table 5's RNG ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RngKind {
-    /// The Mersenne Twister both baseline systems ship with.
-    Mt19937,
-    /// FlashMob's cheaper xorshift* generator.
-    XorShift,
-}
-
-/// Configuration of a baseline run (mirrors `flashmob::WalkConfig`).
+/// A baseline run: the system to emulate and the walk to run on it.
+///
+/// The walk is FlashMob's own [`WalkConfig`], so one value describes a
+/// workload to every engine.  The baselines read its algorithm, stop
+/// rule, walkers, init, seed, `record_paths`, `record_visits` and
+/// `threads`.  The plan knobs are FlashMob's: [`Baseline::new`] refuses
+/// a set `ring_depth`, or a `strategy` other than the default DP, with
+/// [`flashmob::WalkError::Planning`]; `planner` only tunes the DP plan
+/// and goes unread.
+///
+/// Both emulated systems give each thread its own MT19937 generator, so
+/// parallel runs are deterministic per `(seed, threads)` pair but do
+/// *not* reproduce the single-threaded walk path-for-path (unlike
+/// FlashMob's per-partition streams).  Instrumented (`run_probed`) runs
+/// always execute sequentially.
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
     /// Emulated system.
     pub kind: BaselineKind,
-    /// Transition-probability specification.
-    pub algorithm: WalkAlgorithm,
-    /// Termination rule.
-    pub stop: StopRule,
-    /// Number of walkers.
-    pub walkers: usize,
-    /// Initial placement.
-    pub init: WalkerInit,
-    /// RNG seed.
-    pub seed: u64,
-    /// Whether to retain the full path matrix.
-    pub record_paths: bool,
-    /// Whether to accumulate per-vertex visit counts.
-    pub record_visits: bool,
-    /// Which RNG to use.
-    pub rng: RngKind,
-    /// Worker threads for the walker-chunk loop.
-    ///
-    /// Both emulated systems give each thread its own RNG, so parallel
-    /// runs are deterministic per `(seed, threads)` pair but do *not*
-    /// reproduce the single-threaded walk path-for-path (unlike
-    /// FlashMob's per-partition streams).  Instrumented (`run_probed`)
-    /// runs always execute sequentially.
-    pub threads: usize,
+    /// The walk.
+    pub walk: WalkConfig,
 }
 
 impl BaselineConfig {
@@ -95,86 +80,32 @@ impl BaselineConfig {
     pub fn knightking_deepwalk() -> Self {
         Self {
             kind: BaselineKind::KnightKing,
-            algorithm: WalkAlgorithm::DeepWalk,
-            stop: StopRule::FixedSteps(80),
-            walkers: 0,
-            init: WalkerInit::UniformEdge,
-            seed: 1,
-            record_paths: true,
-            record_visits: false,
-            rng: RngKind::Mt19937,
-            threads: 1,
-        }
-    }
-
-    /// GraphVite running DeepWalk.
-    pub fn graphvite_deepwalk() -> Self {
-        Self {
-            kind: BaselineKind::GraphVite,
-            ..Self::knightking_deepwalk()
+            walk: WalkConfig::deepwalk(),
         }
     }
 
     /// Sets the walker count.
     pub fn walkers(mut self, walkers: usize) -> Self {
-        self.walkers = walkers;
+        self.walk = self.walk.walkers(walkers);
         self
     }
 
     /// Sets a fixed step count.
     pub fn steps(mut self, steps: usize) -> Self {
-        self.stop = StopRule::FixedSteps(steps);
+        self.walk = self.walk.steps(steps);
         self
     }
 
     /// Sets the seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.walk = self.walk.seed(seed);
         self
     }
 
     /// Sets the algorithm.
     pub fn algorithm(mut self, algorithm: WalkAlgorithm) -> Self {
-        self.algorithm = algorithm;
+        self.walk.algorithm = algorithm;
         self
-    }
-
-    /// Sets the RNG kind.
-    pub fn rng(mut self, rng: RngKind) -> Self {
-        self.rng = rng;
-        self
-    }
-
-    /// Sets path recording.
-    pub fn record_paths(mut self, yes: bool) -> Self {
-        self.record_paths = yes;
-        self
-    }
-
-    /// Sets visit counting.
-    pub fn record_visits(mut self, yes: bool) -> Self {
-        self.record_visits = yes;
-        self
-    }
-
-    /// Sets the walker initialization.
-    pub fn init(mut self, init: WalkerInit) -> Self {
-        self.init = init;
-        self
-    }
-
-    /// Sets the worker thread count (clamped to at least 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Maximum steps any walker can take.
-    pub fn max_steps(&self) -> usize {
-        match self.stop {
-            StopRule::FixedSteps(n) => n,
-            StopRule::Geometric { max_steps, .. } => max_steps,
-        }
     }
 }
 
@@ -185,19 +116,21 @@ mod tests {
     #[test]
     fn defaults_match_paper_workload() {
         let c = BaselineConfig::knightking_deepwalk();
-        assert_eq!(c.max_steps(), 80);
-        assert_eq!(c.rng, RngKind::Mt19937);
+        assert_eq!(c.walk.max_steps(), 80);
         assert_eq!(c.kind.label(), "KnightKing");
     }
 
     #[test]
     fn builders_compose() {
-        let c = BaselineConfig::graphvite_deepwalk()
+        let c = BaselineConfig::knightking_deepwalk()
             .walkers(10)
             .steps(3)
-            .rng(RngKind::XorShift);
-        assert_eq!(c.walkers, 10);
-        assert_eq!(c.max_steps(), 3);
-        assert_eq!(c.rng, RngKind::XorShift);
+            .seed(4)
+            .algorithm(WalkAlgorithm::Weighted);
+        assert_eq!(c.walk.walkers, 10);
+        assert_eq!(c.walk.max_steps(), 3);
+        assert_eq!(c.walk.seed, 4);
+        assert_eq!(c.walk.algorithm, WalkAlgorithm::Weighted);
+        assert_eq!(c.kind, BaselineKind::KnightKing);
     }
 }

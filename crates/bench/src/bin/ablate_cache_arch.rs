@@ -18,7 +18,7 @@ use std::hint::black_box;
 use flashmob::partition::{Partition, PartitionMap, SamplePolicy};
 use flashmob::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
 use flashmob::{FlashMob, PlannerParams, WalkConfig};
-use fm_baseline::{Baseline, BaselineConfig};
+use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
 use fm_bench::{analog, timed, HarnessOpts};
 use fm_graph::presets::PaperGraph;
 use fm_graph::{Csr, VertexId};
@@ -133,11 +133,12 @@ fn probe_fm(g: &Csr, hierarchy: HierarchyConfig, opts: &HarnessOpts) -> (MemoryS
 }
 
 fn probe_kk(g: &Csr, hierarchy: HierarchyConfig, opts: &HarnessOpts) -> MemoryStats {
-    let cfg = BaselineConfig::knightking_deepwalk()
+    let walk = WalkConfig::deepwalk()
         .walkers((g.vertex_count() / 4).clamp(1000, 50_000))
         .steps(opts.steps.min(12))
         .record_paths(false);
-    let engine = Baseline::new(g, cfg).expect("baseline");
+    let kind = BaselineKind::KnightKing;
+    let engine = Baseline::new(g, BaselineConfig { kind, walk }).expect("baseline");
     let mut probe = MemorySystem::new(hierarchy);
     engine.run_probed(&mut probe).expect("probed run");
     probe.stats().clone()

@@ -10,19 +10,20 @@
 //! systems on YT and YH.
 
 use flashmob::{FlashMob, WalkConfig};
-use fm_baseline::{Baseline, BaselineConfig};
+use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
 use fm_bench::{analog, fmt_bytes, scaled_planner, HarnessOpts};
 use fm_graph::presets::{toy_for_cache_bytes, PaperGraph};
 use fm_graph::Csr;
 use fm_memsim::{HierarchyConfig, MemorySystem};
 
 fn baseline_per_step(g: &Csr, opts: &HarnessOpts) -> f64 {
-    let cfg = BaselineConfig::knightking_deepwalk()
+    let walk = WalkConfig::deepwalk()
         .walkers(g.vertex_count())
         .steps(opts.steps)
         .seed(1)
         .record_paths(false);
-    let engine = Baseline::new(g, cfg).expect("baseline");
+    let kind = BaselineKind::KnightKing;
+    let engine = Baseline::new(g, BaselineConfig { kind, walk }).expect("baseline");
     engine.run_with_stats().expect("run").1.per_step_ns()
 }
 
@@ -133,11 +134,12 @@ fn main() {
             let engine = FlashMob::new(g, cfg).expect("flashmob");
             engine.run_probed(&mut probe).expect("probed run");
         } else {
-            let cfg = BaselineConfig::knightking_deepwalk()
+            let walk = WalkConfig::deepwalk()
                 .walkers(probe_walkers(g))
                 .steps(opts.steps.min(16))
                 .record_paths(false);
-            let engine = Baseline::new(g, cfg).expect("baseline");
+            let kind = BaselineKind::KnightKing;
+            let engine = Baseline::new(g, BaselineConfig { kind, walk }).expect("baseline");
             engine.run_probed(&mut probe).expect("probed run");
         }
         let s = probe.stats();

@@ -20,16 +20,13 @@ fn baseline_stats(
     algo: WalkAlgorithm,
     walkers: usize,
     steps: usize,
-) -> fm_baseline::BaselineStats {
-    let cfg = BaselineConfig {
-        kind,
-        ..BaselineConfig::knightking_deepwalk()
-    }
-    .algorithm(algo)
-    .walkers(walkers)
-    .steps(steps)
-    .record_paths(false);
-    Baseline::new(g, cfg)
+) -> flashmob::RunStats {
+    let mut walk = WalkConfig::deepwalk()
+        .walkers(walkers)
+        .steps(steps)
+        .record_paths(false);
+    walk.algorithm = algo;
+    Baseline::new(g, BaselineConfig { kind, walk })
         .expect("baseline")
         .run_with_stats()
         .expect("run")

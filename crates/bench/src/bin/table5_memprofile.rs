@@ -9,7 +9,7 @@
 //! UK is the outlier where the baseline also enjoys locality.
 
 use flashmob::{FlashMob, WalkConfig};
-use fm_baseline::{Baseline, BaselineConfig};
+use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
 use fm_bench::{analog, scaled_planner, HarnessOpts};
 use fm_graph::presets::PaperGraph;
 use fm_graph::Csr;
@@ -39,11 +39,12 @@ fn probe_fm(g: &Csr, opts: &HarnessOpts) -> MemoryStats {
 
 fn probe_kk(g: &Csr, opts: &HarnessOpts) -> MemoryStats {
     let walkers = (g.edge_count() / 2).clamp(1000, 500_000);
-    let cfg = BaselineConfig::knightking_deepwalk()
+    let walk = WalkConfig::deepwalk()
         .walkers(walkers)
         .steps(opts.steps.min(16))
         .record_paths(false);
-    let engine = Baseline::new(g, cfg).expect("baseline");
+    let kind = BaselineKind::KnightKing;
+    let engine = Baseline::new(g, BaselineConfig { kind, walk }).expect("baseline");
     let mut probe = MemorySystem::new(scaled_planner(opts.scale).hierarchy);
     engine.run_probed(&mut probe).expect("probed run");
     probe.stats().clone()

@@ -4,7 +4,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use flashmob::{
-    oocore::{run_ooc_with, DiskGraph, OocOptions, OocStats},
+    oocore::{run_ooc_with, DiskGraph, OocStats},
     CheckpointSpec, FaultPolicy, FlashMob, RunOptions, WalkConfig, WalkOutput,
 };
 use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
@@ -297,7 +297,16 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 0 => 8,
                 every => every,
             };
-            let checkpoint = checkpoint_dir.map(|dir| CheckpointSpec::new(dir, every));
+            // One set of run options for either kind of graph; the
+            // in-memory branch refuses the disk-only ones before it runs.
+            let opts = RunOptions {
+                checkpoint: checkpoint_dir.map(|dir| CheckpointSpec {
+                    halt_after: (halt_after > 0).then_some(halt_after),
+                    ..CheckpointSpec::new(dir, every)
+                }),
+                resume_from: resume_from.clone(),
+                fault: (fault_rate > 0.0).then(|| FaultPolicy::transient(fault_seed, fault_rate)),
+            };
             let telemetry =
                 || make_telemetry(trace.is_some() || metrics.is_some(), progress, show_stats);
             let (tel, ran) = if is_disk_graph(&graph) {
@@ -321,19 +330,9 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 let mut config = config.walkers(walker_count(walkers, disk.vertex_count())?);
                 // Out of core, visit counts are read off the paths.
                 config.record_paths |= config.record_visits;
-                if halt_after > 0 && checkpoint.is_none() {
+                if halt_after > 0 && opts.checkpoint.is_none() {
                     return Err(fail_plan("--halt-after requires --checkpoint-dir"));
                 }
-                let opts = OocOptions {
-                    checkpoint: checkpoint.map(|spec| CheckpointSpec {
-                        halt_after: (halt_after > 0).then_some(halt_after),
-                        ..spec
-                    }),
-                    fault: (fault_rate > 0.0)
-                        .then(|| FaultPolicy::transient(fault_seed, fault_rate)),
-                    resume_from: resume_from.clone(),
-                    ..OocOptions::default()
-                };
                 let budget = match oocore_budget {
                     0 => 64 << 20,
                     budget => budget,
@@ -372,24 +371,12 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 let g = with_derived_labels(load_graph(&graph)?, labels)?;
                 let config = config.walkers(walker_count(walkers, g.vertex_count())?);
                 let mut tel = telemetry();
-                let ran = match engine {
+                let (o, s) = match engine {
                     EngineChoice::FlashMob => {
-                        let e = FlashMob::new(&g, config).map_err(fail_walk)?;
-                        let opts = RunOptions {
-                            checkpoint,
-                            resume_from: resume_from.clone(),
-                        };
-                        let (o, s) = e.run_with(&opts, &mut tel).map_err(fail_walk)?;
-                        RunReport {
-                            steps_taken: s.steps_taken,
-                            per_step_ns: s.per_step_ns(),
-                            visits_vec: s.visits_original(e.relabeling()),
-                            stats_report: show_stats.then(|| s.human_summary()),
-                            walk_output: o,
-                        }
+                        FlashMob::new(&g, config).and_then(|e| e.run_with(&opts, &mut tel))
                     }
                     EngineChoice::KnightKing | EngineChoice::GraphVite => {
-                        if checkpoint.is_some() {
+                        if opts.checkpoint.is_some() {
                             return Err(fail_plan("checkpointing requires --engine flashmob"));
                         }
                         let kind = if engine == EngineChoice::KnightKing {
@@ -397,27 +384,17 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                         } else {
                             BaselineKind::GraphVite
                         };
-                        let cfg = BaselineConfig {
-                            kind,
-                            stop: config.stop,
-                            ..BaselineConfig::knightking_deepwalk()
-                        }
-                        .algorithm(config.algorithm)
-                        .walkers(config.walkers)
-                        .seed(config.seed)
-                        .threads(config.threads)
-                        .record_paths(config.record_paths)
-                        .record_visits(config.record_visits);
-                        let e = Baseline::new(&g, cfg).map_err(fail_walk)?;
-                        let (o, s) = e.run_traced(&mut tel).map_err(fail_walk)?;
-                        RunReport {
-                            steps_taken: s.steps_taken,
-                            per_step_ns: s.per_step_ns(),
-                            stats_report: show_stats.then(|| s.human_summary()),
-                            visits_vec: s.visits,
-                            walk_output: o,
-                        }
+                        Baseline::new(&g, BaselineConfig { kind, walk: config })
+                            .and_then(|e| e.run_traced(&mut tel))
                     }
+                }
+                .map_err(fail_walk)?;
+                let ran = RunReport {
+                    steps_taken: s.steps_taken,
+                    per_step_ns: s.per_step_ns(),
+                    visits_vec: s.visits_original(o.relabeling()),
+                    stats_report: show_stats.then(|| s.human_summary()),
+                    walk_output: o,
                 };
                 (tel, ran)
             };
@@ -1142,13 +1119,19 @@ mod tests {
         // --steps 0 and make sure the summary stays finite.
         let bin = tmp("zero_steps.bin");
         exec(&format!("synth ring {} --n 32 --degree 2", bin.display())).unwrap();
-        let msg = exec(&format!(
-            "walk {} --steps 0 --walkers 16 --stats",
-            bin.display()
-        ))
-        .unwrap();
-        assert!(msg.contains("walked 0 walker-steps"), "{msg}");
-        assert!(!msg.contains("NaN") && !msg.contains("inf"), "{msg}");
+        for engine in ["flashmob", "knightking", "graphvite"] {
+            let msg = exec(&format!(
+                "walk {} --steps 0 --walkers 16 --stats --engine {engine}",
+                bin.display()
+            ))
+            .unwrap();
+            assert!(msg.contains("walked 0 walker-steps"), "{engine}: {msg}");
+            assert!(msg.contains("stage share"), "{engine}: {msg}");
+            assert!(
+                !msg.contains("NaN") && !msg.contains("inf"),
+                "{engine}: {msg}"
+            );
+        }
         std::fs::remove_file(bin).ok();
     }
 
@@ -1203,7 +1186,31 @@ mod tests {
         .unwrap_err();
         assert!(err.0.contains("--engine flashmob"), "{}", err.0);
         assert_eq!(err.1, ExitKind::Plan);
+        // Flags the chosen engine never reads are refused, not ignored:
+        // the baselines take no plan knobs, a disk graph no strategy.
+        let fmdisk = tmp("plan_err.fmdisk");
+        exec(&format!("disk {} {}", bin.display(), fmdisk.display())).unwrap();
+        let (b, d) = (bin.display().to_string(), fmdisk.display().to_string());
+        for (graph, flags, knob) in [
+            (&b, "--engine knightking --ring-depth 4", "ring_depth"),
+            (&b, "--engine graphvite --ring-depth 1", "ring_depth"),
+            (&b, "--engine knightking --strategy ups", "strategy"),
+            (&b, "--engine graphvite --strategy manual", "strategy"),
+            (&d, "--strategy ups", "strategy"),
+        ] {
+            let err = exec(&format!("walk {graph} {flags}")).unwrap_err();
+            assert_eq!(err.1, ExitKind::Plan, "{flags}: {}", err.0);
+            assert!(err.0.contains(knob), "{flags}: {}", err.0);
+        }
+        // `dp` is the one strategy every engine runs: it stays accepted.
+        for (graph, flags) in [
+            (&b, "--engine knightking --strategy dp"),
+            (&d, "--strategy dp"),
+        ] {
+            exec(&format!("walk {graph} {flags} --steps 2")).unwrap();
+        }
         std::fs::remove_file(bin).ok();
+        std::fs::remove_file(fmdisk).ok();
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 
 use flashmob::{
     load_latest,
-    oocore::{run_ooc_with, DiskGraph, OocOptions},
+    oocore::{run_ooc_with, DiskGraph},
     CheckpointSpec, FaultPolicy, FlashMob, RunOptions, WalkError,
 };
 use fm_telemetry::Telemetry;
@@ -291,7 +291,7 @@ fn crash_oocore_cell(walk: AlgoKind, out: &mut Vec<CrashCase>) {
         &disk,
         config,
         budget,
-        &OocOptions::default(),
+        &RunOptions::default(),
         &mut Telemetry::off(),
     ) {
         Ok((output, _)) => digest_paths(&output.paths(), &[]),
@@ -319,7 +319,7 @@ fn crash_oocore_cell(walk: AlgoKind, out: &mut Vec<CrashCase>) {
             &disk,
             config,
             budget,
-            &OocOptions::default().fault(fault),
+            &RunOptions::default().fault(fault),
             &mut Telemetry::off(),
         ) {
             Ok((output, stats)) => {
@@ -349,7 +349,7 @@ fn crash_oocore_cell(walk: AlgoKind, out: &mut Vec<CrashCase>) {
         &disk,
         config,
         budget,
-        &OocOptions::default().checkpoint(CheckpointSpec::new(&discover_dir, CRASH_EVERY)),
+        &RunOptions::default().checkpoint(CheckpointSpec::new(&discover_dir, CRASH_EVERY)),
         &mut Telemetry::off(),
     )
     .map_err(|e| format!("checkpointed run failed: {e}"))
@@ -377,7 +377,7 @@ fn crash_oocore_cell(walk: AlgoKind, out: &mut Vec<CrashCase>) {
             &disk,
             config,
             budget,
-            &OocOptions::default().checkpoint(spec).fault(fault),
+            &RunOptions::default().checkpoint(spec).fault(fault),
             &mut Telemetry::off(),
         );
         match kill {
@@ -393,7 +393,7 @@ fn crash_oocore_cell(walk: AlgoKind, out: &mut Vec<CrashCase>) {
                 &disk,
                 config,
                 budget,
-                &OocOptions::default().resume_from(&dir).fault(fault),
+                &RunOptions::default().resume_from(&dir).fault(fault),
                 &mut Telemetry::off(),
             );
             match resumed {

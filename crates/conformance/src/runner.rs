@@ -36,11 +36,12 @@ use fm_graph::{synth, Csr, VertexId};
 use fm_rng::gof::chi_square_test;
 use fm_telemetry::{Stage, Telemetry, NO_PARTITION};
 use flashmob::{
-    numa::{run_numa_paths, NumaMode},
+    numa::{run_numa_paths_with, NumaMode},
     oocore::{run_ooc, DiskGraph},
-    FlashMob, MetapathPattern, PlanStrategy, PlannerParams, WalkAlgorithm, WalkConfig, WalkerInit,
+    FlashMob, MetapathPattern, PlanStrategy, PlannerParams, RunOptions, RunStats, WalkAlgorithm,
+    WalkConfig, WalkerInit,
 };
-use fm_baseline::{Baseline, BaselineConfig};
+use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
 
 use crate::digest::digest_paths;
 use crate::golden;
@@ -429,12 +430,13 @@ pub(crate) struct CellData {
 }
 
 impl CellData {
-    fn from_paths(paths: Vec<Vec<VertexId>>) -> Self {
+    /// A cell's paths with the counters its engine's `stats` report.
+    fn from_run(paths: Vec<Vec<VertexId>>, stats: &RunStats) -> Self {
         Self {
             paths,
             stream_ids: Vec::new(),
-            stream_hints: 0,
-            reserved_draws: 0,
+            stream_hints: stats.prefetch_totals().1,
+            reserved_draws: stats.pre_sample_totals().1,
         }
     }
 
@@ -456,8 +458,9 @@ pub(crate) fn ooc_temp_path() -> PathBuf {
     ))
 }
 
-/// The engine configuration of one FlashMob, NUMA or out-of-core cell
-/// (the crash matrix runs the same).
+/// The walk configuration of one lattice cell (the crash matrix runs
+/// the same).  A baseline cell runs without `ring_depth`: the baselines
+/// have no walker ring and refuse one.
 pub(crate) fn cell_config(
     engine: EngineKind,
     algo: AlgoKind,
@@ -475,6 +478,7 @@ pub(crate) fn cell_config(
         .strategy(engine.strategy());
     config.algorithm = algo.algorithm();
     match ring_depth {
+        Some(_) if matches!(engine, EngineKind::KnightKing | EngineKind::GraphVite) => config,
         Some(depth) => config.ring_depth(depth),
         None => config,
     }
@@ -502,10 +506,8 @@ pub(crate) fn run_cell_data(
             let stream_ids = stream_ids(&fm);
             let (output, stats) = fm.run_with_stats().map_err(err)?;
             Ok(CellData {
-                paths: output.paths(),
                 stream_ids,
-                stream_hints: stats.prefetch_totals().1,
-                reserved_draws: stats.pre_sample_totals().1,
+                ..CellData::from_run(output.paths(), &stats)
             })
         }
         EngineKind::NumaP | EngineKind::NumaR => {
@@ -514,9 +516,18 @@ pub(crate) fn run_cell_data(
             } else {
                 NumaMode::Replicated
             };
-            let outputs = run_numa_paths(graph, config, mode, LATTICE_SOCKETS).map_err(err)?;
-            Ok(CellData::from_paths(
+            let (outputs, stats) = run_numa_paths_with(
+                graph,
+                config,
+                mode,
+                LATTICE_SOCKETS,
+                &RunOptions::default(),
+                &mut Telemetry::off(),
+            )
+            .map_err(err)?;
+            Ok(CellData::from_run(
                 outputs.iter().flat_map(|o| o.paths()).collect(),
+                &stats,
             ))
         }
         EngineKind::OutOfCore => {
@@ -526,24 +537,19 @@ pub(crate) fn run_cell_data(
             // parking and (in the crash matrix) the BBLK frame all run.
             let result = run_ooc(&disk, &config, OOC_BUDGET);
             std::fs::remove_file(&path).ok();
-            Ok(CellData::from_paths(result.map_err(err)?.0.paths()))
+            let paths = result.map_err(err)?.0.paths();
+            Ok(CellData::from_run(paths, &RunStats::default()))
         }
         EngineKind::KnightKing | EngineKind::GraphVite => {
-            let base = if engine == EngineKind::KnightKing {
-                BaselineConfig::knightking_deepwalk()
+            let kind = if engine == EngineKind::KnightKing {
+                BaselineKind::KnightKing
             } else {
-                BaselineConfig::graphvite_deepwalk()
+                BaselineKind::GraphVite
             };
-            let config = base
-                .algorithm(config.algorithm)
-                .walkers(LATTICE_WALKERS)
-                .steps(LATTICE_STEPS)
-                .seed(LATTICE_SEED)
-                .init(WalkerInit::UniformEdge)
-                .record_paths(true)
-                .threads(threads);
-            let engine = Baseline::new(graph, config).map_err(err)?;
-            Ok(CellData::from_paths(engine.run().map_err(err)?.paths()))
+            let engine =
+                Baseline::new(graph, BaselineConfig { kind, walk: config }).map_err(err)?;
+            let (output, stats) = engine.run_with_stats().map_err(err)?;
+            Ok(CellData::from_run(output.paths(), &stats))
         }
     }
 }

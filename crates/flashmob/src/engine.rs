@@ -8,11 +8,11 @@ use fm_graph::relabel::{sort_by_degree, Relabeling};
 use fm_graph::{Csr, VertexId};
 use fm_memsim::{AddressSpace, NullProbe, Probe};
 use fm_recover::{
-    load_latest, CheckpointSink, CheckpointSpec, Fingerprint, PsPartState, RecoverError,
-    WalkSnapshot,
+    load_latest, CheckpointSink, CheckpointSpec, FaultPolicy, Fingerprint, PsPartState,
+    RecoverError, WalkSnapshot,
 };
 use fm_rng::{split_stream, Rng64, Xorshift64Star};
-use fm_telemetry::{json, SpanEvent, Stage, Telemetry, NO_PARTITION, NO_STEP};
+use fm_telemetry::{SpanEvent, Stage, Telemetry, NO_PARTITION, NO_STEP};
 
 use crate::algorithm::Verdict;
 use crate::cost::CostModel;
@@ -270,45 +270,6 @@ impl RunStats {
         out
     }
 
-    /// Machine-readable JSON rendering (hand-rolled; the workspace has
-    /// no serialization dependency).
-    pub fn to_json(&self) -> String {
-        let (sample, shuffle, other) = self.stage_ns_per_step();
-        let mut out = format!(
-            "{{\"walkers\": {}, \"steps_taken\": {}, \"wall_ns\": {}, \"per_step_ns\": {}, \
-             \"sample_ns_per_step\": {}, \"shuffle_ns_per_step\": {}, \"other_ns_per_step\": {}, \
-             \"init_ns_per_walker\": {}, \
-             \"pool\": {{\"spawned\": {}, \"epochs\": {}, \"idle_ns\": {}, \"idle_ratio\": {}}}, \
-             \"per_partition_steps\": [",
-            self.walkers,
-            self.steps_taken,
-            self.wall.as_nanos(),
-            json::num(self.per_step_ns()),
-            json::num(sample),
-            json::num(shuffle),
-            json::num(other),
-            json::num(self.init_ns_per_walker()),
-            self.pool.spawned,
-            self.pool.epochs,
-            self.pool.idle.as_nanos(),
-            json::num(self.pool_idle_ratio()),
-        );
-        for (i, s) in self.per_partition_steps.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&s.to_string());
-        }
-        let (ring, stream) = self.prefetch_totals();
-        let (produced, reserved, consumed) = self.pre_sample_totals();
-        out.push_str(&format!(
-            "], \"ring_prefetches\": {ring}, \"stream_hints\": {stream}, \
-             \"ps_produced\": {produced}, \"ps_reserved\": {reserved}, \
-             \"ps_consumed\": {consumed}}}"
-        ));
-        out
-    }
-
     /// Visit counts translated to the caller's original vertex IDs.
     pub fn visits_original(&self, relabel: &Relabeling) -> Option<Vec<u64>> {
         let sorted = self.visits_sorted.as_ref()?;
@@ -320,11 +281,12 @@ impl RunStats {
     }
 }
 
-/// Robustness options of an in-memory run: checkpointing and resume.
+/// Robustness options of a run: checkpointing and resume, and for a
+/// disk graph ([`crate::oocore::run_ooc_with`]) fault injection on its
+/// reads.
 ///
-/// The same two fields, under the same names and builder methods, as
-/// [`crate::oocore::OocOptions`] has; that struct's other two (`fault`,
-/// `retry`) guard disk-graph reads, which this engine does not make.
+/// The in-memory engine makes no disk-graph reads: it refuses `fault`
+/// with [`WalkError::Planning`].
 #[derive(Debug, Default)]
 pub struct RunOptions {
     /// Write crash-consistent checkpoints per this spec.
@@ -332,6 +294,8 @@ pub struct RunOptions {
     /// Resume from the latest checkpoint in this directory instead of
     /// starting fresh.
     pub resume_from: Option<PathBuf>,
+    /// Inject seeded faults into the disk-graph read stream (tests).
+    pub fault: Option<FaultPolicy>,
 }
 
 impl RunOptions {
@@ -344,6 +308,12 @@ impl RunOptions {
     /// Resumes from the latest checkpoint in `dir`.
     pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(dir.into());
+        self
+    }
+
+    /// Injects seeded faults into disk-graph reads.
+    pub fn fault(mut self, policy: FaultPolicy) -> Self {
+        self.fault = Some(policy);
         self
     }
 }
@@ -1145,6 +1115,9 @@ impl FlashMob {
     /// continue the interrupted run's — they derive from the absolute
     /// iteration, not from time since resume.
     ///
+    /// [`RunOptions::fault`] is refused with [`WalkError::Planning`]: it
+    /// targets disk-graph reads, which this engine does not make.
+    ///
     /// An enabled `tel` receives a Plan span for the pre-processing done
     /// at construction, a prologue span, Shuffle/Sample/Output spans for
     /// every step (plus per-partition worker-lane sample spans on
@@ -1159,6 +1132,11 @@ impl FlashMob {
         opts: &RunOptions,
         tel: &mut Telemetry,
     ) -> Result<(WalkOutput, RunStats), WalkError> {
+        if opts.fault.is_some() {
+            return Err(WalkError::Planning(
+                "fault injection applies to disk-graph reads; this graph is in memory".into(),
+            ));
+        }
         self.run_epochs(&mut NullProbe, true, self.config.seed, opts, tel)
     }
 
@@ -2563,9 +2541,6 @@ mod tests {
         );
         let kernel = format!("checked skip: {}\n", fm_rng::skip_kernel());
         assert!(summary.contains(&kernel), "{summary}");
-        assert!(sparse
-            .to_json()
-            .contains(&format!("\"ps_reserved\": {reserved}")));
         let dense = run(40_000);
         let (produced, reserved, _) = dense.pre_sample_totals();
         assert!(produced > 0 && reserved == 0, "{produced} {reserved}");
@@ -3101,29 +3076,30 @@ mod tests {
         assert_eq!(stats.init_ns_per_walker(), 0.0);
         let human = stats.human_summary();
         assert!(!human.contains("NaN") && !human.contains("inf"), "{human}");
-        let json = stats.to_json();
-        assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
-        fm_telemetry::json::parse(&json).expect("to_json emits valid JSON");
     }
 
     #[test]
-    fn run_stats_to_json_round_trips() {
+    fn in_memory_runs_refuse_fault_injection() {
+        let g = synth::cycle(8);
+        let engine = FlashMob::new(&g, config(4, 2)).unwrap();
+        let opts = RunOptions::default().fault(FaultPolicy::transient(1, 0.5));
+        assert!(matches!(
+            engine.run_with(&opts, &mut Telemetry::off()),
+            Err(WalkError::Planning(_))
+        ));
+    }
+
+    #[test]
+    fn run_stats_tile_the_wall_and_summarise() {
         let g = synth::power_law(300, 2.0, 1, 30, 5);
         let engine = FlashMob::new(&g, config(200, 4).threads(2)).unwrap();
         let (_, stats) = engine.run_with_stats().unwrap();
-        let v = fm_telemetry::json::parse(&stats.to_json()).unwrap();
+        assert_eq!(stats.steps_taken, 200 * 4);
         assert_eq!(
-            v.get("steps_taken").unwrap().as_num(),
-            Some(stats.steps_taken as f64)
+            stats.per_partition_steps.len(),
+            engine.plan().partitions.len()
         );
-        assert_eq!(
-            v.get("per_partition_steps").unwrap().as_arr().unwrap().len(),
-            stats.per_partition_steps.len()
-        );
-        assert_eq!(
-            v.get("pool").unwrap().get("spawned").unwrap().as_num(),
-            Some(2.0)
-        );
+        assert_eq!(stats.pool.spawned, 2);
         // The prologue is a part of `other`, which still closes the
         // tiling of the wall clock.
         assert!(stats.init > Duration::ZERO && stats.init <= stats.stages.other);
@@ -3131,8 +3107,6 @@ mod tests {
             stats.stages.sample + stats.stages.shuffle + stats.stages.other,
             stats.wall
         );
-        let init_json = v.get("init_ns_per_walker").unwrap().as_num().unwrap();
-        assert!((init_json - stats.init_ns_per_walker()).abs() < 1e-5);
         let human = stats.human_summary();
         assert!(human.contains("init: "), "{human}");
         assert!(human.contains("stages (ns/step)"), "{human}");

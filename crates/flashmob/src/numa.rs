@@ -199,32 +199,16 @@ pub fn run_numa(
 }
 
 /// Runs one cross-socket mode with path recording and an *explicit*
-/// walker count, returning the per-instance outputs: one output for
-/// P-mode (a single engine spans all sockets), `sockets` outputs for
-/// R-mode (independent per-socket instances, socket `s` seeded with
-/// `seed + s` exactly as [`run_numa`] seeds them).
+/// walker count, returning the per-instance outputs and the instances'
+/// [`RunStats`], summed with [`RunStats::absorb`]: one output for P-mode
+/// (a single engine spans all sockets), `sockets` outputs for R-mode
+/// (independent per-socket instances, socket `s` seeded with `seed + s`
+/// exactly as [`run_numa`] seeds them).
 ///
 /// [`run_numa`] sizes walkers from a DRAM budget and reports timings
 /// only; the conformance harness needs the actual sampled paths of both
 /// modes to prove they realize the same Markov chain, which is what this
 /// entry point provides.
-pub fn run_numa_paths(
-    graph: &Csr,
-    base: WalkConfig,
-    mode: NumaMode,
-    sockets: usize,
-) -> Result<Vec<WalkOutput>, WalkError> {
-    run_numa_paths_with(
-        graph,
-        base,
-        mode,
-        sockets,
-        &RunOptions::default(),
-        &mut Telemetry::off(),
-    )
-}
-
-/// [`run_numa_paths`] with checkpointing, resume and telemetry.
 ///
 /// P-mode hands `opts` to the spanning engine as they are.  R-mode gives
 /// every socket its own subdirectory (`<dir>/socket-<s>`) of the
@@ -249,7 +233,7 @@ pub fn run_numa_paths_with(
     sockets: usize,
     opts: &RunOptions,
     tel: &mut Telemetry,
-) -> Result<Vec<WalkOutput>, WalkError> {
+) -> Result<(Vec<WalkOutput>, RunStats), WalkError> {
     if sockets == 0 {
         return Err(WalkError::Planning("need at least one socket".into()));
     }
@@ -257,12 +241,17 @@ pub fn run_numa_paths_with(
     match mode {
         NumaMode::Partitioned => {
             let engine = FlashMob::new(graph, base)?;
-            Ok(vec![engine.run_with(opts, tel)?.0])
+            let (output, stats) = engine.run_with(opts, tel)?;
+            Ok((vec![output], stats))
         }
         NumaMode::Replicated => {
             let mut outputs = Vec::with_capacity(sockets);
-            for_each_socket(graph, &base, sockets, opts, tel, |out, _| outputs.push(out))?;
-            Ok(outputs)
+            let mut total = RunStats::default();
+            for_each_socket(graph, &base, sockets, opts, tel, |out, stats| {
+                outputs.push(out);
+                total.absorb(&stats);
+            })?;
+            Ok((outputs, total))
         }
     }
 }
@@ -307,6 +296,7 @@ fn for_each_socket(
                 .as_deref()
                 .map(socket_dir)
                 .filter(|dir| dir.join(MANIFEST_NAME).is_file()),
+            fault: opts.fault,
         };
         let mut socket_tel = socket_recorder(tel, s);
         let result = engine.run_with(&socket_opts, &mut socket_tel);
@@ -365,7 +355,7 @@ mod tests {
                 ..PlannerParams::default()
             });
         let (opts, mut tel) = (RunOptions::default(), Telemetry::new());
-        let outputs =
+        let (outputs, _) =
             run_numa_paths_with(&g, base.clone(), NumaMode::Replicated, 3, &opts, &mut tel)
                 .unwrap();
         assert_eq!(outputs.len(), 3);
@@ -381,7 +371,15 @@ mod tests {
             );
         }
         // Tracing must not perturb the sampled paths.
-        let plain = run_numa_paths(&g, base, NumaMode::Replicated, 3).unwrap();
+        let (plain, _) = run_numa_paths_with(
+            &g,
+            base,
+            NumaMode::Replicated,
+            3,
+            &opts,
+            &mut Telemetry::off(),
+        )
+        .unwrap();
         for (a, b) in plain.iter().zip(&outputs) {
             assert_eq!(a.paths(), b.paths());
         }
@@ -392,10 +390,42 @@ mod tests {
         let g = synth::power_law(300, 2.0, 1, 30, 4);
         let base = crate::WalkConfig::deepwalk().walkers(90).steps(3).seed(2);
         let (opts, mut tel) = (RunOptions::default(), Telemetry::new());
-        let outputs =
+        let (outputs, stats) =
             run_numa_paths_with(&g, base, NumaMode::Partitioned, 2, &opts, &mut tel).unwrap();
         assert_eq!(outputs.len(), 1, "P-mode is a single spanning instance");
         assert_eq!(tel.partition_steps_total(), 90 * 3);
+        assert_eq!(stats.steps_taken, 90 * 3);
+    }
+
+    #[test]
+    fn replicated_stats_count_the_steps_in_the_paths() {
+        let g = synth::power_law(300, 2.0, 1, 30, 4);
+        let mut base = crate::WalkConfig::deepwalk().walkers(100).seed(3);
+        base.stop = crate::StopRule::Geometric {
+            exit_prob: 0.2,
+            max_steps: 6,
+        };
+        let (outputs, stats) = run_numa_paths_with(
+            &g,
+            base,
+            NumaMode::Replicated,
+            3,
+            &RunOptions::default(),
+            &mut Telemetry::off(),
+        )
+        .unwrap();
+        // A walker the stop rule ended took one step more, the fatal
+        // one, than its path shows.
+        let hops: Vec<usize> = outputs
+            .iter()
+            .flat_map(|o| o.paths())
+            .map(|p| p.len() - 1)
+            .collect();
+        let ended = hops.iter().filter(|&&h| h < 6).count();
+        assert!(ended > 0, "the geometric stop cut some walks short");
+        let in_paths = hops.iter().sum::<usize>() + ended;
+        assert_eq!(stats.steps_taken, in_paths as u64);
+        assert_eq!(stats.walkers, 100);
     }
 
     #[test]

@@ -30,15 +30,15 @@ use fm_graph::{Csr, GraphError, VertexId};
 use fm_memsim::NullProbe;
 use fm_recover::{
     load_latest, transient_io, with_retries, BiBlockState, CheckpointSink, CheckpointSpec,
-    FaultPolicy, FaultyFile, Fingerprint, RecoverError, RetryPolicy, WalkSnapshot,
+    FaultyFile, Fingerprint, RecoverError, RetryPolicy, WalkSnapshot,
 };
 use fm_rng::{Rng64, Xorshift64Star};
 use fm_telemetry::{Stage, Telemetry, NO_PARTITION, NO_STEP};
 
 use crate::algorithm::Node2VecRule;
-use crate::engine::partition_stream_id;
+use crate::engine::{partition_stream_id, RunOptions};
 use crate::output::WalkOutput;
-use crate::plan::Planner;
+use crate::plan::{PlanStrategy, Planner};
 use crate::sample::ring;
 use crate::walker::{fold_init, initialize_from_offsets, WalkerInit};
 use crate::{StopRule, WalkAlgorithm, WalkConfig, WalkError, DEAD};
@@ -288,50 +288,11 @@ impl OocStats {
     }
 }
 
-/// Robustness options of an out-of-core run: checkpointing, fault
-/// injection, retries, and resume.
-#[derive(Debug, Default)]
-pub struct OocOptions {
-    /// Write crash-consistent checkpoints per this spec.
-    pub checkpoint: Option<CheckpointSpec>,
-    /// Inject seeded faults into the disk-graph read stream (tests).
-    pub fault: Option<FaultPolicy>,
-    /// Retry policy for transient disk-read errors.
-    pub retry: RetryPolicy,
-    /// Resume from the latest checkpoint in this directory instead of
-    /// starting fresh.
-    pub resume_from: Option<PathBuf>,
-}
-
-impl OocOptions {
-    /// Enables checkpointing per `spec`.
-    pub fn checkpoint(mut self, spec: CheckpointSpec) -> Self {
-        self.checkpoint = Some(spec);
-        self
-    }
-
-    /// Injects seeded faults into disk-graph reads.
-    pub fn fault(mut self, policy: FaultPolicy) -> Self {
-        self.fault = Some(policy);
-        self
-    }
-
-    /// Sets the transient-read retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Resumes from the latest checkpoint in `dir`.
-    pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.resume_from = Some(dir.into());
-        self
-    }
-}
-
 /// Walks a disk-resident graph — DeepWalk, node2vec or PPR, for a fixed
 /// number of steps — through the bi-block pair schedule; any other
-/// algorithm or stop rule is a [`WalkError::Planning`].
+/// algorithm or stop rule is a [`WalkError::Planning`], as is a
+/// [`WalkConfig::strategy`] other than the default DP (the blocks, not a
+/// partition plan, schedule the walk).
 ///
 /// `partition_budget_bytes` bounds the adjacency bytes held at once: a
 /// pair of half-budget blocks (the paper's analysis suggests the L3
@@ -349,7 +310,7 @@ pub fn run_ooc(
         disk,
         config,
         partition_budget_bytes,
-        &OocOptions::default(),
+        &RunOptions::default(),
         &mut Telemetry::off(),
     )
 }
@@ -394,6 +355,11 @@ fn biblock_config_tag(config: &WalkConfig, partition_budget_bytes: usize) -> u64
         _ => fp.fold_u64(3),
     };
     fold_init(&mut fp, &config.init);
+    // `run_ooc_with` admits the DP strategy only: it folds nothing, any
+    // other strategy its ordinal.
+    if config.strategy != PlanStrategy::DynamicProgramming {
+        fp.fold_u64(config.strategy as u64);
+    }
     fp.value()
 }
 
@@ -441,7 +407,7 @@ pub fn run_ooc_with(
     disk: &DiskGraph,
     config: &WalkConfig,
     partition_budget_bytes: usize,
-    opts: &OocOptions,
+    opts: &RunOptions,
     tel: &mut Telemetry,
 ) -> Result<(WalkOutput, OocStats), WalkError> {
     if config.walkers == 0 {
@@ -473,6 +439,13 @@ pub fn run_ooc_with(
             "out-of-core walking supports a fixed step count only, not a geometric stop".into(),
         ));
     };
+    // The blocks are the schedule: there is no partition plan to shape.
+    if config.strategy != PlanStrategy::DynamicProgramming {
+        return Err(WalkError::Planning(format!(
+            "disk graphs take no partition plan; strategy {:?} is for in-memory graphs",
+            config.strategy
+        )));
+    }
     let walkers = config.walkers;
     if u32::try_from(walkers).is_err() {
         return Err(WalkError::Planning(format!(
@@ -698,7 +671,7 @@ pub fn run_ooc_with(
                         ensure_resident(
                             disk,
                             &mut file,
-                            &opts.retry,
+                            &RetryPolicy::default(),
                             block_range(b),
                             buf,
                             epoch,
@@ -1201,6 +1174,7 @@ impl Stepper<'_> {
 mod tests {
     use super::*;
     use fm_graph::synth;
+    use fm_recover::FaultPolicy;
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fm_oocore_tests");
@@ -1329,7 +1303,8 @@ mod tests {
         let disk = DiskGraph::create(&g, &path).unwrap();
         let cfg = WalkConfig::deepwalk().walkers(200).steps(6).seed(9);
         let mut tel = Telemetry::new();
-        let (out, stats) = run_ooc_with(&disk, &cfg, 8 << 10, &OocOptions::default(), &mut tel).unwrap();
+        let (out, stats) =
+            run_ooc_with(&disk, &cfg, 8 << 10, &RunOptions::default(), &mut tel).unwrap();
         assert_eq!(tel.partition_steps_total(), stats.steps_taken);
         // One Io span per block load performed, none for skipped pairs.
         assert!(stats.blocks_streamed > 0 && stats.pairs_skipped > 0);
@@ -1377,6 +1352,18 @@ mod tests {
             );
             cfg.stop = StopRule::FixedSteps(2);
             assert!(run_ooc(&disk, &cfg, 4 << 10).is_ok(), "{algorithm:?}");
+        }
+        // The blocks schedule the walk: a partition plan is refused.
+        for strategy in [
+            crate::PlanStrategy::UniformPs,
+            crate::PlanStrategy::UniformDs,
+            crate::PlanStrategy::ManualHeuristic,
+        ] {
+            let cfg = cfg.clone().strategy(strategy);
+            assert!(
+                matches!(run_ooc(&disk, &cfg, 4 << 10), Err(WalkError::Planning(_))),
+                "{strategy:?}"
+            );
         }
         std::fs::remove_file(path).ok();
     }
@@ -1655,7 +1642,7 @@ mod tests {
             let (disk, budget) = complete_in_blocks(blocks, per_block, "bb_loads.fmdisk");
             let cfg = WalkConfig::node2vec(0.5, 2.0).walkers(3000).steps(24).seed(17);
             let mut tel = Telemetry::new();
-            let (_, stats) = run_ooc_with(&disk, &cfg, budget, &OocOptions::default(), &mut tel).unwrap();
+            let (_, stats) = run_ooc_with(&disk, &cfg, budget, &RunOptions::default(), &mut tel).unwrap();
             assert_eq!(tel.dropped(), 0);
             assert_eq!(tel.stage(Stage::Io).spans, stats.blocks_streamed);
 
@@ -1747,7 +1734,7 @@ mod tests {
             ] {
                 let cfg = base.clone().ring_depth(depth);
                 std::fs::remove_dir_all(&ckdir).ok();
-                let halt = OocOptions::default().checkpoint(CheckpointSpec {
+                let halt = RunOptions::default().checkpoint(CheckpointSpec {
                     halt_after: Some(slots_done),
                     ..CheckpointSpec::new(&ckdir, 1)
                 });
@@ -1759,7 +1746,7 @@ mod tests {
                 let (_, snap) = load_latest(&ckdir).unwrap();
                 assert_eq!(snap.biblock.map(|b| b.cursor), Some(slots_done % 10));
 
-                let resume = OocOptions::default().resume_from(&ckdir);
+                let resume = RunOptions::default().resume_from(&ckdir);
                 let (resumed, _) = run_ooc_with(&disk, &cfg, budget, &resume, &mut tel).unwrap();
                 assert_eq!(
                     reference.paths(),
@@ -1784,20 +1771,20 @@ mod tests {
 
         let ckdir = temp_path("bb_ck_dir");
         std::fs::remove_dir_all(&ckdir).ok();
-        let halt = OocOptions {
+        let halt = RunOptions {
             checkpoint: Some(CheckpointSpec {
                 halt_after: Some(2),
                 ..CheckpointSpec::new(&ckdir, 3)
             }),
-            ..OocOptions::default()
+            ..RunOptions::default()
         };
         let mut tel = Telemetry::off();
         let err = run_ooc_with(&disk, &cfg, budget, &halt, &mut tel).unwrap_err();
         assert!(matches!(err, WalkError::Halted { generation: 2 }));
 
-        let resume = OocOptions {
+        let resume = RunOptions {
             resume_from: Some(ckdir.clone()),
-            ..OocOptions::default()
+            ..RunOptions::default()
         };
         let (resumed, _) = run_ooc_with(&disk, &cfg, budget, &resume, &mut tel).unwrap();
         assert_eq!(reference.paths(), resumed.paths());
@@ -2044,7 +2031,7 @@ mod tests {
         ckdir: &Path,
     ) -> ModelState {
         std::fs::remove_dir_all(ckdir).ok();
-        let halt = OocOptions::default().checkpoint(CheckpointSpec {
+        let halt = RunOptions::default().checkpoint(CheckpointSpec {
             halt_after: Some(1),
             ..CheckpointSpec::new(ckdir, slots as usize)
         });
@@ -2182,7 +2169,7 @@ mod tests {
         for (&at, want) in &model.after_slot {
             let got = engine_state_after(&disk, &cfg, budget, at, &ckdir);
             assert_eq!(&got, want, "after slot {at}");
-            let resume = OocOptions::default().resume_from(&ckdir);
+            let resume = RunOptions::default().resume_from(&ckdir);
             let (resumed, _) =
                 run_ooc_with(&disk, &cfg, budget, &resume, &mut Telemetry::off()).unwrap();
             assert_eq!(
@@ -2227,7 +2214,7 @@ mod tests {
             std::fs::remove_dir_all(&ckdir).ok();
             let mut cfg = WalkConfig::deepwalk().walkers(40).steps(5).seed(13);
             cfg.algorithm = algorithm;
-            let halt = OocOptions::default().checkpoint(CheckpointSpec {
+            let halt = RunOptions::default().checkpoint(CheckpointSpec {
                 halt_after: Some(1),
                 ..CheckpointSpec::new(&ckdir, 2)
             });
@@ -2282,7 +2269,7 @@ mod tests {
                     &disk,
                     &cfg.clone().ring_depth(depth),
                     budget,
-                    &OocOptions::default(),
+                    &RunOptions::default(),
                     &mut tel,
                 ).unwrap();
             let hinted: u64 = tel
@@ -2370,7 +2357,7 @@ mod tests {
         let mut sink = CheckpointSink::from_spec(&CheckpointSpec::new(&ckdir, 1));
         sink.save(1, &old).unwrap();
         // The budget the old loop's tag was taken at.
-        let resume = OocOptions::default().resume_from(&ckdir);
+        let resume = RunOptions::default().resume_from(&ckdir);
         let err = run_ooc_with(&disk, &cfg, 8 << 10, &resume, &mut Telemetry::off()).unwrap_err();
         assert!(
             matches!(err, WalkError::Recover(RecoverError::Mismatch { .. })),

@@ -2,7 +2,7 @@
 //! memory hierarchy: FlashMob's partitioned, batched design produces
 //! far fewer deep-cache misses than walker-at-a-time processing.
 
-use flashmob_repro::baseline::{Baseline, BaselineConfig};
+use flashmob_repro::baseline::{Baseline, BaselineConfig, BaselineKind};
 use flashmob_repro::flashmob::PlannerParams;
 use flashmob_repro::flashmob::{FlashMob, WalkConfig};
 use flashmob_repro::graph::synth;
@@ -42,15 +42,13 @@ fn probe_flashmob(walkers: usize, steps: usize) -> MemoryStats {
 
 fn probe_baseline(walkers: usize, steps: usize) -> MemoryStats {
     let g = synth::power_law(30_000, 1.9, 1, 2_000, 13);
-    let engine = Baseline::new(
-        &g,
-        BaselineConfig::knightking_deepwalk()
-            .walkers(walkers)
-            .steps(steps)
-            .seed(1)
-            .record_paths(false),
-    )
-    .expect("engine");
+    let walk = WalkConfig::deepwalk()
+        .walkers(walkers)
+        .steps(steps)
+        .seed(1)
+        .record_paths(false);
+    let kind = BaselineKind::KnightKing;
+    let engine = Baseline::new(&g, BaselineConfig { kind, walk }).expect("engine");
     let mut probe = MemorySystem::new(hierarchy());
     engine.run_probed(&mut probe).expect("run");
     probe.stats().clone()

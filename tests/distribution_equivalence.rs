@@ -21,7 +21,7 @@
 //!   committed seeds all pass with p-values far from the corrected
 //!   threshold (run with `--nocapture` after changes to inspect).
 
-use flashmob_repro::baseline::{Baseline, BaselineConfig};
+use flashmob_repro::baseline::{Baseline, BaselineConfig, BaselineKind};
 use flashmob_repro::conformance::{init_distribution, FirstOrderOracle, Node2VecOracle};
 use flashmob_repro::flashmob::{
     FlashMob, PlanStrategy, StopRule, WalkAlgorithm, WalkConfig, WalkerInit,
@@ -48,9 +48,11 @@ fn flashmob_final_occupancy(g: &Csr, cfg: WalkConfig) -> Vec<u64> {
     counts
 }
 
-/// Same for a walker-at-a-time baseline.
-fn baseline_final_occupancy(g: &Csr, cfg: BaselineConfig) -> Vec<u64> {
-    let engine = Baseline::new(g, cfg.record_paths(true)).expect("engine");
+/// Same for KnightKing, the walker-at-a-time baseline.
+fn baseline_final_occupancy(g: &Csr, walk: WalkConfig) -> Vec<u64> {
+    let walk = walk.record_paths(true);
+    let kind = BaselineKind::KnightKing;
+    let engine = Baseline::new(g, BaselineConfig { kind, walk }).expect("engine");
     let out = engine.run().expect("run");
     let mut counts = vec![0u64; g.vertex_count()];
     for path in out.paths() {
@@ -97,7 +99,7 @@ fn deepwalk_occupancy_matches_oracle_on_skewed_graph() {
 
     let bl = baseline_final_occupancy(
         &g,
-        BaselineConfig::knightking_deepwalk()
+        WalkConfig::deepwalk()
             .walkers(walkers)
             .steps(steps)
             .seed(42)
@@ -182,8 +184,7 @@ fn node2vec_occupancy_matches_second_order_oracle() {
 
     let bl = baseline_final_occupancy(
         &g,
-        BaselineConfig::knightking_deepwalk()
-            .algorithm(WalkAlgorithm::Node2Vec { p, q })
+        WalkConfig::node2vec(p, q)
             .walkers(walkers)
             .steps(steps)
             .seed(2)
@@ -218,7 +219,7 @@ fn geometric_stop_survival_matches_between_engines() {
         let mut cfg = BaselineConfig::knightking_deepwalk()
             .walkers(20_000)
             .seed(5);
-        cfg.stop = StopRule::Geometric {
+        cfg.walk.stop = StopRule::Geometric {
             exit_prob: 0.25,
             max_steps: 40,
         };

@@ -1,8 +1,18 @@
 //! Degenerate and boundary inputs that real datasets produce.
 
-use flashmob_repro::baseline::{Baseline, BaselineConfig};
-use flashmob_repro::flashmob::{FlashMob, PlanStrategy, PlannerParams, WalkConfig, WalkerInit};
+use flashmob_repro::baseline::{Baseline, BaselineConfig, BaselineKind};
+use flashmob_repro::conformance::digest_paths;
+use flashmob_repro::flashmob::{
+    FlashMob, PlanStrategy, PlannerParams, StopRule, WalkConfig, WalkerInit,
+};
 use flashmob_repro::graph::{synth, Csr, VertexId};
+
+fn knightking(walk: WalkConfig) -> BaselineConfig {
+    BaselineConfig {
+        kind: BaselineKind::KnightKing,
+        walk,
+    }
+}
 
 fn tiny_planner() -> PlannerParams {
     PlannerParams {
@@ -167,10 +177,12 @@ fn baseline_and_flashmob_agree_on_degenerate_graphs() {
         .unwrap();
         let bl = Baseline::new(
             &g,
-            BaselineConfig::knightking_deepwalk()
-                .walkers(10)
-                .steps(4)
-                .init(WalkerInit::EveryVertex),
+            knightking(
+                WalkConfig::deepwalk()
+                    .walkers(10)
+                    .steps(4)
+                    .init(WalkerInit::EveryVertex),
+            ),
         )
         .unwrap();
         // Same path lengths and same per-step edge validity.
@@ -244,12 +256,13 @@ fn node2vec_on_self_loops_hits_the_return_branch() {
     .unwrap();
     let bl = Baseline::new(
         &g,
-        BaselineConfig::knightking_deepwalk()
-            .algorithm(flashmob_repro::flashmob::WalkAlgorithm::Node2Vec { p, q })
-            .walkers(walkers)
-            .steps(steps)
-            .seed(11)
-            .init(init),
+        knightking(
+            WalkConfig::node2vec(p, q)
+                .walkers(walkers)
+                .steps(steps)
+                .seed(11)
+                .init(init),
+        ),
     )
     .unwrap();
     for paths in [fm.run().unwrap().paths(), bl.run().unwrap().paths()] {
@@ -320,12 +333,17 @@ fn node2vec_on_star_exercises_both_connectivity_extremes() {
 
 #[test]
 fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
-    use flashmob_repro::flashmob::numa::{run_numa_paths, NumaMode};
+    use flashmob_repro::flashmob::numa::{run_numa_paths_with, NumaMode};
     use flashmob_repro::flashmob::oocore::{run_ooc, DiskGraph};
-    use flashmob_repro::flashmob::WalkError;
+    use flashmob_repro::flashmob::{RunOptions, WalkError};
+    use flashmob_repro::telemetry::Telemetry;
 
     let g = synth::power_law(64, 2.0, 2, 12, 21);
     let fm_cfg = WalkConfig::deepwalk().planner(tiny_planner());
+    let numa = |config: WalkConfig, mode| {
+        let opts = RunOptions::default();
+        run_numa_paths_with(&g, config, mode, 2, &opts, &mut Telemetry::off())
+    };
 
     // walkers = 0: a defined error, never a panic, on every entry point.
     for strategy in [
@@ -336,15 +354,13 @@ fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
         let err = FlashMob::new(&g, fm_cfg.clone().walkers(0).strategy(strategy)).err();
         assert!(matches!(err, Some(WalkError::NoWalkers)), "{strategy:?}");
     }
-    for kind in [
-        BaselineConfig::knightking_deepwalk(),
-        BaselineConfig::graphvite_deepwalk(),
-    ] {
-        let err = Baseline::new(&g, kind.walkers(0)).err();
+    for kind in [BaselineKind::KnightKing, BaselineKind::GraphVite] {
+        let walk = WalkConfig::deepwalk().walkers(0);
+        let err = Baseline::new(&g, BaselineConfig { kind, walk }).err();
         assert!(matches!(err, Some(WalkError::NoWalkers)));
     }
     for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
-        let err = run_numa_paths(&g, fm_cfg.clone().walkers(0), mode, 2).err();
+        let err = numa(fm_cfg.clone().walkers(0), mode).err();
         assert!(matches!(err, Some(WalkError::NoWalkers)), "{mode:?}");
     }
     let disk_path = std::env::temp_dir().join("fm_edge_zero_walkers.fmdisk");
@@ -365,18 +381,16 @@ fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
             .unwrap();
         assert!(out.paths().iter().all(|p| p.len() == 1), "{strategy:?}");
     }
-    for kind in [
-        BaselineConfig::knightking_deepwalk(),
-        BaselineConfig::graphvite_deepwalk(),
-    ] {
-        let out = Baseline::new(&g, kind.walkers(12).steps(0))
+    for kind in [BaselineKind::KnightKing, BaselineKind::GraphVite] {
+        let walk = WalkConfig::deepwalk().walkers(12).steps(0);
+        let out = Baseline::new(&g, BaselineConfig { kind, walk })
             .unwrap()
             .run()
             .unwrap();
         assert!(out.paths().iter().all(|p| p.len() == 1));
     }
     for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
-        let outputs = run_numa_paths(&g, zero_steps.clone(), mode, 2).unwrap();
+        let (outputs, _) = numa(zero_steps.clone(), mode).unwrap();
         let total: usize = outputs.iter().map(|o| o.paths().len()).sum();
         assert_eq!(total, 12, "{mode:?}");
         for o in &outputs {
@@ -558,5 +572,50 @@ fn program_state_survives_checkpoint_halt_resume() {
             "{algo:?}: resumed walk must be bit-identical"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The baselines where the conformance lattice does not reach them: a
+/// geometric stop with full paths, final positions only
+/// (`record_paths(false)`), and visit counts, at one thread and three.
+/// Each case's path digest, step count and visit vector are pinned, so
+/// a config field the engine reads from the wrong place fails here.
+#[test]
+fn baseline_walks_match_their_pinned_digests_and_visits() {
+    use BaselineKind::{GraphVite, KnightKing};
+    #[rustfmt::skip]
+    let pins: [(BaselineKind, usize, bool, u64, u64, [u64; 16]); 8] = [
+        (KnightKing, 1, true, 0xbdea0b812762708a, 142, [1, 10, 5, 9, 5, 8, 12, 1, 4, 6, 16, 5, 9, 21, 26, 4]),
+        (KnightKing, 1, false, 0x6cb811995c41c06b, 240, [3, 18, 7, 18, 18, 17, 25, 3, 6, 13, 24, 6, 18, 34, 26, 4]),
+        (KnightKing, 3, true, 0x3dbdd0d0085408cf, 139, [3, 8, 5, 7, 9, 12, 16, 3, 4, 6, 14, 3, 12, 17, 16, 4]),
+        (KnightKing, 3, false, 0xc5d295cb5b8714e3, 240, [3, 18, 7, 18, 18, 9, 25, 3, 6, 14, 28, 6, 18, 25, 34, 8]),
+        (GraphVite, 1, true, 0x8405bb525280eb69, 122, [3, 12, 4, 9, 7, 5, 18, 3, 3, 6, 11, 3, 11, 14, 10, 3]),
+        (GraphVite, 1, false, 0x7679e29c1786f56f, 240, [3, 18, 8, 18, 18, 15, 22, 3, 6, 11, 26, 6, 18, 32, 30, 6]),
+        (GraphVite, 3, true, 0x3a3160eec2a4cf24, 105, [2, 6, 5, 4, 8, 4, 16, 2, 3, 9, 7, 4, 9, 13, 10, 3]),
+        (GraphVite, 3, false, 0xc6db62f3ef0e6442, 240, [3, 18, 7, 18, 18, 18, 20, 3, 6, 11, 17, 6, 18, 36, 30, 11]),
+    ];
+    let g = synth::power_law(16, 2.0, 1, 6, 5);
+    for (kind, threads, geometric, digest, steps, visits) in pins {
+        let mut walk = WalkConfig::deepwalk()
+            .walkers(40)
+            .steps(6)
+            .seed(23)
+            .threads(threads)
+            .record_paths(geometric)
+            .record_visits(true);
+        if geometric {
+            walk.stop = StopRule::Geometric {
+                exit_prob: 0.25,
+                max_steps: 6,
+            };
+        }
+        let engine = Baseline::new(&g, BaselineConfig { kind, walk }).unwrap();
+        let (out, stats) = engine.run_with_stats().unwrap();
+        let case = format!("{kind:?} at {threads} threads, geometric stop {geometric}");
+        assert_eq!(digest_paths(&out.paths(), &[]), digest, "{case}");
+        assert_eq!(stats.steps_taken, steps, "{case}");
+        assert_eq!(stats.visits_sorted.as_deref(), Some(&visits[..]), "{case}");
+        let original = stats.visits_original(out.relabeling());
+        assert_eq!(original.as_deref(), Some(&visits[..]), "{case}");
     }
 }

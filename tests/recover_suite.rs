@@ -21,8 +21,8 @@
 use std::time::Instant;
 
 use flashmob_repro::conformance::crash::run_crash_matrix;
-use flashmob_repro::flashmob::numa::{run_numa_paths, run_numa_paths_with, NumaMode};
-use flashmob_repro::flashmob::oocore::{run_ooc, run_ooc_with, DiskGraph, OocOptions};
+use flashmob_repro::flashmob::numa::{run_numa_paths_with, NumaMode};
+use flashmob_repro::flashmob::oocore::{run_ooc, run_ooc_with, DiskGraph};
 use flashmob_repro::flashmob::{
     CheckpointSpec, FaultPolicy, FlashMob, PlanStrategy, RunOptions, WalkConfig, WalkError,
 };
@@ -131,13 +131,13 @@ fn numa_run_killed_between_sockets_resumes_bit_exactly() {
     let config = WalkConfig::deepwalk().walkers(walkers).steps(steps).seed(31);
     let halted = |r: Result<_, WalkError>| matches!(r, Err(WalkError::Halted { generation: 2 }));
     for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
-        let want = run_numa_paths(&g, config.clone(), mode, 3).expect("uninterrupted");
+        let run = |opts: &RunOptions, tel: &mut Telemetry| {
+            run_numa_paths_with(&g, config.clone(), mode, 3, opts, tel).map(|(outputs, _)| outputs)
+        };
+        let want = run(&RunOptions::default(), &mut Telemetry::off()).expect("uninterrupted");
         let dir = temp_path(&format!("numa_{mode:?}"));
         std::fs::remove_dir_all(&dir).ok();
         let kill = || RunOptions::default().checkpoint(CheckpointSpec::new(&dir, every).halt_after(2));
-        let run = |opts: &RunOptions, tel: &mut Telemetry| {
-            run_numa_paths_with(&g, config.clone(), mode, 3, opts, tel)
-        };
 
         // The first kill lands in the first instance to reach generation
         // 2: the spanning engine, or socket 0.
@@ -182,7 +182,7 @@ fn ooc_transient_faults_are_absorbed_without_changing_output() {
     // 15% of block reads fail transiently; retries must absorb every
     // one of them.
     let mut tel = Telemetry::new();
-    let opts = OocOptions::default().fault(FaultPolicy::transient(7, 0.15));
+    let opts = RunOptions::default().fault(FaultPolicy::transient(7, 0.15));
     let (faulty, faulty_stats) =
         run_ooc_with(&disk, &config, 32 * 1024, &opts, &mut tel).expect("faulty run completes");
     std::fs::remove_file(&path).ok();

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use flashmob_repro::baseline::{Baseline, BaselineConfig, BaselineKind};
 use flashmob_repro::flashmob::numa::{run_numa_paths_with, NumaMode};
-use flashmob_repro::flashmob::oocore::{run_ooc_with, DiskGraph, OocOptions};
+use flashmob_repro::flashmob::oocore::{run_ooc_with, DiskGraph};
 use flashmob_repro::flashmob::{CheckpointSpec, FlashMob, RunOptions, WalkConfig, WalkError};
 use flashmob_repro::graph::synth;
 use flashmob_repro::telemetry::{export, json, tef, ProcStat, Stage, Telemetry};
@@ -75,16 +75,13 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
         );
 
         for kind in [BaselineKind::KnightKing, BaselineKind::GraphVite] {
-            let cfg = BaselineConfig {
-                kind,
-                ..BaselineConfig::knightking_deepwalk()
-            }
-            .walkers(300)
-            .steps(7)
-            .seed(23)
-            .threads(threads)
-            .record_paths(false);
-            let engine = Baseline::new(&g, cfg).expect("baseline");
+            let walk = WalkConfig::deepwalk()
+                .walkers(300)
+                .steps(7)
+                .seed(23)
+                .threads(threads)
+                .record_paths(false);
+            let engine = Baseline::new(&g, BaselineConfig { kind, walk }).expect("baseline");
             let mut tel = Telemetry::new();
             let (_, stats) = engine.run_traced(&mut tel).expect("run");
             assert_eq!(
@@ -102,7 +99,7 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
     let disk = DiskGraph::create(&g, &path).expect("disk graph");
     let mut tel = Telemetry::new();
     let config = walk_config(300, 7, 1);
-    let result = run_ooc_with(&disk, &config, 16 * 1024, &OocOptions::default(), &mut tel);
+    let result = run_ooc_with(&disk, &config, 16 * 1024, &RunOptions::default(), &mut tel);
     let (_, stats) = result.expect("ooc run");
     assert_eq!(tel.partition_steps_total(), stats.steps_taken, "oocore");
     assert!(
@@ -121,7 +118,7 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
         .seed(23)
         .threads(1)
         .record_paths(false);
-    let result = run_ooc_with(&disk, &config, 4 * 1024, &OocOptions::default(), &mut tel);
+    let result = run_ooc_with(&disk, &config, 4 * 1024, &RunOptions::default(), &mut tel);
     std::fs::remove_file(&path).ok();
     let (_, stats) = result.expect("bi-block run");
     assert_eq!(tel.partition_steps_total(), stats.steps_taken, "bi-block");
@@ -147,12 +144,14 @@ fn numa_merge_does_not_double_count() {
     for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
         let mut tel = Telemetry::new();
         let (config, opts) = (walk_config(240, 5, 2), RunOptions::default());
-        let outputs = run_numa_paths_with(&g, config, mode, 3, &opts, &mut tel).expect("numa");
+        let (outputs, stats) =
+            run_numa_paths_with(&g, config, mode, 3, &opts, &mut tel).expect("numa");
         let walkers: usize = outputs.iter().map(|o| o.paths().len()).sum();
         assert_eq!(walkers, 240);
         // A sink-free power-law graph never kills walkers, so the merged
         // counters must equal walkers x steps exactly once.
         assert_eq!(tel.partition_steps_total(), 240 * 5, "{mode:?}");
+        assert_eq!(stats.steps_taken, 240 * 5, "{mode:?}");
     }
 }
 
