@@ -25,7 +25,11 @@
 #      a 200 000-deep JSON nest (an invalid trace, exit 1, not a stack
 #      overflow)
 #   6. recover tier: an end-to-end checkpoint -> kill -> resume round
-#      trip through the CLI (bit-identical output, correct exit codes)
+#      trip through the CLI (bit-identical output, correct exit codes),
+#      then the oocore tier's crash drill on the in-memory graph: halt
+#      deliberately under 15% injected checkpoint-write faults (exit 0),
+#      resume under the same faults to the fault-free paths, and exit 2
+#      when persistent faults exhaust the checkpoint writes' retries
 #   7. oocore tier: the out-of-core fault-transparency test plus a CLI
 #      crash drill over the FMDISK1 bi-block path, for node2vec and for
 #      DeepWalk — convert, walk with the ring off and at depth 16 (same
@@ -264,6 +268,30 @@ if cargo run --release -q -p fm-cli -- resume "$RECOVER_TMP/g.bin" "$RECOVER_TMP
 else
     code=$?
     [[ "$code" == 4 ]] || { echo "wrong-seed resume exited $code, want 4" >&2; exit 1; }
+fi
+# The oocore tier's crash drill, in memory: halt deliberately after
+# generation 2 under 15% injected checkpoint-write faults (exit 0 by
+# contract), then resume under the same faults -- still checkpointing,
+# the in-memory walk's only IO -- and demand the paths of the
+# uninterrupted fault-free run, bit for bit.
+DRILL_FLAGS="--steps 12 --walkers 2048 --seed 5 --checkpoint-dir $RECOVER_TMP/drill \
+    --checkpoint-every 4 --fault-rate 0.15 --fault-seed 7"
+cargo run --release -q -p fm-cli -- walk "$RECOVER_TMP/g.bin" $DRILL_FLAGS --halt-after 2 \
+    --output /dev/null > "$RECOVER_TMP/halt.txt"
+grep -q "halted deliberately" "$RECOVER_TMP/halt.txt" || {
+    echo "deliberate in-memory halt did not report itself" >&2; exit 1; }
+cargo run --release -q -p fm-cli -- resume "$RECOVER_TMP/g.bin" "$RECOVER_TMP/drill" \
+    $DRILL_FLAGS --output "$RECOVER_TMP/drilled.txt"
+cmp "$RECOVER_TMP/full.txt" "$RECOVER_TMP/drilled.txt"
+# A persistent fault storm on the checkpoint writes must exhaust the
+# bounded retries and exit 2 (IO error).
+if cargo run --release -q -p fm-cli -- walk "$RECOVER_TMP/g.bin" \
+    --steps 12 --walkers 2048 --seed 5 --checkpoint-dir "$RECOVER_TMP/storm" \
+    --fault-rate 1.0 --output /dev/null 2>/dev/null; then
+    echo "persistent-fault in-memory walk unexpectedly succeeded" >&2; exit 1
+else
+    code=$?
+    [[ "$code" == 2 ]] || { echo "persistent-fault in-memory walk exited $code, want 2" >&2; exit 1; }
 fi
 
 tier "oocore tier (bi-block crash drill + fault transparency)"

@@ -72,7 +72,7 @@ pub enum Command {
         /// Print a periodic progress heartbeat to stderr.
         progress: bool,
         /// Checkpoint directory (enables crash-safe checkpointing;
-        /// FlashMob engine only).
+        /// FlashMob engine only; a resumed run keeps checkpointing).
         checkpoint_dir: Option<PathBuf>,
         /// Checkpoint cadence in iterations (0 = default of 8 when a
         /// directory is given).
@@ -84,13 +84,16 @@ pub enum Command {
         /// Out-of-core streaming-buffer budget in bytes (used when the
         /// graph is an `FMDISK1` disk graph; 0 = 64 MiB default).
         oocore_budget: usize,
-        /// Transient-fault injection rate for out-of-core block reads
-        /// (chaos testing; 0 = off).
+        /// Transient-fault injection rate for every IO of the run: its
+        /// checkpoint writes, and a disk graph's block reads (chaos
+        /// testing; 0 = off).  An in-memory walk's only IO is its
+        /// checkpoints, so there it needs `--checkpoint-dir`.
         fault_rate: f64,
         /// Seed of the injected fault stream.
         fault_seed: u64,
-        /// Stop deliberately right after writing this checkpoint
-        /// generation (crash-drill harness; 0 = run to completion).
+        /// Stop deliberately, exit 0, right after writing this checkpoint
+        /// generation (crash drill, on any graph the FlashMob engine
+        /// walks; needs `--checkpoint-dir`; 0 = run to completion).
         halt_after: u64,
     },
     /// `fmwalk disk`: convert an in-memory graph (binary or edge list)
@@ -372,17 +375,11 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
             let mut fault_seed = 1u64;
             let mut halt_after = 0u64;
             // `resume` replays an interrupted `walk` under that run's
-            // configuration flags; it does not choose an engine, set up
-            // checkpointing (a replay stays bit-identical to the
-            // interrupted invocation's flag set).
-            let walk_only = [
-                "--engine",
-                "--checkpoint-dir",
-                "--checkpoint-every",
-                "--halt-after",
-            ];
+            // configuration flags; it does not choose an engine.  It may
+            // keep checkpointing, whose generations continue the
+            // interrupted run's numbering.
             while let Some(flag) = c.next() {
-                if resume_from.is_some() && walk_only.contains(&flag.as_str()) {
+                if resume_from.is_some() && flag == "--engine" {
                     return Err(err(format!("unknown flag {flag}")));
                 }
                 match flag.as_str() {
@@ -1084,6 +1081,22 @@ mod tests {
             .unwrap_err()
             .0
             .contains("unknown flag"));
+        // A resumed run may keep checkpointing, into the directory it
+        // resumed from or another.
+        let line = "resume g.bin ck --checkpoint-dir ck --checkpoint-every 4 --halt-after 3";
+        match p(line).unwrap() {
+            Command::Walk {
+                resume_from,
+                checkpoint_dir,
+                checkpoint_every,
+                halt_after,
+                ..
+            } => {
+                assert_eq!(resume_from, checkpoint_dir);
+                assert_eq!((checkpoint_every, halt_after), (4, 3));
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -297,8 +297,12 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 0 => 8,
                 every => every,
             };
-            // One set of run options for either kind of graph; the
-            // in-memory branch refuses the disk-only ones before it runs.
+            if halt_after > 0 && checkpoint_dir.is_none() {
+                return Err(fail_plan("--halt-after requires --checkpoint-dir"));
+            }
+            // One set of run options for either kind of graph; a halt
+            // after generation `--halt-after` is the crash drill's
+            // success, not an error.
             let opts = RunOptions {
                 checkpoint: checkpoint_dir.map(|dir| CheckpointSpec {
                     halt_after: (halt_after > 0).then_some(halt_after),
@@ -312,11 +316,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             let (tel, ran) = if is_disk_graph(&graph) {
                 // DeepWalk, node2vec and PPR all go through the
                 // triangular bi-block scheduler, and `--checkpoint-every`
-                // counts its pair slots.  `--fault-rate` injects seeded
-                // transient faults into every block read (absorbed by
-                // the retry layer); `--halt-after G` stops deliberately
-                // right after checkpoint generation `G` — the scripted
-                // crash-drill hook, a success, not an error.
+                // counts its pair slots.
                 if engine != EngineChoice::FlashMob {
                     return Err(fail_plan("disk graphs run on --engine flashmob only"));
                 }
@@ -330,54 +330,40 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 let mut config = config.walkers(walker_count(walkers, disk.vertex_count())?);
                 // Out of core, visit counts are read off the paths.
                 config.record_paths |= config.record_visits;
-                if halt_after > 0 && opts.checkpoint.is_none() {
-                    return Err(fail_plan("--halt-after requires --checkpoint-dir"));
-                }
                 let budget = match oocore_budget {
                     0 => 64 << 20,
                     budget => budget,
                 };
                 let mut tel = telemetry();
-                let (o, s) = match run_ooc_with(&disk, &config, budget, &opts, &mut tel) {
-                    Ok(v) => v,
-                    Err(flashmob::WalkError::Halted { generation })
-                        if halt_after > 0 && generation == halt_after =>
-                    {
-                        writeln!(
-                            out,
-                            "halted deliberately after checkpoint generation {generation}"
-                        )
-                        .map_err(fail)?;
-                        return Ok(());
-                    }
-                    Err(e) => return Err(fail_walk(e)),
-                };
-                let ran = RunReport {
-                    steps_taken: s.steps_taken,
-                    per_step_ns: s.per_step_ns(),
-                    visits_vec: visits
-                        .is_some()
-                        .then(|| o.visit_counts(disk.vertex_count())),
-                    stats_report: show_stats.then(|| ooc_summary(&s)),
-                    walk_output: o,
-                };
+                let ran =
+                    run_ooc_with(&disk, &config, budget, &opts, &mut tel).map(|(o, s)| RunReport {
+                        steps_taken: s.steps_taken,
+                        per_step_ns: s.per_step_ns(),
+                        visits_vec: visits
+                            .is_some()
+                            .then(|| o.visit_counts(disk.vertex_count())),
+                        stats_report: show_stats.then(|| ooc_summary(&s)),
+                        walk_output: o,
+                    });
                 (tel, ran)
             } else {
-                if oocore_budget > 0 || fault_rate > 0.0 || halt_after > 0 {
+                if oocore_budget > 0 {
                     return Err(fail_plan(
-                        "--oocore-budget/--fault-rate/--halt-after apply to FMDISK1 disk graphs only (create one with `fmwalk disk`)",
+                        "--oocore-budget applies to FMDISK1 disk graphs only (create one with `fmwalk disk`)",
                     ));
                 }
                 let g = with_derived_labels(load_graph(&graph)?, labels)?;
                 let config = config.walkers(walker_count(walkers, g.vertex_count())?);
                 let mut tel = telemetry();
-                let (o, s) = match engine {
+                let ran = match engine {
                     EngineChoice::FlashMob => {
                         FlashMob::new(&g, config).and_then(|e| e.run_with(&opts, &mut tel))
                     }
                     EngineChoice::KnightKing | EngineChoice::GraphVite => {
-                        if opts.checkpoint.is_some() {
-                            return Err(fail_plan("checkpointing requires --engine flashmob"));
+                        if opts.checkpoint.is_some() || opts.fault.is_some() {
+                            return Err(fail_plan(
+                                "checkpointing and --fault-rate require --engine flashmob",
+                            ));
                         }
                         let kind = if engine == EngineChoice::KnightKing {
                             BaselineKind::KnightKing
@@ -388,15 +374,22 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                             .and_then(|e| e.run_traced(&mut tel))
                     }
                 }
-                .map_err(fail_walk)?;
-                let ran = RunReport {
+                .map(|(o, s)| RunReport {
                     steps_taken: s.steps_taken,
                     per_step_ns: s.per_step_ns(),
                     visits_vec: s.visits_original(o.relabeling()),
                     stats_report: show_stats.then(|| s.human_summary()),
                     walk_output: o,
-                };
+                });
                 (tel, ran)
+            };
+            let ran = match ran {
+                Ok(ran) => ran,
+                Err(flashmob::WalkError::Halted { generation }) => {
+                    let halted = "halted deliberately after checkpoint generation";
+                    return writeln!(out, "{halted} {generation}").map_err(fail);
+                }
+                Err(e) => return Err(fail_walk(e)),
             };
             if let Some(dir) = &resume_from {
                 writeln!(out, "resumed from {}", dir.display()).map_err(fail)?;
@@ -1186,6 +1179,18 @@ mod tests {
         .unwrap_err();
         assert!(err.0.contains("--engine flashmob"), "{}", err.0);
         assert_eq!(err.1, ExitKind::Plan);
+        // In memory, faults reach only checkpoint writes and a halt
+        // only follows one: without a checkpoint directory there is
+        // nothing to fault or halt after.
+        for flags in [
+            "--fault-rate 0.15",
+            "--halt-after 2",
+            "--engine knightking --fault-rate 0.15",
+            "--oocore-budget 4096",
+        ] {
+            let err = exec(&format!("walk {} {flags} --steps 2", bin.display())).unwrap_err();
+            assert_eq!(err.1, ExitKind::Plan, "{flags}: {}", err.0);
+        }
         // Flags the chosen engine never reads are refused, not ignored:
         // the baselines take no plan knobs, a disk graph no strategy.
         let fmdisk = tmp("plan_err.fmdisk");
@@ -1369,6 +1374,32 @@ mod tests {
         let a = std::fs::read(&full).unwrap();
         let b = std::fs::read(&resumed).unwrap();
         assert!(!a.is_empty() && a == b);
+
+        // The crash drill in memory: halt deliberately under injected
+        // checkpoint-write faults (exit 0), then resume under the same
+        // faults, checkpointing on, to the uninterrupted paths.
+        let drill = tmp("ckpt_walk_drill");
+        std::fs::remove_dir_all(&drill).ok();
+        let faults = "--fault-rate 0.15 --fault-seed 7";
+        let msg = exec(&format!(
+            "walk {} {walk_flags} --checkpoint-dir {} --checkpoint-every 4 --halt-after 1 {faults} \
+             --output {}",
+            bin.display(),
+            drill.display(),
+            resumed.display()
+        ))
+        .unwrap();
+        assert!(msg.contains("halted deliberately"), "{msg}");
+        exec(&format!(
+            "resume {} {d} {walk_flags} --checkpoint-dir {d} --checkpoint-every 4 {faults} \
+             --output {}",
+            bin.display(),
+            resumed.display(),
+            d = drill.display()
+        ))
+        .unwrap();
+        assert_eq!(std::fs::read(&resumed).unwrap(), a);
+        std::fs::remove_dir_all(&drill).ok();
 
         // A mismatched configuration is rejected as a plan error.
         let err = exec(&format!(

@@ -29,8 +29,7 @@ USAGE:
                       [--checkpoint-dir <dir>] [--checkpoint-every N]
                       [--oocore-budget BYTES] [--fault-rate X]
                       [--fault-seed N] [--halt-after G]
-  fmwalk resume <graph> <ckpt-dir> [same flags as walk, minus --engine
-                      and the checkpoint flags]
+  fmwalk resume <graph> <ckpt-dir> [same flags as walk, minus --engine]
   fmwalk disk <graph> <out.fmdisk>
   fmwalk synth <power-law|rmat|ba|ws|ring> <out.bin>
                       [--n N] [--alpha X] [--min-degree N] [--max-degree N]
@@ -73,13 +72,16 @@ forces the walker ring to depth N in every FlashMob and out-of-core
 cell; the same digests must hold at every depth.
 
 `walk --checkpoint-dir` writes a crash-consistent checkpoint every
-`--checkpoint-every` iterations (default 8) — out of core, every that
-many pair slots of the block schedule; `resume` continues an
-interrupted run from the latest checkpoint, bit-identically to the
-uninterrupted run.  The `resume` configuration flags must match the
-interrupted invocation.  Thread count may differ, except that node2vec,
-which draws one chain at one thread and another at several, cannot
-resume across that line (exit 4).
+`--checkpoint-every` iterations (default 8; out of core, pair slots)
+and one holding the finished walk; `resume` continues from the latest,
+bit-identically, and with `--checkpoint-dir` keeps checkpointing.  Its
+configuration flags must match the interrupted run's; node2vec cannot
+resume across one thread and several (exit 4).  `--fault-rate`/
+`--fault-seed` inject seeded transient faults into every IO of the run
+(checkpoint writes, block reads), absorbed by bounded retries and
+counted in `--stats`/`--metrics`; in memory they need
+`--checkpoint-dir`.  `--halt-after G` stops deliberately — exit 0 —
+after checkpoint generation G, the scripted crash drill.
 
 `disk` converts a graph to the out-of-core FMDISK1 layout; `walk` and
 `resume` detect the magic and stream it instead of loading it, with
@@ -87,13 +89,10 @@ the adjacency buffer capped by `--oocore-budget` (default 64 MiB).
 deepwalk, node2vec and ppr all run the triangular bi-block pair
 schedule: a (prev, cur) node2vec step always finds both adjacency
 lists resident, and deepwalk and ppr, which read one list a step,
-keep to the diagonal's single blocks.  `--fault-rate`/`--fault-seed`
-inject seeded transient faults into every block read (absorbed by the
-bounded-retry layer, counted in `--stats`/`--metrics`); `--halt-after
-G` stops deliberately — exit 0 — right after checkpoint generation G,
-the scripted crash drill.  Checkpoints cover the parked-walker
-boundary buffers and the pair-schedule cursor, so a mid-schedule
-resume is bit-exact.  A corrupt or truncated disk graph exits 3.
+keep to the diagonal's single blocks.  Checkpoints cover the
+parked-walker boundary buffers and the pair-schedule cursor, so a
+mid-schedule resume is bit-exact.  A corrupt or truncated disk graph
+exits 3.
 
 `audit` runs the fm-audit source scanner over the workspace: SAFETY
 comments on every unsafe site, thread/file-IO discipline, cast-free

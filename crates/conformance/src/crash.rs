@@ -2,34 +2,19 @@
 //!
 //! The lattice in [`crate::runner`] proves that every engine produces
 //! the committed golden digest when nothing goes wrong.  This module
-//! proves the stronger robustness claim: **killing a run at any epoch
-//! boundary and resuming it from the latest on-disk checkpoint
-//! reproduces the same digest, bit for bit.**
+//! proves the stronger claim: **killing a run at any checkpoint
+//! generation and resuming it from the latest on-disk checkpoint
+//! reproduces the same digest, bit for bit, under injected IO faults.**
 //!
-//! Every covered cell is a lattice cell, run with the lattice's graph,
-//! config and golden row: FlashMob auto/PS/DS, and every walk out of
-//! core accepts, the walk programs included (their per-walker origins
-//! and early-terminated walkers must survive resume too).  For each,
-//! the matrix:
-//!
-//! 1. runs uninterrupted once to get the reference digest and checks
-//!    it against the committed golden row;
-//! 2. re-runs with checkpoints every [`CRASH_EVERY`] iterations and a
-//!    programmed halt after generation `k`, for every reachable
-//!    generation `k` — including the final one, where the walk is
-//!    already complete and resume must execute **zero** iterations;
-//! 3. resumes each halted run from its checkpoint directory and
-//!    demands digest equality with the uninterrupted reference (and,
-//!    for FlashMob cells, equality of the exact `RunStats` counts);
-//! 4. for FlashMob cells, relays one run through two kills
-//!    ([`RELAY`]): the run resumed after the first kill keeps
-//!    checkpointing, so its generations must continue the interrupted
-//!    run's numbering and leave the generations already on disk alone.
-//!
-//! Digests fold the full path matrix plus (for FlashMob cells) the
-//! per-partition RNG stream ids of every iteration, exactly as the
-//! golden lattice does, so a resume that silently re-seeds or replays
-//! a partition fails loudly even if the paths happen to look sane.
+//! The cells are lattice cells, with the lattice's graph, config and
+//! golden row: FlashMob auto/PS/DS, and every walk out of core accepts,
+//! the walk programs included (their per-walker origins and early
+//! deaths must survive resume too).  Both engines checkpoint through one
+//! protocol, so one harness, [`crash_cell`], drives every cell through
+//! its run closure (the steps are listed in DESIGN §8, "Proof").
+//! In-memory digests fold the path matrix plus the per-partition RNG
+//! stream ids of every iteration, as the golden lattice does, so a
+//! resume that silently re-seeds or replays a partition fails loudly.
 
 use std::path::{Path, PathBuf};
 
@@ -42,29 +27,26 @@ use fm_telemetry::Telemetry;
 
 use crate::digest::digest_paths;
 use crate::golden;
-use crate::runner::{
-    cell_config, ooc_temp_path, stream_ids, AlgoKind, EngineKind, LATTICE_STEPS, OOC_BUDGET,
-};
+use crate::runner::{cell_config, ooc_temp_path, stream_ids, AlgoKind, EngineKind, OOC_BUDGET};
 
-/// Fault rate injected into every out-of-core kill/resume run: the
-/// reference digest comes from a fault-free run, so digest equality is
-/// simultaneously the bit-exact-resume proof and the fault-transparency
-/// proof demanded by the retry layer's contract.
+/// Fault rate injected into every IO of every checkpointed run of the
+/// matrix: block reads out of core, checkpoint writes in both engines.
+/// The reference digest comes from a fault-free run, so digest equality
+/// is the bit-exact-resume and the fault-transparency proof at once.
 pub const CRASH_FAULT_RATE: f64 = 0.15;
 
 /// Seed of the injected fault stream (arbitrary, fixed).
 const CRASH_FAULT_SEED: u64 = 7;
 
-/// Checkpoint cadence for the crash matrix.  With [`LATTICE_STEPS`]`
-/// = 8` this yields in-memory checkpoints after iterations 2, 4, 6 and
-/// 8 — generations 1 through 4, the last of which fires when the walk
-/// is already complete (the resume-executes-nothing edge case).  Out of
-/// core it counts pair slots.
+/// Checkpoint cadence for the crash matrix: iterations in memory, where
+/// a walk that runs all [`crate::runner::LATTICE_STEPS`]` = 8` writes
+/// generations 1 to 4, the last holding the finished walk; pair slots
+/// out of core.
 pub const CRASH_EVERY: usize = 2;
 
-/// The two-kill schedule every FlashMob cell runs after its single
-/// kills: halt at generation 1, resume *while checkpointing* and halt
-/// again at generation 3, resume to completion.
+/// The two-kill schedule every cell with at least three generations
+/// runs after its single kills: halt at generation 1, resume *while
+/// checkpointing* and halt again at generation 3, resume to completion.
 pub const RELAY: [u64; 2] = [1, 3];
 
 /// Outcome of one (cell, kill-generation) pair.
@@ -82,7 +64,7 @@ pub struct CrashCase {
     pub threads: usize,
     /// Checkpoint generations after which the run was killed, in order:
     /// one for a plain kill-and-resume, [`RELAY`] for a relayed run,
-    /// none for the out-of-core fault-transparency case.
+    /// none for the no-kill fault-transparency case.
     pub kills: Vec<u64>,
     /// Whether the resumed digest matched the uninterrupted one.
     pub ok: bool,
@@ -107,6 +89,13 @@ impl CrashCase {
             ok: true,
             detail: String::new(),
         }
+    }
+
+    /// A case that failed before any kill.
+    fn failed(engine: &'static str, algo: &'static str, threads: usize, detail: String) -> Self {
+        let mut case = Self::new(engine, algo, threads, &[]);
+        fail(&mut case, detail);
+        case
     }
 }
 
@@ -153,266 +142,189 @@ fn fail(case: &mut CrashCase, detail: String) {
     case.detail = detail;
 }
 
-/// Runs kill-and-resume at every generation, then the [`RELAY`], for
-/// one direct FlashMob lattice cell and appends one case per kill
-/// schedule to `out`.
-fn crash_flashmob(engine: EngineKind, walk: AlgoKind, threads: usize, out: &mut Vec<CrashCase>) {
-    let algo = walk.label();
-    let setup_fail = |out: &mut Vec<CrashCase>, detail: String| {
-        let mut case = CrashCase::new(engine.label(), algo, threads, &[]);
-        fail(&mut case, detail);
-        out.push(case);
+/// What a cell's run yields for comparison: the digest of its paths,
+/// and its step counts — `steps_taken`, then the per-partition steps and
+/// visit counters where the engine records them (empty otherwise).
+type Ran = (u64, (u64, Vec<u64>, Option<Vec<u64>>));
+
+/// Runs the no-kill fault case, a kill at every generation and the
+/// [`RELAY`] for one lattice cell whose run under given options is
+/// `run_leg`, appending one case per kill schedule to `out`.
+fn crash_cell(
+    engine: &'static str,
+    algo: &'static str,
+    threads: usize,
+    run_leg: impl Fn(&RunOptions, &mut Telemetry) -> Result<Ran, WalkError>,
+    out: &mut Vec<CrashCase>,
+) {
+    let fault = FaultPolicy::transient(CRASH_FAULT_SEED, CRASH_FAULT_RATE);
+    let checkpointed = |dir: &Path, halt_after: Option<u64>| RunOptions {
+        checkpoint: Some(CheckpointSpec {
+            halt_after,
+            ..CheckpointSpec::new(dir, CRASH_EVERY)
+        }),
+        resume_from: None,
+        fault: Some(fault),
     };
-    let fm = match FlashMob::new(&walk.graph(), cell_config(engine, walk, threads, None)) {
-        Ok(fm) => fm,
-        Err(e) => return setup_fail(out, format!("engine construction failed: {e}")),
-    };
-    let stream_ids = stream_ids(&fm);
+    let failed = |detail| CrashCase::failed(engine, algo, threads, detail);
 
     // Uninterrupted reference, checked against the golden table.
-    let (reference, want) = match fm.run_with_stats() {
-        Ok((output, stats)) => (digest_paths(&output.paths(), &stream_ids), stats),
-        Err(e) => return setup_fail(out, format!("uninterrupted run failed: {e}")),
+    let (reference, want) = match run_leg(&RunOptions::default(), &mut Telemetry::off()) {
+        Ok(ran) => ran,
+        Err(e) => return out.push(failed(format!("uninterrupted run failed: {e}"))),
     };
-    if let Some(golden) = golden::lookup(engine.label(), algo, threads) {
+    if let Some(golden) = golden::lookup(engine, algo, threads) {
         if reference != golden {
-            return setup_fail(
-                out,
-                format!("uninterrupted digest {reference:#018x} != golden {golden:#018x}"),
-            );
+            let detail = format!("uninterrupted digest {reference:#018x} != golden {golden:#018x}");
+            return out.push(failed(detail));
         }
     }
+    // Compares a run that finished the walk with the reference.
+    let compare = |case: &mut CrashCase, what: &str, ran: Result<Ran, WalkError>| match ran {
+        Ok((got, _)) if got != reference => fail(
+            case,
+            format!("{what} digest {got:#018x} != uninterrupted {reference:#018x}"),
+        ),
+        Ok((_, counts)) if counts != want => fail(
+            case,
+            format!("{what} step counts differ from uninterrupted"),
+        ),
+        Ok(_) => {}
+        Err(e) => fail(case, format!("{what} run failed: {e}")),
+    };
 
-    let generations = (LATTICE_STEPS / CRASH_EVERY) as u64;
+    // No kill: fault transparency, and the generation count.
+    let mut case = CrashCase::new(engine, algo, threads, &[]);
+    let dir = crash_dir(&format!("{engine}-{algo}"), threads, &[]);
+    std::fs::remove_dir_all(&dir).ok();
+    let mut tel = Telemetry::new();
+    compare(
+        &mut case,
+        "faulty",
+        run_leg(&checkpointed(&dir, None), &mut tel),
+    );
+    if case.ok && tel.io_retries() == 0 {
+        fail(&mut case, "fault injection absorbed zero retries".into());
+    }
+    let generations = load_latest(&dir).map(|(generation, _)| generation);
+    std::fs::remove_dir_all(&dir).ok();
+    out.push(case);
+    let generations = match generations {
+        Ok(g) => g,
+        Err(e) => return out.push(failed(format!("generation discovery failed: {e}"))),
+    };
+
     let mut schedules: Vec<Vec<u64>> = (1..=generations).map(|k| vec![k]).collect();
-    schedules.push(RELAY.to_vec());
+    if generations >= 3 {
+        schedules.push(RELAY.to_vec());
+    }
     for kills in schedules {
-        let mut case = CrashCase::new(engine.label(), algo, threads, &kills);
-        let dir = crash_dir(&format!("{}-{algo}", engine.label()), threads, &kills);
+        let mut case = CrashCase::new(engine, algo, threads, &kills);
+        let dir = crash_dir(&format!("{engine}-{algo}"), threads, &kills);
         std::fs::remove_dir_all(&dir).ok();
-        // The snapshot files the kills so far left behind: a later leg
-        // continues the numbering, so it must leave them as they are.
+        // One leg per kill, then one to the end, each resuming the last
+        // and checkpointing on: each must leave the generation it ends
+        // at, and leave the snapshot files of the legs before it as they
+        // were.  A cadence generation g holds progress g * every; only
+        // the last may be a completion generation, anywhere in
+        // ((g - 1) * every, g * every].
         let mut written = Vec::new();
-        for (leg, &k) in kills.iter().enumerate() {
-            let spec = CheckpointSpec::new(&dir, CRASH_EVERY).halt_after(k);
-            let mut opts = RunOptions::default().checkpoint(spec);
+        let legs = kills.iter().copied().map(Some).chain([None]);
+        for (leg, kill) in legs.enumerate() {
+            let mut opts = checkpointed(&dir, kill);
             if leg > 0 {
                 opts = opts.resume_from(&dir);
             }
-            match fm.run_with(&opts, &mut Telemetry::off()) {
-                Err(WalkError::Halted { generation }) if generation == k => {}
-                Err(e) => fail(&mut case, format!("expected halt at generation {k}, got {e}")),
-                Ok(_) => fail(
+            let mut tel = Telemetry::new();
+            match (kill, run_leg(&opts, &mut tel)) {
+                (Some(k), Err(WalkError::Halted { generation })) if generation == k => {}
+                (Some(k), Err(e)) => fail(&mut case, format!("expected halt at {k}, got {e}")),
+                (Some(k), Ok(_)) => fail(&mut case, format!("completed instead of halting at {k}")),
+                (None, ran) => compare(&mut case, "resumed", ran),
+            }
+            // The last generation holds the finished walk: resuming it
+            // executes nothing.
+            let executed = tel.partition_steps_total();
+            if kill.is_none() && kills == [generations] && executed != 0 {
+                fail(
                     &mut case,
-                    format!("run completed instead of halting at generation {k}"),
-                ),
+                    format!("the resume after completion took {executed} steps"),
+                );
             }
             if !case.ok {
                 break;
             }
-            // Generations count absolute iterations, resumed or not.
+            let (last, every) = (kill.unwrap_or(generations), CRASH_EVERY as u64);
+            let lands = |g, progress: u64| {
+                progress == g * every || (g == generations && progress.div_ceil(every) == g)
+            };
             match load_latest(&dir) {
-                Ok((g, snap)) if g == k && snap.iter_next == k * CRASH_EVERY as u64 => {}
+                Ok((g, snap)) if g == last && lands(g, snap.iter_next) => {}
                 Ok((g, snap)) => fail(
                     &mut case,
-                    format!("kill {k} left generation {g} at iteration {}", snap.iter_next),
+                    format!(
+                        "leg {leg} left generation {g} at progress {}",
+                        snap.iter_next
+                    ),
                 ),
-                Err(e) => fail(&mut case, format!("kill {k} left no snapshot: {e}")),
+                Err(e) => fail(&mut case, format!("leg {leg} left no snapshot: {e}")),
             }
             let now = snapshot_files(&dir);
             if !written.iter().all(|file| now.contains(file)) {
-                fail(&mut case, format!("the leg killed at {k} rewrote an earlier generation"));
+                fail(
+                    &mut case,
+                    format!("leg {leg} rewrote an earlier generation"),
+                );
             }
             written = now;
-        }
-        if case.ok {
-            let resume = RunOptions::default().resume_from(&dir);
-            match fm.run_with(&resume, &mut Telemetry::off()) {
-                Ok((output, stats)) => {
-                    let got = digest_paths(&output.paths(), &stream_ids);
-                    if got != reference {
-                        fail(
-                            &mut case,
-                            format!(
-                                "resumed digest {got:#018x} != uninterrupted {reference:#018x}"
-                            ),
-                        );
-                    } else if (stats.steps_taken, &stats.per_partition_steps, &stats.visits_sorted)
-                        != (want.steps_taken, &want.per_partition_steps, &want.visits_sorted)
-                    {
-                        fail(&mut case, "resumed step counts differ from uninterrupted".into());
-                    }
-                }
-                Err(e) => fail(&mut case, format!("resume failed: {e}")),
-            }
         }
         std::fs::remove_dir_all(&dir).ok();
         out.push(case);
     }
 }
 
-/// Runs kill-and-resume at every generation for one out-of-core cell,
-/// with transient faults injected at [`CRASH_FAULT_RATE`] into every
-/// disk-graph read of the interrupted *and* resumed runs.
-///
-/// The reference digest comes from a fault-free uninterrupted run
-/// (pinned to the cell's golden row), so digest
-/// equality simultaneously proves bit-exact resume and fault
-/// transparency.  The first case is a dedicated no-kill transparency
-/// case that also demands the retry layer actually absorbed something.
-///
-/// Kill generations are discovered by running checkpointed but
-/// uninterrupted once and reading back the final on-disk generation:
-/// the bi-block scheduler checkpoints on a pair-slot cadence, so the
-/// count is not a simple function of [`LATTICE_STEPS`].  The final
-/// generation is always written at completion, so `k = G` is the
-/// resume-after-complete case in every cell.
-fn crash_oocore_cell(walk: AlgoKind, out: &mut Vec<CrashCase>) {
-    let (label, algo) = (EngineKind::OutOfCore.label(), walk.label());
-    let config = &cell_config(EngineKind::OutOfCore, walk, 1, None);
-    let budget = OOC_BUDGET;
-    let fault = FaultPolicy::transient(CRASH_FAULT_SEED, CRASH_FAULT_RATE);
-    let graph = walk.graph();
-    let setup_fail = |out: &mut Vec<CrashCase>, detail: String| {
-        let mut case = CrashCase::new(label, algo, 1, &[]);
-        fail(&mut case, detail);
-        out.push(case);
-    };
-    let path = ooc_temp_path();
-    let disk = match DiskGraph::create(&graph, &path) {
-        Ok(d) => d,
+/// The crash cases of one in-memory FlashMob lattice cell.
+fn crash_flashmob(engine: EngineKind, walk: AlgoKind, threads: usize, out: &mut Vec<CrashCase>) {
+    let (label, algo) = (engine.label(), walk.label());
+    let fm = match FlashMob::new(&walk.graph(), cell_config(engine, walk, threads, None)) {
+        Ok(fm) => fm,
         Err(e) => {
-            setup_fail(out, format!("disk graph creation failed: {e}"));
-            return;
+            let detail = format!("engine construction failed: {e}");
+            return out.push(CrashCase::failed(label, algo, threads, detail));
         }
     };
-
-    let reference = match run_ooc_with(
-        &disk,
-        config,
-        budget,
-        &RunOptions::default(),
-        &mut Telemetry::off(),
-    ) {
-        Ok((output, _)) => digest_paths(&output.paths(), &[]),
-        Err(e) => {
-            std::fs::remove_file(&path).ok();
-            setup_fail(out, format!("uninterrupted run failed: {e}"));
-            return;
-        }
-    };
-    if let Some(want) = golden::lookup(label, algo, 1) {
-        if reference != want {
-            std::fs::remove_file(&path).ok();
-            setup_fail(
-                out,
-                format!("uninterrupted digest {reference:#018x} != golden {want:#018x}"),
-            );
-            return;
-        }
-    }
-
-    // No kill: the pure fault-transparency case.
-    {
-        let mut case = CrashCase::new(label, algo, 1, &[]);
-        match run_ooc_with(
-            &disk,
-            config,
-            budget,
-            &RunOptions::default().fault(fault),
-            &mut Telemetry::off(),
-        ) {
-            Ok((output, stats)) => {
-                let got = digest_paths(&output.paths(), &[]);
-                if got != reference {
-                    fail(
-                        &mut case,
-                        format!("faulty digest {got:#018x} != clean {reference:#018x}"),
-                    );
-                } else if stats.io_retries == 0 {
-                    fail(
-                        &mut case,
-                        "fault injection absorbed zero retries — rate misconfigured".into(),
-                    );
-                }
-            }
-            Err(e) => fail(&mut case, format!("faulty run failed: {e}")),
-        }
-        out.push(case);
-    }
-
-    // Discover the generation count from an uninterrupted checkpointed
-    // run rather than deriving it from the schedule shape.
-    let discover_dir = crash_dir(&format!("{label}-{algo}-discover"), 1, &[]);
-    std::fs::remove_dir_all(&discover_dir).ok();
-    let discovered = run_ooc_with(
-        &disk,
-        config,
-        budget,
-        &RunOptions::default().checkpoint(CheckpointSpec::new(&discover_dir, CRASH_EVERY)),
-        &mut Telemetry::off(),
-    )
-    .map_err(|e| format!("checkpointed run failed: {e}"))
-    .and_then(|_| {
-        load_latest(&discover_dir)
-            .map(|(generation, _)| generation)
-            .map_err(|e| format!("generation discovery failed: {e}"))
-    });
-    std::fs::remove_dir_all(&discover_dir).ok();
-    let generations = match discovered {
-        Ok(g) => g,
-        Err(detail) => {
-            std::fs::remove_file(&path).ok();
-            setup_fail(out, detail);
-            return;
-        }
-    };
-
-    for k in 1..=generations {
-        let mut case = CrashCase::new(label, algo, 1, &[k]);
-        let dir = crash_dir(&format!("{label}-{algo}"), 1, &[k]);
-        std::fs::remove_dir_all(&dir).ok();
-        let spec = CheckpointSpec::new(&dir, CRASH_EVERY).halt_after(k);
-        let kill = run_ooc_with(
-            &disk,
-            config,
-            budget,
-            &RunOptions::default().checkpoint(spec).fault(fault),
-            &mut Telemetry::off(),
+    let ids = stream_ids(&fm);
+    let run_leg = |opts: &RunOptions, tel: &mut Telemetry| {
+        let (output, stats) = fm.run_with(opts, tel)?;
+        let counts = (
+            stats.steps_taken,
+            stats.per_partition_steps,
+            stats.visits_sorted,
         );
-        match kill {
-            Err(WalkError::Halted { generation }) if generation == k => {}
-            Err(e) => fail(&mut case, format!("expected halt at generation {k}, got {e}")),
-            Ok(_) => fail(
-                &mut case,
-                format!("run completed instead of halting at generation {k}"),
-            ),
+        Ok((digest_paths(&output.paths(), &ids), counts))
+    };
+    crash_cell(label, algo, threads, run_leg, out);
+}
+
+/// The crash cases of one out-of-core lattice cell, on a disk graph of
+/// its own.
+fn crash_oocore(walk: AlgoKind, out: &mut Vec<CrashCase>) {
+    let (label, algo) = (EngineKind::OutOfCore.label(), walk.label());
+    let config = cell_config(EngineKind::OutOfCore, walk, 1, None);
+    let path = ooc_temp_path();
+    match DiskGraph::create(&walk.graph(), &path) {
+        Ok(disk) => {
+            let run_leg = |opts: &RunOptions, tel: &mut Telemetry| {
+                let (output, stats) = run_ooc_with(&disk, &config, OOC_BUDGET, opts, tel)?;
+                let counts = (stats.steps_taken, Vec::new(), None);
+                Ok((digest_paths(&output.paths(), &[]), counts))
+            };
+            crash_cell(label, algo, 1, run_leg, out);
         }
-        if case.ok {
-            let resumed = run_ooc_with(
-                &disk,
-                config,
-                budget,
-                &RunOptions::default().resume_from(&dir).fault(fault),
-                &mut Telemetry::off(),
-            );
-            match resumed {
-                Ok((output, _)) => {
-                    let got = digest_paths(&output.paths(), &[]);
-                    if got != reference {
-                        fail(
-                            &mut case,
-                            format!(
-                                "resumed digest {got:#018x} != uninterrupted {reference:#018x}"
-                            ),
-                        );
-                    }
-                }
-                Err(e) => fail(&mut case, format!("resume failed: {e}")),
-            }
+        Err(e) => {
+            let detail = format!("disk graph creation failed: {e}");
+            out.push(CrashCase::failed(label, algo, 1, detail));
         }
-        std::fs::remove_dir_all(&dir).ok();
-        out.push(case);
     }
     std::fs::remove_file(&path).ok();
 }
@@ -451,7 +363,7 @@ pub fn run_crash_matrix(full: bool) -> CrashReport {
     }
     for walk in AlgoKind::ALL {
         if EngineKind::OutOfCore.skip_reason(walk, 1).is_none() {
-            crash_oocore_cell(walk, &mut cases);
+            crash_oocore(walk, &mut cases);
         }
     }
     CrashReport { cases }
@@ -474,27 +386,33 @@ mod tests {
                 )
             })
             .collect();
-        assert!(report.all_ok(), "crash matrix failures:\n{}", failures.join("\n"));
-        // deepwalk, node2vec, ppr and early-exit on auto@1 have 4 kill
-        // points and the relay each.
+        assert!(
+            report.all_ok(),
+            "crash matrix failures:\n{}",
+            failures.join("\n")
+        );
+        // deepwalk, node2vec, ppr and early-exit on auto@1 each have the
+        // no-kill fault case, 4 kill points and the relay.
         let fm = report.cases.iter().filter(|c| c.engine != "oocore").count();
-        assert_eq!(fm, 20);
-        let relays = report.cases.iter().filter(|c| c.kills == RELAY).count();
-        assert_eq!(relays, 4);
-        // Each oocore cell contributes a no-kill fault-transparency
-        // case plus one kill point per discovered generation; the
+        assert_eq!(fm, 4 * (1 + 4 + 1));
+        // Each oocore cell has the no-kill case, one kill point per
+        // discovered generation and, with 3 or more, the relay; the
         // pair-slot cadence is schedule-shaped, so only a floor is
-        // asserted — including the resume-after-complete final
-        // generation.
-        let ooc = |algo: &str| {
-            report
+        // asserted on the kill points.
+        for algo in ["deepwalk", "node2vec", "ppr"] {
+            let cell: Vec<_> = report
                 .cases
                 .iter()
                 .filter(|c| c.engine == "oocore" && c.algo == algo)
-                .count()
-        };
-        assert!(ooc("deepwalk") >= 3, "deepwalk cells: {}", ooc("deepwalk"));
-        assert!(ooc("node2vec") >= 3, "node2vec cells: {}", ooc("node2vec"));
-        assert!(ooc("ppr") >= 3, "ppr cells: {}", ooc("ppr"));
+                .collect();
+            assert!(
+                cell.iter().any(|c| c.kills.is_empty()),
+                "{algo}: no fault case"
+            );
+            assert!(cell.iter().any(|c| c.kills == RELAY), "{algo}: no relay");
+            assert!(cell.len() >= 5, "{algo} cases: {}", cell.len());
+        }
+        let relays = report.cases.iter().filter(|c| c.kills == RELAY).count();
+        assert_eq!(relays, 4 + 3);
     }
 }

@@ -1,0 +1,277 @@
+//! The one checkpoint protocol of both engines (DESIGN §8).
+//!
+//! An engine counts its progress in units it can resume at — iterations
+//! in memory, pair slots out of core; the snapshot's `iter_next` — and
+//! reports each unit to a [`Checkpointer`] with a closure that takes the
+//! snapshot.  The checkpointer owns the rest: generation numbering
+//! (`progress / every`, so a resumed run continues the numbering), the
+//! completion generation, the background write, the halt, and the
+//! retry count; [`resume`] owns the load and the header gate.
+
+use std::thread::JoinHandle;
+
+use fm_recover::{load_latest, CheckpointSink, CheckpointSpec, RecoverError, WalkSnapshot};
+use fm_telemetry::{Stage, Telemetry, NO_PARTITION, NO_STEP};
+
+use crate::engine::RunOptions;
+use crate::WalkError;
+
+/// What a snapshot must agree with before a run resumes from it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunHeader {
+    pub seed: u64,
+    pub walkers: u64,
+    pub steps_total: u64,
+    /// The engine's fingerprints of its walk configuration and graph.
+    pub config_tag: u64,
+    pub graph_tag: u64,
+}
+
+impl RunHeader {
+    /// The header of a run under `opts`.  The tags, which may cost a
+    /// pass over the graph, are taken only if the run writes or reads
+    /// a snapshot.
+    pub(crate) fn new(
+        opts: &RunOptions,
+        seed: u64,
+        walkers: usize,
+        steps_total: usize,
+        tags: impl FnOnce() -> (u64, u64),
+    ) -> Self {
+        let snapshots = opts.checkpoint.is_some() || opts.resume_from.is_some();
+        let (config_tag, graph_tag) = if snapshots { tags() } else { (0, 0) };
+        Self {
+            seed,
+            walkers: walkers as u64,
+            steps_total: steps_total as u64,
+            config_tag,
+            graph_tag,
+        }
+    }
+
+    /// [`RecoverError::Mismatch`] naming the first field `snap`
+    /// disagrees on.
+    fn gate(&self, snap: &WalkSnapshot) -> Result<(), RecoverError> {
+        let fields = [
+            ("configuration tag", snap.config_tag, self.config_tag),
+            ("graph tag", snap.graph_tag, self.graph_tag),
+            ("seed", snap.seed, self.seed),
+            ("walker count", snap.walkers, self.walkers),
+            ("step count", snap.steps_total, self.steps_total),
+        ];
+        match fields.into_iter().find(|(_, got, want)| got != want) {
+            Some((field, got, want)) => Err(RecoverError::Mismatch {
+                detail: format!("snapshot {field} {got} is not this run's {want}"),
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The snapshot to resume from, when `opts` names a directory: its
+/// latest generation, loaded under a Recovery span and gated by `header`.
+pub(crate) fn resume(
+    opts: &RunOptions,
+    header: &RunHeader,
+    tel: &mut Telemetry,
+) -> Result<Option<WalkSnapshot>, WalkError> {
+    let Some(dir) = &opts.resume_from else {
+        return Ok(None);
+    };
+    let span = tel.is_on().then(|| tel.now_ns());
+    let (_generation, snap) = load_latest(dir)?;
+    header.gate(&snap)?;
+    if let Some(s) = span {
+        tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
+    }
+    Ok(Some(snap))
+}
+
+/// A checkpointing run's writer: the cadence, and the sink, at rest or
+/// owned by the background write of the previous generation.
+pub(crate) struct Checkpointer<'a> {
+    spec: &'a CheckpointSpec,
+    sink: Sink,
+}
+
+/// The sink between generations, or the write in flight that owns it
+/// and hands it back with its result.
+enum Sink {
+    Idle(CheckpointSink),
+    Writing(JoinHandle<(CheckpointSink, Result<(), RecoverError>)>),
+}
+
+impl Sink {
+    /// The sink, once the write in flight has finished; surfaces its
+    /// deferred error.
+    fn reclaim(self) -> Result<CheckpointSink, RecoverError> {
+        match self {
+            Sink::Idle(sink) => Ok(sink),
+            Sink::Writing(handle) => {
+                let (sink, result) = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                result.map(|()| sink)
+            }
+        }
+    }
+}
+
+impl<'a> Checkpointer<'a> {
+    /// The writer of `opts`' checkpoints, faults included; `None` when
+    /// the run writes none.
+    pub(crate) fn new(opts: &'a RunOptions) -> Option<Self> {
+        let spec = opts.checkpoint.as_ref().filter(|ck| ck.every > 0)?;
+        Some(Self {
+            spec,
+            sink: Sink::Idle(CheckpointSink::new(&spec.dir, opts.fault)),
+        })
+    }
+
+    /// After each unit of progress: writes generation `progress / every`
+    /// when the cadence lands on `progress`.  `step` labels the span.
+    pub(crate) fn tick(
+        self,
+        progress: u64,
+        step: u32,
+        tel: &mut Telemetry,
+        snapshot: impl FnOnce() -> WalkSnapshot,
+    ) -> Result<Self, WalkError> {
+        let every = self.spec.every as u64;
+        if !progress.is_multiple_of(every) {
+            return Ok(self);
+        }
+        self.write(progress / every, step, tel, snapshot)
+    }
+
+    /// Once the walk is over: unless the cadence landed on `progress`,
+    /// writes the generation after the last, which holds the finished
+    /// walk.  Returns the transient retries the writes absorbed.
+    pub(crate) fn finish(
+        self,
+        progress: u64,
+        step: u32,
+        tel: &mut Telemetry,
+        snapshot: impl FnOnce() -> WalkSnapshot,
+    ) -> Result<u64, WalkError> {
+        let every = self.spec.every as u64;
+        let last = if progress.is_multiple_of(every) {
+            self
+        } else {
+            self.write(progress / every + 1, step, tel, snapshot)?
+        };
+        Ok(last.sink.reclaim()?.retries)
+    }
+
+    /// Publishes `snapshot()` as `generation` under a Checkpoint span,
+    /// once the previous write is done (the snapshot is taken while it
+    /// may still run).  The encode, CRC, write and
+    /// fsync run on a background thread, overlapped with the progress
+    /// up to the next generation — except for the generation the run
+    /// halts at, which is durable before `Halted` returns.
+    fn write(
+        self,
+        generation: u64,
+        step: u32,
+        tel: &mut Telemetry,
+        snapshot: impl FnOnce() -> WalkSnapshot,
+    ) -> Result<Self, WalkError> {
+        let span = tel.is_on().then(|| tel.now_ns());
+        let snap = snapshot();
+        let mut sink = self.sink.reclaim()?;
+        let halt = self.spec.halt_after == Some(generation);
+        let sink = if halt {
+            sink.save(generation, &snap)?;
+            Sink::Idle(sink)
+        } else {
+            Sink::Writing(std::thread::spawn(move || {
+                let result = sink.save(generation, &snap);
+                (sink, result)
+            }))
+        };
+        if let Some(s) = span {
+            tel.span_since(Stage::Checkpoint, s, step, NO_PARTITION);
+        }
+        if halt {
+            return Err(WalkError::Halted { generation });
+        }
+        Ok(Self { sink, ..self })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::{Path, PathBuf};
+
+    use super::*;
+    use crate::oocore::{run_ooc_with, DiskGraph};
+    use crate::{FlashMob, WalkConfig};
+    use fm_graph::synth;
+
+    fn temp(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("fm_checkpoint_{}_{name}", std::process::id()))
+    }
+
+    /// A run of one engine under the given options.
+    type Run<'r> = Box<dyn Fn(&RunOptions) -> Result<(), WalkError> + 'r>;
+    /// One header field of a snapshot, changed.
+    type Perturb = fn(&mut WalkSnapshot);
+
+    #[test]
+    fn one_gate_refuses_each_header_field_from_both_engines() {
+        let g = synth::power_law(300, 2.0, 2, 30, 5);
+        let cfg = WalkConfig::node2vec(0.5, 2.0).walkers(80).steps(6).seed(3);
+        let engine = FlashMob::new(&g, cfg.clone()).unwrap();
+        let disk_path = temp("gate.fmdisk");
+        let disk = DiskGraph::create(&g, &disk_path).unwrap();
+        let in_memory: Run =
+            Box::new(|opts| engine.run_with(opts, &mut Telemetry::off()).map(drop));
+        let out_of_core: Run = Box::new(|opts| {
+            run_ooc_with(&disk, &cfg, 4 << 10, opts, &mut Telemetry::off()).map(drop)
+        });
+        let refused = |run: &Run, dir: &Path| {
+            matches!(
+                run(&RunOptions::default().resume_from(dir)),
+                Err(WalkError::Recover(RecoverError::Mismatch { .. }))
+            )
+        };
+        let perturbations: [(&str, Perturb); 5] = [
+            ("seed", |s| s.seed += 1),
+            ("walkers", |s| s.walkers += 1),
+            ("steps_total", |s| s.steps_total += 1),
+            ("config_tag", |s| s.config_tag ^= 1),
+            ("graph_tag", |s| s.graph_tag ^= 1),
+        ];
+        for (what, run, other) in [
+            ("in_memory", &in_memory, &out_of_core),
+            ("out_of_core", &out_of_core, &in_memory),
+        ] {
+            let dir = temp(&format!("gate_{what}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let halt = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 2).halt_after(1));
+            assert!(
+                matches!(run(&halt), Err(WalkError::Halted { generation: 1 })),
+                "{what}"
+            );
+            // The snapshot as written resumes, so its shape fits: what
+            // refuses a perturbed copy is the header gate.
+            assert!(
+                run(&RunOptions::default().resume_from(&dir)).is_ok(),
+                "{what}"
+            );
+            assert!(refused(other, &dir), "{what}: the other engine resumed it");
+            let (_, snap) = load_latest(&dir).unwrap();
+            for (field, perturb) in perturbations {
+                let bad = temp(&format!("gate_{what}_{field}"));
+                std::fs::remove_dir_all(&bad).ok();
+                let mut snap = snap.clone();
+                perturb(&mut snap);
+                CheckpointSink::new(&bad, None).save(1, &snap).unwrap();
+                assert!(refused(run, &bad), "{what}: {field}");
+                std::fs::remove_dir_all(&bad).ok();
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_file(&disk_path).ok();
+    }
+}

@@ -8,13 +8,13 @@ use fm_graph::relabel::{sort_by_degree, Relabeling};
 use fm_graph::{Csr, VertexId};
 use fm_memsim::{AddressSpace, NullProbe, Probe};
 use fm_recover::{
-    load_latest, CheckpointSink, CheckpointSpec, FaultPolicy, Fingerprint, PsPartState,
-    RecoverError, WalkSnapshot,
+    CheckpointSpec, FaultPolicy, Fingerprint, PsPartState, RecoverError, WalkSnapshot,
 };
 use fm_rng::{split_stream, Rng64, Xorshift64Star};
 use fm_telemetry::{SpanEvent, Stage, Telemetry, NO_PARTITION, NO_STEP};
 
 use crate::algorithm::Verdict;
+use crate::checkpoint::{self, Checkpointer, RunHeader};
 use crate::cost::CostModel;
 use crate::output::WalkOutput;
 use crate::partition::SamplePolicy;
@@ -281,12 +281,13 @@ impl RunStats {
     }
 }
 
-/// Robustness options of a run: checkpointing and resume, and for a
-/// disk graph ([`crate::oocore::run_ooc_with`]) fault injection on its
-/// reads.
+/// Robustness options of a run: checkpointing and resume, and fault
+/// injection on every IO the run makes — the checkpoint writes of both
+/// engines, and a disk graph's block reads
+/// ([`crate::oocore::run_ooc_with`]).
 ///
-/// The in-memory engine makes no disk-graph reads: it refuses `fault`
-/// with [`WalkError::Planning`].
+/// An in-memory run that writes no checkpoints makes no IO: it refuses
+/// `fault` with [`WalkError::Planning`].
 #[derive(Debug, Default)]
 pub struct RunOptions {
     /// Write crash-consistent checkpoints per this spec.
@@ -294,7 +295,7 @@ pub struct RunOptions {
     /// Resume from the latest checkpoint in this directory instead of
     /// starting fresh.
     pub resume_from: Option<PathBuf>,
-    /// Inject seeded faults into the disk-graph read stream (tests).
+    /// Inject seeded faults into the run's IO (tests, crash drills).
     pub fault: Option<FaultPolicy>,
 }
 
@@ -311,7 +312,7 @@ impl RunOptions {
         self
     }
 
-    /// Injects seeded faults into disk-graph reads.
+    /// Injects seeded faults into the run's IO.
     pub fn fault(mut self, policy: FaultPolicy) -> Self {
         self.fault = Some(policy);
         self
@@ -393,64 +394,6 @@ type PsSet = Vec<Option<PsBuffers>>;
 /// PS buffers (read by the hints, consumed by `execute`) and the
 /// per-partition hint counters.
 type ProposalLanes<'a, P> = (&'a mut P, &'a mut PsSet, &'a mut [u64]);
-
-/// A background checkpoint write in flight: the thread owns the sink
-/// and returns it together with the transient retries it absorbed and
-/// the write result.
-type CheckpointHandle = std::thread::JoinHandle<(CheckpointSink, u64, Result<(), RecoverError>)>;
-
-/// A checkpointing run's sink: at rest between generations, or owned by
-/// the background write of the previous one.
-enum Checkpointer {
-    Idle(CheckpointSink),
-    Writing(CheckpointHandle),
-}
-
-impl Checkpointer {
-    /// The sink, once any write in flight has finished: joins it, folds
-    /// its retry count into the telemetry, and surfaces its (deferred)
-    /// IO error.
-    fn reclaim(self, tel: &mut Telemetry) -> Result<CheckpointSink, RecoverError> {
-        match self {
-            Checkpointer::Idle(sink) => Ok(sink),
-            Checkpointer::Writing(handle) => {
-                let (sink, retries, result) = handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                tel.record_io_retries(retries);
-                result?;
-                Ok(sink)
-            }
-        }
-    }
-
-    /// Publishes `snap` as `generation`, after the previous generation's
-    /// write (normally long finished) is done.  The expensive part
-    /// (encode + CRC + write + fsync) runs on a background thread,
-    /// overlapped with the iterations up to the next generation; with
-    /// `background` off the snapshot is durable before this returns.
-    fn write(
-        self,
-        generation: u64,
-        snap: WalkSnapshot,
-        background: bool,
-        tel: &mut Telemetry,
-    ) -> Result<Self, RecoverError> {
-        let mut sink = self.reclaim(tel)?;
-        let before = sink.retries;
-        if background {
-            return Ok(Checkpointer::Writing(std::thread::spawn(move || {
-                let result = sink.save(generation, &snap);
-                let retries = sink.retries - before;
-                (sink, retries, result)
-            })));
-        }
-        let result = sink.save(generation, &snap);
-        tel.record_io_retries(sink.retries - before);
-        result?;
-        Ok(Checkpointer::Idle(sink))
-    }
-}
 
 /// The lanes a step works in.  Each is rewritten before it is read —
 /// within the step for the walker lanes, from the first count pass for
@@ -566,57 +509,29 @@ impl EpochState {
         }
     }
 
-    /// The state `snap` was taken from, after checking that it belongs
-    /// to this engine (`tags`: its configuration's and its graph's) and `seed`.
-    fn restore(
-        engine: &FlashMob,
-        seed: u64,
-        snap: WalkSnapshot,
-        tags: (u64, u64),
-    ) -> Result<Self, WalkError> {
+    /// The state `snap` was taken from, after checking that it has this
+    /// engine's shape; [`checkpoint::resume`] has checked its header.
+    fn restore(engine: &FlashMob, snap: WalkSnapshot) -> Result<Self, WalkError> {
         let mismatch = |detail: String| WalkError::Recover(RecoverError::Mismatch { detail });
         let config = &engine.config;
         let (walkers, steps) = (config.walkers, config.max_steps());
         let parts = engine.plan.partitions.len();
         let WalkSnapshot {
-            seed: snap_seed,
+            seed,
             iter_next,
-            steps_total,
-            walkers: snap_walkers,
             steps_taken,
-            config_tag,
-            graph_tag,
             per_partition_steps,
             w,
             prev,
             visits,
             ps,
             rows,
-            biblock: _,
+            ..
         } = snap;
-        if config_tag != tags.0 {
-            return Err(mismatch(
-                "snapshot was written under a different walk configuration".into(),
-            ));
-        }
-        if graph_tag != tags.1 {
-            return Err(mismatch(
-                "snapshot was written against a different graph".into(),
-            ));
-        }
-        if snap_seed != seed {
+        if w.len() != walkers || iter_next as usize > steps {
             return Err(mismatch(format!(
-                "snapshot seed {snap_seed} does not match run seed {seed}"
-            )));
-        }
-        if snap_walkers as usize != walkers || w.len() != walkers {
-            return Err(mismatch(format!(
-                "snapshot has {snap_walkers} walkers, engine has {walkers}"
-            )));
-        }
-        if steps_total as usize != steps || iter_next as usize > steps {
-            return Err(mismatch(format!(
-                "snapshot iteration {iter_next}/{steps_total} does not fit a {steps}-step run"
+                "snapshot has {} walker lanes at iteration {iter_next} of {steps}",
+                w.len()
             )));
         }
         if engine.carries_aux() && prev.len() != walkers {
@@ -677,15 +592,15 @@ impl EpochState {
     /// The snapshot of this epoch boundary: the walker state here is
     /// exactly the input of iteration `self.iter`, a clean cut between
     /// two iterations.
-    fn snapshot(&self, engine: &FlashMob, (config_tag, graph_tag): (u64, u64)) -> WalkSnapshot {
+    fn snapshot(&self, engine: &FlashMob, header: &RunHeader) -> WalkSnapshot {
         WalkSnapshot {
-            seed: self.seed,
+            seed: header.seed,
             iter_next: self.iter as u64,
-            steps_total: engine.config.max_steps() as u64,
-            walkers: engine.config.walkers as u64,
+            steps_total: header.steps_total,
+            walkers: header.walkers,
             steps_taken: self.steps_taken,
-            config_tag,
-            graph_tag,
+            config_tag: header.config_tag,
+            graph_tag: header.graph_tag,
             per_partition_steps: self.per_partition_steps.clone(),
             w: self.w.clone(),
             prev: self.prev.clone(),
@@ -1096,27 +1011,20 @@ impl FlashMob {
     /// Runs the walk under `opts`, recording telemetry into `tel`; every
     /// other way to run the engine is a spelling of this one.
     ///
-    /// With [`RunOptions::checkpoint`] a crash-consistent checkpoint goes
-    /// into `spec.dir` every `spec.every` iterations (see
-    /// [`CheckpointSpec`]).  Checkpoints are published atomically
-    /// (write-to-temp → fsync → rename), so a crash at any instant
-    /// leaves either the previous generation or the new one — never a
-    /// torn state.
-    ///
-    /// With [`RunOptions::resume_from`] the run continues from the latest
-    /// checkpoint in that directory; its output is bit-identical to the
-    /// uninterrupted run's.  The engine must be constructed over the same
-    /// graph with the same configuration as the interrupted run;
-    /// mismatches are rejected with
+    /// With [`RunOptions::checkpoint`] a crash-consistent checkpoint is
+    /// published atomically into `spec.dir` every `spec.every`
+    /// iterations, and a last one holds the finished walk (the protocol
+    /// both engines share, DESIGN §8).  With [`RunOptions::resume_from`]
+    /// the run continues from the latest checkpoint there, bit-identical
+    /// to the uninterrupted run; a snapshot of another graph, seed or
+    /// configuration is refused with
     /// [`fm_recover::RecoverError::Mismatch`].  The thread count may
     /// differ, except that a second-order walk does not cross between
     /// one thread and several (see [`WalkConfig::threads`]).  With both,
-    /// a resumed run keeps checkpointing, and its generation numbers
-    /// continue the interrupted run's — they derive from the absolute
-    /// iteration, not from time since resume.
-    ///
-    /// [`RunOptions::fault`] is refused with [`WalkError::Planning`]: it
-    /// targets disk-graph reads, which this engine does not make.
+    /// the generation numbers continue the interrupted run's.
+    /// [`RunOptions::fault`] injects faults into the checkpoint writes;
+    /// a run that writes none makes no IO and refuses it with
+    /// [`WalkError::Planning`].
     ///
     /// An enabled `tel` receives a Plan span for the pre-processing done
     /// at construction, a prologue span, Shuffle/Sample/Output spans for
@@ -1132,9 +1040,9 @@ impl FlashMob {
         opts: &RunOptions,
         tel: &mut Telemetry,
     ) -> Result<(WalkOutput, RunStats), WalkError> {
-        if opts.fault.is_some() {
+        if opts.fault.is_some() && opts.checkpoint.as_ref().is_none_or(|ck| ck.every == 0) {
             return Err(WalkError::Planning(
-                "fault injection applies to disk-graph reads; this graph is in memory".into(),
+                "fault injection applies to checkpoint writes; this run writes none".into(),
             ));
         }
         self.run_epochs(&mut NullProbe, true, self.config.seed, opts, tel)
@@ -1279,7 +1187,7 @@ impl FlashMob {
     /// The one run path: prologue, the iteration loop, epilogue.
     ///
     /// `allow_parallel` is off for instrumented runs only: they keep
-    /// every stage, and the checkpoint write, on the calling thread.
+    /// every stage on the calling thread.
     fn run_epochs<P: Probe>(
         &self,
         probe: &mut P,
@@ -1300,34 +1208,19 @@ impl FlashMob {
                 partition: NO_PARTITION,
             });
         }
-        // A checkpoint sink, when checkpointing is on; the tags pin the
-        // snapshot to this engine + graph so a resume can verify them.
-        let mut checkpoint = opts
-            .checkpoint
-            .as_ref()
-            .filter(|ck| ck.every > 0)
-            .map(|ck| (ck, Checkpointer::Idle(CheckpointSink::from_spec(ck))));
-        let tags = if checkpoint.is_some() || opts.resume_from.is_some() {
+        // The writer, when checkpointing is on; the header pins a
+        // snapshot to this run, engine and graph.
+        let mut checkpoint = Checkpointer::new(opts);
+        let (walkers, steps) = (self.config.walkers, self.config.max_steps());
+        let header = RunHeader::new(opts, seed, walkers, steps, || {
             (self.config_tag(), self.graph_tag())
-        } else {
-            (0, 0)
-        };
-        let resumed = match &opts.resume_from {
-            Some(dir) => {
-                let span = tel.is_on().then(|| tel.now_ns());
-                let (_generation, snap) = load_latest(dir)?;
-                if let Some(s) = span {
-                    tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
-                }
-                Some(snap)
-            }
-            None => None,
-        };
+        });
+        let resumed = checkpoint::resume(opts, &header, tel)?;
 
         let wall_start = Instant::now();
         let prologue_span = tel.is_on().then(|| tel.now_ns());
         let mut state = match resumed {
-            Some(snap) => EpochState::restore(self, seed, snap, tags)?,
+            Some(snap) => EpochState::restore(self, snap)?,
             None => EpochState::fresh(self, seed),
         };
         let init = wall_start.elapsed();
@@ -1344,35 +1237,22 @@ impl FlashMob {
 
         let mut stage = StageTimes::default();
         while state.advance(self, &shuffler, pool.as_ref(), probe, tel, &mut stage) {
-            // Checkpoint at the epoch boundary.  Generations derive from
-            // the absolute iteration, so a resumed run that keeps
-            // checkpointing continues the numbering seamlessly.  The
-            // walk loop only pays for the state clone and for joining
-            // the previous generation's write; a halted generation is
-            // written synchronously so the snapshot is durable before
-            // `Halted` returns.
-            checkpoint = match checkpoint {
-                Some((ck, writer)) if state.iter % ck.every == 0 => {
-                    let span = tel.is_on().then(|| tel.now_ns());
-                    let generation = (state.iter / ck.every) as u64;
-                    let halt = ck.halt_after == Some(generation);
-                    let snap = state.snapshot(self, tags);
-                    let writer = writer.write(generation, snap, allow_parallel && !halt, tel)?;
-                    if let Some(s) = span {
-                        tel.span_since(Stage::Checkpoint, s, state.iter as u32 - 1, NO_PARTITION);
-                    }
-                    if halt {
-                        return Err(WalkError::Halted { generation });
-                    }
-                    Some((ck, writer))
-                }
-                idle => idle,
-            };
+            // Checkpoint at the epoch boundary: the walk loop only pays
+            // for the state clone and for joining the previous
+            // generation's write.
+            if let Some(ck) = checkpoint.take() {
+                let step = state.iter as u32 - 1;
+                checkpoint = Some(ck.tick(state.iter as u64, step, tel, || {
+                    state.snapshot(self, &header)
+                })?);
+            }
         }
-        // Wait out an in-flight background checkpoint before reporting
-        // the run complete (and surface any deferred write error).
-        if let Some((_, writer)) = checkpoint {
-            writer.reclaim(tel)?;
+        if let Some(ck) = checkpoint {
+            let step = state.iter.saturating_sub(1) as u32;
+            let retries = ck.finish(state.iter as u64, step, tel, || {
+                state.snapshot(self, &header)
+            })?;
+            tel.record_io_retries(retries);
         }
         let EpochState {
             steps_taken,
@@ -2088,6 +1968,7 @@ mod tests {
     use super::*;
     use crate::{PlanStrategy, PlannerParams, StopRule, WalkAlgorithm, WalkConfig};
     use fm_graph::synth;
+    use fm_recover::CheckpointSink;
 
     fn small_params() -> PlannerParams {
         PlannerParams {
@@ -2740,6 +2621,48 @@ mod tests {
         assert!(stats.steps_taken < 500 * 10);
         let lens: Vec<usize> = out.paths().iter().map(|p| p.len()).collect();
         assert!(lens.iter().any(|&l| l < 5), "some walker should die early");
+    }
+
+    #[test]
+    fn a_finished_walk_is_checkpointed_and_resumes_in_zero_iterations() {
+        // The cadence lands on neither end: 7 steps at every 3, and a
+        // geometric walk whose walkers all die long before its bound.
+        let g = synth::power_law(400, 2.0, 2, 40, 9);
+        let fixed = config(300, 7).record_visits(true);
+        let mut geometric = config(300, 64);
+        geometric.stop = StopRule::Geometric {
+            exit_prob: 0.5,
+            max_steps: 64,
+        };
+        for (what, cfg, every) in [("fixed", fixed, 3), ("geometric", geometric, 64)] {
+            let engine = FlashMob::new(&g, cfg).unwrap();
+            let (want, want_stats) = engine.run_with_stats().unwrap();
+            let dir = std::env::temp_dir()
+                .join(format!("fm_engine_completion_{}_{what}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let checkpointed = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, every));
+            engine.run_with(&checkpointed, &mut Telemetry::off()).unwrap();
+            // The last generation on disk holds the finished walk.
+            let (generation, snap) = fm_recover::load_latest(&dir).unwrap();
+            let end = snap.iter_next;
+            assert!(!end.is_multiple_of(every as u64), "{what}: the cadence hit the end");
+            assert_eq!(generation, end.div_ceil(every as u64), "{what}");
+            assert_eq!(snap.steps_taken, want_stats.steps_taken, "{what}");
+            if what == "geometric" {
+                assert!(snap.w.iter().all(|&v| v == DEAD), "{what}");
+            }
+            // Resuming from it executes no iteration and returns the walk.
+            let mut tel = Telemetry::new();
+            let resume = RunOptions::default().resume_from(&dir);
+            let (got, stats) = engine.run_with(&resume, &mut tel).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(tel.partition_steps_total(), 0, "{what}");
+            assert_eq!(got.paths(), want.paths(), "{what}");
+            let counts = |s: &RunStats| {
+                (s.steps_taken, s.per_partition_steps.clone(), s.visits_sorted.clone())
+            };
+            assert_eq!(counts(&stats), counts(&want_stats), "{what}");
+        }
     }
 
     #[test]

@@ -52,6 +52,7 @@
 //! ```
 
 pub mod algorithm;
+mod checkpoint;
 pub mod cost;
 pub mod engine;
 pub mod numa;
@@ -74,9 +75,7 @@ pub use walker::WalkerInit;
 
 // Checkpoint/resume and fault-injection types, re-exported so engine
 // callers need not depend on `fm-recover` directly.
-pub use fm_recover::{
-    load_latest, CheckpointSpec, FaultCounts, FaultPolicy, RecoverError, RetryPolicy,
-};
+pub use fm_recover::{load_latest, CheckpointSpec, FaultPolicy, RecoverError};
 
 use fm_graph::VertexId;
 

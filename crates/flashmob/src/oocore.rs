@@ -29,13 +29,14 @@ use fm_graph::relabel::{sort_by_degree, Relabeling};
 use fm_graph::{Csr, GraphError, VertexId};
 use fm_memsim::NullProbe;
 use fm_recover::{
-    load_latest, transient_io, with_retries, BiBlockState, CheckpointSink, CheckpointSpec,
-    FaultyFile, Fingerprint, RecoverError, RetryPolicy, WalkSnapshot,
+    transient_io, with_retries, BiBlockState, FaultyFile, Fingerprint, RecoverError, RetryPolicy,
+    WalkSnapshot,
 };
 use fm_rng::{Rng64, Xorshift64Star};
-use fm_telemetry::{Stage, Telemetry, NO_PARTITION, NO_STEP};
+use fm_telemetry::{Stage, Telemetry};
 
 use crate::algorithm::Node2VecRule;
+use crate::checkpoint::{self, Checkpointer, RunHeader};
 use crate::engine::{partition_stream_id, RunOptions};
 use crate::output::WalkOutput;
 use crate::plan::{PlanStrategy, Planner};
@@ -488,42 +489,23 @@ pub fn run_ooc_with(
     if tel.is_on() {
         tel.ensure_partitions(nblocks);
     }
-    let mut sink = opts
-        .checkpoint
-        .as_ref()
-        .filter(|ck| ck.every > 0)
-        .map(CheckpointSink::from_spec);
-    let (config_tag, graph_tag) = if sink.is_some() || opts.resume_from.is_some() {
+    let mut checkpoint = Checkpointer::new(opts);
+    let header = RunHeader::new(opts, config.seed, walkers, steps, || {
         (
             biblock_config_tag(config, partition_budget_bytes),
             ooc_graph_tag(disk),
         )
-    } else {
-        (0, 0)
-    };
+    });
 
-    if let Some(dir) = opts.resume_from.as_ref() {
-        let span = tel.is_on().then(|| tel.now_ns());
-        let (_generation, mut snap) = load_latest(dir)?;
+    if let Some(mut snap) = checkpoint::resume(opts, &header, tel)? {
         let mismatch =
             |detail: &str| WalkError::Recover(RecoverError::Mismatch { detail: detail.into() });
-        if snap.config_tag != config_tag {
-            return Err(mismatch(
-                "snapshot was written under a different out-of-core configuration",
-            ));
-        }
-        if snap.graph_tag != graph_tag {
-            return Err(mismatch("snapshot was written against a different disk graph"));
-        }
         let bb = snap
             .biblock
             .take()
             .ok_or_else(|| mismatch("snapshot carries no bi-block scheduler state"))?;
-        if snap.seed != config.seed
-            || snap.walkers as usize != walkers
-            || snap.w.len() != walkers
+        if snap.w.len() != walkers
             || snap.prev.len() != walkers
-            || snap.steps_total as usize != steps
             || bb.done.len() != walkers
             || bb.blocks as usize != nblocks
             || bb.buckets.len() != n_pairs
@@ -575,9 +557,6 @@ pub fn run_ooc_with(
         pairs_done = snap.iter_next;
         epoch = bb.epoch as usize;
         start_slot = bb.cursor as usize;
-        if let Some(s) = span {
-            tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
-        }
     } else {
         if config.record_paths {
             lanes.rows = vec![vec![0 as VertexId; walkers]; steps + 1];
@@ -599,13 +578,13 @@ pub fn run_ooc_with(
     // What a checkpoint taken now holds, resuming at `(epoch, cursor)`.
     let snapshot =
         |lanes: &Lanes, steps_taken: u64, pairs_done: u64, epoch: u64, cursor: u64| WalkSnapshot {
-            seed: config.seed,
+            seed: header.seed,
             iter_next: pairs_done,
-            steps_total: steps as u64,
-            walkers: walkers as u64,
+            steps_total: header.steps_total,
+            walkers: header.walkers,
             steps_taken,
-            config_tag,
-            graph_tag,
+            config_tag: header.config_tag,
+            graph_tag: header.graph_tag,
             per_partition_steps: Vec::new(),
             w: lanes.cur.clone(),
             prev: lanes.prevv.clone(),
@@ -671,7 +650,6 @@ pub fn run_ooc_with(
                         ensure_resident(
                             disk,
                             &mut file,
-                            &RetryPolicy::default(),
                             block_range(b),
                             buf,
                             epoch,
@@ -697,19 +675,16 @@ pub fn run_ooc_with(
                 // empty slots too, so kill generations are deterministic
                 // and data-independent within an epoch.
                 pairs_done += 1;
-                if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
-                    if pairs_done.is_multiple_of(ck.every as u64) {
-                        let generation = pairs_done / ck.every as u64;
-                        let (next_epoch, next_cursor) = if s + 1 == n_pairs {
-                            (epoch as u64 + 1, 0)
-                        } else {
-                            (epoch as u64, s as u64 + 1)
-                        };
-                        let taken = stats.steps_taken;
-                        save_checkpoint(ck, sink, generation, epoch, &mut stats, tel, || {
-                            snapshot(&lanes, taken, pairs_done, next_epoch, next_cursor)
-                        })?;
-                    }
+                if let Some(ck) = checkpoint.take() {
+                    let (next_epoch, next_cursor) = if s + 1 == n_pairs {
+                        (epoch as u64 + 1, 0)
+                    } else {
+                        (epoch as u64, s as u64 + 1)
+                    };
+                    let taken = stats.steps_taken;
+                    checkpoint = Some(ck.tick(pairs_done, epoch as u32, tel, || {
+                        snapshot(&lanes, taken, pairs_done, next_epoch, next_cursor)
+                    })?);
                 }
                 if lanes.remaining == 0 {
                     break 'sweep;
@@ -721,18 +696,11 @@ pub fn run_ooc_with(
         tel.tick(epoch, steps, stats.steps_taken);
     }
 
-    // Unconditional completion checkpoint: a kill *after* the last work
-    // slot must still resume cleanly (the resume-after-complete case),
-    // so the final generation is written whenever the cadence did not
-    // land exactly on the last processed slot.
-    if let Some((ck, sink)) = opts.checkpoint.as_ref().zip(sink.as_mut()) {
-        if !pairs_done.is_multiple_of(ck.every as u64) {
-            let generation = pairs_done / ck.every as u64 + 1;
-            let taken = stats.steps_taken;
-            save_checkpoint(ck, sink, generation, epoch, &mut stats, tel, || {
-                snapshot(&lanes, taken, pairs_done, epoch as u64, 0)
-            })?;
-        }
+    if let Some(ck) = checkpoint {
+        let taken = stats.steps_taken;
+        stats.io_retries += ck.finish(pairs_done, epoch as u32, tel, || {
+            snapshot(&lanes, taken, pairs_done, epoch as u64, 0)
+        })?;
     }
 
     tel.record_io_retries(stats.io_retries);
@@ -798,7 +766,6 @@ impl BlockBuf {
 fn ensure_resident(
     disk: &DiskGraph,
     file: &mut FaultyFile<File>,
-    retry: &RetryPolicy,
     range: (VertexId, VertexId),
     buf: &mut BlockBuf,
     epoch: usize,
@@ -816,7 +783,7 @@ fn ensure_resident(
     // Transient read errors (injected or real) are retried with
     // exponential backoff; permanent ones escalate typed.
     let bytes = with_retries(
-        retry,
+        &RetryPolicy::default(),
         &mut stats.io_retries,
         |e: &GraphError| e.io_source().is_some_and(transient_io),
         || disk.read_partition(file, range.0, range.1, &mut buf.words),
@@ -929,31 +896,6 @@ impl Lanes {
         }
         rows
     }
-}
-
-/// Builds and publishes checkpoint `generation` through the sink's retry
-/// layer, both inside one Checkpoint span, and halts the run there when
-/// the spec says so.
-fn save_checkpoint(
-    ck: &CheckpointSpec,
-    sink: &mut CheckpointSink,
-    generation: u64,
-    epoch: usize,
-    stats: &mut OocStats,
-    tel: &mut Telemetry,
-    snapshot: impl FnOnce() -> WalkSnapshot,
-) -> Result<(), WalkError> {
-    let span = tel.is_on().then(|| tel.now_ns());
-    let retries_before = sink.retries;
-    sink.save(generation, &snapshot())?;
-    stats.io_retries += sink.retries - retries_before;
-    if let Some(s) = span {
-        tel.span_since(Stage::Checkpoint, s, epoch as u32, NO_PARTITION);
-    }
-    if ck.halt_after == Some(generation) {
-        return Err(WalkError::Halted { generation });
-    }
-    Ok(())
 }
 
 /// What a walker of each out-of-core algorithm reads and draws.
@@ -1174,7 +1116,7 @@ impl Stepper<'_> {
 mod tests {
     use super::*;
     use fm_graph::synth;
-    use fm_recover::FaultPolicy;
+    use fm_recover::{load_latest, CheckpointSink, CheckpointSpec, FaultPolicy};
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fm_oocore_tests");
@@ -2354,7 +2296,7 @@ mod tests {
             w,
             biblock: None,
         };
-        let mut sink = CheckpointSink::from_spec(&CheckpointSpec::new(&ckdir, 1));
+        let mut sink = CheckpointSink::new(&ckdir, None);
         sink.save(1, &old).unwrap();
         // The budget the old loop's tag was taken at.
         let resume = RunOptions::default().resume_from(&ckdir);

@@ -19,9 +19,9 @@ use std::path::{Path, PathBuf};
 
 use crate::crc::{crc32, fnv64};
 use crate::error::RecoverError;
-use crate::fault::{FaultCounts, FaultPolicy, FaultState};
+use crate::fault::{FaultPolicy, FaultState};
 use crate::retry::{transient_io, with_retries, RetryPolicy};
-use crate::snapshot::{CheckpointSpec, WalkSnapshot};
+use crate::snapshot::WalkSnapshot;
 use crate::wire::{Reader, Writer};
 
 /// File name of the manifest inside a checkpoint directory.
@@ -119,35 +119,24 @@ impl Manifest {
 }
 
 /// Writes generation-stamped snapshots atomically, threading checkpoint
-/// IO through the fault-injection shim and the transient-retry loop.
+/// IO through the fault-injection shim and the transient-retry loop
+/// (under [`RetryPolicy::default`]).
 #[derive(Debug)]
 pub struct CheckpointSink {
     dir: PathBuf,
     fault: Option<FaultState>,
-    retry: RetryPolicy,
     /// Transient retries performed across all checkpoint writes.
     pub retries: u64,
 }
 
 impl CheckpointSink {
-    /// Builds the sink described by `spec` (fault policy and retry
-    /// policy included; `every`/`halt_after` are the engine's concern).
-    pub fn from_spec(spec: &CheckpointSpec) -> Self {
-        Self::new(&spec.dir, spec.fault, spec.retry)
-    }
-
-    pub fn new(dir: &Path, fault: Option<FaultPolicy>, retry: RetryPolicy) -> Self {
+    /// A sink publishing into `dir`, injecting `fault` into its writes.
+    pub fn new(dir: &Path, fault: Option<FaultPolicy>) -> Self {
         Self {
             dir: dir.to_path_buf(),
             fault: fault.map(FaultState::new),
-            retry,
             retries: 0,
         }
-    }
-
-    /// Faults injected into checkpoint IO so far.
-    pub fn fault_counts(&self) -> FaultCounts {
-        self.fault.as_ref().map(|s| s.counts).unwrap_or_default()
     }
 
     /// Snapshot file name of generation `generation`.
@@ -184,10 +173,11 @@ impl CheckpointSink {
         let tmp = self.dir.join(format!("{name}.tmp"));
         let fin = self.dir.join(name);
         let fault = &mut self.fault;
+        let policy = RetryPolicy::default();
         // Each retry attempt restarts the write on a fresh temp file;
         // the fault stream continues across attempts, so a transient
         // fault on attempt N does not repeat deterministically forever.
-        with_retries(&self.retry, &mut self.retries, transient_io, || {
+        with_retries(&policy, &mut self.retries, transient_io, || {
             let mut f = File::create(&tmp)?;
             match fault.as_mut() {
                 Some(state) => state.faulted_write_all(&mut f, bytes)?,
@@ -316,7 +306,7 @@ mod tests {
     #[test]
     fn save_load_round_trip_latest_generation_wins() {
         let dir = temp_dir("roundtrip");
-        let mut sink = CheckpointSink::new(&dir, None, RetryPolicy::immediate(1));
+        let mut sink = CheckpointSink::new(&dir, None);
         sink.save(1, &snap(4)).expect("save gen 1");
         sink.save(2, &snap(8)).expect("save gen 2");
         let (generation, loaded) = load_latest(&dir).expect("load latest");
@@ -339,7 +329,7 @@ mod tests {
     #[test]
     fn torn_snapshot_is_detected_by_manifest() {
         let dir = temp_dir("torn");
-        let mut sink = CheckpointSink::new(&dir, None, RetryPolicy::immediate(1));
+        let mut sink = CheckpointSink::new(&dir, None);
         sink.save(1, &snap(4)).expect("save");
         // Simulate a torn write of the published snapshot: truncate it.
         let file = dir.join(CheckpointSink::snapshot_name(1));
@@ -355,7 +345,7 @@ mod tests {
     #[test]
     fn mixed_generation_is_detected() {
         let dir = temp_dir("mixed");
-        let mut sink = CheckpointSink::new(&dir, None, RetryPolicy::immediate(1));
+        let mut sink = CheckpointSink::new(&dir, None);
         sink.save(1, &snap(4)).expect("save gen 1");
         sink.save(2, &snap(8)).expect("save gen 2");
         // Overwrite generation 2's file with generation 1's bytes while
@@ -372,11 +362,7 @@ mod tests {
     #[test]
     fn transient_write_faults_are_retried_to_success() {
         let dir = temp_dir("transient");
-        let mut sink = CheckpointSink::new(
-            &dir,
-            Some(FaultPolicy::transient(11, 0.4)),
-            RetryPolicy::immediate(10),
-        );
+        let mut sink = CheckpointSink::new(&dir, Some(FaultPolicy::transient(11, 0.4)));
         for generation in 1..=5 {
             sink.save(generation, &snap(generation * 2))
                 .expect("save survives transient faults");
@@ -391,14 +377,12 @@ mod tests {
     #[test]
     fn torn_write_fails_but_previous_generation_survives() {
         let dir = temp_dir("torn_write");
-        let mut sink = CheckpointSink::new(&dir, None, RetryPolicy::immediate(1));
+        let mut sink = CheckpointSink::new(&dir, None);
         sink.save(1, &snap(4)).expect("save gen 1");
-        let mut torn_sink = CheckpointSink::new(
-            &dir,
-            Some(FaultPolicy::torn_writes(13, 1.0)),
-            RetryPolicy::immediate(3),
-        );
-        let err = torn_sink.save(2, &snap(8)).expect_err("torn write escalates");
+        let mut torn_sink = CheckpointSink::new(&dir, Some(FaultPolicy::torn_writes(13, 1.0)));
+        let err = torn_sink
+            .save(2, &snap(8))
+            .expect_err("torn write escalates");
         assert!(matches!(err, RecoverError::Io { .. }));
         // The previous generation is untouched and still loads.
         let (generation, loaded) = load_latest(&dir).expect("old generation intact");
@@ -410,7 +394,7 @@ mod tests {
     #[test]
     fn corrupt_manifest_is_detected() {
         let dir = temp_dir("badmanifest");
-        let mut sink = CheckpointSink::new(&dir, None, RetryPolicy::immediate(1));
+        let mut sink = CheckpointSink::new(&dir, None);
         sink.save(3, &snap(6)).expect("save");
         let mpath = dir.join(MANIFEST_NAME);
         let mut bytes = fs::read(&mpath).expect("manifest bytes");

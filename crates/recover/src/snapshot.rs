@@ -38,8 +38,6 @@
 use std::path::{Path, PathBuf};
 
 use crate::error::RecoverError;
-use crate::fault::FaultPolicy;
-use crate::retry::RetryPolicy;
 use crate::wire::{Reader, Writer};
 use crate::crc::crc32;
 
@@ -57,16 +55,13 @@ const TAG_BIBLOCK: &[u8; 4] = b"BBLK";
 pub struct CheckpointSpec {
     /// Directory snapshots and the manifest are published into.
     pub dir: PathBuf,
-    /// Iterations between checkpoints (a checkpoint is written after
-    /// every `every`-th iteration completes).  0 disables checkpointing.
+    /// Units of progress between checkpoints — iterations in memory,
+    /// pair slots out of core; a last checkpoint holds the finished
+    /// walk.  0 disables checkpointing.
     pub every: usize,
     /// Stop the run with `Halted` right after writing this many
     /// checkpoints — the crash-matrix harness's deterministic "kill".
     pub halt_after: Option<u64>,
-    /// Inject seeded faults into checkpoint IO (tests).
-    pub fault: Option<FaultPolicy>,
-    /// Retry policy for transient checkpoint IO errors.
-    pub retry: RetryPolicy,
 }
 
 impl CheckpointSpec {
@@ -76,26 +71,12 @@ impl CheckpointSpec {
             dir: dir.into(),
             every,
             halt_after: None,
-            fault: None,
-            retry: RetryPolicy::default(),
         }
     }
 
     /// Halt the run (deterministic simulated kill) after `n` checkpoints.
     pub fn halt_after(mut self, n: u64) -> Self {
         self.halt_after = Some(n);
-        self
-    }
-
-    /// Inject seeded faults into checkpoint writes.
-    pub fn fault(mut self, policy: FaultPolicy) -> Self {
-        self.fault = Some(policy);
-        self
-    }
-
-    /// Override the transient-retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 }
