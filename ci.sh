@@ -45,7 +45,8 @@
 #   9. audit tier: the fm-audit scanner (`audit`, one mode) at
 #      -D warnings severity — textual lints plus call-graph taint,
 #      panic-reachability, rng-purity and fingerprint-completeness —
-#      with the JSON schema self-check, a seeded-violation check per
+#      a grep guard that keeps the run spellings kept for benchmark/
+#      from gaining callers elsewhere, the JSON schema self-check, a seeded-violation check per
 #      flow lint, a `--why` call-path reproduction, the pinned 0/1/2
 #      exit-code contract (and 64 for the retired `--graph`), the
 #      dynamic disjointness checker's tests, and the conformance quick
@@ -167,9 +168,13 @@ for pin in "knightking.txt 1702932796 980002" "knightking-visits.txt 1706622867 
 done
 # A flag the chosen engine never reads is a plan error (exit 4), not
 # silently ignored: --ring-depth or a non-dp --strategy under a
-# baseline, a non-dp --strategy on an FMDISK1 graph.
+# baseline, a non-dp --strategy on an FMDISK1 graph, and checkpointing
+# or fault injection under a baseline, which writes no checkpoints and
+# reads no disk.  The engines refuse them, not the CLI, before any IO.
 cargo run --release -q -p fm-cli -- disk "$RING_TMP/g.bin" "$RING_TMP/g.fmdisk" >/dev/null
-for args in "g.bin --engine knightking --ring-depth 4 --strategy ups" "g.fmdisk --strategy ups"; do
+for args in "g.bin --engine knightking --ring-depth 4 --strategy ups" "g.fmdisk --strategy ups" \
+    "g.bin --engine knightking --checkpoint-dir $RING_TMP/refused-ck" \
+    "g.bin --engine graphvite --fault-rate 0.1 --checkpoint-dir $RING_TMP/refused-ck"; do
     read -r graph flags <<< "$args"
     # shellcheck disable=SC2086  # $flags is a word list
     if cargo run --release -q -p fm-cli -- walk "$RING_TMP/$graph" $flags \
@@ -180,6 +185,8 @@ for args in "g.bin --engine knightking --ring-depth 4 --strategy ups" "g.fmdisk 
         [[ "$code" == 4 ]] || { echo "ring tier: walk $args exited $code, want 4" >&2; exit 1; }
     fi
 done
+[[ ! -e "$RING_TMP/refused-ck" ]] || {
+    echo "ring tier: a refused baseline walk wrote a checkpoint directory" >&2; exit 1; }
 grep -Eq ': 0 by the walker ring, [1-9][0-9]* streaming partitions in' "$RING_TMP/stats1.txt" || {
     echo "ring tier: the dense walk at depth 1 did not report stream hints alone" >&2; exit 1; }
 grep -Eq ': [1-9][0-9]* by the walker ring, [1-9][0-9]* streaming partitions in' \
@@ -403,6 +410,14 @@ tier "audit tier"
 # fingerprint-completeness).  Any finding is an error — the scanner's
 # own -D warnings.  Exit-code contract: 0 clean, 1 findings, 2 IO/config.
 cargo run --release -q -p fm-cli -- audit
+# One run entry per engine family: `run_with_stats`, `run_traced` and
+# `run_ooc` are one-line spellings kept because benchmark/ calls them by
+# name; nothing else may call them until benchmark/ moves off them.
+spellings="$(grep -rnE '\b(run_with_stats|run_traced|run_ooc)\(' crates src tests examples \
+    --include='*.rs' | grep -vE 'pub fn (run_with_stats|run_traced|run_ooc)\(' || true)"
+[[ -z "$spellings" ]] || {
+    echo "audit tier: a benchmark-only spelling has a caller outside benchmark/:" >&2
+    echo "$spellings" >&2; exit 1; }
 # The retired mode flag is unknown, with no alias.
 code=0
 cargo run --release -q -p fm-cli -- audit --graph >/dev/null 2>&1 || code=$?

@@ -14,7 +14,7 @@ use flashmob::pool::{DisjointSlice, WorkerPool};
 use flashmob::algorithm::Node2VecRule;
 use flashmob::output::WalkOutput;
 use flashmob::walker::initialize;
-use flashmob::{PlanStrategy, RunStats, StopRule, WalkAlgorithm, WalkError, DEAD};
+use flashmob::{PlanStrategy, RunOptions, RunStats, StopRule, WalkAlgorithm, WalkError, DEAD};
 
 use crate::sampler::{BaselineAddrs, SamplerKind};
 use crate::{BaselineConfig, BaselineKind};
@@ -113,12 +113,17 @@ impl Baseline {
         &self.config
     }
 
-    /// Runs the walk.
-    pub fn run(&self) -> Result<WalkOutput, WalkError> {
-        self.run_with_stats().map(|(o, _)| o)
+    /// [`Baseline::run_with`] under default options, untraced.  Kept
+    /// for `benchmark/`, which calls it by name; nothing else may.
+    pub fn run_with_stats(&self) -> Result<(WalkOutput, RunStats), WalkError> {
+        self.run_with(&RunOptions::default(), &mut Telemetry::off())
     }
 
-    /// Runs the walk and returns statistics.
+    /// Runs the walk, recording telemetry into `tel`: the engine's one
+    /// run entry, called as [`flashmob::FlashMob::run_with`] is.  A
+    /// baseline writes no checkpoints and reads no disk, so it refuses a
+    /// set `checkpoint`, `resume_from` or `fault` with
+    /// [`WalkError::Planning`] rather than ignore it.
     ///
     /// The record is FlashMob's: `walkers`, `steps_taken`, `wall` and
     /// `pool`, `init` (walker placement plus row set-up), the walk loop
@@ -126,18 +131,23 @@ impl Baseline {
     /// (there is no shuffle), and the visit counts in `visits_sorted` —
     /// already original order under the identity relabeling.  The
     /// per-partition lanes stay empty: a baseline has no partitions.
-    pub fn run_with_stats(&self) -> Result<(WalkOutput, RunStats), WalkError> {
-        self.run_loop(&mut NullProbe, true, &mut Telemetry::off())
-    }
-
-    /// Runs the walk recording telemetry into `tel`.
     ///
-    /// Baselines have no vertex partitions, so the partition axis maps
-    /// to the *worker chunk* index: chunk `t`'s spans and step counters
-    /// land on partition `t`, and the counter totals still sum exactly
-    /// to [`RunStats::steps_taken`].  Recording does not touch the
-    /// walk's RNG streams, so traced output is bit-identical.
-    pub fn run_traced(&self, tel: &mut Telemetry) -> Result<(WalkOutput, RunStats), WalkError> {
+    /// For the same reason the telemetry's partition axis maps to the
+    /// *worker chunk* index: chunk `t`'s spans and step counters land on
+    /// partition `t`, and the counter totals still sum exactly to
+    /// [`RunStats::steps_taken`].  Recording does not touch the walk's
+    /// RNG streams, so traced output is bit-identical.
+    pub fn run_with(
+        &self,
+        opts: &RunOptions,
+        tel: &mut Telemetry,
+    ) -> Result<(WalkOutput, RunStats), WalkError> {
+        if opts.checkpoint.is_some() || opts.resume_from.is_some() || opts.fault.is_some() {
+            return Err(WalkError::Planning(format!(
+                "{} writes no checkpoints and reads no disk; checkpoint, resume and fault must be unset",
+                self.config.kind.label()
+            )));
+        }
         self.run_loop(&mut NullProbe, true, tel)
     }
 
@@ -440,11 +450,16 @@ mod tests {
         kk(walk(walkers, steps))
     }
 
+    /// The walk under default options, untraced.
+    fn run_default(engine: &Baseline) -> Result<(WalkOutput, RunStats), WalkError> {
+        engine.run_with(&RunOptions::default(), &mut Telemetry::off())
+    }
+
     #[test]
     fn paths_follow_edges() {
         let g = synth::power_law(300, 2.0, 1, 30, 2);
         let engine = Baseline::new(&g, config(100, 6)).unwrap();
-        let out = engine.run().unwrap();
+        let out = run_default(&engine).unwrap().0;
         for path in out.paths() {
             assert_eq!(path.len(), 7);
             for hop in path.windows(2) {
@@ -461,7 +476,7 @@ mod tests {
             ..config(50, 5)
         };
         let engine = Baseline::new(&g, cfg).unwrap();
-        for path in engine.run().unwrap().paths() {
+        for path in run_default(&engine).unwrap().0.paths() {
             for hop in path.windows(2) {
                 assert!(g.neighbors(hop[0]).contains(&hop[1]));
             }
@@ -472,7 +487,8 @@ mod tests {
     fn deterministic_per_seed() {
         let g = synth::power_law(200, 2.0, 1, 20, 3);
         let engine = Baseline::new(&g, config(50, 4)).unwrap();
-        assert_eq!(engine.run().unwrap().paths(), engine.run().unwrap().paths());
+        let paths = || run_default(&engine).unwrap().0.paths();
+        assert_eq!(paths(), paths());
     }
 
     #[test]
@@ -480,7 +496,7 @@ mod tests {
         let g = synth::power_law(200, 2.0, 2, 30, 7);
         let cfg = config(40, 5).algorithm(WalkAlgorithm::Node2Vec { p: 0.5, q: 2.0 });
         let engine = Baseline::new(&g, cfg).unwrap();
-        for path in engine.run().unwrap().paths() {
+        for path in run_default(&engine).unwrap().0.paths() {
             for hop in path.windows(2) {
                 assert!(g.neighbors(hop[0]).contains(&hop[1]));
             }
@@ -496,7 +512,7 @@ mod tests {
             max_steps: 50,
         };
         let engine = Baseline::new(&g, cfg).unwrap();
-        let (out, stats) = engine.run_with_stats().unwrap();
+        let (out, stats) = run_default(&engine).unwrap();
         assert!(stats.steps_taken < 1000 * 10);
         assert!(out.paths().iter().any(|p| p.len() < 5));
     }
@@ -505,7 +521,7 @@ mod tests {
     fn visits_are_departure_counts() {
         let g = synth::cycle(8);
         let engine = Baseline::new(&g, kk(walk(10, 3).record_visits(true))).unwrap();
-        let (out, stats) = engine.run_with_stats().unwrap();
+        let (out, stats) = run_default(&engine).unwrap();
         let visits = stats.visits_sorted.unwrap();
         assert_eq!(visits.iter().sum::<u64>(), 30);
         assert_eq!(visits, out.visit_counts(8));
@@ -515,8 +531,8 @@ mod tests {
     fn parallel_walk_is_deterministic_and_valid() {
         let g = synth::power_law(300, 2.0, 1, 30, 2);
         let engine = Baseline::new(&g, kk(walk(100, 6).threads(4))).unwrap();
-        let (out1, s1) = engine.run_with_stats().unwrap();
-        let (out2, _) = engine.run_with_stats().unwrap();
+        let (out1, s1) = run_default(&engine).unwrap();
+        let (out2, _) = run_default(&engine).unwrap();
         assert_eq!(out1.paths(), out2.paths(), "same (seed, threads) repeats");
         assert_eq!(s1.pool.spawned, 4, "one spawn per configured thread");
         assert_eq!(s1.pool.epochs, 1, "the whole walk is one dispatch");
@@ -529,7 +545,7 @@ mod tests {
 
     #[test]
     fn plan_knobs_are_refused() {
-        use flashmob::PlanStrategy;
+        use flashmob::{CheckpointSpec, FaultPolicy, PlanStrategy};
         let g = synth::cycle(8);
         for kind in [BaselineKind::KnightKing, BaselineKind::GraphVite] {
             for walk in [
@@ -541,7 +557,24 @@ mod tests {
                 assert!(matches!(err, Some(WalkError::Planning(_))), "{kind:?}");
             }
             let dp = walk(4, 2).strategy(PlanStrategy::DynamicProgramming);
-            assert!(Baseline::new(&g, BaselineConfig { kind, walk: dp }).is_ok());
+            let engine = Baseline::new(&g, BaselineConfig { kind, walk: dp }).unwrap();
+            // So are run options: a baseline writes no checkpoints and
+            // reads no disk.
+            let dir =
+                std::env::temp_dir().join(format!("fm_baseline_refused_{}", std::process::id()));
+            for opts in [
+                RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 2)),
+                RunOptions::default().resume_from(&dir),
+                RunOptions::default().fault(FaultPolicy::transient(1, 0.5)),
+            ] {
+                let err = engine.run_with(&opts, &mut Telemetry::off()).err();
+                assert!(
+                    matches!(err, Some(WalkError::Planning(_))),
+                    "{kind:?} {opts:?}"
+                );
+            }
+            assert!(!dir.exists(), "a refused run writes nothing");
+            assert!(run_default(&engine).is_ok());
         }
     }
 
@@ -549,7 +582,7 @@ mod tests {
     fn parallel_visits_merge_correctly() {
         let g = synth::cycle(8);
         let engine = Baseline::new(&g, kk(walk(10, 3).record_visits(true).threads(3))).unwrap();
-        let (out, stats) = engine.run_with_stats().unwrap();
+        let (out, stats) = run_default(&engine).unwrap();
         let visits = stats.visits_sorted.unwrap();
         assert_eq!(visits.iter().sum::<u64>(), 30);
         assert_eq!(visits, out.visit_counts(8));
@@ -576,9 +609,9 @@ mod tests {
         let g = synth::power_law(300, 2.0, 1, 30, 2);
         for threads in [1, 4] {
             let engine = Baseline::new(&g, kk(walk(100, 6).threads(threads))).unwrap();
-            let (plain, ps) = engine.run_with_stats().unwrap();
+            let (plain, ps) = run_default(&engine).unwrap();
             let mut tel = fm_telemetry::Telemetry::new();
-            let (traced, ts) = engine.run_traced(&mut tel).unwrap();
+            let (traced, ts) = engine.run_with(&RunOptions::default(), &mut tel).unwrap();
             assert_eq!(
                 plain.paths(),
                 traced.paths(),
@@ -611,7 +644,7 @@ mod tests {
         let g = synth::power_law(300, 2.0, 1, 30, 2);
         for threads in [1, 3] {
             let engine = Baseline::new(&g, kk(walk(200, 8).threads(threads))).unwrap();
-            let (_, stats) = engine.run_with_stats().unwrap();
+            let (_, stats) = run_default(&engine).unwrap();
             let stages = stats.stages;
             assert_eq!(stats.walkers, 200);
             assert_eq!(stats.steps_taken, 200 * 8);
@@ -629,7 +662,7 @@ mod tests {
     fn zero_step_stats_are_nan_free() {
         let g = synth::cycle(8);
         let engine = Baseline::new(&g, config(10, 0)).unwrap();
-        let (_, stats) = engine.run_with_stats().unwrap();
+        let (_, stats) = run_default(&engine).unwrap();
         assert_eq!(stats.steps_taken, 0);
         assert_eq!(stats.per_step_ns(), 0.0);
         assert_eq!(stats.pool_idle_ratio(), 0.0);
@@ -661,7 +694,7 @@ mod tests {
         let steps = 20;
 
         let b = Baseline::new(&g, kk(walk(walkers, steps).record_visits(true))).unwrap();
-        let (_, bs) = b.run_with_stats().unwrap();
+        let (_, bs) = run_default(&b).unwrap();
         let bv = bs.visits_sorted.unwrap();
 
         let f = flashmob::FlashMob::new(
@@ -673,7 +706,9 @@ mod tests {
                 .record_visits(true),
         )
         .unwrap();
-        let (_, fs) = f.run_with_stats().unwrap();
+        let (_, fs) = f
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .unwrap();
         let fv = fs.visits_original(f.relabeling()).unwrap();
 
         let total_b: u64 = bv.iter().sum();

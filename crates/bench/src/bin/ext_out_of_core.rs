@@ -10,10 +10,11 @@
 //! The paper's budget: streaming at ~5 GB/s would sustain an 80-step
 //! walk over a graph larger than DRAM.
 
-use flashmob::oocore::{run_ooc, DiskGraph};
-use flashmob::{FlashMob, WalkConfig};
+use flashmob::oocore::{run_ooc_with, DiskGraph};
+use flashmob::{FlashMob, RunOptions, WalkConfig};
 use fm_bench::{analog, fmt_bytes, scaled_planner, HarnessOpts};
 use fm_graph::presets::PaperGraph;
+use fm_telemetry::Telemetry;
 
 /// Unwraps a harness-setup result or exits with a readable message —
 /// a bench binary has no caller to propagate to, and the unwrap
@@ -30,6 +31,8 @@ fn require<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
 
 fn main() {
     let opts = HarnessOpts::from_args();
+    // Every run below is untraced, under default options.
+    let (plain, mut off) = (RunOptions::default(), Telemetry::off());
     println!("Extension — out-of-core walk vs in-memory (DeepWalk)");
     let header = format!(
         "{:<8}{:>10}{:>12}{:>12}{:>12}{:>22}{:>12}",
@@ -57,12 +60,12 @@ fn main() {
             .record_paths(false)
             .planner(scaled_planner(opts.scale));
         let engine = FlashMob::new(&g, mem_cfg.clone()).expect("engine");
-        let (_, mem) = engine.run_with_stats().expect("mem run");
+        let (_, mem) = engine.run_with(&plain, &mut off).expect("mem run");
 
         let path = dir.join(format!("{}.fmdisk", which.tag()));
         let disk = DiskGraph::create(&g, &path).expect("disk graph");
         let budget = scaled_planner(opts.scale).hierarchy.l3.size_bytes;
-        let (_, ooc) = run_ooc(&disk, &mem_cfg, budget).expect("ooc run");
+        let (_, ooc) = run_ooc_with(&disk, &mem_cfg, budget, &plain, &mut off).expect("ooc run");
 
         let mb_s = if ooc.read_time.as_secs_f64() > 0.0 {
             ooc.bytes_read as f64 / ooc.read_time.as_secs_f64() / 1e6
@@ -111,7 +114,7 @@ fn main() {
                 .record_paths(false)
                 .planner(scaled_planner(opts.scale));
             let engine = require(FlashMob::new(&g, cfg), "engine");
-            let (_, mem) = require(engine.run_with_stats(), "mem run");
+            let (_, mem) = require(engine.run_with(&plain, &mut off), "mem run");
             println!(
                 "{:<8}{:>8}{:>10}{:>12}{:>12.1}{:>9}{:>10}{:>9}",
                 which.tag(),
@@ -133,7 +136,8 @@ fn main() {
             .seed(3)
             .record_paths(false);
         for &budget in &budgets {
-            let (_, ooc) = require(run_ooc(&disk, &ooc_cfg, budget), "bi-block run");
+            let ooc_run = run_ooc_with(&disk, &ooc_cfg, budget, &plain, &mut off);
+            let (_, ooc) = require(ooc_run, "bi-block run");
             println!(
                 "{:<8}{:>8}{:>10}{:>12}{:>12.1}{:>9}{:>10}{:>9}",
                 which.tag(),

@@ -9,12 +9,13 @@
 //! (b) Per-step cache hit/miss breakdown (simulated hierarchy) for both
 //! systems on YT and YH.
 
-use flashmob::{FlashMob, WalkConfig};
+use flashmob::{FlashMob, RunOptions, WalkConfig};
 use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
 use fm_bench::{analog, fmt_bytes, scaled_planner, HarnessOpts};
 use fm_graph::presets::{toy_for_cache_bytes, PaperGraph};
 use fm_graph::Csr;
 use fm_memsim::{HierarchyConfig, MemorySystem};
+use fm_telemetry::Telemetry;
 
 fn baseline_per_step(g: &Csr, opts: &HarnessOpts) -> f64 {
     let walk = WalkConfig::deepwalk()
@@ -24,7 +25,11 @@ fn baseline_per_step(g: &Csr, opts: &HarnessOpts) -> f64 {
         .record_paths(false);
     let kind = BaselineKind::KnightKing;
     let engine = Baseline::new(g, BaselineConfig { kind, walk }).expect("baseline");
-    engine.run_with_stats().expect("run").1.per_step_ns()
+    engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("run")
+        .1
+        .per_step_ns()
 }
 
 fn flashmob_per_step(g: &Csr, opts: &HarnessOpts) -> f64 {
@@ -35,7 +40,11 @@ fn flashmob_per_step(g: &Csr, opts: &HarnessOpts) -> f64 {
         .record_paths(false)
         .planner(scaled_planner(opts.scale));
     let engine = FlashMob::new(g, cfg).expect("flashmob");
-    engine.run_with_stats().expect("run").1.per_step_ns()
+    engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("run")
+        .1
+        .per_step_ns()
 }
 
 fn main() {

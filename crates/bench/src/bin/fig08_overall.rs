@@ -8,11 +8,12 @@
 //! 5.4-13.7x over KnightKing on DeepWalk and 3.9-19.9x on node2vec,
 //! with the smallest gain on UK (locality the baseline also enjoys).
 
-use flashmob::{FlashMob, WalkAlgorithm, WalkConfig};
+use flashmob::{FlashMob, RunOptions, WalkAlgorithm, WalkConfig};
 use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
 use fm_bench::{analog, scaled_planner, HarnessOpts};
 use fm_graph::presets::PaperGraph;
 use fm_graph::Csr;
+use fm_telemetry::Telemetry;
 
 fn baseline_stats(
     g: &Csr,
@@ -28,7 +29,7 @@ fn baseline_stats(
     walk.algorithm = algo;
     Baseline::new(g, BaselineConfig { kind, walk })
         .expect("baseline")
-        .run_with_stats()
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
         .expect("run")
         .1
 }
@@ -49,7 +50,7 @@ fn flashmob_stats(
     cfg.algorithm = algo;
     FlashMob::new(g, cfg)
         .expect("flashmob")
-        .run_with_stats()
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
         .expect("run")
         .1
 }

@@ -8,10 +8,11 @@
 //!     equal VPs), and the authors' pre-MCKP manual heuristic.
 
 use flashmob::pool::PoolStats;
-use flashmob::{FlashMob, PlanStrategy, WalkConfig};
+use flashmob::{FlashMob, PlanStrategy, RunOptions, WalkConfig};
 use fm_bench::{analog, scaled_planner, HarnessOpts};
 use fm_graph::presets::PaperGraph;
 use fm_graph::Csr;
+use fm_telemetry::Telemetry;
 
 fn run(g: &Csr, strategy: PlanStrategy, opts: &HarnessOpts) -> (f64, f64, f64, f64, PoolStats) {
     let cfg = WalkConfig::deepwalk()
@@ -22,7 +23,9 @@ fn run(g: &Csr, strategy: PlanStrategy, opts: &HarnessOpts) -> (f64, f64, f64, f
         .threads(opts.threads)
         .planner(scaled_planner(opts.scale));
     let engine = FlashMob::new(g, cfg).expect("flashmob");
-    let (_, stats) = engine.run_with_stats().expect("run");
+    let (_, stats) = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("run");
     let (sample, shuffle, other) = stats.stage_ns_per_step();
     (stats.per_step_ns(), sample, shuffle, other, stats.pool)
 }

@@ -9,10 +9,11 @@
 
 use flashmob::cost::AnalyticCostModel;
 use flashmob::partition::{Partition, SamplePolicy};
-use flashmob::{FlashMob, WalkConfig};
+use flashmob::{FlashMob, RunOptions, WalkConfig};
 use fm_bench::{analog, scaled_planner, HarnessOpts};
 use fm_graph::presets::PaperGraph;
 use fm_memsim::Level;
+use fm_telemetry::Telemetry;
 
 fn size_class(model: &AnalyticCostModel, p: &Partition) -> Level {
     let bytes = match p.policy {
@@ -37,7 +38,9 @@ fn main() {
             .planner(params.clone());
         let engine = FlashMob::new(&g, cfg).expect("flashmob");
         let plan = engine.plan();
-        let (_, stats) = engine.run_with_stats().expect("run");
+        let (_, stats) = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .expect("run");
 
         println!();
         println!(

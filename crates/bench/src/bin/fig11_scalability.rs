@@ -7,10 +7,11 @@
 //!     count grows from |V| to 16|V| — the paper measures a 32.6%
 //!     sampling-cost reduction from |V| to 8|V|, leveling off after.
 
-use flashmob::{FlashMob, WalkConfig};
+use flashmob::{FlashMob, RunOptions, WalkConfig};
 use fm_bench::{analog, scaled_planner, HarnessOpts};
 use fm_graph::presets::PaperGraph;
 use fm_graph::synth;
+use fm_telemetry::Telemetry;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -44,7 +45,9 @@ fn main() {
             .record_paths(false)
             .planner(params.clone());
         let engine = FlashMob::new(&g, cfg).expect("flashmob");
-        let (_, stats) = engine.run_with_stats().expect("run");
+        let (_, stats) = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .expect("run");
         let (sample, _, _) = stats.stage_ns_per_step();
         println!(
             "{:<12}{:>12}{:>12}{:>12.1}{:>12.1}",
@@ -75,7 +78,9 @@ fn main() {
             .record_paths(false)
             .planner(params.clone());
         let engine = FlashMob::new(&tw, cfg).expect("flashmob");
-        let (_, stats) = engine.run_with_stats().expect("run");
+        let (_, stats) = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .expect("run");
         let (sample, _, _) = stats.stage_ns_per_step();
         if mult == 1 {
             base_sample = sample;

@@ -13,11 +13,12 @@
 //! The paper does not plot this figure; the sweep quantifies the repo's
 //! own §10 (DESIGN.md) ring and backs the BENCH_PREFETCH.md note.
 
-use flashmob::{FlashMob, MetapathPattern, WalkAlgorithm, WalkConfig};
+use flashmob::{FlashMob, MetapathPattern, RunOptions, WalkAlgorithm, WalkConfig};
 use fm_bench::{analog, scaled_planner, timed, HarnessOpts};
 use fm_graph::presets::PaperGraph;
 use fm_graph::Csr;
 use fm_rng::Rng64;
+use fm_telemetry::Telemetry;
 
 const DEPTHS: [usize; 5] = [1, 2, 4, 8, 16];
 
@@ -70,7 +71,7 @@ fn run_once(
     let (out, secs) = timed(|| {
         FlashMob::new(g, cfg)
             .expect("flashmob")
-            .run_with_stats()
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
             .expect("run")
             .1
     });

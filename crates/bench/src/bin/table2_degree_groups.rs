@@ -6,10 +6,11 @@
 //! The paper's headline: the top-5% vertices receive 45.6-69.7% of all
 //! visits, and visit share tracks edge share closely.
 
-use flashmob::{FlashMob, WalkConfig};
+use flashmob::{FlashMob, RunOptions, WalkConfig};
 use fm_bench::{analog, scaled_planner, HarnessOpts};
 use fm_graph::presets::PaperGraph;
 use fm_graph::stats::{degree_group_stats, TABLE2_BUCKETS};
+use fm_telemetry::Telemetry;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -31,7 +32,9 @@ fn main() {
             .record_visits(true)
             .planner(scaled_planner(opts.scale));
         let engine = FlashMob::new(&g, config).expect("analog graphs have no sinks");
-        let (_, stats) = engine.run_with_stats().expect("walk");
+        let (_, stats) = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .expect("walk");
         let visits = stats
             .visits_original(engine.relabeling())
             .expect("visits recorded");

@@ -127,15 +127,6 @@ pub fn rule(header: &str) {
     println!("{}", "-".repeat(header.len()));
 }
 
-/// Formats a nanosecond value compactly.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns >= 1000.0 {
-        format!("{:.2}us", ns / 1000.0)
-    } else {
-        format!("{ns:.1}ns")
-    }
-}
-
 /// Formats a byte count with binary units.
 pub fn fmt_bytes(b: usize) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
@@ -154,8 +145,6 @@ mod tests {
 
     #[test]
     fn fmt_helpers() {
-        assert_eq!(fmt_ns(12.34), "12.3ns");
-        assert_eq!(fmt_ns(2500.0), "2.50us");
         assert_eq!(fmt_bytes(512), "512.0B");
         assert_eq!(fmt_bytes(2048), "2.0KiB");
         assert_eq!(fmt_bytes(3 << 20), "3.0MiB");

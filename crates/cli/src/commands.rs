@@ -360,18 +360,13 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                         FlashMob::new(&g, config).and_then(|e| e.run_with(&opts, &mut tel))
                     }
                     EngineChoice::KnightKing | EngineChoice::GraphVite => {
-                        if opts.checkpoint.is_some() || opts.fault.is_some() {
-                            return Err(fail_plan(
-                                "checkpointing and --fault-rate require --engine flashmob",
-                            ));
-                        }
                         let kind = if engine == EngineChoice::KnightKing {
                             BaselineKind::KnightKing
                         } else {
                             BaselineKind::GraphVite
                         };
                         Baseline::new(&g, BaselineConfig { kind, walk: config })
-                            .and_then(|e| e.run_traced(&mut tel))
+                            .and_then(|e| e.run_with(&opts, &mut tel))
                     }
                 }
                 .map(|(o, s)| RunReport {
@@ -904,6 +899,15 @@ mod tests {
         Ok(())
     }
 
+    /// The paths of `config`'s walk on `g`, run in process.
+    fn config_paths(g: &Csr, config: WalkConfig) -> Vec<Vec<VertexId>> {
+        let engine = FlashMob::new(g, config).unwrap();
+        let (out, _) = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .unwrap();
+        out.paths()
+    }
+
     /// The paths of a `walk` command line, run in process.
     fn walk_paths(g: &Csr, line: &str) -> Vec<Vec<VertexId>> {
         let Command::Walk {
@@ -912,8 +916,8 @@ mod tests {
         else {
             panic!("not a walk: {line}");
         };
-        let config = config.walkers(walker_count(walkers, g.vertex_count()).unwrap());
-        FlashMob::new(g, config).unwrap().run().unwrap().paths()
+        let walkers = walker_count(walkers, g.vertex_count()).unwrap();
+        config_paths(g, config.walkers(walkers))
     }
 
     #[test]
@@ -950,7 +954,7 @@ mod tests {
             },
             ..WalkConfig::deepwalk().walkers(2000).seed(11)
         };
-        let geometric = FlashMob::new(&g, config).unwrap().run().unwrap().paths();
+        let geometric = config_paths(&g, config);
         assert!(geometric.iter().any(|p| p.len() == 1) && geometric.iter().any(|p| p.len() == 13));
         // Each digit count's edges, an empty line, the largest ID.
         let edges = vec![
@@ -1177,7 +1181,8 @@ mod tests {
             bin.display()
         ))
         .unwrap_err();
-        assert!(err.0.contains("--engine flashmob"), "{}", err.0);
+        // The engine refuses it, not the CLI: a baseline has no checkpoints.
+        assert!(err.0.contains("writes no checkpoints"), "{}", err.0);
         assert_eq!(err.1, ExitKind::Plan);
         // In memory, faults reach only checkpoint writes and a halt
         // only follows one: without a checkpoint directory there is

@@ -36,8 +36,8 @@ use fm_graph::{synth, Csr, VertexId};
 use fm_rng::gof::chi_square_test;
 use fm_telemetry::{Stage, Telemetry, NO_PARTITION};
 use flashmob::{
-    numa::{run_numa_paths_with, NumaMode},
-    oocore::{run_ooc, DiskGraph},
+    numa::{run_numa_with, NumaMode},
+    oocore::{run_ooc_with, DiskGraph},
     FlashMob, MetapathPattern, PlanStrategy, PlannerParams, RunOptions, RunStats, WalkAlgorithm,
     WalkConfig, WalkerInit,
 };
@@ -500,11 +500,13 @@ pub(crate) fn run_cell_data(
 ) -> Result<CellData, String> {
     let err = |e: flashmob::WalkError| e.to_string();
     let config = cell_config(engine, algo, threads, ring_depth);
+    // Every arm runs its family's one entry, untraced, without options.
+    let (opts, mut tel) = (RunOptions::default(), Telemetry::off());
     match engine {
         EngineKind::FlashMobAuto | EngineKind::FlashMobPs | EngineKind::FlashMobDs => {
             let fm = FlashMob::new(graph, config).map_err(err)?;
             let stream_ids = stream_ids(&fm);
-            let (output, stats) = fm.run_with_stats().map_err(err)?;
+            let (output, stats) = fm.run_with(&opts, &mut tel).map_err(err)?;
             Ok(CellData {
                 stream_ids,
                 ..CellData::from_run(output.paths(), &stats)
@@ -516,15 +518,9 @@ pub(crate) fn run_cell_data(
             } else {
                 NumaMode::Replicated
             };
-            let (outputs, stats) = run_numa_paths_with(
-                graph,
-                config,
-                mode,
-                LATTICE_SOCKETS,
-                &RunOptions::default(),
-                &mut Telemetry::off(),
-            )
-            .map_err(err)?;
+            let (outputs, stats) =
+                run_numa_with(graph, config, mode, LATTICE_SOCKETS, &opts, &mut tel)
+                    .map_err(err)?;
             Ok(CellData::from_run(
                 outputs.iter().flat_map(|o| o.paths()).collect(),
                 &stats,
@@ -535,7 +531,7 @@ pub(crate) fn run_cell_data(
             let disk = DiskGraph::create(graph, &path).map_err(|e| e.to_string())?;
             // A tight budget forces multiple blocks, so pair scheduling,
             // parking and (in the crash matrix) the BBLK frame all run.
-            let result = run_ooc(&disk, &config, OOC_BUDGET);
+            let result = run_ooc_with(&disk, &config, OOC_BUDGET, &opts, &mut tel);
             std::fs::remove_file(&path).ok();
             let paths = result.map_err(err)?.0.paths();
             Ok(CellData::from_run(paths, &RunStats::default()))
@@ -548,7 +544,7 @@ pub(crate) fn run_cell_data(
             };
             let engine =
                 Baseline::new(graph, BaselineConfig { kind, walk: config }).map_err(err)?;
-            let (output, stats) = engine.run_with_stats().map_err(err)?;
+            let (output, stats) = engine.run_with(&opts, &mut tel).map_err(err)?;
             Ok(CellData::from_run(output.paths(), &stats))
         }
     }

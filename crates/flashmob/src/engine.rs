@@ -323,8 +323,8 @@ impl RunOptions {
 ///
 /// Construction performs the paper's pre-processing: degree-descending
 /// relabeling (counting sort) and MCKP-based partition planning.  The
-/// engine can then be run any number of times; each [`FlashMob::run`] is
-/// deterministic under the configured seed.
+/// engine can then be run any number of times; each
+/// [`FlashMob::run_with`] is deterministic under the configured seed.
 #[derive(Debug)]
 pub struct FlashMob {
     graph: Csr,
@@ -447,7 +447,6 @@ impl Scratch {
 /// is a function of graph + config and is rebuilt identically.  The
 /// state owns its lanes for the whole run; a step allocates nothing.
 struct EpochState {
-    seed: u64,
     /// The next iteration to run: `iter` of them are complete, and `w`
     /// is exactly its input.
     iter: usize,
@@ -471,7 +470,7 @@ struct EpochState {
 
 impl EpochState {
     /// The state before iteration 0: walkers placed, nothing sampled.
-    fn fresh(engine: &FlashMob, seed: u64) -> Self {
+    fn fresh(engine: &FlashMob) -> Self {
         let config = &engine.config;
         // Walker initialization (in the sorted ID space; fixed starts are
         // translated from original IDs).
@@ -481,9 +480,8 @@ impl EpochState {
             }
             other => other.clone(),
         };
-        let w = initialize(&engine.graph, &init, config.walkers, seed);
+        let w = initialize(&engine.graph, &init, config.walkers, config.seed);
         Self {
-            seed,
             iter: 0,
             steps_taken: 0,
             // A stateful program's origin is the initial position,
@@ -517,7 +515,6 @@ impl EpochState {
         let (walkers, steps) = (config.walkers, config.max_steps());
         let parts = engine.plan.partitions.len();
         let WalkSnapshot {
-            seed,
             iter_next,
             steps_taken,
             per_partition_steps,
@@ -576,7 +573,6 @@ impl EpochState {
         // `prev` and `rows` come as they are: the configuration tag vouches
         // that the writer left them empty where this run does not use them.
         Ok(Self {
-            seed,
             iter: iter_next as usize,
             steps_taken,
             w,
@@ -992,24 +988,21 @@ impl FlashMob {
             .collect()
     }
 
-    /// Runs the walk, returning the recorded output.
-    pub fn run(&self) -> Result<WalkOutput, WalkError> {
-        self.run_with_stats().map(|(out, _)| out)
-    }
-
-    /// Runs the walk, returning output and execution statistics.
+    /// [`FlashMob::run_with`] under default options, untraced.  Kept
+    /// for `benchmark/`, which calls it by name; nothing else may.
     pub fn run_with_stats(&self) -> Result<(WalkOutput, RunStats), WalkError> {
         self.run_with(&RunOptions::default(), &mut Telemetry::off())
     }
 
-    /// Runs the walk while recording telemetry into `tel` (see
-    /// [`FlashMob::run_with`]).
+    /// [`FlashMob::run_with`] under default options.  Kept for
+    /// `benchmark/`, which calls it by name; nothing else may.
     pub fn run_traced(&self, tel: &mut Telemetry) -> Result<(WalkOutput, RunStats), WalkError> {
         self.run_with(&RunOptions::default(), tel)
     }
 
-    /// Runs the walk under `opts`, recording telemetry into `tel`; every
-    /// other way to run the engine is a spelling of this one.
+    /// Runs the walk under `opts`, recording telemetry into `tel`: the
+    /// engine's one run entry.  [`FlashMob::run_probed`] is the
+    /// instrumented mode beside it.
     ///
     /// With [`RunOptions::checkpoint`] a crash-consistent checkpoint is
     /// published atomically into `spec.dir` every `spec.every`
@@ -1032,9 +1025,9 @@ impl FlashMob {
     /// parallel runs), Checkpoint and Recovery spans with their transient
     /// IO retries counted, and per-partition counters whose step totals
     /// match the steps this process executed exactly.  Recording never
-    /// touches the sampled chain: RNG streams are derived exactly as in
-    /// [`FlashMob::run`], so traced output is bit-identical to untraced
-    /// output.
+    /// touches the sampled chain: RNG streams are derived from the
+    /// configured seed alone, so traced output is bit-identical to
+    /// untraced output.
     pub fn run_with(
         &self,
         opts: &RunOptions,
@@ -1045,7 +1038,7 @@ impl FlashMob {
                 "fault injection applies to checkpoint writes; this run writes none".into(),
             ));
         }
-        self.run_epochs(&mut NullProbe, true, self.config.seed, opts, tel)
+        self.run_epochs(&mut NullProbe, true, opts, tel)
     }
 
     /// Fingerprint of everything that determines the sampled chain.
@@ -1138,50 +1131,12 @@ impl FlashMob {
         self.config.algorithm.is_second_order() || self.config.algorithm.is_stateful()
     }
 
-    /// Runs enough episodes of `config.walkers` walkers each to cover at
-    /// least `total_walkers`, streaming each episode's output to `sink`.
-    ///
-    /// This is the paper's workload structure: "10 episodes, each with
-    /// |V| walkers walking 80 steps", where the per-episode walker count
-    /// is bounded by DRAM capacity rather than the total.  Episode `i`
-    /// derives its seed from the configured seed, so the whole sequence
-    /// is deterministic.  Returns aggregated statistics.
-    pub fn run_episodes<F>(&self, total_walkers: usize, mut sink: F) -> Result<RunStats, WalkError>
-    where
-        F: FnMut(usize, WalkOutput),
-    {
-        if total_walkers == 0 {
-            return Err(WalkError::NoWalkers);
-        }
-        let episodes = total_walkers.div_ceil(self.config.walkers);
-        let mut agg = RunStats::default();
-        for e in 0..episodes {
-            let seed = self.config.seed.wrapping_add(0x9E37 * e as u64 + e as u64);
-            let (out, stats) = self.run_epochs(
-                &mut NullProbe,
-                true,
-                seed,
-                &RunOptions::default(),
-                &mut Telemetry::off(),
-            )?;
-            agg.absorb(&stats);
-            sink(e, out);
-        }
-        Ok(agg)
-    }
-
     /// Runs the walk while feeding every memory access into `probe`.
     ///
     /// Instrumented runs execute the partitions sequentially regardless
     /// of the configured thread count, so counter attribution is exact.
     pub fn run_probed<P: Probe>(&self, probe: &mut P) -> Result<(WalkOutput, RunStats), WalkError> {
-        self.run_epochs(
-            probe,
-            false,
-            self.config.seed,
-            &RunOptions::default(),
-            &mut Telemetry::off(),
-        )
+        self.run_epochs(probe, false, &RunOptions::default(), &mut Telemetry::off())
     }
 
     /// The one run path: prologue, the iteration loop, epilogue.
@@ -1192,7 +1147,6 @@ impl FlashMob {
         &self,
         probe: &mut P,
         allow_parallel: bool,
-        seed: u64,
         opts: &RunOptions,
         tel: &mut Telemetry,
     ) -> Result<(WalkOutput, RunStats), WalkError> {
@@ -1212,7 +1166,7 @@ impl FlashMob {
         // snapshot to this run, engine and graph.
         let mut checkpoint = Checkpointer::new(opts);
         let (walkers, steps) = (self.config.walkers, self.config.max_steps());
-        let header = RunHeader::new(opts, seed, walkers, steps, || {
+        let header = RunHeader::new(opts, self.config.seed, walkers, steps, || {
             (self.config_tag(), self.graph_tag())
         });
         let resumed = checkpoint::resume(opts, &header, tel)?;
@@ -1221,7 +1175,7 @@ impl FlashMob {
         let prologue_span = tel.is_on().then(|| tel.now_ns());
         let mut state = match resumed {
             Some(snap) => EpochState::restore(self, snap)?,
-            None => EpochState::fresh(self, seed),
+            None => EpochState::fresh(self),
         };
         let init = wall_start.elapsed();
         if let Some(s) = prologue_span {
@@ -1514,7 +1468,7 @@ impl FlashMob {
         ctx: &AlgoCtx<'_>,
         probe: &mut P,
     ) -> u64 {
-        let (seed, iter) = (state.seed, state.iter);
+        let (seed, iter) = (self.config.seed, state.iter);
         let s = &mut state.scratch;
         let (offsets, sw) = (&s.shuffle.offsets, s.sw.as_slice());
         let (snext, ring_prefetches) = (s.snext.as_mut_slice(), s.prefetches.as_mut_slice());
@@ -1935,7 +1889,7 @@ impl<'a> TaskLanes<'a> {
     fn of(engine: &FlashMob, state: &'a mut EpochState) -> Self {
         let s = &mut state.scratch;
         Self {
-            seed: state.seed,
+            seed: engine.config.seed,
             iter: state.iter,
             offsets: &s.shuffle.offsets,
             sw: &s.sw,
@@ -1979,6 +1933,11 @@ mod tests {
         }
     }
 
+    /// The walk under default options, untraced.
+    fn run_default(engine: &FlashMob) -> Result<(WalkOutput, RunStats), WalkError> {
+        engine.run_with(&RunOptions::default(), &mut Telemetry::off())
+    }
+
     fn config(walkers: usize, steps: usize) -> WalkConfig {
         WalkConfig::deepwalk()
             .walkers(walkers)
@@ -1991,7 +1950,7 @@ mod tests {
     fn walkers_move_along_edges_every_step() {
         let g = synth::power_law(500, 2.0, 1, 40, 3);
         let engine = FlashMob::new(&g, config(500, 8)).unwrap();
-        let out = engine.run().unwrap();
+        let out = run_default(&engine).unwrap().0;
         for path in out.paths() {
             assert_eq!(path.len(), 9);
             for hop in path.windows(2) {
@@ -2042,8 +2001,8 @@ mod tests {
     fn deterministic_across_runs() {
         let g = synth::power_law(300, 2.0, 1, 30, 5);
         let engine = FlashMob::new(&g, config(200, 6)).unwrap();
-        let a = engine.run().unwrap();
-        let b = engine.run().unwrap();
+        let a = run_default(&engine).unwrap().0;
+        let b = run_default(&engine).unwrap().0;
         assert_eq!(a.paths(), b.paths());
     }
 
@@ -2071,7 +2030,7 @@ mod tests {
             for (algo, graph, cfg) in matrix_cells(&g, walkers) {
                 let run = |threads: usize| {
                     let engine = FlashMob::new(&graph, cfg.clone().threads(threads)).unwrap();
-                    engine.run().unwrap()
+                    run_default(&engine).unwrap().0
                 };
                 let seq = run(1);
                 let two = run(2);
@@ -2119,10 +2078,8 @@ mod tests {
                         cfg.algorithm = WalkAlgorithm::Weighted;
                     }
                     let graph = if algo == "weighted" { &wg } else { &g };
-                    FlashMob::new(graph, cfg.threads(threads).ring_depth(depth))
-                        .unwrap()
-                        .run_with_stats()
-                        .unwrap()
+                    let engine = FlashMob::new(graph, cfg.threads(threads).ring_depth(depth));
+                    run_default(&engine.unwrap()).unwrap()
                 };
                 let (baseline, stats) = run(1);
                 if algo == "sparse node2vec" {
@@ -2169,7 +2126,7 @@ mod tests {
         let g = synth::power_law(300, 2.0, 1, 30, 5);
         let run = |depth: usize| {
             let engine = FlashMob::new(&g, config(200, 6).ring_depth(depth)).unwrap();
-            let (_, stats) = engine.run_with_stats().unwrap();
+            let (_, stats) = run_default(&engine).unwrap();
             stats
         };
         // "The ring is off" and "nothing was hinted" are two facts: at
@@ -2197,7 +2154,7 @@ mod tests {
         // Nothing hinted at all: ring off and the guard at *never*.
         let mut engine = FlashMob::new(&g, config(200, 6).ring_depth(1)).unwrap();
         engine.hint_lines_per_walker = 0;
-        let (_, none) = engine.run_with_stats().unwrap();
+        let (_, none) = run_default(&engine).unwrap();
         assert_eq!(none.per_partition_prefetches.iter().sum::<u64>(), 0);
         assert!(!none.human_summary().contains("prefetch"));
         assert_eq!(none.per_partition_steps, off.per_partition_steps);
@@ -2228,7 +2185,7 @@ mod tests {
     ) -> (Trace, RunStats) {
         let mut engine = FlashMob::new(graph, cfg.clone()).unwrap();
         force(&mut engine);
-        let (out, stats) = engine.run_with_stats().unwrap();
+        let (out, stats) = run_default(&engine).unwrap();
         let dir = std::env::temp_dir().join(format!("fm_hint_{}_{tag}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let halt = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 2).halt_after(1));
@@ -2407,7 +2364,7 @@ mod tests {
         let g = synth::power_law(4_000, 2.0, 4, 200, 13);
         let run = |walkers: usize| {
             let cfg = config(walkers, 4).strategy(PlanStrategy::UniformPs);
-            FlashMob::new(&g, cfg).unwrap().run_with_stats().unwrap().1
+            run_default(&FlashMob::new(&g, cfg).unwrap()).unwrap().1
         };
         let sparse = run(40);
         let (produced, reserved, consumed) = sparse.pre_sample_totals();
@@ -2427,11 +2384,8 @@ mod tests {
         assert!(produced > 0 && reserved == 0, "{produced} {reserved}");
         assert!(!dense.human_summary().contains("checked skip"));
         // A DS plan pre-samples nothing and prints no such line.
-        let ds = FlashMob::new(&g, config(40, 4).strategy(PlanStrategy::UniformDs))
-            .unwrap()
-            .run_with_stats()
-            .unwrap()
-            .1;
+        let ds = FlashMob::new(&g, config(40, 4).strategy(PlanStrategy::UniformDs)).unwrap();
+        let ds = run_default(&ds).unwrap().1;
         assert_eq!(ds.pre_sample_totals(), (0, 0, 0));
         assert!(!ds.human_summary().contains("pre-samples"));
     }
@@ -2473,7 +2427,7 @@ mod tests {
                     let mut engine = FlashMob::new(&g, cfg.clone()).unwrap();
                     assert_eq!(engine.plan().partitions.len(), parts.len());
                     engine.hint_lines_per_walker = guard;
-                    engine.run_with_stats().unwrap()
+                    run_default(&engine).unwrap()
                 };
                 let (out, stats) = run(usize::MAX);
                 let hinted: Vec<usize> = (0..parts.len())
@@ -2497,7 +2451,7 @@ mod tests {
         .unwrap();
         assert_eq!(engine.plan().partitions.len(), 1);
         engine.hint_lines_per_walker = usize::MAX;
-        let (_, stats) = engine.run_with_stats().unwrap();
+        let (_, stats) = run_default(&engine).unwrap();
         assert_eq!(stats.per_partition_prefetches, vec![0]);
     }
 
@@ -2510,7 +2464,7 @@ mod tests {
         let run = |threads: usize| {
             let cfg = config(200, 6).record_visits(true).threads(threads);
             let engine = FlashMob::new(&g, cfg).unwrap();
-            let (_, stats) = engine.run_with_stats().unwrap();
+            let (_, stats) = run_default(&engine).unwrap();
             stats.visits_sorted.unwrap()
         };
         let seq = run(1);
@@ -2523,7 +2477,7 @@ mod tests {
     fn pool_stats_reflect_one_spawn_per_thread() {
         let g = synth::power_law(300, 2.0, 1, 30, 5);
         let engine = FlashMob::new(&g, config(200, 8).threads(4)).unwrap();
-        let (_, stats) = engine.run_with_stats().unwrap();
+        let (_, stats) = run_default(&engine).unwrap();
         assert_eq!(stats.pool.spawned, 4, "one spawn per thread, not per step");
         assert!(
             stats.pool.epochs >= 8,
@@ -2531,7 +2485,7 @@ mod tests {
             stats.pool.epochs
         );
         let seq = FlashMob::new(&g, config(200, 8)).unwrap();
-        let (_, s) = seq.run_with_stats().unwrap();
+        let (_, s) = run_default(&seq).unwrap();
         assert_eq!(s.pool, PoolStats::default(), "sequential runs skip the pool");
     }
 
@@ -2539,7 +2493,7 @@ mod tests {
     fn stats_account_for_all_steps() {
         let g = synth::power_law(200, 2.0, 1, 20, 1);
         let engine = FlashMob::new(&g, config(150, 4)).unwrap();
-        let (_, stats) = engine.run_with_stats().unwrap();
+        let (_, stats) = run_default(&engine).unwrap();
         assert_eq!(stats.steps_taken, 150 * 4);
         assert_eq!(
             stats.per_partition_steps.iter().sum::<u64>(),
@@ -2553,7 +2507,7 @@ mod tests {
         let g = synth::power_law(200, 2.0, 1, 20, 4);
         let cfg = config(100, 6).record_visits(true);
         let engine = FlashMob::new(&g, cfg).unwrap();
-        let (out, stats) = engine.run_with_stats().unwrap();
+        let (out, stats) = run_default(&engine).unwrap();
         let from_paths = out.visit_counts(g.vertex_count());
         let from_stats = stats.visits_original(engine.relabeling()).unwrap();
         assert_eq!(from_paths, from_stats);
@@ -2568,7 +2522,7 @@ mod tests {
             .seed(3)
             .planner(small_params());
         let engine = FlashMob::new(&g, cfg).unwrap();
-        let out = engine.run().unwrap();
+        let out = run_default(&engine).unwrap().0;
         for path in out.paths() {
             for hop in path.windows(2) {
                 assert!(g.neighbors(hop[0]).contains(&hop[1]));
@@ -2590,7 +2544,7 @@ mod tests {
                 .threads(threads)
                 .planner(small_params());
             let engine = FlashMob::new(&g, cfg).unwrap();
-            let out = engine.run().unwrap();
+            let out = run_default(&engine).unwrap().0;
             out.visit_counts(g.vertex_count())
         };
         let batched = run(1);
@@ -2616,7 +2570,7 @@ mod tests {
             max_steps: 100,
         };
         let engine = FlashMob::new(&g, cfg).unwrap();
-        let (out, stats) = engine.run_with_stats().unwrap();
+        let (out, stats) = run_default(&engine).unwrap();
         // Expected ~2 steps per walker; far fewer than the bound.
         assert!(stats.steps_taken < 500 * 10);
         let lens: Vec<usize> = out.paths().iter().map(|p| p.len()).collect();
@@ -2636,7 +2590,7 @@ mod tests {
         };
         for (what, cfg, every) in [("fixed", fixed, 3), ("geometric", geometric, 64)] {
             let engine = FlashMob::new(&g, cfg).unwrap();
-            let (want, want_stats) = engine.run_with_stats().unwrap();
+            let (want, want_stats) = run_default(&engine).unwrap();
             let dir = std::env::temp_dir()
                 .join(format!("fm_engine_completion_{}_{what}", std::process::id()));
             std::fs::remove_dir_all(&dir).ok();
@@ -2705,7 +2659,7 @@ mod tests {
         ] {
             let cfg = config(200, 4).strategy(strategy);
             let engine = FlashMob::new(&g, cfg).unwrap();
-            let out = engine.run().unwrap();
+            let out = run_default(&engine).unwrap().0;
             for path in out.paths() {
                 for hop in path.windows(2) {
                     assert!(g.neighbors(hop[0]).contains(&hop[1]), "{strategy:?}");
@@ -2719,39 +2673,11 @@ mod tests {
         let g = synth::star(16);
         let cfg = config(4, 3).init(crate::WalkerInit::Fixed(vec![5, 9]));
         let engine = FlashMob::new(&g, cfg).unwrap();
-        let out = engine.run().unwrap();
+        let out = run_default(&engine).unwrap().0;
         let paths = out.paths();
         assert_eq!(paths[0][0], 5);
         assert_eq!(paths[1][0], 9);
         assert_eq!(paths[2][0], 5);
-    }
-
-    #[test]
-    fn episodes_cover_requested_walkers_deterministically() {
-        let g = synth::power_law(300, 2.0, 1, 30, 2);
-        let engine = FlashMob::new(&g, config(100, 4).record_visits(true)).unwrap();
-        let mut outputs = Vec::new();
-        let stats = engine
-            .run_episodes(250, |e, out| outputs.push((e, out.paths())))
-            .unwrap();
-        // 250 walkers at 100/episode -> 3 episodes of 100.
-        assert_eq!(outputs.len(), 3);
-        assert_eq!(stats.walkers, 300);
-        assert_eq!(stats.steps_taken, 300 * 4);
-        assert_eq!(
-            stats.per_partition_steps.iter().sum::<u64>(),
-            stats.steps_taken
-        );
-        // Episodes use distinct seeds but are individually reproducible.
-        assert_ne!(outputs[0].1, outputs[1].1);
-        let mut again = Vec::new();
-        engine
-            .run_episodes(250, |e, out| again.push((e, out.paths())))
-            .unwrap();
-        assert_eq!(outputs, again);
-        // Aggregated visits equal the episode sum.
-        let visits = stats.visits_sorted.unwrap();
-        assert_eq!(visits.iter().sum::<u64>(), 300 * 4);
     }
 
     /// The three algorithms of the determinism matrix on one graph, each
@@ -2774,8 +2700,8 @@ mod tests {
     #[test]
     fn reruns_on_one_engine_equal_a_fresh_engines_first_run() {
         // A run that inherits the previous run's PS buffers resets their
-        // cursors and nothing else.  The buffers it inherits here were
-        // last filled under *another* seed (episode 1 of `run_episodes`),
+        // cursors and nothing else.  The buffers handed over here were
+        // last filled under *another* seed, by an engine of the same plan,
         // so a single stale sample read would show.
         let g = synth::power_law(400, 2.0, 2, 40, 9);
         for (algo, graph, cfg) in matrix_cells(&g, 300) {
@@ -2784,23 +2710,34 @@ mod tests {
                     let cfg = cfg.clone().strategy(strategy).threads(threads);
                     let fresh = |seed: u64| {
                         let engine = FlashMob::new(&graph, cfg.clone().seed(seed)).unwrap();
-                        engine.run().unwrap().paths()
+                        run_default(&engine).unwrap().0.paths()
                     };
                     let what = format!("{algo} {strategy:?} {threads} threads");
                     let engine = FlashMob::new(&graph, cfg.clone()).unwrap();
                     let pre_samples = |p: &crate::Partition| p.policy == SamplePolicy::PreSample;
                     assert!(engine.plan().partitions.iter().any(pre_samples), "{what}");
                     let want = fresh(cfg.seed);
-                    assert_eq!(engine.run().unwrap().paths(), want, "{what}: first run");
-                    let mut episodes = Vec::new();
-                    engine
-                        .run_episodes(2 * cfg.walkers, |_, out| episodes.push(out.paths()))
-                        .unwrap();
-                    assert_eq!(episodes[0], want, "{what}: episode 0");
-                    let episode_1_seed = cfg.seed.wrapping_add(0x9E37 + 1);
-                    assert_eq!(episodes[1], fresh(episode_1_seed), "{what}: episode 1");
-                    assert_eq!(engine.run().unwrap().paths(), want, "{what}: second run");
-                    assert_eq!(engine.run().unwrap().paths(), want, "{what}: third run");
+                    assert_eq!(
+                        run_default(&engine).unwrap().0.paths(),
+                        want,
+                        "{what}: first run"
+                    );
+                    let other_seed = cfg.seed + 1;
+                    let other = FlashMob::new(&graph, cfg.clone().seed(other_seed)).unwrap();
+                    *other.lock_ps_pool() = engine.lock_ps_pool().take();
+                    let other_paths = run_default(&other).unwrap().0.paths();
+                    assert_eq!(other_paths, fresh(other_seed), "{what}: other seed");
+                    *engine.lock_ps_pool() = other.lock_ps_pool().take();
+                    assert_eq!(
+                        run_default(&engine).unwrap().0.paths(),
+                        want,
+                        "{what}: second run"
+                    );
+                    assert_eq!(
+                        run_default(&engine).unwrap().0.paths(),
+                        want,
+                        "{what}: third run"
+                    );
                 }
             }
         }
@@ -2811,13 +2748,13 @@ mod tests {
         let g = synth::power_law(400, 2.0, 2, 40, 9);
         for (algo, graph, cfg) in matrix_cells(&g, 300) {
             let cfg = cfg.strategy(PlanStrategy::UniformPs);
-            let want = FlashMob::new(&graph, cfg.clone()).unwrap().run().unwrap();
-            let dir = std::env::temp_dir().join(format!(
-                "fm_engine_ps_pool_{}_{algo}",
-                std::process::id()
-            ));
+            let want = run_default(&FlashMob::new(&graph, cfg.clone()).unwrap())
+                .unwrap()
+                .0;
+            let dir = std::env::temp_dir()
+                .join(format!("fm_engine_ps_pool_{}_{algo}", std::process::id()));
             let engine = FlashMob::new(&graph, cfg).unwrap();
-            engine.run().unwrap();
+            run_default(&engine).unwrap();
             // The checkpointing run inherits buffers, so its snapshot
             // carries the previous run's samples in the slots it has not
             // refilled yet; the halt drops the set.
@@ -2828,12 +2765,16 @@ mod tests {
             ));
             // Park a set again, so the resume imports into inherited
             // buffers.
-            engine.run().unwrap();
+            run_default(&engine).unwrap();
             let resume = RunOptions::default().resume_from(&dir);
             let (resumed, _) = engine.run_with(&resume, &mut Telemetry::off()).unwrap();
             std::fs::remove_dir_all(&dir).ok();
             assert_eq!(resumed.paths(), want.paths(), "{algo}");
-            assert_eq!(engine.run().unwrap().paths(), want.paths(), "{algo}: after");
+            assert_eq!(
+                run_default(&engine).unwrap().0.paths(),
+                want.paths(),
+                "{algo}: after"
+            );
         }
     }
 
@@ -2906,7 +2847,7 @@ mod tests {
                             assert!(!crosses, "{what}: resumed");
                             assert_eq!(
                                 out.paths(),
-                                engine(threads).run().unwrap().paths(),
+                                run_default(&engine(threads)).unwrap().0.paths(),
                                 "{what}"
                             );
                         }
@@ -2944,7 +2885,7 @@ mod tests {
         let g = synth::power_law(400, 2.0, 2, 40, 9);
         for (algo, graph, cfg) in matrix_cells(&g, 300) {
             let engine = FlashMob::new(&graph, cfg.strategy(PlanStrategy::UniformPs)).unwrap();
-            let want = engine.run().unwrap().paths();
+            let want = run_default(&engine).unwrap().0.paths();
             let barrier = std::sync::Barrier::new(2);
             let overlapped = || {
                 let mut probe = MeetAtFirstTouch {
@@ -2961,7 +2902,11 @@ mod tests {
             });
             assert_eq!(a, want, "{algo}");
             assert_eq!(b, want, "{algo}");
-            assert_eq!(engine.run().unwrap().paths(), want, "{algo}: after");
+            assert_eq!(
+                run_default(&engine).unwrap().0.paths(),
+                want,
+                "{algo}: after"
+            );
         }
     }
 
@@ -2974,16 +2919,6 @@ mod tests {
         assert!(matches!(
             FlashMob::new(&synth::cycle(16), config(u32::MAX as usize + 1, 2)),
             Err(WalkError::Planning(_))
-        ));
-    }
-
-    #[test]
-    fn zero_total_episode_walkers_rejected() {
-        let g = synth::cycle(8);
-        let engine = FlashMob::new(&g, config(4, 2)).unwrap();
-        assert!(matches!(
-            engine.run_episodes(0, |_, _| {}),
-            Err(WalkError::NoWalkers)
         ));
     }
 
@@ -3016,7 +2951,7 @@ mod tests {
     fn run_stats_tile_the_wall_and_summarise() {
         let g = synth::power_law(300, 2.0, 1, 30, 5);
         let engine = FlashMob::new(&g, config(200, 4).threads(2)).unwrap();
-        let (_, stats) = engine.run_with_stats().unwrap();
+        let (_, stats) = run_default(&engine).unwrap();
         assert_eq!(stats.steps_taken, 200 * 4);
         assert_eq!(
             stats.per_partition_steps.len(),
@@ -3042,9 +2977,9 @@ mod tests {
         let g = synth::power_law(400, 2.0, 1, 40, 3);
         for threads in [1usize, 4] {
             let engine = FlashMob::new(&g, config(300, 5).threads(threads)).unwrap();
-            let plain = engine.run().unwrap();
+            let plain = run_default(&engine).unwrap().0;
             let mut tel = fm_telemetry::Telemetry::new();
-            let (traced, stats) = engine.run_traced(&mut tel).unwrap();
+            let (traced, stats) = engine.run_with(&RunOptions::default(), &mut tel).unwrap();
             assert_eq!(plain.paths(), traced.paths(), "tracing must not perturb RNG");
             assert_eq!(
                 tel.partition_steps_total(),
@@ -3078,7 +3013,7 @@ mod tests {
         let g = synth::power_law(600, 1.9, 1, 60, 4);
         let engine = FlashMob::new(&g, config(400, 4)).unwrap();
         let mut tel = fm_telemetry::Telemetry::new();
-        let (_, stats) = engine.run_traced(&mut tel).unwrap();
+        let (_, stats) = engine.run_with(&RunOptions::default(), &mut tel).unwrap();
         let (ps, ds): (u64, u64) = tel
             .partition_counters()
             .iter()

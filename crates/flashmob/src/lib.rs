@@ -29,24 +29,25 @@
 //! The enter point is [`FlashMob`]:
 //!
 //! ```
-//! use flashmob::{FlashMob, WalkConfig};
+//! use flashmob::{FlashMob, RunOptions, WalkConfig};
 //! use fm_graph::synth;
+//! use fm_telemetry::Telemetry;
 //!
 //! let graph = synth::power_law(1000, 2.0, 1, 50, 7);
 //! let config = WalkConfig::deepwalk().walkers(1000).steps(10).seed(42);
 //! let engine = FlashMob::new(&graph, config).unwrap();
-//! let output = engine.run().unwrap();
+//! let (output, stats) = engine.run_with(&RunOptions::default(), &mut Telemetry::off()).unwrap();
 //! assert_eq!(output.paths().len(), 1000);
+//! assert_eq!(stats.steps_taken, 1000 * 10);
 //!
-//! // `run`, `run_with_stats` and `run_traced` spell `run_with` under
-//! // default options; with options the same call checkpoints and resumes
-//! // (`oocore::run_ooc_with` and `numa::run_numa_paths_with` likewise).
-//! use flashmob::{CheckpointSpec, RunOptions};
+//! // With options the same call checkpoints and resumes
+//! // (`oocore::run_ooc_with` and `numa::run_numa_with` likewise).
+//! use flashmob::CheckpointSpec;
 //! # let dir = std::env::temp_dir().join(format!("fm-doc-{}", std::process::id()));
 //! let opts = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 4));
-//! engine.run_with(&opts, &mut fm_telemetry::Telemetry::off()).unwrap();
+//! engine.run_with(&opts, &mut Telemetry::off()).unwrap();
 //! let opts = RunOptions::default().resume_from(&dir);
-//! let (resumed, _) = engine.run_with(&opts, &mut fm_telemetry::Telemetry::off()).unwrap();
+//! let (resumed, _) = engine.run_with(&opts, &mut Telemetry::off()).unwrap();
 //! assert_eq!(resumed.paths(), output.paths());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```

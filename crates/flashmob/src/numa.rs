@@ -21,13 +21,11 @@
 use std::path::Path;
 
 use fm_graph::Csr;
-use fm_memsim::{HierarchyConfig, MemorySystem};
 use fm_recover::{CheckpointSpec, MANIFEST_NAME};
 use fm_telemetry::Telemetry;
 
 use crate::engine::{FlashMob, RunOptions, RunStats};
 use crate::output::WalkOutput;
-use crate::pool::PoolStats;
 use crate::{WalkConfig, WalkError};
 
 /// Which cross-socket mode to run.
@@ -56,25 +54,6 @@ pub struct NumaMachine {
     pub sockets: usize,
     /// DRAM bytes available per socket for graph + walker arrays.
     pub dram_per_socket: usize,
-}
-
-/// Result of one NUMA-mode execution.
-#[derive(Debug, Clone)]
-pub struct NumaReport {
-    /// Executed mode.
-    pub mode: NumaMode,
-    /// Total walkers across all sockets.
-    pub walkers: usize,
-    /// Walker density (walkers per edge seen by one engine instance).
-    pub density: f64,
-    /// Measured wall-clock nanoseconds per walker-step.
-    pub per_step_ns: f64,
-    /// Remote DRAM loads per step from the instrumented verification run
-    /// (P-mode only; 0 for R-mode by construction).
-    pub remote_loads_per_step: f64,
-    /// Worker-pool accounting from the timed run (R-mode sums its
-    /// per-socket instances).  Zero for single-threaded configs.
-    pub pool: PoolStats,
 }
 
 /// A per-socket recorder matching the parent's enablement: socket `s`
@@ -123,92 +102,18 @@ pub fn walker_capacity(
     }
 }
 
-/// Runs one cross-socket mode and reports density + per-step time.
+/// Runs one cross-socket mode with an explicit walker count
+/// (`base.walkers` across all sockets), returning the per-instance
+/// outputs and the instances' [`RunStats`], summed with
+/// [`RunStats::absorb`]: one output for P-mode (a single engine spans
+/// all sockets), `sockets` outputs for R-mode (independent per-socket
+/// instances, socket `s` seeded with `seed + s`).  Paths are recorded
+/// as `base.record_paths` says.
 ///
-/// `base.walkers` is ignored; the walker count is derived from the
-/// machine budget, mirroring the paper's "number of walkers per episode
-/// is configured at runtime based on DRAM capacity".
-pub fn run_numa(
-    graph: &Csr,
-    base: WalkConfig,
-    machine: &NumaMachine,
-    mode: NumaMode,
-) -> Result<NumaReport, WalkError> {
-    let second_order = base.algorithm.is_second_order();
-    let walkers = walker_capacity(graph, machine, mode, second_order).max(machine.sockets);
-    match mode {
-        NumaMode::Partitioned => {
-            // Executed single-threaded and credited with ideal per-socket
-            // parallelism, exactly like the R-mode measurement below, so
-            // the comparison is fair on hosts with fewer cores than the
-            // simulated sockets.
-            let config = base.clone().walkers(walkers).record_paths(false);
-            let engine = FlashMob::new(graph, config)?;
-            let (_, stats) = engine.run_with_stats()?;
-
-            // Instrumented verification: place the walker arrays beyond a
-            // remote boundary covering half the address space, proving
-            // the sample stage's remote traffic is streaming-only.
-            let probe_cfg = base
-                .clone()
-                .walkers(walkers.min(10_000))
-                .record_paths(false);
-            let probe_engine = FlashMob::new(graph, probe_cfg)?;
-            let hierarchy = HierarchyConfig::skylake_server()
-                .with_remote_boundary(graph.footprint_bytes() as u64 / machine.sockets as u64);
-            let mut probe = MemorySystem::new(hierarchy);
-            let (_, _) = probe_engine.run_probed(&mut probe)?;
-            let remote = probe.stats().per_step(probe.stats().remote_mem_loads);
-
-            Ok(NumaReport {
-                mode,
-                walkers,
-                density: walkers as f64 / graph.edge_count() as f64,
-                per_step_ns: stats.per_step_ns() / machine.sockets as f64,
-                remote_loads_per_step: remote,
-                pool: stats.pool,
-            })
-        }
-        NumaMode::Replicated => {
-            // Independent per-socket instances of equal size; run them
-            // serially and average (a single measured socket is
-            // representative — the instances share nothing).
-            let per_socket = walkers / machine.sockets;
-            let config = base
-                .walkers(per_socket * machine.sockets)
-                .record_paths(false);
-            let mut total = RunStats::default();
-            for_each_socket(
-                graph,
-                &config,
-                machine.sockets,
-                &RunOptions::default(),
-                &mut Telemetry::off(),
-                |_, stats| total.absorb(&stats),
-            )?;
-            Ok(NumaReport {
-                mode,
-                walkers,
-                density: per_socket as f64 / graph.edge_count() as f64,
-                per_step_ns: total.per_step_ns() / machine.sockets as f64,
-                remote_loads_per_step: 0.0,
-                pool: total.pool,
-            })
-        }
-    }
-}
-
-/// Runs one cross-socket mode with path recording and an *explicit*
-/// walker count, returning the per-instance outputs and the instances'
-/// [`RunStats`], summed with [`RunStats::absorb`]: one output for P-mode
-/// (a single engine spans all sockets), `sockets` outputs for R-mode
-/// (independent per-socket instances, socket `s` seeded with `seed + s`
-/// exactly as [`run_numa`] seeds them).
-///
-/// [`run_numa`] sizes walkers from a DRAM budget and reports timings
-/// only; the conformance harness needs the actual sampled paths of both
-/// modes to prove they realize the same Markov chain, which is what this
-/// entry point provides.
+/// This is the NUMA family's one run entry.  Sizing walkers from a DRAM
+/// budget is [`walker_capacity`]'s; the remote-load check is an
+/// instrumented [`FlashMob::run_probed`] under a remote-boundary
+/// hierarchy (`fig12_numa` composes the two).
 ///
 /// P-mode hands `opts` to the spanning engine as they are.  R-mode gives
 /// every socket its own subdirectory (`<dir>/socket-<s>`) of the
@@ -226,7 +131,7 @@ pub fn run_numa(
 /// spans keep per-socket attribution and the partition counters sum
 /// exactly once, so the merged `partition_steps_total` equals the total
 /// steps across sockets.
-pub fn run_numa_paths_with(
+pub fn run_numa_with(
     graph: &Csr,
     base: WalkConfig,
     mode: NumaMode,
@@ -237,47 +142,24 @@ pub fn run_numa_paths_with(
     if sockets == 0 {
         return Err(WalkError::Planning("need at least one socket".into()));
     }
-    let base = base.record_paths(true);
-    match mode {
-        NumaMode::Partitioned => {
-            let engine = FlashMob::new(graph, base)?;
-            let (output, stats) = engine.run_with(opts, tel)?;
-            Ok((vec![output], stats))
-        }
-        NumaMode::Replicated => {
-            let mut outputs = Vec::with_capacity(sockets);
-            let mut total = RunStats::default();
-            for_each_socket(graph, &base, sockets, opts, tel, |out, stats| {
-                outputs.push(out);
-                total.absorb(&stats);
-            })?;
-            Ok((outputs, total))
-        }
+    if mode == NumaMode::Partitioned {
+        let (output, stats) = FlashMob::new(graph, base)?.run_with(opts, tel)?;
+        return Ok((vec![output], stats));
     }
-}
-
-/// R-mode: runs `base.walkers` walkers as `sockets` independent engine
-/// instances, one after another, handing each socket's result to `visit`.
-///
-/// Socket `s` gets its share of the walkers (the first socket absorbs
-/// the remainder so every walker is accounted for), seed `seed + s`, the
-/// `socket-<s>` subdirectory of `opts`' directories — resuming only if
-/// that subdirectory holds a manifest — and a recorder of its own (see
-/// [`socket_recorder`]), merged into `tel` whether or not the run
-/// succeeded.  Stops at the first socket that fails.
-fn for_each_socket(
-    graph: &Csr,
-    base: &WalkConfig,
-    sockets: usize,
-    opts: &RunOptions,
-    tel: &mut Telemetry,
-    mut visit: impl FnMut(WalkOutput, RunStats),
-) -> Result<(), WalkError> {
+    // R-mode: `sockets` independent instances, one after another.
+    // Socket `s` gets its share of the walkers (the first socket absorbs
+    // the remainder so every walker is accounted for), seed `seed + s`,
+    // the `socket-<s>` subdirectory of `opts`' directories — resuming
+    // only if that subdirectory holds a manifest — and a recorder of its
+    // own (see [`socket_recorder`]), merged into `tel` whether or not
+    // the run succeeded.  The first socket that fails stops the mode.
     let total = base.walkers;
     if total < sockets {
         return Err(WalkError::NoWalkers);
     }
     let share = total / sockets;
+    let mut outputs = Vec::with_capacity(sockets);
+    let mut stats = RunStats::default();
     for s in 0..sockets {
         let walkers = if s == 0 { total - share * (sockets - 1) } else { share };
         let config = base
@@ -301,10 +183,11 @@ fn for_each_socket(
         let mut socket_tel = socket_recorder(tel, s);
         let result = engine.run_with(&socket_opts, &mut socket_tel);
         tel.absorb(socket_tel);
-        let (output, stats) = result?;
-        visit(output, stats);
+        let (output, socket_stats) = result?;
+        outputs.push(output);
+        stats.absorb(&socket_stats);
     }
-    Ok(())
+    Ok((outputs, stats))
 }
 
 #[cfg(test)]
@@ -356,8 +239,7 @@ mod tests {
             });
         let (opts, mut tel) = (RunOptions::default(), Telemetry::new());
         let (outputs, _) =
-            run_numa_paths_with(&g, base.clone(), NumaMode::Replicated, 3, &opts, &mut tel)
-                .unwrap();
+            run_numa_with(&g, base.clone(), NumaMode::Replicated, 3, &opts, &mut tel).unwrap();
         assert_eq!(outputs.len(), 3);
         // 120 walkers × 4 steps across all sockets, counted exactly once
         // in the merged recorder.
@@ -371,7 +253,7 @@ mod tests {
             );
         }
         // Tracing must not perturb the sampled paths.
-        let (plain, _) = run_numa_paths_with(
+        let (plain, _) = run_numa_with(
             &g,
             base,
             NumaMode::Replicated,
@@ -391,7 +273,7 @@ mod tests {
         let base = crate::WalkConfig::deepwalk().walkers(90).steps(3).seed(2);
         let (opts, mut tel) = (RunOptions::default(), Telemetry::new());
         let (outputs, stats) =
-            run_numa_paths_with(&g, base, NumaMode::Partitioned, 2, &opts, &mut tel).unwrap();
+            run_numa_with(&g, base, NumaMode::Partitioned, 2, &opts, &mut tel).unwrap();
         assert_eq!(outputs.len(), 1, "P-mode is a single spanning instance");
         assert_eq!(tel.partition_steps_total(), 90 * 3);
         assert_eq!(stats.steps_taken, 90 * 3);
@@ -405,15 +287,18 @@ mod tests {
             exit_prob: 0.2,
             max_steps: 6,
         };
-        let (outputs, stats) = run_numa_paths_with(
-            &g,
-            base,
-            NumaMode::Replicated,
-            3,
-            &RunOptions::default(),
-            &mut Telemetry::off(),
-        )
-        .unwrap();
+        let run = |config: WalkConfig, mode| {
+            run_numa_with(
+                &g,
+                config,
+                mode,
+                3,
+                &RunOptions::default(),
+                &mut Telemetry::off(),
+            )
+            .unwrap()
+        };
+        let (outputs, stats) = run(base.clone(), NumaMode::Replicated);
         // A walker the stop rule ended took one step more, the fatal
         // one, than its path shows.
         let hops: Vec<usize> = outputs
@@ -426,10 +311,22 @@ mod tests {
         let in_paths = hops.iter().sum::<usize>() + ended;
         assert_eq!(stats.steps_taken, in_paths as u64);
         assert_eq!(stats.walkers, 100);
+        // With paths off, neither mode records a path row: each output
+        // holds the final positions alone, and the steps still count.
+        for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
+            let (outputs, stats) = run(base.clone().record_paths(false), mode);
+            assert!(outputs.iter().all(|o| o.step_count() == 0), "{mode:?}");
+            assert!(stats.steps_taken > 0, "{mode:?}");
+        }
     }
 
     #[test]
     fn both_modes_run_and_report() {
+        // The row `fig12_numa` composes: walkers from the DRAM budget,
+        // one paths-off run per mode, and each mode's remote loads from
+        // a probed run (P-mode's walker arrays beyond a remote boundary,
+        // R-mode's sockets each on a local graph copy).
+        use fm_memsim::{HierarchyConfig, MemorySystem};
         let g = synth::power_law(800, 2.0, 1, 40, 5);
         let m = NumaMachine {
             sockets: 2,
@@ -438,18 +335,44 @@ mod tests {
         let base = crate::WalkConfig::deepwalk()
             .steps(3)
             .seed(1)
+            .record_paths(false)
             .planner(PlannerParams {
                 target_groups: 8,
                 max_partitions: 64,
                 min_vp_vertices: 8,
                 ..PlannerParams::default()
             });
-        let p = run_numa(&g, base.clone(), &m, NumaMode::Partitioned).unwrap();
-        let r = run_numa(&g, base, &m, NumaMode::Replicated).unwrap();
-        assert!(p.density > r.density * 1.05, "P density should exceed R");
-        assert!(p.per_step_ns > 0.0 && r.per_step_ns > 0.0);
-        assert_eq!(r.remote_loads_per_step, 0.0);
+        let row = |mode, hierarchy: HierarchyConfig| {
+            let walkers = walker_capacity(&g, &m, mode, false).max(m.sockets);
+            let (total, per_instance) = match mode {
+                NumaMode::Partitioned => (walkers, walkers),
+                NumaMode::Replicated => (walkers / m.sockets * m.sockets, walkers / m.sockets),
+            };
+            let config = base.clone().walkers(total);
+            let (_, stats) = run_numa_with(
+                &g,
+                config,
+                mode,
+                m.sockets,
+                &RunOptions::default(),
+                &mut Telemetry::off(),
+            )
+            .unwrap();
+            assert!(stats.per_step_ns() > 0.0, "{mode:?}");
+            let probe_engine =
+                FlashMob::new(&g, base.clone().walkers(per_instance.min(10_000))).unwrap();
+            let mut probe = MemorySystem::new(hierarchy);
+            probe_engine.run_probed(&mut probe).unwrap();
+            let remote = probe.stats().per_step(probe.stats().remote_mem_loads);
+            (per_instance as f64 / g.edge_count() as f64, remote)
+        };
+        let remote = HierarchyConfig::skylake_server()
+            .with_remote_boundary(g.footprint_bytes() as u64 / m.sockets as u64);
+        let (p_density, p_remote) = row(NumaMode::Partitioned, remote);
+        let (r_density, r_remote) = row(NumaMode::Replicated, HierarchyConfig::skylake_server());
+        assert!(p_density > r_density * 1.05, "P density should exceed R");
+        assert_eq!(r_remote, 0.0);
         // Remote accesses in P-mode stay rare (streaming-only).
-        assert!(p.remote_loads_per_step.is_finite());
+        assert!(p_remote.is_finite());
     }
 }

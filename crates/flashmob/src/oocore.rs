@@ -289,19 +289,8 @@ impl OocStats {
     }
 }
 
-/// Walks a disk-resident graph — DeepWalk, node2vec or PPR, for a fixed
-/// number of steps — through the bi-block pair schedule; any other
-/// algorithm or stop rule is a [`WalkError::Planning`], as is a
-/// [`WalkConfig::strategy`] other than the default DP (the blocks, not a
-/// partition plan, schedule the walk).
-///
-/// `partition_budget_bytes` bounds the adjacency bytes held at once: a
-/// pair of half-budget blocks (the paper's analysis suggests the L3
-/// capacity).  DeepWalk and PPR read one list a step, so they only ever
-/// fill one of the two.  The stepping loop runs through the walker
-/// ring, so [`WalkConfig::ring_depth`] reaches this engine as it does
-/// the in-memory one; unset, the cost model picks the depth from the
-/// resident pair's size.  The walk is the same at every depth.
+/// [`run_ooc_with`] under default options, untraced.  Kept for
+/// `benchmark/`, which calls it by name; nothing else may.
 pub fn run_ooc(
     disk: &DiskGraph,
     config: &WalkConfig,
@@ -375,12 +364,27 @@ fn ooc_graph_tag(disk: &DiskGraph) -> u64 {
     fp.value()
 }
 
-/// [`run_ooc`] with the full robustness surface — crash-consistent
-/// checkpoints, resume, seeded fault injection on the read stream, and
-/// bounded retries with exponential backoff for transient IO errors —
-/// and telemetry: a Sample span per scheduled pair slot, an Io span per
-/// block load, per-block counters (steps plus the actual adjacency
-/// bytes streamed from disk), and a heartbeat tick per sweep.
+/// Walks a disk-resident graph — DeepWalk, node2vec or PPR, for a fixed
+/// number of steps — through the bi-block pair schedule; any other
+/// algorithm or stop rule is a [`WalkError::Planning`], as is a
+/// [`WalkConfig::strategy`] other than the default DP (the blocks, not a
+/// partition plan, schedule the walk).
+///
+/// `partition_budget_bytes` bounds the adjacency bytes held at once: a
+/// pair of half-budget blocks (the paper's analysis suggests the L3
+/// capacity).  DeepWalk and PPR read one list a step, so they only ever
+/// fill one of the two.  The stepping loop runs through the walker
+/// ring, so [`WalkConfig::ring_depth`] reaches this engine as it does
+/// the in-memory one; unset, the cost model picks the depth from the
+/// resident pair's size.  The walk is the same at every depth.
+///
+/// This is the out-of-core engine's one run entry, with the full
+/// robustness surface — crash-consistent checkpoints, resume, seeded
+/// fault injection on the read stream, and bounded retries with
+/// exponential backoff for transient IO errors — and telemetry: a
+/// Sample span per scheduled pair slot, an Io span per block load,
+/// per-block counters (steps plus the actual adjacency bytes streamed
+/// from disk), and a heartbeat tick per sweep.
 ///
 /// The schedule is GraSorw's triangular bi-block sweep.  The sorted
 /// vertex array is cut into blocks of at most *half* the byte budget,
@@ -1118,6 +1122,21 @@ mod tests {
     use fm_graph::synth;
     use fm_recover::{load_latest, CheckpointSink, CheckpointSpec, FaultPolicy};
 
+    /// The walk under default options, untraced.
+    fn run_default(
+        disk: &DiskGraph,
+        config: &WalkConfig,
+        budget: usize,
+    ) -> Result<(WalkOutput, OocStats), WalkError> {
+        run_ooc_with(
+            disk,
+            config,
+            budget,
+            &RunOptions::default(),
+            &mut Telemetry::off(),
+        )
+    }
+
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fm_oocore_tests");
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -1166,7 +1185,7 @@ mod tests {
         let path = temp_path("edges.fmdisk");
         let disk = DiskGraph::create(&g, &path).unwrap();
         let cfg = WalkConfig::deepwalk().walkers(200).steps(6).seed(9);
-        let (out, stats) = run_ooc(&disk, &cfg, 8 << 10).unwrap();
+        let (out, stats) = run_default(&disk, &cfg, 8 << 10).unwrap();
         assert_eq!(stats.steps_taken, 200 * 6);
         for path in out.paths() {
             for hop in path.windows(2) {
@@ -1182,11 +1201,13 @@ mod tests {
         let path = temp_path("dist.fmdisk");
         let disk = DiskGraph::create(&g, &path).unwrap();
         let cfg = WalkConfig::deepwalk().walkers(20_000).steps(10).seed(3);
-        let (out, _) = run_ooc(&disk, &cfg, 16 << 10).unwrap();
+        let (out, _) = run_default(&disk, &cfg, 16 << 10).unwrap();
         let ooc_visits = out.visit_counts(g.vertex_count());
 
         let engine = crate::FlashMob::new(&g, cfg.clone().record_visits(true)).unwrap();
-        let (_, mem_stats) = engine.run_with_stats().unwrap();
+        let (_, mem_stats) = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .unwrap();
         let mem_visits = mem_stats.visits_original(engine.relabeling()).unwrap();
 
         let (ta, tb) = (
@@ -1214,7 +1235,7 @@ mod tests {
             .steps(2)
             .seed(1)
             .init(WalkerInit::Fixed(vec![0]));
-        let (_, stats) = run_ooc(&disk, &cfg, 512).unwrap();
+        let (_, stats) = run_default(&disk, &cfg, 512).unwrap();
         assert!(
             stats.pairs_skipped > stats.blocks_streamed,
             "read {} skipped {}",
@@ -1232,8 +1253,8 @@ mod tests {
         let path = temp_path("det.fmdisk");
         let disk = DiskGraph::create(&g, &path).unwrap();
         let cfg = WalkConfig::deepwalk().walkers(100).steps(5).seed(21);
-        let (a, _) = run_ooc(&disk, &cfg, 8 << 10).unwrap();
-        let (b, _) = run_ooc(&disk, &cfg, 8 << 10).unwrap();
+        let (a, _) = run_default(&disk, &cfg, 8 << 10).unwrap();
+        let (b, _) = run_default(&disk, &cfg, 8 << 10).unwrap();
         assert_eq!(a.paths(), b.paths());
         std::fs::remove_file(path).ok();
     }
@@ -1255,7 +1276,7 @@ mod tests {
         let counted: u64 = tel.partition_counters().iter().map(|c| c.edge_bytes).sum();
         assert!(counted >= stats.bytes_read);
         // Tracing must not perturb the chain.
-        let (plain, _) = run_ooc(&disk, &cfg, 8 << 10).unwrap();
+        let (plain, _) = run_default(&disk, &cfg, 8 << 10).unwrap();
         assert_eq!(plain.paths(), out.paths());
         std::fs::remove_file(path).ok();
     }
@@ -1268,12 +1289,12 @@ mod tests {
         let mut cfg = WalkConfig::deepwalk().walkers(10).steps(2);
         cfg.algorithm = crate::WalkAlgorithm::Weighted;
         assert!(matches!(
-            run_ooc(&disk, &cfg, 4 << 10),
+            run_default(&disk, &cfg, 4 << 10),
             Err(WalkError::Planning(_))
         ));
         cfg.algorithm = crate::WalkAlgorithm::EarlyExit;
         assert!(matches!(
-            run_ooc(&disk, &cfg, 4 << 10),
+            run_default(&disk, &cfg, 4 << 10),
             Err(WalkError::Planning(_))
         ));
         // No loop here flips an exit coin, so a geometric stop is refused
@@ -1289,11 +1310,14 @@ mod tests {
                 max_steps: 2,
             };
             assert!(
-                matches!(run_ooc(&disk, &cfg, 4 << 10), Err(WalkError::Planning(_))),
+                matches!(
+                    run_default(&disk, &cfg, 4 << 10),
+                    Err(WalkError::Planning(_))
+                ),
                 "{algorithm:?}"
             );
             cfg.stop = StopRule::FixedSteps(2);
-            assert!(run_ooc(&disk, &cfg, 4 << 10).is_ok(), "{algorithm:?}");
+            assert!(run_default(&disk, &cfg, 4 << 10).is_ok(), "{algorithm:?}");
         }
         // The blocks schedule the walk: a partition plan is refused.
         for strategy in [
@@ -1303,7 +1327,10 @@ mod tests {
         ] {
             let cfg = cfg.clone().strategy(strategy);
             assert!(
-                matches!(run_ooc(&disk, &cfg, 4 << 10), Err(WalkError::Planning(_))),
+                matches!(
+                    run_default(&disk, &cfg, 4 << 10),
+                    Err(WalkError::Planning(_))
+                ),
                 "{strategy:?}"
             );
         }
@@ -1316,7 +1343,7 @@ mod tests {
         let path = temp_path("bb_edges.fmdisk");
         let disk = DiskGraph::create(&g, &path).unwrap();
         let cfg = WalkConfig::node2vec(0.25, 4.0).walkers(150).steps(6).seed(9);
-        let (out, stats) = run_ooc(&disk, &cfg, 4 << 10).unwrap();
+        let (out, stats) = run_default(&disk, &cfg, 4 << 10).unwrap();
         assert_eq!(stats.steps_taken, 150 * 6);
         assert!(stats.blocks_streamed > 0);
         assert!(stats.pairs_scheduled > 0);
@@ -1340,8 +1367,8 @@ mod tests {
         let path = temp_path("bb_det.fmdisk");
         let disk = DiskGraph::create(&g, &path).unwrap();
         let cfg = WalkConfig::node2vec(0.5, 2.0).walkers(80).steps(5).seed(21);
-        let (a, _) = run_ooc(&disk, &cfg, 4 << 10).unwrap();
-        let (b, _) = run_ooc(&disk, &cfg, 4 << 10).unwrap();
+        let (a, _) = run_default(&disk, &cfg, 4 << 10).unwrap();
+        let (b, _) = run_default(&disk, &cfg, 4 << 10).unwrap();
         assert_eq!(a.paths(), b.paths());
         std::fs::remove_file(path).ok();
     }
@@ -1353,7 +1380,7 @@ mod tests {
         let disk = DiskGraph::create(&g, &path).unwrap();
         let mut cfg = WalkConfig::deepwalk().walkers(120).steps(8).seed(4);
         cfg.algorithm = crate::WalkAlgorithm::Ppr { alpha: 0.2 };
-        let (out, stats) = run_ooc(&disk, &cfg, 4 << 10).unwrap();
+        let (out, stats) = run_default(&disk, &cfg, 4 << 10).unwrap();
         assert_eq!(stats.steps_taken, 120 * 8);
         let mut teleports = 0u64;
         for p in out.paths() {
@@ -1378,7 +1405,7 @@ mod tests {
         let path = temp_path("bb_tiny.fmdisk");
         let disk = DiskGraph::create(&g, &path).unwrap();
         let cfg = WalkConfig::node2vec(0.25, 4.0).walkers(40).steps(4).seed(2);
-        let (tiny, stats) = run_ooc(&disk, &cfg, 2).unwrap();
+        let (tiny, stats) = run_default(&disk, &cfg, 2).unwrap();
         assert_eq!(stats.steps_taken, 40 * 4);
         for p in tiny.paths() {
             for hop in p.windows(2) {
@@ -1617,7 +1644,7 @@ mod tests {
             );
 
             // Exact counts repeat run to run.
-            let (_, again) = run_ooc(&disk, &cfg, budget).unwrap();
+            let (_, again) = run_default(&disk, &cfg, budget).unwrap();
             assert_eq!(
                 (again.blocks_streamed, again.bytes_read, again.pairs_scheduled),
                 (stats.blocks_streamed, stats.bytes_read, stats.pairs_scheduled)
@@ -1634,7 +1661,7 @@ mod tests {
         let cfg = WalkConfig::deepwalk().walkers(200).steps(6).seed(9);
         let whole = disk.edge_count() * 4;
         // Blocks are cut at half the budget: twice the file is one block.
-        let (out, stats) = run_ooc(&disk, &cfg, 2 * whole).unwrap();
+        let (out, stats) = run_default(&disk, &cfg, 2 * whole).unwrap();
         assert_eq!(stats.blocks_streamed, 1, "one block, six steps");
         assert_eq!((stats.pairs_scheduled, stats.pairs_skipped), (1, 0));
         assert_eq!(stats.bytes_read, whole as u64);
@@ -1662,7 +1689,7 @@ mod tests {
         ] {
             let mut base = WalkConfig::deepwalk().walkers(300).steps(12).seed(13);
             base.algorithm = algorithm;
-            let (reference, _) = run_ooc(&disk, &base, budget).unwrap();
+            let (reference, _) = run_default(&disk, &base, budget).unwrap();
             // Every ring depth halts and resumes on the same paths.
             for (depth, slots_done) in [
                 (1, 2u64),
@@ -1709,7 +1736,7 @@ mod tests {
         let cfg = WalkConfig::node2vec(0.25, 4.0).walkers(60).steps(5).seed(13);
         let budget = 2 << 10;
 
-        let (reference, _) = run_ooc(&disk, &cfg, budget).unwrap();
+        let (reference, _) = run_default(&disk, &cfg, budget).unwrap();
 
         let ckdir = temp_path("bb_ck_dir");
         std::fs::remove_dir_all(&ckdir).ok();
@@ -2027,7 +2054,7 @@ mod tests {
                     let mut loads = None;
                     for depth in [1usize, 2, 3, 8, 16] {
                         let cfg = base.clone().ring_depth(depth);
-                        let (out, stats) = run_ooc(&disk, &cfg, budget).unwrap();
+                        let (out, stats) = run_default(&disk, &cfg, budget).unwrap();
                         // The same walk ...
                         let rows = out.raw_steps();
                         if record_paths {
@@ -2107,7 +2134,7 @@ mod tests {
             .ring_depth(8);
         let model = model_biblock(&sorted, &cfg, budget, |_| true);
         assert_eq!(model.after_slot.len() as u64, model.slots);
-        let (reference, _) = run_ooc(&disk, &cfg, budget).unwrap();
+        let (reference, _) = run_default(&disk, &cfg, budget).unwrap();
         for (&at, want) in &model.after_slot {
             let got = engine_state_after(&disk, &cfg, budget, at, &ckdir);
             assert_eq!(&got, want, "after slot {at}");
@@ -2182,7 +2209,7 @@ mod tests {
         for (p, q) in [(2.0, 0.5), (0.25, 4.0), (0.5, 1.0), (1.0, 1.0)] {
             let cfg = WalkConfig::node2vec(p, q).walkers(200).steps(8).seed(7);
             let model = model_biblock(&sorted, &cfg, budget, |_| false);
-            let (_, stats) = run_ooc(&disk, &cfg, budget).unwrap();
+            let (_, stats) = run_default(&disk, &cfg, budget).unwrap();
             assert_eq!(stats.probes, model.deciding_scans, "p {p} q {q}");
             assert_eq!(stats.scan_words, model.deciding_scan_words, "p {p} q {q}");
             // q = 1: adjacent or not, the weight is 1.
@@ -2195,7 +2222,7 @@ mod tests {
         // PPR has no second-order bias to probe for.
         let mut cfg = WalkConfig::deepwalk().walkers(200).steps(8).seed(7);
         cfg.algorithm = crate::WalkAlgorithm::Ppr { alpha: 0.2 };
-        let (_, ppr) = run_ooc(&disk, &cfg, budget).unwrap();
+        let (_, ppr) = run_default(&disk, &cfg, budget).unwrap();
         assert_eq!((ppr.probes, ppr.scan_words), (0, 0));
         std::fs::remove_file(&disk.path).ok();
     }
@@ -2224,7 +2251,7 @@ mod tests {
         }
         // Left to the cost model, a pair this small is cache-resident
         // and the ring stays off.
-        assert_eq!(run_ooc(&disk, &cfg, budget).unwrap().1.prefetches, 0);
+        assert_eq!(run_default(&disk, &cfg, budget).unwrap().1.prefetches, 0);
         std::fs::remove_file(&disk.path).ok();
     }
 
@@ -2239,7 +2266,7 @@ mod tests {
             .steps(2);
         // Refused at entry, before a lane is allocated.
         assert!(matches!(
-            run_ooc(&disk, &cfg, 4 << 10),
+            run_default(&disk, &cfg, 4 << 10),
             Err(WalkError::Planning(_))
         ));
         std::fs::remove_file(&disk.path).ok();

@@ -123,18 +123,6 @@ impl WalkOutput {
         (v != DEAD).then(|| self.relabel.to_old(v))
     }
 
-    /// Streams every sampled edge `(from, to)` in original IDs to `f` —
-    /// the pairs a GPU embedding trainer would consume.
-    pub fn for_each_edge<F: FnMut(VertexId, VertexId)>(&self, mut f: F) {
-        for w in self.steps.windows(2) {
-            for (&a, &b) in w[0].iter().zip(&w[1]) {
-                if a != DEAD && b != DEAD {
-                    f(self.relabel.to_old(a), self.relabel.to_old(b));
-                }
-            }
-        }
-    }
-
     /// Counts visits per original vertex over the whole history
     /// (including the initial placement), i.e. how many walker-steps
     /// departed from each vertex.
@@ -283,14 +271,6 @@ mod tests {
         assert!(no_walkers.paths().is_empty());
         let neither = WalkOutput::new(vec![], 0, relabel);
         assert!(neither.paths().is_empty());
-    }
-
-    #[test]
-    fn edge_stream_skips_dead_transitions() {
-        let out = identity_output(vec![vec![0, 1], vec![2, DEAD]]);
-        let mut edges = Vec::new();
-        out.for_each_edge(|a, b| edges.push((a, b)));
-        assert_eq!(edges, vec![(0, 2)]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use flashmob::{FlashMob, WalkConfig};
+use flashmob::{FlashMob, RunOptions, WalkConfig};
+use fm_telemetry::Telemetry;
 
 struct CountingAlloc;
 
@@ -44,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation count of one measured `run()` at the given step count.
+/// Allocation count of one measured run at the given step count.
 fn measured_allocs(steps: usize) -> u64 {
     let g = fm_graph::synth::power_law(400, 2.0, 1, 40, 9);
     let cfg = WalkConfig::deepwalk()
@@ -55,9 +56,10 @@ fn measured_allocs(steps: usize) -> u64 {
         .record_paths(false);
     let engine = FlashMob::new(&g, cfg).unwrap();
     // Warm-up run so lazily initialized state doesn't skew the count.
-    engine.run().unwrap();
+    let run = || engine.run_with(&RunOptions::default(), &mut Telemetry::off());
+    run().unwrap();
     let before = ALLOCS.load(Ordering::SeqCst);
-    engine.run().unwrap();
+    run().unwrap();
     ALLOCS.load(Ordering::SeqCst) - before
 }
 

@@ -16,8 +16,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use flashmob::oocore::{run_ooc, DiskGraph, OocStats};
-use flashmob::WalkConfig;
+use flashmob::oocore::{run_ooc_with, DiskGraph, OocStats};
+use flashmob::{RunOptions, WalkConfig};
+use fm_telemetry::Telemetry;
 
 struct BlockSizedAlloc;
 
@@ -117,7 +118,13 @@ fn biblock_block_memory_stays_within_the_budget() {
             counter.store(0, Ordering::SeqCst);
         }
         THRESHOLD.store(half_budget / 2, Ordering::SeqCst);
-        let result = run_ooc(&disk, cfg, budget);
+        let result = run_ooc_with(
+            &disk,
+            cfg,
+            budget,
+            &RunOptions::default(),
+            &mut Telemetry::off(),
+        );
         THRESHOLD.store(0, Ordering::SeqCst);
         let (_, stats) = result.expect("bi-block run");
         (

@@ -12,7 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use flashmob::{FlashMob, PlanStrategy, PlannerParams, SamplePolicy, WalkConfig};
+use flashmob::{FlashMob, PlanStrategy, PlannerParams, RunOptions, SamplePolicy, WalkConfig};
+use fm_telemetry::Telemetry;
 
 struct BufferSizedAlloc;
 
@@ -62,11 +63,11 @@ unsafe impl GlobalAlloc for BufferSizedAlloc {
 #[global_allocator]
 static GLOBAL: BufferSizedAlloc = BufferSizedAlloc;
 
-/// Buffer-sized allocations of one `run()`.
+/// Buffer-sized allocations of one run.
 fn counted_in_run(engine: &FlashMob, threshold: usize) -> usize {
     let before = COUNTED.load(Ordering::SeqCst);
     THRESHOLD.store(threshold, Ordering::SeqCst);
-    let result = engine.run();
+    let result = engine.run_with(&RunOptions::default(), &mut Telemetry::off());
     THRESHOLD.store(0, Ordering::SeqCst);
     result.expect("run");
     COUNTED.load(Ordering::SeqCst) - before

@@ -111,17 +111,6 @@ pub fn degree_group_stats(
     out
 }
 
-/// Fraction of vertices whose out-degree equals `d`.
-pub fn degree_fraction(graph: &Csr, d: usize) -> f64 {
-    if graph.vertex_count() == 0 {
-        return 0.0;
-    }
-    let hits = (0..graph.vertex_count())
-        .filter(|&v| graph.degree(v as VertexId) == d)
-        .count();
-    hits as f64 / graph.vertex_count() as f64
-}
-
 /// Average out-degree of the whole graph.
 pub fn avg_degree(graph: &Csr) -> f64 {
     if graph.vertex_count() == 0 {
@@ -235,12 +224,5 @@ mod tests {
     fn diameter_of_cycle() {
         let g = synth::cycle(20);
         assert_eq!(estimate_diameter(&g, 4, 1), 10);
-    }
-
-    #[test]
-    fn degree_fraction_counts() {
-        let g = synth::star(5);
-        assert!((degree_fraction(&g, 1) - 0.8).abs() < 1e-12);
-        assert!((degree_fraction(&g, 4) - 0.2).abs() < 1e-12);
     }
 }

@@ -248,14 +248,6 @@ impl MemorySystem {
         self.stats = MemoryStats::default();
     }
 
-    /// Flushes all cache levels and counters.
-    pub fn reset_all(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-        self.l3.flush();
-        self.reset_stats();
-    }
-
     fn dram_level(&self, addr: u64) -> Level {
         if addr >= self.config.remote_boundary {
             Level::RemoteMem
@@ -511,7 +503,7 @@ mod tests {
         let mut m = tiny(LlcPolicy::Exclusive);
         m.touch(0x40_0000, 8, AccessKind::Sequential);
         let seq_ns = m.stats().bound_ns.dram;
-        m.reset_all();
+        let mut m = tiny(LlcPolicy::Exclusive);
         m.touch(0x40_0000, 8, AccessKind::Random);
         let rand_ns = m.stats().bound_ns.dram;
         assert!(seq_ns < rand_ns / 10.0, "{seq_ns} vs {rand_ns}");

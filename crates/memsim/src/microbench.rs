@@ -115,21 +115,6 @@ pub fn measure(kind: AccessKind, bytes: usize, min_loads: usize) -> MicrobenchRe
     }
 }
 
-/// Runs the full Table 1 grid on the host: every pattern x the provided
-/// working-set sizes.
-pub fn table1_grid(
-    sizes: &[(&'static str, usize)],
-    min_loads: usize,
-) -> Vec<(String, MicrobenchResult)> {
-    let mut out = Vec::new();
-    for kind in AccessKind::ALL {
-        for &(label, bytes) in sizes {
-            out.push((label.to_string(), measure(kind, bytes, min_loads)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,11 +141,5 @@ mod tests {
             chase.ns_per_load,
             seq.ns_per_load
         );
-    }
-
-    #[test]
-    fn grid_covers_all_cells() {
-        let grid = table1_grid(&[("A", 4 << 10), ("B", 64 << 10)], 1_000);
-        assert_eq!(grid.len(), 6);
     }
 }

@@ -416,7 +416,10 @@ mod tests {
                 ..flashmob::PlannerParams::default()
             });
         let engine = flashmob::FlashMob::with_cost_model(&g, cfg, &table).unwrap();
-        let out = engine.run().unwrap();
+        let opts = flashmob::RunOptions::default();
+        let (out, _) = engine
+            .run_with(&opts, &mut fm_telemetry::Telemetry::off())
+            .unwrap();
         assert_eq!(out.paths().len(), 1000);
     }
 }

@@ -202,38 +202,6 @@ pub fn human_summary(tel: &Telemetry) -> String {
     out
 }
 
-/// A single JSON object summarizing the recorder (stage totals +
-/// partition aggregates), for embedding in machine-readable reports.
-pub fn summary_json(tel: &Telemetry) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"events\": {}, \"dropped\": {}, \"partition_steps_total\": {}, \"stages\": {{",
-        tel.events().len(),
-        tel.dropped(),
-        tel.partition_steps_total(),
-    ));
-    let mut first = true;
-    for stage in Stage::ALL {
-        let t = tel.stage(stage);
-        if t.spans == 0 {
-            continue;
-        }
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        out.push_str(&format!(
-            "\"{}\": {{\"spans\": {}, \"total_ns\": {}, \"mean_ns\": {}}}",
-            escape(stage.label()),
-            t.spans,
-            t.total_ns,
-            num(t.latency.mean()),
-        ));
-    }
-    out.push_str("}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,14 +309,6 @@ mod tests {
         assert!(s.contains("shuffle"), "{s}");
         assert!(s.contains("PS steps"), "{s}");
         assert!(s.contains("% of traced"), "{s}");
-    }
-
-    #[test]
-    fn summary_json_parses() {
-        let t = traced();
-        let v = json::parse(&summary_json(&t)).unwrap();
-        assert_eq!(v.get("partition_steps_total").unwrap().as_num(), Some(7.0));
-        assert!(v.get("stages").unwrap().get("sample").is_some());
     }
 
     #[test]

@@ -358,11 +358,6 @@ impl Telemetry {
         self.pid
     }
 
-    /// Runtime toggle.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Whether recording is active.
     #[inline]
     pub fn is_on(&self) -> bool {
@@ -689,9 +684,6 @@ mod tests {
         t.record_partition_step(3, 10, true);
         assert!(t.events().is_empty());
         assert_eq!(t.partition_steps_total(), 0);
-        t.set_enabled(true);
-        t.span(ev(Stage::Sample, 100));
-        assert_eq!(t.events().len(), 1);
     }
 
     #[test]

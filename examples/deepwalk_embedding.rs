@@ -12,9 +12,10 @@
 //! cargo run --release --example deepwalk_embedding
 //! ```
 
-use flashmob_repro::flashmob::{FlashMob, WalkConfig};
+use flashmob_repro::flashmob::{FlashMob, RunOptions, WalkConfig};
 use flashmob_repro::graph::{Csr, GraphBuilder, VertexId};
 use flashmob_repro::rng::{Rng64, Xorshift64Star};
+use flashmob_repro::telemetry::Telemetry;
 
 const COMMUNITIES: usize = 8;
 const PER_COMMUNITY: usize = 250;
@@ -109,7 +110,9 @@ fn main() {
         .init(flashmob_repro::flashmob::WalkerInit::EveryVertex)
         .seed(11);
     let engine = FlashMob::new(&graph, config).expect("engine");
-    let (output, stats) = engine.run_with_stats().expect("walk");
+    let (output, stats) = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("walk");
     println!(
         "corpus: {} walker-steps at {:.1} ns/step",
         stats.steps_taken,

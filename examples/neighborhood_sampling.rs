@@ -12,9 +12,10 @@
 //! cargo run --release --example neighborhood_sampling
 //! ```
 
-use flashmob_repro::flashmob::{FlashMob, WalkConfig, WalkerInit};
+use flashmob_repro::flashmob::{FlashMob, RunOptions, WalkConfig, WalkerInit};
 use flashmob_repro::graph::{synth, VertexId};
 use flashmob_repro::rng::{reservoir, Rng64, Xorshift64Star};
+use flashmob_repro::telemetry::Telemetry;
 
 const FANOUT: [usize; 2] = [10, 5];
 
@@ -61,7 +62,9 @@ fn main() {
         .seed(23)
         .record_visits(true);
     let engine = FlashMob::new(&graph, config).expect("engine");
-    let (_, stats) = engine.run_with_stats().expect("walk");
+    let (_, stats) = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("walk");
     let visits = stats.visits_original(engine.relabeling()).expect("visits");
 
     // Both distributions should concentrate on the same hubs.

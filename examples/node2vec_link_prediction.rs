@@ -11,9 +11,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use flashmob_repro::flashmob::{FlashMob, WalkConfig, WalkerInit};
+use flashmob_repro::flashmob::{FlashMob, RunOptions, WalkConfig, WalkerInit};
 use flashmob_repro::graph::{synth, Csr, GraphBuilder, VertexId};
 use flashmob_repro::rng::{Rng64, Xorshift64Star};
+use flashmob_repro::telemetry::Telemetry;
 
 const WINDOW: usize = 4;
 
@@ -66,7 +67,9 @@ fn main() {
         .init(WalkerInit::EveryVertex)
         .seed(9);
     let engine = FlashMob::new(&train, config).expect("engine");
-    let (output, stats) = engine.run_with_stats().expect("walk");
+    let (output, stats) = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("walk");
     println!(
         "walked {} steps at {:.1} ns/step",
         stats.steps_taken,

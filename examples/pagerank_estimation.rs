@@ -10,8 +10,9 @@
 //! cargo run --release --example pagerank_estimation
 //! ```
 
-use flashmob_repro::flashmob::{FlashMob, StopRule, WalkConfig, WalkerInit};
+use flashmob_repro::flashmob::{FlashMob, RunOptions, StopRule, WalkConfig, WalkerInit};
 use flashmob_repro::graph::{synth, Csr, VertexId};
+use flashmob_repro::telemetry::Telemetry;
 
 const DAMPING: f64 = 0.85;
 
@@ -54,7 +55,9 @@ fn main() {
         max_steps: 120,
     };
     let engine = FlashMob::new(&graph, config).expect("engine");
-    let (output, stats) = engine.run_with_stats().expect("walk");
+    let (output, stats) = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("walk");
     println!(
         "walked {} steps ({:.1} avg per walker, expected ~{:.1}) at {:.1} ns/step",
         stats.steps_taken,

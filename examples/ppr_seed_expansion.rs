@@ -14,8 +14,9 @@
 //! ```
 
 use flashmob_repro::conformance::oracle::PprOracle;
-use flashmob_repro::flashmob::{FlashMob, WalkAlgorithm, WalkConfig, WalkerInit};
+use flashmob_repro::flashmob::{FlashMob, RunOptions, WalkAlgorithm, WalkConfig, WalkerInit};
 use flashmob_repro::graph::{synth, VertexId};
+use flashmob_repro::telemetry::Telemetry;
 
 const ALPHA: f64 = 0.15;
 const STEPS: usize = 8;
@@ -47,7 +48,9 @@ fn main() {
         .record_paths(true);
     config.algorithm = WalkAlgorithm::Ppr { alpha: ALPHA };
     let engine = FlashMob::new(&graph, config).expect("engine");
-    let (output, stats) = engine.run_with_stats().expect("walk");
+    let (output, stats) = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("walk");
     println!(
         "walked {} steps at {:.1} ns/step",
         stats.steps_taken,

@@ -5,8 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use flashmob_repro::flashmob::{FlashMob, WalkConfig};
+use flashmob_repro::flashmob::{FlashMob, RunOptions, WalkConfig};
 use flashmob_repro::graph::{stats, synth};
+use flashmob_repro::telemetry::Telemetry;
 
 fn main() {
     // A skewed social-network-like graph: 50k vertices, power-law
@@ -37,7 +38,9 @@ fn main() {
         plan.ps_edge_share() * 100.0
     );
 
-    let (output, run) = engine.run_with_stats().expect("walk");
+    let (output, run) = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("walk");
     let (sample_ns, shuffle_ns, other_ns) = run.stage_ns_per_step();
     println!(
         "walked {} walker-steps in {:.2?} = {:.1} ns/step \

@@ -27,13 +27,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use flashmob_repro::flashmob::{FlashMob, WalkConfig};
+//! use flashmob_repro::flashmob::{FlashMob, RunOptions, WalkConfig};
 //! use flashmob_repro::graph::synth;
+//! use flashmob_repro::telemetry::Telemetry;
 //!
 //! let graph = synth::power_law(10_000, 2.0, 1, 200, 42);
 //! let config = WalkConfig::deepwalk().walkers(10_000).steps(20);
 //! let engine = FlashMob::new(&graph, config).unwrap();
-//! let output = engine.run().unwrap();
+//! let (output, _) = engine.run_with(&RunOptions::default(), &mut Telemetry::off()).unwrap();
 //! assert_eq!(output.paths().len(), 10_000);
 //! ```
 

@@ -24,10 +24,11 @@
 use flashmob_repro::baseline::{Baseline, BaselineConfig, BaselineKind};
 use flashmob_repro::conformance::{init_distribution, FirstOrderOracle, Node2VecOracle};
 use flashmob_repro::flashmob::{
-    FlashMob, PlanStrategy, StopRule, WalkAlgorithm, WalkConfig, WalkerInit,
+    FlashMob, PlanStrategy, RunOptions, StopRule, WalkAlgorithm, WalkConfig, WalkerInit,
 };
 use flashmob_repro::graph::{synth, Csr};
 use flashmob_repro::rng::gof::chi_square_test;
+use flashmob_repro::telemetry::Telemetry;
 
 /// Family-wise false-rejection budget for this file.
 const ALPHA: f64 = 1e-3;
@@ -40,7 +41,10 @@ const PER_TEST_ALPHA: f64 = ALPHA / CHI_SQUARE_CHECKS as f64;
 /// counts (original vertex IDs).
 fn flashmob_final_occupancy(g: &Csr, cfg: WalkConfig) -> Vec<u64> {
     let engine = FlashMob::new(g, cfg.record_paths(true)).expect("engine");
-    let out = engine.run().expect("run");
+    let out = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("run")
+        .0;
     let mut counts = vec![0u64; g.vertex_count()];
     for path in out.paths() {
         counts[*path.last().expect("non-empty") as usize] += 1;
@@ -53,7 +57,10 @@ fn baseline_final_occupancy(g: &Csr, walk: WalkConfig) -> Vec<u64> {
     let walk = walk.record_paths(true);
     let kind = BaselineKind::KnightKing;
     let engine = Baseline::new(g, BaselineConfig { kind, walk }).expect("engine");
-    let out = engine.run().expect("run");
+    let out = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("run")
+        .0;
     let mut counts = vec![0u64; g.vertex_count()];
     for path in out.paths() {
         counts[*path.last().expect("non-empty") as usize] += 1;
@@ -212,7 +219,9 @@ fn geometric_stop_survival_matches_between_engines() {
             max_steps: 40,
         };
         let engine = FlashMob::new(&g, cfg).expect("engine");
-        let (_, stats) = engine.run_with_stats().expect("run");
+        let (_, stats) = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .expect("run");
         stats.steps_taken as f64 / 20_000.0
     };
     let run_bl = || {
@@ -224,7 +233,9 @@ fn geometric_stop_survival_matches_between_engines() {
             max_steps: 40,
         };
         let engine = Baseline::new(&g, cfg).expect("engine");
-        let (_, stats) = engine.run_with_stats().expect("run");
+        let (_, stats) = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .expect("run");
         stats.steps_taken as f64 / 20_000.0
     };
     let (fm_len, bl_len) = (run_fm(), run_bl());
@@ -248,7 +259,10 @@ fn hub_transitions_pass_chi_square_for_every_policy() {
                 .strategy(strategy),
         )
         .expect("engine");
-        let out = engine.run().expect("run");
+        let out = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .expect("run")
+            .0;
         let mut counts = vec![0u64; 64];
         for path in out.paths() {
             counts[path[1] as usize - 1] += 1;

@@ -3,9 +3,21 @@
 use flashmob_repro::baseline::{Baseline, BaselineConfig, BaselineKind};
 use flashmob_repro::conformance::digest_paths;
 use flashmob_repro::flashmob::{
-    FlashMob, PlanStrategy, PlannerParams, StopRule, WalkConfig, WalkerInit,
+    FlashMob, PlanStrategy, PlannerParams, RunOptions, RunStats, StopRule, WalkConfig, WalkError,
+    WalkOutput, WalkerInit,
 };
 use flashmob_repro::graph::{synth, Csr, VertexId};
+use flashmob_repro::telemetry::Telemetry;
+
+/// FlashMob's walk under default options, untraced.
+fn run_default(engine: &FlashMob) -> Result<(WalkOutput, RunStats), WalkError> {
+    engine.run_with(&RunOptions::default(), &mut Telemetry::off())
+}
+
+/// A baseline's walk under default options, untraced.
+fn run_baseline(engine: &Baseline) -> Result<(WalkOutput, RunStats), WalkError> {
+    engine.run_with(&RunOptions::default(), &mut Telemetry::off())
+}
 
 fn knightking(walk: WalkConfig) -> BaselineConfig {
     BaselineConfig {
@@ -34,7 +46,7 @@ fn self_loop_only_vertex_walks_in_place() {
             .planner(tiny_planner()),
     )
     .unwrap();
-    let out = engine.run().unwrap();
+    let out = run_default(&engine).unwrap().0;
     for path in out.paths() {
         assert_eq!(path, vec![0, 0, 0, 0]);
     }
@@ -52,7 +64,7 @@ fn two_vertex_pendulum() {
             .planner(tiny_planner()),
     )
     .unwrap();
-    for path in engine.run().unwrap().paths() {
+    for path in run_default(&engine).unwrap().0.paths() {
         assert_eq!(path, vec![0, 1, 0, 1, 0, 1]);
     }
 }
@@ -69,7 +81,7 @@ fn zero_steps_returns_initial_placement() {
             .planner(tiny_planner()),
     )
     .unwrap();
-    let (out, stats) = engine.run_with_stats().unwrap();
+    let (out, stats) = run_default(&engine).unwrap();
     assert_eq!(stats.steps_taken, 0);
     assert_eq!(
         out.paths(),
@@ -91,7 +103,7 @@ fn parallel_edges_bias_transitions_by_multiplicity() {
             .planner(tiny_planner()),
     )
     .unwrap();
-    let out = engine.run().unwrap();
+    let out = run_default(&engine).unwrap().0;
     let to1 = out.paths().iter().filter(|p| p[1] == 1).count() as f64 / 40_000.0;
     assert!((to1 - 0.75).abs() < 0.01, "multiplicity bias {to1}");
 }
@@ -110,7 +122,7 @@ fn density_far_above_one_is_fine() {
             .strategy(PlanStrategy::UniformPs),
     )
     .unwrap();
-    let (out, stats) = engine.run_with_stats().unwrap();
+    let (out, stats) = run_default(&engine).unwrap();
     assert_eq!(stats.steps_taken, 3200 * 8);
     for path in out.paths().iter().take(50) {
         for hop in path.windows(2) {
@@ -131,7 +143,7 @@ fn complete_graph_mixes_instantly() {
             .planner(tiny_planner()),
     )
     .unwrap();
-    let out = engine.run().unwrap();
+    let out = run_default(&engine).unwrap().0;
     let mut counts = vec![0u64; 32];
     for path in out.paths() {
         counts[*path.last().unwrap() as usize] += 1;
@@ -154,7 +166,7 @@ fn single_walker_runs_everywhere() {
                 .strategy(strategy),
         )
         .unwrap();
-        let out = engine.run().unwrap();
+        let out = run_default(&engine).unwrap().0;
         assert_eq!(out.paths()[0].len(), 51);
     }
 }
@@ -186,8 +198,8 @@ fn baseline_and_flashmob_agree_on_degenerate_graphs() {
         )
         .unwrap();
         // Same path lengths and same per-step edge validity.
-        let fp = fm.run().unwrap().paths();
-        let bp = bl.run().unwrap().paths();
+        let fp = run_default(&fm).unwrap().0.paths();
+        let bp = run_baseline(&bl).unwrap().0.paths();
         assert_eq!(fp.len(), bp.len());
         for (a, b) in fp.iter().zip(&bp) {
             assert_eq!(a.len(), b.len());
@@ -219,7 +231,7 @@ fn max_degree_hub_with_degree_one_tail() {
         .plan()
         .validate(50_000, 128)
         .expect("plan must stay valid");
-    let (_, stats) = engine.run_with_stats().unwrap();
+    let (_, stats) = run_default(&engine).unwrap();
     assert_eq!(stats.steps_taken, 40_000);
 }
 
@@ -265,7 +277,10 @@ fn node2vec_on_self_loops_hits_the_return_branch() {
         ),
     )
     .unwrap();
-    for paths in [fm.run().unwrap().paths(), bl.run().unwrap().paths()] {
+    for paths in [
+        run_default(&fm).unwrap().0.paths(),
+        run_baseline(&bl).unwrap().0.paths(),
+    ] {
         let mut counts = vec![0u64; 2];
         for path in &paths {
             for hop in path.windows(2) {
@@ -313,7 +328,7 @@ fn node2vec_on_star_exercises_both_connectivity_extremes() {
     .unwrap();
     let mut returned = 0u64;
     let mut elsewhere = 0u64;
-    for path in engine.run().unwrap().paths() {
+    for path in run_default(&engine).unwrap().0.paths() {
         assert_eq!(path[1], 0, "step 1 must reach the hub");
         if path[2] == 1 {
             returned += 1;
@@ -333,16 +348,16 @@ fn node2vec_on_star_exercises_both_connectivity_extremes() {
 
 #[test]
 fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
-    use flashmob_repro::flashmob::numa::{run_numa_paths_with, NumaMode};
-    use flashmob_repro::flashmob::oocore::{run_ooc, DiskGraph};
-    use flashmob_repro::flashmob::{RunOptions, WalkError};
-    use flashmob_repro::telemetry::Telemetry;
+    use flashmob_repro::flashmob::numa::{run_numa_with, NumaMode};
+    use flashmob_repro::flashmob::oocore::{run_ooc_with, DiskGraph};
 
     let g = synth::power_law(64, 2.0, 2, 12, 21);
     let fm_cfg = WalkConfig::deepwalk().planner(tiny_planner());
-    let numa = |config: WalkConfig, mode| {
-        let opts = RunOptions::default();
-        run_numa_paths_with(&g, config, mode, 2, &opts, &mut Telemetry::off())
+    let opts = RunOptions::default();
+    let numa =
+        |config: WalkConfig, mode| run_numa_with(&g, config, mode, 2, &opts, &mut Telemetry::off());
+    let ooc = |disk: &DiskGraph, config: &WalkConfig| {
+        run_ooc_with(disk, config, 1 << 16, &opts, &mut Telemetry::off())
     };
 
     // walkers = 0: a defined error, never a panic, on every entry point.
@@ -365,7 +380,7 @@ fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
     }
     let disk_path = std::env::temp_dir().join("fm_edge_zero_walkers.fmdisk");
     let disk = DiskGraph::create(&g, &disk_path).unwrap();
-    let err = run_ooc(&disk, &fm_cfg.clone().walkers(0), 1 << 16).err();
+    let err = ooc(&disk, &fm_cfg.clone().walkers(0)).err();
     assert!(matches!(err, Some(WalkError::NoWalkers)));
 
     // steps = 0: every engine returns the initial placement unscathed.
@@ -375,18 +390,14 @@ fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
         PlanStrategy::UniformPs,
         PlanStrategy::UniformDs,
     ] {
-        let out = FlashMob::new(&g, zero_steps.clone().strategy(strategy))
-            .unwrap()
-            .run()
-            .unwrap();
+        let engine = FlashMob::new(&g, zero_steps.clone().strategy(strategy)).unwrap();
+        let out = run_default(&engine).unwrap().0;
         assert!(out.paths().iter().all(|p| p.len() == 1), "{strategy:?}");
     }
     for kind in [BaselineKind::KnightKing, BaselineKind::GraphVite] {
         let walk = WalkConfig::deepwalk().walkers(12).steps(0);
-        let out = Baseline::new(&g, BaselineConfig { kind, walk })
-            .unwrap()
-            .run()
-            .unwrap();
+        let engine = Baseline::new(&g, BaselineConfig { kind, walk }).unwrap();
+        let out = run_baseline(&engine).unwrap().0;
         assert!(out.paths().iter().all(|p| p.len() == 1));
     }
     for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
@@ -397,7 +408,7 @@ fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
             assert!(o.paths().iter().all(|p| p.len() == 1));
         }
     }
-    let (out, stats) = run_ooc(&disk, &zero_steps, 1 << 16).unwrap();
+    let (out, stats) = ooc(&disk, &zero_steps).unwrap();
     assert_eq!(stats.steps_taken, 0);
     assert!(out.paths().iter().all(|p| p.len() == 1));
     std::fs::remove_file(disk_path).ok();
@@ -415,7 +426,7 @@ fn walker_ids_preserved_across_episodes_and_outputs() {
             .planner(tiny_planner()),
     )
     .unwrap();
-    let out = engine.run().unwrap();
+    let out = run_default(&engine).unwrap().0;
     for (j, path) in out.paths().iter().enumerate() {
         assert_eq!(path[0] as usize, j, "walker {j} starts where assigned");
     }
@@ -446,7 +457,7 @@ fn zero_step_program_walks_return_initial_placement() {
             .steps(0)
             .planner(tiny_planner());
         cfg.algorithm = algo;
-        let out = FlashMob::new(&g, cfg).unwrap().run().unwrap();
+        let out = run_default(&FlashMob::new(&g, cfg).unwrap()).unwrap().0;
         assert_eq!(out.paths().len(), 6, "{algo:?}");
         assert!(
             out.paths().iter().all(|p| p.len() == 1),
@@ -469,7 +480,7 @@ fn ppr_alpha_one_pins_walkers_at_origin() {
             .strategy(strategy)
             .planner(tiny_planner());
         cfg.algorithm = WalkAlgorithm::Ppr { alpha: 1.0 };
-        let out = FlashMob::new(&g, cfg).unwrap().run().unwrap();
+        let out = run_default(&FlashMob::new(&g, cfg).unwrap()).unwrap().0;
         for path in out.paths() {
             assert_eq!(path.len(), 6, "{strategy:?}");
             assert!(
@@ -494,7 +505,7 @@ fn metapath_missing_phase_label_kills_all_walkers() {
     cfg.algorithm = WalkAlgorithm::Metapath {
         pattern: MetapathPattern::new(&[0, 1]).expect("pattern"),
     };
-    let out = FlashMob::new(&g, cfg).unwrap().run().unwrap();
+    let out = run_default(&FlashMob::new(&g, cfg).unwrap()).unwrap().0;
     assert!(
         out.paths().iter().all(|p| p.len() == 2),
         "phase-1 starvation must stop every walker after one hop"
@@ -507,7 +518,7 @@ fn metapath_missing_phase_label_kills_all_walkers() {
     cfg.algorithm = WalkAlgorithm::Metapath {
         pattern: MetapathPattern::new(&[1]).expect("pattern"),
     };
-    let out = FlashMob::new(&g, cfg).unwrap().run().unwrap();
+    let out = run_default(&FlashMob::new(&g, cfg).unwrap()).unwrap().0;
     assert!(
         out.paths().iter().all(|p| p.len() == 1),
         "phase-0 starvation must stop every walker at its start"
@@ -536,8 +547,7 @@ fn program_state_survives_checkpoint_halt_resume() {
     // Per-walker program state (the origin lane) must ride the snapshot
     // wire format: halting mid-run and resuming reproduces the
     // uninterrupted walk bit for bit, for both stateful programs.
-    use flashmob_repro::flashmob::{CheckpointSpec, RunOptions, WalkAlgorithm, WalkError};
-    use flashmob_repro::telemetry::Telemetry;
+    use flashmob_repro::flashmob::{CheckpointSpec, WalkAlgorithm};
     let g = synth::power_law(256, 2.0, 2, 24, 7);
     for algo in [WalkAlgorithm::Ppr { alpha: 0.3 }, WalkAlgorithm::EarlyExit] {
         let make = || {
@@ -549,7 +559,7 @@ fn program_state_survives_checkpoint_halt_resume() {
             cfg.algorithm = algo;
             FlashMob::new(&g, cfg).unwrap()
         };
-        let full = make().run().unwrap();
+        let full = run_default(&make()).unwrap().0;
 
         let dir = std::env::temp_dir().join(format!(
             "fm_edge_prog_ckpt_{}",
@@ -610,7 +620,7 @@ fn baseline_walks_match_their_pinned_digests_and_visits() {
             };
         }
         let engine = Baseline::new(&g, BaselineConfig { kind, walk }).unwrap();
-        let (out, stats) = engine.run_with_stats().unwrap();
+        let (out, stats) = run_baseline(&engine).unwrap();
         let case = format!("{kind:?} at {threads} threads, geometric stop {geometric}");
         assert_eq!(digest_paths(&out.paths(), &[]), digest, "{case}");
         assert_eq!(stats.steps_taken, steps, "{case}");

@@ -2,10 +2,13 @@
 //! cost model → MCKP plan → validated execution.
 
 use flashmob_repro::flashmob::cost::CostModel;
-use flashmob_repro::flashmob::{FlashMob, PlanStrategy, Planner, PlannerParams, WalkConfig};
+use flashmob_repro::flashmob::{
+    FlashMob, PlanStrategy, Planner, PlannerParams, RunOptions, WalkConfig,
+};
 use flashmob_repro::graph::presets::{AnalogScale, PaperGraph};
 use flashmob_repro::graph::relabel::sort_by_degree;
 use flashmob_repro::profiler::{run_profile, ProfileGrid, ProfileTable};
+use flashmob_repro::telemetry::Telemetry;
 
 fn params() -> PlannerParams {
     PlannerParams {
@@ -147,7 +150,9 @@ fn measured_profile_plans_and_runs() {
         params().max_partitions,
     )
     .expect("valid plan");
-    let (out, stats) = engine.run_with_stats().expect("run");
+    let (out, stats) = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("run");
     assert_eq!(out.paths().len(), g.vertex_count());
     assert_eq!(stats.steps_taken, g.vertex_count() as u64 * 4);
 }
@@ -188,7 +193,9 @@ fn two_level_shuffle_plans_run_end_to_end() {
         plan.validate(engine.sorted_graph().vertex_count(), 32)
             .expect("valid");
 
-        let (out, stats) = engine.run_with_stats().expect("run");
+        let (out, stats) = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .expect("run");
         assert_eq!(stats.steps_taken, 20_000 * 4);
         let paths = out.paths();
         for path in paths.iter().take(500) {

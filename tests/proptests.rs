@@ -8,12 +8,13 @@
 
 use flashmob_repro::flashmob::partition::{Partition, PartitionMap, SamplePolicy};
 use flashmob_repro::flashmob::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
-use flashmob_repro::flashmob::{FlashMob, WalkConfig};
+use flashmob_repro::flashmob::{FlashMob, RunOptions, WalkConfig};
 use flashmob_repro::graph::relabel::sort_by_degree;
 use flashmob_repro::graph::{io, synth, Csr, GraphBuilder, VertexId};
 use flashmob_repro::mckp::{solve, solve_brute_force, Item};
 use flashmob_repro::memsim::NullProbe;
 use flashmob_repro::rng::{AliasTable, Rng64, Xorshift64Star};
+use flashmob_repro::telemetry::Telemetry;
 
 /// Uniform integer in [lo, hi) from the test-case RNG.
 fn gen_range(rng: &mut Xorshift64Star, lo: u64, hi: u64) -> u64 {
@@ -258,7 +259,10 @@ fn every_walk_stays_on_edges() {
             WalkConfig::deepwalk().walkers(walkers).steps(steps).seed(seed),
         )
         .unwrap();
-        let out = engine.run().unwrap();
+        let out = engine
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
+            .unwrap()
+            .0;
         for path in out.paths() {
             assert_eq!(path.len(), steps + 1, "case {case}");
             for hop in path.windows(2) {
@@ -285,8 +289,9 @@ fn thread_count_never_changes_results() {
                     .threads(t),
             )
             .unwrap()
-            .run()
+            .run_with(&RunOptions::default(), &mut Telemetry::off())
             .unwrap()
+            .0
             .paths()
         };
         assert_eq!(run(1), run(threads), "case {case} threads {threads}");
@@ -343,8 +348,9 @@ fn shuffle_restores_walker_order_under_random_configs() {
         let run = |t: usize| {
             FlashMob::new(&g, config.clone().threads(t))
                 .unwrap()
-                .run()
+                .run_with(&RunOptions::default(), &mut Telemetry::off())
                 .unwrap()
+                .0
                 .paths()
         };
         assert_eq!(

@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use flashmob_repro::baseline::{Baseline, BaselineConfig, BaselineKind};
-use flashmob_repro::flashmob::numa::{run_numa_paths_with, NumaMode};
+use flashmob_repro::flashmob::numa::{run_numa_with, NumaMode};
 use flashmob_repro::flashmob::oocore::{run_ooc_with, DiskGraph};
 use flashmob_repro::flashmob::{CheckpointSpec, FlashMob, RunOptions, WalkConfig, WalkError};
 use flashmob_repro::graph::synth;
@@ -33,7 +33,9 @@ fn walk_config(walkers: usize, steps: usize, threads: usize) -> WalkConfig {
 fn telemetry_overhead_stays_under_five_percent() {
     let g = synth::power_law(10_000, 2.0, 1, 300, 7);
     let engine = FlashMob::new(&g, walk_config(20_000, 16, 1)).expect("engine");
-    engine.run().expect("warm-up");
+    engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("warm-up");
 
     // Best-of-N interleaved pairs; retry to shrug off scheduler noise.
     let mut ratio = f64::INFINITY;
@@ -41,12 +43,16 @@ fn telemetry_overhead_stays_under_five_percent() {
         let (mut best_off, mut best_on) = (f64::INFINITY, f64::INFINITY);
         for _rep in 0..5 {
             let t0 = Instant::now();
-            engine.run().expect("untraced");
+            engine
+                .run_with(&RunOptions::default(), &mut Telemetry::off())
+                .expect("untraced");
             best_off = best_off.min(t0.elapsed().as_secs_f64());
 
             let mut tel = Telemetry::new();
             let t0 = Instant::now();
-            engine.run_traced(&mut tel).expect("traced");
+            engine
+                .run_with(&RunOptions::default(), &mut tel)
+                .expect("traced");
             best_on = best_on.min(t0.elapsed().as_secs_f64());
         }
         ratio = ratio.min(best_on / best_off);
@@ -67,7 +73,9 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
     for threads in [1usize, 2, 3, 8] {
         let engine = FlashMob::new(&g, walk_config(300, 7, threads)).expect("engine");
         let mut tel = Telemetry::new();
-        let (_, stats) = engine.run_traced(&mut tel).expect("run");
+        let (_, stats) = engine
+            .run_with(&RunOptions::default(), &mut tel)
+            .expect("run");
         assert_eq!(
             tel.partition_steps_total(),
             stats.steps_taken,
@@ -83,7 +91,9 @@ fn partition_step_counters_sum_exactly_across_engines_and_threads() {
                 .record_paths(false);
             let engine = Baseline::new(&g, BaselineConfig { kind, walk }).expect("baseline");
             let mut tel = Telemetry::new();
-            let (_, stats) = engine.run_traced(&mut tel).expect("run");
+            let (_, stats) = engine
+                .run_with(&RunOptions::default(), &mut tel)
+                .expect("run");
             assert_eq!(
                 tel.partition_steps_total(),
                 stats.steps_taken,
@@ -144,8 +154,7 @@ fn numa_merge_does_not_double_count() {
     for mode in [NumaMode::Partitioned, NumaMode::Replicated] {
         let mut tel = Telemetry::new();
         let (config, opts) = (walk_config(240, 5, 2), RunOptions::default());
-        let (outputs, stats) =
-            run_numa_paths_with(&g, config, mode, 3, &opts, &mut tel).expect("numa");
+        let (outputs, stats) = run_numa_with(&g, config, mode, 3, &opts, &mut tel).expect("numa");
         let walkers: usize = outputs.iter().map(|o| o.paths().len()).sum();
         assert_eq!(walkers, 240);
         // A sink-free power-law graph never kills walkers, so the merged
@@ -176,7 +185,9 @@ fn checkpointed_and_resumed_runs_trace_what_a_plain_run_traces() {
         want
     };
     let mut plain = Telemetry::new();
-    engine.run_traced(&mut plain).expect("plain");
+    engine
+        .run_with(&RunOptions::default(), &mut plain)
+        .expect("plain");
     assert!(families(&plain).contains(&"plan"));
 
     let dir = std::env::temp_dir().join(format!("fm-telsuite-ckpt-{}", std::process::id()));
@@ -203,7 +214,9 @@ fn emitted_chrome_trace_validates_with_exact_span_coverage() {
     let steps = 6;
     let engine = FlashMob::new(&g, walk_config(400, steps, 2)).expect("engine");
     let mut tel = Telemetry::new();
-    engine.run_traced(&mut tel).expect("run");
+    engine
+        .run_with(&RunOptions::default(), &mut tel)
+        .expect("run");
 
     let mut buf = Vec::new();
     export::write_chrome_trace(&mut buf, &tel).expect("export");
@@ -271,7 +284,9 @@ fn fault_counters_off_leave_no_state_and_no_output() {
 
     if ProcStat::open(std::path::Path::new("/proc/self")).is_some() {
         let mut tel = Telemetry::new();
-        engine.run_traced(&mut tel).expect("traced run");
+        engine
+            .run_with(&RunOptions::default(), &mut tel)
+            .expect("traced run");
         let sample = tel
             .stage(Stage::Sample)
             .faults
@@ -302,7 +317,9 @@ fn fault_counters_off_leave_no_state_and_no_output() {
     }
 
     let mut off = Telemetry::off();
-    engine.run_traced(&mut off).expect("off run");
+    engine
+        .run_with(&RunOptions::default(), &mut off)
+        .expect("off run");
     assert!(off.fault_total().is_none());
     assert!(Stage::ALL.iter().all(|&s| off.stage(s).faults.is_none()));
     for v in metrics_lines(&off) {
@@ -317,9 +334,14 @@ fn fault_counters_off_leave_no_state_and_no_output() {
 fn an_unreadable_proc_leaves_the_fault_fields_out_and_the_walk_alone() {
     let g = synth::power_law(2_000, 2.0, 1, 60, 5);
     let engine = FlashMob::new(&g, walk_config(2_000, 8, 1).record_paths(true)).expect("engine");
-    let plain = engine.run().expect("untraced");
+    let plain = engine
+        .run_with(&RunOptions::default(), &mut Telemetry::off())
+        .expect("untraced")
+        .0;
     let mut tel = Telemetry::new().with_proc_dir(std::path::Path::new("/nonexistent/proc"));
-    let (traced, _) = engine.run_traced(&mut tel).expect("traced");
+    let (traced, _) = engine
+        .run_with(&RunOptions::default(), &mut tel)
+        .expect("traced");
     assert_eq!(plain.paths(), traced.paths());
     assert!(tel.fault_total().is_none());
     let lines = metrics_lines(&tel);
