@@ -14,7 +14,8 @@
 #      insisting that the lattice ran the partition stream (the
 #      hint-only stage in front of each first-order sample task) at
 #      all, and a dense CLI walk whose paths are equal at depth 1 and
-#      16 while --stats tells the two kinds of hint apart; then a sparse
+#      16 while --stats tells the two kinds of hint apart, and, like a
+#      node2vec walk's, at one thread and three; then a sparse
 #      and a dense CLI walk whose --stats must show PS refills reserved
 #      and produced, with paths equal at both depths, and the sparse one
 #      must name the wide checked-skip kernel wherever /proc/cpuinfo
@@ -150,6 +151,16 @@ cargo run --release -q -p fm-cli -- walk "$RING_TMP/g.bin" \
     --walkers 20000 --steps 8 --seed 11 --threads 3 \
     --output "$RING_TMP/threads3.txt" >/dev/null
 cmp "$RING_TMP/ring1.txt" "$RING_TMP/threads3.txt"
+# node2vec has one sample stage at every thread count, whose workers
+# draw each partition's stream in the one-thread order: its paths are
+# the same bytes at one thread and at three.
+for threads in 1 3; do
+    cargo run --release -q -p fm-cli -- walk "$RING_TMP/g.bin" \
+        --algo node2vec --p 2.0 --q 0.5 \
+        --walkers 20000 --steps 8 --seed 11 --threads $threads \
+        --output "$RING_TMP/n2v$threads.txt" >/dev/null
+done
+cmp "$RING_TMP/n2v1.txt" "$RING_TMP/n2v3.txt"
 # The baselines' bytes are pinned too: KnightKing at one thread,
 # GraphVite at three (per-thread generators, so another walk), paths
 # and visit counts each.
@@ -229,7 +240,7 @@ grep -Eq "^checked skip: $WANT_KERNEL\$" "$RING_TMP/psstats625-1.txt" || {
 
 tier "telemetry tier"
 # Overhead guard: enabled recorder within 5% of disabled.
-cargo test -q --test telemetry_suite telemetry_overhead_stays_under_five_percent
+cargo test -q --test telemetry_overhead
 # End-to-end: synth a graph, walk with tracing, validate the emitted
 # Chrome trace with the in-tree TEF checker.
 TELEMETRY_TMP="$(mktemp -d)"

@@ -6,12 +6,11 @@
 //! wall-clock per-step time and the speedup over the unpipelined
 //! (depth-1) sample loop.  The walk output is bit-identical at every
 //! depth — the ring only reorders memory traffic — so any delta is pure
-//! latency hiding.  The 8-thread node2vec rows exercise the parallel
-//! per-partition path, whose exact connectivity search is hinted by the
-//! binary-search ladder (see `sample::hint_connectivity_search`).
+//! latency hiding.  node2vec runs its one sample stage at both thread
+//! counts, ringing its proposal and resolve rounds.
 //!
 //! The paper does not plot this figure; the sweep quantifies the repo's
-//! own §10 (DESIGN.md) ring and backs the BENCH_PREFETCH.md note.
+//! own §10 (DESIGN.md) ring.
 
 use flashmob::{FlashMob, MetapathPattern, RunOptions, WalkAlgorithm, WalkConfig};
 use fm_bench::{analog, scaled_planner, timed, HarnessOpts};

@@ -48,8 +48,8 @@ pub enum Command {
         /// `resume` only: the checkpoint directory an interrupted `walk
         /// --checkpoint-dir` wrote.  The configuration flags must match
         /// that run (mismatches are rejected by the checkpoint's embedded
-        /// config fingerprint); ring depth may differ, and so may thread
-        /// count, except across one thread and several for node2vec.
+        /// config fingerprint); ring depth and thread count may differ,
+        /// since neither changes the walk.
         resume_from: Option<PathBuf>,
         /// Engine selection.
         engine: EngineChoice,

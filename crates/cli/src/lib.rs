@@ -75,8 +75,8 @@ cell; the same digests must hold at every depth.
 `--checkpoint-every` iterations (default 8; out of core, pair slots)
 and one holding the finished walk; `resume` continues from the latest,
 bit-identically, and with `--checkpoint-dir` keeps checkpointing.  Its
-configuration flags must match the interrupted run's; node2vec cannot
-resume across one thread and several (exit 4).  `--fault-rate`/
+configuration flags must match the interrupted run's, except
+`--threads` and `--ring-depth`, which change no walk.  `--fault-rate`/
 `--fault-seed` inject seeded transient faults into every IO of the run
 (checkpoint writes, block reads), absorbed by bounded retries and
 counted in `--stats`/`--metrics`; in memory they need

@@ -31,9 +31,9 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("flashmob-auto", "weighted", 3, 0xdd524386c60777cf),
     ("flashmob-auto", "weighted", 8, 0xdd524386c60777cf),
     ("flashmob-auto", "node2vec", 1, 0xf9ae09a72b31b3d9),
-    ("flashmob-auto", "node2vec", 2, 0x10138fcf9ecdaae0),
-    ("flashmob-auto", "node2vec", 3, 0x10138fcf9ecdaae0),
-    ("flashmob-auto", "node2vec", 8, 0x10138fcf9ecdaae0),
+    ("flashmob-auto", "node2vec", 2, 0xf9ae09a72b31b3d9),
+    ("flashmob-auto", "node2vec", 3, 0xf9ae09a72b31b3d9),
+    ("flashmob-auto", "node2vec", 8, 0xf9ae09a72b31b3d9),
     ("flashmob-auto", "ppr", 1, 0x79566922ef505d27),
     ("flashmob-auto", "ppr", 2, 0x79566922ef505d27),
     ("flashmob-auto", "ppr", 3, 0x79566922ef505d27),
@@ -55,9 +55,9 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("flashmob-ps", "weighted", 3, 0x41c9cc73c654565d),
     ("flashmob-ps", "weighted", 8, 0x41c9cc73c654565d),
     ("flashmob-ps", "node2vec", 1, 0x542e86d40cec03cb),
-    ("flashmob-ps", "node2vec", 2, 0xcb18c75f2ae811dc),
-    ("flashmob-ps", "node2vec", 3, 0xcb18c75f2ae811dc),
-    ("flashmob-ps", "node2vec", 8, 0xcb18c75f2ae811dc),
+    ("flashmob-ps", "node2vec", 2, 0x542e86d40cec03cb),
+    ("flashmob-ps", "node2vec", 3, 0x542e86d40cec03cb),
+    ("flashmob-ps", "node2vec", 8, 0x542e86d40cec03cb),
     ("flashmob-ps", "ppr", 1, 0x02bd82a97f376de4),
     ("flashmob-ps", "ppr", 2, 0x02bd82a97f376de4),
     ("flashmob-ps", "ppr", 3, 0x02bd82a97f376de4),
@@ -79,9 +79,9 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("flashmob-ds", "weighted", 3, 0x8f98ab5dc96bee38),
     ("flashmob-ds", "weighted", 8, 0x8f98ab5dc96bee38),
     ("flashmob-ds", "node2vec", 1, 0x97cb1ff43e88137c),
-    ("flashmob-ds", "node2vec", 2, 0x5db5e460a6a813e0),
-    ("flashmob-ds", "node2vec", 3, 0x5db5e460a6a813e0),
-    ("flashmob-ds", "node2vec", 8, 0x5db5e460a6a813e0),
+    ("flashmob-ds", "node2vec", 2, 0x97cb1ff43e88137c),
+    ("flashmob-ds", "node2vec", 3, 0x97cb1ff43e88137c),
+    ("flashmob-ds", "node2vec", 8, 0x97cb1ff43e88137c),
     ("flashmob-ds", "ppr", 1, 0x51ce964cd13c662f),
     ("flashmob-ds", "ppr", 2, 0x51ce964cd13c662f),
     ("flashmob-ds", "ppr", 3, 0x51ce964cd13c662f),
@@ -103,9 +103,9 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("numa-p", "weighted", 3, 0xd9e51c7b92ecbf73),
     ("numa-p", "weighted", 8, 0xd9e51c7b92ecbf73),
     ("numa-p", "node2vec", 1, 0x78366b309ce5b3fd),
-    ("numa-p", "node2vec", 2, 0x9b872657f3b1e890),
-    ("numa-p", "node2vec", 3, 0x9b872657f3b1e890),
-    ("numa-p", "node2vec", 8, 0x9b872657f3b1e890),
+    ("numa-p", "node2vec", 2, 0x78366b309ce5b3fd),
+    ("numa-p", "node2vec", 3, 0x78366b309ce5b3fd),
+    ("numa-p", "node2vec", 8, 0x78366b309ce5b3fd),
     ("numa-p", "ppr", 1, 0x0c1397343286899b),
     ("numa-p", "ppr", 2, 0x0c1397343286899b),
     ("numa-p", "ppr", 3, 0x0c1397343286899b),
@@ -127,9 +127,9 @@ pub static GOLDEN: &[GoldenEntry] = &[
     ("numa-r", "weighted", 3, 0x70f2264b610834f5),
     ("numa-r", "weighted", 8, 0x70f2264b610834f5),
     ("numa-r", "node2vec", 1, 0x9bfa1ef90a9201e8),
-    ("numa-r", "node2vec", 2, 0x909e7cbf9aac89fb),
-    ("numa-r", "node2vec", 3, 0x909e7cbf9aac89fb),
-    ("numa-r", "node2vec", 8, 0x909e7cbf9aac89fb),
+    ("numa-r", "node2vec", 2, 0x9bfa1ef90a9201e8),
+    ("numa-r", "node2vec", 3, 0x9bfa1ef90a9201e8),
+    ("numa-r", "node2vec", 8, 0x9bfa1ef90a9201e8),
     ("numa-r", "ppr", 1, 0x54d6be0a23530881),
     ("numa-r", "ppr", 2, 0x54d6be0a23530881),
     ("numa-r", "ppr", 3, 0x54d6be0a23530881),

@@ -92,7 +92,7 @@ impl AnalyticCostModel {
     /// per-walker hints on top of it only cost instructions (measured:
     /// EXPERIMENTS.md, PR 21 ledger).
     ///
-    /// The batched node2vec stage, which no stream runs ahead of, asks
+    /// The node2vec stage, which no stream runs ahead of, asks
     /// once for the probe chain's working set: the bloom filter plus the
     /// CSR.
     pub fn ring_depth(&self, ws_bytes: usize) -> usize {

@@ -22,7 +22,7 @@ use crate::plan::{Plan, Planner};
 use crate::pool::{DisjointSlice, PoolStats, WorkerPool};
 use crate::sample::ring::Pf;
 use crate::sample::{
-    apply_exit, hint_ds_row, hint_partition, node2vec_keeps, propose, sample_partition,
+    apply_exit, hint_ds_row, hint_partition, node2vec_adjacent, propose, sample_partition,
     worth_hinting, AddrMap, AlgoCtx, PsBuffers, TaskIo, HINT_LINES_PER_WALKER, RESERVE_FACTOR,
 };
 use crate::shuffle::{ShuffleAddrs, ShuffleScratch, Shuffler};
@@ -348,10 +348,10 @@ pub struct FlashMob {
     /// depth, so it is *not* part of `config_tag` and checkpoints
     /// resume across depths.
     ring_depths: Vec<usize>,
-    /// Ring depth of the batched node2vec stage ([`FlashMob::
-    /// sample_stage_node2vec_batched`]): its proposal rounds and its
-    /// resolve rounds both run over the whole graph, so the working set
-    /// is the probe chain's — bloom filter plus CSR — not a partition's.
+    /// Ring depth of the node2vec stage ([`FlashMob::
+    /// sample_stage_node2vec`]): its proposal rounds and its resolve
+    /// rounds reach across the whole graph, so the working set is the
+    /// probe chain's — bloom filter plus CSR — not a partition's.
     /// [`WalkConfig::ring_depth`] overrides it as it does `ring_depths`.
     probe_ring_depth: usize,
     /// The partition stream's occupancy guard
@@ -390,10 +390,35 @@ struct EngineAddrs {
 /// One run's PS buffers: `Some` for every pre-sampling partition.
 type PsSet = Vec<Option<PsBuffers>>;
 
-/// What the batched node2vec stage's ring stages share: the probe, the
-/// PS buffers (read by the hints, consumed by `execute`) and the
-/// per-partition hint counters.
-type ProposalLanes<'a, P> = (&'a mut P, &'a mut PsSet, &'a mut [u64]);
+/// What the node2vec stage's ring stages share within one worker's
+/// partition range: the probe, the range's PS buffers (read by the
+/// hints, consumed by `execute`) and the range's hint counters.
+struct ProposalLanes<'a, P> {
+    probe: &'a mut P,
+    /// `ps[pi - first]` is partition `pi`'s buffers.
+    ps: &'a mut [Option<PsBuffers>],
+    first: usize,
+    /// `hints[pi - first]` is partition `pi`'s counter.
+    hints: &'a mut [u64],
+}
+
+/// One node2vec sample worker's lanes, kept in [`Scratch`] across steps
+/// so that a step allocates nothing once they have grown.  Aligned so
+/// that no two workers' lanes share a cache line (or the pair of lines
+/// the adjacent-line prefetcher fetches): a worker writes its `Vec`
+/// headers on every push.
+#[derive(Default)]
+#[repr(align(128))]
+struct Node2vecLane {
+    /// One stream per partition of the worker's range, continued across
+    /// the rounds of a step.
+    rngs: Vec<Xorshift64Star>,
+    /// Unresolved connectivity queries: (prev, slot, candidate, scaled
+    /// draw), the sort key carried in the entry.
+    pending: Vec<(VertexId, u32, VertexId, f64)>,
+    /// The slots whose candidate the last resolve round rejected.
+    redraw: Vec<u32>,
+}
 
 /// The lanes a step works in.  Each is rewritten before it is read —
 /// within the step for the walker lanes, from the first count pass for
@@ -417,6 +442,9 @@ struct Scratch {
     /// Partition ranges of the parallel sample stage: recomputed each
     /// step as the walker distribution shifts, but in place.
     sample_ranges: Vec<(usize, usize)>,
+    /// The node2vec stage's worker lanes, one a thread (second-order
+    /// walks only).
+    node2vec: Vec<Node2vecLane>,
     prefetches: Vec<u64>,
     stream_hints: Vec<u64>,
 }
@@ -432,6 +460,10 @@ impl Scratch {
             prev_next: lane(engine.config.algorithm.is_second_order()),
             shuffle: ShuffleScratch::default(),
             sample_ranges: Vec::with_capacity(engine.config.threads),
+            node2vec: (0..engine.config.threads.max(1))
+                .filter(|_| engine.config.algorithm.is_second_order())
+                .map(|_| Node2vecLane::default())
+                .collect(),
             prefetches: vec![0; engine.plan.partitions.len()],
             stream_hints: vec![0; engine.plan.partitions.len()],
         }
@@ -704,19 +736,21 @@ impl EpochState {
         self.scratch.snext[dead_start..].fill(DEAD);
         let pf_before = traced.then(|| self.scratch.prefetches.clone());
 
-        // The parallel stage runs only from the uninstrumented entry
-        // points (NullProbe), so counter attribution stays exact.
-        let batched = pool.is_none() && effective_algo.is_second_order();
-        self.steps_taken += if let Some(pool) = pool {
-            engine.sample_stage_parallel(self, &ctx, pool, tel)
-        } else if batched {
+        // The pool runs only from the uninstrumented entry points
+        // (NullProbe), so counter attribution stays exact.
+        let batched = effective_algo.is_second_order();
+        self.steps_taken += if batched {
             // The paper's batched connectivity checks: rejection
             // probes are deferred and resolved grouped by the
-            // previous vertex's partition, keeping each hub's
-            // adjacency list cache-hot across many queries.
-            engine.sample_stage_node2vec_batched(self, &ctx, probe)
+            // previous vertex, keeping each hub's adjacency list
+            // cache-hot across many queries.
+            engine.sample_stage_node2vec(self, &ctx, pool, probe, tel)
+        } else if let Some(pool) = pool {
+            engine.sample_stage_parallel(self, &ctx, pool, tel)
         } else {
-            engine.sample_stage_sequential(self, &ctx, probe)
+            // Every partition's task, in order, on the calling thread.
+            let lanes = TaskLanes::of(engine, self);
+            engine.sample_range(&lanes, 0..parts.len(), &ctx, probe, |_| {})
         };
         stage.sample += t1.elapsed();
         if traced {
@@ -1012,8 +1046,7 @@ impl FlashMob {
     /// to the uninterrupted run; a snapshot of another graph, seed or
     /// configuration is refused with
     /// [`fm_recover::RecoverError::Mismatch`].  The thread count may
-    /// differ, except that a second-order walk does not cross between
-    /// one thread and several (see [`WalkConfig::threads`]).  With both,
+    /// differ (see [`WalkConfig::threads`]).  With both,
     /// the generation numbers continue the interrupted run's.
     /// [`RunOptions::fault`] injects faults into the checkpoint writes;
     /// a run that writes none makes no IO and refuses it with
@@ -1045,12 +1078,9 @@ impl FlashMob {
     ///
     /// Snapshots carry this tag and a resume verifies it: resuming under
     /// a different algorithm, stop rule, seed, or plan would silently
-    /// produce garbage.  Thread count is left out where it does not pick
-    /// the chain: first-order runs are bit-identical at every count, so
-    /// their checkpoints written at 8 threads resume at 1 and vice versa.
-    /// A second-order walk runs the batched stage at one thread and the
-    /// per-partition stage at more, which draw different chains, so its
-    /// tag carries one extra word above one thread.
+    /// produce garbage.  Thread count is left out because it does not
+    /// pick the chain: every walk is bit-identical at every count, so a
+    /// checkpoint written at 8 threads resumes at 1 and vice versa.
     fn config_tag(&self) -> u64 {
         let c = &self.config;
         let mut fp = Fingerprint::new();
@@ -1104,9 +1134,6 @@ impl FlashMob {
             .fold_u64(c.planner.target_groups as u64)
             .fold_u64(c.planner.max_partitions as u64)
             .fold_u64(c.planner.min_vp_vertices as u64);
-        if c.algorithm.is_second_order() && c.threads > 1 {
-            fp.fold_u64(2); // the per-partition stage, not the batched one
-        }
         fp.value()
     }
 
@@ -1325,21 +1352,10 @@ impl FlashMob {
         }
     }
 
-    /// Sequential first-order sample stage: every partition's task, in
-    /// partition order, on the calling thread.
-    fn sample_stage_sequential<P: Probe>(
-        &self,
-        state: &mut EpochState,
-        ctx: &AlgoCtx<'_>,
-        probe: &mut P,
-    ) -> u64 {
-        let lanes = TaskLanes::of(self, state);
-        self.sample_range(&lanes, 0..self.plan.partitions.len(), ctx, probe, |_| {})
-    }
-
     /// The first-order sample tasks of partitions `range`, in order:
-    /// the one task body of the sequential stage (one range, the real
-    /// probe) and of each pool worker (its own range, no probe).
+    /// the one task body of a step on the calling thread (every
+    /// partition, the real probe) and of each pool worker (its own
+    /// range, no probe).
     /// Returns the live walker-steps taken; `done(pi)` runs after each
     /// task.
     ///
@@ -1445,47 +1461,114 @@ impl FlashMob {
         taken
     }
 
-    /// Sequential second-order sample stage with batched connectivity
-    /// checks (the paper's "FlashMob again batches such lookups").
+    /// The second-order sample stage, with batched connectivity checks
+    /// (the paper's "FlashMob again batches such lookups"):
+    /// [`FlashMob::node2vec_range`] over every partition on the calling
+    /// thread, or over each of [`FlashMob::on_pool`]'s ranges, which
+    /// walks the same chain.
+    fn sample_stage_node2vec<P: Probe>(
+        &self,
+        state: &mut EpochState,
+        ctx: &AlgoCtx<'_>,
+        pool: Option<&WorkerPool>,
+        probe: &mut P,
+        tel: &mut Telemetry,
+    ) -> u64 {
+        let mut workers = std::mem::take(&mut state.scratch.node2vec);
+        let taken = match pool {
+            Some(pool) => {
+                let worker_lanes = DisjointSlice::new(&mut workers);
+                self.on_pool(state, pool, tel, |t, lanes, range, done| {
+                    // SAFETY: lane `t` belongs to worker `t` alone.
+                    let lane = unsafe { &mut worker_lanes.slice_mut(t, 1)[0] };
+                    let taken = self.node2vec_range(lanes, range, ctx, &mut NullProbe, lane);
+                    done(NO_PARTITION as usize);
+                    taken
+                })
+            }
+            None => {
+                let lanes = TaskLanes::of(self, state);
+                let all = 0..self.plan.partitions.len();
+                self.node2vec_range(&lanes, all, ctx, probe, &mut workers[0])
+            }
+        };
+        state.scratch.node2vec = workers;
+        taken
+    }
+
+    /// The second-order sample tasks of partitions `range`: one worker's
+    /// share of [`FlashMob::sample_stage_node2vec`], in `lane`.
     ///
     /// Rejection sampling for node2vec needs `has_edge(prev, candidate)`
     /// — a random access to `prev`'s adjacency list that escapes the
     /// current VP.  Instead of probing immediately per attempt, this
     /// stage defers every unresolved query, sorts the backlog by
-    /// `prev`'s partition, and resolves it partition-by-partition so one
-    /// hub's offsets and adjacency list serve many queries while hot.
-    /// Walkers whose candidate is rejected re-enter the proposal loop in
-    /// the next round (their slots stay grouped by source VP because the
+    /// `prev`, and resolves it in that order so one hub's offsets and
+    /// adjacency list serve many queries while hot.  Walkers whose
+    /// candidate is rejected re-enter the proposal loop in the next
+    /// round (their slots stay grouped by source VP because the
     /// shuffled array is partition-ordered).
+    ///
+    /// Partition `pi`'s stream is drawn by its own walkers alone, in an
+    /// order that does not depend on the range around it: round 0 and
+    /// the redraws run in slot order, and the one draw a resolve round
+    /// makes, the geometric stop's exit coin, follows the backlog's
+    /// `(prev, slot)` order.
     ///
     /// Every round runs through the walker ring at `probe_ring_depth`:
     /// the proposals ([`FlashMob::drive_proposals`]) and the resolves,
     /// whose hints read only the frozen slot arrays, the graph and the
     /// PS buffers, so the draws are those of the loop without hints.
-    fn sample_stage_node2vec_batched<P: Probe>(
+    fn node2vec_range<P: Probe>(
         &self,
-        state: &mut EpochState,
+        lanes: &TaskLanes<'_>,
+        range: std::ops::Range<usize>,
         ctx: &AlgoCtx<'_>,
         probe: &mut P,
+        lane: &mut Node2vecLane,
     ) -> u64 {
-        let (seed, iter) = (self.config.seed, state.iter);
-        let s = &mut state.scratch;
-        let (offsets, sw) = (&s.shuffle.offsets, s.sw.as_slice());
-        let (snext, ring_prefetches) = (s.snext.as_mut_slice(), s.prefetches.as_mut_slice());
-        let (ps_buffers, per_partition_steps) = (&mut state.ps, &mut state.per_partition_steps);
-        let sprev = s.sprev.as_slice();
-        let mut visits = state.visits.as_deref_mut();
+        let (offsets, sw) = (lanes.offsets, lanes.sw);
+        let sprev = lanes.sprev.unwrap_or_default();
         let rule = ctx.rule;
         let parts = &self.plan.partitions;
-        let mut taken = 0u64;
-        // One RNG stream per partition, continued across rounds so the
-        // run stays deterministic regardless of backlog sizes.
-        let mut rngs: Vec<Xorshift64Star> = (0..parts.len())
-            .map(|pi| Xorshift64Star::new(partition_stream_id(seed, iter, pi)))
-            .collect();
-
-        // Unresolved connectivity queries: (slot, candidate, scaled draw).
-        let mut pending: Vec<(u32, VertexId, f64)> = Vec::new();
+        let first = range.start;
+        // The range's walkers, the slots `[a, b)` of the shuffled array,
+        // and the vertices `[vbase, ..)` its partitions tile.
+        let (a, b) = (offsets[first] as usize, offsets[range.end] as usize);
+        let vbase = parts[first].start as usize;
+        // SAFETY: the ranges are disjoint, one to a worker, and
+        // partitions tile the slots and the vertices in order, so the
+        // walkers, PS buffers, counters and visit slots of this range's
+        // partitions belong to this worker alone.
+        let (snext, ps, steps, hints, mut visits) = unsafe {
+            (
+                lanes.snext.slice_mut(a, b - a),
+                lanes.ps.slice_mut(first, range.len()),
+                lanes.steps.slice_mut(first, range.len()),
+                lanes.prefetches.slice_mut(first, range.len()),
+                lanes.visits.as_ref().map(|v| {
+                    let vend = parts[range.end - 1].end as usize;
+                    v.slice_mut(vbase, vend - vbase)
+                }),
+            )
+        };
+        let Node2vecLane {
+            rngs,
+            pending,
+            redraw,
+        } = lane;
+        rngs.clear();
+        rngs.extend(
+            range
+                .clone()
+                .map(|pi| Xorshift64Star::new(partition_stream_id(lanes.seed, lanes.iter, pi))),
+        );
+        pending.clear();
+        // Every slot of the range holds a live walker, and each takes one
+        // step, so a partition's steps are its bin width.
+        for pi in range.clone() {
+            steps[pi - first] += u64::from(offsets[pi + 1] - offsets[pi]);
+        }
 
         // Proposal loop for one walker; pushes to `pending` when the
         // draw needs a connectivity check.
@@ -1501,7 +1584,7 @@ impl FlashMob {
             ps: &mut Option<PsBuffers>,
             probe: &mut P,
             addr: &AddrMap,
-            pending: &mut Vec<(u32, VertexId, f64)>,
+            pending: &mut Vec<(VertexId, u32, VertexId, f64)>,
         ) -> Option<VertexId> {
             let part = &engine.plan.partitions[pi];
             let slab = engine.slabs[pi].as_ref();
@@ -1521,7 +1604,8 @@ impl FlashMob {
                 );
                 let x = rng.next_f64() * ctx.rule.bound;
                 // Stratified rejection: below the minimum weight every
-                // candidate accepts, no check needed.
+                // candidate accepts, no check needed.  The 64th attempt
+                // accepts unchecked, as a termination backstop.
                 if x < ctx.rule.bound_min || attempts >= 64 {
                     return Some(cand);
                 }
@@ -1536,38 +1620,41 @@ impl FlashMob {
                 // (the resolve stage then skips the probe): settling it
                 // here would move this walker's exit coin and redraws
                 // ahead of its partition-mates' in the shared stream.
-                pending.push((slot as u32, cand, x));
+                pending.push((t, slot as u32, cand, x));
                 return None;
             }
         }
 
-        // Round 0: every live walker proposes once, in slot order, which
-        // is partition order (dead walkers sit past the last bin).  The
-        // ring runs over every live slot, so its hints cross from one
-        // partition's task into the next.
+        // Round 0: every live walker of the range proposes once, in slot
+        // order, which is partition order (dead walkers sit past the
+        // last bin).  The ring runs over the whole range, so its hints
+        // cross from one partition's task into the next.
         let depth = self.probe_ring_depth;
-        let mut lanes: ProposalLanes<'_, P> = (probe, ps_buffers, ring_prefetches);
-        let live = offsets[parts.len()] as usize;
+        let mut pl = ProposalLanes {
+            probe,
+            ps,
+            first,
+            hints,
+        };
         let (mut task, mut addr) = (usize::MAX, AddrMap::default());
         self.drive_proposals(
             depth,
             sw,
-            live,
-            |j| j,
-            &mut lanes,
-            |lanes, slot| {
-                let (probe, ps_buffers, _) = lanes;
+            b - a,
+            |j| a + j,
+            &mut pl,
+            |pl, slot| {
                 let v = sw[slot];
                 let pi = self.plan.map.partition_of(v);
                 if pi != task {
                     task = pi;
                     addr = self.task_addrs(pi);
                     // The redraw rounds below are the same task, later.
-                    if let Some(ps) = &mut ps_buffers[pi] {
+                    if let Some(ps) = &mut pl.ps[pi - first] {
                         ps.begin_task(&parts[pi], (offsets[pi + 1] - offsets[pi]) as usize, ctx);
                     }
                 }
-                let probe: &mut P = probe;
+                let probe: &mut P = pl.probe;
                 probe.touch(
                     addr.scur + 4 * slot as u64,
                     4,
@@ -1580,11 +1667,10 @@ impl FlashMob {
                     fm_memsim::AccessKind::Sequential,
                 );
                 if let Some(vis) = visits.as_deref_mut() {
-                    vis[v as usize] += 1;
+                    vis[v as usize - vbase] += 1;
                 }
-                per_partition_steps[pi] += 1;
-                taken += 1;
                 probe.step();
+                let rng = &mut rngs[pi - first];
                 if let Some(next) = try_resolve(
                     self,
                     ctx,
@@ -1592,13 +1678,13 @@ impl FlashMob {
                     slot,
                     v,
                     t,
-                    &mut rngs[pi],
-                    &mut ps_buffers[pi],
+                    rng,
+                    &mut pl.ps[pi - first],
                     probe,
                     &addr,
-                    &mut pending,
+                    pending,
                 ) {
-                    snext[slot] = apply_exit(next, ctx, &mut rngs[pi]);
+                    snext[slot - a] = apply_exit(next, ctx, rng);
                     probe.touch_write(
                         addr.snext + 4 * slot as u64,
                         4,
@@ -1608,80 +1694,89 @@ impl FlashMob {
             },
         );
 
-        // Resolution rounds: check the backlog grouped by prev-partition,
-        // then redraw the rejected walkers grouped by source partition.
-        // 63 rounds give every walker up to 64 proposals in total (one in
-        // round 0 plus one per redraw), matching the unbatched path's
+        // Resolution rounds: check the backlog grouped by prev, then
+        // redraw the rejected walkers grouped by source partition.  63
+        // rounds give every walker up to 64 proposals in total (one in
+        // round 0 plus one per redraw), matching `try_resolve`'s
         // 64-attempt cap.  Fewer rounds bias the output measurably: with
         // per-proposal acceptance rate r, a fraction (1-r)^rounds of
         // walkers falls through to the backstop, which accepts a uniform
         // (weight-blind) candidate.  The backlog empties geometrically,
         // so the loop almost always breaks long before the cap.
-        let mut redraw: Vec<u32> = Vec::new();
         let addr = self.task_addrs(0);
         let offsets_arr = self.graph.offsets();
         let targets_arr = self.graph.targets();
+        // A resolve hint counts to the previous vertex's partition, or to
+        // the walker's own when that lies outside this worker's range
+        // (never at one thread, whose range is the whole plan).
+        let hinted = |t: VertexId, slot: u32| {
+            let pt = self.plan.map.partition_of(t);
+            if range.contains(&pt) {
+                pt - first
+            } else {
+                self.plan.map.partition_of(sw[slot as usize]) - first
+            }
+        };
         for _round in 0..63 {
             if pending.is_empty() {
                 break;
             }
             // Batch the connectivity checks: sorting by the previous
-            // vertex groups queries against the same hub back to back
-            // (and, since partitions are contiguous ID ranges, by
-            // partition as well), so each adjacency list is fetched once
-            // and stays cache-hot across its whole query group.
-            pending.sort_unstable_by_key(|&(slot, _, _)| sprev[slot as usize]);
+            // vertex groups queries against the same hub back to back,
+            // so each adjacency list is fetched once and stays cache-hot
+            // across its whole query group.  The slot breaks ties, which
+            // fixes the order of the exit coins drawn below.
+            pending.sort_unstable_by_key(|&(t, slot, _, _)| (t, slot));
             redraw.clear();
             // Resolve the backlog through the walker ring: while query
             // `j` runs its exact check, the bloom lines and offset pair
             // of query `j+depth` and the adjacency endpoints of query
             // `j+lead` are already in flight.  Execution order — and
             // therefore RNG order — is untouched; hints are computed
-            // from the immutable (slot, cand) backlog only.
+            // from the immutable (prev, cand) backlog only.
             let mut pf = crate::sample::ring::Pf::new(depth > 1);
             crate::sample::ring::drive(
                 depth,
                 pending.len(),
                 &mut pf,
-                &mut lanes,
-                |pf, lanes, j| {
-                    let (slot, cand, x) = pending[j];
+                &mut pl,
+                |pf, pl, j| {
+                    let (t, slot, cand, x) = pending[j];
                     if rule.verdict(x, false) != Verdict::Probe {
                         // Decided without the graph: nothing to hint.
                         return;
                     }
-                    let t = sprev[slot as usize];
                     let before = pf.issued();
-                    pf.element(lanes.0, offsets_arr, t as usize, addr.offsets);
+                    pf.element(pl.probe, offsets_arr, t as usize, addr.offsets);
                     if let Some(bloom) = ctx.edge_filter {
-                        crate::sample::prefetch_bloom(pf, lanes.0, bloom, t, cand, &addr);
+                        crate::sample::prefetch_bloom(pf, pl.probe, bloom, t, cand, &addr);
                     }
-                    lanes.2[self.plan.map.partition_of(t)] += pf.issued() - before;
+                    pl.hints[hinted(t, slot)] += pf.issued() - before;
                 },
-                |pf, lanes, j| {
-                    let (slot, _, x) = pending[j];
-                    let t = sprev[slot as usize];
+                |pf, pl, j| {
+                    let (t, slot, _, x) = pending[j];
                     if pf.active() && rule.verdict(x, false) == Verdict::Probe {
                         let before = pf.issued();
                         let off = self.graph.adjacency_start(t);
                         let d = self.graph.degree(t);
                         // The first two levels of the exact search.
                         fm_graph::csr::sorted_probe_points(d, 2, &mut |k| {
-                            pf.element(lanes.0, targets_arr, off + k, addr.targets)
+                            pf.element(pl.probe, targets_arr, off + k, addr.targets)
                         });
-                        lanes.2[self.plan.map.partition_of(t)] += pf.issued() - before;
+                        pl.hints[hinted(t, slot)] += pf.issued() - before;
                     }
                 },
-                |lanes, j, ()| {
-                    let (slot, cand, x) = pending[j];
-                    let t = sprev[slot as usize];
-                    // Attempt 0: the 64-attempt cap was applied when
-                    // the entry was deferred.
-                    if node2vec_keeps(&self.graph, ctx, t, cand, x, 0, &mut *lanes.0, &addr) {
-                        let pi = self.plan.map.partition_of(sw[slot as usize]);
-                        snext[slot as usize] = apply_exit(cand, ctx, &mut rngs[pi]);
+                |pl, j, ()| {
+                    let (t, slot, cand, x) = pending[j];
+                    let slot = slot as usize;
+                    let probe = &mut *pl.probe;
+                    let edge =
+                        || node2vec_adjacent(&self.graph, ctx.edge_filter, t, cand, probe, &addr);
+                    if rule.keeps(x, cand == t, edge) {
+                        let pi = self.plan.map.partition_of(sw[slot]);
+                        snext[slot - a] = apply_exit(cand, ctx, &mut rngs[pi - first]);
                     } else {
-                        redraw.push(slot);
+                        redraw.push(slot as u32);
                     }
                 },
             );
@@ -1690,17 +1785,17 @@ impl FlashMob {
             // shuffled array is grouped by VP), through the same ring
             // as round 0.
             redraw.sort_unstable();
-            let slot_of = |j: usize| redraw[j] as usize;
+            let redraw = &*redraw;
             self.drive_proposals(
                 depth,
                 sw,
                 redraw.len(),
-                slot_of,
-                &mut lanes,
-                |lanes, slot| {
-                    let (probe, ps_buffers, _) = lanes;
+                |j| redraw[j] as usize,
+                &mut pl,
+                |pl, slot| {
                     let v = sw[slot];
                     let pi = self.plan.map.partition_of(v);
+                    let rng = &mut rngs[pi - first];
                     if let Some(next) = try_resolve(
                         self,
                         ctx,
@@ -1708,24 +1803,24 @@ impl FlashMob {
                         slot,
                         v,
                         sprev[slot],
-                        &mut rngs[pi],
-                        &mut ps_buffers[pi],
-                        &mut **probe,
+                        rng,
+                        &mut pl.ps[pi - first],
+                        &mut *pl.probe,
                         &self.task_addrs(pi),
-                        &mut pending,
+                        pending,
                     ) {
-                        snext[slot] = apply_exit(next, ctx, &mut rngs[pi]);
+                        snext[slot - a] = apply_exit(next, ctx, rng);
                     }
                 },
             );
         }
-        // Backstop (mirrors the 64-attempt cap of the unbatched path):
-        // accept the last candidates of anything still unresolved.
-        for &(slot, cand, _) in &pending {
+        // Backstop (mirrors `try_resolve`'s 64-attempt cap): accept the
+        // last candidates of anything still unresolved.
+        for &(_, slot, cand, _) in pending.iter() {
             let pi = self.plan.map.partition_of(sw[slot as usize]);
-            snext[slot as usize] = apply_exit(cand, ctx, &mut rngs[pi]);
+            snext[slot as usize - a] = apply_exit(cand, ctx, &mut rngs[pi - first]);
         }
-        taken
+        (b - a) as u64
     }
 
     /// Runs one proposal for each walker at `slot_of(0..n)` of the
@@ -1754,22 +1849,22 @@ impl FlashMob {
             let v = sw[slot_of(j)];
             let pi = self.plan.map.partition_of(v);
             let addr = self.task_addrs(pi);
-            let (probe, ps_buffers, hints) = lanes;
+            let probe = &mut *lanes.probe;
             let before = pf.issued();
-            match (&ps_buffers[pi], self.slabs[pi].as_ref(), stage) {
-                (Some(ps), _, 0) => ps.hint_cursor(pf, *probe, v, &addr),
-                (Some(ps), _, 1) => ps.hint_head(pf, *probe, &self.graph, v, &addr),
+            match (&lanes.ps[pi - lanes.first], self.slabs[pi].as_ref(), stage) {
+                (Some(ps), _, 0) => ps.hint_cursor(pf, probe, v, &addr),
+                (Some(ps), _, 1) => ps.hint_head(pf, probe, &self.graph, v, &addr),
                 (Some(ps), _, _) => {
-                    ps.hint_sample::<Xorshift64Star, _>(pf, *probe, &self.graph, v, None, &addr);
+                    ps.hint_sample::<Xorshift64Star, _>(pf, probe, &self.graph, v, None, &addr);
                 }
-                (None, slab, 0) => hint_ds_row(pf, *probe, &self.graph, slab, v, &addr),
+                (None, slab, 0) => hint_ds_row(pf, probe, &self.graph, slab, v, &addr),
                 (None, None, 1) => {
                     let (off, d) = (self.graph.adjacency_start(v), self.graph.degree(v));
-                    pf.span(*probe, self.graph.targets(), off, d, addr.targets);
+                    pf.span(probe, self.graph.targets(), off, d, addr.targets);
                 }
                 (None, _, _) => {}
             }
-            hints[pi] += pf.issued() - before;
+            lanes.hints[pi - lanes.first] += pf.issued() - before;
         };
         let mut pf = Pf::new(depth > 1);
         crate::sample::ring::drive_scouted(
@@ -1784,23 +1879,39 @@ impl FlashMob {
         );
     }
 
-    /// Parallel sample stage over the persistent pool: partitions are
-    /// split into contiguous ranges balanced by walker count; each
-    /// worker owns disjoint slices of `snext`, the PS buffers, the
-    /// per-partition counters, and (because partitions are contiguous,
-    /// non-overlapping vertex ranges) the visit-count array — the
-    /// paper's lock-free disjoint-array design, with no per-step
-    /// allocation.
-    ///
-    /// Each partition keeps its own seeded RNG stream regardless of
-    /// which worker runs it, so first-order output is bit-identical to
-    /// the sequential stage.
+    /// Parallel first-order sample stage: [`FlashMob::sample_range`]
+    /// over each of [`FlashMob::on_pool`]'s partition ranges.
     fn sample_stage_parallel(
         &self,
         state: &mut EpochState,
         ctx: &AlgoCtx<'_>,
         pool: &WorkerPool,
         tel: &mut Telemetry,
+    ) -> u64 {
+        self.on_pool(state, pool, tel, |_, lanes, range, done| {
+            self.sample_range(lanes, range, ctx, &mut NullProbe, done)
+        })
+    }
+
+    /// Runs a sample stage on the persistent pool: partitions are split
+    /// into contiguous ranges balanced by walker count, and worker `t`
+    /// runs `work(t, lanes, range, done)` over the `t`-th.  Each worker
+    /// owns disjoint slices of `snext`, the PS buffers, the
+    /// per-partition counters, and (because partitions are contiguous,
+    /// non-overlapping vertex ranges) the visit-count array — the
+    /// paper's lock-free disjoint-array design, with no per-step
+    /// allocation.  Returns the live walker-steps the workers took.
+    ///
+    /// On a traced run `done(pi)` ends a span of worker `t`'s lane
+    /// attributed to partition `pi` (or to none, [`NO_PARTITION`]); the
+    /// span runs from the end of the one before it.
+    fn on_pool(
+        &self,
+        state: &mut EpochState,
+        pool: &WorkerPool,
+        tel: &mut Telemetry,
+        work: impl Fn(usize, &TaskLanes<'_>, std::ops::Range<usize>, &mut dyn FnMut(usize)) -> u64
+            + Sync,
     ) -> u64 {
         let parts = self.plan.partitions.len();
         let threads = pool.threads().min(parts).max(1);
@@ -1837,7 +1948,7 @@ impl FlashMob {
             // A task's span runs from the end of the task before it, so
             // the hints it issues for its successor are inside it.
             let mut mark = traced.then(|| origin.elapsed().as_nanos() as u64);
-            let local = self.sample_range(&lanes, start..end, ctx, &mut NullProbe, |pi| {
+            let local = work(t, &lanes, start..end, &mut |pi| {
                 if let Some(start_ns) = mark {
                     let now = origin.elapsed().as_nanos() as u64;
                     // SAFETY: lane `t` belongs to this worker alone for
@@ -1862,7 +1973,7 @@ impl FlashMob {
     }
 }
 
-/// What the first-order sample tasks of one iteration share: the
+/// What the sample tasks of one iteration share: the
 /// shuffled walker lanes, read by all, and the lanes each task owns a
 /// disjoint share of — its walkers' `snext` range, its partition's PS
 /// buffers, counters and visit slots.
@@ -1907,10 +2018,9 @@ impl<'a> TaskLanes<'a> {
 /// The RNG stream id consumed by partition `pi` during iteration `iter`
 /// of a run seeded with `seed`.
 ///
-/// Every sample-stage variant (sequential, parallel, batched node2vec,
-/// out-of-core) derives its per-partition generator from this single
-/// function, which is why first-order output is bit-identical across
-/// thread counts.  The conformance harness folds these ids into its
+/// Every sample stage (sequential, parallel, node2vec, out-of-core)
+/// derives its per-partition generator from this single function, which
+/// is why in-memory output is bit-identical across thread counts.  The conformance harness folds these ids into its
 /// golden digests so that any refactor that silently re-assigns streams
 /// fails loudly rather than shifting the sampled chain unnoticed.
 pub fn partition_stream_id(seed: u64, iter: usize, pi: usize) -> u64 {
@@ -2020,33 +2130,33 @@ mod tests {
         // Determinism matrix: {1, 2, 3, 8} threads × three algorithms ×
         // parallel shuffle on/off.  The parallel shuffle is gated on
         // `walkers >= 4 * threads`, so 16 walkers disables it at high
-        // thread counts while 300 enables it everywhere.  First-order
-        // walks must be bit-identical across ALL thread counts;
-        // node2vec's parallel runs are mutually bit-identical but use the
-        // unbatched stage, so threads = 1 is excluded from its
-        // comparison (see `WalkConfig::threads`).
+        // thread counts while 300 enables it everywhere.  Every walk,
+        // node2vec included, must be bit-identical across ALL thread
+        // counts, and so must the work counted: steps per partition,
+        // visits and the pre-samples produced, reserved and consumed.
         let g = synth::power_law(400, 2.0, 2, 40, 9);
+        let work = |s: &RunStats| {
+            (
+                s.steps_taken,
+                s.per_partition_steps.clone(),
+                s.visits_sorted.clone(),
+                s.per_partition_ps_produced.clone(),
+                s.per_partition_ps_reserved.clone(),
+                s.per_partition_ps_consumed.clone(),
+            )
+        };
         for walkers in [16usize, 300] {
             for (algo, graph, cfg) in matrix_cells(&g, walkers) {
                 let run = |threads: usize| {
-                    let engine = FlashMob::new(&graph, cfg.clone().threads(threads)).unwrap();
-                    run_default(&engine).unwrap().0
+                    let cfg = cfg.clone().threads(threads).record_visits(true);
+                    run_default(&FlashMob::new(&graph, cfg).unwrap()).unwrap()
                 };
-                let seq = run(1);
-                let two = run(2);
-                if algo != "node2vec" {
-                    assert_eq!(
-                        seq.paths(),
-                        two.paths(),
-                        "{algo} walkers={walkers}: 1 vs 2 threads"
-                    );
-                }
-                for threads in [3usize, 8] {
-                    assert_eq!(
-                        two.paths(),
-                        run(threads).paths(),
-                        "{algo} walkers={walkers}: 2 vs {threads} threads"
-                    );
+                let (seq, seq_stats) = run(1);
+                for threads in [2usize, 3, 8] {
+                    let (out, stats) = run(threads);
+                    let what = format!("{algo} walkers={walkers}: 1 vs {threads} threads");
+                    assert_eq!(seq.paths(), out.paths(), "{what}");
+                    assert_eq!(work(&seq_stats), work(&stats), "{what}");
                 }
             }
         }
@@ -2531,34 +2641,87 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_unbatched_node2vec_sample_the_same_chain() {
-        // threads = 1 runs the batched connectivity-check stage;
-        // threads > 1 runs the per-partition unbatched stage.  Both must
-        // realize the same second-order transition distribution.
-        let g = synth::power_law(300, 2.0, 3, 40, 6);
-        let run = |threads: usize| {
-            let cfg = WalkConfig::node2vec(0.25, 4.0)
-                .walkers(30_000)
-                .steps(6)
-                .seed(4)
-                .threads(threads)
+    fn node2vec_bias_shapes_distribution() {
+        // t = 0, current = 1 with neighbours {0, 2, 3}; 2 is adjacent to
+        // 0, 3 is not.  Every walker starts at 0, so the walkers whose
+        // first step lands on 1 take their second from 1 with prev 0.
+        let g = Csr::from_edges(
+            4,
+            &[
+                (0, 1),
+                (0, 2),
+                (1, 0),
+                (1, 2),
+                (1, 3),
+                (2, 0),
+                (2, 1),
+                (3, 1),
+            ],
+        )
+        .unwrap();
+        let cfg = WalkConfig::node2vec(4.0, 4.0)
+            .walkers(120_000)
+            .steps(2)
+            .seed(5)
+            .planner(small_params())
+            .init(crate::WalkerInit::Fixed(vec![0]));
+        let out = run_default(&FlashMob::new(&g, cfg).unwrap()).unwrap().0;
+        let mut counts = [0usize; 4];
+        for path in out.paths().iter().filter(|p| p[1] == 1) {
+            counts[path[2] as usize] += 1;
+        }
+        let n: usize = counts.iter().sum();
+        assert!(n > 50_000, "{n} walkers reached 1");
+        // Unnormalized: back to 0 = 1/p = .25; to 2 (adjacent to 0) = 1;
+        // to 3 (not adjacent) = 1/q = .25.  Total 1.5.
+        let f = |t: usize| counts[t] as f64 / n as f64;
+        assert!((f(0) - 0.25 / 1.5).abs() < 0.02, "return {}", f(0));
+        assert!((f(2) - 1.0 / 1.5).abs() < 0.02, "triangle {}", f(2));
+        assert!((f(3) - 0.25 / 1.5).abs() < 0.02, "explore {}", f(3));
+    }
+
+    /// Regression for the `bound_min` contract: with p = q = 1 every
+    /// node2vec weight equals the bound, so every draw fast-accepts —
+    /// and the documented behaviour is that such draws skip the
+    /// connectivity check *entirely*, touching neither the bloom filter
+    /// nor `t`'s adjacency.
+    #[test]
+    fn bound_min_fast_accept_skips_connectivity_probes_entirely() {
+        struct RegionCounter {
+            base: u64,
+            end: u64,
+            hits: u64,
+        }
+        impl Probe for RegionCounter {
+            fn touch(&mut self, addr: u64, _bytes: u32, _kind: fm_memsim::AccessKind) {
+                if addr >= self.base && addr < self.end {
+                    self.hits += 1;
+                }
+            }
+        }
+        let g = synth::power_law(300, 2.0, 2, 40, 23);
+        let run = |p: f64, q: f64| {
+            let cfg = WalkConfig::node2vec(p, q)
+                .walkers(2000)
+                .steps(3)
+                .seed(3)
                 .planner(small_params());
             let engine = FlashMob::new(&g, cfg).unwrap();
-            let out = run_default(&engine).unwrap().0;
-            out.visit_counts(g.vertex_count())
+            let bloom = engine.edge_bloom.as_ref().unwrap().footprint_bytes() as u64;
+            let base = engine.addr.map.edge_bloom;
+            let mut counter = RegionCounter {
+                base,
+                end: base + bloom,
+                hits: 0,
+            };
+            engine.run_probed(&mut counter).unwrap();
+            counter.hits
         };
-        let batched = run(1);
-        let unbatched = run(3);
-        let (ta, tb) = (
-            batched.iter().sum::<u64>() as f64,
-            unbatched.iter().sum::<u64>() as f64,
+        assert_eq!(run(1.0, 1.0), 0, "p=q=1: every draw is below bound_min");
+        assert!(
+            run(4.0, 4.0) > 0,
+            "p=q=4: draws must reach the bloom filter"
         );
-        let l1: f64 = batched
-            .iter()
-            .zip(&unbatched)
-            .map(|(&a, &b)| (a as f64 / ta - b as f64 / tb).abs())
-            .sum();
-        assert!(l1 < 0.08, "batched vs unbatched diverge: L1 = {l1:.4}");
     }
 
     #[test]
@@ -2817,16 +2980,16 @@ mod tests {
     }
 
     #[test]
-    fn second_order_resume_does_not_cross_one_thread() {
-        // node2vec runs the batched stage at one thread and the
-        // per-partition stage at more: a checkpoint written on one side
-        // is refused on the other instead of resumed into a chain that
-        // neither run draws.  Everything else resumes bit-exactly.
+    fn every_cell_resumes_bit_exactly_across_thread_counts() {
+        // Every walk, node2vec included, draws one chain at every thread
+        // count, so a checkpoint written at any of {1, 2, 8} threads
+        // resumes at any other into the uninterrupted one-thread walk.
         let g = synth::power_law(400, 2.0, 2, 40, 9);
         for (algo, graph, cfg) in matrix_cells(&g, 300) {
             let engine =
                 |threads: usize| FlashMob::new(&graph, cfg.clone().threads(threads)).unwrap();
-            for written in [1usize, 2] {
+            let want = run_default(&engine(1)).unwrap().0.paths();
+            for written in [1usize, 2, 8] {
                 let dir = std::env::temp_dir().join(format!(
                     "fm_engine_cross_{}_{algo}_{written}",
                     std::process::id()
@@ -2841,22 +3004,10 @@ mod tests {
                 let resume = RunOptions::default().resume_from(&dir);
                 for threads in [1usize, 2, 8] {
                     let what = format!("{algo} written at {written}, resumed at {threads} threads");
-                    let crosses = algo == "node2vec" && (written == 1) != (threads == 1);
-                    match engine(threads).run_with(&resume, &mut Telemetry::off()) {
-                        Ok((out, _)) => {
-                            assert!(!crosses, "{what}: resumed");
-                            assert_eq!(
-                                out.paths(),
-                                run_default(&engine(threads)).unwrap().0.paths(),
-                                "{what}"
-                            );
-                        }
-                        Err(e) => assert!(
-                            crosses
-                                && matches!(e, WalkError::Recover(RecoverError::Mismatch { .. })),
-                            "{what}: {e}"
-                        ),
-                    }
+                    let (out, _) = engine(threads)
+                        .run_with(&resume, &mut Telemetry::off())
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(out.paths(), want, "{what}");
                 }
                 std::fs::remove_dir_all(&dir).ok();
             }
@@ -2975,8 +3126,14 @@ mod tests {
     #[test]
     fn traced_run_is_bit_identical_and_counts_exactly() {
         let g = synth::power_law(400, 2.0, 1, 40, 3);
-        for threads in [1usize, 4] {
-            let engine = FlashMob::new(&g, config(300, 5).threads(threads)).unwrap();
+        let node2vec = WalkConfig::node2vec(0.5, 2.0)
+            .walkers(300)
+            .steps(5)
+            .seed(7)
+            .planner(small_params());
+        for (cfg, threads) in [(config(300, 5), 1usize), (config(300, 5), 4), (node2vec, 4)] {
+            let second_order = cfg.algorithm.is_second_order();
+            let engine = FlashMob::new(&g, cfg.threads(threads)).unwrap();
             let plain = run_default(&engine).unwrap().0;
             let mut tel = fm_telemetry::Telemetry::new();
             let (traced, stats) = engine.run_with(&RunOptions::default(), &mut tel).unwrap();
@@ -2996,14 +3153,19 @@ mod tests {
             let prologue = tel.stage(Stage::Other).total_ns;
             assert!(prologue > 0 && prologue <= stats.wall.as_nanos() as u64);
             if threads > 1 {
-                // Worker-lane spans carry partition + worker attribution.
+                // Worker-lane spans carry partition + worker attribution:
+                // one a task, or one a worker's range on node2vec's
+                // second-order steps.
                 let worker_spans: Vec<_> = tel
                     .events()
                     .iter()
                     .filter(|e| e.thread > 0 && e.stage == Stage::Sample)
                     .collect();
                 assert!(!worker_spans.is_empty(), "parallel runs record worker spans");
-                assert!(worker_spans.iter().all(|e| e.partition != NO_PARTITION));
+                for e in worker_spans {
+                    let per_range = second_order && e.step > 0;
+                    assert_eq!(e.partition == NO_PARTITION, per_range, "{e:?}");
+                }
             }
         }
     }

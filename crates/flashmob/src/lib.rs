@@ -186,13 +186,11 @@ impl WalkConfig {
 
     /// Sets the worker thread count.
     ///
-    /// First-order walks are bit-identical at every thread count.
-    /// Second-order walks are bit-identical among counts above one, but
-    /// only distribution-identical between one thread and more: the
-    /// sequential path uses the batched connectivity-check stage while
-    /// the parallel path resolves checks per partition, consuming the
-    /// RNG streams in different orders.  A second-order checkpoint
-    /// therefore resumes only on its own side of that boundary.
+    /// Every in-memory walk, node2vec included, is bit-identical at every
+    /// thread count: each partition's RNG stream is drawn by that
+    /// partition's walkers in one order however the partitions are split
+    /// among workers, so a checkpoint written at one count resumes at any
+    /// other.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

@@ -36,7 +36,6 @@
 pub mod ring;
 
 use fm_graph::bloom::EdgeBloom;
-use fm_graph::csr::sorted_probe_points;
 use fm_graph::{Csr, FixedDegreeSlab, VertexId};
 use fm_memsim::{AccessKind, Probe};
 use fm_rng::Rng64;
@@ -65,7 +64,8 @@ pub struct AddrMap {
     pub scur: u64,
     /// Shuffled next-position array.
     pub snext: u64,
-    /// Shuffled previous-position array (second-order walks).
+    /// Shuffled auxiliary lane: the previous position (node2vec) or a
+    /// stateful program's origin.
     pub sprev: u64,
     /// Bloom edge-filter bit array.
     pub edge_bloom: u64,
@@ -288,21 +288,20 @@ impl PsBuffers {
 
     /// The third hint, state and offsets now in: the row a refill draws
     /// from (`cum_weights` too, when they pick), or the one entry a
-    /// reserved generation's next draw picks — computed, not stored.
-    /// Returns where the consume's sample sits: nowhere yet before a
-    /// refill, the peeked entry of the row, or the produced slot.
+    /// reserved generation's next draw picks — computed, not stored.  A
+    /// produced generation's sample was the second hint's line.
     #[inline]
-    pub(crate) fn hint_sample<'a, R: Rng64, P: Probe>(
-        &'a self,
+    pub(crate) fn hint_sample<R: Rng64, P: Probe>(
+        &self,
         pf: &mut ring::Pf,
         probe: &mut P,
-        graph: &'a Csr,
+        graph: &Csr,
         v: VertexId,
         cum_weights: Option<&[f32]>,
         addr: &AddrMap,
-    ) -> Option<(&'a [VertexId], usize)> {
+    ) {
         if !pf.active() {
-            return None;
+            return;
         }
         let row = self.row((v - self.start) as usize);
         if row.unread == 0 {
@@ -311,14 +310,10 @@ impl PsBuffers {
             if let Some(cw) = cum_weights {
                 pf.span(probe, cw, off, row.d, addr.cum_weights);
             }
-            return None;
+        } else if row.reserved {
+            let pos = graph.adjacency_start(v) + self.peek_reserved::<R>(&row);
+            pf.element(probe, graph.targets(), pos, addr.targets);
         }
-        if !row.reserved {
-            return Some((&self.buf, row.bstart + row.d - row.unread));
-        }
-        let pos = graph.adjacency_start(v) + self.peek_reserved::<R>(&row);
-        pf.element(probe, graph.targets(), pos, addr.targets);
-        Some((graph.targets(), pos))
     }
 
     /// Chooses the form this task's refills take ([`reserves`]).
@@ -440,9 +435,8 @@ pub struct AlgoCtx<'g> {
     /// probes — not a cheapened check; only a `Verdict::Probe` pays
     /// for the (expensive, cross-VP) connectivity check, unless the
     /// 64-attempt cap fires first (the cap accepts unchecked, as a
-    /// termination backstop).  Every rejection path — `sample_ds`,
-    /// `sample_ps`, and the engine's batched resolver — shares this
-    /// exact contract.
+    /// termination backstop).  The engine's node2vec stage is the one
+    /// rejection path, and [`node2vec_adjacent`] its probe.
     pub rule: Node2VecRule,
     /// Per-edge cumulative weights parallel to the CSR targets array
     /// (weighted walks only).
@@ -521,7 +515,7 @@ impl<'g> AlgoCtx<'g> {
 pub struct TaskIo<'a> {
     /// Current positions of this VP's walkers (slice of `SW_i`).
     pub scur: &'a [VertexId],
-    /// Previous positions (second-order walks only).
+    /// Each walker's origin (stateful programs only: PPR, early exit).
     pub sprev: Option<&'a [VertexId]>,
     /// Output: next positions.
     pub snext: &'a mut [VertexId],
@@ -560,6 +554,10 @@ pub fn sample_partition<R: Rng64, P: Probe>(
     ring_depth: usize,
 ) -> TaskStats {
     debug_assert_eq!(io.scur.len(), io.snext.len());
+    debug_assert!(
+        !ctx.algo.is_second_order(),
+        "second-order walks run the engine's node2vec stage"
+    );
     match (part.policy, ps) {
         (SamplePolicy::PreSample, Some(buffers)) => {
             buffers.begin_task(part, io.scur.len(), ctx);
@@ -714,49 +712,27 @@ fn sample_ds<R: Rng64, P: Probe>(
     } = io;
     let mut steps = 0u64;
     let mut pf = ring::Pf::new(ring_depth > 1);
-    let offsets = graph.offsets();
     let targets = graph.targets();
     ring::drive(
         ring_depth,
         scur.len(),
         &mut pf,
         probe,
-        // Inspect: hint the walker's offset pair (CSR) or slab row, and
-        // for second-order walks the previous vertex's offset pair —
-        // the connectivity probe will need it.
+        // Inspect: hint the walker's offset pair (CSR) or slab row.
         |pf: &mut ring::Pf, probe: &mut P, j| {
             let v = scur[j];
             if v == DEAD {
                 return;
             }
             hint_ds_row(pf, probe, graph, slab, v, addr);
-            if ctx.algo.is_second_order() {
-                if let Some(sp) = sprev {
-                    // The connectivity probe will read t's offset pair.
-                    // (Stateful first-order programs also ride this lane
-                    // — their origin's adjacency is never read, so skip.)
-                    pf.element(probe, offsets, sp[j] as usize, addr.offsets);
-                }
-            }
         },
         // Fetch: read the (now-resident) offset pair and hint the loads
-        // that depend on it — the edge range, the cum-weight slice the
-        // binary search will walk, and for node2vec the first reads of
-        // the exact search over the previous vertex's adjacency.
+        // that depend on it — the edge range and the cum-weight slice
+        // the binary search will walk.
         |pf: &mut ring::Pf, probe: &mut P, j| {
             let v = scur[j];
             if v == DEAD {
                 return DsSlot::default();
-            }
-            if pf.active() {
-                if let (WalkAlgorithm::Node2Vec { .. }, Some(sp)) = (ctx.algo, sprev) {
-                    // The exact search binary-searches t's adjacency;
-                    // its offset pair was hinted at inspect, so reading
-                    // it now is cheap.  Hint the probes the search will
-                    // make (whole list when small, ladder when large).
-                    let t = sp[j];
-                    hint_connectivity_search(pf, probe, graph, targets, t, addr);
-                }
             }
             if slab.is_some() {
                 // Degree is implicit and the row was hinted at inspect.
@@ -875,16 +851,13 @@ fn sample_ps<R: Rng64, P: Probe>(
     } = io;
     let mut steps = 0u64;
     let mut pf = ring::Pf::new(ring_depth > 1);
-    let offsets = graph.offsets();
-    let targets = graph.targets();
     let mut st = (probe, buffers);
     ring::drive_scouted(
         ring_depth,
         scur.len(),
         &mut pf,
         &mut st,
-        // Scout: hint the walker's PS cursor (and for second-order
-        // walks the previous vertex's offset pair).
+        // Scout: hint the walker's PS cursor.
         |pf: &mut ring::Pf, st: &mut (&mut P, &mut PsBuffers), j| {
             let v = scur[j];
             if v == DEAD {
@@ -892,14 +865,6 @@ fn sample_ps<R: Rng64, P: Probe>(
             }
             let (probe, buffers) = st;
             buffers.hint_cursor(pf, probe, v, addr);
-            if ctx.algo.is_second_order() {
-                if let Some(sp) = sprev {
-                    // The connectivity probe will read t's offset pair.
-                    // (Stateful first-order programs also ride this lane
-                    // — their origin's adjacency is never read, so skip.)
-                    pf.element(probe, offsets, sp[j] as usize, addr.offsets);
-                }
-            }
         },
         // Inspect: read the (now-resident) cursor and hint the buffer
         // line the consume starts from.
@@ -910,29 +875,16 @@ fn sample_ps<R: Rng64, P: Probe>(
                 buffers.hint_head(pf, probe, graph, v, addr);
             }
         },
-        // Fetch: hint the row the consume reads.  For node2vec, peek
-        // the likely candidate and hint its whole probe chain: bloom
-        // words first, then the exact search's first reads.
+        // Fetch: hint the row the consume reads.
         |pf: &mut ring::Pf, st: &mut (&mut P, &mut PsBuffers), j| {
             // At depth 1 this is the only hint stage that runs.
             if !pf.active() {
                 return;
             }
             let v = scur[j];
-            if v == DEAD {
-                return;
-            }
-            let (probe, buffers) = st;
-            let sample = buffers.hint_sample::<R, _>(pf, probe, graph, v, ctx.cum_weights, addr);
-            if let (Some((slots, pos)), WalkAlgorithm::Node2Vec { .. }, Some(sp)) =
-                (sample, ctx.algo, sprev)
-            {
-                let t = sp[j];
-                let cand = slots[pos];
-                if let Some(bloom) = ctx.edge_filter {
-                    prefetch_bloom(pf, probe, bloom, t, cand, addr);
-                }
-                hint_connectivity_search(pf, probe, graph, targets, t, addr);
+            if v != DEAD {
+                let (probe, buffers) = st;
+                buffers.hint_sample::<R, _>(pf, probe, graph, v, ctx.cum_weights, addr);
             }
         },
         // Execute: the legacy per-walker body — sole RNG consumer, sole
@@ -954,19 +906,6 @@ fn sample_ps<R: Rng64, P: Probe>(
                 sp[j]
             });
             let next = match ctx.algo {
-                WalkAlgorithm::Node2Vec { .. } => {
-                    // Pre-sampled uniform proposals feed the rejection loop.
-                    let t = prev.expect("second-order walk carries prev");
-                    let mut attempts = 0;
-                    loop {
-                        let cand = consume(graph, buffers, v, ctx, rng, probe, addr);
-                        attempts += 1;
-                        let x = rng.next_f64() * ctx.rule.bound;
-                        if node2vec_keeps(graph, ctx, t, cand, x, attempts, probe, addr) {
-                            break cand;
-                        }
-                    }
-                }
                 WalkAlgorithm::Ppr { alpha } => {
                     // Teleport before touching the buffer: a restart
                     // consumes no pre-sampled edge, keeping cursor state
@@ -998,7 +937,12 @@ fn sample_ps<R: Rng64, P: Probe>(
                     let d = graph.degree(v);
                     metapath_pick(graph, v, d, None, pattern, ctx, rng, probe, addr)
                 }
-                _ => consume(graph, buffers, v, ctx, rng, probe, addr),
+                WalkAlgorithm::DeepWalk | WalkAlgorithm::Weighted => {
+                    consume(graph, buffers, v, ctx, rng, probe, addr)
+                }
+                WalkAlgorithm::Node2Vec { .. } => {
+                    unreachable!("second-order walks run the engine's node2vec stage")
+                }
             };
             let next = apply_exit(next, ctx, rng);
             snext[j] = next;
@@ -1014,37 +958,6 @@ fn sample_ps<R: Rng64, P: Probe>(
         steps,
         prefetches: pf.issued(),
     }
-}
-
-/// Hints the lines the node2vec exact connectivity search over `t`'s
-/// adjacency will read.
-///
-/// Small lists (one to four cache lines) are prefetched whole; large
-/// lists get the first three levels of the search's own ladder
-/// ([`sorted_probe_points`]: seven lines).  On the parallel
-/// per-partition path this is the only latency hiding the connectivity
-/// search gets (the batched single-thread resolver rings its probes
-/// separately).
-///
-/// Hints never consume RNG, so the walk output is bit-identical with
-/// or without them.
-fn hint_connectivity_search<P: Probe>(
-    pf: &mut ring::Pf,
-    probe: &mut P,
-    graph: &Csr,
-    targets: &[VertexId],
-    t: VertexId,
-    addr: &AddrMap,
-) {
-    let toff = graph.adjacency_start(t);
-    let td = graph.degree(t);
-    if td <= 64 {
-        pf.span(probe, targets, toff, td, addr.targets);
-        return;
-    }
-    sorted_probe_points(td, 3, &mut |k| {
-        pf.element(probe, targets, toff + k, addr.targets)
-    });
 }
 
 /// Hints the one 64-byte block a [`node2vec_adjacent`] bloom query for
@@ -1210,24 +1123,11 @@ fn draw<R: Rng64, P: Probe>(
 ) -> VertexId {
     debug_assert!(d > 0, "sink vertices are rejected at engine build");
     match ctx.algo {
-        WalkAlgorithm::DeepWalk => fetch(rng.gen_index(d), probe),
         WalkAlgorithm::Weighted => {
             let cw = ctx.cum_weights.expect("weighted walk carries weights");
             let off = csr_off.unwrap_or_else(|| graph.adjacency_start(v));
             let k = weighted_pick(cw, off, d, rng, probe, addr);
             fetch(k, probe)
-        }
-        WalkAlgorithm::Node2Vec { .. } => {
-            let t = prev.expect("second-order walk carries prev");
-            let mut attempts = 0;
-            loop {
-                let cand = fetch(rng.gen_index(d), probe);
-                attempts += 1;
-                let x = rng.next_f64() * ctx.rule.bound;
-                if node2vec_keeps(graph, ctx, t, cand, x, attempts, probe, addr) {
-                    break cand;
-                }
-            }
         }
         WalkAlgorithm::Ppr { alpha } => {
             // Restart coin first: a teleport reads no edge at all.
@@ -1256,6 +1156,10 @@ fn draw<R: Rng64, P: Probe>(
         }
         WalkAlgorithm::Metapath { pattern } => {
             metapath_pick(graph, v, d, csr_off, pattern, ctx, rng, probe, addr)
+        }
+        WalkAlgorithm::DeepWalk => fetch(rng.gen_index(d), probe),
+        WalkAlgorithm::Node2Vec { .. } => {
+            unreachable!("second-order walks run the engine's node2vec stage")
         }
     }
 }
@@ -1333,31 +1237,9 @@ fn weighted_pick<R: Rng64, P: Probe>(
     k
 }
 
-/// Whether a rejection loop keeps proposal `cand` on scaled draw `x`,
-/// its `attempts`-th: the 64-attempt cap accepts unchecked (termination
-/// backstop), otherwise the rule decides and only a `Verdict::Probe`
-/// looks at the graph.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn node2vec_keeps<P: Probe>(
-    graph: &Csr,
-    ctx: &AlgoCtx<'_>,
-    t: VertexId,
-    cand: VertexId,
-    x: f64,
-    attempts: u32,
-    probe: &mut P,
-    addr: &AddrMap,
-) -> bool {
-    attempts >= 64
-        || ctx.rule.keeps(x, cand == t, || {
-            node2vec_adjacent(graph, ctx.edge_filter, t, cand, probe, addr)
-        })
-}
-
 /// node2vec's connectivity probe: whether `cand` (not `t` itself) is a
 /// neighbour of the vertex `t` the walker came from.
-fn node2vec_adjacent<P: Probe>(
+pub(crate) fn node2vec_adjacent<P: Probe>(
     graph: &Csr,
     filter: Option<&EdgeBloom>,
     t: VertexId,
@@ -1865,69 +1747,6 @@ mod tests {
     }
 
     #[test]
-    fn node2vec_bias_shapes_distribution() {
-        // Path-ish graph: 0-1, 1-2, 2-0? Build: t=0, current=1 with
-        // neighbors {0, 2, 3}; 2 adjacent to 0, 3 not.
-        let mut g = Csr::from_edges(
-            4,
-            &[
-                (0, 1),
-                (0, 2),
-                (1, 0),
-                (1, 2),
-                (1, 3),
-                (2, 0),
-                (2, 1),
-                (3, 1),
-            ],
-        )
-        .unwrap();
-        g.sort_adjacency_lists();
-        let p = 4.0;
-        let q = 4.0;
-        let ctx = AlgoCtx::new(
-            WalkAlgorithm::Node2Vec { p, q },
-            StopRule::FixedSteps(1),
-            None,
-        );
-        let part = make_part(&g, SamplePolicy::Direct);
-        let n = 60_000;
-        let scur = vec![1 as VertexId; n];
-        let sprev = vec![0 as VertexId; n];
-        let mut snext = vec![0; n];
-        let mut rng = Xorshift64Star::new(5);
-        let io = TaskIo {
-            scur: &scur,
-            sprev: Some(&sprev),
-            snext: &mut snext,
-            slice_base: 0,
-            visits: None,
-        };
-        sample_partition(
-            &g,
-            &part,
-            None,
-            None,
-            &ctx,
-            io,
-            &mut rng,
-            &mut NullProbe,
-            &AddrMap::default(),
-            1,
-        );
-        // Unnormalized: back to 0 = 1/p = .25; to 2 (adjacent to 0) = 1;
-        // to 3 (not adjacent) = 1/q = .25. Total 1.5.
-        let mut counts = [0usize; 4];
-        for &t in &snext {
-            counts[t as usize] += 1;
-        }
-        let f = |t: usize| counts[t] as f64 / n as f64;
-        assert!((f(0) - 0.25 / 1.5).abs() < 0.02, "return {}", f(0));
-        assert!((f(2) - 1.0 / 1.5).abs() < 0.02, "triangle {}", f(2));
-        assert!((f(3) - 0.25 / 1.5).abs() < 0.02, "explore {}", f(3));
-    }
-
-    #[test]
     fn geometric_stop_kills_walkers_at_rate() {
         let g = synth::cycle(16);
         let ctx = AlgoCtx::new(
@@ -2055,74 +1874,57 @@ mod tests {
 
     /// The tentpole invariant at task level: every ring depth produces
     /// the same walk as the legacy depth-1 loop, bit for bit, across
-    /// DS/PS and first-/second-order algorithms.
+    /// DS and PS.  (node2vec's rounds are the engine's:
+    /// `engine::tests::ring_depth_is_bit_exact_across_stages`.)
     #[test]
     fn ring_depths_produce_identical_walks() {
-        let mut g = synth::power_law(400, 2.0, 2, 64, 17);
-        g.sort_adjacency_lists();
-        let bloom = EdgeBloom::from_graph(&g, 8);
+        let g = synth::power_law(400, 2.0, 2, 64, 17);
         let n = 1024usize;
         let scur: Vec<VertexId> = (0..n).map(|i| (i * 7 % 400) as VertexId).collect();
-        let sprev: Vec<VertexId> = scur.iter().map(|&v| g.neighbors(v)[0]).collect();
         for policy in [SamplePolicy::Direct, SamplePolicy::PreSample] {
-            for second_order in [false, true] {
-                let ctx = if second_order {
-                    AlgoCtx::new(
-                        WalkAlgorithm::Node2Vec { p: 4.0, q: 0.5 },
-                        StopRule::FixedSteps(1),
-                        None,
-                    )
-                    .with_edge_filter(Some(&bloom))
-                } else {
-                    AlgoCtx::new(
-                        WalkAlgorithm::DeepWalk,
-                        StopRule::Geometric {
-                            exit_prob: 0.1,
-                            max_steps: 8,
-                        },
-                        None,
-                    )
+            let ctx = AlgoCtx::new(
+                WalkAlgorithm::DeepWalk,
+                StopRule::Geometric {
+                    exit_prob: 0.1,
+                    max_steps: 8,
+                },
+                None,
+            );
+            let part = make_part(&g, policy);
+            let run = |depth: usize| {
+                let mut ps = (policy == SamplePolicy::PreSample).then(|| PsBuffers::new(&g, &part));
+                let mut snext = vec![0; n];
+                let mut rng = Xorshift64Star::new(42);
+                let io = TaskIo {
+                    scur: &scur,
+                    sprev: None,
+                    snext: &mut snext,
+                    slice_base: 0,
+                    visits: None,
                 };
-                let part = make_part(&g, policy);
-                let run = |depth: usize| {
-                    let mut ps = (policy == SamplePolicy::PreSample)
-                        .then(|| PsBuffers::new(&g, &part));
-                    let mut snext = vec![0; n];
-                    let mut rng = Xorshift64Star::new(42);
-                    let io = TaskIo {
-                        scur: &scur,
-                        sprev: second_order.then_some(&sprev[..]),
-                        snext: &mut snext,
-                        slice_base: 0,
-                        visits: None,
-                    };
-                    let stats = sample_partition(
-                        &g,
-                        &part,
-                        None,
-                        ps.as_mut(),
-                        &ctx,
-                        io,
-                        &mut rng,
-                        &mut NullProbe,
-                        &AddrMap::default(),
-                        depth,
-                    );
-                    (snext, stats)
-                };
-                let (base, base_stats) = run(1);
-                assert_eq!(base_stats.prefetches, 0, "depth 1 must not prefetch");
-                for depth in [2usize, 4, 8, 16] {
-                    let (out, stats) = run(depth);
-                    assert_eq!(
-                        out, base,
-                        "policy {policy:?} second_order {second_order} depth {depth}"
-                    );
-                    assert!(
-                        stats.prefetches > 0,
-                        "ring depth {depth} should issue prefetch hints"
-                    );
-                }
+                let stats = sample_partition(
+                    &g,
+                    &part,
+                    None,
+                    ps.as_mut(),
+                    &ctx,
+                    io,
+                    &mut rng,
+                    &mut NullProbe,
+                    &AddrMap::default(),
+                    depth,
+                );
+                (snext, stats)
+            };
+            let (base, base_stats) = run(1);
+            assert_eq!(base_stats.prefetches, 0, "depth 1 must not prefetch");
+            for depth in [2usize, 4, 8, 16] {
+                let (out, stats) = run(depth);
+                assert_eq!(out, base, "policy {policy:?} depth {depth}");
+                assert!(
+                    stats.prefetches > 0,
+                    "ring depth {depth} should issue prefetch hints"
+                );
             }
         }
     }
@@ -2356,75 +2158,5 @@ mod tests {
             assert!(worth_hinting(part, 1, usize::MAX), "always");
             assert!(!worth_hinting(part, usize::MAX, 0), "never");
         }
-    }
-
-    /// Regression for the `bound_min` contract: with p = q = 1 every
-    /// node2vec weight equals the bound, so every draw fast-accepts —
-    /// and the documented behaviour is that such draws skip the
-    /// connectivity check *entirely*, touching neither the bloom filter
-    /// nor `t`'s adjacency.
-    #[test]
-    fn bound_min_fast_accept_skips_connectivity_probes_entirely() {
-        struct RegionCounter {
-            base: u64,
-            end: u64,
-            hits: u64,
-        }
-        impl Probe for RegionCounter {
-            fn touch(&mut self, addr: u64, _bytes: u32, _kind: AccessKind) {
-                if addr >= self.base && addr < self.end {
-                    self.hits += 1;
-                }
-            }
-        }
-        let mut g = synth::power_law(300, 2.0, 2, 40, 23);
-        g.sort_adjacency_lists();
-        let bloom = EdgeBloom::from_graph(&g, 8);
-        let part = make_part(&g, SamplePolicy::Direct);
-        let n = 2000usize;
-        let scur: Vec<VertexId> = (0..n).map(|i| (i % 300) as VertexId).collect();
-        let sprev: Vec<VertexId> = scur.iter().map(|&v| g.neighbors(v)[0]).collect();
-        let bloom_base = 0x900_0000u64;
-        let addr = AddrMap {
-            edge_bloom: bloom_base,
-            ..AddrMap::default()
-        };
-        let run = |p: f64, q: f64| {
-            let ctx = AlgoCtx::new(
-                WalkAlgorithm::Node2Vec { p, q },
-                StopRule::FixedSteps(1),
-                None,
-            )
-            .with_edge_filter(Some(&bloom));
-            let mut counter = RegionCounter {
-                base: bloom_base,
-                end: bloom_base + bloom.footprint_bytes() as u64,
-                hits: 0,
-            };
-            let mut snext = vec![0; n];
-            let mut rng = Xorshift64Star::new(3);
-            let io = TaskIo {
-                scur: &scur,
-                sprev: Some(&sprev),
-                snext: &mut snext,
-                slice_base: 0,
-                visits: None,
-            };
-            sample_partition(
-                &g,
-                &part,
-                None,
-                None,
-                &ctx,
-                io,
-                &mut rng,
-                &mut counter,
-                &addr,
-                1,
-            );
-            counter.hits
-        };
-        assert_eq!(run(1.0, 1.0), 0, "p=q=1: every draw is below bound_min");
-        assert!(run(4.0, 4.0) > 0, "p=q=4: draws must reach the bloom filter");
     }
 }

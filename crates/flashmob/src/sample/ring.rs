@@ -67,10 +67,11 @@
 //! stream does, and the two together are slower than the stream alone
 //! (EXPERIMENTS.md, PR 21 ledger).  So depth 1 stays the plan for
 //! cache-sized partitions, and the ring keeps the case it was built
-//! for: working sets no task-ahead stream could hold.  The batched
-//! node2vec stage is one: its proposal and resolve rounds each run over
-//! every live walker of the step, so its depth is priced on the probe
-//! chain's working set — bloom filter plus CSR — not on a partition's.
+//! for: working sets no task-ahead stream could hold.  The node2vec
+//! stage is one: its proposal and resolve rounds each run over every
+//! live walker of a worker's partition range, and its probes reach the
+//! whole graph, so its depth is priced on the probe chain's working set
+//! — bloom filter plus CSR — not on a partition's.
 
 use fm_memsim::Probe;
 

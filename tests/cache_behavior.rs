@@ -214,112 +214,40 @@ fn ring_prefetch_raises_simulated_hit_rate() {
 }
 
 #[test]
-fn parallel_node2vec_connectivity_probe_is_ringed() {
-    // ROADMAP item 2 leftover: the batched single-thread node2vec stage
-    // rings its connectivity probes, but the parallel per-partition
-    // path binary-searched the previous vertex's adjacency with no
-    // latency hiding (measured only 1.04x from the ring).  Drive
-    // `sample_partition` — the exact kernel each pool worker runs —
-    // with a node2vec context and a previous-position lane, and check
-    // the binary-search ladder hints: the demand stream and walk are
-    // identical at every depth, depth > 1 issues hints, and the
-    // simulated deep-cache hit rate rises.
-    use flashmob_repro::flashmob::partition::{Partition, SamplePolicy};
-    use flashmob_repro::flashmob::sample::{sample_partition, AddrMap, AlgoCtx, TaskIo};
-    use flashmob_repro::flashmob::{StopRule, WalkAlgorithm};
-    use flashmob_repro::graph::VertexId;
-    use flashmob_repro::rng::{Rng64, Xorshift64Star};
-
-    let g = synth::power_law(30_000, 1.9, 1, 2_000, 13);
-    let n = g.vertex_count() as VertexId;
-    let part = Partition {
-        start: 0,
-        end: n,
-        policy: SamplePolicy::Direct,
-        group: 0,
-        edges: g.edge_count(),
-        uniform_degree: None,
-    };
-    // Realistic second-order state: each walker sits at a neighbor `v`
-    // of its previous vertex `t`.
-    let walkers = 30_000usize;
-    let mut seed_rng = Xorshift64Star::new(0xc0ffee);
-    let mut scur = Vec::with_capacity(walkers);
-    let mut sprev = Vec::with_capacity(walkers);
-    for _ in 0..walkers {
-        let t = loop {
-            let t = (seed_rng.next_u64() % n as u64) as VertexId;
-            if g.degree(t) > 0 {
-                break t;
-            }
-        };
-        let adj = g.neighbors(t);
-        let v = adj[(seed_rng.next_u64() % adj.len() as u64) as usize];
-        sprev.push(t);
-        scur.push(v);
-    }
-    let addr = AddrMap {
-        offsets: 0x1_0000_0000,
-        targets: 0x2_0000_0000,
-        slab_targets: 0x3_0000_0000,
-        cum_weights: 0x4_0000_0000,
-        ps_buf: 0x5_0000_0000,
-        ps_cursor: 0x6_0000_0000,
-        scur: 0x7_0000_0000,
-        snext: 0x8_0000_0000,
-        sprev: 0x9_0000_0000,
-        edge_bloom: 0xa_0000_0000,
-        edge_labels: 0xb_0000_0000,
-    };
-    let ctx = AlgoCtx::new(
-        WalkAlgorithm::Node2Vec { p: 2.0, q: 0.5 },
-        StopRule::FixedSteps(2),
-        None,
-    )
-    .at_iter(1);
+fn node2vec_ring_raises_simulated_hit_rate() {
+    // The same claim for node2vec's one sample stage: its proposal and
+    // resolve rounds ring the probe chain (bloom line, offset pair, the
+    // exact search's first levels over the previous vertex's adjacency,
+    // up to degree 2000 here), which the demand stream reads far outside
+    // the walker's partition.
     let run = |depth: usize| {
-        let mut snext = vec![0 as VertexId; walkers];
-        let mut rng = Xorshift64Star::new(0x5eed);
-        let mut probe = MemorySystem::new(hierarchy());
-        let stats = sample_partition(
+        let g = synth::power_law(30_000, 1.9, 1, 2_000, 13);
+        let engine = FlashMob::new(
             &g,
-            &part,
-            None,
-            None,
-            &ctx,
-            TaskIo {
-                scur: &scur,
-                sprev: Some(&sprev),
-                snext: &mut snext,
-                slice_base: 0,
-                visits: None,
-            },
-            &mut rng,
-            &mut probe,
-            &addr,
-            depth,
-        );
-        (snext, stats, probe.stats().clone())
+            WalkConfig::node2vec(2.0, 0.5)
+                .walkers(30_000)
+                .steps(3)
+                .seed(1)
+                .record_paths(false)
+                .ring_depth(depth)
+                .planner(planner()),
+        )
+        .expect("engine");
+        let mut probe = MemorySystem::new(hierarchy());
+        let (_, stats) = engine.run_probed(&mut probe).expect("run");
+        (probe.stats().clone(), stats.prefetch_totals().0)
     };
-    let (base_next, base_task, base_mem) = run(1);
-    let (ring_next, ring_task, ring_mem) = run(8);
-    assert_eq!(base_next, ring_next, "ring must not change the walk");
-    assert_eq!(base_task.steps, ring_task.steps);
-    assert_eq!(
-        base_mem.accesses, ring_mem.accesses,
-        "demand stream must match"
-    );
-    assert_eq!(base_task.prefetches, 0, "depth 1 issues no hints");
-    assert!(ring_task.prefetches > 0, "depth 8 must issue hints");
-    // The connectivity search over hub adjacencies (degree up to 2000
-    // here) is the dominant random-access consumer on this path; the
-    // ladder must convert a visible share of its misses into hits.
+    let (base, base_hints) = run(1);
+    let (ring, ring_hints) = run(8);
+    assert_eq!(base.steps, ring.steps, "ring must not change the walk");
+    assert_eq!(base.accesses, ring.accesses, "demand stream must match");
+    assert!(ring_hints > base_hints, "depth 8 must issue ring hints");
     let hit_rate = |s: &MemoryStats| 1.0 - s.l3.misses as f64 / s.accesses.max(1) as f64;
     assert!(
-        hit_rate(&ring_mem) > hit_rate(&base_mem),
-        "ladder must raise the simulated hit rate: ring {:.4} vs base {:.4}",
-        hit_rate(&ring_mem),
-        hit_rate(&base_mem)
+        hit_rate(&ring) > hit_rate(&base),
+        "prefetch must raise the simulated hit rate: ring {:.4} vs base {:.4}",
+        hit_rate(&ring),
+        hit_rate(&base)
     );
 }
 

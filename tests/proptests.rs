@@ -279,22 +279,19 @@ fn thread_count_never_changes_results() {
         let seed = gen_range(&mut rng, 0, 500);
         let threads = gen_range(&mut rng, 2, 5) as usize;
         let g = synth::power_law(200, 2.0, 1, 30, seed);
-        let run = |t: usize| {
-            FlashMob::new(
-                &g,
-                WalkConfig::deepwalk()
-                    .walkers(150)
-                    .steps(5)
-                    .seed(seed)
-                    .threads(t),
-            )
-            .unwrap()
-            .run_with(&RunOptions::default(), &mut Telemetry::off())
-            .unwrap()
-            .0
-            .paths()
-        };
-        assert_eq!(run(1), run(threads), "case {case} threads {threads}");
+        for config in [WalkConfig::deepwalk(), WalkConfig::node2vec(2.0, 0.5)] {
+            let run = |t: usize| {
+                let config = config.clone().walkers(150).steps(5).seed(seed).threads(t);
+                FlashMob::new(&g, config)
+                    .unwrap()
+                    .run_with(&RunOptions::default(), &mut Telemetry::off())
+                    .unwrap()
+                    .0
+                    .paths()
+            };
+            let algo = config.algorithm.name();
+            assert_eq!(run(1), run(threads), "case {case} {algo} threads {threads}");
+        }
     }
 }
 
@@ -303,12 +300,9 @@ fn shuffle_restores_walker_order_under_random_configs() {
     // The two-pass counting shuffle must reassemble every walker's path
     // in walker order no matter how the work is split: for any random
     // graph, plan strategy, walker count, step count, thread count, and
-    // algorithm (first-order uniform or weighted), T-threaded
-    // `record_paths` output is bit-identical to the sequential run.
-    // (node2vec is excluded by design: its batched sequential
-    // connectivity stage consumes the RNG streams in a different order
-    // than the parallel stage — the conformance lattice covers it
-    // statistically and with per-thread-count golden digests.)
+    // algorithm (first-order uniform or weighted, and node2vec on the
+    // unweighted graph), T-threaded `record_paths` output is
+    // bit-identical to the sequential run.
     use flashmob_repro::flashmob::PlanStrategy;
 
     for case in 0..10u64 {
@@ -327,7 +321,8 @@ fn shuffle_restores_walker_order_under_random_configs() {
         let weighted = gen_range(&mut rng, 0, 2) == 1;
 
         let base = synth::power_law(n, 2.0, 1, 24, seed);
-        let (g, mut config) = if weighted {
+        let node2vec = WalkConfig::node2vec(0.5, 2.0);
+        let (g, config) = if weighted {
             let weights: Vec<f32> = (0..base.edge_count())
                 .map(|_| gen_range(&mut rng, 1, 8) as f32)
                 .collect();
@@ -341,24 +336,30 @@ fn shuffle_restores_walker_order_under_random_configs() {
             c.algorithm = flashmob_repro::flashmob::WalkAlgorithm::Weighted;
             (g, c)
         } else {
-            (base, WalkConfig::deepwalk())
+            (base.clone(), WalkConfig::deepwalk())
         };
-        config = config.walkers(walkers).steps(steps).seed(seed);
-
-        let run = |t: usize| {
-            FlashMob::new(&g, config.clone().threads(t))
-                .unwrap()
-                .run_with(&RunOptions::default(), &mut Telemetry::off())
-                .unwrap()
-                .0
-                .paths()
-        };
-        assert_eq!(
-            run(1),
-            run(threads),
-            "case {case}: n {n} walkers {walkers} steps {steps} \
-             threads {threads} strategy {strategy:?} weighted {weighted}"
-        );
+        for (g, config) in [(&g, config), (&base, node2vec)] {
+            let config = config
+                .walkers(walkers)
+                .steps(steps)
+                .seed(seed)
+                .strategy(strategy);
+            let run = |t: usize| {
+                FlashMob::new(g, config.clone().threads(t))
+                    .unwrap()
+                    .run_with(&RunOptions::default(), &mut Telemetry::off())
+                    .unwrap()
+                    .0
+                    .paths()
+            };
+            assert_eq!(
+                run(1),
+                run(threads),
+                "case {case}: n {n} walkers {walkers} steps {steps} threads {threads} \
+                 strategy {strategy:?} weighted {weighted} {}",
+                config.algorithm.name()
+            );
+        }
     }
 }
 

@@ -1,17 +1,13 @@
-//! Cross-engine telemetry guarantees, as executable tests:
+//! Cross-engine telemetry guarantees, as executable tests (the
+//! overhead gate has a binary of its own, `tests/telemetry_overhead.rs`):
 //!
-//! 1. **Overhead**: an enabled recorder must cost < 5% wall time over a
-//!    disabled one on a fixed workload (best-of-N, interleaved so the
-//!    two configurations see the same thermal/cache conditions).
-//! 2. **Exactness**: per-partition step counters sum to `steps_taken`
+//! 1. **Exactness**: per-partition step counters sum to `steps_taken`
 //!    exactly, for every engine and thread count — telemetry is an
 //!    accounting system, not a sampling profiler.
-//! 3. **Merging**: the NUMA per-socket merge protocol preserves
+//! 2. **Merging**: the NUMA per-socket merge protocol preserves
 //!    counters without double-counting.
-//! 4. **Export**: the emitted Chrome trace passes the in-tree TEF
+//! 3. **Export**: the emitted Chrome trace passes the in-tree TEF
 //!    validator with one complete span per recorded event.
-
-use std::time::Instant;
 
 use flashmob_repro::baseline::{Baseline, BaselineConfig, BaselineKind};
 use flashmob_repro::flashmob::numa::{run_numa_with, NumaMode};
@@ -27,44 +23,6 @@ fn walk_config(walkers: usize, steps: usize, threads: usize) -> WalkConfig {
         .seed(23)
         .threads(threads)
         .record_paths(false)
-}
-
-#[test]
-fn telemetry_overhead_stays_under_five_percent() {
-    let g = synth::power_law(10_000, 2.0, 1, 300, 7);
-    let engine = FlashMob::new(&g, walk_config(20_000, 16, 1)).expect("engine");
-    engine
-        .run_with(&RunOptions::default(), &mut Telemetry::off())
-        .expect("warm-up");
-
-    // Best-of-N interleaved pairs; retry to shrug off scheduler noise.
-    let mut ratio = f64::INFINITY;
-    for _attempt in 0..3 {
-        let (mut best_off, mut best_on) = (f64::INFINITY, f64::INFINITY);
-        for _rep in 0..5 {
-            let t0 = Instant::now();
-            engine
-                .run_with(&RunOptions::default(), &mut Telemetry::off())
-                .expect("untraced");
-            best_off = best_off.min(t0.elapsed().as_secs_f64());
-
-            let mut tel = Telemetry::new();
-            let t0 = Instant::now();
-            engine
-                .run_with(&RunOptions::default(), &mut tel)
-                .expect("traced");
-            best_on = best_on.min(t0.elapsed().as_secs_f64());
-        }
-        ratio = ratio.min(best_on / best_off);
-        if ratio <= 1.05 {
-            break;
-        }
-    }
-    assert!(
-        ratio <= 1.05,
-        "the on recorder's best wall is {:.1}% of the off recorder's (must be <= 105%)",
-        ratio * 100.0
-    );
 }
 
 #[test]
