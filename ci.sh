@@ -42,7 +42,10 @@
 #      newline) through `convert` and `stats` — the text and the FMG1
 #      decoder must report the same graph — plus the exit-code contract
 #      for malformed input (1 and the line number for a bad data line,
-#      1 and "bad binary graph" for a truncated .bin, never a panic)
+#      1 and "bad binary graph" for a truncated .bin, never a panic) and
+#      an argv drill: out-of-range `synth` parameters exit 64 without
+#      generating, and node2vec `--p 0` on an FMG1 and an FMDISK1 graph
+#      and ppr `--alpha 2` out of core exit 4
 #   9. audit tier: the fm-audit scanner (`audit`, one mode) at
 #      -D warnings severity — textual lints plus call-graph taint,
 #      panic-reachability, rng-purity and fingerprint-completeness —
@@ -56,8 +59,8 @@
 #      oocore's byte view
 #  10. fault tier: `walk --stats --metrics` on the synth graph prints a
 #      per-stage fault line and puts `minor_faults` on the `run` and
-#      `stage` records; the retired `walk --hw-counters` and
-#      `fmwalk cachecheck` exit 64 (unknown)
+#      `stage` records; the retired `walk --hw-counters`,
+#      `fmwalk cachecheck` and `fmwalk profile` exit 64 (unknown)
 #  11. reproducer tier: each of the 14 paper-figure bins of `fm-bench`
 #      at its default scale exits 0 and prints its table (about 20 s);
 #      nothing reads their numbers; run from `crates/bench`, a bin
@@ -413,6 +416,29 @@ printf '0 1\n1 2\n2 x\n' > "$INGEST_TMP/bad.txt"
 rejects bad.txt "line 3"
 head -c $(($(stat -c %s "$INGEST_TMP/g.bin") - 3)) "$INGEST_TMP/g.bin" > "$INGEST_TMP/trunc.bin"
 rejects trunc.bin "bad binary graph"
+# Out-of-range argv: generator parameters are usage errors (64) refused
+# before any graph is generated, never a generator panic (101) or a
+# failed terabyte allocation (134); walk parameters outside the walk's
+# domain are refused by every engine (4), in memory and out of core.
+exits() { # <want> <fmwalk args...>
+    local want="$1" code=0
+    shift
+    cargo run --release -q -p fm-cli -- "$@" >/dev/null 2>&1 || code=$?
+    [[ "$code" == "$want" ]] || {
+        echo "ingest: \`fmwalk $*\` exited $code, want $want" >&2; exit 1; }
+}
+exits 64 synth power-law "$INGEST_TMP/s.bin" --min-degree 50 --max-degree 10
+exits 64 synth ws "$INGEST_TMP/s.bin" --n 100 --degree 3
+exits 64 synth ring "$INGEST_TMP/s.bin" --n 8 --degree 8
+exits 64 synth ba "$INGEST_TMP/s.bin" --n 10 --m 10
+exits 64 synth rmat "$INGEST_TMP/s.bin" --scale 64
+exits 64 synth rmat "$INGEST_TMP/s.bin" --scale 40
+[[ ! -e "$INGEST_TMP/s.bin" ]] || { echo "ingest: a refused synth wrote a graph" >&2; exit 1; }
+cargo run --release -q -p fm-cli -- disk "$INGEST_TMP/g.bin" "$INGEST_TMP/g.fmdisk" >/dev/null
+for graph in g.bin g.fmdisk; do
+    exits 4 walk "$INGEST_TMP/$graph" --algo node2vec --p 0 --walkers 4 --steps 2
+done
+exits 4 walk "$INGEST_TMP/g.fmdisk" --algo ppr --alpha 2 --walkers 4 --steps 2
 
 tier "audit tier"
 # Static scan, one mode: the textual lint catalogue (SAFETY comments,
@@ -506,7 +532,8 @@ for kind in run stage; do
     grep -q "\"kind\": \"$kind\".*\"minor_faults\": [0-9]" "$TELEMETRY_TMP/m.jsonl" || {
         echo "fault tier: no $kind record carries minor_faults" >&2; exit 1; }
 done
-for retired in "walk $TELEMETRY_TMP/g.bin --hw-counters" "cachecheck --quick"; do
+for retired in "walk $TELEMETRY_TMP/g.bin --hw-counters" "cachecheck --quick" \
+    "profile --quick"; do
     code=0
     # shellcheck disable=SC2086  # word-split the command on purpose
     cargo run --release -q -p fm-cli -- $retired >/dev/null 2>&1 || code=$?

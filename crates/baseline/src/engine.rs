@@ -37,6 +37,7 @@ pub struct Baseline {
 impl Baseline {
     /// Prepares a baseline engine.
     pub fn new(graph: &Csr, config: BaselineConfig) -> Result<Self, WalkError> {
+        config.walk.algorithm.check_params()?;
         if graph.vertex_count() == 0 {
             return Err(WalkError::EmptyGraph);
         }

@@ -6,9 +6,9 @@
 //! densities 1.0 (Fig 6a) and 0.25 (Fig 6b).
 
 use flashmob::partition::SamplePolicy;
+use fm_bench::micro::measure_point;
 use fm_bench::HarnessOpts;
 use fm_memsim::HierarchyConfig;
-use fm_profiler::measure_point;
 
 /// Edge cap per synthetic VP so even the DRAM-class PS cells (whose
 /// vertex count is per-vertex-footprint-driven) stay within laptop RAM.
@@ -56,7 +56,7 @@ fn main() {
                     let s = s.min(MAX_EDGES_PER_CELL / d).max(1);
                     // Best of three: shared machines jitter 2-3x.
                     let ns = (0..3)
-                        .map(|_| measure_point(s, d, density, policy, false, min_steps).ns_per_step)
+                        .map(|_| measure_point(s, d, density, policy, false, min_steps))
                         .fold(f64::INFINITY, f64::min);
                     print!("{ns:>10.1}");
                 }

@@ -9,7 +9,7 @@
 
 use flashmob::cost::AnalyticCostModel;
 use flashmob::partition::{Partition, SamplePolicy};
-use flashmob::{FlashMob, RunOptions, WalkConfig};
+use flashmob::{FlashMob, RunOptions, WalkConfig, WalkError};
 use fm_bench::{analog, scaled_planner, HarnessOpts};
 use fm_graph::presets::PaperGraph;
 use fm_memsim::Level;
@@ -23,7 +23,7 @@ fn size_class(model: &AnalyticCostModel, p: &Partition) -> Level {
     model.fit(bytes)
 }
 
-fn main() {
+fn main() -> Result<(), WalkError> {
     let opts = HarnessOpts::from_args();
     let params = scaled_planner(opts.scale);
     let model = AnalyticCostModel::new(params.hierarchy.clone());
@@ -36,11 +36,9 @@ fn main() {
             .steps(opts.steps.min(16))
             .record_paths(false)
             .planner(params.clone());
-        let engine = FlashMob::new(&g, cfg).expect("flashmob");
+        let engine = FlashMob::new(&g, cfg)?;
         let plan = engine.plan();
-        let (_, stats) = engine
-            .run_with(&RunOptions::default(), &mut Telemetry::off())
-            .expect("run");
+        let (_, stats) = engine.run_with(&RunOptions::default(), &mut Telemetry::off())?;
 
         println!();
         println!(
@@ -83,4 +81,5 @@ fn main() {
     println!();
     println!("Expected shape: PS on the high-degree head (small cache-class VPs),");
     println!("DS on the long tail; walker-steps skew heavily toward the PS head.");
+    Ok(())
 }

@@ -7,7 +7,11 @@
 //!   `--steps N`, `--walkers-mult N`) so every experiment can run at a
 //!   quick default or the paper's full workload;
 //! * [`analog`] — cached generation of the five graph analogs;
+//! * [`micro::measure_point`] — the real sample kernel timed on a
+//!   synthetic VP (Figure 6);
 //! * small table-formatting helpers.
+
+pub mod micro;
 
 use std::time::Instant;
 

@@ -3,6 +3,7 @@
 use std::path::PathBuf;
 
 use flashmob::{MetapathPattern, PlanStrategy, WalkAlgorithm, WalkConfig, MAX_METAPATH_LEN};
+use fm_graph::VertexId;
 
 /// A fully parsed invocation.
 // One is parsed per process: `Walk`'s inline `WalkConfig` costs nothing.
@@ -113,13 +114,6 @@ pub enum Command {
         output: PathBuf,
         /// Generator parameters.
         params: SynthParams,
-    },
-    /// `fmwalk profile`.
-    Profile {
-        /// Output file (stdout when absent).
-        out: Option<PathBuf>,
-        /// Use the small grid.
-        quick: bool,
     },
     /// `fmwalk conform`.
     Conform {
@@ -239,6 +233,42 @@ impl Default for SynthParams {
             seed: 42,
         }
     }
+}
+
+/// Refuses parameters outside a generator's domain as a usage error,
+/// naming the bound, rather than leaving them to the generator's asserts
+/// or, for rmat, to a vertex count `2^scale` that does not fit
+/// [`VertexId`].
+fn check_synth(kind: SynthKind, p: &SynthParams) -> Result<(), ParseError> {
+    let bound = match kind {
+        SynthKind::PowerLaw if p.min_degree == 0 => "--min-degree must be at least 1".into(),
+        SynthKind::PowerLaw if p.min_degree > p.max_degree => format!(
+            "--min-degree {} must not exceed --max-degree {}",
+            p.min_degree, p.max_degree
+        ),
+        SynthKind::Rmat if p.scale >= VertexId::BITS => format!(
+            "--scale {} must be below {}: the vertex count 2^scale must fit a {}-bit vertex id",
+            p.scale,
+            VertexId::BITS,
+            VertexId::BITS
+        ),
+        SynthKind::BarabasiAlbert if p.m == 0 || p.m >= p.n => {
+            format!("--m {} must be at least 1 and below --n {}", p.m, p.n)
+        }
+        SynthKind::WattsStrogatz | SynthKind::Ring
+            if p.degree == 0 || !p.degree.is_multiple_of(2) || p.degree >= p.n =>
+        {
+            format!(
+                "--degree {} must be even, at least 2 and below --n {}",
+                p.degree, p.n
+            )
+        }
+        SynthKind::WattsStrogatz if !(0.0..=1.0).contains(&p.beta) => {
+            format!("--beta {} must be in [0, 1]", p.beta)
+        }
+        _ => return Ok(()),
+    };
+    Err(err(format!("synth: {bound}")))
 }
 
 /// A parse failure with a user-facing message.
@@ -491,23 +521,12 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
             }
+            check_synth(kind, &params)?;
             Ok(Command::Synth {
                 kind,
                 output,
                 params,
             })
-        }
-        "profile" => {
-            let mut out = None;
-            let mut quick = false;
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--out" => out = Some(PathBuf::from(c.demand("output path")?)),
-                    "--quick" => quick = true,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            Ok(Command::Profile { out, quick })
         }
         "conform" => {
             let mut full = false;
@@ -728,6 +747,47 @@ mod tests {
                 assert_eq!(params.seed, 9);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn synth_refuses_parameters_outside_the_generator_domain() {
+        // Each of these crashed the generator (an assert, an index out of
+        // bounds, or a terabyte allocation); parsing alone refuses them.
+        for (line, bound) in [
+            (
+                "power-law g.bin --min-degree 50 --max-degree 10",
+                "--max-degree 10",
+            ),
+            (
+                "power-law g.bin --min-degree 0",
+                "--min-degree must be at least 1",
+            ),
+            ("ws g.bin --n 100 --degree 3", "must be even"),
+            ("ws g.bin --n 10 --degree 10", "below --n 10"),
+            (
+                "ws g.bin --n 100 --degree 4 --beta 2",
+                "--beta 2 must be in [0, 1]",
+            ),
+            ("ring g.bin --n 100 --degree 7", "must be even"),
+            ("ring g.bin --n 8 --degree 8", "below --n 8"),
+            ("ba g.bin --n 10 --m 10", "below --n 10"),
+            ("ba g.bin --m 0", "--m 0 must be at least 1"),
+            ("rmat g.bin --scale 64", "--scale 64 must be below 32"),
+            ("rmat g.bin --scale 40", "--scale 40 must be below 32"),
+            ("rmat g.bin --scale 32", "--scale 32 must be below 32"),
+        ] {
+            let msg = p(&format!("synth {line}")).unwrap_err().0;
+            assert!(msg.contains(bound), "{line}: {msg}");
+        }
+        for line in [
+            "power-law g.bin --min-degree 10 --max-degree 10",
+            "ws g.bin --n 100 --degree 98 --beta 1",
+            "ring g.bin --n 3 --degree 2",
+            "ba g.bin --n 5 --m 4",
+            "rmat g.bin --scale 31",
+        ] {
+            assert!(p(&format!("synth {line}")).is_ok(), "{line}");
         }
     }
 
@@ -982,7 +1042,7 @@ mod tests {
             .filter_map(|l| l.strip_prefix("  fmwalk "))
             .filter_map(|rest| rest.split_whitespace().next())
             .collect();
-        assert_eq!(words.len(), 12, "{words:?}");
+        assert_eq!(words.len(), 11, "{words:?}");
         for word in words {
             assert!(
                 !unknown(word),
@@ -990,6 +1050,7 @@ mod tests {
             );
         }
         assert!(unknown("bench-diff"));
+        assert!(unknown("profile"));
 
         // USAGE's `--algo|--program` list names every walk, and each
         // name parses, under either spelling, to the walk it names.

@@ -422,29 +422,6 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             .map_err(fail)?;
             Ok(())
         }
-        Command::Profile { out: file, quick } => {
-            let grid = if quick {
-                fm_profiler::ProfileGrid::tiny()
-            } else {
-                fm_profiler::ProfileGrid::default()
-            };
-            writeln!(out, "profiling {} cells...", grid_cells(&grid)).map_err(fail)?;
-            let points = fm_profiler::run_profile(&grid);
-            let shuffle_ns = fm_profiler::measure_shuffle_ns(100_000, 2048, 3);
-            let table =
-                fm_profiler::ProfileTable::from_points(&points, shuffle_ns).map_err(fail)?;
-            match file {
-                Some(path) => {
-                    // An unwritable output path is an IO failure (exit 2),
-                    // not a generic error — surfaced by the fm-audit scan.
-                    let f = std::fs::File::create(&path).map_err(fail_io)?;
-                    table.save(std::io::BufWriter::new(f)).map_err(fail_io)?;
-                    writeln!(out, "profile written to {}", path.display()).map_err(fail)?;
-                }
-                None => table.save(&mut *out).map_err(fail)?,
-            }
-            Ok(())
-        }
         Command::Conform {
             full,
             emit_golden,
@@ -828,10 +805,6 @@ fn push_decimal(buf: &mut Vec<u8>, mut v: VertexId) {
     buf.extend_from_slice(&digits[at..]);
 }
 
-fn grid_cells(grid: &fm_profiler::ProfileGrid) -> usize {
-    grid.vp_sizes.len() * grid.degrees.len() * grid.densities.len() * 3
-}
-
 fn generate(kind: SynthKind, p: &SynthParams) -> Csr {
     match kind {
         SynthKind::PowerLaw => synth::power_law(p.n, p.alpha, p.min_degree, p.max_degree, p.seed),
@@ -1130,17 +1103,6 @@ mod tests {
             );
         }
         std::fs::remove_file(bin).ok();
-    }
-
-    #[test]
-    fn profile_quick_writes_loadable_table() {
-        let file = tmp("profile.txt");
-        exec(&format!("profile --quick --out {}", file.display())).unwrap();
-        use flashmob::cost::CostModel;
-        let f = std::fs::File::open(&file).unwrap();
-        let table = fm_profiler::ProfileTable::load(std::io::BufReader::new(f)).unwrap();
-        assert!(table.shuffle_cost_ns() > 0.0);
-        std::fs::remove_file(file).ok();
     }
 
     #[test]

@@ -35,7 +35,6 @@ USAGE:
                       [--n N] [--alpha X] [--min-degree N] [--max-degree N]
                       [--scale N] [--edge-factor N] [--m N] [--beta X]
                       [--degree N] [--seed N]
-  fmwalk profile [--out <profile.txt>] [--quick]
   fmwalk conform [--quick | --full] [--emit-golden] [--ring-depth N]
   fmwalk trace-check <trace.json>
   fmwalk audit [--root <dir>] [--json] [--update-ratchet] [--why <query>]
@@ -109,6 +108,13 @@ live in audit/allow.toml (optionally scoped to one item); the ratchet
 baseline in audit/ratchet.toml only moves down (`--update-ratchet`
 refreshes it after removing call sites).  Clean exits 0, findings
 exit 1, IO or config errors exit 2.
+
+`synth` refuses a parameter outside its generator's domain as a usage
+error: `--min-degree` 0 or above `--max-degree`, a ws/ring `--degree`
+that is odd or not below `--n`, a ws `--beta` outside [0, 1], a ba
+`--m` of 0 or not below `--n`, an rmat `--scale` of 32 or more (vertex
+ids are 32-bit).  Every engine refuses node2vec `--p`/`--q` that are
+not positive and a ppr `--alpha` outside (0, 1] (exit 4).
 
 Exit codes: 0 success, 1 generic failure, 2 IO error, 3 corrupt
 checkpoint, 4 invalid plan or configuration, 64 usage error.

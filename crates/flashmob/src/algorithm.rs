@@ -1,5 +1,7 @@
 //! Walk algorithms (transition-probability specifications) and stop rules.
 
+use crate::WalkError;
+
 /// Maximum metapath pattern length (phases stored inline, `Copy`).
 pub const MAX_METAPATH_LEN: usize = 8;
 
@@ -126,6 +128,23 @@ impl WalkAlgorithm {
     /// parameters; `None` for a name no walk has.
     pub fn from_name(name: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|walk| walk.name() == name)
+    }
+
+    /// Checks the walk's parameters, for every engine before it plans or
+    /// walks: node2vec's `p` and `q` must be positive and PPR's restart
+    /// probability in `(0, 1]` (NaN fails both).
+    pub fn check_params(&self) -> Result<(), WalkError> {
+        match *self {
+            WalkAlgorithm::Node2Vec { p, q } if !(p > 0.0 && q > 0.0) => Err(WalkError::Planning(
+                format!("node2vec p and q must be positive, got p = {p}, q = {q}"),
+            )),
+            WalkAlgorithm::Ppr { alpha } if !(alpha > 0.0 && alpha <= 1.0) => {
+                Err(WalkError::Planning(format!(
+                    "ppr restart probability must be in (0, 1], got {alpha}"
+                )))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Whether edge sampling needs the walker's previous position.

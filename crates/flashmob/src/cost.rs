@@ -1,36 +1,21 @@
-//! Sampling-cost models feeding the MCKP planner.
+//! The sampling-cost model feeding the MCKP planner.
 //!
 //! The paper drives its planner with *offline profiling*: measured
 //! per-step sampling cost as a function of (VP size, average degree,
 //! walker density, policy), collected once per machine and reused across
-//! graphs (Section 4.4).  This crate ships an *analytic* model derived
-//! from the Table 1 latencies so the engine is self-contained and
-//! deterministic; the `fm-profiler` crate layers a measured,
-//! interpolated model on top with the same [`CostModel`] interface.
+//! graphs (Section 4.4).  The planner here prices every item with one
+//! *analytic* model derived from the Table 1 latencies instead, so a plan
+//! is deterministic for a hierarchy and the same on every host.  Two
+//! measured profiles of one host planned differently from each other,
+//! and neither walked the YH analog's DeepWalk faster than this model's
+//! plan (EXPERIMENTS.md, "Analytic vs profiled planning"); the
+//! real-kernel timer survives in `fm-bench` as the Figure 6 reproducer
+//! and the model's cross-check.
 
 use fm_memsim::hierarchy::HierarchyConfig;
 use fm_memsim::{AccessKind, Level};
 
 use crate::partition::SamplePolicy;
-
-/// Estimates stage costs for the planner.
-pub trait CostModel: Sync {
-    /// Estimated nanoseconds per walker-step spent sampling in a VP with
-    /// `vp_vertices` vertices of average degree `avg_degree`, at
-    /// `density` walkers per edge, under `policy`.  `uniform` marks
-    /// fixed-degree partitions eligible for offset-free storage.
-    fn sample_cost_ns(
-        &self,
-        vp_vertices: usize,
-        avg_degree: f64,
-        density: f64,
-        policy: SamplePolicy,
-        uniform: bool,
-    ) -> f64;
-
-    /// Estimated nanoseconds per walker per level of shuffle.
-    fn shuffle_cost_ns(&self) -> f64;
-}
 
 /// Closed-form cost model from cache geometry and Table 1 latencies.
 ///
@@ -122,10 +107,12 @@ impl AnalyticCostModel {
     fn walker_io(&self) -> f64 {
         2.0 * 4.0 * self.seq_byte()
     }
-}
 
-impl CostModel for AnalyticCostModel {
-    fn sample_cost_ns(
+    /// Estimated nanoseconds per walker-step spent sampling in a VP with
+    /// `vp_vertices` vertices of average degree `avg_degree`, at
+    /// `density` walkers per edge, under `policy`.  `uniform` marks
+    /// fixed-degree partitions eligible for offset-free storage.
+    pub fn sample_cost_ns(
         &self,
         vp_vertices: usize,
         avg_degree: f64,
@@ -192,7 +179,8 @@ impl CostModel for AnalyticCostModel {
         }
     }
 
-    fn shuffle_cost_ns(&self) -> f64 {
+    /// Estimated nanoseconds per walker per level of shuffle.
+    pub fn shuffle_cost_ns(&self) -> f64 {
         // Priced as five streaming 4-byte touches per walker per shuffle
         // level plus the in-L1 bin lookup and index arithmetic.  The
         // passes now make eight (count: read `w`, write the bin lane;

@@ -15,7 +15,6 @@ use fm_telemetry::{SpanEvent, Stage, Telemetry, NO_PARTITION, NO_STEP};
 
 use crate::algorithm::Verdict;
 use crate::checkpoint::{self, Checkpointer, RunHeader};
-use crate::cost::CostModel;
 use crate::output::WalkOutput;
 use crate::partition::SamplePolicy;
 use crate::plan::{Plan, Planner};
@@ -832,20 +831,11 @@ impl EpochState {
 }
 
 impl FlashMob {
-    /// Prepares the engine with the default analytic cost model.
+    /// Prepares the engine: relabels the graph, plans its partitions
+    /// with the analytic cost model and resolves the ring depths from the
+    /// same model.
     pub fn new(graph: &Csr, config: WalkConfig) -> Result<Self, WalkError> {
-        let params = config.planner.clone();
-        let model = Planner::analytic_model(&params);
-        Self::with_cost_model(graph, config, &model)
-    }
-
-    /// Prepares the engine with an explicit cost model (e.g. a measured
-    /// profile from `fm-profiler`).
-    pub fn with_cost_model(
-        graph: &Csr,
-        config: WalkConfig,
-        model: &dyn CostModel,
-    ) -> Result<Self, WalkError> {
+        config.algorithm.check_params()?;
         if graph.vertex_count() == 0 {
             return Err(WalkError::EmptyGraph);
         }
@@ -871,13 +861,6 @@ impl FlashMob {
             return Err(WalkError::Planning(
                 "node2vec on weighted graphs is not supported".into(),
             ));
-        }
-        if let crate::WalkAlgorithm::Ppr { alpha } = config.algorithm {
-            if !(alpha > 0.0 && alpha <= 1.0) {
-                return Err(WalkError::Planning(format!(
-                    "ppr restart probability must be in (0, 1], got {alpha}"
-                )));
-            }
         }
         if config.algorithm.uses_edge_labels() && !graph.is_labeled() {
             return Err(WalkError::MissingLabels);
@@ -908,12 +891,13 @@ impl FlashMob {
         let edge_bloom = second_order.then(|| fm_graph::bloom::EdgeBloom::from_graph(&sorted, 8));
 
         // Pre-processing 2: MCKP partition planning.
+        let model = Planner::analytic_model(&config.planner);
         let plan = Planner::plan(
             &sorted,
             config.walkers,
             &config.planner,
             config.strategy,
-            model,
+            &model,
         )?;
         let plan_wall = plan_start.elapsed();
 
@@ -956,19 +940,16 @@ impl FlashMob {
             lane: space.alloc((walkers * 4) as u64),
         };
 
-        // Resolve sample-stage ring depths.  The auto path always uses
-        // the *analytic* model — a measured `CostModel` knows costs,
-        // not working-set fits — so depths are deterministic for a
-        // given hierarchy regardless of how the plan was costed.
-        let depth_model = Planner::analytic_model(&config.planner);
+        // Resolve sample-stage ring depths from the model that costed
+        // the plan: its working-set fits, not its prices.
         let ring_depths = match config.ring_depth {
             Some(d) => vec![d; plan.partitions.len()],
-            None => plan.ring_depths(&depth_model),
+            None => plan.ring_depths(&model),
         };
         let probe_ring_depth = config.ring_depth.unwrap_or_else(|| {
             let csr =
                 std::mem::size_of_val(sorted.offsets()) + std::mem::size_of_val(sorted.targets());
-            depth_model.ring_depth(bloom_bytes + csr)
+            model.ring_depth(bloom_bytes + csr)
         });
 
         Ok(Self {

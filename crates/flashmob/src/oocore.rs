@@ -415,6 +415,7 @@ pub fn run_ooc_with(
     opts: &RunOptions,
     tel: &mut Telemetry,
 ) -> Result<(WalkOutput, OocStats), WalkError> {
+    config.algorithm.check_params()?;
     if config.walkers == 0 {
         return Err(WalkError::NoWalkers);
     }

@@ -21,7 +21,7 @@ use fm_graph::{Csr, VertexId};
 use fm_mckp::{solve, Item};
 use fm_memsim::hierarchy::HierarchyConfig;
 
-use crate::cost::{AnalyticCostModel, CostModel};
+use crate::cost::AnalyticCostModel;
 use crate::partition::{Partition, PartitionMap, SamplePolicy};
 use crate::WalkError;
 
@@ -200,16 +200,14 @@ pub struct Planner;
 
 impl Planner {
     /// Produces a plan for `graph` (which must already be degree-sorted
-    /// descending) walked by `walkers` walkers.
-    ///
-    /// Pass the cost model explicitly to use measured profiles; the
-    /// engine defaults to [`AnalyticCostModel`].
+    /// descending) walked by `walkers` walkers, priced by `model`
+    /// ([`Planner::analytic_model`] of the same `params`).
     pub fn plan(
         graph: &Csr,
         walkers: usize,
         params: &PlannerParams,
         strategy: PlanStrategy,
-        model: &dyn CostModel,
+        model: &AnalyticCostModel,
     ) -> Result<Plan, WalkError> {
         let n = graph.vertex_count();
         if n == 0 {
@@ -233,7 +231,7 @@ impl Planner {
         }
     }
 
-    /// Convenience constructor for the default analytic model.
+    /// The cost model for `params`' hierarchy.
     pub fn analytic_model(params: &PlannerParams) -> AnalyticCostModel {
         AnalyticCostModel::new(params.hierarchy.clone())
     }
@@ -242,7 +240,7 @@ impl Planner {
         graph: &Csr,
         density: f64,
         params: &PlannerParams,
-        model: &dyn CostModel,
+        model: &AnalyticCostModel,
     ) -> Result<Plan, WalkError> {
         let n = graph.vertex_count();
         // Equal power-of-two group size; the last group may be ragged.
@@ -420,7 +418,7 @@ impl Planner {
         graph: &Csr,
         density: f64,
         params: &PlannerParams,
-        model: &dyn CostModel,
+        model: &AnalyticCostModel,
         forced: Option<SamplePolicy>,
     ) -> Result<Plan, WalkError> {
         let n = graph.vertex_count();
@@ -469,7 +467,7 @@ impl Planner {
         graph: &Csr,
         density: f64,
         params: &PlannerParams,
-        model: &dyn CostModel,
+        model: &AnalyticCostModel,
     ) -> Result<Plan, WalkError> {
         // The authors' pre-MCKP heuristic: L2-sized VPs throughout; PS
         // for high-degree or low-density partitions, DS for the rest.

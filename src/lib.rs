@@ -14,7 +14,6 @@
 //! * [`memsim`] — the software cache-hierarchy simulator standing in
 //!   for perf/VTune counters (Table 5's model).
 //! * [`mckp`] — the exact Multiple-Choice Knapsack DP solver.
-//! * [`profiler`] — offline machine profiling feeding the planner.
 //! * [`telemetry`] — dependency-free spans, per-partition counters,
 //!   page-fault and RSS counts from `/proc`, and exporters (Chrome
 //!   Trace Event Format, JSONL, human summary).
@@ -44,7 +43,6 @@ pub use fm_conformance as conformance;
 pub use fm_graph as graph;
 pub use fm_mckp as mckp;
 pub use fm_memsim as memsim;
-pub use fm_profiler as profiler;
 pub use fm_recover as recover;
 pub use fm_rng as rng;
 pub use fm_telemetry as telemetry;

@@ -415,6 +415,72 @@ fn zero_walkers_and_zero_steps_return_cleanly_on_every_engine() {
 }
 
 #[test]
+fn bad_walk_parameters_are_refused_by_every_engine() {
+    use flashmob_repro::flashmob::oocore::{run_ooc_with, DiskGraph};
+    use flashmob_repro::flashmob::WalkAlgorithm;
+
+    let g = synth::power_law(64, 2.0, 2, 12, 21);
+    let disk_path = std::env::temp_dir().join("fm_edge_bad_walk_params.fmdisk");
+    let disk = DiskGraph::create(&g, &disk_path).unwrap();
+    for algorithm in [
+        WalkAlgorithm::Node2Vec { p: 0.0, q: 1.0 },
+        WalkAlgorithm::Node2Vec { p: -1.0, q: 1.0 },
+        WalkAlgorithm::Node2Vec {
+            p: 1.0,
+            q: f64::NAN,
+        },
+        WalkAlgorithm::Node2Vec { p: 1.0, q: 0.0 },
+        WalkAlgorithm::Ppr { alpha: 2.0 },
+        WalkAlgorithm::Ppr { alpha: f64::NAN },
+        WalkAlgorithm::Ppr { alpha: 0.0 },
+    ] {
+        let mut walk = WalkConfig::deepwalk()
+            .walkers(16)
+            .steps(3)
+            .planner(tiny_planner());
+        walk.algorithm = algorithm;
+        let refusals = [
+            ("flashmob", FlashMob::new(&g, walk.clone()).err()),
+            (
+                "knightking",
+                Baseline::new(&g, knightking(walk.clone())).err(),
+            ),
+            (
+                "graphvite",
+                Baseline::new(
+                    &g,
+                    BaselineConfig {
+                        kind: BaselineKind::GraphVite,
+                        walk: walk.clone(),
+                    },
+                )
+                .err(),
+            ),
+            (
+                "oocore",
+                run_ooc_with(
+                    &disk,
+                    &walk,
+                    1 << 16,
+                    &RunOptions::default(),
+                    &mut Telemetry::off(),
+                )
+                .err(),
+            ),
+        ];
+        // The parameter check itself, not some other refusal of the walk.
+        for (engine, err) in refusals {
+            match err {
+                Some(WalkError::Planning(msg))
+                    if msg.contains(algorithm.name()) && msg.contains("must be") => {}
+                other => panic!("{engine} on {algorithm:?}: {other:?}"),
+            }
+        }
+    }
+    std::fs::remove_file(disk_path).ok();
+}
+
+#[test]
 fn walker_ids_preserved_across_episodes_and_outputs() {
     let g = synth::cycle(16);
     let engine = FlashMob::new(
