@@ -45,7 +45,8 @@
 #      1 and "bad binary graph" for a truncated .bin, never a panic) and
 #      an argv drill: out-of-range `synth` parameters exit 64 without
 #      generating, and node2vec `--p 0` on an FMG1 and an FMDISK1 graph
-#      and ppr `--alpha 2` out of core exit 4
+#      and ppr `--alpha 2` out of core exit 4 with a message naming the
+#      parameter (a configuration refusal, not a planner failure)
 #   9. audit tier: the fm-audit scanner (`audit`, one mode) at
 #      -D warnings severity — textual lints plus call-graph taint,
 #      panic-reachability, rng-purity and fingerprint-completeness —
@@ -435,10 +436,19 @@ exits 64 synth rmat "$INGEST_TMP/s.bin" --scale 64
 exits 64 synth rmat "$INGEST_TMP/s.bin" --scale 40
 [[ ! -e "$INGEST_TMP/s.bin" ]] || { echo "ingest: a refused synth wrote a graph" >&2; exit 1; }
 cargo run --release -q -p fm-cli -- disk "$INGEST_TMP/g.bin" "$INGEST_TMP/g.fmdisk" >/dev/null
+# A refused parameter exits 4 and is named on stderr; it is the
+# configuration's fault, not the planner's.
+refuses() { # <fragment naming the parameter> <fmwalk args...>
+    local want="$1" err code=0
+    shift
+    err="$(cargo run --release -q -p fm-cli -- "$@" 2>&1 >/dev/null)" || code=$?
+    [[ "$code" == 4 ]] && grep -qF -- "$want" <<< "$err" && ! grep -q "partition planning" <<< "$err" || {
+        echo "ingest: \`fmwalk $*\` exited $code, want 4 naming '$want': $err" >&2; exit 1; }
+}
 for graph in g.bin g.fmdisk; do
-    exits 4 walk "$INGEST_TMP/$graph" --algo node2vec --p 0 --walkers 4 --steps 2
+    refuses "p = 0" walk "$INGEST_TMP/$graph" --algo node2vec --p 0 --walkers 4 --steps 2
 done
-exits 4 walk "$INGEST_TMP/g.fmdisk" --algo ppr --alpha 2 --walkers 4 --steps 2
+refuses "alpha" walk "$INGEST_TMP/g.fmdisk" --algo ppr --alpha 2 --walkers 4 --steps 2
 
 tier "audit tier"
 # Static scan, one mode: the textual lint catalogue (SAFETY comments,

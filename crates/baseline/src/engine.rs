@@ -55,20 +55,20 @@ impl Baseline {
         }
         // The plan knobs are FlashMob's: refused rather than ignored.
         if walk.ring_depth.is_some() {
-            return Err(WalkError::Planning(format!(
+            return Err(WalkError::Config(format!(
                 "{} steps one walker at a time and has no walker ring; ring_depth must be unset",
                 config.kind.label()
             )));
         }
         if walk.strategy != PlanStrategy::DynamicProgramming {
-            return Err(WalkError::Planning(format!(
+            return Err(WalkError::Config(format!(
                 "{} takes no partition plan; strategy {:?} is FlashMob's",
                 config.kind.label(),
                 walk.strategy
             )));
         }
         if walk.algorithm.is_stateful() || walk.algorithm.uses_edge_labels() {
-            return Err(WalkError::Planning(format!(
+            return Err(WalkError::Config(format!(
                 "the walker-at-a-time baselines do not implement the {} program",
                 walk.algorithm.name()
             )));
@@ -76,7 +76,7 @@ impl Baseline {
         let mut graph = graph.clone();
         if walk.algorithm.is_second_order() {
             if graph.is_weighted() {
-                return Err(WalkError::Planning(
+                return Err(WalkError::Config(
                     "node2vec on weighted graphs is not supported".into(),
                 ));
             }
@@ -124,7 +124,7 @@ impl Baseline {
     /// run entry, called as [`flashmob::FlashMob::run_with`] is.  A
     /// baseline writes no checkpoints and reads no disk, so it refuses a
     /// set `checkpoint`, `resume_from` or `fault` with
-    /// [`WalkError::Planning`] rather than ignore it.
+    /// [`WalkError::Config`] rather than ignore it.
     ///
     /// The record is FlashMob's: `walkers`, `steps_taken`, `wall` and
     /// `pool`, `init` (walker placement plus row set-up), the walk loop
@@ -144,7 +144,7 @@ impl Baseline {
         tel: &mut Telemetry,
     ) -> Result<(WalkOutput, RunStats), WalkError> {
         if opts.checkpoint.is_some() || opts.resume_from.is_some() || opts.fault.is_some() {
-            return Err(WalkError::Planning(format!(
+            return Err(WalkError::Config(format!(
                 "{} writes no checkpoints and reads no disk; checkpoint, resume and fault must be unset",
                 self.config.kind.label()
             )));
@@ -555,7 +555,7 @@ mod tests {
                 walk(4, 2).strategy(PlanStrategy::ManualHeuristic),
             ] {
                 let err = Baseline::new(&g, BaselineConfig { kind, walk }).err();
-                assert!(matches!(err, Some(WalkError::Planning(_))), "{kind:?}");
+                assert!(matches!(err, Some(WalkError::Config(_))), "{kind:?}");
             }
             let dp = walk(4, 2).strategy(PlanStrategy::DynamicProgramming);
             let engine = Baseline::new(&g, BaselineConfig { kind, walk: dp }).unwrap();
@@ -570,7 +570,7 @@ mod tests {
             ] {
                 let err = engine.run_with(&opts, &mut Telemetry::off()).err();
                 assert!(
-                    matches!(err, Some(WalkError::Planning(_))),
+                    matches!(err, Some(WalkError::Config(_))),
                     "{kind:?} {opts:?}"
                 );
             }

@@ -59,7 +59,7 @@ impl BaselineKind {
 /// rule, walkers, init, seed, `record_paths`, `record_visits` and
 /// `threads`.  The plan knobs are FlashMob's: [`Baseline::new`] refuses
 /// a set `ring_depth`, or a `strategy` other than the default DP, with
-/// [`flashmob::WalkError::Planning`]; `planner` only tunes the DP plan
+/// [`flashmob::WalkError::Config`]; `planner` only tunes the DP plan
 /// and goes unread.
 ///
 /// Both emulated systems give each thread its own MT19937 generator, so

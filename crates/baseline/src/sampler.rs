@@ -2,7 +2,7 @@
 
 use fm_graph::{Csr, VertexId};
 use fm_memsim::{AccessKind, Probe};
-use fm_rng::Rng64;
+use fm_rng::{AliasTable, Rng64};
 
 /// Simulated address bases for the baseline arrays.
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,18 +53,15 @@ impl SamplerKind {
             for v in 0..graph.vertex_count() {
                 let off = graph.adjacency_start(v as VertexId);
                 let ws = graph.edge_weights(v as VertexId).expect("weighted");
-                if ws.is_empty() {
-                    continue;
-                }
                 let weights: Vec<f64> = ws.iter().map(|&w| w as f64).collect();
-                if weights.iter().sum::<f64>() <= 0.0 {
+                // An empty row, or one with no positive weight, keeps its
+                // uniform slots.
+                let Ok(table) = AliasTable::new(&weights) else {
                     continue;
-                }
-                let (p, a) = build_alias_rows(&weights);
-                for (i, (pi, ai)) in p.into_iter().zip(a).enumerate() {
-                    prob[off + i] = pi;
-                    alias[off + i] = ai;
-                }
+                };
+                let (p, a) = table.into_rows();
+                prob[off..off + p.len()].copy_from_slice(&p);
+                alias[off..off + a.len()].copy_from_slice(&a);
             }
         }
         SamplerKind::Alias { prob, alias }
@@ -139,38 +136,6 @@ impl SamplerKind {
             }
         }
     }
-}
-
-/// Vose's construction returning flat rows (local helper so the flat
-/// layout does not depend on `AliasTable`'s internals).
-fn build_alias_rows(weights: &[f64]) -> (Vec<f64>, Vec<u32>) {
-    let n = weights.len();
-    let total: f64 = weights.iter().sum();
-    let scale = n as f64 / total;
-    let mut prob: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-    let mut alias = vec![0u32; n];
-    let mut small: Vec<u32> = Vec::new();
-    let mut large: Vec<u32> = Vec::new();
-    for (i, &p) in prob.iter().enumerate() {
-        if p < 1.0 {
-            small.push(i as u32);
-        } else {
-            large.push(i as u32);
-        }
-    }
-    while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-        alias[s as usize] = l;
-        prob[l as usize] = (prob[l as usize] + prob[s as usize]) - 1.0;
-        if prob[l as usize] < 1.0 {
-            small.push(l);
-        } else {
-            large.push(l);
-        }
-    }
-    for &i in small.iter().chain(large.iter()) {
-        prob[i as usize] = 1.0;
-    }
-    (prob, alias)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use flashmob::{
     CheckpointSpec, FaultPolicy, FlashMob, RunOptions, WalkConfig, WalkOutput,
 };
 use fm_baseline::{Baseline, BaselineConfig, BaselineKind};
-use fm_graph::{io, stats, synth, transform, Csr, VertexId};
+use fm_graph::{io, stats, synth, Csr, VertexId};
 use fm_telemetry::{export, tef, Telemetry};
 
 use crate::args::{Command, EngineChoice, SynthKind, SynthParams, WalkerCount};
@@ -217,8 +217,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             writeln!(out, "max degree      {}", g.max_degree()).map_err(fail)?;
             writeln!(out, "csr bytes       {}", g.footprint_bytes()).map_err(fail)?;
             writeln!(out, "sinks           {}", !g.has_no_sinks()).map_err(fail)?;
-            let (_, components) = transform::weakly_connected_components(&g);
-            writeln!(out, "weak components {components}").map_err(fail)?;
+            writeln!(out, "weak components {}", stats::weak_components(&g)).map_err(fail)?;
             writeln!(
                 out,
                 "est. diameter   {}",

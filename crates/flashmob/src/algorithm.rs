@@ -135,12 +135,12 @@ impl WalkAlgorithm {
     /// probability in `(0, 1]` (NaN fails both).
     pub fn check_params(&self) -> Result<(), WalkError> {
         match *self {
-            WalkAlgorithm::Node2Vec { p, q } if !(p > 0.0 && q > 0.0) => Err(WalkError::Planning(
+            WalkAlgorithm::Node2Vec { p, q } if !(p > 0.0 && q > 0.0) => Err(WalkError::Config(
                 format!("node2vec p and q must be positive, got p = {p}, q = {q}"),
             )),
             WalkAlgorithm::Ppr { alpha } if !(alpha > 0.0 && alpha <= 1.0) => {
-                Err(WalkError::Planning(format!(
-                    "ppr restart probability must be in (0, 1], got {alpha}"
+                Err(WalkError::Config(format!(
+                    "ppr restart probability alpha must be in (0, 1], got {alpha}"
                 )))
             }
             _ => Ok(()),

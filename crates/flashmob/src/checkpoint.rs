@@ -10,11 +10,25 @@
 
 use std::thread::JoinHandle;
 
-use fm_recover::{load_latest, CheckpointSink, CheckpointSpec, RecoverError, WalkSnapshot};
+use fm_recover::{
+    load_latest, CheckpointSink, CheckpointSpec, Fingerprint, RecoverError, WalkSnapshot,
+};
 use fm_telemetry::{Stage, Telemetry, NO_PARTITION, NO_STEP};
 
 use crate::engine::RunOptions;
 use crate::WalkError;
+
+/// The graph tag of both engines: a fingerprint of the graph's shape,
+/// not its weights — `vertices`, `edges` and the CSR `offsets`, which
+/// pin the degree sequence (and so the relabeling).
+pub(crate) fn graph_tag(vertices: usize, edges: usize, offsets: &[usize]) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.fold_u64(vertices as u64).fold_u64(edges as u64);
+    for &o in offsets {
+        fp.fold_u64(o as u64);
+    }
+    fp.value()
+}
 
 /// What a snapshot must agree with before a run resumes from it.
 #[derive(Debug, Clone, Copy)]

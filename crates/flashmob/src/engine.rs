@@ -286,7 +286,7 @@ impl RunStats {
 /// ([`crate::oocore::run_ooc_with`]).
 ///
 /// An in-memory run that writes no checkpoints makes no IO: it refuses
-/// `fault` with [`WalkError::Planning`].
+/// `fault` with [`WalkError::Config`].
 #[derive(Debug, Default)]
 pub struct RunOptions {
     /// Write crash-consistent checkpoints per this spec.
@@ -677,9 +677,10 @@ impl EpochState {
         let second_order = config.algorithm.is_second_order();
         let carries_aux = engine.carries_aux();
         let parts = &engine.plan.partitions;
-        // The pool runs the sample stage's partitions; the shuffle passes
-        // use it too unless the shuffle is two-level or there are under
-        // four walkers a thread.
+        // The pool runs the sample stage's partitions.  The shuffle passes
+        // run a chunk per pool worker too, unless the shuffle is two-level
+        // or there are under four walkers a thread: then they run as one
+        // chunk on this thread, with `probe`.
         let shuffle_pool =
             pool.filter(|_| shuffler.levels() == 1 && config.walkers >= 4 * config.threads);
         let traced = tel.is_on();
@@ -691,26 +692,22 @@ impl EpochState {
             let s = &mut self.scratch;
             let prev = carries_aux.then_some(self.prev.as_slice());
             let sprev = carries_aux.then_some(s.sprev.as_mut_slice());
-            if let Some(pool) = shuffle_pool {
-                shuffler.par_count(&self.w, pool, &mut s.shuffle);
-                shuffler.par_scatter(&self.w, prev, &mut s.sw, sprev, pool, &mut s.shuffle);
-            } else {
-                let addrs = ShuffleAddrs {
-                    src: engine.addr.w,
-                    dst: engine.addr.sw,
-                    lane: engine.addr.lane,
-                };
-                shuffler.count(&self.w, &mut s.shuffle, addrs, probe);
-                shuffler.scatter(
-                    &self.w,
-                    prev,
-                    &mut s.sw,
-                    sprev,
-                    &mut s.shuffle,
-                    addrs,
-                    probe,
-                );
-            }
+            let addrs = ShuffleAddrs {
+                src: engine.addr.w,
+                dst: engine.addr.sw,
+                lane: engine.addr.lane,
+            };
+            shuffler.count_on(shuffle_pool, &self.w, &mut s.shuffle, addrs, probe);
+            shuffler.scatter_on(
+                shuffle_pool,
+                &self.w,
+                prev,
+                &mut s.sw,
+                sprev,
+                &mut s.shuffle,
+                addrs,
+                probe,
+            );
         }
         stage.shuffle += t0.elapsed();
         if let Some(s) = span0 {
@@ -786,25 +783,30 @@ impl EpochState {
         }
 
         // Shuffle: gather back into walker order, in place over the bin
-        // lane the count wrote, which then becomes `w`.  The parallel
-        // gather rebuilds its cursors in place from the count matrix
-        // `par_count` left in the scratch — no per-step clone.
+        // lane the count wrote, which then becomes `w`.  The gather
+        // rebuilds its cursors in place from the count matrix the count
+        // left in the scratch — no per-step clone.
         let span2 = traced.then(|| tel.now_ns());
         let t2 = Instant::now();
         {
             let s = &mut self.scratch;
             let sw = second_order.then_some(s.sw.as_slice());
             let prev_next = second_order.then_some(s.prev_next.as_mut_slice());
-            if let Some(pool) = shuffle_pool {
-                shuffler.par_gather(&s.snext, sw, prev_next, pool, &mut s.shuffle);
-            } else {
-                let addrs = ShuffleAddrs {
-                    src: engine.addr.w,
-                    dst: engine.addr.snext_region,
-                    lane: engine.addr.lane,
-                };
-                shuffler.gather_in_place(&s.snext, sw, prev_next, &mut s.shuffle, addrs, probe);
-            }
+            let addrs = ShuffleAddrs {
+                src: engine.addr.w,
+                dst: engine.addr.snext_region,
+                lane: engine.addr.lane,
+            };
+            shuffler.gather_on(
+                shuffle_pool,
+                None,
+                &s.snext,
+                sw,
+                prev_next,
+                &mut s.shuffle,
+                addrs,
+                probe,
+            );
             s.shuffle.swap_lane(&mut self.w);
             if second_order {
                 std::mem::swap(&mut self.prev, &mut s.prev_next);
@@ -844,7 +846,7 @@ impl FlashMob {
         }
         let walkers = config.walkers;
         if u32::try_from(walkers).is_err() {
-            return Err(WalkError::Planning(format!(
+            return Err(WalkError::Config(format!(
                 "the shuffle counts walkers in 32 bits; {walkers} walkers do not fit"
             )));
         }
@@ -858,7 +860,7 @@ impl FlashMob {
             return Err(WalkError::MissingWeights);
         }
         if second_order && graph.is_weighted() {
-            return Err(WalkError::Planning(
+            return Err(WalkError::Config(
                 "node2vec on weighted graphs is not supported".into(),
             ));
         }
@@ -1031,7 +1033,7 @@ impl FlashMob {
     /// the generation numbers continue the interrupted run's.
     /// [`RunOptions::fault`] injects faults into the checkpoint writes;
     /// a run that writes none makes no IO and refuses it with
-    /// [`WalkError::Planning`].
+    /// [`WalkError::Config`].
     ///
     /// An enabled `tel` receives a Plan span for the pre-processing done
     /// at construction, a prologue span, Shuffle/Sample/Output spans for
@@ -1048,7 +1050,7 @@ impl FlashMob {
         tel: &mut Telemetry,
     ) -> Result<(WalkOutput, RunStats), WalkError> {
         if opts.fault.is_some() && opts.checkpoint.as_ref().is_none_or(|ck| ck.every == 0) {
-            return Err(WalkError::Planning(
+            return Err(WalkError::Config(
                 "fault injection applies to checkpoint writes; this run writes none".into(),
             ));
         }
@@ -1118,18 +1120,6 @@ impl FlashMob {
         fp.value()
     }
 
-    /// Fingerprint of the sorted internal graph (shape, not weights:
-    /// the offsets pin the degree sequence, which pins the relabeling).
-    fn graph_tag(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.fold_u64(self.graph.vertex_count() as u64)
-            .fold_u64(self.graph.edge_count() as u64);
-        for &o in self.graph.offsets() {
-            fp.fold_u64(o as u64);
-        }
-        fp.value()
-    }
-
     /// Whether walkers carry an auxiliary per-walker lane through the
     /// shuffle.  Stateful first-order programs (PPR restart, early exit)
     /// carry their origin through the same lane the second-order
@@ -1175,7 +1165,9 @@ impl FlashMob {
         let mut checkpoint = Checkpointer::new(opts);
         let (walkers, steps) = (self.config.walkers, self.config.max_steps());
         let header = RunHeader::new(opts, self.config.seed, walkers, steps, || {
-            (self.config_tag(), self.graph_tag())
+            let g = &self.graph;
+            let graph_tag = checkpoint::graph_tag(g.vertex_count(), g.edge_count(), g.offsets());
+            (self.config_tag(), graph_tag)
         });
         let resumed = checkpoint::resume(opts, &header, tel)?;
 
@@ -3050,7 +3042,7 @@ mod tests {
         // Refused at construction, before a lane is allocated.
         assert!(matches!(
             FlashMob::new(&synth::cycle(16), config(u32::MAX as usize + 1, 2)),
-            Err(WalkError::Planning(_))
+            Err(WalkError::Config(_))
         ));
     }
 
@@ -3075,7 +3067,7 @@ mod tests {
         let opts = RunOptions::default().fault(FaultPolicy::transient(1, 0.5));
         assert!(matches!(
             engine.run_with(&opts, &mut Telemetry::off()),
-            Err(WalkError::Planning(_))
+            Err(WalkError::Config(_))
         ));
     }
 

@@ -240,6 +240,9 @@ pub enum WalkError {
     MissingLabels,
     /// The planner failed to find a feasible partitioning.
     Planning(String),
+    /// The configuration asks for something the engine does not do: a
+    /// parameter out of its domain, or an option the engine refuses.
+    Config(String),
     /// An underlying graph-storage failure (disk graphs, binary IO).
     Graph(fm_graph::GraphError),
     /// A checkpoint/resume failure from the recovery layer.
@@ -267,6 +270,7 @@ impl std::fmt::Display for WalkError {
                 write!(f, "metapath walk requested on a graph without edge labels")
             }
             WalkError::Planning(m) => write!(f, "partition planning failed: {m}"),
+            WalkError::Config(m) => write!(f, "invalid walk configuration: {m}"),
             WalkError::Graph(e) => write!(f, "graph storage error: {e}"),
             WalkError::Recover(e) => write!(f, "checkpoint error: {e}"),
             WalkError::Halted { generation } => {

@@ -140,7 +140,7 @@ pub fn run_numa_with(
     tel: &mut Telemetry,
 ) -> Result<(Vec<WalkOutput>, RunStats), WalkError> {
     if sockets == 0 {
-        return Err(WalkError::Planning("need at least one socket".into()));
+        return Err(WalkError::Config("need at least one socket".into()));
     }
     if mode == NumaMode::Partitioned {
         let (output, stats) = FlashMob::new(graph, base)?.run_with(opts, tel)?;

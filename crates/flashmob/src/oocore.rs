@@ -353,20 +353,9 @@ fn biblock_config_tag(config: &WalkConfig, partition_budget_bytes: usize) -> u64
     fp.value()
 }
 
-/// Fingerprint of the disk graph's shape.
-fn ooc_graph_tag(disk: &DiskGraph) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.fold_u64(disk.vertex_count() as u64)
-        .fold_u64(disk.edge_count() as u64);
-    for &o in &disk.offsets {
-        fp.fold_u64(o as u64);
-    }
-    fp.value()
-}
-
 /// Walks a disk-resident graph — DeepWalk, node2vec or PPR, for a fixed
 /// number of steps — through the bi-block pair schedule; any other
-/// algorithm or stop rule is a [`WalkError::Planning`], as is a
+/// algorithm or stop rule is a [`WalkError::Config`], as is a
 /// [`WalkConfig::strategy`] other than the default DP (the blocks, not a
 /// partition plan, schedule the walk).
 ///
@@ -433,7 +422,7 @@ pub fn run_ooc_with(
         WalkAlgorithm::Node2Vec { .. } => Kind::Node2Vec(config.algorithm.node2vec_rule()),
         WalkAlgorithm::Ppr { alpha } => Kind::Ppr { alpha },
         _ => {
-            return Err(WalkError::Planning(
+            return Err(WalkError::Config(
                 "out-of-core walking supports DeepWalk, node2vec, and PPR only".into(),
             ))
         }
@@ -441,20 +430,20 @@ pub fn run_ooc_with(
     // No stepping loop here flips an exit coin, so the rule is refused
     // rather than run as `max_steps` fixed steps.
     let StopRule::FixedSteps(steps) = config.stop else {
-        return Err(WalkError::Planning(
+        return Err(WalkError::Config(
             "out-of-core walking supports a fixed step count only, not a geometric stop".into(),
         ));
     };
     // The blocks are the schedule: there is no partition plan to shape.
     if config.strategy != PlanStrategy::DynamicProgramming {
-        return Err(WalkError::Planning(format!(
+        return Err(WalkError::Config(format!(
             "disk graphs take no partition plan; strategy {:?} is for in-memory graphs",
             config.strategy
         )));
     }
     let walkers = config.walkers;
     if u32::try_from(walkers).is_err() {
-        return Err(WalkError::Planning(format!(
+        return Err(WalkError::Config(format!(
             "bi-block boundary buckets hold 32-bit walker ids; {walkers} walkers do not fit"
         )));
     }
@@ -498,7 +487,7 @@ pub fn run_ooc_with(
     let header = RunHeader::new(opts, config.seed, walkers, steps, || {
         (
             biblock_config_tag(config, partition_budget_bytes),
-            ooc_graph_tag(disk),
+            checkpoint::graph_tag(n, disk.edge_count(), offsets),
         )
     });
 
@@ -1291,12 +1280,12 @@ mod tests {
         cfg.algorithm = crate::WalkAlgorithm::Weighted;
         assert!(matches!(
             run_default(&disk, &cfg, 4 << 10),
-            Err(WalkError::Planning(_))
+            Err(WalkError::Config(_))
         ));
         cfg.algorithm = crate::WalkAlgorithm::EarlyExit;
         assert!(matches!(
             run_default(&disk, &cfg, 4 << 10),
-            Err(WalkError::Planning(_))
+            Err(WalkError::Config(_))
         ));
         // No loop here flips an exit coin, so a geometric stop is refused
         // rather than walked as `max_steps` fixed steps.
@@ -1311,10 +1300,7 @@ mod tests {
                 max_steps: 2,
             };
             assert!(
-                matches!(
-                    run_default(&disk, &cfg, 4 << 10),
-                    Err(WalkError::Planning(_))
-                ),
+                matches!(run_default(&disk, &cfg, 4 << 10), Err(WalkError::Config(_))),
                 "{algorithm:?}"
             );
             cfg.stop = StopRule::FixedSteps(2);
@@ -1328,10 +1314,7 @@ mod tests {
         ] {
             let cfg = cfg.clone().strategy(strategy);
             assert!(
-                matches!(
-                    run_default(&disk, &cfg, 4 << 10),
-                    Err(WalkError::Planning(_))
-                ),
+                matches!(run_default(&disk, &cfg, 4 << 10), Err(WalkError::Config(_))),
                 "{strategy:?}"
             );
         }
@@ -2268,7 +2251,7 @@ mod tests {
         // Refused at entry, before a lane is allocated.
         assert!(matches!(
             run_default(&disk, &cfg, 4 << 10),
-            Err(WalkError::Planning(_))
+            Err(WalkError::Config(_))
         ));
         std::fs::remove_file(&disk.path).ok();
     }
@@ -2315,7 +2298,7 @@ mod tests {
             walkers: 120,
             steps_taken: 240,
             config_tag: OLD_FIRST_ORDER_TAG,
-            graph_tag: ooc_graph_tag(&disk),
+            graph_tag: checkpoint::graph_tag(disk.vertex_count(), disk.edge_count(), &disk.offsets),
             per_partition_steps: vec![0],
             prev: Vec::new(),
             visits: Vec::new(),

@@ -342,7 +342,7 @@ pub struct DisjointSlice<T> {
 }
 
 // SAFETY: the wrapper is just a pointer + length; every use site
-// guarantees disjoint index sets per thread (see `par_scatter` and
+// guarantees disjoint index sets per thread (see the shuffle's scatter and
 // `sample_stage_parallel`).
 unsafe impl<T: Send> Sync for DisjointSlice<T> {}
 // SAFETY: as above — ownership of the elements stays with the borrowed

@@ -29,6 +29,8 @@
 //! to a hypothetical single-level shuffle (verified by tests), only the
 //! memory traffic differs.
 
+use std::ops::Range;
+
 use fm_graph::prefetch::prefetch_read;
 use fm_graph::VertexId;
 use fm_memsim::{AccessKind, NullProbe, Probe};
@@ -43,64 +45,86 @@ const LINE_ENTRIES: usize = 64 / std::mem::size_of::<VertexId>();
 /// Reusable shuffle working memory.
 #[derive(Debug, Default, Clone)]
 pub struct ShuffleScratch {
-    /// Walkers per fine bin (partitions + dead bin).
-    pub counts: Vec<u32>,
-    /// Exclusive prefix sums of `counts` (bin start offsets).
+    /// Bin start offsets: the exclusive prefix sums of the walkers per
+    /// fine bin (partitions + dead bin), `bins + 1` entries.
     pub offsets: Vec<u32>,
-    /// Mutable cursors, reset from `offsets` per pass.
-    cursors: Vec<u32>,
     /// Walker `j`'s fine bin, written by the count pass and read by the
     /// scatter and the gather; an in-place gather overwrites it with the
     /// walker's next vertex.
     lane: Vec<VertexId>,
+    /// Per-(chunk, bin) walker counts, flattened chunk-major
+    /// (`chunk * bins + bin`): filled by the count pass and kept valid
+    /// through the scatter and gather that follow it (all three passes
+    /// walk the same lane).
+    chunk_counts: Vec<u32>,
+    /// Per-(chunk, bin) cursors derived from `chunk_counts`, rebuilt in
+    /// place before each scatter and gather so the steady-state step
+    /// performs no heap allocation.
+    chunk_cursors: Vec<u32>,
+    /// The chunks of the count that wrote the lane and `chunk_counts`,
+    /// 0 once anything else rewrote the lane: a scatter's disjoint
+    /// writes rely on the bins it reads being the ones counted.
+    chunks: usize,
     /// Intermediate walker buffer for the two-level path.
     tmp: Vec<VertexId>,
     /// Intermediate aux buffer for the two-level path.
     tmp_aux: Vec<VertexId>,
     /// Outer-bin cursors for the two-level path.
     outer_cursors: Vec<u32>,
-    /// Per-(chunk, bin) walker counts for the parallel passes, flattened
-    /// chunk-major (`chunk * bins + bin`); filled by `par_count` and kept
-    /// valid through the matching `par_scatter` / `par_gather` (all
-    /// three passes walk the same lane).
-    chunk_counts: Vec<u32>,
-    /// Per-(chunk, bin) write cursors derived from `chunk_counts`,
-    /// rebuilt in place before each parallel scatter/gather pass so the
-    /// steady-state step performs no heap allocation.
-    chunk_cursors: Vec<u32>,
-    /// Whether the lane and `chunk_counts` are one `par_count`'s, which
-    /// `par_scatter`'s disjoint writes rely on: set by `par_count`,
-    /// cleared by anything else that rewrites the lane.
-    chunked: bool,
 }
 
 impl ShuffleScratch {
-    /// Swaps the lane with `w`.  After an in-place gather
-    /// ([`Shuffler::gather_in_place`], [`Shuffler::par_gather`]) the lane
-    /// holds every walker's next vertex, so this makes it the walker
-    /// array, and `w`'s old buffer becomes the lane the next count pass
+    /// Swaps the lane with `w`.  After an in-place gather the lane holds
+    /// every walker's next vertex, so this makes it the walker array,
+    /// and `w`'s old buffer becomes the lane the next count pass
     /// overwrites: the shuffle adds no walker-sized array of its own.
     pub fn swap_lane(&mut self, w: &mut Vec<VertexId>) {
         std::mem::swap(&mut self.lane, w);
-        self.chunked = false;
+        self.chunks = 0;
     }
 
-    /// Turns `counts` into the exclusive prefix sums `offsets`.
-    fn fill_offsets(&mut self) {
+    /// Sizes the lane and a zeroed `chunks` x `bins` count matrix for a
+    /// count of `n` walkers.
+    fn start_count(&mut self, bins: usize, chunks: usize, n: usize) {
+        self.chunk_counts.clear();
+        self.chunk_counts.resize(chunks * bins, 0);
+        self.lane.resize(n, 0);
+        self.chunks = chunks;
+    }
+
+    /// Sums the count matrix's columns into the bin offsets.
+    fn finish_count(&mut self) {
+        let bins = self.chunk_counts.len() / self.chunks;
         self.offsets.clear();
         self.offsets.push(0);
-        let mut acc = 0u32;
-        for &c in &self.counts {
-            acc += c;
-            self.offsets.push(acc);
+        for b in 0..bins {
+            let total: u32 = self.chunk_counts[b..].iter().step_by(bins).sum();
+            self.offsets.push(self.offsets[b] + total);
         }
     }
 
-    /// Resets the cursors to the bin starts.
-    fn reset_cursors(&mut self) {
-        self.cursors.clear();
-        self.cursors
-            .extend_from_slice(&self.offsets[..self.counts.len()]);
+    /// Rebuilds the per-(chunk, bin) cursors from the count's matrix:
+    /// a bin-major prefix over chunks, offset by the bin start, so chunk
+    /// `c`'s walkers of bin `b` own one range of the bin's slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a count at `chunks` chunks wrote the lane last: the
+    /// ranges are disjoint only for the bins it counted, chunk by chunk.
+    /// Returns the bins a row holds.
+    fn reset_cursors(&mut self, chunks: usize) -> usize {
+        assert_eq!(self.chunks, chunks, "count the lane at this chunking first");
+        let bins = self.offsets.len() - 1;
+        self.chunk_cursors.clear();
+        self.chunk_cursors.resize(chunks * bins, 0);
+        for b in 0..bins {
+            let mut start = self.offsets[b];
+            for c in 0..chunks {
+                self.chunk_cursors[c * bins + b] = start;
+                start += self.chunk_counts[c * bins + b];
+            }
+        }
+        bins
     }
 }
 
@@ -115,7 +139,24 @@ pub struct ShuffleAddrs {
     pub lane: u64,
 }
 
+/// Chunk `t`'s walkers: the `t`-th of `chunks` contiguous runs of `n`.
+fn chunk_range(t: usize, chunks: usize, n: usize) -> Range<usize> {
+    let chunk = n.div_ceil(chunks);
+    (t * chunk).min(n)..((t + 1) * chunk).min(n)
+}
+
 /// A configured shuffler over one partition map.
+///
+/// Every pass splits the walkers into contiguous chunks and runs one
+/// per-chunk body over each: on the pool, a chunk per worker with
+/// [`NullProbe`]; without one, a single chunk on the calling thread with
+/// the caller's probe.  The count pass produces a per-(chunk, bin)
+/// count matrix; prefix-summing it *bin-major* yields disjoint
+/// per-(chunk, bin) output ranges, so the chunks of a scatter write to
+/// non-overlapping positions of the shared destination — the classic
+/// parallel stable counting sort, and exactly the paper's "threads work
+/// on disjoint array areas, eliminating the need for locks".  The
+/// result does not depend on the chunking (verified by tests).
 #[derive(Debug)]
 pub struct Shuffler<'p> {
     map: &'p PartitionMap,
@@ -160,11 +201,6 @@ impl<'p> Shuffler<'p> {
         }
     }
 
-    /// Number of fine bins.
-    pub fn bins(&self) -> usize {
-        self.map.bins()
-    }
-
     /// Number of shuffle levels (1 or 2).
     pub fn levels(&self) -> usize {
         if self.outer_of_fine.is_some() {
@@ -174,8 +210,9 @@ impl<'p> Shuffler<'p> {
         }
     }
 
-    /// Counting pass: fills `scratch.counts` / `scratch.offsets` from the
-    /// walker positions in `w`, and the lane with each walker's bin.
+    /// Counting pass: fills `scratch.offsets` from the walker positions
+    /// in `w`, and the lane with each walker's bin — one chunk, on the
+    /// calling thread.
     pub fn count<P: Probe>(
         &self,
         w: &[VertexId],
@@ -183,15 +220,54 @@ impl<'p> Shuffler<'p> {
         addrs: ShuffleAddrs,
         probe: &mut P,
     ) {
-        scratch.counts.clear();
-        scratch.counts.resize(self.map.bins(), 0);
-        scratch.lane.resize(w.len(), 0);
-        self.count_pass(w, &mut scratch.lane, &mut scratch.counts, addrs, probe);
-        scratch.fill_offsets();
-        scratch.chunked = false;
+        scratch.start_count(self.map.bins(), 1, w.len());
+        self.count_pass(
+            w,
+            &mut scratch.lane,
+            &mut scratch.chunk_counts,
+            addrs,
+            probe,
+        );
+        scratch.finish_count();
     }
 
-    /// The count loop over one run of walkers and its piece of the lane.
+    /// [`Shuffler::count`] in one chunk per worker of `pool` (without
+    /// one, `count` itself), leaving the per-(chunk, bin) counts the
+    /// scatter and the gather at the same chunking read.
+    pub(crate) fn count_on<P: Probe>(
+        &self,
+        pool: Option<&WorkerPool>,
+        w: &[VertexId],
+        scratch: &mut ShuffleScratch,
+        addrs: ShuffleAddrs,
+        probe: &mut P,
+    ) {
+        let Some(pool) = pool else {
+            return self.count(w, scratch, addrs, probe);
+        };
+        let (bins, chunks) = (self.map.bins(), pool.threads());
+        scratch.start_count(bins, chunks, w.len());
+        {
+            let rows = DisjointSlice::new(&mut scratch.chunk_counts);
+            let lane = DisjointSlice::new(&mut scratch.lane);
+            pool.run_labeled("shuffle-count", &|t| {
+                let r = chunk_range(t, chunks, w.len());
+                // SAFETY: row `t` of the matrix and lane range `r` belong
+                // to worker `t` alone.
+                let (counts, out) = unsafe {
+                    (
+                        rows.slice_mut(t * bins, bins),
+                        lane.slice_mut(r.start, r.len()),
+                    )
+                };
+                let addrs = ShuffleAddrs::default();
+                self.count_pass(&w[r], out, counts, addrs, &mut NullProbe);
+            });
+        }
+        scratch.finish_count();
+    }
+
+    /// The count loop over one chunk of walkers and its piece of the lane.
     fn count_pass<P: Probe>(
         &self,
         w: &[VertexId],
@@ -215,7 +291,8 @@ impl<'p> Shuffler<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if array lengths disagree.
+    /// Panics if array lengths disagree, or unless a one-chunk count
+    /// wrote the lane last.
     #[allow(clippy::too_many_arguments)]
     pub fn scatter<P: Probe>(
         &self,
@@ -227,51 +304,90 @@ impl<'p> Shuffler<'p> {
         addrs: ShuffleAddrs,
         probe: &mut P,
     ) {
+        self.scatter_on(None, w, aux, sw, saux, scratch, addrs, probe);
+    }
+
+    /// [`Shuffler::scatter`] at the chunking of the count that wrote the
+    /// lane, which must be `pool`'s: each chunk writes only within its
+    /// per-(chunk, bin) ranges, which partition `sw`.  A two-level
+    /// scatter runs at one chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Shuffler::scatter`] does, and if a two-level scatter
+    /// is given a pool.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn scatter_on<P: Probe>(
+        &self,
+        pool: Option<&WorkerPool>,
+        w: &[VertexId],
+        aux: Option<&[VertexId]>,
+        sw: &mut [VertexId],
+        saux: Option<&mut [VertexId]>,
+        scratch: &mut ShuffleScratch,
+        addrs: ShuffleAddrs,
+        probe: &mut P,
+    ) {
         assert_eq!(w.len(), sw.len());
         assert_eq!(scratch.lane.len(), w.len(), "count `w` first");
-        let aux = pair(aux, saux, w.len());
-        scratch.reset_cursors();
+        let chunks = pool.map_or(1, WorkerPool::threads);
+        let bins = scratch.reset_cursors(chunks);
+        let aux = pair(aux, saux, w.len()).map(|(a, sa)| (a, DisjointSlice::new(sa)));
+        let sw = DisjointSlice::new(sw);
         let ShuffleScratch {
-            counts,
+            offsets,
             lane,
-            cursors,
+            chunk_cursors,
             tmp,
             tmp_aux,
             outer_cursors,
             ..
         } = scratch;
         let Some(outer_of_fine) = &self.outer_of_fine else {
-            let bin_of = |j: usize, _: VertexId| lane[j] as usize;
-            scatter_pass(w, aux, sw, cursors, bin_of, true, addrs, probe);
+            let cursors = DisjointSlice::new(chunk_cursors);
+            let chunk = |t: usize| {
+                let r = chunk_range(t, chunks, w.len());
+                // SAFETY: cursor row `t` belongs to chunk `t` alone, and
+                // each chunk is taken once.
+                let cur = unsafe { cursors.slice_mut(t * bins, bins) };
+                let aux = aux.as_ref().map(|(a, sa)| (&a[r.clone()], sa));
+                (&w[r.clone()], aux, &lane[r], cur)
+            };
+            match pool {
+                Some(pool) => pool.run_labeled("shuffle-scatter", &|t| {
+                    let (w, aux, lane, cur) = chunk(t);
+                    let bin_of = |j: usize, _: VertexId| lane[j] as usize;
+                    let addrs = ShuffleAddrs::default();
+                    scatter_pass(w, aux, &sw, cur, bin_of, true, addrs, &mut NullProbe);
+                }),
+                None => {
+                    let (w, aux, lane, cur) = chunk(0);
+                    let bin_of = |j: usize, _: VertexId| lane[j] as usize;
+                    scatter_pass(w, aux, &sw, cur, bin_of, true, addrs, probe);
+                }
+            }
             return;
         };
-        // Outer cursors: the exclusive prefix of the fine counts summed
-        // per outer bin.
-        let outer_bins = *outer_of_fine.last().expect("non-empty") as usize + 1;
+        assert!(pool.is_none(), "a two-level scatter runs at one chunk");
+        // Outer bins are runs of fine bins: each starts where its first
+        // fine bin does.
         outer_cursors.clear();
-        outer_cursors.resize(outer_bins, 0);
-        for (&o, &c) in outer_of_fine.iter().zip(counts.iter()) {
-            outer_cursors[o as usize] += c;
-        }
-        let mut acc = 0u32;
-        for c in outer_cursors.iter_mut() {
-            (*c, acc) = (acc, acc + *c);
+        for (&o, &start) in outer_of_fine.iter().zip(offsets.iter()) {
+            if o as usize == outer_cursors.len() {
+                outer_cursors.push(start);
+            }
         }
         // Level 1: scatter into the intermediate buffer by outer bin.
         tmp.resize(w.len(), 0);
-        let (aux, sw_aux) = match aux {
-            Some((a, sa)) => {
-                tmp_aux.resize(w.len(), 0);
-                (Some((a, tmp_aux.as_mut_slice())), Some(sa))
-            }
-            None => (None, None),
-        };
+        tmp_aux.resize(if aux.is_some() { w.len() } else { 0 }, 0);
+        let (tmp_out, tmp_aux_out) = (DisjointSlice::new(tmp), DisjointSlice::new(tmp_aux));
+        let aux1 = aux.as_ref().map(|(a, _)| (*a, &tmp_aux_out));
         let bin_of = |j: usize, _: VertexId| outer_of_fine[lane[j] as usize] as usize;
-        scatter_pass(w, aux, tmp, outer_cursors, bin_of, true, addrs, probe);
+        scatter_pass(w, aux1, &tmp_out, outer_cursors, bin_of, true, addrs, probe);
         // Level 2: within each outer bin, scatter by fine bin.
-        let aux = sw_aux.map(|sa| (tmp_aux.as_slice(), sa));
+        let aux2 = aux.as_ref().map(|(_, sa)| (tmp_aux.as_slice(), sa));
         let bin_of = |_: usize, v: VertexId| self.map.partition_of(v);
-        scatter_pass(tmp, aux, sw, cursors, bin_of, false, addrs, probe);
+        scatter_pass(tmp, aux2, &sw, chunk_cursors, bin_of, false, addrs, probe);
     }
 
     /// Gather pass: the inverse permutation, into `w_new`.  Walker `j`'s
@@ -294,28 +410,24 @@ impl<'p> Shuffler<'p> {
     ) {
         assert_eq!(w_old.len(), w_new.len());
         assert_eq!(scratch.lane.len(), w_old.len(), "count `w_old` first");
-        self.gather_with(Some(w_new), snext, aux_src, aux_new, scratch, addrs, probe);
+        let out = Some(w_new);
+        self.gather_on(None, out, snext, aux_src, aux_new, scratch, addrs, probe);
     }
 
-    /// [`Shuffler::gather`] in place: each walker's bin in the lane is
-    /// overwritten by its next vertex, and [`ShuffleScratch::swap_lane`]
-    /// then hands the lane over as `W_{i+1}`.
-    pub fn gather_in_place<P: Probe>(
-        &self,
-        snext: &[VertexId],
-        aux_src: Option<&[VertexId]>,
-        aux_new: Option<&mut [VertexId]>,
-        scratch: &mut ShuffleScratch,
-        addrs: ShuffleAddrs,
-        probe: &mut P,
-    ) {
-        self.gather_with(None, snext, aux_src, aux_new, scratch, addrs, probe);
-    }
-
-    /// Both gathers: into `out`, or over the lane when there is none.
+    /// [`Shuffler::gather`] at the chunking of the count that wrote the
+    /// lane, which must be `pool`'s: into `out`, or, with none, in place
+    /// — each walker's bin in the lane is overwritten by its next vertex,
+    /// and [`ShuffleScratch::swap_lane`] then hands the lane over as
+    /// `W_{i+1}`.
+    ///
+    /// Inlined, with [`gather_pass`], into each caller, so that a literal
+    /// `out` folds the choice out of the per-walker loop: left in, it
+    /// cost the engine's in-place gather about 5 % a walker.
     #[allow(clippy::too_many_arguments)]
-    fn gather_with<P: Probe>(
+    #[inline(always)]
+    pub(crate) fn gather_on<P: Probe>(
         &self,
+        pool: Option<&WorkerPool>,
         out: Option<&mut [VertexId]>,
         snext: &[VertexId],
         aux_src: Option<&[VertexId]>,
@@ -326,194 +438,46 @@ impl<'p> Shuffler<'p> {
     ) {
         let n = scratch.lane.len();
         assert_eq!(snext.len(), n);
-        let aux = pair(aux_src, aux_new, n);
-        scratch.reset_cursors();
-        // In place, the lane ends up holding vertices, not bins.
-        scratch.chunked &= out.is_some();
-        let ShuffleScratch { lane, cursors, .. } = scratch;
-        gather_pass(lane, out, snext, aux, cursors, addrs, probe);
-    }
-}
-
-/// Parallel variants of the three shuffle passes, dispatched over the
-/// persistent [`WorkerPool`].
-///
-/// The walker array is split into one contiguous chunk per pool worker,
-/// and each worker writes, reads or overwrites only its own chunk of
-/// the lane.  The count pass produces a per-(chunk, bin) count matrix;
-/// prefix-summing it *bin-major* yields disjoint per-(chunk, bin) output
-/// ranges, so the scatter workers write to non-overlapping positions of
-/// the shared destination — the classic parallel stable counting sort,
-/// and exactly the paper's "threads work on disjoint array areas,
-/// eliminating the need for locks".  Results are bit-identical to the
-/// sequential passes (verified by tests).
-///
-/// All per-chunk state lives in [`ShuffleScratch`], so a steady-state
-/// count/scatter/gather cycle performs no heap allocation.
-impl<'p> Shuffler<'p> {
-    /// Parallel counting pass; fills `scratch` exactly like
-    /// [`Shuffler::count`] plus the per-(chunk, bin) count matrix
-    /// consumed by [`Shuffler::par_scatter`] / [`Shuffler::par_gather`].
-    ///
-    /// Only single-level shuffles support the parallel path; two-level
-    /// plans fall back to the sequential implementation in the engine.
-    pub fn par_count(&self, w: &[VertexId], pool: &WorkerPool, scratch: &mut ShuffleScratch) {
         assert!(
-            self.outer_of_fine.is_none(),
-            "parallel path is single-level"
+            out.as_ref().is_none_or(|o| o.len() == n),
+            "gather into `n` walkers"
         );
-        let bins = self.map.bins();
-        let chunks = pool.threads();
-        let chunk = w.len().div_ceil(chunks);
-        scratch.chunk_counts.clear();
-        scratch.chunk_counts.resize(chunks * bins, 0);
-        scratch.lane.resize(w.len(), 0);
-        {
-            let rows = DisjointSlice::new(&mut scratch.chunk_counts);
-            let lane = DisjointSlice::new(&mut scratch.lane);
-            pool.run_labeled("shuffle-count", &|t| {
-                let lo = (t * chunk).min(w.len());
-                let hi = ((t + 1) * chunk).min(w.len());
-                // SAFETY: row `t` of the matrix and lane range `[lo, hi)`
-                // belong to worker `t` alone.
-                let (counts, bins_out) =
-                    unsafe { (rows.slice_mut(t * bins, bins), lane.slice_mut(lo, hi - lo)) };
-                let addrs = ShuffleAddrs::default();
-                self.count_pass(&w[lo..hi], bins_out, counts, addrs, &mut NullProbe);
-            });
+        let chunks = pool.map_or(1, WorkerPool::threads);
+        let bins = scratch.reset_cursors(chunks);
+        // In place, the lane ends up holding vertices, not bins.
+        if out.is_none() {
+            scratch.chunks = 0;
         }
-
-        // Global counts + offsets.
-        scratch.counts.clear();
-        scratch.counts.resize(bins, 0);
-        for row in scratch.chunk_counts.chunks_exact(bins) {
-            for (total, &c) in scratch.counts.iter_mut().zip(row) {
-                *total += c;
-            }
-        }
-        scratch.fill_offsets();
-        scratch.chunked = true;
-    }
-
-    /// Rebuilds the per-(chunk, bin) start cursors from the count matrix
-    /// left by [`Shuffler::par_count`]: bin-major prefix over chunks,
-    /// offset by the bin start.  Scatter and gather each rebuild in
-    /// place instead of cloning, because both walk the same lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `par_count` on `pool` wrote the lane last: the
-    /// scatter's writes are disjoint only for the bins it counted.
-    fn rebuild_chunk_cursors(&self, scratch: &mut ShuffleScratch, pool: &WorkerPool) -> usize {
-        let bins = self.map.bins();
-        let chunks = scratch.chunk_counts.len() / bins;
-        assert!(scratch.chunked, "par_count the lane first");
-        assert_eq!(chunks, pool.threads(), "par_count on the same pool first");
-        scratch.chunk_cursors.clear();
-        scratch.chunk_cursors.resize(chunks * bins, 0);
-        for b in 0..bins {
-            let mut start = scratch.offsets[b];
-            for c in 0..chunks {
-                scratch.chunk_cursors[c * bins + b] = start;
-                start += scratch.chunk_counts[c * bins + b];
-            }
-        }
-        chunks
-    }
-
-    /// Parallel stable scatter over the pool, using the count matrix
-    /// and the lane from [`Shuffler::par_count`].
-    ///
-    /// Each worker writes only within its pre-computed per-(chunk, bin)
-    /// ranges, which partition `sw`; the disjointness is what makes the
-    /// pointer share sound.
-    pub fn par_scatter(
-        &self,
-        w: &[VertexId],
-        aux: Option<&[VertexId]>,
-        sw: &mut [VertexId],
-        saux: Option<&mut [VertexId]>,
-        pool: &WorkerPool,
-        scratch: &mut ShuffleScratch,
-    ) {
-        assert_eq!(w.len(), sw.len());
-        assert_eq!(scratch.lane.len(), w.len(), "count `w` first");
-        let bins = self.map.bins();
-        let chunks = self.rebuild_chunk_cursors(scratch, pool);
-        let chunk = w.len().div_ceil(chunks);
-        let sw_ptr = DisjointSlice::new(sw);
-        let aux = pair(aux, saux, w.len()).map(|(a, sa)| (a, DisjointSlice::new(sa)));
-        let lane = &scratch.lane;
-        let cursors = DisjointSlice::new(&mut scratch.chunk_cursors);
-        pool.run_labeled("shuffle-scatter", &|t| {
-            let lo = (t * chunk).min(w.len());
-            let hi = ((t + 1) * chunk).min(w.len());
-            // SAFETY: cursor row `t` belongs to worker `t` alone.
-            let cur = unsafe { cursors.slice_mut(t * bins, bins) };
-            for j in lo..hi {
-                let bin = lane[j] as usize;
-                let pos = cur[bin] as usize;
-                cur[bin] += 1;
-                if pos.is_multiple_of(LINE_ENTRIES) {
-                    sw_ptr.prefetch(pos + LINE_ENTRIES);
-                }
-                // SAFETY: `pos` lies in this worker's exclusive
-                // per-(chunk, bin) range established by `par_count`'s
-                // bin-major prefix sums; no two workers ever receive
-                // the same position.
-                unsafe { sw_ptr.write(pos, w[j]) };
-                if let Some((a, sa)) = &aux {
-                    if pos.is_multiple_of(LINE_ENTRIES) {
-                        sa.prefetch(pos + LINE_ENTRIES);
-                    }
-                    // SAFETY: same disjoint position as above.
-                    unsafe { sa.write(pos, a[j]) };
-                }
-            }
-        });
-    }
-
-    /// Parallel in-place gather over the pool: [`Shuffler::gather_in_place`]
-    /// with the cursor matrix rebuilt in place from
-    /// [`Shuffler::par_count`]'s counts (the lane still holds the bins
-    /// the count wrote, so the matrix is still valid — no per-step
-    /// clone).
-    pub fn par_gather(
-        &self,
-        snext: &[VertexId],
-        aux_src: Option<&[VertexId]>,
-        aux_new: Option<&mut [VertexId]>,
-        pool: &WorkerPool,
-        scratch: &mut ShuffleScratch,
-    ) {
-        let n = scratch.lane.len();
-        assert_eq!(snext.len(), n);
-        let bins = self.map.bins();
-        let chunks = self.rebuild_chunk_cursors(scratch, pool);
-        let chunk = n.div_ceil(chunks);
         let aux = pair(aux_src, aux_new, n).map(|(a, anew)| (a, DisjointSlice::new(anew)));
+        let out = out.map(DisjointSlice::new);
         let lane = DisjointSlice::new(&mut scratch.lane);
         let cursors = DisjointSlice::new(&mut scratch.chunk_cursors);
-        pool.run_labeled("shuffle-gather", &|t| {
-            let lo = (t * chunk).min(n);
-            let hi = ((t + 1) * chunk).min(n);
-            // SAFETY: cursor row `t` and lane range `[lo, hi)` belong to
-            // worker `t` alone (chunks are contiguous and
-            // non-overlapping).
-            let (cur, out) = unsafe {
+        let chunk = |t: usize| {
+            let r = chunk_range(t, chunks, n);
+            let (lo, len) = (r.start, r.len());
+            // SAFETY: cursor row `t` and walker range `r` of the lane,
+            // `out` and the aux lane belong to chunk `t` alone, and each
+            // chunk is taken once.
+            unsafe {
                 (
+                    lane.slice_mut(lo, len),
+                    out.as_ref().map(|o| o.slice_mut(lo, len)),
+                    aux.as_ref().map(|(a, anew)| (*a, anew.slice_mut(lo, len))),
                     cursors.slice_mut(t * bins, bins),
-                    lane.slice_mut(lo, hi - lo),
                 )
-            };
-            let aux = aux.as_ref().map(|(asrc, anew)| {
-                // SAFETY: the same disjoint range `[lo, hi)` as above.
-                (*asrc, unsafe { anew.slice_mut(lo, hi - lo) })
-            });
-            let addrs = ShuffleAddrs::default();
-            gather_pass(out, None, snext, aux, cur, addrs, &mut NullProbe);
-        });
-        scratch.chunked = false;
+            }
+        };
+        match pool {
+            Some(pool) => pool.run_labeled("shuffle-gather", &|t| {
+                let (lane, out, aux, cur) = chunk(t);
+                let addrs = ShuffleAddrs::default();
+                gather_pass(lane, out, snext, aux, cur, addrs, &mut NullProbe);
+            }),
+            None => {
+                let (lane, out, aux, cur) = chunk(0);
+                gather_pass(lane, out, snext, aux, cur, addrs, probe);
+            }
+        }
     }
 }
 
@@ -542,29 +506,41 @@ fn pair<'a>(
 }
 
 /// Hints the next line of one bin's stream: when `pos` opens a line of
-/// `data` (by index), the line [`LINE_ENTRIES`] entries on, to the
-/// hardware and, at `base`, to the model — the ring's
+/// a `len`-entry array, the line [`LINE_ENTRIES`] entries on — to the
+/// hardware through `hint`, and, at `base`, to the model — the ring's
 /// [`Pf`](crate::sample::ring::Pf) pairing.  Whether a hint goes out
 /// depends on `pos` alone, and a pass visits every position once, so its
 /// hints are a function of its bin widths.
 #[inline(always)]
-fn hint_next_line<P: Probe>(probe: &mut P, data: &[VertexId], pos: usize, base: u64) {
-    if pos.is_multiple_of(LINE_ENTRIES) {
-        if let Some(next) = data.get(pos + LINE_ENTRIES) {
-            prefetch_read(next);
-            probe.prefetch(base + 4 * (pos + LINE_ENTRIES) as u64, 4);
-        }
+fn hint_next_line<P: Probe>(
+    probe: &mut P,
+    len: usize,
+    pos: usize,
+    base: u64,
+    hint: impl FnOnce(usize),
+) {
+    let next = pos + LINE_ENTRIES;
+    if pos.is_multiple_of(LINE_ENTRIES) && next < len {
+        hint(next);
+        probe.prefetch(base + 4 * next as u64, 4);
     }
 }
 
-/// One stable counting-scatter pass: walker `j` (with its aux entry)
-/// goes to the next slot of bin `bin_of(j, src[j])`.  `reads_lane` says
-/// the bin comes from the lane, which the probe is then told about.
+/// One stable counting-scatter pass over one chunk: walker `j` (with its
+/// aux entry) goes to the next slot of bin `bin_of(j, src[j])`.
+/// `reads_lane` says the bin comes from the lane, which the probe is
+/// then told about.
+///
+/// # Panics
+///
+/// Panics if a bin outgrows `dst`.  Chunks running at once must have
+/// disjoint cursor ranges: what the count's per-(chunk, bin) prefix
+/// gives when the bins are the lane it wrote.
 #[allow(clippy::too_many_arguments)]
 fn scatter_pass<P: Probe>(
     src: &[VertexId],
-    mut aux: Option<(&[VertexId], &mut [VertexId])>,
-    dst: &mut [VertexId],
+    aux: Option<(&[VertexId], &DisjointSlice<VertexId>)>,
+    dst: &DisjointSlice<VertexId>,
     cursors: &mut [u32],
     bin_of: impl Fn(usize, VertexId) -> usize,
     reads_lane: bool,
@@ -579,19 +555,25 @@ fn scatter_pass<P: Probe>(
         let bin = bin_of(j, v);
         let pos = cursors[bin] as usize;
         cursors[bin] += 1;
-        hint_next_line(probe, dst, pos, addrs.dst);
-        dst[pos] = v;
-        if let Some((a, da)) = aux.as_mut() {
-            hint_next_line(&mut NullProbe, da, pos, 0);
-            da[pos] = a[j];
+        assert!(pos < dst.len(), "bin {bin} outgrew its count");
+        hint_next_line(probe, dst.len(), pos, addrs.dst, |i| dst.prefetch(i));
+        // SAFETY: `pos` is in bounds (above), and lies in this chunk's
+        // own per-(chunk, bin) range of the count's bin-major prefix, so
+        // no other chunk writes it.
+        unsafe { dst.write(pos, v) };
+        if let Some((a, da)) = aux {
+            hint_next_line(&mut NullProbe, da.len(), pos, 0, |i| da.prefetch(i));
+            // SAFETY: the same position of a lane of the same length.
+            unsafe { da.write(pos, a[j]) };
         }
         probe.touch_write(addrs.dst + 4 * pos as u64, 4, AccessKind::Sequential);
     }
 }
 
-/// One gather pass: walker `j` takes the next slot of the bin in
-/// `lane[j]`, and its next vertex `snext[slot]` goes to `out[j]` — or,
-/// with no `out`, over its bin in the lane.
+/// One gather pass over one chunk: walker `j` takes the next slot of the
+/// bin in `lane[j]`, and its next vertex `snext[slot]` goes to `out[j]`
+/// — or, with no `out`, over its bin in the lane.
+#[inline(always)]
 fn gather_pass<P: Probe>(
     lane: &mut [VertexId],
     mut out: Option<&mut [VertexId]>,
@@ -606,11 +588,15 @@ fn gather_pass<P: Probe>(
         let bin = lane[j] as usize;
         let slot = cursors[bin] as usize;
         cursors[bin] += 1;
-        hint_next_line(probe, snext, slot, addrs.dst);
+        hint_next_line(probe, snext.len(), slot, addrs.dst, |i| {
+            prefetch_read(&snext[i])
+        });
         probe.touch(addrs.dst + 4 * slot as u64, 4, AccessKind::Sequential);
         let next = snext[slot];
         if let Some((asrc, anew)) = aux.as_mut() {
-            hint_next_line(&mut NullProbe, asrc, slot, 0);
+            hint_next_line(&mut NullProbe, asrc.len(), slot, 0, |i| {
+                prefetch_read(&asrc[i])
+            });
             anew[j] = asrc[slot];
         }
         match out.as_deref_mut() {
@@ -693,8 +679,18 @@ mod tests {
         }));
         assert!(crashed.is_err(), "the injected panic must propagate");
 
-        s.par_count(&w, &pool, &mut scratch);
-        s.par_scatter(&w, None, &mut sw, None, &pool, &mut scratch);
+        let (pool, addrs) = (Some(&pool), ShuffleAddrs::default());
+        s.count_on(pool, &w, &mut scratch, addrs, &mut NullProbe);
+        s.scatter_on(
+            pool,
+            &w,
+            None,
+            &mut sw,
+            None,
+            &mut scratch,
+            addrs,
+            &mut NullProbe,
+        );
         assert_eq!(sw, seq_sw, "post-crash shuffle must match sequential");
         assert_eq!(scratch.offsets, seq_scratch.offsets);
     }
@@ -706,7 +702,6 @@ mod tests {
         let (sw, scratch) = run_single(&w, &m);
         // Partition 0 walkers in w order: 1, 0, 2; partition 1: 5, 7, 4.
         assert_eq!(sw, vec![1, 0, 2, 5, 7, 4]);
-        assert_eq!(scratch.counts, vec![3, 3, 0]);
         assert_eq!(scratch.offsets, vec![0, 3, 6, 6]);
     }
 
@@ -716,7 +711,7 @@ mod tests {
         let w = vec![3, DEAD, 5];
         let (sw, scratch) = run_single(&w, &m);
         assert_eq!(sw, vec![3, 5, DEAD]);
-        assert_eq!(scratch.counts, vec![2, 1]);
+        assert_eq!(scratch.offsets, vec![0, 2, 3]);
     }
 
     #[test]
@@ -949,25 +944,20 @@ mod tests {
 
         for threads in [1usize, 2, 3, 7] {
             let pool = WorkerPool::new(threads);
+            let (pool, addrs) = (Some(&pool), ShuffleAddrs::default());
             let mut scratch2 = ShuffleScratch::default();
-            s.par_count(&w, &pool, &mut scratch2);
-            assert_eq!(scratch.counts, scratch2.counts, "{threads} threads");
-            assert_eq!(scratch.offsets, scratch2.offsets);
+            s.count_on(pool, &w, &mut scratch2, addrs, &mut p);
+            assert_eq!(scratch.offsets, scratch2.offsets, "{threads} threads");
             let (mut sw2, mut sp2) = (vec![0; w.len()], vec![0; w.len()]);
-            s.par_scatter(
-                &w,
-                Some(&prev),
-                &mut sw2,
-                Some(&mut sp2),
-                &pool,
-                &mut scratch2,
-            );
+            let (aux, saux) = (Some(prev.as_slice()), Some(sp2.as_mut_slice()));
+            s.scatter_on(pool, &w, aux, &mut sw2, saux, &mut scratch2, addrs, &mut p);
             assert_eq!(sw1, sw2, "{threads} threads scatter");
             assert_eq!(sp1, sp2, "{threads} threads scatter aux");
             // Gather reuses the count matrix in place — no re-count, no
             // clone — and overwrites the lane with the next positions.
             let mut pn2 = vec![0; w.len()];
-            s.par_gather(&snext, Some(&sw2), Some(&mut pn2), &pool, &mut scratch2);
+            let (asrc, anew) = (Some(sw2.as_slice()), Some(pn2.as_mut_slice()));
+            s.gather_on(pool, None, &snext, asrc, anew, &mut scratch2, addrs, &mut p);
             assert_eq!(wn1, scratch2.lane, "{threads} threads gather");
             assert_eq!(pn1, pn2, "{threads} threads gather aux");
         }
@@ -993,10 +983,11 @@ mod tests {
         );
 
         let pool = WorkerPool::new(4);
+        let (pool, addrs) = (Some(&pool), ShuffleAddrs::default());
         let mut scratch2 = ShuffleScratch::default();
-        s.par_count(&w, &pool, &mut scratch2);
+        s.count_on(pool, &w, &mut scratch2, addrs, &mut p);
         let mut sw2 = vec![0; w.len()];
-        s.par_scatter(&w, None, &mut sw2, None, &pool, &mut scratch2);
+        s.scatter_on(pool, &w, None, &mut sw2, None, &mut scratch2, addrs, &mut p);
         assert_eq!(sw1, sw2);
     }
 
@@ -1021,7 +1012,16 @@ mod tests {
         // Scatter: read `w` and the lane, write `sw`.
         assert_eq!(probe.stats().accesses, 5 * w.len() as u64);
         let snext = sw.clone();
-        s.gather_in_place(&snext, None, None, &mut scratch, addrs, &mut probe);
+        s.gather_on(
+            None,
+            None,
+            &snext,
+            None,
+            None,
+            &mut scratch,
+            addrs,
+            &mut probe,
+        );
         // Gather: read the lane and `snext`, overwrite the lane.
         assert_eq!(probe.stats().accesses, 8 * w.len() as u64);
         assert_eq!(scratch.lane, w);
@@ -1048,7 +1048,7 @@ mod tests {
             s.count(w, &mut scratch, addrs, &mut probe);
             assert_eq!(probe.stats().prefetch_lines, 0, "the count hints nothing");
             s.scatter(w, None, &mut sw, None, &mut scratch, addrs, &mut probe);
-            s.gather_in_place(&sw, None, None, &mut scratch, addrs, &mut probe);
+            s.gather_on(None, None, &sw, None, None, &mut scratch, addrs, &mut probe);
             probe.stats().prefetch_lines
         };
         let lines = run(&w);
@@ -1066,8 +1066,8 @@ mod tests {
     mod model {
         use super::*;
 
-        /// Counts and offsets.
-        pub fn count(m: &PartitionMap, w: &[VertexId]) -> (Vec<u32>, Vec<u32>) {
+        /// Bin offsets.
+        pub fn count(m: &PartitionMap, w: &[VertexId]) -> Vec<u32> {
             let mut counts = vec![0u32; m.bins()];
             for &v in w {
                 counts[m.partition_of(v)] += 1;
@@ -1076,7 +1076,7 @@ mod tests {
             for &c in &counts {
                 offsets.push(offsets.last().unwrap() + c);
             }
-            (counts, offsets)
+            offsets
         }
 
         /// `w` and `aux` grouped by bin.
@@ -1085,7 +1085,7 @@ mod tests {
             w: &[VertexId],
             aux: &[VertexId],
         ) -> (Vec<VertexId>, Vec<VertexId>) {
-            let mut cursors = count(m, w).1;
+            let mut cursors = count(m, w);
             let (mut sw, mut saux) = (vec![0; w.len()], vec![0; aux.len()]);
             for (j, &v) in w.iter().enumerate() {
                 let bin = m.partition_of(v);
@@ -1106,7 +1106,7 @@ mod tests {
             snext: &[VertexId],
             asrc: &[VertexId],
         ) -> (Vec<VertexId>, Vec<VertexId>) {
-            let mut cursors = count(m, w_old).1;
+            let mut cursors = count(m, w_old);
             let (mut w_new, mut anew) = (vec![0; w_old.len()], vec![0; asrc.len()]);
             for (j, &v) in w_old.iter().enumerate() {
                 let bin = m.partition_of(v);
@@ -1124,7 +1124,6 @@ mod tests {
         /// (empty when there is none), with [`sampled`] as the sample
         /// stage and the new `prev` gathered from `sw`.
         pub struct Expected {
-            pub counts: Vec<u32>,
             pub offsets: Vec<u32>,
             pub sw: Vec<VertexId>,
             pub sprev: Vec<VertexId>,
@@ -1134,12 +1133,11 @@ mod tests {
         }
 
         pub fn expected(m: &PartitionMap, w: &[VertexId], prev: &[VertexId]) -> Expected {
-            let (counts, offsets) = count(m, w);
+            let offsets = count(m, w);
             let (sw, sprev) = scatter(m, w, prev);
             let snext = sampled(&sw);
             let (next, prev_next) = gather(m, w, &snext, &sw[..prev.len()]);
             Expected {
-                counts,
                 offsets,
                 sw,
                 sprev,
@@ -1203,7 +1201,6 @@ mod tests {
                     let (mut scratch, mut p) = (ShuffleScratch::default(), NullProbe);
                     let addrs = ShuffleAddrs::default();
                     shuffler.count(&w, &mut scratch, addrs, &mut p);
-                    assert_eq!(scratch.counts, want.counts, "{what}");
                     assert_eq!(scratch.offsets, want.offsets, "{what}");
                     let (mut sw, mut sprev) = (vec![0; n], vec![0; prev.len()]);
                     let aux = with_aux.then_some(prev.as_slice());
@@ -1230,7 +1227,7 @@ mod tests {
                     // In place, the lane becomes what `gather` wrote.
                     let mut in_place = vec![0; prev.len()];
                     let anew = with_aux.then_some(in_place.as_mut_slice());
-                    shuffler.gather_in_place(snext, asrc, anew, &mut scratch, addrs, &mut p);
+                    shuffler.gather_on(None, None, snext, asrc, anew, &mut scratch, addrs, &mut p);
                     assert_eq!(scratch.lane, next, "{what}: in-place gather");
                     assert_eq!(in_place, prev_next, "{what}: in-place aux");
                     let mut w_next = Vec::new();
@@ -1245,58 +1242,151 @@ mod tests {
     fn parallel_lane_passes_match_the_partition_of_model() {
         let (m, _) = lane_map();
         let s = Shuffler::single_level(&m);
-        for threads in [1usize, 2, 3, 7] {
-            let pool = WorkerPool::new(threads);
-            // Fewer walkers than threads included: idle workers own
-            // empty chunks.
+        let pools: Vec<WorkerPool> = [1, 2, 3, 7].into_iter().map(WorkerPool::new).collect();
+        // One chunk on this thread, then a chunk per worker.
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            // Fewer walkers than chunks included: idle chunks are empty.
             for (seed, n) in [(5, 0), (6, 2), (7, 5), (8, 4999)] {
                 let w = walkers(seed, n, 64);
                 for with_aux in [false, true] {
-                    let what = format!("{threads} threads, seed {seed}, aux {with_aux}");
+                    let what = format!(
+                        "{} chunks, seed {seed}, aux {with_aux}",
+                        pool.map_or(1, WorkerPool::threads)
+                    );
                     let prev = aux_lane(&w, with_aux);
                     let want = model::expected(&m, &w, &prev);
+                    let (mut scratch, mut p) = (ShuffleScratch::default(), NullProbe);
+                    let addrs = ShuffleAddrs::default();
 
-                    let mut scratch = ShuffleScratch::default();
-                    s.par_count(&w, &pool, &mut scratch);
-                    assert_eq!(scratch.counts, want.counts, "{what}");
+                    s.count_on(pool, &w, &mut scratch, addrs, &mut p);
                     assert_eq!(scratch.offsets, want.offsets, "{what}");
                     let (mut sw, mut sprev) = (vec![0; n], vec![0; prev.len()]);
                     let aux = with_aux.then_some(prev.as_slice());
                     let saux = with_aux.then_some(sprev.as_mut_slice());
-                    s.par_scatter(&w, aux, &mut sw, saux, &pool, &mut scratch);
+                    s.scatter_on(pool, &w, aux, &mut sw, saux, &mut scratch, addrs, &mut p);
                     assert_eq!((&sw, &sprev), (&want.sw, &want.sprev), "{what}: scatter");
 
-                    let mut prev_next = vec![0; prev.len()];
+                    // The benchmark's gather, into a walker array: the
+                    // lane keeps its bins for the in-place one after it.
                     let asrc = with_aux.then_some(sw.as_slice());
-                    let anew = with_aux.then_some(prev_next.as_mut_slice());
-                    s.par_gather(&want.snext, asrc, anew, &pool, &mut scratch);
-                    assert_eq!(scratch.lane, want.next, "{what}: gather");
-                    assert_eq!(prev_next, want.prev_next, "{what}: gather aux");
+                    for into_lane in [false, true] {
+                        let (mut next, mut prev_next) = (vec![0; n], vec![0; prev.len()]);
+                        let out = (!into_lane).then_some(next.as_mut_slice());
+                        let anew = with_aux.then_some(prev_next.as_mut_slice());
+                        s.gather_on(
+                            pool,
+                            out,
+                            &want.snext,
+                            asrc,
+                            anew,
+                            &mut scratch,
+                            addrs,
+                            &mut p,
+                        );
+                        if into_lane {
+                            scratch.swap_lane(&mut next);
+                        }
+                        assert_eq!(next, want.next, "{what}: gather, in place {into_lane}");
+                        assert_eq!(prev_next, want.prev_next, "{what}: gather aux");
+                    }
                 }
             }
         }
     }
 
     #[test]
+    fn two_level_scatter_runs_at_one_chunk() {
+        let (m, outer) = lane_map();
+        let s = Shuffler::two_level(&m, outer);
+        let (w, addrs) = (walkers(10, 300, 64), ShuffleAddrs::default());
+        let prev = aux_lane(&w, true);
+        let want = model::expected(&m, &w, &prev);
+        let pool = WorkerPool::new(2);
+        for pool in [None, Some(&pool)] {
+            let mut scratch = ShuffleScratch::default();
+            s.count_on(pool, &w, &mut scratch, addrs, &mut NullProbe);
+            let (mut sw, mut sprev) = (vec![0; w.len()], vec![0; w.len()]);
+            let scatter = || {
+                let (aux, saux) = (Some(prev.as_slice()), Some(sprev.as_mut_slice()));
+                s.scatter_on(
+                    pool,
+                    &w,
+                    aux,
+                    &mut sw,
+                    saux,
+                    &mut scratch,
+                    addrs,
+                    &mut NullProbe,
+                )
+            };
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(scatter)).is_ok();
+            assert_eq!(ran, pool.is_none(), "two levels take one chunk only");
+            if ran {
+                assert_eq!((&sw, &sprev), (&want.sw, &want.sprev));
+            }
+        }
+    }
+
+    /// Whether a scatter at `pool`'s chunking refuses `scratch`'s lane.
+    fn refuses(
+        s: &Shuffler,
+        w: &[VertexId],
+        scratch: &mut ShuffleScratch,
+        pool: Option<&WorkerPool>,
+    ) -> bool {
+        let mut sw = vec![0; w.len()];
+        let addrs = ShuffleAddrs::default();
+        let scatter = || s.scatter_on(pool, w, None, &mut sw, None, scratch, addrs, &mut NullProbe);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(scatter)).is_err()
+    }
+
+    #[test]
     fn parallel_scatter_refuses_a_lane_par_count_did_not_write() {
-        // Its writes are disjoint only for the bins `par_count` counted,
-        // chunk by chunk, on the pool it runs on.
+        // Its writes are disjoint only for the bins a count at the same
+        // chunking counted, chunk by chunk.
         let (m, _) = lane_map();
         let s = Shuffler::single_level(&m);
-        let w = walkers(9, 100, 64);
+        let (w, addrs) = (walkers(9, 100, 64), ShuffleAddrs::default());
         let (pool2, pool3) = (WorkerPool::new(2), WorkerPool::new(3));
-        let refused = |scratch: &mut ShuffleScratch, pool: &WorkerPool| {
-            let mut sw = vec![0; w.len()];
-            let scatter = || s.par_scatter(&w, None, &mut sw, None, pool, scratch);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(scatter)).is_err()
-        };
+        let (pool2, pool3) = (Some(&pool2), Some(&pool3));
         let mut scratch = ShuffleScratch::default();
-        s.par_count(&w, &pool2, &mut scratch);
-        assert!(refused(&mut scratch, &pool3), "another pool");
-        assert!(!refused(&mut scratch, &pool2), "the counted lane");
-        s.par_gather(&w, None, None, &pool2, &mut scratch);
-        assert!(refused(&mut scratch, &pool2), "after an in-place gather");
-        s.count(&w, &mut scratch, ShuffleAddrs::default(), &mut NullProbe);
-        assert!(refused(&mut scratch, &pool2), "after a sequential count");
+        s.count_on(pool2, &w, &mut scratch, addrs, &mut NullProbe);
+        assert!(refuses(&s, &w, &mut scratch, pool3), "another pool");
+        assert!(!refuses(&s, &w, &mut scratch, pool2), "the counted lane");
+        s.gather_on(
+            pool2,
+            None,
+            &w,
+            None,
+            None,
+            &mut scratch,
+            addrs,
+            &mut NullProbe,
+        );
+        assert!(
+            refuses(&s, &w, &mut scratch, pool2),
+            "after an in-place gather"
+        );
+        s.count(&w, &mut scratch, addrs, &mut NullProbe);
+        assert!(
+            refuses(&s, &w, &mut scratch, pool2),
+            "after a one-chunk count"
+        );
+    }
+
+    #[test]
+    fn one_chunk_scatter_refuses_a_lane_its_count_did_not_write() {
+        let (m, _) = lane_map();
+        let s = Shuffler::single_level(&m);
+        let (w, addrs) = (walkers(11, 100, 64), ShuffleAddrs::default());
+        let pool = WorkerPool::new(2);
+        let mut scratch = ShuffleScratch::default();
+        assert!(refuses(&s, &w, &mut scratch, None), "no count at all");
+        s.count(&w, &mut scratch, addrs, &mut NullProbe);
+        assert!(!refuses(&s, &w, &mut scratch, None), "the counted lane");
+        scratch.swap_lane(&mut w.clone());
+        assert!(refuses(&s, &w, &mut scratch, None), "after `swap_lane`");
+        s.count_on(Some(&pool), &w, &mut scratch, addrs, &mut NullProbe);
+        assert!(refuses(&s, &w, &mut scratch, None), "after a chunked count");
     }
 }

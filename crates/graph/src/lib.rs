@@ -17,7 +17,8 @@
 //!   graphs, R-MAT, regular rings, stars, paths, completes.
 //! * [`presets`] — scaled-down analogs of the paper's five evaluation
 //!   graphs (Table 4) plus the cache-sized toy graphs of Figure 1.
-//! * [`stats`] — the degree-percentile bucket machinery behind Table 2.
+//! * [`stats`] — the degree-percentile bucket machinery behind Table 2,
+//!   the diameter estimate and the weak component count of `fmwalk stats`.
 //! * [`io`] — text edge-list parsing and a compact binary format.
 //! * [`prefetch`] — the workspace's one software-prefetch hint.
 
@@ -31,7 +32,6 @@ pub mod regular;
 pub mod relabel;
 pub mod stats;
 pub mod synth;
-pub mod transform;
 
 pub use builder::GraphBuilder;
 pub use csr::Csr;

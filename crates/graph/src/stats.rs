@@ -119,6 +119,28 @@ pub fn avg_degree(graph: &Csr) -> f64 {
     graph.edge_count() as f64 / graph.vertex_count() as f64
 }
 
+/// The number of weakly connected components, edges taken as
+/// undirected: a union-find over the edge list.
+pub fn weak_components(graph: &Csr) -> usize {
+    fn root(parent: &mut [VertexId], mut v: VertexId) -> VertexId {
+        while parent[v as usize] != v {
+            parent[v as usize] = parent[parent[v as usize] as usize];
+            v = parent[v as usize];
+        }
+        v
+    }
+    let mut parent: Vec<VertexId> = (0..graph.vertex_count() as VertexId).collect();
+    let mut components = graph.vertex_count();
+    for (u, v) in graph.edges() {
+        let (a, b) = (root(&mut parent, u), root(&mut parent, v));
+        if a != b {
+            parent[a.max(b) as usize] = a.min(b);
+            components -= 1;
+        }
+    }
+    components
+}
+
 /// Estimates the graph's effective diameter by BFS from `samples` seed
 /// vertices, returning the maximum distance observed.
 ///
@@ -158,6 +180,20 @@ pub fn estimate_diameter(graph: &Csr, samples: usize, seed: u64) -> usize {
 mod tests {
     use super::*;
     use crate::synth;
+
+    #[test]
+    fn components_found_correctly() {
+        // Two triangles plus an isolated vertex.
+        let g = Csr::from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap();
+        assert_eq!(weak_components(&g), 3);
+        assert_eq!(weak_components(&Csr::from_edges(0, &[]).unwrap()), 0);
+    }
+
+    #[test]
+    fn directed_chains_are_weakly_connected() {
+        let g = Csr::from_edges(3, &[(0, 1), (2, 1)]).unwrap();
+        assert_eq!(weak_components(&g), 1);
+    }
 
     #[test]
     fn buckets_partition_all_vertices() {

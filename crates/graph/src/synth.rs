@@ -437,8 +437,7 @@ mod tests {
         let g = barabasi_albert(2000, 3, 7);
         assert!(g.has_no_sinks());
         // Connected by construction.
-        let (_, comps) = crate::transform::weakly_connected_components(&g);
-        assert_eq!(comps, 1);
+        assert_eq!(crate::stats::weak_components(&g), 1);
         // Early vertices accumulate much higher degree than late ones.
         let early: usize = (0..20).map(|v| g.degree(v)).sum();
         let late: usize = (1980..2000).map(|v| g.degree(v)).sum();

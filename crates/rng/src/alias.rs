@@ -121,6 +121,12 @@ impl AliasTable {
         })
     }
 
+    /// Hands over the table's rows: slot `i`'s acceptance probability
+    /// and its alias outcome, for callers that lay many tables out flat.
+    pub fn into_rows(self) -> (Vec<f64>, Vec<u32>) {
+        (self.prob, self.alias)
+    }
+
     /// Number of outcomes.
     #[inline]
     pub fn len(&self) -> usize {

@@ -471,7 +471,7 @@ fn bad_walk_parameters_are_refused_by_every_engine() {
         // The parameter check itself, not some other refusal of the walk.
         for (engine, err) in refusals {
             match err {
-                Some(WalkError::Planning(msg))
+                Some(WalkError::Config(msg))
                     if msg.contains(algorithm.name()) && msg.contains("must be") => {}
                 other => panic!("{engine} on {algorithm:?}: {other:?}"),
             }
