@@ -494,6 +494,12 @@ WHY_OUT="$(cargo run --release -q -p fm-cli -- audit --root "$BAD_WS" \
     --why hot_pick 2>&1 || true)"
 grep -q "fn sample_partition (call at line" <<< "$WHY_OUT" || {
     echo "audit --why did not reproduce the bad_ws panic path" >&2; exit 1; }
+# `.drain()` is a std method name; the receiver's stated type resolves
+# it to the workspace's panicking `Stage::drain` all the same.
+WHY_OUT="$(cargo run --release -q -p fm-cli -- audit --root "$BAD_WS" \
+    --why Stage::drain 2>&1 || true)"
+grep -q "fn sample_partition (call at line" <<< "$WHY_OUT" || {
+    echo "audit --why did not reproduce the bad_ws typed-receiver path" >&2; exit 1; }
 # A nonexistent root is an IO error, not a findings failure: exit 2.
 if cargo run --release -q -p fm-cli -- audit \
     --root /nonexistent-audit-root >/dev/null 2>&1; then

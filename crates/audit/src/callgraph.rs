@@ -1,14 +1,25 @@
 //! Workspace-wide call graph over the item parser's output.
 //!
-//! Name resolution is deliberately *conservative*:
+//! Resolution is *conservative*: a call resolves by type where the
+//! source states one, and by bare name only where it does not.
 //!
+//! * `.method(...)` on a typed receiver resolves to its type's fns.  A
+//!   receiver is typed when it is `self` (the impl type), a binding
+//!   whose type is stated (a fn or closure parameter `x: T` / `&T` /
+//!   `&mut T`, `let x: T`, `let x = T { … }`), a field chain off either
+//!   (`self.buffers`: the declared field type), or a dereference of one
+//!   (`(**self)`).  Rebinding a name any other way untypes it.  A
+//!   generic `P: Trait` (`<…>` or `where`, on the fn or its impl) and a
+//!   `dyn`/`impl Trait` resolve to that trait's impls only;
+//! * `.method(...)` on an untyped receiver — or on a type with no such
+//!   fn of its own — fans out to **every** method of that name, except
+//!   std-shadowed names ([`STD_METHODS`]);
 //! * free calls resolve within the defining file first, then the crate,
 //!   then (via `use` aliases or bare-name fallback) the workspace;
-//! * `Type::method(...)` calls resolve to every function of that name
-//!   attached to a matching impl/trait, falling back to any function of
-//!   that name in the workspace;
-//! * `.method(...)` calls fan out to **every** method of that name in
-//!   the workspace (trait dispatch cannot be resolved without types);
+//! * `Type::method(...)` calls resolve to that type's fns; with none the
+//!   call is external, while a module path falls back by name;
+//! * a turbofish is part of the call: `name::<…>(`, `.name::<…>(` and
+//!   `Type::<…>::name(` resolve as their plain forms;
 //! * macro invocations and calls that match nothing in the workspace
 //!   are recorded as **open edges** — never silently dropped — so a
 //!   report can say "this path ends in something we cannot see".
@@ -19,66 +30,27 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::parse::{FileAst, Tok};
+use crate::parse::{split_top, type_head, Bound, FileAst, FnDef, Tok};
 
 /// Keywords that look like calls when followed by `(` but are not.
-const NOT_CALLS: [&str; 10] = [
-    "if", "while", "for", "match", "return", "loop", "fn", "move", "in", "else",
+const NOT_CALLS: [&str; 11] = [
+    "if", "while", "for", "match", "return", "loop", "fn", "move", "in", "else", "let",
 ];
 
 /// Method names shared with std types (Vec, slice, Option, Result,
-/// str, Iterator, maps, io traits).  A `.name(` call with one of these
-/// names almost always has a std receiver, so fanning out to every
-/// same-named workspace method would wire unrelated code together
-/// (e.g. `line.parse()` → a CLI argument parser).  They resolve to
-/// open edges instead — recorded, never silently dropped.
-const STD_METHODS: [&str; 52] = [
+/// str, Iterator, maps, io traits).  On an untyped receiver such a call
+/// almost always has a std receiver (`line.parse()`, an iterator's
+/// `.count()`), so a fan-out to every same-named workspace method would
+/// wire unrelated code together.  They resolve to open edges instead.
+const STD_METHODS: [&str; 54] = [
     "new", "clone", "fmt", "default", "expect", "unwrap", "unwrap_or", "unwrap_or_else",
     "unwrap_or_default", "map", "map_err", "and_then", "ok", "ok_or", "ok_or_else", "len",
     "is_empty", "next", "parse", "get", "get_mut", "insert", "remove", "push", "pop",
     "contains", "contains_key", "entry", "or_insert", "iter", "iter_mut", "into_iter",
-    "collect", "extend", "append", "clear", "drain", "retain", "sort", "sort_by",
-    "sort_by_key", "sort_unstable", "first", "last", "take", "write", "write_all", "read",
-    "read_exact", "flush", "from", "into",
+    "collect", "count", "sum", "extend", "append", "clear", "drain", "retain", "sort",
+    "sort_by", "sort_by_key", "sort_unstable", "first", "last", "take", "write", "write_all",
+    "read", "read_exact", "flush", "from", "into",
 ];
-
-/// One function node in the workspace graph.
-#[derive(Debug)]
-pub struct FnNode {
-    /// Workspace-relative file path.
-    pub file: String,
-    pub name: String,
-    pub self_ty: Option<String>,
-    pub has_self: bool,
-    pub is_test: bool,
-    pub line: usize,
-    /// Body token stream (shared with the taint passes).
-    pub body: Vec<Tok>,
-}
-
-impl FnNode {
-    /// `crates/<name>` prefix of the defining file (or the root pkg).
-    pub fn crate_dir(&self) -> &str {
-        crate_dir_of(&self.file)
-    }
-
-    /// Display name: `file:line fn name` with the impl type if any.
-    pub fn qual(&self) -> String {
-        match &self.self_ty {
-            Some(t) => format!("{}::{}", t, self.name),
-            None => self.name.clone(),
-        }
-    }
-}
-
-pub fn crate_dir_of(file: &str) -> &str {
-    if let Some(rest) = file.strip_prefix("crates/") {
-        let end = rest.find('/').unwrap_or(rest.len());
-        &file[.."crates/".len() + end]
-    } else {
-        "."
-    }
-}
 
 /// A call the resolver could not bind to any workspace function.
 #[derive(Debug)]
@@ -95,7 +67,8 @@ pub type Edge = (usize, usize);
 
 #[derive(Debug, Default)]
 pub struct CallGraph {
-    pub fns: Vec<FnNode>,
+    /// Every parsed fn of the workspace, tests included.
+    pub fns: Vec<FnDef>,
     /// `edges[i]` = calls made by `fns[i]`, deduped by callee.
     pub edges: Vec<Vec<Edge>>,
     pub open_edges: Vec<OpenEdge>,
@@ -119,8 +92,9 @@ impl CallGraph {
             .collect()
     }
 
-    /// Forward reachability from `roots` (inclusive).
-    pub fn reachable(&self, roots: &[usize]) -> Vec<bool> {
+    /// Forward reachability from `roots` (inclusive), through the fns
+    /// where `within` holds.
+    pub fn reachable(&self, roots: &[usize], within: impl Fn(usize) -> bool) -> Vec<bool> {
         let mut seen = vec![false; self.fns.len()];
         let mut stack: Vec<usize> = roots.to_vec();
         for &r in roots {
@@ -128,7 +102,7 @@ impl CallGraph {
         }
         while let Some(i) = stack.pop() {
             for &(j, _) in &self.edges[i] {
-                if !seen[j] {
+                if !seen[j] && within(j) {
                     seen[j] = true;
                     stack.push(j);
                 }
@@ -199,42 +173,209 @@ impl CallGraph {
     }
 }
 
+type Targets<'a> = BTreeMap<(&'a str, &'a str), Vec<usize>>;
+
+/// The workspace indexes a call resolves against.  Test-only fns are
+/// callers but never call *targets*: fan-out from lib code into a
+/// same-named test helper would inject the helper's (legitimately
+/// relaxed) behaviour into lib-path taint.
+#[derive(Default)]
+struct Index<'a> {
+    by_name: BTreeMap<&'a str, Vec<usize>>,
+    /// Fns taking `self`, by name: an untyped receiver's fan-out.
+    methods: BTreeMap<&'a str, Vec<usize>>,
+    /// (impl type, or a trait for its own fns; name) → fns.
+    by_ty: Targets<'a>,
+    /// (trait, name) → the trait's own fn and every impl's.
+    by_trait: Targets<'a>,
+    /// (struct, field) → the head of the field's declared type.
+    fields: BTreeMap<(&'a str, &'a str), &'a str>,
+}
+
+impl<'a> Index<'a> {
+    fn new(files: &'a [FileAst]) -> Self {
+        let mut ix = Index::default();
+        let fns = files.iter().flat_map(|f| &f.fns).enumerate();
+        for (i, d) in fns.filter(|(_, d)| !d.is_test) {
+            let name = d.name.as_str();
+            ix.by_name.entry(name).or_default().push(i);
+            if d.has_self {
+                ix.methods.entry(name).or_default().push(i);
+            }
+            if let Some(ty) = &d.self_ty {
+                ix.by_ty.entry((ty, name)).or_default().push(i);
+            }
+            if let Some(tr) = &d.trait_name {
+                ix.by_trait.entry((tr, name)).or_default().push(i);
+            }
+        }
+        for s in files.iter().flat_map(|f| &f.structs) {
+            let typed = s.fields.iter().zip(&s.field_types);
+            ix.fields.extend(typed.filter_map(|(f, t)| Some(((&*s.name, &**f), t.as_deref()?))));
+        }
+        ix
+    }
+
+    /// Targets of the method call named at `body[k]`: by the receiver's
+    /// type where the source states it and the type has the method,
+    /// else every same-named method — except std-shadowed names.
+    fn method(&self, env: &Env, body: &[Tok], k: usize) -> Vec<usize> {
+        let name = body[k].s.as_str();
+        let get = |map: &Targets, ty: &str| map.get(&(ty, name)).cloned().unwrap_or_default();
+        let typed = k.checked_sub(2).and_then(|end| self.receiver(env, body, end));
+        let bounds = |ty| env.generics.iter().find(|(p, _)| p == ty).map(|(_, b)| b);
+        let targets = match typed.as_deref().map(|ty| (ty, bounds(ty))) {
+            Some((_, Some(traits))) => traits.iter().flat_map(|t| get(&self.by_trait, t)).collect(),
+            // A trait (`dyn T`, `impl T`) reaches its impls, a type its own fns.
+            Some((ty, None)) => Some(get(&self.by_trait, ty))
+                .filter(|t| !t.is_empty())
+                .unwrap_or_else(|| get(&self.by_ty, ty)),
+            None => Vec::new(),
+        };
+        if !targets.is_empty() || STD_METHODS.contains(&name) {
+            return targets;
+        }
+        self.methods.get(name).cloned().unwrap_or_default()
+    }
+
+    /// The type head of the receiver ending at `body[end]`: `self`, a
+    /// typed binding, or a field chain off either, maybe dereferenced.
+    fn receiver(&self, env: &Env, body: &[Tok], mut end: usize) -> Option<String> {
+        if body[end].s == ")" {
+            end = end.checked_sub(1)?;
+            let stars = body[..end].iter().rev().take_while(|t| t.s == "*").count();
+            if stars == 0 || body[end.checked_sub(stars + 1)?].s != "(" {
+                return None;
+            }
+        }
+        let mut start = end;
+        while start >= 2 && body[start - 1].s == "." && body[start - 2].is_ident() {
+            start -= 2;
+        }
+        if !body[start].is_ident() || start > 0 && matches!(body[start - 1].s.as_str(), "." | "::") {
+            return None;
+        }
+        let mut ty = match body[start].s.as_str() {
+            "self" => env.self_ty?.to_string(),
+            var => env.vars.get(var)?.clone(),
+        };
+        for field in body[start..=end].iter().skip(2).step_by(2) {
+            ty = self.fields.get(&(ty.as_str(), field.s.as_str()))?.to_string();
+        }
+        Some(ty)
+    }
+}
+
+/// What a fn's source states about the types of its bindings.
+struct Env<'a> {
+    self_ty: Option<&'a str>,
+    /// Binding → type head: the parameters, then the body's bindings as
+    /// they are read.
+    vars: BTreeMap<&'a str, String>,
+    /// Generic parameters in scope and the traits bounding them.
+    generics: &'a [Bound],
+}
+
+impl<'a> Env<'a> {
+    /// Types `name` as `ty` (`Self` is the impl type), or untypes it.
+    fn bind(&mut self, name: &'a str, ty: Option<String>) {
+        let self_ty = self.self_ty.map(str::to_string);
+        match ty.and_then(|t| if t == "Self" { self_ty } else { Some(t) }) {
+            Some(t) => self.vars.insert(name, t),
+            None => self.vars.remove(name),
+        };
+    }
+
+    /// Binds each parameter `[mut] x: T`; any other name a parameter
+    /// pattern binds is untyped.
+    fn bind_params(&mut self, params: &'a [Tok]) {
+        for param in split_top(params, ",") {
+            self.untype(param);
+            if let [name, colon, ty @ ..] = past_mut(param) {
+                if colon.s == ":" {
+                    self.bind(&name.s, type_head(ty));
+                }
+            }
+        }
+    }
+
+    /// Untypes every name in `pattern`.
+    fn untype(&mut self, pattern: &[Tok]) {
+        for t in pattern {
+            self.vars.remove(t.s.as_str());
+        }
+    }
+
+    /// Reads the binding that starts at `body[k]`, if one does: a
+    /// closure's parameters, a `for` pattern, or a `let` — typed by a
+    /// stated type or a struct literal, else untyping what it binds.
+    fn read_binding(&mut self, body: &'a [Tok], k: usize) {
+        let at = |i: usize| body.get(i).map_or("", |t| t.s.as_str());
+        let until = |stop: fn(&str) -> bool| body[k + 1..].iter().position(|t| stop(&t.s));
+        match at(k) {
+            "|" if k == 0 || matches!(at(k - 1), "(" | "," | "=" | "{" | ";" | "move" | "=>") => {
+                let end = until(|s| s == "|").map_or(k + 1, |p| k + 1 + p);
+                self.bind_params(&body[k + 1..end]);
+            }
+            "for" => self.untype(&body[k + 1..until(|s| s == "in").map_or(k + 1, |p| k + 1 + p)]),
+            "let" => {
+                // The pattern (and type) end at the first `=` outside groups.
+                let end = k + 1 + split_top(&body[k + 1..], "=")[0].len();
+                self.untype(&body[k + 1..end]);
+                match past_mut(&body[k + 1..end]) {
+                    [name, colon, ty @ ..] if colon.s == ":" => self.bind(&name.s, type_head(ty)),
+                    // `let x = T { … }`: a struct literal states its type.
+                    [name] if at(end + 2) == "{" && at(end + 1).starts_with(char::is_uppercase) => {
+                        self.bind(&name.s, Some(at(end + 1).to_string()))
+                    }
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A binding pattern past a leading `mut`.
+fn past_mut(pat: &[Tok]) -> &[Tok] {
+    match pat {
+        [m, rest @ ..] if m.s == "mut" => rest,
+        _ => pat,
+    }
+}
+
+/// Index of the `<` or `>` that closes the angle group at `body[from]`,
+/// searching forward (`step` 1) or back (`step` -1).
+fn matching_angle(body: &[Tok], from: usize, step: isize) -> Option<usize> {
+    let (mut depth, mut i) = (0i64, from);
+    loop {
+        depth += match body.get(i)?.s.as_str() {
+            "<" => step as i64,
+            ">" => -step as i64,
+            _ => 0,
+        };
+        if depth == 0 {
+            return Some(i);
+        }
+        i = i.checked_add_signed(step)?;
+    }
+}
+
+/// The qualifier of the path call named at `body[k]`: `Q` in `Q::name(`
+/// and in `Q::<…>::name(`.
+fn qualifier(body: &[Tok], k: usize) -> &str {
+    let q = k.saturating_sub(2);
+    let turbofish = (body[q].s == ">").then(|| matching_angle(body, q, -1)).flatten();
+    match turbofish {
+        Some(open) if open >= 2 && body[open - 1].s == "::" => &body[open - 2].s,
+        _ => &body[q].s,
+    }
+}
+
 /// Builds the workspace call graph from parsed files.
 pub fn build(files: &[FileAst]) -> CallGraph {
-    let mut g = CallGraph::default();
-    // Flatten functions and index them.
-    for f in files {
-        for d in &f.fns {
-            g.fns.push(FnNode {
-                file: f.path.clone(),
-                name: d.name.clone(),
-                self_ty: d.self_ty.clone(),
-                has_self: d.has_self,
-                is_test: d.is_test,
-                line: d.line,
-                body: d.body.clone(),
-            });
-        }
-    }
-    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut by_ty: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-    for (i, f) in g.fns.iter().enumerate() {
-        // Test-only fns are callers but never call *targets*: method
-        // fan-out from lib code into a same-named test helper would
-        // inject the helper's (legitimately relaxed) behaviour into
-        // lib-path taint.
-        if f.is_test {
-            continue;
-        }
-        by_name.entry(&f.name).or_default().push(i);
-        if f.has_self {
-            methods.entry(&f.name).or_default().push(i);
-        }
-        if let Some(ty) = &f.self_ty {
-            by_ty.entry((ty.as_str(), &f.name)).or_default().push(i);
-        }
-    }
+    let ix = Index::new(files);
+    let defs: Vec<&FnDef> = files.iter().flat_map(|f| &f.fns).collect();
     // Use-alias map per file: alias -> last path segment it names.
     let mut aliases: BTreeMap<&str, BTreeMap<&str, &str>> = BTreeMap::new();
     for f in files {
@@ -246,121 +387,81 @@ pub fn build(files: &[FileAst]) -> CallGraph {
         }
     }
 
-    let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); g.fns.len()];
+    let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); defs.len()];
     let mut open = Vec::new();
-    // fn index offset bookkeeping to find the defining file per fn.
-    for (i, node) in g.fns.iter().enumerate() {
+    for (i, node) in defs.iter().enumerate() {
         let file_alias = aliases.get(node.file.as_str());
+        let (self_ty, generics) = (node.self_ty.as_deref(), &node.bounds[..]);
+        let mut env = Env { self_ty, vars: BTreeMap::new(), generics };
+        env.bind_params(&node.params);
         let mut dedup: BTreeSet<usize> = BTreeSet::new();
         let body = &node.body;
+        let at = |i: usize| body.get(i).map_or("", |t| t.s.as_str());
         for (k, t) in body.iter().enumerate() {
+            env.read_binding(body, k);
             if !t.is_ident() || NOT_CALLS.contains(&t.s.as_str()) {
                 continue;
             }
-            let next = body.get(k + 1).map(|t| t.s.as_str());
-            let prev = (k > 0).then(|| body[k - 1].s.as_str());
-            // Macro invocation: `name ! (` / `name ! [` / `name ! {`.
-            if next == Some("!") {
-                if matches!(
-                    body.get(k + 2).map(|t| t.s.as_str()),
-                    Some("(") | Some("[") | Some("{")
-                ) {
-                    open.push(OpenEdge {
-                        caller: i,
-                        name: t.s.clone(),
-                        line: t.line,
-                        is_macro: true,
-                    });
-                }
+            // A macro invocation `name!(` / `name![` / `name!{` is an
+            // open edge; a call is `name(`, or `name::<…>(`.
+            let is_macro = at(k + 1) == "!" && matches!(at(k + 2), "(" | "[" | "{");
+            let args = match at(k + 1) {
+                "::" if at(k + 2) == "<" => matching_angle(body, k + 2, 1).map_or(k, |c| c + 1),
+                _ => k + 1,
+            };
+            if !is_macro && at(args) != "(" {
                 continue;
             }
-            if next != Some("(") {
-                continue;
-            }
-            // What kind of call?
-            let targets: Vec<usize> = match prev {
-                Some(".") => {
-                    // Method call: fan out to every same-named method —
-                    // except std-shadowed names, whose receivers are
-                    // almost always std types (open edge below).
-                    if STD_METHODS.contains(&t.s.as_str()) {
-                        Vec::new()
-                    } else {
-                        methods.get(t.s.as_str()).cloned().unwrap_or_default()
-                    }
-                }
-                Some("::") => {
-                    // Qualified call `Qual::name(`: find the qualifier.
-                    let qual = if k >= 2 { body[k - 2].s.as_str() } else { "" };
-                    let qual = file_alias
-                        .and_then(|m| m.get(qual).copied())
-                        .unwrap_or(qual);
-                    // `Self::name(` means the surrounding impl type.
-                    let qual = if qual == "Self" {
-                        node.self_ty.as_deref().unwrap_or(qual)
-                    } else {
-                        qual
-                    };
-                    let by_type = by_ty.get(&(qual, t.s.as_str())).cloned();
-                    let type_like = qual.chars().next().is_some_and(|c| c.is_uppercase());
-                    if type_like {
-                        // A CamelCase qualifier names a type; if no
-                        // workspace impl matches, the call targets
-                        // external code (e.g. `Vec::new`) — open edge,
-                        // not a fan-out to every same-named fn.
+            let name = t.s.as_str();
+            let targets: Vec<usize> = match at(k.wrapping_sub(1)) {
+                _ if is_macro => Vec::new(),
+                "." => ix.method(&env, body, k),
+                "::" => {
+                    // `Qual::name(`; `Self::name(` is the impl type.
+                    let qual = qualifier(body, k);
+                    let qual = file_alias.and_then(|m| m.get(qual).copied()).unwrap_or(qual);
+                    let qual = if qual == "Self" { node.self_ty.as_deref().unwrap_or(qual) } else { qual };
+                    let by_type = ix.by_ty.get(&(qual, name)).cloned();
+                    if qual.starts_with(char::is_uppercase) {
+                        // A type with no such workspace fn is external
+                        // (e.g. `Vec::new`): an open edge, not a fan-out
+                        // to every same-named fn.
                         by_type.unwrap_or_default()
                     } else {
                         // Module-qualified path: fall back by name.
-                        by_type
-                            .or_else(|| by_name.get(t.s.as_str()).cloned())
-                            .unwrap_or_default()
+                        by_type.or_else(|| ix.by_name.get(name).cloned()).unwrap_or_default()
                     }
                 }
                 _ => {
                     // Free call: same file, then same crate, then the
                     // alias target, then any workspace fn of that name.
-                    let name = file_alias
-                        .and_then(|m| m.get(t.s.as_str()).copied())
-                        .unwrap_or(t.s.as_str());
-                    let cands = by_name.get(name).cloned().unwrap_or_default();
-                    let same_file: Vec<usize> = cands
-                        .iter()
-                        .copied()
-                        .filter(|&j| g.fns[j].file == node.file)
-                        .collect();
-                    let same_crate: Vec<usize> = cands
-                        .iter()
-                        .copied()
-                        .filter(|&j| g.fns[j].crate_dir() == node.crate_dir())
-                        .collect();
-                    if !same_file.is_empty() {
-                        same_file
-                    } else if !same_crate.is_empty() {
-                        same_crate
-                    } else {
-                        cands
-                    }
+                    let name = file_alias.and_then(|m| m.get(name).copied()).unwrap_or(name);
+                    let cands = ix.by_name.get(name).cloned().unwrap_or_default();
+                    let near = |same: &dyn Fn(&FnDef) -> bool| -> Vec<usize> {
+                        cands.iter().copied().filter(|&j| same(defs[j])).collect()
+                    };
+                    [near(&|d| d.file == node.file), near(&|d| d.crate_dir() == node.crate_dir())]
+                        .into_iter()
+                        .find(|v| !v.is_empty())
+                        .unwrap_or(cands)
                 }
             };
             if targets.is_empty() {
-                open.push(OpenEdge {
-                    caller: i,
-                    name: t.s.clone(),
-                    line: t.line,
-                    is_macro: false,
-                });
-            } else {
-                for j in targets {
-                    if j != i && dedup.insert(j) {
-                        edges[i].push((j, t.line));
-                    }
+                let (name, line) = (name.to_string(), t.line);
+                open.push(OpenEdge { caller: i, name, line, is_macro });
+            }
+            for j in targets {
+                if j != i && dedup.insert(j) {
+                    edges[i].push((j, t.line));
                 }
             }
         }
     }
-    g.edges = edges;
-    g.open_edges = open;
-    g
+    CallGraph {
+        fns: defs.into_iter().cloned().collect(),
+        edges,
+        open_edges: open,
+    }
 }
 
 #[cfg(test)]
@@ -456,6 +557,26 @@ mod tests {
         let i = idx(&g, "top");
         assert_eq!(g.edges[i].len(), 1);
         assert_eq!(g.fns[g.edges[i][0].0].self_ty.as_deref(), Some("A"));
+    }
+
+    #[test]
+    fn closure_params_and_derefs_keep_their_types() {
+        let g = graph_of(&[(
+            "crates/a/src/lib.rs",
+            "trait P { fn step(&mut self); }\n\
+             struct S; impl P for S { fn step(&mut self) {} }\n\
+             struct B; impl B { fn step(&self) {} }\n\
+             impl<Q: P> P for &mut Q { fn step(&mut self) { (**self).step() } }\n\
+             fn drive<Q: P>(q: &mut Q) { run(|q: &mut Q| q.step()) }\n",
+        )]);
+        let targets = |from: &str| -> Vec<&str> {
+            let i = g.fns.iter().position(|f| f.name == from).unwrap();
+            g.edges[i].iter().map(|&(j, _)| g.fns[j].self_ty.as_deref().unwrap_or("")).collect()
+        };
+        assert!(!targets("drive").contains(&"B"), "{:?}", targets("drive"));
+        assert!(targets("drive").contains(&"S"));
+        let deref = g.fns.iter().position(|f| f.self_ty.as_deref() == Some("Q")).unwrap();
+        assert!(g.edges[deref].iter().all(|&(j, _)| g.fns[j].self_ty.as_deref() != Some("B")));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   The parser says which lines are test code.  Exemptions live in a
 //!   reason-carrying allowlist ([`allow`]); stale entries are findings.
 //! * [`parse`] + [`callgraph`] + [`taint`] — the flow-aware analyzer: the
-//!   item parser feeds a workspace call graph with conservative trait
-//!   fan-out and explicit open edges, and four reachability/taint lints
-//!   run on top of it —
+//!   item parser feeds a workspace call graph that resolves receivers by
+//!   type where the source states it, by name elsewhere, with explicit
+//!   open edges, and four reachability/taint lints run on top of it —
 //!   determinism-taint (clock/entropy/env/hash-order sources must not
 //!   reach the deterministic crates), panic-reachability (no panicking
 //!   call sites reachable from the sample loops), rng-purity (RNG

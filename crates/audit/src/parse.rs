@@ -87,6 +87,8 @@ fn tokenize(lines: &[Line]) -> Vec<Tok> {
 /// One parsed function (free fn, impl method, or trait method).
 #[derive(Debug, Clone)]
 pub struct FnDef {
+    /// Workspace-relative path of the defining file.
+    pub file: String,
     pub name: String,
     /// The impl'd type (for `impl T` methods) or trait name (for
     /// default trait methods / trait declarations).
@@ -102,8 +104,32 @@ pub struct FnDef {
     pub line: usize,
     /// Parameter-list tokens (between the signature parens).
     pub params: Vec<Tok>,
+    /// Trait bounds of the generic parameters in scope — the fn's and
+    /// its impl's, from `<…>` and `where` — as (param, trait heads).
+    pub bounds: Vec<Bound>,
     /// Body token stream (empty for bodyless trait declarations).
     pub body: Vec<Tok>,
+}
+
+/// A generic parameter and the heads of the traits bounding it.
+pub type Bound = (String, Vec<String>);
+
+impl FnDef {
+    /// `crates/<name>` prefix of the defining file (or the root pkg).
+    pub fn crate_dir(&self) -> &str {
+        match self.file.strip_prefix("crates/") {
+            Some(rest) => &self.file[.."crates/".len() + rest.find('/').unwrap_or(rest.len())],
+            None => ".",
+        }
+    }
+
+    /// Display name: the fn name, qualified by its impl type if any.
+    pub fn qual(&self) -> String {
+        match &self.self_ty {
+            Some(t) => format!("{}::{}", t, self.name),
+            None => self.name.clone(),
+        }
+    }
 }
 
 /// One parsed `struct` with named fields (tuple structs keep no fields).
@@ -111,6 +137,8 @@ pub struct FnDef {
 pub struct StructDef {
     pub name: String,
     pub fields: Vec<String>,
+    /// Beside each field, the head of its declared type ([`type_head`]).
+    pub field_types: Vec<Option<String>>,
     pub line: usize,
 }
 
@@ -160,35 +188,24 @@ impl Parser {
         self.peek().is_some_and(|t| t.s == s)
     }
 
-    /// Skips a balanced `open … close` group, assuming `open` is next.
-    fn skip_group(&mut self, open: &str, close: &str) {
-        let mut depth = 0usize;
+    /// Consumes a balanced `open … close` group if one is next, and
+    /// returns its interior tokens (angle brackets are counted too: item
+    /// headers cannot contain shift operators, and `->` is one token).
+    fn group(&mut self, open: &str, close: &str) -> Vec<Tok> {
+        let (mut out, mut depth) = (Vec::new(), 0usize);
+        if !self.at(open) {
+            return out;
+        }
         while let Some(t) = self.bump() {
             if t.s == open {
-                depth += 1;
-            } else if t.s == close {
-                depth -= 1;
-                if depth == 0 {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Collects a balanced brace group's *interior* tokens.
-    fn collect_braces(&mut self) -> Vec<Tok> {
-        let mut depth = 0usize;
-        let mut out = Vec::new();
-        while let Some(t) = self.bump() {
-            if t.s == "{" {
                 depth += 1;
                 if depth == 1 {
                     continue;
                 }
-            } else if t.s == "}" {
+            } else if t.s == close {
                 depth -= 1;
                 if depth == 0 {
-                    return out;
+                    break;
                 }
             }
             out.push(t);
@@ -196,25 +213,30 @@ impl Parser {
         out
     }
 
-    /// Skips generic params `<...>` if present (angle-bracket counting;
-    /// item headers cannot contain shift operators).
-    fn skip_generics(&mut self) {
-        if !self.at("<") {
-            return;
+    /// Consumes an item's body: a brace group, whose interior it
+    /// returns, or the `;` that ends a bodyless item.
+    fn body(&mut self) -> Vec<Tok> {
+        if self.at("{") {
+            return self.group("{", "}");
         }
-        let mut depth = 0i64;
-        while let Some(t) = self.bump() {
+        self.bump();
+        Vec::new()
+    }
+
+    /// Consumes tokens up to (not including) the next `{` or `;` outside
+    /// generic groups: a signature's tail or an item's header.
+    fn until_body(&mut self) -> Vec<Tok> {
+        let (mut out, mut depth) = (Vec::new(), 0i64);
+        while let Some(t) = self.peek() {
             match t.s.as_str() {
+                "{" | ";" if depth == 0 => break,
                 "<" => depth += 1,
-                ">" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return;
-                    }
-                }
+                ">" => depth -= 1,
                 _ => {}
             }
+            out.extend(self.bump());
         }
+        out
     }
 
     /// Consumes an attribute `#[...]` / `#![...]`; returns true if it
@@ -267,8 +289,66 @@ pub fn parse_file(path: &str, lines: &[Line]) -> FileAst {
         toks: tokenize(lines),
         pos: 0,
     };
-    parse_items(&mut p, &mut ast, path_is_test, None, None);
+    parse_items(&mut p, &mut ast, path_is_test, None, None, &[]);
     ast
+}
+
+/// Splits `toks` at each `sep` outside brackets.
+pub fn split_top<'t>(toks: &'t [Tok], sep: &str) -> Vec<&'t [Tok]> {
+    let (mut out, mut depth, mut start) = (Vec::new(), 0i64, 0);
+    for (i, t) in toks.iter().enumerate() {
+        match t.s.as_str() {
+            "(" | "[" | "{" | "<" => depth += 1,
+            ")" | "]" | "}" | ">" => depth -= 1,
+            s if s == sep && depth == 0 => {
+                out.push(&toks[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    out.push(&toks[start..]);
+    out
+}
+
+/// The head of a type: the last path segment it names, past references,
+/// lifetimes and `mut`/`dyn`/`impl` (`&'a mut a::T<U>` and `dyn T + Send`
+/// give `T`); `None` for slices, tuples, pointers and fn types.
+pub fn type_head(toks: &[Tok]) -> Option<String> {
+    let mut i = 0;
+    while let Some(t) = toks.get(i) {
+        match t.s.as_str() {
+            "&" | "mut" | "dyn" | "impl" => i += 1,
+            "'" => i += 2,
+            _ => break,
+        }
+    }
+    let mut head = None;
+    while let Some(t) = toks.get(i).filter(|t| t.is_ident() && t.s != "fn") {
+        head = Some(t.s.clone());
+        if toks.get(i + 1).is_none_or(|n| n.s != "::") {
+            break;
+        }
+        i += 2;
+    }
+    head
+}
+
+/// The trait bounds a generic parameter list (`P: A + B, const N:
+/// usize`) or the `where` clause in an item header puts on its
+/// parameters.
+fn bounds_of(toks: &[Tok]) -> Vec<Bound> {
+    let from = toks.iter().position(|t| t.s == "where").map_or(0, |w| w + 1);
+    split_top(&toks[from..], ",")
+        .into_iter()
+        .filter_map(|entry| match entry {
+            [name, colon, rest @ ..] if name.is_ident() && colon.s == ":" => {
+                let traits = split_top(rest, "+").into_iter().filter_map(type_head);
+                Some((name.s.clone(), traits.collect()))
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 /// Closes the item the parser just consumed: if a test attribute (first
@@ -286,6 +366,7 @@ fn parse_items(
     in_test: bool,
     self_ty: Option<&str>,
     trait_name: Option<&str>,
+    bounds: &[Bound],
 ) {
     // Line of a pending `#[test]` / `#[cfg(test)]` attribute: the next
     // item is test code.
@@ -310,11 +391,8 @@ fn parse_items(
             "mod" => {
                 p.bump();
                 p.bump(); // module name
-                if p.at("{") {
-                    p.bump();
-                    parse_items(p, ast, in_test || attr_test, None, None);
-                } else {
-                    p.bump(); // ';'
+                if p.bump().is_some_and(|t| t.s == "{") {
+                    parse_items(p, ast, in_test || attr_test, None, None, &[]);
                 }
                 end_item(p, ast, &mut test_attr);
             }
@@ -324,23 +402,8 @@ fn parse_items(
             }
             "enum" | "union" => {
                 p.bump();
-                p.bump(); // name
-                p.skip_generics();
-                while let Some(t) = p.peek() {
-                    match t.s.as_str() {
-                        "{" => {
-                            p.skip_group("{", "}");
-                            break;
-                        }
-                        ";" => {
-                            p.bump();
-                            break;
-                        }
-                        _ => {
-                            p.bump();
-                        }
-                    }
-                }
+                p.until_body();
+                p.body();
                 end_item(p, ast, &mut test_attr);
             }
             "impl" => {
@@ -350,28 +413,16 @@ fn parse_items(
             "trait" => {
                 p.bump();
                 let name = p.bump().map(|t| t.s).unwrap_or_default();
-                // Skip generics / supertrait bounds up to the body.
-                while let Some(t) = p.peek() {
-                    match t.s.as_str() {
-                        "{" => break,
-                        ";" => {
-                            p.bump();
-                            break;
-                        }
-                        "<" => p.skip_generics(),
-                        _ => {
-                            p.bump();
-                        }
-                    }
-                }
-                if p.at("{") {
-                    p.bump();
-                    parse_items(p, ast, in_test || attr_test, Some(&name), Some(&name));
+                // Past generics and supertrait bounds to the body.
+                p.until_body();
+                if p.bump().is_some_and(|t| t.s == "{") {
+                    let (name, test) = (Some(name.as_str()), in_test || attr_test);
+                    parse_items(p, ast, test, name, name, &[]);
                 }
                 end_item(p, ast, &mut test_attr);
             }
             "fn" => {
-                parse_fn(p, ast, in_test || attr_test, self_ty, trait_name);
+                parse_fn(p, ast, in_test || attr_test, self_ty, trait_name, bounds);
                 end_item(p, ast, &mut test_attr);
             }
             "macro_rules" => {
@@ -382,19 +433,13 @@ fn parse_items(
                     p.bump();
                 }
                 p.bump(); // macro name
-                if p.at("{") {
-                    p.skip_group("{", "}");
-                } else if p.at("(") {
-                    p.skip_group("(", ")");
-                    if p.at(";") {
-                        p.bump();
-                    }
-                }
+                p.group("{", "}");
+                p.group("(", ")"); // a trailing `;` is skipped as a stray token
                 end_item(p, ast, &mut test_attr);
             }
             "{" => {
                 // Unclassified brace group (const block, static init…).
-                p.skip_group("{", "}");
+                p.group("{", "}");
             }
             _ if MODIFIERS.contains(&s.as_str()) => {
                 p.bump();
@@ -480,139 +525,55 @@ fn parse_struct(p: &mut Parser, ast: &mut FileAst) {
         Some(t) => (t.s, t.line),
         None => return,
     };
-    p.skip_generics();
-    // `where` clauses before the body are skipped token-by-token.
-    while let Some(t) = p.peek() {
-        match t.s.as_str() {
-            "{" => break,
-            "(" => {
-                // Tuple struct: no named fields.
-                p.skip_group("(", ")");
-                if p.at(";") {
-                    p.bump();
-                }
-                ast.structs.push(StructDef {
-                    name,
-                    fields: Vec::new(),
-                    line,
-                });
-                return;
-            }
-            ";" => {
-                p.bump();
-                ast.structs.push(StructDef {
-                    name,
-                    fields: Vec::new(),
-                    line,
-                });
-                return;
-            }
-            _ => {
-                p.bump();
+    // Tuple and unit structs (`;`-terminated) keep no fields.
+    p.until_body();
+    let body = p.body();
+    let (mut fields, mut field_types) = (Vec::new(), Vec::new());
+    fn past<'t>(toks: &'t [Tok], close: &str) -> &'t [Tok] {
+        let end = toks.iter().position(|t| t.s == close);
+        end.map_or(&[], |i| &toks[i + 1..])
+    }
+    for mut field in split_top(&body, ",") {
+        // Past attributes and `pub` / `pub(crate)` to `name: Type`.
+        loop {
+            field = match field {
+                [h, ..] if h.s == "#" => past(field, "]"),
+                [v, g, ..] if v.s == "pub" && g.s == "(" => past(field, ")"),
+                [v, rest @ ..] if v.s == "pub" => rest,
+                _ => break,
+            };
+        }
+        if let [name, colon, ty @ ..] = field {
+            if name.is_ident() && colon.s == ":" {
+                fields.push(name.s.clone());
+                field_types.push(type_head(ty));
             }
         }
     }
-    let body = p.collect_braces();
-    let mut fields = Vec::new();
-    // Field names: identifiers at group depth 0 directly followed by
-    // `:` (skipping a leading `pub` / `pub(crate)`), after start or `,`.
-    let mut depth = 0i64;
-    let mut at_field_start = true;
-    let mut i = 0;
-    while i < body.len() {
-        let t = &body[i];
-        match t.s.as_str() {
-            "(" | "[" | "{" | "<" => depth += 1,
-            ")" | "]" | "}" | ">" => depth -= 1,
-            "," if depth == 0 => at_field_start = true,
-            "#" if body.get(i + 1).is_some_and(|n| n.s == "[") => {
-                // Field attribute; skip its bracket group.
-                let mut d = 0i64;
-                i += 1;
-                while i < body.len() {
-                    match body[i].s.as_str() {
-                        "[" => d += 1,
-                        "]" => {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    i += 1;
-                }
-            }
-            "pub" if depth == 0 => {}
-            _ if depth == 0 && at_field_start && t.is_ident() => {
-                if body.get(i + 1).is_some_and(|n| n.s == ":") {
-                    fields.push(t.s.clone());
-                }
-                at_field_start = false;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    ast.structs.push(StructDef { name, fields, line });
+    ast.structs.push(StructDef {
+        name,
+        fields,
+        field_types,
+        line,
+    });
 }
 
 /// `impl [Trait for] Type { fns }` — recurses with the self type set.
 fn parse_impl(p: &mut Parser, ast: &mut FileAst, in_test: bool) {
     p.bump(); // 'impl'
-    p.skip_generics();
-    // Collect the head up to `{`; if a `for` appears, the trait is what
-    // came before it and the type is what follows.
-    let mut before_for: Vec<String> = Vec::new();
-    let mut after_for: Vec<String> = Vec::new();
-    let mut saw_for = false;
-    while let Some(t) = p.peek() {
-        match t.s.as_str() {
-            "{" => break,
-            ";" => {
-                p.bump();
-                return;
-            }
-            "for" => {
-                saw_for = true;
-                p.bump();
-            }
-            "<" => p.skip_generics(),
-            "where" => {
-                // Skip the where clause up to the body.
-                while let Some(t) = p.peek() {
-                    if t.s == "{" {
-                        break;
-                    }
-                    if t.s == "<" {
-                        p.skip_generics();
-                    } else {
-                        p.bump();
-                    }
-                }
-            }
-            other => {
-                let o = other.to_string();
-                p.bump();
-                if o.chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                    if saw_for {
-                        after_for.push(o);
-                    } else {
-                        before_for.push(o);
-                    }
-                }
-            }
-        }
-    }
-    // For `impl Trait for Type`, keep the *last* path segment of each.
-    let (ty, trait_name) = if saw_for {
-        (after_for.last().cloned(), before_for.last().cloned())
-    } else {
-        (before_for.last().cloned(), None)
+    let mut bounds = bounds_of(&p.group("<", ">"));
+    let mut head = p.until_body();
+    bounds.extend(bounds_of(&head));
+    head.truncate(head.iter().position(|t| t.s == "where").unwrap_or(head.len()));
+    // For `impl Trait for Type`, the trait is what comes before `for`
+    // and the type what follows.
+    let (ty, trait_name) = match head.iter().position(|t| t.s == "for") {
+        Some(f) => (type_head(&head[f + 1..]), type_head(&head[..f])),
+        None => (type_head(&head), None),
     };
-    if p.at("{") {
-        p.bump();
-        parse_items(p, ast, in_test, ty.as_deref(), trait_name.as_deref());
+    if p.bump().is_some_and(|t| t.s == "{") {
+        let (ty, trait_name) = (ty.as_deref(), trait_name.as_deref());
+        parse_items(p, ast, in_test, ty, trait_name, &bounds);
     }
 }
 
@@ -623,55 +584,21 @@ fn parse_fn(
     is_test: bool,
     self_ty: Option<&str>,
     trait_name: Option<&str>,
+    scope_bounds: &[Bound],
 ) {
     p.bump(); // 'fn'
     let (name, line) = match p.bump() {
         Some(t) => (t.s, t.line),
         None => return,
     };
-    p.skip_generics();
-    // Parameter list.
-    let mut params = Vec::new();
-    if p.at("(") {
-        let mut depth = 0usize;
-        while let Some(t) = p.bump() {
-            if t.s == "(" {
-                depth += 1;
-                if depth == 1 {
-                    continue;
-                }
-            } else if t.s == ")" {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            params.push(t);
-        }
-    }
+    let mut bounds = scope_bounds.to_vec();
+    bounds.extend(bounds_of(&p.group("<", ">")));
+    let params = p.group("(", ")");
     let has_self = params.iter().any(|t| t.s == "self");
-    // Return type / where clause up to `{` or `;`.  Generic bounds may
-    // contain `<...>` groups that we skip as units so a stray `>` can't
-    // desync the scan; `{` at this level starts the body.
-    let mut body = Vec::new();
-    loop {
-        match p.peek().map(|t| t.s.clone()).as_deref() {
-            None => break,
-            Some(";") => {
-                p.bump();
-                break;
-            }
-            Some("{") => {
-                body = p.collect_braces();
-                break;
-            }
-            Some("<") => p.skip_generics(),
-            Some(_) => {
-                p.bump();
-            }
-        }
-    }
+    // Return type / where clause up to the body.
+    bounds.extend(bounds_of(&p.until_body()));
     ast.fns.push(FnDef {
+        file: ast.path.clone(),
         name,
         self_ty: self_ty.map(str::to_string),
         trait_name: trait_name.map(str::to_string),
@@ -679,7 +606,8 @@ fn parse_fn(
         is_test,
         line,
         params,
-        body,
+        bounds,
+        body: p.body(),
     });
 }
 
@@ -712,6 +640,29 @@ mod tests {
         assert_eq!(ast.fns[0].self_ty.as_deref(), Some("S"));
         assert!(ast.fns[0].has_self);
         assert!(!ast.fns[1].has_self);
+    }
+
+    #[test]
+    fn struct_fields_record_type_heads() {
+        let src = "struct S<'a> { #[doc] pub(crate) a: &'a mut x::T<u8>, b: Vec<(u8, u8)>, c: [u8; 4], d: dyn P + Send }\n";
+        let s = &parse(src).structs[0];
+        assert_eq!(s.fields, ["a", "b", "c", "d"]);
+        let heads: Vec<Option<&str>> = s.field_types.iter().map(Option::as_deref).collect();
+        assert_eq!(heads, [Some("T"), Some("Vec"), None, Some("P")]);
+    }
+
+    #[test]
+    fn generic_bounds_come_from_the_fn_its_impl_and_where() {
+        let src = "impl<P: Probe + ?Sized> S<P> where Q: Clone { fn f<R: a::Rng, const N: usize>(&self) where T: Fn(u8) -> u8 {} }\n";
+        let bounds = &parse(src).fns[0].bounds;
+        let names: Vec<(&str, Vec<&str>)> = bounds
+            .iter()
+            .map(|(p, b)| (p.as_str(), b.iter().map(String::as_str).collect()))
+            .collect();
+        assert_eq!(
+            names,
+            [("P", vec!["Probe"]), ("Q", vec!["Clone"]), ("R", vec!["Rng"]), ("T", vec!["Fn"])]
+        );
     }
 
     #[test]

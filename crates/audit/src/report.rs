@@ -29,7 +29,7 @@ pub fn human(report: &AuditReport) -> String {
     let g = &report.graph;
     s.push_str(&format!(
         "audit: call graph: {} fn(s), {} edge(s), {} open edge(s)\n",
-        g.functions, g.edges, g.open_edges
+        g.fns.len(), g.edge_count(), g.open_edges.len()
     ));
     s.push_str(&format!(
         "audit: {} file(s), {} unsafe site(s), {} finding(s)\n",
@@ -106,7 +106,7 @@ pub fn json(report: &AuditReport) -> String {
     let g = &report.graph;
     s.push_str(&format!(
         "}},\n  \"graph\": {{\"functions\": {}, \"edges\": {}, \"open_edges\": {}}},\n",
-        g.functions, g.edges, g.open_edges
+        g.fns.len(), g.edge_count(), g.open_edges.len()
     ));
     s.push_str(&format!(
         "  \"files_scanned\": {},\n  \"unsafe_sites\": {},\n  \"clean\": {}\n}}\n",
@@ -183,7 +183,6 @@ fn is_count(v: Option<&Value>) -> bool {
 mod tests {
     use super::*;
     use crate::lints::{Finding, Lint};
-    use crate::taint::GraphStats;
 
     fn finding() -> Finding {
         let mut f = Finding::new(
@@ -216,11 +215,8 @@ mod tests {
         assert!(validate_json(&json(&r)).is_ok());
         r.findings.push(finding());
         r.unwrap_counts.insert("crates/x".to_string(), 3);
-        r.graph = GraphStats {
-            functions: 10,
-            edges: 20,
-            open_edges: 5,
-        };
+        let ast = crate::parse::parse_file("a.rs", &crate::lex::strip_lines("fn a() { b() }"));
+        r.graph = crate::callgraph::build(&[ast]);
         let j = json(&r);
         validate_json(&j).unwrap();
     }

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use crate::allow::Allowlist;
 use crate::lints::{scan_file, Finding};
 use crate::ratchet::Ratchet;
-use crate::taint::{self, GraphStats};
+use crate::{callgraph::CallGraph, taint};
 
 /// Knobs for one audit run.
 #[derive(Debug, Default, Clone, Copy)]
@@ -33,8 +33,8 @@ pub struct AuditReport {
     /// Total `unsafe` keyword sites inventoried across the workspace.
     pub unsafe_sites: usize,
     pub files_scanned: usize,
-    /// Call-graph size counters.
-    pub graph: GraphStats,
+    /// The workspace call graph the flow lints ran on.
+    pub graph: CallGraph,
     /// Set when `--update-ratchet` rewrote the baseline.
     pub ratchet_updated: bool,
 }
@@ -78,9 +78,9 @@ pub fn run(root: &Path, opts: RunOptions) -> Result<AuditReport, String> {
         report.files_scanned += 1;
         asts.push(scan.ast);
     }
-    let (flow_findings, stats) = taint::analyze(&asts);
+    let (flow_findings, graph) = taint::analyze(&asts);
     raw_findings.extend(flow_findings);
-    report.graph = stats;
+    report.graph = graph;
 
     let allow_path = root.join("audit/allow.toml");
     let allowlist = if allow_path.exists() {

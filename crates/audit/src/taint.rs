@@ -68,10 +68,12 @@ const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 
 /// The release-critical sample loops: panic-freedom roots as
 /// (file suffix, fn-name prefix); an empty prefix = every fn in file.
-const PANIC_ROOTS: [(&str, &str); 3] = [
+const PANIC_ROOTS: [(&str, &str); 5] = [
     ("flashmob/src/sample.rs", "sample_partition"),
     ("flashmob/src/sample/ring.rs", ""),
     ("flashmob/src/oocore.rs", "run_ooc"),
+    ("flashmob/src/engine.rs", "sample_range"),
+    ("flashmob/src/engine.rs", "node2vec_range"),
 ];
 
 /// Deterministic RNG types whose `::new` constructors are checked.
@@ -107,28 +109,22 @@ const ENGINES: [(&str, &str, &[&str]); 2] = [
     ),
 ];
 
-/// Call-graph size counters for the report.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GraphStats {
-    pub functions: usize,
-    pub edges: usize,
-    pub open_edges: usize,
-}
-
-/// Runs all four flow lints over the parsed workspace.
-pub fn analyze(files: &[FileAst]) -> (Vec<Finding>, GraphStats) {
+/// Runs all four flow lints over the parsed workspace; returns their
+/// findings and the call graph they ran on.
+pub fn analyze(files: &[FileAst]) -> (Vec<Finding>, CallGraph) {
     let graph = callgraph::build(files);
-    let stats = GraphStats {
-        functions: graph.fns.len(),
-        edges: graph.edge_count(),
-        open_edges: graph.open_edges.len(),
-    };
     let mut findings = Vec::new();
     determinism_taint(&graph, &mut findings);
     panic_reachability(&graph, &mut findings);
     rng_purity(&graph, &mut findings);
     fingerprint_completeness(files, &graph, &mut findings);
-    (findings, stats)
+    (findings, graph)
+}
+
+/// The panic-reachability roots in `graph`: the sample loops' fns.
+pub fn panic_roots(graph: &CallGraph) -> Vec<usize> {
+    let roots = PANIC_ROOTS.iter();
+    roots.flat_map(|(file, prefix)| graph.roots(file, prefix)).collect()
 }
 
 fn in_deterministic_crate(file: &str) -> bool {
@@ -289,14 +285,11 @@ fn panic_sites(body: &[Tok]) -> Vec<(String, usize)> {
 }
 
 fn panic_reachability(graph: &CallGraph, findings: &mut Vec<Finding>) {
-    let mut roots = Vec::new();
-    for (file, prefix) in PANIC_ROOTS {
-        roots.extend(graph.roots(file, prefix));
-    }
+    let roots = panic_roots(graph);
     if roots.is_empty() {
         return; // nothing to protect in this workspace
     }
-    let reachable = graph.reachable(&roots);
+    let reachable = graph.reachable(&roots, |_| true);
     for (i, f) in graph.fns.iter().enumerate() {
         if !reachable[i] || f.is_test {
             continue;
@@ -499,20 +492,8 @@ fn fingerprint_completeness(files: &[FileAst], graph: &CallGraph, findings: &mut
         if entries.is_empty() {
             continue;
         }
-        // Intra-crate reachability: the run path within the engine crate.
-        let mut reach = vec![false; graph.fns.len()];
-        let mut stack = entries.clone();
-        for &e in &entries {
-            reach[e] = true;
-        }
-        while let Some(i) = stack.pop() {
-            for &(j, _) in &graph.edges[i] {
-                if !reach[j] && graph.fns[j].crate_dir() == engine_crate {
-                    reach[j] = true;
-                    stack.push(j);
-                }
-            }
-        }
+        // The run path within the engine crate.
+        let reach = graph.reachable(&entries, |j| graph.fns[j].crate_dir() == engine_crate);
         // Fields folded by the fingerprint fns.
         let mut folded: BTreeSet<String> = BTreeSet::new();
         for &i in &fp_idxs {

@@ -53,12 +53,31 @@ const RS_CASES: [(&str, Lint, &str); 5] = [
     ),
 ];
 
-/// (fixture workspace dir, the flow lint it exercises).
-const FLOW_CASES: [(&str, Lint); 4] = [
-    ("flow/determinism_taint", Lint::DeterminismTaint),
-    ("flow/panic_reach", Lint::PanicReachability),
-    ("flow/rng_purity", Lint::RngPurity),
-    ("flow/fingerprint", Lint::FingerprintCompleteness),
+/// (fixture workspace dir, the flow lint it exercises, the items its
+/// fail half must each be flagged at).
+const FLOW_CASES: [(&str, Lint, &[&str]); 10] = [
+    ("flow/determinism_taint", Lint::DeterminismTaint, &[]),
+    ("flow/panic_reach", Lint::PanicReachability, &[]),
+    ("flow/rng_purity", Lint::RngPurity, &[]),
+    ("flow/fingerprint", Lint::FingerprintCompleteness, &[]),
+    // One per receiver-typing rule, and turbofish calls: the fail half
+    // reaches each listed panicking fn through a typed receiver (or a
+    // turbofish), and the pass half reaches none of the same-named
+    // panicking decoys that bare-name resolution would.
+    ("flow/typed_self", Lint::PanicReachability, &["Hot::pick"]),
+    ("flow/typed_field", Lint::PanicReachability, &["Buffers::pick"]),
+    (
+        "flow/typed_param",
+        Lint::PanicReachability,
+        &["ByValue::pick", "ByRef::pick", "ByMut::pick"],
+    ),
+    (
+        "flow/typed_let",
+        Lint::PanicReachability,
+        &["Annotated::drain", "Literal::drain"],
+    ),
+    ("flow/typed_generic", Lint::PanicReachability, &["Sim::step"]),
+    ("flow/turbofish", Lint::PanicReachability, &["pick", "Buffer::peek"]),
 ];
 
 #[test]
@@ -83,7 +102,7 @@ fn every_pass_fixture_is_clean() {
 
 #[test]
 fn every_flow_fail_fixture_is_caught() {
-    for (dir, lint) in FLOW_CASES {
+    for (dir, lint, items) in FLOW_CASES {
         let report = run(&fixture_path(&format!("{dir}/fail")), RunOptions::default()).unwrap();
         let fired: Vec<&str> = report.findings.iter().map(|f| f.lint.name()).collect();
         assert!(
@@ -91,6 +110,13 @@ fn every_flow_fail_fixture_is_caught() {
             "{dir}/fail must trip {}; fired: {fired:?}",
             lint.name()
         );
+        for item in items {
+            assert!(
+                report.findings.iter().any(|f| f.item.as_deref() == Some(item)),
+                "{dir}/fail must flag {item}; got {:?}",
+                report.findings
+            );
+        }
         // Every flow finding must carry a printable call path and an
         // item anchor for allow.toml scoping.
         for f in report.findings.iter().filter(|f| f.lint == lint) {
@@ -102,7 +128,7 @@ fn every_flow_fail_fixture_is_caught() {
 
 #[test]
 fn every_flow_pass_fixture_is_clean() {
-    for (dir, lint) in FLOW_CASES {
+    for (dir, lint, _) in FLOW_CASES {
         let report = run(&fixture_path(&format!("{dir}/pass")), RunOptions::default()).unwrap();
         let fired: Vec<&str> = report.findings.iter().map(|f| f.lint.name()).collect();
         assert!(
@@ -110,7 +136,7 @@ fn every_flow_pass_fixture_is_clean() {
             "{dir}/pass must be clean of {}; fired: {fired:?}",
             lint.name()
         );
-        assert!(report.graph.functions > 0, "{dir}/pass parsed no functions");
+        assert!(!report.graph.fns.is_empty(), "{dir}/pass parsed no functions");
     }
 }
 
@@ -181,8 +207,9 @@ fn bad_workspace_trips_every_lint() {
 #[test]
 fn bad_workspace_why_paths_reach_the_seeded_sites() {
     // `--why` must reproduce a full call path for the seeded flow
-    // violations: the panic path walks sample_partition → hot_pick and
-    // the taint path names the ambient source.
+    // violations: the panic paths walk sample_partition → hot_pick and
+    // sample_partition → Stage::drain (a typed receiver), and the taint
+    // path names the ambient source.
     let report = run(&fixture_path("bad_ws"), RunOptions::default()).unwrap();
     let panic = report
         .findings
@@ -193,6 +220,13 @@ fn bad_workspace_why_paths_reach_the_seeded_sites() {
     assert!(path.contains("sample_partition"), "{path}");
     assert!(path.contains("hot_pick"), "{path}");
     assert!(path.contains("panic site"), "{path}");
+    let drain = report
+        .findings
+        .iter()
+        .find(|f| f.item.as_deref() == Some("Stage::drain"))
+        .expect("typed-receiver panic finding");
+    let path = drain.why.join("\n");
+    assert!(path.contains("fn sample_partition (call at line"), "{path}");
     let taint = report
         .findings
         .iter()
@@ -236,9 +270,27 @@ fn the_repo_itself_audits_clean() {
     let rendered = fm_audit::report::human(report);
     assert!(report.clean(), "workspace audit must be clean:\n{rendered}");
     assert!(report.unsafe_sites > 0, "inventory must see the unsafe sites");
-    let g = report.graph;
-    assert!(g.functions > 100, "call graph too small: {g:?}");
-    assert!(g.edges > 100, "call graph too sparse: {g:?}");
+    let g = &report.graph;
+    assert!(g.fns.len() > 100, "call graph too small: {} fns", g.fns.len());
+    assert!(g.edge_count() > 100, "call graph too sparse: {} edges", g.edge_count());
+}
+
+#[test]
+fn the_sample_loops_reach_what_they_run_and_nothing_else() {
+    // Receivers resolve by type and turbofish calls are calls, so the
+    // panic roots reach the out-of-core stepping loop (a typed
+    // `stepper.drain(…)`), the partition-stream hints and the snapshot's
+    // pre-sample export (both turbofish calls), and not the same-named
+    // methods of other types.
+    let g = &workspace_scan().0.graph;
+    let reach = g.reachable(&fm_audit::taint::panic_roots(g), |_| true);
+    let reached = |qual: &str| (0..g.fns.len()).any(|i| reach[i] && g.fns[i].qual() == qual);
+    for qual in ["Stepper::drain", "hint_partition", "PsBuffers::export"] {
+        assert!(reached(qual), "no sample loop reaches {qual}");
+    }
+    for qual in ["Baseline::step", "Shuffler::count"] {
+        assert!(!reached(qual), "a sample loop reaches {qual}");
+    }
 }
 
 #[test]

@@ -1,12 +1,15 @@
-//! The `fmwalk` argument grammar.
+//! The `fmwalk` argument grammar: each command's flags fill one struct
+//! with defaults, through a table of (spelling, setter) pairs that one
+//! loop ([`flags`]) applies in order.
 
 use std::path::PathBuf;
 
 use flashmob::{MetapathPattern, PlanStrategy, WalkAlgorithm, WalkConfig, MAX_METAPATH_LEN};
+use fm_graph::io::ParseOptions;
 use fm_graph::VertexId;
 
 /// A fully parsed invocation.
-// One is parsed per process: `Walk`'s inline `WalkConfig` costs nothing.
+// One is parsed per process: `Walk`'s inline `WalkArgs` costs nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -16,87 +19,16 @@ pub enum Command {
         input: PathBuf,
         /// Output binary path.
         output: PathBuf,
-        /// Mirror edges.
-        symmetric: bool,
-        /// Deduplicate edges.
-        dedup: bool,
-        /// Remove self loops.
-        drop_self_loops: bool,
-        /// Densely renumber vertices.
-        compact: bool,
+        /// Clean-up passes: mirror, deduplicate, drop self loops, compact.
+        opts: ParseOptions,
     },
     /// `fmwalk stats`.
-    Stats {
-        /// Graph path.
-        graph: PathBuf,
-        /// BFS sources for the diameter estimate.
-        diameter_samples: usize,
-    },
+    Stats(StatsArgs),
     /// `fmwalk plan`.
-    Plan {
-        /// Graph path.
-        graph: PathBuf,
-        /// Walker specification.
-        walkers: WalkerCount,
-        /// Partitioning strategy.
-        strategy: PlanStrategy,
-    },
+    Plan(PlanArgs),
     /// `fmwalk walk`, and `fmwalk resume`: the same walk continued from
     /// the latest checkpoint in a directory.
-    Walk {
-        /// Graph path.
-        graph: PathBuf,
-        /// `resume` only: the checkpoint directory an interrupted `walk
-        /// --checkpoint-dir` wrote.  The configuration flags must match
-        /// that run (mismatches are rejected by the checkpoint's embedded
-        /// config fingerprint); ring depth and thread count may differ,
-        /// since neither changes the walk.
-        resume_from: Option<PathBuf>,
-        /// Engine selection.
-        engine: EngineChoice,
-        /// The walk: algorithm, steps, seed, threads, ring depth, plan
-        /// strategy, and whether paths and visits are recorded.  Its
-        /// walker count is set once the graph's |V| is known.
-        config: WalkConfig,
-        /// Walker specification.
-        walkers: WalkerCount,
-        /// Optional path-output file.
-        output: Option<PathBuf>,
-        /// Optional visit-counts file.
-        visits: Option<PathBuf>,
-        /// Print execution statistics (stage times, pool accounting).
-        stats: bool,
-        /// Optional Chrome Trace Event Format output file.
-        trace: Option<PathBuf>,
-        /// Optional JSONL metrics output file.
-        metrics: Option<PathBuf>,
-        /// Print a periodic progress heartbeat to stderr.
-        progress: bool,
-        /// Checkpoint directory (enables crash-safe checkpointing;
-        /// FlashMob engine only; a resumed run keeps checkpointing).
-        checkpoint_dir: Option<PathBuf>,
-        /// Checkpoint cadence in iterations (0 = default of 8 when a
-        /// directory is given).
-        checkpoint_every: usize,
-        /// Derive `slot % K` edge-type labels at load (`--labels K`;
-        /// 0 = leave the graph unlabeled).  Metapath programs need a
-        /// labeled graph.
-        labels: usize,
-        /// Out-of-core streaming-buffer budget in bytes (used when the
-        /// graph is an `FMDISK1` disk graph; 0 = 64 MiB default).
-        oocore_budget: usize,
-        /// Transient-fault injection rate for every IO of the run: its
-        /// checkpoint writes, and a disk graph's block reads (chaos
-        /// testing; 0 = off).  An in-memory walk's only IO is its
-        /// checkpoints, so there it needs `--checkpoint-dir`.
-        fault_rate: f64,
-        /// Seed of the injected fault stream.
-        fault_seed: u64,
-        /// Stop deliberately, exit 0, right after writing this checkpoint
-        /// generation (crash drill, on any graph the FlashMob engine
-        /// walks; needs `--checkpoint-dir`; 0 = run to completion).
-        halt_after: u64,
-    },
+    Walk(WalkArgs),
     /// `fmwalk disk`: convert an in-memory graph (binary or edge list)
     /// into the out-of-core `FMDISK1` disk-graph layout, degree-sorted
     /// for cache-budgeted streaming.
@@ -116,35 +48,166 @@ pub enum Command {
         params: SynthParams,
     },
     /// `fmwalk conform`.
-    Conform {
-        /// Run the full {1, 2, 3, 8}-thread lattice instead of the CI
-        /// quick tier's {1, 8}.
-        full: bool,
-        /// Print golden-table rows for every cell instead of checking.
-        emit_golden: bool,
-        /// Force this walker-ring depth in every FlashMob cell; the
-        /// committed digests must hold at any depth.
-        ring_depth: Option<usize>,
-    },
+    Conform(ConformArgs),
     /// `fmwalk trace-check`.
     TraceCheck {
         /// Chrome-trace JSON file to validate.
         file: PathBuf,
     },
     /// `fmwalk audit`.
-    Audit {
-        /// Workspace root to scan (current directory when absent).
-        root: Option<PathBuf>,
-        /// Emit the machine-readable report instead of human lines.
-        json: bool,
-        /// Rewrite audit/ratchet.toml from measured unwrap counts.
-        update_ratchet: bool,
-        /// Print the offending call path for findings matching this
-        /// query (substring of path/item, or an exact lint name).
-        why: Option<String>,
-    },
+    Audit(AuditArgs),
     /// `fmwalk help`.
     Help,
+}
+
+/// `fmwalk stats <graph>`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StatsArgs {
+    /// Graph path.
+    pub graph: PathBuf,
+    /// BFS sources for the diameter estimate.
+    pub diameter_samples: usize,
+}
+
+impl Default for StatsArgs {
+    fn default() -> Self {
+        Self {
+            graph: PathBuf::new(),
+            diameter_samples: 4,
+        }
+    }
+}
+
+/// `fmwalk plan <graph>`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanArgs {
+    /// Graph path.
+    pub graph: PathBuf,
+    /// Walker specification.
+    pub walkers: WalkerCount,
+    /// Partitioning strategy.
+    pub strategy: PlanStrategy,
+}
+
+impl Default for PlanArgs {
+    fn default() -> Self {
+        Self {
+            graph: PathBuf::new(),
+            walkers: WalkerCount::PerVertex(1),
+            strategy: PlanStrategy::DynamicProgramming,
+        }
+    }
+}
+
+/// `fmwalk walk <graph>` and `fmwalk resume <graph> <dir>`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WalkArgs {
+    /// Graph path.
+    pub graph: PathBuf,
+    /// `resume` only: the checkpoint directory an interrupted `walk
+    /// --checkpoint-dir` wrote.  The configuration flags must match
+    /// that run (mismatches are rejected by the checkpoint's embedded
+    /// config fingerprint); ring depth and thread count may differ,
+    /// since neither changes the walk.
+    pub resume_from: Option<PathBuf>,
+    /// Engine selection.
+    pub engine: EngineChoice,
+    /// The walk: algorithm, steps, seed, threads, ring depth, plan
+    /// strategy, and whether paths and visits are recorded.  Its
+    /// walker count is set once the graph's |V| is known.
+    pub config: WalkConfig,
+    /// Walker specification.
+    pub walkers: WalkerCount,
+    /// Optional path-output file.
+    pub output: Option<PathBuf>,
+    /// Optional visit-counts file.
+    pub visits: Option<PathBuf>,
+    /// Print execution statistics (stage times, pool accounting).
+    pub stats: bool,
+    /// Optional Chrome Trace Event Format output file.
+    pub trace: Option<PathBuf>,
+    /// Optional JSONL metrics output file.
+    pub metrics: Option<PathBuf>,
+    /// Print a periodic progress heartbeat to stderr.
+    pub progress: bool,
+    /// Checkpoint directory (enables crash-safe checkpointing;
+    /// FlashMob engine only; a resumed run keeps checkpointing).
+    pub checkpoint_dir: Option<PathBuf>,
+    /// Checkpoint cadence in iterations (0 = default of 8 when a
+    /// directory is given).
+    pub checkpoint_every: usize,
+    /// Derive `slot % K` edge-type labels at load (`--labels K`;
+    /// 0 = leave the graph unlabeled).  Metapath programs need a
+    /// labeled graph.
+    pub labels: usize,
+    /// Out-of-core streaming-buffer budget in bytes (used when the
+    /// graph is an `FMDISK1` disk graph; 0 = 64 MiB default).
+    pub oocore_budget: usize,
+    /// Transient-fault injection rate for every IO of the run: its
+    /// checkpoint writes, and a disk graph's block reads (chaos
+    /// testing; 0 = off).  An in-memory walk's only IO is its
+    /// checkpoints, so there it needs `--checkpoint-dir`.
+    pub fault_rate: f64,
+    /// Seed of the injected fault stream.
+    pub fault_seed: u64,
+    /// Stop deliberately, exit 0, right after writing this checkpoint
+    /// generation (crash drill, on any graph the FlashMob engine
+    /// walks; needs `--checkpoint-dir`; 0 = run to completion).
+    pub halt_after: u64,
+}
+
+impl Default for WalkArgs {
+    /// DeepWalk, 80 steps, seed 1, one thread, auto ring, DP plan, one
+    /// walker per vertex; nothing recorded, checkpointed or injected.
+    fn default() -> Self {
+        Self {
+            graph: PathBuf::new(),
+            resume_from: None,
+            engine: EngineChoice::FlashMob,
+            config: WalkConfig::deepwalk().record_paths(false),
+            walkers: WalkerCount::PerVertex(1),
+            output: None,
+            visits: None,
+            stats: false,
+            trace: None,
+            metrics: None,
+            progress: false,
+            checkpoint_dir: None,
+            checkpoint_every: 0,
+            labels: 0,
+            oocore_budget: 0,
+            fault_rate: 0.0,
+            fault_seed: 1,
+            halt_after: 0,
+        }
+    }
+}
+
+/// `fmwalk conform`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ConformArgs {
+    /// Run the full {1, 2, 3, 8}-thread lattice instead of the CI
+    /// quick tier's {1, 8}.
+    pub full: bool,
+    /// Print golden-table rows for every cell instead of checking.
+    pub emit_golden: bool,
+    /// Force this walker-ring depth in every FlashMob cell; the
+    /// committed digests must hold at any depth.
+    pub ring_depth: Option<usize>,
+}
+
+/// `fmwalk audit`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AuditArgs {
+    /// Workspace root to scan (current directory when absent).
+    pub root: Option<PathBuf>,
+    /// Emit the machine-readable report instead of human lines.
+    pub json: bool,
+    /// Rewrite audit/ratchet.toml from measured unwrap counts.
+    pub update_ratchet: bool,
+    /// Print the offending call path for findings matching this
+    /// query (substring of path/item, or an exact lint name).
+    pub why: Option<String>,
 }
 
 /// Walkers either as an absolute count or a multiple of |V|.
@@ -290,6 +353,8 @@ fn err(msg: impl Into<String>) -> ParseError {
 struct Cursor {
     args: Vec<String>,
     pos: usize,
+    /// The flag being applied, for its value's error messages.
+    flag: String,
 }
 
 impl Cursor {
@@ -303,10 +368,172 @@ impl Cursor {
         self.next().ok_or_else(|| err(format!("missing {what}")))
     }
 
-    fn value<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, ParseError> {
+    fn path(&mut self, what: &str) -> Result<PathBuf, ParseError> {
+        self.demand(what).map(PathBuf::from)
+    }
+
+    /// The current flag's value.
+    fn value<T: std::str::FromStr>(&mut self) -> Result<T, ParseError> {
+        let flag = self.flag.clone();
         let raw = self.demand(&format!("value for {flag}"))?;
         raw.parse()
             .map_err(|_| err(format!("bad value {raw:?} for {flag}")))
+    }
+}
+
+/// How a flag sets its command's arguments, reading its value (if it
+/// takes one) off the cursor.
+type Setter<A> = fn(&mut A, &mut Cursor) -> Result<(), ParseError>;
+
+/// A command's flags: each spelling and its setter.
+type Flags<A> = [(&'static str, Setter<A>)];
+
+/// Sets a switch flag.
+fn on(switch: &mut bool) -> Result<(), ParseError> {
+    *switch = true;
+    Ok(())
+}
+
+const CONVERT_FLAGS: &Flags<ParseOptions> = &[
+    ("--symmetric", |o, _| on(&mut o.symmetric)),
+    ("--dedup", |o, _| on(&mut o.dedup)),
+    ("--drop-self-loops", |o, _| on(&mut o.drop_self_loops)),
+    ("--compact", |o, _| on(&mut o.compact)),
+];
+
+const STATS_FLAGS: &Flags<StatsArgs> = &[("--diameter-samples", |a, c| {
+    c.value().map(|n| a.diameter_samples = n)
+})];
+
+const PLAN_FLAGS: &Flags<PlanArgs> = &[
+    ("--walkers", |a, c| c.value().map(|n| a.walkers = WalkerCount::Absolute(n))),
+    ("--walkers-mult", |a, c| c.value().map(|m| a.walkers = WalkerCount::PerVertex(m))),
+    ("--strategy", |a, c| strategy(c).map(|s| a.strategy = s)),
+];
+
+/// `walk`'s flags; `resume` takes all but the first, `--engine` (it
+/// continues the interrupted run's engine).
+const WALK_FLAGS: &Flags<WalkFlags> = &[
+    ("--engine", |f, c| engine(c).map(|e| f.args.engine = e)),
+    ("--algo", |f, c| c.demand("algorithm").map(|n| f.algo = Some(n))),
+    ("--program", |f, c| c.demand("algorithm").map(|n| f.algo = Some(n))),
+    ("--p", |f, c| c.value().map(|v| f.p = Some(v))),
+    ("--q", |f, c| c.value().map(|v| f.q = Some(v))),
+    ("--alpha", |f, c| c.value().map(|v| f.alpha = Some(v))),
+    ("--pattern", |f, c| pattern(c).map(|p| f.pattern = Some(p))),
+    ("--labels", |f, c| c.value().map(|k| f.args.labels = k)),
+    ("--walkers", |f, c| c.value().map(|n| f.args.walkers = WalkerCount::Absolute(n))),
+    ("--walkers-mult", |f, c| c.value().map(|m| f.args.walkers = WalkerCount::PerVertex(m))),
+    ("--steps", |f, c| c.value().map(|n| f.args.config = f.args.config.clone().steps(n))),
+    ("--seed", |f, c| c.value().map(|s| f.args.config.seed = s)),
+    ("--threads", |f, c| c.value().map(|t| f.args.config = f.args.config.clone().threads(t))),
+    ("--ring-depth", |f, c| c.value().map(|d| f.ring_depth = d)),
+    ("--strategy", |f, c| strategy(c).map(|s| f.args.config.strategy = s)),
+    ("--output", |f, c| c.path("output path").map(|p| f.args.output = Some(p))),
+    ("--visits", |f, c| c.path("visits path").map(|p| f.args.visits = Some(p))),
+    ("--stats", |f, _| on(&mut f.args.stats)),
+    ("--trace", |f, c| c.path("trace path").map(|p| f.args.trace = Some(p))),
+    ("--metrics", |f, c| c.path("metrics path").map(|p| f.args.metrics = Some(p))),
+    ("--progress", |f, _| on(&mut f.args.progress)),
+    ("--checkpoint-dir", |f, c| {
+        c.path("checkpoint directory").map(|d| f.args.checkpoint_dir = Some(d))
+    }),
+    ("--checkpoint-every", |f, c| c.value().map(|n| f.args.checkpoint_every = n)),
+    ("--oocore-budget", |f, c| c.value().map(|b| f.args.oocore_budget = b)),
+    ("--fault-rate", |f, c| c.value().map(|r| f.args.fault_rate = r)),
+    ("--fault-seed", |f, c| c.value().map(|s| f.args.fault_seed = s)),
+    ("--halt-after", |f, c| c.value().map(|g| f.args.halt_after = g)),
+];
+
+const SYNTH_FLAGS: &Flags<SynthParams> = &[
+    ("--n", |p, c| c.value().map(|v| p.n = v)),
+    ("--alpha", |p, c| c.value().map(|v| p.alpha = v)),
+    ("--min-degree", |p, c| c.value().map(|v| p.min_degree = v)),
+    ("--max-degree", |p, c| c.value().map(|v| p.max_degree = v)),
+    ("--scale", |p, c| c.value().map(|v| p.scale = v)),
+    ("--edge-factor", |p, c| c.value().map(|v| p.edge_factor = v)),
+    ("--m", |p, c| c.value().map(|v| p.m = v)),
+    ("--beta", |p, c| c.value().map(|v| p.beta = v)),
+    ("--degree", |p, c| c.value().map(|v| p.degree = v)),
+    ("--seed", |p, c| c.value().map(|v| p.seed = v)),
+];
+
+const CONFORM_FLAGS: &Flags<ConformArgs> = &[
+    ("--quick", |a, _| {
+        a.full = false;
+        Ok(())
+    }),
+    ("--full", |a, _| on(&mut a.full)),
+    ("--emit-golden", |a, _| on(&mut a.emit_golden)),
+    ("--ring-depth", |a, c| c.value().map(|d| a.ring_depth = Some(d))),
+];
+
+const AUDIT_FLAGS: &Flags<AuditArgs> = &[
+    ("--root", |a, c| c.path("workspace root").map(|r| a.root = Some(r))),
+    ("--json", |a, _| on(&mut a.json)),
+    ("--update-ratchet", |a, _| on(&mut a.update_ratchet)),
+    ("--why", |a, c| c.demand("finding query").map(|q| a.why = Some(q))),
+];
+
+/// Applies the remaining arguments to `args`, each through its entry in
+/// `table`; a flag the table does not name is an error.
+fn flags<A>(c: &mut Cursor, table: &Flags<A>, mut args: A) -> Result<A, ParseError> {
+    while let Some(flag) = c.next() {
+        let Some((_, set)) = table.iter().find(|(name, _)| *name == flag) else {
+            return Err(err(format!("unknown flag {flag}")));
+        };
+        c.flag = flag;
+        set(&mut args, c)?;
+    }
+    Ok(args)
+}
+
+/// `walk`'s flags as given: the walk is named and parameterised by
+/// separate flags, in any order, and resolved once all are read.
+#[derive(Default)]
+struct WalkFlags {
+    args: WalkArgs,
+    algo: Option<String>,
+    p: Option<f64>,
+    q: Option<f64>,
+    alpha: Option<f64>,
+    pattern: Option<MetapathPattern>,
+    ring_depth: usize,
+}
+
+impl WalkFlags {
+    /// The walk: `--algo`/`--program` (default deepwalk) with each
+    /// parameter flag set over the walk's default
+    /// ([`WalkAlgorithm::ALL`]), the ring depth (0 = planner auto), and
+    /// paths and visits recorded when they have a file to go to.
+    fn resolve(self) -> Result<WalkArgs, ParseError> {
+        let name = self.algo.as_deref().unwrap_or("deepwalk");
+        let mut walk = WalkAlgorithm::from_name(name).ok_or_else(|| {
+            let names = WalkAlgorithm::ALL.map(|w| w.name());
+            err(format!(
+                "unknown algorithm or program {name} ({})",
+                names.join("|")
+            ))
+        })?;
+        match &mut walk {
+            WalkAlgorithm::Node2Vec { p, q } => {
+                *p = self.p.unwrap_or(*p);
+                *q = self.q.unwrap_or(*q);
+            }
+            WalkAlgorithm::Ppr { alpha } => *alpha = self.alpha.unwrap_or(*alpha),
+            WalkAlgorithm::Metapath { pattern } => *pattern = self.pattern.unwrap_or(*pattern),
+            _ => {}
+        }
+        let mut args = self.args;
+        args.config.algorithm = walk;
+        if self.ring_depth > 0 {
+            args.config = args.config.ring_depth(self.ring_depth);
+        }
+        args.config = args
+            .config
+            .record_paths(args.output.is_some())
+            .record_visits(args.visits.is_some());
+        Ok(args)
     }
 }
 
@@ -315,185 +542,60 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
     let mut c = Cursor {
         args: args.into_iter().collect(),
         pos: 0,
+        flag: String::new(),
     };
-    let cmd = match c.next().as_deref() {
-        None | Some("help") | Some("--help") | Some("-h") => return Ok(Command::Help),
-        Some(other) => other.to_string(),
+    let cmd = match c.next() {
+        None => return Ok(Command::Help),
+        Some(cmd) => cmd,
     };
-    match cmd.as_str() {
+    Ok(match cmd.as_str() {
+        "help" | "--help" | "-h" => Command::Help,
         "convert" => {
-            let input = PathBuf::from(c.demand("input path")?);
-            let output = PathBuf::from(c.demand("output path")?);
-            let (mut symmetric, mut dedup, mut drop_self_loops, mut compact) =
-                (false, false, false, false);
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--symmetric" => symmetric = true,
-                    "--dedup" => dedup = true,
-                    "--drop-self-loops" => drop_self_loops = true,
-                    "--compact" => compact = true,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            Ok(Command::Convert {
+            let (input, output) = (c.path("input path")?, c.path("output path")?);
+            let opts = flags(&mut c, CONVERT_FLAGS, ParseOptions::default())?;
+            Command::Convert {
                 input,
                 output,
-                symmetric,
-                dedup,
-                drop_self_loops,
-                compact,
-            })
+                opts,
+            }
         }
         "stats" => {
-            let graph = PathBuf::from(c.demand("graph path")?);
-            let mut diameter_samples = 4usize;
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--diameter-samples" => diameter_samples = c.value("--diameter-samples")?,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            Ok(Command::Stats {
+            let graph = c.path("graph path")?;
+            let args = StatsArgs {
                 graph,
-                diameter_samples,
-            })
+                ..StatsArgs::default()
+            };
+            Command::Stats(flags(&mut c, STATS_FLAGS, args)?)
         }
         "plan" => {
-            let graph = PathBuf::from(c.demand("graph path")?);
-            let mut walkers = WalkerCount::PerVertex(1);
-            let mut strategy = PlanStrategy::DynamicProgramming;
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--walkers" => walkers = WalkerCount::Absolute(c.value("--walkers")?),
-                    "--walkers-mult" => {
-                        walkers = WalkerCount::PerVertex(c.value("--walkers-mult")?)
-                    }
-                    "--strategy" => strategy = parse_strategy(&c.demand("strategy")?)?,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            Ok(Command::Plan {
+            let graph = c.path("graph path")?;
+            let args = PlanArgs {
                 graph,
-                walkers,
-                strategy,
-            })
+                ..PlanArgs::default()
+            };
+            Command::Plan(flags(&mut c, PLAN_FLAGS, args)?)
         }
         "walk" | "resume" => {
-            let graph = PathBuf::from(c.demand("graph path")?);
-            let resume_from = match cmd.as_str() {
-                "resume" => Some(PathBuf::from(c.demand("checkpoint directory")?)),
-                _ => None,
+            let graph = c.path("graph path")?;
+            let (resume_from, table) = match cmd.as_str() {
+                "resume" => (Some(c.path("checkpoint directory")?), &WALK_FLAGS[1..]),
+                _ => (None, WALK_FLAGS),
             };
-            let mut engine = EngineChoice::FlashMob;
-            let mut config = WalkConfig::deepwalk();
-            let mut algo_name = "deepwalk".to_string();
-            // Parameter flags unset keep the walk's own defaults.
-            let (mut p, mut q, mut alpha, mut pattern) = (None, None, None, None);
-            let mut labels = 0usize;
-            let mut walkers = WalkerCount::PerVertex(1);
-            let mut ring_depth = 0usize;
-            let mut output = None;
-            let mut visits = None;
-            let mut stats = false;
-            let mut trace = None;
-            let mut metrics = None;
-            let mut progress = false;
-            let mut checkpoint_dir = None;
-            let mut checkpoint_every = 0usize;
-            let mut oocore_budget = 0usize;
-            let mut fault_rate = 0.0f64;
-            let mut fault_seed = 1u64;
-            let mut halt_after = 0u64;
-            // `resume` replays an interrupted `walk` under that run's
-            // configuration flags; it does not choose an engine.  It may
-            // keep checkpointing, whose generations continue the
-            // interrupted run's numbering.
-            while let Some(flag) = c.next() {
-                if resume_from.is_some() && flag == "--engine" {
-                    return Err(err(format!("unknown flag {flag}")));
-                }
-                match flag.as_str() {
-                    "--checkpoint-dir" => {
-                        checkpoint_dir = Some(PathBuf::from(c.demand("checkpoint directory")?))
-                    }
-                    "--checkpoint-every" => checkpoint_every = c.value("--checkpoint-every")?,
-                    "--oocore-budget" => oocore_budget = c.value("--oocore-budget")?,
-                    "--fault-rate" => fault_rate = c.value("--fault-rate")?,
-                    "--fault-seed" => fault_seed = c.value("--fault-seed")?,
-                    "--halt-after" => halt_after = c.value("--halt-after")?,
-                    "--engine" => {
-                        engine = match c.demand("engine")?.as_str() {
-                            "flashmob" => EngineChoice::FlashMob,
-                            "knightking" => EngineChoice::KnightKing,
-                            "graphvite" => EngineChoice::GraphVite,
-                            other => return Err(err(format!("unknown engine {other}"))),
-                        }
-                    }
-                    "--algo" | "--program" => algo_name = c.demand("algorithm")?,
-                    "--p" => p = Some(c.value("--p")?),
-                    "--q" => q = Some(c.value("--q")?),
-                    "--alpha" => alpha = Some(c.value("--alpha")?),
-                    "--pattern" => pattern = Some(parse_pattern(&c.value::<String>("pattern")?)?),
-                    "--labels" => labels = c.value("--labels")?,
-                    "--walkers" => walkers = WalkerCount::Absolute(c.value("--walkers")?),
-                    "--walkers-mult" => {
-                        walkers = WalkerCount::PerVertex(c.value("--walkers-mult")?)
-                    }
-                    "--steps" => config = config.steps(c.value("--steps")?),
-                    "--seed" => config.seed = c.value("--seed")?,
-                    "--threads" => config = config.threads(c.value("--threads")?),
-                    "--ring-depth" => ring_depth = c.value("--ring-depth")?,
-                    "--strategy" => config.strategy = parse_strategy(&c.demand("strategy")?)?,
-                    "--output" => output = Some(PathBuf::from(c.demand("output path")?)),
-                    "--visits" => visits = Some(PathBuf::from(c.demand("visits path")?)),
-                    "--stats" => stats = true,
-                    "--trace" => trace = Some(PathBuf::from(c.demand("trace path")?)),
-                    "--metrics" => metrics = Some(PathBuf::from(c.demand("metrics path")?)),
-                    "--progress" => progress = true,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            config.algorithm = resolve_algo(&algo_name, p, q, alpha, pattern)?;
-            if ring_depth > 0 {
-                config = config.ring_depth(ring_depth);
-            }
-            config = config
-                .record_paths(output.is_some())
-                .record_visits(visits.is_some());
-            Ok(Command::Walk {
+            let args = WalkArgs {
                 graph,
                 resume_from,
-                engine,
-                config,
-                walkers,
-                output,
-                visits,
-                stats,
-                trace,
-                metrics,
-                progress,
-                checkpoint_dir,
-                checkpoint_every,
-                labels,
-                oocore_budget,
-                fault_rate,
-                fault_seed,
-                halt_after,
-            })
+                ..WalkArgs::default()
+            };
+            let walk = WalkFlags {
+                args,
+                ..WalkFlags::default()
+            };
+            Command::Walk(flags(&mut c, table, walk)?.resolve()?)
         }
         "disk" => {
-            let input = match c.next() {
-                Some(p) => PathBuf::from(p),
-                None => return Err(err("missing input path")),
-            };
-            let output = match c.next() {
-                Some(p) => PathBuf::from(p),
-                None => return Err(err("missing output path")),
-            };
-            if let Some(flag) = c.next() {
-                return Err(err(format!("unknown flag {flag}")));
-            }
-            Ok(Command::Disk { input, output })
+            let (input, output) = (c.path("input path")?, c.path("output path")?);
+            flags(&mut c, &[], ())?;
+            Command::Disk { input, output }
         }
         "synth" => {
             let kind = match c.demand("generator kind")?.as_str() {
@@ -504,111 +606,38 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseEr
                 "ring" => SynthKind::Ring,
                 other => return Err(err(format!("unknown generator {other}"))),
             };
-            let output = PathBuf::from(c.demand("output path")?);
-            let mut params = SynthParams::default();
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--n" => params.n = c.value("--n")?,
-                    "--alpha" => params.alpha = c.value("--alpha")?,
-                    "--min-degree" => params.min_degree = c.value("--min-degree")?,
-                    "--max-degree" => params.max_degree = c.value("--max-degree")?,
-                    "--scale" => params.scale = c.value("--scale")?,
-                    "--edge-factor" => params.edge_factor = c.value("--edge-factor")?,
-                    "--m" => params.m = c.value("--m")?,
-                    "--beta" => params.beta = c.value("--beta")?,
-                    "--degree" => params.degree = c.value("--degree")?,
-                    "--seed" => params.seed = c.value("--seed")?,
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
+            let output = c.path("output path")?;
+            let params = flags(&mut c, SYNTH_FLAGS, SynthParams::default())?;
             check_synth(kind, &params)?;
-            Ok(Command::Synth {
+            Command::Synth {
                 kind,
                 output,
                 params,
-            })
-        }
-        "conform" => {
-            let mut full = false;
-            let mut emit_golden = false;
-            let mut ring_depth = None;
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--quick" => full = false,
-                    "--full" => full = true,
-                    "--emit-golden" => emit_golden = true,
-                    "--ring-depth" => ring_depth = Some(c.value("--ring-depth")?),
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
             }
-            Ok(Command::Conform {
-                full,
-                emit_golden,
-                ring_depth,
-            })
         }
+        "conform" => Command::Conform(flags(&mut c, CONFORM_FLAGS, ConformArgs::default())?),
         "trace-check" => {
-            let file = PathBuf::from(c.demand("trace file")?);
-            if let Some(flag) = c.next() {
-                return Err(err(format!("unknown flag {flag}")));
-            }
-            Ok(Command::TraceCheck { file })
+            let file = c.path("trace file")?;
+            flags(&mut c, &[], ())?;
+            Command::TraceCheck { file }
         }
-        "audit" => {
-            let mut root = None;
-            let mut json = false;
-            let mut update_ratchet = false;
-            let mut why = None;
-            while let Some(flag) = c.next() {
-                match flag.as_str() {
-                    "--root" => root = Some(PathBuf::from(c.demand("workspace root")?)),
-                    "--json" => json = true,
-                    "--update-ratchet" => update_ratchet = true,
-                    "--why" => why = Some(c.demand("finding query")?),
-                    other => return Err(err(format!("unknown flag {other}"))),
-                }
-            }
-            Ok(Command::Audit {
-                root,
-                json,
-                update_ratchet,
-                why,
-            })
-        }
-        other => Err(err(format!("unknown command {other}; try `fmwalk help`"))),
+        "audit" => Command::Audit(flags(&mut c, AUDIT_FLAGS, AuditArgs::default())?),
+        other => return Err(err(format!("unknown command {other}; try `fmwalk help`"))),
+    })
+}
+
+fn engine(c: &mut Cursor) -> Result<EngineChoice, ParseError> {
+    match c.demand("engine")?.as_str() {
+        "flashmob" => Ok(EngineChoice::FlashMob),
+        "knightking" => Ok(EngineChoice::KnightKing),
+        "graphvite" => Ok(EngineChoice::GraphVite),
+        other => Err(err(format!("unknown engine {other}"))),
     }
 }
 
-/// Resolves an `--algo`/`--program` name plus its parameter flags; a
-/// flag left unset keeps the walk's default ([`WalkAlgorithm::ALL`]).
-fn resolve_algo(
-    name: &str,
-    p: Option<f64>,
-    q: Option<f64>,
-    alpha: Option<f64>,
-    pattern: Option<MetapathPattern>,
-) -> Result<WalkAlgorithm, ParseError> {
-    let mut walk = WalkAlgorithm::from_name(name).ok_or_else(|| {
-        let names = WalkAlgorithm::ALL.map(|w| w.name());
-        err(format!(
-            "unknown algorithm or program {name} ({})",
-            names.join("|")
-        ))
-    })?;
-    match &mut walk {
-        WalkAlgorithm::Node2Vec { p: wp, q: wq } => {
-            *wp = p.unwrap_or(*wp);
-            *wq = q.unwrap_or(*wq);
-        }
-        WalkAlgorithm::Ppr { alpha: wa } => *wa = alpha.unwrap_or(*wa),
-        WalkAlgorithm::Metapath { pattern: wp } => *wp = pattern.unwrap_or(*wp),
-        _ => {}
-    }
-    Ok(walk)
-}
-
-/// Parses a `--pattern` value: comma-separated edge-type labels.
-fn parse_pattern(raw: &str) -> Result<MetapathPattern, ParseError> {
+/// A `--pattern` value: comma-separated edge-type labels.
+fn pattern(c: &mut Cursor) -> Result<MetapathPattern, ParseError> {
+    let raw = c.value::<String>()?;
     let mut labels = Vec::new();
     for part in raw.split(',') {
         let label: u8 = part.trim().parse().map_err(|_| {
@@ -622,8 +651,8 @@ fn parse_pattern(raw: &str) -> Result<MetapathPattern, ParseError> {
         .ok_or_else(|| err(format!("--pattern needs 1..={MAX_METAPATH_LEN} labels")))
 }
 
-fn parse_strategy(raw: &str) -> Result<PlanStrategy, ParseError> {
-    match raw {
+fn strategy(c: &mut Cursor) -> Result<PlanStrategy, ParseError> {
+    match c.demand("strategy")?.as_str() {
         "dp" => Ok(PlanStrategy::DynamicProgramming),
         "ups" => Ok(PlanStrategy::UniformPs),
         "uds" => Ok(PlanStrategy::UniformDs),
@@ -654,14 +683,11 @@ mod tests {
             Command::Convert {
                 input,
                 output,
-                symmetric,
-                dedup,
-                drop_self_loops,
-                compact,
+                opts,
             } => {
                 assert_eq!(input, PathBuf::from("in.txt"));
                 assert_eq!(output, PathBuf::from("out.bin"));
-                assert!(symmetric && dedup && compact && !drop_self_loops);
+                assert!(opts.symmetric && opts.dedup && opts.compact && !opts.drop_self_loops);
             }
             other => panic!("{other:?}"),
         }
@@ -670,12 +696,12 @@ mod tests {
     #[test]
     fn walk_defaults() {
         match p("walk g.bin").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 engine,
                 config,
                 walkers,
                 ..
-            } => {
+            }) => {
                 assert_eq!(engine, EngineChoice::FlashMob);
                 // DeepWalk, 80 steps, seed 1, one thread, auto ring, DP
                 // plan; nothing recorded without --output / --visits.
@@ -685,7 +711,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match p("walk g.bin --output o.txt --visits v.txt").unwrap() {
-            Command::Walk { config, .. } => {
+            Command::Walk(WalkArgs { config, .. }) => {
                 assert!(config.record_paths && config.record_visits);
             }
             other => panic!("{other:?}"),
@@ -695,14 +721,14 @@ mod tests {
     #[test]
     fn walk_stats_flag() {
         match p("walk g.bin --threads 4 --stats").unwrap() {
-            Command::Walk { config, stats, .. } => {
+            Command::Walk(WalkArgs { config, stats, .. }) => {
                 assert_eq!(config.threads, 4);
                 assert!(stats);
             }
             other => panic!("{other:?}"),
         }
         match p("walk g.bin").unwrap() {
-            Command::Walk { stats, .. } => assert!(!stats),
+            Command::Walk(WalkArgs { stats, .. }) => assert!(!stats),
             other => panic!("{other:?}"),
         }
     }
@@ -710,7 +736,7 @@ mod tests {
     #[test]
     fn walk_ring_depth_flag() {
         let depth = |line: &str| match p(line).unwrap() {
-            Command::Walk { config, .. } => config.ring_depth,
+            Command::Walk(WalkArgs { config, .. }) => config.ring_depth,
             other => panic!("{other:?}"),
         };
         assert_eq!(depth("walk g.bin --ring-depth 8"), Some(8));
@@ -725,7 +751,7 @@ mod tests {
     fn walk_node2vec_with_params() {
         match p("walk g.bin --algo node2vec --p 0.25 --q 4 --steps 40 --engine knightking").unwrap()
         {
-            Command::Walk { engine, config, .. } => {
+            Command::Walk(WalkArgs { engine, config, .. }) => {
                 assert_eq!(engine, EngineChoice::KnightKing);
                 assert_eq!(
                     config.algorithm,
@@ -800,7 +826,7 @@ mod tests {
             ("manual", PlanStrategy::ManualHeuristic),
         ] {
             match p(&format!("plan g.bin --strategy {raw}")).unwrap() {
-                Command::Plan { strategy, .. } => assert_eq!(strategy, want),
+                Command::Plan(PlanArgs { strategy, .. }) => assert_eq!(strategy, want),
                 other => panic!("{other:?}"),
             }
         }
@@ -825,43 +851,43 @@ mod tests {
     fn conform_flags() {
         assert_eq!(
             p("conform").unwrap(),
-            Command::Conform {
+            Command::Conform(ConformArgs {
                 full: false,
                 emit_golden: false,
                 ring_depth: None,
-            }
+            })
         );
         assert_eq!(
             p("conform --quick").unwrap(),
-            Command::Conform {
+            Command::Conform(ConformArgs {
                 full: false,
                 emit_golden: false,
                 ring_depth: None,
-            }
+            })
         );
         assert_eq!(
             p("conform --full").unwrap(),
-            Command::Conform {
+            Command::Conform(ConformArgs {
                 full: true,
                 emit_golden: false,
                 ring_depth: None,
-            }
+            })
         );
         assert_eq!(
             p("conform --full --emit-golden").unwrap(),
-            Command::Conform {
+            Command::Conform(ConformArgs {
                 full: true,
                 emit_golden: true,
                 ring_depth: None,
-            }
+            })
         );
         assert_eq!(
             p("conform --ring-depth 16").unwrap(),
-            Command::Conform {
+            Command::Conform(ConformArgs {
                 full: false,
                 emit_golden: false,
                 ring_depth: Some(16),
-            }
+            })
         );
         assert!(p("conform --fast").unwrap_err().0.contains("unknown flag"));
     }
@@ -871,7 +897,7 @@ mod tests {
         // `--program` is an alias for `--algo`, covering the walk
         // programs; `--alpha` parameterizes PPR (default 0.15).
         let algo = |line: &str| match p(line).unwrap() {
-            Command::Walk { config, .. } => config.algorithm,
+            Command::Walk(WalkArgs { config, .. }) => config.algorithm,
             other => panic!("{other:?}"),
         };
         assert_eq!(
@@ -902,7 +928,7 @@ mod tests {
     #[test]
     fn walk_metapath_pattern_and_labels() {
         match p("walk g.bin --program metapath --pattern 2,0,1 --labels 3").unwrap() {
-            Command::Walk { config, labels, .. } => {
+            Command::Walk(WalkArgs { config, labels, .. }) => {
                 assert_eq!(
                     config.algorithm,
                     WalkAlgorithm::Metapath {
@@ -915,7 +941,7 @@ mod tests {
         }
         // Default pattern is the two-phase 0,1 cycle; default labels 0.
         match p("walk g.bin --program metapath").unwrap() {
-            Command::Walk { config, labels, .. } => {
+            Command::Walk(WalkArgs { config, labels, .. }) => {
                 assert_eq!(
                     config.algorithm,
                     WalkAlgorithm::Metapath {
@@ -937,7 +963,7 @@ mod tests {
         // Resume accepts the same program flags (it must rebuild the
         // interrupted run's configuration exactly).
         match p("resume g.bin ck --program ppr --alpha 0.25 --labels 2").unwrap() {
-            Command::Walk { config, labels, .. } => {
+            Command::Walk(WalkArgs { config, labels, .. }) => {
                 assert_eq!(config.algorithm, WalkAlgorithm::Ppr { alpha: 0.25 });
                 assert_eq!(labels, 2);
             }
@@ -948,12 +974,12 @@ mod tests {
     #[test]
     fn walk_telemetry_flags() {
         match p("walk g.bin --trace t.json --metrics m.jsonl --progress").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 trace,
                 metrics,
                 progress,
                 ..
-            } => {
+            }) => {
                 assert_eq!(trace, Some(PathBuf::from("t.json")));
                 assert_eq!(metrics, Some(PathBuf::from("m.jsonl")));
                 assert!(progress);
@@ -961,12 +987,12 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match p("walk g.bin").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 trace,
                 metrics,
                 progress,
                 ..
-            } => {
+            }) => {
                 assert!(trace.is_none() && metrics.is_none() && !progress);
             }
             other => panic!("{other:?}"),
@@ -978,30 +1004,30 @@ mod tests {
     fn audit_command() {
         assert_eq!(
             p("audit").unwrap(),
-            Command::Audit {
+            Command::Audit(AuditArgs {
                 root: None,
                 json: false,
                 update_ratchet: false,
                 why: None
-            }
+            })
         );
         assert_eq!(
             p("audit --root /tmp/ws --json --update-ratchet").unwrap(),
-            Command::Audit {
+            Command::Audit(AuditArgs {
                 root: Some(PathBuf::from("/tmp/ws")),
                 json: true,
                 update_ratchet: true,
                 why: None
-            }
+            })
         );
         assert_eq!(
             p("audit --why sample.rs").unwrap(),
-            Command::Audit {
+            Command::Audit(AuditArgs {
                 root: None,
                 json: false,
                 update_ratchet: false,
                 why: Some("sample.rs".to_string())
-            }
+            })
         );
         // Every audit runs the flow lints: the mode flag is gone, with no
         // alias.
@@ -1052,6 +1078,57 @@ mod tests {
         assert!(unknown("bench-diff"));
         assert!(unknown("profile"));
 
+        // Each command's USAGE entry (its `fmwalk` line and the lines
+        // continuing it) lists exactly the flags its table accepts;
+        // `resume` takes walk's, minus `--engine`.
+        fn names<A>(table: &Flags<A>) -> Vec<&'static str> {
+            table.iter().map(|&(n, _)| n).collect()
+        }
+        let tables: [(&str, &str, Vec<&str>); 11] = [
+            ("convert", "a b", names(CONVERT_FLAGS)),
+            ("stats", "g", names(STATS_FLAGS)),
+            ("plan", "g", names(PLAN_FLAGS)),
+            ("walk", "g", names(WALK_FLAGS)),
+            ("resume", "g ck", names(&WALK_FLAGS[1..])),
+            ("disk", "a b", Vec::new()),
+            ("synth", "ring g", names(SYNTH_FLAGS)),
+            ("conform", "", names(CONFORM_FLAGS)),
+            ("trace-check", "t", Vec::new()),
+            ("audit", "", names(AUDIT_FLAGS)),
+            ("help", "", Vec::new()),
+        ];
+        let usage = |word: &str| -> Vec<String> {
+            let start = format!("  fmwalk {word} ");
+            let mut lines = crate::USAGE.lines().skip_while(|l| !l.starts_with(&start) && *l != start.trim_end());
+            let first = lines.next().expect("a USAGE line");
+            let rest = lines.take_while(|l| l.starts_with("    "));
+            let text: String = std::iter::once(first).chain(rest).collect::<Vec<_>>().join(" ");
+            let mut flags: Vec<String> = text
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--"))
+                .map(String::from)
+                .collect();
+            flags.sort();
+            flags.dedup();
+            flags
+        };
+        let walk_usage = usage("walk");
+        for (word, positional, table) in tables {
+            let mut listed = usage(word);
+            if word == "resume" {
+                assert_eq!(listed, ["--engine"], "resume reads `same flags as walk, minus --engine`");
+                listed = walk_usage.iter().filter(|f| *f != "--engine").cloned().collect();
+            }
+            for flag in &listed {
+                if let Err(e) = p(&format!("{word} {positional} {flag}")) {
+                    assert!(!e.0.contains("unknown flag"), "USAGE lists `{word} {flag}`: {}", e.0);
+                }
+            }
+            let mut accepted: Vec<String> = table.iter().map(|n| n.to_string()).collect();
+            accepted.sort();
+            assert_eq!(accepted, listed, "`{word}` accepts flags its USAGE entry does not list");
+        }
+
         // USAGE's `--algo|--program` list names every walk, and each
         // name parses, under either spelling, to the walk it names.
         let (_, list) = crate::USAGE
@@ -1066,7 +1143,7 @@ mod tests {
         for name in names {
             for flag in ["--algo", "--program"] {
                 match p(&format!("walk g {flag} {name}")).unwrap() {
-                    Command::Walk { config, .. } => assert_eq!(config.algorithm.name(), name),
+                    Command::Walk(WalkArgs { config, .. }) => assert_eq!(config.algorithm.name(), name),
                     other => panic!("{other:?}"),
                 }
             }
@@ -1091,22 +1168,22 @@ mod tests {
     #[test]
     fn walk_checkpoint_flags() {
         match p("walk g.bin --checkpoint-dir ck --checkpoint-every 16").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 checkpoint_dir,
                 checkpoint_every,
                 ..
-            } => {
+            }) => {
                 assert_eq!(checkpoint_dir, Some(PathBuf::from("ck")));
                 assert_eq!(checkpoint_every, 16);
             }
             other => panic!("{other:?}"),
         }
         match p("walk g.bin").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 checkpoint_dir,
                 checkpoint_every,
                 ..
-            } => {
+            }) => {
                 assert!(checkpoint_dir.is_none());
                 assert_eq!(checkpoint_every, 0);
             }
@@ -1121,13 +1198,13 @@ mod tests {
     #[test]
     fn resume_command() {
         match p("resume g.bin ck --steps 40 --seed 7 --threads 4 --output o.txt").unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 graph,
                 resume_from,
                 config,
                 output,
                 ..
-            } => {
+            }) => {
                 assert_eq!(graph, PathBuf::from("g.bin"));
                 assert_eq!(resume_from, Some(PathBuf::from("ck")));
                 assert_eq!(config.max_steps(), 40);
@@ -1146,13 +1223,13 @@ mod tests {
         // resumed from or another.
         let line = "resume g.bin ck --checkpoint-dir ck --checkpoint-every 4 --halt-after 3";
         match p(line).unwrap() {
-            Command::Walk {
+            Command::Walk(WalkArgs {
                 resume_from,
                 checkpoint_dir,
                 checkpoint_every,
                 halt_after,
                 ..
-            } => {
+            }) => {
                 assert_eq!(resume_from, checkpoint_dir);
                 assert_eq!((checkpoint_every, halt_after), (4, 3));
             }

@@ -171,27 +171,18 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
         Command::Convert {
             input,
             output,
-            symmetric,
-            dedup,
-            drop_self_loops,
-            compact,
+            opts,
         } => {
-            let opts = io::ParseOptions {
-                symmetric,
-                dedup,
-                drop_self_loops,
-                compact,
-            };
             let (mut graph, binary) = ingest(&input, opts)?;
             if binary {
                 // Binary input: apply clean-up passes via the builder.
                 let mut b = fm_graph::GraphBuilder::new();
                 b.add_edges(graph.edges());
                 graph = b
-                    .symmetric(symmetric)
-                    .dedup(dedup)
-                    .drop_self_loops(drop_self_loops)
-                    .compact(compact)
+                    .symmetric(opts.symmetric)
+                    .dedup(opts.dedup)
+                    .drop_self_loops(opts.drop_self_loops)
+                    .compact(opts.compact)
                     .build()
                     .map_err(fail)?;
             }
@@ -206,11 +197,8 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             .map_err(fail)?;
             Ok(())
         }
-        Command::Stats {
-            graph,
-            diameter_samples,
-        } => {
-            let g = load_graph(&graph)?;
+        Command::Stats(a) => {
+            let g = load_graph(&a.graph)?;
             writeln!(out, "vertices        {}", g.vertex_count()).map_err(fail)?;
             writeln!(out, "edges           {}", g.edge_count()).map_err(fail)?;
             writeln!(out, "avg degree      {:.2}", stats::avg_degree(&g)).map_err(fail)?;
@@ -221,7 +209,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             writeln!(
                 out,
                 "est. diameter   {}",
-                stats::estimate_diameter(&g, diameter_samples, 1)
+                stats::estimate_diameter(&g, a.diameter_samples, 1)
             )
             .map_err(fail)?;
             writeln!(out, "\ndegree buckets (Table 2 style):").map_err(fail)?;
@@ -237,19 +225,15 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             }
             Ok(())
         }
-        Command::Plan {
-            graph,
-            walkers,
-            strategy,
-        } => {
-            let g = load_graph(&graph)?;
+        Command::Plan(a) => {
+            let g = load_graph(&a.graph)?;
             let cfg = WalkConfig::deepwalk()
-                .walkers(walker_count(walkers, g.vertex_count())?)
-                .strategy(strategy)
+                .walkers(walker_count(a.walkers, g.vertex_count())?)
+                .strategy(a.strategy)
                 .record_paths(false);
             let engine = FlashMob::new(&g, cfg).map_err(fail_walk)?;
             let plan = engine.plan();
-            writeln!(out, "strategy          {strategy:?}").map_err(fail)?;
+            writeln!(out, "strategy          {:?}", a.strategy).map_err(fail)?;
             writeln!(out, "partitions        {}", plan.partitions.len()).map_err(fail)?;
             writeln!(out, "groups            {}", plan.groups.len()).map_err(fail)?;
             writeln!(out, "shuffle levels    {}", plan.shuffle_levels()).map_err(fail)?;
@@ -269,67 +253,49 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             .map_err(fail)?;
             Ok(())
         }
-        Command::Walk {
-            graph,
-            resume_from,
-            engine,
-            config,
-            walkers,
-            output,
-            visits,
-            stats: show_stats,
-            trace,
-            metrics,
-            progress,
-            checkpoint_dir,
-            checkpoint_every,
-            labels,
-            oocore_budget,
-            fault_rate,
-            fault_seed,
-            halt_after,
-        } => {
-            if checkpoint_every > 0 && checkpoint_dir.is_none() {
+        Command::Walk(a) => {
+            if a.checkpoint_every > 0 && a.checkpoint_dir.is_none() {
                 return Err(fail_plan("--checkpoint-every requires --checkpoint-dir"));
             }
-            let every = match checkpoint_every {
+            let every = match a.checkpoint_every {
                 0 => 8,
                 every => every,
             };
-            if halt_after > 0 && checkpoint_dir.is_none() {
+            if a.halt_after > 0 && a.checkpoint_dir.is_none() {
                 return Err(fail_plan("--halt-after requires --checkpoint-dir"));
             }
             // One set of run options for either kind of graph; a halt
             // after generation `--halt-after` is the crash drill's
             // success, not an error.
             let opts = RunOptions {
-                checkpoint: checkpoint_dir.map(|dir| CheckpointSpec {
-                    halt_after: (halt_after > 0).then_some(halt_after),
+                checkpoint: a.checkpoint_dir.map(|dir| CheckpointSpec {
+                    halt_after: (a.halt_after > 0).then_some(a.halt_after),
                     ..CheckpointSpec::new(dir, every)
                 }),
-                resume_from: resume_from.clone(),
-                fault: (fault_rate > 0.0).then(|| FaultPolicy::transient(fault_seed, fault_rate)),
+                resume_from: a.resume_from.clone(),
+                fault: (a.fault_rate > 0.0)
+                    .then(|| FaultPolicy::transient(a.fault_seed, a.fault_rate)),
             };
             let telemetry =
-                || make_telemetry(trace.is_some() || metrics.is_some(), progress, show_stats);
-            let (tel, ran) = if is_disk_graph(&graph) {
+                || make_telemetry(a.trace.is_some() || a.metrics.is_some(), a.progress, a.stats);
+            let (tel, ran) = if is_disk_graph(&a.graph) {
                 // DeepWalk, node2vec and PPR all go through the
                 // triangular bi-block scheduler, and `--checkpoint-every`
                 // counts its pair slots.
-                if engine != EngineChoice::FlashMob {
+                if a.engine != EngineChoice::FlashMob {
                     return Err(fail_plan("disk graphs run on --engine flashmob only"));
                 }
-                if labels > 0 {
+                if a.labels > 0 {
                     return Err(fail_plan("disk graphs carry no edge labels"));
                 }
-                if config.threads > 1 {
+                if a.config.threads > 1 {
                     return Err(fail_plan("out-of-core walking is single-threaded"));
                 }
-                let disk = DiskGraph::open(&graph).map_err(fail_disk)?;
-                let mut config = config.walkers(walker_count(walkers, disk.vertex_count())?);
+                let disk = DiskGraph::open(&a.graph).map_err(fail_disk)?;
+                let mut config = a.config.walkers(walker_count(a.walkers, disk.vertex_count())?);
                 // Out of core, visit counts are read off the paths.
                 config.record_paths |= config.record_visits;
-                let budget = match oocore_budget {
+                let budget = match a.oocore_budget {
                     0 => 64 << 20,
                     budget => budget,
                 };
@@ -338,28 +304,26 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                     run_ooc_with(&disk, &config, budget, &opts, &mut tel).map(|(o, s)| RunReport {
                         steps_taken: s.steps_taken,
                         per_step_ns: s.per_step_ns(),
-                        visits_vec: visits
-                            .is_some()
-                            .then(|| o.visit_counts(disk.vertex_count())),
-                        stats_report: show_stats.then(|| ooc_summary(&s)),
+                        visits_vec: a.visits.is_some().then(|| o.visit_counts(disk.vertex_count())),
+                        stats_report: a.stats.then(|| ooc_summary(&s)),
                         walk_output: o,
                     });
                 (tel, ran)
             } else {
-                if oocore_budget > 0 {
+                if a.oocore_budget > 0 {
                     return Err(fail_plan(
                         "--oocore-budget applies to FMDISK1 disk graphs only (create one with `fmwalk disk`)",
                     ));
                 }
-                let g = with_derived_labels(load_graph(&graph)?, labels)?;
-                let config = config.walkers(walker_count(walkers, g.vertex_count())?);
+                let g = with_derived_labels(load_graph(&a.graph)?, a.labels)?;
+                let config = a.config.walkers(walker_count(a.walkers, g.vertex_count())?);
                 let mut tel = telemetry();
-                let ran = match engine {
+                let ran = match a.engine {
                     EngineChoice::FlashMob => {
                         FlashMob::new(&g, config).and_then(|e| e.run_with(&opts, &mut tel))
                     }
                     EngineChoice::KnightKing | EngineChoice::GraphVite => {
-                        let kind = if engine == EngineChoice::KnightKing {
+                        let kind = if a.engine == EngineChoice::KnightKing {
                             BaselineKind::KnightKing
                         } else {
                             BaselineKind::GraphVite
@@ -372,7 +336,7 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                     steps_taken: s.steps_taken,
                     per_step_ns: s.per_step_ns(),
                     visits_vec: s.visits_original(o.relabeling()),
-                    stats_report: show_stats.then(|| s.human_summary()),
+                    stats_report: a.stats.then(|| s.human_summary()),
                     walk_output: o,
                 });
                 (tel, ran)
@@ -385,10 +349,10 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 }
                 Err(e) => return Err(fail_walk(e)),
             };
-            if let Some(dir) = &resume_from {
+            if let Some(dir) = &a.resume_from {
                 writeln!(out, "resumed from {}", dir.display()).map_err(fail)?;
             }
-            report_run(out, &tel, ran, output, visits, trace, metrics)
+            report_run(out, &tel, ran, a.output, a.visits, a.trace, a.metrics)
         }
         Command::Disk { input, output } => {
             let g = load_graph(&input)?;
@@ -421,14 +385,10 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             .map_err(fail)?;
             Ok(())
         }
-        Command::Conform {
-            full,
-            emit_golden,
-            ring_depth,
-        } => {
+        Command::Conform(a) => {
             use fm_conformance::runner::{self, AlgoKind, EngineKind, LatticeConfig, Outcome};
 
-            if emit_golden {
+            if a.emit_golden {
                 // Golden digests cover the *full* thread lattice so the
                 // quick tier's cells are always a committed subset.
                 writeln!(
@@ -456,17 +416,17 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
                 return Ok(());
             }
 
-            let mut config = if full {
+            let mut config = if a.full {
                 LatticeConfig::full()
             } else {
                 LatticeConfig::quick()
             };
-            config.ring_depth = ring_depth;
+            config.ring_depth = a.ring_depth;
             let report = runner::run_lattice(&config);
             writeln!(
                 out,
                 "conformance lattice ({} tier): {} cells, per-test alpha {:.2e}",
-                if full { "full" } else { "quick" },
+                if a.full { "full" } else { "quick" },
                 report.cells.len(),
                 report.per_test_alpha
             )
@@ -553,22 +513,19 @@ pub fn run<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
             .map_err(fail)?;
             Ok(())
         }
-        Command::Audit {
-            root,
-            json,
-            update_ratchet,
-            why,
-        } => {
-            let root = root.unwrap_or_else(|| std::path::PathBuf::from("."));
+        Command::Audit(a) => {
+            let root = a.root.unwrap_or_else(|| std::path::PathBuf::from("."));
             // IO/config problems (unreadable tree, bad allow.toml) exit
             // 2; lint findings exit 1.  Scripted callers rely on the
             // distinction, as with the other subcommands.
-            let opts = fm_audit::RunOptions { update_ratchet };
+            let opts = fm_audit::RunOptions {
+                update_ratchet: a.update_ratchet,
+            };
             let report =
                 fm_audit::scan::run(&root, opts).map_err(|e| fail_io(format!("audit: {e}")))?;
-            if let Some(query) = &why {
+            if let Some(query) = &a.why {
                 write!(out, "{}", fm_audit::report::why(&report, query)).map_err(fail)?;
-            } else if json {
+            } else if a.json {
                 let text = fm_audit::report::json(&report);
                 // The emitted document must conform to the report
                 // schema; a mismatch is an internal error (exit 2), so
@@ -817,7 +774,7 @@ fn generate(kind: SynthKind, p: &SynthParams) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::parse;
+    use crate::args::{parse, WalkArgs};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("fmwalk_cmd_tests");
@@ -882,9 +839,9 @@ mod tests {
 
     /// The paths of a `walk` command line, run in process.
     fn walk_paths(g: &Csr, line: &str) -> Vec<Vec<VertexId>> {
-        let Command::Walk {
+        let Command::Walk(WalkArgs {
             config, walkers, ..
-        } = parse(line.split_whitespace().map(String::from)).expect("parse")
+        }) = parse(line.split_whitespace().map(String::from)).expect("parse")
         else {
             panic!("not a walk: {line}");
         };

@@ -650,8 +650,7 @@ impl EpochState {
     /// Takes one step of the walk: runs iteration `self.iter` — shuffle,
     /// sample, shuffle back, record the row — up to the next epoch
     /// boundary.  Returns `false`, having done nothing, once the walk is
-    /// over.  (Not named `step`: `fm-audit` resolves method calls by
-    /// name, and the sample kernels call `Probe::step`.)
+    /// over.
     fn advance<P: Probe>(
         &mut self,
         engine: &FlashMob,

@@ -229,7 +229,7 @@ impl PartitionMap {
         if v == DEAD {
             return self.len();
         }
-        debug_assert!((v as usize) < *self.starts.last().expect("non-empty") as usize + 1);
+        debug_assert!(self.starts.last().is_some_and(|&end| v <= end));
         if let Some(fast) = &self.fast {
             let g = ((v as usize) >> fast.group_shift).min(fast.vp_shift.len() - 1);
             let local = v as usize - (g << fast.group_shift);

@@ -220,20 +220,12 @@ impl<'p> Shuffler<'p> {
         addrs: ShuffleAddrs,
         probe: &mut P,
     ) {
-        scratch.start_count(self.map.bins(), 1, w.len());
-        self.count_pass(
-            w,
-            &mut scratch.lane,
-            &mut scratch.chunk_counts,
-            addrs,
-            probe,
-        );
-        scratch.finish_count();
+        self.count_on(None, w, scratch, addrs, probe);
     }
 
     /// [`Shuffler::count`] in one chunk per worker of `pool` (without
-    /// one, `count` itself), leaving the per-(chunk, bin) counts the
-    /// scatter and the gather at the same chunking read.
+    /// one, a single chunk with `probe`), leaving the per-(chunk, bin)
+    /// counts the scatter and the gather at the same chunking read.
     pub(crate) fn count_on<P: Probe>(
         &self,
         pool: Option<&WorkerPool>,
@@ -242,27 +234,34 @@ impl<'p> Shuffler<'p> {
         addrs: ShuffleAddrs,
         probe: &mut P,
     ) {
-        let Some(pool) = pool else {
-            return self.count(w, scratch, addrs, probe);
-        };
-        let (bins, chunks) = (self.map.bins(), pool.threads());
+        let (bins, chunks) = (self.map.bins(), pool.map_or(1, WorkerPool::threads));
         scratch.start_count(bins, chunks, w.len());
         {
             let rows = DisjointSlice::new(&mut scratch.chunk_counts);
             let lane = DisjointSlice::new(&mut scratch.lane);
-            pool.run_labeled("shuffle-count", &|t| {
+            let chunk = |t: usize| {
                 let r = chunk_range(t, chunks, w.len());
                 // SAFETY: row `t` of the matrix and lane range `r` belong
-                // to worker `t` alone.
+                // to chunk `t` alone, and each chunk is taken once.
                 let (counts, out) = unsafe {
                     (
                         rows.slice_mut(t * bins, bins),
                         lane.slice_mut(r.start, r.len()),
                     )
                 };
-                let addrs = ShuffleAddrs::default();
-                self.count_pass(&w[r], out, counts, addrs, &mut NullProbe);
-            });
+                (&w[r], out, counts)
+            };
+            match pool {
+                Some(pool) => pool.run_labeled("shuffle-count", &|t| {
+                    let (w, out, counts) = chunk(t);
+                    let addrs = ShuffleAddrs::default();
+                    self.count_pass(w, out, counts, addrs, &mut NullProbe);
+                }),
+                None => {
+                    let (w, out, counts) = chunk(0);
+                    self.count_pass(w, out, counts, addrs, probe);
+                }
+            }
         }
         scratch.finish_count();
     }

@@ -29,7 +29,7 @@ use crate::{GraphError, VertexId};
 const MAGIC: &[u8; 4] = b"FMG1";
 
 /// Options controlling text edge-list parsing.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParseOptions {
     /// Mirror each edge (treat the input as undirected).
     pub symmetric: bool,

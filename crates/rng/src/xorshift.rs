@@ -74,9 +74,7 @@ impl Jump {
         Self::from_basis(&basis)
     }
 
-    /// The image of state `s`.  (Not named `apply`: `fm-audit` resolves
-    /// method calls by name, and this one is called from the sample
-    /// loops.)
+    /// The image of state `s`.
     #[inline]
     const fn leap(&self, s: u64) -> u64 {
         let t = &self.0;
