@@ -70,7 +70,8 @@
 #      against BENCHMARK.json, estimator, span tiling, input pinning),
 #      which no workspace command reaches because `benchmark/` is its
 #      own workspace, and `fmbench smoke` — the four workloads, run and
-#      traced, at test scale against their golden digests (about 1 s)
+#      traced, at test scale against their golden digests (about 1 s),
+#      after one line naming the transparent-huge-page mode it ran under
 #  13. clippy with warnings promoted to errors
 # and ends with two tables: seconds per tier, and non-test source lines
 # per crate (the lines above each file's `#[cfg(test)]`) — what the
@@ -583,6 +584,10 @@ tier "fmbench tier (benchmark tests + smoke)"
 # golden digest, would otherwise first show when the driver runs it.
 # The timing gate is the driver's parent-vs-change run of
 # BENCHMARK.json; ci.sh adds no second one.
+# The big arrays are advised onto huge pages (DESIGN §23), so every
+# number below ran under this page regime: print it (read only).
+thp=/sys/kernel/mm/transparent_hugepage/enabled
+echo "transparent huge pages: $(cat "$thp" 2>/dev/null || echo unavailable)"
 cargo test --release -q --manifest-path benchmark/Cargo.toml
 cargo run --release -q --manifest-path benchmark/Cargo.toml -- smoke
 

@@ -15,9 +15,17 @@
 //!   fn of its own — fans out to **every** method of that name, except
 //!   std-shadowed names ([`STD_METHODS`]);
 //! * free calls resolve within the defining file first, then the crate,
-//!   then (via `use` aliases or bare-name fallback) the workspace;
+//!   then (via `use` aliases or bare-name fallback) the workspace — but
+//!   a name bound in scope (a parameter, a `let`, a closure parameter, a
+//!   `for` pattern) shadows them all: `f(…)` on a local closure or fn
+//!   value is an open edge, never a workspace fn of the same name.  A
+//!   binding's scope ends with its brace block; a closure parameter's
+//!   with the closure's braces, or the enclosing block's without them;
 //! * `Type::method(...)` calls resolve to that type's fns; with none the
 //!   call is external, while a module path falls back by name;
+//! * a `const` / `static` item is a node whose body is its initializer,
+//!   and a fn that names it has an edge to it (a flag table's setters
+//!   are reached from the parser that reads the table);
 //! * a turbofish is part of the call: `name::<…>(`, `.name::<…>(` and
 //!   `Type::<…>::name(` resolve as their plain forms;
 //! * macro invocations and calls that match nothing in the workspace
@@ -190,6 +198,8 @@ struct Index<'a> {
     by_trait: Targets<'a>,
     /// (struct, field) → the head of the field's declared type.
     fields: BTreeMap<(&'a str, &'a str), &'a str>,
+    /// `const` / `static` items by name: naming one is a call.
+    consts: BTreeMap<&'a str, Vec<usize>>,
 }
 
 impl<'a> Index<'a> {
@@ -198,6 +208,10 @@ impl<'a> Index<'a> {
         let fns = files.iter().flat_map(|f| &f.fns).enumerate();
         for (i, d) in fns.filter(|(_, d)| !d.is_test) {
             let name = d.name.as_str();
+            if d.is_const {
+                ix.consts.entry(name).or_default().push(i);
+                continue;
+            }
             ix.by_name.entry(name).or_default().push(i);
             if d.has_self {
                 ix.methods.entry(name).or_default().push(i);
@@ -274,6 +288,12 @@ struct Env<'a> {
     vars: BTreeMap<&'a str, String>,
     /// Generic parameters in scope and the traits bounding them.
     generics: &'a [Bound],
+    /// Every name bound in scope, typed or not: the brace depth its
+    /// scope ends below, and the body token it is visible from (a `let`
+    /// binding is not visible in its own initializer).
+    locals: Vec<(&'a str, usize, usize)>,
+    /// Brace depth of the token being read.
+    depth: usize,
 }
 
 impl<'a> Env<'a> {
@@ -287,16 +307,41 @@ impl<'a> Env<'a> {
     }
 
     /// Binds each parameter `[mut] x: T`; any other name a parameter
-    /// pattern binds is untyped.
-    fn bind_params(&mut self, params: &'a [Tok]) {
+    /// pattern binds is untyped.  Every name is local down to `depth`.
+    fn bind_params(&mut self, params: &'a [Tok], depth: usize) {
         for param in split_top(params, ",") {
             self.untype(param);
+            self.shadow(split_top(param, ":")[0], depth, 0);
             if let [name, colon, ty @ ..] = past_mut(param) {
                 if colon.s == ":" {
                     self.bind(&name.s, type_head(ty));
                 }
             }
         }
+    }
+
+    /// Records the names `pattern` binds as locals down to `depth`,
+    /// visible from body token `from`: its lower-case identifiers, past
+    /// `mut` / `ref` and path segments.
+    fn shadow(&mut self, pattern: &'a [Tok], depth: usize, from: usize) {
+        for (i, t) in pattern.iter().enumerate() {
+            let path = |j: Option<usize>| {
+                j.and_then(|j| pattern.get(j)).is_some_and(|n| n.s == "::")
+            };
+            let binds = t.s.starts_with(|c: char| c.is_lowercase() || c == '_')
+                && !matches!(t.s.as_str(), "mut" | "ref" | "_")
+                && !path(i.checked_sub(1))
+                && !path(Some(i + 1));
+            if binds {
+                self.locals.push((&t.s, depth, from));
+            }
+        }
+    }
+
+    /// Is `name` a binding in scope at body token `k`, which a free call
+    /// there cannot see past?
+    fn is_local(&self, name: &str, k: usize) -> bool {
+        self.locals.iter().any(|&(l, _, from)| l == name && from <= k)
     }
 
     /// Untypes every name in `pattern`.
@@ -313,15 +358,30 @@ impl<'a> Env<'a> {
         let at = |i: usize| body.get(i).map_or("", |t| t.s.as_str());
         let until = |stop: fn(&str) -> bool| body[k + 1..].iter().position(|t| stop(&t.s));
         match at(k) {
+            "{" => self.depth += 1,
+            "}" => {
+                self.depth = self.depth.saturating_sub(1);
+                let depth = self.depth;
+                self.locals.retain(|&(_, d, _)| d <= depth);
+            }
             "|" if k == 0 || matches!(at(k - 1), "(" | "," | "=" | "{" | ";" | "move" | "=>") => {
                 let end = until(|s| s == "|").map_or(k + 1, |p| k + 1 + p);
-                self.bind_params(&body[k + 1..end]);
+                // A braced closure body closes its parameters' scope.
+                let braced = at(end + 1) == "{";
+                self.bind_params(&body[k + 1..end], self.depth + usize::from(braced));
             }
-            "for" => self.untype(&body[k + 1..until(|s| s == "in").map_or(k + 1, |p| k + 1 + p)]),
+            "for" => {
+                let pattern = &body[k + 1..until(|s| s == "in").map_or(k + 1, |p| k + 1 + p)];
+                self.untype(pattern);
+                self.shadow(pattern, self.depth + 1, k);
+            }
             "let" => {
                 // The pattern (and type) end at the first `=` outside groups.
                 let end = k + 1 + split_top(&body[k + 1..], "=")[0].len();
                 self.untype(&body[k + 1..end]);
+                // Visible once the statement ends.
+                let from = k + 1 + split_top(&body[k + 1..], ";")[0].len();
+                self.shadow(split_top(&body[k + 1..end], ":")[0], self.depth, from);
                 match past_mut(&body[k + 1..end]) {
                     [name, colon, ty @ ..] if colon.s == ":" => self.bind(&name.s, type_head(ty)),
                     // `let x = T { … }`: a struct literal states its type.
@@ -372,6 +432,18 @@ fn qualifier(body: &[Tok], k: usize) -> &str {
     }
 }
 
+/// The candidates `caller` sees first: those in its own file, else in
+/// its crate, else all of them.
+fn nearest(defs: &[&FnDef], caller: &FnDef, cands: &[usize]) -> Vec<usize> {
+    let near = |same: &dyn Fn(&FnDef) -> bool| -> Vec<usize> {
+        cands.iter().copied().filter(|&j| same(defs[j])).collect()
+    };
+    [near(&|d| d.file == caller.file), near(&|d| d.crate_dir() == caller.crate_dir())]
+        .into_iter()
+        .find(|v| !v.is_empty())
+        .unwrap_or_else(|| cands.to_vec())
+}
+
 /// Builds the workspace call graph from parsed files.
 pub fn build(files: &[FileAst]) -> CallGraph {
     let ix = Index::new(files);
@@ -392,8 +464,9 @@ pub fn build(files: &[FileAst]) -> CallGraph {
     for (i, node) in defs.iter().enumerate() {
         let file_alias = aliases.get(node.file.as_str());
         let (self_ty, generics) = (node.self_ty.as_deref(), &node.bounds[..]);
-        let mut env = Env { self_ty, vars: BTreeMap::new(), generics };
-        env.bind_params(&node.params);
+        let vars = BTreeMap::new();
+        let mut env = Env { self_ty, vars, generics, locals: Vec::new(), depth: 0 };
+        env.bind_params(&node.params, 0);
         let mut dedup: BTreeSet<usize> = BTreeSet::new();
         let body = &node.body;
         let at = |i: usize| body.get(i).map_or("", |t| t.s.as_str());
@@ -409,10 +482,19 @@ pub fn build(files: &[FileAst]) -> CallGraph {
                 "::" if at(k + 2) == "<" => matching_angle(body, k + 2, 1).map_or(k, |c| c + 1),
                 _ => k + 1,
             };
+            let name = t.s.as_str();
             if !is_macro && at(args) != "(" {
+                // Naming a `const` / `static` item (not a field of that
+                // name) runs what its initializer calls.
+                if let Some(items) = ix.consts.get(name) {
+                    if at(k.wrapping_sub(1)) != "." && !env.is_local(name, k) {
+                        let near = nearest(&defs, node, items).into_iter();
+                        let fresh = near.filter(|&j| j != i && dedup.insert(j));
+                        edges[i].extend(fresh.map(|j| (j, t.line)));
+                    }
+                }
                 continue;
             }
-            let name = t.s.as_str();
             let targets: Vec<usize> = match at(k.wrapping_sub(1)) {
                 _ if is_macro => Vec::new(),
                 "." => ix.method(&env, body, k),
@@ -432,18 +514,13 @@ pub fn build(files: &[FileAst]) -> CallGraph {
                         by_type.or_else(|| ix.by_name.get(name).cloned()).unwrap_or_default()
                     }
                 }
+                // A call to a closure or fn value bound in scope.
+                _ if env.is_local(name, k) => Vec::new(),
                 _ => {
                     // Free call: same file, then same crate, then the
                     // alias target, then any workspace fn of that name.
                     let name = file_alias.and_then(|m| m.get(name).copied()).unwrap_or(name);
-                    let cands = ix.by_name.get(name).cloned().unwrap_or_default();
-                    let near = |same: &dyn Fn(&FnDef) -> bool| -> Vec<usize> {
-                        cands.iter().copied().filter(|&j| same(defs[j])).collect()
-                    };
-                    [near(&|d| d.file == node.file), near(&|d| d.crate_dir() == node.crate_dir())]
-                        .into_iter()
-                        .find(|v| !v.is_empty())
-                        .unwrap_or(cands)
+                    nearest(&defs, node, ix.by_name.get(name).map_or(&[], Vec::as_slice))
                 }
             };
             if targets.is_empty() {

@@ -109,6 +109,9 @@ pub struct FnDef {
     pub bounds: Vec<Bound>,
     /// Body token stream (empty for bodyless trait declarations).
     pub body: Vec<Tok>,
+    /// A `const` / `static` item rather than a fn: `body` is its
+    /// initializer, and a fn that names the item calls what it calls.
+    pub is_const: bool,
 }
 
 /// A generic parameter and the heads of the traits bounding it.
@@ -221,6 +224,35 @@ impl Parser {
         }
         self.bump();
         Vec::new()
+    }
+
+    /// Is a `const` / `static` value item next (`const NAME:`, `static
+    /// [mut] NAME:`), rather than `const fn` or a `const` block?
+    fn at_value_item(&self) -> bool {
+        let at = |n: usize| self.toks.get(self.pos + n);
+        let name = 1 + usize::from(at(1).is_some_and(|t| t.s == "mut"));
+        at(name).is_some_and(Tok::is_ident) && at(name + 1).is_some_and(|t| t.s == ":")
+    }
+
+    /// Consumes a statement through its `;` (the first outside brackets)
+    /// and returns the tokens before it; stops short of a `}` that
+    /// closes the enclosing item, without consuming it.
+    fn statement(&mut self) -> Vec<Tok> {
+        let (mut out, mut depth) = (Vec::new(), 0usize);
+        while let Some(t) = self.peek() {
+            match t.s.as_str() {
+                ";" if depth == 0 => {
+                    self.bump();
+                    break;
+                }
+                "}" | ")" | "]" if depth == 0 => break,
+                "(" | "[" | "{" => depth += 1,
+                "}" | ")" | "]" => depth -= 1,
+                _ => {}
+            }
+            out.extend(self.bump());
+        }
+        out
     }
 
     /// Consumes tokens up to (not including) the next `{` or `;` outside
@@ -425,6 +457,17 @@ fn parse_items(
                 parse_fn(p, ast, in_test || attr_test, self_ty, trait_name, bounds);
                 end_item(p, ast, &mut test_attr);
             }
+            "type" => {
+                // A type alias (`type F = fn(…) -> …;` included) or an
+                // associated type: nothing to record, and its `fn` is
+                // no item.
+                p.statement();
+                end_item(p, ast, &mut test_attr);
+            }
+            "const" | "static" if p.at_value_item() => {
+                parse_const(p, ast, in_test || attr_test, self_ty, trait_name, bounds);
+                end_item(p, ast, &mut test_attr);
+            }
             "macro_rules" => {
                 // `macro_rules! name { ... }` — skip the whole body;
                 // call sites of the macro become open edges instead.
@@ -577,6 +620,41 @@ fn parse_impl(p: &mut Parser, ast: &mut FileAst, in_test: bool) {
     }
 }
 
+/// `const NAME: T = init;` / `static [mut] NAME: T = init;` (or no
+/// initializer, for a trait's declaration): recorded as a bodied item so
+/// the calls in its initializer are somebody's.
+fn parse_const(
+    p: &mut Parser,
+    ast: &mut FileAst,
+    is_test: bool,
+    self_ty: Option<&str>,
+    trait_name: Option<&str>,
+    bounds: &[Bound],
+) {
+    p.bump(); // 'const' / 'static'
+    if p.at("mut") {
+        p.bump();
+    }
+    let Some(Tok { s: name, line }) = p.bump() else {
+        return;
+    };
+    let mut decl = p.statement();
+    let init = decl.iter().position(|t| t.s == "=").map_or(decl.len(), |eq| eq + 1);
+    ast.fns.push(FnDef {
+        file: ast.path.clone(),
+        name,
+        self_ty: self_ty.map(str::to_string),
+        trait_name: trait_name.map(str::to_string),
+        has_self: false,
+        is_test,
+        line,
+        params: Vec::new(),
+        bounds: bounds.to_vec(),
+        body: decl.split_off(init),
+        is_const: true,
+    });
+}
+
 /// `fn name(params) -> Ret { body }` (or `;` for trait declarations).
 fn parse_fn(
     p: &mut Parser,
@@ -608,6 +686,7 @@ fn parse_fn(
         params,
         bounds,
         body: p.body(),
+        is_const: false,
     });
 }
 

@@ -55,7 +55,7 @@ const RS_CASES: [(&str, Lint, &str); 5] = [
 
 /// (fixture workspace dir, the flow lint it exercises, the items its
 /// fail half must each be flagged at).
-const FLOW_CASES: [(&str, Lint, &[&str]); 10] = [
+const FLOW_CASES: [(&str, Lint, &[&str]); 12] = [
     ("flow/determinism_taint", Lint::DeterminismTaint, &[]),
     ("flow/panic_reach", Lint::PanicReachability, &[]),
     ("flow/rng_purity", Lint::RngPurity, &[]),
@@ -78,6 +78,12 @@ const FLOW_CASES: [(&str, Lint, &[&str]); 10] = [
     ),
     ("flow/typed_generic", Lint::PanicReachability, &["Sim::step"]),
     ("flow/turbofish", Lint::PanicReachability, &["pick", "Buffer::peek"]),
+    // A binding in scope shadows workspace fns for free calls, and only
+    // in scope: the fail half calls each panicking fn past its shadow.
+    ("flow/local_shadow", Lint::PanicReachability, &["snapshot", "pick"]),
+    // A const item's initializer is scanned, and naming the item is a
+    // call: the fail half's root reaches a setter's panicking callee.
+    ("flow/const_table", Lint::PanicReachability, &["halve"]),
 ];
 
 #[test]
@@ -138,6 +144,16 @@ fn every_flow_pass_fixture_is_clean() {
         );
         assert!(!report.graph.fns.is_empty(), "{dir}/pass parsed no functions");
     }
+}
+
+#[test]
+fn type_aliases_are_not_fns() {
+    // `type X = fn(…) -> …;` once parsed as a fn item named `(`.
+    let ast = scan_file("crates/x/src/a.rs", &fixture("type_alias/aliases.rs")).ast;
+    let names: Vec<String> = ast.fns.iter().map(|f| f.qual()).collect();
+    assert_eq!(names, ["apply", "Walk::step", "u64::step", "halve"]);
+    let body: Vec<&str> = ast.fns[0].body.iter().map(|t| t.s.as_str()).collect();
+    assert_eq!(body, ["set", "(", "x", ",", "c", ")"]);
 }
 
 #[test]
@@ -279,18 +295,43 @@ fn the_repo_itself_audits_clean() {
 fn the_sample_loops_reach_what_they_run_and_nothing_else() {
     // Receivers resolve by type and turbofish calls are calls, so the
     // panic roots reach the out-of-core stepping loop (a typed
-    // `stepper.drain(…)`), the partition-stream hints and the snapshot's
-    // pre-sample export (both turbofish calls), and not the same-named
-    // methods of other types.
+    // `stepper.drain(…)`) and the partition-stream hints (a turbofish
+    // call), and not the same-named methods of other types.  The
+    // snapshot's pre-sample export is the in-memory checkpoint's, which
+    // no sample loop takes: `run_ooc_with`'s `snapshot(…)` is a local
+    // closure, not `EpochState::snapshot`.
     let g = &workspace_scan().0.graph;
     let reach = g.reachable(&fm_audit::taint::panic_roots(g), |_| true);
     let reached = |qual: &str| (0..g.fns.len()).any(|i| reach[i] && g.fns[i].qual() == qual);
-    for qual in ["Stepper::drain", "hint_partition", "PsBuffers::export"] {
+    for qual in ["Stepper::drain", "hint_partition"] {
         assert!(reached(qual), "no sample loop reaches {qual}");
     }
-    for qual in ["Baseline::step", "Shuffler::count"] {
+    for qual in ["Baseline::step", "Shuffler::count", "EpochState::snapshot", "PsBuffers::export"] {
         assert!(!reached(qual), "a sample loop reaches {qual}");
     }
+}
+
+#[test]
+fn the_cli_flag_tables_call_their_setters() {
+    // The setters are called from the const flag tables, which the
+    // parser names; no type alias parses as a fn.
+    let g = &workspace_scan().0.graph;
+    let args = |name: &str| g.roots("crates/cli/src/args.rs", name);
+    for setter in ["on", "pattern", "strategy", "engine"] {
+        let callee = args(setter).into_iter().find(|&i| g.fns[i].name == setter);
+        let callee = callee.unwrap_or_else(|| panic!("no fn {setter} in args.rs"));
+        let callers: Vec<String> = (0..g.fns.len())
+            .filter(|&i| g.edges[i].iter().any(|&(j, _)| j == callee))
+            .map(|i| g.fns[i].qual())
+            .collect();
+        assert!(callers.iter().any(|c| c.ends_with("_FLAGS")), "{setter} called by {callers:?}");
+    }
+    let flags = args("WALK_FLAGS");
+    assert!(
+        (0..g.fns.len()).any(|i| g.edges[i].iter().any(|&(j, _)| flags.contains(&j))),
+        "nothing names WALK_FLAGS"
+    );
+    assert!(g.fns.iter().all(|f| f.name != "("), "a type alias parsed as a fn");
 }
 
 #[test]

@@ -4,6 +4,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use fm_graph::mem::advise_huge;
 use fm_graph::relabel::{sort_by_degree, Relabeling};
 use fm_graph::{Csr, VertexId};
 use fm_memsim::{AddressSpace, NullProbe, Probe};
@@ -451,7 +452,13 @@ struct Scratch {
 impl Scratch {
     fn new(engine: &FlashMob) -> Self {
         let walkers = engine.config.walkers;
-        let lane = |used: bool| vec![0 as VertexId; if used { walkers } else { 0 }];
+        let lane = |used: bool| {
+            let len = if used { walkers } else { 0 };
+            let mut v = Vec::with_capacity(len);
+            advise_huge(&v);
+            v.resize(len, 0 as VertexId);
+            v
+        };
         Self {
             sw: lane(true),
             snext: lane(true),
@@ -499,6 +506,16 @@ struct EpochState {
     scratch: Scratch,
 }
 
+/// A copy of `w` for the path rows, advised onto huge pages before it
+/// is written: at paths-recorded scale the rows are the run's largest
+/// allocation, written once and streamed out (DESIGN §23).
+fn path_row(w: &[VertexId]) -> Vec<VertexId> {
+    let mut row = Vec::with_capacity(w.len());
+    advise_huge(&row);
+    row.extend_from_slice(w);
+    row
+}
+
 impl EpochState {
     /// The state before iteration 0: walkers placed, nothing sampled.
     fn fresh(engine: &FlashMob) -> Self {
@@ -529,7 +546,7 @@ impl EpochState {
             per_partition_steps: vec![0; engine.plan.partitions.len()],
             ps: engine.take_ps_set(),
             rows: if config.record_paths {
-                vec![w.clone()]
+                vec![path_row(&w)]
             } else {
                 Vec::new()
             },
@@ -819,7 +836,7 @@ impl EpochState {
         let span3 = (traced && config.record_paths).then(|| tel.now_ns());
         let t3 = Instant::now();
         if config.record_paths {
-            self.rows.push(self.w.clone());
+            self.rows.push(path_row(&self.w));
         }
         stage.other += t3.elapsed();
         if let Some(s) = span3 {

@@ -31,6 +31,7 @@
 
 use std::ops::Range;
 
+use fm_graph::mem::advise_huge;
 use fm_graph::prefetch::prefetch_read;
 use fm_graph::VertexId;
 use fm_memsim::{AccessKind, NullProbe, Probe};
@@ -88,6 +89,13 @@ impl ShuffleScratch {
     fn start_count(&mut self, bins: usize, chunks: usize, n: usize) {
         self.chunk_counts.clear();
         self.chunk_counts.resize(chunks * bins, 0);
+        if self.lane.capacity() < n {
+            // The lane's first sizing: a walker array, advised onto huge
+            // pages before the count writes it (DESIGN §23).  Its old
+            // contents are the count's to overwrite.
+            self.lane = Vec::with_capacity(n);
+            advise_huge(&self.lane);
+        }
         self.lane.resize(n, 0);
         self.chunks = chunks;
     }

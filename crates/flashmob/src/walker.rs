@@ -6,6 +6,7 @@
 //! implicitly by array order — halving message footprint versus explicit
 //! `<walker, vertex>` pairs.
 
+use fm_graph::mem::advise_huge;
 use fm_graph::prefetch::prefetch_read;
 use fm_graph::{Csr, VertexId};
 use fm_recover::Fingerprint;
@@ -189,7 +190,9 @@ impl EdgeIndex {
     ) -> Vec<VertexId> {
         const SLOTS: usize = 2 * EdgeIndex::LAG;
         let mut ring = [(0usize, 0 as VertexId, 0 as VertexId); SLOTS];
+        // `W_0`: the walker array every later step reads and rewrites.
         let mut out = Vec::with_capacity(count);
+        advise_huge(&out);
         for j in 0..count + SLOTS {
             // Walker `j - SLOTS` leaves the slot walker `j` is about to take.
             if j >= SLOTS {

@@ -21,6 +21,7 @@
 //! letting each insert lag `LAG` edges behind its own prefetch.
 
 use crate::csr::Csr;
+use crate::mem::advise_huge;
 use crate::prefetch::prefetch_read;
 use crate::VertexId;
 
@@ -84,9 +85,12 @@ impl EdgeBloom {
     pub fn from_graph(graph: &Csr, bits_per_edge: usize) -> Self {
         let edges = graph.edge_count().max(1);
         let bit_count = (edges * bits_per_edge.max(1)).next_power_of_two().max(512);
-        let mut filter = Self {
-            blocks: vec![Block([0; 8]); bit_count / 512],
-        };
+        // Probed at random by every node2vec step: advised onto huge
+        // pages before the zero fill (DESIGN §23).
+        let mut blocks = Vec::with_capacity(bit_count / 512);
+        advise_huge(&blocks);
+        blocks.resize(bit_count / 512, Block([0; 8]));
+        let mut filter = Self { blocks };
         // Hash edge `i`, hint its block, and only then set the bits of
         // edge `i - LAG`, whose line the hint issued `LAG` edges ago has
         // had time to bring in: ~LAG misses in flight instead of one.

@@ -1,5 +1,6 @@
 //! Compressed Sparse Row graph storage.
 
+use crate::mem::advise_huge;
 use crate::{GraphError, VertexId};
 
 /// A directed graph in CSR form.
@@ -197,7 +198,11 @@ impl Csr {
         // count of `s` goes two slots up, the prefix sum then leaves the
         // start of `s` in slot `s + 1`, and filling advances that slot to
         // the start of `s + 1` — which is what slot `s + 1` must hold.
-        let mut offsets = vec![0usize; vertex_count + 2];
+        // Both arrays are the walk's, advised onto huge pages before
+        // their first write (DESIGN §23).
+        let mut offsets = Vec::with_capacity(vertex_count + 2);
+        advise_huge(&offsets);
+        offsets.resize(vertex_count + 2, 0usize);
         for &(s, t) in edges {
             for v in [s, t] {
                 if v as usize >= vertex_count {
@@ -214,7 +219,9 @@ impl Csr {
             acc += *slot;
             *slot = acc;
         }
-        let mut targets = vec![0 as VertexId; edges.len()];
+        let mut targets = Vec::with_capacity(edges.len());
+        advise_huge(&targets);
+        targets.resize(edges.len(), 0 as VertexId);
         for &(s, t) in edges {
             let cursor = &mut offsets[s as usize + 1];
             targets[*cursor] = t;

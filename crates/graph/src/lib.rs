@@ -20,12 +20,15 @@
 //! * [`stats`] — the degree-percentile bucket machinery behind Table 2,
 //!   the diameter estimate and the weak component count of `fmwalk stats`.
 //! * [`io`] — text edge-list parsing and a compact binary format.
+//! * [`mem`] — huge-page advice for the big arrays, the workspace's one
+//!   foreign call.
 //! * [`prefetch`] — the workspace's one software-prefetch hint.
 
 pub mod bloom;
 pub mod builder;
 pub mod csr;
 pub mod io;
+pub mod mem;
 pub mod prefetch;
 pub mod presets;
 pub mod regular;

@@ -8,6 +8,7 @@
 //! (Section 5.2 reports 7.7 s on YahooWeb).
 
 use crate::csr::Csr;
+use crate::mem::advise_huge;
 use crate::prefetch::prefetch_read;
 use crate::VertexId;
 
@@ -110,18 +111,26 @@ impl Relabeling {
                 prefetch_read(&src_offsets[old as usize]);
             }
         };
-        let mut offsets = vec![0usize; n + 1];
+        // The four arrays are the walk's: each is advised onto huge
+        // pages before its first write (DESIGN §23).
+        let mut offsets = Vec::with_capacity(n + 1);
+        advise_huge(&offsets);
+        offsets.push(0usize);
+        let mut end = 0;
         for new_id in 0..n {
             hint_pair(new_id + FAR);
-            offsets[new_id + 1] = offsets[new_id] + graph.degree(self.new_to_old[new_id]);
+            end += graph.degree(self.new_to_old[new_id]);
+            offsets.push(end);
         }
-        let mut targets = Vec::with_capacity(graph.edge_count());
-        let mut weights = graph
-            .is_weighted()
-            .then(|| Vec::with_capacity(graph.edge_count()));
-        let mut labels = graph
-            .is_labeled()
-            .then(|| Vec::with_capacity(graph.edge_count()));
+        fn edge_array<T>(edges: usize) -> Vec<T> {
+            let v = Vec::with_capacity(edges);
+            advise_huge(&v);
+            v
+        }
+        let edges = graph.edge_count();
+        let mut targets = edge_array(edges);
+        let mut weights = graph.is_weighted().then(|| edge_array(edges));
+        let mut labels = graph.is_labeled().then(|| edge_array(edges));
         for new_id in 0..n {
             hint_pair(new_id + FAR);
             if let Some(&old) = self.new_to_old.get(new_id + NEAR) {
