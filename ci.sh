@@ -501,6 +501,13 @@ WHY_OUT="$(cargo run --release -q -p fm-cli -- audit --root "$BAD_WS" \
     --why Stage::drain 2>&1 || true)"
 grep -q "fn sample_partition (call at line" <<< "$WHY_OUT" || {
     echo "audit --why did not reproduce the bad_ws typed-receiver path" >&2; exit 1; }
+# `skip_chain` is never called by name: the sample loop hands it to
+# `skip_on` as a value, which is a call edge all the same.
+WHY_OUT="$(cargo run --release -q -p fm-cli -- audit --root "$BAD_WS" \
+    --why skip_chain 2>&1 || true)"
+grep -q "^\[panic-reachability\].*skip_chain" <<< "$WHY_OUT" \
+    && grep -q "fn sample_partition (call at line" <<< "$WHY_OUT" || {
+    echo "audit --why did not reproduce the bad_ws fn-value path" >&2; exit 1; }
 # A nonexistent root is an IO error, not a findings failure: exit 2.
 if cargo run --release -q -p fm-cli -- audit \
     --root /nonexistent-audit-root >/dev/null 2>&1; then

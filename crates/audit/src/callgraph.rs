@@ -8,7 +8,10 @@
 //!   whose type is stated (a fn or closure parameter `x: T` / `&T` /
 //!   `&mut T`, `let x: T`, `let x = T { … }`), a field chain off either
 //!   (`self.buffers`: the declared field type), or a dereference of one
-//!   (`(**self)`).  Rebinding a name any other way untypes it.  A
+//!   (`(**self)`).  Rebinding a name any other way untypes it.  A `let`
+//!   types its names where its statement ends, so its initializer still
+//!   sees the binding it shadows (`let x: T = x.m()` calls `m` on the
+//!   old `x`).  A
 //!   generic `P: Trait` (`<…>` or `where`, on the fn or its impl) and a
 //!   `dyn`/`impl Trait` resolve to that trait's impls only;
 //! * `.method(...)` on an untyped receiver — or on a type with no such
@@ -26,6 +29,13 @@
 //! * a `const` / `static` item is a node whose body is its initializer,
 //!   and a fn that names it has an edge to it (a flag table's setters
 //!   are reached from the parser that reads the table);
+//! * a free fn named as a value — a whole call argument, a match arm's
+//!   result, a whole `let` initializer — has an edge from the fn that
+//!   names it, which hands it to code that will call it (the skip
+//!   kernel `reserve_range` passes to `reserve_on`).  A name in a
+//!   pattern is not a value, and a value resolves within the caller's
+//!   crate, or through a `use`, never by bare name across the
+//!   workspace: outside call position a bare name is mostly a variable;
 //! * a turbofish is part of the call: `name::<…>(`, `.name::<…>(` and
 //!   `Type::<…>::name(` resolve as their plain forms;
 //! * macro invocations and calls that match nothing in the workspace
@@ -230,6 +240,26 @@ impl<'a> Index<'a> {
         ix
     }
 
+    /// The free fns a value named `name` in `caller` can be: those of
+    /// its crate (its file's first), or the target of its `use` alias.
+    fn fn_value(
+        &self,
+        defs: &[&FnDef],
+        caller: &FnDef,
+        alias: Option<&str>,
+        name: &str,
+    ) -> Vec<usize> {
+        let free = |name| {
+            let all = self.by_name.get(name).into_iter().flatten().copied();
+            all.filter(|&j| defs[j].self_ty.is_none())
+        };
+        let cands: Vec<usize> = match alias {
+            Some(target) => free(target).collect(),
+            None => free(name).filter(|&j| defs[j].crate_dir() == caller.crate_dir()).collect(),
+        };
+        nearest(defs, caller, &cands)
+    }
+
     /// Targets of the method call named at `body[k]`: by the receiver's
     /// type where the source states it and the type has the method,
     /// else every same-named method — except std-shadowed names.
@@ -292,6 +322,10 @@ struct Env<'a> {
     /// scope ends below, and the body token it is visible from (a `let`
     /// binding is not visible in its own initializer).
     locals: Vec<(&'a str, usize, usize)>,
+    /// `let` statements read but not yet ended: the body token their
+    /// statement ends at, their pattern, and the type it states.  Their
+    /// names take the new type there, as they enter scope.
+    lets: Vec<(usize, &'a [Tok], Option<String>)>,
     /// Brace depth of the token being read.
     depth: usize,
 }
@@ -357,6 +391,13 @@ impl<'a> Env<'a> {
     fn read_binding(&mut self, body: &'a [Tok], k: usize) {
         let at = |i: usize| body.get(i).map_or("", |t| t.s.as_str());
         let until = |stop: fn(&str) -> bool| body[k + 1..].iter().position(|t| stop(&t.s));
+        while let Some(i) = self.lets.iter().position(|&(from, ..)| from <= k) {
+            let (_, pattern, ty) = self.lets.remove(i);
+            self.untype(pattern);
+            if let (Some(ty), [name, ..]) = (ty, past_mut(pattern)) {
+                self.bind(&name.s, Some(ty));
+            }
+        }
         match at(k) {
             "{" => self.depth += 1,
             "}" => {
@@ -378,22 +419,40 @@ impl<'a> Env<'a> {
             "let" => {
                 // The pattern (and type) end at the first `=` outside groups.
                 let end = k + 1 + split_top(&body[k + 1..], "=")[0].len();
-                self.untype(&body[k + 1..end]);
-                // Visible once the statement ends.
-                let from = k + 1 + split_top(&body[k + 1..], ";")[0].len();
-                self.shadow(split_top(&body[k + 1..end], ":")[0], self.depth, from);
-                match past_mut(&body[k + 1..end]) {
-                    [name, colon, ty @ ..] if colon.s == ":" => self.bind(&name.s, type_head(ty)),
+                let pattern = &body[k + 1..end];
+                // Visible, and typed, once the statement ends: the
+                // initializer still sees what the pattern shadows.
+                let from = statement_end(body, k);
+                self.shadow(split_top(pattern, ":")[0], self.depth, from);
+                let ty = match past_mut(pattern) {
+                    [_, colon, ty @ ..] if colon.s == ":" => type_head(ty),
                     // `let x = T { … }`: a struct literal states its type.
-                    [name] if at(end + 2) == "{" && at(end + 1).starts_with(char::is_uppercase) => {
-                        self.bind(&name.s, Some(at(end + 1).to_string()))
+                    [_] if at(end + 2) == "{" && at(end + 1).starts_with(char::is_uppercase) => {
+                        Some(at(end + 1).to_string())
                     }
-                    _ => {}
-                }
+                    _ => None,
+                };
+                self.lets.push((from, pattern, ty));
             }
             _ => {}
         }
     }
+}
+
+/// Index of the `;` that ends the statement at `body[k]` (the body's
+/// length if none does).  Only `()`, `[]` and `{}` nest here: `<` and
+/// `>` are also operators (`x >> 8`), and no `;` sits in a type.
+fn statement_end(body: &[Tok], k: usize) -> usize {
+    let mut depth = 0i64;
+    for (i, t) in body.iter().enumerate().skip(k) {
+        match t.s.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth -= 1,
+            ";" if depth == 0 => return i,
+            _ => {}
+        }
+    }
+    body.len()
 }
 
 /// A binding pattern past a leading `mut`.
@@ -419,6 +478,43 @@ fn matching_angle(body: &[Tok], from: usize, step: isize) -> Option<usize> {
         }
         i = i.checked_add_signed(step)?;
     }
+}
+
+/// Whether the bare name at `body[k]`, followed by `body[next]`, stands
+/// as a value: a whole argument of a call, a match arm's result, or a
+/// whole `let` initializer.  A name in a pattern (`let (a, b)`,
+/// `Some(x) =>`, `|(a, b)|`) is none of these.
+fn is_value(body: &[Tok], k: usize, next: usize) -> bool {
+    let at = |i: usize| body.get(i).map_or("", |t| t.s.as_str());
+    match at(k.wrapping_sub(1)) {
+        "=>" => matches!(at(next), "," | "}"),
+        // `let f = g;`, not `a == g;` or `a += g;`.
+        "=" => at(next) == ";" && body.get(k.wrapping_sub(2)).is_some_and(Tok::is_ident),
+        "(" | "," => matches!(at(next), "," | ")") && in_call_args(body, k),
+        _ => false,
+    }
+}
+
+/// Whether the innermost group around `body[k]` is the argument list of
+/// a call: a `(` right after a lower-case callee name or a turbofish.
+fn in_call_args(body: &[Tok], k: usize) -> bool {
+    let mut depth = 0usize;
+    for i in (0..k).rev() {
+        match body[i].s.as_str() {
+            ")" | "]" | "}" => depth += 1,
+            "(" | "[" | "{" if depth > 0 => depth -= 1,
+            "(" => {
+                let callee = body.get(i.wrapping_sub(1));
+                return callee.is_some_and(|c| {
+                    let name = c.is_ident() && c.s.starts_with(|ch: char| ch.is_lowercase() || ch == '_');
+                    c.s == ">" || name && !NOT_CALLS.contains(&c.s.as_str())
+                });
+            }
+            "[" | "{" | ";" if depth == 0 => return false,
+            _ => {}
+        }
+    }
+    false
 }
 
 /// The qualifier of the path call named at `body[k]`: `Q` in `Q::name(`
@@ -465,7 +561,8 @@ pub fn build(files: &[FileAst]) -> CallGraph {
         let file_alias = aliases.get(node.file.as_str());
         let (self_ty, generics) = (node.self_ty.as_deref(), &node.bounds[..]);
         let vars = BTreeMap::new();
-        let mut env = Env { self_ty, vars, generics, locals: Vec::new(), depth: 0 };
+        let (locals, lets) = (Vec::new(), Vec::new());
+        let mut env = Env { self_ty, vars, generics, locals, lets, depth: 0 };
         env.bind_params(&node.params, 0);
         let mut dedup: BTreeSet<usize> = BTreeSet::new();
         let body = &node.body;
@@ -485,14 +582,20 @@ pub fn build(files: &[FileAst]) -> CallGraph {
             let name = t.s.as_str();
             if !is_macro && at(args) != "(" {
                 // Naming a `const` / `static` item (not a field of that
-                // name) runs what its initializer calls.
-                if let Some(items) = ix.consts.get(name) {
-                    if at(k.wrapping_sub(1)) != "." && !env.is_local(name, k) {
-                        let near = nearest(&defs, node, items).into_iter();
-                        let fresh = near.filter(|&j| j != i && dedup.insert(j));
-                        edges[i].extend(fresh.map(|j| (j, t.line)));
-                    }
-                }
+                // name) runs what its initializer calls; naming a free
+                // fn as a value (an argument, a match arm, a `let`
+                // initializer) hands it to code that will call it.
+                let items = if at(k.wrapping_sub(1)) == "." || env.is_local(name, k) {
+                    Vec::new()
+                } else if let Some(items) = ix.consts.get(name) {
+                    nearest(&defs, node, items)
+                } else if is_value(body, k, args) {
+                    ix.fn_value(&defs, node, file_alias.and_then(|m| m.get(name).copied()), name)
+                } else {
+                    Vec::new()
+                };
+                let fresh = items.into_iter().filter(|&j| j != i && dedup.insert(j));
+                edges[i].extend(fresh.map(|j| (j, t.line)));
                 continue;
             }
             let targets: Vec<usize> = match at(k.wrapping_sub(1)) {

@@ -55,7 +55,7 @@ const RS_CASES: [(&str, Lint, &str); 5] = [
 
 /// (fixture workspace dir, the flow lint it exercises, the items its
 /// fail half must each be flagged at).
-const FLOW_CASES: [(&str, Lint, &[&str]); 12] = [
+const FLOW_CASES: [(&str, Lint, &[&str]); 14] = [
     ("flow/determinism_taint", Lint::DeterminismTaint, &[]),
     ("flow/panic_reach", Lint::PanicReachability, &[]),
     ("flow/rng_purity", Lint::RngPurity, &[]),
@@ -84,6 +84,12 @@ const FLOW_CASES: [(&str, Lint, &[&str]); 12] = [
     // A const item's initializer is scanned, and naming the item is a
     // call: the fail half's root reaches a setter's panicking callee.
     ("flow/const_table", Lint::PanicReachability, &["halve"]),
+    // A free fn named as a value (an argument, a match arm, a `let`
+    // initializer) is a call: the fail half hands each panicking fn on.
+    ("flow/fn_value", Lint::PanicReachability, &["halve", "third", "quarter"]),
+    // `let x: T = x.m()` calls `m` on the shadowed `x`; `T` holds from
+    // the statement's end.
+    ("flow/let_shadow", Lint::PanicReachability, &["Raw::ready"]),
 ];
 
 #[test]
@@ -223,9 +229,10 @@ fn bad_workspace_trips_every_lint() {
 #[test]
 fn bad_workspace_why_paths_reach_the_seeded_sites() {
     // `--why` must reproduce a full call path for the seeded flow
-    // violations: the panic paths walk sample_partition → hot_pick and
-    // sample_partition → Stage::drain (a typed receiver), and the taint
-    // path names the ambient source.
+    // violations: the panic paths walk sample_partition → hot_pick,
+    // sample_partition → Stage::drain (a typed receiver) and
+    // sample_partition → skip_chain (a fn handed on by value), and the
+    // taint path names the ambient source.
     let report = run(&fixture_path("bad_ws"), RunOptions::default()).unwrap();
     let panic = report
         .findings
@@ -242,6 +249,13 @@ fn bad_workspace_why_paths_reach_the_seeded_sites() {
         .find(|f| f.item.as_deref() == Some("Stage::drain"))
         .expect("typed-receiver panic finding");
     let path = drain.why.join("\n");
+    assert!(path.contains("fn sample_partition (call at line"), "{path}");
+    let by_value = report
+        .findings
+        .iter()
+        .find(|f| f.item.as_deref() == Some("skip_chain"))
+        .expect("fn-value panic finding");
+    let path = by_value.why.join("\n");
     assert!(path.contains("fn sample_partition (call at line"), "{path}");
     let taint = report
         .findings
@@ -293,17 +307,20 @@ fn the_repo_itself_audits_clean() {
 
 #[test]
 fn the_sample_loops_reach_what_they_run_and_nothing_else() {
-    // Receivers resolve by type and turbofish calls are calls, so the
-    // panic roots reach the out-of-core stepping loop (a typed
-    // `stepper.drain(…)`) and the partition-stream hints (a turbofish
-    // call), and not the same-named methods of other types.  The
+    // Receivers resolve by type, turbofish calls are calls and a fn
+    // named as a value is called, so the panic roots reach the
+    // out-of-core stepping loop (a typed `stepper.drain(…)`), the
+    // partition-stream hints (a turbofish call) and the reserved
+    // generations' skip kernels (`checked_chain`, handed to
+    // `reserve_on` by value), and not the same-named methods of other
+    // types.  The
     // snapshot's pre-sample export is the in-memory checkpoint's, which
     // no sample loop takes: `run_ooc_with`'s `snapshot(…)` is a local
     // closure, not `EpochState::snapshot`.
     let g = &workspace_scan().0.graph;
     let reach = g.reachable(&fm_audit::taint::panic_roots(g), |_| true);
     let reached = |qual: &str| (0..g.fns.len()).any(|i| reach[i] && g.fns[i].qual() == qual);
-    for qual in ["Stepper::drain", "hint_partition"] {
+    for qual in ["Stepper::drain", "hint_partition", "checked_chain", "wide_chain"] {
         assert!(reached(qual), "no sample loop reaches {qual}");
     }
     for qual in ["Baseline::step", "Shuffler::count", "EpochState::snapshot", "PsBuffers::export"] {

@@ -26,9 +26,9 @@ fn synthetic_vp(s: usize, d: usize, seed: u64) -> Csr {
 }
 
 /// Times the real DeepWalk sample kernel on a synthetic VP of
-/// `vp_size` vertices of degree `degree` under `policy` (DS on the
-/// offset-free slab when `uniform_layout`), and returns nanoseconds per
-/// walker-step.
+/// `vp_size` vertices of degree `degree` under `policy` (DS finding
+/// rows by the row rule, with no offset read, when `uniform_layout`),
+/// and returns nanoseconds per walker-step.
 ///
 /// `density * edges` walkers (at least one) are placed uniformly on the
 /// VP; after one warm-up round (which fills the caches and PS buffers)

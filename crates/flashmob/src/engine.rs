@@ -334,8 +334,6 @@ pub struct FlashMob {
     /// Per-edge cumulative weights (weighted walks only), parallel to the
     /// sorted graph's targets array.
     cum_weights: Option<Vec<f32>>,
-    /// Fixed-degree slabs for uniform DS partitions.
-    slabs: Vec<Option<fm_graph::FixedDegreeSlab>>,
     /// Bloom negative edge filter (second-order walks only).
     edge_bloom: Option<fm_graph::bloom::EdgeBloom>,
     /// Simulated base addresses for probe attribution.
@@ -376,13 +374,9 @@ pub struct FlashMob {
 
 #[derive(Debug, Clone, Copy, Default)]
 struct EngineAddrs {
+    /// What every sample task touches; its `scur` is the shuffled array.
     map: AddrMap,
-    /// Per-partition slab bases are `slab_region + 4 * (edges before it)`.
-    slab_region: u64,
     w: u64,
-    sw: u64,
-    snext_region: u64,
-    sprev_region: u64,
     /// The shuffle's bin lane (the gather writes `W_{i+1}` over it).
     lane: u64,
 }
@@ -710,7 +704,7 @@ impl EpochState {
             let sprev = carries_aux.then_some(s.sprev.as_mut_slice());
             let addrs = ShuffleAddrs {
                 src: engine.addr.w,
-                dst: engine.addr.sw,
+                dst: engine.addr.map.scur,
                 lane: engine.addr.lane,
             };
             shuffler.count_on(shuffle_pool, &self.w, &mut s.shuffle, addrs, probe);
@@ -810,7 +804,7 @@ impl EpochState {
             let prev_next = second_order.then_some(s.prev_next.as_mut_slice());
             let addrs = ShuffleAddrs {
                 src: engine.addr.w,
-                dst: engine.addr.snext_region,
+                dst: engine.addr.map.snext,
                 lane: engine.addr.lane,
             };
             shuffler.gather_on(
@@ -919,17 +913,6 @@ impl FlashMob {
         )?;
         let plan_wall = plan_start.elapsed();
 
-        // Materialize fixed-degree slabs for uniform DS partitions.
-        let slabs: Vec<_> = plan
-            .partitions
-            .iter()
-            .map(|p| {
-                (p.policy == SamplePolicy::Direct && p.uniform_degree.is_some())
-                    .then(|| p.slab(&sorted))
-                    .flatten()
-            })
-            .collect();
-
         // Simulated address layout for instrumented runs.
         let mut space = AddressSpace::new();
         let n = sorted.vertex_count();
@@ -941,20 +924,15 @@ impl FlashMob {
             cum_weights: space.alloc((e * 4) as u64),
             ps_buf: space.alloc((e * 4) as u64),
             ps_cursor: space.alloc((n * 4) as u64),
-            scur: 0,
-            snext: 0,
-            sprev: 0,
-            slab_targets: 0,
             edge_bloom: space.alloc(bloom_bytes as u64),
             edge_labels: space.alloc(e.max(64) as u64),
+            scur: space.alloc((walkers * 4) as u64),
+            snext: space.alloc((walkers * 4) as u64),
+            sprev: space.alloc((walkers * 4) as u64),
         };
         let addr = EngineAddrs {
             map,
-            slab_region: space.alloc((e * 4) as u64),
             w: space.alloc((walkers * 4) as u64),
-            sw: space.alloc((walkers * 4) as u64),
-            snext_region: space.alloc((walkers * 4) as u64),
-            sprev_region: space.alloc((walkers * 4) as u64),
             lane: space.alloc((walkers * 4) as u64),
         };
 
@@ -976,7 +954,6 @@ impl FlashMob {
             plan,
             config,
             cum_weights,
-            slabs,
             edge_bloom,
             addr,
             ring_depths,
@@ -1327,20 +1304,6 @@ impl FlashMob {
         Shuffler::two_level(&self.plan.map, outer_of_fine)
     }
 
-    /// The simulated address map of partition `pi`'s sample task.
-    /// Partitions tile the vertex range in order, so the edges before
-    /// `pi` (its slab's base) end at its first vertex's CSR offset.
-    fn task_addrs(&self, pi: usize) -> AddrMap {
-        let first_edge = self.graph.adjacency_start(self.plan.partitions[pi].start);
-        AddrMap {
-            scur: self.addr.sw,
-            snext: self.addr.snext_region,
-            sprev: self.addr.sprev_region,
-            slab_targets: self.addr.slab_region + 4 * first_edge as u64,
-            ..self.addr.map
-        }
-    }
-
     /// The first-order sample tasks of partitions `range`, in order:
     /// the one task body of a step on the calling thread (every
     /// partition, the real probe) and of each pool worker (its own
@@ -1391,13 +1354,14 @@ impl FlashMob {
                         &mut lanes.prefetches.slice_mut(next, 1)[0],
                     )
                 };
+                let part = &self.plan.partitions[next];
                 let issued = hint_partition::<Xorshift64Star, _>(
                     &self.graph,
-                    &self.plan.partitions[next],
-                    self.slabs[next].as_ref(),
+                    part,
+                    part.slab(&self.graph).as_ref(),
                     ps.as_ref(),
                     probe,
-                    &self.task_addrs(next),
+                    &self.addr.map,
                 );
                 *hints += issued;
                 *all += issued;
@@ -1432,13 +1396,13 @@ impl FlashMob {
             let stats = sample_partition(
                 &self.graph,
                 part,
-                self.slabs[pi].as_ref(),
+                part.slab(&self.graph).as_ref(),
                 ps.as_mut(),
                 ctx,
                 io,
                 &mut rng,
                 probe,
-                &self.task_addrs(pi),
+                &self.addr.map,
                 self.ring_depths[pi],
             );
             *steps += stats.steps;
@@ -1576,14 +1540,14 @@ impl FlashMob {
             pending: &mut Vec<(VertexId, u32, VertexId, f64)>,
         ) -> Option<VertexId> {
             let part = &engine.plan.partitions[pi];
-            let slab = engine.slabs[pi].as_ref();
+            let slab = part.slab(&engine.graph);
             let mut attempts = 0;
             loop {
                 attempts += 1;
                 let cand = propose(
                     &engine.graph,
                     part,
-                    slab,
+                    slab.as_ref(),
                     ps.as_mut(),
                     ctx,
                     v,
@@ -1625,7 +1589,8 @@ impl FlashMob {
             first,
             hints,
         };
-        let (mut task, mut addr) = (usize::MAX, AddrMap::default());
+        let addr = &self.addr.map;
+        let mut task = usize::MAX;
         self.drive_proposals(
             depth,
             sw,
@@ -1637,7 +1602,6 @@ impl FlashMob {
                 let pi = self.plan.map.partition_of(v);
                 if pi != task {
                     task = pi;
-                    addr = self.task_addrs(pi);
                     // The redraw rounds below are the same task, later.
                     if let Some(ps) = &mut pl.ps[pi - first] {
                         ps.begin_task(&parts[pi], (offsets[pi + 1] - offsets[pi]) as usize, ctx);
@@ -1670,7 +1634,7 @@ impl FlashMob {
                     rng,
                     &mut pl.ps[pi - first],
                     probe,
-                    &addr,
+                    addr,
                     pending,
                 ) {
                     snext[slot - a] = apply_exit(next, ctx, rng);
@@ -1692,7 +1656,6 @@ impl FlashMob {
         // walkers falls through to the backstop, which accepts a uniform
         // (weight-blind) candidate.  The backlog empties geometrically,
         // so the loop almost always breaks long before the cap.
-        let addr = self.task_addrs(0);
         let offsets_arr = self.graph.offsets();
         let targets_arr = self.graph.targets();
         // A resolve hint counts to the previous vertex's partition, or to
@@ -1738,7 +1701,7 @@ impl FlashMob {
                     let before = pf.issued();
                     pf.element(pl.probe, offsets_arr, t as usize, addr.offsets);
                     if let Some(bloom) = ctx.edge_filter {
-                        crate::sample::prefetch_bloom(pf, pl.probe, bloom, t, cand, &addr);
+                        crate::sample::prefetch_bloom(pf, pl.probe, bloom, t, cand, addr);
                     }
                     pl.hints[hinted(t, slot)] += pf.issued() - before;
                 },
@@ -1760,7 +1723,7 @@ impl FlashMob {
                     let slot = slot as usize;
                     let probe = &mut *pl.probe;
                     let edge =
-                        || node2vec_adjacent(&self.graph, ctx.edge_filter, t, cand, probe, &addr);
+                        || node2vec_adjacent(&self.graph, ctx.edge_filter, t, cand, probe, addr);
                     if rule.keeps(x, cand == t, edge) {
                         let pi = self.plan.map.partition_of(sw[slot]);
                         snext[slot - a] = apply_exit(cand, ctx, &mut rngs[pi - first]);
@@ -1795,7 +1758,7 @@ impl FlashMob {
                         rng,
                         &mut pl.ps[pi - first],
                         &mut *pl.probe,
-                        &self.task_addrs(pi),
+                        addr,
                         pending,
                     ) {
                         snext[slot - a] = apply_exit(next, ctx, rng);
@@ -1820,8 +1783,9 @@ impl FlashMob {
     /// hints `sample_ps` gives it — its cursor; then the running state,
     /// next slot or refill head, with its offset pair; then the row
     /// entry a reserved generation picks next, or the row a refill reads
-    /// — and a DS walker its offset pair (or slab row), then its edge
-    /// range.  Each hint is counted to the walker's partition.
+    /// — and a DS walker its offset pair, then its edge range, or its
+    /// row at once where the row rule computes it.  Each hint is counted
+    /// to the walker's partition.
     fn drive_proposals<P: Probe>(
         &self,
         depth: usize,
@@ -1837,21 +1801,22 @@ impl FlashMob {
             }
             let v = sw[slot_of(j)];
             let pi = self.plan.map.partition_of(v);
-            let addr = self.task_addrs(pi);
+            let (graph, addr) = (&self.graph, &self.addr.map);
             let probe = &mut *lanes.probe;
             let before = pf.issued();
-            match (&lanes.ps[pi - lanes.first], self.slabs[pi].as_ref(), stage) {
-                (Some(ps), _, 0) => ps.hint_cursor(pf, probe, v, &addr),
-                (Some(ps), _, 1) => ps.hint_head(pf, probe, &self.graph, v, &addr),
-                (Some(ps), _, _) => {
-                    ps.hint_sample::<Xorshift64Star, _>(pf, probe, &self.graph, v, None, &addr);
+            let slab = || self.plan.partitions[pi].slab(graph);
+            match (&lanes.ps[pi - lanes.first], stage) {
+                (Some(ps), 0) => ps.hint_cursor(pf, probe, v, addr),
+                (Some(ps), 1) => ps.hint_head(pf, probe, graph, v, addr),
+                (Some(ps), _) => {
+                    ps.hint_sample::<Xorshift64Star, _>(pf, probe, graph, v, None, addr);
                 }
-                (None, slab, 0) => hint_ds_row(pf, probe, &self.graph, slab, v, &addr),
-                (None, None, 1) => {
-                    let (off, d) = (self.graph.adjacency_start(v), self.graph.degree(v));
-                    pf.span(probe, self.graph.targets(), off, d, addr.targets);
+                (None, 0) => hint_ds_row(pf, probe, graph, slab().as_ref(), v, addr),
+                (None, 1) if slab().is_none() => {
+                    let (off, d) = (graph.adjacency_start(v), graph.degree(v));
+                    pf.span(probe, graph.targets(), off, d, addr.targets);
                 }
-                (None, _, _) => {}
+                (None, _) => {}
             }
             lanes.hints[pi - lanes.first] += pf.issued() - before;
         };
@@ -2063,8 +2028,9 @@ mod tests {
         }
     }
 
-    /// What `task_addrs` relies on: the edges before a partition end at
-    /// its first vertex's CSR offset.
+    /// The plan's edge counts tile the CSR's edge array in partition
+    /// order: the edges before a partition end at its first vertex's
+    /// offset, where its rows start.
     #[test]
     fn partitions_tile_the_edge_array_in_order() {
         let g = synth::power_law(3000, 2.0, 1, 200, 5);

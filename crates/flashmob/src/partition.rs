@@ -1,4 +1,9 @@
 //! Vertex partitions and the walker-location → partition lookup.
+//!
+//! A partition is a contiguous range of the degree-sorted vertex IDs.
+//! Where every vertex of a DS partition has one degree, its rows are
+//! found by the row rule ([`Partition::slab`]) instead of the CSR
+//! offsets: they are still the CSR's own rows.
 
 use fm_graph::{Csr, FixedDegreeSlab, VertexId};
 
@@ -39,7 +44,8 @@ pub struct Partition {
     /// Total out-edges owned by the partition's vertices.
     pub edges: usize,
     /// `Some(d)` when every vertex in the partition has out-degree `d`
-    /// (enables the offset-free fixed-degree layout).
+    /// (a DS partition then finds its rows by the row rule,
+    /// [`Partition::slab`]).
     pub uniform_degree: Option<usize>,
 }
 
@@ -92,10 +98,14 @@ impl Partition {
         (edges, uniform.then_some(d0))
     }
 
-    /// Builds the fixed-degree slab for a uniform partition, if any.
+    /// The row rule of a uniform DS partition: its rows are found by
+    /// arithmetic on the CSR, not through the offset pairs.  `None` for
+    /// a PS or irregular partition.
     pub fn slab(&self, graph: &Csr) -> Option<FixedDegreeSlab> {
-        self.uniform_degree?;
-        FixedDegreeSlab::from_csr(graph, self.start, self.vertex_count())
+        let d = self
+            .uniform_degree
+            .filter(|_| self.policy == SamplePolicy::Direct)?;
+        FixedDegreeSlab::new(graph, self.start, self.vertex_count(), d)
     }
 }
 
@@ -390,11 +400,20 @@ mod tests {
             edges,
             uniform_degree: uniform,
         };
-        assert!(p.slab(&g).is_some());
+        let slab = p.slab(&g).unwrap();
+        for v in 0..8 {
+            let row = &g.targets()[slab.row_start(v)..][..slab.degree()];
+            assert_eq!(row, g.neighbors(v), "vertex {v}");
+        }
         let q = Partition {
             uniform_degree: None,
-            ..p
+            ..p.clone()
         };
         assert!(q.slab(&g).is_none());
+        let ps = Partition {
+            policy: SamplePolicy::PreSample,
+            ..p
+        };
+        assert!(ps.slab(&g).is_none(), "PS partitions read their buffers");
     }
 }

@@ -116,26 +116,23 @@ impl Plan {
     /// engine streams fitting partitions in one task ahead instead
     /// (`sample::hint_partition`), gated on the shuffle's occupancy.
     ///
-    /// The working-set formulas mirror the cost model's
-    /// `sample_cost_ns`: DS touches the partition's edges plus (for
-    /// irregular layouts) its offset pairs; PS consumption touches one
-    /// active buffer line and a cursor per vertex (a generation held
-    /// reserved, `sample::PsBuffers`, reads its row instead: the sparse
-    /// case, which neither formula sizes).
+    /// The working sets are the partition's own
+    /// ([`Partition::ds_working_set_bytes`],
+    /// [`Partition::ps_working_set_bytes`]), which mirror the cost
+    /// model's `sample_cost_ns`: DS touches the partition's edges plus
+    /// (where the row rule does not compute the rows) its offset pairs;
+    /// PS consumption touches one active buffer line and a cursor per
+    /// vertex (a generation held reserved, `sample::PsBuffers`, reads
+    /// its row instead: the sparse case, which neither formula sizes).
     pub fn ring_depths(&self, model: &AnalyticCostModel) -> Vec<usize> {
         let line = model.config().line_bytes;
         self.partitions
             .iter()
             .map(|p| {
-                let s = p.vertex_count();
-                let ws = match p.policy {
-                    SamplePolicy::Direct => {
-                        let offsets = if p.uniform_degree.is_some() { 0 } else { s * 8 };
-                        p.edges * 4 + offsets
-                    }
-                    SamplePolicy::PreSample => s * (line + 4),
-                };
-                model.ring_depth(ws)
+                model.ring_depth(match p.policy {
+                    SamplePolicy::Direct => p.ds_working_set_bytes(),
+                    SamplePolicy::PreSample => p.ps_working_set_bytes(line),
+                })
             })
             .collect()
     }
@@ -570,7 +567,8 @@ mod tests {
             let s = part.vertex_count();
             let ws = match part.policy {
                 SamplePolicy::Direct => {
-                    part.edges * 4 + if part.uniform_degree.is_some() { 0 } else { s * 8 }
+                    let offsets = if part.uniform_degree.is_some() { 0 } else { (s + 1) * 8 };
+                    part.edges * 4 + offsets
                 }
                 SamplePolicy::PreSample => s * (m.config().line_bytes + 4),
             };

@@ -5,10 +5,10 @@
 //! (paper Section 4.2).  Walker state is scanned once, sequentially;
 //! what varies is how the outgoing edge is found:
 //!
-//! * **Direct sampling (DS)** throws the dice on the spot.  Uniform-degree
-//!   partitions use the offset-free [`FixedDegreeSlab`] layout (one
-//!   random read); irregular partitions use CSR (offset read + edge
-//!   read).
+//! * **Direct sampling (DS)** throws the dice on the spot, on the CSR.
+//!   A uniform-degree partition finds a row by the row rule of its
+//!   [`FixedDegreeSlab`] (one random read: the edge); an irregular one
+//!   reads the row's offset pair first (offset read + edge read).
 //! * **Pre-sampling (PS)** decouples sample *production* from
 //!   *consumption*: each vertex owns a pre-sampled edge buffer of size
 //!   `d(v)`, refilled in one batch (random reads confined to a single
@@ -51,9 +51,6 @@ pub struct AddrMap {
     pub offsets: u64,
     /// CSR targets array.
     pub targets: u64,
-    /// Fixed-degree slab storage for the current partition (engine sets
-    /// this per task so distinct slabs occupy distinct regions).
-    pub slab_targets: u64,
     /// Per-edge cumulative weights (weighted walks).
     pub cum_weights: u64,
     /// Concatenated pre-sampled edge buffers.
@@ -605,8 +602,8 @@ pub(crate) fn worth_hinting(part: &Partition, walkers: usize, lines_per_walker: 
 /// task ahead (while the previous occupied partition samples), which
 /// turns the scattered misses into one sequential stream:
 ///
-/// * DS: the slab's storage, or the CSR target range plus its offset
-///   pairs, line by line;
+/// * DS: the partition's CSR target range, line by line, and in front
+///   of it the offset pairs, unless the row rule computes them;
 /// * PS: per vertex, the one buffer line the next [`consume`] will read
 ///   (`buf[bstart + d - remaining]`), or — where a zero cursor says a
 ///   refill comes first — the adjacency head and the buffer head; for
@@ -625,8 +622,8 @@ pub(crate) fn hint_partition<R: Rng64, P: Probe>(
 ) -> u64 {
     let mut pf = ring::Pf::new(true);
     let (start, end) = (part.start as usize, part.end as usize);
-    match (part.policy, ps, slab) {
-        (SamplePolicy::PreSample, Some(buffers), _) => {
+    match (part.policy, ps) {
+        (SamplePolicy::PreSample, Some(buffers)) => {
             let targets = graph.targets();
             for i in 0..buffers.cursor.len() {
                 let row = buffers.row(i);
@@ -644,11 +641,12 @@ pub(crate) fn hint_partition<R: Rng64, P: Probe>(
                 }
             }
         }
-        (_, _, Some(slab)) => pf.stream(probe, slab.targets(), addr.slab_targets),
-        (_, _, None) => {
+        _ => {
             let offsets = &graph.offsets()[start..=end];
             let (first_edge, edge_end) = (offsets[0], offsets[end - start]);
-            pf.stream(probe, offsets, addr.offsets + 8 * start as u64);
+            if slab.is_none() {
+                pf.stream(probe, offsets, addr.offsets + 8 * start as u64);
+            }
             pf.stream(
                 probe,
                 &graph.targets()[first_edge..edge_end],
@@ -659,8 +657,18 @@ pub(crate) fn hint_partition<R: Rng64, P: Probe>(
     pf.issued()
 }
 
-/// The first ring hint in front of a direct draw from `v`: its slab
-/// row, or its CSR offset pair.
+/// Where `v`'s row starts in the CSR targets and how long it is: by the
+/// row rule of a uniform partition's `slab`, else from its offset pair.
+#[inline(always)]
+fn ds_row(graph: &Csr, slab: Option<&FixedDegreeSlab>, v: VertexId) -> (usize, usize) {
+    match slab {
+        Some(s) => (s.row_start(v), s.degree()),
+        None => (graph.adjacency_start(v), graph.degree(v)),
+    }
+}
+
+/// The first ring hint in front of a direct draw from `v`: its row,
+/// where the row rule computes it, or else its CSR offset pair.
 #[inline]
 pub(crate) fn hint_ds_row<P: Probe>(
     pf: &mut ring::Pf,
@@ -671,26 +679,28 @@ pub(crate) fn hint_ds_row<P: Probe>(
     addr: &AddrMap,
 ) {
     match slab {
-        Some(s) => {
-            let row = s.neighbors(v);
-            let base = addr.slab_targets + 4 * part_slab_index(s, v, 0) as u64;
-            pf.span(probe, row, 0, row.len(), base);
-        }
+        Some(s) => pf.span(
+            probe,
+            graph.targets(),
+            s.row_start(v),
+            s.degree(),
+            addr.targets,
+        ),
         None => pf.element(probe, graph.offsets(), v as usize, addr.offsets),
     }
 }
 
 /// Slot payload carried from the ring's fetch stage to its execute
-/// stage on the DS path: the CSR offset pair, read once while the line
-/// is fresh (immutable data, so caching it cannot change the walk).
+/// stage on the DS path: the row's offset and degree, read from the
+/// offset pair once while the line is fresh, or computed by the row
+/// rule (immutable data, so caching it cannot change the walk).
 #[derive(Debug, Clone, Copy, Default)]
 struct DsSlot {
     off: usize,
     d: usize,
 }
 
-/// Direct sampling over CSR or a fixed-degree slab, pipelined through
-/// the walker ring.
+/// Direct sampling over the CSR, pipelined through the walker ring.
 #[allow(clippy::too_many_arguments)]
 fn sample_ds<R: Rng64, P: Probe>(
     graph: &Csr,
@@ -718,7 +728,8 @@ fn sample_ds<R: Rng64, P: Probe>(
         scur.len(),
         &mut pf,
         probe,
-        // Inspect: hint the walker's offset pair (CSR) or slab row.
+        // Inspect: hint the walker's offset pair, or its row where the
+        // row rule computes it.
         |pf: &mut ring::Pf, probe: &mut P, j| {
             let v = scur[j];
             if v == DEAD {
@@ -726,23 +737,19 @@ fn sample_ds<R: Rng64, P: Probe>(
             }
             hint_ds_row(pf, probe, graph, slab, v, addr);
         },
-        // Fetch: read the (now-resident) offset pair and hint the loads
-        // that depend on it — the edge range and the cum-weight slice
-        // the binary search will walk.
+        // Fetch: find the row — reading the (now-resident) offset pair
+        // — and hint the loads that depend on that pair: the edge range
+        // and the cum-weight slice the binary search will walk.  A row
+        // the rule computes was hinted at inspect.
         |pf: &mut ring::Pf, probe: &mut P, j| {
             let v = scur[j];
             if v == DEAD {
                 return DsSlot::default();
             }
-            if slab.is_some() {
-                // Degree is implicit and the row was hinted at inspect.
-                return DsSlot::default();
-            }
-            let off = graph.adjacency_start(v);
-            let d = graph.degree(v);
-            pf.span(probe, targets, off, d, addr.targets);
-            if let Some(cw) = ctx.cum_weights {
-                if matches!(ctx.algo, WalkAlgorithm::Weighted) {
+            let (off, d) = ds_row(graph, slab, v);
+            if slab.is_none() {
+                pf.span(probe, targets, off, d, addr.targets);
+                if let (Some(cw), WalkAlgorithm::Weighted) = (ctx.cum_weights, ctx.algo) {
                     // weighted_pick reads cum[off - 1] and
                     // cum[off + d - 1] before the binary search.
                     if off > 0 {
@@ -769,40 +776,16 @@ fn sample_ds<R: Rng64, P: Probe>(
                 probe.touch(addr.sprev + 4 * g, 4, AccessKind::Sequential);
                 sp[j]
             });
-            let next = match slab {
-                Some(slab) => {
-                    // Regular layout: degree is known, one random read.
-                    let d = slab.degree();
-                    draw(graph, v, d, None, ctx, prev, rng, probe, addr, |k, p| {
-                        p.touch(
-                            addr.slab_targets + 4 * (part_slab_index(slab, v, k)) as u64,
-                            4,
-                            AccessKind::Random,
-                        );
-                        slab.neighbor(v, k)
-                    })
-                }
-                None => {
-                    // CSR: one random offset read, then the edge read.
-                    probe.touch(addr.offsets + 8 * v as u64, 8, AccessKind::Random);
-                    let DsSlot { off, d } = slot;
-                    draw(
-                        graph,
-                        v,
-                        d,
-                        Some(off),
-                        ctx,
-                        prev,
-                        rng,
-                        probe,
-                        addr,
-                        |k, p| {
-                            p.touch(addr.targets + 4 * (off + k) as u64, 4, AccessKind::Random);
-                            targets[off + k]
-                        },
-                    )
-                }
-            };
+            // One random offset read, unless the row rule computed the
+            // row; then the edge read.
+            if slab.is_none() {
+                probe.touch(addr.offsets + 8 * v as u64, 8, AccessKind::Random);
+            }
+            let DsSlot { off, d } = slot;
+            let next = draw(graph, v, d, off, ctx, prev, rng, probe, addr, |k, p| {
+                p.touch(addr.targets + 4 * (off + k) as u64, 4, AccessKind::Random);
+                targets[off + k]
+            });
             let next = apply_exit(next, ctx, rng);
             snext[j] = next;
             probe.touch_write(addr.snext + 4 * g, 4, AccessKind::Sequential);
@@ -934,8 +917,8 @@ fn sample_ps<R: Rng64, P: Probe>(
                     // proposals cannot express the label constraint
                     // without a biased rejection backstop (see
                     // `metapath_pick`), so the buffers stay untouched.
-                    let d = graph.degree(v);
-                    metapath_pick(graph, v, d, None, pattern, ctx, rng, probe, addr)
+                    let (off, d) = (graph.adjacency_start(v), graph.degree(v));
+                    metapath_pick(graph, d, off, pattern, ctx, rng, probe, addr)
                 }
                 WalkAlgorithm::DeepWalk | WalkAlgorithm::Weighted => {
                     consume(graph, buffers, v, ctx, rng, probe, addr)
@@ -1106,14 +1089,14 @@ fn reserve<R: Rng64, P: Probe>(
     true
 }
 
-/// Draws one outgoing edge of `v` under the algorithm, using `fetch` to
-/// read the `k`-th neighbor (layout-specific).
+/// Draws one outgoing edge of `v`, whose row is `targets[off..][..d]`,
+/// under the algorithm, using `fetch` to read the `k`-th neighbor.
 #[allow(clippy::too_many_arguments)]
 fn draw<R: Rng64, P: Probe>(
     graph: &Csr,
     v: VertexId,
     d: usize,
-    csr_off: Option<usize>,
+    off: usize,
     ctx: &AlgoCtx<'_>,
     prev: Option<VertexId>,
     rng: &mut R,
@@ -1125,7 +1108,6 @@ fn draw<R: Rng64, P: Probe>(
     match ctx.algo {
         WalkAlgorithm::Weighted => {
             let cw = ctx.cum_weights.expect("weighted walk carries weights");
-            let off = csr_off.unwrap_or_else(|| graph.adjacency_start(v));
             let k = weighted_pick(cw, off, d, rng, probe, addr);
             fetch(k, probe)
         }
@@ -1155,7 +1137,7 @@ fn draw<R: Rng64, P: Probe>(
             }
         }
         WalkAlgorithm::Metapath { pattern } => {
-            metapath_pick(graph, v, d, csr_off, pattern, ctx, rng, probe, addr)
+            metapath_pick(graph, d, off, pattern, ctx, rng, probe, addr)
         }
         WalkAlgorithm::DeepWalk => fetch(rng.gen_index(d), probe),
         WalkAlgorithm::Node2Vec { .. } => {
@@ -1164,11 +1146,12 @@ fn draw<R: Rng64, P: Probe>(
     }
 }
 
-/// Uniform pick among the edges of `v` carrying this iteration's phase
-/// label, by exact scan of the label row.
+/// Uniform pick among the edges of the row `targets[off..][..d]`
+/// carrying this iteration's phase label, by exact scan of the label
+/// row.
 ///
 /// The scan reads CSR directly (labels and targets are parallel
-/// arrays), bypassing slab/PS storage: a rejection filter over
+/// arrays), bypassing PS storage: a rejection filter over
 /// pre-drawn uniform proposals would inherit the 64-attempt
 /// fall-through backstop, whose weight-blind acceptances bias the
 /// conditional distribution — exactly the class of bug the conformance
@@ -1177,9 +1160,8 @@ fn draw<R: Rng64, P: Probe>(
 #[allow(clippy::too_many_arguments)]
 fn metapath_pick<R: Rng64, P: Probe>(
     graph: &Csr,
-    v: VertexId,
     d: usize,
-    csr_off: Option<usize>,
+    off: usize,
     pattern: crate::algorithm::MetapathPattern,
     ctx: &AlgoCtx<'_>,
     rng: &mut R,
@@ -1190,7 +1172,6 @@ fn metapath_pick<R: Rng64, P: Probe>(
         unreachable!("metapath walk carries edge labels")
     };
     let want = pattern.label_at(ctx.iter);
-    let off = csr_off.unwrap_or_else(|| graph.adjacency_start(v));
     let row = &labels[off..off + d];
     probe.touch(addr.edge_labels + off as u64, d as u32, AccessKind::Random);
     let allowed = row.iter().filter(|&&l| l == want).count();
@@ -1269,7 +1250,8 @@ pub(crate) fn node2vec_adjacent<P: Probe>(
 }
 
 /// Draws one uniform edge proposal from `v` through the partition's
-/// configured layout (PS buffer, fixed-degree slab, or CSR).
+/// configured layout: its PS buffer, or the CSR row that the row rule
+/// or the offset pair finds.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn propose<R: Rng64, P: Probe>(
     graph: &Csr,
@@ -1285,25 +1267,13 @@ pub(crate) fn propose<R: Rng64, P: Probe>(
     if let (SamplePolicy::PreSample, Some(buffers)) = (part.policy, ps) {
         return consume(graph, buffers, v, ctx, rng, probe, addr);
     }
-    match slab {
-        Some(slab) => {
-            let k = rng.gen_index(slab.degree());
-            probe.touch(
-                addr.slab_targets + 4 * part_slab_index(slab, v, k) as u64,
-                4,
-                AccessKind::Random,
-            );
-            slab.neighbor(v, k)
-        }
-        None => {
-            probe.touch(addr.offsets + 8 * v as u64, 8, AccessKind::Random);
-            let off = graph.adjacency_start(v);
-            let d = graph.degree(v);
-            let k = rng.gen_index(d);
-            probe.touch(addr.targets + 4 * (off + k) as u64, 4, AccessKind::Random);
-            graph.targets()[off + k]
-        }
+    if slab.is_none() {
+        probe.touch(addr.offsets + 8 * v as u64, 8, AccessKind::Random);
     }
+    let (off, d) = ds_row(graph, slab, v);
+    let k = rng.gen_index(d);
+    probe.touch(addr.targets + 4 * (off + k) as u64, 4, AccessKind::Random);
+    graph.targets()[off + k]
 }
 
 /// Simulated address of the filter block a query for `(t, cand)` reads:
@@ -1322,11 +1292,6 @@ pub(crate) fn apply_exit<R: Rng64>(next: VertexId, ctx: &AlgoCtx<'_>, rng: &mut 
     } else {
         next
     }
-}
-
-#[inline]
-fn part_slab_index(slab: &FixedDegreeSlab, v: VertexId, k: usize) -> usize {
-    (v - slab.base()) as usize * slab.degree() + k
 }
 
 #[cfg(test)]
@@ -1838,7 +1803,6 @@ mod tests {
         let addrs = AddrMap {
             offsets: 0x100_000,
             targets: 0x200_000,
-            slab_targets: 0x500_000,
             scur: 0x300_000,
             snext: 0x400_000,
             ..AddrMap::default()
@@ -2035,8 +1999,8 @@ mod tests {
         assert_eq!(hints.len(), 2 + 2 * 199);
     }
 
-    /// DS hints: the slab's storage where there is one, otherwise the
-    /// partition's offset pairs and its target range — each as one
+    /// DS hints: the partition's target range, and in front of it its
+    /// offset pairs unless the row rule computes the rows — each as one
     /// stream at the addresses the demand touches will use.
     #[test]
     fn ds_hints_cover_the_slab_or_the_csr_range() {
@@ -2046,16 +2010,16 @@ mod tests {
         let addr = AddrMap {
             offsets: 0x10_0000,
             targets: 0x20_0000,
-            slab_targets: 0x50_0000,
             ..AddrMap::default()
         };
         let mut log = HintLog::default();
         let issued =
             hint_partition::<Xorshift64Star, _>(&g, &part, Some(&slab), None, &mut log, &addr);
-        assert_eq!(log.0, vec![(0x50_0000, 64 * 4 * 4)]);
+        assert_eq!(log.0, vec![(0x20_0000, 64 * 4 * 4)]);
         assert_eq!(issued, 16 + 1, "a hint a line and one for the tail");
 
-        // CSR, on a partition in the middle of the graph.
+        // A partition in the middle of the graph: its rows start at its
+        // first edge, with the row rule or without it.
         let (edges, uniform) = Partition::annotate(&g, 16, 48);
         let mid = Partition {
             start: 16,
@@ -2071,13 +2035,17 @@ mod tests {
             log.0,
             vec![(0x10_0000 + 8 * 16, 8 * 33), (0x20_0000 + 4 * 64, 4 * 128)]
         );
+        let mut log = HintLog::default();
+        let rule = mid.slab(&g);
+        hint_partition::<Xorshift64Star, _>(&g, &mid, rule.as_ref(), None, &mut log, &addr);
+        assert_eq!(log.0, vec![(0x20_0000 + 4 * 64, 4 * 128)]);
     }
 
-    /// The memory-model half of the claim: a dense DS-slab task whose
+    /// The memory-model half of the claim: a dense uniform DS task whose
     /// hint stage ran first finds its lines in cache.  Cold, two
-    /// walkers a line, the slab well past L1: without the stream every
+    /// walkers a line, the rows well past L1: without the stream every
     /// line's first touch misses all the way down; with it the hints
-    /// are the slab's line count and the task's demand misses in L2
+    /// are the rows' line count and the task's demand misses in L2
     /// all but disappear.  Same walk either way.
     #[test]
     fn hinted_slab_task_hits_where_the_cold_one_misses() {
@@ -2085,14 +2053,14 @@ mod tests {
         let g = synth::regular_ring(16_384, 8);
         let part = make_part(&g, SamplePolicy::Direct);
         let slab = part.slab(&g).unwrap();
-        let lines = (slab.footprint_bytes() / 64) as u64;
+        let lines = (part.edges * 4 / 64) as u64;
         let walkers = 2 * lines as usize;
         assert!(worth_hinting(&part, walkers, HINT_LINES_PER_WALKER));
         let scur: Vec<VertexId> = (0..walkers)
             .map(|j| (j * 7919 % 16_384) as VertexId)
             .collect();
         let addr = AddrMap {
-            slab_targets: 0x500_0000,
+            targets: 0x500_0000,
             scur: 0x300_0000,
             snext: 0x400_0000,
             ..AddrMap::default()

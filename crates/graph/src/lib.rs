@@ -5,9 +5,10 @@
 //!
 //! * [`csr::Csr`] — the standard Compressed Sparse Row layout used by all
 //!   engines for general (irregular-degree) vertex ranges.
-//! * [`regular::FixedDegreeSlab`] — the simplified direct-indexed layout
-//!   FlashMob uses for uniform-degree low-degree partitions (Section 4.2,
-//!   "DS allows FlashMob to exploit ... simpler indexing").
+//! * [`regular::FixedDegreeSlab`] — the row rule FlashMob uses for
+//!   uniform-degree low-degree partitions (Section 4.2, "DS allows
+//!   FlashMob to exploit ... simpler indexing"): a row's start in the
+//!   CSR is computed, not read from the offsets.
 //! * [`relabel`] — degree-descending vertex relabeling via O(|V| + D)
 //!   counting sort (Section 4.1, "Vertex ordering"; Section 5.2 reports
 //!   7.7 s for the 6.6B-edge YahooWeb graph).

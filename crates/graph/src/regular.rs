@@ -1,72 +1,59 @@
-//! Direct-indexed storage for uniform-degree vertex ranges.
+//! The row rule for uniform-degree vertex ranges.
 //!
 //! Real-world graphs' long tails produce huge runs of equal-degree
 //! vertices once sorted by degree (degree-1 vertices alone make up 3.5% to
-//! 49.3% of the paper's five graphs).  For a partition whose vertices all
-//! share one degree `d`, CSR's offsets array is pure overhead: the
-//! adjacency list of the partition's `i`-th vertex simply starts at
-//! `i * d`.  Dropping the offsets both halves the random reads per sample
-//! (no degree lookup) and shrinks the working set — the paper measures
-//! 13-33% fewer L2/L3 misses from this layout (Section 5.2).
+//! 49.3% of the paper's five graphs).  In a CSR such a run is already
+//! laid out regularly: its `i`-th vertex owns the `d` targets from
+//! `first_edge + i * d`.  So within the run the offsets array is pure
+//! overhead: a row's start is computed, not read.  Dropping the offset
+//! read both halves the random reads per sample (no degree lookup) and
+//! shrinks the working set — the paper measures 13-33% fewer L2/L3
+//! misses from this layout (Section 5.2).  The rows stay the CSR's own;
+//! nothing is copied.
 
 use crate::csr::Csr;
 use crate::VertexId;
 
-/// Adjacency storage for a contiguous vertex range of uniform out-degree.
-#[derive(Debug, Clone, PartialEq)]
+/// Where the rows of a contiguous vertex range of uniform out-degree
+/// sit in a CSR's targets array: vertex `base + i` owns
+/// `targets[first_edge + i * degree ..][..degree]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedDegreeSlab {
-    /// First vertex ID covered by this slab (in the sorted ID space).
+    /// First vertex ID covered (in the sorted ID space).
     base: VertexId,
-    /// Number of vertices covered.
-    vertex_count: usize,
     /// The shared out-degree.
     degree: usize,
-    /// Flattened targets: vertex `base + i` owns `targets[i*d .. (i+1)*d]`.
-    targets: Vec<VertexId>,
+    /// Edge index of `base`'s row.
+    first_edge: usize,
 }
 
 impl FixedDegreeSlab {
-    /// Extracts the slab for `graph`'s vertices `[base, base + count)`.
+    /// The row rule for `graph`'s vertices `[base, base + count)`, which
+    /// the caller has found to share out-degree `degree` (a plan's
+    /// `uniform_degree`).  O(1): it reads the range's two end offsets.
     ///
-    /// Returns `None` if any vertex in the range deviates from the degree
-    /// of the first one (the range is not uniform).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or exceeds the graph.
-    pub fn from_csr(graph: &Csr, base: VertexId, count: usize) -> Option<Self> {
-        assert!(count > 0, "slab range must be non-empty");
-        assert!(
-            base as usize + count <= graph.vertex_count(),
-            "slab range exceeds graph"
-        );
-        let degree = graph.degree(base);
-        let mut targets = Vec::with_capacity(count * degree);
-        for i in 0..count {
-            let v = base + i as VertexId;
-            if graph.degree(v) != degree {
-                return None;
-            }
-            targets.extend_from_slice(graph.neighbors(v));
+    /// Returns `None` for an empty range, one that exceeds the graph, or
+    /// one whose edge count is not `count * degree`.
+    pub fn new(graph: &Csr, base: VertexId, count: usize, degree: usize) -> Option<Self> {
+        let start = base as usize;
+        let end = start.checked_add(count)?;
+        if count == 0 || end > graph.vertex_count() {
+            return None;
         }
+        let offsets = graph.offsets();
+        let first_edge = offsets[start];
+        if offsets[end] - first_edge != count.checked_mul(degree)? {
+            return None;
+        }
+        debug_assert!(
+            (start..end).all(|v| graph.degree(v as VertexId) == degree),
+            "range [{start}, {end}) is not of uniform degree {degree}"
+        );
         Some(Self {
             base,
-            vertex_count: count,
             degree,
-            targets,
+            first_edge,
         })
-    }
-
-    /// First vertex covered.
-    #[inline]
-    pub fn base(&self) -> VertexId {
-        self.base
-    }
-
-    /// Number of vertices covered.
-    #[inline]
-    pub fn vertex_count(&self) -> usize {
-        self.vertex_count
     }
 
     /// The uniform out-degree.
@@ -75,41 +62,13 @@ impl FixedDegreeSlab {
         self.degree
     }
 
-    /// Out-neighbors of the vertex with global ID `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside the slab's range.
+    /// Edge index of the row of global vertex `v`, by pure arithmetic —
+    /// the single-random-access sampling path that motivates this
+    /// layout.  The row is `targets[row_start(v)..][..degree()]`.
     #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let i = (v - self.base) as usize;
-        assert!(i < self.vertex_count, "vertex outside slab");
-        &self.targets[i * self.degree..(i + 1) * self.degree]
-    }
-
-    /// The `k`-th out-neighbor of global vertex `v`, by pure arithmetic —
-    /// the single-random-access sampling path that motivates this layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) on out-of-range `v` or `k`.
-    #[inline]
-    pub fn neighbor(&self, v: VertexId, k: usize) -> VertexId {
-        let i = (v - self.base) as usize;
-        debug_assert!(i < self.vertex_count && k < self.degree);
-        self.targets[i * self.degree + k]
-    }
-
-    /// Flat targets array.
-    #[inline]
-    pub fn targets(&self) -> &[VertexId] {
-        &self.targets
-    }
-
-    /// Heap footprint in bytes: note the absence of any offsets array.
-    #[inline]
-    pub fn footprint_bytes(&self) -> usize {
-        self.targets.len() * std::mem::size_of::<VertexId>()
+    pub fn row_start(&self, v: VertexId) -> usize {
+        debug_assert!(v >= self.base, "vertex below the range");
+        self.first_edge + (v - self.base) as usize * self.degree
     }
 }
 
@@ -135,56 +94,57 @@ mod tests {
         .unwrap()
     }
 
+    fn row(g: &Csr, slab: &FixedDegreeSlab, v: VertexId) -> Vec<VertexId> {
+        g.targets()[slab.row_start(v)..][..slab.degree()].to_vec()
+    }
+
     #[test]
     fn extracts_uniform_range() {
         let g = uniform_graph();
-        let slab = FixedDegreeSlab::from_csr(&g, 0, 4).unwrap();
+        let slab = FixedDegreeSlab::new(&g, 0, 4, 2).unwrap();
         assert_eq!(slab.degree(), 2);
-        assert_eq!(slab.vertex_count(), 4);
         for v in 0..4 {
-            assert_eq!(slab.neighbors(v), g.neighbors(v));
+            assert_eq!(row(&g, &slab, v), g.neighbors(v));
         }
     }
 
     #[test]
     fn arithmetic_indexing_matches_csr() {
+        // A range that starts past vertex 0: the rule counts from the
+        // range's first edge.
         let g = uniform_graph();
-        let slab = FixedDegreeSlab::from_csr(&g, 1, 3).unwrap();
+        let slab = FixedDegreeSlab::new(&g, 1, 3, 2).unwrap();
         for v in 1..4u32 {
+            assert_eq!(slab.row_start(v), g.adjacency_start(v));
             for k in 0..2 {
-                assert_eq!(slab.neighbor(v, k), g.neighbors(v)[k]);
+                assert_eq!(g.targets()[slab.row_start(v) + k], g.neighbors(v)[k]);
             }
         }
     }
 
     #[test]
     fn rejects_nonuniform_range() {
+        // Degrees 2, 1, 1: the whole range has 4 edges, not 3 * 2.
         let g = Csr::from_edges(3, &[(0, 1), (0, 2), (1, 0), (2, 0)]).unwrap();
-        assert!(FixedDegreeSlab::from_csr(&g, 0, 3).is_none());
-        assert!(FixedDegreeSlab::from_csr(&g, 1, 2).is_some());
+        assert!(FixedDegreeSlab::new(&g, 0, 3, 2).is_none());
+        assert!(FixedDegreeSlab::new(&g, 0, 3, 1).is_none());
+        assert!(FixedDegreeSlab::new(&g, 1, 2, 1).is_some());
     }
 
     #[test]
-    fn footprint_has_no_offsets() {
+    fn out_of_range_gets_no_slab() {
         let g = uniform_graph();
-        let slab = FixedDegreeSlab::from_csr(&g, 0, 4).unwrap();
-        assert_eq!(slab.footprint_bytes(), 8 * std::mem::size_of::<VertexId>());
-        assert!(slab.footprint_bytes() < g.footprint_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "slab range exceeds graph")]
-    fn out_of_range_panics() {
-        let g = uniform_graph();
-        let _ = FixedDegreeSlab::from_csr(&g, 2, 3);
+        assert!(FixedDegreeSlab::new(&g, 2, 3, 2).is_none());
+        assert!(FixedDegreeSlab::new(&g, 2, 0, 2).is_none());
+        assert!(FixedDegreeSlab::new(&g, u32::MAX, usize::MAX, 2).is_none());
     }
 
     #[test]
     fn degree_one_slab() {
         let g = Csr::from_edges(3, &[(0, 2), (1, 2), (2, 0)]).unwrap();
-        let slab = FixedDegreeSlab::from_csr(&g, 0, 2).unwrap();
+        let slab = FixedDegreeSlab::new(&g, 0, 2, 1).unwrap();
         assert_eq!(slab.degree(), 1);
-        assert_eq!(slab.neighbor(0, 0), 2);
-        assert_eq!(slab.neighbor(1, 0), 2);
+        assert_eq!(g.targets()[slab.row_start(0)], 2);
+        assert_eq!(g.targets()[slab.row_start(1)], 2);
     }
 }

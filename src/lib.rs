@@ -8,8 +8,8 @@
 //!   contribution): degree-sorted vertex partitions, the two-stage
 //!   sample/shuffle pipeline, PS/DS sampling policies, MCKP-based
 //!   auto-planning, and NUMA modes.
-//! * [`graph`] — CSR and fixed-degree graph storage, generators,
-//!   degree statistics, IO.
+//! * [`graph`] — CSR graph storage (with the row rule of uniform-degree
+//!   runs), generators, degree statistics, IO.
 //! * [`rng`] — xorshift*/MT19937 and discrete samplers.
 //! * [`memsim`] — the software cache-hierarchy simulator standing in
 //!   for perf/VTune counters (Table 5's model).
