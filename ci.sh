@@ -33,7 +33,7 @@
 #      when persistent faults exhaust the checkpoint writes' retries
 #   7. oocore tier: the out-of-core fault-transparency test plus a CLI
 #      crash drill over the FMDISK1 bi-block path, for node2vec and for
-#      DeepWalk — convert, walk with the ring off and at depth 16 (same
+#      DeepWalk — convert (the file's cksum pinned), walk with the ring off and at depth 16 (same
 #      paths, ring hints only at 16), halt deliberately mid-schedule
 #      under 15% injected faults, resume bit-exactly, and check the
 #      exit-code contract (4 wrong budget, 2 persistent faults, 3
@@ -334,6 +334,11 @@ trap 'rm -rf "$RING_TMP" "$TELEMETRY_TMP" "$RECOVER_TMP" "$OOC_TMP"' EXIT
 cargo run --release -q -p fm-cli -- synth power-law "$OOC_TMP/g.bin" \
     --n 2048 --alpha 2.0 --min-degree 2 --max-degree 64 --seed 11
 cargo run --release -q -p fm-cli -- disk "$OOC_TMP/g.bin" "$OOC_TMP/g.fmdisk"
+# FMDISK1's bytes are pinned, header and index included: the walk
+# digests below would not see a changed header byte.
+OOC_DISK_CKSUM="$(cksum < "$OOC_TMP/g.fmdisk")"
+[[ "$OOC_DISK_CKSUM" == "2207939786 65480" ]] || {
+    echo "oocore tier: FMDISK1 cksum $OOC_DISK_CKSUM, pinned 2207939786 65480" >&2; exit 1; }
 OOC_WALK="--walkers 512 --steps 8 --seed 5"
 for ALGO in "node2vec --p 2.0 --q 0.5" deepwalk; do
     OOC_FLAGS="--algo $ALGO $OOC_WALK --oocore-budget 4096"
@@ -524,13 +529,13 @@ cargo run --release -q -p fm-cli --features audit-disjoint -- conform --quick
 # Env-gated nightly Miri pass over the snapshot codecs and the RNGs.
 # Both crates contain zero unsafe code (see the fm-audit inventory), so
 # this guards against UB creeping in, not known UB.  The third line is
-# the out-of-core engine's one unsafe block, the u32 -> u8 view that
-# DiskGraph::read_partition reads file words through.
+# the u32 -> u8 view DiskGraph::create writes FMDISK1's targets through
+# (the mapped block loads are foreign calls, which Miri does not run).
 if [[ "${AUDIT_MIRI:-0}" == "1" ]]; then
     if cargo +nightly miri --version >/dev/null 2>&1; then
         cargo +nightly miri test -p fm-recover wire:: crc:: snapshot::
         cargo +nightly miri test -p fm-rng
-        cargo +nightly miri test -p flashmob --lib oocore::tests::words_as_bytes_mut
+        cargo +nightly miri test -p flashmob --lib oocore::tests::le_bytes
         echo "audit: miri-clean (fm-recover codecs + fm-rng + oocore byte view)"
     else
         echo "audit: AUDIT_MIRI=1 but cargo-miri is not installed; install" >&2

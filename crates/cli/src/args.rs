@@ -144,7 +144,7 @@ pub struct WalkArgs {
     /// graph is an `FMDISK1` disk graph; 0 = 64 MiB default).
     pub oocore_budget: usize,
     /// Transient-fault injection rate for every IO of the run: its
-    /// checkpoint writes, and a disk graph's block reads (chaos
+    /// checkpoint writes, and a disk graph's block loads (chaos
     /// testing; 0 = off).  An in-memory walk's only IO is its
     /// checkpoints, so there it needs `--checkpoint-dir`.
     pub fault_rate: f64,

@@ -601,7 +601,7 @@ fn ooc_summary(s: &OocStats) -> String {
     let mut t = String::new();
     let _ = writeln!(
         t,
-        "oocore: {} block loads performed, {:.1} MiB read in {:.1} ms",
+        "oocore: {} block loads performed, {:.1} MiB mapped in {:.1} ms",
         s.blocks_streamed,
         s.bytes_read as f64 / (1 << 20) as f64,
         s.read_time.as_secs_f64() * 1e3,

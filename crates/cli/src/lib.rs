@@ -77,7 +77,7 @@ bit-identically, and with `--checkpoint-dir` keeps checkpointing.  Its
 configuration flags must match the interrupted run's, except
 `--threads` and `--ring-depth`, which change no walk.  `--fault-rate`/
 `--fault-seed` inject seeded transient faults into every IO of the run
-(checkpoint writes, block reads), absorbed by bounded retries and
+(checkpoint writes, block loads), absorbed by bounded retries and
 counted in `--stats`/`--metrics`; in memory they need
 `--checkpoint-dir`.  `--halt-after G` stops deliberately — exit 0 —
 after checkpoint generation G, the scripted crash drill.

@@ -738,9 +738,9 @@ fn sample_ds<R: Rng64, P: Probe>(
             hint_ds_row(pf, probe, graph, slab, v, addr);
         },
         // Fetch: find the row — reading the (now-resident) offset pair
-        // — and hint the loads that depend on that pair: the edge range
-        // and the cum-weight slice the binary search will walk.  A row
-        // the rule computes was hinted at inspect.
+        // — and hint the loads that depend on it: the edge range (a row
+        // the rule computes was hinted at inspect) and, either way, the
+        // cum-weight slice the binary search will walk.
         |pf: &mut ring::Pf, probe: &mut P, j| {
             let v = scur[j];
             if v == DEAD {
@@ -749,15 +749,15 @@ fn sample_ds<R: Rng64, P: Probe>(
             let (off, d) = ds_row(graph, slab, v);
             if slab.is_none() {
                 pf.span(probe, targets, off, d, addr.targets);
-                if let (Some(cw), WalkAlgorithm::Weighted) = (ctx.cum_weights, ctx.algo) {
-                    // weighted_pick reads cum[off - 1] and
-                    // cum[off + d - 1] before the binary search.
-                    if off > 0 {
-                        pf.element(probe, cw, off - 1, addr.cum_weights);
-                    }
-                    pf.element(probe, cw, off + d - 1, addr.cum_weights);
-                    pf.span(probe, cw, off, d, addr.cum_weights);
+            }
+            if let (Some(cw), WalkAlgorithm::Weighted) = (ctx.cum_weights, ctx.algo) {
+                // weighted_pick reads cum[off - 1] and cum[off + d - 1]
+                // before the binary search.
+                if off > 0 {
+                    pf.element(probe, cw, off - 1, addr.cum_weights);
                 }
+                pf.element(probe, cw, off + d - 1, addr.cum_weights);
+                pf.span(probe, cw, off, d, addr.cum_weights);
             }
             DsSlot { off, d }
         },
@@ -2039,6 +2039,62 @@ mod tests {
         let rule = mid.slab(&g);
         hint_partition::<Xorshift64Star, _>(&g, &mid, rule.as_ref(), None, &mut log, &addr);
         assert_eq!(log.0, vec![(0x20_0000 + 4 * 64, 4 * 128)]);
+    }
+
+    /// A weighted walk on an all-uniform plan finds its rows by the row
+    /// rule, and its ring still hints the cum-weight entries and slice
+    /// `weighted_pick` reads, as many as where the rows come from the
+    /// offset pairs; the walk is the depth-1 walk.
+    #[test]
+    fn weighted_rows_by_the_row_rule_hint_their_cum_weights() {
+        /// The prefetch addresses a task asks for.
+        #[derive(Default)]
+        struct Prefetches(Vec<u64>);
+        impl Probe for Prefetches {
+            fn prefetch(&mut self, addr: u64, _: u32) {
+                self.0.push(addr);
+            }
+        }
+        let g = synth::regular_ring(512, 8);
+        let part = make_part(&g, SamplePolicy::Direct);
+        let slab = part.slab(&g).unwrap();
+        // All weights 1: the running sum over the whole edge array.
+        let cum: Vec<f32> = (1..=g.edge_count()).map(|e| e as f32).collect();
+        let ctx = AlgoCtx::new(WalkAlgorithm::Weighted, StopRule::FixedSteps(1), Some(&cum));
+        let addr = AddrMap {
+            offsets: 0x10_0000,
+            targets: 0x20_0000,
+            cum_weights: 0x40_0000,
+            ..AddrMap::default()
+        };
+        let in_cum =
+            |a: &u64| (addr.cum_weights..addr.cum_weights + 4 * cum.len() as u64).contains(a);
+        let scur: Vec<VertexId> = (0..2048).map(|i| (i * 37 % 512) as VertexId).collect();
+        let run = |slab: Option<&FixedDegreeSlab>, depth: usize| {
+            let mut snext = vec![0; scur.len()];
+            let io = TaskIo {
+                scur: &scur,
+                sprev: None,
+                snext: &mut snext,
+                slice_base: 0,
+                visits: None,
+            };
+            let mut probe = Prefetches::default();
+            let mut rng = Xorshift64Star::new(9);
+            let stats = sample_partition(
+                &g, &part, slab, None, &ctx, io, &mut rng, &mut probe, &addr, depth,
+            );
+            let cum_hints = probe.0.iter().filter(|a| in_cum(a)).count();
+            (snext, stats.prefetches, cum_hints)
+        };
+        let (base, _, _) = run(Some(&slab), 1);
+        for depth in [2usize, 4, 16] {
+            let (next, hints, cum_hints) = run(Some(&slab), depth);
+            let (csr_next, _, csr_cum_hints) = run(None, depth);
+            assert_eq!((&next, &csr_next), (&base, &base), "depth {depth}");
+            assert!(cum_hints > 0 && hints as usize > cum_hints, "depth {depth}");
+            assert_eq!(cum_hints, csr_cum_hints, "depth {depth}");
+        }
     }
 
     /// The memory-model half of the claim: a dense uniform DS task whose

@@ -3,7 +3,9 @@
 //! [`FaultyFile`] wraps any `Read + Seek (+ Write)` object and injects
 //! seeded, reproducible faults: transient errors (retryable), short
 //! reads, and torn writes (a prefix persists, then the write fails
-//! permanently — the model of a crash mid-write).  The same seed always
+//! permanently — the model of a crash mid-write).  An operation that
+//! does not go through `Read` or `Write` — a block load that maps the
+//! file — takes its transient roll from [`FaultyFile::operation`].  The same seed always
 //! produces the same fault sequence, so every test that exercises the
 //! retry and atomicity machinery is bit-reproducible.
 
@@ -18,7 +20,9 @@ pub struct FaultPolicy {
     pub seed: u64,
     /// Probability an op fails with a transient (retryable) error.
     pub transient_rate: f64,
-    /// Probability a read returns only half the requested bytes.
+    /// Probability a read returns only half the requested bytes.  A
+    /// mapping has no short reads, so [`FaultyFile::operation`] never
+    /// rolls this: a mapped load fails whole or not at all.
     pub short_read_rate: f64,
     /// Probability a write persists a prefix and then fails permanently.
     pub torn_write_rate: f64,
@@ -137,6 +141,20 @@ impl<F> FaultyFile<F> {
     pub fn into_inner(self) -> F {
         self.inner
     }
+
+    /// One whole operation on the wrapped object, such as a block load
+    /// that maps the file rather than reading it: rolls the transient
+    /// fault once (counted in [`FaultCounts::transient`]) and otherwise
+    /// hands the object back for the caller to perform it with.
+    pub fn operation(&mut self) -> io::Result<&F> {
+        if let Some(st) = self.state.as_mut() {
+            if st.roll(st.policy.transient_rate) {
+                st.counts.transient += 1;
+                return Err(FaultState::transient_error("load"));
+            }
+        }
+        Ok(&self.inner)
+    }
 }
 
 impl<F: Read> Read for FaultyFile<F> {
@@ -243,6 +261,34 @@ mod tests {
         f.read_exact(&mut out).expect("read_exact loops over short reads");
         assert_eq!(out, data);
         assert!(f.counts().short_reads > 0);
+    }
+
+    #[test]
+    fn operations_roll_the_transient_fault_alone() {
+        let policy = FaultPolicy {
+            seed: 11,
+            transient_rate: 0.4,
+            short_read_rate: 1.0,
+            torn_write_rate: 1.0,
+        };
+        let mut f = FaultyFile::with_policy(Cursor::new(vec![3u8; 8]), policy);
+        let mut handed_back = 0u64;
+        for _ in 0..200 {
+            match f.operation() {
+                Ok(inner) => {
+                    assert_eq!(inner.get_ref(), &vec![3u8; 8]);
+                    handed_back += 1;
+                }
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+        }
+        let counts = f.counts();
+        assert_eq!(counts.transient + handed_back, 200);
+        assert!(counts.transient > 0 && handed_back > 0, "{counts:?}");
+        assert_eq!((counts.short_reads, counts.torn_writes), (0, 0));
+        let mut clean = FaultyFile::passthrough(Cursor::new(Vec::<u8>::new()));
+        assert!(clean.operation().is_ok());
+        assert_eq!(clean.counts(), FaultCounts::default());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`fault::FaultyFile`] and [`retry::with_retries`] — a seeded,
 //!   reproducible fault-injection shim (transient errors, short reads,
 //!   torn writes) and the bounded-retry/exponential-backoff loop that
-//!   engines thread around disk reads and checkpoint writes.
+//!   engines thread around block loads and checkpoint writes.
 //!
 //! RNG streams never need snapshotting: every engine derives per-
 //! `(iteration, partition)` streams from a pure function of the seed, so
