@@ -33,11 +33,12 @@
 #      when persistent faults exhaust the checkpoint writes' retries
 #   7. oocore tier: the out-of-core fault-transparency test plus a CLI
 #      crash drill over the FMDISK1 bi-block path, for node2vec and for
-#      DeepWalk — convert (the file's cksum pinned), walk with the ring off and at depth 16 (same
-#      paths, ring hints only at 16), halt deliberately mid-schedule
-#      under 15% injected faults, resume bit-exactly, and check the
-#      exit-code contract (4 wrong budget, 2 persistent faults, 3
-#      corrupt graph)
+#      DeepWalk — convert (the file's cksum pinned, and that of a second
+#      file spanning four of `create`'s write stages), walk with the ring
+#      off and at depth 16 (same paths, ring hints only at 16), halt
+#      deliberately mid-schedule under 15% injected faults, resume
+#      bit-exactly, and check the exit-code contract (4 wrong budget, 2
+#      persistent faults, 3 corrupt graph)
 #   8. ingest tier: one text edge list (comments, CRLF, no final
 #      newline) through `convert` and `stats` — the text and the FMG1
 #      decoder must report the same graph — plus the exit-code contract
@@ -339,6 +340,15 @@ cargo run --release -q -p fm-cli -- disk "$OOC_TMP/g.bin" "$OOC_TMP/g.fmdisk"
 OOC_DISK_CKSUM="$(cksum < "$OOC_TMP/g.fmdisk")"
 [[ "$OOC_DISK_CKSUM" == "2207939786 65480" ]] || {
     echo "oocore tier: FMDISK1 cksum $OOC_DISK_CKSUM, pinned 2207939786 65480" >&2; exit 1; }
+# That file is smaller than `create`'s 4 MiB stage; this one spans four,
+# so the stage's full, aligned writes are pinned too.
+cargo run --release -q -p fm-cli -- synth power-law "$OOC_TMP/big.bin" \
+    --n 100000 --alpha 2.0 --min-degree 8 --max-degree 1000 --seed 5 >/dev/null
+cargo run --release -q -p fm-cli -- disk "$OOC_TMP/big.bin" "$OOC_TMP/big.fmdisk" >/dev/null
+OOC_DISK_CKSUM="$(cksum < "$OOC_TMP/big.fmdisk")"
+[[ "$OOC_DISK_CKSUM" == "72734878 15455632" ]] || {
+    echo "oocore tier: FMDISK1 cksum $OOC_DISK_CKSUM, pinned 72734878 15455632" >&2; exit 1; }
+rm "$OOC_TMP/big.bin" "$OOC_TMP/big.fmdisk"
 OOC_WALK="--walkers 512 --steps 8 --seed 5"
 for ALGO in "node2vec --p 2.0 --q 0.5" deepwalk; do
     OOC_FLAGS="--algo $ALGO $OOC_WALK --oocore-budget 4096"

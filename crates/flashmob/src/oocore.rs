@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fm_graph::mem::FileMap;
-use fm_graph::relabel::{sort_by_degree, Relabeling};
+use fm_graph::relabel::Relabeling;
 use fm_graph::{Csr, GraphError, VertexId};
 use fm_memsim::NullProbe;
 use fm_recover::{
@@ -49,8 +49,13 @@ use crate::{StopRule, WalkAlgorithm, WalkConfig, WalkError, DEAD};
 
 const MAGIC: &[u8; 8] = b"FMDISK1\0";
 
-/// The most bytes [`write_fmdisk`] stages before a write.
-const STAGE_BYTES: usize = 64 << 10;
+/// The words [`DiskGraph::write_fmdisk`] stages before a write: 4 MiB, a multiple
+/// of the 2 MiB folio the page cache can hold the file in (DESIGN §14).
+const STAGE_WORDS: usize = 1 << 20;
+
+/// The index words `DiskGraph::open` reads at a time, 64 KiB: reads need no
+/// alignment, and glibc can keep a freed 4 MiB buffer resident in its heap.
+const READ_WORDS: usize = 8 << 10;
 
 /// A degree-sorted CSR graph whose targets array resides on disk.
 ///
@@ -65,18 +70,20 @@ pub struct DiskGraph {
 
 impl DiskGraph {
     /// Sorts `graph` by descending degree and writes its targets to
-    /// `path`, returning the handle.
+    /// `path`, returning the handle.  The sorted rows are streamed from
+    /// `graph`, never built: this holds the index, relabeling and a stage.
     pub fn create<P: AsRef<Path>>(graph: &Csr, path: P) -> Result<Self, GraphError> {
         let path = path.as_ref();
         let at = |e: std::io::Error| GraphError::io_at(path, None, e);
-        let (sorted, relabel) = sort_by_degree(graph);
-        let mut file = File::create(path).map_err(at)?;
-        write_fmdisk(&mut file, &sorted).map_err(at)?;
-        Ok(Self {
+        let relabel = Relabeling::by_descending_degree(graph);
+        let disk = Self {
             path: path.to_path_buf(),
-            offsets: sorted.offsets().to_vec(),
+            offsets: relabel.sorted_offsets(graph),
             relabel: Arc::new(relabel),
-        })
+        };
+        let mut file = File::create(path).map_err(at)?;
+        disk.write_fmdisk(&mut file, graph).map_err(at)?;
+        Ok(disk)
     }
 
     /// Opens an existing on-disk graph, loading only the offsets index.
@@ -84,7 +91,8 @@ impl DiskGraph {
     /// The header is validated against the actual file length before any
     /// allocation: a corrupt vertex count can claim an index far larger
     /// than the file (or than the address space), and must fail with a
-    /// clean `Format` error instead of a panic or a wild allocation.
+    /// clean `Format` error instead of a panic or a wild allocation.  The
+    /// index is read [`READ_WORDS`] at a time and checked as it is decoded.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, GraphError> {
         let path = path.as_ref();
         let mut f = File::open(path).map_err(|e| GraphError::io_at(path, None, e))?;
@@ -92,8 +100,8 @@ impl DiskGraph {
             .metadata()
             .map_err(|e| GraphError::io_at(path, None, e))?
             .len();
-        let mut header = [0u8; 24];
-        f.read_exact(&mut header).map_err(|e| {
+        let mut header = [[0u8; 8]; 3];
+        f.read_exact(header.as_flattened_mut()).map_err(|e| {
             // A sub-header file is corruption (a torn create, not an
             // environment fault): classify as Format so the CLI exits
             // with the corrupt-input code rather than the IO one.
@@ -103,14 +111,10 @@ impl DiskGraph {
                 GraphError::io_at(path, Some(0), e)
             }
         })?;
-        if &header[..8] != MAGIC {
+        let [magic, vcount64, ecount64] = header.map(u64::from_le_bytes);
+        if magic != u64::from_le_bytes(*MAGIC) {
             return Err(GraphError::Format("bad disk-graph magic".into()));
         }
-        let mut word = [0u8; 8];
-        word.copy_from_slice(&header[8..16]);
-        let vcount64 = u64::from_le_bytes(word);
-        word.copy_from_slice(&header[16..24]);
-        let ecount64 = u64::from_le_bytes(word);
         let expect_len = vcount64
             .checked_add(1)
             .and_then(|v| v.checked_mul(8))
@@ -128,21 +132,18 @@ impl DiskGraph {
             )));
         }
         let vcount = vcount64 as usize;
-        let mut raw = vec![0u8; (vcount + 1) * 8];
-        f.read_exact(&mut raw)
-            .map_err(|e| GraphError::io_at(path, Some(24), e))?;
-        let offsets: Vec<usize> = raw
-            .chunks_exact(8)
-            .map(|c| {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(c);
-                u64::from_le_bytes(w) as usize
-            })
-            .collect();
-        if offsets.first() != Some(&0)
-            || offsets.last() != Some(&(ecount64 as usize))
-            || offsets.windows(2).any(|p| p[0] > p[1])
-        {
+        let mut offsets = Vec::with_capacity(vcount + 1);
+        let (mut buf, mut prev, mut monotone) = (vec![[0u8; 8]; READ_WORDS], 0, true);
+        for at in (0..=vcount).step_by(READ_WORDS) {
+            let chunk = &mut buf[..READ_WORDS.min(vcount + 1 - at)];
+            let at_off = |e| GraphError::io_at(path, Some(24 + 8 * at as u64), e);
+            f.read_exact(chunk.as_flattened_mut()).map_err(at_off)?;
+            for o in chunk.iter().map(|&w| u64::from_le_bytes(w)) {
+                (monotone, prev) = (monotone && o >= prev, o);
+                offsets.push(o as usize);
+            }
+        }
+        if !monotone || offsets[0] != 0 || prev != ecount64 {
             return Err(GraphError::Format(
                 "disk-graph offsets index is not a monotone CSR".into(),
             ));
@@ -201,39 +202,52 @@ impl DiskGraph {
         // here writes or truncates it.
         unsafe { FileMap::new(f, off, hi - lo) }.map_err(at)
     }
+
+    /// Writes FMDISK1 for `graph` in this handle's sorted order, as 32-bit
+    /// words through a stage of [`STAGE_WORDS`] written only when full: every
+    /// write but the last is one stage at a multiple of its length, so the
+    /// page cache holds the file in the large folios a mapping populates fast.
+    fn write_fmdisk<W: Write>(&self, w: &mut W, graph: &Csr) -> io::Result<()> {
+        let halves = |o: u64| [o as VertexId, (o >> 32) as VertexId];
+        let relabel = &*self.relabel;
+        let mut stage = Vec::with_capacity(STAGE_WORDS);
+        let (n, m) = (graph.vertex_count() as u64, graph.edge_count() as u64);
+        let head = [u64::from_le_bytes(*MAGIC), n, m];
+        stage.extend(head.into_iter().flat_map(halves));
+        // The header's six words keep each index entry's two within a stage.
+        for &o in &self.offsets {
+            stage.extend(halves(o as u64));
+            if stage.len() == STAGE_WORDS {
+                flush(w, &mut stage)?;
+            }
+        }
+        // A row is staged a slice at a time, split at the stage's end.
+        for old in relabel.rows(graph, true) {
+            let mut row = graph.neighbors(old);
+            while !row.is_empty() {
+                let (now, rest) = row.split_at(row.len().min(STAGE_WORDS - stage.len()));
+                stage.extend(now.iter().map(|&t| relabel.to_new(t)));
+                row = rest;
+                if stage.len() == STAGE_WORDS {
+                    flush(w, &mut stage)?;
+                }
+            }
+        }
+        flush(w, &mut stage)
+    }
 }
 
-/// Writes FMDISK1 for the degree-sorted `sorted` in a few large writes:
-/// the 24-byte header and the offsets index, little-endian, through a
-/// staging buffer of at most [`STAGE_BYTES`], then the targets in one
-/// write of their own bytes where the host is little-endian (through
-/// the staging buffer elsewhere).  Large writes let the page cache hold
-/// the file in large folios, which a block's mapping then populates
-/// quickly.
-fn write_fmdisk<W: Write>(w: &mut W, sorted: &Csr) -> io::Result<()> {
-    let mut stage = Vec::with_capacity(STAGE_BYTES);
-    let mut put = |w: &mut W, bytes: &[u8]| {
-        if stage.len() + bytes.len() > STAGE_BYTES {
-            w.write_all(&stage)?;
-            stage.clear();
-        }
-        stage.extend_from_slice(bytes);
-        io::Result::Ok(())
-    };
-    put(w, MAGIC)?;
-    put(w, &(sorted.vertex_count() as u64).to_le_bytes())?;
-    put(w, &(sorted.edge_count() as u64).to_le_bytes())?;
-    for &o in sorted.offsets() {
-        put(w, &(o as u64).to_le_bytes())?;
-    }
-    let targets = le_bytes(sorted.targets());
-    if targets.is_none() {
-        for &t in sorted.targets() {
-            put(w, &t.to_le_bytes())?;
+/// Writes `stage` as FMDISK1 stores it, in one write, and empties it.
+fn flush<W: Write>(w: &mut W, stage: &mut Vec<VertexId>) -> io::Result<()> {
+    match le_bytes(stage) {
+        Some(bytes) => w.write_all(bytes)?,
+        None => {
+            let bytes: Vec<u8> = stage.iter().flat_map(|t| t.to_le_bytes()).collect();
+            w.write_all(&bytes)?
         }
     }
-    w.write_all(&stage)?;
-    w.write_all(targets.unwrap_or_default())
+    stage.clear();
+    Ok(())
 }
 
 /// `words` as FMDISK1 stores them, little-endian: the words' own bytes
@@ -404,21 +418,9 @@ fn biblock_config_tag(config: &WalkConfig, partition_budget_bytes: usize) -> u64
 /// per-block counters (steps plus the adjacency bytes each load made
 /// resident), and a heartbeat tick per sweep.
 ///
-/// The schedule is GraSorw's triangular bi-block sweep.  The sorted
-/// vertex array is cut into blocks of at most *half* the byte budget,
-/// so a block **pair** always fits in the configured buffer; a hub
-/// vertex whose adjacency alone exceeds the half-budget gets a
-/// singleton block — the scheduler degrades to smaller pairs instead of
-/// overrunning the budget.  Each epoch sweeps the upper triangle of
-/// block pairs `(i, j)`, `i <= j`; a walker is *resident* while every
-/// adjacency lookup of its next step lands in the loaded pair, steps
-/// repeatedly while resident, and parks into the boundary bucket of its
-/// next pair when a step crosses out.  node2vec looks up `prev` and
-/// `cur`; DeepWalk and PPR look up `cur` alone (PPR's origin rides in
-/// the `prev` lane and needs no lookup), so they live on the diagonal
-/// and off-diagonal slots stay empty.  A resident pair's walkers step
-/// through the walker ring ([`Stepper::drain`]), the same walk at every
-/// depth.
+/// The schedule is GraSorw's triangular bi-block sweep, as the module
+/// docs and DESIGN §14 set it out; a hub whose list alone exceeds the
+/// half-budget is a block of its own, so a small budget never overruns.
 ///
 /// Determinism and crash safety: the RNG stream of a pair slot is
 /// `partition_stream_id(seed, epoch, slot)`, restarted at each slot,
@@ -479,10 +481,6 @@ pub fn run_ooc_with(
     let offsets = &disk.offsets[..];
     let blocks = Blocks::cut(offsets, partition_budget_bytes / 2);
     let (nblocks, n_pairs) = (blocks.len(), blocks.pairs());
-    let block_range = |b: usize| {
-        let r = blocks.range(b);
-        (r.start as VertexId, r.end as VertexId)
-    };
 
     let wall_start = Instant::now();
     let cur = init_positions(disk, config);
@@ -670,16 +668,7 @@ pub fn run_ooc_with(
                     }
                     let needed = if j == i { 1 } else { 2 };
                     for (buf, b) in bufs.iter_mut().zip([i, j]).take(needed) {
-                        ensure_resident(
-                            disk,
-                            &mut file,
-                            block_range(b),
-                            buf,
-                            epoch,
-                            b,
-                            &mut stats,
-                            tel,
-                        )?;
+                        ensure_resident(disk, &mut file, &blocks, buf, epoch, b, &mut stats, tel)?;
                     }
                     let held = bufs.iter().map(|b| b.words().len() as u64).sum();
                     stats.peak_block_words = stats.peak_block_words.max(held);
@@ -783,7 +772,7 @@ impl BlockBuf {
     }
 }
 
-/// Makes block `blk` (vertex range `range`) resident in `buf`: a no-op
+/// Makes block `blk` of `blocks` resident in `buf`: a no-op
 /// when `buf` already holds it, otherwise the block it held is unmapped
 /// and `blk` mapped through the fault-injection/retry layer, attributing
 /// the bytes and an Io span to the block's telemetry partition.
@@ -791,7 +780,7 @@ impl BlockBuf {
 fn ensure_resident(
     disk: &DiskGraph,
     file: &mut FaultyFile<File>,
-    range: (VertexId, VertexId),
+    blocks: &Blocks,
     buf: &mut BlockBuf,
     epoch: usize,
     blk: usize,
@@ -803,6 +792,7 @@ fn ensure_resident(
     }
     let io_span = tel.is_on().then(|| tel.now_ns());
     let t0 = Instant::now();
+    let range = blocks.range(blk);
     // Unmap first, so that no more than two blocks are ever mapped.
     buf.held = None;
     // Transient errors (injected or real) are retried with exponential
@@ -811,7 +801,7 @@ fn ensure_resident(
         &RetryPolicy::default(),
         &mut stats.io_retries,
         |e: &GraphError| e.io_source().is_some_and(transient_io),
-        || disk.map_block(file, range.0, range.1),
+        || disk.map_block(file, range.start as VertexId, range.end as VertexId),
     )?;
     let bytes = map.words().len() as u64 * 4;
     buf.held = Some((blk, map));
@@ -1142,6 +1132,7 @@ impl Stepper<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fm_graph::relabel::sort_by_degree;
     use fm_graph::synth;
     use fm_recover::{load_latest, CheckpointSink, CheckpointSpec, FaultPolicy};
 
@@ -1487,8 +1478,8 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// FMDISK1 as `create` wrote it one word at a time, before it wrote
-    /// in large writes: the reference encoding.
+    /// FMDISK1 as `create` wrote it one word at a time from the sorted
+    /// CSR, before it streamed the rows: the reference encoding.
     fn per_word_encoding(sorted: &Csr) -> Vec<u8> {
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&(sorted.vertex_count() as u64).to_le_bytes());
@@ -1502,16 +1493,16 @@ mod tests {
         bytes
     }
 
-    /// Counts the writes a writer is handed.
+    /// Records the writes a writer is handed, as (file offset, length).
     #[derive(Default)]
     struct Writes {
         bytes: Vec<u8>,
-        calls: usize,
+        calls: Vec<(usize, usize)>,
     }
 
     impl Write for Writes {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.calls += 1;
+            self.calls.push((self.bytes.len(), buf.len()));
             self.bytes.extend_from_slice(buf);
             Ok(buf.len())
         }
@@ -1523,31 +1514,37 @@ mod tests {
 
     #[test]
     fn fmdisk_is_the_per_word_encoding_in_few_writes() {
-        // 10 001 index words: 80 032 bytes with the header, more than
-        // one staging buffer and not a multiple of it.
-        let g = synth::power_law(10_000, 2.0, 1, 60, 5);
+        // A power-law graph plus a tail of zero-degree vertices: its index
+        // ends inside the first stage and its targets span three.
+        const STAGE: usize = STAGE_WORDS * 4;
+        let body = synth::power_law(200_000, 2.0, 8, 2_000, 5);
+        let tail = 1_000;
+        let mut offsets = body.offsets().to_vec();
+        offsets.extend(std::iter::repeat_n(body.edge_count(), tail));
+        let g = Csr::from_parts(offsets, body.targets().to_vec(), None).unwrap();
+        drop(body);
         let path = temp_path("bytes.fmdisk");
         let disk = DiskGraph::create(&g, &path).unwrap();
         let (sorted, _) = sort_by_degree(&g);
+        assert!((0..tail).all(|i| sorted.degree((g.vertex_count() - 1 - i) as VertexId) == 0));
         let head = 24 + 8 * (sorted.vertex_count() + 1);
-        assert_ne!(head % STAGE_BYTES, 0);
-        assert!(head > STAGE_BYTES);
+        assert!(head < STAGE && (head + 4 * sorted.edge_count()) > 3 * STAGE);
         let want = per_word_encoding(&sorted);
         assert_eq!(std::fs::read(&path).unwrap(), want);
         assert_eq!(disk.targets_base() as usize, head);
+        assert_eq!(disk.offsets, sorted.offsets());
 
         let mut w = Writes::default();
-        write_fmdisk(&mut w, &sorted).unwrap();
+        disk.write_fmdisk(&mut w, &g).unwrap();
         assert_eq!(w.bytes, want);
-        // A full staging buffer at a time, then the rest of the index,
-        // then the targets in one write where the host is little-endian.
-        let staged = if cfg!(target_endian = "little") {
-            head
-        } else {
-            want.len()
-        };
-        let most = staged.div_ceil(STAGE_BYTES) + 1;
-        assert!(w.calls <= most, "{} writes, want at most {most}", w.calls);
+        // Every write but the last is one full stage at a multiple of
+        // its length; the last is the rest.
+        let (&(last_at, last), full) = w.calls.split_last().unwrap();
+        assert_eq!(full.len(), want.len().div_ceil(STAGE) - 1);
+        for &(at, len) in full {
+            assert_eq!((at % STAGE, len), (0, STAGE), "write at {at}");
+        }
+        assert_eq!((last_at % STAGE, last_at + last), (0, want.len()));
         std::fs::remove_file(path).ok();
     }
 

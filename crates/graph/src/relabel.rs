@@ -91,37 +91,55 @@ impl Relabeling {
         self.new_to_old.is_empty()
     }
 
+    /// The rows of `graph` in sorted-ID order, as their original IDs,
+    /// behind the prefetches a gather in this order needs.  Rows are
+    /// fetched in degree order, which is no order at all in the input:
+    /// each is a cold offset pair, then (where `heads`) a cold row head.
+    /// A row's offset pair is hinted `FAR` rows ahead and, once resident,
+    /// read `NEAR` rows ahead to hint the row's first line.
+    pub fn rows<'a>(&'a self, graph: &'a Csr, heads: bool) -> impl Iterator<Item = VertexId> + 'a {
+        const FAR: usize = 32;
+        const NEAR: usize = 16;
+        let n = graph.vertex_count();
+        assert_eq!(n, self.len(), "relabeling size must match graph");
+        let (offsets, targets) = (graph.offsets(), graph.targets());
+        let row = |new_id: usize| self.new_to_old.get(new_id).map(|&old| old as usize);
+        let rows = self.new_to_old.iter().enumerate();
+        rows.map(move |(new_id, &old)| {
+            if let Some(far) = row(new_id + FAR) {
+                prefetch_read(&offsets[far]);
+            }
+            if let Some(near) = row(new_id + NEAR).filter(|_| heads) {
+                // Past the end for a trailing zero-degree vertex: a hint
+                // may point anywhere.
+                prefetch_read(targets.as_ptr().wrapping_add(offsets[near]));
+            }
+            old
+        })
+    }
+
+    /// The offsets index of `graph` in the sorted ID space, advised onto
+    /// huge pages before its first write (DESIGN §23).
+    pub fn sorted_offsets(&self, graph: &Csr) -> Vec<usize> {
+        let mut offsets = Vec::with_capacity(graph.vertex_count() + 1);
+        advise_huge(&offsets);
+        offsets.push(0usize);
+        let mut end = 0;
+        for old in self.rows(graph, false) {
+            end += graph.degree(old);
+            offsets.push(end);
+        }
+        offsets
+    }
+
     /// Rebuilds `graph` in the sorted ID space.
     ///
     /// Both endpoints are remapped; adjacency lists keep their original
     /// edge order (remapped), and weights follow their edges.
     pub fn apply(&self, graph: &Csr) -> Csr {
-        let n = graph.vertex_count();
-        assert_eq!(n, self.len(), "relabeling size must match graph");
-        // Rows are fetched in degree order, which is no order at all in
-        // the input: each is a cold offset pair, then a cold row head.
-        // Both loops run behind their own prefetches — a row's offset
-        // pair is hinted `FAR` rows ahead and, once resident, read
-        // `NEAR` rows ahead to hint the row's first line.
-        const FAR: usize = 32;
-        const NEAR: usize = 16;
-        let (src_offsets, src_targets) = (graph.offsets(), graph.targets());
-        let hint_pair = |row: usize| {
-            if let Some(&old) = self.new_to_old.get(row) {
-                prefetch_read(&src_offsets[old as usize]);
-            }
-        };
         // The four arrays are the walk's: each is advised onto huge
         // pages before its first write (DESIGN §23).
-        let mut offsets = Vec::with_capacity(n + 1);
-        advise_huge(&offsets);
-        offsets.push(0usize);
-        let mut end = 0;
-        for new_id in 0..n {
-            hint_pair(new_id + FAR);
-            end += graph.degree(self.new_to_old[new_id]);
-            offsets.push(end);
-        }
+        let offsets = self.sorted_offsets(graph);
         fn edge_array<T>(edges: usize) -> Vec<T> {
             let v = Vec::with_capacity(edges);
             advise_huge(&v);
@@ -131,20 +149,8 @@ impl Relabeling {
         let mut targets = edge_array(edges);
         let mut weights = graph.is_weighted().then(|| edge_array(edges));
         let mut labels = graph.is_labeled().then(|| edge_array(edges));
-        for new_id in 0..n {
-            hint_pair(new_id + FAR);
-            if let Some(&old) = self.new_to_old.get(new_id + NEAR) {
-                // Past the end for a trailing zero-degree vertex: a hint
-                // may point anywhere.
-                prefetch_read(src_targets.as_ptr().wrapping_add(src_offsets[old as usize]));
-            }
-            let old = self.new_to_old[new_id];
-            targets.extend(
-                graph
-                    .neighbors(old)
-                    .iter()
-                    .map(|&t| self.old_to_new[t as usize]),
-            );
+        for old in self.rows(graph, true) {
+            targets.extend(graph.neighbors(old).iter().map(|&t| self.to_new(t)));
             if let (Some(ws), Some(src)) = (weights.as_mut(), graph.edge_weights(old)) {
                 ws.extend_from_slice(src);
             }
