@@ -35,8 +35,9 @@
 #      crash drill over the FMDISK1 bi-block path, for node2vec and for
 #      DeepWalk — convert (the file's cksum pinned, and that of a second
 #      file spanning four of `create`'s write stages), walk with the ring
-#      off and at depth 16 (same paths, ring hints only at 16), halt
-#      deliberately mid-schedule under 15% injected faults, resume
+#      off and at depth 16 (same paths, ring hints only at 16), walk
+#      under 15% injected load faults (same paths, the retries absorbed
+#      pinned), halt deliberately mid-schedule under those faults, resume
 #      bit-exactly, and check the exit-code contract (4 wrong budget, 2
 #      persistent faults, 3 corrupt graph)
 #   8. ingest tier: one text edge list (comments, CRLF, no final
@@ -350,12 +351,24 @@ OOC_DISK_CKSUM="$(cksum < "$OOC_TMP/big.fmdisk")"
     echo "oocore tier: FMDISK1 cksum $OOC_DISK_CKSUM, pinned 72734878 15455632" >&2; exit 1; }
 rm "$OOC_TMP/big.bin" "$OOC_TMP/big.fmdisk"
 OOC_WALK="--walkers 512 --steps 8 --seed 5"
-for ALGO in "node2vec --p 2.0 --q 0.5" deepwalk; do
+for ALGO_RETRIES in "node2vec --p 2.0 --q 0.5:199" deepwalk:19; do
+    ALGO="${ALGO_RETRIES%:*}"
     OOC_FLAGS="--algo $ALGO $OOC_WALK --oocore-budget 4096"
     DRILL="$OOC_TMP/${ALGO%% *}"
     mkdir -p "$DRILL"
     cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \
         --output "$DRILL/full.txt"
+    # Faults never change the paths, and each block load rolls one
+    # transient fault: the retries absorbed are pinned per algorithm
+    # (taken from the build whose loads rolled through a byte-stream
+    # fault wrapper), so a drift in the roll sequence fails here.
+    cargo run --release -q -p fm-cli -- walk "$OOC_TMP/g.fmdisk" $OOC_FLAGS \
+        --stats --fault-rate 0.15 --fault-seed 7 --output "$DRILL/faulted.txt" \
+        > "$DRILL/faulted-stats.txt"
+    cmp "$DRILL/full.txt" "$DRILL/faulted.txt"
+    grep -qx "oocore: ${ALGO_RETRIES##*:} transient io retries absorbed" \
+        "$DRILL/faulted-stats.txt" || {
+        echo "oocore tier: $ALGO absorbed other than ${ALGO_RETRIES##*:} retries" >&2; exit 1; }
     # The walker ring is invisible out of core too: the same FMDISK1
     # walked with the ring off and at its deepest writes the same paths,
     # and --stats shows the depth reached the loop (hints only at 16).

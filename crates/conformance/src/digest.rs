@@ -7,8 +7,7 @@
 //! suffixes cannot alias) gives a stable 64-bit fingerprint that is
 //! cheap enough to run over every lattice cell.
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use fm_recover::Fingerprint;
 
 /// Digest of a full path matrix (one entry per walker, in walker order)
 /// followed by `stream_ids`: the per-partition RNG stream ids of every
@@ -17,20 +16,18 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Every value is folded as a little-endian `u64`: the walker count,
 /// then each path's length and vertices, then the stream ids.
 pub fn digest_paths(paths: &[Vec<u32>], stream_ids: &[u64]) -> u64 {
-    let mut state = FNV_OFFSET;
-    let mut fold = |value: u64| {
-        for byte in value.to_le_bytes() {
-            state ^= byte as u64;
-            state = state.wrapping_mul(FNV_PRIME);
-        }
-    };
-    fold(paths.len() as u64);
+    let mut fp = Fingerprint::new();
+    fp.fold_u64(paths.len() as u64);
     for path in paths {
-        fold(path.len() as u64);
-        path.iter().for_each(|&v| fold(v as u64));
+        fp.fold_u64(path.len() as u64);
+        for &v in path {
+            fp.fold_u64(u64::from(v));
+        }
     }
-    stream_ids.iter().for_each(|&id| fold(id));
-    state
+    for &id in stream_ids {
+        fp.fold_u64(id);
+    }
+    fp.value()
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use fm_graph::relabel::Relabeling;
 use fm_graph::{Csr, GraphError, VertexId};
 use fm_memsim::NullProbe;
 use fm_recover::{
-    transient_io, with_retries, BiBlockState, FaultyFile, Fingerprint, RecoverError, RetryPolicy,
+    transient_io, with_retries, BiBlockState, FaultState, Fingerprint, RecoverError, RetryPolicy,
     WalkSnapshot,
 };
 use fm_rng::{Rng64, Xorshift64Star};
@@ -182,13 +182,14 @@ impl DiskGraph {
     }
 
     /// Maps the adjacency words of the vertex range `[start, end)` from
-    /// `file`, FMDISK1 at this graph's path, after one roll of its fault
-    /// layer.  IO errors carry the path and the byte offset; a file cut
-    /// short under the open index is `UnexpectedEof`, as a short read
-    /// was.
+    /// `file`, FMDISK1 at this graph's path, after one roll of `fault`
+    /// (none without a fault policy).  IO errors carry the path and the
+    /// byte offset; a file cut short under the open index is
+    /// `UnexpectedEof`.
     fn map_block(
         &self,
-        file: &mut FaultyFile<File>,
+        file: &File,
+        fault: &mut Option<FaultState>,
         start: VertexId,
         end: VertexId,
     ) -> Result<FileMap, GraphError> {
@@ -196,11 +197,13 @@ impl DiskGraph {
         let hi = self.offsets[end as usize];
         let off = self.targets_base() + (lo as u64) * 4;
         let at = |e| GraphError::io_at(&self.path, Some(off), e);
-        let f = file.operation().map_err(at)?;
+        if let Some(fault) = fault {
+            fault.operation().map_err(at)?;
+        }
         // SAFETY: FMDISK1 is not modified while a run maps it (DESIGN
         // §14): `create` writes it whole before any map, and nothing
         // here writes or truncates it.
-        unsafe { FileMap::new(f, off, hi - lo) }.map_err(at)
+        unsafe { FileMap::new(file, off, hi - lo) }.map_err(at)
     }
 
     /// Writes FMDISK1 for `graph` in this handle's sorted order, as 32-bit
@@ -503,10 +506,7 @@ pub fn run_ooc_with(
     let mut pairs_done = 0u64;
 
     let file = File::open(&disk.path).map_err(|e| GraphError::io_at(&disk.path, None, e))?;
-    let mut file = match opts.fault {
-        Some(policy) => FaultyFile::with_policy(file, policy),
-        None => FaultyFile::passthrough(file),
-    };
+    let mut fault = opts.fault.map(FaultState::new);
     if tel.is_on() {
         tel.ensure_partitions(nblocks);
     }
@@ -668,7 +668,9 @@ pub fn run_ooc_with(
                     }
                     let needed = if j == i { 1 } else { 2 };
                     for (buf, b) in bufs.iter_mut().zip([i, j]).take(needed) {
-                        ensure_resident(disk, &mut file, &blocks, buf, epoch, b, &mut stats, tel)?;
+                        ensure_resident(
+                            disk, &file, &mut fault, &blocks, buf, epoch, b, &mut stats, tel,
+                        )?;
                     }
                     let held = bufs.iter().map(|b| b.words().len() as u64).sum();
                     stats.peak_block_words = stats.peak_block_words.max(held);
@@ -774,12 +776,13 @@ impl BlockBuf {
 
 /// Makes block `blk` of `blocks` resident in `buf`: a no-op
 /// when `buf` already holds it, otherwise the block it held is unmapped
-/// and `blk` mapped through the fault-injection/retry layer, attributing
+/// and `blk` mapped after a roll of `fault`, under retries, attributing
 /// the bytes and an Io span to the block's telemetry partition.
 #[allow(clippy::too_many_arguments)]
 fn ensure_resident(
     disk: &DiskGraph,
-    file: &mut FaultyFile<File>,
+    file: &File,
+    fault: &mut Option<FaultState>,
     blocks: &Blocks,
     buf: &mut BlockBuf,
     epoch: usize,
@@ -801,7 +804,7 @@ fn ensure_resident(
         &RetryPolicy::default(),
         &mut stats.io_retries,
         |e: &GraphError| e.io_source().is_some_and(transient_io),
-        || disk.map_block(file, range.start as VertexId, range.end as VertexId),
+        || disk.map_block(file, fault, range.start as VertexId, range.end as VertexId),
     )?;
     let bytes = map.words().len() as u64 * 4;
     buf.held = Some((blk, map));
@@ -1593,15 +1596,15 @@ mod tests {
         ];
 
         // Every range maps to exactly the sorted CSR's words.
-        let mut file = FaultyFile::passthrough(File::open(&path).unwrap());
+        let file = File::open(&path).unwrap();
         for &(a, b) in &ranges {
-            let map = disk.map_block(&mut file, a, b).unwrap();
+            let map = disk.map_block(&file, &mut None, a, b).unwrap();
             assert_eq!(map.words(), want(a, b), "range [{a}, {b})");
         }
 
         // Transient faults are retried, to the same words.
         let policy = FaultPolicy::transient(5, 0.3);
-        let mut faulty = FaultyFile::with_policy(File::open(&path).unwrap(), policy);
+        let mut fault = Some(FaultState::new(policy));
         let mut retries = 0u64;
         for _ in 0..4 {
             for &(a, b) in &ranges {
@@ -1609,20 +1612,20 @@ mod tests {
                     &RetryPolicy::immediate(64),
                     &mut retries,
                     |e: &GraphError| e.io_source().is_some_and(transient_io),
-                    || disk.map_block(&mut faulty, a, b),
+                    || disk.map_block(&file, &mut fault, a, b),
                 )
                 .unwrap();
                 assert_eq!(map.words(), want(a, b), "range [{a}, {b}) under faults");
             }
         }
-        assert_eq!(faulty.counts().transient, retries);
+        assert_eq!(fault.map(|f| f.counts.transient), Some(retries));
         assert!(retries > 0);
 
         // A file truncated under the open index is a typed, permanent
         // error on the first attempt, never a SIGBUS, a panic or a retry
         // loop: cut inside the last page, and cut by whole pages, with
         // a mapping populated before the cut still alive (and unread).
-        let held = disk.map_block(&mut file, mid, n).unwrap();
+        let held = disk.map_block(&file, &mut None, mid, n).unwrap();
         let len = std::fs::metadata(&path).unwrap().len();
         let shrink = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         for cut in [len - 6, byte_at(mid) + 4] {
@@ -1635,7 +1638,7 @@ mod tests {
                 |e: &GraphError| e.io_source().is_some_and(transient_io),
                 || {
                     attempts += 1;
-                    disk.map_block(&mut file, mid, n)
+                    disk.map_block(&file, &mut None, mid, n)
                 },
             )
             .err()
@@ -2208,6 +2211,33 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&ckdir).ok();
+        std::fs::remove_file(&disk.path).ok();
+    }
+
+    #[test]
+    fn faulted_biblock_loads_keep_their_roll_sequence() {
+        // One transient roll per load attempt, drawn in load order: the
+        // retries and paths below were recorded when a load took its roll
+        // from a byte-stream fault wrapper, and a drift in the roll
+        // sequence moves the retry count.  Faults never move the paths.
+        let g = synth::power_law(2000, 2.0, 2, 64, 11);
+        let disk = DiskGraph::create(&g, temp_path("bb_fault_pin.fmdisk")).unwrap();
+        let budget = disk.edge_count();
+        let cfg = WalkConfig::node2vec(2.0, 0.5).walkers(1000).steps(12).seed(5);
+        let faulted = RunOptions::default().fault(FaultPolicy::transient(7, 0.3));
+        let (out, stats) =
+            run_ooc_with(&disk, &cfg, budget, &faulted, &mut Telemetry::off()).unwrap();
+        let (clean, clean_stats) = run_default(&disk, &cfg, budget).unwrap();
+        assert_eq!(out.paths(), clean.paths());
+        assert_eq!(clean_stats.io_retries, 0);
+        let mut fp = Fingerprint::new();
+        for v in out.paths().into_iter().flatten() {
+            fp.fold_u64(u64::from(v));
+        }
+        assert_eq!(
+            (stats.io_retries, stats.blocks_streamed, fp.value()),
+            (107, 291, 0x5cba_6721_05e8_ab7f)
+        );
         std::fs::remove_file(&disk.path).ok();
     }
 

@@ -82,6 +82,14 @@ impl WalkOutput {
     /// from the row count so the scratch stays within 256 KiB (one
     /// column, if a single path is longer).
     pub fn paths(&self) -> Vec<Vec<VertexId>> {
+        match self.relabel.is_identity() {
+            true => self.paths_by(|v| v),
+            false => self.paths_by(|v| self.relabel.to_old(v)),
+        }
+    }
+
+    /// [`paths`](Self::paths) with `to_old` for [`Relabeling::to_old`].
+    fn paths_by(&self, to_old: impl Fn(VertexId) -> VertexId) -> Vec<Vec<VertexId>> {
         let rows = self.steps.len();
         if rows == 0 {
             return vec![Vec::new(); self.walkers];
@@ -100,7 +108,7 @@ impl WalkOutput {
                         dead = true;
                         DEAD
                     } else {
-                        self.relabel.to_old(v)
+                        to_old(v)
                     };
                 }
             }

@@ -6,9 +6,9 @@
 //! through one 4 MiB stage.  So the heap it adds on top of its input is
 //! at most 24 bytes a vertex, one stage and a small constant, and it does
 //! not grow with the edges.  `DiskGraph::open` reads the index through a
-//! buffer no larger than a stage, so it holds at most the index, the
-//! identity relabeling and one stage, and the index is its only
-//! allocation that large.
+//! buffer no larger than a stage and hands the graph an identity
+//! relabeling, which holds no arrays, so it holds at most the index and
+//! one stage, and the index is its only allocation that large.
 //!
 //! A counting global allocator tracks every live heap byte and the peak,
 //! and counts the allocations of at least a threshold.  One test only:
@@ -126,8 +126,8 @@ fn disk_graphs_are_made_and_opened_in_o_v_words() {
     drop(large);
 
     // An index (8 bytes a vertex and one) larger than a stage.  Open
-    // holds it, the identity relabeling (8 bytes a vertex) and at most a
-    // stage, and makes no other allocation the index's size.
+    // holds it and at most a stage, and makes no other allocation the
+    // index's size.
     let n = 600_000;
     let index = 8 * (n + 1);
     assert!(index > STAGE);
@@ -137,7 +137,7 @@ fn disk_graphs_are_made_and_opened_in_o_v_words() {
     let (disk, open_peak) = peak_added(|| DiskGraph::open(&path).expect("open"));
     THRESHOLD.store(usize::MAX, Ordering::SeqCst);
     assert_eq!(disk.edge_count(), cycle.edge_count());
-    let bound = index + 8 * n + STAGE + SLACK;
+    let bound = index + STAGE + SLACK;
     assert!(open_peak <= bound, "open held {open_peak} B, bound {bound}");
     assert_eq!(LARGE.load(Ordering::SeqCst), 1, "index-sized allocations");
     std::fs::remove_file(&path).ok();

@@ -12,13 +12,16 @@ use crate::mem::advise_huge;
 use crate::prefetch::prefetch_read;
 use crate::VertexId;
 
-/// A bijection between original and degree-sorted vertex IDs.
+/// A bijection between original and degree-sorted vertex IDs.  The
+/// identity holds no arrays, only its length.
 #[derive(Debug, Clone)]
 pub struct Relabeling {
-    /// `new_to_old[new_id] = old_id`.
+    /// `new_to_old[new_id] = old_id`; empty for the identity.
     new_to_old: Vec<VertexId>,
-    /// `old_to_new[old_id] = new_id`.
+    /// `old_to_new[old_id] = new_id`; empty for the identity.
     old_to_new: Vec<VertexId>,
+    /// Number of vertices covered.
+    len: usize,
 }
 
 impl Relabeling {
@@ -29,18 +32,16 @@ impl Relabeling {
     pub fn by_descending_degree(graph: &Csr) -> Self {
         let n = graph.vertex_count();
         let max_d = graph.max_degree();
-        // Bucket counts indexed by degree.
-        let mut counts = vec![0usize; max_d + 2];
+        // Bucket counts indexed by degree, turned in place into each
+        // bucket's start: the bucket for degree d starts after all
+        // buckets of larger degree.
+        let mut start = vec![0usize; max_d + 1];
         for v in 0..n {
-            counts[graph.degree(v as VertexId)] += 1;
+            start[graph.degree(v as VertexId)] += 1;
         }
-        // Prefix sums for descending degree: bucket for degree d starts
-        // after all buckets of larger degree.
-        let mut start = vec![0usize; max_d + 2];
         let mut acc = 0usize;
-        for d in (0..=max_d).rev() {
-            start[d] = acc;
-            acc += counts[d];
+        for slot in start.iter_mut().rev() {
+            (*slot, acc) = (acc, acc + *slot);
         }
         let mut new_to_old = vec![0 as VertexId; n];
         let mut old_to_new = vec![0 as VertexId; n];
@@ -55,40 +56,63 @@ impl Relabeling {
         Self {
             new_to_old,
             old_to_new,
+            len: n,
         }
     }
 
     /// The identity relabeling over `n` vertices.
     pub fn identity(n: usize) -> Self {
-        let ids: Vec<VertexId> = (0..n as VertexId).collect();
         Self {
-            new_to_old: ids.clone(),
-            old_to_new: ids,
+            new_to_old: Vec::new(),
+            old_to_new: Vec::new(),
+            len: n,
         }
+    }
+
+    /// Whether every ID maps to itself.  A loop over many IDs asks this
+    /// once and maps through `|v| v` when it holds.
+    #[inline]
+    pub fn is_identity(&self) -> bool {
+        self.new_to_old.is_empty()
     }
 
     /// Maps a sorted-space ID back to the original ID.
     #[inline]
     pub fn to_old(&self, new_id: VertexId) -> VertexId {
-        self.new_to_old[new_id as usize]
+        match self.new_to_old.get(new_id as usize) {
+            Some(&old) => old,
+            None => self.unmapped(new_id),
+        }
     }
 
     /// Maps an original ID to its sorted-space ID.
     #[inline]
     pub fn to_new(&self, old_id: VertexId) -> VertexId {
-        self.old_to_new[old_id as usize]
+        match self.old_to_new.get(old_id as usize) {
+            Some(&new) => new,
+            None => self.unmapped(old_id),
+        }
+    }
+
+    /// An ID no map holds: itself on the identity.  Out of range, the
+    /// index panics, as it does on a map.
+    fn unmapped(&self, id: VertexId) -> VertexId {
+        match self.is_identity() && (id as usize) < self.len {
+            true => id,
+            false => self.new_to_old[id as usize],
+        }
     }
 
     /// Number of vertices covered.
     #[inline]
     pub fn len(&self) -> usize {
-        self.new_to_old.len()
+        self.len
     }
 
     /// Returns `true` for a zero-vertex relabeling.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.new_to_old.is_empty()
+        self.len == 0
     }
 
     /// The rows of `graph` in sorted-ID order, as their original IDs,
@@ -103,9 +127,12 @@ impl Relabeling {
         let n = graph.vertex_count();
         assert_eq!(n, self.len(), "relabeling size must match graph");
         let (offsets, targets) = (graph.offsets(), graph.targets());
+        // The identity's rows are in ID order, with nothing to hint.
+        let in_order = if self.is_identity() { 0..n } else { 0..0 };
+        let in_order = in_order.map(|v| v as VertexId);
         let row = |new_id: usize| self.new_to_old.get(new_id).map(|&old| old as usize);
         let rows = self.new_to_old.iter().enumerate();
-        rows.map(move |(new_id, &old)| {
+        in_order.chain(rows.map(move |(new_id, &old)| {
             if let Some(far) = row(new_id + FAR) {
                 prefetch_read(&offsets[far]);
             }
@@ -115,7 +142,7 @@ impl Relabeling {
                 prefetch_read(targets.as_ptr().wrapping_add(offsets[near]));
             }
             old
-        })
+        }))
     }
 
     /// The offsets index of `graph` in the sorted ID space, advised onto
@@ -137,6 +164,14 @@ impl Relabeling {
     /// Both endpoints are remapped; adjacency lists keep their original
     /// edge order (remapped), and weights follow their edges.
     pub fn apply(&self, graph: &Csr) -> Csr {
+        match self.is_identity() {
+            true => self.apply_by(graph, |t| t),
+            false => self.apply_by(graph, |t| self.to_new(t)),
+        }
+    }
+
+    /// [`apply`](Self::apply) with `to_new` for [`Self::to_new`].
+    fn apply_by(&self, graph: &Csr, to_new: impl Fn(VertexId) -> VertexId) -> Csr {
         // The four arrays are the walk's: each is advised onto huge
         // pages before its first write (DESIGN §23).
         let offsets = self.sorted_offsets(graph);
@@ -150,7 +185,7 @@ impl Relabeling {
         let mut weights = graph.is_weighted().then(|| edge_array(edges));
         let mut labels = graph.is_labeled().then(|| edge_array(edges));
         for old in self.rows(graph, true) {
-            targets.extend(graph.neighbors(old).iter().map(|&t| self.to_new(t)));
+            targets.extend(graph.neighbors(old).iter().map(|&t| to_new(t)));
             if let (Some(ws), Some(src)) = (weights.as_mut(), graph.edge_weights(old)) {
                 ws.extend_from_slice(src);
             }
@@ -269,8 +304,22 @@ mod tests {
     fn identity_relabeling_is_noop() {
         let g = star_plus_chain();
         let r = Relabeling::identity(g.vertex_count());
+        assert!(r.is_identity() && !r.is_empty());
+        assert_eq!(r.len(), 5);
+        for v in 0..5 {
+            assert_eq!((r.to_old(v), r.to_new(v)), (v, v));
+        }
+        assert!(r.rows(&g, true).eq(0..5));
+        assert_eq!(r.sorted_offsets(&g), g.offsets());
         let g2 = r.apply(&g);
         assert_eq!(g, g2);
+        assert!(!Relabeling::by_descending_degree(&g).is_identity());
+    }
+
+    #[test]
+    #[should_panic]
+    fn identity_relabeling_refuses_ids_out_of_range() {
+        Relabeling::identity(5).to_old(5);
     }
 
     #[test]

@@ -70,24 +70,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// FNV-1a 64-bit hash of `data`.
-///
-/// The manifest fingerprints whole snapshot files with FNV, not CRC32:
-/// CRC has the residue property (a message followed by its own CRC
-/// contributes a *constant* to any enclosing CRC), so a whole-file CRC32
-/// over our framed format — where every frame already embeds its CRC —
-/// collapses to the same value for any two valid snapshots of equal
-/// section lengths and cannot tell generations apart.  FNV has no such
-/// linear structure.
-pub fn fnv64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

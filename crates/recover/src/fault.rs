@@ -1,30 +1,29 @@
 //! Deterministic fault injection for file IO.
 //!
-//! [`FaultyFile`] wraps any `Read + Seek (+ Write)` object and injects
-//! seeded, reproducible faults: transient errors (retryable), short
-//! reads, and torn writes (a prefix persists, then the write fails
-//! permanently — the model of a crash mid-write).  An operation that
-//! does not go through `Read` or `Write` — a block load that maps the
-//! file — takes its transient roll from [`FaultyFile::operation`].  The same seed always
-//! produces the same fault sequence, so every test that exercises the
-//! retry and atomicity machinery is bit-reproducible.
+//! [`FaultState`] is one seeded, reproducible fault stream shared by a
+//! run's IO: a transient (retryable) error rolled once per operation —
+//! a checkpoint write through [`FaultState::faulted_write_all`] or a
+//! block load, which maps the file, through [`FaultState::operation`] —
+//! and torn checkpoint writes (a prefix persists, then the write fails
+//! permanently: the model of a crash mid-write).  No IO in a run reads
+//! a byte stream, so there are no short reads to inject.  The same seed
+//! always produces the same fault sequence, so every test that
+//! exercises the retry and atomicity machinery is bit-reproducible.
 
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 
 use fm_rng::{Rng64, Xorshift64Star};
 
-/// Probabilities (per IO call) of each injected fault class.
+/// Probabilities (per IO operation) of each injected fault class.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultPolicy {
     /// RNG seed for the fault stream.
     pub seed: u64,
-    /// Probability an op fails with a transient (retryable) error.
+    /// Probability an operation fails with a transient (retryable)
+    /// error: a block load fails whole or not at all.
     pub transient_rate: f64,
-    /// Probability a read returns only half the requested bytes.  A
-    /// mapping has no short reads, so [`FaultyFile::operation`] never
-    /// rolls this: a mapped load fails whole or not at all.
-    pub short_read_rate: f64,
-    /// Probability a write persists a prefix and then fails permanently.
+    /// Probability a checkpoint write persists a prefix and then fails
+    /// permanently.
     pub torn_write_rate: f64,
 }
 
@@ -53,8 +52,6 @@ impl FaultPolicy {
 pub struct FaultCounts {
     /// Transient errors injected.
     pub transient: u64,
-    /// Short reads injected.
-    pub short_reads: u64,
     /// Torn writes injected.
     pub torn_writes: u64,
 }
@@ -81,25 +78,31 @@ impl FaultState {
         rate > 0.0 && self.rng.next_f64() < rate
     }
 
-    /// The transient error injected by this layer.  `WouldBlock` is
-    /// deliberate: `Read::read_exact` silently retries `Interrupted`,
-    /// which would hide the fault from the retry layer under test.
-    fn transient_error(context: &str) -> io::Error {
-        io::Error::new(
-            io::ErrorKind::WouldBlock,
-            format!("injected transient {context} error"),
-        )
-    }
-
-    /// One faulted bulk write against `w`: rolls the fault dice once,
-    /// then either fails transiently, tears the write (persists half,
-    /// fails permanently), or writes everything.  Used by the checkpoint
-    /// sink, whose fault stream must span retry attempts.
-    pub fn faulted_write_all<W: Write>(&mut self, w: &mut W, buf: &[u8]) -> io::Result<()> {
+    /// One IO operation: rolls the transient fault once (counted in
+    /// [`FaultCounts::transient`]; no draw at rate 0) and otherwise
+    /// leaves the caller to perform it.  A block load, which maps the
+    /// file, takes this roll alone.  The error is `WouldBlock` on
+    /// purpose: std's `write_all` silently retries `Interrupted`, which
+    /// would hide the fault from the retry layer under test.
+    pub fn operation(&mut self) -> io::Result<()> {
         if self.roll(self.policy.transient_rate) {
             self.counts.transient += 1;
-            return Err(Self::transient_error("write"));
+            return Err(io::Error::new(
+                io::ErrorKind::WouldBlock,
+                "injected transient IO error",
+            ));
         }
+        Ok(())
+    }
+
+    /// One faulted bulk write against `w`: an [`operation`] roll, then
+    /// either a torn write (persists half, fails permanently) or the
+    /// whole write.  Used by the checkpoint sink, whose fault stream must
+    /// span retry attempts.
+    ///
+    /// [`operation`]: FaultState::operation
+    pub fn faulted_write_all<W: Write>(&mut self, w: &mut W, buf: &[u8]) -> io::Result<()> {
+        self.operation()?;
         if buf.len() > 1 && self.roll(self.policy.torn_write_rate) {
             self.counts.torn_writes += 1;
             w.write_all(&buf[..buf.len() / 2])?;
@@ -109,158 +112,36 @@ impl FaultState {
     }
 }
 
-/// A `Read + Seek + Write` wrapper that injects faults per
-/// [`FaultPolicy`].  With no policy it is a zero-cost pass-through, so
-/// engines can hold one unconditionally.
-#[derive(Debug)]
-pub struct FaultyFile<F> {
-    inner: F,
-    state: Option<FaultState>,
-}
-
-impl<F> FaultyFile<F> {
-    /// No faults: plain delegation to `inner`.
-    pub fn passthrough(inner: F) -> Self {
-        Self { inner, state: None }
-    }
-
-    /// Injects faults per `policy`.
-    pub fn with_policy(inner: F, policy: FaultPolicy) -> Self {
-        Self {
-            inner,
-            state: Some(FaultState::new(policy)),
-        }
-    }
-
-    /// Faults injected so far (zeros for a pass-through).
-    pub fn counts(&self) -> FaultCounts {
-        self.state.as_ref().map(|s| s.counts).unwrap_or_default()
-    }
-
-    /// The wrapped object.
-    pub fn into_inner(self) -> F {
-        self.inner
-    }
-
-    /// One whole operation on the wrapped object, such as a block load
-    /// that maps the file rather than reading it: rolls the transient
-    /// fault once (counted in [`FaultCounts::transient`]) and otherwise
-    /// hands the object back for the caller to perform it with.
-    pub fn operation(&mut self) -> io::Result<&F> {
-        if let Some(st) = self.state.as_mut() {
-            if st.roll(st.policy.transient_rate) {
-                st.counts.transient += 1;
-                return Err(FaultState::transient_error("load"));
-            }
-        }
-        Ok(&self.inner)
-    }
-}
-
-impl<F: Read> Read for FaultyFile<F> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(st) = self.state.as_mut() {
-            if st.roll(st.policy.transient_rate) {
-                st.counts.transient += 1;
-                return Err(FaultState::transient_error("read"));
-            }
-            if buf.len() > 1 && st.roll(st.policy.short_read_rate) {
-                st.counts.short_reads += 1;
-                let half = buf.len() / 2;
-                return self.inner.read(&mut buf[..half]);
-            }
-        }
-        self.inner.read(buf)
-    }
-}
-
-impl<F: Seek> Seek for FaultyFile<F> {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        self.inner.seek(pos)
-    }
-}
-
-impl<F: Write> Write for FaultyFile<F> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if let Some(st) = self.state.as_mut() {
-            if st.roll(st.policy.transient_rate) {
-                st.counts.transient += 1;
-                return Err(FaultState::transient_error("write"));
-            }
-            if buf.len() > 1 && st.roll(st.policy.torn_write_rate) {
-                st.counts.torn_writes += 1;
-                // Persist a prefix, then fail permanently: the on-disk
-                // model of a crash mid-write.
-                self.inner.write_all(&buf[..buf.len() / 2])?;
-                return Err(io::Error::other("injected torn write"));
-            }
-        }
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
 
     #[test]
-    fn passthrough_reads_exactly() {
-        let data: Vec<u8> = (0..64u8).collect();
-        let mut f = FaultyFile::passthrough(Cursor::new(data.clone()));
-        let mut out = vec![0u8; 64];
-        f.read_exact(&mut out).expect("clean read");
-        assert_eq!(out, data);
-        assert_eq!(f.counts(), FaultCounts::default());
-    }
-
-    #[test]
     fn fault_sequence_is_deterministic() {
-        let data = vec![7u8; 4096];
         let policy = FaultPolicy {
             seed: 99,
             transient_rate: 0.3,
-            short_read_rate: 0.3,
-            torn_write_rate: 0.0,
+            torn_write_rate: 0.3,
         };
         let run = || {
-            let mut f = FaultyFile::with_policy(Cursor::new(data.clone()), policy);
+            let mut st = FaultState::new(policy);
             let mut log = Vec::new();
-            for _ in 0..200 {
-                let mut buf = [0u8; 16];
-                f.seek(SeekFrom::Start(0)).expect("seek");
-                log.push(match f.read(&mut buf) {
-                    Ok(n) => n as i64,
-                    Err(_) => -1,
-                });
+            for i in 0..200 {
+                let mut out = Cursor::new(Vec::new());
+                let res = match i % 2 {
+                    0 => st.operation(),
+                    _ => st.faulted_write_all(&mut out, &[7u8; 16]),
+                };
+                log.push((res.map_err(|e| e.kind()), out.into_inner().len()));
             }
-            (log, f.counts())
+            (log, st.counts)
         };
         let (la, ca) = run();
         let (lb, cb) = run();
         assert_eq!(la, lb);
         assert_eq!(ca, cb);
-        assert!(ca.transient > 0 && ca.short_reads > 0);
-    }
-
-    #[test]
-    fn short_reads_are_absorbed_by_read_exact() {
-        let data: Vec<u8> = (0..255u8).collect();
-        let policy = FaultPolicy {
-            seed: 5,
-            transient_rate: 0.0,
-            short_read_rate: 0.5,
-            torn_write_rate: 0.0,
-        };
-        let mut f = FaultyFile::with_policy(Cursor::new(data.clone()), policy);
-        let mut out = vec![0u8; 255];
-        f.read_exact(&mut out).expect("read_exact loops over short reads");
-        assert_eq!(out, data);
-        assert!(f.counts().short_reads > 0);
+        assert!(ca.transient > 0 && ca.torn_writes > 0, "{ca:?}");
     }
 
     #[test]
@@ -268,36 +149,44 @@ mod tests {
         let policy = FaultPolicy {
             seed: 11,
             transient_rate: 0.4,
-            short_read_rate: 1.0,
             torn_write_rate: 1.0,
         };
-        let mut f = FaultyFile::with_policy(Cursor::new(vec![3u8; 8]), policy);
-        let mut handed_back = 0u64;
+        let mut st = FaultState::new(policy);
+        let mut performed = 0u64;
         for _ in 0..200 {
-            match f.operation() {
-                Ok(inner) => {
-                    assert_eq!(inner.get_ref(), &vec![3u8; 8]);
-                    handed_back += 1;
-                }
+            match st.operation() {
+                Ok(()) => performed += 1,
                 Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
             }
         }
-        let counts = f.counts();
-        assert_eq!(counts.transient + handed_back, 200);
-        assert!(counts.transient > 0 && handed_back > 0, "{counts:?}");
-        assert_eq!((counts.short_reads, counts.torn_writes), (0, 0));
-        let mut clean = FaultyFile::passthrough(Cursor::new(Vec::<u8>::new()));
-        assert!(clean.operation().is_ok());
-        assert_eq!(clean.counts(), FaultCounts::default());
+        assert_eq!(st.counts.transient + performed, 200);
+        assert!(st.counts.transient > 0 && performed > 0, "{:?}", st.counts);
+        assert_eq!(st.counts.torn_writes, 0);
+        // One draw per operation: the stream matches one roll per call.
+        let mut rng = Xorshift64Star::new(11);
+        let rolls = (0..200).filter(|_| rng.next_f64() < 0.4).count();
+        assert_eq!(st.counts.transient, rolls as u64);
+        // At rate 0 an operation draws nothing: the writes after any
+        // number of them tear as a fresh stream's do.
+        let tears = |ops: usize| {
+            let mut st = FaultState::new(FaultPolicy::torn_writes(5, 0.5));
+            assert!((0..ops).all(|_| st.operation().is_ok()));
+            let write = |st: &mut FaultState| st.faulted_write_all(&mut io::sink(), &[0u8; 8]);
+            (0..64).map(|_| write(&mut st).is_err()).collect::<Vec<_>>()
+        };
+        assert_eq!(tears(100), tears(0));
+        assert!(tears(0).contains(&true) && tears(0).contains(&false));
     }
 
     #[test]
     fn torn_write_persists_prefix_then_fails() {
-        let policy = FaultPolicy::torn_writes(3, 1.0);
-        let mut f = FaultyFile::with_policy(Cursor::new(Vec::new()), policy);
-        let err = f.write_all(&[1u8; 100]).expect_err("torn write fails");
+        let mut st = FaultState::new(FaultPolicy::torn_writes(3, 1.0));
+        let mut out = Cursor::new(Vec::new());
+        let err = st
+            .faulted_write_all(&mut out, &[1u8; 100])
+            .expect_err("torn write fails");
         assert!(!matches!(err.kind(), io::ErrorKind::WouldBlock));
-        assert_eq!(f.counts().torn_writes, 1);
-        assert_eq!(f.into_inner().into_inner(), vec![1u8; 50]);
+        assert_eq!(st.counts.torn_writes, 1);
+        assert_eq!(out.into_inner(), vec![1u8; 50]);
     }
 }

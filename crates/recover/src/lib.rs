@@ -16,10 +16,11 @@
 //! * [`manifest::CheckpointSink`] / [`manifest::load_latest`] — atomic
 //!   write-to-temp → fsync → rename publication with a generation-stamped
 //!   manifest that detects torn, partial, or mixed-generation snapshots.
-//! * [`fault::FaultyFile`] and [`retry::with_retries`] — a seeded,
-//!   reproducible fault-injection shim (transient errors, short reads,
-//!   torn writes) and the bounded-retry/exponential-backoff loop that
-//!   engines thread around block loads and checkpoint writes.
+//! * [`fault::FaultState`] and [`retry::with_retries`] — one seeded,
+//!   reproducible fault stream (a transient error rolled per block load
+//!   or checkpoint write, and torn checkpoint writes) and the
+//!   bounded-retry/exponential-backoff loop that engines thread around
+//!   both.
 //!
 //! RNG streams never need snapshotting: every engine derives per-
 //! `(iteration, partition)` streams from a pure function of the seed, so
@@ -37,8 +38,7 @@ mod wire;
 
 pub use crc::crc32;
 pub use error::RecoverError;
-pub use fault::{FaultCounts, FaultPolicy, FaultState, FaultyFile};
-pub use manifest::{load_latest, CheckpointSink, Manifest, MANIFEST_NAME};
+pub use fault::{FaultCounts, FaultPolicy, FaultState};
+pub use manifest::{fnv64, load_latest, CheckpointSink, Manifest, MANIFEST_NAME};
 pub use retry::{transient_io, with_retries, RetryPolicy};
-pub use crc::fnv64;
 pub use snapshot::{BiBlockState, CheckpointSpec, Fingerprint, PsPartState, WalkSnapshot};

@@ -2,32 +2,46 @@
 //!
 //! Atomicity argument: a snapshot is written to `<name>.tmp`, fsynced,
 //! then renamed to its final name; the manifest (which names the current
-//! generation, its byte length, and its whole-file CRC) is published the
-//! same way afterwards.  POSIX `rename` is atomic, so at every instant
-//! the directory contains a manifest that either predates the new
-//! snapshot (and still points at the previous, intact generation) or
-//! postdates it (and points at the fully-written new one).  A crash
-//! between the two renames leaves a valid old manifest plus an orphaned
-//! new snapshot — harmless.  A crash mid-write leaves only a `.tmp`
-//! file, which the loader never looks at.  Torn or mixed-generation
-//! states (manifest says N, file bytes are not exactly generation N) are
-//! caught by the manifest's length + CRC check.
+//! generation, its byte length, and its whole-file [`fnv64`]) is
+//! published the same way afterwards.  POSIX `rename` is atomic, so at
+//! every instant the directory contains a manifest that either predates
+//! the new snapshot (and still points at the previous, intact
+//! generation) or postdates it (and points at the fully-written new
+//! one).  A crash between the two renames leaves a valid old manifest
+//! plus an orphaned new snapshot — harmless.  A crash mid-write leaves
+//! only a `.tmp` file, which the loader never looks at.  Torn or
+//! mixed-generation states (manifest says N, file bytes are not exactly
+//! generation N) are caught by the manifest's length + fingerprint
+//! check.
 
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::crc::{crc32, fnv64};
+use crate::crc::crc32;
 use crate::error::RecoverError;
 use crate::fault::{FaultPolicy, FaultState};
 use crate::retry::{transient_io, with_retries, RetryPolicy};
-use crate::snapshot::WalkSnapshot;
+use crate::snapshot::{Fingerprint, WalkSnapshot};
 use crate::wire::{Reader, Writer};
 
 /// File name of the manifest inside a checkpoint directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
 const MANIFEST_MAGIC: &[u8; 8] = b"FMMANIF\0";
 const MANIFEST_VERSION: u32 = 1;
+
+/// FNV-1a 64-bit hash of `data`.
+///
+/// The manifest fingerprints whole snapshot files with FNV, not CRC32:
+/// CRC has the residue property (a message followed by its own CRC
+/// contributes a *constant* to any enclosing CRC), so a whole-file CRC32
+/// over our framed format — where every frame already embeds its CRC —
+/// collapses to the same value for any two valid snapshots of equal
+/// section lengths and cannot tell generations apart.  FNV has no such
+/// linear structure.
+pub fn fnv64(data: &[u8]) -> u64 {
+    Fingerprint::new().fold_bytes(data).value()
+}
 
 /// Points at the current snapshot generation.
 #[derive(Debug, Clone, PartialEq, Eq)]

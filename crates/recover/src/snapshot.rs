@@ -158,12 +158,18 @@ impl Fingerprint {
         Self(Self::OFFSET)
     }
 
-    pub fn fold_u64(&mut self, v: u64) -> &mut Self {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
+    /// Folds `bytes` in order: the workspace's one FNV-1a loop.
+    pub fn fold_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
         self
+    }
+
+    /// Folds `v` as its eight little-endian bytes.
+    pub fn fold_u64(&mut self, v: u64) -> &mut Self {
+        self.fold_bytes(&v.to_le_bytes())
     }
 
     pub fn value(&self) -> u64 {
@@ -445,6 +451,23 @@ impl WalkSnapshot {
 mod tests {
     use super::*;
     use fm_rng::{Rng64, Xorshift64Star};
+
+    #[test]
+    fn fingerprint_is_fnv1a_over_le_bytes() {
+        // FNV-1a 64 reference values.
+        for (bytes, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"foobar", 0x8594_4171_f739_67e8),
+        ] {
+            assert_eq!(Fingerprint::new().fold_bytes(bytes).value(), want);
+        }
+        let v = 0x0123_4567_89ab_cdefu64;
+        assert_eq!(
+            Fingerprint::new().fold_u64(v).value(),
+            Fingerprint::new().fold_bytes(&v.to_le_bytes()).value()
+        );
+    }
 
     fn sample_snapshot() -> WalkSnapshot {
         WalkSnapshot {
