@@ -26,8 +26,8 @@
 #      a 200 000-deep JSON nest (an invalid trace, exit 1, not a stack
 #      overflow)
 #   6. recover tier: an end-to-end checkpoint -> kill -> resume round
-#      trip through the CLI (bit-identical output, correct exit codes),
-#      then the oocore tier's crash drill on the in-memory graph: halt
+#      trip through the CLI (bit-identical output, correct exit codes,
+#      the cksum of a snapshot file pinned), then the oocore tier's crash drill on the in-memory graph: halt
 #      deliberately under 15% injected checkpoint-write faults (exit 0),
 #      resume under the same faults to the fault-free paths, and exit 2
 #      when persistent faults exhaust the checkpoint writes' retries
@@ -37,8 +37,8 @@
 #      file spanning four of `create`'s write stages), walk with the ring
 #      off and at depth 16 (same paths, ring hints only at 16), walk
 #      under 15% injected load faults (same paths, the retries absorbed
-#      pinned), halt deliberately mid-schedule under those faults, resume
-#      bit-exactly, and check the exit-code contract (4 wrong budget, 2
+#      pinned), halt deliberately mid-schedule under those faults (the
+#      halted generation's cksum pinned), resume bit-exactly, and check the exit-code contract (4 wrong budget, 2
 #      persistent faults, 3 corrupt graph)
 #   8. ingest tier: one text edge list (comments, CRLF, no final
 #      newline) through `convert` and `stats` — the text and the FMG1
@@ -278,6 +278,11 @@ cargo run --release -q -p fm-cli -- walk "$RECOVER_TMP/g.bin" \
     --checkpoint-dir "$RECOVER_TMP/ckpt" --checkpoint-every 4 \
     --metrics "$RECOVER_TMP/metrics.jsonl" \
     --output "$RECOVER_TMP/full.txt"
+# The snapshot's bytes are pinned: generation 1 of that walk, as the
+# encoder that staged each section before framing it wrote them.
+RECOVER_CKSUM="$(cksum < "$RECOVER_TMP/ckpt/ckpt-00000001.fmck")"
+[[ "$RECOVER_CKSUM" == "1629526598 84928" ]] || {
+    echo "recover tier: snapshot cksum $RECOVER_CKSUM, pinned 1629526598 84928" >&2; exit 1; }
 # Checkpointing is an option of the one traced run, not a path of its
 # own: the metrics carry the plan stage like any other walk's.
 grep -q '"stage": "plan"' "$RECOVER_TMP/metrics.jsonl" || {
@@ -351,6 +356,8 @@ OOC_DISK_CKSUM="$(cksum < "$OOC_TMP/big.fmdisk")"
     echo "oocore tier: FMDISK1 cksum $OOC_DISK_CKSUM, pinned 72734878 15455632" >&2; exit 1; }
 rm "$OOC_TMP/big.bin" "$OOC_TMP/big.fmdisk"
 OOC_WALK="--walkers 512 --steps 8 --seed 5"
+# The halted generation's bytes, per algorithm (BBLK frame included).
+declare -A OOC_SNAP_CKSUM=([node2vec]="4210725478 17228" [deepwalk]="1827055695 17216")
 for ALGO_RETRIES in "node2vec --p 2.0 --q 0.5:199" deepwalk:19; do
     ALGO="${ALGO_RETRIES%:*}"
     OOC_FLAGS="--algo $ALGO $OOC_WALK --oocore-budget 4096"
@@ -390,6 +397,10 @@ for ALGO_RETRIES in "node2vec --p 2.0 --q 0.5:199" deepwalk:19; do
     else
         echo "deliberate oocore $ALGO halt exited $?" >&2; exit 1
     fi
+    OOC_SNAP="$(cksum < "$DRILL/ckpt/ckpt-00000002.fmck")"
+    [[ "$OOC_SNAP" == "${OOC_SNAP_CKSUM[${ALGO%% *}]}" ]] || {
+        echo "oocore tier: $ALGO snapshot cksum $OOC_SNAP, pinned ${OOC_SNAP_CKSUM[${ALGO%% *}]}" >&2
+        exit 1; }
     cargo run --release -q -p fm-cli -- resume "$OOC_TMP/g.fmdisk" "$DRILL/ckpt" \
         $OOC_FLAGS --fault-rate 0.15 --fault-seed 7 \
         --output "$DRILL/resumed.txt"

@@ -3,15 +3,17 @@
 //! An engine counts its progress in units it can resume at — iterations
 //! in memory, pair slots out of core; the snapshot's `iter_next` — and
 //! reports each unit to a [`Checkpointer`] with a closure that takes the
-//! snapshot.  The checkpointer owns the rest: generation numbering
-//! (`progress / every`, so a resumed run continues the numbering), the
-//! completion generation, the background write, the halt, and the
-//! retry count; [`resume`] owns the load and the header gate.
+//! snapshot, borrowing the run's arrays.  The checkpointer owns the
+//! rest: generation numbering (`progress / every`, so a resumed run
+//! continues the numbering), the completion generation, the encode into
+//! its one reused buffer, the background write, the halt, and the retry
+//! count; [`resume`] owns the load and the header gate.
 
 use std::thread::JoinHandle;
 
 use fm_recover::{
-    load_latest, CheckpointSink, CheckpointSpec, Fingerprint, RecoverError, WalkSnapshot,
+    le_bytes, load_latest, CheckpointSink, CheckpointSpec, Fingerprint, RecoverError, RunHeader,
+    WalkSnapshot,
 };
 use fm_telemetry::{Stage, Telemetry, NO_PARTITION, NO_STEP};
 
@@ -22,63 +24,30 @@ use crate::WalkError;
 /// not its weights — `vertices`, `edges` and the CSR `offsets`, which
 /// pin the degree sequence (and so the relabeling).
 pub(crate) fn graph_tag(vertices: usize, edges: usize, offsets: &[usize]) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.fold_u64(vertices as u64).fold_u64(edges as u64);
-    for &o in offsets {
-        fp.fold_u64(o as u64);
-    }
-    fp.value()
+    Fingerprint::new()
+        .fold_u64(vertices as u64)
+        .fold_u64(edges as u64)
+        .fold_bytes(&le_bytes(offsets))
+        .value()
 }
 
-/// What a snapshot must agree with before a run resumes from it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RunHeader {
-    pub seed: u64,
-    pub walkers: u64,
-    pub steps_total: u64,
-    /// The engine's fingerprints of its walk configuration and graph.
-    pub config_tag: u64,
-    pub graph_tag: u64,
-}
-
-impl RunHeader {
-    /// The header of a run under `opts`.  The tags, which may cost a
-    /// pass over the graph, are taken only if the run writes or reads
-    /// a snapshot.
-    pub(crate) fn new(
-        opts: &RunOptions,
-        seed: u64,
-        walkers: usize,
-        steps_total: usize,
-        tags: impl FnOnce() -> (u64, u64),
-    ) -> Self {
-        let snapshots = opts.checkpoint.is_some() || opts.resume_from.is_some();
-        let (config_tag, graph_tag) = if snapshots { tags() } else { (0, 0) };
-        Self {
-            seed,
-            walkers: walkers as u64,
-            steps_total: steps_total as u64,
-            config_tag,
-            graph_tag,
-        }
-    }
-
-    /// [`RecoverError::Mismatch`] naming the first field `snap`
-    /// disagrees on.
-    fn gate(&self, snap: &WalkSnapshot) -> Result<(), RecoverError> {
-        let fields = [
-            ("configuration tag", snap.config_tag, self.config_tag),
-            ("graph tag", snap.graph_tag, self.graph_tag),
-            ("seed", snap.seed, self.seed),
-            ("walker count", snap.walkers, self.walkers),
-            ("step count", snap.steps_total, self.steps_total),
-        ];
-        match fields.into_iter().find(|(_, got, want)| got != want) {
-            Some((field, got, want)) => Err(RecoverError::Mismatch {
-                detail: format!("snapshot {field} {got} is not this run's {want}"),
-            }),
-            None => Ok(()),
-        }
+/// The header of a run under `opts`.  The tags, which may cost a pass
+/// over the graph, are taken only if the run writes or reads a snapshot.
+pub(crate) fn run_header(
+    opts: &RunOptions,
+    seed: u64,
+    walkers: usize,
+    steps_total: usize,
+    tags: impl FnOnce() -> (u64, u64),
+) -> RunHeader {
+    let snapshots = opts.checkpoint.is_some() || opts.resume_from.is_some();
+    let (config_tag, graph_tag) = if snapshots { tags() } else { (0, 0) };
+    RunHeader {
+        seed,
+        walkers: walkers as u64,
+        steps_total: steps_total as u64,
+        config_tag,
+        graph_tag,
     }
 }
 
@@ -88,44 +57,45 @@ pub(crate) fn resume(
     opts: &RunOptions,
     header: &RunHeader,
     tel: &mut Telemetry,
-) -> Result<Option<WalkSnapshot>, WalkError> {
+) -> Result<Option<WalkSnapshot<'static>>, WalkError> {
     let Some(dir) = &opts.resume_from else {
         return Ok(None);
     };
     let span = tel.is_on().then(|| tel.now_ns());
     let (_generation, snap) = load_latest(dir)?;
-    header.gate(&snap)?;
+    header.gate(&snap.header)?;
     if let Some(s) = span {
         tel.span_since(Stage::Recovery, s, NO_STEP, NO_PARTITION);
     }
     Ok(Some(snap))
 }
 
-/// A checkpointing run's writer: the cadence, and the sink, at rest or
-/// owned by the background write of the previous generation.
+/// A checkpointing run's writer: the cadence, and the sink with the
+/// encode buffer, at rest or owned by the background write of the
+/// previous generation.
 pub(crate) struct Checkpointer<'a> {
     spec: &'a CheckpointSpec,
     sink: Sink,
 }
 
-/// The sink between generations, or the write in flight that owns it
-/// and hands it back with its result.
+/// The sink and the buffer between generations, or the write in flight
+/// that owns both and hands them back with its result.
 enum Sink {
-    Idle(CheckpointSink),
-    Writing(JoinHandle<(CheckpointSink, Result<(), RecoverError>)>),
+    Idle(CheckpointSink, Vec<u8>),
+    Writing(JoinHandle<(CheckpointSink, Vec<u8>, Result<(), RecoverError>)>),
 }
 
 impl Sink {
-    /// The sink, once the write in flight has finished; surfaces its
-    /// deferred error.
-    fn reclaim(self) -> Result<CheckpointSink, RecoverError> {
+    /// The sink and the buffer, once the write in flight has finished;
+    /// surfaces its deferred error.
+    fn reclaim(self) -> Result<(CheckpointSink, Vec<u8>), RecoverError> {
         match self {
-            Sink::Idle(sink) => Ok(sink),
+            Sink::Idle(sink, bytes) => Ok((sink, bytes)),
             Sink::Writing(handle) => {
-                let (sink, result) = handle
+                let (sink, bytes, result) = handle
                     .join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                result.map(|()| sink)
+                result.map(|()| (sink, bytes))
             }
         }
     }
@@ -138,18 +108,18 @@ impl<'a> Checkpointer<'a> {
         let spec = opts.checkpoint.as_ref().filter(|ck| ck.every > 0)?;
         Some(Self {
             spec,
-            sink: Sink::Idle(CheckpointSink::new(&spec.dir, opts.fault)),
+            sink: Sink::Idle(CheckpointSink::new(&spec.dir, opts.fault), Vec::new()),
         })
     }
 
     /// After each unit of progress: writes generation `progress / every`
     /// when the cadence lands on `progress`.  `step` labels the span.
-    pub(crate) fn tick(
+    pub(crate) fn tick<'s>(
         self,
         progress: u64,
         step: u32,
         tel: &mut Telemetry,
-        snapshot: impl FnOnce() -> WalkSnapshot,
+        snapshot: impl FnOnce() -> WalkSnapshot<'s>,
     ) -> Result<Self, WalkError> {
         let every = self.spec.every as u64;
         if !progress.is_multiple_of(every) {
@@ -161,12 +131,12 @@ impl<'a> Checkpointer<'a> {
     /// Once the walk is over: unless the cadence landed on `progress`,
     /// writes the generation after the last, which holds the finished
     /// walk.  Returns the transient retries the writes absorbed.
-    pub(crate) fn finish(
+    pub(crate) fn finish<'s>(
         self,
         progress: u64,
         step: u32,
         tel: &mut Telemetry,
-        snapshot: impl FnOnce() -> WalkSnapshot,
+        snapshot: impl FnOnce() -> WalkSnapshot<'s>,
     ) -> Result<u64, WalkError> {
         let every = self.spec.every as u64;
         let last = if progress.is_multiple_of(every) {
@@ -174,33 +144,34 @@ impl<'a> Checkpointer<'a> {
         } else {
             self.write(progress / every + 1, step, tel, snapshot)?
         };
-        Ok(last.sink.reclaim()?.retries)
+        Ok(last.sink.reclaim()?.0.retries)
     }
 
     /// Publishes `snapshot()` as `generation` under a Checkpoint span,
-    /// once the previous write is done (the snapshot is taken while it
-    /// may still run).  The encode, CRC, write and
-    /// fsync run on a background thread, overlapped with the progress
-    /// up to the next generation — except for the generation the run
-    /// halts at, which is durable before `Halted` returns.
-    fn write(
+    /// once the previous write is done: the walk thread encodes it into
+    /// the buffer the previous write handed back, its one copy of the
+    /// run's arrays, and a background thread fingerprints, writes and
+    /// fsyncs those bytes, overlapped with the progress up to the next
+    /// generation — except for the generation the run halts at, which
+    /// is durable before `Halted` returns.
+    fn write<'s>(
         self,
         generation: u64,
         step: u32,
         tel: &mut Telemetry,
-        snapshot: impl FnOnce() -> WalkSnapshot,
+        snapshot: impl FnOnce() -> WalkSnapshot<'s>,
     ) -> Result<Self, WalkError> {
         let span = tel.is_on().then(|| tel.now_ns());
-        let snap = snapshot();
-        let mut sink = self.sink.reclaim()?;
+        let (mut sink, mut bytes) = self.sink.reclaim()?;
+        snapshot().encode_into(&mut bytes);
         let halt = self.spec.halt_after == Some(generation);
         let sink = if halt {
-            sink.save(generation, &snap)?;
-            Sink::Idle(sink)
+            sink.save(generation, &bytes)?;
+            Sink::Idle(sink, bytes)
         } else {
             Sink::Writing(std::thread::spawn(move || {
-                let result = sink.save(generation, &snap);
-                (sink, result)
+                let result = sink.save(generation, &bytes);
+                (sink, bytes, result)
             }))
         };
         if let Some(s) = span {
@@ -229,7 +200,7 @@ mod tests {
     /// A run of one engine under the given options.
     type Run<'r> = Box<dyn Fn(&RunOptions) -> Result<(), WalkError> + 'r>;
     /// One header field of a snapshot, changed.
-    type Perturb = fn(&mut WalkSnapshot);
+    type Perturb = fn(&mut RunHeader);
 
     #[test]
     fn one_gate_refuses_each_header_field_from_both_engines() {
@@ -250,11 +221,11 @@ mod tests {
             )
         };
         let perturbations: [(&str, Perturb); 5] = [
-            ("seed", |s| s.seed += 1),
-            ("walkers", |s| s.walkers += 1),
-            ("steps_total", |s| s.steps_total += 1),
-            ("config_tag", |s| s.config_tag ^= 1),
-            ("graph_tag", |s| s.graph_tag ^= 1),
+            ("seed", |h| h.seed += 1),
+            ("walkers", |h| h.walkers += 1),
+            ("steps_total", |h| h.steps_total += 1),
+            ("config_tag", |h| h.config_tag ^= 1),
+            ("graph_tag", |h| h.graph_tag ^= 1),
         ];
         for (what, run, other) in [
             ("in_memory", &in_memory, &out_of_core),
@@ -279,8 +250,10 @@ mod tests {
                 let bad = temp(&format!("gate_{what}_{field}"));
                 std::fs::remove_dir_all(&bad).ok();
                 let mut snap = snap.clone();
-                perturb(&mut snap);
-                CheckpointSink::new(&bad, None).save(1, &snap).unwrap();
+                perturb(&mut snap.header);
+                CheckpointSink::new(&bad, None)
+                    .save(1, &snap.encode())
+                    .unwrap();
                 assert!(refused(run, &bad), "{what}: {field}");
                 std::fs::remove_dir_all(&bad).ok();
             }

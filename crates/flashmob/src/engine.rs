@@ -1,5 +1,6 @@
 //! The FlashMob execution engine: plan, then iterate shuffle → sample.
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -9,13 +10,13 @@ use fm_graph::relabel::{sort_by_degree, Relabeling};
 use fm_graph::{Csr, VertexId};
 use fm_memsim::{AddressSpace, NullProbe, Probe};
 use fm_recover::{
-    CheckpointSpec, FaultPolicy, Fingerprint, PsPartState, RecoverError, WalkSnapshot,
+    CheckpointSpec, FaultPolicy, Fingerprint, PsPartState, RecoverError, RunHeader, WalkSnapshot,
 };
 use fm_rng::{split_stream, Rng64, Xorshift64Star};
 use fm_telemetry::{SpanEvent, Stage, Telemetry, NO_PARTITION, NO_STEP};
 
 use crate::algorithm::Verdict;
-use crate::checkpoint::{self, Checkpointer, RunHeader};
+use crate::checkpoint::{self, Checkpointer};
 use crate::output::WalkOutput;
 use crate::partition::SamplePolicy;
 use crate::plan::{Plan, Planner};
@@ -477,7 +478,8 @@ impl Scratch {
 /// places that name the snapshot's fields, so the two directions cannot
 /// drift apart.  Everything else a run needs (plan, shuffler, PS layout)
 /// is a function of graph + config and is rebuilt identically.  The
-/// state owns its lanes for the whole run; a step allocates nothing.
+/// state owns its lanes for the whole run; a step allocates nothing, and
+/// a snapshot borrows the lanes rather than copying them.
 struct EpochState {
     /// The next iteration to run: `iter` of them are complete, and `w`
     /// is exactly its input.
@@ -551,7 +553,7 @@ impl EpochState {
 
     /// The state `snap` was taken from, after checking that it has this
     /// engine's shape; [`checkpoint::resume`] has checked its header.
-    fn restore(engine: &FlashMob, snap: WalkSnapshot) -> Result<Self, WalkError> {
+    fn restore(engine: &FlashMob, snap: WalkSnapshot<'static>) -> Result<Self, WalkError> {
         let mismatch = |detail: String| WalkError::Recover(RecoverError::Mismatch { detail });
         let config = &engine.config;
         let (walkers, steps) = (config.walkers, config.max_steps());
@@ -617,32 +619,28 @@ impl EpochState {
         Ok(Self {
             iter: iter_next as usize,
             steps_taken,
-            w,
-            prev,
-            visits: config.record_visits.then_some(visits),
-            per_partition_steps,
+            w: w.into_owned(),
+            prev: prev.into_owned(),
+            visits: config.record_visits.then(|| visits.into_owned()),
+            per_partition_steps: per_partition_steps.into_owned(),
             ps: buffers,
-            rows,
+            rows: rows.into_owned(),
             scratch: Scratch::new(engine),
         })
     }
 
-    /// The snapshot of this epoch boundary: the walker state here is
-    /// exactly the input of iteration `self.iter`, a clean cut between
-    /// two iterations.
-    fn snapshot(&self, engine: &FlashMob, header: &RunHeader) -> WalkSnapshot {
+    /// The snapshot of this epoch boundary, borrowing the state's
+    /// arrays: the walker state here is exactly the input of iteration
+    /// `self.iter`, a clean cut between two iterations.
+    fn snapshot(&self, engine: &FlashMob, header: &RunHeader) -> WalkSnapshot<'_> {
         WalkSnapshot {
-            seed: header.seed,
+            header: *header,
             iter_next: self.iter as u64,
-            steps_total: header.steps_total,
-            walkers: header.walkers,
             steps_taken: self.steps_taken,
-            config_tag: header.config_tag,
-            graph_tag: header.graph_tag,
-            per_partition_steps: self.per_partition_steps.clone(),
-            w: self.w.clone(),
-            prev: self.prev.clone(),
-            visits: self.visits.clone().unwrap_or_default(),
+            per_partition_steps: Cow::Borrowed(&self.per_partition_steps),
+            w: Cow::Borrowed(&self.w),
+            prev: Cow::Borrowed(&self.prev),
+            visits: Cow::Borrowed(self.visits.as_deref().unwrap_or_default()),
             ps: self
                 .ps
                 .iter()
@@ -653,7 +651,7 @@ impl EpochState {
                     })
                 })
                 .collect(),
-            rows: self.rows.clone(),
+            rows: Cow::Borrowed(&self.rows),
             biblock: None,
         }
     }
@@ -1157,7 +1155,7 @@ impl FlashMob {
         // snapshot to this run, engine and graph.
         let mut checkpoint = Checkpointer::new(opts);
         let (walkers, steps) = (self.config.walkers, self.config.max_steps());
-        let header = RunHeader::new(opts, self.config.seed, walkers, steps, || {
+        let header = checkpoint::run_header(opts, self.config.seed, walkers, steps, || {
             let g = &self.graph;
             let graph_tag = checkpoint::graph_tag(g.vertex_count(), g.edge_count(), g.offsets());
             (self.config_tag(), graph_tag)
@@ -1184,9 +1182,9 @@ impl FlashMob {
 
         let mut stage = StageTimes::default();
         while state.advance(self, &shuffler, pool.as_ref(), probe, tel, &mut stage) {
-            // Checkpoint at the epoch boundary: the walk loop only pays
-            // for the state clone and for joining the previous
-            // generation's write.
+            // Checkpoint at the epoch boundary: the walk loop pays for
+            // joining the previous generation's write and for encoding
+            // this one, its one copy of the state.
             if let Some(ck) = checkpoint.take() {
                 let step = state.iter as u32 - 1;
                 checkpoint = Some(ck.tick(state.iter as u64, step, tel, || {

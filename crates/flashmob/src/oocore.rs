@@ -21,6 +21,7 @@
 //! loaded by mapping its range of the file, not by copying it
 //! ([`FileMap`], DESIGN §14).
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -32,14 +33,14 @@ use fm_graph::relabel::Relabeling;
 use fm_graph::{Csr, GraphError, VertexId};
 use fm_memsim::NullProbe;
 use fm_recover::{
-    transient_io, with_retries, BiBlockState, FaultState, Fingerprint, RecoverError, RetryPolicy,
-    WalkSnapshot,
+    le_bytes, transient_io, with_retries, BiBlockState, FaultState, Fingerprint, RecoverError,
+    RetryPolicy, RunHeader, WalkSnapshot,
 };
 use fm_rng::{Rng64, Xorshift64Star};
 use fm_telemetry::{Stage, Telemetry};
 
 use crate::algorithm::Node2VecRule;
-use crate::checkpoint::{self, Checkpointer, RunHeader};
+use crate::checkpoint::{self, Checkpointer};
 use crate::engine::{partition_stream_id, RunOptions};
 use crate::output::WalkOutput;
 use crate::plan::{PlanStrategy, Planner};
@@ -242,27 +243,9 @@ impl DiskGraph {
 
 /// Writes `stage` as FMDISK1 stores it, in one write, and empties it.
 fn flush<W: Write>(w: &mut W, stage: &mut Vec<VertexId>) -> io::Result<()> {
-    match le_bytes(stage) {
-        Some(bytes) => w.write_all(bytes)?,
-        None => {
-            let bytes: Vec<u8> = stage.iter().flat_map(|t| t.to_le_bytes()).collect();
-            w.write_all(&bytes)?
-        }
-    }
+    w.write_all(&le_bytes(stage))?;
     stage.clear();
     Ok(())
-}
-
-/// `words` as FMDISK1 stores them, little-endian: the words' own bytes
-/// on a little-endian host, `None` on a big-endian one.
-fn le_bytes(words: &[VertexId]) -> Option<&[u8]> {
-    if cfg!(target_endian = "big") {
-        return None;
-    }
-    // SAFETY: the pointer and byte length are those of `words`, borrowed
-    // for the returned lifetime; `u8` has alignment 1 and `u32` has no
-    // padding, so every byte of the view is initialised.
-    Some(unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), std::mem::size_of_val(words)) })
 }
 
 /// Statistics of one out-of-core run.
@@ -511,27 +494,27 @@ pub fn run_ooc_with(
         tel.ensure_partitions(nblocks);
     }
     let mut checkpoint = Checkpointer::new(opts);
-    let header = RunHeader::new(opts, config.seed, walkers, steps, || {
+    let header = checkpoint::run_header(opts, config.seed, walkers, steps, || {
         (
             biblock_config_tag(config, partition_budget_bytes),
             checkpoint::graph_tag(n, disk.edge_count(), offsets),
         )
     });
 
-    if let Some(mut snap) = checkpoint::resume(opts, &header, tel)? {
+    if let Some(snap) = checkpoint::resume(opts, &header, tel)? {
         let mismatch =
             |detail: &str| WalkError::Recover(RecoverError::Mismatch { detail: detail.into() });
         let bb = snap
             .biblock
-            .take()
             .ok_or_else(|| mismatch("snapshot carries no bi-block scheduler state"))?;
+        let (done, buckets) = (bb.done.into_owned(), bb.buckets.into_owned());
         if snap.w.len() != walkers
             || snap.prev.len() != walkers
-            || bb.done.len() != walkers
+            || done.len() != walkers
             || bb.blocks as usize != nblocks
-            || bb.buckets.len() != n_pairs
+            || buckets.len() != n_pairs
             || bb.cursor as usize >= n_pairs
-            || bb.done.iter().any(|&d| d as usize > steps)
+            || done.iter().any(|&d| d as usize > steps)
         {
             return Err(mismatch("snapshot shape does not fit this run"));
         }
@@ -540,7 +523,7 @@ pub fn run_ooc_with(
                 || bb
                     .paths
                     .iter()
-                    .zip(&bb.done)
+                    .zip(&done)
                     .any(|(p, &d)| p.len() != d as usize + 1)
             {
                 return Err(mismatch("snapshot path rows are inconsistent"));
@@ -551,27 +534,27 @@ pub fn run_ooc_with(
         // Every unfinished walker must be parked in exactly one bucket.
         let mut seen = vec![false; walkers];
         let mut parked = 0u64;
-        for bucket in &bb.buckets {
+        for bucket in &buckets {
             for &k in bucket {
                 let k = k as usize;
-                if k >= walkers || seen[k] || bb.done[k] as usize >= steps {
+                if k >= walkers || seen[k] || done[k] as usize >= steps {
                     return Err(mismatch("snapshot boundary buckets are inconsistent"));
                 }
                 seen[k] = true;
                 parked += 1;
             }
         }
-        let unfinished = bb.done.iter().filter(|&&d| (d as usize) < steps).count();
+        let unfinished = done.iter().filter(|&&d| (d as usize) < steps).count();
         if parked != unfinished as u64 {
             return Err(mismatch("snapshot boundary buckets are inconsistent"));
         }
         if config.record_paths {
             lanes.rows = Lanes::scatter_paths(&bb.paths, steps);
         }
-        lanes.cur = snap.w;
-        lanes.prevv = snap.prev;
-        lanes.done = bb.done;
-        lanes.buckets = bb.buckets;
+        lanes.cur = snap.w.into_owned();
+        lanes.prevv = snap.prev.into_owned();
+        lanes.done = done;
+        lanes.buckets = buckets;
         lanes.parked_now = parked;
         lanes.remaining = unfinished;
         stats.steps_taken = snap.steps_taken;
@@ -596,32 +579,6 @@ pub fn run_ooc_with(
             stats.peak_parked = walkers as u64;
         }
     }
-    // What a checkpoint taken now holds, resuming at `(epoch, cursor)`.
-    let snapshot =
-        |lanes: &Lanes, steps_taken: u64, pairs_done: u64, epoch: u64, cursor: u64| WalkSnapshot {
-            seed: header.seed,
-            iter_next: pairs_done,
-            steps_total: header.steps_total,
-            walkers: header.walkers,
-            steps_taken,
-            config_tag: header.config_tag,
-            graph_tag: header.graph_tag,
-            per_partition_steps: Vec::new(),
-            w: lanes.cur.clone(),
-            prev: lanes.prevv.clone(),
-            visits: Vec::new(),
-            ps: Vec::new(),
-            rows: Vec::new(),
-            biblock: Some(BiBlockState {
-                epoch,
-                cursor,
-                blocks: nblocks as u64,
-                done: lanes.done.clone(),
-                buckets: lanes.buckets.clone(),
-                paths: lanes.gather_paths(),
-            }),
-        };
-
     // Two block buffers, the whole of the engine's block memory.
     let largest = (0..nblocks)
         .map(|b| blocks.range(b))
@@ -699,7 +656,8 @@ pub fn run_ooc_with(
                     };
                     let taken = stats.steps_taken;
                     checkpoint = Some(ck.tick(pairs_done, epoch as u32, tel, || {
-                        snapshot(&lanes, taken, pairs_done, next_epoch, next_cursor)
+                        let resume_at = (next_epoch, next_cursor);
+                        lanes.snapshot(header, taken, pairs_done, resume_at, nblocks)
                     })?);
                 }
                 if lanes.remaining == 0 {
@@ -715,7 +673,7 @@ pub fn run_ooc_with(
     if let Some(ck) = checkpoint {
         let taken = stats.steps_taken;
         stats.io_retries += ck.finish(pairs_done, epoch as u32, tel, || {
-            snapshot(&lanes, taken, pairs_done, epoch as u64, 0)
+            lanes.snapshot(header, taken, pairs_done, (epoch as u64, 0), nblocks)
         })?;
     }
 
@@ -894,6 +852,35 @@ struct Lanes {
 }
 
 impl Lanes {
+    /// What a checkpoint taken now holds, borrowing the lanes: `steps_taken`
+    /// steps and `pairs_done` pair slots in, resuming at `(epoch, cursor)`
+    /// of a sweep over `blocks` blocks.
+    fn snapshot(
+        &self,
+        header: RunHeader,
+        steps_taken: u64,
+        pairs_done: u64,
+        (epoch, cursor): (u64, u64),
+        blocks: usize,
+    ) -> WalkSnapshot<'_> {
+        WalkSnapshot {
+            header,
+            iter_next: pairs_done,
+            steps_taken,
+            w: Cow::Borrowed(&self.cur),
+            prev: Cow::Borrowed(&self.prevv),
+            biblock: Some(BiBlockState {
+                epoch,
+                cursor,
+                blocks: blocks as u64,
+                done: Cow::Borrowed(&self.done),
+                buckets: Cow::Borrowed(&self.buckets),
+                paths: self.gather_paths(),
+            }),
+            ..WalkSnapshot::default()
+        }
+    }
+
     /// The walker-major partial paths of the BBLK frame: walker `k`'s
     /// first `done[k] + 1` vertices, read down the rows.
     fn gather_paths(&self) -> Vec<Vec<VertexId>> {
@@ -1552,18 +1539,6 @@ mod tests {
     }
 
     #[test]
-    fn le_bytes_are_the_words_in_file_order() {
-        let words: [VertexId; 5] = [0x0403_0201, 0xDEAD_BEEF, 0, VertexId::MAX, 0x8000_0001];
-        let want: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let view = le_bytes(&words);
-        assert_eq!(view.is_none(), cfg!(target_endian = "big"));
-        if let Some(view) = view {
-            assert_eq!(view, &want[..]);
-        }
-        assert!(le_bytes(&[]).is_none_or(<[u8]>::is_empty));
-    }
-
-    #[test]
     fn mapped_load_contract() {
         use fm_graph::mem::MAP_ALIGN;
         let g = synth::power_law(20_000, 2.0, 2, 200, 19);
@@ -2076,10 +2051,10 @@ mod tests {
         assert_eq!(snap.iter_next, slots);
         let bb = snap.biblock.unwrap();
         ModelState {
-            cur: snap.w,
-            prevv: snap.prev,
-            done: bb.done,
-            buckets: bb.buckets,
+            cur: snap.w.into_owned(),
+            prevv: snap.prev.into_owned(),
+            done: bb.done.into_owned(),
+            buckets: bb.buckets.into_owned(),
             paths: bb.paths,
             epoch: bb.epoch,
             cursor: bb.cursor,
@@ -2398,23 +2373,27 @@ mod tests {
         let cfg = pinned_tag_config();
         let w = init_positions(&disk, &cfg);
         let old = WalkSnapshot {
-            seed: cfg.seed,
+            header: RunHeader {
+                seed: cfg.seed,
+                walkers: 120,
+                steps_total: 6,
+                config_tag: OLD_FIRST_ORDER_TAG,
+                graph_tag: checkpoint::graph_tag(
+                    disk.vertex_count(),
+                    disk.edge_count(),
+                    &disk.offsets,
+                ),
+            },
             iter_next: 2,
-            steps_total: 6,
-            walkers: 120,
             steps_taken: 240,
-            config_tag: OLD_FIRST_ORDER_TAG,
-            graph_tag: checkpoint::graph_tag(disk.vertex_count(), disk.edge_count(), &disk.offsets),
-            per_partition_steps: vec![0],
-            prev: Vec::new(),
-            visits: Vec::new(),
+            per_partition_steps: vec![0].into(),
             ps: vec![None],
-            rows: vec![w.clone(); 3],
-            w,
-            biblock: None,
+            rows: vec![w.clone(); 3].into(),
+            w: w.into(),
+            ..WalkSnapshot::default()
         };
         let mut sink = CheckpointSink::new(&ckdir, None);
-        sink.save(1, &old).unwrap();
+        sink.save(1, &old.encode()).unwrap();
         // The budget the old loop's tag was taken at.
         let resume = RunOptions::default().resume_from(&ckdir);
         let err = run_ooc_with(&disk, &cfg, 8 << 10, &resume, &mut Telemetry::off()).unwrap_err();

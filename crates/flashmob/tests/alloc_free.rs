@@ -1,5 +1,6 @@
 //! Verifies what the engine allocates: nothing in the steady-state step
-//! loop, and one copy of the graph at build.
+//! loop, one copy of the graph at build, and one snapshot buffer for all
+//! of a run's checkpoints.
 //!
 //! A counting global allocator counts allocations and live heap bytes.
 //! Two parallel runs that differ only in step count (4 vs 64 steps)
@@ -11,11 +12,12 @@
 //! [`SERIAL`] while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use flashmob::{FlashMob, RunOptions, SamplePolicy, WalkConfig};
+use flashmob::{CheckpointSpec, FlashMob, RunOptions, SamplePolicy, WalkConfig};
 use fm_graph::VertexId;
+use fm_recover::CheckpointSink;
 use fm_telemetry::Telemetry;
 
 struct CountingAlloc;
@@ -23,6 +25,15 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 static SERIAL: Mutex<()> = Mutex::new(());
+/// Allocations (or reallocations) of at least `BIG_AT` bytes.
+static BIG: AtomicU64 = AtomicU64::new(0);
+static BIG_AT: AtomicUsize = AtomicUsize::new(usize::MAX);
+
+fn count_big(size: usize) {
+    if size >= BIG_AT.load(Ordering::Relaxed) {
+        BIG.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: pure pass-through to the System allocator; the only addition
 // is relaxed atomic counter updates, which cannot violate GlobalAlloc's
@@ -31,6 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds GlobalAlloc's contract; forwarded verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_big(layout.size());
         LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
         // SAFETY: same layout, same contract as our caller's.
         unsafe { System.alloc(layout) }
@@ -46,6 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds GlobalAlloc's contract; forwarded verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_big(new_size);
         LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
         // SAFETY: ptr was produced by our alloc, i.e. by System.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -117,5 +130,45 @@ fn a_uniform_ds_plan_keeps_no_second_copy_of_its_edges() {
         live < csr + relabel + slack,
         "FlashMob::new left {live} B live: CSR {csr} B, relabeling {relabel} B, \
          slack {slack} B (a copy of the DS edges is {copy} B)"
+    );
+}
+
+/// A run checkpointing every iteration encodes each generation, on the
+/// walk thread, into one buffer the writer thread hands back: over all
+/// its generations it makes at most one allocation as large as a
+/// snapshot, the buffer's growth to fit the first.  A copy of the lanes
+/// and a fresh encoding per generation would make one a generation.
+/// The visit counters keep every lane of the run smaller than the
+/// snapshot that holds them, and the plan's few dozen partitions keep
+/// the per-partition list of PS states well below it.
+#[test]
+fn checkpoint_generations_share_one_snapshot_sized_buffer() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let g = fm_graph::synth::power_law(4000, 2.0, 2, 60, 9);
+    let steps = 12;
+    let cfg = WalkConfig::deepwalk()
+        .walkers(2048)
+        .steps(steps)
+        .seed(3)
+        .threads(1)
+        .record_paths(false)
+        .record_visits(true);
+    let engine = FlashMob::new(&g, cfg).unwrap();
+    let dir = std::env::temp_dir().join(format!("fm_alloc_free_ckpt_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let opts = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 1));
+    let run = || engine.run_with(&opts, &mut Telemetry::off()).unwrap();
+    run();
+    let snapshot = dir.join(CheckpointSink::snapshot_name(1));
+    let snapshot_bytes = std::fs::metadata(&snapshot).unwrap().len() as usize;
+    BIG_AT.store(snapshot_bytes, Ordering::SeqCst);
+    let before = BIG.load(Ordering::SeqCst);
+    run();
+    let big = BIG.load(Ordering::SeqCst) - before;
+    BIG_AT.store(usize::MAX, Ordering::SeqCst);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        big <= 1,
+        "{big} allocations of {snapshot_bytes}+ bytes over {steps} checkpoint generations"
     );
 }

@@ -5,17 +5,19 @@
 //! exactly the runs where a crash at hour N throws everything away.  The
 //! step-centric layout makes durability cheap: all walker state lives in
 //! compact arrays (ThunderRW makes the same observation), so an epoch
-//! boundary snapshot is a handful of `memcpy`s plus one sequential write.
+//! boundary snapshot is one copy of them plus one sequential write.
 //!
 //! The subsystem has three parts:
 //!
-//! * [`snapshot::WalkSnapshot`] — an engine-agnostic snapshot of the
-//!   walker arrays, pre-sample buffers, and output cursor, serialized in
-//!   a CRC32-guarded framed binary format.  Any single flipped byte is
+//! * [`snapshot::WalkSnapshot`] — an engine-agnostic snapshot that
+//!   borrows the run's walker arrays, pre-sample buffers, and output
+//!   cursor, and encodes them in one pass into a reused buffer, in a
+//!   CRC32-guarded framed binary format.  Any single flipped byte is
 //!   detected and reported as [`RecoverError::Corrupt`].
 //! * [`manifest::CheckpointSink`] / [`manifest::load_latest`] — atomic
-//!   write-to-temp → fsync → rename publication with a generation-stamped
-//!   manifest that detects torn, partial, or mixed-generation snapshots.
+//!   write-to-temp → fsync → rename publication of those bytes, with a
+//!   generation-stamped manifest that detects torn, partial, or
+//!   mixed-generation snapshots.
 //! * [`fault::FaultState`] and [`retry::with_retries`] — one seeded,
 //!   reproducible fault stream (a transient error rolled per block load
 //!   or checkpoint write, and torn checkpoint writes) and the
@@ -41,4 +43,7 @@ pub use error::RecoverError;
 pub use fault::{FaultCounts, FaultPolicy, FaultState};
 pub use manifest::{fnv64, load_latest, CheckpointSink, Manifest, MANIFEST_NAME};
 pub use retry::{transient_io, with_retries, RetryPolicy};
-pub use snapshot::{BiBlockState, CheckpointSpec, Fingerprint, PsPartState, WalkSnapshot};
+pub use snapshot::{
+    BiBlockState, CheckpointSpec, Fingerprint, PsPartState, RunHeader, WalkSnapshot,
+};
+pub use wire::{le_bytes, LeWord};

@@ -18,12 +18,11 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::crc::crc32;
 use crate::error::RecoverError;
 use crate::fault::{FaultPolicy, FaultState};
 use crate::retry::{transient_io, with_retries, RetryPolicy};
 use crate::snapshot::{Fingerprint, WalkSnapshot};
-use crate::wire::{Reader, Writer};
+use crate::wire::{frame, le_bytes, read_frame, Reader};
 
 /// File name of the manifest inside a checkpoint directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
@@ -59,19 +58,15 @@ pub struct Manifest {
 
 impl Manifest {
     fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(MANIFEST_VERSION);
-        w.put_u64(self.generation);
-        w.put_bytes(self.snapshot_file.as_bytes());
-        w.put_u64(self.snapshot_len);
-        w.put_u64(self.snapshot_fnv);
-        let payload = w.into_bytes();
-        let mut out = Vec::with_capacity(payload.len() + 16);
-        out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        let crc = crc32(&out[MANIFEST_MAGIC.len()..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        let mut out = Vec::new();
+        // The CRC guards the length word and the payload, not the magic.
+        frame(&mut out, MANIFEST_MAGIC, MANIFEST_MAGIC.len(), |out| {
+            out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
+            let name = self.snapshot_file.as_bytes();
+            out.extend_from_slice(&le_bytes(&[self.generation, name.len() as u64]));
+            out.extend_from_slice(name);
+            out.extend_from_slice(&le_bytes(&[self.snapshot_len, self.snapshot_fnv]));
+        });
         out
     }
 
@@ -81,28 +76,12 @@ impl Manifest {
             section: "manifest".to_string(),
             detail,
         };
-        let m = MANIFEST_MAGIC.len();
-        if data.len() < m + 12 || &data[..m] != MANIFEST_MAGIC {
-            return Err(corrupt("bad manifest magic or truncated file".into()));
+        let (mut pos, head) = (0, MANIFEST_MAGIC.as_slice());
+        let payload = read_frame(data, &mut pos, head, head.len(), "manifest", path)?;
+        if pos != data.len() {
+            return Err(corrupt(format!("{} trailing bytes", data.len() - pos)));
         }
-        let mut lb = [0u8; 8];
-        lb.copy_from_slice(&data[m..m + 8]);
-        let len = u64::from_le_bytes(lb);
-        let len = usize::try_from(len)
-            .ok()
-            .filter(|&l| l == data.len().saturating_sub(m + 12))
-            .ok_or_else(|| corrupt(format!("impossible manifest length {len}")))?;
-        let payload_end = m + 8 + len;
-        let mut cb = [0u8; 4];
-        cb.copy_from_slice(&data[payload_end..payload_end + 4]);
-        let stored = u32::from_le_bytes(cb);
-        let computed = crc32(&data[m..payload_end]);
-        if stored != computed {
-            return Err(corrupt(format!(
-                "manifest crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            )));
-        }
-        let mut r = Reader::new(&data[m + 8..payload_end], "manifest", path);
+        let mut r = Reader::new(payload, "manifest", path);
         let version = r.u32()?;
         if version != MANIFEST_VERSION {
             return Err(corrupt(format!("unsupported manifest version {version}")));
@@ -158,22 +137,22 @@ impl CheckpointSink {
         format!("ckpt-{generation:08}.fmck")
     }
 
-    /// Atomically publishes `snap` as generation `generation`: snapshot
-    /// first (temp → fsync → rename), manifest second.
-    pub fn save(&mut self, generation: u64, snap: &WalkSnapshot) -> Result<(), RecoverError> {
+    /// Atomically publishes the encoded snapshot `bytes` as generation
+    /// `generation`: snapshot first (temp → fsync → rename), manifest
+    /// second.
+    pub fn save(&mut self, generation: u64, bytes: &[u8]) -> Result<(), RecoverError> {
         fs::create_dir_all(&self.dir).map_err(|e| RecoverError::Io {
             path: self.dir.clone(),
             context: "create checkpoint dir",
             source: e,
         })?;
-        let bytes = snap.encode();
         let name = Self::snapshot_name(generation);
-        self.write_atomic(&name, &bytes, "write snapshot")?;
+        self.write_atomic(&name, bytes, "write snapshot")?;
         let manifest = Manifest {
             generation,
             snapshot_file: name,
             snapshot_len: bytes.len() as u64,
-            snapshot_fnv: fnv64(&bytes),
+            snapshot_fnv: fnv64(bytes),
         };
         self.write_atomic(MANIFEST_NAME, &manifest.encode(), "write manifest")
     }
@@ -220,7 +199,7 @@ impl CheckpointSink {
 
 /// Loads the current generation from `dir`, fully validating manifest
 /// and snapshot.  Returns the generation number and the snapshot.
-pub fn load_latest(dir: &Path) -> Result<(u64, WalkSnapshot), RecoverError> {
+pub fn load_latest(dir: &Path) -> Result<(u64, WalkSnapshot<'static>), RecoverError> {
     let manifest_path = dir.join(MANIFEST_NAME);
     let manifest_bytes = match fs::read(&manifest_path) {
         Ok(b) => b,
@@ -278,7 +257,7 @@ pub fn load_latest(dir: &Path) -> Result<(u64, WalkSnapshot), RecoverError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::PsPartState;
+    use crate::snapshot::{PsPartState, RunHeader};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -292,19 +271,19 @@ mod tests {
         d
     }
 
-    fn snap(iter_next: u64) -> WalkSnapshot {
+    fn snap(iter_next: u64) -> WalkSnapshot<'static> {
         WalkSnapshot {
-            seed: 7,
+            header: RunHeader {
+                seed: 7,
+                walkers: 4,
+                steps_total: 16,
+                config_tag: 1,
+                graph_tag: 2,
+            },
             iter_next,
-            steps_total: 16,
-            walkers: 4,
             steps_taken: iter_next * 4,
-            config_tag: 1,
-            graph_tag: 2,
-            per_partition_steps: vec![iter_next * 2, iter_next * 2],
-            w: vec![1, 2, 3, 4],
-            prev: Vec::new(),
-            visits: Vec::new(),
+            per_partition_steps: vec![iter_next * 2, iter_next * 2].into(),
+            w: vec![1, 2, 3, 4].into(),
             ps: vec![
                 Some(PsPartState {
                     buf: vec![1, 1],
@@ -312,8 +291,8 @@ mod tests {
                 }),
                 None,
             ],
-            rows: vec![vec![0, 0, 0, 0]],
-            biblock: None,
+            rows: vec![vec![0, 0, 0, 0]].into(),
+            ..WalkSnapshot::default()
         }
     }
 
@@ -321,8 +300,8 @@ mod tests {
     fn save_load_round_trip_latest_generation_wins() {
         let dir = temp_dir("roundtrip");
         let mut sink = CheckpointSink::new(&dir, None);
-        sink.save(1, &snap(4)).expect("save gen 1");
-        sink.save(2, &snap(8)).expect("save gen 2");
+        sink.save(1, &snap(4).encode()).expect("save gen 1");
+        sink.save(2, &snap(8).encode()).expect("save gen 2");
         let (generation, loaded) = load_latest(&dir).expect("load latest");
         assert_eq!(generation, 2);
         assert_eq!(loaded, snap(8));
@@ -344,7 +323,7 @@ mod tests {
     fn torn_snapshot_is_detected_by_manifest() {
         let dir = temp_dir("torn");
         let mut sink = CheckpointSink::new(&dir, None);
-        sink.save(1, &snap(4)).expect("save");
+        sink.save(1, &snap(4).encode()).expect("save");
         // Simulate a torn write of the published snapshot: truncate it.
         let file = dir.join(CheckpointSink::snapshot_name(1));
         let bytes = fs::read(&file).expect("read back");
@@ -360,8 +339,8 @@ mod tests {
     fn mixed_generation_is_detected() {
         let dir = temp_dir("mixed");
         let mut sink = CheckpointSink::new(&dir, None);
-        sink.save(1, &snap(4)).expect("save gen 1");
-        sink.save(2, &snap(8)).expect("save gen 2");
+        sink.save(1, &snap(4).encode()).expect("save gen 1");
+        sink.save(2, &snap(8).encode()).expect("save gen 2");
         // Overwrite generation 2's file with generation 1's bytes while
         // the manifest still claims generation 2: CRC must catch it.
         let g1 = fs::read(dir.join(CheckpointSink::snapshot_name(1))).expect("g1");
@@ -378,7 +357,7 @@ mod tests {
         let dir = temp_dir("transient");
         let mut sink = CheckpointSink::new(&dir, Some(FaultPolicy::transient(11, 0.4)));
         for generation in 1..=5 {
-            sink.save(generation, &snap(generation * 2))
+            sink.save(generation, &snap(generation * 2).encode())
                 .expect("save survives transient faults");
         }
         assert!(sink.retries > 0, "faults at 40% must have caused retries");
@@ -392,10 +371,10 @@ mod tests {
     fn torn_write_fails_but_previous_generation_survives() {
         let dir = temp_dir("torn_write");
         let mut sink = CheckpointSink::new(&dir, None);
-        sink.save(1, &snap(4)).expect("save gen 1");
+        sink.save(1, &snap(4).encode()).expect("save gen 1");
         let mut torn_sink = CheckpointSink::new(&dir, Some(FaultPolicy::torn_writes(13, 1.0)));
         let err = torn_sink
-            .save(2, &snap(8))
+            .save(2, &snap(8).encode())
             .expect_err("torn write escalates");
         assert!(matches!(err, RecoverError::Io { .. }));
         // The previous generation is untouched and still loads.
@@ -409,7 +388,7 @@ mod tests {
     fn corrupt_manifest_is_detected() {
         let dir = temp_dir("badmanifest");
         let mut sink = CheckpointSink::new(&dir, None);
-        sink.save(3, &snap(6)).expect("save");
+        sink.save(3, &snap(6).encode()).expect("save");
         let mpath = dir.join(MANIFEST_NAME);
         let mut bytes = fs::read(&mpath).expect("manifest bytes");
         let mid = bytes.len() / 2;

@@ -5,6 +5,10 @@
 //! frame  := tag(4) | payload_len(u64 LE) | payload | crc32(u32 LE)
 //! ```
 //!
+//! An engine's [`WalkSnapshot`] borrows the run's arrays, and
+//! [`WalkSnapshot::encode_into`] copies them once into a reused buffer,
+//! each frame in place; decoding yields the same type, owning them.
+//!
 //! The CRC of each frame covers its tag, length field, and payload, so
 //! every byte of the file is guarded: the magic by equality, everything
 //! else by a frame CRC.  Decoding verifies all three CRCs *before*
@@ -35,11 +39,11 @@
 //!   tag fails the tag check, a flipped length or payload byte fails
 //!   the CRC, and stray trailing bytes fail the frame-header minimum.
 
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
 use crate::error::RecoverError;
-use crate::wire::{Reader, Writer};
-use crate::crc::crc32;
+use crate::wire::{frame, le_bytes, put_rows, put_words, read_frame, Reader};
 
 /// File magic of a snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"FMCKPT1\0";
@@ -81,12 +85,50 @@ impl CheckpointSpec {
     }
 }
 
+/// What a snapshot must agree with before a run resumes from it: the
+/// identity of the run that wrote it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RunHeader {
+    /// Seed the run was started with.
+    pub seed: u64,
+    /// Walker count.
+    pub walkers: u64,
+    /// Total configured iterations.
+    pub steps_total: u64,
+    /// Fingerprint of the engine configuration (algorithm, stop rule,
+    /// planner, …); a resume against a different config is rejected.
+    pub config_tag: u64,
+    /// Fingerprint of the (sorted) graph; a resume against a different
+    /// graph is rejected.
+    pub graph_tag: u64,
+}
+
+impl RunHeader {
+    /// [`RecoverError::Mismatch`] naming the first field a snapshot's
+    /// header `snap` disagrees with this run's on.
+    pub fn gate(&self, snap: &RunHeader) -> Result<(), RecoverError> {
+        let fields = [
+            ("configuration tag", snap.config_tag, self.config_tag),
+            ("graph tag", snap.graph_tag, self.graph_tag),
+            ("seed", snap.seed, self.seed),
+            ("walker count", snap.walkers, self.walkers),
+            ("step count", snap.steps_total, self.steps_total),
+        ];
+        match fields.into_iter().find(|(_, got, want)| got != want) {
+            Some((field, got, want)) => Err(RecoverError::Mismatch {
+                detail: format!("snapshot {field} {got} is not this run's {want}"),
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Mid-schedule state of the out-of-core bi-block scheduler (second
 /// order walks): where in the triangular pair sweep the run stopped and
 /// every walker parked at a block boundary.  Serialized as the optional
 /// `BBLK` frame.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BiBlockState {
+pub struct BiBlockState<'a> {
     /// Completed triangular sweeps.
     pub epoch: u64,
     /// Next pair slot (flat triangular index) within the current epoch.
@@ -95,9 +137,9 @@ pub struct BiBlockState {
     /// block layout is rejected by shape checks.
     pub blocks: u64,
     /// Steps completed per walker.
-    pub done: Vec<u32>,
+    pub done: Cow<'a, [u32]>,
     /// Parked walker indices per pair slot (the boundary buffers).
-    pub buckets: Vec<Vec<u32>>,
+    pub buckets: Cow<'a, [Vec<u32>]>,
     /// Walker-major partial paths (empty unless paths are recorded).
     pub paths: Vec<Vec<u32>>,
 }
@@ -111,39 +153,31 @@ pub struct PsPartState {
     pub cursor: Vec<u32>,
 }
 
-/// A complete, engine-agnostic snapshot of a walk at an epoch boundary.
+/// A complete, engine-agnostic snapshot of a walk at an epoch boundary:
+/// borrowing the run's arrays when an engine writes it, owning them
+/// when [`WalkSnapshot::decode`] reads one.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WalkSnapshot {
-    /// Seed the run was started with.
-    pub seed: u64,
+pub struct WalkSnapshot<'a> {
+    /// The run the snapshot belongs to.
+    pub header: RunHeader,
     /// First iteration the resumed run must execute.
     pub iter_next: u64,
-    /// Total configured iterations.
-    pub steps_total: u64,
-    /// Walker count.
-    pub walkers: u64,
     /// Live walker-steps executed so far.
     pub steps_taken: u64,
-    /// Fingerprint of the engine configuration (algorithm, stop rule,
-    /// planner, …); a resume against a different config is rejected.
-    pub config_tag: u64,
-    /// Fingerprint of the (sorted) graph; a resume against a different
-    /// graph is rejected.
-    pub graph_tag: u64,
     /// Walker-steps executed per partition so far.
-    pub per_partition_steps: Vec<u64>,
+    pub per_partition_steps: Cow<'a, [u64]>,
     /// Current walker vertices (sorted ID space).
-    pub w: Vec<u32>,
+    pub w: Cow<'a, [u32]>,
     /// Previous vertices (second-order walks; empty otherwise).
-    pub prev: Vec<u32>,
+    pub prev: Cow<'a, [u32]>,
     /// Per-vertex visit counters (empty unless `record_visits`).
-    pub visits: Vec<u64>,
+    pub visits: Cow<'a, [u64]>,
     /// Pre-sample buffer state per partition (`None` for DS partitions).
     pub ps: Vec<Option<PsPartState>>,
     /// Recorded path rows so far (empty unless `record_paths`).
-    pub rows: Vec<Vec<u32>>,
+    pub rows: Cow<'a, [Vec<u32>]>,
     /// Bi-block scheduler state (out-of-core second-order walks only).
-    pub biblock: Option<BiBlockState>,
+    pub biblock: Option<BiBlockState<'a>>,
 }
 
 /// FNV-1a fingerprint builder for config/graph tags.
@@ -183,122 +217,57 @@ impl Default for Fingerprint {
     }
 }
 
-fn frame(out: &mut Vec<u8>, tag: &[u8; 4], payload: &[u8]) {
-    let start = out.len();
-    out.extend_from_slice(tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-}
-
-/// Splits the next frame off `data` at `pos`, verifying tag and CRC.
-fn read_frame<'a>(
-    data: &'a [u8],
-    pos: &mut usize,
-    tag: &[u8; 4],
-    section: &'static str,
-    path: &Path,
-) -> Result<&'a [u8], RecoverError> {
-    let corrupt = |detail: String| RecoverError::Corrupt {
-        path: path.to_path_buf(),
-        section: section.to_string(),
-        detail,
-    };
-    let start = *pos;
-    if data.len() - start < 12 {
-        return Err(corrupt("truncated frame header".into()));
-    }
-    if &data[start..start + 4] != tag {
-        return Err(corrupt(format!(
-            "bad section tag {:?}",
-            &data[start..start + 4]
-        )));
-    }
-    let mut lb = [0u8; 8];
-    lb.copy_from_slice(&data[start + 4..start + 12]);
-    let len = u64::from_le_bytes(lb);
-    let len = usize::try_from(len)
-        .ok()
-        .filter(|&l| l <= data.len().saturating_sub(start + 16))
-        .ok_or_else(|| corrupt(format!("impossible payload length {len}")))?;
-    let payload_end = start + 12 + len;
-    let mut cb = [0u8; 4];
-    cb.copy_from_slice(&data[payload_end..payload_end + 4]);
-    let stored = u32::from_le_bytes(cb);
-    let computed = crc32(&data[start..payload_end]);
-    if stored != computed {
-        return Err(corrupt(format!(
-            "crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
-        )));
-    }
-    *pos = payload_end + 4;
-    Ok(&data[start + 12..payload_end])
-}
-
-impl WalkSnapshot {
-    /// Serializes into the framed format.
+impl WalkSnapshot<'_> {
+    /// Serializes into the framed format, in a buffer of its own.
     pub fn encode(&self) -> Vec<u8> {
-        let mut state = Writer::new();
-        state.put_u32(FORMAT_VERSION);
-        state.put_u64(self.seed);
-        state.put_u64(self.iter_next);
-        state.put_u64(self.steps_total);
-        state.put_u64(self.walkers);
-        state.put_u64(self.steps_taken);
-        state.put_u64(self.config_tag);
-        state.put_u64(self.graph_tag);
-        state.put_u64_slice(&self.per_partition_steps);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
 
-        let mut walkers = Writer::new();
-        walkers.put_u32_slice(&self.w);
-        walkers.put_u32_slice(&self.prev);
-        walkers.put_u64_slice(&self.visits);
-        walkers.put_u64(self.ps.len() as u64);
-        for part in &self.ps {
-            match part {
-                None => walkers.put_u8(0),
-                Some(st) => {
-                    walkers.put_u8(1);
-                    walkers.put_u32_slice(&st.buf);
-                    walkers.put_u32_slice(&st.cursor);
+    /// Serializes into `out`, replacing what it held but keeping its
+    /// capacity: a buffer reused across generations is allocated once.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let h = &self.header;
+        out.clear();
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        frame(out, TAG_STATE, 0, |out| {
+            out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            let run = [h.seed, self.iter_next, h.steps_total, h.walkers];
+            out.extend_from_slice(&le_bytes(&run));
+            out.extend_from_slice(&le_bytes(&[self.steps_taken, h.config_tag, h.graph_tag]));
+            put_words(out, &self.per_partition_steps);
+        });
+        frame(out, TAG_WALKERS, 0, |out| {
+            put_words(out, &self.w);
+            put_words(out, &self.prev);
+            put_words(out, &self.visits);
+            out.extend_from_slice(&(self.ps.len() as u64).to_le_bytes());
+            for part in &self.ps {
+                match part {
+                    None => out.push(0),
+                    Some(st) => {
+                        out.push(1);
+                        put_words(out, &st.buf);
+                        put_words(out, &st.cursor);
+                    }
                 }
             }
-        }
-
-        let mut output = Writer::new();
-        output.put_u64(self.rows.len() as u64);
-        for row in &self.rows {
-            output.put_u32_slice(row);
-        }
-
-        let mut out = Vec::new();
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        frame(&mut out, TAG_STATE, &state.into_bytes());
-        frame(&mut out, TAG_WALKERS, &walkers.into_bytes());
-        frame(&mut out, TAG_OUTPUT, &output.into_bytes());
+        });
+        frame(out, TAG_OUTPUT, 0, |out| put_rows(out, &self.rows));
         if let Some(bb) = &self.biblock {
-            let mut biblock = Writer::new();
-            biblock.put_u64(bb.epoch);
-            biblock.put_u64(bb.cursor);
-            biblock.put_u64(bb.blocks);
-            biblock.put_u32_slice(&bb.done);
-            biblock.put_u64(bb.buckets.len() as u64);
-            for bucket in &bb.buckets {
-                biblock.put_u32_slice(bucket);
-            }
-            biblock.put_u64(bb.paths.len() as u64);
-            for path in &bb.paths {
-                biblock.put_u32_slice(path);
-            }
-            frame(&mut out, TAG_BIBLOCK, &biblock.into_bytes());
+            frame(out, TAG_BIBLOCK, 0, |out| {
+                out.extend_from_slice(&le_bytes(&[bb.epoch, bb.cursor, bb.blocks]));
+                put_words(out, &bb.done);
+                put_rows(out, &bb.buckets);
+                put_rows(out, &bb.paths);
+            });
         }
-        out
     }
 
     /// Decodes and fully validates a snapshot; `path` is used only for
     /// error context.  Every failure mode is [`RecoverError::Corrupt`].
-    pub fn decode(data: &[u8], path: &Path) -> Result<Self, RecoverError> {
+    pub fn decode(data: &[u8], path: &Path) -> Result<WalkSnapshot<'static>, RecoverError> {
         let corrupt = |section: &str, detail: String| RecoverError::Corrupt {
             path: path.to_path_buf(),
             section: section.to_string(),
@@ -308,14 +277,14 @@ impl WalkSnapshot {
             return Err(corrupt("header", "bad snapshot magic".into()));
         }
         let mut pos = SNAPSHOT_MAGIC.len();
-        let state = read_frame(data, &mut pos, TAG_STATE, "STATE", path)?;
-        let walkers = read_frame(data, &mut pos, TAG_WALKERS, "WALKERS", path)?;
-        let output = read_frame(data, &mut pos, TAG_OUTPUT, "OUTPUT", path)?;
+        let state = read_frame(data, &mut pos, TAG_STATE, 0, "STATE", path)?;
+        let walkers = read_frame(data, &mut pos, TAG_WALKERS, 0, "WALKERS", path)?;
+        let output = read_frame(data, &mut pos, TAG_OUTPUT, 0, "OUTPUT", path)?;
         // The optional bi-block frame: any bytes past OUTP must form a
         // complete, CRC-valid BBLK frame (so stray trailing bytes still
         // fail, via the frame-header minimum or the tag/CRC checks).
         let biblock_bytes = if pos != data.len() {
-            Some(read_frame(data, &mut pos, TAG_BIBLOCK, "BIBLOCK", path)?)
+            Some(read_frame(data, &mut pos, TAG_BIBLOCK, 0, "BIBLOCK", path)?)
         } else {
             None
         };
@@ -376,14 +345,7 @@ impl WalkSnapshot {
         r.finish()?;
 
         let mut r = Reader::new(output, "OUTPUT", path);
-        let row_count = r.u64()?;
-        if row_count > output.len() as u64 {
-            return Err(corrupt("OUTPUT", format!("impossible row count {row_count}")));
-        }
-        let mut rows = Vec::with_capacity(row_count as usize);
-        for _ in 0..row_count {
-            rows.push(r.u32_vec()?);
-        }
+        let rows = r.u32_rows()?;
         r.finish()?;
 
         let biblock = match biblock_bytes {
@@ -394,54 +356,36 @@ impl WalkSnapshot {
                 let cursor = r.u64()?;
                 let blocks = r.u64()?;
                 let done = r.u32_vec()?;
-                let bucket_count = r.u64()?;
-                if bucket_count > bytes.len() as u64 {
-                    return Err(corrupt(
-                        "BIBLOCK",
-                        format!("impossible bucket count {bucket_count}"),
-                    ));
-                }
-                let mut buckets = Vec::with_capacity(bucket_count as usize);
-                for _ in 0..bucket_count {
-                    buckets.push(r.u32_vec()?);
-                }
-                let path_count = r.u64()?;
-                if path_count > bytes.len() as u64 {
-                    return Err(corrupt(
-                        "BIBLOCK",
-                        format!("impossible path count {path_count}"),
-                    ));
-                }
-                let mut paths = Vec::with_capacity(path_count as usize);
-                for _ in 0..path_count {
-                    paths.push(r.u32_vec()?);
-                }
+                let buckets = r.u32_rows()?;
+                let paths = r.u32_rows()?;
                 r.finish()?;
                 Some(BiBlockState {
                     epoch,
                     cursor,
                     blocks,
-                    done,
-                    buckets,
+                    done: done.into(),
+                    buckets: buckets.into(),
                     paths,
                 })
             }
         };
 
-        Ok(Self {
-            seed,
+        Ok(WalkSnapshot {
+            header: RunHeader {
+                seed,
+                walkers: walker_count,
+                steps_total,
+                config_tag,
+                graph_tag,
+            },
             iter_next,
-            steps_total,
-            walkers: walker_count,
             steps_taken,
-            config_tag,
-            graph_tag,
-            per_partition_steps,
-            w,
-            prev,
-            visits,
+            per_partition_steps: per_partition_steps.into(),
+            w: w.into(),
+            prev: prev.into(),
+            visits: visits.into(),
             ps,
-            rows,
+            rows: rows.into(),
             biblock,
         })
     }
@@ -469,19 +413,21 @@ mod tests {
         );
     }
 
-    fn sample_snapshot() -> WalkSnapshot {
+    fn sample_snapshot() -> WalkSnapshot<'static> {
         WalkSnapshot {
-            seed: 42,
+            header: RunHeader {
+                seed: 42,
+                walkers: 6,
+                steps_total: 8,
+                config_tag: 0xDEAD_BEEF,
+                graph_tag: 0xFEED_FACE,
+            },
             iter_next: 4,
-            steps_total: 8,
-            walkers: 6,
             steps_taken: 24,
-            config_tag: 0xDEAD_BEEF,
-            graph_tag: 0xFEED_FACE,
-            per_partition_steps: vec![10, 8, 6],
-            w: vec![1, 2, 3, 4, 5, 6],
-            prev: vec![6, 5, 4, 3, 2, 1],
-            visits: vec![3, 3, 3, 3, 3, 3, 3, 3],
+            per_partition_steps: vec![10, 8, 6].into(),
+            w: vec![1, 2, 3, 4, 5, 6].into(),
+            prev: vec![6, 5, 4, 3, 2, 1].into(),
+            visits: vec![3, 3, 3, 3, 3, 3, 3, 3].into(),
             ps: vec![
                 Some(PsPartState {
                     buf: vec![9, 9, 9, 9],
@@ -493,18 +439,18 @@ mod tests {
                     cursor: vec![1],
                 }),
             ],
-            rows: vec![vec![0, 1, 2, 3, 4, 5], vec![1, 2, 3, 4, 5, 0]],
+            rows: vec![vec![0, 1, 2, 3, 4, 5], vec![1, 2, 3, 4, 5, 0]].into(),
             biblock: None,
         }
     }
 
-    fn biblock_snapshot() -> WalkSnapshot {
+    fn biblock_snapshot() -> WalkSnapshot<'static> {
         WalkSnapshot {
             biblock: Some(BiBlockState {
                 epoch: 3,
                 cursor: 5,
                 blocks: 4,
-                done: vec![2, 3, 3, 1, 2, 3],
+                done: vec![2, 3, 3, 1, 2, 3].into(),
                 buckets: vec![
                     vec![0, 3],
                     Vec::new(),
@@ -516,7 +462,8 @@ mod tests {
                     Vec::new(),
                     Vec::new(),
                     Vec::new(),
-                ],
+                ]
+                .into(),
                 paths: vec![
                     vec![1, 2, 3],
                     vec![2, 3, 4, 5],
@@ -584,6 +531,25 @@ mod tests {
             WalkSnapshot::decode(&extended, Path::new("bb.fmck")),
             Err(RecoverError::Corrupt { .. })
         ));
+    }
+
+    /// A reused buffer's old bytes and capacity never reach the new
+    /// encoding: it equals a fresh one, frames and CRCs included, and a
+    /// buffer big enough already is not reallocated.
+    #[test]
+    fn encoding_into_a_dirty_buffer_equals_a_fresh_encode() {
+        for snap in [sample_snapshot(), biblock_snapshot()] {
+            let fresh = snap.encode();
+            let mut reused = vec![0xA5; 3 * fresh.len()];
+            let at = reused.as_ptr();
+            snap.encode_into(&mut reused);
+            assert_eq!(reused, fresh);
+            assert_eq!(reused.as_ptr(), at, "a big-enough buffer was reallocated");
+            // A buffer last holding a larger snapshot, then a shorter one.
+            biblock_snapshot().encode_into(&mut reused);
+            snap.encode_into(&mut reused);
+            assert_eq!(reused, fresh);
+        }
     }
 
     #[test]

@@ -1,63 +1,138 @@
 //! Bounded little-endian encode/decode helpers.
 //!
+//! Encoding appends to a caller's buffer, each word slice as one copy of
+//! its [`le_bytes`], each [`frame`] patched in place.
+//!
 //! Every read is bounds-checked and surfaces [`RecoverError::Corrupt`]
 //! instead of panicking; vector lengths are validated against the bytes
 //! actually remaining *before* any allocation, so a corrupt length field
 //! can never trigger an over-allocation.
 
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
+use crate::crc::crc32;
 use crate::error::RecoverError;
 
-/// Append-only little-endian byte sink.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
+mod sealed {
+    pub trait Sealed {}
 }
 
-impl Writer {
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// A word the wire format stores little-endian: `u32` in four bytes,
+/// `u64` and `usize` in eight.  Sealed: [`le_bytes`] views these types'
+/// memory as bytes, which is sound only for padding-free integers.
+pub trait LeWord: Copy + sealed::Sealed {
+    /// Bytes the word takes on the wire.
+    const WIDTH: usize;
+    /// The word as a `u64`, whose low `WIDTH` bytes are its wire bytes.
+    fn wide(self) -> u64;
+}
 
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_u32_slice(&mut self, vs: &[u32]) {
-        self.put_u64(vs.len() as u64);
-        let start = self.buf.len();
-        self.buf.resize(start + vs.len() * 4, 0);
-        for (dst, &v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
-            dst.copy_from_slice(&v.to_le_bytes());
+macro_rules! le_word {
+    ($($t:ty: $width:literal),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl LeWord for $t {
+            const WIDTH: usize = $width;
+            fn wide(self) -> u64 {
+                self as u64
+            }
         }
-    }
+    )*};
+}
+le_word!(u32: 4, u64: 8, usize: 8);
 
-    pub fn put_u64_slice(&mut self, vs: &[u64]) {
-        self.put_u64(vs.len() as u64);
-        let start = self.buf.len();
-        self.buf.resize(start + vs.len() * 8, 0);
-        for (dst, &v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
+/// `words` as the wire (and FMDISK1) stores them, little-endian: the
+/// words' own bytes, borrowed, where the host's layout is the wire's (a
+/// little-endian host, and a 64-bit one for `usize`); a converted copy
+/// elsewhere.
+pub fn le_bytes<T: LeWord>(words: &[T]) -> Cow<'_, [u8]> {
+    if cfg!(target_endian = "little") && std::mem::size_of::<T>() == T::WIDTH {
+        let (ptr, len) = (words.as_ptr().cast(), std::mem::size_of_val(words));
+        // SAFETY: the pointer and byte length are those of `words`,
+        // borrowed for the returned lifetime; `u8` has alignment 1 and
+        // the sealed word types are integers without padding, so every
+        // byte of the view is initialised.
+        return Cow::Borrowed(unsafe { std::slice::from_raw_parts(ptr, len) });
     }
+    let wire = |w: &T| w.wide().to_le_bytes().into_iter().take(T::WIDTH);
+    Cow::Owned(words.iter().flat_map(wire).collect())
+}
 
-    pub fn put_bytes(&mut self, bs: &[u8]) {
-        self.put_u64(bs.len() as u64);
-        self.buf.extend_from_slice(bs);
-    }
+/// A `u64` length, then the words.
+pub fn put_words<T: LeWord>(out: &mut Vec<u8>, words: &[T]) {
+    out.extend_from_slice(&(words.len() as u64).to_le_bytes());
+    out.extend_from_slice(&le_bytes(words));
+}
 
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+/// A `u64` row count, then each row as [`put_words`] writes it.
+pub fn put_rows(out: &mut Vec<u8>, rows: &[Vec<u32>]) {
+    out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+    for row in rows {
+        put_words(out, row);
     }
+}
+
+/// Appends a frame built in place: `head`, a `u64` length word, what
+/// `payload` writes, and a CRC32 of the frame from `crc_from` bytes into
+/// `head` on.  The length word is patched once the payload is written,
+/// so no payload is staged or copied.
+pub fn frame(out: &mut Vec<u8>, head: &[u8], crc_from: usize, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(head);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    payload(out);
+    let len = (out.len() - len_at - 8) as u64;
+    out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[start + crc_from..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Splits the next frame, as [`frame`] writes it, off `data` at `pos`:
+/// checks its `head` and its CRC from `crc_from` bytes into `head` on,
+/// and returns its payload.
+pub fn read_frame<'a>(
+    data: &'a [u8],
+    pos: &mut usize,
+    head: &[u8],
+    crc_from: usize,
+    section: &'static str,
+    path: &Path,
+) -> Result<&'a [u8], RecoverError> {
+    let corrupt = |detail: String| RecoverError::Corrupt {
+        path: path.to_path_buf(),
+        section: section.to_string(),
+        detail,
+    };
+    let (start, body) = (*pos, *pos + head.len() + 8);
+    if data.len() < body {
+        return Err(corrupt("truncated frame header".into()));
+    }
+    if &data[start..start + head.len()] != head {
+        return Err(corrupt(format!(
+            "bad section tag {:?}",
+            &data[start..start + head.len()]
+        )));
+    }
+    let mut lb = [0u8; 8];
+    lb.copy_from_slice(&data[body - 8..body]);
+    let len = u64::from_le_bytes(lb);
+    let len = usize::try_from(len)
+        .ok()
+        .filter(|&l| l <= data.len().saturating_sub(body + 4))
+        .ok_or_else(|| corrupt(format!("impossible payload length {len}")))?;
+    let payload_end = body + len;
+    let mut cb = [0u8; 4];
+    cb.copy_from_slice(&data[payload_end..payload_end + 4]);
+    let stored = u32::from_le_bytes(cb);
+    let computed = crc32(&data[start + crc_from..payload_end]);
+    if stored != computed {
+        return Err(corrupt(format!(
+            "crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
+        )));
+    }
+    *pos = payload_end + 4;
+    Ok(&data[body..payload_end])
 }
 
 /// Bounds-checked little-endian reader over one decoded section.
@@ -157,6 +232,13 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
+    /// A `u64` row count, then the rows: what [`put_rows`] writes.
+    pub fn u32_rows(&mut self) -> Result<Vec<Vec<u32>>, RecoverError> {
+        // Every row takes at least its eight-byte length.
+        let count = self.checked_len(8)?;
+        (0..count).map(|_| self.u32_vec()).collect()
+    }
+
     pub fn bytes(&mut self) -> Result<&'a [u8], RecoverError> {
         let len = self.checked_len(1)?;
         self.take(len)
@@ -168,5 +250,32 @@ impl<'a> Reader<'a> {
             return Err(self.corrupt(format!("{} trailing bytes", self.remaining())));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn le_bytes_are_the_words_in_file_order() {
+        let words: [u32; 5] = [0x0403_0201, 0xDEAD_BEEF, 0, u32::MAX, 0x8000_0001];
+        let want: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(le_bytes(&words)[..], want[..]);
+        let longs = [0x0807_0605_0403_0201u64, u64::MAX, 0];
+        let want: Vec<u8> = longs.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(le_bytes(&longs)[..], want[..]);
+        let sizes = [0x0403_0201usize, usize::MAX, 0];
+        let want: Vec<u8> = sizes
+            .iter()
+            .flat_map(|&w| (w as u64).to_le_bytes())
+            .collect();
+        assert_eq!(le_bytes(&sizes)[..], want[..]);
+        // A little-endian host lends the words' own bytes.
+        assert_eq!(
+            matches!(le_bytes(&words), Cow::Borrowed(_)),
+            cfg!(target_endian = "little")
+        );
+        assert!(le_bytes::<u32>(&[]).is_empty());
     }
 }

@@ -369,25 +369,34 @@ fn program_state_round_trips_through_wire_codec() {
     // snapshot's auxiliary (`prev`) lane; a checkpoint taken mid-run
     // must restore it bit for bit under arbitrary sizes, values, and
     // mixed PS/DS buffer states.
-    use flashmob_repro::recover::{PsPartState, WalkSnapshot};
+    use flashmob_repro::recover::{PsPartState, RunHeader, WalkSnapshot};
     let mut rng = Xorshift64Star::new(0x9a7e_57a7);
     for case in 0..200 {
         let walkers = gen_range(&mut rng, 0, 300) as usize;
         let parts = gen_range(&mut rng, 1, 8) as usize;
+        let (seed, iter_next, steps_total) = (
+            rng.next_u64(),
+            gen_range(&mut rng, 0, 100),
+            gen_range(&mut rng, 0, 100),
+        );
+        let (steps_taken, config_tag, graph_tag) =
+            (rng.next_u64() >> 8, rng.next_u64(), rng.next_u64());
         let snap = WalkSnapshot {
-            seed: rng.next_u64(),
-            iter_next: gen_range(&mut rng, 0, 100),
-            steps_total: gen_range(&mut rng, 0, 100),
-            walkers: walkers as u64,
-            steps_taken: rng.next_u64() >> 8,
-            config_tag: rng.next_u64(),
-            graph_tag: rng.next_u64(),
+            header: RunHeader {
+                seed,
+                walkers: walkers as u64,
+                steps_total,
+                config_tag,
+                graph_tag,
+            },
+            iter_next,
+            steps_taken,
             per_partition_steps: (0..parts).map(|_| rng.next_u64() >> 16).collect(),
             w: (0..walkers).map(|_| rng.next_u64() as u32).collect(),
             // The program-state lane: arbitrary origins, including the
             // DEAD sentinel (u32::MAX).
             prev: (0..walkers).map(|_| rng.next_u64() as u32).collect(),
-            visits: Vec::new(),
+            visits: Vec::new().into(),
             ps: (0..parts)
                 .map(|_| {
                     (rng.next_u64() & 1 == 0).then(|| PsPartState {
