@@ -291,6 +291,32 @@ cargo run --release -q -p fm-cli -- resume "$RECOVER_TMP/g.bin" "$RECOVER_TMP/ck
     --steps 12 --walkers 2048 --seed 5 \
     --output "$RECOVER_TMP/resumed.txt"
 cmp "$RECOVER_TMP/full.txt" "$RECOVER_TMP/resumed.txt"
+# A walk sparse enough that its pre-sample refills are reserved: each
+# generation is written with reserved generations live, put in produced
+# form in place.  Its bytes are pinned as the parent's binary wrote
+# them, and neither the checkpoints nor a resume move the paths.
+SPARSE_FLAGS="--steps 12 --walkers 64 --seed 5"
+cargo run --release -q -p fm-cli -- walk "$RECOVER_TMP/g.bin" $SPARSE_FLAGS \
+    --checkpoint-dir "$RECOVER_TMP/sparse" --checkpoint-every 4 --stats \
+    --output "$RECOVER_TMP/sparse.txt" > "$RECOVER_TMP/sparse-stats.txt"
+grep -Eq 'pre-samples: [0-9]+ produced, [1-9][0-9]* reserved' "$RECOVER_TMP/sparse-stats.txt" || {
+    echo "recover tier: the sparse walk reserved no pre-samples" >&2; exit 1; }
+SPARSE_CKSUM="$(cksum < "$RECOVER_TMP/sparse/ckpt-00000001.fmck")"
+[[ "$SPARSE_CKSUM" == "1182148850 41820" ]] || {
+    echo "recover tier: sparse snapshot cksum $SPARSE_CKSUM, pinned 1182148850 41820" >&2; exit 1; }
+cargo run --release -q -p fm-cli -- walk "$RECOVER_TMP/g.bin" $SPARSE_FLAGS \
+    --output "$RECOVER_TMP/sparse-plain.txt" > /dev/null
+cmp "$RECOVER_TMP/sparse.txt" "$RECOVER_TMP/sparse-plain.txt"
+cargo run --release -q -p fm-cli -- resume "$RECOVER_TMP/g.bin" "$RECOVER_TMP/sparse" \
+    $SPARSE_FLAGS --output "$RECOVER_TMP/sparse-resumed.txt" > /dev/null
+cmp "$RECOVER_TMP/sparse.txt" "$RECOVER_TMP/sparse-resumed.txt"
+# The same from generation 1, which holds the materialized generations.
+cargo run --release -q -p fm-cli -- walk "$RECOVER_TMP/g.bin" $SPARSE_FLAGS \
+    --checkpoint-dir "$RECOVER_TMP/sparse-halt" --checkpoint-every 4 --halt-after 1 \
+    --output /dev/null > /dev/null
+cargo run --release -q -p fm-cli -- resume "$RECOVER_TMP/g.bin" "$RECOVER_TMP/sparse-halt" \
+    $SPARSE_FLAGS --output "$RECOVER_TMP/sparse-halted.txt" > /dev/null
+cmp "$RECOVER_TMP/sparse.txt" "$RECOVER_TMP/sparse-halted.txt"
 # A mismatched resume configuration must exit 4 (invalid plan).
 if cargo run --release -q -p fm-cli -- resume "$RECOVER_TMP/g.bin" "$RECOVER_TMP/ckpt" \
     --steps 12 --walkers 2048 --seed 6 --output /dev/null 2>/dev/null; then

@@ -11,9 +11,13 @@
 //!   (`(**self)`).  Rebinding a name any other way untypes it.  A `let`
 //!   types its names where its statement ends, so its initializer still
 //!   sees the binding it shadows (`let x: T = x.m()` calls `m` on the
-//!   old `x`).  A
-//!   generic `P: Trait` (`<…>` or `where`, on the fn or its impl) and a
-//!   `dyn`/`impl Trait` resolve to that trait's impls only;
+//!   old `x`).  An `if let` / `while let` pattern binds in its block, a
+//!   match arm's from the arm to the match's end, both untyped: a call
+//!   on the new binding fans out, never resolving to the shadowed name's
+//!   type, which holds again past the block (a binding's type ends with
+//!   its scope).  A generic `P: Trait` (`<…>` or `where`, on the fn or
+//!   its impl) and a `dyn`/`impl Trait` resolve to that trait's impls
+//!   only;
 //! * `.method(...)` on an untyped receiver — or on a type with no such
 //!   fn of its own — fans out to **every** method of that name, except
 //!   std-shadowed names ([`STD_METHODS`]);
@@ -301,7 +305,7 @@ impl<'a> Index<'a> {
         }
         let mut ty = match body[start].s.as_str() {
             "self" => env.self_ty?.to_string(),
-            var => env.vars.get(var)?.clone(),
+            var => env.local(var, start)?.clone()?,
         };
         for field in body[start..=end].iter().skip(2).step_by(2) {
             ty = self.fields.get(&(ty.as_str(), field.s.as_str()))?.to_string();
@@ -310,54 +314,28 @@ impl<'a> Index<'a> {
     }
 }
 
-/// What a fn's source states about the types of its bindings.
+/// What a fn's source states about its bindings.
 struct Env<'a> {
     self_ty: Option<&'a str>,
-    /// Binding → type head: the parameters, then the body's bindings as
-    /// they are read.
-    vars: BTreeMap<&'a str, String>,
     /// Generic parameters in scope and the traits bounding them.
     generics: &'a [Bound],
-    /// Every name bound in scope, typed or not: the brace depth its
-    /// scope ends below, and the body token it is visible from (a `let`
-    /// binding is not visible in its own initializer).
-    locals: Vec<(&'a str, usize, usize)>,
-    /// `let` statements read but not yet ended: the body token their
-    /// statement ends at, their pattern, and the type it states.  Their
-    /// names take the new type there, as they enter scope.
-    lets: Vec<(usize, &'a [Tok], Option<String>)>,
+    /// Every name bound in scope, innermost last: the brace depth its
+    /// scope ends below, the body token it is visible from (a `let`
+    /// binding is not visible in its own initializer), and the type head
+    /// its source states, if it states one.
+    locals: Vec<(&'a str, usize, usize, Option<String>)>,
     /// Brace depth of the token being read.
     depth: usize,
 }
 
 impl<'a> Env<'a> {
-    /// Types `name` as `ty` (`Self` is the impl type), or untypes it.
-    fn bind(&mut self, name: &'a str, ty: Option<String>) {
+    /// Binds the names `pattern` binds down to `depth`, visible from body
+    /// token `from`: its lower-case identifiers, past `mut` / `ref` and
+    /// path segments.  A lone name takes `ty` (`Self` is the impl type).
+    fn bind(&mut self, pattern: &'a [Tok], depth: usize, from: usize, ty: Option<String>) {
         let self_ty = self.self_ty.map(str::to_string);
-        match ty.and_then(|t| if t == "Self" { self_ty } else { Some(t) }) {
-            Some(t) => self.vars.insert(name, t),
-            None => self.vars.remove(name),
-        };
-    }
-
-    /// Binds each parameter `[mut] x: T`; any other name a parameter
-    /// pattern binds is untyped.  Every name is local down to `depth`.
-    fn bind_params(&mut self, params: &'a [Tok], depth: usize) {
-        for param in split_top(params, ",") {
-            self.untype(param);
-            self.shadow(split_top(param, ":")[0], depth, 0);
-            if let [name, colon, ty @ ..] = past_mut(param) {
-                if colon.s == ":" {
-                    self.bind(&name.s, type_head(ty));
-                }
-            }
-        }
-    }
-
-    /// Records the names `pattern` binds as locals down to `depth`,
-    /// visible from body token `from`: its lower-case identifiers, past
-    /// `mut` / `ref` and path segments.
-    fn shadow(&mut self, pattern: &'a [Tok], depth: usize, from: usize) {
+        let ty = ty.filter(|_| past_mut(pattern).len() == 1);
+        let ty = ty.and_then(|t| if t == "Self" { self_ty } else { Some(t) });
         for (i, t) in pattern.iter().enumerate() {
             let path = |j: Option<usize>| {
                 j.and_then(|j| pattern.get(j)).is_some_and(|n| n.s == "::")
@@ -367,43 +345,45 @@ impl<'a> Env<'a> {
                 && !path(i.checked_sub(1))
                 && !path(Some(i + 1));
             if binds {
-                self.locals.push((&t.s, depth, from));
+                self.locals.push((&t.s, depth, from, ty.clone()));
             }
         }
     }
 
-    /// Is `name` a binding in scope at body token `k`, which a free call
-    /// there cannot see past?
-    fn is_local(&self, name: &str, k: usize) -> bool {
-        self.locals.iter().any(|&(l, _, from)| l == name && from <= k)
+    /// Binds each parameter: `[mut] x: T` typed, any other name a
+    /// parameter pattern binds untyped, every one local down to `depth`.
+    fn bind_params(&mut self, params: &'a [Tok], depth: usize) {
+        for param in split_top(params, ",") {
+            let ty = match past_mut(param) {
+                [_, colon, ty @ ..] if colon.s == ":" => type_head(ty),
+                _ => None,
+            };
+            self.bind(split_top(param, ":")[0], depth, 0, ty);
+        }
     }
 
-    /// Untypes every name in `pattern`.
-    fn untype(&mut self, pattern: &[Tok]) {
-        for t in pattern {
-            self.vars.remove(t.s.as_str());
-        }
+    /// The innermost binding of `name` visible at body token `k`, if any.
+    fn local(&self, name: &str, k: usize) -> Option<&Option<String>> {
+        let visible = |&&(l, _, from, _): &&(&str, usize, usize, _)| l == name && from <= k;
+        self.locals.iter().rev().find(visible).map(|(.., ty)| ty)
     }
 
     /// Reads the binding that starts at `body[k]`, if one does: a
-    /// closure's parameters, a `for` pattern, or a `let` — typed by a
-    /// stated type or a struct literal, else untyping what it binds.
+    /// closure's parameters, a `for` pattern, an `if let` / `while let`
+    /// or match-arm pattern (untyped, in its block or from its arm to the
+    /// match's end), or a `let` — typed by a stated type or a struct
+    /// literal, else untyped.
     fn read_binding(&mut self, body: &'a [Tok], k: usize) {
         let at = |i: usize| body.get(i).map_or("", |t| t.s.as_str());
         let until = |stop: fn(&str) -> bool| body[k + 1..].iter().position(|t| stop(&t.s));
-        while let Some(i) = self.lets.iter().position(|&(from, ..)| from <= k) {
-            let (_, pattern, ty) = self.lets.remove(i);
-            self.untype(pattern);
-            if let (Some(ty), [name, ..]) = (ty, past_mut(pattern)) {
-                self.bind(&name.s, Some(ty));
-            }
-        }
+        // A `let` pattern (and type) ends at the first `=` outside groups.
+        let let_end = || k + 1 + split_top(&body[k + 1..], "=")[0].len();
         match at(k) {
             "{" => self.depth += 1,
             "}" => {
                 self.depth = self.depth.saturating_sub(1);
                 let depth = self.depth;
-                self.locals.retain(|&(_, d, _)| d <= depth);
+                self.locals.retain(|&(_, d, ..)| d <= depth);
             }
             "|" if k == 0 || matches!(at(k - 1), "(" | "," | "=" | "{" | ";" | "move" | "=>") => {
                 let end = until(|s| s == "|").map_or(k + 1, |p| k + 1 + p);
@@ -413,17 +393,15 @@ impl<'a> Env<'a> {
             }
             "for" => {
                 let pattern = &body[k + 1..until(|s| s == "in").map_or(k + 1, |p| k + 1 + p)];
-                self.untype(pattern);
-                self.shadow(pattern, self.depth + 1, k);
+                self.bind(pattern, self.depth + 1, k, None);
+            }
+            "let" if matches!(at(k.wrapping_sub(1)), "if" | "while") => {
+                let end = let_end();
+                self.bind(&body[k + 1..end], self.depth + 1, top_level(body, end, "{"), None);
             }
             "let" => {
-                // The pattern (and type) end at the first `=` outside groups.
-                let end = k + 1 + split_top(&body[k + 1..], "=")[0].len();
+                let end = let_end();
                 let pattern = &body[k + 1..end];
-                // Visible, and typed, once the statement ends: the
-                // initializer still sees what the pattern shadows.
-                let from = statement_end(body, k);
-                self.shadow(split_top(pattern, ":")[0], self.depth, from);
                 let ty = match past_mut(pattern) {
                     [_, colon, ty @ ..] if colon.s == ":" => type_head(ty),
                     // `let x = T { … }`: a struct literal states its type.
@@ -432,23 +410,43 @@ impl<'a> Env<'a> {
                     }
                     _ => None,
                 };
-                self.lets.push((from, pattern, ty));
+                // Visible, and typed, once the statement ends: the
+                // initializer still sees what the pattern shadows.
+                let from = top_level(body, k, ";");
+                self.bind(split_top(pattern, ":")[0], self.depth, from, ty);
+            }
+            "=>" => {
+                // The arm's pattern: back to the `,` or brace before it,
+                // up to a guard's `if`.
+                let mut group = 0i64;
+                let start = (0..k).rev().find(|&i| {
+                    group += match at(i) {
+                        ")" | "]" => 1,
+                        "(" | "[" => -1,
+                        _ => 0,
+                    };
+                    group < 0 || group == 0 && matches!(at(i), "," | "{" | "}")
+                });
+                let arm = &body[start.map_or(0, |i| i + 1)..k];
+                let guard = arm.iter().position(|t| t.s == "if").unwrap_or(arm.len());
+                self.bind(&arm[..guard], self.depth, k, None);
             }
             _ => {}
         }
     }
 }
 
-/// Index of the `;` that ends the statement at `body[k]` (the body's
-/// length if none does).  Only `()`, `[]` and `{}` nest here: `<` and
-/// `>` are also operators (`x >> 8`), and no `;` sits in a type.
-fn statement_end(body: &[Tok], k: usize) -> usize {
+/// Index of the first `stop` at group depth 0 from `body[k]` on: the `;`
+/// that ends a statement, or the `{` that opens a block (the body's
+/// length if none).  Only `()`, `[]` and `{}` nest here: `<` and `>` are
+/// also operators (`x >> 8`), and no `;` sits in a type.
+fn top_level(body: &[Tok], k: usize, stop: &str) -> usize {
     let mut depth = 0i64;
     for (i, t) in body.iter().enumerate().skip(k) {
         match t.s.as_str() {
+            s if s == stop && depth == 0 => return i,
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => depth -= 1,
-            ";" if depth == 0 => return i,
             _ => {}
         }
     }
@@ -560,9 +558,7 @@ pub fn build(files: &[FileAst]) -> CallGraph {
     for (i, node) in defs.iter().enumerate() {
         let file_alias = aliases.get(node.file.as_str());
         let (self_ty, generics) = (node.self_ty.as_deref(), &node.bounds[..]);
-        let vars = BTreeMap::new();
-        let (locals, lets) = (Vec::new(), Vec::new());
-        let mut env = Env { self_ty, vars, generics, locals, lets, depth: 0 };
+        let mut env = Env { self_ty, generics, locals: Vec::new(), depth: 0 };
         env.bind_params(&node.params, 0);
         let mut dedup: BTreeSet<usize> = BTreeSet::new();
         let body = &node.body;
@@ -585,7 +581,7 @@ pub fn build(files: &[FileAst]) -> CallGraph {
                 // name) runs what its initializer calls; naming a free
                 // fn as a value (an argument, a match arm, a `let`
                 // initializer) hands it to code that will call it.
-                let items = if at(k.wrapping_sub(1)) == "." || env.is_local(name, k) {
+                let items = if at(k.wrapping_sub(1)) == "." || env.local(name, k).is_some() {
                     Vec::new()
                 } else if let Some(items) = ix.consts.get(name) {
                     nearest(&defs, node, items)
@@ -618,7 +614,7 @@ pub fn build(files: &[FileAst]) -> CallGraph {
                     }
                 }
                 // A call to a closure or fn value bound in scope.
-                _ if env.is_local(name, k) => Vec::new(),
+                _ if env.local(name, k).is_some() => Vec::new(),
                 _ => {
                     // Free call: same file, then same crate, then the
                     // alias target, then any workspace fn of that name.

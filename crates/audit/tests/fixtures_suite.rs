@@ -55,7 +55,7 @@ const RS_CASES: [(&str, Lint, &str); 5] = [
 
 /// (fixture workspace dir, the flow lint it exercises, the items its
 /// fail half must each be flagged at).
-const FLOW_CASES: [(&str, Lint, &[&str]); 14] = [
+const FLOW_CASES: [(&str, Lint, &[&str]); 15] = [
     ("flow/determinism_taint", Lint::DeterminismTaint, &[]),
     ("flow/panic_reach", Lint::PanicReachability, &[]),
     ("flow/rng_purity", Lint::RngPurity, &[]),
@@ -90,6 +90,9 @@ const FLOW_CASES: [(&str, Lint, &[&str]); 14] = [
     // `let x: T = x.m()` calls `m` on the shadowed `x`; `T` holds from
     // the statement's end.
     ("flow/let_shadow", Lint::PanicReachability, &["Raw::ready"]),
+    // An `if let` or match-arm binding states no type: a call on it
+    // reaches every method of that name, in its block or arm only.
+    ("flow/arm_shadow", Lint::PanicReachability, &["Raw::finish", "Raw::settle"]),
 ];
 
 #[test]
@@ -314,16 +317,16 @@ fn the_sample_loops_reach_what_they_run_and_nothing_else() {
     // generations' skip kernels (`checked_chain`, handed to
     // `reserve_on` by value), and not the same-named methods of other
     // types.  The
-    // snapshot's pre-sample export is the in-memory checkpoint's, which
-    // no sample loop takes: `run_ooc_with`'s `snapshot(…)` is a local
-    // closure, not `EpochState::snapshot`.
+    // snapshot's pre-sample materialize is the in-memory checkpoint's,
+    // which no sample loop takes: `run_ooc_with`'s `snapshot(…)` is
+    // `Lanes::snapshot`, not `EpochState::snapshot`.
     let g = &workspace_scan().0.graph;
     let reach = g.reachable(&fm_audit::taint::panic_roots(g), |_| true);
     let reached = |qual: &str| (0..g.fns.len()).any(|i| reach[i] && g.fns[i].qual() == qual);
     for qual in ["Stepper::drain", "hint_partition", "checked_chain", "wide_chain"] {
         assert!(reached(qual), "no sample loop reaches {qual}");
     }
-    for qual in ["Baseline::step", "Shuffler::count", "EpochState::snapshot", "PsBuffers::export"] {
+    for qual in ["Baseline::step", "Shuffler::count", "EpochState::snapshot", "PsBuffers::materialize"] {
         assert!(!reached(qual), "a sample loop reaches {qual}");
     }
 }

@@ -259,12 +259,12 @@ fn crash_cell(
                 progress == g * every || (g == generations && progress.div_ceil(every) == g)
             };
             match load_latest(&dir) {
-                Ok((g, snap)) if g == last && lands(g, snap.iter_next) => {}
+                Ok((g, snap)) if g == last && lands(g, snap.state.iter_next) => {}
                 Ok((g, snap)) => fail(
                     &mut case,
                     format!(
                         "leg {leg} left generation {g} at progress {}",
-                        snap.iter_next
+                        snap.state.iter_next
                     ),
                 ),
                 Err(e) => fail(&mut case, format!("leg {leg} left no snapshot: {e}")),

@@ -202,6 +202,54 @@ mod tests {
     /// One header field of a snapshot, changed.
     type Perturb = fn(&mut RunHeader);
 
+    /// A checkpoint changes nothing a run computes: checkpointed at every
+    /// unit of progress, a run leaves the paths, visits, step counts and
+    /// pre-sample counts of the same run without checkpoints, in memory
+    /// at one and two threads, with reserved generations put in produced
+    /// form at each generation, and out of core.
+    #[test]
+    fn checkpoints_do_not_change_the_walk() {
+        let g = synth::power_law(2000, 2.0, 2, 64, 11);
+        let every_unit = |name: &str| {
+            let dir = temp(name);
+            std::fs::remove_dir_all(&dir).ok();
+            (RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 1)), dir)
+        };
+        for cfg in [WalkConfig::deepwalk(), WalkConfig::node2vec(2.0, 0.5)] {
+            for threads in [1, 2] {
+                let cfg = cfg.clone().walkers(64).steps(12).seed(5).threads(threads);
+                let engine = FlashMob::new(&g, cfg.record_visits(true)).unwrap();
+                let what = format!("{} at {threads} threads", engine.config().algorithm.name());
+                let run = |opts: &RunOptions| engine.run_with(opts, &mut Telemetry::off()).unwrap();
+                let (plain, want) = run(&RunOptions::default());
+                let (opts, dir) = every_unit(&format!("same_walk_{threads}"));
+                let (out, got) = run(&opts);
+                std::fs::remove_dir_all(&dir).ok();
+                assert!(got.pre_sample_totals().1 > 0, "{what}: nothing reserved");
+                assert_eq!(out.raw_steps(), plain.raw_steps(), "{what}");
+                assert_eq!(got.visits_sorted, want.visits_sorted, "{what}");
+                assert_eq!(got.steps_taken, want.steps_taken, "{what}");
+                assert_eq!(got.per_partition_steps, want.per_partition_steps, "{what}");
+                assert_eq!(got.per_partition_ps_produced, want.per_partition_ps_produced);
+                assert_eq!(got.per_partition_ps_reserved, want.per_partition_ps_reserved);
+                assert_eq!(got.per_partition_ps_consumed, want.per_partition_ps_consumed);
+            }
+        }
+        let disk_path = temp("same_walk.fmdisk");
+        let disk = DiskGraph::create(&g, &disk_path).unwrap();
+        let cfg = WalkConfig::node2vec(2.0, 0.5).walkers(200).steps(8).seed(5);
+        let run = |opts: &RunOptions| {
+            run_ooc_with(&disk, &cfg, disk.edge_count(), opts, &mut Telemetry::off()).unwrap()
+        };
+        let (plain, want) = run(&RunOptions::default());
+        let (opts, dir) = every_unit("same_walk_ooc");
+        let (out, got) = run(&opts);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&disk_path).ok();
+        assert_eq!(out.raw_steps(), plain.raw_steps());
+        assert_eq!(got.steps_taken, want.steps_taken);
+    }
+
     #[test]
     fn one_gate_refuses_each_header_field_from_both_engines() {
         let g = synth::power_law(300, 2.0, 2, 30, 5);

@@ -11,6 +11,7 @@ use fm_graph::{Csr, VertexId};
 use fm_memsim::{AddressSpace, NullProbe, Probe};
 use fm_recover::{
     CheckpointSpec, FaultPolicy, Fingerprint, PsPartState, RecoverError, RunHeader, WalkSnapshot,
+    WalkState,
 };
 use fm_rng::{split_stream, Rng64, Xorshift64Star};
 use fm_telemetry::{SpanEvent, Stage, Telemetry, NO_PARTITION, NO_STEP};
@@ -471,34 +472,20 @@ impl Scratch {
     }
 }
 
-/// A run between two iterations: what a [`WalkSnapshot`] carries, field
-/// for field, plus the [`Scratch`] lanes it does not.
+/// A run between two iterations: the [`WalkState`] and PS buffers a
+/// [`WalkSnapshot`] borrows, and the [`Scratch`] lanes it does not.
 ///
-/// [`EpochState::snapshot`] and [`EpochState::restore`] are the only
-/// places that name the snapshot's fields, so the two directions cannot
-/// drift apart.  Everything else a run needs (plan, shuffler, PS layout)
-/// is a function of graph + config and is rebuilt identically.  The
-/// state owns its lanes for the whole run; a step allocates nothing, and
-/// a snapshot borrows the lanes rather than copying them.
+/// `walk.iter_next` iterations are complete and `walk.w` (a vertex in
+/// the sorted ID space, or [`DEAD`]) is the next one's input; `walk.prev`
+/// is the auxiliary lane ([`FlashMob::carries_aux`]); `walk.rows` holds
+/// `W_0 ..= W_iter` when paths are recorded.  Everything else a run
+/// needs (plan, shuffler, PS layout) is a function of graph + config and
+/// is rebuilt identically.  A step allocates nothing.
 struct EpochState {
-    /// The next iteration to run: `iter` of them are complete, and `w`
-    /// is exactly its input.
-    iter: usize,
-    /// Live walker-steps so far, a resumed run's predecessors included.
-    steps_taken: u64,
-    /// Walker `j`'s vertex in the sorted ID space, or [`DEAD`].
-    w: Vec<VertexId>,
-    /// The auxiliary lane (see [`FlashMob::carries_aux`]): walker `j`'s
-    /// previous vertex for second-order walks, its immutable origin for
-    /// stateful programs; empty otherwise.
-    prev: Vec<VertexId>,
-    visits: Option<Vec<u64>>,
-    per_partition_steps: Vec<u64>,
+    walk: WalkState,
     /// PS buffers persist across iterations, and across runs (they are
     /// taken from, and parked back into, the engine's `ps_pool`).
     ps: PsSet,
-    /// `W_0 ..= W_iter` when paths are recorded, else empty.
-    rows: Vec<Vec<VertexId>>,
     scratch: Scratch,
 }
 
@@ -525,9 +512,10 @@ impl EpochState {
             other => other.clone(),
         };
         let w = initialize(&engine.graph, &init, config.walkers, config.seed);
-        Self {
-            iter: 0,
+        let walk = WalkState {
+            iter_next: 0,
             steps_taken: 0,
+            per_partition_steps: vec![0; engine.plan.partitions.len()],
             // A stateful program's origin is the initial position,
             // exactly `w` at iteration 0; a second-order walk has no
             // history yet and does not read the lane in iteration 0.
@@ -536,71 +524,69 @@ impl EpochState {
             } else {
                 Vec::new()
             },
-            visits: config
-                .record_visits
-                .then(|| vec![0u64; engine.graph.vertex_count()]),
-            per_partition_steps: vec![0; engine.plan.partitions.len()],
-            ps: engine.take_ps_set(),
+            visits: if config.record_visits {
+                vec![0; engine.graph.vertex_count()]
+            } else {
+                Vec::new()
+            },
             rows: if config.record_paths {
                 vec![path_row(&w)]
             } else {
                 Vec::new()
             },
             w,
+        };
+        Self {
+            walk,
+            ps: engine.take_ps_set(),
             scratch: Scratch::new(engine),
         }
     }
 
-    /// The state `snap` was taken from, after checking that it has this
-    /// engine's shape; [`checkpoint::resume`] has checked its header.
+    /// The state `snap` was taken from, moved in after checking that it
+    /// has this engine's shape; [`checkpoint::resume`] has checked its
+    /// header.
     fn restore(engine: &FlashMob, snap: WalkSnapshot<'static>) -> Result<Self, WalkError> {
         let mismatch = |detail: String| WalkError::Recover(RecoverError::Mismatch { detail });
         let config = &engine.config;
         let (walkers, steps) = (config.walkers, config.max_steps());
         let parts = engine.plan.partitions.len();
-        let WalkSnapshot {
-            iter_next,
-            steps_taken,
-            per_partition_steps,
-            w,
-            prev,
-            visits,
-            ps,
-            rows,
-            ..
-        } = snap;
-        if w.len() != walkers || iter_next as usize > steps {
+        let walk = snap.state.into_owned();
+        let iter_next = walk.iter_next;
+        if walk.w.len() != walkers || iter_next as usize > steps {
             return Err(mismatch(format!(
                 "snapshot has {} walker lanes at iteration {iter_next} of {steps}",
-                w.len()
+                walk.w.len()
             )));
         }
-        if engine.carries_aux() && prev.len() != walkers {
+        if engine.carries_aux() && walk.prev.len() != walkers {
             return Err(mismatch(
                 "snapshot is missing per-walker auxiliary state (prev/origin)".into(),
             ));
         }
-        if config.record_visits && visits.len() != engine.graph.vertex_count() {
+        if config.record_visits && walk.visits.len() != engine.graph.vertex_count() {
             return Err(mismatch(
                 "snapshot visit counters do not match the graph".into(),
             ));
         }
-        if per_partition_steps.len() != parts || ps.len() != parts {
+        if walk.per_partition_steps.len() != parts {
             return Err(mismatch(format!(
                 "snapshot has {} partitions, plan has {parts}",
-                ps.len()
+                walk.per_partition_steps.len()
             )));
         }
         if config.record_paths
-            && (rows.len() != iter_next as usize + 1 || rows.iter().any(|r| r.len() != walkers))
+            && (walk.rows.len() != iter_next as usize + 1
+                || walk.rows.iter().any(|r| r.len() != walkers))
         {
             return Err(mismatch("snapshot path rows are inconsistent".into()));
         }
         let mut buffers = engine.take_ps_set();
-        for (pb, state) in buffers.iter_mut().zip(ps) {
-            match (pb.as_mut(), state) {
+        let mut ps = snap.ps.into_iter().peekable();
+        for (part, pb) in buffers.iter_mut().enumerate() {
+            match (pb.as_mut(), ps.next_if(|s| s.part == part)) {
                 (Some(b), Some(s)) => {
-                    if !b.import(s.buf, s.cursor) {
+                    if !b.import(s.buf.into_owned(), s.cursor.into_owned()) {
                         return Err(mismatch(
                             "pre-sample buffer shapes do not match the plan".into(),
                         ));
@@ -614,49 +600,37 @@ impl EpochState {
                 }
             }
         }
-        // `prev` and `rows` come as they are: the configuration tag vouches
-        // that the writer left them empty where this run does not use them.
+        // `prev`, `visits` and `rows` come as they are: the configuration
+        // tag vouches that the writer left them empty where this run does
+        // not use them.
         Ok(Self {
-            iter: iter_next as usize,
-            steps_taken,
-            w: w.into_owned(),
-            prev: prev.into_owned(),
-            visits: config.record_visits.then(|| visits.into_owned()),
-            per_partition_steps: per_partition_steps.into_owned(),
+            walk,
             ps: buffers,
-            rows: rows.into_owned(),
             scratch: Scratch::new(engine),
         })
     }
 
-    /// The snapshot of this epoch boundary, borrowing the state's
-    /// arrays: the walker state here is exactly the input of iteration
-    /// `self.iter`, a clean cut between two iterations.
-    fn snapshot(&self, engine: &FlashMob, header: &RunHeader) -> WalkSnapshot<'_> {
+    /// The snapshot of this epoch boundary, a clean cut between two
+    /// iterations: every reserved generation is put in produced form in
+    /// place ([`PsBuffers::materialize`]), then the snapshot borrows the
+    /// walk state whole and the PS partitions' buffers.
+    fn snapshot(&mut self, engine: &FlashMob, header: &RunHeader) -> WalkSnapshot<'_> {
+        for b in self.ps.iter_mut().flatten() {
+            b.materialize::<Xorshift64Star>(&engine.graph);
+        }
+        let ps = self.ps.iter().enumerate().filter_map(|(part, b)| {
+            let (buf, cursor) = b.as_ref()?.words();
+            Some(PsPartState { part, buf: buf.into(), cursor: cursor.into() })
+        });
         WalkSnapshot {
             header: *header,
-            iter_next: self.iter as u64,
-            steps_taken: self.steps_taken,
-            per_partition_steps: Cow::Borrowed(&self.per_partition_steps),
-            w: Cow::Borrowed(&self.w),
-            prev: Cow::Borrowed(&self.prev),
-            visits: Cow::Borrowed(self.visits.as_deref().unwrap_or_default()),
-            ps: self
-                .ps
-                .iter()
-                .map(|o| {
-                    o.as_ref().map(|b| {
-                        let (buf, cursor) = b.export::<Xorshift64Star>(&engine.graph);
-                        PsPartState { buf, cursor }
-                    })
-                })
-                .collect(),
-            rows: Cow::Borrowed(&self.rows),
+            state: Cow::Borrowed(&self.walk),
+            ps: ps.collect(),
             biblock: None,
         }
     }
 
-    /// Takes one step of the walk: runs iteration `self.iter` — shuffle,
+    /// Takes one step of the walk: runs iteration `walk.iter_next` — shuffle,
     /// sample, shuffle back, record the row — up to the next epoch
     /// boundary.  Returns `false`, having done nothing, once the walk is
     /// over.
@@ -670,7 +644,7 @@ impl EpochState {
         stage: &mut StageTimes,
     ) -> bool {
         let config = &engine.config;
-        let (iter, steps) = (self.iter, config.max_steps());
+        let (iter, steps) = (self.walk.iter_next as usize, config.max_steps());
         // The walk also ends when every walker has terminated.  Checked
         // here, at the head of the would-be iteration (equivalent to the
         // tail of the previous one), so a resumed run that restored an
@@ -678,7 +652,7 @@ impl EpochState {
         if iter >= steps
             || ((matches!(config.stop, crate::StopRule::Geometric { .. })
                 || config.algorithm.can_terminate_early())
-                && self.w.iter().all(|&v| v == DEAD))
+                && self.walk.w.iter().all(|&v| v == DEAD))
         {
             return false;
         }
@@ -698,17 +672,17 @@ impl EpochState {
         let t0 = Instant::now();
         {
             let s = &mut self.scratch;
-            let prev = carries_aux.then_some(self.prev.as_slice());
+            let prev = carries_aux.then_some(self.walk.prev.as_slice());
             let sprev = carries_aux.then_some(s.sprev.as_mut_slice());
             let addrs = ShuffleAddrs {
                 src: engine.addr.w,
                 dst: engine.addr.map.scur,
                 lane: engine.addr.lane,
             };
-            shuffler.count_on(shuffle_pool, &self.w, &mut s.shuffle, addrs, probe);
+            shuffler.count_on(shuffle_pool, &self.walk.w, &mut s.shuffle, addrs, probe);
             shuffler.scatter_on(
                 shuffle_pool,
-                &self.w,
+                &self.walk.w,
                 prev,
                 &mut s.sw,
                 sprev,
@@ -743,7 +717,7 @@ impl EpochState {
         // The pool runs only from the uninstrumented entry points
         // (NullProbe), so counter attribution stays exact.
         let batched = effective_algo.is_second_order();
-        self.steps_taken += if batched {
+        self.walk.steps_taken += if batched {
             // The paper's batched connectivity checks: rejection
             // probes are deferred and resolved grouped by the
             // previous vertex, keeping each hub's adjacency list
@@ -815,9 +789,9 @@ impl EpochState {
                 addrs,
                 probe,
             );
-            s.shuffle.swap_lane(&mut self.w);
+            s.shuffle.swap_lane(&mut self.walk.w);
             if second_order {
-                std::mem::swap(&mut self.prev, &mut s.prev_next);
+                std::mem::swap(&mut self.walk.prev, &mut s.prev_next);
             }
         }
         stage.shuffle += t2.elapsed();
@@ -828,14 +802,14 @@ impl EpochState {
         let span3 = (traced && config.record_paths).then(|| tel.now_ns());
         let t3 = Instant::now();
         if config.record_paths {
-            self.rows.push(path_row(&self.w));
+            self.walk.rows.push(path_row(&self.walk.w));
         }
         stage.other += t3.elapsed();
         if let Some(s) = span3 {
             tel.span_since(Stage::Output, s, iter as u32, NO_PARTITION);
         }
-        self.iter += 1;
-        tel.tick(self.iter, steps, self.steps_taken);
+        self.walk.iter_next += 1;
+        tel.tick(iter + 1, steps, self.walk.steps_taken);
         true
     }
 }
@@ -1186,29 +1160,27 @@ impl FlashMob {
             // joining the previous generation's write and for encoding
             // this one, its one copy of the state.
             if let Some(ck) = checkpoint.take() {
-                let step = state.iter as u32 - 1;
-                checkpoint = Some(ck.tick(state.iter as u64, step, tel, || {
+                let progress = state.walk.iter_next;
+                checkpoint = Some(ck.tick(progress, progress as u32 - 1, tel, || {
                     state.snapshot(self, &header)
                 })?);
             }
         }
         if let Some(ck) = checkpoint {
-            let step = state.iter.saturating_sub(1) as u32;
-            let retries = ck.finish(state.iter as u64, step, tel, || {
-                state.snapshot(self, &header)
-            })?;
+            let progress = state.walk.iter_next;
+            let step = progress.saturating_sub(1) as u32;
+            let retries = ck.finish(progress, step, tel, || state.snapshot(self, &header))?;
             tel.record_io_retries(retries);
         }
-        let EpochState {
+        let EpochState { walk, ps, scratch } = state;
+        let WalkState {
             steps_taken,
             w,
             visits,
             per_partition_steps,
-            ps,
             rows,
-            scratch,
             ..
-        } = state;
+        } = walk;
         let ps_counts: Vec<_> = ps
             .iter()
             .map(|b| b.as_ref().map(PsBuffers::counts).unwrap_or_default())
@@ -1235,7 +1207,7 @@ impl FlashMob {
             per_partition_ps_produced: ps_counts.iter().map(|c| c.produced).collect(),
             per_partition_ps_reserved: ps_counts.iter().map(|c| c.reserved).collect(),
             per_partition_ps_consumed: ps_counts.iter().map(|c| c.consumed).collect(),
-            visits_sorted: visits,
+            visits_sorted: self.config.record_visits.then_some(visits),
             pool: pool.as_ref().map(WorkerPool::stats).unwrap_or_default(),
         };
         Ok((output, stats))
@@ -1953,16 +1925,16 @@ impl<'a> TaskLanes<'a> {
         let s = &mut state.scratch;
         Self {
             seed: engine.config.seed,
-            iter: state.iter,
+            iter: state.walk.iter_next as usize,
             offsets: &s.shuffle.offsets,
             sw: &s.sw,
             sprev: engine.carries_aux().then_some(s.sprev.as_slice()),
             snext: DisjointSlice::new(&mut s.snext),
             ps: DisjointSlice::new(&mut state.ps),
-            steps: DisjointSlice::new(&mut state.per_partition_steps),
+            steps: DisjointSlice::new(&mut state.walk.per_partition_steps),
             prefetches: DisjointSlice::new(&mut s.prefetches),
             stream_hints: DisjointSlice::new(&mut s.stream_hints),
-            visits: state.visits.as_deref_mut().map(DisjointSlice::new),
+            visits: engine.config.record_visits.then(|| DisjointSlice::new(&mut state.walk.visits)),
         }
     }
 }
@@ -2714,12 +2686,12 @@ mod tests {
             engine.run_with(&checkpointed, &mut Telemetry::off()).unwrap();
             // The last generation on disk holds the finished walk.
             let (generation, snap) = fm_recover::load_latest(&dir).unwrap();
-            let end = snap.iter_next;
+            let end = snap.state.iter_next;
             assert!(!end.is_multiple_of(every as u64), "{what}: the cadence hit the end");
             assert_eq!(generation, end.div_ceil(every as u64), "{what}");
-            assert_eq!(snap.steps_taken, want_stats.steps_taken, "{what}");
+            assert_eq!(snap.state.steps_taken, want_stats.steps_taken, "{what}");
             if what == "geometric" {
-                assert!(snap.w.iter().all(|&v| v == DEAD), "{what}");
+                assert!(snap.state.w.iter().all(|&v| v == DEAD), "{what}");
             }
             // Resuming from it executes no iteration and returns the walk.
             let mut tel = Telemetry::new();

@@ -34,7 +34,7 @@ use fm_graph::{Csr, GraphError, VertexId};
 use fm_memsim::NullProbe;
 use fm_recover::{
     le_bytes, transient_io, with_retries, BiBlockState, FaultState, Fingerprint, RecoverError,
-    RetryPolicy, RunHeader, WalkSnapshot,
+    RetryPolicy, RunHeader, WalkSnapshot, WalkState,
 };
 use fm_rng::{Rng64, Xorshift64Star};
 use fm_telemetry::{Stage, Telemetry};
@@ -412,7 +412,7 @@ fn biblock_config_tag(config: &WalkConfig, partition_budget_bytes: usize) -> u64
 /// `partition_stream_id(seed, epoch, slot)`, restarted at each slot,
 /// so resume at any slot boundary has no RNG carry-over; buckets are
 /// drained and refilled in deterministic walker order; checkpoints
-/// fire on a pair-slot cadence (`pairs_done % every`), which counts
+/// fire on a pair-slot cadence (`walk.iter_next % every`), which counts
 /// empty slots too and is therefore data-independent within an epoch.
 pub fn run_ooc_with(
     disk: &DiskGraph,
@@ -471,22 +471,27 @@ pub fn run_ooc_with(
     let wall_start = Instant::now();
     let cur = init_positions(disk, config);
     let mut lanes = Lanes {
-        prevv: if matches!(kind, Kind::Ppr { .. }) {
-            cur.clone()
-        } else {
-            vec![DEAD; walkers]
+        walk: WalkState {
+            prev: if matches!(kind, Kind::Ppr { .. }) {
+                cur.clone()
+            } else {
+                vec![DEAD; walkers]
+            },
+            w: cur,
+            ..WalkState::default()
         },
-        done: vec![0; walkers],
-        rows: Vec::new(),
-        buckets: vec![Vec::new(); n_pairs],
+        bb: BiBlockState {
+            blocks: nblocks as u64,
+            done: vec![0; walkers],
+            buckets: vec![Vec::new(); n_pairs],
+            ..BiBlockState::default()
+        },
         remaining: if steps == 0 { 0 } else { walkers },
         parked_now: 0,
-        cur,
     };
     let mut stats = OocStats::default();
     let mut epoch = 0usize;
     let mut start_slot = 0usize;
-    let mut pairs_done = 0u64;
 
     let file = File::open(&disk.path).map_err(|e| GraphError::io_at(&disk.path, None, e))?;
     let mut fault = opts.fault.map(FaultState::new);
@@ -504,75 +509,66 @@ pub fn run_ooc_with(
     if let Some(snap) = checkpoint::resume(opts, &header, tel)? {
         let mismatch =
             |detail: &str| WalkError::Recover(RecoverError::Mismatch { detail: detail.into() });
-        let bb = snap
+        let mut bb = snap
             .biblock
-            .ok_or_else(|| mismatch("snapshot carries no bi-block scheduler state"))?;
-        let (done, buckets) = (bb.done.into_owned(), bb.buckets.into_owned());
-        if snap.w.len() != walkers
-            || snap.prev.len() != walkers
-            || done.len() != walkers
+            .ok_or_else(|| mismatch("snapshot carries no bi-block scheduler state"))?
+            .into_owned();
+        let walk = snap.state.into_owned();
+        if walk.w.len() != walkers
+            || walk.prev.len() != walkers
+            || bb.done.len() != walkers
             || bb.blocks as usize != nblocks
-            || buckets.len() != n_pairs
+            || bb.buckets.len() != n_pairs
             || bb.cursor as usize >= n_pairs
-            || done.iter().any(|&d| d as usize > steps)
+            || bb.done.iter().any(|&d| d as usize > steps)
         {
             return Err(mismatch("snapshot shape does not fit this run"));
         }
-        if config.record_paths {
-            if bb.paths.len() != walkers
-                || bb
-                    .paths
-                    .iter()
-                    .zip(&done)
-                    .any(|(p, &d)| p.len() != d as usize + 1)
-            {
-                return Err(mismatch("snapshot path rows are inconsistent"));
-            }
-        } else if !bb.paths.is_empty() {
+        // The codec has checked each path against `done`; they must be
+        // there exactly when this run records paths.
+        if bb.rows.is_empty() == config.record_paths {
             return Err(mismatch("snapshot path rows are inconsistent"));
         }
         // Every unfinished walker must be parked in exactly one bucket.
         let mut seen = vec![false; walkers];
         let mut parked = 0u64;
-        for bucket in &buckets {
+        for bucket in &bb.buckets {
             for &k in bucket {
                 let k = k as usize;
-                if k >= walkers || seen[k] || done[k] as usize >= steps {
+                if k >= walkers || seen[k] || bb.done[k] as usize >= steps {
                     return Err(mismatch("snapshot boundary buckets are inconsistent"));
                 }
                 seen[k] = true;
                 parked += 1;
             }
         }
-        let unfinished = done.iter().filter(|&&d| (d as usize) < steps).count();
+        let unfinished = bb.done.iter().filter(|&&d| (d as usize) < steps).count();
         if parked != unfinished as u64 {
             return Err(mismatch("snapshot boundary buckets are inconsistent"));
         }
         if config.record_paths {
-            lanes.rows = Lanes::scatter_paths(&bb.paths, steps);
+            // The rows past the longest path, written before they are read.
+            bb.rows.resize(steps + 1, vec![0; walkers]);
         }
-        lanes.cur = snap.w.into_owned();
-        lanes.prevv = snap.prev.into_owned();
-        lanes.done = done;
-        lanes.buckets = buckets;
-        lanes.parked_now = parked;
-        lanes.remaining = unfinished;
-        stats.steps_taken = snap.steps_taken;
-        pairs_done = snap.iter_next;
-        epoch = bb.epoch as usize;
-        start_slot = bb.cursor as usize;
+        (epoch, start_slot) = (bb.epoch as usize, bb.cursor as usize);
+        lanes = Lanes {
+            walk,
+            bb,
+            remaining: unfinished,
+            parked_now: parked,
+        };
     } else {
         if config.record_paths {
-            lanes.rows = vec![vec![0 as VertexId; walkers]; steps + 1];
-            lanes.rows[0].copy_from_slice(&lanes.cur);
+            lanes.bb.rows = vec![vec![0 as VertexId; walkers]; steps + 1];
+            lanes.bb.rows[0].copy_from_slice(&lanes.walk.w);
         }
         if steps > 0 {
             // Fresh start: park every walker in its home bucket (no
             // second block to wait for yet: DeepWalk and PPR never have
             // one, node2vec has no predecessor).
-            for (k, &c) in lanes.cur.iter().enumerate() {
+            for (k, &c) in lanes.walk.w.iter().enumerate() {
                 let b = blocks.of(c);
-                lanes.buckets[blocks.slot_of(b, b)].push(k as u32);
+                lanes.bb.buckets[blocks.slot_of(b, b)].push(k as u32);
             }
             lanes.parked_now = walkers as u64;
             stats.walkers_parked = walkers as u64;
@@ -610,7 +606,7 @@ pub fn run_ooc_with(
                 if s < start_slot {
                     continue;
                 }
-                let bucket = std::mem::take(&mut lanes.buckets[s]);
+                let bucket = std::mem::take(&mut lanes.bb.buckets[s]);
                 if bucket.is_empty() {
                     stats.pairs_skipped += 1;
                 } else {
@@ -632,32 +628,31 @@ pub fn run_ooc_with(
                     let held = bufs.iter().map(|b| b.words().len() as u64).sum();
                     stats.peak_block_words = stats.peak_block_words.max(held);
                     let sample_span = tel.is_on().then(|| tel.now_ns());
-                    let steps_before = stats.steps_taken;
+                    let steps_before = lanes.walk.steps_taken;
                     let rng = Xorshift64Star::new(partition_stream_id(config.seed, epoch, s));
                     let hints = stepper.drain((i, j), &bufs, &bucket, rng, &mut lanes, &mut stats);
                     stats.prefetches += hints;
                     if let Some(sp) = sample_span {
                         tel.span_since(Stage::Sample, sp, epoch as u32, i as u32);
-                        tel.record_partition_step(i, stats.steps_taken - steps_before, false);
+                        tel.record_partition_step(i, lanes.walk.steps_taken - steps_before, false);
                         let in_flight = stepper.depth.min(bucket.len()) as u64;
                         tel.record_partition_ring(i, in_flight, hints);
                     }
                 }
 
-                // Pair-slot cadence checkpointing: `pairs_done` counts
+                // Pair-slot cadence checkpointing: the progress counts
                 // empty slots too, so kill generations are deterministic
                 // and data-independent within an epoch.
-                pairs_done += 1;
+                lanes.walk.iter_next += 1;
                 if let Some(ck) = checkpoint.take() {
-                    let (next_epoch, next_cursor) = if s + 1 == n_pairs {
+                    let resume_at = if s + 1 == n_pairs {
                         (epoch as u64 + 1, 0)
                     } else {
                         (epoch as u64, s as u64 + 1)
                     };
-                    let taken = stats.steps_taken;
-                    checkpoint = Some(ck.tick(pairs_done, epoch as u32, tel, || {
-                        let resume_at = (next_epoch, next_cursor);
-                        lanes.snapshot(header, taken, pairs_done, resume_at, nblocks)
+                    let progress = lanes.walk.iter_next;
+                    checkpoint = Some(ck.tick(progress, epoch as u32, tel, || {
+                        lanes.snapshot(header, resume_at)
                     })?);
                 }
                 if lanes.remaining == 0 {
@@ -667,24 +662,25 @@ pub fn run_ooc_with(
         }
         start_slot = 0;
         epoch += 1;
-        tel.tick(epoch, steps, stats.steps_taken);
+        tel.tick(epoch, steps, lanes.walk.steps_taken);
     }
 
     if let Some(ck) = checkpoint {
-        let taken = stats.steps_taken;
-        stats.io_retries += ck.finish(pairs_done, epoch as u32, tel, || {
-            lanes.snapshot(header, taken, pairs_done, (epoch as u64, 0), nblocks)
+        let progress = lanes.walk.iter_next;
+        stats.io_retries += ck.finish(progress, epoch as u32, tel, || {
+            lanes.snapshot(header, (epoch as u64, 0))
         })?;
     }
+    stats.steps_taken = lanes.walk.steps_taken;
 
     tel.record_io_retries(stats.io_retries);
     stats.wall = wall_start.elapsed();
     // No out-of-core walker dies early, so every recorded row is full;
     // without paths the one row is where the walkers ended.
     let rows = if config.record_paths {
-        lanes.rows
+        lanes.bb.rows
     } else {
-        vec![lanes.cur]
+        vec![lanes.walk.w]
     };
     Ok((
         WalkOutput::new(rows, walkers, Arc::clone(&disk.relabel)),
@@ -830,21 +826,17 @@ impl Blocks {
     }
 }
 
-/// The walker state of a bi-block run — what a BBLK snapshot holds,
-/// with the paths kept the way [`WalkOutput`] wants them.
+/// The walker state of a bi-block run: the two states a BBLK snapshot
+/// borrows whole, and two counts derived from them.
+///
+/// In `walk`, `w` holds each walker's vertex and `prev` its node2vec
+/// predecessor (DEAD before the first, first-order step) or its PPR
+/// origin; `iter_next` counts the pair slots done, empty ones included.
+/// `bb.rows` holds `steps + 1` iteration-major path rows when paths are
+/// recorded, written in place as walkers step (`rows[done[k]][k]`).
 struct Lanes {
-    cur: Vec<VertexId>,
-    /// The node2vec predecessor (DEAD before the first, first-order
-    /// step) or the PPR origin.
-    prevv: Vec<VertexId>,
-    /// Steps completed per walker.
-    done: Vec<u32>,
-    /// Iteration-major path rows, `steps + 1` of them, written in place
-    /// as walkers step (`rows[done[k]][k]`); empty unless paths are
-    /// recorded.
-    rows: Vec<Vec<VertexId>>,
-    /// Parked walker ids per pair slot.
-    buckets: Vec<Vec<u32>>,
+    walk: WalkState,
+    bb: BiBlockState,
     /// Walkers with steps left.
     remaining: usize,
     /// Walkers parked right now.
@@ -852,55 +844,16 @@ struct Lanes {
 }
 
 impl Lanes {
-    /// What a checkpoint taken now holds, borrowing the lanes: `steps_taken`
-    /// steps and `pairs_done` pair slots in, resuming at `(epoch, cursor)`
-    /// of a sweep over `blocks` blocks.
-    fn snapshot(
-        &self,
-        header: RunHeader,
-        steps_taken: u64,
-        pairs_done: u64,
-        (epoch, cursor): (u64, u64),
-        blocks: usize,
-    ) -> WalkSnapshot<'_> {
+    /// What a checkpoint taken now holds, resuming at `(epoch, cursor)`
+    /// of the sweep: both states, borrowed whole.
+    fn snapshot(&mut self, header: RunHeader, (epoch, cursor): (u64, u64)) -> WalkSnapshot<'_> {
+        (self.bb.epoch, self.bb.cursor) = (epoch, cursor);
         WalkSnapshot {
             header,
-            iter_next: pairs_done,
-            steps_taken,
-            w: Cow::Borrowed(&self.cur),
-            prev: Cow::Borrowed(&self.prevv),
-            biblock: Some(BiBlockState {
-                epoch,
-                cursor,
-                blocks: blocks as u64,
-                done: Cow::Borrowed(&self.done),
-                buckets: Cow::Borrowed(&self.buckets),
-                paths: self.gather_paths(),
-            }),
-            ..WalkSnapshot::default()
+            state: Cow::Borrowed(&self.walk),
+            ps: Vec::new(),
+            biblock: Some(Cow::Borrowed(&self.bb)),
         }
-    }
-
-    /// The walker-major partial paths of the BBLK frame: walker `k`'s
-    /// first `done[k] + 1` vertices, read down the rows.
-    fn gather_paths(&self) -> Vec<Vec<VertexId>> {
-        if self.rows.is_empty() {
-            return Vec::new();
-        }
-        let path = |(k, &d): (usize, &u32)| self.rows[..=d as usize].iter().map(|r| r[k]).collect();
-        self.done.iter().enumerate().map(path).collect()
-    }
-
-    /// The rows those partial paths came from (entries past a walker's
-    /// `done` are written before they are read).
-    fn scatter_paths(paths: &[Vec<VertexId>], steps: usize) -> Vec<Vec<VertexId>> {
-        let mut rows = vec![vec![0 as VertexId; paths.len()]; steps + 1];
-        for (k, path) in paths.iter().enumerate() {
-            for (row, &v) in rows.iter_mut().zip(path) {
-                row[k] = v;
-            }
-        }
-        rows
     }
 }
 
@@ -990,10 +943,10 @@ impl Stepper<'_> {
             // walker it names.
             |pf, (lanes, ..), jj| {
                 let k = bucket[jj] as usize;
-                pf.element(&mut NullProbe, &lanes.cur, k, 0);
-                pf.element(&mut NullProbe, &lanes.done, k, 0);
+                pf.element(&mut NullProbe, &lanes.walk.w, k, 0);
+                pf.element(&mut NullProbe, &lanes.bb.done, k, 0);
                 if second_order {
-                    pf.element(&mut NullProbe, &lanes.prevv, k, 0);
+                    pf.element(&mut NullProbe, &lanes.walk.prev, k, 0);
                 }
             },
             // Inspect: the lanes are in; hint the offset pairs.  PPR
@@ -1001,8 +954,8 @@ impl Stepper<'_> {
             // be resident — and DeepWalk has no `prev` to read.
             |pf, (lanes, ..), jj| {
                 let k = bucket[jj] as usize;
-                pf.element(&mut NullProbe, offsets, lanes.cur[k] as usize, 0);
-                let t = lanes.prevv[k];
+                pf.element(&mut NullProbe, offsets, lanes.walk.w[k] as usize, 0);
+                let t = lanes.walk.prev[k];
                 if second_order && t != DEAD {
                     pf.element(&mut NullProbe, offsets, t as usize, 0);
                 }
@@ -1015,9 +968,9 @@ impl Stepper<'_> {
                     return;
                 }
                 let k = bucket[jj] as usize;
-                let (words, lo, d) = list_of(lanes.cur[k]);
+                let (words, lo, d) = list_of(lanes.walk.w[k]);
                 pf.span(&mut NullProbe, words, lo, d, 0);
-                let t = lanes.prevv[k];
+                let t = lanes.walk.prev[k];
                 if second_order && t != DEAD {
                     let (words, lo, d) = list_of(t);
                     pf.span(&mut NullProbe, words, lo, d, 0);
@@ -1028,8 +981,8 @@ impl Stepper<'_> {
             |(lanes, stats, rng), jj, ()| {
                 let kw = bucket[jj];
                 let k = kw as usize;
-                let (mut v, mut t) = (lanes.cur[k], lanes.prevv[k]);
-                let mut done = lanes.done[k] as usize;
+                let (mut v, mut t) = (lanes.walk.w[k], lanes.walk.prev[k]);
+                let mut done = lanes.bb.done[k] as usize;
                 // A walker's blocks are looked up once as it enters the
                 // slot and once per step after.
                 let mut bv = blocks.of(v);
@@ -1090,8 +1043,8 @@ impl Stepper<'_> {
                     }
                     v = next;
                     done += 1;
-                    stats.steps_taken += 1;
-                    if let Some(row) = lanes.rows.get_mut(done) {
+                    lanes.walk.steps_taken += 1;
+                    if let Some(row) = lanes.bb.rows.get_mut(done) {
                         row[k] = next;
                     }
                     if done >= self.steps {
@@ -1103,16 +1056,16 @@ impl Stepper<'_> {
                         // Crossed out of the pair (the new `prev` was its
                         // `cur`, so that one is in): park.
                         let from = if second_order { bt } else { bv };
-                        lanes.buckets[blocks.slot_of(from, bv)].push(kw);
+                        lanes.bb.buckets[blocks.slot_of(from, bv)].push(kw);
                         lanes.parked_now += 1;
                         stats.walkers_parked += 1;
                         stats.peak_parked = stats.peak_parked.max(lanes.parked_now);
                         break;
                     }
                 }
-                lanes.cur[k] = v;
-                lanes.prevv[k] = t;
-                lanes.done[k] = done as u32;
+                lanes.walk.w[k] = v;
+                lanes.walk.prev[k] = t;
+                lanes.bb.done[k] = done as u32;
             },
         );
         pf.issued()
@@ -2048,17 +2001,24 @@ mod tests {
             "{err:?}"
         );
         let (_, snap) = load_latest(ckdir).unwrap();
-        assert_eq!(snap.iter_next, slots);
-        let bb = snap.biblock.unwrap();
+        let (walk, bb) = (snap.state.into_owned(), snap.biblock.unwrap().into_owned());
+        assert_eq!(walk.iter_next, slots);
+        // Walker `k`'s path is column `k` of the rows, down to `done[k]`.
+        let path = |(k, &d): (usize, &u32)| bb.rows[..=d as usize].iter().map(|r| r[k]).collect();
+        let paths = if bb.rows.is_empty() {
+            Vec::new()
+        } else {
+            bb.done.iter().enumerate().map(path).collect()
+        };
         ModelState {
-            cur: snap.w.into_owned(),
-            prevv: snap.prev.into_owned(),
-            done: bb.done.into_owned(),
-            buckets: bb.buckets.into_owned(),
-            paths: bb.paths,
+            cur: walk.w,
+            prevv: walk.prev,
+            done: bb.done,
+            buckets: bb.buckets,
+            paths,
             epoch: bb.epoch,
             cursor: bb.cursor,
-            steps_taken: snap.steps_taken,
+            steps_taken: walk.steps_taken,
         }
     }
 
@@ -2384,12 +2344,14 @@ mod tests {
                     &disk.offsets,
                 ),
             },
-            iter_next: 2,
-            steps_taken: 240,
-            per_partition_steps: vec![0].into(),
-            ps: vec![None],
-            rows: vec![w.clone(); 3].into(),
-            w: w.into(),
+            state: Cow::Owned(WalkState {
+                iter_next: 2,
+                steps_taken: 240,
+                per_partition_steps: vec![0],
+                rows: vec![w.clone(); 3],
+                w,
+                ..WalkState::default()
+            }),
             ..WalkSnapshot::default()
         };
         let mut sink = CheckpointSink::new(&ckdir, None);

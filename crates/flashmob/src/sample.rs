@@ -129,7 +129,7 @@ const RESERVED: u32 = 1 << 31;
 
 /// Slots of a reserved generation's buffer that hold generator state,
 /// two `u32` each: at [`FIRST_STATE`] the state its first sample is
-/// drawn from (what [`PsBuffers::export`] replays), at [`NEXT_STATE`]
+/// drawn from (what [`PsBuffers::materialize`] replays), at [`NEXT_STATE`]
 /// the state its next one is.  Rows shorter than this are produced.
 const STATE_SLOTS: usize = 4;
 const FIRST_STATE: usize = 0;
@@ -348,39 +348,37 @@ impl PsBuffers {
         self.counts
     }
 
-    /// Snapshots the resumable state: buffer contents and per-vertex
-    /// cursors.  Buffers refill lazily and carry unconsumed samples
-    /// across iterations, so checkpoints must capture both (`start` and
-    /// `local_offsets` are reconstructed from the graph and plan).
-    ///
-    /// The snapshot is in produced form whatever form the generations
-    /// are held in: a reserved one is replayed from its first state, its
-    /// read slots included, into exactly the bytes production would have
-    /// left (`R` is the generator the tasks draw from).  One format for
-    /// the WLKR frame, for [`PsBuffers::import`] and for every reader.
-    pub fn export<R: Rng64>(&self, graph: &Csr) -> (Vec<VertexId>, Vec<u32>) {
-        let (mut buf, mut cursor) = (self.buf.clone(), self.cursor.clone());
-        for (i, word) in cursor.iter_mut().enumerate() {
-            let Row {
-                bstart,
-                d,
-                reserved,
-                unread,
-            } = self.row(i);
-            if !reserved {
-                continue;
+    /// Puts every reserved generation in produced form, in place: it is
+    /// replayed from its first state, its read slots included, into
+    /// exactly the bytes production would have left, and its flag is
+    /// cleared (`R` is the generator the tasks draw from).  Both forms
+    /// hand out the same samples, so the walk goes on unchanged, and the
+    /// counts stay as they are.  A checkpoint takes the buffers in this
+    /// form: one format for the WLKR frame, for [`PsBuffers::import`]
+    /// and for every reader.
+    pub(crate) fn materialize<R: Rng64>(&mut self, graph: &Csr) {
+        for i in 0..self.cursor.len() {
+            let Row { bstart, d, reserved, unread } = self.row(i);
+            if reserved {
+                let adj = graph.neighbors(self.start + i as VertexId);
+                let mut state = read_state(&self.buf[bstart + FIRST_STATE..]);
+                for slot in &mut self.buf[bstart..bstart + d] {
+                    *slot = adj[R::index_from(&mut state, d as u64) as usize];
+                }
+                self.cursor[i] = unread as u32;
             }
-            let adj = graph.neighbors(self.start + i as VertexId);
-            let mut state = read_state(&self.buf[bstart + FIRST_STATE..]);
-            for slot in &mut buf[bstart..bstart + d] {
-                *slot = adj[R::index_from(&mut state, d as u64) as usize];
-            }
-            *word = unread as u32;
         }
-        (buf, cursor)
     }
 
-    /// Restores state captured by [`PsBuffers::export`].  Returns
+    /// The resumable state, which a snapshot borrows once
+    /// [`PsBuffers::materialize`] has run: buffer contents and cursors,
+    /// as unconsumed samples carry across iterations (`start` and
+    /// `local_offsets` are rebuilt from the graph and the plan).
+    pub(crate) fn words(&self) -> (&[VertexId], &[u32]) {
+        (&self.buf, &self.cursor)
+    }
+
+    /// Restores the [`PsBuffers::words`] of a snapshot.  Returns
     /// `false` (leaving `self` untouched) when the shapes do not match
     /// the freshly allocated buffers — the snapshot belongs to a
     /// different graph or plan.
@@ -1317,6 +1315,66 @@ mod tests {
         AlgoCtx::new(WalkAlgorithm::DeepWalk, StopRule::FixedSteps(1), None)
     }
 
+    /// The produced form of `ps`'s state, built in copies, apart from
+    /// the buffers: the reference [`PsBuffers::materialize`] is checked
+    /// against.
+    fn export<R: Rng64>(ps: &PsBuffers, graph: &Csr) -> (Vec<VertexId>, Vec<u32>) {
+        let (mut buf, mut cursor) = (ps.buf.clone(), ps.cursor.clone());
+        for (i, word) in cursor.iter_mut().enumerate() {
+            let Row {
+                bstart,
+                d,
+                reserved,
+                unread,
+            } = ps.row(i);
+            if !reserved {
+                continue;
+            }
+            let adj = graph.neighbors(ps.start + i as VertexId);
+            let mut state = read_state(&ps.buf[bstart + FIRST_STATE..]);
+            for slot in &mut buf[bstart..bstart + d] {
+                *slot = adj[R::index_from(&mut state, d as u64) as usize];
+            }
+            *word = unread as u32;
+        }
+        (buf, cursor)
+    }
+
+    /// A checkpoint's materialize, mid-walk, leaves the export's bytes
+    /// in place, clears every flag, and changes no later sample, no
+    /// generator state and no count: buffers materialized every 97
+    /// consumes hand out what buffers never materialized do.
+    #[test]
+    fn materializing_in_place_is_the_export_and_changes_no_sample() {
+        let g = synth::power_law(300, 2.0, 1, 120, 29);
+        let part = make_part(&g, SamplePolicy::PreSample);
+        let ctx = first_order_ctx();
+        let (mut plain, mut cut) = (PsBuffers::new(&g, &part), PsBuffers::new(&g, &part));
+        plain.reserving = true;
+        cut.reserving = true;
+        let (mut rng, mut rng_cut) = (Xorshift64Star::new(3), Xorshift64Star::new(3));
+        let mut pick = Xorshift64Star::new(0xF00D);
+        let mut live = 0;
+        for n in 0..20_000 {
+            if n % 97 == 0 {
+                let want = export::<Xorshift64Star>(&cut, &g);
+                live += (0..cut.cursor.len()).filter(|&i| cut.row(i).reserved).count();
+                cut.materialize::<Xorshift64Star>(&g);
+                assert_eq!((cut.buf.clone(), cut.cursor.clone()), want, "consume {n}");
+                assert!((0..cut.cursor.len()).all(|i| !cut.row(i).reserved));
+            }
+            let v = (pick.gen_index(300) * pick.gen_index(300) / 300) as VertexId;
+            let addr = AddrMap::default();
+            let want = consume(&g, &mut plain, v, &ctx, &mut rng, &mut NullProbe, &addr);
+            let got = consume(&g, &mut cut, v, &ctx, &mut rng_cut, &mut NullProbe, &addr);
+            assert_eq!(got, want, "consume {n} at {v}");
+        }
+        assert!(live > 500, "only {live} reserved rows were materialized");
+        assert_eq!(rng.state(), rng_cut.state());
+        assert_eq!(plain.counts(), cut.counts());
+        assert_eq!(export::<Xorshift64Star>(&plain, &g), export::<Xorshift64Star>(&cut, &g));
+    }
+
     fn run_task(
         graph: &Csr,
         part: &Partition,
@@ -1532,7 +1590,7 @@ mod tests {
             for seed in [1u64, 7, 42] {
                 let mut ps = PsBuffers::new(graph, &part);
                 ps.reserving = reserving;
-                let (mut buf, mut cursor) = ps.export::<Xorshift64Star>(graph);
+                let (mut buf, mut cursor) = export::<Xorshift64Star>(&ps, graph);
                 let mut rng = Xorshift64Star::new(seed);
                 let mut rng_model = Xorshift64Star::new(seed);
                 // Visits skewed to low ids (the hubs), so buffers run dry
@@ -1553,7 +1611,7 @@ mod tests {
                     assert_eq!(got, want, "{algo:?} seed {seed} consume {n} at {v}");
                 }
                 assert_eq!(
-                    ps.export::<Xorshift64Star>(graph),
+                    export::<Xorshift64Star>(&ps, graph),
                     (buf, cursor),
                     "{algo:?} seed {seed}"
                 );
@@ -1952,7 +2010,7 @@ mod tests {
         for (c, &d) in ps.cursor.iter_mut().zip(&degrees) {
             *c = d.div_ceil(2);
         }
-        let before = ps.export::<Xorshift64Star>(&g);
+        let before = export::<Xorshift64Star>(&ps, &g);
         let mid: Vec<(u64, u32)> = (0..200)
             .map(|v| {
                 let d = g.degree(v) as u64;
@@ -1962,7 +2020,7 @@ mod tests {
             .collect();
         assert_eq!(hint(&ps), mid);
         assert_eq!(
-            ps.export::<Xorshift64Star>(&g),
+            export::<Xorshift64Star>(&ps, &g),
             before,
             "a hint stage writes no PS state"
         );
@@ -1979,9 +2037,9 @@ mod tests {
         for _ in 0..3 {
             consume(&g, &mut ps, v, &ctx, &mut rng, &mut NullProbe, &addr);
         }
-        let before = ps.export::<Xorshift64Star>(&g);
+        let before = export::<Xorshift64Star>(&ps, &g);
         let hints = hint(&ps);
-        assert_eq!(ps.export::<Xorshift64Star>(&g), before);
+        assert_eq!(export::<Xorshift64Star>(&ps, &g), before);
         let next = consume(&g, &mut ps, v, &ctx, &mut rng, &mut NullProbe, &addr);
         let head = g.adjacency_start(v) as u64;
         let k = g.neighbors(v).iter().position(|&t| t == next).unwrap() as u64;

@@ -1,6 +1,7 @@
 //! Verifies what the engine allocates: nothing in the steady-state step
-//! loop, one copy of the graph at build, and one snapshot buffer for all
-//! of a run's checkpoints.
+//! loop, one copy of the graph at build, one snapshot buffer for all of
+//! a run's checkpoints, and per checkpoint generation nothing that grows
+//! with the PS buffers, the partitions or the walkers.
 //!
 //! A counting global allocator counts allocations and live heap bytes.
 //! Two parallel runs that differ only in step count (4 vs 64 steps)
@@ -15,9 +16,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use flashmob::{CheckpointSpec, FlashMob, RunOptions, SamplePolicy, WalkConfig};
+use flashmob::oocore::{run_ooc_with, DiskGraph};
+use flashmob::{CheckpointSpec, FlashMob, PlanStrategy, RunOptions, SamplePolicy, WalkConfig};
 use fm_graph::VertexId;
-use fm_recover::CheckpointSink;
+use fm_recover::{load_latest, CheckpointSink};
 use fm_telemetry::Telemetry;
 
 struct CountingAlloc;
@@ -170,5 +172,163 @@ fn checkpoint_generations_share_one_snapshot_sized_buffer() {
     assert!(
         big <= 1,
         "{big} allocations of {snapshot_bytes}+ bytes over {steps} checkpoint generations"
+    );
+}
+
+/// Allocations of at least `at` bytes made by `run`.
+fn big_allocs(at: usize, run: impl FnOnce()) -> u64 {
+    BIG_AT.store(at, Ordering::SeqCst);
+    let before = BIG.load(Ordering::SeqCst);
+    run();
+    let big = BIG.load(Ordering::SeqCst) - before;
+    BIG_AT.store(usize::MAX, Ordering::SeqCst);
+    big
+}
+
+/// A checkpoint directory of this process's own.
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fm_alloc_free_{name}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// A snapshot lists only the PS partitions, so a plan of many DS ones
+/// costs a generation nothing: a `UniformDs` plan of the same graph as
+/// above, about 2 000 partitions and none of them PS, checkpointed every
+/// iteration, makes at most one allocation as large as its snapshot
+/// over its 12 generations.  A list of all partitions' PS states (48 B
+/// an entry, 96 000 B here against a snapshot of under 60 000) would
+/// make one a generation.
+#[test]
+fn checkpoints_of_an_all_ds_plan_allocate_nothing_per_partition() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let g = fm_graph::synth::power_law(4000, 2.0, 2, 60, 9);
+    let steps = 12;
+    let cfg = WalkConfig::deepwalk()
+        .walkers(2048)
+        .steps(steps)
+        .seed(3)
+        .threads(1)
+        .record_paths(false)
+        .record_visits(true)
+        .strategy(PlanStrategy::UniformDs);
+    let engine = FlashMob::new(&g, cfg).unwrap();
+    let parts = &engine.plan().partitions;
+    assert!(parts.len() > 1500, "{} partitions", parts.len());
+    assert!(parts.iter().all(|p| p.policy == SamplePolicy::Direct));
+    let dir = temp_dir("all_ds");
+    let opts = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 1));
+    let run = || engine.run_with(&opts, &mut Telemetry::off()).unwrap();
+    run();
+    let snapshot_bytes = std::fs::metadata(dir.join(CheckpointSink::snapshot_name(1)))
+        .unwrap()
+        .len() as usize;
+    let big = big_allocs(snapshot_bytes, || drop(run()));
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        big <= 1,
+        "{big} allocations of {snapshot_bytes}+ bytes over {steps} checkpoint generations"
+    );
+}
+
+/// A checkpoint puts the reserved generations in produced form in
+/// place, and the snapshot borrows the PS buffers: a run checkpointing
+/// every iteration makes no allocation as large as one of its PS
+/// partitions' buffers beyond what a run writing one generation makes
+/// (the encode buffer's growth to fit its first).  Copying the buffers
+/// out would make one a PS partition a generation.
+///
+/// Reserved generations are live at every generation: the run produces
+/// none, and in each iteration its refills stand for more samples than
+/// the iteration consumes, so some generation refilled in it is unread
+/// at the checkpoint after it.  (A walk of `k` steps is the first `k`
+/// iterations of this one, and reserving moves no count.)
+#[test]
+fn checkpoints_materialize_reserved_generations_without_copying_the_buffers() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let g = fm_graph::synth::power_law(4096, 2.0, 2, 64, 11);
+    let steps = 12;
+    let cfg = |steps: usize| {
+        WalkConfig::deepwalk()
+            .walkers(64)
+            .steps(steps)
+            .seed(5)
+            .threads(1)
+            .record_paths(false)
+    };
+    let engine = FlashMob::new(&g, cfg(steps)).unwrap();
+    let mut before = (0, 0);
+    for k in 1..=steps {
+        let short = FlashMob::new(&g, cfg(k)).unwrap();
+        let (_, stats) = short.run_with(&RunOptions::default(), &mut Telemetry::off()).unwrap();
+        let (produced, reserved, consumed) = stats.pre_sample_totals();
+        assert_eq!(produced, 0, "{k} steps");
+        assert!(
+            reserved - before.0 > consumed - before.1,
+            "iteration {k}: {} reserved, {} consumed",
+            reserved - before.0,
+            consumed - before.1
+        );
+        before = (reserved, consumed);
+    }
+    let largest = (engine.plan().partitions.iter())
+        .filter(|p| p.policy == SamplePolicy::PreSample)
+        .map(|p| p.edges * std::mem::size_of::<VertexId>())
+        .max()
+        .unwrap();
+    let run = |every: usize| {
+        let dir = temp_dir(&format!("reserved_{every}"));
+        let opts = RunOptions::default().checkpoint(CheckpointSpec::new(&dir, every));
+        // A warm-up run parks the PS buffers for the measured one.
+        engine.run_with(&opts, &mut Telemetry::off()).unwrap();
+        let big = big_allocs(largest, || {
+            engine.run_with(&opts, &mut Telemetry::off()).unwrap();
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        big
+    };
+    let (every, once) = (run(1), run(steps));
+    assert_eq!(
+        every, once,
+        "allocations of {largest}+ bytes: {every} over {steps} generations, {once} over one"
+    );
+}
+
+/// The BBLK frame's paths are written from the run's rows, walker by
+/// walker, into the reused buffer: an out-of-core node2vec run with
+/// paths recorded, checkpointed at every pair slot, makes a constant
+/// number of allocations a generation, far below its walker count.
+/// Gathering the paths into a `Vec` a walker would make one a walker a
+/// generation.
+#[test]
+fn out_of_core_generations_allocate_nothing_per_walker() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let g = fm_graph::synth::power_law(2000, 2.0, 2, 60, 9);
+    let disk_path = temp_dir("ooc.fmdisk");
+    let disk = DiskGraph::create(&g, &disk_path).unwrap();
+    let walkers = 2048;
+    let cfg = WalkConfig::node2vec(0.5, 2.0)
+        .walkers(walkers)
+        .steps(8)
+        .seed(3)
+        .record_paths(true);
+    let budget = disk.edge_count() * 4 / 2;
+    let allocs = |opts: &RunOptions| {
+        let before = ALLOCS.load(Ordering::SeqCst);
+        run_ooc_with(&disk, &cfg, budget, opts, &mut Telemetry::off()).unwrap();
+        ALLOCS.load(Ordering::SeqCst) - before
+    };
+    let plain = allocs(&RunOptions::default());
+    let dir = temp_dir("ooc");
+    let checkpointed = allocs(&RunOptions::default().checkpoint(CheckpointSpec::new(&dir, 1)));
+    let (generations, _) = load_latest(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&disk_path).ok();
+    assert!(generations > 10, "{generations} generations");
+    let per_generation = (checkpointed - plain) / generations;
+    assert!(
+        per_generation < walkers as u64 / 16,
+        "{per_generation} allocations a generation for {walkers} walkers \
+         ({checkpointed} checkpointed, {plain} plain, {generations} generations)"
     );
 }

@@ -9,10 +9,12 @@
 //!
 //! The subsystem has three parts:
 //!
-//! * [`snapshot::WalkSnapshot`] — an engine-agnostic snapshot that
-//!   borrows the run's walker arrays, pre-sample buffers, and output
-//!   cursor, and encodes them in one pass into a reused buffer, in a
-//!   CRC32-guarded framed binary format.  Any single flipped byte is
+//! * [`snapshot::WalkState`] and [`snapshot::BiBlockState`] — the
+//!   resumable arrays of a walk, declared once: both engines own them
+//!   and walk on them.  [`snapshot::WalkSnapshot`] borrows them whole,
+//!   with the PS partitions' pre-sample buffers, and encodes them in one
+//!   pass into a reused buffer, in a CRC32-guarded framed binary format;
+//!   a resume moves the decoded ones in.  Any single flipped byte is
 //!   detected and reported as [`RecoverError::Corrupt`].
 //! * [`manifest::CheckpointSink`] / [`manifest::load_latest`] — atomic
 //!   write-to-temp → fsync → rename publication of those bytes, with a
@@ -44,6 +46,6 @@ pub use fault::{FaultCounts, FaultPolicy, FaultState};
 pub use manifest::{fnv64, load_latest, CheckpointSink, Manifest, MANIFEST_NAME};
 pub use retry::{transient_io, with_retries, RetryPolicy};
 pub use snapshot::{
-    BiBlockState, CheckpointSpec, Fingerprint, PsPartState, RunHeader, WalkSnapshot,
+    BiBlockState, CheckpointSpec, Fingerprint, PsPartState, RunHeader, WalkSnapshot, WalkState,
 };
 pub use wire::{le_bytes, LeWord};

@@ -257,7 +257,8 @@ pub fn load_latest(dir: &Path) -> Result<(u64, WalkSnapshot<'static>), RecoverEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{PsPartState, RunHeader};
+    use crate::snapshot::{PsPartState, RunHeader, WalkState};
+    use std::borrow::Cow;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -280,19 +281,20 @@ mod tests {
                 config_tag: 1,
                 graph_tag: 2,
             },
-            iter_next,
-            steps_taken: iter_next * 4,
-            per_partition_steps: vec![iter_next * 2, iter_next * 2].into(),
-            w: vec![1, 2, 3, 4].into(),
-            ps: vec![
-                Some(PsPartState {
-                    buf: vec![1, 1],
-                    cursor: vec![1, 0],
-                }),
-                None,
-            ],
-            rows: vec![vec![0, 0, 0, 0]].into(),
-            ..WalkSnapshot::default()
+            state: Cow::Owned(WalkState {
+                iter_next,
+                steps_taken: iter_next * 4,
+                per_partition_steps: vec![iter_next * 2, iter_next * 2],
+                w: vec![1, 2, 3, 4],
+                rows: vec![vec![0, 0, 0, 0]],
+                ..WalkState::default()
+            }),
+            ps: vec![PsPartState {
+                part: 0,
+                buf: vec![1, 1].into(),
+                cursor: vec![1, 0].into(),
+            }],
+            biblock: None,
         }
     }
 

@@ -5,9 +5,13 @@
 //! frame  := tag(4) | payload_len(u64 LE) | payload | crc32(u32 LE)
 //! ```
 //!
-//! An engine's [`WalkSnapshot`] borrows the run's arrays, and
-//! [`WalkSnapshot::encode_into`] copies them once into a reused buffer,
-//! each frame in place; decoding yields the same type, owning them.
+//! An engine walks on a [`WalkState`] (and, out of core, a
+//! [`BiBlockState`]); its [`WalkSnapshot`] borrows them whole, with the
+//! PS partitions' buffers, and [`WalkSnapshot::encode_into`] copies them
+//! once into a reused buffer, each frame in place; decoding yields the
+//! same type, owning them, for a resume to move in.  The codec is the
+//! one place the bi-block rows become the frame's walker-major paths and
+//! back.
 //!
 //! The CRC of each frame covers its tag, length field, and payload, so
 //! every byte of the file is guarded: the magic by equality, everything
@@ -24,14 +28,15 @@
 //!   graph fingerprint, per-partition step counters.
 //! * `WLKR` — the compact walker arrays: current vertices `w`, previous
 //!   vertices `prev` (second-order walks), per-vertex visit counters,
-//!   and the pre-sample buffer state of every PS partition (FlashMob's
-//!   PS buffers carry unconsumed samples *across* iterations, so resume
-//!   without them would diverge from the uninterrupted chain).
+//!   and a presence byte per partition with the pre-sample buffer state
+//!   of each PS one (FlashMob's PS buffers carry unconsumed samples
+//!   *across* iterations, so resume without them would diverge from the
+//!   uninterrupted chain), in produced form.
 //! * `OUTP` — the output cursor: every path row recorded so far.
 //! * `BBLK` *(optional)* — the out-of-core bi-block scheduler's
 //!   mid-schedule state: epoch and pair-slot cursor, the parked-walker
 //!   boundary buckets, per-walker step counters, and the walker-major
-//!   partial paths.  The frame is appended only by the bi-block engine;
+//!   partial paths, written from the state's rows.  The frame is appended only by the bi-block engine;
 //!   first-order snapshots omit it and decode exactly as before.  It
 //!   uses the same tag/len/payload/CRC32 frame as the mandatory
 //!   sections, so the single-byte-corruption property ("flip any one
@@ -43,7 +48,7 @@ use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
 use crate::error::RecoverError;
-use crate::wire::{frame, le_bytes, put_rows, put_words, read_frame, Reader};
+use crate::wire::{frame, le_bytes, put_paths, put_rows, put_words, read_frame, Reader};
 
 /// File magic of a snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"FMCKPT1\0";
@@ -123,12 +128,36 @@ impl RunHeader {
     }
 }
 
-/// Mid-schedule state of the out-of-core bi-block scheduler (second
-/// order walks): where in the triangular pair sweep the run stopped and
-/// every walker parked at a block boundary.  Serialized as the optional
-/// `BBLK` frame.
+/// The resumable arrays of a walk, declared once: both engines' run
+/// state owns one, a [`WalkSnapshot`] borrows it whole for the `STAT`,
+/// `WLKR` and `OUTP` frames, and a resume moves the decoded one in.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BiBlockState<'a> {
+pub struct WalkState {
+    /// The next unit of progress to run: an iteration in memory, a pair
+    /// slot out of core.
+    pub iter_next: u64,
+    /// Live walker-steps executed so far.
+    pub steps_taken: u64,
+    /// Walker-steps executed per partition so far; its length is the
+    /// partition count the `WLKR` frame's pre-sample list runs over.
+    pub per_partition_steps: Vec<u64>,
+    /// Current walker vertices (sorted ID space).
+    pub w: Vec<u32>,
+    /// Previous vertices (second-order walks) or origins (stateful
+    /// programs); empty otherwise.
+    pub prev: Vec<u32>,
+    /// Per-vertex visit counters (empty unless visits are recorded).
+    pub visits: Vec<u64>,
+    /// Recorded path rows so far (empty unless paths are recorded).
+    pub rows: Vec<Vec<u32>>,
+}
+
+/// Mid-schedule state of the out-of-core bi-block scheduler (second
+/// order walks): where in the triangular pair sweep the run stopped,
+/// every walker parked at a block boundary, and the paths so far.
+/// Serialized as the optional `BBLK` frame.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct BiBlockState {
     /// Completed triangular sweeps.
     pub epoch: u64,
     /// Next pair slot (flat triangular index) within the current epoch.
@@ -137,47 +166,40 @@ pub struct BiBlockState<'a> {
     /// block layout is rejected by shape checks.
     pub blocks: u64,
     /// Steps completed per walker.
-    pub done: Cow<'a, [u32]>,
+    pub done: Vec<u32>,
     /// Parked walker indices per pair slot (the boundary buffers).
-    pub buckets: Cow<'a, [Vec<u32>]>,
-    /// Walker-major partial paths (empty unless paths are recorded).
-    pub paths: Vec<Vec<u32>>,
+    pub buckets: Vec<Vec<u32>>,
+    /// Iteration-major path rows (empty unless paths are recorded):
+    /// `rows[s][k]` is walker `k` after `s <= done[k]` steps.  The frame
+    /// holds walker-major paths; decoded, rows end with the longest.
+    pub rows: Vec<Vec<u32>>,
 }
 
 /// Pre-sample buffer state of one PS partition at the snapshot point.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PsPartState {
+pub struct PsPartState<'a> {
+    /// The partition's index in the plan.
+    pub part: usize,
     /// Flat pre-sampled edge buffer (layout defined by the plan).
-    pub buf: Vec<u32>,
+    pub buf: Cow<'a, [u32]>,
     /// Remaining unconsumed samples per vertex.
-    pub cursor: Vec<u32>,
+    pub cursor: Cow<'a, [u32]>,
 }
 
 /// A complete, engine-agnostic snapshot of a walk at an epoch boundary:
-/// borrowing the run's arrays when an engine writes it, owning them
-/// when [`WalkSnapshot::decode`] reads one.
+/// borrowing the run's state when an engine writes it, owning it when
+/// [`WalkSnapshot::decode`] reads one.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WalkSnapshot<'a> {
     /// The run the snapshot belongs to.
     pub header: RunHeader,
-    /// First iteration the resumed run must execute.
-    pub iter_next: u64,
-    /// Live walker-steps executed so far.
-    pub steps_taken: u64,
-    /// Walker-steps executed per partition so far.
-    pub per_partition_steps: Cow<'a, [u64]>,
-    /// Current walker vertices (sorted ID space).
-    pub w: Cow<'a, [u32]>,
-    /// Previous vertices (second-order walks; empty otherwise).
-    pub prev: Cow<'a, [u32]>,
-    /// Per-vertex visit counters (empty unless `record_visits`).
-    pub visits: Cow<'a, [u64]>,
-    /// Pre-sample buffer state per partition (`None` for DS partitions).
-    pub ps: Vec<Option<PsPartState>>,
-    /// Recorded path rows so far (empty unless `record_paths`).
-    pub rows: Cow<'a, [Vec<u32>]>,
+    /// The walk's resumable arrays.
+    pub state: Cow<'a, WalkState>,
+    /// The PS partitions' buffers, in increasing partition order; every
+    /// other partition of `state.per_partition_steps` is DS.
+    pub ps: Vec<PsPartState<'a>>,
     /// Bi-block scheduler state (out-of-core second-order walks only).
-    pub biblock: Option<BiBlockState<'a>>,
+    pub biblock: Option<Cow<'a, BiBlockState>>,
 }
 
 /// FNV-1a fingerprint builder for config/graph tags.
@@ -227,40 +249,45 @@ impl WalkSnapshot<'_> {
 
     /// Serializes into `out`, replacing what it held but keeping its
     /// capacity: a buffer reused across generations is allocated once.
+    /// `ps` must be in increasing partition order below the partition
+    /// count (an entry out of it is not written), and a bi-block state's
+    /// rows must reach each walker's `done` (or the frame does not
+    /// decode).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let h = &self.header;
+        let (h, st) = (&self.header, &*self.state);
         out.clear();
         out.extend_from_slice(SNAPSHOT_MAGIC);
         frame(out, TAG_STATE, 0, |out| {
             out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            let run = [h.seed, self.iter_next, h.steps_total, h.walkers];
+            let run = [h.seed, st.iter_next, h.steps_total, h.walkers];
             out.extend_from_slice(&le_bytes(&run));
-            out.extend_from_slice(&le_bytes(&[self.steps_taken, h.config_tag, h.graph_tag]));
-            put_words(out, &self.per_partition_steps);
+            out.extend_from_slice(&le_bytes(&[st.steps_taken, h.config_tag, h.graph_tag]));
+            put_words(out, &st.per_partition_steps);
         });
         frame(out, TAG_WALKERS, 0, |out| {
-            put_words(out, &self.w);
-            put_words(out, &self.prev);
-            put_words(out, &self.visits);
-            out.extend_from_slice(&(self.ps.len() as u64).to_le_bytes());
-            for part in &self.ps {
-                match part {
-                    None => out.push(0),
-                    Some(st) => {
-                        out.push(1);
-                        put_words(out, &st.buf);
-                        put_words(out, &st.cursor);
-                    }
+            put_words(out, &st.w);
+            put_words(out, &st.prev);
+            put_words(out, &st.visits);
+            // A presence byte per partition, the PS ones' buffers after it.
+            let parts = st.per_partition_steps.len();
+            out.extend_from_slice(&(parts as u64).to_le_bytes());
+            let mut ps = self.ps.iter().peekable();
+            for part in 0..parts {
+                let p = ps.next_if(|p| p.part == part);
+                out.push(u8::from(p.is_some()));
+                if let Some(p) = p {
+                    put_words(out, &p.buf);
+                    put_words(out, &p.cursor);
                 }
             }
         });
-        frame(out, TAG_OUTPUT, 0, |out| put_rows(out, &self.rows));
+        frame(out, TAG_OUTPUT, 0, |out| put_rows(out, &st.rows));
         if let Some(bb) = &self.biblock {
             frame(out, TAG_BIBLOCK, 0, |out| {
                 out.extend_from_slice(&le_bytes(&[bb.epoch, bb.cursor, bb.blocks]));
                 put_words(out, &bb.done);
                 put_rows(out, &bb.buckets);
-                put_rows(out, &bb.paths);
+                put_paths(out, &bb.rows, &bb.done);
             });
         }
     }
@@ -314,26 +341,23 @@ impl WalkSnapshot<'_> {
         r.finish()?;
 
         let mut r = Reader::new(walkers, "WALKERS", path);
-        let w = r.u32_vec()?;
-        let prev = r.u32_vec()?;
-        let visits = r.u64_vec()?;
-        let ps_len = r.u64()?;
-        if ps_len > walkers.len() as u64 {
+        let (w, prev, visits) = (r.u32_vec()?, r.u32_vec()?, r.u64_vec()?);
+        let parts = r.u64()?;
+        if parts != per_partition_steps.len() as u64 {
             return Err(corrupt(
                 "WALKERS",
-                format!("impossible PS partition count {ps_len}"),
+                format!("{parts} PS entries for {} partitions", per_partition_steps.len()),
             ));
         }
-        let mut ps = Vec::with_capacity(ps_len as usize);
-        for _ in 0..ps_len {
-            let present = r.u8()?;
-            match present {
-                0 => ps.push(None),
-                1 => {
-                    let buf = r.u32_vec()?;
-                    let cursor = r.u32_vec()?;
-                    ps.push(Some(PsPartState { buf, cursor }));
-                }
+        let mut ps = Vec::new();
+        for part in 0..per_partition_steps.len() {
+            match r.u8()? {
+                0 => {}
+                1 => ps.push(PsPartState {
+                    part,
+                    buf: r.u32_vec()?.into(),
+                    cursor: r.u32_vec()?.into(),
+                }),
                 other => {
                     return Err(corrupt(
                         "WALKERS",
@@ -352,21 +376,19 @@ impl WalkSnapshot<'_> {
             None => None,
             Some(bytes) => {
                 let mut r = Reader::new(bytes, "BIBLOCK", path);
-                let epoch = r.u64()?;
-                let cursor = r.u64()?;
-                let blocks = r.u64()?;
+                let (epoch, cursor, blocks) = (r.u64()?, r.u64()?, r.u64()?);
                 let done = r.u32_vec()?;
                 let buckets = r.u32_rows()?;
-                let paths = r.u32_rows()?;
+                let rows = r.u32_paths(&done)?;
                 r.finish()?;
-                Some(BiBlockState {
+                Some(Cow::Owned(BiBlockState {
                     epoch,
                     cursor,
                     blocks,
-                    done: done.into(),
-                    buckets: buckets.into(),
-                    paths,
-                })
+                    done,
+                    buckets,
+                    rows,
+                }))
             }
         };
 
@@ -378,14 +400,16 @@ impl WalkSnapshot<'_> {
                 config_tag,
                 graph_tag,
             },
-            iter_next,
-            steps_taken,
-            per_partition_steps: per_partition_steps.into(),
-            w: w.into(),
-            prev: prev.into(),
-            visits: visits.into(),
+            state: Cow::Owned(WalkState {
+                iter_next,
+                steps_taken,
+                per_partition_steps,
+                w,
+                prev,
+                visits,
+                rows,
+            }),
             ps,
-            rows: rows.into(),
             biblock,
         })
     }
@@ -422,35 +446,41 @@ mod tests {
                 config_tag: 0xDEAD_BEEF,
                 graph_tag: 0xFEED_FACE,
             },
-            iter_next: 4,
-            steps_taken: 24,
-            per_partition_steps: vec![10, 8, 6].into(),
-            w: vec![1, 2, 3, 4, 5, 6].into(),
-            prev: vec![6, 5, 4, 3, 2, 1].into(),
-            visits: vec![3, 3, 3, 3, 3, 3, 3, 3].into(),
+            state: Cow::Owned(WalkState {
+                iter_next: 4,
+                steps_taken: 24,
+                per_partition_steps: vec![10, 8, 6],
+                w: vec![1, 2, 3, 4, 5, 6],
+                prev: vec![6, 5, 4, 3, 2, 1],
+                visits: vec![3, 3, 3, 3, 3, 3, 3, 3],
+                rows: vec![vec![0, 1, 2, 3, 4, 5], vec![1, 2, 3, 4, 5, 0]],
+            }),
             ps: vec![
-                Some(PsPartState {
-                    buf: vec![9, 9, 9, 9],
-                    cursor: vec![2, 0],
-                }),
-                None,
-                Some(PsPartState {
-                    buf: vec![7],
-                    cursor: vec![1],
-                }),
+                PsPartState {
+                    part: 0,
+                    buf: vec![9, 9, 9, 9].into(),
+                    cursor: vec![2, 0].into(),
+                },
+                PsPartState {
+                    part: 2,
+                    buf: vec![7].into(),
+                    cursor: vec![1].into(),
+                },
             ],
-            rows: vec![vec![0, 1, 2, 3, 4, 5], vec![1, 2, 3, 4, 5, 0]].into(),
             biblock: None,
         }
     }
 
+    /// Walker `k`'s path is column `k` of `rows` down to row `done[k]`,
+    /// zero below it: (1 2 3), (2 3 4 5), (3 4 5 0), (4 5), (5 0 1),
+    /// (0 1 2 3).
     fn biblock_snapshot() -> WalkSnapshot<'static> {
         WalkSnapshot {
-            biblock: Some(BiBlockState {
+            biblock: Some(Cow::Owned(BiBlockState {
                 epoch: 3,
                 cursor: 5,
                 blocks: 4,
-                done: vec![2, 3, 3, 1, 2, 3].into(),
+                done: vec![2, 3, 3, 1, 2, 3],
                 buckets: vec![
                     vec![0, 3],
                     Vec::new(),
@@ -462,18 +492,41 @@ mod tests {
                     Vec::new(),
                     Vec::new(),
                     Vec::new(),
-                ]
-                .into(),
-                paths: vec![
-                    vec![1, 2, 3],
-                    vec![2, 3, 4, 5],
-                    vec![3, 4, 5, 0],
-                    vec![4, 5],
-                    vec![5, 0, 1],
-                    vec![0, 1, 2, 3],
                 ],
-            }),
+                rows: vec![
+                    vec![1, 2, 3, 4, 5, 0],
+                    vec![2, 3, 4, 5, 0, 1],
+                    vec![3, 4, 5, 0, 1, 2],
+                    vec![0, 5, 0, 0, 0, 3],
+                ],
+            })),
             ..sample_snapshot()
+        }
+    }
+
+    /// The BBLK frame holds each walker's path, not the rows: a row
+    /// past every walker's end is not written, and a path of other than
+    /// `done + 1` vertices does not decode.
+    #[test]
+    fn biblock_paths_are_walker_major_in_the_frame() {
+        let snap = biblock_snapshot();
+        let mut padded = snap.clone();
+        let bb = padded.biblock.as_mut().expect("a BBLK state").to_mut();
+        bb.rows.push(vec![9; 6]);
+        let bytes = padded.encode();
+        assert_eq!(bytes, snap.encode());
+        let back = WalkSnapshot::decode(&bytes, Path::new("bb.fmck")).expect("decodes");
+        assert_eq!(back, snap);
+        // Paths written for other step counts, or for other walkers, are
+        // corrupt against the frame's own `done`.
+        let bb = snap.biblock.as_deref().expect("a BBLK state");
+        let mut longer = bb.done.clone();
+        longer[0] += 1;
+        let mut out = Vec::new();
+        put_paths(&mut out, &bb.rows, &longer);
+        for done in [&bb.done[..], &bb.done[..5]] {
+            let mut r = Reader::new(&out, "BIBLOCK", Path::new("bb.fmck"));
+            assert!(matches!(r.u32_paths(done), Err(RecoverError::Corrupt { .. })));
         }
     }
 

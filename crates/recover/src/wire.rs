@@ -72,6 +72,21 @@ pub fn put_rows(out: &mut Vec<u8>, rows: &[Vec<u32>]) {
     }
 }
 
+/// Iteration-major `rows` as walker-major partial paths: a `u64` path
+/// count (0 when `rows` is empty, else one a walker), then walker `k`'s
+/// `done[k] + 1` vertices down `rows`, as [`put_words`] writes a row.
+pub fn put_paths(out: &mut Vec<u8>, rows: &[Vec<u32>], done: &[u32]) {
+    let paths = if rows.is_empty() { 0 } else { done.len() };
+    out.extend_from_slice(&(paths as u64).to_le_bytes());
+    for (k, &d) in done.iter().enumerate().take(paths) {
+        let len = u64::from(d) + 1;
+        out.extend_from_slice(&len.to_le_bytes());
+        for (row, _) in rows.iter().zip(0..len) {
+            out.extend_from_slice(&row[k].to_le_bytes());
+        }
+    }
+}
+
 /// Appends a frame built in place: `head`, a `u64` length word, what
 /// `payload` writes, and a CRC32 of the frame from `crc_from` bytes into
 /// `head` on.  The length word is patched once the payload is written,
@@ -237,6 +252,33 @@ impl<'a> Reader<'a> {
         // Every row takes at least its eight-byte length.
         let count = self.checked_len(8)?;
         (0..count).map(|_| self.u32_vec()).collect()
+    }
+
+    /// What [`put_paths`] writes, back in rows: as many as the longest
+    /// path, each a walker wide, zero past a walker's path.  A path
+    /// count other than 0 or `done.len()`, or a walker's path of other
+    /// than `done[k] + 1` vertices, is corrupt.  A row is allocated once
+    /// a path's words for it are present, so the rows are bounded by the
+    /// bytes, though not linearly: longest path × walkers words.
+    pub fn u32_paths(&mut self, done: &[u32]) -> Result<Vec<Vec<u32>>, RecoverError> {
+        let paths = self.u64()?;
+        if paths != 0 && paths != done.len() as u64 {
+            return Err(self.corrupt(format!("{paths} paths for {} walkers", done.len())));
+        }
+        let mut rows: Vec<Vec<u32>> = Vec::new();
+        for (k, &d) in done.iter().enumerate().filter(|_| paths != 0) {
+            let len = self.checked_len(4)?;
+            if len as u64 != u64::from(d) + 1 {
+                return Err(self.corrupt(format!("walker {k}'s path of {len} after {d} steps")));
+            }
+            for s in 0..len {
+                if s == rows.len() {
+                    rows.push(vec![0; done.len()]);
+                }
+                rows[s][k] = self.u32()?;
+            }
+        }
+        Ok(rows)
     }
 
     pub fn bytes(&mut self) -> Result<&'a [u8], RecoverError> {

@@ -369,7 +369,8 @@ fn program_state_round_trips_through_wire_codec() {
     // snapshot's auxiliary (`prev`) lane; a checkpoint taken mid-run
     // must restore it bit for bit under arbitrary sizes, values, and
     // mixed PS/DS buffer states.
-    use flashmob_repro::recover::{PsPartState, RunHeader, WalkSnapshot};
+    use flashmob_repro::recover::{PsPartState, RunHeader, WalkSnapshot, WalkState};
+    use std::borrow::Cow;
     let mut rng = Xorshift64Star::new(0x9a7e_57a7);
     for case in 0..200 {
         let walkers = gen_range(&mut rng, 0, 300) as usize;
@@ -381,33 +382,43 @@ fn program_state_round_trips_through_wire_codec() {
         );
         let (steps_taken, config_tag, graph_tag) =
             (rng.next_u64() >> 8, rng.next_u64(), rng.next_u64());
+        let header = RunHeader {
+            seed,
+            walkers: walkers as u64,
+            steps_total,
+            config_tag,
+            graph_tag,
+        };
+        let per_partition_steps = (0..parts).map(|_| rng.next_u64() >> 16).collect();
+        let w = (0..walkers).map(|_| rng.next_u64() as u32).collect();
+        // The program-state lane: arbitrary origins, including the
+        // DEAD sentinel (u32::MAX).
+        let prev = (0..walkers).map(|_| rng.next_u64() as u32).collect();
+        let mut ps = Vec::new();
+        for part in 0..parts {
+            if rng.next_u64() & 1 == 0 {
+                ps.push(PsPartState {
+                    part,
+                    buf: gen_vec(&mut rng, (0, 64), (0, u32::MAX as u64)).into(),
+                    cursor: gen_vec(&mut rng, (0, 16), (0, 64)).into(),
+                });
+            }
+        }
+        let rows = (0..gen_range(&mut rng, 0, 8))
+            .map(|_| gen_vec(&mut rng, (0, 12), (0, u32::MAX as u64)))
+            .collect();
         let snap = WalkSnapshot {
-            header: RunHeader {
-                seed,
-                walkers: walkers as u64,
-                steps_total,
-                config_tag,
-                graph_tag,
-            },
-            iter_next,
-            steps_taken,
-            per_partition_steps: (0..parts).map(|_| rng.next_u64() >> 16).collect(),
-            w: (0..walkers).map(|_| rng.next_u64() as u32).collect(),
-            // The program-state lane: arbitrary origins, including the
-            // DEAD sentinel (u32::MAX).
-            prev: (0..walkers).map(|_| rng.next_u64() as u32).collect(),
-            visits: Vec::new().into(),
-            ps: (0..parts)
-                .map(|_| {
-                    (rng.next_u64() & 1 == 0).then(|| PsPartState {
-                        buf: gen_vec(&mut rng, (0, 64), (0, u32::MAX as u64)),
-                        cursor: gen_vec(&mut rng, (0, 16), (0, 64)),
-                    })
-                })
-                .collect(),
-            rows: (0..gen_range(&mut rng, 0, 8))
-                .map(|_| gen_vec(&mut rng, (0, 12), (0, u32::MAX as u64)))
-                .collect(),
+            header,
+            state: Cow::Owned(WalkState {
+                iter_next,
+                steps_taken,
+                per_partition_steps,
+                w,
+                prev,
+                visits: Vec::new(),
+                rows,
+            }),
+            ps,
             biblock: None,
         };
         let bytes = snap.encode();
